@@ -2,9 +2,10 @@
 #
 # `make ci` runs the exact gate GitHub Actions runs (.github/workflows/
 # go.yml): vet + gofmt + staticcheck + actionlint, build, tests (plain
-# and -race), fuzz smoke passes over both wire codecs, the
-# bench-regression gate against the committed baseline, and the
-# determinism check (every experiment twice, fingerprints diffed).
+# and -race, plus the bench/ module's own), fuzz smoke passes over both
+# wire codecs, the bench-regression gate against the committed baseline,
+# and the determinism check (every experiment twice, fingerprints
+# diffed).
 # The nightly workflow (.github/workflows/nightly-fuzz.yml) runs the
 # same fuzz targets for 10 minutes each.
 
@@ -15,7 +16,7 @@ SHELL := /bin/bash
 
 GO ?= go
 # The perf record this branch writes; bump per PR to grow the trajectory.
-BENCH_OUT ?= BENCH_pr10.json
+BENCH_OUT ?= BENCH_pr13.json
 # The committed baseline the bench gate compares against.
 BENCH_BASE ?= BENCH_pr9.json
 # Allowed fractional ns/op regression before the gate fails.
@@ -29,7 +30,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build test vet race fmt-check deprecations staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire bench bench-gate determinism ci
+.PHONY: all build test vet race fmt-check bench-check loc staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire bench bench-gate determinism ci
 
 all: vet build test
 
@@ -48,16 +49,17 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# deprecations fails when new code opens the wire plane through the
-# anonymous-admin shims (wire.Serve / wire.Dial): use ServeWith with a
-# keyring and an explicit anonymous-session policy, and DialSession
-# with a capability token. The wire package's deprecated_test.go pins
-# the shims and is the only sanctioned caller.
-deprecations:
-	@out=$$(grep -rnE '\bwire\.Serve\(|\bwire\.Dial\(' \
-		--include='*.go' --exclude='deprecated_test.go' \
-		cmd examples internal *.go || true); \
-	if [ -n "$$out" ]; then echo "deprecated anonymous-admin wire entry points (use wire.ServeWith / wire.DialSession):"; echo "$$out"; exit 1; fi
+# bench-check vets and smoke-tests the repository benchmark. bench/ is
+# its own module, so `go build ./... && go test ./...` at the root never
+# compiles it: without this an internal/ API change breaks it silently.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# loc prints the design-quality yardstick: non-test Go lines outside
+# the benchmark module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # staticcheck runs the pinned honnef.co analyzer over every package;
 # `go run` resolves the exact version, so CI (module-cached) and local
@@ -124,7 +126,7 @@ determinism:
 
 # ci mirrors .github/workflows/go.yml so contributors run the exact
 # gate locally before pushing.
-ci: vet fmt-check deprecations staticcheck actionlint build test race
+ci: vet fmt-check staticcheck actionlint build test bench-check race
 	$(MAKE) fuzz FUZZTIME=30s
 	$(MAKE) bench BENCH_OUT=bench-ci.json
 	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) -tolerance $(BENCH_TOLERANCE) $(BENCH_ACCEPT) bench-ci.json

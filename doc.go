@@ -74,14 +74,17 @@
 // drives a whole cluster through three concurrently connected scoped
 // consoles.
 //
-// internal/cc sits BELOW the bulk movers: it is a pure window/RTO state
-// machine (AIMD with delay-based backoff, no wire knowledge) that the
-// cluster's migration pre-copy and the federation's Transfer leg
-// consult per management uplink before each checkpoint chunk. Pacing
-// bounds how much bulk may queue ahead of a control datagram on the
-// shared FIFO links — the Stampede experiment measures exactly that —
-// while netsim.WANProfile presets (wan20ms/wan50ms/wan100ms) shape the
-// links those transfers share with gossip and delegation traffic.
+// internal/cc sits BELOW the bulk movers: cc.Controller is a pure
+// window/RTO state machine per management uplink (CUBIC with
+// delay-based backoff, no wire knowledge), and cc.Sender is the one
+// windowed chunk sender — split, acquire-before-transmit, ack,
+// retransmit, abort — that both the cluster's migration pre-copy and
+// the federation's Transfer leg instantiate with their own socket,
+// config values and counters. Pacing bounds how much bulk may queue
+// ahead of a control datagram on the shared FIFO links — the Stampede
+// experiment measures exactly that — while netsim.WANProfile presets
+// (wan20ms/wan50ms/wan100ms) shape the links those transfers share with
+// gossip and delegation traffic.
 //
 // # Observability layering
 //
@@ -101,14 +104,10 @@
 // than scattering ad-hoc getters.
 //
 // Boards and clusters are built with functional options (core.New,
-// core.NewOnEngine, cluster.NewCluster, cluster.NewFederation); the
-// positional constructors (core.NewBoard, core.NewBoardOnEngine,
-// cluster.New) remain as thin deprecated shims, as does the
-// single-func Activation().Trace hook superseded by the Subscribe
-// fan-out.
+// core.NewOnEngine, cluster.NewCluster, cluster.NewFederation).
 //
-// The implementation lives under internal/ (one package per subsystem —
-// see DESIGN.md for the inventory); runnable entry points are in cmd/
-// and examples/; bench_test.go regenerates every table and figure of
-// the paper's evaluation.
+// The implementation lives under internal/ (one package per subsystem);
+// runnable entry points are in cmd/ and examples/; bench_test.go
+// regenerates every table and figure of the paper's evaluation, and
+// bench/ is the repository benchmark (its own module; bench/README.md).
 package jitsu

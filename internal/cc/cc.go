@@ -1,31 +1,33 @@
-// Package cc is the per-management-link congestion controller the bulk
-// movers acquire window from. Migration pre-copy chunks
+// Package cc paces bulk copies on a shared management link. It holds
+// the per-link congestion Controller and the one windowed chunk Sender
+// (sender.go) that acquires window from it: migration pre-copy
 // (internal/cluster xfer.go) and federation shed/Transfer checkpoint
-// copies used to blast fixed-size chunks with a private doubling RTO —
-// exactly the uncoordinated bulk consumer that collapses a shared
-// monitoring/control transport (the MDS2 failure mode): on a throttled
-// management link an unpaced copy parks seconds of queue in front of
-// the gossip probes and delegated resolutions sharing the wire.
+// copies (fedxfer.go) both run that Sender, each over its own socket.
+// Unpaced, such a copy is exactly the uncoordinated bulk consumer that
+// collapses a shared monitoring/control transport (the MDS2 failure
+// mode): on a throttled management link it parks seconds of queue in
+// front of the gossip probes and delegated resolutions sharing the
+// wire.
 //
 // A Controller keeps three pieces of classical transport state, all on
 // the simulation's virtual clock and therefore bit-deterministic:
 //
 //   - an RFC 6298 RTT estimator (EWMA srtt + mean deviation → RTO,
-//     Karn-ambiguous samples excluded by the callers);
+//     Karn-ambiguous samples excluded by the Sender);
 //   - a CUBIC congestion window (Ha/Rhee/Xu): concave-then-convex
 //     growth toward the window at the last congestion event, with
 //     multiplicative decrease on loss — plus a delay-based backoff
 //     (rtt beyond DelayFactor × the observed base RTT counts as
 //     congestion) so a lossless-but-throttled link converges to a
 //     bounded standing queue instead of bufferbloat;
-//   - in-flight byte accounting with a FIFO grant queue: senders
-//     Acquire window before every chunk and release it via
-//     OnAck/OnLoss/OnTimeout, so however many transfers share one
-//     uplink, their aggregate in-flight bytes track one window.
+//   - in-flight byte accounting with a FIFO grant queue: a Sender
+//     Acquires window before every chunk and settles each grant exactly
+//     once via OnAck/OnTimeout/Release, so however many transfers share
+//     one uplink, their aggregate in-flight bytes track one window.
 //
 // The package sits below the movers and beside the transports: it
-// never touches the wire itself, it only decides when the next chunk
-// may.
+// never touches the wire itself — a Sender is handed a send func — it
+// only decides when the next chunk may go.
 package cc
 
 import (

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"jitsu/internal/api"
-	"jitsu/internal/cc"
 	"jitsu/internal/core"
 	"jitsu/internal/dns"
 	"jitsu/internal/netsim"
@@ -175,13 +174,8 @@ type Cluster struct {
 	// movedTo records services this cluster handed to another cluster
 	// (federation spill or skew shed): resolution redirects there.
 	movedTo map[string]int
-	// xferSenders tracks in-flight checkpoint transfers by id (xfer.go).
-	xferSenders map[uint32]*xferSend
-	nextXferID  uint32
-	// ccs holds each board's management-uplink congestion controller,
-	// indexed by board id, built on first transfer (nil entries until
-	// then; unused entirely when Cfg.UnpacedTransfers).
-	ccs []*cc.Controller
+	// nextXferID numbers checkpoint transfers cluster-wide (xfer.go).
+	nextXferID uint32
 
 	// WarmHits counts queries answered by an already-ready replica.
 	WarmHits uint64
@@ -299,8 +293,7 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 	}
 	cfg.Board.DelayDNSUntilReady = false
 
-	c := &Cluster{Cfg: cfg, dir: newDirectory(), movedTo: make(map[string]int),
-		xferSenders: make(map[uint32]*xferSend)}
+	c := &Cluster{Cfg: cfg, dir: newDirectory(), movedTo: make(map[string]int)}
 	c.eng = eng
 	c.mgmt = netsim.NewBridge(c.eng, "mgmt", 10*time.Microsecond)
 	for i := 0; i < cfg.Boards; i++ {

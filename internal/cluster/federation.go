@@ -219,9 +219,7 @@ type Federation struct {
 	members []*FedMember
 	root    *fedRoot
 	clients []*FedClient
-	// fedXfers tracks in-flight cross-cluster chunk exchanges by id
-	// (fedxfer.go).
-	fedXfers    map[uint32]*fedXferSend
+	// nextFedXfer numbers cross-cluster chunk exchanges (fedxfer.go).
 	nextFedXfer uint32
 
 	// Spills counts services re-homed because admission refused.
@@ -333,7 +331,7 @@ func NewFederation(opts ...FedOption) *Federation {
 	if cfg.DelegateRetries < 0 {
 		cfg.DelegateRetries = 0
 	}
-	f := &Federation{Cfg: cfg, fedXfers: make(map[uint32]*fedXferSend)}
+	f := &Federation{Cfg: cfg}
 	f.eng = sim.New(cfg.Cluster.Board.Seed)
 	cfg.Tracer.BindClock(f.eng.Now)
 	f.fedNet = netsim.NewBridge(f.eng, "fed-mgmt", 10*time.Microsecond)
@@ -591,13 +589,14 @@ type fedAgent struct {
 	pushPending bool
 	stopped     bool
 	// ctrl paces this agent's federation uplink for chunk exchanges
-	// (fedxfer.go); nil until the first transfer, or always when the
-	// unpaced ablation is configured.
-	ctrl *cc.Controller
+	// (nil until the first one, or always when unpaced); xfers holds the
+	// exchanges in flight from here, by id (fedxfer.go).
+	ctrl  *cc.Controller
+	xfers map[uint32]*cc.Sender
 }
 
 func newFedAgent(f *Federation, m *FedMember) *fedAgent {
-	a := &fedAgent{f: f, m: m}
+	a := &fedAgent{f: f, m: m, xfers: make(map[uint32]*cc.Sender)}
 	a.nic = netsim.NewNIC(f.eng, fmt.Sprintf("fed%d", m.ID), netsim.MACFor(0xB000+m.ID))
 	f.fedNet.ConnectNIC(a.nic, f.Cfg.FedLinkLatency, f.Cfg.FedBitsPerSec)
 	if f.Cfg.WAN != nil {

@@ -1,259 +1,70 @@
 package cluster
 
 import (
-	"time"
+	"strconv"
 
 	"jitsu/internal/cc"
 	"jitsu/internal/netstack"
 	"jitsu/internal/obs"
-	"jitsu/internal/sim"
 )
 
-// Federation checkpoint copies: the shed/spill transfer leg used to be
-// a single sleep sized bits/TransferBitsPerSec — the copy never touched
-// the federation management network, so it could not contend with the
+// Federation checkpoint copies: the shed/spill transfer leg is the same
+// windowed chunk exchange the migration path runs (xfer.go) — one
+// cc.Sender — agent to agent over fedNet, so it contends with the
 // root's delegated resolves and summary pushes that share those links.
-// Now it is the same windowed chunk exchange the intra-cluster
-// migration path runs (xfer.go), agent to agent over fedNet: chunk
-// datagrams carry a header but occupy the sending agent's uplink for
-// the full chunk byte count, acks return window to the per-agent
-// congestion controller, lost chunks retransmit with a bounded budget,
-// and an exchange that exhausts a chunk's retries aborts the transfer
-// (the source keeps serving). FedConfig.UnpacedTransfers keeps the
-// blast-everything ablation arm.
+// An exchange that exhausts a chunk's retries aborts the transfer and
+// the source keeps serving.
 
-// fedXferChunk is one chunk's sender-side state. held mirrors
-// xferChunk.held: whether the chunk currently owns granted controller
-// window, so exactly one of OnAck/OnTimeout/Release settles each grant.
-type fedXferChunk struct {
-	mib    int
-	tries  int
-	sentAt sim.Duration
-	sent   bool
-	acked  bool
-	held   bool
-	timer  sim.Event
-}
-
-// fedXferSend is the sender side of one cross-cluster checkpoint copy.
-type fedXferSend struct {
-	a        *fedAgent
-	id       uint32
-	dst      int
-	chunks   []fedXferChunk
-	acked    int
-	inflight int
-	ctrl     *cc.Controller
-	done     func(ok bool)
-	finished bool
-}
-
-// fedCC returns (building on first use) the congestion controller
-// pacing this agent's federation uplink, or nil when the unpaced
-// ablation is configured. Registered under cc.c<id>.* in the federation
-// registry.
+// fedCC returns (building on first use) the controller pacing this
+// agent's federation uplink — cc.c<id>.* in the federation registry —
+// or nil when the unpaced ablation is configured.
 func (a *fedAgent) fedCC() *cc.Controller {
-	if a.f.Cfg.UnpacedTransfers {
-		return nil
-	}
-	if a.ctrl == nil {
-		a.ctrl = cc.New(a.f.eng, cc.Config{
-			MSS:     a.f.Cfg.TransferChunkMiB << 20,
-			RTOMin:  a.f.Cfg.TransferChunkRTO,
-			InitRTO: a.f.Cfg.TransferChunkRTO,
-			RTOMax:  64 * a.f.Cfg.TransferChunkRTO,
-		})
-		a.ctrl.Register(a.f.Reg, "cc.c"+itoa(a.m.ID))
+	if a.ctrl == nil && !a.f.Cfg.UnpacedTransfers {
+		a.ctrl = uplinkCC(a.f.eng, a.f.Reg, "cc.c"+strconv.Itoa(a.m.ID), a.f.Cfg.TransferChunkMiB, a.f.Cfg.TransferChunkRTO)
 	}
 	return a.ctrl
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 && i > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // fedCopy streams stateMiB from this agent to cluster dst's agent over
 // the federation management network and reports success.
 func (a *fedAgent) fedCopy(dst int, stateMiB int, done func(ok bool)) {
-	chunk := a.f.Cfg.TransferChunkMiB
-	total := (stateMiB + chunk - 1) / chunk
-	if total < 1 {
-		total = 1
-	}
-	last := stateMiB - (total-1)*chunk
-	if last <= 0 {
-		last = chunk
-	}
-	a.f.nextFedXfer++
-	s := &fedXferSend{a: a, id: a.f.nextFedXfer, dst: dst,
-		chunks: make([]fedXferChunk, total), ctrl: a.fedCC(), done: done}
-	for i := range s.chunks {
-		s.chunks[i].mib = chunk
-	}
-	s.chunks[total-1].mib = last
-	a.f.fedXfers[s.id] = s
-	a.f.eng.After(500*time.Microsecond, s.start)
-}
-
-func (s *fedXferSend) start() {
-	for i := range s.chunks {
-		i := i
-		if s.ctrl == nil {
-			s.transmit(i)
-			continue
-		}
-		bytes := s.chunks[i].mib << 20
-		s.ctrl.Acquire(bytes, func() {
-			if s.finished {
-				s.ctrl.Release(bytes)
-				return
+	f := a.f
+	f.nextFedXfer++
+	id := f.nextFedXfer
+	a.xfers[id] = cc.Send(f.eng, a.fedCC(), cc.Transfer{
+		ID: id, StateMiB: stateMiB, ChunkMiB: f.Cfg.TransferChunkMiB,
+		RTO: f.Cfg.TransferChunkRTO, Retries: f.Cfg.TransferChunkRetries,
+		BitsPerSec: f.Cfg.TransferBitsPerSec, OpChunk: fedOpXferChunk,
+		Send: func(hdr []byte, wireBytes int) {
+			a.host.SendUDPBulk(agentMgmtIP(dst), fedPort, fedPort, hdr, wireBytes)
+		},
+		Chunks: &f.FedChunks, Retx: &f.FedChunkRetx, Aborts: &f.FedXferAborts,
+		OnAbort: func(acked int) {
+			if tr := f.Cfg.Tracer; tr != nil {
+				tr.Instant(a.lane(), "fed", "xfer-abort",
+					obs.Num("xfer", int64(id)), obs.Num("chunk", int64(acked)))
 			}
-			s.chunks[i].held = true
-			s.transmit(i)
-		})
-	}
-}
-
-func (s *fedXferSend) transmit(idx int) {
-	if s.finished {
-		return
-	}
-	cs := &s.chunks[idx]
-	buf := []byte{fedOpXferChunk,
-		byte(s.id >> 24), byte(s.id >> 16), byte(s.id >> 8), byte(s.id),
-		byte(idx >> 24), byte(idx >> 16), byte(idx >> 8), byte(idx),
-		byte(len(s.chunks) >> 24), byte(len(s.chunks) >> 16), byte(len(s.chunks) >> 8), byte(len(s.chunks))}
-	s.a.f.FedChunks++
-	cs.tries++
-	if !cs.sent {
-		cs.sent = true
-		cs.sentAt = s.a.f.eng.Now()
-		s.inflight += cs.mib << 20
-	}
-	s.a.host.SendUDPBulk(agentMgmtIP(s.dst), fedPort, fedPort, buf, cs.mib<<20)
-	s.armTimer(idx)
-}
-
-// armTimer mirrors the intra-cluster transfer's retransmit schedule:
-// live (or fixed) RTO doubled per retry of this chunk, plus a
-// serialisation allowance for the bytes in flight ahead of the ack.
-func (s *fedXferSend) armTimer(idx int) {
-	cs := &s.chunks[idx]
-	rto := s.a.f.Cfg.TransferChunkRTO
-	if s.ctrl != nil {
-		rto = s.ctrl.RTO()
-	}
-	for i := 1; i < cs.tries; i++ {
-		rto *= 2
-	}
-	rto += sim.Duration(float64(s.inflight*8) / s.a.f.Cfg.TransferBitsPerSec * float64(time.Second))
-	cs.timer = s.a.f.eng.After(rto, func() {
-		if s.finished || cs.acked {
-			return
-		}
-		if cs.tries > s.a.f.Cfg.TransferChunkRetries {
-			s.fail()
-			return
-		}
-		s.a.f.FedChunkRetx++
-		if s.ctrl != nil {
-			// As in xfer.go: the timed-out chunk holds no window while
-			// its re-Acquire queues; an ack or failure landing first
-			// leaves the grant closure to return its own bytes.
-			bytes := cs.mib << 20
-			cs.held = false
-			s.ctrl.OnTimeout(bytes)
-			s.ctrl.Acquire(bytes, func() {
-				if s.finished || cs.acked {
-					s.ctrl.Release(bytes)
-					return
-				}
-				cs.held = true
-				s.transmit(idx)
-			})
-			return
-		}
-		s.transmit(idx)
+		},
+		Done: func(ok bool) {
+			delete(a.xfers, id)
+			done(ok)
+		},
 	})
 }
 
-func (s *fedXferSend) onAck(idx int) {
-	if s.finished || idx >= len(s.chunks) {
-		return
-	}
-	cs := &s.chunks[idx]
-	if !cs.sent || cs.acked {
-		return
-	}
-	cs.acked = true
-	s.a.f.eng.Cancel(cs.timer)
-	bytes := cs.mib << 20
-	s.inflight -= bytes
-	if s.ctrl != nil && cs.held {
-		cs.held = false
-		var rtt sim.Duration
-		if cs.tries == 1 {
-			rtt = s.a.f.eng.Now() - cs.sentAt
-		}
-		s.ctrl.OnAck(bytes, rtt)
-	}
-	s.acked++
-	if s.acked == len(s.chunks) {
-		s.finished = true
-		delete(s.a.f.fedXfers, s.id)
-		s.done(true)
-	}
-}
-
-func (s *fedXferSend) fail() {
-	s.finished = true
-	delete(s.a.f.fedXfers, s.id)
-	for i := range s.chunks {
-		cs := &s.chunks[i]
-		if cs.timer != (sim.Event{}) {
-			s.a.f.eng.Cancel(cs.timer)
-		}
-		if cs.held && s.ctrl != nil {
-			cs.held = false
-			s.ctrl.Release(cs.mib << 20)
-		}
-	}
-	s.a.f.FedXferAborts++
-	if tr := s.a.f.Cfg.Tracer; tr != nil {
-		tr.Instant(s.a.lane(), "fed", "xfer-abort",
-			obs.Num("xfer", int64(s.id)), obs.Num("chunk", int64(s.acked)))
-	}
-	s.done(false)
-}
-
-// recvFedXfer handles transfer datagrams between agents. As on the
-// cluster management network, the receiver keeps no per-transfer state:
-// every chunk is acknowledged back to its sender, duplicates included.
+// recvFedXfer handles transfer datagrams between agents: chunks are
+// acknowledged, acks retire their chunk on the sender this agent runs.
 func (a *fedAgent) recvFedXfer(src netstack.IP, payload []byte) {
-	if len(payload) < 9 {
+	op, id, idx, ok := cc.ParseHeader(payload)
+	if !ok {
 		return
 	}
-	id := uint32(payload[1])<<24 | uint32(payload[2])<<16 | uint32(payload[3])<<8 | uint32(payload[4])
-	idx := int(payload[5])<<24 | int(payload[6])<<16 | int(payload[7])<<8 | int(payload[8])
-	switch payload[0] {
+	switch op {
 	case fedOpXferChunk:
-		ack := []byte{fedOpXferAck,
-			byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id),
-			byte(idx >> 24), byte(idx >> 16), byte(idx >> 8), byte(idx)}
-		a.host.SendUDP(src, fedPort, fedPort, ack)
+		a.host.SendUDP(src, fedPort, fedPort, cc.AckHeader(fedOpXferAck, id, idx))
 	case fedOpXferAck:
-		if s, ok := a.f.fedXfers[id]; ok && s.a == a {
-			s.onAck(idx)
+		if s := a.xfers[id]; s != nil {
+			s.OnAck(idx)
 		}
 	}
 }

@@ -52,6 +52,45 @@ func TestFedDelegationRetransmitRecoversLoss(t *testing.T) {
 	}
 }
 
+// TestFedTransferRecoversChunkLoss is the federation-side twin of the
+// migration loss tests: a skew shed's checkpoint copy crosses a lossy
+// agent uplink, lost chunks (and lost acks) retransmit within budget,
+// the transfer completes, and every byte of window the copy was granted
+// is back with the sending agent's controller.
+func TestFedTransferRecoversChunkLoss(t *testing.T) {
+	f := testFederation(2, 2)
+	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
+	svc := testService("alice", 20)
+	svc.StateMiB = 18
+	_, e := f.RegisterService(svc)
+	warm := fedFetch(f, fc, 1*time.Second, "alice.family.name")
+	src := f.members[0].agent
+	f.Eng().At(10*time.Second, func() {
+		ready := e.ready()
+		if len(ready) == 0 {
+			t.Error("no ready replica to transfer")
+			return
+		}
+		src.nic.Link().Impair(netsim.Impairment{Loss: 0.3}, 5)
+		src.transferOut(e, ready[0], f.members[1])
+	})
+	f.RunAll()
+	if !warm.done || warm.err != nil {
+		t.Fatalf("warm fetch: done=%v err=%v", warm.done, warm.err)
+	}
+	if f.FedChunkRetx == 0 {
+		t.Fatal("30% loss on the agent uplink produced no chunk retransmits — scenario not exercised")
+	}
+	if f.CrossMigrations != 1 || f.FedXferAborts != 0 {
+		t.Fatalf("cross-migrations=%d aborts=%d, want 1/0: retransmission did not recover the copy",
+			f.CrossMigrations, f.FedXferAborts)
+	}
+	if src.ctrl.InFlight() != 0 || src.ctrl.QueueLen() != 0 || len(src.xfers) != 0 {
+		t.Fatalf("agent controller after the transfer: inflight=%d queued=%d live=%d, want 0/0/0",
+			src.ctrl.InFlight(), src.ctrl.QueueLen(), len(src.xfers))
+	}
+}
+
 func TestFedDelegationTimeoutServfailNoNegativeCache(t *testing.T) {
 	// An outbound partition starves a delegation: the root must answer
 	// SERVFAIL after its retry budget — and must NOT cache a negative,

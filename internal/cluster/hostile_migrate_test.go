@@ -126,7 +126,7 @@ func TestMigrationLateAckAfterTimeoutSettlesWindowOnce(t *testing.T) {
 	}
 	// The transfer is long done: all granted window must be back and no
 	// stale re-Acquire may still be queued on the source's controller.
-	ctrl := c.ccs[1]
+	ctrl := c.members[1].agent.ctrl
 	if ctrl == nil {
 		t.Fatal("no congestion controller built for board 1")
 	}

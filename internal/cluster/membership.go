@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"jitsu/internal/cc"
 	"jitsu/internal/core"
 	"jitsu/internal/netsim"
 	"jitsu/internal/netstack"
@@ -135,6 +136,11 @@ type agent struct {
 	// relayed maps this agent's own ping seq (sent on behalf of another
 	// member) to the ping-req origin it must answer.
 	relayed map[uint32]relayRef
+	// ctrl paces this board's management uplink for checkpoint copies
+	// (nil until the first one, or always when unpaced); xfers holds the
+	// copies in flight from here, by id (xfer.go).
+	ctrl    *cc.Controller
+	xfers   map[uint32]*cc.Sender
 	probeEv sim.Event
 	stopped bool
 }
@@ -159,6 +165,7 @@ func newAgent(c *Cluster, m *Member) *agent {
 		view:    make(map[int]memberInfo),
 		await:   make(map[uint32]int),
 		relayed: make(map[uint32]relayRef),
+		xfers:   make(map[uint32]*cc.Sender),
 		inc:     1,
 	}
 	a.nic = netsim.NewNIC(c.eng, fmt.Sprintf("mgmt%d", m.ID), netsim.MACFor(0xA000+m.ID))

@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"time"
+	"strconv"
 
 	"jitsu/internal/cc"
 	"jitsu/internal/netstack"
@@ -10,286 +10,86 @@ import (
 )
 
 // Checkpoint transfer: the migration pre-copy is a real windowed
-// datagram exchange on the management network (port 7947). The
-// checkpoint is cut into chunks; each chunk datagram carries only a
-// header but occupies the shared management link for the chunk's full
-// byte count (netstack.SendUDPBulk), so gossip probes and anything else
-// on the same uplink queue behind the copy exactly as they would behind
-// the real burst. How many chunks may be in flight at once is decided
-// by the per-uplink congestion controller (internal/cc): every chunk
-// acquires window before it transmits and returns it on ack, loss or
-// timeout, so the copy paces itself to the link instead of blasting —
-// the unpaced ablation (Config.UnpacedTransfers) puts every chunk on
-// the wire immediately with the old fixed doubling RTO, which is
-// exactly the bufferbloat that falsely suspects gossip peers on a
-// throttled link. Lost chunks retransmit (bounded per chunk); a
-// management-link partition exhausts the retries and fails the
-// transfer, which the migration layer answers with abort — and, for
-// mandatory evacuations, a bounded reschedule.
+// datagram exchange on the management network (port 7947), run by the
+// one chunk sender both bulk movers share (cc.Sender); this file is the
+// cluster's side of it — which controller, config values, socket and
+// counters. Each chunk datagram carries only a header but occupies the
+// shared management link for the chunk's full byte count
+// (netstack.SendUDPBulk), so gossip probes and anything else on the
+// same uplink queue behind the copy exactly as they would behind the
+// real burst. A management-link partition exhausts a chunk's retries
+// and fails the transfer, which the migration layer answers with abort
+// — and, for mandatory evacuations, a bounded reschedule.
 const (
 	xferPort = 7947
 
-	xferOpChunk = 1 // [op, id:4, idx:4, total:4] — sender -> receiver
-	xferOpAck   = 2 // [op, id:4, idx:4]          — receiver -> sender
+	xferOpChunk = 1 // sender -> receiver
+	xferOpAck   = 2 // receiver -> sender
 )
 
-// xferChunk is one chunk's sender-side state. held tracks whether the
-// chunk currently owns granted controller window: the controller's
-// contract is that every grant is settled by exactly one of
-// OnAck/OnTimeout/Release, and a chunk whose timer fired has already
-// settled via OnTimeout while its re-Acquire waits in the queue — a
-// late ack or a transfer failure in that gap must not settle again.
-type xferChunk struct {
-	mib    int
-	tries  int
-	sentAt sim.Duration
-	sent   bool
-	acked  bool
-	held   bool
-	timer  sim.Event
+// uplinkCC builds the congestion controller pacing one management
+// uplink for chunkMiB chunks, its RTO clamped to [rto, 64×rto], and
+// registers its live window/RTT state under prefix.
+func uplinkCC(eng *sim.Engine, reg *obs.Registry, prefix string, chunkMiB int, rto sim.Duration) *cc.Controller {
+	ctrl := cc.New(eng, cc.Config{MSS: chunkMiB << 20, RTOMin: rto, InitRTO: rto, RTOMax: 64 * rto})
+	ctrl.Register(reg, prefix)
+	return ctrl
 }
 
-// xferSend is the sender side of one checkpoint copy.
-type xferSend struct {
-	c        *Cluster
-	id       uint32
-	src, dst int
-	chunks   []xferChunk
-	acked    int
-	inflight int // unacked transmitted bytes (RTO serialisation allowance)
-	ctrl     *cc.Controller
-	done     func(ok bool)
-	finished bool
-}
-
-// ccFor returns (building on first use) the congestion controller
-// pacing board id's management uplink, or nil when the unpaced
-// ablation is configured. Its live window/RTT state registers under
-// cc.b<id>.* in the cluster registry.
+// ccFor returns (building on first use) the controller pacing board
+// id's management uplink — cc.b<id>.* in the cluster registry — or nil
+// when the unpaced ablation is configured.
 func (c *Cluster) ccFor(id int) *cc.Controller {
-	if c.Cfg.UnpacedTransfers {
-		return nil
+	a := c.members[id].agent
+	if a.ctrl == nil && !c.Cfg.UnpacedTransfers {
+		a.ctrl = uplinkCC(c.eng, c.Reg, "cc.b"+strconv.Itoa(id), c.Cfg.MigrateChunkMiB, c.Cfg.MigrateChunkRTO)
 	}
-	for len(c.ccs) <= id {
-		c.ccs = append(c.ccs, nil)
-	}
-	if c.ccs[id] == nil {
-		ctrl := cc.New(c.eng, cc.Config{
-			MSS:     c.Cfg.MigrateChunkMiB << 20,
-			RTOMin:  c.Cfg.MigrateChunkRTO,
-			InitRTO: c.Cfg.MigrateChunkRTO,
-			RTOMax:  64 * c.Cfg.MigrateChunkRTO,
-		})
-		ctrl.Register(c.Reg, fmt_ccPrefix(id))
-		c.ccs[id] = ctrl
-	}
-	return c.ccs[id]
+	return a.ctrl
 }
 
-func fmt_ccPrefix(id int) string {
-	return "cc.b" + itoa(id)
-}
-
-// copyCheckpoint streams cp from board src to board dst over the
-// management network and reports success. The 500µs lead-in models
-// checkpoint serialisation on the source before the first byte moves.
+// copyCheckpoint streams stateMiB from board src to board dst over the
+// management network and reports success.
 func (c *Cluster) copyCheckpoint(src, dst int, stateMiB int, done func(ok bool)) {
-	chunk := c.Cfg.MigrateChunkMiB
-	total := (stateMiB + chunk - 1) / chunk
-	if total < 1 {
-		total = 1
-	}
-	last := stateMiB - (total-1)*chunk
-	if last <= 0 {
-		last = chunk
-	}
 	c.nextXferID++
-	s := &xferSend{c: c, id: c.nextXferID, src: src, dst: dst,
-		chunks: make([]xferChunk, total), ctrl: c.ccFor(src), done: done}
-	for i := range s.chunks {
-		s.chunks[i].mib = chunk
-	}
-	s.chunks[total-1].mib = last
-	c.xferSenders[s.id] = s
-	c.eng.After(500*time.Microsecond, s.start)
-}
-
-// start puts the copy in motion: unpaced, every chunk transmits
-// immediately; paced, each chunk queues on the uplink controller and
-// transmits when the window grants it.
-func (s *xferSend) start() {
-	for i := range s.chunks {
-		i := i
-		if s.ctrl == nil {
-			s.transmit(i)
-			continue
-		}
-		bytes := s.chunks[i].mib << 20
-		s.ctrl.Acquire(bytes, func() {
-			if s.finished {
-				s.ctrl.Release(bytes)
-				return
-			}
-			s.chunks[i].held = true
-			s.transmit(i)
-		})
-	}
-}
-
-// transmit sends chunk idx's header datagram — charged on the wire for
-// the chunk's full byte count — and arms its retransmit timer.
-func (s *xferSend) transmit(idx int) {
-	if s.finished {
-		return
-	}
-	cs := &s.chunks[idx]
-	buf := []byte{xferOpChunk,
-		byte(s.id >> 24), byte(s.id >> 16), byte(s.id >> 8), byte(s.id),
-		byte(idx >> 24), byte(idx >> 16), byte(idx >> 8), byte(idx),
-		byte(len(s.chunks) >> 24), byte(len(s.chunks) >> 16), byte(len(s.chunks) >> 8), byte(len(s.chunks))}
-	s.c.Chunks++
-	cs.tries++
-	if !cs.sent {
-		cs.sent = true
-		cs.sentAt = s.c.eng.Now()
-		s.inflight += cs.mib << 20
-	}
-	s.c.agentHost(s.src).SendUDPBulk(mgmtIP(s.dst), xferPort, xferPort, buf, cs.mib<<20)
-	s.armTimer(idx)
-}
-
-// armTimer schedules chunk idx's retransmit: the controller's live RTO
-// (or the fixed configured one, unpaced), doubled per retry of this
-// chunk, plus a serialisation allowance for everything in flight ahead
-// of it — the bytes occupy the shared link before the ack can exist.
-func (s *xferSend) armTimer(idx int) {
-	cs := &s.chunks[idx]
-	rto := s.c.Cfg.MigrateChunkRTO
-	if s.ctrl != nil {
-		rto = s.ctrl.RTO()
-	}
-	for i := 1; i < cs.tries; i++ {
-		rto *= 2
-	}
-	rto += sim.Duration(float64(s.inflight*8) / s.c.Cfg.MigrateBitsPerSec * float64(time.Second))
-	cs.timer = s.c.eng.After(rto, func() {
-		if s.finished || cs.acked {
-			return
-		}
-		if cs.tries > s.c.Cfg.MigrateChunkRetries {
-			s.fail()
-			return
-		}
-		s.c.ChunkRetx++
-		if tr := s.c.tracer(); tr != nil {
-			tr.Instant(s.c.tidFor(s.src), "migrate", "chunk-retx",
-				obs.Num("xfer", int64(s.id)), obs.Num("chunk", int64(idx)))
-		}
-		if s.ctrl != nil {
-			// The timeout collapses the window; the retransmit re-queues
-			// for its share of whatever is left. The chunk no longer
-			// holds window until the re-grant fires — and if the ack
-			// (or the whole transfer's fate) lands first, the grant
-			// closure hands its bytes straight back.
-			bytes := cs.mib << 20
-			cs.held = false
-			s.ctrl.OnTimeout(bytes)
-			s.ctrl.Acquire(bytes, func() {
-				if s.finished || cs.acked {
-					s.ctrl.Release(bytes)
-					return
-				}
-				cs.held = true
-				s.transmit(idx)
-			})
-			return
-		}
-		s.transmit(idx)
+	id := c.nextXferID
+	a := c.members[src].agent
+	a.xfers[id] = cc.Send(c.eng, c.ccFor(src), cc.Transfer{
+		ID: id, StateMiB: stateMiB, ChunkMiB: c.Cfg.MigrateChunkMiB,
+		RTO: c.Cfg.MigrateChunkRTO, Retries: c.Cfg.MigrateChunkRetries,
+		BitsPerSec: c.Cfg.MigrateBitsPerSec, OpChunk: xferOpChunk,
+		Send: func(hdr []byte, wireBytes int) {
+			a.host.SendUDPBulk(mgmtIP(dst), xferPort, xferPort, hdr, wireBytes)
+		},
+		Chunks: &c.Chunks, Retx: &c.ChunkRetx, Aborts: &c.XferAborts,
+		OnRetx:  func(idx int) { c.traceXfer(src, "chunk-retx", id, idx) },
+		OnAbort: func(acked int) { c.traceXfer(src, "xfer-abort", id, acked) },
+		Done: func(ok bool) {
+			delete(a.xfers, id)
+			done(ok)
+		},
 	})
 }
 
-// onAck retires one chunk: its window returns to the controller (with
-// an RTT sample when the chunk was never retransmitted — Karn's rule).
-func (s *xferSend) onAck(idx int) {
-	if s.finished || idx >= len(s.chunks) {
-		return
-	}
-	cs := &s.chunks[idx]
-	if !cs.sent || cs.acked {
-		return // duplicate or stale ack
-	}
-	cs.acked = true
-	s.c.eng.Cancel(cs.timer)
-	bytes := cs.mib << 20
-	s.inflight -= bytes
-	if s.ctrl != nil && cs.held {
-		// A chunk awaiting its post-timeout re-grant holds no window —
-		// its queued grant settles itself when it fires.
-		cs.held = false
-		var rtt sim.Duration
-		if cs.tries == 1 {
-			rtt = s.c.eng.Now() - cs.sentAt
-		}
-		s.ctrl.OnAck(bytes, rtt)
-	}
-	s.acked++
-	if s.acked == len(s.chunks) {
-		s.finished = true
-		delete(s.c.xferSenders, s.id)
-		s.done(true)
+func (c *Cluster) traceXfer(src int, name string, id uint32, chunk int) {
+	if tr := c.tracer(); tr != nil {
+		tr.Instant(c.tidFor(src), "migrate", name,
+			obs.Num("xfer", int64(id)), obs.Num("chunk", int64(chunk)))
 	}
 }
 
-// fail abandons the transfer after a chunk exhausted its retries (the
-// management path is gone): every outstanding chunk's window returns
-// to the controller so concurrent copies on the same uplink keep
-// moving.
-func (s *xferSend) fail() {
-	s.finished = true
-	delete(s.c.xferSenders, s.id)
-	for i := range s.chunks {
-		cs := &s.chunks[i]
-		if cs.timer != (sim.Event{}) {
-			s.c.eng.Cancel(cs.timer)
-		}
-		if cs.held && s.ctrl != nil {
-			// Only chunks currently holding window return it here;
-			// queued grants (initial or post-timeout) see finished and
-			// release their own bytes when they fire.
-			cs.held = false
-			s.ctrl.Release(cs.mib << 20)
-		}
-	}
-	s.c.XferAborts++
-	if tr := s.c.tracer(); tr != nil {
-		tr.Instant(s.c.tidFor(s.src), "migrate", "xfer-abort",
-			obs.Num("xfer", int64(s.id)), obs.Num("chunk", int64(s.acked)))
-	}
-	s.done(false)
-}
-
-// agentHost is board id's management-network endpoint.
-func (c *Cluster) agentHost(id int) *netstack.Host { return c.members[id].agent.host }
-
-// recvXfer handles transfer datagrams on one agent. The receiver keeps
-// no per-transfer state: every chunk datagram is simply acknowledged
-// (duplicates re-acknowledged — the previous ack may be the frame that
-// was lost), and the sender decides completion.
+// recvXfer handles transfer datagrams on one agent: chunks are
+// acknowledged, acks retire their chunk on the sender this agent runs.
 func (a *agent) recvXfer(src netstack.IP, _ uint16, payload []byte) {
-	if len(payload) < 9 {
+	op, id, idx, ok := cc.ParseHeader(payload)
+	if !ok {
 		return
 	}
-	id := uint32(payload[1])<<24 | uint32(payload[2])<<16 | uint32(payload[3])<<8 | uint32(payload[4])
-	idx := int(payload[5])<<24 | int(payload[6])<<16 | int(payload[7])<<8 | int(payload[8])
-	switch payload[0] {
+	switch op {
 	case xferOpChunk:
-		ack := []byte{xferOpAck,
-			byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id),
-			byte(idx >> 24), byte(idx >> 16), byte(idx >> 8), byte(idx)}
-		a.host.SendUDP(src, xferPort, xferPort, ack)
+		a.host.SendUDP(src, xferPort, xferPort, cc.AckHeader(xferOpAck, id, idx))
 	case xferOpAck:
-		if s, ok := a.c.xferSenders[id]; ok && s.src == a.self {
-			s.onAck(idx)
+		if s := a.xfers[id]; s != nil {
+			s.OnAck(idx)
 		}
 	}
 }

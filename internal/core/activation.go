@@ -358,7 +358,7 @@ func (a *Activation) launchVia(svc *Service, kind string, target ServiceState, l
 			// retired registration and leaking its domain.
 			a.setState(svc, StateCold)
 			a.endBootSpan(svc, "retired")
-			a.j.board.Launcher.Destroy(g, nil)
+			a.j.board.Launcher.Destroy(g, func(error) {})
 			a.flushWaiters(svc, false)
 			if onReady != nil {
 				onReady(errors.New("core: service deregistered during launch"))

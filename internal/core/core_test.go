@@ -47,7 +47,7 @@ func TestColdStartWithSynjitsu(t *testing.T) {
 	if rt < 250*time.Millisecond || rt > 550*time.Millisecond {
 		t.Errorf("cold start with synjitsu = %v, want ≈300–500ms", rt)
 	}
-	if svc.State != StateReady || svc.Launches != 1 {
+	if svc.State != StateRunning || svc.Launches != 1 {
 		t.Fatalf("service state %v launches %d", svc.State, svc.Launches)
 	}
 	if b.Syn.Proxied == 0 || b.Syn.HandedOff == 0 {
@@ -231,12 +231,12 @@ func TestIdleReaperStopsAndRestarts(t *testing.T) {
 		func(*netstack.HTTPResponse, sim.Duration, error) {})
 	// Bounded run: Eng.Run() would drain past the idle deadline.
 	b.Eng.RunFor(time.Second)
-	if svc.State != StateReady {
+	if svc.State != StateRunning {
 		t.Fatal("service should be ready")
 	}
 	// Let it idle out.
 	b.Eng.RunFor(5 * time.Second)
-	if svc.State != StateStopped || svc.Reaps != 1 {
+	if svc.State != StateCold || svc.Reaps != 1 {
 		t.Fatalf("state=%v reaps=%d, want stopped/1", svc.State, svc.Reaps)
 	}
 	memAfterReap := b.Hyp.FreeMemMiB()
@@ -281,7 +281,7 @@ func TestActivityDefersReaper(t *testing.T) {
 		resolver.Query(NSAddr, "alice.family.name", dns.TypeA, time.Second,
 			func(*dns.Message, sim.Duration, error) {})
 		b.Eng.RunFor(100 * time.Millisecond)
-		if svc.State != StateReady {
+		if svc.State != StateRunning {
 			t.Fatalf("iteration %d: service reaped despite activity", i)
 		}
 	}

@@ -62,17 +62,6 @@ const (
 	StateColdDisk
 )
 
-// Deprecated lifecycle aliases from the two-tier era. StateStopped
-// predates the disk tier (use StateCold, or NeedsLaunch to include
-// disk-resident replicas); StateReady predates the running/warm split
-// (use Booted, which covers both memory-resident tiers).
-const (
-	// Deprecated: use StateCold (or ServiceState.NeedsLaunch).
-	StateStopped = StateCold
-	// Deprecated: use StateRunning (or ServiceState.Booted).
-	StateReady = StateRunning
-)
-
 func (s ServiceState) String() string {
 	switch s {
 	case StateCold:

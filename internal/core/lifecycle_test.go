@@ -347,3 +347,37 @@ func TestDiskRestoreAfterEpochBump(t *testing.T) {
 		t.Fatalf("disk restores = %d state = %v, want 1/running", svc.DiskRestores, svc.State)
 	}
 }
+
+// TestDeregisterWhileLaunchInFlight: retiring a service mid-boot (its
+// board left the directory, or a federation shed re-homed it) must tear
+// the half-built guest down when the launch completes — not resurrect
+// the registration, not leak the domain, and not hand the toolstack a
+// nil completion callback.
+func TestDeregisterWhileLaunchInFlight(t *testing.T) {
+	b := New()
+	svc := b.Jitsu.Register(aliceService())
+	memBefore, domsBefore := b.Hyp.FreeMemMiB(), b.Hyp.Domains()
+	var ready error
+	if err := b.Jitsu.Activate(svc, true, func(err error) { ready = err }); err != nil {
+		t.Fatal(err)
+	}
+	if svc.State != StateLaunching {
+		t.Fatalf("state = %v, want launching", svc.State)
+	}
+	if !b.Jitsu.Deregister(svc) {
+		t.Fatal("Deregister refused a registered service")
+	}
+	b.Eng.Run()
+	if ready == nil {
+		t.Fatal("launch of a retired service reported ready")
+	}
+	if svc.State != StateCold || svc.Guest != nil {
+		t.Fatalf("retired service left state = %v guest = %v", svc.State, svc.Guest)
+	}
+	if got := b.Hyp.Domains(); got != domsBefore {
+		t.Fatalf("domains = %d, want %d (retired guest leaked)", got, domsBefore)
+	}
+	if got := b.Hyp.FreeMemMiB(); got != memBefore {
+		t.Fatalf("free memory = %d MiB, want the pre-launch %d", got, memBefore)
+	}
+}

@@ -15,8 +15,7 @@ import (
 //	b := core.New(core.WithSeed(7), core.WithSynjitsu(false))
 //
 // BoardConfig remains the underlying value; WithConfig replaces it
-// wholesale for callers migrating from the deprecated positional
-// constructors.
+// wholesale.
 type Option func(*BoardConfig)
 
 // WithConfig replaces the whole configuration (migration aid for code

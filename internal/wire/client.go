@@ -116,14 +116,6 @@ func DialSession(eng *sim.Engine, host *netstack.Host, dst netstack.IP, port uin
 	return c, nil
 }
 
-// Dial connects an anonymous session.
-//
-// Deprecated: use DialSession, which presents a capability token and
-// controls the offered protocol range.
-func Dial(eng *sim.Engine, host *netstack.Host, dst netstack.IP, port uint16) (*Client, error) {
-	return DialSession(eng, host, dst, port, SessionConfig{})
-}
-
 // Close ends the session: outstanding watches are cancelled
 // server-side via TWatchCancel frames (flushed before the FIN), every
 // callback registration is dropped — Pending reads 0 afterwards — and

@@ -82,17 +82,6 @@ func ServeWith(host *netstack.Host, port uint16, cfg ServerConfig) (*Server, err
 	return s, nil
 }
 
-// Serve starts a wire server that accepts every anonymous session
-// with full authority.
-//
-// Deprecated: use ServeWith, which configures a keyring and an
-// anonymous-session policy instead of granting admin to anyone who
-// can dial.
-func Serve(host *netstack.Host, port uint16, backend api.ControlPlane, apps AppResolver) (*Server, error) {
-	return ServeWith(host, port, ServerConfig{
-		Backend: backend, Apps: apps, Anonymous: api.ScopeAdmin})
-}
-
 // Close stops accepting new connections.
 func (s *Server) Close() { s.ln.Close() }
 
