@@ -16,9 +16,9 @@ SHELL := /bin/bash
 
 GO ?= go
 # The perf record this branch writes; bump per PR to grow the trajectory.
-BENCH_OUT ?= BENCH_pr13.json
+BENCH_OUT ?= BENCH_pr14.json
 # The committed baseline the bench gate compares against.
-BENCH_BASE ?= BENCH_pr9.json
+BENCH_BASE ?= BENCH_pr14.json
 # Allowed fractional ns/op regression before the gate fails.
 BENCH_TOLERANCE ?= 0.25
 # Benchmarks whose workload this PR deliberately made heavier: their
@@ -30,7 +30,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build test vet race fmt-check bench-check loc staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire bench bench-gate determinism ci
+.PHONY: all build test vet race fmt-check bench-check loc staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store bench bench-gate determinism ci
 
 all: vet build test
 
@@ -80,6 +80,7 @@ fuzz:
 	$(MAKE) fuzz-summary
 	$(MAKE) fuzz-impaired
 	$(MAKE) fuzz-wire
+	$(MAKE) fuzz-store
 
 # fuzz-summary smokes the federation root's summary codec.
 fuzz-summary:
@@ -97,12 +98,21 @@ fuzz-impaired:
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz=FuzzWireCodec -fuzztime=$(FUZZTIME) ./internal/wire
 
-# bench runs the full evaluation + hot-path microbenches with -benchmem
-# and records the numbers as JSON. The experiment benches double as the
-# determinism record: their ReportMetric values must not move between
-# runs with the same seed.
+# fuzz-store plays fuzzer-proposed op streams — immediate and across
+# interleaved transactions, all three reconcilers, quotas, watches —
+# against the store and the deep-clone reference model it replaced:
+# every answer, verdict, counter, event and the final tree must agree.
+fuzz-store:
+	$(GO) test -run '^$$' -fuzz=FuzzStoreModel -fuzztime=$(FUZZTIME) ./internal/xenstore
+
+# bench runs the full evaluation + hot-path microbenches, and the layers'
+# own benches beside them ($(BENCH_PKGS); benchjson files each under its
+# package's layer), with -benchmem and records the numbers as JSON. The
+# experiment benches double as the determinism record: their
+# ReportMetric values must not move between runs with the same seed.
+BENCH_PKGS ?= . ./internal/xenstore
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' . | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
+	$(GO) test -bench=. -benchmem -run '^$$' $(BENCH_PKGS) | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
 # bench-gate re-checks $(BENCH_OUT) against the committed baseline:
 # any tracked benchmark >25% slower on ns/op, or allocating on a path

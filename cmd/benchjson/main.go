@@ -36,11 +36,23 @@ import (
 
 // Bench is one benchmark line: a name, an iteration count, and the
 // value/unit pairs go test printed ("ns/op", "allocs/op", custom
-// ReportMetric units like "cluster-p95-ms").
+// ReportMetric units like "cluster-p95-ms"). Layer is the internal
+// package the bench lives in ("xenstore"), empty for the root package's
+// whole-experiment and hot-path benches.
 type Bench struct {
+	Layer      string             `json:"layer,omitempty"`
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	Metrics    map[string]float64 `json:"metrics"`
+}
+
+// id names a bench in the gate's report and in -accept. Two layers may
+// each have a BenchmarkRead, so the layer is part of it.
+func (b Bench) id() string {
+	if b.Layer == "" {
+		return b.Name
+	}
+	return b.Layer + "/" + b.Name
 }
 
 // Doc is the whole report.
@@ -133,6 +145,7 @@ func loadDoc(path string) (Doc, error) {
 // parseDoc converts `go test -bench` text into a Doc.
 func parseDoc(r io.Reader) (Doc, error) {
 	var doc Doc
+	layer := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -143,11 +156,21 @@ func parseDoc(r io.Reader) (Doc, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			doc.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			doc.Pkg = strings.TrimPrefix(line, "pkg: ")
+			// One header per package in a multi-package run: the doc keeps
+			// the first, each bench the layer of the one it follows.
+			pkg := strings.TrimPrefix(line, "pkg: ")
+			if doc.Pkg == "" {
+				doc.Pkg = pkg
+			}
+			layer = ""
+			if i := strings.Index(pkg, "/internal/"); i >= 0 {
+				layer = pkg[i+len("/internal/"):]
+			}
 		case strings.HasPrefix(line, "cpu: "):
 			doc.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBench(line); ok {
+				b.Layer = layer
 				doc.Benches = append(doc.Benches, b)
 			}
 		}
@@ -168,21 +191,21 @@ func parseDoc(r io.Reader) (Doc, error) {
 func gate(baseline, current Doc, tolerance float64, accept acceptSet) (report string, failures int) {
 	base := make(map[string]Bench, len(baseline.Benches))
 	for _, b := range baseline.Benches {
-		base[b.Name] = b
+		base[b.id()] = b
 	}
 	var sb strings.Builder
 	seen := make(map[string]bool, len(current.Benches))
 	for _, b := range current.Benches {
-		seen[b.Name] = true
-		old, ok := base[b.Name]
+		seen[b.id()] = true
+		old, ok := base[b.id()]
 		if !ok {
-			fmt.Fprintf(&sb, "  new    %-40s ns/op=%.0f (no baseline)\n", b.Name, b.Metrics["ns/op"])
+			fmt.Fprintf(&sb, "  new    %-40s ns/op=%.0f (no baseline)\n", b.id(), b.Metrics["ns/op"])
 			continue
 		}
 		oldNs, newNs := old.Metrics["ns/op"], b.Metrics["ns/op"]
 		status := "ok"
 		if oldNs > 0 && newNs > oldNs*(1+tolerance) {
-			if accept[b.Name] {
+			if accept[b.id()] {
 				status = "waived"
 			} else {
 				status = "REGRESSED"
@@ -198,11 +221,11 @@ func gate(baseline, current Doc, tolerance float64, accept acceptSet) (report st
 			failures++
 		}
 		fmt.Fprintf(&sb, "  %-6s %-40s ns/op %.0f -> %.0f (%+.1f%%), allocs/op %g -> %g\n",
-			status, b.Name, oldNs, newNs, pctDelta(oldNs, newNs), oldAllocs, newAllocs)
+			status, b.id(), oldNs, newNs, pctDelta(oldNs, newNs), oldAllocs, newAllocs)
 	}
 	for _, b := range baseline.Benches {
-		if !seen[b.Name] {
-			fmt.Fprintf(&sb, "  GONE   %-40s tracked by the baseline but absent from this run\n", b.Name)
+		if !seen[b.id()] {
+			fmt.Fprintf(&sb, "  GONE   %-40s tracked by the baseline but absent from this run\n", b.id())
 			failures++
 		}
 	}

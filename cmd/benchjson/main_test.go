@@ -59,6 +59,25 @@ func TestParseDocReadsBenchText(t *testing.T) {
 	}
 }
 
+func TestParseDocFilesBenchesUnderTheirLayer(t *testing.T) {
+	// `make bench` runs the root package and the layers' own benches in
+	// one go test: each pkg header files what follows under its layer.
+	doc, err := parseDoc(strings.NewReader(
+		"pkg: jitsu\nBenchmarkRead" + procSuffix() + " 10 100 ns/op\nPASS\nok  \tjitsu\t1s\n" +
+			"pkg: jitsu/internal/xenstore\nBenchmarkRead" + procSuffix() + " 10 50 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.Pkg != "jitsu" || len(doc.Benches) != 2 || doc.Benches[0].Layer != "" || doc.Benches[1].Layer != "xenstore" {
+		t.Fatalf("doc = %+v", doc)
+	}
+	// Same name, different layers: the gate must not confuse them.
+	slow := Doc{Benches: []Bench{doc.Benches[0], {Layer: "xenstore", Name: "BenchmarkRead", Metrics: map[string]float64{"ns/op": 90}}}}
+	if report, failures := gate(doc, slow, 0.25, nil); failures != 1 || !strings.Contains(report, "REGRESSED") {
+		t.Fatalf("failures = %d, want the xenstore layer's regression alone:\n%s", failures, report)
+	}
+}
+
 func TestGatePassesWithinTolerance(t *testing.T) {
 	baseline := Doc{Benches: []Bench{bench("BenchmarkA", 100, 3)}}
 	current := Doc{Benches: []Bench{bench("BenchmarkA", 120, 3)}}

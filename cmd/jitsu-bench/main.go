@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	jitsu-bench [-run all|fig3|fig4|fig8|fig9a|fig9b|table1|table2|throughput|headline|scaling|churn|prewarm|federation|hostile|density|stampede|ablations] [-quick] [-boards 1,2,4,8] [-fingerprint]
+//	jitsu-bench [-run all|fig3|fig4|fig8|fig9a|fig9b|table1|table2|throughput|headline|scaling|churn|prewarm|federation|hostile|density|stampede|ablations] [-quick] [-boards 1,2,4,8] [-fingerprint] [-cpuprofile cpu.out] [-memprofile mem.out]
 package main
 
 import (
@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,12 +29,45 @@ import (
 )
 
 func main() {
+	os.Exit(realMain())
+}
+
+// realMain is main with an exit code, so the profile files' deferred
+// flushes run on every path out.
+func realMain() int {
 	run := flag.String("run", "all", "experiment to regenerate")
 	quick := flag.Bool("quick", false, "reduced trial counts")
 	boards := flag.String("boards", "", "board counts for the scaling experiment (default 1,2,4,8; 1,4 with -quick)")
 	fingerprint := flag.Bool("fingerprint", false, "print per-series determinism fingerprints instead of tables")
 	traceDir := flag.String("trace-dir", "", "write each experiment's flight-recorder traces (Chrome trace-event JSON) into this directory")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (go tool pprof -sample_index=alloc_objects)")
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			}
+		}()
+	}
+	if *memProfile != "" {
+		defer func() {
+			runtime.GC() // flush the last cycle's allocations into the profile
+			if err := writeHeapProfile(*memProfile); err != nil {
+				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+			}
+		}()
+	}
 
 	trials := 120
 	fig3N := []int{1, 25, 50, 100, 150, 200}
@@ -65,7 +100,7 @@ func main() {
 	scalingN, err := parseBoards(*boards)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -boards: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 
 	// The CLI always runs with tracing on: -trace-dir needs the flight
@@ -131,22 +166,35 @@ func main() {
 		)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)
-		os.Exit(2)
+		return 2
 	}
 
 	if *traceDir != "" {
 		if err := writeTraces(*traceDir, results); err != nil {
 			fmt.Fprintf(os.Stderr, "write traces: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	if *fingerprint {
 		printFingerprints(results)
-		return
+		return 0
 	}
 	for _, r := range results {
 		fmt.Println(r.String())
 	}
+	return 0
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeTraces dumps every attached flight recorder as

@@ -13,6 +13,19 @@
 //     handles common directory roots, so transactions creating disjoint
 //     children under the same parent merge instead of aborting.
 //
+// The tree is persistent, as in the paper's Irmin-backed xenstored: a
+// transaction's snapshot is the root pointer it captured at Begin, and
+// every version of the tree shares the nodes no writer has touched
+// since. One rule keeps them apart. Each node carries the edit token of
+// the single writer allowed to mutate it in place; the live tree and
+// every open transaction hold a token of their own; Begin retires the
+// live tree's token and hands out two fresh ones. A writer that meets a
+// node stamped with somebody else's token copies it (and its name-sorted
+// child slice) before changing it, so a write copies the root-to-leaf
+// path the first time that writer passes and mutates in place
+// afterwards — and with no snapshot outstanding nothing is copied at
+// all. Permission entries are immutable once on a node and shared.
+//
 // The package is pure logic (no simulated time); callers charge per-op
 // costs on their own clocks.
 package xenstore
@@ -45,24 +58,62 @@ var (
 // MaxPathLen mirrors XENSTORE_ABS_PATH_MAX from the Xen public headers.
 const MaxPathLen = 3072
 
-// SplitPath validates an absolute path and returns its components.
-// "/" is the root and yields an empty slice.
-func SplitPath(path string) ([]string, error) {
+// xpath is a parsed absolute path: the canonical string (no trailing
+// slash) and its components, each a substring of it. Every operation
+// parses its path once at the API boundary and passes this around.
+type xpath struct {
+	s     string
+	parts []string
+}
+
+var rootPath = xpath{s: "/"}
+
+// parsePath validates an absolute path and canonicalises it.
+func parsePath(path string) (xpath, error) {
 	if path == "" || path[0] != '/' || len(path) > MaxPathLen {
-		return nil, ErrBadPath
+		return xpath{}, ErrBadPath
 	}
 	if path == "/" {
-		return nil, nil
+		return rootPath, nil
 	}
 	// Trailing slash is tolerated on directories, as in the C daemon.
 	path = strings.TrimSuffix(path, "/")
-	parts := strings.Split(path[1:], "/")
-	for _, p := range parts {
-		if !validComponent(p) {
-			return nil, ErrBadPath
+	parts := make([]string, 0, strings.Count(path, "/"))
+	for start, i := 1, 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			if !validByte(path[i]) {
+				return xpath{}, ErrBadPath
+			}
+			continue
 		}
+		if i == start || i-start > 256 {
+			return xpath{}, ErrBadPath
+		}
+		parts = append(parts, path[start:i])
+		start = i + 1
 	}
-	return parts, nil
+	return xpath{s: path, parts: parts}, nil
+}
+
+// prefix returns the path of p's first i components, whose canonical
+// string ends at byte end of p's.
+func (p xpath) prefix(i, end int) xpath {
+	if i == 0 {
+		return rootPath
+	}
+	return xpath{s: p.s[:end], parts: p.parts[:i]}
+}
+
+// parent returns the path one level up ("/" for top-level nodes).
+func (p xpath) parent() xpath {
+	return p.prefix(len(p.parts)-1, strings.LastIndexByte(p.s, '/'))
+}
+
+// SplitPath validates an absolute path and returns its components.
+// "/" is the root and yields an empty slice.
+func SplitPath(path string) ([]string, error) {
+	p, err := parsePath(path)
+	return p.parts, err
 }
 
 // JoinPath joins components into an absolute path.
@@ -101,18 +152,10 @@ func IsPrefix(w, p string) bool {
 	return len(p) == len(w) || p[len(w)] == '/'
 }
 
-func validComponent(c string) bool {
-	if c == "" || len(c) > 256 {
-		return false
+func validByte(ch byte) bool {
+	switch {
+	case ch >= 'a' && ch <= 'z', ch >= 'A' && ch <= 'Z', ch >= '0' && ch <= '9':
+		return true
 	}
-	for i := 0; i < len(c); i++ {
-		ch := c[i]
-		switch {
-		case ch >= 'a' && ch <= 'z', ch >= 'A' && ch <= 'Z', ch >= '0' && ch <= '9':
-		case ch == '-' || ch == '_' || ch == '@' || ch == ':' || ch == '.' || ch == '+':
-		default:
-			return false
-		}
-	}
-	return true
+	return ch == '-' || ch == '_' || ch == '@' || ch == ':' || ch == '.' || ch == '+'
 }

@@ -81,7 +81,9 @@ func (p Perms) CanRead(dom DomID) bool { return p.access(dom).canRead() }
 // CanWrite reports whether dom may write a node with these perms.
 func (p Perms) CanWrite(dom DomID) bool { return p.access(dom).canWrite() }
 
-// clone returns a deep copy.
+// clone returns a deep copy. Entries is immutable once on a node and
+// shared between nodes, so only SetPerms and GetPerms — where a caller's
+// slice crosses the API — need one.
 func (p Perms) clone() Perms {
 	c := p
 	if len(p.Entries) > 0 {

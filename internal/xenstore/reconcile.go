@@ -42,12 +42,8 @@ func (OCamlReconciler) Name() string { return "OCaml xenstored" }
 
 // Check implements Reconciler.
 func (OCamlReconciler) Check(s *Store, tx *Tx) error {
-	for path, r := range tx.access {
-		parts, err := SplitPath(path)
-		if err != nil {
-			continue
-		}
-		n := lookup(s.root, parts)
+	for _, r := range tx.access {
+		n := lookup(s.root, r.parts)
 		if err := checkExistence(n, r); err != nil {
 			return err
 		}
@@ -85,12 +81,8 @@ func (JitsuReconciler) Name() string { return "Jitsu xenstored" }
 
 // Check implements Reconciler.
 func (JitsuReconciler) Check(s *Store, tx *Tx) error {
-	for path, r := range tx.access {
-		parts, err := SplitPath(path)
-		if err != nil {
-			continue
-		}
-		n := lookup(s.root, parts)
+	for _, r := range tx.access {
+		n := lookup(s.root, r.parts)
 		// Creation merge: if the tx created this node, it conflicts only
 		// when somebody else also created it concurrently.
 		if r.created {

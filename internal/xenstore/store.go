@@ -2,48 +2,69 @@ package xenstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // node is one entry in the store tree. Two generation counters let the
 // reconcilers distinguish "this node's value changed" from "this node's
 // set of children changed" — the distinction the Jitsu merge exploits.
 type node struct {
+	name     string
 	value    string
-	children map[string]*node
-	perms    Perms
-	valueGen uint64 // store seq when value last written (or node created)
-	childGen uint64 // store seq when children set last changed
+	kids     []*node // sorted by name
+	perms    Perms   // Entries is shared between nodes: never written through
+	valueGen uint64  // store seq when value last written (or node created)
+	childGen uint64  // store seq when children set last changed
+	// edit is the token of the one writer (the live tree or a Tx) that
+	// may mutate this node in place; everyone else copies it first.
+	edit uint64
 }
 
-func (n *node) clone() *node {
-	c := &node{
-		value:    n.value,
-		perms:    n.perms.clone(),
-		valueGen: n.valueGen,
-		childGen: n.childGen,
+// editable returns n if the writer holding token e may mutate it in
+// place, else a copy that writer may: the child slice is copied too, as
+// the caller is about to repoint or move one of its slots.
+func (n *node) editable(e uint64) *node {
+	if n.edit == e {
+		return n
 	}
-	if len(n.children) > 0 {
-		c.children = make(map[string]*node, len(n.children))
-		for name, ch := range n.children {
-			c.children[name] = ch.clone()
+	c := *n
+	c.edit = e
+	c.kids = append([]*node(nil), n.kids...)
+	return &c
+}
+
+// find returns the index of the child called name, or, when there is
+// none, the index it would be inserted at.
+func (n *node) find(name string) (int, bool) {
+	lo, hi := 0, len(n.kids)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.kids[mid].name < name {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return c
+	return lo, lo < len(n.kids) && n.kids[lo].name == name
 }
 
+// child returns the child called name, or nil. Most directories hold a
+// handful of entries (a domain's keys, a device's), where a scan for
+// equality is cheaper than find's ordered comparisons: it is what keeps
+// a four-level Read level with the map lookups this tree replaced.
 func (n *node) child(name string) *node {
-	if n.children == nil {
+	if len(n.kids) <= 8 {
+		for _, ch := range n.kids {
+			if ch.name == name {
+				return ch
+			}
+		}
 		return nil
 	}
-	return n.children[name]
-}
-
-func (n *node) setChild(name string, ch *node) {
-	if n.children == nil {
-		n.children = make(map[string]*node)
+	if i, ok := n.find(name); ok {
+		return n.kids[i]
 	}
-	n.children[name] = ch
+	return nil
 }
 
 // Stats counts store activity; the Figure 3 driver uses it to verify the
@@ -72,6 +93,8 @@ type Watch struct {
 // multiple goroutines; the simulation is single-threaded by design.
 type Store struct {
 	root     *node
+	edit     uint64 // the live tree's edit token
+	edits    uint64 // last token handed out
 	rec      Reconciler
 	seq      uint64
 	commits  uint64 // total mutating commits, for the C reconciler
@@ -91,7 +114,9 @@ type Store struct {
 // standard /local/domain and /conduit top-level directories.
 func NewStore(rec Reconciler) *Store {
 	s := &Store{
-		root:  &node{perms: Perms{Owner: Dom0, Others: AccessRead}},
+		root:  &node{perms: Perms{Owner: Dom0, Others: AccessRead}, edit: 1},
+		edit:  1,
+		edits: 1,
 		rec:   rec,
 		owned: make(map[DomID]int),
 	}
@@ -137,187 +162,152 @@ func lookup(root *node, parts []string) *node {
 // inside a transaction it applies to the transaction's snapshot and
 // becomes visible only on successful Commit.
 
+// resolve parses path and finds its node in the tree tx reads (the live
+// one for nil). A missing node is n == nil, recorded as seen absent.
+func (s *Store) resolve(tx *Tx, path string) (p xpath, n *node, err error) {
+	s.stats.Ops++
+	if p, err = parsePath(path); err != nil {
+		return p, nil, err
+	}
+	root := s.root
+	if tx != nil {
+		if tx.closed {
+			return p, nil, ErrTxClosed
+		}
+		root = tx.root
+	}
+	if n = lookup(root, p.parts); n == nil {
+		tx.recordAbsent(p)
+	}
+	return p, n, nil
+}
+
 // Read returns the value at path.
 func (s *Store) Read(dom DomID, tx *Tx, path string) (string, error) {
-	s.stats.Ops++
-	parts, err := SplitPath(path)
-	if err != nil {
+	p, n, err := s.resolve(tx, path)
+	switch {
+	case err != nil:
 		return "", err
-	}
-	root, err := s.viewRoot(tx)
-	if err != nil {
-		return "", err
-	}
-	n := lookup(root, parts)
-	if n == nil {
-		tx.recordAbsent(path)
+	case n == nil:
 		return "", ErrNotFound
-	}
-	if !n.perms.CanRead(dom) {
+	case !n.perms.CanRead(dom):
 		return "", ErrPerm
 	}
-	tx.recordValueRead(path, n)
+	tx.recordValueRead(p)
 	return n.value, nil
 }
 
 // Exists reports whether path names a node readable-or-not by anyone.
 // It never returns ErrPerm: existence is not secret in XenStore.
 func (s *Store) Exists(dom DomID, tx *Tx, path string) (bool, error) {
-	s.stats.Ops++
-	parts, err := SplitPath(path)
-	if err != nil {
+	p, n, err := s.resolve(tx, path)
+	if err != nil || n == nil {
 		return false, err
 	}
-	root, err := s.viewRoot(tx)
-	if err != nil {
-		return false, err
-	}
-	n := lookup(root, parts)
-	if n == nil {
-		tx.recordAbsent(path)
-		return false, nil
-	}
-	tx.recordValueRead(path, n)
+	tx.recordValueRead(p)
 	return true, nil
 }
 
 // List returns the sorted child names of a directory.
 func (s *Store) List(dom DomID, tx *Tx, path string) ([]string, error) {
-	s.stats.Ops++
-	parts, err := SplitPath(path)
-	if err != nil {
+	p, n, err := s.resolve(tx, path)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	root, err := s.viewRoot(tx)
-	if err != nil {
-		return nil, err
-	}
-	n := lookup(root, parts)
-	if n == nil {
-		tx.recordAbsent(path)
+	case n == nil:
 		return nil, ErrNotFound
-	}
-	if !n.perms.CanRead(dom) {
+	case !n.perms.CanRead(dom):
 		return nil, ErrPerm
 	}
-	tx.recordList(path, n)
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
+	tx.recordList(p)
+	names := make([]string, len(n.kids))
+	for i, ch := range n.kids {
+		names[i] = ch.name
 	}
-	sort.Strings(names)
 	return names, nil
 }
 
 // Write sets the value at path, creating the node (and any missing
 // intermediate directories) if necessary, as the real daemon does.
 func (s *Store) Write(dom DomID, tx *Tx, path, value string) error {
-	s.stats.Ops++
-	parts, err := SplitPath(path)
-	if err != nil {
-		return err
-	}
-	if len(parts) == 0 {
-		return ErrPerm // cannot write the root node
-	}
-	return s.mutate(tx, func(m *mutCtx) error {
-		return m.write(dom, path, parts, value, false)
-	})
+	return s.mutate(tx, path, txOp{kind: opWrite, value: value, dom: dom})
 }
 
 // Mkdir creates a directory node (empty value) and missing parents.
 // Creating an existing node is a no-op, as in XenStore.
 func (s *Store) Mkdir(dom DomID, tx *Tx, path string) error {
-	s.stats.Ops++
-	parts, err := SplitPath(path)
-	if err != nil {
-		return err
-	}
-	if len(parts) == 0 {
-		return nil
-	}
-	return s.mutate(tx, func(m *mutCtx) error {
-		return m.write(dom, path, parts, "", true)
-	})
+	return s.mutate(tx, path, txOp{kind: opMkdir, dom: dom})
 }
 
 // Rm removes path and its whole subtree. Removing a missing node returns
 // ErrNotFound; removing the root is forbidden.
 func (s *Store) Rm(dom DomID, tx *Tx, path string) error {
-	s.stats.Ops++
-	parts, err := SplitPath(path)
-	if err != nil {
-		return err
-	}
-	if len(parts) == 0 {
-		return ErrPerm
-	}
-	return s.mutate(tx, func(m *mutCtx) error {
-		return m.rm(dom, path, parts)
-	})
+	return s.mutate(tx, path, txOp{kind: opRm, dom: dom})
 }
 
 // GetPerms returns the node's permission descriptor.
 func (s *Store) GetPerms(dom DomID, tx *Tx, path string) (Perms, error) {
-	s.stats.Ops++
-	parts, err := SplitPath(path)
-	if err != nil {
+	p, n, err := s.resolve(tx, path)
+	switch {
+	case err != nil:
 		return Perms{}, err
-	}
-	root, err := s.viewRoot(tx)
-	if err != nil {
-		return Perms{}, err
-	}
-	n := lookup(root, parts)
-	if n == nil {
-		tx.recordAbsent(path)
+	case n == nil:
 		return Perms{}, ErrNotFound
-	}
-	if !n.perms.CanRead(dom) {
+	case !n.perms.CanRead(dom):
 		return Perms{}, ErrPerm
 	}
-	tx.recordValueRead(path, n)
+	tx.recordValueRead(p)
 	return n.perms.clone(), nil
 }
 
 // SetPerms replaces the node's permission descriptor. Only the node owner
 // or Dom0 may do so.
 func (s *Store) SetPerms(dom DomID, tx *Tx, path string, perms Perms) error {
-	s.stats.Ops++
-	parts, err := SplitPath(path)
-	if err != nil {
-		return err
-	}
-	return s.mutate(tx, func(m *mutCtx) error {
-		return m.setPerms(dom, path, parts, perms)
-	})
+	return s.mutate(tx, path, txOp{kind: opSetPerms, perms: perms.clone(), dom: dom})
 }
 
 // ---- mutation plumbing ----
 
-// mutCtx is the context a mutating operation runs in: the tree it edits,
-// the transaction recording dependencies (nil outside transactions) and
-// the event list for watches (immediate ops only).
+// mutCtx is the context a mutation runs in: the tree it edits and the
+// token it edits it with, the transaction recording dependencies (nil
+// outside transactions) and the event list for watches (live tree only).
 type mutCtx struct {
-	s      *Store
-	root   *node
-	tx     *Tx
-	gen    uint64 // generation stamped onto modified nodes
+	s    *Store
+	root **node // &s.root or &tx.root
+	edit uint64
+	tx   *Tx
+	gen  uint64 // generation stamped onto modified nodes
+	// replay marks a commit applying a transaction's op log to the live
+	// tree: permissions and quota were checked against the snapshot, so
+	// replay is merge-tolerant — missing parents are recreated, missing
+	// rm and SetPerms targets are skipped.
+	replay bool
 	events []string
 }
 
-// mutate runs fn against either the transaction snapshot or the live
-// tree. Immediate mutations bump the store sequence and fire watches.
-func (s *Store) mutate(tx *Tx, fn func(*mutCtx) error) error {
+// mutate parses path and applies op to either the transaction snapshot
+// or the live tree. Immediate mutations bump the store sequence and
+// fire watches.
+func (s *Store) mutate(tx *Tx, path string, op txOp) (err error) {
+	s.stats.Ops++
+	if op.path, err = parsePath(path); err != nil {
+		return err
+	}
+	if len(op.path.parts) == 0 && op.kind != opSetPerms {
+		if op.kind == opMkdir {
+			return nil
+		}
+		return ErrPerm // the root can be neither written nor removed
+	}
 	if tx != nil {
 		if tx.closed {
 			return ErrTxClosed
 		}
-		m := &mutCtx{s: s, root: tx.root, tx: tx, gen: tx.startSeq}
-		return fn(m)
+		m := mutCtx{s: s, root: &tx.root, edit: tx.edit, tx: tx, gen: tx.startSeq}
+		return m.apply(&op)
 	}
-	m := &mutCtx{s: s, root: s.root, gen: s.seq + 1}
-	if err := fn(m); err != nil {
+	m := mutCtx{s: s, root: &s.root, edit: s.edit, gen: s.seq + 1}
+	if err := m.apply(&op); err != nil {
 		return err
 	}
 	s.seq++
@@ -327,32 +317,56 @@ func (s *Store) mutate(tx *Tx, fn func(*mutCtx) error) error {
 	return nil
 }
 
-// viewRoot picks the tree a read operates on.
-func (s *Store) viewRoot(tx *Tx) (*node, error) {
-	if tx == nil {
-		return s.root, nil
+func (m *mutCtx) apply(op *txOp) error {
+	switch op.kind {
+	case opRm:
+		return m.rm(op.dom, op.path)
+	case opSetPerms:
+		return m.setPerms(op.dom, op.path, op.perms)
+	default:
+		return m.write(op.dom, op.path, op.value, op.kind == opMkdir)
 	}
-	if tx.closed {
-		return nil, ErrTxClosed
-	}
-	return tx.root, nil
 }
 
-// write creates/updates parts under m.root. mkdir distinguishes Mkdir
-// (no-op when the node exists) from Write (value update).
-func (m *mutCtx) write(dom DomID, path string, parts []string, value string, mkdir bool) error {
-	n := m.root
-	cur := ""
-	for i, p := range parts {
-		cur += "/" + p
-		ch := n.child(p)
-		last := i == len(parts)-1
-		if ch == nil {
+// ownRoot makes the root of m's tree editable by m's token.
+func (m *mutCtx) ownRoot() *node {
+	*m.root = (*m.root).editable(m.edit)
+	return *m.root
+}
+
+// ownKid makes the i'th child of n, itself editable, editable.
+func (m *mutCtx) ownKid(n *node, i int) *node {
+	n.kids[i] = n.kids[i].editable(m.edit)
+	return n.kids[i]
+}
+
+// own makes the existing node at parts editable, with its ancestors.
+func (m *mutCtx) own(parts []string) *node {
+	n := m.ownRoot()
+	for _, name := range parts {
+		i, _ := n.find(name)
+		n = m.ownKid(n, i)
+	}
+	return n
+}
+
+// write creates/updates p under m's root, taking ownership of the path
+// as it descends. mkdir distinguishes Mkdir (no-op when the node
+// exists) from Write (value update).
+func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool) error {
+	n := m.ownRoot()
+	end := 0
+	for i, name := range p.parts {
+		end += 1 + len(name)
+		last := i == len(p.parts)-1
+		j, ok := n.find(name)
+		var ch *node
+		if !ok {
 			// Creating: need write access on the deepest existing parent.
-			if !n.perms.CanWrite(dom) {
+			if !m.replay && !n.perms.CanWrite(dom) {
 				return ErrPerm
 			}
-			childPerms := n.perms.clone()
+			childPerms := n.perms
 			childPerms.RestrictCreate = false
 			if n.perms.RestrictCreate {
 				childPerms = restrictedChildPerms(n.perms.Owner, dom)
@@ -361,46 +375,44 @@ func (m *mutCtx) write(dom DomID, path string, parts []string, value string, mkd
 			if err := m.chargeQuota(childPerms.Owner); err != nil {
 				return err
 			}
-			ch = &node{perms: childPerms, valueGen: m.gen, childGen: m.gen}
-			n.setChild(p, ch)
+			ch = &node{name: name, perms: childPerms, valueGen: m.gen, childGen: m.gen, edit: m.edit}
+			n.kids = slices.Insert(n.kids, j, ch)
 			n.childGen = m.gen
-			m.tx.recordCreate(cur, ParentPath(cur))
-			m.noteEvent(cur)
-		} else if last && !mkdir {
-			if !ch.perms.CanWrite(dom) {
+			cur := p.prefix(i+1, end)
+			m.tx.recordCreate(cur)
+			m.noteEvent(cur.s)
+		} else {
+			if last && !mkdir && !m.replay && !n.kids[j].perms.CanWrite(dom) {
 				return ErrPerm
 			}
+			ch = m.ownKid(n, j)
 		}
 		if last && !mkdir {
 			ch.value = value
 			ch.valueGen = m.gen
-			m.tx.recordValueWrite(cur)
-			m.noteEvent(cur)
+			m.tx.recordValueWrite(p, value)
+			m.noteEvent(p.s)
 		}
 		n = ch
 	}
 	return nil
 }
 
-func (m *mutCtx) rm(dom DomID, path string, parts []string) error {
-	parent := lookup(m.root, parts[:len(parts)-1])
-	if parent == nil {
-		m.tx.recordAbsent(path)
-		return ErrNotFound
-	}
-	name := parts[len(parts)-1]
-	n := parent.child(name)
+func (m *mutCtx) rm(dom DomID, p xpath) error {
+	n := lookup(*m.root, p.parts)
 	if n == nil {
-		m.tx.recordAbsent(path)
+		m.tx.recordAbsent(p)
 		return ErrNotFound
 	}
-	if !n.perms.CanWrite(dom) {
+	if !m.replay && !n.perms.CanWrite(dom) {
 		return ErrPerm
 	}
-	delete(parent.children, name)
+	parent := m.own(p.parts[:len(p.parts)-1])
+	i, _ := parent.find(n.name)
+	parent.kids = slices.Delete(parent.kids, i, i+1)
 	parent.childGen = m.gen
-	m.tx.recordRemove(path, ParentPath(path))
-	m.noteEvent(path)
+	m.tx.recordRemove(p)
+	m.noteEvent(p.s)
 	if m.tx == nil {
 		m.s.releaseSubtree(n)
 	}
@@ -419,7 +431,7 @@ func (m *mutCtx) chargeQuota(owner DomID) error {
 	if m.tx != nil {
 		delta = m.tx.created[owner]
 	}
-	if s.NodeQuota > 0 && s.owned[owner]+delta >= s.NodeQuota {
+	if !m.replay && s.NodeQuota > 0 && s.owned[owner]+delta >= s.NodeQuota {
 		return ErrQuota
 	}
 	if m.tx != nil {
@@ -440,7 +452,7 @@ func (s *Store) releaseSubtree(n *node) {
 			s.owned[n.perms.Owner] = c - 1
 		}
 	}
-	for _, ch := range n.children {
+	for _, ch := range n.kids {
 		s.releaseSubtree(ch)
 	}
 }
@@ -448,20 +460,21 @@ func (s *Store) releaseSubtree(n *node) {
 // OwnedNodes reports how many nodes dom has created (diagnostics).
 func (s *Store) OwnedNodes(dom DomID) int { return s.owned[dom] }
 
-func (m *mutCtx) setPerms(dom DomID, path string, parts []string, perms Perms) error {
-	n := lookup(m.root, parts)
+func (m *mutCtx) setPerms(dom DomID, p xpath, perms Perms) error {
+	n := lookup(*m.root, p.parts)
 	if n == nil {
-		m.tx.recordAbsent(path)
+		m.tx.recordAbsent(p)
 		return ErrNotFound
 	}
-	if dom != Dom0 && dom != n.perms.Owner {
+	if !m.replay && dom != Dom0 && dom != n.perms.Owner {
 		return ErrPerm
 	}
-	n.perms = perms.clone()
+	n = m.own(p.parts)
+	n.perms = perms
 	n.valueGen = m.gen
-	m.tx.recordValueWrite(path)
-	m.tx.recordSetPerms(path, perms)
-	m.noteEvent(path)
+	m.tx.recordValueWrite(p, n.value)
+	m.tx.recordSetPerms(p, perms)
+	m.noteEvent(p.s)
 	return nil
 }
 
@@ -493,9 +506,11 @@ func (s *Store) FireSpecial(name string) {
 // they fire via FireSpecial.
 func (s *Store) WatchPath(dom DomID, path, token string, fn WatchFn) (*Watch, error) {
 	if path != SpecialIntroduceDomain && path != SpecialReleaseDomain {
-		if _, err := SplitPath(path); err != nil {
+		p, err := parsePath(path)
+		if err != nil {
 			return nil, err
 		}
+		path = p.s
 	}
 	w := &Watch{dom: dom, path: path, token: token, fn: fn}
 	s.watches = append(s.watches, w)
@@ -510,11 +525,10 @@ func (s *Store) Unwatch(w *Watch) {
 		return
 	}
 	w.dead = true
-	for i, x := range s.watches {
-		if x == w {
-			s.watches = append(s.watches[:i], s.watches[i+1:]...)
-			break
-		}
+	// A delivery may be iterating the list (this may be one of its
+	// callbacks): leave the array be and swap in a shortened copy.
+	if i := slices.Index(s.watches, w); i >= 0 {
+		s.watches = slices.Concat(s.watches[:i], s.watches[i+1:])
 	}
 }
 
@@ -530,21 +544,19 @@ func (s *Store) fire(paths []string) {
 		return
 	}
 	s.firing = true
-	queue := append([]string(nil), paths...)
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		// Copy: callbacks may register/unregister watches.
-		ws := append([]*Watch(nil), s.watches...)
-		for _, w := range ws {
-			if !w.dead && IsPrefix(w.path, p) {
+	for i := 0; i < len(paths); i++ {
+		// Callbacks may register/unregister watches: WatchPath only
+		// appends past this slice's end and Unwatch replaces the list,
+		// so the slice ranged over is a stable snapshot.
+		for _, w := range s.watches {
+			if !w.dead && IsPrefix(w.path, paths[i]) {
 				s.stats.Watches++
-				w.fn(p, w.token)
+				w.fn(paths[i], w.token)
 			}
 		}
 		if len(s.pending) > 0 {
-			queue = append(queue, s.pending...)
-			s.pending = nil
+			paths = append(paths, s.pending...)
+			s.pending = s.pending[:0]
 		}
 	}
 	s.firing = false

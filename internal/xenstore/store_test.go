@@ -3,6 +3,7 @@ package xenstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -383,5 +384,78 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if after.Commits != before.Commits+1 {
 		t.Fatalf("commits delta = %d", after.Commits-before.Commits)
+	}
+}
+
+func TestWatchTrailingSlash(t *testing.T) {
+	// "/tool/" is a legal spelling of "/tool"; a watch registered with it
+	// must keep firing after its registration event.
+	s := newTestStore()
+	var fired []string
+	if _, err := s.WatchPath(Dom0, "/tool/", "t", func(p, _ string) { fired = append(fired, p) }); err != nil {
+		t.Fatal(err)
+	}
+	s.Write(Dom0, nil, "/tool/x", "v")
+	want := []string{"/tool", "/tool/x", "/tool/x"} // registration, create, value
+	if !slices.Equal(fired, want) {
+		t.Fatalf("events = %v, want %v", fired, want)
+	}
+}
+
+func TestRmTrailingSlashRecordsParent(t *testing.T) {
+	// Rm("/tool/a/b/") must note a child of /tool/a touched, not record
+	// /tool/a/b as its own parent, and must fire the canonical path.
+	s := NewStore(JitsuReconciler{})
+	s.Write(Dom0, nil, "/tool/a/b", "v")
+	var fired []string
+	s.WatchPath(Dom0, "/tool/a", "t", func(p, _ string) { fired = append(fired, p) })
+	tx := s.Begin(Dom0)
+	if err := s.Rm(Dom0, tx, "/tool/a/b/"); err != nil {
+		t.Fatal(err)
+	}
+	if r := tx.access["/tool/a"]; r == nil || !r.childTouched {
+		t.Fatalf("parent /tool/a not recorded as child-touched: %+v", tx.access)
+	}
+	if r := tx.access["/tool/a/b"]; r == nil || !r.removed || r.childTouched {
+		t.Fatalf("/tool/a/b record = %+v, want removed only", r)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"/tool/a", "/tool/a/b"}; !slices.Equal(fired, want) {
+		t.Fatalf("events = %v, want %v", fired, want)
+	}
+}
+
+func TestWatchListChangesDuringDelivery(t *testing.T) {
+	// A delivery walks the list as it stood when the event's turn came: a
+	// watch registered by a callback misses that event and gets the
+	// next; one unregistered by a callback is skipped from then on; its
+	// neighbours are neither skipped nor called twice.
+	s := newTestStore()
+	var got []string
+	logTo := func(name string) WatchFn {
+		return func(p, _ string) { got = append(got, name+":"+p) }
+	}
+	var b *Watch
+	registered := false
+	s.WatchPath(Dom0, "/tool", "a", func(p, _ string) {
+		got = append(got, "a:"+p)
+		if p == "/tool/k" && !registered {
+			registered = true
+			s.Unwatch(b)
+			s.WatchPath(Dom0, "/tool", "d", logTo("d"))
+		}
+	})
+	b, _ = s.WatchPath(Dom0, "/tool", "b", logTo("b"))
+	s.WatchPath(Dom0, "/tool", "c", logTo("c"))
+	got = nil
+	s.Write(Dom0, nil, "/tool/k", "v") // two events: created, value written
+	want := []string{"a:/tool/k", "d:/tool", "c:/tool/k", "a:/tool/k", "c:/tool/k", "d:/tool/k"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("deliveries = %v\nwant         %v", got, want)
+	}
+	if n := len(s.watches); n != 3 {
+		t.Fatalf("%d watches registered, want 3", n)
 	}
 }

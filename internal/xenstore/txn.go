@@ -4,20 +4,22 @@ package xenstore
 // The reconcilers interpret these flags differently — that is the whole
 // difference between the three xenstored implementations of Figure 3.
 type accessRecord struct {
-	existed      bool // node existed in the snapshot at first access
-	sawAbsent    bool // tx observed the path missing
-	valueRead    bool // tx read the node's value (or perms)
-	valueWritten bool // tx wrote the node's value (or perms)
-	listed       bool // tx listed the node's children explicitly
-	childTouched bool // tx created/removed a child of this node
-	created      bool // tx created this node
-	removed      bool // tx removed this node
+	parts        []string // the path's components, for Check's lookup
+	existed      bool     // node existed in the snapshot at first access
+	sawAbsent    bool     // tx observed the path missing
+	valueRead    bool     // tx read the node's value (or perms)
+	valueWritten bool     // tx wrote the node's value (or perms)
+	listed       bool     // tx listed the node's children explicitly
+	childTouched bool     // tx created/removed a child of this node
+	created      bool     // tx created this node
+	removed      bool     // tx removed this node
 }
 
-// txOp is one replayable mutation, applied to the live tree at commit.
+// txOp is one mutation: what a public operation asks of mutCtx.apply
+// and, logged by a transaction, what Commit replays onto the live tree.
 type txOp struct {
 	kind  opKind
-	path  string
+	path  xpath
 	value string
 	perms Perms
 	dom   DomID
@@ -32,13 +34,16 @@ const (
 	opSetPerms
 )
 
-// Tx is an open transaction: a full snapshot of the tree at Begin plus
-// the dependency records and the operation log to replay at Commit.
+// Tx is an open transaction: the root the live tree had at Begin —
+// shared, not copied; the transaction's own writes path-copy away from
+// it under the transaction's edit token — plus the dependency records
+// and the operation log to replay at Commit.
 type Tx struct {
 	ID       uint64
 	st       *Store
 	dom      DomID
 	root     *node
+	edit     uint64
 	startSeq uint64 // store seq at Begin: any node gen beyond this is concurrent
 	startCom uint64 // store commit count at Begin (for the C reconciler)
 	access   map[string]*accessRecord
@@ -51,14 +56,20 @@ type Tx struct {
 
 // Begin opens a transaction for dom. The transaction sees a stable
 // snapshot of the store; Commit applies it atomically or fails with
-// ErrAgain.
+// ErrAgain. Begin costs the same whatever the store holds: it captures
+// the root and gives the transaction and the live tree a fresh edit
+// token each, so every node reachable from that root now belongs to
+// neither and whichever side writes next copies what it touches.
 func (s *Store) Begin(dom DomID) *Tx {
 	s.nextTxID++
+	s.edits += 2
+	s.edit = s.edits
 	return &Tx{
 		ID:       s.nextTxID,
 		st:       s,
 		dom:      dom,
-		root:     s.root.clone(),
+		root:     s.root,
+		edit:     s.edits - 1,
 		startSeq: s.seq,
 		startCom: s.commits,
 		access:   make(map[string]*accessRecord),
@@ -93,175 +104,100 @@ func (t *Tx) Commit() error {
 		return nil // read-only transactions always succeed once checked
 	}
 	s.seq++
-	gen := s.seq
-	var events []string
+	m := mutCtx{s: s, root: &s.root, edit: s.edit, gen: s.seq, replay: true}
 	for i := range t.ops {
-		events = t.replay(&t.ops[i], gen, events)
+		_ = m.apply(&t.ops[i]) // ErrNotFound only: the target is gone, skip
 	}
 	s.commits++
 	s.stats.Commits++
-	s.fire(events)
+	s.fire(m.events)
 	return nil
-}
-
-// replay applies one logged op to the live tree. Permission checks were
-// done against the snapshot; replay is merge-tolerant: missing parents
-// are recreated, missing rm targets are skipped.
-func (t *Tx) replay(op *txOp, gen uint64, events []string) []string {
-	s := t.st
-	parts, err := SplitPath(op.path)
-	if err != nil {
-		return events
-	}
-	switch op.kind {
-	case opWrite, opMkdir:
-		n := s.root
-		cur := ""
-		for i, p := range parts {
-			cur += "/" + p
-			ch := n.child(p)
-			if ch == nil {
-				childPerms := n.perms.clone()
-				childPerms.RestrictCreate = false
-				if n.perms.RestrictCreate {
-					childPerms = restrictedChildPerms(n.perms.Owner, op.dom)
-				}
-				ch = &node{perms: childPerms, valueGen: gen, childGen: gen}
-				n.setChild(p, ch)
-				n.childGen = gen
-				events = append(events, cur)
-				if ch.perms.Owner != Dom0 {
-					s.owned[ch.perms.Owner]++
-				}
-			}
-			if i == len(parts)-1 && op.kind == opWrite {
-				ch.value = op.value
-				ch.valueGen = gen
-				events = append(events, cur)
-			}
-			n = ch
-		}
-	case opRm:
-		parent := lookup(s.root, parts[:len(parts)-1])
-		if parent == nil {
-			return events
-		}
-		name := parts[len(parts)-1]
-		victim := parent.child(name)
-		if victim == nil {
-			return events
-		}
-		delete(parent.children, name)
-		parent.childGen = gen
-		s.releaseSubtree(victim)
-		events = append(events, op.path)
-	case opSetPerms:
-		n := lookup(s.root, parts)
-		if n == nil {
-			return events
-		}
-		n.perms = op.perms.clone()
-		n.valueGen = gen
-		events = append(events, op.path)
-	}
-	return events
 }
 
 // ---- dependency recording (all nil-receiver safe: immediate operations
 // pass a nil *Tx and record nothing) ----
 
-func (t *Tx) rec(path string) *accessRecord {
-	r := t.access[path]
+func (t *Tx) rec(p xpath) *accessRecord {
+	r := t.access[p.s]
 	if r == nil {
-		r = &accessRecord{}
-		t.access[path] = r
+		r = &accessRecord{parts: p.parts}
+		t.access[p.s] = r
 	}
 	return r
 }
 
-func (t *Tx) recordValueRead(path string, n *node) {
+func (t *Tx) recordValueRead(p xpath) {
 	if t == nil {
 		return
 	}
-	r := t.rec(path)
+	r := t.rec(p)
 	r.existed = true
 	r.valueRead = true
 }
 
-func (t *Tx) recordAbsent(path string) {
+func (t *Tx) recordAbsent(p xpath) {
 	if t == nil {
 		return
 	}
-	r := t.rec(path)
-	r.sawAbsent = true
+	t.rec(p).sawAbsent = true
 }
 
-func (t *Tx) recordList(path string, n *node) {
+func (t *Tx) recordList(p xpath) {
 	if t == nil {
 		return
 	}
-	r := t.rec(path)
+	r := t.rec(p)
 	r.existed = true
 	r.listed = true
 }
 
-func (t *Tx) recordValueWrite(path string) {
+// recordValueWrite notes that the snapshot's node at p now holds value.
+func (t *Tx) recordValueWrite(p xpath, value string) {
 	if t == nil {
 		return
 	}
-	r := t.rec(path)
+	r := t.rec(p)
 	r.valueWritten = true
 	r.existed = true // the snapshot holds the node by now
-	t.logOp(txOp{kind: opWrite, path: path, dom: t.dom})
+	t.logOp(txOp{kind: opWrite, path: p, value: value, dom: t.dom})
 }
 
-func (t *Tx) recordCreate(path, parent string) {
+func (t *Tx) recordCreate(p xpath) {
 	if t == nil {
 		return
 	}
-	r := t.rec(path)
-	r.created = true
-	pr := t.rec(parent)
-	pr.childTouched = true
-	t.logOp(txOp{kind: opMkdir, path: path, dom: t.dom})
+	t.rec(p).created = true
+	t.rec(p.parent()).childTouched = true
+	t.logOp(txOp{kind: opMkdir, path: p, dom: t.dom})
 }
 
-func (t *Tx) recordRemove(path, parent string) {
+func (t *Tx) recordRemove(p xpath) {
 	if t == nil {
 		return
 	}
-	r := t.rec(path)
-	r.removed = true
-	pr := t.rec(parent)
-	pr.childTouched = true
-	t.logOp(txOp{kind: opRm, path: path, dom: t.dom})
+	t.rec(p).removed = true
+	t.rec(p.parent()).childTouched = true
+	t.logOp(txOp{kind: opRm, path: p, dom: t.dom})
 }
 
-func (t *Tx) recordSetPerms(path string, perms Perms) {
+func (t *Tx) recordSetPerms(p xpath, perms Perms) {
 	if t == nil {
 		return
 	}
-	t.logOp(txOp{kind: opSetPerms, path: path, perms: perms, dom: t.dom})
+	t.logOp(txOp{kind: opSetPerms, path: p, perms: perms, dom: t.dom})
 }
 
 // logOp appends to the replay log, folding consecutive writes to the same
 // path (the last value wins, matching snapshot semantics).
 func (t *Tx) logOp(op txOp) {
 	if op.kind == opWrite {
-		// Fill the value from the snapshot: recordValueWrite is called
-		// after the snapshot tree already holds the new value.
-		if parts, err := SplitPath(op.path); err == nil {
-			if n := lookup(t.root, parts); n != nil {
-				op.value = n.value
-			}
-		}
 		for i := len(t.ops) - 1; i >= 0; i-- {
 			prev := &t.ops[i]
-			if prev.path == op.path && prev.kind == opWrite {
+			if prev.path.s == op.path.s && prev.kind == opWrite {
 				prev.value = op.value
 				return
 			}
-			if prev.kind == opRm && IsPrefix(prev.path, op.path) {
+			if prev.kind == opRm && IsPrefix(prev.path.s, op.path.s) {
 				break // write after rm must be a fresh op
 			}
 		}
