@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,34 +38,15 @@ func realMain() int {
 	boards := flag.String("boards", "", "board counts for the scaling experiment (default 1,2,4,8; 1,4 with -quick)")
 	fingerprint := flag.Bool("fingerprint", false, "print per-series determinism fingerprints instead of tables")
 	traceDir := flag.String("trace-dir", "", "write each experiment's flight-recorder traces (Chrome trace-event JSON) into this directory")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file (go tool pprof -sample_index=alloc_objects)")
+	profiles := obs.ProfileFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err == nil {
-			err = pprof.StartCPUProfile(f)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			}
-		}()
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *memProfile != "" {
-		defer func() {
-			runtime.GC() // flush the last cycle's allocations into the profile
-			if err := writeHeapProfile(*memProfile); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	trials := 120
 	fig3N := []int{1, 25, 50, 100, 150, 200}
@@ -183,18 +162,6 @@ func realMain() int {
 		fmt.Println(r.String())
 	}
 	return 0
-}
-
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeTraces dumps every attached flight recorder as

@@ -43,11 +43,14 @@
 //	       [-loss 0.1] [-jitter 1ms] [-partition 20s,30s] [-no-dns-retry]
 //	       [-clusters 1] [-connect] [-wan wan20ms]
 //	       [-trace run.trace.json] [-stats-every 10s]
+//	       [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -trace dumps the run's flight recorder (virtual-time spans for every
 // boot, restore, migration and gossip event) as Chrome trace-event JSON
 // for chrome://tracing / Perfetto; -stats-every streams a counter
 // snapshot line over the control plane's WatchStats verb.
+// -cpuprofile/-memprofile write pprof profiles of the run itself (host
+// time, not virtual): go tool pprof -top cpu.out.
 package main
 
 import (
@@ -96,7 +99,15 @@ func main() {
 	statsEvery := flag.Duration("stats-every", 0, "stream a stats snapshot line every this much virtual time (0 = off)")
 	connect := flag.Bool("connect", false, "cluster mode: drive the deployment as a remote operator — a wire client dialled into board 0's management endpoint issues every control-plane verb as versioned frames over the simulated network")
 	wan := flag.String("wan", "", "shape management links to a WAN preset (wan20ms|wan50ms|wan100ms): federation links in -clusters mode, the operator console link in -connect mode")
+	profiles := obs.ProfileFlags(flag.CommandLine)
 	flag.Parse()
+
+	stopProfiles, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "jitsud: %v\n", err)
+		os.Exit(1)
+	}
+	defer stopProfiles() // a run that fails (os.Exit) writes no profile
 
 	var wanProf *netsim.WANProfile
 	if *wan != "" {

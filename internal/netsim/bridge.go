@@ -16,6 +16,7 @@ type Bridge struct {
 	ports   []*bridgePort
 	table   map[MAC]*bridgePort
 	mirrors []Handler
+	hops    hopPool
 
 	Forwarded uint64
 	Flooded   uint64
@@ -86,24 +87,20 @@ func (b *Bridge) input(in *bridgePort, frame []byte) {
 	for _, m := range b.mirrors {
 		m(frame)
 	}
-	deliver := func(p *bridgePort) {
-		d := p.dst
-		b.eng.After(b.ForwardDelay, func() { d.Deliver(frame) })
-	}
 	if !dst.IsBroadcast() {
 		if out, ok := b.table[dst]; ok {
 			if out != in {
 				b.Forwarded++
-				deliver(out)
+				b.hops.book(b.eng, b.ForwardDelay, out.dst, frame, nil, "")
 			}
 			return
 		}
 	}
-	// Flood to every port except ingress.
+	// Flood to every port except ingress: every egress shares the frame.
 	b.Flooded++
 	for _, p := range b.ports {
 		if p != in {
-			deliver(p)
+			b.hops.book(b.eng, b.ForwardDelay, p.dst, frame, nil, "")
 		}
 	}
 }

@@ -23,7 +23,8 @@ type CaptureRecord struct {
 	At sim.Duration
 	// Dir labels the direction or tap point ("a->b", "mgmt-rx", ...).
 	Dir string
-	// Frame is a private copy of the frame bytes.
+	// Frame is the delivered frame itself: shared and immutable, like
+	// every frame past the sending NIC's copy.
 	Frame []byte
 }
 
@@ -46,16 +47,14 @@ func NewCapture(eng *sim.Engine, max int) *Capture {
 	return &Capture{eng: eng, max: max}
 }
 
-// record appends one delivered frame (copied — in-flight frames are
-// owned by their sender).
+// record appends one delivered frame (kept, not copied: a frame past
+// its sender's copy is never written or reused).
 func (c *Capture) record(dir string, frame []byte) {
 	if len(c.Records) >= c.max {
 		c.Truncated++
 		return
 	}
-	c.Records = append(c.Records, CaptureRecord{
-		At: c.eng.Now(), Dir: dir, Frame: append([]byte(nil), frame...),
-	})
+	c.Records = append(c.Records, CaptureRecord{At: c.eng.Now(), Dir: dir, Frame: frame})
 }
 
 // capturePort decorates an arbitrary Port.

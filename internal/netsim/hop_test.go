@@ -1,0 +1,123 @@
+package netsim
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"jitsu/internal/sim"
+)
+
+// The ownership rule under test: the sending NIC copies once, and that
+// copy is shared by every port, tap and receiver — immutable and never
+// reused, so receivers may keep it. Each test sends from one scratch
+// buffer it overwrites between sends, the way netstack does, and has
+// the receivers keep the slices they were handed.
+
+// sendFromScratch sends each payload from one reused buffer.
+func sendFromScratch(n *NIC, dst MAC, payloads ...string) {
+	scratch := make([]byte, MaxFrame)
+	for _, p := range payloads {
+		f := scratch[:14+len(p)]
+		copy(f[0:6], dst[:])
+		copy(f[6:12], n.Addr[:])
+		copy(f[14:], p)
+		n.Send(f)
+	}
+	for i := range scratch {
+		scratch[i] = 0xee
+	}
+}
+
+func payloads(frames [][]byte) []string {
+	out := make([]string, len(frames))
+	for i, f := range frames {
+		out[i] = string(f[14:])
+	}
+	return out
+}
+
+func TestFloodedBroadcastSurvivesScratchReuse(t *testing.T) {
+	eng, _, nics := bridgedPair(t, 4)
+	kept := make([][][]byte, len(nics))
+	for i, n := range nics[1:] {
+		n.SetHandler(func(f []byte) { kept[i+1] = append(kept[i+1], f) })
+	}
+	sendFromScratch(nics[0], Broadcast, "who-has .1", "who-has .2")
+	eng.Run()
+	for i := 1; i < len(nics); i++ {
+		if got := fmt.Sprint(payloads(kept[i])); got != "[who-has .1 who-has .2]" {
+			t.Fatalf("receiver %d kept %s", i, got)
+		}
+		// A flood hands every egress the sender's one copy.
+		if &kept[i][0][0] != &kept[1][0][0] {
+			t.Fatalf("receiver %d got its own copy of a flooded frame", i)
+		}
+	}
+}
+
+func TestDuplicatedFrameSurvivesScratchReuse(t *testing.T) {
+	eng := sim.New(1)
+	a, b, l, _ := hostilePair(eng, 100*time.Microsecond)
+	var kept [][]byte
+	b.SetHandler(func(f []byte) { kept = append(kept, f) })
+	l.ImpairAtoB(Impairment{DupProb: 1.0}, 5)
+	cap := NewCapture(eng, 0)
+	l.Tap(cap)
+	sendFromScratch(a, b.Addr, "one", "two")
+	eng.Run()
+	if got := fmt.Sprint(payloads(kept)); got != "[one one two two]" {
+		t.Fatalf("receiver kept %s", got)
+	}
+	// The tap saw every delivered frame, in delivery order.
+	if len(cap.Records) != len(kept) {
+		t.Fatalf("captured %d frames, delivered %d", len(cap.Records), len(kept))
+	}
+	for i, rec := range cap.Records {
+		if string(rec.Frame) != string(kept[i]) || rec.Dir != "a->b" {
+			t.Fatalf("record %d = %s %q, delivered %q", i, rec.Dir, rec.Frame[14:], kept[i][14:])
+		}
+	}
+}
+
+// TestTapInstalledMidFlight pins what a hop record carries: the tap
+// that was installed when the frame was booked, not when it lands.
+func TestTapInstalledMidFlight(t *testing.T) {
+	eng := sim.New(1)
+	a, b, l, got := hostilePair(eng, time.Millisecond)
+	a.Send(frame(b.Addr, a.Addr, "before"))
+	cap := NewCapture(eng, 0)
+	l.Tap(cap)
+	a.Send(frame(b.Addr, a.Addr, "after"))
+	eng.Run()
+	if len(*got) != 2 || len(cap.Records) != 1 || string(cap.Records[0].Frame[14:]) != "after" {
+		t.Fatalf("delivered %d, captured %v", len(*got), cap.Records)
+	}
+}
+
+func TestHopAllocs(t *testing.T) {
+	// A frame's one allocation on the fabric is the sender's copy,
+	// however many hops it takes.
+	eng := sim.New(1)
+	a, b, _, _ := hostilePair(eng, 20*time.Microsecond)
+	b.SetHandler(func([]byte) {})
+	f := frame(b.Addr, a.Addr, "x")
+	link := testing.AllocsPerRun(200, func() {
+		a.Send(f)
+		eng.Run()
+	})
+
+	eng, _, nics := bridgedPair(t, 3)
+	for _, n := range nics {
+		n.SetHandler(func([]byte) {})
+	}
+	f = frame(nics[1].Addr, nics[0].Addr, "x")
+	nics[1].Send(frame(nics[0].Addr, nics[1].Addr, "learn"))
+	bridged := testing.AllocsPerRun(200, func() {
+		nics[0].Send(f)
+		eng.Run()
+	})
+	if link != 1 || bridged != 1 {
+		t.Fatalf("allocs per frame: link %v, link+bridge+link %v, want 1 and 1", link, bridged)
+	}
+}

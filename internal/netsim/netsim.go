@@ -4,8 +4,16 @@
 // modelled as a bridge mirror port (§3.3.1).
 //
 // Frames are opaque byte slices; internal/netstack gives them meaning.
-// Per the gopacket-inspired guidance, the fabric never copies frames on
-// the fast path — receivers must treat frames as read-only.
+// One ownership rule holds everywhere: a frame is copied once by the
+// sending NIC (NIC.Send); from then on it is shared, immutable and never
+// reused — receivers may keep it, nobody may write it. Links, bridges,
+// mirrors, capture taps, duplicating impairments and flooded broadcasts
+// all hand out that same buffer. Code that injects a frame any other way
+// (Port.Deliver directly) gives the buffer up under the same rule.
+//
+// Each hop a frame takes — across a link, through the bridge — is one
+// engine event on a pooled record (hop.go), so the fabric's only
+// allocation per frame is the sender's copy.
 //
 // Hostile-network behaviour lives here too, strictly below the bridge:
 // impairments (impair.go — seeded loss, extra latency and jitter,
@@ -56,8 +64,9 @@ func MACFor(id int) MAC {
 	return MAC{0x00, 0x16, 0x3e, byte(id >> 16), byte(id >> 8), byte(id)}
 }
 
-// Handler consumes a received frame. The frame buffer is owned by the
-// sender; handlers must not retain or mutate it.
+// Handler consumes a received frame. The buffer was copied once by the
+// sending NIC; from then on it is shared, immutable and never reused —
+// a handler may keep it, nobody may write it.
 type Handler func(frame []byte)
 
 // Port is anything a link can deliver frames to.
@@ -107,8 +116,12 @@ func (n *NIC) Deliver(frame []byte) {
 	n.handler(frame)
 }
 
-// Send transmits a frame toward the attached link. Frames are copied
-// once at the sender so in-flight frames are immutable.
+// Send transmits a frame toward the attached link. This is the one
+// place a frame is copied: the caller keeps its buffer (and may
+// overwrite it at once — netstack renders every frame into one scratch
+// buffer), and the copy is what every port, mirror, tap and receiver
+// downstream shares — immutable and never reused, so receivers may keep
+// it and nobody may write it.
 func (n *NIC) Send(frame []byte) error {
 	return n.SendBulk(frame, len(frame))
 }
@@ -159,6 +172,7 @@ type Link struct {
 	Stats LinkStats
 
 	aEnd, bEnd *linkEnd
+	hops       hopPool
 }
 
 type linkEnd struct {
@@ -204,14 +218,9 @@ func (e *linkEnd) deliver(frame []byte, wireBytes int) {
 // scheduleDelivery books the frame's arrival at the far port, running
 // it through the capture tap (if any) at the delivery instant.
 func (e *linkEnd) scheduleDelivery(frame []byte, delay sim.Duration) {
-	e.link.Stats.Delivered++
-	dst := e.dst
-	if e.cap != nil {
-		tap, dir := e.cap, e.capDir
-		e.link.eng.After(delay, func() { tap.record(dir, frame); dst.Deliver(frame) })
-		return
-	}
-	e.link.eng.After(delay, func() { dst.Deliver(frame) })
+	l := e.link
+	l.Stats.Delivered++
+	l.hops.book(l.eng, delay, e.dst, frame, e.cap, e.capDir)
 }
 
 // NewLink wires a and b together with the given characteristics.

@@ -1,0 +1,99 @@
+package netstack
+
+import (
+	"testing"
+	"time"
+)
+
+// The layer's own benches (ROADMAP perf ledger): `make bench` runs them
+// beside the root package's and benchjson files them under "netstack".
+// Each op drains the engine, so nothing carries over between ops.
+
+// BenchmarkUDPRoundTrip is a 48-byte datagram echoed back through the
+// bridge: two packets, six fabric hops.
+func BenchmarkUDPRoundTrip(b *testing.B) {
+	eng, a, srv, _ := twoHosts(1)
+	srv.BindUDP(7, func(src IP, port uint16, p []byte) { srv.SendUDP(src, 7, port, p) })
+	a.BindUDP(9000, func(IP, uint16, []byte) {})
+	payload := make([]byte, 48)
+	b.ReportAllocs()
+	for b.Loop() {
+		a.SendUDP(srv.IP, 9000, 7, payload)
+		eng.Run()
+	}
+}
+
+// BenchmarkTCPConnect is one short connection — dial, one send, close
+// from both ends, TIME_WAIT expiry: a fetch's transport without HTTP.
+func BenchmarkTCPConnect(b *testing.B) {
+	eng, a, srv, _ := twoHosts(1)
+	srv.ListenTCP(80, func(c *TCPConn) {
+		c.OnData(func([]byte) { c.Close() })
+	})
+	payload := []byte("x")
+	b.ReportAllocs()
+	for b.Loop() {
+		a.DialTCP(srv.IP, 80, func(c *TCPConn, err error) {
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.Send(payload)
+			c.Close()
+		})
+		eng.Run()
+	}
+}
+
+// BenchmarkHTTPGet is a whole fetch of a 1 KiB body.
+func BenchmarkHTTPGet(b *testing.B) {
+	eng, a, srv, _ := twoHosts(1)
+	body := make([]byte, 1024)
+	srv.ServeHTTP(80, func(*HTTPRequest) *HTTPResponse { return &HTTPResponse{Status: 200, Body: body} })
+	b.ReportAllocs()
+	for b.Loop() {
+		a.HTTPGet(srv.IP, 80, "/", 30*time.Second, func(resp *HTTPResponse, _ time.Duration, err error) {
+			if err != nil || resp.Status != 200 {
+				b.Fatal(resp, err)
+			}
+		})
+		eng.Run()
+	}
+}
+
+// BenchmarkDialTCP is a dial (and the abort that releases its port)
+// beside a table of TIME_WAIT connections — what a closed-loop client
+// keeps around. The NIC is down: the op is the dial, not its SYN.
+func BenchmarkDialTCP(b *testing.B) {
+	for _, n := range []struct {
+		name  string
+		conns int
+	}{{"0", 0}, {"1k", 1000}, {"10k", 10000}} {
+		b.Run("timewait="+n.name, func(b *testing.B) {
+			a, srv := timeWaitConns(b, n.conns)
+			a.NIC.Down = true
+			done := func(*TCPConn, error) {}
+			b.ReportAllocs()
+			for b.Loop() {
+				a.DialTCP(srv.IP, 80, done).Abort()
+			}
+		})
+	}
+}
+
+// BenchmarkEncodeTCPFrame renders a 512-byte data segment, transport ->
+// IPv4 -> Ethernet, into the scratch frame (the NIC is down, so nothing
+// is sent).
+func BenchmarkEncodeTCPFrame(b *testing.B) {
+	_, a, srv, _ := twoHosts(1)
+	a.SeedARP(srv.IP, srv.NIC.Addr)
+	a.NIC.Down = true
+	seg := TCPSegment{SrcPort: 49153, DstPort: 80, Seq: 1, Ack: 2, Flags: FlagACK | FlagPSH, Window: tcpWindow}
+	payload := make([]byte, 512)
+	b.ReportAllocs()
+	for b.Loop() {
+		a.sendTCP(a.IP, srv.IP, &seg, payload)
+	}
+	if a.NIC.Drops == 0 {
+		b.Fatal("no frame reached the NIC")
+	}
+}

@@ -185,55 +185,72 @@ func ParseResponse(buf []byte) (*HTTPResponse, bool) {
 // error; the measurement clock starts at the call (Figure 9's metric is
 // time from request to complete response).
 func (h *Host) HTTPGet(dst IP, port uint16, path string, timeout sim.Duration, done func(*HTTPResponse, sim.Duration, error)) {
-	start := h.Eng.Now()
-	finished := false
-	finish := func(r *HTTPResponse, err error) {
-		if finished {
-			return
-		}
-		finished = true
-		done(r, h.Eng.Now()-start, err)
-	}
-	var deadline sim.Event
+	g := &httpGet{host: h, start: h.Eng.Now(), done: done}
 	if timeout > 0 {
-		deadline = h.Eng.After(timeout, func() { finish(nil, ErrTimeout) })
+		g.deadline = h.Eng.After(timeout, g.onDeadline)
 	}
 	h.DialTCP(dst, port, func(c *TCPConn, err error) {
 		if err != nil {
-			finish(nil, err)
+			g.finish(nil, err)
 			return
 		}
-		var buf []byte
-		tryComplete := func() bool {
-			if resp, ok := ParseResponse(buf); ok {
-				h.Eng.Cancel(deadline)
-				finish(resp, nil)
-				return true
-			}
-			return false
-		}
-		c.OnData(func(b []byte) {
-			if finished {
-				return
-			}
-			buf = append(buf, b...)
-			if tryComplete() {
-				c.Close()
-			}
-		})
-		c.OnClose(func(err error) {
-			if finished {
-				return
-			}
-			if tryComplete() {
-				c.Close()
-				return
-			}
-			if err == nil {
-				err = ErrConnClosed
-			}
-			finish(nil, err)
-		})
+		g.conn = c
+		c.OnData(g.onData)
+		c.OnClose(g.onClose)
 		c.Send(EncodeRequest("GET", path, dst.String()))
 	})
+}
+
+// httpGet is one HTTPGet in flight. Its connection outlives it by the
+// whole of TIME_WAIT and still points here through OnClose, so finish
+// lets go of the response bytes and of the caller.
+type httpGet struct {
+	host     *Host
+	conn     *TCPConn
+	start    sim.Duration
+	deadline sim.Event
+	buf      []byte
+	done     func(*HTTPResponse, sim.Duration, error) // nil once finished
+}
+
+func (g *httpGet) finish(r *HTTPResponse, err error) {
+	done := g.done
+	if done == nil {
+		return
+	}
+	g.done, g.buf = nil, nil
+	done(r, g.host.Eng.Now()-g.start, err)
+}
+
+func (g *httpGet) onDeadline() { g.finish(nil, ErrTimeout) }
+
+// tryComplete finishes the fetch if buf holds a whole response, and then
+// closes our side.
+func (g *httpGet) tryComplete() bool {
+	resp, ok := ParseResponse(g.buf)
+	if !ok {
+		return false
+	}
+	g.host.Eng.Cancel(g.deadline)
+	g.finish(resp, nil)
+	g.conn.Close()
+	return true
+}
+
+func (g *httpGet) onData(b []byte) {
+	if g.done == nil {
+		return
+	}
+	g.buf = append(g.buf, b...)
+	g.tryComplete()
+}
+
+func (g *httpGet) onClose(err error) {
+	if g.done == nil || g.tryComplete() {
+		return
+	}
+	if err == nil {
+		err = ErrConnClosed
+	}
+	g.finish(nil, err)
 }

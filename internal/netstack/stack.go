@@ -17,6 +17,9 @@ var (
 	ErrConnReset    = errors.New("netstack: connection reset by peer")
 	ErrTimeout      = errors.New("netstack: timed out")
 	ErrNotListening = errors.New("netstack: not listening")
+	// ErrNoEphemeralPorts fails a dial when every client port is held by
+	// a live or TIME_WAIT connection or a listener.
+	ErrNoEphemeralPorts = errors.New("netstack: no free ephemeral port")
 )
 
 // StackProfile sets the per-packet processing costs that differentiate
@@ -78,10 +81,15 @@ type Host struct {
 	udpPorts   map[uint16]UDPHandler
 	listeners  map[uint16]*TCPListener
 	conns      map[fourTuple]*TCPConn
-	nextPort   uint16
-	icmpSeq    uint16
-	pings      map[uint16]*pendingPing
-	rxBusy     sim.Duration // receive-path serialisation point
+	// portUse counts, per ephemeral local port, the conns entries that
+	// hold it, so ephemeralPort never walks the table. addConn and
+	// dropConn are the only writers of either; the first entry with
+	// such a port makes the map (most hosts never dial).
+	portUse  map[uint16]int
+	nextPort uint16
+	icmpSeq  uint16
+	pings    map[uint16]*pendingPing
+	rxBusy   sim.Duration // receive-path serialisation point
 
 	// Diagnostics.
 	RxPackets, TxPackets uint64
@@ -99,11 +107,17 @@ type Host struct {
 	icmp ICMPEcho
 	udp  UDPHeader
 	tcp  TCPSegment
+
+	// scratch is the one buffer every outgoing frame is rendered into
+	// (txFrame); rxFree pools the records rxFrame books.
+	scratch []byte
+	rxFree  []*rxJob
 }
 
+// pendingPacket is a frame parked behind an ARP resolution: a private
+// copy of the scratch frame, complete but for its Ethernet header.
 type pendingPacket struct {
-	proto   byte
-	payload []byte
+	frame []byte
 	// wireBytes is the on-wire size the frame is charged for once ARP
 	// resolves (0 = the frame's own length; larger for bulk stand-ins).
 	wireBytes int
@@ -129,7 +143,7 @@ func NewHost(eng *sim.Engine, name string, nic *netsim.NIC, ip IP, profile Stack
 		listeners:  make(map[uint16]*TCPListener),
 		conns:      make(map[fourTuple]*TCPConn),
 		pings:      make(map[uint16]*pendingPing),
-		nextPort:   49152,
+		nextPort:   ephemeralBase,
 	}
 	nic.SetHandler(h.rxFrame)
 	return h
@@ -144,15 +158,41 @@ func (h *Host) procCost(n int) sim.Duration {
 // rxFrame is the NIC receive path: charge the stack cost, then demux.
 // Processing is serialised (rxBusy) so jittered per-packet costs can
 // never reorder a flow — the stack is a single vCPU, not a packet pool.
+// The frame is kept as it is: past its sender's copy it is immutable
+// (netsim.Handler), and so are the payload slices handed up from it.
 func (h *Host) rxFrame(frame []byte) {
 	h.RxPackets++
-	buf := append([]byte(nil), frame...) // own the frame beyond this event
 	now := h.Eng.Now()
 	if h.rxBusy < now {
 		h.rxBusy = now
 	}
 	h.rxBusy += h.procCost(len(frame))
-	h.Eng.At(h.rxBusy, func() { h.handleFrame(buf) })
+	var j *rxJob
+	if k := len(h.rxFree); k > 0 {
+		j = h.rxFree[k-1]
+		h.rxFree = h.rxFree[:k-1]
+	} else {
+		j = &rxJob{host: h}
+		j.fire = j.run
+	}
+	j.frame = frame
+	h.Eng.At(h.rxBusy, j.fire)
+}
+
+// rxJob is one received frame waiting out the stack's processing cost.
+// Jobs are pooled on the Host and fire is bound when a job is first
+// made, so the receive path schedules without allocating.
+type rxJob struct {
+	host  *Host
+	frame []byte
+	fire  func()
+}
+
+func (j *rxJob) run() {
+	h, frame := j.host, j.frame
+	j.frame = nil
+	h.rxFree = append(h.rxFree, j)
+	h.handleFrame(frame)
 }
 
 func (h *Host) handleFrame(frame []byte) {
@@ -185,11 +225,10 @@ func (h *Host) handleARP(payload []byte) {
 	h.arpCache[a.SenderIP] = a.SenderMAC
 	h.flushPending(a.SenderIP)
 	if a.Op == ARPRequest && (h.HasIP(a.TargetIP) || h.proxyARP[a.TargetIP]) {
-		reply := ARPPacket{
+		h.sendARP(a.SenderMAC, &ARPPacket{
 			Op: ARPReply, SenderMAC: h.NIC.Addr, SenderIP: a.TargetIP,
 			TargetMAC: a.SenderMAC, TargetIP: a.SenderIP,
-		}
-		h.sendEthernet(a.SenderMAC, EtherTypeARP, reply.Encode())
+		})
 	}
 }
 
@@ -201,11 +240,7 @@ func (h *Host) flushPending(ip IP) {
 	delete(h.arpPending, ip)
 	mac := h.arpCache[ip]
 	for _, p := range pend {
-		if p.wireBytes > 0 {
-			h.sendEthernetBulk(mac, EtherTypeIPv4, p.payload, p.wireBytes)
-		} else {
-			h.sendEthernet(mac, EtherTypeIPv4, p.payload)
-		}
+		h.sendEthernet(mac, EtherTypeIPv4, p.frame, p.wireBytes)
 	}
 }
 
@@ -231,11 +266,10 @@ func (h *Host) HasIP(ip IP) bool { return ip == h.IP || h.aliases[ip] }
 // Synjitsu, or the proxy re-claiming the IP of a reaped service so
 // clients' caches stop pointing at the dead guest.
 func (h *Host) AnnounceIP(ip IP) {
-	pkt := ARPPacket{
+	h.sendARP(netsim.Broadcast, &ARPPacket{
 		Op: ARPReply, SenderMAC: h.NIC.Addr, SenderIP: ip,
 		TargetMAC: netsim.Broadcast, TargetIP: ip,
-	}
-	h.sendEthernet(netsim.Broadcast, EtherTypeARP, pkt.Encode())
+	})
 }
 
 // ProxyARPFor answers ARP for ip without accepting its IP traffic —
@@ -257,32 +291,48 @@ const (
 	arpRequestTries = 3
 )
 
-// sendIPv4 routes a transport payload to dst, resolving via ARP.
-func (h *Host) sendIPv4(dst IP, proto byte, payload []byte) {
-	h.sendIPv4From(h.IP, dst, proto, payload)
+// txHeadroom is where the transport payload starts in an IPv4 frame.
+const txHeadroom = EthernetHeaderLen + IPv4HeaderLen
+
+// txFrame returns the host's scratch frame cut to n bytes. Every
+// outgoing frame is rendered into it, innermost layer first, each
+// header written in place in front of its payload; it is good until the
+// next txFrame call. Nothing downstream may keep it: NIC.Send copies,
+// and the ARP-pending queue and loopback take their own copy.
+func (h *Host) txFrame(n int) []byte {
+	if cap(h.scratch) < n {
+		h.scratch = make([]byte, max(n, netsim.MaxFrame))
+	}
+	return h.scratch[:n]
 }
 
-// sendIPv4From sends with an explicit source address: proxied TCP
-// connections answer from the service IP (an alias), not the stack's
-// primary address.
-func (h *Host) sendIPv4From(src, dst IP, proto byte, payload []byte) {
+// sendIPv4 routes one packet to dst, resolving via ARP. frame is the
+// scratch frame with the transport payload already rendered at
+// frame[txHeadroom:]; the IPv4 header goes in front of it here. src is
+// explicit because proxied TCP connections answer from the service IP
+// (an alias), not the stack's primary address. wireBytes above the
+// frame's length charges the first hop for that many bytes (a bulk
+// stand-in, netsim.NIC.SendBulk); 0 charges the frame itself.
+func (h *Host) sendIPv4(src, dst IP, proto byte, frame []byte, wireBytes int) {
+	pkt := frame[EthernetHeaderLen:]
+	hdr := IPv4Header{Protocol: proto, Src: src, Dst: dst}
+	hdr.EncodeInto(pkt)
 	if h.HasIP(dst) {
 		// Loopback: re-enter the stack after the processing cost, no wire.
-		hdr := IPv4Header{Protocol: proto, Src: src, Dst: dst}
-		pkt := hdr.Encode(payload)
+		pkt = append([]byte(nil), pkt...)
 		h.Eng.After(h.procCost(len(pkt)), func() { h.handleIPv4(pkt) })
 		return
 	}
-	hdr := IPv4Header{Protocol: proto, Src: src, Dst: dst}
-	pkt := hdr.Encode(payload)
 	h.TxPackets++
 	if mac, ok := h.arpCache[dst]; ok {
-		h.sendEthernet(mac, EtherTypeIPv4, pkt)
+		h.sendEthernet(mac, EtherTypeIPv4, frame, wireBytes)
 		return
 	}
-	// Queue behind an ARP resolution.
+	// Queue a copy behind an ARP resolution: the request itself is
+	// rendered into the scratch next.
 	first := len(h.arpPending[dst]) == 0
-	h.arpPending[dst] = append(h.arpPending[dst], pendingPacket{proto: proto, payload: pkt})
+	h.arpPending[dst] = append(h.arpPending[dst],
+		pendingPacket{frame: append([]byte(nil), frame...), wireBytes: wireBytes})
 	if first {
 		h.sendARPRequest(dst, 1)
 	}
@@ -295,25 +345,10 @@ func (h *Host) sendIPv4From(src, dst IP, proto byte, payload []byte) {
 // movers use it so checkpoint chunks occupy the shared management link
 // for as long as their bytes would without one event per MTU frame.
 func (h *Host) SendUDPBulk(dst IP, srcPort, dstPort uint16, payload []byte, wireBytes int) {
+	frame := h.txFrame(txHeadroom + UDPHeaderLen + len(payload))
 	u := UDPHeader{SrcPort: srcPort, DstPort: dstPort}
-	udp := u.Encode(h.IP, dst, payload)
-	if h.HasIP(dst) {
-		h.sendIPv4(dst, ProtoUDP, udp)
-		return
-	}
-	hdr := IPv4Header{Protocol: ProtoUDP, Src: h.IP, Dst: dst}
-	pkt := hdr.Encode(udp)
-	h.TxPackets++
-	if mac, ok := h.arpCache[dst]; ok {
-		h.sendEthernetBulk(mac, EtherTypeIPv4, pkt, wireBytes)
-		return
-	}
-	first := len(h.arpPending[dst]) == 0
-	h.arpPending[dst] = append(h.arpPending[dst],
-		pendingPacket{proto: ProtoUDP, payload: pkt, wireBytes: wireBytes})
-	if first {
-		h.sendARPRequest(dst, 1)
-	}
+	u.EncodeInto(frame[txHeadroom:], h.IP, dst, payload)
+	h.sendIPv4(h.IP, dst, ProtoUDP, frame, wireBytes)
 }
 
 // sendARPRequest broadcasts a who-has for dst and arms the retransmit:
@@ -321,8 +356,7 @@ func (h *Host) SendUDPBulk(dst IP, srcPort, dstPort uint16, payload []byte, wire
 // the request goes out again, up to arpRequestTries total. Exhausting
 // the tries drops the queue (transport retransmission recovers).
 func (h *Host) sendARPRequest(dst IP, attempt int) {
-	req := ARPPacket{Op: ARPRequest, SenderMAC: h.NIC.Addr, SenderIP: h.IP, TargetIP: dst}
-	h.sendEthernet(netsim.Broadcast, EtherTypeARP, req.Encode())
+	h.sendARP(netsim.Broadcast, &ARPPacket{Op: ARPRequest, SenderMAC: h.NIC.Addr, SenderIP: h.IP, TargetIP: dst})
 	h.Eng.After(arpRequestRTO, func() {
 		if _, ok := h.arpCache[dst]; ok {
 			return
@@ -339,16 +373,20 @@ func (h *Host) sendARPRequest(dst IP, attempt int) {
 	})
 }
 
-func (h *Host) sendEthernet(dst netsim.MAC, etherType uint16, payload []byte) {
-	eth := Ethernet{Dst: dst, Src: h.NIC.Addr, EtherType: etherType}
-	_ = h.NIC.Send(eth.Encode(payload))
+// sendARP broadcasts or unicasts one ARP message.
+func (h *Host) sendARP(dst netsim.MAC, pkt *ARPPacket) {
+	frame := h.txFrame(EthernetHeaderLen + arpLen)
+	pkt.EncodeInto(frame[EthernetHeaderLen:])
+	h.sendEthernet(dst, EtherTypeARP, frame, 0)
 }
 
-// sendEthernetBulk frames payload like sendEthernet but charges the
-// first hop for wireBytes on the wire (bulk stand-in frames).
-func (h *Host) sendEthernetBulk(dst netsim.MAC, etherType uint16, payload []byte, wireBytes int) {
+// sendEthernet writes the link header in front of the payload already
+// in frame and transmits it; the NIC's copy is what travels. A frame
+// longer than the MTU is dropped there, like any oversized send.
+func (h *Host) sendEthernet(dst netsim.MAC, etherType uint16, frame []byte, wireBytes int) {
 	eth := Ethernet{Dst: dst, Src: h.NIC.Addr, EtherType: etherType}
-	_ = h.NIC.SendBulk(eth.Encode(payload), wireBytes)
+	eth.EncodeInto(frame)
+	_ = h.NIC.SendBulk(frame, wireBytes)
 }
 
 // ---- IPv4 demux ----
@@ -384,9 +422,8 @@ func (h *Host) handleICMP(src IP, payload []byte) {
 	}
 	switch h.icmp.Type {
 	case ICMPEchoRequest:
-		reply := ICMPEcho{Type: ICMPEchoReply, ID: h.icmp.ID, Seq: h.icmp.Seq,
-			Data: append([]byte(nil), h.icmp.Data...)}
-		h.sendIPv4(src, ProtoICMP, reply.Encode())
+		reply := ICMPEcho{Type: ICMPEchoReply, ID: h.icmp.ID, Seq: h.icmp.Seq, Data: h.icmp.Data}
+		h.sendICMP(src, &reply)
 	case ICMPEchoReply:
 		if p, ok := h.pings[h.icmp.Seq]; ok {
 			delete(h.pings, h.icmp.Seq)
@@ -414,7 +451,13 @@ func (h *Host) Ping(dst IP, payloadLen int, timeout sim.Duration, cb func(rtt si
 		}
 	})
 	h.pings[seq] = p
-	h.sendIPv4(dst, ProtoICMP, req.Encode())
+	h.sendICMP(dst, &req)
+}
+
+func (h *Host) sendICMP(dst IP, m *ICMPEcho) {
+	frame := h.txFrame(txHeadroom + icmpHeaderLen + len(m.Data))
+	m.EncodeInto(frame[txHeadroom:])
+	h.sendIPv4(h.IP, dst, ProtoICMP, frame, 0)
 }
 
 // ---- UDP ----
@@ -433,8 +476,7 @@ func (h *Host) UnbindUDP(port uint16) { delete(h.udpPorts, port) }
 
 // SendUDP transmits one datagram.
 func (h *Host) SendUDP(dst IP, srcPort, dstPort uint16, payload []byte) {
-	u := UDPHeader{SrcPort: srcPort, DstPort: dstPort}
-	h.sendIPv4(dst, ProtoUDP, u.Encode(h.IP, dst, payload))
+	h.SendUDPBulk(dst, srcPort, dstPort, payload, 0)
 }
 
 func (h *Host) handleUDP(src IP, payload []byte) {
@@ -450,28 +492,53 @@ func (h *Host) handleUDP(src IP, payload []byte) {
 	fn(src, h.udp.SrcPort, h.udp.Payload())
 }
 
-// ephemeralPort allocates a client port.
-func (h *Host) ephemeralPort() uint16 {
-	for {
+// ephemeralBase is the first client port (IANA's dynamic range).
+const ephemeralBase = 49152
+
+// addConn enters c in the demux table.
+func (h *Host) addConn(c *TCPConn) {
+	h.conns[c.key] = c
+	if p := c.key.localPort; p >= ephemeralBase {
+		if h.portUse == nil {
+			h.portUse = make(map[uint16]int)
+		}
+		h.portUse[p]++
+	}
+}
+
+// dropConn takes c out of the demux table, if it is still the entry for
+// its tuple: a connection may be dropped twice (Forget, then a late
+// teardown) and its port must be released once.
+func (h *Host) dropConn(c *TCPConn) {
+	if h.conns[c.key] != c {
+		return
+	}
+	delete(h.conns, c.key)
+	if p := c.key.localPort; p >= ephemeralBase {
+		if h.portUse[p]--; h.portUse[p] == 0 {
+			delete(h.portUse, p)
+		}
+	}
+}
+
+// ephemeralPort allocates a client port: the next one, round the range,
+// that no listener is bound to and no live or TIME_WAIT connection
+// holds. One lap without a free port is failure.
+func (h *Host) ephemeralPort() (uint16, bool) {
+	for lap := 0; lap < 1<<16-ephemeralBase; lap++ {
 		h.nextPort++
-		if h.nextPort < 49152 {
-			h.nextPort = 49152
+		if h.nextPort < ephemeralBase {
+			h.nextPort = ephemeralBase
 		}
 		p := h.nextPort
 		if _, ok := h.listeners[p]; ok {
 			continue
 		}
-		inUse := false
-		for k := range h.conns {
-			if k.localPort == p {
-				inUse = true
-				break
-			}
-		}
-		if !inUse {
-			return p
+		if h.portUse[p] == 0 {
+			return p, true
 		}
 	}
+	return 0, false
 }
 
 func (h *Host) String() string {

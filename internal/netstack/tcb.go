@@ -82,7 +82,7 @@ func (c *TCPConn) ExportTCB() (*TCB, error) {
 func (c *TCPConn) Forget() {
 	c.host.Eng.Cancel(c.rtxEv)
 	c.state = StateClosed
-	delete(c.host.conns, c.key)
+	c.host.dropConn(c)
 }
 
 // ImportTCB reconstructs a connection in this stack from a snapshot.
@@ -123,7 +123,7 @@ func (h *Host) ImportTCB(t *TCB) (*TCPConn, error) {
 	if len(t.Buffered) > 0 {
 		c.pendingData = append(c.pendingData, append([]byte(nil), t.Buffered...))
 	}
-	h.conns[key] = c
+	h.addConn(c)
 	return c, nil
 }
 

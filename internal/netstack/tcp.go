@@ -102,6 +102,9 @@ type TCPConn struct {
 	rto     sim.Duration
 	rtxEv   sim.Event
 	retries int
+	// timerFn is onTimer, bound once per connection: the retransmission
+	// timer is re-armed on every segment and ACK.
+	timerFn func()
 
 	onData        func([]byte)
 	onEstablished func()
@@ -145,11 +148,19 @@ func (c *TCPConn) OnClose(fn func(error)) {
 }
 
 // DialTCP opens a connection; done fires when established or failed.
+// With every ephemeral port taken the dial fails with
+// ErrNoEphemeralPorts — from an event, like any other dial failure — and
+// the returned connection is already closed.
 func (h *Host) DialTCP(dst IP, dstPort uint16, done func(*TCPConn, error)) *TCPConn {
+	port, ok := h.ephemeralPort()
+	if !ok {
+		h.Eng.After(0, func() { done(nil, ErrNoEphemeralPorts) })
+		return &TCPConn{host: h, state: StateClosed, closedErr: ErrNoEphemeralPorts, closeNotified: true}
+	}
 	c := &TCPConn{
 		host: h,
 		key: fourTuple{localIP: h.IP, remoteIP: dst,
-			localPort: h.ephemeralPort(), remotePort: dstPort},
+			localPort: port, remotePort: dstPort},
 		state:  StateSynSent,
 		iss:    h.Eng.Rand().Uint32(),
 		sndWnd: tcpWindow,
@@ -170,7 +181,7 @@ func (h *Host) DialTCP(dst IP, dstPort uint16, done func(*TCPConn, error)) *TCPC
 			done(nil, err)
 		}
 	}
-	h.conns[c.key] = c
+	h.addConn(c)
 	c.sendSegment(FlagSYN, c.iss, 0, nil, uint16(DefaultMSS))
 	c.armRtx()
 	return c
@@ -229,8 +240,14 @@ func (c *TCPConn) sendSegment(flags byte, seq, ack uint32, payload []byte, mssOp
 		traced.payload = payload
 		c.host.TraceTCP("tx", &traced)
 	}
-	c.host.sendIPv4From(c.key.localIP, c.key.remoteIP, ProtoTCP,
-		seg.Encode(c.key.localIP, c.key.remoteIP, payload))
+	c.host.sendTCP(c.key.localIP, c.key.remoteIP, &seg, payload)
+}
+
+// sendTCP renders seg and payload into the scratch frame and routes it.
+func (h *Host) sendTCP(src, dst IP, seg *TCPSegment, payload []byte) {
+	frame := h.txFrame(txHeadroom + seg.headerLen() + len(payload))
+	seg.EncodeInto(frame[txHeadroom:], src, dst, payload)
+	h.sendIPv4(src, dst, ProtoTCP, frame, 0)
 }
 
 // trySend transmits as much of sndBuf as the windows allow, then the FIN
@@ -286,7 +303,26 @@ func (c *TCPConn) armRtx() {
 	if c.sndUna == c.sndNxt {
 		return
 	}
-	c.rtxEv = c.host.Eng.After(c.rto, c.retransmit)
+	c.rtxEv = c.after(c.rto)
+}
+
+// after books the connection's one timer func, binding it on first use.
+func (c *TCPConn) after(d sim.Duration) sim.Event {
+	if c.timerFn == nil {
+		c.timerFn = c.onTimer
+	}
+	return c.host.Eng.After(d, c.timerFn)
+}
+
+// onTimer serves both of the connection's timers, which are never armed
+// together (enterTimeWait cancels the retransmission timer): 2*MSL
+// expiry in TIME_WAIT, retransmission in every other state.
+func (c *TCPConn) onTimer() {
+	if c.state == StateTimeWait {
+		c.teardown(nil)
+		return
+	}
+	c.retransmit()
 }
 
 // retransmit resends from sndUna with exponential backoff.
@@ -319,7 +355,7 @@ func (c *TCPConn) retransmit() {
 			c.sendSegment(FlagFIN|FlagACK, c.sndNxt-1, c.rcvNxt, nil, 0)
 		}
 	}
-	c.rtxEv = c.host.Eng.After(c.rto, c.retransmit)
+	c.rtxEv = c.after(c.rto)
 }
 
 func allAcked(c *TCPConn) bool { return len(c.sndBuf) == 0 }
@@ -360,7 +396,7 @@ func (h *Host) sendRST(src, dst IP, seg *TCPSegment) {
 	if seg.Flags&FlagSYN != 0 {
 		rst.Ack++
 	}
-	h.sendIPv4From(dst, src, ProtoTCP, rst.Encode(dst, src, nil))
+	h.sendTCP(dst, src, &rst, nil)
 }
 
 // acceptSYN creates the half-open server-side connection and answers
@@ -384,7 +420,7 @@ func (l *TCPListener) acceptSYN(src, dst IP, seg *TCPSegment) {
 	}
 	c.sndUna, c.sndNxt = c.iss, c.iss+1
 	c.onEstablished = func() { l.onConn(c) }
-	h.conns[c.key] = c
+	h.addConn(c)
 	c.sendSegment(FlagSYN|FlagACK, c.iss, c.rcvNxt, nil, uint16(DefaultMSS))
 	c.armRtx()
 }
@@ -449,10 +485,10 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 			if c.finSent && seg.Ack == c.sndNxt {
 				dataAcked-- // the FIN's sequence slot
 			}
-			if int(dataAcked) <= len(c.sndBuf) {
+			if int(dataAcked) < len(c.sndBuf) {
 				c.sndBuf = c.sndBuf[dataAcked:]
 			} else {
-				c.sndBuf = nil
+				c.sndBuf = c.sndBuf[:0] // all acknowledged: the next Send refills it from the start
 			}
 			c.sndUna = seg.Ack
 			c.retries = 0
@@ -540,10 +576,14 @@ func (c *TCPConn) notifyRemoteClosed() {
 	}
 }
 
+// enterTimeWait parks the connection for 2*MSL. Both directions are
+// shut — nothing more is sent, delivered or established — so it keeps
+// OnClose and lets go of the rest: a busy host holds thousands of these.
 func (c *TCPConn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.host.Eng.Cancel(c.rtxEv)
-	c.host.Eng.After(timeWaitDelay, func() { c.teardown(nil) })
+	c.sndBuf, c.onData, c.onEstablished = nil, nil, nil
+	c.after(timeWaitDelay)
 }
 
 // teardown finishes the connection and notifies the app.
@@ -553,7 +593,7 @@ func (c *TCPConn) teardown(err error) {
 	}
 	c.state = StateClosed
 	c.host.Eng.Cancel(c.rtxEv)
-	delete(c.host.conns, c.key)
+	c.host.dropConn(c)
 	c.closedErr = err
 	if c.onClose != nil && !c.closeNotified {
 		c.closeNotified = true

@@ -7,7 +7,32 @@
 //
 // Decoding follows the layer-struct style of gopacket's DecodingLayer:
 // preallocated header structs with DecodeFromBytes that never allocate,
-// and explicit zero-copy payload sub-slices.
+// and explicit zero-copy payload sub-slices. Encoding mirrors it: every
+// header has an EncodeInto that renders into a caller's buffer (Encode
+// is EncodeInto on a fresh one).
+//
+// Life of a frame. A segment or datagram is rendered transport → IPv4
+// → Ethernet straight into the sending Host's one scratch frame
+// (Host.txFrame, Host.sendIPv4). netsim.NIC.Send copies it — the only
+// allocation a frame costs, and the point it becomes immutable: the
+// scratch is free for the next send, the copy is never written or
+// reused. It then crosses three pooled hops, each one engine event with
+// no allocation: sender's link, bridge, receiver's link (netsim hop
+// records), and the receiving Host's rxFrame books a fourth pooled
+// record that charges the stack's processing cost and calls
+// handleFrame. Decoded payloads are sub-slices of that immutable frame,
+// so a UDP handler may keep what it is handed. Only two paths hold a
+// packet past the call that sent it — the ARP-pending queue and
+// loopback — and each takes its own copy of the scratch.
+//
+// What a closed connection keeps. A fetch's connection is live for a
+// millisecond or two and then sits in TIME_WAIT for 2 s, so a host under
+// load holds thousands of TIME_WAIT connections and a handful of live
+// ones: they are the stack's resident memory. enterTimeWait drops the
+// send buffer and every callback but OnClose (which the expiry still
+// owes the application), and HTTPGet, which that OnClose points back to,
+// drops the response bytes and its caller when it finishes. What stays
+// for the 2 s is the TCPConn, its demux entry and its one timer.
 package netstack
 
 import (
@@ -99,17 +124,22 @@ func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// Payload returns the bytes after the header (valid until the frame is
-// reused).
+// Payload returns the bytes after the header.
 func (e *Ethernet) Payload() []byte { return e.payload }
+
+// EncodeInto writes the header into frame[:EthernetHeaderLen], in front
+// of a payload already rendered behind it.
+func (e *Ethernet) EncodeInto(frame []byte) {
+	copy(frame[0:6], e.Dst[:])
+	copy(frame[6:12], e.Src[:])
+	binary.BigEndian.PutUint16(frame[12:14], e.EtherType)
+}
 
 // Encode prepends the header to payload in a fresh buffer.
 func (e *Ethernet) Encode(payload []byte) []byte {
 	buf := make([]byte, EthernetHeaderLen+len(payload))
-	copy(buf[0:6], e.Dst[:])
-	copy(buf[6:12], e.Src[:])
-	binary.BigEndian.PutUint16(buf[12:14], e.EtherType)
 	copy(buf[EthernetHeaderLen:], payload)
+	e.EncodeInto(buf)
 	return buf
 }
 
@@ -150,6 +180,12 @@ func (a *ARPPacket) DecodeFromBytes(data []byte) error {
 // Encode renders the 28-byte ARP payload.
 func (a *ARPPacket) Encode() []byte {
 	buf := make([]byte, arpLen)
+	a.EncodeInto(buf)
+	return buf
+}
+
+// EncodeInto renders the payload into buf[:28].
+func (a *ARPPacket) EncodeInto(buf []byte) {
 	binary.BigEndian.PutUint16(buf[0:2], 1)
 	binary.BigEndian.PutUint16(buf[2:4], EtherTypeIPv4)
 	buf[4], buf[5] = 6, 4
@@ -158,7 +194,6 @@ func (a *ARPPacket) Encode() []byte {
 	copy(buf[14:18], a.SenderIP[:])
 	copy(buf[18:24], a.TargetMAC[:])
 	copy(buf[24:28], a.TargetIP[:])
-	return buf
 }
 
 // IP protocol numbers.
@@ -216,20 +251,29 @@ func (h *IPv4Header) Payload() []byte { return h.payload }
 // Encode renders header+payload with a correct checksum.
 func (h *IPv4Header) Encode(payload []byte) []byte {
 	buf := make([]byte, IPv4HeaderLen+len(payload))
-	buf[0] = 0x45
-	binary.BigEndian.PutUint16(buf[2:4], uint16(IPv4HeaderLen+len(payload)))
-	binary.BigEndian.PutUint16(buf[4:6], h.ID)
+	copy(buf[IPv4HeaderLen:], payload)
+	h.EncodeInto(buf)
+	return buf
+}
+
+// EncodeInto writes the header, with a correct checksum, into
+// pkt[:IPv4HeaderLen], in front of a payload already rendered behind
+// it: len(pkt) is the packet's total length.
+func (h *IPv4Header) EncodeInto(pkt []byte) {
+	pkt[0], pkt[1] = 0x45, 0
+	binary.BigEndian.PutUint16(pkt[2:4], uint16(len(pkt)))
+	binary.BigEndian.PutUint16(pkt[4:6], h.ID)
+	pkt[6], pkt[7] = 0, 0
 	ttl := h.TTL
 	if ttl == 0 {
 		ttl = 64
 	}
-	buf[8] = ttl
-	buf[9] = h.Protocol
-	copy(buf[12:16], h.Src[:])
-	copy(buf[16:20], h.Dst[:])
-	binary.BigEndian.PutUint16(buf[10:12], Checksum(buf[:IPv4HeaderLen]))
-	copy(buf[IPv4HeaderLen:], payload)
-	return buf
+	pkt[8] = ttl
+	pkt[9] = h.Protocol
+	pkt[10], pkt[11] = 0, 0
+	copy(pkt[12:16], h.Src[:])
+	copy(pkt[16:20], h.Dst[:])
+	binary.BigEndian.PutUint16(pkt[10:12], Checksum(pkt[:IPv4HeaderLen]))
 }
 
 // ICMP types.
@@ -237,6 +281,9 @@ const (
 	ICMPEchoReply   byte = 0
 	ICMPEchoRequest byte = 8
 )
+
+// icmpHeaderLen is the echo header in front of Data.
+const icmpHeaderLen = 8
 
 // ICMPEcho is an echo request/reply message.
 type ICMPEcho struct {
@@ -247,7 +294,7 @@ type ICMPEcho struct {
 
 // DecodeFromBytes parses and checksums an ICMP message.
 func (m *ICMPEcho) DecodeFromBytes(data []byte) error {
-	if len(data) < 8 {
+	if len(data) < icmpHeaderLen {
 		return ErrTruncated
 	}
 	if Checksum(data) != 0 {
@@ -256,19 +303,25 @@ func (m *ICMPEcho) DecodeFromBytes(data []byte) error {
 	m.Type = data[0]
 	m.ID = binary.BigEndian.Uint16(data[4:6])
 	m.Seq = binary.BigEndian.Uint16(data[6:8])
-	m.Data = data[8:]
+	m.Data = data[icmpHeaderLen:]
 	return nil
 }
 
 // Encode renders the message with checksum.
 func (m *ICMPEcho) Encode() []byte {
-	buf := make([]byte, 8+len(m.Data))
-	buf[0] = m.Type
+	buf := make([]byte, icmpHeaderLen+len(m.Data))
+	m.EncodeInto(buf)
+	return buf
+}
+
+// EncodeInto renders the message into buf, which is exactly 8 header
+// bytes plus len(m.Data) long.
+func (m *ICMPEcho) EncodeInto(buf []byte) {
+	buf[0], buf[1], buf[2], buf[3] = m.Type, 0, 0, 0
 	binary.BigEndian.PutUint16(buf[4:6], m.ID)
 	binary.BigEndian.PutUint16(buf[6:8], m.Seq)
-	copy(buf[8:], m.Data)
+	copy(buf[icmpHeaderLen:], m.Data)
 	binary.BigEndian.PutUint16(buf[2:4], Checksum(buf))
-	return buf
 }
 
 // UDPHeader is the transport header for datagrams.
@@ -307,17 +360,23 @@ func (u *UDPHeader) Payload() []byte { return u.payload }
 // Encode renders the datagram with a pseudo-header checksum.
 func (u *UDPHeader) Encode(src, dst IP, payload []byte) []byte {
 	buf := make([]byte, UDPHeaderLen+len(payload))
+	u.EncodeInto(buf, src, dst, payload)
+	return buf
+}
+
+// EncodeInto renders the datagram into buf, which is exactly
+// UDPHeaderLen+len(payload) long.
+func (u *UDPHeader) EncodeInto(buf []byte, src, dst IP, payload []byte) {
 	binary.BigEndian.PutUint16(buf[0:2], u.SrcPort)
 	binary.BigEndian.PutUint16(buf[2:4], u.DstPort)
 	binary.BigEndian.PutUint16(buf[4:6], uint16(len(buf)))
+	buf[6], buf[7] = 0, 0 // the checksum is computed with its field zero
 	copy(buf[UDPHeaderLen:], payload)
 	ck := PseudoChecksum(src, dst, ProtoUDP, buf)
 	if ck == 0 {
 		ck = 0xffff
 	}
 	binary.BigEndian.PutUint16(buf[6:8], ck)
-	// Re-zeroing trick: checksum was computed with field zero.
-	return buf
 }
 
 // TCP flags.
@@ -386,14 +445,27 @@ func (t *TCPSegment) DecodeFromBytes(data []byte, src, dst IP) error {
 // Payload returns the segment body.
 func (t *TCPSegment) Payload() []byte { return t.payload }
 
+// headerLen is the encoded header size: the MSS option adds 4 bytes.
+func (t *TCPSegment) headerLen() int {
+	if t.MSS != 0 {
+		return TCPHeaderLen + 4
+	}
+	return TCPHeaderLen
+}
+
 // Encode renders the segment (with an MSS option when t.MSS != 0) and a
 // pseudo-header checksum.
 func (t *TCPSegment) Encode(src, dst IP, payload []byte) []byte {
-	hlen := TCPHeaderLen
-	if t.MSS != 0 {
-		hlen += 4
-	}
-	buf := make([]byte, hlen+len(payload))
+	buf := make([]byte, t.headerLen()+len(payload))
+	t.EncodeInto(buf, src, dst, payload)
+	return buf
+}
+
+// EncodeInto renders the segment into buf, which is exactly
+// TCPHeaderLen (plus 4 for the MSS option when t.MSS != 0) plus
+// len(payload) long.
+func (t *TCPSegment) EncodeInto(buf []byte, src, dst IP, payload []byte) {
+	hlen := t.headerLen()
 	binary.BigEndian.PutUint16(buf[0:2], t.SrcPort)
 	binary.BigEndian.PutUint16(buf[2:4], t.DstPort)
 	binary.BigEndian.PutUint32(buf[4:8], t.Seq)
@@ -401,6 +473,7 @@ func (t *TCPSegment) Encode(src, dst IP, payload []byte) []byte {
 	buf[12] = byte(hlen/4) << 4
 	buf[13] = t.Flags
 	binary.BigEndian.PutUint16(buf[14:16], t.Window)
+	buf[16], buf[17], buf[18], buf[19] = 0, 0, 0, 0 // checksum (computed below), urgent pointer
 	if t.MSS != 0 {
 		buf[TCPHeaderLen] = 2
 		buf[TCPHeaderLen+1] = 4
@@ -408,7 +481,6 @@ func (t *TCPSegment) Encode(src, dst IP, payload []byte) []byte {
 	}
 	copy(buf[hlen:], payload)
 	binary.BigEndian.PutUint16(buf[16:18], PseudoChecksum(src, dst, ProtoTCP, buf))
-	return buf
 }
 
 // Checksum computes the Internet checksum (RFC 1071) of data, assuming
