@@ -16,7 +16,7 @@ SHELL := /bin/bash
 
 GO ?= go
 # The perf record this branch writes; bump per PR to grow the trajectory.
-BENCH_OUT ?= BENCH_pr15.json
+BENCH_OUT ?= BENCH_pr17.json
 # The committed baseline the bench gate compares against.
 BENCH_BASE ?= BENCH_pr15.json
 # Allowed fractional ns/op regression before the gate fails.
@@ -30,7 +30,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build test vet race fmt-check bench-check loc staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store bench bench-gate determinism ci
+.PHONY: all build test vet race fmt-check bench-check loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store bench bench-gate determinism ci
 
 all: vet build test
 
@@ -60,6 +60,13 @@ bench-check:
 # the benchmark module.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+# loc-by-package breaks the same number down by directory, so the next
+# issue can see where the lines are.
+loc-by-package:
+	@for d in $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -printf '%h\n' | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
 
 # staticcheck runs the pinned honnef.co analyzer over every package;
 # `go run` resolves the exact version, so CI (module-cached) and local

@@ -103,6 +103,12 @@
 // api.StatsResponse.Registries / streamed via api.WatchStats rather
 // than scattering ad-hoc getters.
 //
+// Every tier's client runs the same transaction, written once as
+// dns.Fetcher: resolve at a Jitsu directory, then GET from the answered
+// address with the rest of the budget. Board, fleet, cluster and
+// federation clients supply only their directory, retry policy, refusal
+// error and answer-to-attachment routing.
+//
 // Boards and clusters are built with functional options (core.New,
 // core.NewOnEngine, cluster.NewCluster, cluster.NewFederation).
 //

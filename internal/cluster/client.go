@@ -26,6 +26,9 @@ type Client struct {
 	name  string
 	ip    netstack.IP
 	hosts []*netstack.Host // indexed by board id; nil until attached
+	// tier is what this client supplies to the shared transaction, built
+	// once; Fetch adds the current Retry.
+	tier dns.Fetcher
 	// Retry, when non-zero, makes every resolution retransmit lost
 	// queries with backoff (dns.DefaultRetry() is the hardened setting);
 	// the zero value resolves with a single datagram — the ablation.
@@ -43,6 +46,8 @@ func (c *Cluster) NewClient(name string, ip netstack.IP) *Client {
 		cl.attach(m.ID)
 	}
 	c.clients = append(c.clients, cl)
+	cl.tier = dns.Fetcher{From: cl.hosts[0], Server: core.NSAddr, Retries: &cl.DNSRetries,
+		Refused: cl.refused, Route: cl.route}
 	return cl
 }
 
@@ -66,38 +71,30 @@ func (cl *Client) Host(i int) *netstack.Host {
 // the board the scheduler picked. done reports the serving board index
 // (-1 on refusal or error).
 func (cl *Client) Fetch(name, path string, timeout sim.Duration, done func(board int, resp *netstack.HTTPResponse, elapsed sim.Duration, err error)) {
-	eng := cl.c.eng
-	start := eng.Now()
-	resolver := &dns.Client{Host: cl.hosts[0], Retry: cl.Retry}
-	resolver.Query(core.NSAddr, name, dns.TypeA, timeout, func(m *dns.Message, _ sim.Duration, err error) {
-		cl.DNSRetries += resolver.Retries
-		if err != nil {
-			done(-1, nil, eng.Now()-start, err)
-			return
-		}
-		if m.RCode == dns.RCodeServFail {
-			cl.ServFails++
-			done(-1, nil, eng.Now()-start, ErrClusterFull)
-			return
-		}
-		if m.RCode != dns.RCodeNoError || len(m.Answers) == 0 {
-			done(-1, nil, eng.Now()-start, fmt.Errorf("cluster: dns %v", m.RCode))
-			return
-		}
-		ip := m.Answers[0].A
-		board := 0
-		if p, ok := cl.c.dir.byIP[ip]; ok {
-			board = p.Board
-		}
-		remaining := timeout - (eng.Now() - start)
-		if remaining <= 0 {
-			// netstack arms no deadline for timeout <= 0; fail now
-			// rather than fetch unbounded.
-			done(-1, nil, eng.Now()-start, netstack.ErrTimeout)
-			return
-		}
-		cl.Host(board).HTTPGet(ip, 80, path, remaining, func(resp *netstack.HTTPResponse, _ sim.Duration, err error) {
-			done(board, resp, eng.Now()-start, err)
-		})
+	t := cl.tier
+	t.Retry = cl.Retry
+	t.Fetch(name, path, timeout, func(_, board int, resp *netstack.HTTPResponse, elapsed sim.Duration, err error) {
+		done(board, resp, elapsed, err)
 	})
+}
+
+// refused counts the directory's SERVFAIL as the cluster-wide refusal
+// it is; any other rcode is just an error.
+func (cl *Client) refused(rc dns.RCode) error {
+	if rc == dns.RCodeServFail {
+		cl.ServFails++
+		return ErrClusterFull
+	}
+	return fmt.Errorf("cluster: dns %v", rc)
+}
+
+// route finds the board behind the answered replica address (board 0
+// when the directory no longer knows the address) and the client's
+// attachment on that board's network.
+func (cl *Client) route(ip netstack.IP) (*netstack.Host, int, int, error) {
+	board := 0
+	if p, ok := cl.c.dir.byIP[ip]; ok {
+		board = p.Board
+	}
+	return cl.Host(board), 0, board, nil
 }

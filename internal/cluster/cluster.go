@@ -232,6 +232,14 @@ func (c *Cluster) tracer() *obs.Tracer { return c.Cfg.Tracer }
 // tidFor is the tracer lane for one board's events.
 func (c *Cluster) tidFor(board int) int { return c.Cfg.TraceTIDBase + board }
 
+// orDefault replaces a non-positive setting with the default's, so each
+// default literal is written once, in DefaultConfig / DefaultFedConfig.
+func orDefault[T ~int | ~int64 | ~float64](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
+}
+
 // build wires the cluster on its own engine.
 func build(cfg Config) *Cluster {
 	return buildOn(sim.New(cfg.Board.Seed), cfg)
@@ -249,48 +257,27 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 	if cfg.DefaultPolicy == nil {
 		cfg.DefaultPolicy = LeastLoaded{}
 	}
+	def := DefaultConfig()
 	if cfg.RateAlpha <= 0 || cfg.RateAlpha > 1 {
-		cfg.RateAlpha = 0.1
-	}
-	if cfg.WarmFactor <= 0 {
-		cfg.WarmFactor = 1.0
-	}
-	if cfg.BootEstimate <= 0 {
-		cfg.BootEstimate = 350 * time.Millisecond
+		cfg.RateAlpha = def.RateAlpha
 	}
 	if cfg.MaxWarmPerService <= 0 {
 		cfg.MaxWarmPerService = cfg.Boards
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 200 * time.Millisecond
-	}
-	if cfg.SuspectTimeout <= 0 {
-		cfg.SuspectTimeout = 2 * time.Second
-	}
 	if cfg.IndirectProbes < 0 {
 		cfg.IndirectProbes = 0
 	}
-	if cfg.MigrateBitsPerSec <= 0 {
-		cfg.MigrateBitsPerSec = 1e9
-	}
-	if cfg.MigrateChunkMiB <= 0 {
-		cfg.MigrateChunkMiB = 8
-	}
-	if cfg.MigrateChunkRTO <= 0 {
-		cfg.MigrateChunkRTO = 50 * time.Millisecond
-	}
-	if cfg.MigrateChunkRetries <= 0 {
-		cfg.MigrateChunkRetries = 5
-	}
-	if cfg.MigrateRetryDelay <= 0 {
-		cfg.MigrateRetryDelay = 1 * time.Second
-	}
-	if cfg.MigrateMaxAttempts <= 0 {
-		cfg.MigrateMaxAttempts = 3
-	}
-	if cfg.MgmtBitsPerSec <= 0 {
-		cfg.MgmtBitsPerSec = 1e9
-	}
+	orDefault(&cfg.WarmFactor, def.WarmFactor)
+	orDefault(&cfg.BootEstimate, def.BootEstimate)
+	orDefault(&cfg.ProbeTimeout, def.ProbeTimeout)
+	orDefault(&cfg.SuspectTimeout, def.SuspectTimeout)
+	orDefault(&cfg.MigrateBitsPerSec, def.MigrateBitsPerSec)
+	orDefault(&cfg.MigrateChunkMiB, def.MigrateChunkMiB)
+	orDefault(&cfg.MigrateChunkRTO, def.MigrateChunkRTO)
+	orDefault(&cfg.MigrateChunkRetries, def.MigrateChunkRetries)
+	orDefault(&cfg.MigrateRetryDelay, def.MigrateRetryDelay)
+	orDefault(&cfg.MigrateMaxAttempts, def.MigrateMaxAttempts)
+	orDefault(&cfg.MgmtBitsPerSec, def.MgmtBitsPerSec)
 	cfg.Board.DelayDNSUntilReady = false
 
 	c := &Cluster{Cfg: cfg, dir: newDirectory(), movedTo: make(map[string]int)}

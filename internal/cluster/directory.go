@@ -126,9 +126,6 @@ type Entry struct {
 // Rate returns the current EWMA arrival-rate estimate in arrivals/sec.
 func (e *Entry) Rate() float64 { return e.rate }
 
-// Arrivals returns the number of queries observed for this service.
-func (e *Entry) Arrivals() uint64 { return e.arrivals }
-
 // ready returns the replicas currently able to serve — booted in either
 // memory tier (Running or WarmMemory). Slots on departed boards,
 // draining migration sources and disk-resident replicas never qualify.

@@ -25,6 +25,9 @@ type FedClient struct {
 	ip    netstack.IP
 	front *netstack.Host
 	sub   []*Client // per-cluster attachments, indexed by cluster id
+	// tier is what this client supplies to the shared transaction, built
+	// once; Fetch adds the current Retry.
+	tier dns.Fetcher
 
 	// Retry, when non-zero, hardens the root resolution against a lossy
 	// front network (zero value = single datagram, the ablation).
@@ -44,6 +47,8 @@ func (f *Federation) NewClient(name string, ip netstack.IP) *FedClient {
 	f.front.ConnectNIC(nic, f.Cfg.Cluster.Board.ExtLatency, f.Cfg.Cluster.Board.ExtBitsPerSec)
 	fc.front = netstack.NewHost(f.eng, name+"-front", nic, ip, netstack.LinuxNativeProfile())
 	f.clients = append(f.clients, fc)
+	fc.tier = dns.Fetcher{From: fc.front, Server: FedRootAddr, Retries: &fc.DNSRetries,
+		Refused: fc.refused, Route: fc.route}
 	return fc
 }
 
@@ -63,43 +68,30 @@ func (fc *FedClient) cluster(cid int) *Client {
 // cluster/board the delegated answer names. done reports the serving
 // cluster and board (-1 on refusal or error).
 func (fc *FedClient) Fetch(name, path string, timeout sim.Duration, done func(cluster, board int, resp *netstack.HTTPResponse, elapsed sim.Duration, err error)) {
-	eng := fc.f.eng
-	start := eng.Now()
-	resolver := &dns.Client{Host: fc.front, Retry: fc.Retry}
-	resolver.Query(FedRootAddr, name, dns.TypeA, timeout, func(m *dns.Message, _ sim.Duration, err error) {
-		fc.DNSRetries += resolver.Retries
-		if err != nil {
-			done(-1, -1, nil, eng.Now()-start, err)
-			return
-		}
-		if m.RCode == dns.RCodeServFail {
-			fc.ServFails++
-			done(-1, -1, nil, eng.Now()-start, ErrFederationFull)
-			return
-		}
-		if m.RCode == dns.RCodeNXDomain {
-			fc.NXDomains++
-			done(-1, -1, nil, eng.Now()-start, fmt.Errorf("cluster: fed dns %v", m.RCode))
-			return
-		}
-		if m.RCode != dns.RCodeNoError || len(m.Answers) == 0 {
-			done(-1, -1, nil, eng.Now()-start, fmt.Errorf("cluster: fed dns %v", m.RCode))
-			return
-		}
-		ip := m.Answers[0].A
-		cid, board := int(ip[1])-10, int(ip[2])-100
-		if cid < 0 || cid >= len(fc.f.members) || board < 0 {
-			done(-1, -1, nil, eng.Now()-start, fmt.Errorf("cluster: unmappable answer %v", ip))
-			return
-		}
-		remaining := timeout - (eng.Now() - start)
-		if remaining <= 0 {
-			done(-1, -1, nil, eng.Now()-start, netstack.ErrTimeout)
-			return
-		}
-		fc.cluster(cid).Host(board).HTTPGet(ip, 80, path, remaining,
-			func(resp *netstack.HTTPResponse, _ sim.Duration, err error) {
-				done(cid, board, resp, eng.Now()-start, err)
-			})
-	})
+	t := fc.tier
+	t.Retry = fc.Retry
+	t.Fetch(name, path, timeout, done)
+}
+
+// refused counts the root's SERVFAIL as the federation-wide refusal it
+// is and its NXDOMAIN as a name no cluster owns.
+func (fc *FedClient) refused(rc dns.RCode) error {
+	switch rc {
+	case dns.RCodeServFail:
+		fc.ServFails++
+		return ErrFederationFull
+	case dns.RCodeNXDomain:
+		fc.NXDomains++
+	}
+	return fmt.Errorf("cluster: fed dns %v", rc)
+}
+
+// route reads the owner out of the answered address — second octet the
+// cluster, third the board — and attaches to that board's network.
+func (fc *FedClient) route(ip netstack.IP) (*netstack.Host, int, int, error) {
+	cid, board := int(ip[1])-10, int(ip[2])-100
+	if cid < 0 || cid >= len(fc.f.members) || board < 0 {
+		return nil, -1, -1, fmt.Errorf("cluster: unmappable answer %v", ip)
+	}
+	return fc.cluster(cid).Host(board), cid, board, nil
 }

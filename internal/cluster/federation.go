@@ -32,7 +32,7 @@ import (
 // cluster with room, and sustained load skew — detected from the
 // gossiped per-cluster arrival-rate EWMAs — sheds warm replicas across
 // clusters through the typed api control plane's Checkpoint → Transfer
-// (restore) leg, with no operator Rebalance() call anywhere.
+// (restore) leg, with no operator in the loop.
 
 // FedConfig sizes the federation and tunes the root's control loops.
 type FedConfig struct {
@@ -304,33 +304,20 @@ func NewFederation(opts ...FedOption) *Federation {
 	if cfg.Clusters <= 0 {
 		cfg.Clusters = 1
 	}
-	if cfg.FedLinkLatency <= 0 {
-		cfg.FedLinkLatency = 200 * time.Microsecond
-	}
-	if cfg.FedBitsPerSec <= 0 {
-		cfg.FedBitsPerSec = 1e9
-	}
-	if cfg.TransferBitsPerSec <= 0 {
-		cfg.TransferBitsPerSec = 1e9
-	}
-	if cfg.TransferChunkMiB <= 0 {
-		cfg.TransferChunkMiB = 4
-	}
-	if cfg.TransferChunkRTO <= 0 {
-		cfg.TransferChunkRTO = 50 * time.Millisecond
-	}
-	if cfg.TransferChunkRetries <= 0 {
-		cfg.TransferChunkRetries = 5
-	}
 	if cfg.ShedBatch <= 0 {
 		cfg.ShedBatch = 1
-	}
-	if cfg.DelegateTimeout <= 0 {
-		cfg.DelegateTimeout = 5 * time.Millisecond
 	}
 	if cfg.DelegateRetries < 0 {
 		cfg.DelegateRetries = 0
 	}
+	def := DefaultFedConfig()
+	orDefault(&cfg.FedLinkLatency, def.FedLinkLatency)
+	orDefault(&cfg.FedBitsPerSec, def.FedBitsPerSec)
+	orDefault(&cfg.TransferBitsPerSec, def.TransferBitsPerSec)
+	orDefault(&cfg.TransferChunkMiB, def.TransferChunkMiB)
+	orDefault(&cfg.TransferChunkRTO, def.TransferChunkRTO)
+	orDefault(&cfg.TransferChunkRetries, def.TransferChunkRetries)
+	orDefault(&cfg.DelegateTimeout, def.DelegateTimeout)
 	f := &Federation{Cfg: cfg}
 	f.eng = sim.New(cfg.Cluster.Board.Seed)
 	cfg.Tracer.BindClock(f.eng.Now)
@@ -1514,7 +1501,7 @@ func (r *fedRoot) applySummary(s Summary, periodic bool) {
 // cluster `from`: when the same cluster stays hottest — above
 // SkewMinRate, with the coldest cluster at or below SkewRatio of it —
 // for SkewRounds consecutive rounds, the root commands a shed from the
-// hottest to the coldest cluster. No operator Rebalance() call anywhere.
+// hottest to the coldest cluster, with no operator in the loop.
 func (r *fedRoot) checkSkew(from int) {
 	if r.f.Cfg.SkewMinRate <= 0 {
 		return

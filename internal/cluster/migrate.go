@@ -72,7 +72,7 @@ func (c *Cluster) evacuate(m *Member, done func()) {
 		}
 		switch {
 		case p.migrating || p.draining:
-			// Already on its way out (an overlapping Rebalance move):
+			// Already on its way out (an overlapping operator Migrate):
 			// that migration's switchover/drain completes the
 			// evacuation; starting a second copy would race it.
 		case p.Svc.State.Booted():
@@ -375,33 +375,4 @@ func (c *Cluster) parkCheckpoint(e *Entry, p *Placement, cp *core.Checkpoint) bo
 	// Lost replica.
 	c.Boards[p.Board].Jitsu.Evict(p.Svc)
 	return true
-}
-
-// Rebalance lets each service's policy second-guess where its warm
-// replicas sit: when the policy prefers a board whose free memory
-// exceeds a ready replica's board by more than 2× the image size, the
-// replica migrates there. Optional moves never sacrifice the source —
-// a failed rebalance leaves the replica serving where it was. Invoked
-// explicitly (an operator or a churn schedule), never from the
-// placement hot path.
-func (c *Cluster) Rebalance() int {
-	moved := 0
-	for _, e := range c.dir.Entries() {
-		for _, p := range e.ready() {
-			if p.migrating || !c.members[p.Board].Placeable() {
-				continue
-			}
-			idx := c.pickDest(e, p)
-			if idx < 0 {
-				continue
-			}
-			gain := c.Boards[idx].Hyp.FreeMemMiB() - c.Boards[p.Board].Hyp.FreeMemMiB()
-			if gain <= 2*e.Base.Image.MemMiB {
-				continue
-			}
-			c.migrateTo(e, p, idx, false, 1, func(bool) {})
-			moved++
-		}
-	}
-	return moved
 }

@@ -16,13 +16,6 @@ import (
 //		cluster.WithSeed(7))
 type Option func(*Config)
 
-// WithClusterConfig replaces the whole configuration (migration aid for
-// code that still assembles a Config by hand). Options after it apply
-// on top.
-func WithClusterConfig(cfg Config) Option {
-	return func(c *Config) { *c = cfg }
-}
-
 // WithBoards sets the number of boards built at construction (more may
 // join later via AddBoard).
 func WithBoards(n int) Option {
@@ -64,11 +57,6 @@ func WithWarmPool(factor float64, maxPerService int) Option {
 		c.WarmFactor = factor
 		c.MaxWarmPerService = maxPerService
 	}
-}
-
-// WithPreemptMargin gates rate-based preemption (≤1 disables it).
-func WithPreemptMargin(margin float64) Option {
-	return func(c *Config) { c.PreemptMargin = margin }
 }
 
 // WithMinRate sets the arrivals/sec below which a service's warm pool

@@ -262,20 +262,16 @@ func (l *Listener) checkListen(path string) {
 func (r *Registry) Connect(dom xenstore.DomID, name string) (*Endpoint, error) {
 	st := r.store
 	base := "/conduit/" + name
-	val, err := st.Read(dom, nil, base)
+	serverDom, err := r.Resolve(dom, name)
 	if err != nil {
-		return nil, ErrNoSuchEndpoint
-	}
-	var serverDom int
-	if _, err := fmt.Sscanf(val, "%d", &serverDom); err != nil {
-		return nil, ErrNoSuchEndpoint
+		return nil, err
 	}
 	// Client allocates the shared pages and the event channel.
 	refTx, pageTx := r.hyp.Grant(dom)
 	refRx, pageRx := r.hyp.Grant(dom)
-	ch := r.hyp.BindEventChannel(dom, xenstore.DomID(serverDom))
+	ch := r.hyp.BindEventChannel(dom, serverDom)
 	ep := &Endpoint{
-		Local: dom, Peer: xenstore.DomID(serverDom), Name: name,
+		Local: dom, Peer: serverDom, Name: name,
 		hyp: r.hyp, tx: &ring{page: pageTx}, rx: &ring{page: pageRx}, channel: ch,
 	}
 	_ = ch.SetHandler(dom, ep.event)
@@ -307,19 +303,4 @@ func (r *Registry) Resolve(dom xenstore.DomID, name string) (xenstore.DomID, err
 		return 0, ErrNoSuchEndpoint
 	}
 	return xenstore.DomID(d), nil
-}
-
-// Names lists registered endpoint names (diagnostics).
-func (r *Registry) Names() []string {
-	names, err := r.store.List(xenstore.Dom0, nil, "/conduit")
-	if err != nil {
-		return nil
-	}
-	out := names[:0]
-	for _, n := range names {
-		if n != "flows" {
-			out = append(out, n)
-		}
-	}
-	return out
 }

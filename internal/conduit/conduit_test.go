@@ -274,10 +274,6 @@ func TestResolveAndNames(t *testing.T) {
 	if err != nil || d != 5 {
 		t.Fatalf("resolve = %v, %v", d, err)
 	}
-	names := reg.Names()
-	if len(names) != 2 {
-		t.Fatalf("names = %v", names)
-	}
 }
 
 func TestMultipleClientsOneServer(t *testing.T) {

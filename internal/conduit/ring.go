@@ -11,14 +11,8 @@ package conduit
 
 import (
 	"encoding/binary"
-	"errors"
 
 	"jitsu/internal/xen"
-)
-
-// Ring errors.
-var (
-	ErrRingClosed = errors.New("conduit: ring closed")
 )
 
 // Ring layout inside one grant page:

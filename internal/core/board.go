@@ -244,21 +244,10 @@ func (b *Board) AddClient(name string, ip netstack.IP) *netstack.Host {
 // address. done receives the total elapsed time from query to complete
 // HTTP response.
 func (b *Board) FetchViaDNS(client *netstack.Host, name, path string, timeout sim.Duration, done func(*netstack.HTTPResponse, sim.Duration, error)) {
-	start := b.Eng.Now()
-	resolver := &dns.Client{Host: client}
-	resolver.Query(NSAddr, name, dns.TypeA, timeout, func(m *dns.Message, _ sim.Duration, err error) {
-		if err != nil {
-			done(nil, b.Eng.Now()-start, err)
-			return
-		}
-		if m.RCode != dns.RCodeNoError || len(m.Answers) == 0 {
-			done(nil, b.Eng.Now()-start, fmt.Errorf("core: dns %v", m.RCode))
-			return
-		}
-		ip := m.Answers[0].A
-		remaining := timeout - (b.Eng.Now() - start)
-		client.HTTPGet(ip, 80, path, remaining, func(resp *netstack.HTTPResponse, _ sim.Duration, err error) {
-			done(resp, b.Eng.Now()-start, err)
-		})
-	})
+	dns.Fetcher{From: client, Server: NSAddr, Refused: dnsRefused}.Fetch(name, path, timeout,
+		func(_, _ int, resp *netstack.HTTPResponse, elapsed sim.Duration, err error) { done(resp, elapsed, err) })
 }
+
+// dnsRefused is a single board's reading of a response without an
+// answer: there is nowhere else to go, so every rcode is just an error.
+func dnsRefused(rc dns.RCode) error { return fmt.Errorf("core: dns %v", rc) }

@@ -32,7 +32,7 @@ var ErrAllServFail = errors.New("core: all boards returned SERVFAIL")
 func NewFleet(n int, opts ...Option) *Fleet {
 	f := &Fleet{}
 	cfg := configFrom(opts)
-	eng := simNew(cfg.Seed)
+	eng := sim.New(cfg.Seed)
 	for i := 0; i < n; i++ {
 		f.Boards = append(f.Boards, buildBoard(eng, cfg))
 	}
@@ -73,13 +73,15 @@ func (f *Fleet) NewClient(name string, ip netstack.IP) *FleetClient {
 func (fc *FleetClient) Host(i int) *netstack.Host { return fc.hosts[i] }
 
 // Fetch resolves name with failover and fetches path from whichever
-// board accepted. done reports the serving board index.
+// board accepted. done reports the serving board index. Every board in
+// the walk gets the caller's full budget; elapsed runs from the first
+// query.
 func (fc *FleetClient) Fetch(name, path string, timeout sim.Duration, done func(board int, resp *netstack.HTTPResponse, elapsed sim.Duration, err error)) {
 	if len(fc.fleet.Boards) == 0 {
 		done(-1, nil, 0, ErrAllServFail)
 		return
 	}
-	eng := fc.fleet.Boards[0].Eng
+	eng := fc.fleet.Eng()
 	start := eng.Now()
 	var try func(i int)
 	try = func(i int) {
@@ -87,29 +89,30 @@ func (fc *FleetClient) Fetch(name, path string, timeout sim.Duration, done func(
 			done(-1, nil, eng.Now()-start, ErrAllServFail)
 			return
 		}
-		client := fc.hosts[i]
-		resolver := &dns.Client{Host: client}
-		resolver.Query(NSAddr, name, dns.TypeA, timeout, func(m *dns.Message, _ sim.Duration, err error) {
-			if err != nil {
-				done(i, nil, eng.Now()-start, err)
-				return
-			}
-			if m.RCode == dns.RCodeServFail {
-				// "to indicate the client should go elsewhere"
-				fc.ServFails++
-				try(i + 1)
-				return
-			}
-			if m.RCode != dns.RCodeNoError || len(m.Answers) == 0 {
-				done(i, nil, eng.Now()-start, fmt.Errorf("core: dns %v", m.RCode))
-				return
-			}
-			client.HTTPGet(m.Answers[0].A, 80, path, timeout, func(resp *netstack.HTTPResponse, _ sim.Duration, err error) {
+		dns.Fetcher{From: fc.hosts[i], Server: NSAddr, Refused: fc.refused}.Fetch(name, path, timeout,
+			func(_, _ int, resp *netstack.HTTPResponse, _ sim.Duration, err error) {
+				if err == errGoElsewhere {
+					try(i + 1)
+					return
+				}
 				done(i, resp, eng.Now()-start, err)
 			})
-		})
 	}
 	try(0)
+}
+
+// errGoElsewhere is a board's SERVFAIL on its way to becoming the next
+// step of the walk; it never reaches the caller.
+var errGoElsewhere = errors.New("core: board returned SERVFAIL")
+
+// refused counts a SERVFAIL — "to indicate the client should go
+// elsewhere" — and sends the walk on; any other rcode ends it.
+func (fc *FleetClient) refused(rc dns.RCode) error {
+	if rc == dns.RCodeServFail {
+		fc.ServFails++
+		return errGoElsewhere
+	}
+	return dnsRefused(rc)
 }
 
 // Eng returns the fleet's shared engine.
@@ -117,6 +120,3 @@ func (f *Fleet) Eng() *sim.Engine { return f.Boards[0].Eng }
 
 // RunAll drains the shared engine.
 func (f *Fleet) RunAll() { f.Eng().Run() }
-
-// simNew indirection keeps the sim import local to construction.
-func simNew(seed int64) *sim.Engine { return sim.New(seed) }

@@ -5,7 +5,6 @@ import (
 	"jitsu/internal/obs"
 	"jitsu/internal/sim"
 	"jitsu/internal/xen"
-	"jitsu/internal/xenstore"
 )
 
 // Option tunes one aspect of a board under construction. Options apply
@@ -42,19 +41,9 @@ func WithToolstack(opts xen.ToolstackOpts) Option {
 	return func(c *BoardConfig) { c.Toolstack = opts }
 }
 
-// WithReconciler selects the xenstored engine.
-func WithReconciler(r xenstore.Reconciler) Option {
-	return func(c *BoardConfig) { c.Reconciler = r }
-}
-
 // WithMemory sets guest-available RAM in MiB.
 func WithMemory(miB int) Option {
 	return func(c *BoardConfig) { c.TotalMemMiB = miB }
-}
-
-// WithZone sets the DNS apex the board is authoritative for.
-func WithZone(apex string) Option {
-	return func(c *BoardConfig) { c.Zone = apex }
 }
 
 // WithSynjitsu enables or disables the connection proxy.
@@ -86,14 +75,6 @@ func WithSYNRateLimit(rate float64, burst int) Option {
 // keeps the board diskless (the default).
 func WithDisk(cfg blockdev.Config) Option {
 	return func(c *BoardConfig) { c.Disk = cfg }
-}
-
-// WithExtLink sets the external (client <-> board) link characteristics.
-func WithExtLink(latency sim.Duration, bitsPerSec float64) Option {
-	return func(c *BoardConfig) {
-		c.ExtLatency = latency
-		c.ExtBitsPerSec = bitsPerSec
-	}
 }
 
 // WithTracer attaches the observability flight recorder; tid is the

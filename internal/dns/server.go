@@ -1,7 +1,6 @@
 package dns
 
 import (
-	"sort"
 	"strings"
 	"time"
 
@@ -82,16 +81,6 @@ func (z *Zone) Lookup(name string, typ Type) []RR {
 			out = append(out, rr)
 		}
 	}
-	return out
-}
-
-// Names lists all names with records, sorted (diagnostics).
-func (z *Zone) Names() []string {
-	out := make([]string, 0, len(z.records))
-	for n := range z.records {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -152,20 +152,19 @@ func AblationDelayedDNS(trials int) *Result {
 				Image: unikernel.UnikernelImage("alice", unikernel.NewStaticSiteApp("alice")),
 			})
 			client := b.AddClient("laptop", netstack.IPv4(10, 0, 0, 9))
-			resolver := &dns.Client{Host: client}
 			start := b.Eng.Now()
-			resolver.Query(core.NSAddr, "alice.family.name", dns.TypeA, 30*time.Second,
-				func(m *dns.Message, d sim.Duration, err error) {
-					if err != nil || len(m.Answers) == 0 {
-						return
+			dns.Fetcher{From: client, Server: core.NSAddr,
+				Refused: func(rc dns.RCode) error { return fmt.Errorf("dns %v", rc) },
+				// Route runs the moment the answer is in hand: the DNS leg.
+				Route: func(netstack.IP) (*netstack.Host, int, int, error) {
+					dnsS.Add(b.Eng.Now() - start)
+					return client, -1, -1, nil
+				},
+			}.Fetch("alice.family.name", "/", 30*time.Second,
+				func(_, _ int, _ *netstack.HTTPResponse, total sim.Duration, err error) {
+					if err == nil {
+						totS.Add(total)
 					}
-					dnsS.Add(d)
-					client.HTTPGet(m.Answers[0].A, 80, "/", 30*time.Second,
-						func(resp *netstack.HTTPResponse, _ sim.Duration, err error) {
-							if err == nil {
-								totS.Add(b.Eng.Now() - start)
-							}
-						})
 				})
 			b.Eng.Run()
 		}

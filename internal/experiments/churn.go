@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"jitsu/internal/cluster"
@@ -36,23 +35,13 @@ const (
 
 // churnTrace is one Poisson arrival schedule over all services, shared
 // verbatim by the migrate and preempt runs.
-func churnTrace(seed int64, horizon sim.Duration) []scalingArrival {
+func churnTrace(seed int64, horizon sim.Duration) []arrival {
 	rng := rand.New(rand.NewSource(seed))
-	var trace []scalingArrival
+	var trace []arrival
 	for s := 0; s < churnServices; s++ {
-		at := sim.Duration(rng.ExpFloat64() * float64(churnMeanGap))
-		for at < horizon {
-			trace = append(trace, scalingArrival{at: at, svc: s})
-			at += sim.Duration(rng.ExpFloat64() * float64(churnMeanGap))
-		}
+		trace = poisson(rng, trace, s, 0, horizon, churnMeanGap)
 	}
-	sort.Slice(trace, func(i, j int) bool {
-		if trace[i].at != trace[j].at {
-			return trace[i].at < trace[j].at
-		}
-		return trace[i].svc < trace[j].svc
-	})
-	return trace
+	return byTime(trace)
 }
 
 // churnSchedule scripts the membership events: two graceful departures
@@ -72,11 +61,9 @@ func churnSchedule(horizon sim.Duration) []churnEvent {
 }
 
 type churnOutcome struct {
-	all       *metrics.Series
+	tally     // lat is every served fetch
 	postLeave *metrics.Series
 	trace     *obs.Tracer
-	refused   int
-	errs      int
 	migrated  uint64
 	lost      uint64
 	restores  uint64
@@ -84,7 +71,7 @@ type churnOutcome struct {
 }
 
 // runChurn replays the trace against one departure policy.
-func runChurn(migrate, traced bool, seed int64, trace []scalingArrival, horizon sim.Duration) *churnOutcome {
+func runChurn(migrate, traced bool, seed int64, trace []arrival, horizon sim.Duration) *churnOutcome {
 	label := "preempt"
 	if migrate {
 		label = "migrate"
@@ -108,9 +95,7 @@ func runChurn(migrate, traced bool, seed int64, trace []scalingArrival, horizon 
 		cluster.WithTracer(tracer, 0),
 	)
 	for s := 0; s < churnServices; s++ {
-		sc := scalingServiceConfig(s, 0)
-		sc.Image.MemMiB = churnImageMiB
-		c.RegisterService(sc, cluster.WithMinWarm(1))
+		c.RegisterService(site(s, churnImageMiB), cluster.WithMinWarm(1))
 	}
 	cl := c.NewClient("edge-client", netstack.IPv4(10, 0, 0, 9))
 
@@ -138,30 +123,15 @@ func runChurn(migrate, traced bool, seed int64, trace []scalingArrival, horizon 
 	}
 
 	out := &churnOutcome{
-		all:       &metrics.Series{Name: fmt.Sprintf("churn-%s", label)},
+		tally:     tally{lat: &metrics.Series{Name: fmt.Sprintf("churn-%s", label)}},
 		postLeave: &metrics.Series{Name: fmt.Sprintf("churn-%s post-leave", label)},
 		trace:     tracer,
 	}
-	for _, a := range trace {
-		a := a
-		name := fmt.Sprintf("svc%02d.family.name", a.svc)
-		c.Eng().At(a.at, func() {
-			cl.Fetch(name, "/", 30*time.Second,
-				func(board int, resp *netstack.HTTPResponse, d sim.Duration, err error) {
-					switch {
-					case err == cluster.ErrClusterFull:
-						out.refused++
-					case err != nil:
-						out.errs++
-					default:
-						out.all.Add(d)
-						if underChurn(a.at) {
-							out.postLeave.Add(d)
-						}
-					}
-				})
-		})
-	}
+	replay(c.Eng(), trace, tierFetch(cl.Fetch, 30*time.Second), func(a arrival, d sim.Duration, err error) {
+		if out.add(d, err) && underChurn(a.at) {
+			out.postLeave.Add(d)
+		}
+	})
 	// Active probing keeps the event queue alive; run the horizon (plus
 	// slack for in-flight requests), then quiesce the gossip agents and
 	// drain what remains.
@@ -192,12 +162,12 @@ func Churn(horizon sim.Duration, opts ...Option) *Result {
 	tab := metrics.NewTable("",
 		"policy", "n-ok", "p50", "p95", "post-leave-p95", "coldstarts", "migrations", "restores", "lost")
 	for _, o := range []*churnOutcome{mig, pre} {
-		d := o.all.Summarize()
-		tab.AddRow(o.all.Name, d.Len(), d.P50(), d.P95(),
+		d := o.lat.Summarize()
+		tab.AddRow(o.lat.Name, d.Len(), d.P50(), d.P95(),
 			o.postLeave.Percentile(0.95), o.cold, o.migrated, o.restores, o.lost)
-		r.Series[o.all.Name] = o.all
+		r.Series[o.lat.Name] = o.lat
 		r.Series[o.postLeave.Name] = o.postLeave
-		r.addTrace(o.all.Name, o.trace)
+		r.addTrace(o.lat.Name, o.trace)
 	}
 	r.Output = tab.String()
 	r.addNote("both runs share one Poisson trace and one membership schedule (two graceful leaves, one join); the only difference is what happens to the leaving board's warm replicas")

@@ -1,11 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4). Each function is deterministic given its seed and
 // returns a Result whose Output is the text rendition printed by
-// cmd/jitsu-bench and checked (for shape) by the benchmark suite.
+// cmd/jitsu-bench and checked (for shape) by the benchmark suite. The
+// trace-driven ones share one arrival type, one Poisson generator, one
+// replay loop and one outcome tally (replay.go).
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"sort"
 	"strings"
@@ -99,10 +103,7 @@ func FingerprintSeries(s *metrics.Series) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, v := range s.Samples {
-		n := uint64(v)
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(n >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
 		h.Write(buf[:])
 	}
 	return h.Sum64()
@@ -110,57 +111,35 @@ func FingerprintSeries(s *metrics.Series) uint64 {
 
 // Fingerprint combines every series of the result (in sorted name
 // order) into one hash, mixing in the rendered output so table-only
-// experiments are covered too.
+// experiments are covered too. Trace streams are part of the
+// determinism contract as well — a run that reproduces every latency
+// sample but schedules its spans differently must not fingerprint
+// clean — and so are packet captures: a run that lands every sample but
+// delivers (or drops) different frames at different instants must not
+// either.
 func (r *Result) Fingerprint() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(r.Output))
-	names := make([]string, 0, len(r.Series))
-	for name := range r.Series {
+	mixSorted(h, r.Series, FingerprintSeries)
+	mixSorted(h, r.Traces, (*obs.Tracer).Fingerprint)
+	mixSorted(h, r.Captures, (*netsim.Capture).Fingerprint)
+	return h.Sum64()
+}
+
+// mixSorted folds each entry of m into h — name, then the entry's own
+// fingerprint little-endian — in sorted name order.
+func mixSorted[T any](h hash.Hash64, m map[string]T, fp func(T) uint64) {
+	names := make([]string, 0, len(m))
+	for name := range m {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	var buf [8]byte
 	for _, name := range names {
 		h.Write([]byte(name))
-		n := FingerprintSeries(r.Series[name])
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(n >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(buf[:], fp(m[name]))
 		h.Write(buf[:])
 	}
-	// Trace streams are part of the determinism contract too: a run that
-	// reproduces every latency sample but schedules its spans differently
-	// must not fingerprint clean.
-	tnames := make([]string, 0, len(r.Traces))
-	for name := range r.Traces {
-		tnames = append(tnames, name)
-	}
-	sort.Strings(tnames)
-	for _, name := range tnames {
-		h.Write([]byte(name))
-		n := r.Traces[name].Fingerprint()
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(n >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	// Packet captures too: the wire itself is part of the contract — a
-	// run that lands every sample but delivers (or drops) different
-	// frames at different instants must not fingerprint clean.
-	cnames := make([]string, 0, len(r.Captures))
-	for name := range r.Captures {
-		cnames = append(cnames, name)
-	}
-	sort.Strings(cnames)
-	for _, name := range cnames {
-		h.Write([]byte(name))
-		n := r.Captures[name].Fingerprint()
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(n >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	return h.Sum64()
 }
 
 // All runs every experiment at the given scale (trials multiplier,

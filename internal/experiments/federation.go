@@ -3,15 +3,12 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"jitsu/internal/cluster"
-	"jitsu/internal/core"
 	"jitsu/internal/metrics"
 	"jitsu/internal/netstack"
 	"jitsu/internal/sim"
-	"jitsu/internal/unikernel"
 )
 
 // The federation workload: the same service population served two ways —
@@ -23,8 +20,8 @@ import (
 // capacity; the federation must *rebalance*: admission refusals spill
 // starved services to clusters with room, and the root's skew detector
 // (sustained load imbalance in the gossiped per-cluster EWMAs) sheds
-// warm replicas across clusters over the Checkpoint -> Transfer leg.
-// Nobody calls Rebalance().
+// warm replicas across clusters over the Checkpoint -> Transfer leg,
+// with no operator in the loop.
 const (
 	fedExpClusters  = 4
 	fedExpBoardsPer = 4
@@ -46,50 +43,21 @@ const (
 // over equal clusters fills round-robin. Asserted at registration.
 func fedHome(s int) int { return s % fedExpClusters }
 
-func fedServiceConfig(s int) core.ServiceConfig {
-	name := fmt.Sprintf("svc%02d.family.name", s)
-	img := unikernel.UnikernelImage(fmt.Sprintf("svc%02d", s), unikernel.NewStaticSiteApp(name))
-	img.MemMiB = fedExpImageMiB
-	return core.ServiceConfig{
-		Name:  name,
-		IP:    netstack.IPv4(10, 0, 0, byte(20+s)),
-		Port:  80,
-		Image: img,
-	}
-}
-
 // fedTrace is the shared Poisson schedule: every service arrives at the
 // cold mean gap; from skewAt the services homed on cluster 0 switch to
 // the hot gap.
-func fedTrace(seed int64, horizon, skewAt sim.Duration) []scalingArrival {
+func fedTrace(seed int64, horizon, skewAt sim.Duration) []arrival {
 	rng := rand.New(rand.NewSource(seed))
-	var trace []scalingArrival
+	var trace []arrival
 	for s := 0; s < fedExpServices; s++ {
-		hot := fedHome(s) == 0
-		at := sim.Duration(rng.ExpFloat64() * float64(fedExpColdGap))
-		for at < horizon {
-			if hot && at >= skewAt {
-				break
-			}
-			trace = append(trace, scalingArrival{at: at, svc: s})
-			at += sim.Duration(rng.ExpFloat64() * float64(fedExpColdGap))
-		}
-		if !hot {
+		if fedHome(s) != 0 {
+			trace = poisson(rng, trace, s, 0, horizon, fedExpColdGap)
 			continue
 		}
-		at = skewAt + sim.Duration(rng.ExpFloat64()*float64(fedExpHotGap))
-		for at < horizon {
-			trace = append(trace, scalingArrival{at: at, svc: s})
-			at += sim.Duration(rng.ExpFloat64() * float64(fedExpHotGap))
-		}
+		trace = poisson(rng, trace, s, 0, min(skewAt, horizon), fedExpColdGap)
+		trace = poisson(rng, trace, s, skewAt, horizon, fedExpHotGap)
 	}
-	sort.Slice(trace, func(i, j int) bool {
-		if trace[i].at != trace[j].at {
-			return trace[i].at < trace[j].at
-		}
-		return trace[i].svc < trace[j].svc
-	})
-	return trace
+	return byTime(trace)
 }
 
 // fedWindows are the post-skew observation windows: early catches the
@@ -100,49 +68,43 @@ func fedWindows(horizon, skewAt sim.Duration) (earlyFrom, earlyTo, lateFrom sim.
 }
 
 type fedRunOutcome struct {
-	all, early, late             *metrics.Series
-	refused, earlyRef, lateRef   int
-	errs                         int
+	tally                        // lat is every served fetch
+	early, late                  *metrics.Series
+	earlyRef, lateRef            int
+	earlyFrom, earlyTo, lateFrom sim.Duration
 	cold                         uint64
 	spills, xmigs, sheds         uint64
 	rootRows, dirRows, rootScans uint64
 }
 
-func newFedRunOutcome(label string) *fedRunOutcome {
-	return &fedRunOutcome{
-		all:   &metrics.Series{Name: label},
+func newFedRunOutcome(label string, horizon, skewAt sim.Duration) *fedRunOutcome {
+	o := &fedRunOutcome{
+		tally: tally{lat: &metrics.Series{Name: label}},
 		early: &metrics.Series{Name: label + " post-skew-early"},
 		late:  &metrics.Series{Name: label + " post-skew-late"},
 	}
+	o.earlyFrom, o.earlyTo, o.lateFrom = fedWindows(horizon, skewAt)
+	return o
 }
 
 // record books one outcome. The post-skew windows track only the
 // skewed (hot) population — the cold background services pay a designed
 // cold start per visit in every system, which would otherwise bury the
 // recovery signal in the window percentiles.
-func (o *fedRunOutcome) record(at sim.Duration, svc int, d sim.Duration, err error,
-	earlyFrom, earlyTo, lateFrom sim.Duration) {
-	refused := err == cluster.ErrClusterFull || err == cluster.ErrFederationFull
-	switch {
-	case refused:
-		o.refused++
-	case err != nil:
-		o.errs++
-	default:
-		o.all.Add(d)
-	}
-	if fedHome(svc) != 0 {
+func (o *fedRunOutcome) record(a arrival, d sim.Duration, err error) {
+	o.add(d, err)
+	if fedHome(a.svc) != 0 {
 		return
 	}
 	switch {
-	case at >= earlyFrom && at < earlyTo:
-		if refused {
+	case a.at >= o.earlyFrom && a.at < o.earlyTo:
+		if refusal(err) {
 			o.earlyRef++
 		} else if err == nil {
 			o.early.Add(d)
 		}
-	case at >= lateFrom:
-		if refused {
+	case a.at >= o.lateFrom:
+		if refusal(err) {
 			o.lateRef++
 		} else if err == nil {
 			o.late.Add(d)
@@ -152,28 +114,18 @@ func (o *fedRunOutcome) record(at sim.Duration, svc int, d sim.Duration, err err
 
 // runFedFlat replays the trace against one 16-board cluster: the flat
 // directory baseline whose root state is O(services).
-func runFedFlat(seed int64, trace []scalingArrival, horizon, skewAt sim.Duration) *fedRunOutcome {
+func runFedFlat(seed int64, trace []arrival, horizon, skewAt sim.Duration) *fedRunOutcome {
 	c := cluster.NewCluster(
 		cluster.WithBoards(fedExpClusters*fedExpBoardsPer),
 		cluster.WithSeed(seed),
 		cluster.WithMinRate(fedExpMinRate),
 	)
 	for s := 0; s < fedExpServices; s++ {
-		c.RegisterService(fedServiceConfig(s))
+		c.RegisterService(site(s, fedExpImageMiB))
 	}
 	cl := c.NewClient("edge-client", netstack.IPv4(10, 0, 0, 9))
-	out := newFedRunOutcome("flat-1x16")
-	ef, et, lf := fedWindows(horizon, skewAt)
-	for _, a := range trace {
-		a := a
-		name := fmt.Sprintf("svc%02d.family.name", a.svc)
-		c.Eng().At(a.at, func() {
-			cl.Fetch(name, "/", 30*time.Second,
-				func(_ int, _ *netstack.HTTPResponse, d sim.Duration, err error) {
-					out.record(a.at, a.svc, d, err, ef, et, lf)
-				})
-		})
-	}
+	out := newFedRunOutcome("flat-1x16", horizon, skewAt)
+	replay(c.Eng(), trace, tierFetch(cl.Fetch, 30*time.Second), out.record)
 	c.RunAll()
 	for _, t := range c.ServiceTotals() {
 		out.cold += t.ColdStarts
@@ -185,7 +137,7 @@ func runFedFlat(seed int64, trace []scalingArrival, horizon, skewAt sim.Duration
 
 // runFedFederation replays the trace against the 4x4 federation, with
 // or without the rebalance machinery (spill + skew shed).
-func runFedFederation(label string, rebalance bool, seed int64, trace []scalingArrival, horizon, skewAt sim.Duration) *fedRunOutcome {
+func runFedFederation(label string, rebalance bool, seed int64, trace []arrival, horizon, skewAt sim.Duration) *fedRunOutcome {
 	opts := []cluster.FedOption{
 		cluster.WithClusters(fedExpClusters),
 		cluster.WithMemberOptions(
@@ -202,24 +154,14 @@ func runFedFederation(label string, rebalance bool, seed int64, trace []scalingA
 	}
 	f := cluster.NewFederation(opts...)
 	for s := 0; s < fedExpServices; s++ {
-		m, _ := f.RegisterService(fedServiceConfig(s))
+		m, _ := f.RegisterService(site(s, fedExpImageMiB))
 		if m.ID != fedHome(s) {
 			panic(fmt.Sprintf("federation: svc%02d homed on cluster %d, want %d", s, m.ID, fedHome(s)))
 		}
 	}
 	fc := f.NewClient("edge-client", netstack.IPv4(10, 0, 0, 9))
-	out := newFedRunOutcome(label)
-	ef, et, lf := fedWindows(horizon, skewAt)
-	for _, a := range trace {
-		a := a
-		name := fmt.Sprintf("svc%02d.family.name", a.svc)
-		f.Eng().At(a.at, func() {
-			fc.Fetch(name, "/", 30*time.Second,
-				func(_, _ int, _ *netstack.HTTPResponse, d sim.Duration, err error) {
-					out.record(a.at, a.svc, d, err, ef, et, lf)
-				})
-		})
-	}
+	out := newFedRunOutcome(label, horizon, skewAt)
+	replay(f.Eng(), trace, fedFetch(fc, 30*time.Second), out.record)
 	// Periodic summary pushes keep the queue alive: run the horizon plus
 	// slack, quiesce, drain.
 	f.RunUntil(horizon + 15*time.Second)
@@ -255,16 +197,16 @@ func Federation(horizon sim.Duration) *Result {
 		"system", "n-ok", "refused", "p95", "early-p95", "late-p95",
 		"early-refused", "late-refused", "coldstarts", "spills", "xmigs", "root-rows")
 	for _, o := range []*fedRunOutcome{flat, fed, frozen} {
-		tab.AddRow(o.all.Name, o.all.Len(), o.refused,
-			o.all.Percentile(0.95), o.early.Percentile(0.95), o.late.Percentile(0.95),
+		tab.AddRow(o.lat.Name, o.lat.Len(), o.refused,
+			o.lat.Percentile(0.95), o.early.Percentile(0.95), o.late.Percentile(0.95),
 			o.earlyRef, o.lateRef, o.cold, o.spills, o.xmigs, o.rootRows)
-		r.Series[o.all.Name] = o.all
+		r.Series[o.lat.Name] = o.lat
 		r.Series[o.early.Name] = o.early
 		r.Series[o.late.Name] = o.late
 	}
 	r.Output = tab.String()
 	r.addNote("one Poisson trace; at t=%v the 20 services homed on federation cluster 0 go hot (mean gap %v) while the rest stay at %v — 20 warm replicas of %d MiB cannot fit cluster 0's 16 slots", skewAt, fedExpHotGap, fedExpColdGap, fedExpImageMiB)
 	r.addNote("the federation root holds %d summary rows for %d services (the flat directory holds %d rows; the member directories %d between them); delegated lookups scan summaries — %d scans over the whole trace, the rest served from the epoch-stamped delegation/negative caches", fed.rootRows, fedExpServices, flat.rootRows, fed.dirRows, fed.rootScans)
-	r.addNote("recovery is automatic: admission refusals spill starved services to clusters with room (%d spills) and the root's sustained-skew detector sheds warm replicas over the Checkpoint->Transfer leg (%d cross-cluster migrations, %d shed commands) — no Rebalance() call; the frozen federation keeps refusing (%d late-window refusals vs %d)", fed.spills, fed.xmigs, fed.sheds, frozen.lateRef, fed.lateRef)
+	r.addNote("recovery is automatic: admission refusals spill starved services to clusters with room (%d spills) and the root's sustained-skew detector sheds warm replicas over the Checkpoint->Transfer leg (%d cross-cluster migrations, %d shed commands) — no operator call; the frozen federation keeps refusing (%d late-window refusals vs %d)", fed.spills, fed.xmigs, fed.sheds, frozen.lateRef, fed.lateRef)
 	return r
 }

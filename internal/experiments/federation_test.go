@@ -9,7 +9,7 @@ import (
 // TestFederationShape asserts the tentpole contract: the 4x4 federation
 // recovers its post-skew p95 to the warm path (within sight of the flat
 // 16-board cluster that absorbs the skew with raw capacity) with no
-// Rebalance() call, while the same federation with the rebalance
+// operator call, while the same federation with the rebalance
 // machinery frozen keeps refusing — and the root's state stays
 // O(clusters) while the flat directory carries every service row.
 func TestFederationShape(t *testing.T) {

@@ -35,18 +35,22 @@ const (
 	hostileSwimLoss = 0.5
 )
 
+// hostileFlashName is the flash crowd's one cold service.
+const hostileFlashName = "flash.family.name"
+
 // hostileFlashTrace is one flash crowd: n arrivals for a single cold
 // service, Poisson-packed into ~300ms so the whole burst lands inside
-// the first cold boot.
-func hostileFlashTrace(seed int64, n int) []sim.Duration {
+// the first cold boot. (A burst of n, not a rate over a horizon — hence
+// not poisson().)
+func hostileFlashTrace(seed int64, n int) []arrival {
 	rng := rand.New(rand.NewSource(seed))
-	ats := make([]sim.Duration, n)
+	trace := make([]arrival, n)
 	at := 1 * time.Second
-	for i := range ats {
+	for i := range trace {
 		at += sim.Duration(rng.ExpFloat64() * float64(300*time.Millisecond) / float64(n))
-		ats[i] = at
+		trace[i] = arrival{at: at, name: hostileFlashName}
 	}
-	return ats
+	return trace
 }
 
 type hostileFlashOutcome struct {
@@ -59,14 +63,14 @@ type hostileFlashOutcome struct {
 // runHostileFlash replays the burst against one link condition. A
 // timed-out fetch is recorded at its (censored) elapsed time, so the
 // latency series shows the cliff instead of silently dropping it.
-func runHostileFlash(label string, trace []sim.Duration, impaired, retry, capture bool) *hostileFlashOutcome {
+func runHostileFlash(label string, trace []arrival, impaired, retry, capture bool) *hostileFlashOutcome {
 	c := cluster.NewCluster(
 		cluster.WithBoards(2),
 		cluster.WithSeed(4200),
 		cluster.WithProbing(1*time.Second, 0, 0),
 	)
-	sc := scalingServiceConfig(0, 0)
-	sc.Name = "flash.family.name"
+	sc := site(0, scalingImageMiB)
+	sc.Name = hostileFlashName
 	c.RegisterService(sc)
 	cl := c.NewClient("edge-client", netstack.IPv4(10, 0, 0, 9))
 	if retry {
@@ -86,18 +90,13 @@ func runHostileFlash(label string, trace []sim.Duration, impaired, retry, captur
 		out.cap = netsim.NewCapture(c.Eng(), 1<<14)
 		link.Tap(out.cap)
 	}
-	for _, at := range trace {
-		c.Eng().At(at, func() {
-			cl.Fetch("flash.family.name", "/", hostileFetchTimeout,
-				func(board int, resp *netstack.HTTPResponse, d sim.Duration, err error) {
-					if err != nil {
-						out.errs++
-					}
-					out.lat.Add(d)
-				})
-		})
-	}
-	c.RunUntil(trace[len(trace)-1] + hostileFetchTimeout + time.Second)
+	replay(c.Eng(), trace, tierFetch(cl.Fetch, hostileFetchTimeout), func(_ arrival, d sim.Duration, err error) {
+		if err != nil {
+			out.errs++
+		}
+		out.lat.Add(d)
+	})
+	c.RunUntil(trace[len(trace)-1].at + hostileFetchTimeout + time.Second)
 	c.StopMembership()
 	c.RunAll()
 	out.retries = cl.DNSRetries
@@ -131,7 +130,7 @@ func runHostileMigrate(prep func(*cluster.Cluster, *netsim.Link)) *cluster.Clust
 		cluster.WithSeed(4400),
 		cluster.WithMigrateOnLeave(true),
 	)
-	sc := scalingServiceConfig(0, 0)
+	sc := site(0, scalingImageMiB)
 	sc.Name = "warm.family.name"
 	c.RegisterService(sc, cluster.WithMinWarm(2))
 	c.RunAll()

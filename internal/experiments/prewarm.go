@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"jitsu/internal/core"
@@ -11,7 +10,6 @@ import (
 	"jitsu/internal/netstack"
 	"jitsu/internal/obs"
 	"jitsu/internal/sim"
-	"jitsu/internal/unikernel"
 )
 
 // The prewarm workload: services visited on a routine — a check-in
@@ -33,40 +31,27 @@ const (
 	prewarmWarmup = 3
 )
 
-type prewarmArrival struct {
-	at    sim.Duration
-	svc   int
-	visit int
-}
-
 // prewarmTrace builds the jittered periodic visit schedule, shared
 // verbatim by the with- and without-trigger runs.
-func prewarmTrace(seed int64, visits int) []prewarmArrival {
+func prewarmTrace(seed int64, visits int) []arrival {
 	rng := rand.New(rand.NewSource(seed))
-	var trace []prewarmArrival
+	var trace []arrival
 	for s := 0; s < prewarmServices; s++ {
 		// Stagger the services so their boots don't synchronise.
 		base := sim.Duration(s+1) * 2 * time.Second
 		for i := 0; i < visits; i++ {
 			jit := sim.Duration((rng.Float64()*2 - 1) * float64(prewarmJitter))
-			trace = append(trace, prewarmArrival{
-				at: base + sim.Duration(i)*prewarmPeriod + jit, svc: s, visit: i})
+			trace = append(trace, arrival{
+				at: base + sim.Duration(i)*prewarmPeriod + jit, svc: s, visit: i, name: siteName(s)})
 		}
 	}
-	sort.Slice(trace, func(i, j int) bool {
-		if trace[i].at != trace[j].at {
-			return trace[i].at < trace[j].at
-		}
-		return trace[i].svc < trace[j].svc
-	})
-	return trace
+	return byTime(trace)
 }
 
 type prewarmOutcome struct {
-	all         *metrics.Series
+	tally       // lat is every served fetch; a lone board never refuses
 	steady      *metrics.Series
 	trace       *obs.Tracer
-	errs        int
 	cold        uint64
 	predictions uint64
 	hits        uint64
@@ -74,7 +59,7 @@ type prewarmOutcome struct {
 }
 
 // runPrewarm replays the visit schedule with or without the trigger.
-func runPrewarm(on, traced bool, seed int64, trace []prewarmArrival) *prewarmOutcome {
+func runPrewarm(on, traced bool, seed int64, trace []arrival) *prewarmOutcome {
 	label := "prewarm-off"
 	if on {
 		label = "prewarm-on"
@@ -97,39 +82,22 @@ func runPrewarm(on, traced bool, seed int64, trace []prewarmArrival) *prewarmOut
 	}
 	var svcs []*core.Service
 	for s := 0; s < prewarmServices; s++ {
-		name := fmt.Sprintf("svc%02d.family.name", s)
-		svcs = append(svcs, b.Jitsu.Register(core.ServiceConfig{
-			Name:        name,
-			IP:          netstack.IPv4(10, 0, 0, byte(20+s)),
-			Port:        80,
-			IdleTimeout: prewarmIdle,
-			Image:       unikernel.UnikernelImage(fmt.Sprintf("svc%02d", s), unikernel.NewStaticSiteApp(name)),
-		}))
+		sc := site(s, 0)
+		sc.IdleTimeout = prewarmIdle
+		svcs = append(svcs, b.Jitsu.Register(sc))
 	}
 	client := b.AddClient("visitor", netstack.IPv4(10, 0, 0, 9))
 
 	out := &prewarmOutcome{
-		all:    &metrics.Series{Name: label},
+		tally:  tally{lat: &metrics.Series{Name: label}},
 		steady: &metrics.Series{Name: label + " steady"},
 		trace:  tracer,
 	}
-	for _, a := range trace {
-		a := a
-		name := fmt.Sprintf("svc%02d.family.name", a.svc)
-		b.Eng.At(a.at, func() {
-			b.FetchViaDNS(client, name, "/", 30*time.Second,
-				func(resp *netstack.HTTPResponse, d sim.Duration, err error) {
-					if err != nil {
-						out.errs++
-						return
-					}
-					out.all.Add(d)
-					if a.visit >= prewarmWarmup {
-						out.steady.Add(d)
-					}
-				})
-		})
-	}
+	replay(b.Eng, trace, boardFetch(b, client, 30*time.Second), func(a arrival, d sim.Duration, err error) {
+		if out.add(d, err) && a.visit >= prewarmWarmup {
+			out.steady.Add(d)
+		}
+	})
 	b.Eng.Run()
 	for _, svc := range svcs {
 		out.cold += svc.ColdStarts
@@ -156,13 +124,13 @@ func Prewarm(visits int, opts ...Option) *Result {
 	tab := metrics.NewTable("",
 		"policy", "n-ok", "p50", "p95", "steady-p50", "steady-p95", "coldstarts", "predictions", "hits", "misses")
 	for _, o := range []*prewarmOutcome{off, on} {
-		all, steady := o.all.Summarize(), o.steady.Summarize()
-		tab.AddRow(o.all.Name, all.Len(), all.P50(), all.P95(),
+		all, steady := o.lat.Summarize(), o.steady.Summarize()
+		tab.AddRow(o.lat.Name, all.Len(), all.P50(), all.P95(),
 			steady.P50(), steady.P95(),
 			o.cold, o.predictions, o.hits, o.misses)
-		r.Series[o.all.Name] = o.all
+		r.Series[o.lat.Name] = o.lat
 		r.Series[o.steady.Name] = o.steady
-		r.addTrace(o.all.Name, o.trace)
+		r.addTrace(o.lat.Name, o.trace)
 	}
 	r.Output = tab.String()
 	r.addNote("both runs share one jittered periodic visit schedule; the visit period (10s) exceeds the idle timeout (6s), so without the trigger every visit pays a fresh cold boot")

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"jitsu/internal/cluster"
@@ -11,7 +10,6 @@ import (
 	"jitsu/internal/metrics"
 	"jitsu/internal/netstack"
 	"jitsu/internal/sim"
-	"jitsu/internal/unikernel"
 )
 
 // The scaling workload: a small edge cloud of per-person services with
@@ -31,57 +29,24 @@ const (
 	scalingIdleTimeout = 8 * time.Second
 )
 
-type scalingArrival struct {
-	at  sim.Duration
-	svc int
-}
-
 // scalingTrace builds one Poisson arrival schedule shared verbatim by
 // the fleet and cluster runs, so both face the identical workload.
-func scalingTrace(seed int64, horizon sim.Duration) []scalingArrival {
+func scalingTrace(seed int64, horizon sim.Duration) []arrival {
 	rng := rand.New(rand.NewSource(seed))
-	var trace []scalingArrival
-	nsvc := scalingHotServices + scalingColdServices
-	for s := 0; s < nsvc; s++ {
+	var trace []arrival
+	for s := 0; s < scalingHotServices+scalingColdServices; s++ {
 		mean := scalingHotMeanGap
 		if s >= scalingHotServices {
 			mean = scalingColdMeanGap
 		}
-		// Spread first arrivals so every service's initial cold start
-		// isn't synchronized at t=0.
-		at := sim.Duration(rng.ExpFloat64() * float64(mean))
-		for at < horizon {
-			trace = append(trace, scalingArrival{at: at, svc: s})
-			at += sim.Duration(rng.ExpFloat64() * float64(mean))
-		}
+		trace = poisson(rng, trace, s, 0, horizon, mean)
 	}
-	sort.Slice(trace, func(i, j int) bool {
-		if trace[i].at != trace[j].at {
-			return trace[i].at < trace[j].at
-		}
-		return trace[i].svc < trace[j].svc
-	})
-	return trace
-}
-
-func scalingServiceConfig(s int, idle sim.Duration) core.ServiceConfig {
-	name := fmt.Sprintf("svc%02d.family.name", s)
-	img := unikernel.UnikernelImage(fmt.Sprintf("svc%02d", s), unikernel.NewStaticSiteApp(name))
-	img.MemMiB = scalingImageMiB
-	return core.ServiceConfig{
-		Name:        name,
-		IP:          netstack.IPv4(10, 0, 0, byte(20+s)),
-		Port:        80,
-		Image:       img,
-		IdleTimeout: idle,
-	}
+	return byTime(trace)
 }
 
 // scalingOutcome is one system's run at one board count.
 type scalingOutcome struct {
-	lat        *metrics.Series
-	refused    int
-	errs       int
+	tally
 	total      int
 	coldStarts uint64
 }
@@ -96,30 +61,17 @@ func (o *scalingOutcome) refusedPct() float64 {
 // runScalingFleet replays the trace against the §3.3.2 baseline: every
 // board registers every service, the client walks the NS set on
 // SERVFAIL.
-func runScalingFleet(n int, seed int64, trace []scalingArrival) *scalingOutcome {
+func runScalingFleet(n int, seed int64, trace []arrival) *scalingOutcome {
 	fl := core.NewFleet(n, core.WithSeed(seed))
 	var svcs [][]*core.Service
 	for s := 0; s < scalingHotServices+scalingColdServices; s++ {
-		svcs = append(svcs, fl.RegisterEverywhere(scalingServiceConfig(s, scalingIdleTimeout)))
+		sc := site(s, scalingImageMiB)
+		sc.IdleTimeout = scalingIdleTimeout
+		svcs = append(svcs, fl.RegisterEverywhere(sc))
 	}
 	fc := fl.NewClient("edge-client", netstack.IPv4(10, 0, 0, 9))
-	out := &scalingOutcome{lat: &metrics.Series{Name: fmt.Sprintf("fleet@%d", n)}, total: len(trace)}
-	for _, a := range trace {
-		name := fmt.Sprintf("svc%02d.family.name", a.svc)
-		fl.Eng().At(a.at, func() {
-			fc.Fetch(name, "/", 30*time.Second,
-				func(board int, resp *netstack.HTTPResponse, d sim.Duration, err error) {
-					switch {
-					case err == core.ErrAllServFail:
-						out.refused++
-					case err != nil:
-						out.errs++
-					default:
-						out.lat.Add(d)
-					}
-				})
-		})
-	}
+	out := &scalingOutcome{tally: tally{lat: &metrics.Series{Name: fmt.Sprintf("fleet@%d", n)}}, total: len(trace)}
+	replay(fl.Eng(), trace, tierFetch(fc.Fetch, 30*time.Second), out.record)
 	fl.RunAll()
 	for _, reps := range svcs {
 		for _, svc := range reps {
@@ -131,29 +83,14 @@ func runScalingFleet(n int, seed int64, trace []scalingArrival) *scalingOutcome 
 
 // runScalingCluster replays the trace against the control plane: one
 // query, scheduler-picked board, EWMA-sized warm pools.
-func runScalingCluster(n int, seed int64, trace []scalingArrival) *scalingOutcome {
+func runScalingCluster(n int, seed int64, trace []arrival) *scalingOutcome {
 	c := cluster.NewCluster(cluster.WithBoards(n), cluster.WithSeed(seed))
 	for s := 0; s < scalingHotServices+scalingColdServices; s++ {
-		c.RegisterService(scalingServiceConfig(s, 0))
+		c.RegisterService(site(s, scalingImageMiB))
 	}
 	cl := c.NewClient("edge-client", netstack.IPv4(10, 0, 0, 9))
-	out := &scalingOutcome{lat: &metrics.Series{Name: fmt.Sprintf("cluster@%d", n)}, total: len(trace)}
-	for _, a := range trace {
-		name := fmt.Sprintf("svc%02d.family.name", a.svc)
-		c.Eng().At(a.at, func() {
-			cl.Fetch(name, "/", 30*time.Second,
-				func(board int, resp *netstack.HTTPResponse, d sim.Duration, err error) {
-					switch {
-					case err == cluster.ErrClusterFull:
-						out.refused++
-					case err != nil:
-						out.errs++
-					default:
-						out.lat.Add(d)
-					}
-				})
-		})
-	}
+	out := &scalingOutcome{tally: tally{lat: &metrics.Series{Name: fmt.Sprintf("cluster@%d", n)}}, total: len(trace)}
+	replay(c.Eng(), trace, tierFetch(cl.Fetch, 30*time.Second), out.record)
 	c.RunAll()
 	for _, t := range c.ServiceTotals() {
 		out.coldStarts += t.ColdStarts

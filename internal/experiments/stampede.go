@@ -6,12 +6,10 @@ import (
 
 	"jitsu/internal/api"
 	"jitsu/internal/cluster"
-	"jitsu/internal/core"
 	"jitsu/internal/metrics"
 	"jitsu/internal/netsim"
 	"jitsu/internal/netstack"
 	"jitsu/internal/sim"
-	"jitsu/internal/unikernel"
 )
 
 // The Stampede experiment: what happens to the *control* traffic when
@@ -89,13 +87,10 @@ func runStampedeCluster(label string, unpaced bool, seed int64) *stampedeCluster
 	boards := make([]int, stampedeServices)
 	names := make([]string, stampedeServices)
 	for s := 0; s < stampedeServices; s++ {
-		names[s] = fmt.Sprintf("mv%02d.%s", s, c.Cfg.Board.Zone)
-		img := unikernel.UnikernelImage(fmt.Sprintf("mv%02d", s), unikernel.NewStaticSiteApp(names[s]))
-		img.MemMiB = 64
-		c.RegisterService(core.ServiceConfig{
-			Name: names[s], IP: netstack.IPv4(10, 0, 0, byte(30+s)), Port: 80,
-			Image: img, StateMiB: stampedeStateMiB, IdleTimeout: time.Hour,
-		})
+		sc := staticSite("mv", s, 30, 64)
+		sc.StateMiB, sc.IdleTimeout = stampedeStateMiB, time.Hour
+		names[s] = sc.Name
+		c.RegisterService(sc)
 		resp := c.API().Activate(api.ActivateRequest{Name: names[s]})
 		if resp.Err != nil {
 			panic(fmt.Sprintf("stampede: activate %s: %v", names[s], resp.Err))
@@ -132,8 +127,7 @@ func runStampedeCluster(label string, unpaced bool, seed int64) *stampedeCluster
 
 type stampedeFedRun struct {
 	label                    string
-	ok                       *metrics.Series
-	errs                     int
+	tally                    // every failure counts alike here: see failed()
 	delegRetx, delegTimeouts uint64
 	chunks, retx, aborts     uint64
 	xmigs                    uint64
@@ -159,15 +153,10 @@ func runStampedeFed(label string, shed, unpaced bool, horizon sim.Duration) *sta
 
 	var donorNames []string
 	for s := 0; s < stampedeFedServices; s++ {
-		name := fmt.Sprintf("shed%02d.family.name", s)
-		img := unikernel.UnikernelImage(fmt.Sprintf("shed%02d", s), unikernel.NewStaticSiteApp(name))
-		img.MemMiB = 64
-		m, _ := f.RegisterService(core.ServiceConfig{
-			Name: name, IP: netstack.IPv4(10, 0, 0, byte(100+s)), Port: 80,
-			Image: img, StateMiB: stampedeFedStateMiB, IdleTimeout: time.Hour,
-		})
-		if m.ID == 0 {
-			donorNames = append(donorNames, name)
+		sc := staticSite("shed", s, 100, 64)
+		sc.StateMiB, sc.IdleTimeout = stampedeFedStateMiB, time.Hour
+		if m, _ := f.RegisterService(sc); m.ID == 0 {
+			donorNames = append(donorNames, sc.Name)
 		}
 	}
 	if len(donorNames) != stampedeFedBatch {
@@ -175,21 +164,13 @@ func runStampedeFed(label string, shed, unpaced bool, horizon sim.Duration) *sta
 			len(donorNames), stampedeFedBatch))
 	}
 
-	out := &stampedeFedRun{label: label, ok: &metrics.Series{Name: label}, cap: tap}
+	out := &stampedeFedRun{label: label, tally: tally{lat: &metrics.Series{Name: label}}, cap: tap}
 	fc := f.NewClient("edge-client", netstack.IPv4(10, 0, 0, 9))
+	var trace []arrival
 	for at, i := sim.Duration(time.Second), 0; at < horizon; at, i = at+stampedeFetchGap, i+1 {
-		name := donorNames[i%len(donorNames)]
-		f.Eng().At(at, func() {
-			fc.Fetch(name, "/", stampedeFetchTimeout,
-				func(_, _ int, _ *netstack.HTTPResponse, d sim.Duration, err error) {
-					if err != nil {
-						out.errs++
-					} else {
-						out.ok.Add(d)
-					}
-				})
-		})
+		trace = append(trace, arrival{at: at, name: donorNames[i%len(donorNames)]})
 	}
+	replay(f.Eng(), trace, fedFetch(fc, stampedeFetchTimeout), out.record)
 	if shed {
 		f.Eng().At(stampedeFedT0, func() {
 			if err := f.Shed(0, 1, stampedeFedBatch); err != nil {
@@ -231,15 +212,15 @@ func Stampede(fedHorizon sim.Duration) *Result {
 	fedTab := metrics.NewTable("federation tier: shed cluster 0's services over the WAN mid-fetch",
 		"arm", "fetch-ok", "errors", "p50", "p95", "max", "deleg-retx", "deleg-timeouts", "xmigs", "chunk-retx")
 	for _, o := range []*stampedeFedRun{idle, fedPaced, fedBlast} {
-		fedTab.AddRow(o.label, o.ok.Len(), o.errs,
-			o.ok.Percentile(0.50), o.ok.Percentile(0.95), o.ok.Max(),
+		fedTab.AddRow(o.label, o.lat.Len(), o.failed(),
+			o.lat.Percentile(0.50), o.lat.Percentile(0.95), o.lat.Max(),
 			o.delegRetx, o.delegTimeouts, o.xmigs, o.retx)
-		r.Series[o.ok.Name] = o.ok
+		r.Series[o.lat.Name] = o.lat
 		r.Captures[o.label+" agent0 mgmt"] = o.cap
 	}
 	r.Output = tab.String() + "\n" + fedTab.String()
 	r.addNote("cluster tier: %d services x %d MiB of checkpoint state move concurrently over four %g Mb/s management uplinks; the congestion controller keeps each uplink's queue to a window of 1 MiB chunks, so SWIM probe acks (timeout 400ms) keep landing — %d suspects paced vs %d unpaced, on identical seeds and byte counts", stampedeServices, stampedeStateMiB, stampedeMgmtBits/1e6, paced.suspects, blast.suspects)
-	r.addNote("federation tier: a batch of %d warm services (%d MiB each) sheds across a %s path while the edge client fetches those very names every %v; each fetch's delegated resolution shares the donor agent's uplink with the chunk exchange — paced p95 %v vs idle %v with %d timeouts, unpaced loses %d fetches to SERVFAIL (%d delegation timeouts)", stampedeFedBatch, stampedeFedStateMiB, netsim.WAN20ms().Name, stampedeFetchGap, fedPaced.ok.Percentile(0.95), idle.ok.Percentile(0.95), fedPaced.delegTimeouts, fedBlast.errs, fedBlast.delegTimeouts)
+	r.addNote("federation tier: a batch of %d warm services (%d MiB each) sheds across a %s path while the edge client fetches those very names every %v; each fetch's delegated resolution shares the donor agent's uplink with the chunk exchange — paced p95 %v vs idle %v with %d timeouts, unpaced loses %d fetches to SERVFAIL (%d delegation timeouts)", stampedeFedBatch, stampedeFedStateMiB, netsim.WAN20ms().Name, stampedeFetchGap, fedPaced.lat.Percentile(0.95), idle.lat.Percentile(0.95), fedPaced.delegTimeouts, fedBlast.failed(), fedBlast.delegTimeouts)
 	r.addNote("both tiers move the same bytes in both arms — pacing trades no throughput; it only bounds how much bulk may sit ahead of a control datagram on the shared FIFO links")
 	return r
 }

@@ -43,23 +43,23 @@ func TestStampedeFedDelegation(t *testing.T) {
 	paced := runStampedeFed("paced", true, false, horizon)
 	blast := runStampedeFed("unpaced", true, true, horizon)
 
-	if idle.errs != 0 || idle.delegTimeouts != 0 {
+	if idle.failed() != 0 || idle.delegTimeouts != 0 {
 		t.Fatalf("idle baseline unhealthy: %d errors, %d delegation timeouts",
-			idle.errs, idle.delegTimeouts)
+			idle.failed(), idle.delegTimeouts)
 	}
-	if paced.errs != 0 || paced.delegTimeouts != 0 {
+	if paced.failed() != 0 || paced.delegTimeouts != 0 {
 		t.Errorf("paced shed: %d errors, %d delegation timeouts, want 0/0",
-			paced.errs, paced.delegTimeouts)
+			paced.failed(), paced.delegTimeouts)
 	}
 	if paced.xmigs != stampedeFedBatch {
 		t.Errorf("paced shed moved %d services, want %d", paced.xmigs, stampedeFedBatch)
 	}
-	if p, i := paced.ok.Percentile(0.95), idle.ok.Percentile(0.95); p > 2*i {
+	if p, i := paced.lat.Percentile(0.95), idle.lat.Percentile(0.95); p > 2*i {
 		t.Errorf("paced delegation p95 %v > 2x idle %v", p, i)
 	}
-	if blast.delegTimeouts == 0 || blast.errs == 0 {
+	if blast.delegTimeouts == 0 || blast.failed() == 0 {
 		t.Errorf("unpaced shed: %d delegation timeouts, %d errors — the ablation shows nothing",
-			blast.delegTimeouts, blast.errs)
+			blast.delegTimeouts, blast.failed())
 	}
 }
 

@@ -10,12 +10,6 @@ import (
 	"time"
 )
 
-// Sample set thresholds used across experiments.
-const (
-	// DefaultCDFPoints is how many points a rendered CDF carries.
-	DefaultCDFPoints = 20
-)
-
 // Series is a named collection of duration samples, e.g. one line on a
 // figure ("Jitsu Xenstored") or one bar of a breakdown.
 type Series struct {
@@ -92,10 +86,9 @@ func (d *Summary) Min() time.Duration { return percentile(d.sorted, 0) }
 // Max returns the largest observation (0 when empty).
 func (d *Summary) Max() time.Duration { return percentile(d.sorted, 1) }
 
-// P50, P95 and P99 are the quantiles every results table reads.
+// P50 and P95 are the quantiles every results table reads.
 func (d *Summary) P50() time.Duration { return percentile(d.sorted, 0.5) }
 func (d *Summary) P95() time.Duration { return percentile(d.sorted, 0.95) }
-func (d *Summary) P99() time.Duration { return percentile(d.sorted, 0.99) }
 
 // Mean returns the arithmetic mean.
 func (d *Summary) Mean() time.Duration {
@@ -137,34 +130,6 @@ func (s *Series) Max() time.Duration {
 		return 0
 	}
 	return c[len(c)-1]
-}
-
-// CDFPoint is one point of a cumulative distribution: Frac of samples are
-// <= Value.
-type CDFPoint struct {
-	Value time.Duration
-	Frac  float64
-}
-
-// CDF renders n evenly spaced CDF points (plus the max at frac 1.0).
-func (s *Series) CDF(n int) []CDFPoint {
-	c := s.sorted()
-	if len(c) == 0 || n <= 0 {
-		return nil
-	}
-	pts := make([]CDFPoint, 0, n)
-	for i := 1; i <= n; i++ {
-		frac := float64(i) / float64(n)
-		idx := int(frac*float64(len(c))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(c) {
-			idx = len(c) - 1
-		}
-		pts = append(pts, CDFPoint{Value: c[idx], Frac: frac})
-	}
-	return pts
 }
 
 // FracBelow reports what fraction of samples are <= v.

@@ -13,10 +13,9 @@ type Bridge struct {
 	// ForwardDelay models the bridge's per-frame forwarding cost.
 	ForwardDelay sim.Duration
 
-	ports   []*bridgePort
-	table   map[MAC]*bridgePort
-	mirrors []Handler
-	hops    hopPool
+	ports []*bridgePort
+	table map[MAC]*bridgePort
+	hops  hopPool
 
 	Forwarded uint64
 	Flooded   uint64
@@ -38,15 +37,7 @@ func NewBridge(eng *sim.Engine, name string, forwardDelay sim.Duration) *Bridge 
 	return &Bridge{Name: name, eng: eng, ForwardDelay: forwardDelay, table: make(map[MAC]*bridgePort)}
 }
 
-// AddPort attaches dst as a new bridge port and returns the Port that
-// represents the bridge side (hand it to a Link as the far end).
-func (b *Bridge) AddPort(dst Port) Port {
-	p := &bridgePort{bridge: b, dst: dst, id: len(b.ports)}
-	b.ports = append(b.ports, p)
-	return p
-}
-
-// RemovePort detaches a port previously returned by AddPort. Learned
+// RemovePort detaches a port previously returned by ConnectNIC. Learned
 // table entries pointing at it are flushed.
 func (b *Bridge) RemovePort(port Port) {
 	p, ok := port.(*bridgePort)
@@ -66,13 +57,6 @@ func (b *Bridge) RemovePort(port Port) {
 	}
 }
 
-// Mirror registers a tap that observes every frame the bridge forwards
-// or floods — how Synjitsu listens "on the external network bridge ...
-// for TCP packets destined for a unikernel that is still booting".
-func (b *Bridge) Mirror(h Handler) {
-	b.mirrors = append(b.mirrors, h)
-}
-
 // input learns the source, then forwards (known unicast) or floods.
 func (b *Bridge) input(in *bridgePort, frame []byte) {
 	if len(frame) < 14 {
@@ -83,9 +67,6 @@ func (b *Bridge) input(in *bridgePort, frame []byte) {
 	copy(src[:], frame[6:12])
 	if !src.IsBroadcast() {
 		b.table[src] = in
-	}
-	for _, m := range b.mirrors {
-		m(frame)
 	}
 	if !dst.IsBroadcast() {
 		if out, ok := b.table[dst]; ok {

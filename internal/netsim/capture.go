@@ -1,9 +1,7 @@
 package netsim
 
 import (
-	"fmt"
 	"hash/fnv"
-	"io"
 
 	"jitsu/internal/sim"
 )
@@ -108,20 +106,4 @@ func (c *Capture) Fingerprint() uint64 {
 	}
 	writeU64(c.Truncated)
 	return h.Sum64()
-}
-
-// WriteText dumps the capture in a tcpdump-ish text form — one line
-// per frame: virtual time, direction, length, and the first bytes hex.
-func (c *Capture) WriteText(w io.Writer) error {
-	for _, rec := range c.Records {
-		head := rec.Frame
-		if len(head) > 16 {
-			head = head[:16]
-		}
-		if _, err := fmt.Fprintf(w, "%12d %-8s len=%-5d %x\n",
-			int64(rec.At), rec.Dir, len(rec.Frame), head); err != nil {
-			return err
-		}
-	}
-	return nil
 }

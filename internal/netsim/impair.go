@@ -38,12 +38,6 @@ type Impairment struct {
 	BitsPerSec float64
 }
 
-// impaired reports whether any knob is set.
-func (im Impairment) impaired() bool {
-	return im.Loss > 0 || im.Latency > 0 || im.Jitter > 0 ||
-		im.ReorderProb > 0 || im.DupProb > 0 || im.BitsPerSec > 0
-}
-
 // LinkStats counts what an impaired link did to the traffic that
 // crossed it (both directions summed).
 type LinkStats struct {
@@ -122,12 +116,6 @@ func (l *Link) Heal() {
 	if l.bEnd.fault != nil {
 		l.bEnd.fault.partitioned = false
 	}
-}
-
-// Partitioned reports whether either direction is currently cut.
-func (l *Link) Partitioned() bool {
-	return (l.aEnd.fault != nil && l.aEnd.fault.partitioned) ||
-		(l.bEnd.fault != nil && l.bEnd.fault.partitioned)
 }
 
 // deliverImpaired runs one frame through the direction's fault model

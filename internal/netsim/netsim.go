@@ -7,8 +7,8 @@
 // One ownership rule holds everywhere: a frame is copied once by the
 // sending NIC (NIC.Send); from then on it is shared, immutable and never
 // reused — receivers may keep it, nobody may write it. Links, bridges,
-// mirrors, capture taps, duplicating impairments and flooded broadcasts
-// all hand out that same buffer. Code that injects a frame any other way
+// capture taps, duplicating impairments and flooded broadcasts all hand
+// out that same buffer. Code that injects a frame any other way
 // (Port.Deliver directly) gives the buffer up under the same rule.
 //
 // Each hop a frame takes — across a link, through the bridge — is one
@@ -82,8 +82,7 @@ type NIC struct {
 	Addr    MAC
 	eng     *sim.Engine
 	handler Handler
-	peer    Port         // where transmitted frames go (a Link endpoint)
-	txBusy  sim.Duration // serialisation: when the NIC is next free
+	peer    Port // where transmitted frames go (a Link endpoint)
 	TxCount uint64
 	RxCount uint64
 	TxBytes uint64

@@ -190,18 +190,6 @@ func TestBridgeBroadcast(t *testing.T) {
 	}
 }
 
-func TestBridgeMirrorSeesAllTraffic(t *testing.T) {
-	eng, br, nics := bridgedPair(t, 2)
-	var mirrored [][]byte
-	br.Mirror(func(f []byte) { mirrored = append(mirrored, f) })
-	nics[0].Send(frame(nics[1].Addr, nics[0].Addr, "x"))
-	nics[1].Send(frame(nics[0].Addr, nics[1].Addr, "y"))
-	eng.Run()
-	if len(mirrored) != 2 {
-		t.Fatalf("mirror saw %d frames, want 2", len(mirrored))
-	}
-}
-
 func TestBridgeRemovePort(t *testing.T) {
 	eng, br, nics := bridgedPair(t, 2)
 	got := 0

@@ -11,12 +11,10 @@ import (
 
 // Stack-level errors.
 var (
-	ErrPortInUse    = errors.New("netstack: port already bound")
-	ErrNoRoute      = errors.New("netstack: no route to host")
-	ErrConnClosed   = errors.New("netstack: connection closed")
-	ErrConnReset    = errors.New("netstack: connection reset by peer")
-	ErrTimeout      = errors.New("netstack: timed out")
-	ErrNotListening = errors.New("netstack: not listening")
+	ErrPortInUse  = errors.New("netstack: port already bound")
+	ErrConnClosed = errors.New("netstack: connection closed")
+	ErrConnReset  = errors.New("netstack: connection reset by peer")
+	ErrTimeout    = errors.New("netstack: timed out")
 	// ErrNoEphemeralPorts fails a dial when every client port is held by
 	// a live or TIME_WAIT connection or a listener.
 	ErrNoEphemeralPorts = errors.New("netstack: no free ephemeral port")
@@ -201,7 +199,7 @@ func (h *Host) handleFrame(frame []byte) {
 		return
 	}
 	if h.eth.Dst != h.NIC.Addr && !h.eth.Dst.IsBroadcast() {
-		return // not for us (promiscuous snooping uses bridge mirrors)
+		return // not for us
 	}
 	switch h.eth.EtherType {
 	case EtherTypeARP:

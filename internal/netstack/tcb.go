@@ -35,7 +35,6 @@ var ErrBadTCB = errors.New("netstack: malformed TCB")
 
 // TCB state strings (matching Figure 7's vocabulary).
 const (
-	TCBStateSYN         = "SYN"
 	TCBStateSYNACK      = "SYN_ACK"
 	TCBStateEstablished = "ESTABLISHED"
 )

@@ -9,10 +9,10 @@ import (
 // TCPState is the RFC 793 connection state.
 type TCPState int
 
-// Connection states.
+// Connection states. There is no LISTEN: a listener is an entry in the
+// Host's table, never a TCPConn.
 const (
 	StateClosed TCPState = iota
-	StateListen
 	StateSynSent
 	StateSynRcvd
 	StateEstablished
@@ -25,7 +25,7 @@ const (
 )
 
 var tcpStateNames = [...]string{
-	"CLOSED", "LISTEN", "SYN_SENT", "SYN_RCVD", "ESTABLISHED",
+	"CLOSED", "SYN_SENT", "SYN_RCVD", "ESTABLISHED",
 	"FIN_WAIT_1", "FIN_WAIT_2", "CLOSE_WAIT", "LAST_ACK", "CLOSING", "TIME_WAIT",
 }
 
@@ -122,9 +122,8 @@ type TCPConn struct {
 // State returns the current connection state.
 func (c *TCPConn) State() TCPState { return c.state }
 
-// LocalAddr / RemoteAddr return the endpoint addresses.
-func (c *TCPConn) LocalAddr() (IP, uint16)  { return c.key.localIP, c.key.localPort }
-func (c *TCPConn) RemoteAddr() (IP, uint16) { return c.key.remoteIP, c.key.remotePort }
+// LocalAddr returns the local endpoint address.
+func (c *TCPConn) LocalAddr() (IP, uint16) { return c.key.localIP, c.key.localPort }
 
 // OnData installs the receive callback; any data that arrived earlier is
 // delivered immediately, preserving order.

@@ -92,10 +92,6 @@ func ParseIP(s string) (IP, bool) {
 	return ip, true
 }
 
-// SameSubnet reports whether two addresses share a /24, the only subnet
-// size our edge networks use.
-func SameSubnet(a, b IP) bool { return a[0] == b[0] && a[1] == b[1] && a[2] == b[2] }
-
 // EtherType values the stack speaks.
 const (
 	EtherTypeIPv4 uint16 = 0x0800

@@ -28,14 +28,6 @@ func TestParseIP(t *testing.T) {
 	}
 }
 
-func TestSameSubnet(t *testing.T) {
-	a, b := IPv4(10, 0, 5, 1), IPv4(10, 0, 5, 200)
-	c := IPv4(10, 0, 6, 1)
-	if !SameSubnet(a, b) || SameSubnet(a, c) {
-		t.Fatal("subnet check wrong")
-	}
-}
-
 func TestEthernetRoundTrip(t *testing.T) {
 	e := Ethernet{Dst: netsim.MACFor(1), Src: netsim.MACFor(2), EtherType: EtherTypeIPv4}
 	frame := e.Encode([]byte("payload"))

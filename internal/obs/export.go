@@ -52,49 +52,6 @@ func appendAttrs(b []byte, ev *Event) []byte {
 
 var kindNames = [...]string{KindBegin: "b", KindEnd: "e", KindInstant: "i"}
 
-// WriteJSONL writes one JSON object per event — the raw flight-recorder
-// form — followed by a trailer line carrying the truncation accounting.
-func WriteJSONL(w io.Writer, t *Tracer) error {
-	bw := bufio.NewWriter(w)
-	var b []byte
-	for _, ev := range t.Events(nil) {
-		ev := ev
-		b = b[:0]
-		b = append(b, `{"at_ns":`...)
-		b = strconv.AppendInt(b, int64(ev.At), 10)
-		b = append(b, `,"kind":`...)
-		b = appendJSONString(b, kindNames[ev.Kind])
-		b = append(b, `,"tid":`...)
-		b = strconv.AppendInt(b, int64(ev.TID), 10)
-		if ev.Span != 0 {
-			b = append(b, `,"span":`...)
-			b = strconv.AppendUint(b, ev.Span, 10)
-		}
-		b = append(b, `,"cat":`...)
-		b = appendJSONString(b, ev.Cat)
-		b = append(b, `,"name":`...)
-		b = appendJSONString(b, ev.Name)
-		if ev.NAttr > 0 {
-			b = append(b, `,"attrs":`...)
-			b = appendAttrs(b, &ev)
-		}
-		b = append(b, '}', '\n')
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-	}
-	b = b[:0]
-	b = append(b, `{"trailer":true,"events":`...)
-	b = strconv.AppendInt(b, int64(t.Len()), 10)
-	b = append(b, `,"dropped":`...)
-	b = strconv.AppendUint(b, t.Dropped(), 10)
-	b = append(b, '}', '\n')
-	if _, err := bw.Write(b); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // WriteChromeTrace writes the ring in Chrome trace-event format (the
 // JSON Array Format chrome://tracing and Perfetto load). Spans are
 // async events ("b"/"e" matched on id+cat+name) so overlapping

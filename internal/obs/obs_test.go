@@ -45,14 +45,6 @@ func TestRingWraparoundAccounting(t *testing.T) {
 			t.Errorf("event %d: At = %v, want %v", k, ev.At, time.Duration(want)*time.Millisecond)
 		}
 	}
-	// The JSONL trailer must carry the same accounting.
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `{"trailer":true,"events":4,"dropped":6}`) {
-		t.Fatalf("JSONL trailer missing accounting:\n%s", buf.String())
-	}
 }
 
 func TestSpanNestingAcrossVirtualTimeJumps(t *testing.T) {
@@ -115,16 +107,7 @@ func TestExportsDeterministic(t *testing.T) {
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Fatalf("fingerprints differ: %016x vs %016x", a.Fingerprint(), b.Fingerprint())
 	}
-	var ja, jb, ca, cb bytes.Buffer
-	if err := WriteJSONL(&ja, a); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSONL(&jb, b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
-		t.Fatal("JSONL exports differ between identical runs")
-	}
+	var ca, cb bytes.Buffer
 	if err := WriteChromeTrace(&ca, a); err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +168,10 @@ func TestRegistrySnapshot(t *testing.T) {
 	if len(s.Hists) != 1 || s.Hists[0].Count != 3 || s.Hists[0].Max != 350*time.Millisecond {
 		t.Fatalf("hist wrong: %+v", s.Hists)
 	}
-	// The p50 estimate must land in the cold-boot band, p0 in the warm.
-	hs := &s.Hists[0]
-	if q := hs.Quantile(0.0); q > 5*time.Millisecond {
-		t.Fatalf("q0 = %v, want warm band", q)
-	}
-	if q := hs.Quantile(0.99); q < 256*time.Millisecond {
-		t.Fatalf("q99 = %v, want cold band", q)
+	// Buckets[i] counts samples whose microsecond value fits in i bits:
+	// the warm 2 ms sample and the two cold boots land 8 buckets apart.
+	if b := s.Hists[0].Buckets; len(b) != 20 || b[11] != 1 || b[19] != 2 {
+		t.Fatalf("buckets = %v, want one sample in bucket 11 and two in bucket 19", b)
 	}
 }
 

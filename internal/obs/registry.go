@@ -162,35 +162,6 @@ type HistSnap struct {
 	Buckets []uint64
 }
 
-// Quantile estimates the q-th (0..1) quantile from the power-of-two
-// buckets: it returns the upper bound of the bucket holding the q-th
-// sample, clamped to the observed max. Coarse by construction — spans
-// carry the exact latencies; this serves live dashboards.
-func (h *HistSnap) Quantile(q float64) time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(h.Count-1))
-	var cum uint64
-	for i, c := range h.Buckets {
-		cum += c
-		if cum > rank {
-			ub := time.Duration((uint64(1)<<uint(i))-1) * time.Microsecond
-			if ub > h.Max {
-				ub = h.Max
-			}
-			return ub
-		}
-	}
-	return h.Max
-}
-
 // Snapshot is a registry frozen as one plain struct: rows name-sorted
 // so two snapshots of identical state are identical values.
 type Snapshot struct {

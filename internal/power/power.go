@@ -1,15 +1,12 @@
-// Package power models the boards' power draw (Table 1) and integrates
-// energy over simulated runs. The paper measured 5V USB input with a
-// custom inline meter; our model is additive — base board draw plus
-// per-component deltas, each with an idle and an active level —
-// calibrated against every row of Table 1.
+// Package power models the boards' power draw (Table 1). The paper
+// measured 5V USB input with a custom inline meter; our model is
+// additive — base board draw plus per-component deltas, each with an
+// idle and an active level — calibrated against every row of Table 1.
 package power
 
 import (
 	"fmt"
 	"sort"
-
-	"jitsu/internal/sim"
 )
 
 // Component is an attachable power consumer.
@@ -132,49 +129,6 @@ func Table1(boards ...*Board) []Table1Row {
 }
 
 func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }
-
-// Meter integrates energy over virtual time as the board's utilisation
-// changes — used for the battery experiment ("a USB battery unit that
-// ran for 9 hours").
-type Meter struct {
-	Board      *Board
-	Components []Component
-
-	eng      *sim.Engine
-	lastAt   sim.Duration
-	lastUtil float64
-	joules   float64
-}
-
-// NewMeter starts metering at utilisation 0.
-func NewMeter(eng *sim.Engine, b *Board, components ...Component) *Meter {
-	return &Meter{Board: b, Components: components, eng: eng, lastAt: eng.Now()}
-}
-
-// SetUtilisation records a utilisation change at the current instant.
-func (m *Meter) SetUtilisation(util float64) {
-	m.accumulate()
-	m.lastUtil = util
-}
-
-func (m *Meter) accumulate() {
-	now := m.eng.Now()
-	dt := (now - m.lastAt).Seconds()
-	m.joules += m.Board.Power(m.Components, m.lastUtil) * dt
-	m.lastAt = now
-}
-
-// EnergyWh returns energy consumed so far in watt-hours.
-func (m *Meter) EnergyWh() float64 {
-	m.accumulate()
-	return m.joules / 3600
-}
-
-// BatteryLifeHours predicts runtime on a battery of capacityWh at a
-// constant utilisation.
-func (b *Board) BatteryLifeHours(capacityWh float64, components []Component, util float64) float64 {
-	return capacityWh / b.Power(components, util)
-}
 
 // String renders the board's component list for logs.
 func (b *Board) String() string {

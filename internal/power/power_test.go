@@ -3,9 +3,6 @@ package power
 import (
 	"math"
 	"testing"
-	"time"
-
-	"jitsu/internal/sim"
 )
 
 // Table 1 of the paper, verbatim.
@@ -75,26 +72,12 @@ func TestPowerMonotoneInUtilisation(t *testing.T) {
 	}
 }
 
-func TestMeterIntegration(t *testing.T) {
-	eng := sim.New(1)
-	m := NewMeter(eng, Cubieboard2())
-	// 1 hour idle at 1.43W, then 1 hour spinning at 2.61W.
-	eng.At(time.Hour, func() { m.SetUtilisation(1) })
-	eng.At(2*time.Hour, func() { m.SetUtilisation(0) })
-	eng.RunUntil(2 * time.Hour)
-	got := m.EnergyWh()
-	want := 1.43 + 2.61
-	if math.Abs(got-want) > 0.01 {
-		t.Fatalf("energy = %.3fWh, want %.3f", got, want)
-	}
-}
-
 func TestBatteryNineHours(t *testing.T) {
 	// "We also powered a Cubieboard with a USB battery unit that ran for
 	// 9 hours while logging the date every minute" — a mostly idle
 	// board. A common 13Wh (3500mAh×3.7V) pack gives almost exactly 9h.
 	b := Cubieboard2()
-	hours := b.BatteryLifeHours(13, nil, 0.02)
+	hours := 13 / b.Power(nil, 0.02)
 	if hours < 8 || hours > 10 {
 		t.Fatalf("battery life = %.1fh, want ≈9h", hours)
 	}

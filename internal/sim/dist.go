@@ -3,8 +3,6 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"sort"
-	"time"
 )
 
 // Dist is a distribution over durations, used by cost models to add
@@ -125,31 +123,6 @@ func (s Scaled) Sample(r *rand.Rand) Duration {
 	return Duration(float64(s.Inner.Sample(r)) * s.Factor)
 }
 
-// Quantile returns the q-th (0..1) quantile of a sample set without
-// modifying the input.
-func Quantile(samples []Duration, q float64) Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	idx := q * float64(len(s)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := idx - float64(lo)
-	return s[lo] + Duration(float64(s[hi]-s[lo])*frac)
-}
-
 // Mean returns the arithmetic mean of a sample set.
 func Mean(samples []Duration) Duration {
 	if len(samples) == 0 {
@@ -161,7 +134,3 @@ func Mean(samples []Duration) Duration {
 	}
 	return total / Duration(len(samples))
 }
-
-// Millis formats a duration as fractional milliseconds, the unit used in
-// every figure of the paper.
-func Millis(d Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -447,28 +447,6 @@ func TestProcAbort(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	samples := []Duration{40, 10, 30, 20, 50}
-	cases := []struct {
-		q    float64
-		want Duration
-	}{
-		{0, 10}, {0.25, 20}, {0.5, 30}, {0.75, 40}, {1, 50},
-	}
-	for _, c := range cases {
-		if got := Quantile(samples, c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Input must not be mutated.
-	if samples[0] != 40 {
-		t.Error("Quantile sorted the caller's slice")
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile(nil) should be 0")
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean([]Duration{10, 20, 30}); got != 20 {
 		t.Fatalf("Mean = %v", got)
@@ -530,40 +508,6 @@ func TestMixtureWeights(t *testing.T) {
 	if (Empirical{}).Sample(r) != 0 {
 		t.Fatal("empty empirical should sample 0")
 	}
-}
-
-// Property: Quantile is monotone in q and bounded by min/max.
-func TestQuantileMonotoneProperty(t *testing.T) {
-	f := func(raw []int16, q1, q2 float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		samples := make([]Duration, len(raw))
-		for i, v := range raw {
-			samples[i] = Duration(v) + Duration(1<<15) // non-negative
-		}
-		q1 = clamp01(q1)
-		q2 = clamp01(q2)
-		if q1 > q2 {
-			q1, q2 = q2, q1
-		}
-		a, b := Quantile(samples, q1), Quantile(samples, q2)
-		lo, hi := Quantile(samples, 0), Quantile(samples, 1)
-		return a <= b && a >= lo && b <= hi
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func clamp01(x float64) float64 {
-	if x != x || x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }
 
 // Property: the engine clock never moves backwards across any sequence of

@@ -70,9 +70,6 @@ func NewToolstack(hyp *Hypervisor, opts ToolstackOpts) *Toolstack {
 // Hypervisor returns the hypervisor this toolstack drives.
 func (ts *Toolstack) Hypervisor() *Hypervisor { return ts.hyp }
 
-// Opts returns the active options.
-func (ts *Toolstack) Opts() ToolstackOpts { return ts.opts }
-
 // xsOpCost picks the per-operation cost for the store's daemon flavour.
 func (ts *Toolstack) xsOpCost() sim.Duration {
 	if _, isC := ts.hyp.Store.Reconciler().(xenstore.CReconciler); isC {
@@ -311,9 +308,6 @@ func (ts *Toolstack) claimPooled(d *Domain, cfg DomainConfig, done func(*Domain,
 		})
 	})
 }
-
-// PoolSize reports the number of pre-created domains standing by.
-func (ts *Toolstack) PoolSize() int { return len(ts.pool) }
 
 // ---- XenStore record sets ----
 //

@@ -268,8 +268,8 @@ func TestPrecreatedPoolFastClaim(t *testing.T) {
 	opts.PoolMemMiB = 16
 	ts := NewToolstack(hyp, opts)
 	hyp.Eng.Run() // let pool refills finish
-	if ts.PoolSize() != 2 {
-		t.Fatalf("pool size = %d", ts.PoolSize())
+	if len(ts.pool) != 2 {
+		t.Fatalf("pool size = %d", len(ts.pool))
 	}
 	memBefore := hyp.FreeMemMiB()
 	claim := buildOne(t, ts, "svc")

@@ -116,14 +116,6 @@ func SplitPath(path string) ([]string, error) {
 	return p.parts, err
 }
 
-// JoinPath joins components into an absolute path.
-func JoinPath(parts ...string) string {
-	if len(parts) == 0 {
-		return "/"
-	}
-	return "/" + strings.Join(parts, "/")
-}
-
 // ParentPath returns the parent of an absolute path ("/" for top-level
 // nodes and for the root itself).
 func ParentPath(path string) string {

@@ -50,12 +50,6 @@ func TestSplitPath(t *testing.T) {
 }
 
 func TestJoinParentBasename(t *testing.T) {
-	if got := JoinPath("local", "domain", "3"); got != "/local/domain/3" {
-		t.Errorf("JoinPath = %q", got)
-	}
-	if got := JoinPath(); got != "/" {
-		t.Errorf("JoinPath() = %q", got)
-	}
 	if got := ParentPath("/local/domain/3"); got != "/local/domain" {
 		t.Errorf("ParentPath = %q", got)
 	}
@@ -86,7 +80,8 @@ func TestIsPrefix(t *testing.T) {
 	}
 }
 
-// Property: SplitPath then JoinPath round-trips for valid canonical paths.
+// Property: SplitPath then joining with "/" round-trips for valid
+// canonical paths.
 func TestSplitJoinRoundTrip(t *testing.T) {
 	f := func(seed []uint8) bool {
 		// Construct a valid path from the seed.
@@ -100,12 +95,12 @@ func TestSplitJoinRoundTrip(t *testing.T) {
 		if len(comps) == 0 {
 			return true
 		}
-		p := JoinPath(comps...)
+		p := "/" + strings.Join(comps, "/")
 		parts, err := SplitPath(p)
 		if err != nil {
 			return false
 		}
-		return JoinPath(parts...) == p
+		return "/"+strings.Join(parts, "/") == p
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
