@@ -312,23 +312,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSchedule measures scheduling and draining 64 events —
-// the substrate cost under every experiment and the cluster control
-// plane.
-func BenchmarkEngineSchedule(b *testing.B) {
-	e := sim.New(1)
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 64; j++ {
-			e.After(time.Duration(j)*time.Microsecond, fn)
-		}
-		for e.Step() {
-		}
-	}
-}
-
 // BenchmarkWireRoundTrip measures one control-plane frame's encode
 // (into a recycled buffer) plus decode for the richest request on the
 // wire — Register, carrying a full service config and image. Every verb

@@ -590,80 +590,100 @@ func nextSrcPort(p uint16) uint16 {
 // response (or an error after timeout).
 func (c *Client) Query(server netstack.IP, name string, typ Type, timeout sim.Duration, done func(*Message, sim.Duration, error)) {
 	c.nextID++
-	id := c.nextID
-	q := &Message{ID: id, RecursionDesired: true,
-		Questions: []Question{{Name: CanonicalName(name), Type: typ, Class: ClassIN}}}
-	wire, err := q.Encode()
+	questions := [1]Question{{Name: CanonicalName(name), Type: typ, Class: ClassIN}}
+	m := Message{ID: c.nextID, RecursionDesired: true, Questions: questions[:]}
+	wire, err := m.Encode()
 	if err != nil {
 		done(nil, 0, err)
 		return
 	}
-	start := c.Host.Eng.Now()
-	finished := false
-	var timer, retransmit sim.Event
 	// Pick a free source port: concurrent queries from one host must
 	// not collide.
-	srcPort := uint16(clientPortLo + id%50000)
-	handler := func(src netstack.IP, sport uint16, payload []byte) {
-		if finished {
-			return
-		}
-		m, err := Decode(payload)
-		if err != nil || m.ID != id {
-			return
-		}
-		finished = true
-		c.Host.Eng.Cancel(timer)
-		c.Host.Eng.Cancel(retransmit)
-		c.Host.UnbindUDP(srcPort)
-		done(m, c.Host.Eng.Now()-start, nil)
-	}
-	for tries := 0; c.Host.BindUDP(srcPort, handler) != nil; tries++ {
+	q := &query{c: c, server: server, id: m.ID, srcPort: uint16(clientPortLo + m.ID%50000),
+		wire: wire, start: c.Host.Eng.Now(), done: done}
+	onReply := q.onReply // one method value, however many ports are probed
+	for tries := 0; c.Host.BindUDP(q.srcPort, onReply) != nil; tries++ {
 		if tries > 1000 {
 			done(nil, 0, netstack.ErrPortInUse)
 			return
 		}
-		srcPort = nextSrcPort(srcPort)
+		q.srcPort = nextSrcPort(q.srcPort)
 	}
-	timer = c.Host.Eng.After(timeout, func() {
-		if !finished {
-			finished = true
-			c.Host.Eng.Cancel(retransmit)
-			c.Host.UnbindUDP(srcPort)
-			done(nil, 0, netstack.ErrTimeout)
-		}
-	})
-	// Retransmit schedule: identical wire from the identical source port
-	// (a late answer to any copy still matches), backing off under the
-	// overall deadline.
-	attempt := 0
-	var arm func()
-	arm = func() {
-		p := c.Retry
-		if p.Retries <= 0 || attempt >= p.Retries {
-			return
-		}
-		factor := p.Factor
-		if factor <= 0 {
-			factor = 2
-		}
-		ivl := float64(p.Initial)
-		for i := 0; i < attempt; i++ {
-			ivl *= factor
-		}
-		if p.Jitter > 0 {
-			ivl += c.Host.Eng.Rand().Float64() * p.Jitter * ivl
-		}
-		retransmit = c.Host.Eng.After(sim.Duration(ivl), func() {
-			if finished {
-				return
-			}
-			attempt++
-			c.Retries++
-			c.Host.SendUDP(server, srcPort, 53, wire)
-			arm()
-		})
+	// The order below is what the engine's seq and RNG streams see: the
+	// deadline, then the retransmit (whose jitter is drawn in arm), then
+	// the datagram.
+	q.timer = c.Host.Eng.After(timeout, q.onTimeout)
+	q.arm()
+	c.Host.SendUDP(server, q.srcPort, 53, wire)
+}
+
+// query is one Query in flight.
+type query struct {
+	c                 *Client
+	server            netstack.IP
+	id, srcPort       uint16
+	wire              []byte
+	start             sim.Duration
+	timer, retransmit sim.Event
+	attempt           int                                 // retransmits sent so far
+	done              func(*Message, sim.Duration, error) // nil once finished
+}
+
+// finish settles the query once: both timers go, the port is released.
+func (q *query) finish(m *Message, rtt sim.Duration, err error) {
+	done := q.done
+	q.done = nil
+	q.c.Host.Eng.Cancel(q.timer)
+	q.c.Host.Eng.Cancel(q.retransmit)
+	q.c.Host.UnbindUDP(q.srcPort)
+	done(m, rtt, err)
+}
+
+func (q *query) onReply(src netstack.IP, sport uint16, payload []byte) {
+	if q.done == nil {
+		return
 	}
-	arm()
-	c.Host.SendUDP(server, srcPort, 53, wire)
+	m, err := Decode(payload)
+	if err != nil || m.ID != q.id {
+		return
+	}
+	q.finish(m, q.c.Host.Eng.Now()-q.start, nil)
+}
+
+func (q *query) onTimeout() {
+	if q.done != nil {
+		q.finish(nil, 0, netstack.ErrTimeout)
+	}
+}
+
+// arm schedules the next retransmit: identical wire from the identical
+// source port (a late answer to any copy still matches), backing off
+// under the overall deadline.
+func (q *query) arm() {
+	p := q.c.Retry
+	if p.Retries <= 0 || q.attempt >= p.Retries {
+		return
+	}
+	factor := p.Factor
+	if factor <= 0 {
+		factor = 2
+	}
+	ivl := float64(p.Initial)
+	for i := 0; i < q.attempt; i++ {
+		ivl *= factor
+	}
+	if p.Jitter > 0 {
+		ivl += q.c.Host.Eng.Rand().Float64() * p.Jitter * ivl
+	}
+	q.retransmit = q.c.Host.Eng.After(sim.Duration(ivl), q.onResend)
+}
+
+func (q *query) onResend() {
+	if q.done == nil {
+		return
+	}
+	q.attempt++
+	q.c.Retries++
+	q.c.Host.SendUDP(q.server, q.srcPort, 53, q.wire)
+	q.arm()
 }

@@ -1,8 +1,7 @@
 package netstack
 
 import (
-	"fmt"
-	"sort"
+	"bytes"
 	"strconv"
 	"strings"
 
@@ -11,19 +10,39 @@ import (
 
 // A minimal HTTP/1.0 implementation over the stack's TCP: enough for the
 // paper's workloads (static sites, the persistent-queue service) with
-// close-delimited or Content-Length bodies.
+// close-delimited or Content-Length bodies. A head is found with one
+// scan and kept as one string; a message is rendered into one buffer.
+
+// Header is a message's header block as it travels: "Name: value" lines
+// joined by CRLF, with none after the last. A handler that sets several
+// writes them in the order it wants them sent.
+type Header string
+
+// Get returns the value of the header called name, compared without
+// regard to case and with surrounding blanks trimmed; the last line
+// wins, and "" means there is none (or an empty one).
+func (h Header) Get(name string) (value string) {
+	for rest := string(h); rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\r\n")
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.EqualFold(strings.TrimSpace(k), name) {
+			value = strings.TrimSpace(v)
+		}
+	}
+	return value
+}
 
 // HTTPRequest is a parsed request.
 type HTTPRequest struct {
 	Method string
 	Path   string
-	Header map[string]string
+	Header Header
 }
 
 // HTTPResponse is what a handler returns (or a client receives).
 type HTTPResponse struct {
 	Status int
-	Header map[string]string
+	Header Header
 	Body   []byte
 }
 
@@ -58,79 +77,123 @@ func (h *Host) ServeHTTP(port uint16, handler HTTPHandler) (*HTTPServer, error) 
 func (s *HTTPServer) Close() { s.listener.Close() }
 
 func (s *HTTPServer) accept(c *TCPConn) {
-	var buf []byte
-	responded := false
-	c.OnData(func(b []byte) {
-		if responded {
-			return
-		}
-		buf = append(buf, b...)
-		req, ok := parseRequest(buf)
-		if !ok {
-			return // need more bytes
-		}
-		responded = true
-		reply := func() {
-			resp := s.handler(req)
-			if resp == nil {
-				resp = &HTTPResponse{Status: 500}
-			}
-			c.Send(EncodeResponse(resp))
-			c.Close()
-			s.Served++
-		}
-		if s.ResponseDelay != nil {
-			s.host.Eng.After(s.ResponseDelay(req), reply)
-		} else {
-			reply()
-		}
-	})
+	sc := &httpServerConn{srv: s, conn: c}
+	c.OnData(sc.onData)
 	c.OnClose(func(error) {})
+}
+
+// httpServerConn is one accepted connection: it gathers bytes until a
+// request head is complete, answers it once, and ignores the rest.
+type httpServerConn struct {
+	srv  *HTTPServer
+	conn *TCPConn
+	buf  []byte       // what arrived before the head was complete
+	req  *HTTPRequest // non-nil once answered (or being answered)
+}
+
+func (sc *httpServerConn) onData(b []byte) {
+	if sc.req != nil {
+		return
+	}
+	if sc.buf != nil {
+		b = append(sc.buf, b...)
+	}
+	req, ok := parseRequest(b)
+	if !ok {
+		sc.buf = b // ours to keep: the connection hands over its own copy
+		return     // need more bytes
+	}
+	sc.req, sc.buf = req, nil
+	if delay := sc.srv.ResponseDelay; delay != nil {
+		sc.srv.host.Eng.After(delay(req), sc.reply)
+	} else {
+		sc.reply()
+	}
+}
+
+func (sc *httpServerConn) reply() {
+	resp := sc.srv.handler(sc.req)
+	if resp == nil {
+		resp = &HTTPResponse{Status: 500}
+	}
+	sc.conn.Send(EncodeResponse(resp))
+	sc.conn.Close()
+	sc.srv.Served++
 }
 
 // AcceptImported serves a request on a connection handed off from the
 // Synjitsu proxy: buffered bytes already queued replay through OnData.
 func (s *HTTPServer) AcceptImported(c *TCPConn) { s.accept(c) }
 
+var crlfcrlf = []byte("\r\n\r\n")
+
+// cutHead returns buf's head (start line and header block) as a string
+// and the offset at which the body starts; ok is false until the blank
+// line has arrived.
+func cutHead(buf []byte) (line string, header Header, bodyAt int, ok bool) {
+	idx := bytes.Index(buf, crlfcrlf)
+	if idx < 0 {
+		return "", "", 0, false
+	}
+	line, rest, _ := strings.Cut(string(buf[:idx]), "\r\n")
+	return line, Header(rest), idx + len(crlfcrlf), true
+}
+
+// cutField returns s's first blank-separated field and what follows it.
+func cutField(s string) (field, rest string) {
+	const blanks = " \t\n\v\f\r"
+	s = strings.TrimLeft(s, blanks)
+	if i := strings.IndexAny(s, blanks); i >= 0 {
+		return s[:i], s[i:]
+	}
+	return s, ""
+}
+
 // parseRequest parses a complete request (headers terminated by CRLFCRLF).
 func parseRequest(buf []byte) (*HTTPRequest, bool) {
-	idx := strings.Index(string(buf), "\r\n\r\n")
-	if idx < 0 {
+	line, header, _, ok := cutHead(buf)
+	if !ok {
 		return nil, false
 	}
-	lines := strings.Split(string(buf[:idx]), "\r\n")
-	parts := strings.Fields(lines[0])
-	if len(parts) < 3 {
+	method, line := cutField(line)
+	path, line := cutField(line)
+	if proto, _ := cutField(line); proto == "" {
 		return nil, false
 	}
-	req := &HTTPRequest{Method: parts[0], Path: parts[1], Header: map[string]string{}}
-	for _, ln := range lines[1:] {
-		if k, v, ok := strings.Cut(ln, ":"); ok {
-			req.Header[strings.ToLower(strings.TrimSpace(k))] = strings.TrimSpace(v)
-		}
-	}
-	return req, true
+	return &HTTPRequest{Method: method, Path: path, Header: header}, true
 }
 
 // EncodeRequest renders a GET request.
 func EncodeRequest(method, path, host string) []byte {
-	return []byte(fmt.Sprintf("%s %s HTTP/1.0\r\nHost: %s\r\nUser-Agent: jitsu-sim\r\n\r\n", method, path, host))
+	const proto, agent = " HTTP/1.0\r\nHost: ", "\r\nUser-Agent: jitsu-sim\r\n\r\n"
+	b := make([]byte, 0, len(method)+1+len(path)+len(proto)+len(host)+len(agent))
+	b = append(b, method...)
+	b = append(b, ' ')
+	b = append(b, path...)
+	b = append(b, proto...)
+	b = append(b, host...)
+	return append(b, agent...)
 }
 
 // EncodeResponse renders a response with Content-Length.
 func EncodeResponse(r *HTTPResponse) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.0 %d %s\r\n", r.Status, statusText(r.Status))
-	keys := make([]string, 0, len(r.Header))
-	for k := range r.Header {
-		keys = append(keys, k)
+	const proto, length = "HTTP/1.0 ", "Content-Length: "
+	text := statusText(r.Status)
+	// 20 digits hold any int64; two numbers, four CRLFs, two blanks.
+	b := make([]byte, 0, len(proto)+len(text)+len(r.Header)+len(length)+2*20+4*2+2+len(r.Body))
+	b = append(b, proto...)
+	b = strconv.AppendInt(b, int64(r.Status), 10)
+	b = append(b, ' ')
+	b = append(b, text...)
+	b = append(b, "\r\n"...)
+	if r.Header != "" {
+		b = append(b, r.Header...)
+		b = append(b, "\r\n"...)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, r.Header[k])
-	}
-	fmt.Fprintf(&b, "Content-Length: %d\r\n\r\n", len(r.Body))
-	return append([]byte(b.String()), r.Body...)
+	b = append(b, length...)
+	b = strconv.AppendInt(b, int64(len(r.Body)), 10)
+	b = append(b, crlfcrlf...)
+	return append(b, r.Body...)
 }
 
 func statusText(code int) string {
@@ -146,39 +209,27 @@ func statusText(code int) string {
 	}
 }
 
-// ParseResponse parses a full response buffer.
-func ParseResponse(buf []byte) (*HTTPResponse, bool) {
-	s := string(buf)
-	idx := strings.Index(s, "\r\n\r\n")
-	if idx < 0 {
-		return nil, false
+// parseResponseHead parses a response's head once it is complete. want is
+// the Content-Length, or -1 when the response carries none; ok is false
+// while the blank line is missing and for a head that is malformed.
+func parseResponseHead(buf []byte) (r *HTTPResponse, bodyAt, want int, ok bool) {
+	line, header, bodyAt, ok := cutHead(buf)
+	if !ok {
+		return nil, 0, 0, false
 	}
-	head, body := s[:idx], buf[idx+4:]
-	lines := strings.Split(head, "\r\n")
-	parts := strings.Fields(lines[0])
-	if len(parts) < 2 {
-		return nil, false
-	}
-	status, err := strconv.Atoi(parts[1])
+	_, line = cutField(line)
+	code, _ := cutField(line)
+	status, err := strconv.Atoi(code)
 	if err != nil {
-		return nil, false
+		return nil, 0, 0, false
 	}
-	resp := &HTTPResponse{Status: status, Header: map[string]string{}}
-	for _, ln := range lines[1:] {
-		if k, v, ok := strings.Cut(ln, ":"); ok {
-			resp.Header[strings.ToLower(strings.TrimSpace(k))] = strings.TrimSpace(v)
+	want = -1
+	if cl := header.Get("content-length"); cl != "" {
+		if want, err = strconv.Atoi(cl); err != nil || want < 0 {
+			return nil, 0, 0, false
 		}
 	}
-	if cl, ok := resp.Header["content-length"]; ok {
-		n, err := strconv.Atoi(cl)
-		if err != nil || len(body) < n {
-			return nil, false
-		}
-		resp.Body = append([]byte(nil), body[:n]...)
-		return resp, true
-	}
-	resp.Body = append([]byte(nil), body...)
-	return resp, true
+	return &HTTPResponse{Status: status, Header: header}, bodyAt, want, true
 }
 
 // HTTPGet fetches path from dst:port. done fires with the response or an
@@ -211,6 +262,11 @@ type httpGet struct {
 	deadline sim.Event
 	buf      []byte
 	done     func(*HTTPResponse, sim.Duration, error) // nil once finished
+	// The head is parsed once, when its blank line arrives; from then on
+	// a segment is a length check against bodyAt+want.
+	resp   *HTTPResponse
+	bodyAt int
+	want   int // Content-Length, or -1: whatever has arrived is the body
 }
 
 func (g *httpGet) finish(r *HTTPResponse, err error) {
@@ -218,21 +274,40 @@ func (g *httpGet) finish(r *HTTPResponse, err error) {
 	if done == nil {
 		return
 	}
-	g.done, g.buf = nil, nil
+	g.done, g.buf, g.resp = nil, nil, nil
 	done(r, g.host.Eng.Now()-g.start, err)
 }
 
 func (g *httpGet) onDeadline() { g.finish(nil, ErrTimeout) }
 
+// whole reports whether buf holds a whole response, and if so points
+// resp.Body at its body: buf is the fetch's own and is let go with it.
+func (g *httpGet) whole() bool {
+	if g.resp == nil {
+		var ok bool
+		if g.resp, g.bodyAt, g.want, ok = parseResponseHead(g.buf); !ok {
+			return false
+		}
+	}
+	body := g.buf[g.bodyAt:]
+	if g.want >= 0 {
+		if len(body) < g.want {
+			return false
+		}
+		body = body[:g.want:g.want]
+	}
+	g.resp.Body = body
+	return true
+}
+
 // tryComplete finishes the fetch if buf holds a whole response, and then
 // closes our side.
 func (g *httpGet) tryComplete() bool {
-	resp, ok := ParseResponse(g.buf)
-	if !ok {
+	if !g.whole() {
 		return false
 	}
 	g.host.Eng.Cancel(g.deadline)
-	g.finish(resp, nil)
+	g.finish(g.resp, nil)
 	g.conn.Close()
 	return true
 }
@@ -241,7 +316,11 @@ func (g *httpGet) onData(b []byte) {
 	if g.done == nil {
 		return
 	}
-	g.buf = append(g.buf, b...)
+	if g.buf == nil {
+		g.buf = b // ours to keep: the connection hands over its own copy
+	} else {
+		g.buf = append(g.buf, b...)
+	}
 	g.tryComplete()
 }
 

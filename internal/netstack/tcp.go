@@ -126,7 +126,8 @@ func (c *TCPConn) State() TCPState { return c.state }
 func (c *TCPConn) LocalAddr() (IP, uint16) { return c.key.localIP, c.key.localPort }
 
 // OnData installs the receive callback; any data that arrived earlier is
-// delivered immediately, preserving order.
+// delivered immediately, preserving order. Each slice handed to fn is the
+// connection's own copy and fn's to keep.
 func (c *TCPConn) OnData(fn func([]byte)) {
 	c.onData = fn
 	for _, b := range c.pendingData {

@@ -289,20 +289,20 @@ func TestTCBRoundTripProperty(t *testing.T) {
 
 func TestHTTPCodec(t *testing.T) {
 	req, ok := parseRequest([]byte("GET /photos HTTP/1.0\r\nHost: alice.family.name\r\n\r\n"))
-	if !ok || req.Method != "GET" || req.Path != "/photos" || req.Header["host"] != "alice.family.name" {
+	if !ok || req.Method != "GET" || req.Path != "/photos" || req.Header.Get("host") != "alice.family.name" {
 		t.Fatalf("parseRequest: %+v ok=%v", req, ok)
 	}
 	if _, ok := parseRequest([]byte("GET / HTTP/1.0\r\nHost: x\r\n")); ok {
 		t.Fatal("incomplete request parsed")
 	}
-	resp := &HTTPResponse{Status: 200, Header: map[string]string{"X-Svc": "jitsu"}, Body: []byte("hello")}
-	dec, ok := ParseResponse(EncodeResponse(resp))
-	if !ok || dec.Status != 200 || string(dec.Body) != "hello" || dec.Header["x-svc"] != "jitsu" {
+	resp := &HTTPResponse{Status: 200, Header: "X-Svc: jitsu", Body: []byte("hello")}
+	dec, ok := parseResponse(EncodeResponse(resp))
+	if !ok || dec.Status != 200 || string(dec.Body) != "hello" || dec.Header.Get("x-svc") != "jitsu" {
 		t.Fatalf("response round trip: %+v ok=%v", dec, ok)
 	}
 	// Partial body: not complete yet.
 	enc := EncodeResponse(resp)
-	if _, ok := ParseResponse(enc[:len(enc)-1]); ok {
+	if _, ok := parseResponse(enc[:len(enc)-1]); ok {
 		t.Fatal("partial body parsed as complete")
 	}
 }

@@ -1,0 +1,95 @@
+package sim_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"jitsu/internal/sim"
+)
+
+// BenchmarkEngineSchedule measures scheduling and draining 64 events —
+// the substrate cost under every experiment and the cluster control
+// plane.
+func BenchmarkEngineSchedule(b *testing.B) {
+	e := sim.New(1)
+	fn := func() {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 64; j++ {
+			e.After(time.Duration(j)*time.Microsecond, fn)
+		}
+		for e.Step() {
+		}
+	}
+}
+
+// farTimers parks n timers an hour out, a nanosecond apart: the standing
+// population (TIME_WAIT, idle reapers, pre-scheduled arrivals) beside
+// which every near event is scheduled.
+func farTimers(e *sim.Engine, n int) {
+	for i := 0; i < n; i++ {
+		e.At(e.Now()+time.Hour+sim.Duration(i), func() {})
+	}
+}
+
+// BenchmarkSchedulePop schedules one near event and pops it beside N far
+// timers: what a frame hop costs on a busy board.
+func BenchmarkSchedulePop(b *testing.B) {
+	for _, far := range []int{0, 1000, 10000} {
+		b.Run(fmt.Sprintf("far=%d", far), func(b *testing.B) {
+			e := sim.New(1)
+			farTimers(e, far)
+			fn := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.After(time.Microsecond, fn)
+				e.Step()
+			}
+		})
+	}
+}
+
+// BenchmarkArmCancel is the retransmit-timer pattern: arm a 200 ms
+// timeout, cancel it when the exchange completes.
+func BenchmarkArmCancel(b *testing.B) {
+	for _, far := range []int{0, 10000} {
+		b.Run(fmt.Sprintf("far=%d", far), func(b *testing.B) {
+			e := sim.New(1)
+			farTimers(e, far)
+			fn := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Cancel(e.After(200*time.Millisecond, fn))
+			}
+		})
+	}
+}
+
+// BenchmarkTimeWaitChurn is warm_fetch's shape: a steady 10 k timers of
+// one constant delay expiring FIFO, each expiry re-arming itself and
+// arming ten 200 ms timers that are cancelled at once.
+func BenchmarkTimeWaitChurn(b *testing.B) {
+	const population, timeWait = 10000, 2 * time.Second
+	e := sim.New(1)
+	fn := func() {}
+	var expire func()
+	expire = func() {
+		e.After(timeWait, expire)
+		for i := 0; i < 10; i++ {
+			e.Cancel(e.After(200*time.Millisecond, fn))
+		}
+	}
+	for i := 0; i < population; i++ {
+		e.After(timeWait*sim.Duration(i)/population, expire)
+	}
+	e.RunFor(2 * timeWait) // every node pooled, the wheel turning
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+}

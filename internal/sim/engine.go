@@ -8,12 +8,29 @@
 // much virtual time it spans.
 //
 // The scheduler is built for the million-event workloads of the cluster
-// experiments: an index-free 4-ary min-heap of pooled event nodes, with
-// lazy cancellation, so steady-state scheduling performs no allocation.
+// experiments: two tiers over one pool of event nodes, so steady-state
+// scheduling performs no allocation.
+//
+//   - A hierarchical timing wheel (6 levels x 64 slots of ~1 ms ticks)
+//     holds every event whose tick lies beyond the wheel cursor: the
+//     TIME_WAIT, retransmit and deadline timers that are nearly always
+//     cancelled first. Insert and Cancel are O(1), and Cancel unlinks
+//     and recycles the node at once: no dead node is ever resident.
+//   - An index-free 4-ary min-heap holds the rest: the cursor tick's own
+//     events and the rare timer beyond the wheel's 2^36-tick span, a
+//     handful of nodes. Cancel marks the node and leaves it for the root
+//     to collect, or for a compaction when dead nodes dominate.
+//
+// Invariant: every wheel node's tick is greater than the cursor, and
+// before each pop every slot starting at or before the heap top's tick
+// is flushed into the heap. So every event fires from the heap, in
+// (at, seq) order whatever route its node took.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"time"
 )
@@ -22,10 +39,10 @@ import (
 // It reuses time.Duration so call sites can say 350*time.Millisecond.
 type Duration = time.Duration
 
-// event is one pooled heap node. Nodes are recycled through the engine's
-// free list after they fire or their cancellation is collected; gen is
-// bumped on every recycle so stale Event handles can never reach a node
-// that now belongs to a different scheduling.
+// event is one pooled scheduler node. Nodes are recycled through the
+// engine's free list after they fire or their cancellation is collected;
+// gen is bumped on every recycle so stale Event handles can never reach
+// a node that now belongs to a different scheduling.
 type event struct {
 	at  Duration
 	seq uint64 // tie-breaker: FIFO among events at the same instant
@@ -36,11 +53,16 @@ type event struct {
 	// handle in a multi-billion-event simulation.
 	gen   uint64
 	state uint8
+	// slot, next and prev place a stateWheel node in its slot's doubly
+	// linked list, so Cancel unlinks it without a search.
+	slot       uint16
+	next, prev *event
 }
 
 const (
-	statePending uint8 = iota
-	stateCancelled
+	statePending   uint8 = iota // live, in the heap
+	stateWheel                  // live, in a wheel slot
+	stateCancelled              // dead, in the heap until collected
 )
 
 // Event is a cancellable handle to a scheduled callback, returned by the
@@ -57,17 +79,28 @@ func (ev Event) At() Duration { return ev.at }
 
 // Cancelled reports whether the event has been cancelled or has already run.
 func (ev Event) Cancelled() bool {
-	return ev.n == nil || ev.n.gen != ev.gen || ev.n.state != statePending
+	return ev.n == nil || ev.n.gen != ev.gen || ev.n.state == stateCancelled
 }
 
 // Engine is the discrete-event scheduler. The zero value is not usable;
 // construct with New.
 type Engine struct {
-	now        Duration
-	heap       []*event // 4-ary min-heap on (at, seq); no per-node index
-	free       []*event // recycled nodes
-	ncancel    int      // cancelled nodes still sitting in the heap
-	seq        uint64
+	now     Duration
+	heap    []*event // 4-ary min-heap on (at, seq); no per-node index
+	free    []*event // recycled nodes
+	ncancel int      // cancelled nodes still sitting in the heap
+	seq     uint64
+
+	// The wheel: slots[l*wheelSlots+s] heads level l's list s, and
+	// occ[l] has bit s set while that list is non-empty.
+	slots  [wheelLevels * wheelSlots]*event
+	occ    [wheelLevels]uint64
+	cursor uint64 // every wheel node's tick is greater
+	nwheel int    // nodes resident in the wheel
+	// nextStart is a lower bound on the start tick of the earliest
+	// occupied slot (exact after settle), meaningful while nwheel > 0.
+	nextStart uint64
+
 	rng        *rand.Rand
 	stopped    bool
 	fired      uint64
@@ -90,7 +123,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.heap) - e.ncancel }
+func (e *Engine) Pending() int { return len(e.heap) - e.ncancel + e.nwheel }
 
 // MaxPending returns the queue-depth high-water mark — the largest
 // Pending() ever reached. Observability gauges read it to spot event
@@ -114,8 +147,12 @@ func (e *Engine) At(t Duration, fn func()) Event {
 	}
 	n.at, n.seq, n.fn, n.state = t, e.seq, fn, statePending
 	e.seq++
-	e.push(n)
-	if p := len(e.heap) - e.ncancel; p > e.maxPending {
+	if tick := tickOf(t); tick <= e.cursor {
+		e.push(n)
+	} else {
+		e.link(n, tick)
+	}
+	if p := e.Pending(); p > e.maxPending {
 		e.maxPending = p
 	}
 	return Event{n: n, gen: n.gen, at: t}
@@ -131,19 +168,21 @@ func (e *Engine) After(d Duration, fn func()) Event {
 }
 
 // compactThreshold is the minimum number of cancelled nodes before a
-// compaction is considered; below it the lazy scheme is strictly
-// cheaper.
+// compaction is considered; below it the lazy scheme is strictly cheaper.
 const compactThreshold = 64
 
 // Cancel removes a scheduled event. Cancelling the zero Event, an
 // already-fired or already-cancelled event is a no-op, so callers need
-// not track state. The node is normally collected lazily when it
-// reaches the heap's root; when cancelled nodes come to dominate the
-// heap — the retry-timer pattern, where every completed exchange
-// abandons a far-future timeout that lazy collection would carry until
-// its deadline — the heap is compacted in one O(n) pass instead.
+// not track state. A wheel node is unlinked and recycled on the spot. A
+// heap node is collected lazily when it reaches the root; when same-tick
+// cancels come to dominate the heap it is compacted in one O(n) pass.
 func (e *Engine) Cancel(ev Event) {
-	if ev.n == nil || ev.n.gen != ev.gen || ev.n.state != statePending {
+	if ev.Cancelled() {
+		return
+	}
+	if ev.n.state == stateWheel {
+		e.unlink(ev.n)
+		e.recycle(ev.n)
 		return
 	}
 	ev.n.state = stateCancelled
@@ -211,20 +250,19 @@ func (e *Engine) recycle(n *event) {
 	e.free = append(e.free, n)
 }
 
-// collect pops cancelled nodes off the heap top so heap[0], when
-// present, is always a live event.
-func (e *Engine) collect() {
+// step fires the next event if it is due at or before t, and reports
+// whether it did. First it makes heap[0] that event: a live node that no
+// wheel node precedes. Slots starting beyond t's tick stay where they
+// are, so a bounded run never drags the cursor past its bound.
+func (e *Engine) step(t Duration) bool {
 	for len(e.heap) > 0 && e.heap[0].state == stateCancelled {
 		e.recycle(e.pop())
 		e.ncancel--
 	}
-}
-
-// Step executes the single next event, advancing virtual time to its
-// instant. It reports false when the queue is empty.
-func (e *Engine) Step() bool {
-	e.collect()
-	if len(e.heap) == 0 {
+	if e.nwheel > 0 && (len(e.heap) == 0 || e.nextStart <= tickOf(e.heap[0].at)) {
+		e.settle(tickOf(t))
+	}
+	if len(e.heap) == 0 || e.heap[0].at > t {
 		return false
 	}
 	n := e.pop()
@@ -236,6 +274,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
+// Step executes the single next event, advancing virtual time to its
+// instant. It reports false when the queue is empty.
+func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
+
 // Run executes events until the queue drains or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
@@ -244,15 +286,14 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
-// to exactly t (even if no event lies there).
+// to exactly t (even if no event lies there). A Stop leaves the clock at
+// the event that called it: events at or before t may still be pending.
 func (e *Engine) RunUntil(t Duration) {
 	e.stopped = false
-	for !e.stopped {
-		e.collect()
-		if len(e.heap) == 0 || e.heap[0].at > t {
-			break
+	for e.step(t) {
+		if e.stopped {
+			return
 		}
-		e.Step()
 	}
 	if e.now < t {
 		e.now = t
@@ -265,13 +306,111 @@ func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + d) }
 // Stop makes the innermost Run/RunUntil return after the current event.
 func (e *Engine) Stop() { e.stopped = true }
 
+// ---- hierarchical timing wheel in front of the heap ----
+//
+// Time is cut into ticks of 2^tickShift ns (~1 ms; 65 us and 8 ms
+// measure the same, so the width is a constant, not a knob). A node
+// whose tick first differs from the cursor in 6-bit digit l waits in
+// level l, in the slot that digit names. Occupied slots of a level all
+// lie ahead of the cursor's own digit, and every slot of a level starts
+// before any slot of a higher one: the earliest slot is the lowest set
+// bit of the lowest non-empty level. Flushing it moves the cursor to its
+// start and re-links its nodes — into the heap when due, else lower.
+
+const (
+	tickShift   = 20
+	wheelBits   = 6
+	wheelSlots  = 1 << wheelBits
+	wheelLevels = 6
+	wheelSpan   = 1 << (wheelBits * wheelLevels) // ticks; beyond it a node goes to the heap
+)
+
+func tickOf(t Duration) uint64 { return uint64(t) >> tickShift }
+
+// link puts n where its tick belongs relative to the cursor.
+func (e *Engine) link(n *event, tick uint64) {
+	diff := tick ^ e.cursor
+	if diff == 0 || diff >= wheelSpan {
+		n.state = statePending
+		e.push(n)
+		return
+	}
+	level := uint(bits.Len64(diff)-1) / wheelBits
+	shift := level * wheelBits
+	slot := level<<wheelBits | uint(tick>>shift)&(wheelSlots-1)
+	if start := tick >> shift << shift; e.nwheel == 0 || start < e.nextStart {
+		e.nextStart = start
+	}
+	n.state, n.slot = stateWheel, uint16(slot)
+	if n.next = e.slots[slot]; n.next != nil {
+		n.next.prev = n
+	}
+	e.slots[slot] = n
+	e.occ[level] |= 1 << (slot & (wheelSlots - 1))
+	e.nwheel++
+}
+
+// unlink takes n out of its wheel slot.
+func (e *Engine) unlink(n *event) {
+	if n.next != nil {
+		n.next.prev = n.prev
+	}
+	if n.prev != nil {
+		n.prev.next = n.next
+	} else if e.slots[n.slot] = n.next; n.next == nil {
+		e.occ[n.slot>>wheelBits] &^= 1 << (n.slot & (wheelSlots - 1))
+	}
+	n.next, n.prev = nil, nil
+	e.nwheel--
+}
+
+// settle flushes every slot that starts at or before both limit and the
+// heap top's tick — or, while the heap is empty, the earliest slot — so
+// that nothing left in the wheel can precede the heap top.
+func (e *Engine) settle(limit uint64) {
+	for e.nwheel > 0 {
+		if len(e.heap) > 0 {
+			limit = min(limit, tickOf(e.heap[0].at))
+		}
+		level := 0
+		for e.occ[level] == 0 {
+			level++
+		}
+		s := uint(bits.TrailingZeros64(e.occ[level]))
+		shift := uint(level) * wheelBits
+		start := e.cursor>>(shift+wheelBits)<<(shift+wheelBits) | uint64(s)<<shift
+		e.nextStart = start
+		if start > limit {
+			return
+		}
+		slot := uint(level)<<wheelBits | s
+		n := e.slots[slot]
+		e.slots[slot] = nil
+		e.occ[level] &^= 1 << s
+		// Nothing in the wheel precedes this slot's earliest node: the
+		// cursor goes straight to it (or to limit), not level by level.
+		first := tickOf(n.at)
+		for m := n.next; m != nil; m = m.next {
+			first = min(first, tickOf(m.at))
+		}
+		e.cursor = max(start, min(first, limit))
+		for n != nil {
+			next := n.next
+			n.next, n.prev = nil, nil
+			e.nwheel--
+			e.link(n, tickOf(n.at))
+			n = next
+		}
+	}
+}
+
 // ---- 4-ary min-heap on (at, seq) ----
 //
 // A 4-ary layout halves the tree depth of a binary heap and keeps the
 // four children of a node in adjacent cache lines, which is where the
 // engine spends its time at cluster scale. No index field is maintained
-// in the nodes: cancellation is lazy, so nothing ever removes from the
-// middle of the heap.
+// in the nodes: cancellation here is lazy, so nothing ever removes from
+// the middle of the heap.
 
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
@@ -303,29 +442,9 @@ func (e *Engine) pop() *event {
 	h[last] = nil
 	h = h[:last]
 	e.heap = h
-	if last == 0 {
-		return top
+	if last > 0 {
+		h[0] = n
+		e.siftDown(0)
 	}
-	// Sift n down from the root.
-	i := 0
-	for {
-		c := i<<2 + 1 // first child
-		if c >= last {
-			break
-		}
-		// Smallest of up to four children.
-		m := c
-		for k := c + 1; k < c+4 && k < last; k++ {
-			if eventLess(h[k], h[m]) {
-				m = k
-			}
-		}
-		if !eventLess(h[m], n) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	h[i] = n
 	return top
 }

@@ -115,17 +115,19 @@ func TestEnginePendingWithLazyCancel(t *testing.T) {
 }
 
 func TestEngineCancelCompactsHeap(t *testing.T) {
-	// The retry-timer pattern: many far-future timeouts scheduled and
-	// then cancelled as their exchanges complete. Lazy collection alone
-	// would carry every dead node until its deadline; compaction must
-	// reclaim them as soon as they dominate the heap.
+	// Same-tick cancels are the ones that stay in the heap: lazy
+	// collection alone would carry every dead node until it reaches the
+	// root; compaction must reclaim them as soon as they dominate.
 	e := New(1)
 	var timers []Event
 	for i := 0; i < 1000; i++ {
-		timers = append(timers, e.At(Duration(i+1)*time.Second, func() {}))
+		timers = append(timers, e.At(Duration(i+1)*time.Nanosecond, func() {}))
 	}
 	fired := 0
-	e.At(500*time.Millisecond, func() { fired++ })
+	e.At(500*time.Microsecond, func() { fired++ })
+	if len(e.heap) != 1001 {
+		t.Fatalf("heap holds %d of 1001 same-tick events", len(e.heap))
+	}
 	for _, ev := range timers {
 		e.Cancel(ev)
 	}
@@ -149,16 +151,47 @@ func TestEngineCancelCompactsHeap(t *testing.T) {
 	}
 }
 
+func TestEngineCancelledTimersLeaveNothingBehind(t *testing.T) {
+	// The retry-timer pattern: many far-future timeouts scheduled and
+	// then cancelled as their exchanges complete. They wait in the
+	// wheel, and each Cancel returns its node to the free list at once:
+	// nothing dead is ever resident, in either tier.
+	e := New(1)
+	var timers []Event
+	for i := 0; i < 1000; i++ {
+		timers = append(timers, e.At(Duration(i+1)*time.Second, func() {}))
+	}
+	fired := 0
+	e.At(500*time.Millisecond, func() { fired++ })
+	for _, ev := range timers {
+		e.Cancel(ev)
+	}
+	if e.Pending() != 1 || e.nwheel != 1 || len(e.heap) != 0 || len(e.free) != 1000 {
+		t.Fatalf("Pending=%d nwheel=%d heap=%d free=%d, want 1/1/0/1000", e.Pending(), e.nwheel, len(e.heap), len(e.free))
+	}
+	for _, ev := range timers {
+		if !ev.Cancelled() {
+			t.Fatal("handle to recycled node not reported cancelled")
+		}
+		e.Cancel(ev)
+	}
+	e.Run()
+	if fired != 1 || e.Fired() != 1 {
+		t.Fatalf("fired=%d engine.Fired=%d, want 1/1", fired, e.Fired())
+	}
+}
+
 func TestEngineCompactionPreservesOrder(t *testing.T) {
-	// Cross the compaction threshold mid-stream and check the survivors
-	// still drain in exact (at, seq) order.
+	// Cross the compaction threshold mid-stream (every event inside one
+	// tick, so all of them are heap nodes) and check the survivors still
+	// drain in exact (at, seq) order.
 	e := New(7)
 	var got []int
 	var evs []Event
 	const n = 600
 	for i := 0; i < n; i++ {
 		i := i
-		at := Duration((i*37)%n) * time.Millisecond
+		at := Duration((i*37)%n) * time.Microsecond
 		evs = append(evs, e.At(at, func() { got = append(got, i) }))
 	}
 	var want []int

@@ -2,6 +2,7 @@ package unikernel
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"jitsu/internal/netstack"
@@ -73,7 +74,7 @@ func (a *QueueServiceApp) Start(g *Guest, ready func()) error {
 			body[i] = byte(a.served + i)
 		}
 		return &netstack.HTTPResponse{Status: 200,
-			Header: map[string]string{"X-Queue-Item": fmt.Sprint(a.served)}, Body: body}
+			Header: netstack.Header("X-Queue-Item: " + strconv.Itoa(a.served)), Body: body}
 	})
 	if err != nil {
 		return err

@@ -33,7 +33,6 @@ var surfaceHooks = map[string]string{
 	"PartitionAtoB":    "netsim.Link: one-way partition tests",
 	"PartitionBtoA":    "netsim.Link: its twin, for the gossip tests in cluster",
 	"BEnd":             "netsim.Link: AEnd's twin; tests wire bare NIC pairs with it",
-	"Cancelled":        "sim.Engine: cancelled-event accounting",
 	"AddCluster":       "cluster.Federation: membership tests",
 	"RemoveCluster":    "cluster.Federation: membership tests",
 	"WithSYNRateLimit": "core: SYN-flood admission test",
