@@ -16,9 +16,9 @@ SHELL := /bin/bash
 
 GO ?= go
 # The perf record this branch writes; bump per PR to grow the trajectory.
-BENCH_OUT ?= BENCH_pr18.json
+BENCH_OUT ?= BENCH_pr19.json
 # The committed baseline the bench gate compares against.
-BENCH_BASE ?= BENCH_pr18.json
+BENCH_BASE ?= BENCH_pr19.json
 # Allowed fractional ns/op regression before the gate fails.
 BENCH_TOLERANCE ?= 0.25
 # Benchmarks whose workload this PR deliberately made heavier: their
@@ -125,7 +125,7 @@ fuzz-engine:
 # package's layer), with -benchmem and records the numbers as JSON. The
 # experiment benches double as the determinism record: their
 # ReportMetric values must not move between runs with the same seed.
-BENCH_PKGS ?= . ./internal/sim ./internal/xenstore ./internal/netsim ./internal/netstack
+BENCH_PKGS ?= . ./internal/sim ./internal/xenstore ./internal/netsim ./internal/netstack ./internal/wire ./internal/obs ./internal/cluster
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' $(BENCH_PKGS) | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 

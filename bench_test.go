@@ -10,15 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"jitsu/internal/api"
-	"jitsu/internal/core"
 	"jitsu/internal/dns"
 	"jitsu/internal/experiments"
 	"jitsu/internal/netstack"
-	"jitsu/internal/obs"
-	"jitsu/internal/sim"
-	"jitsu/internal/unikernel"
-	"jitsu/internal/wire"
 )
 
 func reportP50(b *testing.B, r interface {
@@ -286,57 +280,6 @@ func BenchmarkDNSCodec(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := dns.Decode(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTraceOverhead measures the flight recorder's hot path — one
-// Begin/End span pair plus one instant on the bounded ring, timestamps
-// from the virtual clock. The bench gate holds this at zero allocs/op:
-// tracing must never add GC pressure to the paths it observes.
-func BenchmarkTraceOverhead(b *testing.B) {
-	eng := sim.New(1)
-	tr := obs.NewTracer(1 << 12)
-	tr.BindClock(eng.Now)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp := tr.Begin(0, "activation", "boot", obs.Str("svc", "alice.family.name"), obs.Num("mem_mib", 64))
-		tr.Instant(0, "activation", "claim_ip", obs.Str("svc", "alice.family.name"))
-		tr.End(sp, obs.Str("status", "ready"))
-	}
-	b.StopTimer()
-	if tr.Len() == 0 {
-		b.Fatal("tracer recorded nothing")
-	}
-}
-
-// BenchmarkWireRoundTrip measures one control-plane frame's encode
-// (into a recycled buffer) plus decode for the richest request on the
-// wire — Register, carrying a full service config and image. Every verb
-// a remote operator issues pays this codec twice (client encode, server
-// decode), so its cost bounds the management plane's verb throughput.
-func BenchmarkWireRoundTrip(b *testing.B) {
-	img := unikernel.UnikernelImage("alice", nil)
-	img.MemMiB = 64
-	req := api.RegisterRequest{
-		Config: core.ServiceConfig{
-			Name: "alice.family.name", IP: netstack.IPv4(10, 0, 0, 20), Port: 80,
-			Image: img, StateMiB: 16, IdleTimeout: 30 * time.Second,
-		},
-		MinWarm: 1, Policy: "least-loaded",
-	}
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = wire.Append(buf[:0], wire.V2, wire.TRegisterReq, uint32(i), req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, _, _, _, err := wire.Decode(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,8 @@ package api
 
 import (
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 
 	"jitsu/internal/core"
 	"jitsu/internal/obs"
@@ -189,24 +190,18 @@ func (p *boardPlane) Stop(req StopRequest) StopResponse {
 }
 
 func (p *boardPlane) Stats(StatsRequest) StatsResponse {
-	var resp StatsResponse
 	svcs := p.b.Jitsu.Services()
-	names := make([]string, 0, len(svcs))
-	for name := range svcs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		svc := svcs[name]
+	resp := StatsResponse{Services: make([]ServiceStats, 0, len(svcs))}
+	for _, svc := range svcs {
 		resp.Services = append(resp.Services, ServiceStats{
-			Name: name, State: svc.State,
+			Name: svc.Cfg.Name, State: svc.State,
 			Launches: svc.Launches, ColdStarts: svc.ColdStarts,
 			Handoffs: svc.Handoffs, ServFails: svc.ServFails,
 			Reaps: svc.Reaps, Restores: svc.Restores,
 			DiskRestores: svc.DiskRestores, Demotions: svc.Demotions,
 		})
 	}
-	resp.Triggers = TriggerStatsFromFired(p.b.Jitsu.Activation().Fired())
+	resp.Triggers = AddFired(make([]TriggerStats, 0, 8), p.b.Jitsu.Activation())
 	resp.Registries = []obs.Snapshot{p.b.Reg.Snapshot()}
 	return resp
 }
@@ -215,17 +210,15 @@ func (p *boardPlane) WatchStats(req WatchStatsRequest) WatchStatsResponse {
 	return StreamStats(p.b.Eng, req, p.Stats)
 }
 
-// TriggerStatsFromFired renders an Activation.Fired map (or an
-// aggregation of several) as a name-sorted slice.
-func TriggerStatsFromFired(fired map[string]uint64) []TriggerStats {
-	names := make([]string, 0, len(fired))
-	for name := range fired {
-		names = append(names, name)
+// AddFired adds one board's per-trigger firing counts into ts, which is
+// and stays name-sorted — a cluster folds its boards into one slice.
+func AddFired(ts []TriggerStats, a *core.Activation) []TriggerStats {
+	for name, n := range a.Fired() {
+		i, ok := slices.BinarySearchFunc(ts, name, func(t TriggerStats, name string) int { return strings.Compare(t.Name, name) })
+		if !ok {
+			ts = slices.Insert(ts, i, TriggerStats{Name: name})
+		}
+		ts[i].Fired += n
 	}
-	sort.Strings(names)
-	out := make([]TriggerStats, 0, len(names))
-	for _, name := range names {
-		out = append(out, TriggerStats{Name: name, Fired: fired[name]})
-	}
-	return out
+	return ts
 }

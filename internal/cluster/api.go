@@ -4,6 +4,7 @@ import (
 	"jitsu/internal/api"
 	"jitsu/internal/core"
 	"jitsu/internal/dns"
+	"jitsu/internal/obs"
 )
 
 // clusterPlane adapts the whole cluster to api.ControlPlane: the same
@@ -282,34 +283,18 @@ func (p *clusterPlane) Promote(req api.PromoteRequest) api.PromoteResponse {
 }
 
 func (p *clusterPlane) Stats(api.StatsRequest) api.StatsResponse {
-	var resp api.StatsResponse
-	for _, t := range p.c.ServiceTotals() {
-		// The aggregate row reports the hottest tier any replica occupies.
-		state := core.StateCold
-		switch {
-		case t.Ready > 0:
-			state = core.StateRunning
-		case t.OnDisk > 0:
-			state = core.StateColdDisk
-		}
-		resp.Services = append(resp.Services, api.ServiceStats{
-			Name: t.Name, State: state,
-			Launches: t.Launches, ColdStarts: t.ColdStarts,
-			Handoffs: t.Handoffs, ServFails: t.ServFails,
-			Reaps: t.Reaps, Restores: t.Restores,
-			DiskRestores: t.DiskRestores, Demotions: t.Demotions,
-		})
+	resp := api.StatsResponse{
+		Services:   make([]api.ServiceStats, 0, len(p.c.dir.ordered)),
+		Triggers:   make([]api.TriggerStats, 0, 8),
+		Registries: make([]obs.Snapshot, 0, 1+len(p.c.members)),
 	}
-	fired := map[string]uint64{}
-	for _, m := range p.c.members {
-		for name, n := range m.Board.Jitsu.Activation().Fired() {
-			fired[name] += n
-		}
+	for _, e := range p.c.dir.ordered {
+		resp.Services = append(resp.Services, e.totals().ServiceStats)
 	}
-	resp.Triggers = api.TriggerStatsFromFired(fired)
 	// Cluster-tier registry first, then one per board in board order.
 	resp.Registries = append(resp.Registries, p.c.Reg.Snapshot())
 	for _, m := range p.c.members {
+		resp.Triggers = api.AddFired(resp.Triggers, m.Board.Jitsu.Activation())
 		resp.Registries = append(resp.Registries, m.Board.Reg.Snapshot())
 	}
 	return resp

@@ -409,7 +409,7 @@ func (c *Cluster) register(sc core.ServiceConfig, opts ServiceOpts) *Entry {
 		}
 		c.addReplicaSlot(e, m)
 	}
-	c.dir.entries[name] = e
+	c.dir.put(e)
 	delete(c.movedTo, name) // a re-registration supersedes any old move
 	c.Pools.Reconcile(e)    // honour MinWarm immediately
 	if c.onDirChange != nil {
@@ -436,7 +436,7 @@ func (c *Cluster) Unregister(name string) bool {
 		p.gone = true
 		delete(c.dir.byIP, p.Svc.Cfg.IP)
 	}
-	delete(c.dir.entries, name)
+	c.dir.remove(name)
 	c.front().DNS.BumpEpoch()
 	if c.onDirChange != nil {
 		c.onDirChange()

@@ -1,8 +1,10 @@
 package cluster
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
+	"jitsu/internal/api"
 	"jitsu/internal/core"
 	"jitsu/internal/dns"
 	"jitsu/internal/metrics"
@@ -15,8 +17,13 @@ import (
 // each service is. It is the hierarchical-summary layer the MDS2-style
 // directory literature describes — per-board Jitsu directories remain
 // the leaves, the Directory aggregates them for the scheduler.
+//
+// entries answers a lookup by name; ordered holds exactly the same
+// entries sorted by name, so every sweep and every Stats aggregation
+// walks a slice that needs no sorting. put and remove alone write either.
 type Directory struct {
 	entries map[string]*Entry
+	ordered []*Entry
 	byIP    map[netstack.IP]*Placement
 }
 
@@ -32,14 +39,31 @@ func (d *Directory) Lookup(name string) *Entry {
 	return d.entries[dns.CanonicalName(name)]
 }
 
-// Entries returns all cluster services sorted by name.
-func (d *Directory) Entries() []*Entry {
-	out := make([]*Entry, 0, len(d.entries))
-	for _, e := range d.entries {
-		out = append(out, e)
+// Entries returns all cluster services sorted by name. The slice is a
+// copy: callers re-sort it, and unregister entries while ranging it.
+func (d *Directory) Entries() []*Entry { return slices.Clone(d.ordered) }
+
+// find is the position of name in ordered, or where it would go.
+func (d *Directory) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(d.ordered, name, func(e *Entry, name string) int { return strings.Compare(e.Name, name) })
+}
+
+// put files e under its name, replacing a same-name entry.
+func (d *Directory) put(e *Entry) {
+	d.entries[e.Name] = e
+	i, held := d.find(e.Name)
+	if !held {
+		d.ordered = slices.Insert(d.ordered, i, nil)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	d.ordered[i] = e
+}
+
+// remove drops the entry filed under name, if any.
+func (d *Directory) remove(name string) {
+	if i, ok := d.find(name); ok {
+		d.ordered = slices.Delete(d.ordered, i, i+1)
+	}
+	delete(d.entries, name)
 }
 
 // Placement is one replica slot: a service registered on one board's
@@ -180,50 +204,56 @@ func (e *Entry) effectiveRate(now sim.Duration) float64 {
 }
 
 // Totals is the cluster-wide sum of one service's per-replica counters —
-// the aggregation the per-board directories cannot provide on their own.
+// the aggregation the per-board directories cannot provide on their own:
+// the row Stats reports (State is the hottest tier any replica occupies,
+// ServFails the per-board refusals) plus the scheduler's own columns.
 type Totals struct {
-	Name         string
-	Launches     uint64
-	ColdStarts   uint64
-	Handoffs     uint64
-	ServFails    uint64 // per-board refusals (fleet-style) summed over replicas
-	Reaps        uint64
-	Restores     uint64 // launches that replayed a migration checkpoint
-	DiskRestores uint64 // launches that paged a checkpoint in from disk
-	Demotions    uint64 // checkpoint-to-disk evictions of booted replicas
-	Refused      uint64 // cluster-wide SERVFAILs issued by the scheduler
-	Ready        int    // replicas currently serving
-	OnDisk       int    // replicas parked on the disk tier
-	WarmTarget   int
+	api.ServiceStats
+	Refused    uint64 // cluster-wide SERVFAILs issued by the scheduler
+	Ready      int    // replicas currently serving
+	OnDisk     int    // replicas parked on the disk tier
+	WarmTarget int
+}
+
+// totals sums e's per-replica counters. Slots on departed boards still
+// contribute their history (the service *did* pay those launches).
+func (e *Entry) totals() Totals {
+	t := Totals{Refused: e.Refused, WarmTarget: e.WarmTarget}
+	t.Name = e.Name
+	for _, p := range e.Replicas {
+		if p == nil {
+			continue
+		}
+		t.Launches += p.Svc.Launches
+		t.ColdStarts += p.Svc.ColdStarts
+		t.Handoffs += p.Svc.Handoffs
+		t.ServFails += p.Svc.ServFails
+		t.Reaps += p.Svc.Reaps
+		t.Restores += p.Svc.Restores
+		t.DiskRestores += p.Svc.DiskRestores
+		t.Demotions += p.Svc.Demotions
+		if !p.gone && p.Svc.State.Booted() {
+			t.Ready++
+		}
+		if !p.gone && p.Svc.State == core.StateColdDisk {
+			t.OnDisk++
+		}
+	}
+	switch {
+	case t.Ready > 0:
+		t.State = core.StateRunning
+	case t.OnDisk > 0:
+		t.State = core.StateColdDisk
+	}
+	return t
 }
 
 // ServiceTotals aggregates every service's counters across all boards,
-// sorted by name. Slots on departed boards still contribute their
-// history (the service *did* pay those launches).
+// sorted by name.
 func (c *Cluster) ServiceTotals() []Totals {
-	var out []Totals
-	for _, e := range c.dir.Entries() {
-		t := Totals{Name: e.Name, Refused: e.Refused, WarmTarget: e.WarmTarget}
-		for _, p := range e.Replicas {
-			if p == nil {
-				continue
-			}
-			t.Launches += p.Svc.Launches
-			t.ColdStarts += p.Svc.ColdStarts
-			t.Handoffs += p.Svc.Handoffs
-			t.ServFails += p.Svc.ServFails
-			t.Reaps += p.Svc.Reaps
-			t.Restores += p.Svc.Restores
-			t.DiskRestores += p.Svc.DiskRestores
-			t.Demotions += p.Svc.Demotions
-			if !p.gone && p.Svc.State.Booted() {
-				t.Ready++
-			}
-			if !p.gone && p.Svc.State == core.StateColdDisk {
-				t.OnDisk++
-			}
-		}
-		out = append(out, t)
+	out := make([]Totals, 0, len(c.dir.ordered))
+	for _, e := range c.dir.ordered {
+		out = append(out, e.totals())
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"iter"
+	"maps"
 	"sort"
 
 	"jitsu/internal/netstack"
@@ -107,14 +109,9 @@ func newActivation(j *Jitsu) *Activation {
 	return &Activation{j: j, fired: make(map[string]uint64)}
 }
 
-// Fired returns a copy of the per-trigger firing counters.
-func (a *Activation) Fired() map[string]uint64 {
-	out := make(map[string]uint64, len(a.fired))
-	for k, v := range a.fired {
-		out[k] = v
-	}
-	return out
-}
+// Fired iterates the per-trigger firing counters, in no particular
+// order and without copying them.
+func (a *Activation) Fired() iter.Seq2[string, uint64] { return maps.All(a.fired) }
 
 // Observe registers fn to see every firing together with its decision.
 // Predictive triggers (PrewarmTrigger) learn arrival patterns here;
@@ -548,8 +545,8 @@ func (a *Activation) dropDiskCheckpoint(svc *Service) {
 // demoted until the projected free memory covers the launch, and the
 // launch leg runs once their domains are destroyed. Plan-then-execute:
 // a plan that cannot reach the target (disk full, not enough victims)
-// demotes nobody and the firing refuses as before. Candidate order is
-// LRU by last activity with the name as the deterministic tie-break.
+// demotes nobody and the firing refuses as before. Candidates go LRU by
+// last activity; the stable sort keeps ties in the directory's name order.
 func (a *Activation) demoteForRoom(svc *Service, s Summon) bool {
 	dev := a.j.board.Disk
 	if dev == nil {
@@ -557,17 +554,12 @@ func (a *Activation) demoteForRoom(svc *Service, s Summon) bool {
 	}
 	need := svc.Cfg.Image.MemMiB
 	var cands []*Service
-	for _, c := range a.j.services {
+	for _, c := range a.j.ordered {
 		if c != svc && c.State.Booted() {
 			cands = append(cands, c)
 		}
 	}
-	sort.Slice(cands, func(i, k int) bool {
-		if cands[i].lastActivity != cands[k].lastActivity {
-			return cands[i].lastActivity < cands[k].lastActivity
-		}
-		return cands[i].Cfg.Name < cands[k].Cfg.Name
-	})
+	sort.SliceStable(cands, func(i, k int) bool { return cands[i].lastActivity < cands[k].lastActivity })
 	free := a.j.board.Hyp.FreeMemMiB()
 	slotsFree := dev.SlotsTotal() - dev.SlotsUsed()
 	var victims []*Service

@@ -199,7 +199,7 @@ func buildBoard(eng *sim.Engine, cfg BoardConfig) *Board {
 	b.Reg.GaugeFunc("xen.free_mem_mib", func() int64 { return int64(hyp.FreeMemMiB()) })
 	countTier := func(st ServiceState) int64 {
 		var n int64
-		for _, svc := range b.Jitsu.services {
+		for _, svc := range b.Jitsu.ordered {
 			if svc.State == st {
 				n++
 			}

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	"jitsu/internal/dns"
 	"jitsu/internal/netstack"
@@ -190,11 +192,10 @@ type diskCheckpoint struct {
 func (s *Service) LastActivity() sim.Duration { return s.lastActivity }
 
 // sumCounters totals one per-service counter across the directory —
-// the registry's snapshot-time mirror of activation accounting. Sum
-// order does not matter, so ranging the map stays deterministic.
+// the registry's snapshot-time mirror of activation accounting.
 func (j *Jitsu) sumCounters(get func(*Service) uint64) uint64 {
 	var n uint64
-	for _, svc := range j.services {
+	for _, svc := range j.ordered {
 		n += get(svc)
 	}
 	return n
@@ -206,12 +207,23 @@ func (j *Jitsu) sumCounters(get func(*Service) uint64) uint64 {
 // the Trigger frontends (trigger.go); the lifecycle lives in the
 // Activation machine (activation.go); Jitsu itself is the directory
 // plus the typed control-plane verbs the api package exposes.
+//
+// The directory is held twice: services answers a lookup by name, ordered
+// holds exactly the same entries sorted by name, so a registry snapshot,
+// Stats and the demotion planner walk a slice in an order that needs no
+// sorting. Register and Deregister alone write either.
 type Jitsu struct {
 	board    *Board
 	zone     *dns.Zone
 	act      *Activation
 	services map[string]*Service
+	ordered  []*Service
 	byIP     map[netstack.IP]*Service
+}
+
+// find is the position of name in ordered, or where it would go.
+func (j *Jitsu) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(j.ordered, name, func(s *Service, name string) int { return strings.Compare(s.Cfg.Name, name) })
 }
 
 func newJitsu(b *Board, zone *dns.Zone) *Jitsu {
@@ -263,6 +275,11 @@ func (j *Jitsu) Register(cfg ServiceConfig) *Service {
 	}
 	svc.okLine = fmt.Sprintf("ok %s\n", cfg.IP)
 	j.services[name] = svc
+	i, held := j.find(name)
+	if !held {
+		j.ordered = slices.Insert(j.ordered, i, nil)
+	}
+	j.ordered[i] = svc // a same-name registration replaces the entry
 	j.byIP[cfg.IP] = svc
 	j.act.claimIdleIP(svc)
 	// A new registration changes what queries resolve to.
@@ -279,16 +296,9 @@ func (j *Jitsu) Service(name string) (*Service, error) {
 	return svc, nil
 }
 
-// Services returns a snapshot of the registered services, keyed by
-// canonical name. The map is a copy — mutating it does not touch the
-// directory — but the *Service values are the live entries.
-func (j *Jitsu) Services() map[string]*Service {
-	out := make(map[string]*Service, len(j.services))
-	for name, svc := range j.services {
-		out[name] = svc
-	}
-	return out
-}
+// Services returns the registered services in name order: a copy of the
+// directory's slice, holding the live *Service entries.
+func (j *Jitsu) Services() []*Service { return slices.Clone(j.ordered) }
 
 // TriggerControl is the Summon.Via name for control-plane firings
 // (Jitsu.Activate, api.ControlPlane.Activate, warm-pool prewarms).
@@ -373,6 +383,8 @@ func (j *Jitsu) Deregister(svc *Service) bool {
 	j.act.flushWaiters(svc, false)
 	j.act.releaseIdleIP(svc)
 	delete(j.services, name)
+	i, _ := j.find(name)
+	j.ordered = slices.Delete(j.ordered, i, i+1)
 	delete(j.byIP, svc.Cfg.IP)
 	// The SYN trigger's admission state is keyed by service: drop the
 	// retired entry so churny directories don't accumulate buckets.

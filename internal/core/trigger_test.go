@@ -131,7 +131,7 @@ func TestTriggerMatrix(t *testing.T) {
 			}
 			rec := &transitionRecorder{}
 			b.Jitsu.Activation().Subscribe(rec.hook)
-			firedBefore := b.Jitsu.Activation().Fired()[fe.viaName()]
+			firedBefore := b.Jitsu.act.fired[fe.viaName()]
 			fe.fire(t, b, svc)
 			b.Eng.Run()
 			if !rec.equal(nil) {
@@ -140,7 +140,7 @@ func TestTriggerMatrix(t *testing.T) {
 			if svc.Launches != 1 {
 				t.Fatalf("warm firing relaunched: %d", svc.Launches)
 			}
-			if fe.warmFires && b.Jitsu.Activation().Fired()[fe.viaName()] == firedBefore {
+			if fe.warmFires && b.Jitsu.act.fired[fe.viaName()] == firedBefore {
 				t.Fatalf("warm firing did not reach the machine via %q", fe.viaName())
 			}
 		})
@@ -199,21 +199,17 @@ func (fe *triggerMatrixRow) viaName() string {
 }
 
 // TestServicesReturnsCopy pins the satellite fix: mutating the returned
-// map must not touch the directory.
+// slice must not touch the directory.
 func TestServicesReturnsCopy(t *testing.T) {
 	b := New()
-	b.Jitsu.Register(aliceService())
+	alice := b.Jitsu.Register(aliceService())
 	m := b.Jitsu.Services()
-	delete(m, "alice.family.name")
-	m["bogus.family.name"] = &Service{}
-	if _, err := b.Jitsu.Service("alice.family.name"); err != nil {
-		t.Fatal("deleting from the Services() snapshot removed the registration")
+	m[0] = &Service{Cfg: ServiceConfig{Name: "bogus.family.name"}}
+	if svc, err := b.Jitsu.Service("alice.family.name"); err != nil || svc != alice {
+		t.Fatal("overwriting the Services() snapshot replaced the registration")
 	}
-	if _, err := b.Jitsu.Service("bogus.family.name"); err == nil {
-		t.Fatal("inserting into the Services() snapshot registered a service")
-	}
-	if len(b.Jitsu.Services()) != 1 {
-		t.Fatalf("directory size = %d, want 1", len(b.Jitsu.Services()))
+	if got := b.Jitsu.Services(); len(got) != 1 || got[0] != alice {
+		t.Fatalf("directory = %v, want alice alone", got)
 	}
 }
 

@@ -183,11 +183,7 @@ func Density(services, memMiB, samples int) *Result {
 	gb := float64(memMiB) / 1024
 	tab := metrics.NewTable("",
 		"board", "services", "held", "running", "warm-mem", "on-disk", "refused", "held/GB")
-	var baseList []*core.Service
-	for _, s := range baseSvcs {
-		baseList = append(baseList, s)
-	}
-	bRun, bWarm, bDisk := tierCounts(baseList)
+	bRun, bWarm, bDisk := tierCounts(baseSvcs)
 	tRun, tWarm, tDisk := tierCounts(tieredSvcs)
 	baseHeld := bRun + bWarm + bDisk
 	tieredHeld := tRun + tWarm + tDisk

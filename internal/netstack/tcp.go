@@ -187,7 +187,8 @@ func (h *Host) DialTCP(dst IP, dstPort uint16, done func(*TCPConn, error)) *TCPC
 	return c
 }
 
-// Send queues application data for transmission.
+// Send queues application data for transmission, copying it into the
+// send buffer before it returns: the caller may reuse data at once.
 func (c *TCPConn) Send(data []byte) error {
 	switch c.state {
 	case StateEstablished, StateCloseWait:
@@ -485,11 +486,9 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 			if c.finSent && seg.Ack == c.sndNxt {
 				dataAcked-- // the FIN's sequence slot
 			}
-			if int(dataAcked) < len(c.sndBuf) {
-				c.sndBuf = c.sndBuf[dataAcked:]
-			} else {
-				c.sndBuf = c.sndBuf[:0] // all acknowledged: the next Send refills it from the start
-			}
+			// The unacknowledged tail moves down instead of the slice moving
+			// up, so a long-lived connection keeps one buffer's capacity.
+			c.sndBuf = c.sndBuf[:copy(c.sndBuf, c.sndBuf[min(int(dataAcked), len(c.sndBuf)):])]
 			c.sndUna = seg.Ack
 			c.retries = 0
 			c.rto = dataRTO

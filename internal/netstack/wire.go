@@ -39,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"jitsu/internal/netsim"
 )
@@ -482,19 +483,7 @@ func (t *TCPSegment) EncodeInto(buf []byte, src, dst IP, payload []byte) {
 // Checksum computes the Internet checksum (RFC 1071) of data, assuming
 // the checksum field within is zero (or returns 0 when verifying data
 // that includes a correct checksum).
-func Checksum(data []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
-	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
-	}
-	return ^uint16(sum)
-}
+func Checksum(data []byte) uint16 { return foldSum(sumWords(0, data)) }
 
 // PseudoChecksum computes the transport checksum over the IPv4
 // pseudo-header plus segment.
@@ -504,19 +493,29 @@ func PseudoChecksum(src, dst IP, proto byte, segment []byte) uint16 {
 	copy(pseudo[4:8], dst[:])
 	pseudo[9] = proto
 	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(segment)))
-	var sum uint32
-	add := func(data []byte) {
-		for i := 0; i+1 < len(data); i += 2 {
-			sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
-		}
-		if len(data)%2 == 1 {
-			sum += uint32(data[len(data)-1]) << 8
-		}
+	return foldSum(sumWords(sumWords(0, pseudo[:]), segment))
+}
+
+// sumWords adds data to a ones'-complement sum eight bytes per step: a
+// uint64 with end-around carry folds to the same 16 bits as adding the
+// big-endian 16-bit words one by one. A short tail is padded with zeros
+// on the right — the odd-byte rule (the last byte is a word's high half).
+func sumWords(sum uint64, data []byte) uint64 {
+	var carry uint64
+	for ; len(data) >= 8; data = data[8:] {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), carry)
 	}
-	add(pseudo[:])
-	add(segment)
+	var tail [8]byte
+	copy(tail[:], data)
+	sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(tail[:]), carry)
+	sum, carry = bits.Add64(sum, 0, carry)
+	return sum + carry
+}
+
+// foldSum folds a ones'-complement sum to 16 bits and complements it.
+func foldSum(sum uint64) uint16 {
 	for sum>>16 != 0 {
-		sum = (sum & 0xffff) + (sum >> 16)
+		sum = sum&0xffff + sum>>16
 	}
 	return ^uint16(sum)
 }

@@ -8,7 +8,9 @@
 // are plain incremented words; histograms bucket by power-of-two
 // microseconds into a fixed array; the tracer overwrites its oldest
 // events once full and accounts for every drop. Registries snapshot to
-// one plain struct (name-sorted) that api.StatsResponse carries whole.
+// one plain struct (name-sorted) that api.StatsResponse carries whole;
+// the sort is paid when a row is registered — the first Snapshot after
+// it — never per Snapshot, which allocates its row slices and no more.
 //
 // Naming convention: metric names are dot-paths,
 // "<subsystem>.<thing>[_<unit>]" — e.g. "dns.cache_hits",
@@ -18,7 +20,8 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 )
 
@@ -51,16 +54,24 @@ type Histogram struct {
 	max    time.Duration
 }
 
+// bucketOf is the slot a (non-negative) sample lands in.
+func bucketOf(d time.Duration) int { return min(bits.Len64(uint64(d/time.Microsecond)), histBuckets-1) }
+
+// used is how many leading buckets a snapshot carries: up to the one
+// holding the largest sample, none before the first.
+func (h *Histogram) used() int {
+	if h.n == 0 {
+		return 0
+	}
+	return bucketOf(h.max) + 1
+}
+
 // Observe records one latency sample.
 func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	i := bits.Len64(uint64(d / time.Microsecond))
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	h.counts[i]++
+	h.counts[bucketOf(d)]++
 	h.n++
 	h.sum += d
 	if d > h.max {
@@ -99,6 +110,7 @@ type Registry struct {
 	counters []namedCounter
 	gauges   []namedGauge
 	hists    []namedHist
+	sorted   bool // the row lists are in name order; a registration clears it
 }
 
 // NewRegistry returns an empty registry labelled name.
@@ -112,19 +124,19 @@ func (r *Registry) Counter(name string) *Counter {
 		}
 	}
 	c := &Counter{}
-	r.counters = append(r.counters, namedCounter{name: name, c: c})
+	r.counters, r.sorted = append(r.counters, namedCounter{name: name, c: c}), false
 	return c
 }
 
 // CounterFunc registers a mirror of a counter owned by another
 // subsystem; fn is read only at snapshot time.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
-	r.counters = append(r.counters, namedCounter{name: name, fn: fn})
+	r.counters, r.sorted = append(r.counters, namedCounter{name: name, fn: fn}), false
 }
 
 // GaugeFunc registers a point-in-time gauge read at snapshot time.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	r.gauges = append(r.gauges, namedGauge{name: name, fn: fn})
+	r.gauges, r.sorted = append(r.gauges, namedGauge{name: name, fn: fn}), false
 }
 
 // Histogram registers (or returns the existing) histogram under name.
@@ -135,7 +147,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 		}
 	}
 	h := &Histogram{}
-	r.hists = append(r.hists, namedHist{name: name, h: h})
+	r.hists, r.sorted = append(r.hists, namedHist{name: name, h: h}), false
 	return h
 }
 
@@ -172,9 +184,22 @@ type Snapshot struct {
 }
 
 // Snapshot freezes the registry. Mirrors (CounterFunc/GaugeFunc) are
-// read here, never on their owners' hot paths.
+// read here, never on their owners' hot paths. Rows come out in name
+// order because the row lists are kept in it: a registration marks them
+// unsorted, the next Snapshot sorts them once (stably), and every later
+// one only fills three exact row slices and one array all buckets share.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{Name: r.Name}
+	if !r.sorted {
+		slices.SortStableFunc(r.counters, func(a, b namedCounter) int { return strings.Compare(a.name, b.name) })
+		slices.SortStableFunc(r.gauges, func(a, b namedGauge) int { return strings.Compare(a.name, b.name) })
+		slices.SortStableFunc(r.hists, func(a, b namedHist) int { return strings.Compare(a.name, b.name) })
+		r.sorted = true
+	}
+	// Grow, not make: a kind with no rows stays nil, as append left it.
+	s := Snapshot{Name: r.Name,
+		Counters: slices.Grow([]CounterSnap(nil), len(r.counters)),
+		Gauges:   slices.Grow([]GaugeSnap(nil), len(r.gauges)),
+		Hists:    slices.Grow([]HistSnap(nil), len(r.hists))}
 	for _, nc := range r.counters {
 		v := uint64(0)
 		if nc.c != nil {
@@ -184,24 +209,21 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: v})
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	for _, ng := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
 	}
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
+	used := 0
+	for _, nh := range r.hists {
+		used += nh.h.used()
+	}
+	buckets := make([]uint64, 0, used)
 	for _, nh := range r.hists {
 		hs := HistSnap{Name: nh.name, Count: nh.h.n, Sum: nh.h.sum, Max: nh.h.max}
-		last := -1
-		for i, c := range nh.h.counts {
-			if c != 0 {
-				last = i
-			}
-		}
-		if last >= 0 {
-			hs.Buckets = append([]uint64(nil), nh.h.counts[:last+1]...)
+		if n := nh.h.used(); n > 0 {
+			buckets = append(buckets, nh.h.counts[:n]...)
+			hs.Buckets = buckets[len(buckets)-n : len(buckets) : len(buckets)]
 		}
 		s.Hists = append(s.Hists, hs)
 	}
-	sort.Slice(s.Hists, func(i, j int) bool { return s.Hists[i].Name < s.Hists[j].Name })
 	return s
 }

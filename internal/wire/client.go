@@ -20,7 +20,9 @@ import (
 type Client struct {
 	eng     *sim.Engine
 	conn    *netstack.TCPConn
-	rx      []byte
+	dec     Decoder
+	tx, rx  []byte
+	rxoff   int // frames before it are consumed
 	nextID  uint32
 	version uint16
 	scope   api.Scope
@@ -184,21 +186,24 @@ func (c *Client) pump(eng *sim.Engine, done func() bool) error {
 }
 
 func (c *Client) sendFrame(typ byte, id uint32, msg any) error {
-	buf, err := Append(nil, byte(c.version), typ, id, msg)
+	buf, err := Append(c.tx[:0], byte(c.version), typ, id, msg)
 	if err != nil {
 		return err
 	}
+	c.tx = keep(buf)
 	return c.conn.Send(buf)
 }
 
 // onData reassembles frames and routes them: responses park in resps
 // for a pumping verb to collect, events fire their registered closures
-// immediately.
+// immediately. A closure may issue a verb, whose pumping re-enters
+// onData: a frame is consumed before it is routed, and c.rx read afresh.
 func (c *Client) onData(b []byte) {
 	c.rx = append(c.rx, b...)
 	for {
-		ver, typ, id, msg, n, err := Decode(c.rx)
+		ver, typ, id, msg, n, err := c.dec.Decode(c.rx[c.rxoff:])
 		if err == ErrShort {
+			c.rx, c.rxoff = compact(c.rx, c.rxoff), 0
 			return
 		}
 		// Post-handshake frames must carry the negotiated version; the
@@ -213,7 +218,7 @@ func (c *Client) onData(b []byte) {
 			c.conn.Abort()
 			return
 		}
-		c.rx = c.rx[n:]
+		c.rxoff += n
 		c.Frames++
 		switch typ {
 		case TReadyEvent:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"jitsu/internal/api"
@@ -153,6 +154,7 @@ func (w *wbuf) count(n int) {
 type rbuf struct {
 	b   []byte
 	err error
+	d   *Decoder // nil: names are not interned
 }
 
 func (r *rbuf) fail() {
@@ -209,6 +211,27 @@ func (r *rbuf) str() string {
 		return string(v)
 	}
 	return ""
+}
+
+// name reads a service, trigger, registry or metric name — a string that
+// recurs from frame to frame — through the session's intern table, if
+// there is one. Error details and tokens use str.
+func (r *rbuf) name() string {
+	v := r.take(int(r.u16()))
+	if r.d == nil || v == nil {
+		return string(v)
+	}
+	return r.d.intern(v)
+}
+
+// sized reads a collection's declared count and gives *out room for it,
+// capped by how many elements of at least elem bytes the rest of the
+// body could hold: a frame cannot buy more memory than it carries. The
+// caller still loops to the declared count, so a short body fails.
+func sized[T any](r *rbuf, out *[]T, elem int) int {
+	n := int(r.u16())
+	*out = slices.Grow(*out, min(n, len(r.b)/elem)) // no room leaves it nil
+	return n
 }
 
 // done finishes a strict decode: any sticky error or trailing bytes is
@@ -332,18 +355,17 @@ func putSnapshot(w *wbuf, s obs.Snapshot) {
 }
 
 func getSnapshot(r *rbuf) obs.Snapshot {
-	var s obs.Snapshot
-	s.Name = r.str()
-	for i, n := 0, int(r.u16()); i < n && r.err == nil; i++ {
-		s.Counters = append(s.Counters, obs.CounterSnap{Name: r.str(), Value: r.u64()})
+	s := obs.Snapshot{Name: r.name()}
+	for i, n := 0, sized(r, &s.Counters, 2+8); i < n && r.err == nil; i++ {
+		s.Counters = append(s.Counters, obs.CounterSnap{Name: r.name(), Value: r.u64()})
 	}
-	for i, n := 0, int(r.u16()); i < n && r.err == nil; i++ {
-		s.Gauges = append(s.Gauges, obs.GaugeSnap{Name: r.str(), Value: r.i64()})
+	for i, n := 0, sized(r, &s.Gauges, 2+8); i < n && r.err == nil; i++ {
+		s.Gauges = append(s.Gauges, obs.GaugeSnap{Name: r.name(), Value: r.i64()})
 	}
-	for i, n := 0, int(r.u16()); i < n && r.err == nil; i++ {
-		h := obs.HistSnap{Name: r.str(), Count: r.u64(),
+	for i, n := 0, sized(r, &s.Hists, 2+8+8+8+2); i < n && r.err == nil; i++ {
+		h := obs.HistSnap{Name: r.name(), Count: r.u64(),
 			Sum: time.Duration(r.i64()), Max: time.Duration(r.i64())}
-		for j, m := 0, int(r.u16()); j < m && r.err == nil; j++ {
+		for j, m := 0, sized(r, &h.Buckets, 8); j < m && r.err == nil; j++ {
 			h.Buckets = append(h.Buckets, r.u64())
 		}
 		s.Hists = append(s.Hists, h)
@@ -379,8 +401,8 @@ func putStats(w *wbuf, s api.StatsResponse) {
 
 func getStats(r *rbuf) api.StatsResponse {
 	var s api.StatsResponse
-	for i, n := 0, int(r.u16()); i < n && r.err == nil; i++ {
-		sv := api.ServiceStats{Name: r.str(), State: core.ServiceState(r.u8())}
+	for i, n := 0, sized(r, &s.Services, 2+1+8*8); i < n && r.err == nil; i++ {
+		sv := api.ServiceStats{Name: r.name(), State: core.ServiceState(r.u8())}
 		sv.Launches = r.u64()
 		sv.ColdStarts = r.u64()
 		sv.Handoffs = r.u64()
@@ -391,10 +413,10 @@ func getStats(r *rbuf) api.StatsResponse {
 		sv.Demotions = r.u64()
 		s.Services = append(s.Services, sv)
 	}
-	for i, n := 0, int(r.u16()); i < n && r.err == nil; i++ {
-		s.Triggers = append(s.Triggers, api.TriggerStats{Name: r.str(), Fired: r.u64()})
+	for i, n := 0, sized(r, &s.Triggers, 2+8); i < n && r.err == nil; i++ {
+		s.Triggers = append(s.Triggers, api.TriggerStats{Name: r.name(), Fired: r.u64()})
 	}
-	for i, n := 0, int(r.u16()); i < n && r.err == nil; i++ {
+	for i, n := 0, sized(r, &s.Registries, 2+2+2+2); i < n && r.err == nil; i++ {
 		s.Registries = append(s.Registries, getSnapshot(r))
 	}
 	s.Err = getErr(r)
@@ -552,13 +574,45 @@ func Append(dst []byte, ver byte, typ byte, id uint32, msg any) ([]byte, error) 
 
 // ---- frame decode ----
 
+// maxInterned caps a Decoder's name table; past it names allocate per
+// frame, as they do without a Decoder.
+const maxInterned = 4096
+
+// Decoder is one session's decoding state: the names its stats frames
+// repeat, snapshot after snapshot — services, triggers, registries,
+// metrics — are allocated once and handed out again. The zero value is
+// ready to use; its messages never alias the buffer it was given.
+type Decoder struct{ names map[string]string }
+
+// intern returns b as a string, the one it returned before for the same
+// bytes if any; probing with the bytes themselves, a hit allocates nothing.
+func (d *Decoder) intern(b []byte) string {
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(d.names) < maxInterned {
+		if d.names == nil {
+			d.names = make(map[string]string)
+		}
+		d.names[s] = s
+	}
+	return s
+}
+
+// Decode is (*Decoder).Decode without a session: no name outlives the
+// call that decoded it.
+func Decode(buf []byte) (ver byte, typ byte, id uint32, msg any, n int, err error) {
+	return (*Decoder)(nil).Decode(buf)
+}
+
 // Decode parses one frame from the front of buf, returning the frame
 // version, type, request id, decoded message and the bytes consumed.
 // Both protocol versions are accepted — sessions enforce that frames
 // carry their negotiated version, the codec does not. ErrShort means
 // buf holds only a prefix — accumulate more and retry; any other
 // error is a protocol violation.
-func Decode(buf []byte) (ver byte, typ byte, id uint32, msg any, n int, err error) {
+func (d *Decoder) Decode(buf []byte) (ver byte, typ byte, id uint32, msg any, n int, err error) {
 	if len(buf) < 4 {
 		return 0, 0, 0, nil, 0, ErrShort
 	}
@@ -579,12 +633,12 @@ func Decode(buf []byte) (ver byte, typ byte, id uint32, msg any, n int, err erro
 	}
 	typ = buf[5]
 	id = binary.BigEndian.Uint32(buf[6:])
-	msg, err = decodeBody(ver, typ, buf[headerLen:n])
+	msg, err = d.decodeBody(ver, typ, buf[headerLen:n])
 	return ver, typ, id, msg, n, err
 }
 
-func decodeBody(ver byte, typ byte, body []byte) (any, error) {
-	r := &rbuf{b: body}
+func (d *Decoder) decodeBody(ver byte, typ byte, body []byte) (any, error) {
+	r := &rbuf{b: body, d: d}
 	var msg any
 	switch typ {
 	case THello:

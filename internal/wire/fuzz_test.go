@@ -39,8 +39,12 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(bad[:len(bad)-2])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 
+	// One decoder for the whole run, as a session has: whatever names
+	// earlier inputs left in its table, it must answer like Decode.
+	var session Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ver, typ, id, msg, n, err := Decode(data)
+		sameDecode(t, &session, data, ver, typ, id, msg, n, err)
 		if err != nil {
 			return
 		}

@@ -106,14 +106,15 @@ func (s *Server) resolve(img *unikernel.Image) {
 	}
 }
 
-// srvConn is one accepted connection's state: the rx reassembly
-// buffer, the negotiated version and granted scope once Hello/HelloAck
-// completed, and the live WatchStats subscriptions keyed by their
-// request id.
+// srvConn is one accepted connection's state: the session's tx scratch
+// and rx reassembly buffer (frames before rxoff are consumed), the
+// negotiated version and granted scope once Hello/HelloAck completed,
+// and the live WatchStats subscriptions keyed by their request id.
 type srvConn struct {
 	s       *Server
 	conn    *netstack.TCPConn
-	rx      []byte
+	tx, rx  []byte
+	rxoff   int
 	hello   bool
 	closed  bool
 	ver     byte
@@ -150,11 +151,12 @@ func (sc *srvConn) send(ver byte, typ byte, id uint32, msg any) {
 	if sc.closed {
 		return
 	}
-	buf, err := Append(nil, ver, typ, id, msg)
+	buf, err := Append(sc.tx[:0], ver, typ, id, msg)
 	if err != nil {
 		sc.drop()
 		return
 	}
+	sc.tx = keep(buf)
 	if sc.conn.Send(buf) != nil {
 		sc.onClose(nil)
 	}
@@ -163,15 +165,16 @@ func (sc *srvConn) send(ver byte, typ byte, id uint32, msg any) {
 func (sc *srvConn) onData(b []byte) {
 	sc.rx = append(sc.rx, b...)
 	for !sc.closed {
-		ver, typ, id, msg, n, err := Decode(sc.rx)
+		ver, typ, id, msg, n, err := Decode(sc.rx[sc.rxoff:])
 		if err == ErrShort {
+			sc.rx, sc.rxoff = compact(sc.rx, sc.rxoff), 0
 			return
 		}
 		if err != nil {
 			sc.drop()
 			return
 		}
-		sc.rx = sc.rx[n:]
+		sc.rxoff += n
 		// Post-handshake frames must carry the negotiated version.
 		if sc.hello && ver != sc.ver {
 			sc.drop()
@@ -320,6 +323,12 @@ func (sc *srvConn) dispatch(ver byte, typ byte, id uint32, msg any) {
 		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Stats(api.StatsRequest{}))
 	case TWatchReq:
 		m := msg.(WatchReq)
+		// An id names one stream: a request on a live id replaces it, or
+		// the old ticker, its Stop overwritten, would run until the close.
+		if stop, live := sc.watches[id]; live {
+			stop()
+			delete(sc.watches, id)
+		}
 		resp := sc.s.cfg.Backend.WatchStats(api.WatchStatsRequest{
 			Every: m.Every,
 			OnStats: func(s api.StatsResponse) bool {

@@ -56,6 +56,15 @@
 // space and its own subscription registry, so N operator sessions
 // stream independently from one server and one session's teardown
 // never disturbs its siblings.
+//
+// Buffers. Each end of a session owns a tx scratch every outgoing frame
+// is rendered into (TCPConn.Send copies it before returning) and an rx
+// buffer consumed by offset, its tail moved to the front only when a
+// frame is incomplete; either is released once empty if a frame grew it
+// past 64 KiB. A Client decodes through its own Decoder, which bounds
+// what a peer can make it hold: a collection gets room for its declared
+// count capped by what the remaining bytes could carry, and the table of
+// recurring names stops at 4 096 entries. A server uses plain Decode.
 package wire
 
 import "errors"
@@ -84,6 +93,30 @@ const MaxFrame = 1 << 20
 
 // headerLen is the fixed frame header: length + version + type + id.
 const headerLen = 10
+
+// maxScratch is the largest idle buffer a session holds on to: one that
+// an outsized frame grew past it is released once empty.
+const maxScratch = 64 << 10
+
+// keep empties a session buffer for reuse, or releases it.
+func keep(b []byte) []byte {
+	if cap(b) > maxScratch {
+		return nil
+	}
+	return b[:0]
+}
+
+// compact moves rx's unconsumed tail, rx[off:], to the front, so the
+// buffer stops growing once it has held the session's largest frame.
+func compact(rx []byte, off int) []byte {
+	switch off {
+	case len(rx):
+		return keep(rx)
+	case 0:
+		return rx // a frame still arriving: nothing consumed, nothing to move
+	}
+	return rx[:copy(rx, rx[off:])]
+}
 
 // Frame types. Requests and responses pair by offset: respOf(t) for a
 // request type t is t + 0x20.
