@@ -16,9 +16,9 @@ SHELL := /bin/bash
 
 GO ?= go
 # The perf record this branch writes; bump per PR to grow the trajectory.
-BENCH_OUT ?= BENCH_pr19.json
+BENCH_OUT ?= BENCH_pr21.json
 # The committed baseline the bench gate compares against.
-BENCH_BASE ?= BENCH_pr19.json
+BENCH_BASE ?= BENCH_pr21.json
 # Allowed fractional ns/op regression before the gate fails.
 BENCH_TOLERANCE ?= 0.25
 # Benchmarks whose workload this PR deliberately made heavier: their
@@ -30,7 +30,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build test vet race fmt-check bench-check loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store fuzz-engine bench bench-gate determinism ci
+.PHONY: all build test vet race fmt-check bench-check loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store fuzz-tcb fuzz-engine bench bench-gate determinism ci
 
 all: vet build test
 
@@ -88,6 +88,7 @@ fuzz:
 	$(MAKE) fuzz-impaired
 	$(MAKE) fuzz-wire
 	$(MAKE) fuzz-store
+	$(MAKE) fuzz-tcb
 	$(MAKE) fuzz-engine
 
 # fuzz-summary smokes the federation root's summary codec.
@@ -113,6 +114,13 @@ fuzz-wire:
 fuzz-store:
 	$(GO) test -run '^$$' -fuzz=FuzzStoreModel -fuzztime=$(FUZZTIME) ./internal/xenstore
 
+# fuzz-tcb feeds fuzzer-proposed strings to the Synjitsu handoff
+# parser: never a panic, the same accept/reject and fields as the
+# strings.Fields parser it replaced, and parse(encode(x)) == x with
+# encode byte-equal to the fmt-based one.
+fuzz-tcb:
+	$(GO) test -run '^$$' -fuzz=FuzzTCBCodec -fuzztime=$(FUZZTIME) ./internal/netstack
+
 # fuzz-engine plays fuzzer-proposed schedules — After/At/Cancel through
 # live, fired and stale handles, Step/RunUntil/RunFor/Run — on the
 # two-tier scheduler and on the one-heap engine it replaced, and holds
@@ -125,7 +133,7 @@ fuzz-engine:
 # package's layer), with -benchmem and records the numbers as JSON. The
 # experiment benches double as the determinism record: their
 # ReportMetric values must not move between runs with the same seed.
-BENCH_PKGS ?= . ./internal/sim ./internal/xenstore ./internal/netsim ./internal/netstack ./internal/wire ./internal/obs ./internal/cluster
+BENCH_PKGS ?= . ./internal/sim ./internal/xenstore ./internal/xen ./internal/netsim ./internal/netstack ./internal/wire ./internal/obs ./internal/cluster
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' $(BENCH_PKGS) | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 

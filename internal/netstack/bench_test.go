@@ -97,3 +97,18 @@ func BenchmarkEncodeTCPFrame(b *testing.B) {
 		b.Fatal("no frame reached the NIC")
 	}
 }
+
+// BenchmarkTCBCodec is one Synjitsu handoff's worth of codec: the proxy
+// encodes a connection with a buffered request, the unikernel parses it.
+func BenchmarkTCBCodec(b *testing.B) {
+	tcb := &TCB{State: TCBStateEstablished,
+		LocalIP: IPv4(10, 0, 0, 20), LocalPort: 80, RemoteIP: IPv4(10, 0, 0, 9), RemotePort: 49152,
+		ISS: 1 << 30, IRS: 1 << 31, SndNxt: 1<<30 + 1, RcvNxt: 1<<31 + 40, Window: 65535,
+		Buffered: []byte("GET / HTTP/1.0\r\nHost: alice.family.name\r\n\r\n")}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ParseTCB(tcb.Encode()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

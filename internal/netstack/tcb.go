@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // TCB is a serialisable TCP control block: everything needed to hand a
@@ -128,24 +129,23 @@ func (h *Host) ImportTCB(t *TCB) (*TCPConn, error) {
 
 // Encode renders the s-expression form stored in XenStore.
 func (t *TCB) Encode() string {
-	var b strings.Builder
-	b.WriteByte('(')
-	field := func(k, v string) { fmt.Fprintf(&b, "(%s %s)", k, v) }
-	field("state", t.State)
-	field("src", t.RemoteIP.String()) // "src" is the *client*, as in Fig 7
-	field("sport", strconv.Itoa(int(t.RemotePort)))
-	field("dst", t.LocalIP.String())
-	field("dport", strconv.Itoa(int(t.LocalPort)))
-	field("iss", strconv.FormatUint(uint64(t.ISS), 10))
-	field("irs", strconv.FormatUint(uint64(t.IRS), 10))
-	field("snd-nxt", strconv.FormatUint(uint64(t.SndNxt), 10))
-	field("rcv-nxt", strconv.FormatUint(uint64(t.RcvNxt), 10))
-	field("wnd", strconv.Itoa(int(t.Window)))
+	// Keys, brackets and every number at full width come to 167 bytes.
+	b := make([]byte, 0, 168+len(t.State)+2*len(t.Buffered))
+	b = append(b, "((state "...)
+	b = append(b, t.State...)
+	b = t.RemoteIP.appendTo(append(b, ")(src "...)) // "src" is the *client*, as in Fig 7
+	b = strconv.AppendUint(append(b, ")(sport "...), uint64(t.RemotePort), 10)
+	b = t.LocalIP.appendTo(append(b, ")(dst "...))
+	b = strconv.AppendUint(append(b, ")(dport "...), uint64(t.LocalPort), 10)
+	b = strconv.AppendUint(append(b, ")(iss "...), uint64(t.ISS), 10)
+	b = strconv.AppendUint(append(b, ")(irs "...), uint64(t.IRS), 10)
+	b = strconv.AppendUint(append(b, ")(snd-nxt "...), uint64(t.SndNxt), 10)
+	b = strconv.AppendUint(append(b, ")(rcv-nxt "...), uint64(t.RcvNxt), 10)
+	b = strconv.AppendUint(append(b, ")(wnd "...), uint64(t.Window), 10)
 	if len(t.Buffered) > 0 {
-		field("buf", hex.EncodeToString(t.Buffered))
+		b = hex.AppendEncode(append(b, ")(buf "...), t.Buffered)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return string(append(b, "))"...))
 }
 
 // ParseTCB parses the s-expression form.
@@ -168,12 +168,17 @@ func ParseTCB(s string) (*TCB, error) {
 		if end < 0 {
 			return nil, ErrBadTCB
 		}
-		pair := strings.Fields(inner[1:end])
+		// A pair is exactly two fields with white space between and around.
+		pair := strings.TrimSpace(inner[1:end])
 		inner = inner[end+1:]
-		if len(pair) != 2 {
+		sep := strings.IndexFunc(pair, unicode.IsSpace)
+		if sep < 0 {
 			return nil, ErrBadTCB
 		}
-		k, v := pair[0], pair[1]
+		k, v := pair[:sep], strings.TrimSpace(pair[sep:])
+		if strings.IndexFunc(v, unicode.IsSpace) >= 0 {
+			return nil, ErrBadTCB
+		}
 		switch k {
 		case "state":
 			t.State = v

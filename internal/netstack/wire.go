@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"jitsu/internal/netsim"
 )
@@ -55,8 +56,17 @@ var (
 type IP [4]byte
 
 // String renders dotted quad.
-func (ip IP) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
+func (ip IP) String() string { return string(ip.appendTo(make([]byte, 0, 15))) }
+
+// appendTo appends the dotted quad to b.
+func (ip IP) appendTo(b []byte) []byte {
+	for i, octet := range ip {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(octet), 10)
+	}
+	return b
 }
 
 // IPv4 builds an address from octets.

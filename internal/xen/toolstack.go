@@ -3,6 +3,7 @@ package xen
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"jitsu/internal/sim"
@@ -314,74 +315,72 @@ func (ts *Toolstack) claimPooled(d *Domain, cfg DomainConfig, done func(*Domain,
 // These are the transactional write sets whose conflict behaviour drives
 // Figure 3. Writes under the domain's own subtree are private; the
 // backend entries under dom0's tree are the shared contention point.
+// Each set is a table written top to bottom: the order of a
+// transaction's log is the order its watch events fire in at commit, so
+// it must not vary from run to run.
 
-func writeBuildRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
-	base := d.XSPath()
-	records := map[string]string{
-		base + "/name":              d.Name,
-		base + "/domid":             fmt.Sprint(int(d.ID)),
-		base + "/memory/target":     fmt.Sprint(d.MemMiB * 1024),
-		base + "/memory/static-max": fmt.Sprint(d.MemMiB * 1024),
-		base + "/vm":                "/vm/" + d.Name,
-		base + "/control/shutdown":  "",
-		base + "/console/ring-ref":  "8",
-		base + "/console/port":      "2",
-		base + "/console/limit":     "1048576",
-		base + "/console/type":      "xenconsoled",
-		base + "/store/ring-ref":    "1",
-		base + "/store/port":        "1",
-	}
-	for k, v := range records {
-		if err := st.Write(Dom0, tx, k, v); err != nil {
+// record is one key, relative to a set's base path, and its value.
+type record struct{ key, value string }
+
+func writeRecords(st *xenstore.Store, tx *xenstore.Tx, base string, records []record) error {
+	for _, r := range records {
+		if err := st.Write(Dom0, tx, base+r.key, r.value); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func writeBuildRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
+	memKiB := strconv.Itoa(d.MemMiB * 1024)
+	return writeRecords(st, tx, d.XSPath(), []record{
+		{"/name", d.Name},
+		{"/domid", strconv.Itoa(int(d.ID))},
+		{"/memory/target", memKiB},
+		{"/memory/static-max", memKiB},
+		{"/vm", "/vm/" + d.Name},
+		{"/control/shutdown", ""},
+		{"/console/ring-ref", "8"},
+		{"/console/port", "2"},
+		{"/console/limit", "1048576"},
+		{"/console/type", "xenconsoled"},
+		{"/store/ring-ref", "1"},
+		{"/store/port", "1"},
+	})
 }
 
 func writeVifRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
-	front := fmt.Sprintf("%s/device/vif/0", d.XSPath())
-	back := fmt.Sprintf("/local/domain/0/backend/vif/%d/0", int(d.ID))
-	records := []struct{ k, v string }{
+	id := strconv.Itoa(int(d.ID))
+	front := d.XSPath() + "/device/vif/0"
+	back := "/local/domain/0/backend/vif/" + id + "/0"
+	mac := macFor(d.ID)
+	return writeRecords(st, tx, "", []record{
 		{front + "/backend", back},
 		{front + "/backend-id", "0"},
-		{front + "/mac", macFor(d.ID)},
+		{front + "/mac", mac},
 		{front + "/state", "1"},
 		{back + "/frontend", front},
-		{back + "/frontend-id", fmt.Sprint(int(d.ID))},
-		{back + "/mac", macFor(d.ID)},
+		{back + "/frontend-id", id},
+		{back + "/mac", mac},
 		{back + "/bridge", "xenbr0"},
 		{back + "/handle", "0"},
 		{back + "/state", "4"},
-	}
-	for _, r := range records {
-		if err := st.Write(Dom0, tx, r.k, r.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 func writeConsoleRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
-	base := d.XSPath() + "/console"
-	for k, v := range map[string]string{
-		base + "/tty":    fmt.Sprintf("/dev/pts/%d", int(d.ID)),
-		base + "/state":  "4",
-		base + "/output": "pty",
-	} {
-		if err := st.Write(Dom0, tx, k, v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeRecords(st, tx, d.XSPath()+"/console", []record{
+		{"/tty", "/dev/pts/" + strconv.Itoa(int(d.ID))},
+		{"/state", "4"},
+		{"/output", "pty"},
+	})
 }
 
 func removeDomainRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
 	if err := st.Rm(Dom0, tx, d.XSPath()); err != nil && !errors.Is(err, xenstore.ErrNotFound) {
 		return err
 	}
-	back := fmt.Sprintf("/local/domain/0/backend/vif/%d", int(d.ID))
-	if err := st.Rm(Dom0, tx, back); err != nil && !errors.Is(err, xenstore.ErrNotFound) {
+	if err := st.Rm(Dom0, tx, "/local/domain/0/backend/vif/"+strconv.Itoa(int(d.ID))); err != nil && !errors.Is(err, xenstore.ErrNotFound) {
 		return err
 	}
 	return nil

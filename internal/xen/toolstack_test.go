@@ -3,6 +3,7 @@ package xen
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -365,5 +366,33 @@ func TestDestroyRevokesGrantsAndChannels(t *testing.T) {
 	}
 	if _, err := hyp.LookupEventChannel(ch.ID); err == nil {
 		t.Error("event channel survived domain destruction")
+	}
+}
+
+// The record sets are ordered tables, so one domain build logs — and at
+// commit announces — its keys in the same order in every world. (They
+// were Go maps once: twelve keys in a fresh order every run.)
+func TestBuildRecordOrderIsFixed(t *testing.T) {
+	var first []string
+	for world := 0; world < 20; world++ {
+		_, hyp := newHost(xenstore.JitsuReconciler{}, CubieboardARM())
+		var events []string
+		if _, err := hyp.Store.WatchPath(Dom0, "/local/domain", "t", func(path, _ string) { events = append(events, path) }); err != nil {
+			t.Fatal(err)
+		}
+		buildOne(t, NewToolstack(hyp, ToolstackOpts{Hotplug: HotplugIoctl, Console: true}), "vm")
+		// Registration; 17 build nodes and 12 values; 18 vif nodes (dom0's
+		// backend directories included) and 10 values; 3 console keys.
+		if len(events) != 1+29+28+6 {
+			t.Fatalf("world %d: %d events, want the build, vif and console sets: %v", world, len(events), events)
+		}
+		if world == 0 {
+			first = events
+		} else if !slices.Equal(events, first) {
+			t.Fatalf("world %d announced its records in another order:\n got %v\nwant %v", world, events, first)
+		}
+	}
+	if want := "/local/domain/1/name"; first[2] != want || first[3] != want {
+		t.Errorf("the build set opens with %v, want the domain directory, then %s created and written", first[1:4], want)
 	}
 }

@@ -86,3 +86,36 @@ func BenchmarkImmediateWrite(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTxCommit is one domain build's write set through Commit's
+// two outcomes: nothing landed since Begin (fast-forward), and one
+// immediate write landed just before Commit (merge).
+func BenchmarkTxCommit(b *testing.B) {
+	for _, merge := range []bool{false, true} {
+		name := "fastforward"
+		if merge {
+			name = "merge"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := populated(1000)
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := buildTx(s, 5000, merge); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Rm(Dom0, nil, "/local/domain/5000"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkParsePath(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := parsePath("/local/domain/60/device/vif/0/state"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

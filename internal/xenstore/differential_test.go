@@ -58,12 +58,43 @@ type txPair struct {
 	ref  *refTx
 }
 
+// commit ends the pair and returns both verdicts, having noted in
+// modelCommits which of Commit's two outcomes the store is about to
+// take (a verdict of ErrAgain or an empty log takes neither).
+func (p *txPair) commit(kind int) (got, want error) {
+	ff, foreign, logged := p.real.fastForward(), p.real.foreign, len(p.real.ops) > 0
+	got, want = p.real.Commit(), p.ref.commit()
+	if got == nil && logged {
+		c := &modelCommits[kind]
+		if ff {
+			c.fastForward++
+		} else {
+			c.merge++
+		}
+		if foreign {
+			c.foreign++
+		}
+	}
+	return got, want
+}
+
+// modelCommits counts, per reconciler, the commits runModel has seen
+// land by each outcome, and those written through by a domain other
+// than the opener.
+var modelCommits [3]struct{ fastForward, merge, foreign int }
+
 // runModel plays ops against both stores and reports the first
 // disagreement.
 func runModel(t *testing.T, ops []byte) {
 	t.Helper()
 	o := &opStream{b: ops}
-	kind := o.next() % 3
+	first := o.next()
+	kind := first % 3
+	// Half the streams keep to the toolstack's habits, which are what
+	// let a commit fast-forward: a transaction is worked as the domain
+	// that opened it, and while one is open nothing is written beside
+	// it. The rest mix domains and immediate writes freely.
+	tidy := first/3%2 == 1
 	s, ref := NewStore(modelRecs[kind]), newRefStore(kind)
 	s.NodeQuota = 6
 	ref.quota = 6
@@ -81,6 +112,7 @@ func runModel(t *testing.T, ops []byte) {
 	var watches []*Watch
 	var refWatches []*refWatch
 	var slots [4]*txPair
+	var latest *txPair // the last one begun, while it is open
 	closed := &txPair{real: s.Begin(Dom0), ref: ref.begin(Dom0)}
 	closed.real.Abort()
 	closed.ref.closed = true
@@ -103,6 +135,14 @@ func runModel(t *testing.T, ops []byte) {
 			tx = *slots[k]
 		} else if b/16%8 == 7 {
 			tx = *closed
+		}
+		if tidy {
+			if tx.real == nil && latest != nil {
+				tx = *latest
+			}
+			if tx.real != nil {
+				dom = tx.real.dom
+			}
 		}
 		switch b % 16 {
 		case 0, 1, 2, 3:
@@ -144,14 +184,20 @@ func runModel(t *testing.T, ops []byte) {
 			k := b / 64
 			if slots[k] == nil {
 				slots[k] = &txPair{real: s.Begin(dom), ref: ref.begin(dom)}
-			} else if b%16 == 12 {
-				same("Commit", nil, nil, slots[k].real.Commit(), slots[k].ref.commit())
-				slots[k] = nil
+				latest = slots[k]
+				break
+			}
+			if latest == slots[k] {
+				latest = nil
+			}
+			if b%16 == 12 {
+				got, want := slots[k].commit(kind)
+				same("Commit", nil, nil, got, want)
 			} else {
 				slots[k].real.Abort()
 				slots[k].ref.closed = true
-				slots[k] = nil
 			}
+			slots[k] = nil
 		case 14:
 			p, token := o.path(), fmt.Sprint("t", len(watches))
 			w, err := s.WatchPath(dom, p, token, func(path, token string) { log = append(log, path+"|"+token) })
@@ -176,9 +222,18 @@ func runModel(t *testing.T, ops []byte) {
 	for _, tx := range slots {
 		if tx != nil {
 			step++
-			same("final Commit", nil, nil, tx.real.Commit(), tx.ref.commit())
+			got, want := tx.commit(kind)
+			same("final Commit", nil, nil, got, want)
 		}
 	}
+	sameState(t, s, ref, log)
+}
+
+// sameState compares everything that outlives an op stream: counters,
+// quota ownership, the watch events delivered (log is the store's) and
+// the tree, generation stamps included.
+func sameState(t *testing.T, s *Store, ref *refStore, log []string) {
+	t.Helper()
 	if s.Stats() != ref.stats {
 		t.Fatalf("Stats: store %+v, model %+v", s.Stats(), ref.stats)
 	}
@@ -199,11 +254,22 @@ func runModel(t *testing.T, ops []byte) {
 }
 
 func TestStoreMatchesModel(t *testing.T) {
+	clear(modelCommits[:])
 	for seed := int64(0); seed < 1000; seed++ {
 		ops := make([]byte, 400)
 		rand.New(rand.NewSource(seed)).Read(ops)
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { runModel(t, ops) })
 	}
+	// Both of Commit's outcomes must have been held to the model under
+	// every reconciler, and the rule that keeps a foreign domain's
+	// writes off the fast path must have had something to decide.
+	for kind, c := range modelCommits {
+		if c.fastForward == 0 || c.merge == 0 || c.foreign == 0 {
+			t.Errorf("%s: %d fast-forward, %d merge, %d foreign-domain commits; want each > 0",
+				modelRecs[kind].Name(), c.fastForward, c.merge, c.foreign)
+		}
+	}
+	t.Logf("commits by outcome: %+v", modelCommits)
 }
 
 func FuzzStoreModel(f *testing.F) {

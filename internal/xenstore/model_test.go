@@ -70,6 +70,30 @@ func newRefStore(kind int) *refStore {
 	return s
 }
 
+// SplitPath validates an absolute path and returns its components:
+// the model's parser, one slice per use. "/" is the root and yields an
+// empty slice.
+func SplitPath(path string) ([]string, error) {
+	if path == "" || path[0] != '/' || len(path) > MaxPathLen {
+		return nil, ErrBadPath
+	}
+	if path == "/" {
+		return nil, nil
+	}
+	parts := strings.Split(strings.TrimSuffix(path, "/")[1:], "/")
+	for _, part := range parts {
+		if part == "" || len(part) > 256 {
+			return nil, ErrBadPath
+		}
+		for i := 0; i < len(part); i++ {
+			if !validByte(part[i]) {
+				return nil, ErrBadPath
+			}
+		}
+	}
+	return parts, nil
+}
+
 func refLookup(root *refNode, parts []string) *refNode {
 	n := root
 	for _, p := range parts {
@@ -188,6 +212,17 @@ func (s *refStore) mutate(tx *refTx, kind opKind, dom DomID, path, value string,
 			logOp(refOp{kind: opWrite, path: p})
 		}
 	}
+	// An immediate mutation that changed the tree before failing still
+	// takes a sequence number and fires what it changed.
+	finish := func(err error) error {
+		if tx == nil && (err == nil || len(events) > 0) {
+			s.seq++
+			s.commits++
+			s.stats.Commits++
+			s.fire(events)
+		}
+		return err
+	}
 	switch kind {
 	case opWrite, opMkdir:
 		n, cur := root, ""
@@ -196,7 +231,7 @@ func (s *refStore) mutate(tx *refTx, kind opKind, dom DomID, path, value string,
 			ch, last := n.kids[p], i == len(parts)-1
 			if ch == nil {
 				if !n.perms.CanWrite(dom) {
-					return ErrPerm
+					return finish(ErrPerm)
 				}
 				childPerms := n.perms.clone()
 				childPerms.RestrictCreate = false
@@ -209,7 +244,7 @@ func (s *refStore) mutate(tx *refTx, kind opKind, dom DomID, path, value string,
 						delta = tx.created[owner]
 					}
 					if s.quota > 0 && s.owned[owner]+delta >= s.quota {
-						return ErrQuota
+						return finish(ErrQuota)
 					}
 					if tx != nil {
 						tx.created[owner]++
@@ -227,7 +262,7 @@ func (s *refStore) mutate(tx *refTx, kind opKind, dom DomID, path, value string,
 				}
 				note(cur)
 			} else if last && kind == opWrite && !ch.perms.CanWrite(dom) {
-				return ErrPerm
+				return finish(ErrPerm)
 			}
 			if last && kind == opWrite {
 				ch.value, ch.valueGen = value, gen
@@ -277,13 +312,7 @@ func (s *refStore) mutate(tx *refTx, kind opKind, dom DomID, path, value string,
 		}
 		note(path)
 	}
-	if tx == nil {
-		s.seq++
-		s.commits++
-		s.stats.Commits++
-		s.fire(events)
-	}
-	return nil
+	return finish(nil)
 }
 
 func mustSplit(path string) []string {

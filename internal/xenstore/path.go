@@ -26,6 +26,22 @@
 // afterwards — and with no snapshot outstanding nothing is copied at
 // all. Permission entries are immutable once on a node and shared.
 //
+// The same rule makes a commit whose base has not moved a fast-forward,
+// as in Irmin, not a merge. Begin retired the live token, so any write
+// to the live tree since has copied the root: while the live root is
+// still the pointer the transaction captured, the transaction's tree is
+// what replaying its log would build. Commit, once the reconciler's
+// Check has passed, installs it as the live tree, settles the quota
+// steps in order and fires one watch event per logged operation, as
+// replay does on an unmoved base. For the generation stamps to agree a
+// transaction stamps its writes startSeq+1, the number that commit
+// takes; nothing reads a snapshot's stamps. Otherwise — and whenever a
+// domain other than the opener wrote through the transaction, since
+// replay acts as the opener — the log is replayed onto the live tree.
+//
+// A path is its canonical string, validated in one pass; tree walks cut
+// the components off it in place, so no operation allocates for a path.
+//
 // The package is pure logic (no simulated time); callers charge per-op
 // costs on their own clocks.
 package xenstore
@@ -58,13 +74,10 @@ var (
 // MaxPathLen mirrors XENSTORE_ABS_PATH_MAX from the Xen public headers.
 const MaxPathLen = 3072
 
-// xpath is a parsed absolute path: the canonical string (no trailing
-// slash) and its components, each a substring of it. Every operation
-// parses its path once at the API boundary and passes this around.
-type xpath struct {
-	s     string
-	parts []string
-}
+// xpath is a validated absolute path in canonical form (no trailing
+// slash). Every operation parses its path once at the API boundary and
+// passes this around; walks read the components off it with nextPart.
+type xpath struct{ s string }
 
 var rootPath = xpath{s: "/"}
 
@@ -78,7 +91,6 @@ func parsePath(path string) (xpath, error) {
 	}
 	// Trailing slash is tolerated on directories, as in the C daemon.
 	path = strings.TrimSuffix(path, "/")
-	parts := make([]string, 0, strings.Count(path, "/"))
 	for start, i := 1, 1; i <= len(path); i++ {
 		if i < len(path) && path[i] != '/' {
 			if !validByte(path[i]) {
@@ -89,32 +101,23 @@ func parsePath(path string) (xpath, error) {
 		if i == start || i-start > 256 {
 			return xpath{}, ErrBadPath
 		}
-		parts = append(parts, path[start:i])
 		start = i + 1
 	}
-	return xpath{s: path, parts: parts}, nil
+	return xpath{s: path}, nil
 }
 
-// prefix returns the path of p's first i components, whose canonical
-// string ends at byte end of p's.
-func (p xpath) prefix(i, end int) xpath {
-	if i == 0 {
-		return rootPath
+// nextPart returns the component of canonical path s starting at byte
+// pos, and where the next one starts: past len(s) after the last. A
+// walk runs `for pos := 1; pos < len(s);`; s[:pos-1] is the path so far.
+func nextPart(s string, pos int) (string, int) {
+	if i := strings.IndexByte(s[pos:], '/'); i >= 0 {
+		return s[pos : pos+i], pos + i + 1
 	}
-	return xpath{s: p.s[:end], parts: p.parts[:i]}
+	return s[pos:], len(s) + 1
 }
 
 // parent returns the path one level up ("/" for top-level nodes).
-func (p xpath) parent() xpath {
-	return p.prefix(len(p.parts)-1, strings.LastIndexByte(p.s, '/'))
-}
-
-// SplitPath validates an absolute path and returns its components.
-// "/" is the root and yields an empty slice.
-func SplitPath(path string) ([]string, error) {
-	p, err := parsePath(path)
-	return p.parts, err
-}
+func (p xpath) parent() xpath { return xpath{s: ParentPath(p.s)} }
 
 // ParentPath returns the parent of an absolute path ("/" for top-level
 // nodes and for the root itself).

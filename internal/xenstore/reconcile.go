@@ -42,9 +42,9 @@ func (OCamlReconciler) Name() string { return "OCaml xenstored" }
 
 // Check implements Reconciler.
 func (OCamlReconciler) Check(s *Store, tx *Tx) error {
-	for _, r := range tx.access {
-		n := lookup(s.root, r.parts)
-		if err := checkExistence(n, r); err != nil {
+	for _, r := range tx.recs {
+		n := lookup(s.root, r.path)
+		if err := checkExistence(n, &r); err != nil {
 			return err
 		}
 		if n == nil {
@@ -81,8 +81,8 @@ func (JitsuReconciler) Name() string { return "Jitsu xenstored" }
 
 // Check implements Reconciler.
 func (JitsuReconciler) Check(s *Store, tx *Tx) error {
-	for _, r := range tx.access {
-		n := lookup(s.root, r.parts)
+	for _, r := range tx.recs {
+		n := lookup(s.root, r.path)
 		// Creation merge: if the tx created this node, it conflicts only
 		// when somebody else also created it concurrently.
 		if r.created {
@@ -91,7 +91,7 @@ func (JitsuReconciler) Check(s *Store, tx *Tx) error {
 			}
 			continue
 		}
-		if err := checkExistence(n, r); err != nil {
+		if err := checkExistence(n, &r); err != nil {
 			return err
 		}
 		if n == nil {

@@ -3,6 +3,7 @@ package xenstore
 import (
 	"fmt"
 	"slices"
+	"strconv"
 )
 
 // node is one entry in the store tree. Two generation counters let the
@@ -141,14 +142,14 @@ func (s *Store) Reconciler() Reconciler { return s.rec }
 func (s *Store) Stats() Stats { return s.stats }
 
 // DomainPath returns the standard per-domain subtree root.
-func DomainPath(dom DomID) string { return fmt.Sprintf("/local/domain/%d", dom) }
+func DomainPath(dom DomID) string { return "/local/domain/" + strconv.Itoa(int(dom)) }
 
-// lookup walks root for path components; returns nil if absent.
-func lookup(root *node, parts []string) *node {
+// lookup walks root along p's components; returns nil if absent.
+func lookup(root *node, p xpath) *node {
 	n := root
-	for _, p := range parts {
-		n = n.child(p)
-		if n == nil {
+	for name, pos := "", 1; pos < len(p.s); {
+		name, pos = nextPart(p.s, pos)
+		if n = n.child(name); n == nil {
 			return nil
 		}
 	}
@@ -176,7 +177,7 @@ func (s *Store) resolve(tx *Tx, path string) (p xpath, n *node, err error) {
 		}
 		root = tx.root
 	}
-	if n = lookup(root, p.parts); n == nil {
+	if n = lookup(root, p); n == nil {
 		tx.recordAbsent(p)
 	}
 	return p, n, nil
@@ -230,19 +231,19 @@ func (s *Store) List(dom DomID, tx *Tx, path string) ([]string, error) {
 // Write sets the value at path, creating the node (and any missing
 // intermediate directories) if necessary, as the real daemon does.
 func (s *Store) Write(dom DomID, tx *Tx, path, value string) error {
-	return s.mutate(tx, path, txOp{kind: opWrite, value: value, dom: dom})
+	return s.mutate(dom, tx, path, txOp{kind: opWrite, value: value})
 }
 
 // Mkdir creates a directory node (empty value) and missing parents.
 // Creating an existing node is a no-op, as in XenStore.
 func (s *Store) Mkdir(dom DomID, tx *Tx, path string) error {
-	return s.mutate(tx, path, txOp{kind: opMkdir, dom: dom})
+	return s.mutate(dom, tx, path, txOp{kind: opMkdir})
 }
 
 // Rm removes path and its whole subtree. Removing a missing node returns
 // ErrNotFound; removing the root is forbidden.
 func (s *Store) Rm(dom DomID, tx *Tx, path string) error {
-	return s.mutate(tx, path, txOp{kind: opRm, dom: dom})
+	return s.mutate(dom, tx, path, txOp{kind: opRm})
 }
 
 // GetPerms returns the node's permission descriptor.
@@ -263,7 +264,8 @@ func (s *Store) GetPerms(dom DomID, tx *Tx, path string) (Perms, error) {
 // SetPerms replaces the node's permission descriptor. Only the node owner
 // or Dom0 may do so.
 func (s *Store) SetPerms(dom DomID, tx *Tx, path string, perms Perms) error {
-	return s.mutate(tx, path, txOp{kind: opSetPerms, perms: perms.clone(), dom: dom})
+	perms = perms.clone()
+	return s.mutate(dom, tx, path, txOp{kind: opSetPerms, perms: &perms})
 }
 
 // ---- mutation plumbing ----
@@ -285,15 +287,17 @@ type mutCtx struct {
 	events []string
 }
 
-// mutate parses path and applies op to either the transaction snapshot
-// or the live tree. Immediate mutations bump the store sequence and
-// fire watches.
-func (s *Store) mutate(tx *Tx, path string, op txOp) (err error) {
+// mutate parses path and applies op, on dom's behalf, to either the
+// transaction snapshot or the live tree. An immediate mutation that
+// changed the tree takes a sequence number and fires watches, even one
+// that then failed: a Write whose leaf trips the quota has already
+// created the missing parents.
+func (s *Store) mutate(dom DomID, tx *Tx, path string, op txOp) (err error) {
 	s.stats.Ops++
 	if op.path, err = parsePath(path); err != nil {
 		return err
 	}
-	if len(op.path.parts) == 0 && op.kind != opSetPerms {
+	if op.path == rootPath && op.kind != opSetPerms {
 		if op.kind == opMkdir {
 			return nil
 		}
@@ -303,28 +307,31 @@ func (s *Store) mutate(tx *Tx, path string, op txOp) (err error) {
 		if tx.closed {
 			return ErrTxClosed
 		}
-		m := mutCtx{s: s, root: &tx.root, edit: tx.edit, tx: tx, gen: tx.startSeq}
-		return m.apply(&op)
+		if dom != tx.dom {
+			tx.foreign = true
+		}
+		m := mutCtx{s: s, root: &tx.root, edit: tx.edit, tx: tx, gen: tx.startSeq + 1}
+		return m.apply(dom, &op)
 	}
 	m := mutCtx{s: s, root: &s.root, edit: s.edit, gen: s.seq + 1}
-	if err := m.apply(&op); err != nil {
-		return err
+	err = m.apply(dom, &op)
+	if err == nil || len(m.events) > 0 {
+		s.seq++
+		s.commits++
+		s.stats.Commits++
+		s.fire(m.events)
 	}
-	s.seq++
-	s.commits++
-	s.stats.Commits++
-	s.fire(m.events)
-	return nil
+	return err
 }
 
-func (m *mutCtx) apply(op *txOp) error {
+func (m *mutCtx) apply(dom DomID, op *txOp) error {
 	switch op.kind {
 	case opRm:
-		return m.rm(op.dom, op.path)
+		return m.rm(dom, op.path)
 	case opSetPerms:
-		return m.setPerms(op.dom, op.path, op.perms)
+		return m.setPerms(dom, op.path, op.perms)
 	default:
-		return m.write(op.dom, op.path, op.value, op.kind == opMkdir)
+		return m.write(dom, op.path, op.value, op.kind == opMkdir)
 	}
 }
 
@@ -340,10 +347,11 @@ func (m *mutCtx) ownKid(n *node, i int) *node {
 	return n.kids[i]
 }
 
-// own makes the existing node at parts editable, with its ancestors.
-func (m *mutCtx) own(parts []string) *node {
+// own makes the existing node at p editable, with its ancestors.
+func (m *mutCtx) own(p xpath) *node {
 	n := m.ownRoot()
-	for _, name := range parts {
+	for name, pos := "", 1; pos < len(p.s); {
+		name, pos = nextPart(p.s, pos)
 		i, _ := n.find(name)
 		n = m.ownKid(n, i)
 	}
@@ -355,10 +363,9 @@ func (m *mutCtx) own(parts []string) *node {
 // exists) from Write (value update).
 func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool) error {
 	n := m.ownRoot()
-	end := 0
-	for i, name := range p.parts {
-		end += 1 + len(name)
-		last := i == len(p.parts)-1
+	for name, pos := "", 1; pos < len(p.s); {
+		name, pos = nextPart(p.s, pos)
+		last := pos > len(p.s)
 		j, ok := n.find(name)
 		var ch *node
 		if !ok {
@@ -376,9 +383,12 @@ func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool) error {
 				return err
 			}
 			ch = &node{name: name, perms: childPerms, valueGen: m.gen, childGen: m.gen, edit: m.edit}
+			if cap(n.kids) == 0 {
+				n.kids = make([]*node, 0, 4) // a first child rarely stays alone
+			}
 			n.kids = slices.Insert(n.kids, j, ch)
 			n.childGen = m.gen
-			cur := p.prefix(i+1, end)
+			cur := xpath{s: p.s[:pos-1]}
 			m.tx.recordCreate(cur)
 			m.noteEvent(cur.s)
 		} else {
@@ -399,7 +409,7 @@ func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool) error {
 }
 
 func (m *mutCtx) rm(dom DomID, p xpath) error {
-	n := lookup(*m.root, p.parts)
+	n := lookup(*m.root, p)
 	if n == nil {
 		m.tx.recordAbsent(p)
 		return ErrNotFound
@@ -407,38 +417,42 @@ func (m *mutCtx) rm(dom DomID, p xpath) error {
 	if !m.replay && !n.perms.CanWrite(dom) {
 		return ErrPerm
 	}
-	parent := m.own(p.parts[:len(p.parts)-1])
+	parent := m.own(p.parent())
 	i, _ := parent.find(n.name)
 	parent.kids = slices.Delete(parent.kids, i, i+1)
 	parent.childGen = m.gen
-	m.tx.recordRemove(p)
 	m.noteEvent(p.s)
-	if m.tx == nil {
+	if m.tx != nil {
+		m.tx.recordRemove(p, n)
+	} else {
 		m.s.releaseSubtree(n)
 	}
 	return nil
 }
 
 // chargeQuota accounts one node creation against owner's quota. Inside
-// a transaction the charge is provisional (tx-local) and becomes real
-// at replay; an aborted transaction never pays.
+// a transaction the charge is provisional (a step in tx.quota) and
+// becomes real at Commit; an aborted transaction never pays.
 func (m *mutCtx) chargeQuota(owner DomID) error {
 	s := m.s
 	if owner == Dom0 {
 		return nil
 	}
-	delta := 0
-	if m.tx != nil {
-		delta = m.tx.created[owner]
-	}
-	if !m.replay && s.NodeQuota > 0 && s.owned[owner]+delta >= s.NodeQuota {
-		return ErrQuota
-	}
-	if m.tx != nil {
-		if m.tx.created == nil {
-			m.tx.created = make(map[DomID]int)
+	if !m.replay && s.NodeQuota > 0 {
+		charged := s.owned[owner]
+		if m.tx != nil {
+			for _, q := range m.tx.quota {
+				if q.removed == nil && q.owner == owner {
+					charged++
+				}
+			}
 		}
-		m.tx.created[owner]++
+		if charged >= s.NodeQuota {
+			return ErrQuota
+		}
+	}
+	if m.tx != nil {
+		m.tx.quota = append(m.tx.quota, quotaStep{owner: owner})
 	} else {
 		s.owned[owner]++
 	}
@@ -460,8 +474,8 @@ func (s *Store) releaseSubtree(n *node) {
 // OwnedNodes reports how many nodes dom has created (diagnostics).
 func (s *Store) OwnedNodes(dom DomID) int { return s.owned[dom] }
 
-func (m *mutCtx) setPerms(dom DomID, p xpath, perms Perms) error {
-	n := lookup(*m.root, p.parts)
+func (m *mutCtx) setPerms(dom DomID, p xpath, perms *Perms) error {
+	n := lookup(*m.root, p)
 	if n == nil {
 		m.tx.recordAbsent(p)
 		return ErrNotFound
@@ -469,8 +483,8 @@ func (m *mutCtx) setPerms(dom DomID, p xpath, perms Perms) error {
 	if !m.replay && dom != Dom0 && dom != n.perms.Owner {
 		return ErrPerm
 	}
-	n = m.own(p.parts)
-	n.perms = perms
+	n = m.own(p)
+	n.perms = *perms
 	n.valueGen = m.gen
 	m.tx.recordValueWrite(p, n.value)
 	m.tx.recordSetPerms(p, perms)

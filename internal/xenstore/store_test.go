@@ -413,10 +413,10 @@ func TestRmTrailingSlashRecordsParent(t *testing.T) {
 	if err := s.Rm(Dom0, tx, "/tool/a/b/"); err != nil {
 		t.Fatal(err)
 	}
-	if r := tx.access["/tool/a"]; r == nil || !r.childTouched {
-		t.Fatalf("parent /tool/a not recorded as child-touched: %+v", tx.access)
+	if r := tx.rec(xpath{s: "/tool/a"}); !r.childTouched {
+		t.Fatalf("parent /tool/a not recorded as child-touched: %+v", tx.recs)
 	}
-	if r := tx.access["/tool/a/b"]; r == nil || !r.removed || r.childTouched {
+	if r := tx.rec(xpath{s: "/tool/a/b"}); !r.removed || r.childTouched {
 		t.Fatalf("/tool/a/b record = %+v, want removed only", r)
 	}
 	if err := tx.Commit(); err != nil {

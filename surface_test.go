@@ -25,7 +25,6 @@ var surfaceHooks = map[string]string{
 	"OwnedNodes":       "xenstore.Store: quota accounting vs the reference model",
 	"Exists":           "xenstore.Store: differential test against refStore",
 	"GetPerms":         "xenstore.Store: permission round-trips",
-	"SplitPath":        "xenstore: the reference model's path parser (model_test.go)",
 	"SeedARP":          "netstack.Host: skips ARP in alloc-pinning tests",
 	"ActiveConns":      "wire.Server: session teardown checks",
 	"Codes":            "api: the code table the wire codec tests must cover",
