@@ -2,10 +2,9 @@
 #
 # `make ci` runs the exact gate GitHub Actions runs (.github/workflows/
 # go.yml): vet + gofmt + staticcheck + actionlint, build, tests (plain
-# and -race, plus the bench/ module's own), fuzz smoke passes over both
-# wire codecs, the bench-regression gate against the committed baseline,
-# and the determinism check (every experiment twice, fingerprints
-# diffed).
+# and -race, plus the bench/ module's own), a fuzz smoke pass over every
+# target below, the bench gate against the committed record, and the
+# determinism check (every experiment twice, fingerprints diffed).
 # The nightly workflow (.github/workflows/nightly-fuzz.yml) runs the
 # same fuzz targets for 10 minutes each.
 
@@ -15,16 +14,10 @@ SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
 GO ?= go
-# The perf record this branch writes; bump per PR to grow the trajectory.
-BENCH_OUT ?= BENCH_pr21.json
-# The committed baseline the bench gate compares against.
-BENCH_BASE ?= BENCH_pr21.json
-# Allowed fractional ns/op regression before the gate fails.
-BENCH_TOLERANCE ?= 0.25
-# Benchmarks whose workload this PR deliberately made heavier: their
-# ns/op regression is waived (repeatable -accept flags), the committed
-# record re-baselines them, and the zero-alloc contract still applies.
-BENCH_ACCEPT ?=
+# Where `make bench` writes its record. The committed one is the
+# default: re-record it when a benchmark is added or its deterministic
+# numbers are meant to move; history is in git.
+BENCH_OUT ?= BENCH.json
 FUZZTIME ?= 10s
 # Pinned static-analysis tool versions — CI and `make ci` must agree.
 STATICCHECK_VERSION ?= 2025.1.1
@@ -79,9 +72,9 @@ staticcheck:
 actionlint:
 	$(GO) run github.com/rhysd/actionlint/cmd/actionlint@$(ACTIONLINT_VERSION)
 
-# Short fuzz passes over the wire codecs (the long-running fuzzing is
-# the nightly workflow, or interactively: go test -fuzz=FuzzDNSCodec
-# ./internal/dns).
+# Short fuzz passes over every fuzz target — this list is the only one;
+# CI's fuzz-smoke job runs it (the long-running fuzzing is the nightly
+# workflow, or interactively: go test -fuzz=FuzzDNSCodec ./internal/dns).
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDNSCodec -fuzztime=$(FUZZTIME) ./internal/dns
 	$(MAKE) fuzz-summary
@@ -133,18 +126,17 @@ fuzz-engine:
 # package's layer), with -benchmem and records the numbers as JSON. The
 # experiment benches double as the determinism record: their
 # ReportMetric values must not move between runs with the same seed.
-BENCH_PKGS ?= . ./internal/sim ./internal/xenstore ./internal/xen ./internal/netsim ./internal/netstack ./internal/wire ./internal/obs ./internal/cluster
+BENCH_PKGS ?= . ./internal/sim ./internal/xenstore ./internal/xen ./internal/netsim ./internal/netstack ./internal/dns ./internal/wire ./internal/obs ./internal/cluster
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' $(BENCH_PKGS) | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 
-# bench-gate re-checks $(BENCH_OUT) against the committed baseline:
-# any tracked benchmark >25% slower on ns/op, or allocating on a path
-# the baseline holds at zero allocs/op, fails the build.
-bench-gate: $(BENCH_OUT)
-	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) -tolerance $(BENCH_TOLERANCE) $(BENCH_ACCEPT) $(BENCH_OUT)
-
-$(BENCH_OUT):
-	$(MAKE) bench BENCH_OUT=$(BENCH_OUT)
+# bench-gate checks a fresh record against the committed one on what a
+# seeded simulation repeats: a path at zero allocs/op stays there,
+# allocs/op may not rise more than 0.5 %, every custom metric is equal.
+# ns/op is printed, never judged — bench/run.sh pairs are for that.
+bench-gate:
+	$(MAKE) bench BENCH_OUT=bench-ci.json
+	$(GO) run ./cmd/benchjson -compare BENCH.json bench-ci.json
 
 # determinism runs every experiment twice with the same seeds (churn,
 # gossip membership, migrations, the federation's summarized delegation
@@ -161,6 +153,5 @@ determinism:
 # gate locally before pushing.
 ci: vet fmt-check staticcheck actionlint build test bench-check race
 	$(MAKE) fuzz FUZZTIME=30s
-	$(MAKE) bench BENCH_OUT=bench-ci.json
-	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) -tolerance $(BENCH_TOLERANCE) $(BENCH_ACCEPT) bench-ci.json
+	$(MAKE) bench-gate
 	$(MAKE) determinism

@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"jitsu/internal/dns"
 	"jitsu/internal/experiments"
-	"jitsu/internal/netstack"
 )
 
 func reportP50(b *testing.B, r interface {
@@ -222,65 +220,6 @@ func BenchmarkPrewarmTrigger(b *testing.B) {
 		if i == 0 {
 			b.ReportMetric(float64(r.Series["prewarm-on steady"].Percentile(0.95))/1e6, "on-p95-ms")
 			b.ReportMetric(float64(r.Series["prewarm-off steady"].Percentile(0.95))/1e6, "off-p95-ms")
-		}
-	}
-}
-
-// ---- hot-path microbenches (run with -benchmem) ----
-//
-// The directory's DNS responder sits on the critical path of every
-// request, so its per-query cost bounds cluster throughput. These three
-// benches record the cost of the serve path, the wire codec, and the
-// event engine under it; BENCH_pr2.json keeps the trajectory.
-
-// BenchmarkDNSServe measures the full wire-to-wire serve path — parse,
-// answer, encode — for a zone hit, as the server's UDP handler runs it.
-func BenchmarkDNSServe(b *testing.B) {
-	zone := dns.NewZone("family.name")
-	zone.Add(dns.RR{Name: "alice.family.name", Type: dns.TypeA, TTL: 60, A: netstack.IPv4(10, 0, 0, 20)})
-	s := &dns.Server{Zone: zone}
-	q := &dns.Message{ID: 7, RecursionDesired: true,
-		Questions: []dns.Question{{Name: "alice.family.name", Type: dns.TypeA, Class: dns.ClassIN}}}
-	wire, err := q.Encode()
-	if err != nil {
-		b.Fatal(err)
-	}
-	sent := 0
-	sink := func([]byte) { sent++ }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ServeWire(wire, sink)
-	}
-	b.StopTimer()
-	if sent != b.N {
-		b.Fatalf("served %d of %d", sent, b.N)
-	}
-}
-
-// BenchmarkDNSCodec measures one encode (into a recycled buffer) plus
-// one decode of a representative multi-section response.
-func BenchmarkDNSCodec(b *testing.B) {
-	m := &dns.Message{
-		ID: 0x1234, Response: true, Authoritative: true,
-		Questions: []dns.Question{{Name: "alice.family.name", Type: dns.TypeA, Class: dns.ClassIN}},
-		Answers: []dns.RR{
-			{Name: "alice.family.name", Type: dns.TypeA, Class: dns.ClassIN, TTL: 60, A: netstack.IPv4(10, 0, 0, 20)},
-			{Name: "alice.family.name", Type: dns.TypeTXT, Class: dns.ClassIN, TTL: 60, TXT: "served-by=jitsu"},
-		},
-		Authority: []dns.RR{{Name: "family.name", Type: dns.TypeNS, Class: dns.ClassIN, TTL: 300, Target: "ns.family.name"}},
-	}
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = m.AppendEncode(buf[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dns.Decode(buf); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

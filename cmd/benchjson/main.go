@@ -1,25 +1,21 @@
 // Command benchjson converts `go test -bench` output on stdin into a
-// stable JSON document, so each PR can record its perf trajectory
-// (BENCH_<pr>.json) and later sessions can diff numbers mechanically.
+// stable JSON document, so the repository can keep one committed perf
+// record (BENCH.json) and later sessions can diff numbers mechanically.
 //
-//	go test -bench=. -benchmem -run '^$' . | go run ./cmd/benchjson > BENCH_pr3.json
+//	go test -bench=. -benchmem -run '^$' . | go run ./cmd/benchjson > BENCH.json
 //
 // With -compare it becomes the CI bench gate: the new numbers (a JSON
-// file argument, or bench text on stdin) are checked against a
-// committed baseline, and the command exits non-zero when any tracked
-// benchmark regresses more than -tolerance on ns/op or gains
-// allocations on a path the baseline records as allocation-free.
+// file argument, or bench text on stdin) are checked against the
+// committed record, and the command exits non-zero when a benchmark
+// moved in what a seeded simulation repeats exactly — a path recorded at
+// 0 allocs/op allocates, allocs/op rose by more than half a percent, or
+// a custom metric (a virtual-time percentile, a count) changed at all.
+// ns/op is printed beside them and gates nothing: it follows the
+// machine and the hour, and only paired runs of two builds
+// (bench/run.sh) say anything about it.
 //
-//	go test -bench=. -benchmem -run '^$' . | go run ./cmd/benchjson -compare BENCH_pr2.json -tolerance 0.25
-//	go run ./cmd/benchjson -compare BENCH_pr2.json -tolerance 0.25 bench-ci.json
-//
-// A PR that deliberately makes a benchmark's workload heavier (an
-// experiment gaining fidelity, say) names it with -accept: the ns/op
-// comparison for that benchmark downgrades to a warning for this run
-// only, the PR's committed record re-baselines it, and the zero-alloc
-// contract still applies — a waiver buys slower, never allocating.
-//
-//	go run ./cmd/benchjson -compare BENCH_pr8.json -accept BenchmarkFederationSkew bench-ci.json
+//	go test -bench=. -benchmem -run '^$' . | go run ./cmd/benchjson -compare BENCH.json
+//	go run ./cmd/benchjson -compare BENCH.json bench-ci.json
 package main
 
 import (
@@ -30,6 +26,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -46,7 +43,7 @@ type Bench struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// id names a bench in the gate's report and in -accept. Two layers may
+// id names a bench in the gate's report. Two layers may
 // each have a BenchmarkRead, so the layer is part of it.
 func (b Bench) id() string {
 	if b.Layer == "" {
@@ -65,10 +62,7 @@ type Doc struct {
 }
 
 func main() {
-	compare := flag.String("compare", "", "baseline BENCH json to gate against (exit 1 on regression)")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op regression in -compare mode")
-	accept := make(acceptSet)
-	flag.Var(accept, "accept", "benchmark whose ns/op regression is waived this run (repeatable; workload deliberately changed)")
+	compare := flag.String("compare", "", "recorded BENCH json to gate against (exit 1 on regression)")
 	flag.Parse()
 
 	if *compare == "" {
@@ -98,30 +92,13 @@ func main() {
 		fatal(err)
 	}
 
-	report, failures := gate(baseline, current, *tolerance, accept)
+	report, failures := gate(baseline, current)
 	fmt.Print(report)
 	if failures > 0 {
-		fmt.Printf("benchjson: FAIL — %d benchmark(s) regressed beyond %.0f%%\n", failures, *tolerance*100)
+		fmt.Printf("benchjson: FAIL — %d benchmark(s) moved in what must repeat\n", failures)
 		os.Exit(1)
 	}
 	fmt.Println("benchjson: bench gate passed")
-}
-
-// acceptSet is the repeatable -accept flag: benchmark names whose
-// ns/op regression is expected because this PR changed their workload.
-type acceptSet map[string]bool
-
-func (a acceptSet) String() string {
-	names := make([]string, 0, len(a))
-	for n := range a {
-		names = append(names, n)
-	}
-	return strings.Join(names, ",")
-}
-
-func (a acceptSet) Set(v string) error {
-	a[v] = true
-	return nil
 }
 
 func fatal(err error) {
@@ -178,17 +155,25 @@ func parseDoc(r io.Reader) (Doc, error) {
 	return doc, sc.Err()
 }
 
-// gate compares current against baseline: benchmarks present in both
-// are checked for ns/op regressions beyond tolerance and for
-// allocations appearing on paths the baseline holds at zero allocs/op.
-// A name in accept waives the ns/op check only — its regression prints
-// as "waived" and does not fail the run.
-// New benchmarks (no baseline entry) pass — the trajectory grows — but
-// a baseline benchmark missing from the current run fails: a deleted or
-// renamed benchmark silently stops enforcing its contract otherwise,
-// and an empty run (a truncated record from a failed bench pipeline)
-// must never pass vacuously.
-func gate(baseline, current Doc, tolerance float64, accept acceptSet) (report string, failures int) {
+// allocSlack is how far allocs/op may rise before the gate fails. The
+// experiment benches repeat to within 0.03 % (a map's growth, the
+// runtime's own timers); half a percent is well clear of that and well
+// under any real change.
+const allocSlack = 0.005
+
+// hostMetric reports the units that follow the machine, not the seed.
+func hostMetric(unit string) bool { return unit == "ns/op" || unit == "B/op" || unit == "MB/s" }
+
+// gate compares current against baseline on what a seeded simulation
+// repeats: benchmarks present in both fail when a path the baseline
+// holds at zero allocs/op allocates, when allocs/op rose beyond
+// allocSlack, or when any custom metric differs. ns/op is reported and
+// never judged. New benchmarks (no baseline entry) pass — the record
+// grows — but a baseline benchmark missing from the current run fails: a
+// deleted or renamed benchmark silently stops enforcing its contract
+// otherwise, and an empty run (a truncated record from a failed bench
+// pipeline) must never pass vacuously.
+func gate(baseline, current Doc) (report string, failures int) {
 	base := make(map[string]Bench, len(baseline.Benches))
 	for _, b := range baseline.Benches {
 		base[b.id()] = b
@@ -202,26 +187,28 @@ func gate(baseline, current Doc, tolerance float64, accept acceptSet) (report st
 			fmt.Fprintf(&sb, "  new    %-40s ns/op=%.0f (no baseline)\n", b.id(), b.Metrics["ns/op"])
 			continue
 		}
-		oldNs, newNs := old.Metrics["ns/op"], b.Metrics["ns/op"]
 		status := "ok"
-		if oldNs > 0 && newNs > oldNs*(1+tolerance) {
-			if accept[b.id()] {
-				status = "waived"
-			} else {
-				status = "REGRESSED"
-				failures++
+		oldAllocs, newAllocs := old.Metrics["allocs/op"], b.Metrics["allocs/op"]
+		if newAllocs > oldAllocs*(1+allocSlack) {
+			// At a baseline of zero this is absolute: one allocation on a
+			// path recorded allocation-free is a regression.
+			status = "ALLOCS"
+		}
+		var moved []string
+		for unit, was := range old.Metrics {
+			if now, has := b.Metrics[unit]; unit != "allocs/op" && !hostMetric(unit) && (!has || now != was) {
+				moved = append(moved, fmt.Sprintf("%s %g -> %g", unit, was, now))
 			}
 		}
-		oldAllocs, hasOld := old.Metrics["allocs/op"]
-		newAllocs, hasNew := b.Metrics["allocs/op"]
-		if hasOld && hasNew && oldAllocs == 0 && newAllocs > 0 {
-			// The zero-alloc contract is absolute: one allocation on a
-			// path recorded allocation-free is a regression at any speed.
-			status = "ALLOCS"
+		if len(moved) > 0 {
+			status = "MOVED"
+		}
+		if status != "ok" {
 			failures++
 		}
-		fmt.Fprintf(&sb, "  %-6s %-40s ns/op %.0f -> %.0f (%+.1f%%), allocs/op %g -> %g\n",
-			status, b.id(), oldNs, newNs, pctDelta(oldNs, newNs), oldAllocs, newAllocs)
+		sort.Strings(moved)
+		fmt.Fprintf(&sb, "  %-6s %-40s allocs/op %g -> %g, ns/op %.0f -> %.0f %s\n", status, b.id(),
+			oldAllocs, newAllocs, old.Metrics["ns/op"], b.Metrics["ns/op"], strings.Join(moved, ", "))
 	}
 	for _, b := range baseline.Benches {
 		if !seen[b.id()] {
@@ -230,13 +217,6 @@ func gate(baseline, current Doc, tolerance float64, accept acceptSet) (report st
 		}
 	}
 	return sb.String(), failures
-}
-
-func pctDelta(old, new float64) float64 {
-	if old == 0 {
-		return 0
-	}
-	return (new - old) / old * 100
 }
 
 // parseBench splits "BenchmarkName-8  123  4.5 ns/op  0 B/op ..." into

@@ -54,8 +54,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -77,180 +79,214 @@ import (
 
 var serviceNames = []string{"alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi"}
 
-func main() {
-	services := flag.Int("services", 4, "number of registered services")
-	requests := flag.Int("requests", 24, "requests in the trace")
-	idle := flag.Duration("idle", 30*time.Second, "service idle timeout (0 = never stop)")
-	noSyn := flag.Bool("no-synjitsu", false, "disable the connection proxy")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	boards := flag.Int("boards", 1, "boards in the deployment (>1 runs the cluster control plane)")
-	policy := flag.String("policy", "least-loaded", "placement policy: first-fit|round-robin|least-loaded|power-aware")
-	minWarm := flag.Int("min-warm", 0, "warm-pool floor per service (cluster mode)")
-	disk := flag.Bool("disk", false, "enable the per-board disk checkpoint tier: idle services demote to disk and page back in on demand")
-	churn := flag.Bool("churn", false, "cluster mode: run a default join/leave schedule under active gossip probing")
-	joinAt := flag.Duration("join", 0, "cluster mode: a new board joins at this virtual time (0 = never)")
-	leaveAt := flag.Duration("leave", 0, "cluster mode: the highest board leaves gracefully at this virtual time (0 = never)")
-	clusters := flag.Int("clusters", 1, "clusters in the deployment (>1 runs the federation tier over -boards boards each)")
-	loss := flag.Float64("loss", 0, "cluster mode: random loss rate (0..1) on the client's edge uplink")
-	jitter := flag.Duration("jitter", 0, "cluster mode: latency jitter on the client's edge uplink")
-	partition := flag.String("partition", "", "cluster mode: cut the client's edge link at T (e.g. 20s), healing at T2 when given as T,T2 (e.g. 20s,30s)")
-	noRetry := flag.Bool("no-dns-retry", false, "disable the client's DNS retry/backoff — the single-datagram ablation")
-	traceOut := flag.String("trace", "", "write the run's flight recorder to this file (Chrome trace-event JSON)")
-	statsEvery := flag.Duration("stats-every", 0, "stream a stats snapshot line every this much virtual time (0 = off)")
-	connect := flag.Bool("connect", false, "cluster mode: drive the deployment as a remote operator — a wire client dialled into board 0's management endpoint issues every control-plane verb as versioned frames over the simulated network")
-	wan := flag.String("wan", "", "shape management links to a WAN preset (wan20ms|wan50ms|wan100ms): federation links in -clusters mode, the operator console link in -connect mode")
-	profiles := obs.ProfileFlags(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// daemon is one jitsud run: where it prints and what its flags said.
+type daemon struct {
+	out, errw io.Writer
+
+	services, requests, boards, clusters, minWarm int
+	seed                                          int64
+	idle, joinAt, leaveAt, statsEvery             time.Duration
+	idleSet, noSyn, disk                          bool
+	policy, traceOut                              string
+	hostile                                       hostileFlags
+	wan                                           *netsim.WANProfile
+}
+
+// usageError is a flag the run cannot honour: exit code 2, where any
+// other failure is 1.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+func usagef(format string, args ...any) error { return usageError(fmt.Sprintf(format, args...)) }
+
+// run is the whole command: parse args, run the mode they select with
+// the timeline on stdout, and return the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	d := &daemon{out: stdout, errw: stderr}
+	fs := flag.NewFlagSet("jitsud", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&d.services, "services", 4, "number of registered services")
+	fs.IntVar(&d.requests, "requests", 24, "requests in the trace")
+	fs.DurationVar(&d.idle, "idle", 30*time.Second, "service idle timeout (0 = never stop)")
+	fs.BoolVar(&d.noSyn, "no-synjitsu", false, "disable the connection proxy")
+	fs.Int64Var(&d.seed, "seed", 1, "simulation seed")
+	fs.IntVar(&d.boards, "boards", 1, "boards in the deployment (>1 runs the cluster control plane)")
+	fs.StringVar(&d.policy, "policy", "least-loaded", "placement policy: first-fit|round-robin|least-loaded|power-aware")
+	fs.IntVar(&d.minWarm, "min-warm", 0, "warm-pool floor per service (cluster mode)")
+	fs.BoolVar(&d.disk, "disk", false, "enable the per-board disk checkpoint tier: idle services demote to disk and page back in on demand")
+	churn := fs.Bool("churn", false, "cluster mode: run a default join/leave schedule under active gossip probing")
+	fs.DurationVar(&d.joinAt, "join", 0, "cluster mode: a new board joins at this virtual time (0 = never)")
+	fs.DurationVar(&d.leaveAt, "leave", 0, "cluster mode: the highest board leaves gracefully at this virtual time (0 = never)")
+	fs.IntVar(&d.clusters, "clusters", 1, "clusters in the deployment (>1 runs the federation tier over -boards boards each)")
+	fs.Float64Var(&d.hostile.loss, "loss", 0, "cluster mode: random loss rate (0..1) on the client's edge uplink")
+	fs.DurationVar(&d.hostile.jitter, "jitter", 0, "cluster mode: latency jitter on the client's edge uplink")
+	fs.StringVar(&d.hostile.partition, "partition", "", "cluster mode: cut the client's edge link at T (e.g. 20s), healing at T2 when given as T,T2 (e.g. 20s,30s)")
+	fs.BoolVar(&d.hostile.noRetry, "no-dns-retry", false, "disable the client's DNS retry/backoff — the single-datagram ablation")
+	fs.StringVar(&d.traceOut, "trace", "", "write the run's flight recorder to this file (Chrome trace-event JSON)")
+	fs.DurationVar(&d.statsEvery, "stats-every", 0, "stream a stats snapshot line every this much virtual time (0 = off)")
+	connect := fs.Bool("connect", false, "cluster mode: drive the deployment as a remote operator — a wire client dialled into board 0's management endpoint issues every control-plane verb as versioned frames over the simulated network")
+	wan := fs.String("wan", "", "shape management links to a WAN preset (wan20ms|wan50ms|wan100ms): federation links in -clusters mode, the operator console link in -connect mode")
+	profiles := obs.ProfileFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fs.Visit(func(f *flag.Flag) { d.idleSet = d.idleSet || f.Name == "idle" })
 
 	stopProfiles, err := profiles.Start()
+	if err == nil {
+		err = d.runMode(*churn, *connect, *wan)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "jitsud: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		if errors.As(err, new(usageError)) {
+			return 2
+		}
+		return 1
 	}
-	defer stopProfiles() // a run that fails (os.Exit) writes no profile
+	stopProfiles() // a run that fails writes no profile
+	return 0
+}
 
-	var wanProf *netsim.WANProfile
-	if *wan != "" {
-		p, ok := netsim.WANByName(*wan)
+// runMode holds the flags to each other and runs the mode they select.
+func (d *daemon) runMode(churn, connect bool, wan string) error {
+	if wan != "" {
+		p, ok := netsim.WANByName(wan)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "jitsud: unknown -wan profile %q; presets:", *wan)
+			msg := fmt.Sprintf("jitsud: unknown -wan profile %q; presets:", wan)
 			for _, q := range netsim.WANProfiles() {
-				fmt.Fprintf(os.Stderr, " %s", q.Name)
+				msg += " " + q.Name
 			}
-			fmt.Fprintln(os.Stderr)
-			os.Exit(2)
+			return usageError(msg)
 		}
-		wanProf = &p
+		d.wan = &p
 	}
-
-	hostile := hostileFlags{loss: *loss, jitter: *jitter, partition: *partition, noRetry: *noRetry}
-	if hostile.active() && (*boards < 2 || *clusters > 1) {
-		fmt.Fprintln(os.Stderr, "jitsud: -loss/-jitter/-partition/-no-dns-retry need cluster mode (-boards > 1, -clusters 1)")
-		os.Exit(2)
+	if d.hostile.active() && (d.boards < 2 || d.clusters > 1) {
+		return usagef("jitsud: -loss/-jitter/-partition/-no-dns-retry need cluster mode (-boards > 1, -clusters 1)")
 	}
-	if _, _, err := hostile.parsePartition(); err != nil {
-		fmt.Fprintf(os.Stderr, "jitsud: bad -partition: %v\n", err)
-		os.Exit(2)
+	if _, _, err := d.hostile.parsePartition(); err != nil {
+		return usagef("jitsud: bad -partition: %v", err)
 	}
-
-	if *services < 1 {
-		*services = 1
-	}
-	if *services > len(serviceNames) {
-		*services = len(serviceNames)
-	}
-	if *churn {
+	d.services = max(1, min(d.services, len(serviceNames)))
+	if churn {
 		// A default schedule sized to the trace: ~2s per request.
-		traceSpan := 2 * time.Second * time.Duration(*requests)
-		if *leaveAt == 0 {
-			*leaveAt = traceSpan / 3
+		traceSpan := 2 * time.Second * time.Duration(d.requests)
+		if d.leaveAt == 0 {
+			d.leaveAt = traceSpan / 3
 		}
-		if *joinAt == 0 {
-			*joinAt = traceSpan / 2
+		if d.joinAt == 0 {
+			d.joinAt = traceSpan / 2
 		}
 	}
-	if *connect {
-		if *boards < 2 || *clusters > 1 {
-			fmt.Fprintln(os.Stderr, "jitsud: -connect needs cluster mode (-boards > 1, -clusters 1)")
-			os.Exit(2)
+	churning := churn || d.joinAt > 0 || d.leaveAt > 0
+	switch {
+	case connect:
+		if d.boards < 2 || d.clusters > 1 {
+			return usagef("jitsud: -connect needs cluster mode (-boards > 1, -clusters 1)")
 		}
-		if *churn || *joinAt > 0 || *leaveAt > 0 || hostile.active() {
-			fmt.Fprintln(os.Stderr, "jitsud: -connect runs a scripted operator session; -churn/-join/-leave and the edge-impairment flags do not apply")
-			os.Exit(2)
+		if churning || d.hostile.active() {
+			return usagef("jitsud: -connect runs a scripted operator session; -churn/-join/-leave and the edge-impairment flags do not apply")
 		}
-		runConnect(*boards, *services, *seed, *policy, wanProf, *statsEvery)
-		return
-	}
-	if wanProf != nil && *clusters < 2 {
-		fmt.Fprintln(os.Stderr, "jitsud: -wan shapes management links in federation mode (-clusters > 1) or -connect mode")
-		os.Exit(2)
-	}
-	if *clusters > 1 {
-		if *churn || *joinAt > 0 || *leaveAt > 0 {
-			fmt.Fprintln(os.Stderr, "jitsud: -churn/-join/-leave apply to cluster mode, not federation mode")
-			os.Exit(2)
+		return d.runConnect()
+	case d.wan != nil && d.clusters < 2:
+		return usagef("jitsud: -wan shapes management links in federation mode (-clusters > 1) or -connect mode")
+	case d.clusters > 1:
+		if churning {
+			return usagef("jitsud: -churn/-join/-leave apply to cluster mode, not federation mode")
 		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "idle" {
-				fmt.Fprintln(os.Stderr, "jitsud: -idle is ignored in federation mode (the warm-pool managers own replica lifecycle)")
-			}
-		})
-		if *statsEvery > 0 {
-			fmt.Fprintln(os.Stderr, "jitsud: -stats-every applies to board/cluster mode, not federation mode")
+		if d.idleSet {
+			fmt.Fprintln(d.errw, "jitsud: -idle is ignored in federation mode (the warm-pool managers own replica lifecycle)")
 		}
-		runFederation(*clusters, *boards, *services, *requests, *seed, *policy, *minWarm, !*noSyn, wanProf, *traceOut)
-		return
-	}
-	if *boards > 1 {
-		idleSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "idle" {
-				idleSet = true
-			}
-		})
-		if idleSet {
-			fmt.Fprintln(os.Stderr, "jitsud: -idle is ignored in cluster mode (the warm-pool manager owns replica lifecycle)")
+		if d.statsEvery > 0 {
+			fmt.Fprintln(d.errw, "jitsud: -stats-every applies to board/cluster mode, not federation mode")
 		}
-		runCluster(*boards, *services, *requests, *seed, *policy, *minWarm, !*noSyn, *disk, *joinAt, *leaveAt, hostile, *traceOut, *statsEvery)
-		return
+		return d.runFederation()
+	case d.boards > 1:
+		if d.idleSet {
+			fmt.Fprintln(d.errw, "jitsud: -idle is ignored in cluster mode (the warm-pool manager owns replica lifecycle)")
+		}
+		return d.runCluster()
+	case churning:
+		return usagef("jitsud: -churn/-join/-leave need cluster mode (-boards > 1)")
 	}
-	if *joinAt > 0 || *leaveAt > 0 {
-		fmt.Fprintln(os.Stderr, "jitsud: -churn/-join/-leave need cluster mode (-boards > 1)")
-		os.Exit(2)
-	}
+	return d.runBoard()
+}
 
-	tracer := newTracer(*traceOut)
-	opts := []core.Option{core.WithSeed(*seed), core.WithSynjitsu(!*noSyn), core.WithTracer(tracer, 0)}
-	if *disk {
+// site is the i-th per-person web service — the one registration every
+// mode makes, whichever control plane it hands it to.
+func site(i int, zone string) core.ServiceConfig {
+	n := serviceNames[i]
+	return core.ServiceConfig{
+		Name:  n + "." + zone,
+		IP:    netstack.IPv4(10, 0, 0, byte(20+i)),
+		Port:  80,
+		Image: unikernel.UnikernelImage(n, unikernel.NewStaticSiteApp(n)),
+	}
+}
+
+// policyByName resolves -policy for the modes that place services.
+func (d *daemon) policyByName() (cluster.Policy, error) {
+	pol := cluster.PolicyByName(d.policy)
+	if pol == nil {
+		return nil, usagef("unknown policy %q", d.policy)
+	}
+	return pol, nil
+}
+
+// runBoard is the single-board mode: a day in the life of one Jitsu host.
+func (d *daemon) runBoard() error {
+	tracer := d.newTracer()
+	opts := []core.Option{core.WithSeed(d.seed), core.WithSynjitsu(!d.noSyn), core.WithTracer(tracer, 0)}
+	if d.disk {
 		opts = append(opts, core.WithDisk(blockdev.DefaultConfig()))
 	}
 	b := core.New(opts...)
 	ctl := api.ForBoard(b)
-	stopStats := streamStats(ctl, *statsEvery, b.Eng.Now)
+	stopStats, err := d.streamStats(ctl, b.Eng.Now)
+	if err != nil {
+		return err
+	}
 
-	names := serviceNames
-	for i := 0; i < *services; i++ {
-		n := names[i]
-		resp := ctl.Register(api.RegisterRequest{Config: core.ServiceConfig{
-			Name:        n + "." + b.Cfg.Zone,
-			IP:          netstack.IPv4(10, 0, 0, byte(20+i)),
-			Port:        80,
-			IdleTimeout: *idle,
-			Image:       unikernel.UnikernelImage(n, unikernel.NewStaticSiteApp(n)),
-		}})
-		if resp.Err != nil {
-			fmt.Fprintf(os.Stderr, "jitsud: %v\n", resp.Err)
-			os.Exit(1)
+	for i := 0; i < d.services; i++ {
+		cfg := site(i, b.Cfg.Zone)
+		cfg.IdleTimeout = d.idle
+		if resp := ctl.Register(api.RegisterRequest{Config: cfg}); resp.Err != nil {
+			return fmt.Errorf("jitsud: %v", resp.Err)
 		}
 	}
 	client := b.AddClient("laptop", netstack.IPv4(10, 0, 0, 9))
 
-	fmt.Printf("jitsud: %s, synjitsu=%v, %d services, idle timeout %v\n\n",
-		b.Hyp, b.Cfg.Synjitsu, *services, *idle)
-	fmt.Printf("%-12s %-22s %-8s %-12s %s\n", "time", "request", "status", "latency", "note")
+	fmt.Fprintf(d.out, "jitsud: %s, synjitsu=%v, %d services, idle timeout %v\n\n",
+		b.Hyp, b.Cfg.Synjitsu, d.services, d.idle)
+	fmt.Fprintf(d.out, "%-12s %-22s %-8s %-12s %s\n", "time", "request", "status", "latency", "note")
 
 	lat := &metrics.Series{Name: "request latency"}
 	cold, warm, diskRestores := 0, 0, 0
 	var issue func(i int)
 	issue = func(i int) {
-		if i >= *requests {
+		if i >= d.requests {
 			stopStats()
 			return
 		}
-		name := names[i%*services] + "." + b.Cfg.Zone
+		name := serviceNames[i%d.services] + "." + b.Cfg.Zone
 		svc, _ := b.Jitsu.Service(name)
 		prior := svc.State
-		if *disk && prior == core.StateColdDisk && i%8 == 7 {
+		if d.disk && prior == core.StateColdDisk && i%8 == 7 {
 			// Page the service in via the explicit Promote verb before
 			// fetching: the activation then joins the in-flight disk
 			// restore instead of starting its own.
 			if resp := ctl.Promote(api.PromoteRequest{Name: name}); resp.Err == nil {
-				fmt.Printf("%-12v %-22s %-8s %-12s %s\n",
+				fmt.Fprintf(d.out, "%-12v %-22s %-8s %-12s %s\n",
 					b.Eng.Now().Round(time.Millisecond), name, "-", "-", "promote: paging in from disk")
 			}
 		}
 		b.FetchViaDNS(client, name, "/", 30*time.Second,
-			func(resp *netstack.HTTPResponse, d sim.Duration, err error) {
+			func(resp *netstack.HTTPResponse, took sim.Duration, err error) {
 				note := "warm"
 				switch {
 				case prior == core.StateColdDisk:
@@ -265,21 +301,21 @@ func main() {
 				status := "ERR"
 				if err == nil {
 					status = fmt.Sprint(resp.Status)
-					lat.Add(d)
+					lat.Add(took)
 				}
-				fmt.Printf("%-12v %-22s %-8s %-12v %s\n", b.Eng.Now().Round(time.Millisecond), name, status, d.Round(100*time.Microsecond), note)
+				fmt.Fprintf(d.out, "%-12v %-22s %-8s %-12v %s\n", b.Eng.Now().Round(time.Millisecond), name, status, took.Round(100*time.Microsecond), note)
 				// Think time between requests: sometimes short (stays
 				// warm), sometimes beyond the idle timeout.
 				gap := 2 * time.Second
-				if i%4 == 3 && *idle > 0 {
-					gap = *idle + 5*time.Second
-					if *disk {
+				if i%4 == 3 && d.idle > 0 {
+					gap = d.idle + 5*time.Second
+					if d.disk {
 						// Park the just-served service on disk via the
 						// explicit Demote verb instead of letting the
 						// idle reaper evict it: the next visit pages it
 						// back in at disk-restore cost, not a full boot.
 						if resp := ctl.Demote(api.DemoteRequest{Name: name}); resp.Err == nil {
-							fmt.Printf("%-12v %-22s %-8s %-12s %s\n",
+							fmt.Fprintf(d.out, "%-12v %-22s %-8s %-12s %s\n",
 								b.Eng.Now().Round(time.Millisecond), name, "-", "-", "demote: checkpointing to disk")
 						}
 					}
@@ -289,13 +325,15 @@ func main() {
 	}
 	issue(0)
 	b.Eng.Run()
-	dumpTrace(*traceOut, tracer)
+	if err := d.dumpTrace(tracer); err != nil {
+		return err
+	}
 
-	fmt.Printf("\n%s\n", lat.Summary())
-	fmt.Printf("cold starts: %d, warm hits: %d, disk restores: %d\n", cold, warm, diskRestores)
-	fmt.Printf("domains now: %d (incl. dom0), free memory: %d MiB\n", b.Hyp.Domains(), b.Hyp.FreeMemMiB())
+	fmt.Fprintf(d.out, "\n%s\n", lat.Summary())
+	fmt.Fprintf(d.out, "cold starts: %d, warm hits: %d, disk restores: %d\n", cold, warm, diskRestores)
+	fmt.Fprintf(d.out, "domains now: %d (incl. dom0), free memory: %d MiB\n", b.Hyp.Domains(), b.Hyp.FreeMemMiB())
 	if b.Syn != nil {
-		fmt.Printf("synjitsu: %d connections proxied, %d handed off, %d SYN-triggered launches\n",
+		fmt.Fprintf(d.out, "synjitsu: %d connections proxied, %d handed off, %d SYN-triggered launches\n",
 			b.Syn.Proxied, b.Syn.HandedOff, b.Syn.SYNTriggeredLaunches)
 	}
 	stats := ctl.Stats(api.StatsRequest{})
@@ -303,12 +341,13 @@ func main() {
 	for _, svc := range stats.Services {
 		reaps += svc.Reaps
 	}
-	fmt.Printf("idle reaps: %d — VMs run only while traffic needs them\n", reaps)
-	fmt.Printf("trigger firings:")
+	fmt.Fprintf(d.out, "idle reaps: %d — VMs run only while traffic needs them\n", reaps)
+	fmt.Fprintf(d.out, "trigger firings:")
 	for _, t := range stats.Triggers {
-		fmt.Printf(" %s=%d", t.Name, t.Fired)
+		fmt.Fprintf(d.out, " %s=%d", t.Name, t.Fired)
 	}
-	fmt.Println()
+	fmt.Fprintln(d.out)
+	return nil
 }
 
 // hostileFlags groups the edge-impairment knobs: -loss/-jitter degrade
@@ -357,31 +396,31 @@ func (h hostileFlags) parsePartition() (cut, heal time.Duration, err error) {
 // requests die on the way out, answers arrive clean — the classic
 // congested-edge asymmetry, and exactly the leg the DNS retry policy
 // covers. A partition cuts both directions.
-func (h hostileFlags) apply(eng *sim.Engine, link *netsim.Link, seed int64) {
+func (h hostileFlags) apply(out io.Writer, eng *sim.Engine, link *netsim.Link, seed int64) {
 	if h.loss > 0 || h.jitter > 0 {
 		link.ImpairAtoB(netsim.Impairment{Loss: h.loss, Jitter: h.jitter}, seed)
-		fmt.Printf("%-12v ** edge uplink impaired: loss=%.0f%% jitter=%v\n",
+		fmt.Fprintf(out, "%-12v ** edge uplink impaired: loss=%.0f%% jitter=%v\n",
 			eng.Now(), h.loss*100, h.jitter)
 	}
 	cut, heal, _ := h.parsePartition()
 	if cut > 0 {
 		eng.At(cut, func() {
 			link.Partition()
-			fmt.Printf("%-12v ** edge link partitioned\n", eng.Now().Round(time.Millisecond))
+			fmt.Fprintf(out, "%-12v ** edge link partitioned\n", eng.Now().Round(time.Millisecond))
 		})
 	}
 	if heal > 0 {
 		eng.At(heal, func() {
 			link.Heal()
-			fmt.Printf("%-12v ** edge link healed\n", eng.Now().Round(time.Millisecond))
+			fmt.Fprintf(out, "%-12v ** edge link healed\n", eng.Now().Round(time.Millisecond))
 		})
 	}
 }
 
 // newTracer builds the flight recorder when -trace is set (nil — which
 // every tracing call tolerates — otherwise).
-func newTracer(path string) *obs.Tracer {
-	if path == "" {
+func (d *daemon) newTracer() *obs.Tracer {
+	if d.traceOut == "" {
 		return nil
 	}
 	return obs.NewTracer(1 << 16)
@@ -389,33 +428,32 @@ func newTracer(path string) *obs.Tracer {
 
 // dumpTrace writes the recorder as Chrome trace-event JSON (no-op when
 // tracing is off).
-func dumpTrace(path string, tr *obs.Tracer) {
+func (d *daemon) dumpTrace(tr *obs.Tracer) error {
 	if tr == nil {
-		return
+		return nil
 	}
-	f, err := os.Create(path)
+	f, err := os.Create(d.traceOut)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "jitsud: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("jitsud: %v", err)
 	}
 	if err := obs.WriteChromeTrace(f, tr); err == nil {
 		err = f.Close()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "jitsud: write trace: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("jitsud: write trace: %v", err)
 	}
-	fmt.Printf("\ntrace: %s (%d events, %d dropped)\n", path, tr.Len(), tr.Dropped())
+	fmt.Fprintf(d.out, "\ntrace: %s (%d events, %d dropped)\n", d.traceOut, tr.Len(), tr.Dropped())
+	return nil
 }
 
 // streamStats starts the -stats-every printer over the control plane's
 // WatchStats verb; the returned stop cancels the stream so the event
 // queue can drain once the trace completes.
-func streamStats(ctl api.ControlPlane, every time.Duration, now func() sim.Duration) func() {
-	if every <= 0 {
-		return func() {}
+func (d *daemon) streamStats(ctl api.ControlPlane, now func() sim.Duration) (stop func(), err error) {
+	if d.statsEvery <= 0 {
+		return func() {}, nil
 	}
-	resp := ctl.WatchStats(api.WatchStatsRequest{Every: every, OnStats: func(s api.StatsResponse) bool {
+	resp := ctl.WatchStats(api.WatchStatsRequest{Every: d.statsEvery, OnStats: func(s api.StatsResponse) bool {
 		var launches, cold, queries, hits uint64
 		for _, reg := range s.Registries {
 			for _, c := range reg.Counters {
@@ -431,60 +469,58 @@ func streamStats(ctl api.ControlPlane, every time.Duration, now func() sim.Durat
 				}
 			}
 		}
-		fmt.Printf("%-12v ** stats: launches=%d cold=%d dns-queries=%d dns-cache-hits=%d\n",
+		fmt.Fprintf(d.out, "%-12v ** stats: launches=%d cold=%d dns-queries=%d dns-cache-hits=%d\n",
 			now().Round(time.Millisecond), launches, cold, queries, hits)
 		return true
 	}})
 	if resp.Err != nil {
-		fmt.Fprintf(os.Stderr, "jitsud: %v\n", resp.Err)
-		os.Exit(1)
+		return nil, fmt.Errorf("jitsud: %v", resp.Err)
 	}
-	return resp.Stop
+	return resp.Stop, nil
 }
 
 // runCluster is the multi-board mode: the same request trace, but
 // placed by the control plane instead of answered by one board.
-func runCluster(boards, services, requests int, seed int64, policyName string, minWarm int, synjitsu, disk bool, joinAt, leaveAt time.Duration, hostile hostileFlags, traceOut string, statsEvery time.Duration) {
-	pol := cluster.PolicyByName(policyName)
-	if pol == nil {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", policyName)
-		os.Exit(2)
+func (d *daemon) runCluster() error {
+	pol, err := d.policyByName()
+	if err != nil {
+		return err
 	}
-	tracer := newTracer(traceOut)
-	boardOpts := []core.Option{core.WithSynjitsu(synjitsu)}
-	if disk {
+	tracer := d.newTracer()
+	boardOpts := []core.Option{core.WithSynjitsu(!d.noSyn)}
+	if d.disk {
 		// With a disk tier, the pool manager and preemptor demote cold
 		// replicas to disk instead of destroying them.
 		boardOpts = append(boardOpts, core.WithDisk(blockdev.DefaultConfig()))
 	}
 	copts := []cluster.Option{
-		cluster.WithBoards(boards),
-		cluster.WithSeed(seed),
+		cluster.WithBoards(d.boards),
+		cluster.WithSeed(d.seed),
 		cluster.WithBoardOptions(boardOpts...),
 		cluster.WithPolicy(pol),
 		cluster.WithTracer(tracer, 0),
 	}
-	if joinAt > 0 || leaveAt > 0 {
+	if d.joinAt > 0 || d.leaveAt > 0 {
 		// Membership churn ahead: run the gossip failure detector.
 		copts = append(copts, cluster.WithProbing(time.Second, 0, 0))
 	}
 	c := cluster.NewCluster(copts...)
 	traceDone := false
-	if joinAt > 0 {
-		c.Eng().At(joinAt, func() {
+	if d.joinAt > 0 {
+		c.Eng().At(d.joinAt, func() {
 			if traceDone {
 				// The run has quiesced (StopMembership already ran); a
 				// new probing agent would keep the event queue alive
 				// forever.
-				fmt.Printf("%-12v ** join skipped: trace already complete\n", c.Eng().Now().Round(time.Millisecond))
+				fmt.Fprintf(d.out, "%-12v ** join skipped: trace already complete\n", c.Eng().Now().Round(time.Millisecond))
 				return
 			}
 			m := c.AddBoard()
-			fmt.Printf("%-12v ** board %d joining (gossip join -> directory)\n", c.Eng().Now().Round(time.Millisecond), m.ID)
+			fmt.Fprintf(d.out, "%-12v ** board %d joining (gossip join -> directory)\n", c.Eng().Now().Round(time.Millisecond), m.ID)
 		})
 	}
-	if leaveAt > 0 {
-		c.Eng().At(leaveAt, func() {
+	if d.leaveAt > 0 {
+		c.Eng().At(d.leaveAt, func() {
 			// Highest-numbered board still taking placements (a -join
 			// that fired earlier may have outnumbered the initial set).
 			id := -1
@@ -494,99 +530,97 @@ func runCluster(boards, services, requests int, seed int64, policyName string, m
 				}
 			}
 			if id < 0 {
-				fmt.Printf("%-12v ** no board can leave\n", c.Eng().Now().Round(time.Millisecond))
+				fmt.Fprintf(d.out, "%-12v ** no board can leave\n", c.Eng().Now().Round(time.Millisecond))
 				return
 			}
-			fmt.Printf("%-12v ** board %d leaving gracefully (migrating warm replicas)\n", c.Eng().Now().Round(time.Millisecond), id)
+			fmt.Fprintf(d.out, "%-12v ** board %d leaving gracefully (migrating warm replicas)\n", c.Eng().Now().Round(time.Millisecond), id)
 			if err := c.Leave(id, func() {
-				fmt.Printf("%-12v ** board %d left (%d migrations so far)\n", c.Eng().Now().Round(time.Millisecond), id, c.Migrations)
+				fmt.Fprintf(d.out, "%-12v ** board %d left (%d migrations so far)\n", c.Eng().Now().Round(time.Millisecond), id, c.Migrations)
 			}); err != nil {
-				fmt.Printf("%-12v ** board %d cannot leave: %v\n", c.Eng().Now().Round(time.Millisecond), id, err)
+				fmt.Fprintf(d.out, "%-12v ** board %d cannot leave: %v\n", c.Eng().Now().Round(time.Millisecond), id, err)
 			}
 		})
 	}
 
 	ctl := c.API()
-	stopStats := streamStats(ctl, statsEvery, c.Eng().Now)
+	stopStats, err := d.streamStats(ctl, c.Eng().Now)
+	if err != nil {
+		return err
+	}
 	zone := c.Cfg.Board.Zone
-	for i := 0; i < services; i++ {
-		n := serviceNames[i]
-		resp := ctl.Register(api.RegisterRequest{MinWarm: minWarm, Config: core.ServiceConfig{
-			Name:  n + "." + zone,
-			IP:    netstack.IPv4(10, 0, 0, byte(20+i)),
-			Port:  80,
-			Image: unikernel.UnikernelImage(n, unikernel.NewStaticSiteApp(n)),
-		}})
-		if resp.Err != nil {
-			fmt.Fprintf(os.Stderr, "jitsud: %v\n", resp.Err)
-			os.Exit(1)
+	for i := 0; i < d.services; i++ {
+		if resp := ctl.Register(api.RegisterRequest{MinWarm: d.minWarm, Config: site(i, zone)}); resp.Err != nil {
+			return fmt.Errorf("jitsud: %v", resp.Err)
 		}
 	}
 	cl := c.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
-	if hostile.active() && !hostile.noRetry {
+	if d.hostile.active() && !d.hostile.noRetry {
 		cl.Retry = dns.DefaultRetry()
 	}
 
-	fmt.Printf("jitsud cluster: %d boards, policy %s, synjitsu=%v, %d services, min-warm %d\n\n",
-		boards, pol.Name(), synjitsu, services, minWarm)
-	fmt.Printf("%-12s %-22s %-8s %-7s %-12s %s\n", "time", "request", "status", "board", "latency", "note")
-	hostile.apply(c.Eng(), cl.Host(0).NIC.Link(), seed)
+	fmt.Fprintf(d.out, "jitsud cluster: %d boards, policy %s, synjitsu=%v, %d services, min-warm %d\n\n",
+		d.boards, pol.Name(), !d.noSyn, d.services, d.minWarm)
+	fmt.Fprintf(d.out, "%-12s %-22s %-8s %-7s %-12s %s\n", "time", "request", "status", "board", "latency", "note")
+	d.hostile.apply(d.out, c.Eng(), cl.Host(0).NIC.Link(), d.seed)
 
 	lat := &metrics.Series{Name: "request latency"}
 	var issue func(i int)
 	issue = func(i int) {
-		if i >= requests {
+		if i >= d.requests {
 			// Quiesce the gossip agents so the event queue can drain.
 			traceDone = true
 			stopStats()
 			c.StopMembership()
 			return
 		}
-		name := serviceNames[i%services] + "." + zone
+		name := serviceNames[i%d.services] + "." + zone
 		warmBefore := c.WarmHits
 		cl.Fetch(name, "/", 30*time.Second,
-			func(board int, resp *netstack.HTTPResponse, d sim.Duration, err error) {
+			func(board int, resp *netstack.HTTPResponse, took sim.Duration, err error) {
 				status, note := "ERR", "PLACED"
 				switch {
 				case err != nil:
 					note = err.Error()
 				default:
 					status = fmt.Sprint(resp.Status)
-					lat.Add(d)
+					lat.Add(took)
 					if c.WarmHits > warmBefore {
 						note = "warm"
 					}
 				}
-				fmt.Printf("%-12v %-22s %-8s %-7d %-12v %s\n",
-					c.Eng().Now().Round(time.Millisecond), name, status, board, d.Round(100*time.Microsecond), note)
+				fmt.Fprintf(d.out, "%-12v %-22s %-8s %-7d %-12v %s\n",
+					c.Eng().Now().Round(time.Millisecond), name, status, board, took.Round(100*time.Microsecond), note)
 				c.Eng().After(2*time.Second, func() { issue(i + 1) })
 			})
 	}
 	issue(0)
 	c.RunAll()
-	dumpTrace(traceOut, tracer)
+	if err := d.dumpTrace(tracer); err != nil {
+		return err
+	}
 
-	fmt.Printf("\n%s\n", lat.Summary())
-	fmt.Printf("placed: %d, warm hits: %d, refused: %d, preempts: %d, prewarms: %d, reclaims: %d, demotions: %d\n",
+	fmt.Fprintf(d.out, "\n%s\n", lat.Summary())
+	fmt.Fprintf(d.out, "placed: %d, warm hits: %d, refused: %d, preempts: %d, prewarms: %d, reclaims: %d, demotions: %d\n",
 		c.Placed, c.WarmHits, c.ServFails, c.Preempts, c.Pools.Prewarms, c.Pools.Reclaims, c.Demotions+c.Pools.Demotions)
-	if hostile.active() {
+	if d.hostile.active() {
 		stats := cl.Host(0).NIC.Link().Stats
-		fmt.Printf("edge link: %d frames delivered, %d dropped; dns retries: %d\n",
+		fmt.Fprintf(d.out, "edge link: %d frames delivered, %d dropped; dns retries: %d\n",
 			stats.Delivered, stats.Dropped, cl.DNSRetries)
 	}
 	if c.Joins+c.Leaves+c.Confirms > 0 {
-		fmt.Printf("membership: %d joined, %d left, %d confirmed dead; %d migrations, %d replicas lost\n",
+		fmt.Fprintf(d.out, "membership: %d joined, %d left, %d confirmed dead; %d migrations, %d replicas lost\n",
 			c.Joins, c.Leaves, c.Confirms, c.Migrations, c.Lost)
 	}
-	fmt.Printf("\n%s", c.CounterTable())
-	fmt.Printf("trigger firings:")
+	fmt.Fprintf(d.out, "\n%s", c.CounterTable())
+	fmt.Fprintf(d.out, "trigger firings:")
 	for _, t := range ctl.Stats(api.StatsRequest{}).Triggers {
-		fmt.Printf(" %s=%d", t.Name, t.Fired)
+		fmt.Fprintf(d.out, " %s=%d", t.Name, t.Fired)
 	}
-	fmt.Println()
+	fmt.Fprintln(d.out)
 	for _, m := range c.Members() {
-		fmt.Printf("board %d [%s]: %s\n", m.ID, m.State, m.Board.Hyp)
+		fmt.Fprintf(d.out, "board %d [%s]: %s\n", m.ID, m.State, m.Board.Hyp)
 	}
+	return nil
 }
 
 // runConnect is the remote-operator mode: the cluster's control plane
@@ -601,15 +635,14 @@ func runCluster(boards, services, requests int, seed int64, policyName string, m
 // versioned length-prefixed frames; each console link is captured and
 // its fingerprint printed, so two same-seed runs can be checked for
 // bit-identical wire traffic.
-func runConnect(boards, services int, seed int64, policyName string, wanProf *netsim.WANProfile, statsEvery time.Duration) {
-	pol := cluster.PolicyByName(policyName)
-	if pol == nil {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", policyName)
-		os.Exit(2)
+func (d *daemon) runConnect() error {
+	pol, err := d.policyByName()
+	if err != nil {
+		return err
 	}
 	c := cluster.NewCluster(
-		cluster.WithBoards(boards),
-		cluster.WithSeed(seed),
+		cluster.WithBoards(d.boards),
+		cluster.WithSeed(d.seed),
 		cluster.WithPolicy(pol),
 		// The disk tier gives the Demote/Promote verbs something real to
 		// do: demoted services park their checkpoint on disk and page
@@ -626,8 +659,7 @@ func runConnect(boards, services int, seed int64, policyName string, wanProf *ne
 		Anonymous: api.ScopeNone,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "jitsud: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("jitsud: %v", err)
 	}
 
 	type operator struct {
@@ -643,63 +675,59 @@ func runConnect(boards, services int, seed int64, policyName string, wanProf *ne
 	}
 	for i, op := range sessions {
 		console := c.AttachMgmtHost(op.role, byte(200+i))
-		if wanProf != nil {
-			wanProf.Apply(console.NIC.Link(), seed+int64(i))
+		if d.wan != nil {
+			d.wan.Apply(console.NIC.Link(), d.seed+int64(i))
 		}
 		op.tap = netsim.NewCapture(c.Eng(), 1<<16)
 		console.NIC.Link().Tap(op.tap)
 		cl, err := wire.DialSession(c.Eng(), console, netstack.IPv4(10, 255, 0, 10),
 			wire.DefaultPort, wire.SessionConfig{Token: op.token})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "jitsud: dial %s: %v\n", op.role, err)
-			os.Exit(1)
+			return fmt.Errorf("jitsud: dial %s: %v", op.role, err)
 		}
 		op.cl = cl
 	}
 	admin, ops, viewer := sessions[0].cl, sessions[1].cl, sessions[2].cl
-	if wanProf != nil {
-		fmt.Printf("console links shaped to %s: rtt %v, loss %.2f%%, %.0f Mb/s\n",
-			wanProf.Name, wanProf.RTT, wanProf.Loss*100, wanProf.BitsPerSec/1e6)
+	if d.wan != nil {
+		fmt.Fprintf(d.out, "console links shaped to %s: rtt %v, loss %.2f%%, %.0f Mb/s\n",
+			d.wan.Name, d.wan.RTT, d.wan.Loss*100, d.wan.BitsPerSec/1e6)
 	}
 	now := func() time.Duration { return c.Eng().Now().Round(time.Millisecond) }
-	fmt.Printf("jitsud connect: %d boards, policy %s; 3 operator sessions on board 0 (wire protocol v%d, scopes %s/%s/%s)\n\n",
-		boards, pol.Name(), admin.Version(), admin.Scope(), ops.Scope(), viewer.Scope())
-	stopStats := streamStats(viewer, statsEvery, c.Eng().Now)
+	fmt.Fprintf(d.out, "jitsud connect: %d boards, policy %s; 3 operator sessions on board 0 (wire protocol v%d, scopes %s/%s/%s)\n\n",
+		d.boards, pol.Name(), admin.Version(), admin.Scope(), ops.Scope(), viewer.Scope())
+	stopStats, err := d.streamStats(viewer, c.Eng().Now)
+	if err != nil {
+		return err
+	}
 
 	zone := c.Cfg.Board.Zone
-	names := make([]string, services)
-	for i := 0; i < services; i++ {
-		names[i] = serviceNames[i] + "." + zone
-		resp := admin.Register(api.RegisterRequest{Config: core.ServiceConfig{
-			Name:  names[i],
-			IP:    netstack.IPv4(10, 0, 0, byte(20+i)),
-			Port:  80,
-			Image: unikernel.UnikernelImage(serviceNames[i], nil),
-		}})
-		if resp.Err != nil {
-			fmt.Fprintf(os.Stderr, "jitsud: register: %v\n", resp.Err)
-			os.Exit(1)
+	names := make([]string, d.services)
+	for i := 0; i < d.services; i++ {
+		cfg := site(i, zone)
+		cfg.Image.App = nil // apps do not cross the wire: the server's resolver re-attaches them
+		names[i] = cfg.Name
+		if resp := admin.Register(api.RegisterRequest{Config: cfg}); resp.Err != nil {
+			return fmt.Errorf("jitsud: register: %v", resp.Err)
 		}
-		fmt.Printf("%-12v admin    -> register %-22s ok\n", now(), names[i])
+		fmt.Fprintf(d.out, "%-12v admin    -> register %-22s ok\n", now(), names[i])
 	}
 	board0 := -1
-	for i := 0; i < services; i++ {
+	for i := 0; i < d.services; i++ {
 		i := i
 		resp := admin.Activate(api.ActivateRequest{Name: names[i], OnReady: func(err error) {
 			if err != nil {
-				fmt.Printf("%-12v admin    <- ready    %-22s ERR %v\n", now(), names[i], err)
+				fmt.Fprintf(d.out, "%-12v admin    <- ready    %-22s ERR %v\n", now(), names[i], err)
 				return
 			}
-			fmt.Printf("%-12v admin    <- ready    %-22s (event frame from board 0)\n", now(), names[i])
+			fmt.Fprintf(d.out, "%-12v admin    <- ready    %-22s (event frame from board 0)\n", now(), names[i])
 		}})
 		if resp.Err != nil {
-			fmt.Fprintf(os.Stderr, "jitsud: activate: %v\n", resp.Err)
-			os.Exit(1)
+			return fmt.Errorf("jitsud: activate: %v", resp.Err)
 		}
 		if i == 0 {
 			board0 = resp.Board
 		}
-		fmt.Printf("%-12v admin    -> activate %-22s placed on board %d\n", now(), names[i], resp.Board)
+		fmt.Fprintf(d.out, "%-12v admin    -> activate %-22s placed on board %d\n", now(), names[i], resp.Board)
 	}
 	c.Eng().RunFor(5 * time.Second)
 
@@ -708,43 +736,42 @@ func runConnect(boards, services int, seed int64, policyName string, wanProf *ne
 	for _, s := range stats.Services {
 		launches += s.Launches
 	}
-	fmt.Printf("%-12v viewer   -> stats    %d services, %d launches, %d registries\n",
+	fmt.Fprintf(d.out, "%-12v viewer   -> stats    %d services, %d launches, %d registries\n",
 		now(), len(stats.Services), launches, len(stats.Registries))
 
 	// The viewer oversteps its read-only scope: the verb is refused
 	// with CodeUnauthorized, the session itself stays up.
 	if mig := viewer.Migrate(api.MigrateRequest{Name: names[0]}); mig.Err != nil {
-		fmt.Printf("%-12v viewer   -> migrate  %-22s refused: %s (%s) — session stays up\n",
+		fmt.Fprintf(d.out, "%-12v viewer   -> migrate  %-22s refused: %s (%s) — session stays up\n",
 			now(), names[0], mig.Err.Code, mig.Err.Detail)
 	}
 
 	if dem := ops.Demote(api.DemoteRequest{Name: names[0]}); dem.Err == nil {
-		fmt.Printf("%-12v operator -> demote   %-22s %d replica(s) checkpointing to disk\n", now(), names[0], dem.Demoted)
+		fmt.Fprintf(d.out, "%-12v operator -> demote   %-22s %d replica(s) checkpointing to disk\n", now(), names[0], dem.Demoted)
 	}
 	c.Eng().RunFor(2 * time.Second)
 	pro := ops.Promote(api.PromoteRequest{Name: names[0], OnReady: func(err error) {
 		if err == nil {
-			fmt.Printf("%-12v operator <- ready    %-22s paged back in from disk\n", now(), names[0])
+			fmt.Fprintf(d.out, "%-12v operator <- ready    %-22s paged back in from disk\n", now(), names[0])
 		}
 	}})
 	if pro.Err == nil {
-		fmt.Printf("%-12v operator -> promote  %-22s restoring on board %d\n", now(), names[0], pro.Board)
+		fmt.Fprintf(d.out, "%-12v operator -> promote  %-22s restoring on board %d\n", now(), names[0], pro.Board)
 	}
 	c.Eng().RunFor(5 * time.Second)
 
 	mig := admin.Migrate(api.MigrateRequest{Name: names[0], From: api.OnBoard(board0), OnDone: func(ok bool) {
-		fmt.Printf("%-12v admin    <- done     %-22s migration ok=%v (%d chunks paced over the mgmt link)\n",
+		fmt.Fprintf(d.out, "%-12v admin    <- done     %-22s migration ok=%v (%d chunks paced over the mgmt link)\n",
 			now(), names[0], ok, c.Chunks)
 	}})
 	if mig.Err != nil {
-		fmt.Fprintf(os.Stderr, "jitsud: migrate: %v\n", mig.Err)
-		os.Exit(1)
+		return fmt.Errorf("jitsud: migrate: %v", mig.Err)
 	}
-	fmt.Printf("%-12v admin    -> migrate  %-22s off board %d\n", now(), names[0], board0)
+	fmt.Fprintf(d.out, "%-12v admin    -> migrate  %-22s off board %d\n", now(), names[0], board0)
 	c.Eng().RunFor(20 * time.Second)
 
 	if stop := ops.Stop(api.StopRequest{Name: names[0]}); stop.Err == nil {
-		fmt.Printf("%-12v operator -> stop     %-22s %d replica(s) stopped\n", now(), names[0], stop.Stopped)
+		fmt.Fprintf(d.out, "%-12v operator -> stop     %-22s %d replica(s) stopped\n", now(), names[0], stop.Stopped)
 	}
 	stopStats()
 	for _, op := range sessions {
@@ -757,99 +784,92 @@ func runConnect(boards, services int, seed int64, policyName string, wanProf *ne
 		rxFrames += op.cl.Frames
 		rxEvents += op.cl.Events
 	}
-	fmt.Printf("\nwire sessions: clients rx %d frames (%d events), server rx %d frames, %d conns, %d unauthorized, %d protocol errors\n",
+	fmt.Fprintf(d.out, "\nwire sessions: clients rx %d frames (%d events), server rx %d frames, %d conns, %d unauthorized, %d protocol errors\n",
 		rxFrames, rxEvents, srv.Frames, srv.Conns, srv.Unauthorized, srv.ProtoErrs)
 	for _, op := range sessions {
-		fmt.Printf("%-8s console capture fingerprint: %016x — same seed, same bytes, same instants\n",
+		fmt.Fprintf(d.out, "%-8s console capture fingerprint: %016x — same seed, same bytes, same instants\n",
 			op.role, op.tap.Fingerprint())
 	}
+	return nil
 }
 
 // runFederation is the cluster-of-clusters mode: the same request
 // trace resolved at the summarized root directory, which delegates each
 // query to the owning cluster's board-0 directory.
-func runFederation(clusters, boardsPer, services, requests int, seed int64, policyName string, minWarm int, synjitsu bool, wanProf *netsim.WANProfile, traceOut string) {
-	pol := cluster.PolicyByName(policyName)
-	if pol == nil {
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", policyName)
-		os.Exit(2)
+func (d *daemon) runFederation() error {
+	pol, err := d.policyByName()
+	if err != nil {
+		return err
 	}
-	tracer := newTracer(traceOut)
+	tracer := d.newTracer()
 	fopts := []cluster.FedOption{
-		cluster.WithClusters(clusters),
+		cluster.WithClusters(d.clusters),
 		cluster.WithMemberOptions(
-			cluster.WithBoards(boardsPer),
-			cluster.WithSeed(seed),
-			cluster.WithBoardOptions(core.WithSynjitsu(synjitsu)),
+			cluster.WithBoards(d.boards),
+			cluster.WithSeed(d.seed),
+			cluster.WithBoardOptions(core.WithSynjitsu(!d.noSyn)),
 			cluster.WithPolicy(pol),
 		),
 		cluster.WithSummaryEvery(500 * time.Millisecond),
 		cluster.WithFedTracer(tracer),
 	}
-	if wanProf != nil {
+	if d.wan != nil {
 		// WAN-shaped federation links: the delegation retransmit budget
 		// must clear the path RTT, and 1 MiB transfer chunks keep the
 		// delegation replies from queueing behind whole checkpoints.
 		delegRTO := 100 * time.Millisecond
-		if d := 3 * wanProf.RTT; d > delegRTO {
+		if d := 3 * d.wan.RTT; d > delegRTO {
 			delegRTO = d
 		}
 		fopts = append(fopts,
-			cluster.WithWAN(*wanProf),
+			cluster.WithWAN(*d.wan),
 			cluster.WithDelegateRetry(delegRTO, 3),
 			cluster.WithTransferChunk(1),
 		)
 	}
 	f := cluster.NewFederation(fopts...)
-	if wanProf != nil {
-		fmt.Printf("federation management links shaped to %s: rtt %v, loss %.2f%%, %.0f Mb/s\n",
-			wanProf.Name, wanProf.RTT, wanProf.Loss*100, wanProf.BitsPerSec/1e6)
+	if d.wan != nil {
+		fmt.Fprintf(d.out, "federation management links shaped to %s: rtt %v, loss %.2f%%, %.0f Mb/s\n",
+			d.wan.Name, d.wan.RTT, d.wan.Loss*100, d.wan.BitsPerSec/1e6)
 	}
 	zone := f.Cfg.Cluster.Board.Zone
 	var sopts []cluster.ServiceOption
-	if minWarm > 0 {
-		sopts = append(sopts, cluster.WithMinWarm(minWarm))
+	if d.minWarm > 0 {
+		sopts = append(sopts, cluster.WithMinWarm(d.minWarm))
 	}
-	for i := 0; i < services; i++ {
-		n := serviceNames[i]
-		m, e := f.RegisterService(core.ServiceConfig{
-			Name:  n + "." + zone,
-			IP:    netstack.IPv4(10, 0, 0, byte(20+i)),
-			Port:  80,
-			Image: unikernel.UnikernelImage(n, unikernel.NewStaticSiteApp(n)),
-		}, sopts...)
+	for i := 0; i < d.services; i++ {
+		m, e := f.RegisterService(site(i, zone), sopts...)
 		if e == nil {
-			fmt.Fprintf(os.Stderr, "jitsud: could not home %s\n", n)
-			os.Exit(1)
+			return fmt.Errorf("jitsud: could not home %s", serviceNames[i])
 		}
-		fmt.Printf("  %s -> cluster %d (least-loaded home)\n", e.Name, m.ID)
+		fmt.Fprintf(d.out, "  %s -> cluster %d (least-loaded home)\n", e.Name, m.ID)
 	}
 	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
 
-	fmt.Printf("\njitsud federation: %d clusters x %d boards, policy %s, synjitsu=%v, %d services, min-warm %d\n\n",
-		clusters, boardsPer, pol.Name(), synjitsu, services, minWarm)
-	fmt.Printf("%-12s %-22s %-8s %-9s %-12s %s\n", "time", "request", "status", "c/b", "latency", "note")
+	fmt.Fprintf(d.out, "\njitsud federation: %d clusters x %d boards, policy %s, synjitsu=%v, %d services, min-warm %d\n\n",
+		d.clusters, d.boards, pol.Name(), !d.noSyn, d.services, d.minWarm)
+	fmt.Fprintf(d.out, "%-12s %-22s %-8s %-9s %-12s %s\n", "time", "request", "status", "c/b", "latency", "note")
 
 	lat := &metrics.Series{Name: "request latency"}
 	var issue func(i int)
 	issue = func(i int) {
-		if i >= requests {
+		if i >= d.requests {
 			f.Stop()
 			return
 		}
-		name := serviceNames[i%services] + "." + zone
+		name := serviceNames[i%d.services] + "." + zone
 		fc.Fetch(name, "/", 30*time.Second,
-			func(cl, board int, resp *netstack.HTTPResponse, d sim.Duration, err error) {
+			func(cl, board int, resp *netstack.HTTPResponse, took sim.Duration, err error) {
 				status, note := "ERR", ""
 				switch {
 				case err != nil:
 					note = err.Error()
 				default:
 					status = fmt.Sprint(resp.Status)
-					lat.Add(d)
+					lat.Add(took)
 				}
-				fmt.Printf("%-12v %-22s %-8s %2d/%-6d %-12v %s\n",
-					f.Eng().Now().Round(time.Millisecond), name, status, cl, board, d.Round(100*time.Microsecond), note)
+				fmt.Fprintf(d.out, "%-12v %-22s %-8s %2d/%-6d %-12v %s\n",
+					f.Eng().Now().Round(time.Millisecond), name, status, cl, board, took.Round(100*time.Microsecond), note)
 				f.Eng().After(2*time.Second, func() { issue(i + 1) })
 			})
 	}
@@ -857,20 +877,23 @@ func runFederation(clusters, boardsPer, services, requests int, seed int64, poli
 	// the trace once the root has heard about every service.
 	f.Eng().After(50*time.Millisecond, func() { issue(0) })
 	f.RunAll()
-	dumpTrace(traceOut, tracer)
+	if err := d.dumpTrace(tracer); err != nil {
+		return err
+	}
 
-	fmt.Printf("\n%s\n", lat.Summary())
+	fmt.Fprintf(d.out, "\n%s\n", lat.Summary())
 	root := f.Root()
-	fmt.Printf("root directory: %d summary rows, %d lookups, %d delegations (%d cache hits, %d negative hits), %d scans\n",
+	fmt.Fprintf(d.out, "root directory: %d summary rows, %d lookups, %d delegations (%d cache hits, %d negative hits), %d scans\n",
 		root.StateSize, root.Lookups, root.Delegations, root.DelegHits, root.NegHits, root.Scans)
-	fmt.Printf("inter-cluster: %d spills, %d sheds, %d cross-cluster migrations, %d aborts\n",
+	fmt.Fprintf(d.out, "inter-cluster: %d spills, %d sheds, %d cross-cluster migrations, %d aborts\n",
 		f.Spills, f.Sheds, f.CrossMigrations, f.CrossAborts)
 	for _, m := range f.Members() {
 		state := "live"
 		if m.Left {
 			state = "left"
 		}
-		fmt.Printf("cluster %d [%s]: %d services, %d warm hits, %d placed, %d refused\n",
+		fmt.Fprintf(d.out, "cluster %d [%s]: %d services, %d warm hits, %d placed, %d refused\n",
 			m.ID, state, len(m.Cluster.Directory().Entries()), m.Cluster.WarmHits, m.Cluster.Placed, m.Cluster.ServFails)
 	}
+	return nil
 }

@@ -72,7 +72,11 @@
 // and watch registry. Anything that speaks api — a board, a cluster, a
 // test fake — is remotable without change, and `jitsud -connect`
 // drives a whole cluster through three concurrently connected scoped
-// consoles.
+// consoles. The verb set is written once per package: api holds one
+// {name, scope} table, wire one table of rows indexed by request frame
+// type (each frame body a single walk that both encodes and decodes),
+// and the codec, the server's gate and dispatch and the client's call
+// read the rows.
 //
 // internal/cc sits BELOW the bulk movers: cc.Controller is a pure
 // window/RTO state machine per management uplink (CUBIC with
@@ -113,7 +117,9 @@
 // core.NewOnEngine, cluster.NewCluster, cluster.NewFederation).
 //
 // The implementation lives under internal/ (one package per subsystem);
-// runnable entry points are in cmd/ and examples/; bench_test.go
-// regenerates every table and figure of the paper's evaluation, and
-// bench/ is the repository benchmark (its own module; bench/README.md).
+// the imports between those packages are a table in surface_test.go,
+// so this layering is a test. Runnable entry points are in cmd/ and
+// examples/; bench_test.go regenerates every table and figure of the
+// paper's evaluation, and bench/ is the repository benchmark (its own
+// module; bench/README.md).
 package jitsu

@@ -10,6 +10,12 @@
 // The package sits above internal/core and below internal/cluster:
 // ForBoard adapts one board; Cluster.API (in internal/cluster) adapts
 // the control plane of a whole cluster to the same interface.
+//
+// The vocabulary is written once: the verbs and the scope each needs
+// are one table (scope.go) that Verbs and RequiredScope read, the codes
+// one table that Codes and Code.String read, a service's lifecycle
+// counters one struct (core.Counters) that a Stats row embeds, and the
+// mapping from core's errors to codes one function (codeOf, board.go).
 package api
 
 import (
@@ -53,32 +59,32 @@ const (
 	CodeUnauthorized
 )
 
+// codeNames is the code table, in wire order: Codes and String read it.
+var codeNames = [...]string{
+	CodeBadRequest:   "bad-request",
+	CodeNotFound:     "not-found",
+	CodeNoMemory:     "no-memory",
+	CodeConflict:     "conflict",
+	CodeUnavailable:  "unavailable",
+	CodeMoved:        "moved",
+	CodeUnauthorized: "unauthorized",
+}
+
 func (c Code) String() string {
-	switch c {
-	case CodeBadRequest:
-		return "bad-request"
-	case CodeNotFound:
-		return "not-found"
-	case CodeNoMemory:
-		return "no-memory"
-	case CodeConflict:
-		return "conflict"
-	case CodeUnavailable:
-		return "unavailable"
-	case CodeMoved:
-		return "moved"
-	case CodeUnauthorized:
-		return "unauthorized"
-	default:
-		return fmt.Sprintf("code(%d)", int(c))
+	if c > 0 && int(c) < len(codeNames) {
+		return codeNames[c]
 	}
+	return fmt.Sprintf("code(%d)", int(c))
 }
 
 // Codes lists every error code, in wire order — the table the
 // verb-by-code round-trip tests sweep.
 func Codes() []Code {
-	return []Code{CodeBadRequest, CodeNotFound, CodeNoMemory, CodeConflict,
-		CodeUnavailable, CodeMoved, CodeUnauthorized}
+	out := make([]Code, 0, len(codeNames)-1)
+	for c := CodeBadRequest; int(c) < len(codeNames); c++ {
+		out = append(out, c)
+	}
+	return out
 }
 
 // Error is a typed control-plane failure: the operation, the code a
@@ -296,16 +302,9 @@ type StatsRequest struct{}
 // the typed lifecycle tier (for a cluster: the most-alive tier any
 // replica occupies).
 type ServiceStats struct {
-	Name         string
-	State        core.ServiceState
-	Launches     uint64
-	ColdStarts   uint64
-	Handoffs     uint64
-	ServFails    uint64
-	Reaps        uint64
-	Restores     uint64
-	DiskRestores uint64
-	Demotions    uint64
+	Name  string
+	State core.ServiceState
+	core.Counters
 }
 
 // TriggerStats counts firings per activation frontend.

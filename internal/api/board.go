@@ -20,43 +20,64 @@ type boardPlane struct {
 // ForBoard exposes one board's directory as a ControlPlane.
 func ForBoard(b *core.Board) ControlPlane { return &boardPlane{b: b} }
 
+// service resolves name in the board's directory, or says why not in
+// verb's terms.
+func (p *boardPlane) service(verb, name string) (*core.Service, *Error) {
+	svc, err := p.b.Jitsu.Service(name)
+	return svc, codeOf(verb, name, err)
+}
+
+// codeOf maps a core lifecycle error to the code a caller branches on —
+// the one place the two vocabularies meet. nil maps to nil.
+func codeOf(verb, name string, err error) *Error {
+	code := CodeConflict // the service's state precludes the operation
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, core.ErrNoSuchService):
+		code = CodeNotFound
+	case errors.Is(err, core.ErrNoMemory), errors.Is(err, core.ErrDiskFull):
+		code = CodeNoMemory
+	case errors.Is(err, core.ErrNoDisk):
+		code = CodeUnavailable
+	}
+	return Errf(verb, code, "%s: %v", name, err)
+}
+
+// register files cfg unless its name is empty or taken.
+func (p *boardPlane) register(verb string, cfg core.ServiceConfig) (*core.Service, *Error) {
+	if cfg.Name == "" {
+		return nil, Errf(verb, CodeBadRequest, "empty service name")
+	}
+	if _, err := p.b.Jitsu.Service(cfg.Name); err == nil {
+		return nil, Errf(verb, CodeConflict, "%s already registered", cfg.Name)
+	}
+	return p.b.Jitsu.Register(cfg), nil
+}
+
 func (p *boardPlane) Register(req RegisterRequest) RegisterResponse {
-	if req.Config.Name == "" {
-		return RegisterResponse{Err: Errf(VerbRegister, CodeBadRequest, "empty service name")}
+	svc, err := p.register(VerbRegister, req.Config)
+	if err != nil {
+		return RegisterResponse{Err: err}
 	}
-	if _, err := p.b.Jitsu.Service(req.Config.Name); err == nil {
-		return RegisterResponse{Err: Errf(VerbRegister, CodeConflict, "%s already registered", req.Config.Name)}
-	}
-	svc := p.b.Jitsu.Register(req.Config)
 	return RegisterResponse{Name: svc.Cfg.Name}
 }
 
 func (p *boardPlane) Activate(req ActivateRequest) ActivateResponse {
-	svc, err := p.b.Jitsu.Service(req.Name)
-	if err != nil {
-		return ActivateResponse{Err: Errf(VerbActivate, CodeNotFound, "%s", req.Name)}
+	svc, err := p.service(VerbActivate, req.Name)
+	if err == nil {
+		err = codeOf(VerbActivate, req.Name, p.b.Jitsu.Activate(svc, !req.Speculative, req.OnReady))
 	}
-	if err := p.b.Jitsu.Activate(svc, !req.Speculative, req.OnReady); err != nil {
-		return ActivateResponse{Err: activateError(err, req.Name)}
+	if err != nil {
+		return ActivateResponse{Err: err}
 	}
 	return ActivateResponse{IP: svc.Cfg.IP, State: svc.State}
 }
 
-func activateError(err error, name string) *Error {
-	switch {
-	case errors.Is(err, core.ErrNoMemory):
-		return Errf(VerbActivate, CodeNoMemory, "%s: image does not fit", name)
-	case errors.Is(err, core.ErrNoSuchService):
-		return Errf(VerbActivate, CodeNotFound, "%s", name)
-	default:
-		return Errf(VerbActivate, CodeConflict, "%s: %v", name, err)
-	}
-}
-
 func (p *boardPlane) Checkpoint(req CheckpointRequest) CheckpointResponse {
-	svc, err := p.b.Jitsu.Service(req.Name)
+	svc, err := p.service(VerbCheckpoint, req.Name)
 	if err != nil {
-		return CheckpointResponse{Err: Errf(VerbCheckpoint, CodeNotFound, "%s", req.Name)}
+		return CheckpointResponse{Err: err}
 	}
 	cp, ok := p.b.Jitsu.Checkpoint(svc)
 	if !ok {
@@ -69,37 +90,20 @@ func (p *boardPlane) Restore(req RestoreRequest) RestoreResponse {
 	if req.Checkpoint == nil {
 		return RestoreResponse{Err: Errf(VerbRestore, CodeBadRequest, "nil checkpoint")}
 	}
-	svc, err := p.b.Jitsu.Service(req.Name)
+	svc, err := p.service(VerbRestore, req.Name)
 	if err != nil {
-		return RestoreResponse{Err: Errf(VerbRestore, CodeNotFound, "%s", req.Name)}
+		return RestoreResponse{Err: err}
 	}
-	if req.ToDisk {
-		switch err := p.b.Jitsu.AdoptCheckpoint(svc, req.Checkpoint); {
-		case err == nil:
-			if req.OnReady != nil {
-				req.OnReady(nil)
-			}
-			return RestoreResponse{}
-		case errors.Is(err, core.ErrNoDisk):
-			return RestoreResponse{Err: Errf(VerbRestore, CodeUnavailable, "%s: board has no disk", req.Name)}
-		case errors.Is(err, core.ErrDiskFull):
-			return RestoreResponse{Err: Errf(VerbRestore, CodeNoMemory, "%s: checkpoint store full", req.Name)}
-		case errors.Is(err, core.ErrNoSuchService):
-			return RestoreResponse{Err: Errf(VerbRestore, CodeNotFound, "%s retired", req.Name)}
-		default:
-			return RestoreResponse{Err: Errf(VerbRestore, CodeConflict, "%s: %v", req.Name, err)}
-		}
+	if !req.ToDisk {
+		return RestoreResponse{Err: codeOf(VerbRestore, req.Name, p.b.Jitsu.Restore(svc, req.Checkpoint, req.OnReady))}
 	}
-	switch err := p.b.Jitsu.Restore(svc, req.Checkpoint, req.OnReady); {
-	case err == nil:
-		return RestoreResponse{}
-	case errors.Is(err, core.ErrNoMemory):
-		return RestoreResponse{Err: Errf(VerbRestore, CodeNoMemory, "%s: checkpoint does not fit", req.Name)}
-	case errors.Is(err, core.ErrNoSuchService):
-		return RestoreResponse{Err: Errf(VerbRestore, CodeNotFound, "%s retired", req.Name)}
-	default:
-		return RestoreResponse{Err: Errf(VerbRestore, CodeConflict, "%s: %v", req.Name, err)}
+	if err := codeOf(VerbRestore, req.Name, p.b.Jitsu.AdoptCheckpoint(svc, req.Checkpoint)); err != nil {
+		return RestoreResponse{Err: err}
 	}
+	if req.OnReady != nil {
+		req.OnReady(nil)
+	}
+	return RestoreResponse{}
 }
 
 func (p *boardPlane) Migrate(req MigrateRequest) MigrateResponse {
@@ -109,13 +113,10 @@ func (p *boardPlane) Migrate(req MigrateRequest) MigrateResponse {
 // Transfer adopts a service arriving from elsewhere: register it here
 // and, if warm state rides along, restore it on this board.
 func (p *boardPlane) Transfer(req TransferRequest) TransferResponse {
-	if req.Config.Name == "" {
-		return TransferResponse{Board: -1, Err: Errf(VerbTransfer, CodeBadRequest, "empty service name")}
+	svc, err := p.register(VerbTransfer, req.Config)
+	if err != nil {
+		return TransferResponse{Board: -1, Err: err}
 	}
-	if _, err := p.b.Jitsu.Service(req.Config.Name); err == nil {
-		return TransferResponse{Board: -1, Err: Errf(VerbTransfer, CodeConflict, "%s already registered", req.Config.Name)}
-	}
-	svc := p.b.Jitsu.Register(req.Config)
 	if req.Checkpoint == nil {
 		if req.OnReady != nil {
 			req.OnReady(nil)
@@ -134,54 +135,37 @@ func (p *boardPlane) Transfer(req TransferRequest) TransferResponse {
 	}
 	if err := p.b.Jitsu.Restore(svc, req.Checkpoint, req.OnReady); err != nil {
 		p.b.Jitsu.Deregister(svc)
-		if errors.Is(err, core.ErrNoMemory) {
-			return TransferResponse{Board: -1, Err: Errf(VerbTransfer, CodeNoMemory, "%s: checkpoint does not fit", req.Config.Name)}
-		}
-		return TransferResponse{Board: -1, Err: Errf(VerbTransfer, CodeConflict, "%s: %v", req.Config.Name, err)}
+		return TransferResponse{Board: -1, Err: codeOf(VerbTransfer, req.Config.Name, err)}
 	}
 	return TransferResponse{Board: 0}
 }
 
 func (p *boardPlane) Demote(req DemoteRequest) DemoteResponse {
-	svc, err := p.b.Jitsu.Service(req.Name)
+	svc, err := p.service(VerbDemote, req.Name)
+	if err == nil {
+		err = codeOf(VerbDemote, req.Name, p.b.Jitsu.Demote(svc))
+	}
 	if err != nil {
-		return DemoteResponse{Err: Errf(VerbDemote, CodeNotFound, "%s", req.Name)}
+		return DemoteResponse{Err: err}
 	}
-	switch err := p.b.Jitsu.Demote(svc); {
-	case err == nil:
-		return DemoteResponse{Demoted: 1}
-	case errors.Is(err, core.ErrNoDisk):
-		return DemoteResponse{Err: Errf(VerbDemote, CodeUnavailable, "%s: board has no disk", req.Name)}
-	case errors.Is(err, core.ErrDiskFull):
-		return DemoteResponse{Err: Errf(VerbDemote, CodeNoMemory, "%s: checkpoint store full", req.Name)}
-	case errors.Is(err, core.ErrNoSuchService):
-		return DemoteResponse{Err: Errf(VerbDemote, CodeNotFound, "%s retired", req.Name)}
-	default:
-		return DemoteResponse{Err: Errf(VerbDemote, CodeConflict, "%s: %v", req.Name, err)}
-	}
+	return DemoteResponse{Demoted: 1}
 }
 
 func (p *boardPlane) Promote(req PromoteRequest) PromoteResponse {
-	svc, err := p.b.Jitsu.Service(req.Name)
+	svc, err := p.service(VerbPromote, req.Name)
+	if err == nil {
+		err = codeOf(VerbPromote, req.Name, p.b.Jitsu.Promote(svc, req.OnReady))
+	}
 	if err != nil {
-		return PromoteResponse{Board: -1, Err: Errf(VerbPromote, CodeNotFound, "%s", req.Name)}
+		return PromoteResponse{Board: -1, Err: err}
 	}
-	switch err := p.b.Jitsu.Promote(svc, req.OnReady); {
-	case err == nil:
-		return PromoteResponse{Board: 0}
-	case errors.Is(err, core.ErrNoMemory):
-		return PromoteResponse{Board: -1, Err: Errf(VerbPromote, CodeNoMemory, "%s: image does not fit", req.Name)}
-	case errors.Is(err, core.ErrNoSuchService):
-		return PromoteResponse{Board: -1, Err: Errf(VerbPromote, CodeNotFound, "%s retired", req.Name)}
-	default:
-		return PromoteResponse{Board: -1, Err: Errf(VerbPromote, CodeConflict, "%s: %v", req.Name, err)}
-	}
+	return PromoteResponse{Board: 0}
 }
 
 func (p *boardPlane) Stop(req StopRequest) StopResponse {
-	svc, err := p.b.Jitsu.Service(req.Name)
+	svc, err := p.service(VerbStop, req.Name)
 	if err != nil {
-		return StopResponse{Err: Errf(VerbStop, CodeNotFound, "%s", req.Name)}
+		return StopResponse{Err: err}
 	}
 	if p.b.Jitsu.Evict(svc) {
 		return StopResponse{Stopped: 1}
@@ -193,13 +177,7 @@ func (p *boardPlane) Stats(StatsRequest) StatsResponse {
 	svcs := p.b.Jitsu.Services()
 	resp := StatsResponse{Services: make([]ServiceStats, 0, len(svcs))}
 	for _, svc := range svcs {
-		resp.Services = append(resp.Services, ServiceStats{
-			Name: svc.Cfg.Name, State: svc.State,
-			Launches: svc.Launches, ColdStarts: svc.ColdStarts,
-			Handoffs: svc.Handoffs, ServFails: svc.ServFails,
-			Reaps: svc.Reaps, Restores: svc.Restores,
-			DiskRestores: svc.DiskRestores, Demotions: svc.Demotions,
-		})
+		resp.Services = append(resp.Services, ServiceStats{Name: svc.Cfg.Name, State: svc.State, Counters: svc.Counters})
 	}
 	resp.Triggers = AddFired(make([]TriggerStats, 0, 8), p.b.Jitsu.Activation())
 	resp.Registries = []obs.Snapshot{p.b.Reg.Snapshot()}

@@ -31,18 +31,10 @@ const (
 )
 
 func (s Scope) String() string {
-	switch s {
-	case ScopeNone:
-		return "none"
-	case ScopeReadOnly:
-		return "read-only"
-	case ScopeOperator:
-		return "operator"
-	case ScopeAdmin:
-		return "admin"
-	default:
-		return fmt.Sprintf("scope(%d)", uint8(s))
+	if names := [...]string{"none", "read-only", "operator", "admin"}; int(s) < len(names) {
+		return names[s]
 	}
+	return fmt.Sprintf("scope(%d)", uint8(s))
 }
 
 // Allows reports whether a session holding s may issue a verb that
@@ -65,25 +57,42 @@ const (
 	VerbWatchStats = "watch-stats"
 )
 
-// Verbs lists every ControlPlane verb name, in interface order.
-func Verbs() []string {
-	return []string{VerbRegister, VerbActivate, VerbCheckpoint, VerbRestore,
-		VerbMigrate, VerbTransfer, VerbDemote, VerbPromote, VerbStop,
-		VerbStats, VerbWatchStats}
+// verbs is the control plane's vocabulary, in interface order: each
+// ControlPlane method's name and the least scope that may issue it.
+var verbs = [...]struct {
+	name  string
+	scope Scope
+}{
+	{VerbRegister, ScopeAdmin},
+	{VerbActivate, ScopeOperator},
+	{VerbCheckpoint, ScopeAdmin},
+	{VerbRestore, ScopeAdmin},
+	{VerbMigrate, ScopeAdmin},
+	{VerbTransfer, ScopeAdmin},
+	{VerbDemote, ScopeOperator},
+	{VerbPromote, ScopeOperator},
+	{VerbStop, ScopeOperator},
+	{VerbStats, ScopeReadOnly},
+	{VerbWatchStats, ScopeReadOnly},
 }
 
-// RequiredScope is the verb-scope table: the minimum capability a
-// session needs to issue the named verb. Unknown names require
-// ScopeAdmin, so a future verb that misses the table fails closed.
-func RequiredScope(verb string) Scope {
-	switch verb {
-	case VerbStats, VerbWatchStats:
-		return ScopeReadOnly
-	case VerbActivate, VerbDemote, VerbPromote, VerbStop:
-		return ScopeOperator
-	case VerbRegister, VerbCheckpoint, VerbRestore, VerbMigrate, VerbTransfer:
-		return ScopeAdmin
-	default:
-		return ScopeAdmin
+// Verbs lists every ControlPlane verb name, in interface order.
+func Verbs() []string {
+	out := make([]string, len(verbs))
+	for i, v := range verbs {
+		out[i] = v.name
 	}
+	return out
+}
+
+// RequiredScope is the minimum capability a session needs to issue the
+// named verb. Unknown names require ScopeAdmin, so a verb that misses
+// the table fails closed.
+func RequiredScope(verb string) Scope {
+	for _, v := range verbs {
+		if v.name == verb {
+			return v.scope
+		}
+	}
+	return ScopeAdmin
 }

@@ -17,7 +17,7 @@
 //   - a CUBIC congestion window (Ha/Rhee/Xu): concave-then-convex
 //     growth toward the window at the last congestion event, with
 //     multiplicative decrease on loss — plus a delay-based backoff
-//     (rtt beyond DelayFactor × the observed base RTT counts as
+//     (rtt beyond delayFactor × the observed base RTT counts as
 //     congestion) so a lossless-but-throttled link converges to a
 //     bounded standing queue instead of bufferbloat;
 //   - in-flight byte accounting with a FIFO grant queue: a Sender
@@ -38,6 +38,19 @@ import (
 	"jitsu/internal/sim"
 )
 
+// CUBIC's fixed constants.
+const (
+	// beta is the multiplicative-decrease factor.
+	beta = 0.7
+	// cubicC is the aggressiveness constant, in MSS/second³ like the
+	// paper's.
+	cubicC = 0.4
+	// delayFactor arms the delay-based backoff: an RTT sample above
+	// delayFactor × the minimum observed RTT is treated as a congestion
+	// event (at most once per RTT).
+	delayFactor = 4
+)
+
 // Config tunes one controller. The zero value takes every default.
 type Config struct {
 	// MSS is the chunk/segment size in bytes the window is scaled
@@ -48,18 +61,6 @@ type Config struct {
 	InitWindow int
 	// MinWindow floors the window after timeouts (default 1×MSS).
 	MinWindow int
-	// MaxWindow caps growth; 0 = uncapped.
-	MaxWindow int
-	// Beta is the CUBIC multiplicative-decrease factor (default 0.7).
-	Beta float64
-	// C is the CUBIC aggressiveness constant (default 0.4, in
-	// MSS/second³ like the paper's).
-	C float64
-	// DelayFactor arms the delay-based backoff: an RTT sample above
-	// DelayFactor × the minimum observed RTT is treated as a congestion
-	// event (at most once per RTT). 0 takes the default 4; negative
-	// disables delay backoff entirely (pure loss-based CUBIC).
-	DelayFactor float64
 	// RTOMin/RTOMax clamp the retransmission timeout (defaults
 	// 20ms / 10s).
 	RTOMin sim.Duration
@@ -79,15 +80,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinWindow <= 0 {
 		c.MinWindow = c.MSS
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.7
-	}
-	if c.C <= 0 {
-		c.C = 0.4
-	}
-	if c.DelayFactor == 0 {
-		c.DelayFactor = 4
 	}
 	if c.RTOMin <= 0 {
 		c.RTOMin = 20 * time.Millisecond
@@ -149,9 +141,6 @@ func New(eng *sim.Engine, cfg Config) *Controller {
 	c := &Controller{eng: eng, cfg: cfg, rtoScale: 1}
 	c.cwnd = float64(cfg.InitWindow)
 	c.ssthresh = math.Inf(1)
-	if cfg.MaxWindow > 0 {
-		c.ssthresh = float64(cfg.MaxWindow)
-	}
 	return c
 }
 
@@ -240,8 +229,8 @@ func (c *Controller) OnAck(bytes int, rtt sim.Duration) {
 	if rtt > 0 {
 		c.sample(rtt)
 		c.rtoScale = 1
-		if c.cfg.DelayFactor > 0 && c.minRTT > 0 &&
-			rtt > sim.Duration(c.cfg.DelayFactor*float64(c.minRTT)) &&
+		if c.minRTT > 0 &&
+			rtt > delayFactor*c.minRTT &&
 			(!c.hasDecr || now-c.lastDecr > c.srtt) {
 			c.DelayBackoffs++
 			c.decrease(now)
@@ -273,7 +262,7 @@ func (c *Controller) OnTimeout(bytes int) {
 	c.Timeouts++
 	c.release(bytes)
 	c.wMax = c.cwnd
-	c.ssthresh = math.Max(c.cwnd*c.cfg.Beta, float64(2*c.cfg.MSS))
+	c.ssthresh = math.Max(c.cwnd*beta, float64(2*c.cfg.MSS))
 	c.cwnd = float64(c.cfg.MinWindow)
 	c.hasEpoch = false
 	c.lastDecr = c.eng.Now()
@@ -307,7 +296,7 @@ func (c *Controller) sample(rtt sim.Duration) {
 // decrease is one multiplicative congestion response (loss or delay).
 func (c *Controller) decrease(now sim.Duration) {
 	c.wMax = c.cwnd
-	c.cwnd = math.Max(c.cwnd*c.cfg.Beta, float64(c.cfg.MinWindow))
+	c.cwnd = math.Max(c.cwnd*beta, float64(c.cfg.MinWindow))
 	c.ssthresh = c.cwnd
 	c.hasEpoch = false
 	c.lastDecr = now
@@ -331,8 +320,8 @@ func (c *Controller) grow(bytes int, now sim.Duration) {
 		mss := float64(c.cfg.MSS)
 		t := (now - c.epochStart).Seconds()
 		wmax := c.wMax / mss
-		k := math.Cbrt(wmax * (1 - c.cfg.Beta) / c.cfg.C)
-		target := (c.cfg.C*math.Pow(t-k, 3) + wmax) * mss
+		k := math.Cbrt(wmax * (1 - beta) / cubicC)
+		target := (cubicC*math.Pow(t-k, 3) + wmax) * mss
 		if target > c.cwnd {
 			// Approach the cubic target over one RTT's worth of acks.
 			c.cwnd += (target - c.cwnd) * float64(bytes) / c.cwnd
@@ -340,9 +329,6 @@ func (c *Controller) grow(bytes int, now sim.Duration) {
 			// TCP-friendly floor: keep probing gently below the curve.
 			c.cwnd += 0.05 * float64(bytes)
 		}
-	}
-	if c.cfg.MaxWindow > 0 && c.cwnd > float64(c.cfg.MaxWindow) {
-		c.cwnd = float64(c.cfg.MaxWindow)
 	}
 }
 

@@ -135,7 +135,7 @@ func TestDelayBackoff(t *testing.T) {
 // and eventually passes the pre-decrease Wmax.
 func TestCubicRegrowth(t *testing.T) {
 	eng := sim.New(1)
-	c := New(eng, Config{MSS: 1000, InitWindow: 4000, DelayFactor: -1})
+	c := New(eng, Config{MSS: 1000, InitWindow: 4000})
 	for i := 0; i < 16; i++ {
 		c.Acquire(1000, func() {})
 		c.OnAck(1000, 10*time.Millisecond)

@@ -23,20 +23,41 @@ func (c *Cluster) API() api.ControlPlane { return &clusterPlane{c: c} }
 // paths (migration) speak.
 func (c *Cluster) boardAPI(id int) api.ControlPlane { return c.apis[id] }
 
-func (p *clusterPlane) Register(req api.RegisterRequest) api.RegisterResponse {
-	if req.Config.Name == "" {
-		return api.RegisterResponse{Err: api.Errf(api.VerbRegister, api.CodeBadRequest, "empty service name")}
+// entry resolves name in the cluster directory, or says why not in
+// verb's terms.
+func (p *clusterPlane) entry(verb, name string) (*Entry, *api.Error) {
+	if e := p.c.dir.Lookup(name); e != nil {
+		return e, nil
+	}
+	return nil, api.Errf(verb, api.CodeNotFound, "%s", name)
+}
+
+// serviceOptions validates the registration a Register or Transfer
+// carries — a name, and a known policy if one is named — and turns its
+// policy and warm floor into options. It runs before either verb's
+// first side effect.
+func serviceOptions(verb, name, policy string, minWarm int) ([]ServiceOption, *api.Error) {
+	if name == "" {
+		return nil, api.Errf(verb, api.CodeBadRequest, "empty service name")
 	}
 	var opts []ServiceOption
-	if req.Policy != "" {
-		pol := PolicyByName(req.Policy)
+	if policy != "" {
+		pol := PolicyByName(policy)
 		if pol == nil {
-			return api.RegisterResponse{Err: api.Errf(api.VerbRegister, api.CodeBadRequest, "unknown policy %q", req.Policy)}
+			return nil, api.Errf(verb, api.CodeBadRequest, "unknown policy %q", policy)
 		}
 		opts = append(opts, WithServicePolicy(pol))
 	}
-	if req.MinWarm > 0 {
-		opts = append(opts, WithMinWarm(req.MinWarm))
+	if minWarm > 0 {
+		opts = append(opts, WithMinWarm(minWarm))
+	}
+	return opts, nil
+}
+
+func (p *clusterPlane) Register(req api.RegisterRequest) api.RegisterResponse {
+	opts, err := serviceOptions(api.VerbRegister, req.Config.Name, req.Policy, req.MinWarm)
+	if err != nil {
+		return api.RegisterResponse{Err: err}
 	}
 	if p.c.dir.Lookup(req.Config.Name) != nil {
 		return api.RegisterResponse{Err: api.Errf(api.VerbRegister, api.CodeConflict, "%s already registered", req.Config.Name)}
@@ -46,8 +67,8 @@ func (p *clusterPlane) Register(req api.RegisterRequest) api.RegisterResponse {
 }
 
 func (p *clusterPlane) Activate(req api.ActivateRequest) api.ActivateResponse {
-	e := p.c.dir.Lookup(req.Name)
-	if e == nil || e.moved {
+	e, err := p.entry(api.VerbActivate, req.Name)
+	if err != nil || e.moved {
 		if cid, ok := p.c.movedTo[dns.CanonicalName(req.Name)]; ok {
 			return api.ActivateResponse{Err: api.Errf(api.VerbActivate, api.CodeMoved, "%s moved to cluster %d", req.Name, cid)}
 		}
@@ -90,9 +111,9 @@ func (p *clusterPlane) Activate(req api.ActivateRequest) api.ActivateResponse {
 }
 
 func (p *clusterPlane) Checkpoint(req api.CheckpointRequest) api.CheckpointResponse {
-	e := p.c.dir.Lookup(req.Name)
-	if e == nil {
-		return api.CheckpointResponse{Err: api.Errf(api.VerbCheckpoint, api.CodeNotFound, "%s", req.Name)}
+	e, err := p.entry(api.VerbCheckpoint, req.Name)
+	if err != nil {
+		return api.CheckpointResponse{Err: err}
 	}
 	// A booted replica captures live state; failing that, a disk-resident
 	// one hands back its stored checkpoint without paging in.
@@ -123,9 +144,9 @@ func (p *clusterPlane) Restore(req api.RestoreRequest) api.RestoreResponse {
 }
 
 func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
-	e := p.c.dir.Lookup(req.Name)
-	if e == nil {
-		return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeNotFound, "%s", req.Name)}
+	e, err := p.entry(api.VerbMigrate, req.Name)
+	if err != nil {
+		return api.MigrateResponse{Err: err}
 	}
 	src := p.c.readyReplica(e, req.From)
 	if src == nil || src.migrating {
@@ -160,8 +181,9 @@ func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
 // restore rolls the registration back, so a botched transfer never
 // leaves a second (cold) home competing with the still-serving source.
 func (p *clusterPlane) Transfer(req api.TransferRequest) api.TransferResponse {
-	if req.Config.Name == "" {
-		return api.TransferResponse{Board: -1, Err: api.Errf(api.VerbTransfer, api.CodeBadRequest, "empty service name")}
+	opts, err := serviceOptions(api.VerbTransfer, req.Config.Name, req.Policy, req.MinWarm)
+	if err != nil {
+		return api.TransferResponse{Board: -1, Err: err}
 	}
 	if e := p.c.dir.Lookup(req.Config.Name); e != nil {
 		if !e.moved {
@@ -171,17 +193,6 @@ func (p *clusterPlane) Transfer(req api.TransferRequest) api.TransferResponse {
 		// still draining; a transfer back re-adopts it — cut the drain
 		// short so the fresh registration owns the name.
 		p.c.Unregister(e.Name)
-	}
-	var opts []ServiceOption
-	if req.Policy != "" {
-		pol := PolicyByName(req.Policy)
-		if pol == nil {
-			return api.TransferResponse{Board: -1, Err: api.Errf(api.VerbTransfer, api.CodeBadRequest, "unknown policy %q", req.Policy)}
-		}
-		opts = append(opts, WithServicePolicy(pol))
-	}
-	if req.MinWarm > 0 {
-		opts = append(opts, WithMinWarm(req.MinWarm))
 	}
 	e := p.c.RegisterService(req.Config, opts...)
 	if req.Checkpoint == nil {
@@ -214,9 +225,9 @@ func (p *clusterPlane) Transfer(req api.TransferRequest) api.TransferResponse {
 }
 
 func (p *clusterPlane) Stop(req api.StopRequest) api.StopResponse {
-	e := p.c.dir.Lookup(req.Name)
-	if e == nil {
-		return api.StopResponse{Err: api.Errf(api.VerbStop, api.CodeNotFound, "%s", req.Name)}
+	e, err := p.entry(api.VerbStop, req.Name)
+	if err != nil {
+		return api.StopResponse{Err: err}
 	}
 	stopped := 0
 	for _, pl := range append(e.ready(), e.onDisk()...) {
@@ -230,9 +241,9 @@ func (p *clusterPlane) Stop(req api.StopRequest) api.StopResponse {
 // Demote parks booted replicas of a service on their boards' disk tier:
 // every booted replica under AnyBoard, just one under a board selector.
 func (p *clusterPlane) Demote(req api.DemoteRequest) api.DemoteResponse {
-	e := p.c.dir.Lookup(req.Name)
-	if e == nil {
-		return api.DemoteResponse{Err: api.Errf(api.VerbDemote, api.CodeNotFound, "%s", req.Name)}
+	e, err := p.entry(api.VerbDemote, req.Name)
+	if err != nil {
+		return api.DemoteResponse{Err: err}
 	}
 	if board, ok := req.Board.ID(); ok {
 		if pl := p.c.readyReplica(e, req.Board); pl == nil || pl.migrating {
@@ -266,9 +277,9 @@ func (p *clusterPlane) Demote(req api.DemoteRequest) api.DemoteResponse {
 // running — the next client activation flips it). AnyBoard takes the
 // first disk-resident replica in board order.
 func (p *clusterPlane) Promote(req api.PromoteRequest) api.PromoteResponse {
-	e := p.c.dir.Lookup(req.Name)
-	if e == nil {
-		return api.PromoteResponse{Board: -1, Err: api.Errf(api.VerbPromote, api.CodeNotFound, "%s", req.Name)}
+	e, err := p.entry(api.VerbPromote, req.Name)
+	if err != nil {
+		return api.PromoteResponse{Board: -1, Err: err}
 	}
 	pl := p.c.diskReplica(e, req.Board)
 	if pl == nil {
@@ -304,35 +315,24 @@ func (p *clusterPlane) WatchStats(req api.WatchStatsRequest) api.WatchStatsRespo
 	return api.StreamStats(p.c.eng, req, p.Stats)
 }
 
-// readyReplica finds e's booted replica per the selector (AnyBoard = the
-// first booted one in board order).
+// readyReplica finds e's booted replica per the selector, diskReplica
+// its disk-resident one (AnyBoard = the first in board order).
 func (c *Cluster) readyReplica(e *Entry, sel api.BoardSel) *Placement {
-	if board, ok := sel.ID(); ok {
-		pl := replicaOn(e, board)
-		if pl == nil || pl.draining || !pl.Svc.State.Booted() {
-			return nil
-		}
-		return pl
-	}
-	ready := e.ready()
-	if len(ready) == 0 {
-		return nil
-	}
-	return ready[0]
+	return replicaIn(e, sel, e.ready)
 }
 
-// diskReplica finds e's disk-resident replica per the selector (AnyBoard
-// = the first one in board order).
 func (c *Cluster) diskReplica(e *Entry, sel api.BoardSel) *Placement {
-	if board, ok := sel.ID(); ok {
-		pl := replicaOn(e, board)
-		if pl == nil || pl.draining || pl.Svc.State != core.StateColdDisk {
-			return nil
+	return replicaIn(e, sel, e.onDisk)
+}
+
+// replicaIn picks from tier — one of e's replica lists — the replica on
+// the selected board, or the first when any board will do.
+func replicaIn(e *Entry, sel api.BoardSel, tier func() []*Placement) *Placement {
+	board, pinned := sel.ID()
+	for _, pl := range tier() {
+		if !pinned || pl.Board == board {
+			return pl
 		}
-		return pl
-	}
-	if disk := e.onDisk(); len(disk) > 0 {
-		return disk[0]
 	}
 	return nil
 }

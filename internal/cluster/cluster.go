@@ -25,6 +25,19 @@ import (
 	"jitsu/internal/sim"
 )
 
+// The control loops' fixed constants.
+const (
+	// rateAlpha is the EWMA weight for arrival-rate estimation.
+	rateAlpha = 0.1
+	// preemptMargin gates rate-based preemption: a full cluster evicts
+	// the coldest ready replica only for a service at least this many
+	// times hotter; 2 resists flapping between similar services.
+	preemptMargin = 2.0
+	// bootEstimate is the expected cold-boot latency used to size pools
+	// and the answer-guard windows.
+	bootEstimate = 350 * time.Millisecond
+)
+
 // Config sizes the cluster and tunes its control loops.
 type Config struct {
 	// Boards is the number of core.Boards fronted by the directory at
@@ -36,24 +49,12 @@ type Config struct {
 	// DefaultPolicy places services that don't pick their own
 	// (nil = LeastLoaded).
 	DefaultPolicy Policy
-	// RateAlpha is the EWMA weight for arrival-rate estimation (0..1].
-	RateAlpha float64
 	// WarmFactor scales rate×boot-time into a warm-pool target.
 	WarmFactor float64
 	// MaxWarmPerService caps any one service's pool (0 = one per board).
 	MaxWarmPerService int
 	// MinRate is the arrivals/sec below which a pool drains to MinWarm.
 	MinRate float64
-	// PreemptMargin gates rate-based preemption: a full cluster evicts
-	// the coldest ready replica only for a service at least this many
-	// times hotter (≤1 disables preemption; default 2 resists flapping
-	// between similar services).
-	PreemptMargin float64
-	// BootEstimate is the expected cold-boot latency used to size pools.
-	BootEstimate sim.Duration
-	// PowerModel supplies per-board power models for PowerAware
-	// placement (nil = Cubieboard2 everywhere).
-	PowerModel func(board int) *power.Board
 
 	// ProbeEvery is the gossip failure-detector period. 0 (the default)
 	// keeps the detector passive — joins and graceful leaves still
@@ -121,11 +122,8 @@ func DefaultConfig() Config {
 	return Config{
 		Boards:            4,
 		Board:             core.DefaultConfig(),
-		RateAlpha:         0.1,
 		WarmFactor:        1.0,
 		MinRate:           0.02,
-		PreemptMargin:     2.0,
-		BootEstimate:      350 * time.Millisecond,
 		ProbeTimeout:      200 * time.Millisecond,
 		SuspectTimeout:    2 * time.Second,
 		IndirectProbes:    2,
@@ -258,9 +256,6 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 		cfg.DefaultPolicy = LeastLoaded{}
 	}
 	def := DefaultConfig()
-	if cfg.RateAlpha <= 0 || cfg.RateAlpha > 1 {
-		cfg.RateAlpha = def.RateAlpha
-	}
 	if cfg.MaxWarmPerService <= 0 {
 		cfg.MaxWarmPerService = cfg.Boards
 	}
@@ -268,7 +263,6 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 		cfg.IndirectProbes = 0
 	}
 	orDefault(&cfg.WarmFactor, def.WarmFactor)
-	orDefault(&cfg.BootEstimate, def.BootEstimate)
 	orDefault(&cfg.ProbeTimeout, def.ProbeTimeout)
 	orDefault(&cfg.SuspectTimeout, def.SuspectTimeout)
 	orDefault(&cfg.MigrateBitsPerSec, def.MigrateBitsPerSec)
@@ -341,9 +335,6 @@ func (c *Cluster) newMember() *Member {
 	b := core.NewOnEngine(c.eng, core.WithConfig(c.Cfg.Board),
 		core.WithTracer(c.Cfg.Tracer, c.tidFor(id)))
 	model := power.Cubieboard2()
-	if c.Cfg.PowerModel != nil {
-		model = c.Cfg.PowerModel(id)
-	}
 	m := &Member{ID: id, Board: b, Model: model, State: MemberJoining, baseDomains: b.Hyp.Domains()}
 	c.Boards = append(c.Boards, b)
 	c.apis = append(c.apis, api.ForBoard(b))
@@ -539,7 +530,7 @@ func (c *Cluster) observe(e *Entry) {
 		e.rate = c.Cfg.MinRate
 	} else if now > e.lastArrival {
 		inst := 1 / (now - e.lastArrival).Seconds()
-		e.rate = c.Cfg.RateAlpha*inst + (1-c.Cfg.RateAlpha)*e.rate
+		e.rate = rateAlpha*inst + (1-rateAlpha)*e.rate
 	}
 	e.arrivals++
 	e.lastArrival = now
@@ -615,14 +606,11 @@ func (c *Cluster) place(e *Entry, via string, onReady func(error)) (p *Placement
 }
 
 // preempt evicts the coldest ready replica whose service is at least
-// PreemptMargin times colder than e, then boots e's replica on the
+// preemptMargin times colder than e, then boots e's replica on the
 // freed board once the destroy completes. The DNS answer goes out
 // immediately — the replica IP is under Synjitsu control, so the
 // client's SYNs ride the same boot race a stock cold start does.
 func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement {
-	if c.Cfg.PreemptMargin <= 1 {
-		return nil
-	}
 	now := c.eng.Now()
 	need := e.effectiveRate(now)
 	var victim *Placement
@@ -632,10 +620,10 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 			continue
 		}
 		or := o.effectiveRate(now)
-		if or*c.Cfg.PreemptMargin >= need {
+		if or*preemptMargin >= need {
 			continue
 		}
-		guard := 10 * c.Cfg.BootEstimate
+		guard := 10 * bootEstimate
 		for _, p := range o.ready() {
 			// Only boards still taking placements host preemption boots,
 			// and in-flight migrations must not lose their source.

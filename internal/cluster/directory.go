@@ -224,14 +224,7 @@ func (e *Entry) totals() Totals {
 		if p == nil {
 			continue
 		}
-		t.Launches += p.Svc.Launches
-		t.ColdStarts += p.Svc.ColdStarts
-		t.Handoffs += p.Svc.Handoffs
-		t.ServFails += p.Svc.ServFails
-		t.Reaps += p.Svc.Reaps
-		t.Restores += p.Svc.Restores
-		t.DiskRestores += p.Svc.DiskRestores
-		t.Demotions += p.Svc.Demotions
+		t.Add(p.Svc.Counters)
 		if !p.gone && p.Svc.State.Booted() {
 			t.Ready++
 		}
@@ -261,23 +254,24 @@ func (c *Cluster) ServiceTotals() []Totals {
 // CounterTable renders the aggregated counters as a metrics table, one
 // row per service plus a cluster-wide total row.
 func (c *Cluster) CounterTable() *metrics.Table {
-	tab := metrics.NewTable("cluster counters",
-		"service", "launches", "coldstarts", "handoffs", "servfails", "reaps", "restores", "disk-restores", "demotions", "refused", "ready", "on-disk", "warm-target")
+	tab := metrics.NewTable("cluster counters", slices.Concat([]string{"service"}, core.CounterNames[:],
+		[]string{"refused", "ready", "on-disk", "warm-target"})...)
+	row := func(t Totals, warmTarget any) {
+		cells := []any{t.Name}
+		for _, v := range t.Values() {
+			cells = append(cells, v)
+		}
+		tab.AddRow(append(cells, t.Refused, t.Ready, t.OnDisk, warmTarget)...)
+	}
 	var sum Totals
+	sum.Name = "TOTAL"
 	for _, t := range c.ServiceTotals() {
-		tab.AddRow(t.Name, t.Launches, t.ColdStarts, t.Handoffs, t.ServFails, t.Reaps, t.Restores, t.DiskRestores, t.Demotions, t.Refused, t.Ready, t.OnDisk, t.WarmTarget)
-		sum.Launches += t.Launches
-		sum.ColdStarts += t.ColdStarts
-		sum.Handoffs += t.Handoffs
-		sum.ServFails += t.ServFails
-		sum.Reaps += t.Reaps
-		sum.Restores += t.Restores
-		sum.DiskRestores += t.DiskRestores
-		sum.Demotions += t.Demotions
+		row(t, t.WarmTarget)
+		sum.Add(t.Counters)
 		sum.Refused += t.Refused
 		sum.Ready += t.Ready
 		sum.OnDisk += t.OnDisk
 	}
-	tab.AddRow("TOTAL", sum.Launches, sum.ColdStarts, sum.Handoffs, sum.ServFails, sum.Reaps, sum.Restores, sum.DiskRestores, sum.Demotions, sum.Refused, sum.Ready, sum.OnDisk, "")
+	row(sum, "")
 	return tab
 }

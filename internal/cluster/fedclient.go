@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"jitsu/internal/core"
 	"jitsu/internal/dns"
 	"jitsu/internal/netsim"
 	"jitsu/internal/netstack"
@@ -44,7 +45,7 @@ type FedClient struct {
 func (f *Federation) NewClient(name string, ip netstack.IP) *FedClient {
 	fc := &FedClient{f: f, name: name, ip: ip, sub: make([]*Client, len(f.members))}
 	nic := netsim.NewNIC(f.eng, name+"-front", netsim.MACFor(0xB300+len(f.clients)))
-	f.front.ConnectNIC(nic, f.Cfg.Cluster.Board.ExtLatency, f.Cfg.Cluster.Board.ExtBitsPerSec)
+	f.front.ConnectNIC(nic, core.ExtLatency, core.ExtBitsPerSec)
 	fc.front = netstack.NewHost(f.eng, name+"-front", nic, ip, netstack.LinuxNativeProfile())
 	f.clients = append(f.clients, fc)
 	fc.tier = dns.Fetcher{From: fc.front, Server: FedRootAddr, Retries: &fc.DNSRetries,

@@ -68,10 +68,6 @@ type FedConfig struct {
 	// delegation is written off as SERVFAIL. 0 disables retransmission
 	// (one try, then SERVFAIL) — the ablation baseline.
 	DelegateRetries int
-	// FedLinkLatency / FedBitsPerSec characterise the root<->cluster
-	// management links.
-	FedLinkLatency sim.Duration
-	FedBitsPerSec  float64
 	// TransferBitsPerSec is the nominal checkpoint-copy rate between
 	// clusters, used to size the chunk exchange's retransmit allowance
 	// (the links themselves set the real rate; on WAN-shaped paths set
@@ -79,20 +75,15 @@ type FedConfig struct {
 	TransferBitsPerSec float64
 	// TransferChunkMiB sizes the cross-cluster pre-copy chunks; each
 	// chunk is one acknowledged datagram exchange on the federation
-	// management network (default 4 MiB). TransferChunkRTO is the
-	// per-chunk retransmit floor (default 50ms), TransferChunkRetries
-	// the per-chunk retransmit budget before a transfer aborts
-	// (default 5).
-	TransferChunkMiB     int
-	TransferChunkRTO     sim.Duration
-	TransferChunkRetries int
+	// management network (default 4 MiB).
+	TransferChunkMiB int
 	// UnpacedTransfers disables the per-agent congestion controller on
 	// cross-cluster copies: every chunk blasts immediately with the
-	// fixed doubling TransferChunkRTO — the Stampede ablation arm.
+	// fixed doubling transferChunkRTO — the Stampede ablation arm.
 	UnpacedTransfers bool
 	// WAN, when set, shapes every member agent's federation management
 	// link to the profile (RTT, loss, throughput) instead of the flat
-	// FedLinkLatency/FedBitsPerSec LAN path.
+	// fedLinkLatency/fedBitsPerSec LAN path.
 	WAN *netsim.WANProfile
 	// Tracer, when set, is shared by the root and every member cluster:
 	// the root's delegation/spill/shed events render on lane 0 and
@@ -100,6 +91,19 @@ type FedConfig struct {
 	// tracing.
 	Tracer *obs.Tracer
 }
+
+// The federation management network's fixed constants.
+const (
+	// fedLinkLatency and fedBitsPerSec characterise the root<->cluster
+	// management links when no WAN profile shapes them.
+	fedLinkLatency = 200 * time.Microsecond
+	fedBitsPerSec  = 1e9
+	// transferChunkRTO is the per-chunk retransmit floor of a
+	// cross-cluster copy, transferChunkRetries the per-chunk retransmit
+	// budget before the transfer aborts.
+	transferChunkRTO     = 50 * time.Millisecond
+	transferChunkRetries = 5
+)
 
 // DefaultFedConfig is four default clusters behind a passive root
 // (summaries push on change; enable SummaryEvery for the skew
@@ -115,13 +119,8 @@ func DefaultFedConfig() FedConfig {
 		SpillOnRefuse:      true,
 		DelegateTimeout:    5 * time.Millisecond,
 		DelegateRetries:    3,
-		FedLinkLatency:     200 * time.Microsecond,
-		FedBitsPerSec:      1e9,
 		TransferBitsPerSec: 1e9,
-
-		TransferChunkMiB:     4,
-		TransferChunkRTO:     50 * time.Millisecond,
-		TransferChunkRetries: 5,
+		TransferChunkMiB:   4,
 	}
 }
 
@@ -311,12 +310,8 @@ func NewFederation(opts ...FedOption) *Federation {
 		cfg.DelegateRetries = 0
 	}
 	def := DefaultFedConfig()
-	orDefault(&cfg.FedLinkLatency, def.FedLinkLatency)
-	orDefault(&cfg.FedBitsPerSec, def.FedBitsPerSec)
 	orDefault(&cfg.TransferBitsPerSec, def.TransferBitsPerSec)
 	orDefault(&cfg.TransferChunkMiB, def.TransferChunkMiB)
-	orDefault(&cfg.TransferChunkRTO, def.TransferChunkRTO)
-	orDefault(&cfg.TransferChunkRetries, def.TransferChunkRetries)
 	orDefault(&cfg.DelegateTimeout, def.DelegateTimeout)
 	f := &Federation{Cfg: cfg}
 	f.eng = sim.New(cfg.Cluster.Board.Seed)
@@ -585,7 +580,7 @@ type fedAgent struct {
 func newFedAgent(f *Federation, m *FedMember) *fedAgent {
 	a := &fedAgent{f: f, m: m, xfers: make(map[uint32]*cc.Sender)}
 	a.nic = netsim.NewNIC(f.eng, fmt.Sprintf("fed%d", m.ID), netsim.MACFor(0xB000+m.ID))
-	f.fedNet.ConnectNIC(a.nic, f.Cfg.FedLinkLatency, f.Cfg.FedBitsPerSec)
+	f.fedNet.ConnectNIC(a.nic, fedLinkLatency, fedBitsPerSec)
 	if f.Cfg.WAN != nil {
 		f.Cfg.WAN.Apply(a.nic.Link(), int64(0xFED0+m.ID))
 	}
@@ -635,7 +630,7 @@ func (a *fedAgent) dirChanged() {
 		return
 	}
 	a.pushPending = true
-	a.f.eng.After(a.f.Cfg.FedLinkLatency, func() {
+	a.f.eng.After(fedLinkLatency, func() {
 		a.pushPending = false
 		if !a.stopped {
 			a.push(false)
@@ -933,7 +928,7 @@ func (a *fedAgent) retire(e *Entry, p *Placement, newHome int) {
 			obs.Str("svc", e.Name), obs.Num("dst", int64(newHome)))
 	}
 	a.dirChanged()
-	guard := 10 * c.Cfg.BootEstimate
+	guard := 10 * bootEstimate
 	a.f.eng.After(guard, func() {
 		// Only retire the entry this drain belongs to: the name may have
 		// been re-adopted (a spill back) since, and its fresh
@@ -1028,14 +1023,14 @@ func newFedRoot(f *Federation) *fedRoot {
 		hotID:     -1,
 	}
 	mgmtNIC := netsim.NewNIC(f.eng, "fed-root", netsim.MACFor(0xB100))
-	f.fedNet.ConnectNIC(mgmtNIC, f.Cfg.FedLinkLatency, f.Cfg.FedBitsPerSec)
+	f.fedNet.ConnectNIC(mgmtNIC, fedLinkLatency, fedBitsPerSec)
 	r.mgmt = netstack.NewHost(f.eng, "fed-root", mgmtNIC, rootMgmtIP, netstack.Dom0Profile())
 	if err := r.mgmt.BindUDP(fedPort, r.recv); err != nil {
 		panic(fmt.Sprintf("cluster: fed root bind: %v", err))
 	}
 
 	frontNIC := netsim.NewNIC(f.eng, "fed-root-dns", netsim.MACFor(0xB200))
-	f.front.ConnectNIC(frontNIC, f.Cfg.Cluster.Board.ExtLatency, f.Cfg.Cluster.Board.ExtBitsPerSec)
+	f.front.ConnectNIC(frontNIC, core.ExtLatency, core.ExtBitsPerSec)
 	r.fr = netstack.NewHost(f.eng, "fed-root-dns", frontNIC, FedRootAddr, netstack.Dom0Profile())
 	r.zone = dns.NewZone(f.Cfg.Cluster.Board.Zone)
 	r.zone.Add(dns.RR{Name: "ns." + r.zone.Apex, Type: dns.TypeA, TTL: 300, A: FedRootAddr})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"jitsu/internal/api"
 	"jitsu/internal/dns"
 	"jitsu/internal/netstack"
 	"jitsu/internal/sim"
@@ -459,5 +460,55 @@ func TestFederationPacedTransferChunks(t *testing.T) {
 	}
 	if f.members[0].agent.ctrl.Acks == 0 {
 		t.Fatal("controller saw no acks: chunks were not window-accounted")
+	}
+}
+
+// TestTransferBackValidatesBeforeCuttingTheDrain: a service shed to
+// another cluster is still draining at its old home when a transfer
+// back arrives naming a policy that does not exist. The request is
+// malformed and must be refused as it stands — the draining entry and
+// the replica still serving its last connections stay untouched.
+func TestTransferBackValidatesBeforeCuttingTheDrain(t *testing.T) {
+	f := testFederation(2, 2)
+	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
+	cfg := testService("alice", 20)
+	_, e := f.RegisterService(cfg)
+	fedFetch(f, fc, 1*time.Second, "alice.family.name")
+	f.Eng().At(10*time.Second, func() {
+		f.members[0].agent.transferOut(e, e.ready()[0], f.members[1])
+	})
+	home := f.members[0].Cluster
+	probed := false
+	var probe func()
+	probe = func() {
+		if !e.moved {
+			f.Eng().After(10*time.Millisecond, probe)
+			return
+		}
+		probed = true
+		var draining *Placement
+		for _, p := range e.Replicas {
+			if p != nil && p.draining {
+				draining = p
+			}
+		}
+		if draining == nil || !draining.Svc.State.Booted() {
+			t.Fatal("the shed left no booted replica draining at the old home")
+		}
+		resp := home.API().Transfer(api.TransferRequest{Config: cfg, Policy: "nope"})
+		if resp.Err == nil || resp.Err.Code != api.CodeBadRequest {
+			t.Fatalf("transfer back with an unknown policy: %v, want %v", resp.Err, api.CodeBadRequest)
+		}
+		if home.dir.Lookup(cfg.Name) != e {
+			t.Error("the refused transfer unregistered the draining entry")
+		}
+		if !draining.draining || !draining.Svc.State.Booted() {
+			t.Errorf("the refused transfer tore down the draining replica (draining=%v state=%v)", draining.draining, draining.Svc.State)
+		}
+	}
+	f.Eng().At(10*time.Second, probe)
+	f.RunAll()
+	if !probed {
+		t.Fatal("the service never switched over")
 	}
 }

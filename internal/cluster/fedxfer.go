@@ -20,7 +20,7 @@ import (
 // or nil when the unpaced ablation is configured.
 func (a *fedAgent) fedCC() *cc.Controller {
 	if a.ctrl == nil && !a.f.Cfg.UnpacedTransfers {
-		a.ctrl = uplinkCC(a.f.eng, a.f.Reg, "cc.c"+strconv.Itoa(a.m.ID), a.f.Cfg.TransferChunkMiB, a.f.Cfg.TransferChunkRTO)
+		a.ctrl = uplinkCC(a.f.eng, a.f.Reg, "cc.c"+strconv.Itoa(a.m.ID), a.f.Cfg.TransferChunkMiB, transferChunkRTO)
 	}
 	return a.ctrl
 }
@@ -33,7 +33,7 @@ func (a *fedAgent) fedCopy(dst int, stateMiB int, done func(ok bool)) {
 	id := f.nextFedXfer
 	a.xfers[id] = cc.Send(f.eng, a.fedCC(), cc.Transfer{
 		ID: id, StateMiB: stateMiB, ChunkMiB: f.Cfg.TransferChunkMiB,
-		RTO: f.Cfg.TransferChunkRTO, Retries: f.Cfg.TransferChunkRetries,
+		RTO: transferChunkRTO, Retries: transferChunkRetries,
 		BitsPerSec: f.Cfg.TransferBitsPerSec, OpChunk: fedOpXferChunk,
 		Send: func(hdr []byte, wireBytes int) {
 			a.host.SendUDPBulk(agentMgmtIP(dst), fedPort, fedPort, hdr, wireBytes)

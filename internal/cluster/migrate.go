@@ -317,7 +317,7 @@ func (c *Cluster) migrateTo(e *Entry, p *Placement, idx int, mandatory bool, att
 					obs.Str("svc", e.Name), obs.Num("src", int64(p.Board)), obs.Num("dst", int64(idx)))
 			}
 			c.front().DNS.BumpEpoch()
-			guard := 10 * c.Cfg.BootEstimate
+			guard := 10 * bootEstimate
 			grace := sim.Duration(0)
 			if since := c.eng.Now() - p.lastAnswered; p.lastAnswered > 0 && since < guard {
 				grace = guard - since

@@ -40,7 +40,7 @@ func (pm *PoolManager) target(e *Entry) int {
 	if r < cfg.MinRate {
 		r = 0
 	}
-	k := int(math.Ceil(r * cfg.BootEstimate.Seconds() * cfg.WarmFactor))
+	k := int(math.Ceil(r * bootEstimate.Seconds() * cfg.WarmFactor))
 	if r > 0 && k < 1 {
 		k = 1
 	}

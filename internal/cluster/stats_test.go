@@ -167,10 +167,12 @@ func refBoardStats(b *core.Board) api.StatsResponse {
 		svc, _ := b.Jitsu.Service(name)
 		resp.Services = append(resp.Services, api.ServiceStats{
 			Name: name, State: svc.State,
-			Launches: svc.Launches, ColdStarts: svc.ColdStarts,
-			Handoffs: svc.Handoffs, ServFails: svc.ServFails,
-			Reaps: svc.Reaps, Restores: svc.Restores,
-			DiskRestores: svc.DiskRestores, Demotions: svc.Demotions,
+			Counters: core.Counters{
+				Launches: svc.Launches, ColdStarts: svc.ColdStarts,
+				Handoffs: svc.Handoffs, ServFails: svc.ServFails,
+				Reaps: svc.Reaps, Restores: svc.Restores,
+				DiskRestores: svc.DiskRestores, Demotions: svc.Demotions,
+			},
 		})
 	}
 	resp.Triggers = refFired(b)

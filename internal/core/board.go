@@ -21,13 +21,19 @@ import (
 	"jitsu/internal/xenstore"
 )
 
+// The external link (client <-> board): a Cubieboard2's 100 Mb
+// Ethernet.
+const (
+	ExtLatency    = 150 * time.Microsecond
+	ExtBitsPerSec = 100e6
+)
+
 // BoardConfig assembles one embedded Jitsu host (a Cubieboard in the
 // paper's evaluation) plus its edge network.
 type BoardConfig struct {
-	Seed       int64
-	Platform   *xen.Platform
-	Reconciler xenstore.Reconciler
-	Toolstack  xen.ToolstackOpts
+	Seed      int64
+	Platform  *xen.Platform
+	Toolstack xen.ToolstackOpts
 	// TotalMemMiB is guest-available RAM (Cubieboard2: 1GB minus dom0).
 	TotalMemMiB int
 	// Zone is the DNS apex this board is authoritative for.
@@ -48,9 +54,6 @@ type BoardConfig struct {
 	// The zero value builds no device (DefaultConfig: a diskless board
 	// keeps the two-tier admission behaviour); WithDisk opts in.
 	Disk blockdev.Config
-	// External link characteristics (client <-> board).
-	ExtLatency    sim.Duration
-	ExtBitsPerSec float64
 	// Tracer, when set, is the flight recorder every subsystem on the
 	// board emits spans into; its timestamps come from the board's
 	// engine, so a seeded run exports bit-identically. Nil (the
@@ -65,15 +68,12 @@ type BoardConfig struct {
 // Synjitsu on — the headline configuration.
 func DefaultConfig() BoardConfig {
 	return BoardConfig{
-		Seed:          1,
-		Platform:      xen.CubieboardARM(),
-		Reconciler:    xenstore.JitsuReconciler{},
-		Toolstack:     xen.OptimisedOpts(),
-		TotalMemMiB:   768,
-		Zone:          "family.name",
-		Synjitsu:      true,
-		ExtLatency:    150 * time.Microsecond,
-		ExtBitsPerSec: 100e6, // Cubieboard2: 100Mb Ethernet
+		Seed:        1,
+		Platform:    xen.CubieboardARM(),
+		Toolstack:   xen.OptimisedOpts(),
+		TotalMemMiB: 768,
+		Zone:        "family.name",
+		Synjitsu:    true,
 	}
 }
 
@@ -143,7 +143,7 @@ var (
 // toolstack, bridge, launcher, DNS, directory, proxy and the built-in
 // trigger frontends, all on the given engine.
 func buildBoard(eng *sim.Engine, cfg BoardConfig) *Board {
-	store := xenstore.NewStore(cfg.Reconciler)
+	store := xenstore.NewStore(xenstore.JitsuReconciler{})
 	hyp := xen.NewHypervisor(eng, store, cfg.Platform, cfg.TotalMemMiB)
 	ts := xen.NewToolstack(hyp, cfg.Toolstack)
 	bridge := netsim.NewBridge(eng, "xenbr0", 10*time.Microsecond)
@@ -235,7 +235,7 @@ func (b *Board) histFor(kind string) *obs.Histogram {
 func (b *Board) AddClient(name string, ip netstack.IP) *netstack.Host {
 	b.nextClient++
 	nic := netsim.NewNIC(b.Eng, name, netsim.MACFor(0x9000+b.nextClient))
-	b.Bridge.ConnectNIC(nic, b.Cfg.ExtLatency, b.Cfg.ExtBitsPerSec)
+	b.Bridge.ConnectNIC(nic, ExtLatency, ExtBitsPerSec)
 	return netstack.NewHost(b.Eng, name, nic, ip, netstack.LinuxNativeProfile())
 }
 

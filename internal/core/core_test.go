@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -457,5 +459,40 @@ func TestServiceLookupErrors(t *testing.T) {
 	b := New()
 	if _, err := b.Jitsu.Service("ghost.family.name"); !errors.Is(err, ErrNoSuchService) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestCountersAddMatchesFieldByField holds Counters.Add, Values and
+// CounterNames to a reference that names every field — the list the
+// cluster's totals, the counter table and the stats row no longer carry.
+func TestCountersAddMatchesFieldByField(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draw := func() Counters {
+		return Counters{Launches: rng.Uint64() >> 8, ColdStarts: rng.Uint64() >> 8, Handoffs: rng.Uint64() >> 8,
+			ServFails: rng.Uint64() >> 8, Reaps: rng.Uint64() >> 8, Restores: rng.Uint64() >> 8,
+			DiskRestores: rng.Uint64() >> 8, Demotions: rng.Uint64() >> 8}
+	}
+	var sum, ref Counters
+	for i := 0; i < 50; i++ {
+		c := draw()
+		sum.Add(c)
+		ref.Launches += c.Launches
+		ref.ColdStarts += c.ColdStarts
+		ref.Handoffs += c.Handoffs
+		ref.ServFails += c.ServFails
+		ref.Reaps += c.Reaps
+		ref.Restores += c.Restores
+		ref.DiskRestores += c.DiskRestores
+		ref.Demotions += c.Demotions
+		if sum != ref {
+			t.Fatalf("after %d adds: got %+v, want %+v", i+1, sum, ref)
+		}
+	}
+	want := [...]uint64{ref.Launches, ref.ColdStarts, ref.Handoffs, ref.ServFails, ref.Reaps, ref.Restores, ref.DiskRestores, ref.Demotions}
+	if got := sum.Values(); got != want {
+		t.Fatalf("Values() = %v, want %v", got, want)
+	}
+	if n := reflect.TypeOf(Counters{}).NumField(); n != len(CounterNames) || n != len(want) {
+		t.Fatalf("Counters has %d fields, CounterNames %d, this test %d", n, len(CounterNames), len(want))
 	}
 }

@@ -165,7 +165,12 @@ type Service struct {
 	// nil otherwise.
 	disk *diskCheckpoint
 
-	// Counters for the evaluation.
+	Counters
+}
+
+// Counters is one service's lifecycle accounting: what a Service keeps,
+// a cluster sums over replicas and a Stats row carries.
+type Counters struct {
 	Launches     uint64
 	ColdStarts   uint64 // requests that triggered a full boot
 	Handoffs     uint64 // connections handed over from Synjitsu
@@ -174,6 +179,26 @@ type Service struct {
 	Restores     uint64 // launches that replayed a migration checkpoint
 	DiskRestores uint64 // launches that paged a checkpoint in from disk
 	Demotions    uint64 // checkpoint-to-disk evictions of a booted VM
+}
+
+// CounterNames labels the counters, in Values order.
+var CounterNames = [...]string{"launches", "coldstarts", "handoffs", "servfails", "reaps", "restores", "disk-restores", "demotions"}
+
+// Values lists the counters in declaration order.
+func (c Counters) Values() [len(CounterNames)]uint64 {
+	return [...]uint64{c.Launches, c.ColdStarts, c.Handoffs, c.ServFails, c.Reaps, c.Restores, c.DiskRestores, c.Demotions}
+}
+
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
+	c.Launches += o.Launches
+	c.ColdStarts += o.ColdStarts
+	c.Handoffs += o.Handoffs
+	c.ServFails += o.ServFails
+	c.Reaps += o.Reaps
+	c.Restores += o.Restores
+	c.DiskRestores += o.DiskRestores
+	c.Demotions += o.Demotions
 }
 
 // diskCheckpoint is a checkpoint parked on the board's block device:

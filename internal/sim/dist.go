@@ -122,15 +122,3 @@ type Scaled struct {
 func (s Scaled) Sample(r *rand.Rand) Duration {
 	return Duration(float64(s.Inner.Sample(r)) * s.Factor)
 }
-
-// Mean returns the arithmetic mean of a sample set.
-func Mean(samples []Duration) Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	var total Duration
-	for _, s := range samples {
-		total += s
-	}
-	return total / Duration(len(samples))
-}

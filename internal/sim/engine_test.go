@@ -480,15 +480,6 @@ func TestProcAbort(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if got := Mean([]Duration{10, 20, 30}); got != 20 {
-		t.Fatalf("Mean = %v", got)
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) should be 0")
-	}
-}
-
 func TestDistsNonNegativeAndDeterministic(t *testing.T) {
 	dists := []Dist{
 		Const(5 * time.Millisecond),

@@ -28,9 +28,7 @@ type Client struct {
 	scope   api.Scope
 
 	resps   map[uint32]any
-	readys  map[uint32]func(error)
-	dones   map[uint32]func(bool)
-	watches map[uint32]func(api.StatsResponse) bool
+	pending map[uint32]hooks // by request id: callbacks still waiting for events
 
 	closed   bool
 	closeErr error
@@ -67,9 +65,7 @@ func DialSession(eng *sim.Engine, host *netstack.Host, dst netstack.IP, port uin
 	c := &Client{
 		eng:     eng,
 		resps:   make(map[uint32]any),
-		readys:  make(map[uint32]func(error)),
-		dones:   make(map[uint32]func(bool)),
-		watches: make(map[uint32]func(api.StatsResponse) bool),
+		pending: make(map[uint32]hooks),
 	}
 	var dialErr error
 	connected := false
@@ -124,16 +120,15 @@ func DialSession(eng *sim.Engine, host *netstack.Host, dst netstack.IP, port uin
 // the connection is shut down.
 func (c *Client) Close() {
 	if c.conn != nil && !c.closed {
-		for id := range c.watches {
-			delete(c.watches, id)
-			c.sendFrame(TWatchCancel, id, nil)
+		for id, h := range c.pending {
+			if h.stats != nil {
+				c.sendFrame(TWatchCancel, id, nil)
+			}
 		}
 		c.conn.Close()
 	}
 	c.closed = true
-	clear(c.readys)
-	clear(c.dones)
-	clear(c.watches)
+	clear(c.pending)
 }
 
 // Abort kills the transport abruptly — no watch cancels, no FIN — the
@@ -144,9 +139,7 @@ func (c *Client) Abort() {
 		c.conn.Abort()
 	}
 	c.closed = true
-	clear(c.readys)
-	clear(c.dones)
-	clear(c.watches)
+	clear(c.pending)
 }
 
 // Version is the negotiated protocol version.
@@ -162,7 +155,7 @@ func (c *Client) Scope() api.Scope { return c.scope }
 // transport or with an application error — drop their registration,
 // since the matching event will never arrive; a Pending count that
 // only grows is a leak.
-func (c *Client) Pending() int { return len(c.readys) + len(c.dones) + len(c.watches) }
+func (c *Client) Pending() int { return len(c.pending) }
 
 func (c *Client) id() uint32 {
 	c.nextID++
@@ -220,31 +213,29 @@ func (c *Client) onData(b []byte) {
 		}
 		c.rxoff += n
 		c.Frames++
+		h := c.pending[id]
 		switch typ {
 		case TReadyEvent:
 			c.Events++
-			if fn, ok := c.readys[id]; ok {
-				delete(c.readys, id)
-				ev := msg.(ReadyEvent)
-				if ev.Err != nil {
-					fn(ev.Err)
+			if h.ready != nil {
+				delete(c.pending, id)
+				if ev := msg.(ReadyEvent); ev.Err != nil {
+					h.ready(ev.Err)
 				} else {
-					fn(nil)
+					h.ready(nil)
 				}
 			}
 		case TDoneEvent:
 			c.Events++
-			if fn, ok := c.dones[id]; ok {
-				delete(c.dones, id)
-				fn(msg.(DoneEvent).OK)
+			if h.done != nil {
+				delete(c.pending, id)
+				h.done(msg.(DoneEvent).OK)
 			}
 		case TStatsEvent:
 			c.Events++
-			if fn, ok := c.watches[id]; ok {
-				if !fn(msg.(api.StatsResponse)) {
-					delete(c.watches, id)
-					c.sendFrame(TWatchCancel, id, nil)
-				}
+			if h.stats != nil && !h.stats(msg.(api.StatsResponse)) {
+				delete(c.pending, id)
+				c.sendFrame(TWatchCancel, id, nil)
 			}
 		default:
 			c.resps[id] = msg
@@ -252,21 +243,46 @@ func (c *Client) onData(b []byte) {
 	}
 }
 
-// roundTrip sends one request and pumps until its response arrives.
-func (c *Client) roundTrip(typ byte, id uint32, msg any) (any, *api.Error) {
-	op := opName(typ)
+// hooks are the callbacks a request leaves behind for its events: at
+// most one of them is set.
+type hooks struct {
+	ready func(error)                  // ReadyEvent
+	done  func(bool)                   // DoneEvent
+	stats func(api.StatsResponse) bool // StatsEvent, until it returns false
+}
+
+// do runs one verb: allocate the request id, file the callbacks its
+// events will fire, send the request and pump until the response. A
+// verb that fails — on the transport or at the server — drops its
+// callbacks again, since no event will follow.
+func (c *Client) do(typ byte, req any, h hooks) (resp any, id uint32) {
+	v := &verbs[typ-TRegisterReq]
+	id = c.id()
+	if h.ready != nil || h.done != nil || h.stats != nil {
+		c.pending[id] = h
+	}
+	var err error
 	if c.closed {
-		return nil, api.Errf(op, api.CodeUnavailable, "wire: %v", c.closeState())
+		err = c.closeState()
+	} else if err = c.sendFrame(typ, id, req); err == nil {
+		err = c.pump(c.eng, func() bool { _, ok := c.resps[id]; return ok })
 	}
-	if err := c.sendFrame(typ, id, msg); err != nil {
-		return nil, api.Errf(op, api.CodeUnavailable, "wire: %v", err)
+	if err != nil {
+		resp = v.refuse(api.Errf(v.name, api.CodeUnavailable, "wire: %v", err))
+	} else {
+		resp = c.resps[id]
+		delete(c.resps, id)
 	}
-	if err := c.pump(c.eng, func() bool { _, ok := c.resps[id]; return ok }); err != nil {
-		return nil, api.Errf(op, api.CodeUnavailable, "wire: %v", err)
+	if v.errOf(resp) != nil {
+		delete(c.pending, id)
 	}
-	resp := c.resps[id]
-	delete(c.resps, id)
-	return resp, nil
+	return resp, id
+}
+
+// call is do for the verbs that have no use for the request id.
+func call[R any](c *Client, typ byte, req any, h hooks) R {
+	resp, _ := c.do(typ, req, h)
+	return resp.(R)
 }
 
 func (c *Client) closeState() error {
@@ -276,178 +292,62 @@ func (c *Client) closeState() error {
 	return ErrClosed
 }
 
-func opName(typ byte) string {
-	switch typ {
-	case TRegisterReq:
-		return api.VerbRegister
-	case TActivateReq:
-		return api.VerbActivate
-	case TCheckpointReq:
-		return api.VerbCheckpoint
-	case TRestoreReq:
-		return api.VerbRestore
-	case TMigrateReq:
-		return api.VerbMigrate
-	case TTransferReq:
-		return api.VerbTransfer
-	case TDemoteReq:
-		return api.VerbDemote
-	case TPromoteReq:
-		return api.VerbPromote
-	case TStopReq:
-		return api.VerbStop
-	case TStatsReq:
-		return api.VerbStats
-	case TWatchReq:
-		return api.VerbWatchStats
-	}
-	return "wire"
-}
-
 // ---- api.ControlPlane ----
 
 // Register implements api.ControlPlane.
 func (c *Client) Register(req api.RegisterRequest) api.RegisterResponse {
-	resp, err := c.roundTrip(TRegisterReq, c.id(), req)
-	if err != nil {
-		return api.RegisterResponse{Err: err}
-	}
-	return resp.(api.RegisterResponse)
+	return call[api.RegisterResponse](c, TRegisterReq, req, hooks{})
 }
 
 // Activate implements api.ControlPlane.
 func (c *Client) Activate(req api.ActivateRequest) api.ActivateResponse {
-	id := c.id()
-	if req.OnReady != nil {
-		c.readys[id] = req.OnReady
-	}
-	resp, err := c.roundTrip(TActivateReq, id,
-		ActivateReq{Name: req.Name, Speculative: req.Speculative, WantReady: req.OnReady != nil})
-	if err != nil {
-		delete(c.readys, id)
-		return api.ActivateResponse{Err: err}
-	}
-	out := resp.(api.ActivateResponse)
-	if out.Err != nil {
-		// The verb failed server-side: no Ready event will ever arrive.
-		delete(c.readys, id)
-	}
-	return out
+	return call[api.ActivateResponse](c, TActivateReq, ActivateReq{Name: req.Name,
+		Speculative: req.Speculative, WantReady: req.OnReady != nil}, hooks{ready: req.OnReady})
 }
 
 // Checkpoint implements api.ControlPlane.
 func (c *Client) Checkpoint(req api.CheckpointRequest) api.CheckpointResponse {
-	resp, err := c.roundTrip(TCheckpointReq, c.id(), req)
-	if err != nil {
-		return api.CheckpointResponse{Err: err}
-	}
-	return resp.(api.CheckpointResponse)
+	return call[api.CheckpointResponse](c, TCheckpointReq, req, hooks{})
 }
 
 // Restore implements api.ControlPlane.
 func (c *Client) Restore(req api.RestoreRequest) api.RestoreResponse {
-	id := c.id()
-	if req.OnReady != nil {
-		c.readys[id] = req.OnReady
-	}
-	resp, err := c.roundTrip(TRestoreReq, id, RestoreReq{Name: req.Name,
-		Checkpoint: req.Checkpoint, Board: req.Board, ToDisk: req.ToDisk,
-		WantReady: req.OnReady != nil})
-	if err != nil {
-		delete(c.readys, id)
-		return api.RestoreResponse{Err: err}
-	}
-	out := resp.(api.RestoreResponse)
-	if out.Err != nil {
-		delete(c.readys, id)
-	}
-	return out
+	return call[api.RestoreResponse](c, TRestoreReq, RestoreReq{Name: req.Name, Checkpoint: req.Checkpoint,
+		Board: req.Board, ToDisk: req.ToDisk, WantReady: req.OnReady != nil}, hooks{ready: req.OnReady})
 }
 
 // Migrate implements api.ControlPlane.
 func (c *Client) Migrate(req api.MigrateRequest) api.MigrateResponse {
-	id := c.id()
-	if req.OnDone != nil {
-		c.dones[id] = req.OnDone
-	}
-	resp, err := c.roundTrip(TMigrateReq, id, MigrateReq{Name: req.Name,
-		From: req.From, To: req.To, WantDone: req.OnDone != nil})
-	if err != nil {
-		delete(c.dones, id)
-		return api.MigrateResponse{Err: err}
-	}
-	out := resp.(api.MigrateResponse)
-	if out.Err != nil {
-		// The migration was rejected outright: no Done event follows.
-		delete(c.dones, id)
-	}
-	return out
+	return call[api.MigrateResponse](c, TMigrateReq, MigrateReq{Name: req.Name,
+		From: req.From, To: req.To, WantDone: req.OnDone != nil}, hooks{done: req.OnDone})
 }
 
 // Transfer implements api.ControlPlane.
 func (c *Client) Transfer(req api.TransferRequest) api.TransferResponse {
-	id := c.id()
-	if req.OnReady != nil {
-		c.readys[id] = req.OnReady
-	}
-	resp, err := c.roundTrip(TTransferReq, id, TransferReq{Config: req.Config,
-		MinWarm: req.MinWarm, Policy: req.Policy, Checkpoint: req.Checkpoint,
-		ToDisk: req.ToDisk, WantReady: req.OnReady != nil})
-	if err != nil {
-		delete(c.readys, id)
-		return api.TransferResponse{Err: err}
-	}
-	out := resp.(api.TransferResponse)
-	if out.Err != nil {
-		delete(c.readys, id)
-	}
-	return out
+	return call[api.TransferResponse](c, TTransferReq, TransferReq{Config: req.Config, MinWarm: req.MinWarm,
+		Policy: req.Policy, Checkpoint: req.Checkpoint, ToDisk: req.ToDisk,
+		WantReady: req.OnReady != nil}, hooks{ready: req.OnReady})
 }
 
 // Demote implements api.ControlPlane.
 func (c *Client) Demote(req api.DemoteRequest) api.DemoteResponse {
-	resp, err := c.roundTrip(TDemoteReq, c.id(), req)
-	if err != nil {
-		return api.DemoteResponse{Err: err}
-	}
-	return resp.(api.DemoteResponse)
+	return call[api.DemoteResponse](c, TDemoteReq, req, hooks{})
 }
 
 // Promote implements api.ControlPlane.
 func (c *Client) Promote(req api.PromoteRequest) api.PromoteResponse {
-	id := c.id()
-	if req.OnReady != nil {
-		c.readys[id] = req.OnReady
-	}
-	resp, err := c.roundTrip(TPromoteReq, id,
-		PromoteReq{Name: req.Name, Board: req.Board, WantReady: req.OnReady != nil})
-	if err != nil {
-		delete(c.readys, id)
-		return api.PromoteResponse{Err: err}
-	}
-	out := resp.(api.PromoteResponse)
-	if out.Err != nil {
-		delete(c.readys, id)
-	}
-	return out
+	return call[api.PromoteResponse](c, TPromoteReq, PromoteReq{Name: req.Name,
+		Board: req.Board, WantReady: req.OnReady != nil}, hooks{ready: req.OnReady})
 }
 
 // Stop implements api.ControlPlane.
 func (c *Client) Stop(req api.StopRequest) api.StopResponse {
-	resp, err := c.roundTrip(TStopReq, c.id(), req)
-	if err != nil {
-		return api.StopResponse{Err: err}
-	}
-	return resp.(api.StopResponse)
+	return call[api.StopResponse](c, TStopReq, req, hooks{})
 }
 
 // Stats implements api.ControlPlane.
-func (c *Client) Stats(api.StatsRequest) api.StatsResponse {
-	resp, err := c.roundTrip(TStatsReq, c.id(), nil)
-	if err != nil {
-		return api.StatsResponse{Err: err}
-	}
-	return resp.(api.StatsResponse)
+func (c *Client) Stats(req api.StatsRequest) api.StatsResponse {
+	return call[api.StatsResponse](c, TStatsReq, req, hooks{})
 }
 
 // WatchStats implements api.ControlPlane: snapshots stream in as
@@ -457,21 +357,13 @@ func (c *Client) WatchStats(req api.WatchStatsRequest) api.WatchStatsResponse {
 	if req.OnStats == nil {
 		return api.WatchStatsResponse{Err: api.Errf(api.VerbWatchStats, api.CodeBadRequest, "nil OnStats")}
 	}
-	id := c.id()
-	c.watches[id] = req.OnStats
-	resp, err := c.roundTrip(TWatchReq, id, WatchReq{Every: req.Every})
-	if err != nil {
-		delete(c.watches, id)
+	resp, id := c.do(TWatchReq, WatchReq{Every: req.Every}, hooks{stats: req.OnStats})
+	if err := resp.(WatchResp).Err; err != nil {
 		return api.WatchStatsResponse{Err: err}
 	}
-	wr := resp.(WatchResp)
-	if wr.Err != nil {
-		delete(c.watches, id)
-		return api.WatchStatsResponse{Err: wr.Err}
-	}
 	return api.WatchStatsResponse{Stop: func() {
-		if _, ok := c.watches[id]; ok {
-			delete(c.watches, id)
+		if _, ok := c.pending[id]; ok {
+			delete(c.pending, id)
 			c.sendFrame(TWatchCancel, id, nil)
 		}
 	}}

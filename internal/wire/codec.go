@@ -9,9 +9,9 @@ import (
 
 	"jitsu/internal/api"
 	"jitsu/internal/core"
+	"jitsu/internal/netstack"
 	"jitsu/internal/obs"
 	"jitsu/internal/unikernel"
-	"jitsu/internal/xen"
 )
 
 // ---- wire-only message shapes ----
@@ -109,467 +109,371 @@ type DoneEvent struct {
 	OK bool
 }
 
-// ---- primitive writer ----
+// ---- one buffer, both directions ----
 
-type wbuf struct {
-	b   []byte
-	err error
+// buf is a frame being written or a frame body being read. Every layout
+// on this wire is written once, as a walk over a message's fields
+// through the methods below: encoding, a method appends its field to b;
+// decoding (dec), it fills the field from the front of b. The first
+// failure sticks in err and the rest of the walk does nothing.
+type buf struct {
+	b     []byte
+	dec   bool
+	start int      // encoding: where the frame begins in b
+	d     *Decoder // decoding: the session's name table, or nil
+	err   error
 }
 
-func (w *wbuf) u8(v byte)     { w.b = append(w.b, v) }
-func (w *wbuf) u16(v uint16)  { w.b = binary.BigEndian.AppendUint16(w.b, v) }
-func (w *wbuf) u32(v uint32)  { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wbuf) u64(v uint64)  { w.b = binary.BigEndian.AppendUint64(w.b, v) }
-func (w *wbuf) i64(v int64)   { w.u64(uint64(v)) }
-func (w *wbuf) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *wbuf) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
+func (x *buf) fail() {
+	if x.err == nil {
+		x.err = ErrBadFrame
 	}
 }
 
-func (w *wbuf) str(s string) {
-	if len(s) > math.MaxUint16 {
-		w.err = fmt.Errorf("%w: string length %d", ErrBadFrame, len(s))
-		s = s[:math.MaxUint16]
-	}
-	w.u16(uint16(len(s)))
-	w.b = append(w.b, s...)
-}
-
-// count writes a collection length, refusing silent truncation.
-func (w *wbuf) count(n int) {
-	if n > math.MaxUint16 {
-		w.err = fmt.Errorf("%w: collection length %d", ErrBadFrame, n)
-		n = math.MaxUint16
-	}
-	w.u16(uint16(n))
-}
-
-// ---- primitive reader ----
-
-type rbuf struct {
-	b   []byte
-	err error
-	d   *Decoder // nil: names are not interned
-}
-
-func (r *rbuf) fail() {
-	if r.err == nil {
-		r.err = ErrBadFrame
-	}
-}
-
-func (r *rbuf) take(n int) []byte {
-	if r.err != nil || len(r.b) < n {
-		r.fail()
+// take consumes the next n bytes of the body being read, or fails.
+func (x *buf) take(n int) []byte {
+	if x.err != nil || len(x.b) < n {
+		x.fail()
 		return nil
 	}
-	v := r.b[:n]
-	r.b = r.b[n:]
+	v := x.b[:n]
+	x.b = x.b[n:]
 	return v
 }
 
-func (r *rbuf) u8() byte {
-	if v := r.take(1); v != nil {
-		return v[0]
+func (x *buf) u8(v *byte) {
+	if !x.dec {
+		x.b = append(x.b, *v)
+	} else if p := x.take(1); p != nil {
+		*v = p[0]
 	}
-	return 0
 }
 
-func (r *rbuf) u16() uint16 {
-	if v := r.take(2); v != nil {
-		return binary.BigEndian.Uint16(v)
+func (x *buf) u16(v *uint16) {
+	if !x.dec {
+		x.b = binary.BigEndian.AppendUint16(x.b, *v)
+	} else if p := x.take(2); p != nil {
+		*v = binary.BigEndian.Uint16(p)
 	}
-	return 0
 }
 
-func (r *rbuf) u32() uint32 {
-	if v := r.take(4); v != nil {
-		return binary.BigEndian.Uint32(v)
+func (x *buf) u32(v *uint32) {
+	if !x.dec {
+		x.b = binary.BigEndian.AppendUint32(x.b, *v)
+	} else if p := x.take(4); p != nil {
+		*v = binary.BigEndian.Uint32(p)
 	}
-	return 0
 }
 
-func (r *rbuf) u64() uint64 {
-	if v := r.take(8); v != nil {
-		return binary.BigEndian.Uint64(v)
+func (x *buf) u64(v *uint64) {
+	if !x.dec {
+		x.b = binary.BigEndian.AppendUint64(x.b, *v)
+	} else if p := x.take(8); p != nil {
+		*v = binary.BigEndian.Uint64(p)
 	}
-	return 0
 }
 
-func (r *rbuf) i64() int64   { return int64(r.u64()) }
-func (r *rbuf) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *rbuf) bool() bool   { return r.u8() != 0 }
-
-func (r *rbuf) str() string {
-	n := int(r.u16())
-	if v := r.take(n); v != nil {
-		return string(v)
-	}
-	return ""
+func (x *buf) i64(v *int64) {
+	u := uint64(*v)
+	x.u64(&u)
+	*v = int64(u)
 }
 
-// name reads a service, trigger, registry or metric name — a string that
-// recurs from frame to frame — through the session's intern table, if
-// there is one. Error details and tokens use str.
-func (r *rbuf) name() string {
-	v := r.take(int(r.u16()))
-	if r.d == nil || v == nil {
-		return string(v)
-	}
-	return r.d.intern(v)
+func (x *buf) f64(v *float64) {
+	u := math.Float64bits(*v)
+	x.u64(&u)
+	*v = math.Float64frombits(u)
 }
 
-// sized reads a collection's declared count and gives *out room for it,
-// capped by how many elements of at least elem bytes the rest of the
-// body could hold: a frame cannot buy more memory than it carries. The
-// caller still loops to the declared count, so a short body fails.
-func sized[T any](r *rbuf, out *[]T, elem int) int {
-	n := int(r.u16())
-	*out = slices.Grow(*out, min(n, len(r.b)/elem)) // no room leaves it nil
-	return n
+func (x *buf) dur(v *time.Duration) { x.i64((*int64)(v)) }
+
+// int moves an int as the int32 every count, size and board index on
+// this wire fits.
+func (x *buf) int(v *int) {
+	u := uint32(int32(*v))
+	x.u32(&u)
+	*v = int(int32(u))
+}
+
+func (x *buf) bool(v *bool) {
+	var b byte
+	if *v {
+		b = 1
+	}
+	x.u8(&b)
+	*v = b != 0
+}
+
+// enum moves a small enumeration as one byte.
+func enum[T ~int | ~uint8](x *buf, v *T) {
+	b := byte(*v)
+	x.u8(&b)
+	*v = T(b)
+}
+
+func (x *buf) str(v *string) { x.text(v, false) }
+
+// name moves a service, trigger, registry or metric name — a string that
+// recurs from frame to frame — reading it through the session's intern
+// table, if there is one. Error details and tokens use str.
+func (x *buf) name(v *string) { x.text(v, true) }
+
+func (x *buf) text(v *string, recurs bool) {
+	if !x.dec {
+		s := *v
+		if len(s) > math.MaxUint16 {
+			x.err = fmt.Errorf("%w: string length %d", ErrBadFrame, len(s))
+			s = s[:math.MaxUint16]
+		}
+		x.b = append(binary.BigEndian.AppendUint16(x.b, uint16(len(s))), s...)
+		return
+	}
+	var n uint16
+	x.u16(&n)
+	if p := x.take(int(n)); p == nil {
+		*v = ""
+	} else if recurs && x.d != nil {
+		*v = x.d.intern(p)
+	} else {
+		*v = string(p)
+	}
+}
+
+func (x *buf) ip(v *netstack.IP) {
+	if !x.dec {
+		x.b = append(x.b, v[:]...)
+	} else {
+		copy(v[:], x.take(len(v)))
+	}
+}
+
+// sized moves a collection's count — refusing silent truncation of one
+// too long to write — and, decoding, gives *s room for it, capped by how
+// many elements of at least elem bytes the rest of the body could hold: a
+// frame cannot buy more memory than it carries. The caller still walks
+// to the declared count, so a short body fails.
+func sized[T any](x *buf, s *[]T, elem int) int {
+	n := uint16(len(*s))
+	if !x.dec && len(*s) > math.MaxUint16 {
+		x.err = fmt.Errorf("%w: collection length %d", ErrBadFrame, len(*s))
+	}
+	x.u16(&n)
+	if x.dec {
+		*s = slices.Grow(*s, min(int(n), len(x.b)/elem)) // no room leaves it nil
+	}
+	return int(n)
+}
+
+// at is element i of *s, appended first when decoding.
+func at[T any](x *buf, s *[]T, i int) *T {
+	if x.dec {
+		*s = append(*s, *new(T))
+	}
+	return &(*s)[i]
 }
 
 // done finishes a strict decode: any sticky error or trailing bytes is
 // a malformed frame.
-func (r *rbuf) done() error {
-	if r.err != nil {
-		return r.err
+func (x *buf) done() error {
+	if x.err != nil {
+		return x.err
 	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(r.b))
+	if len(x.b) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadFrame, len(x.b))
 	}
 	return nil
 }
 
 // ---- composite fields ----
 
-func putErr(w *wbuf, e *api.Error) {
-	w.bool(e != nil)
-	if e != nil {
-		w.str(e.Op)
-		w.u8(byte(e.Code))
-		w.str(e.Detail)
+func (x *buf) apiErr(v **api.Error) {
+	has := *v != nil
+	if x.bool(&has); !has {
+		return
 	}
-}
-
-func getErr(r *rbuf) *api.Error {
-	if !r.bool() {
-		return nil
+	if x.dec {
+		*v = &api.Error{}
 	}
-	e := &api.Error{}
-	e.Op = r.str()
-	e.Code = api.Code(r.u8())
-	e.Detail = r.str()
-	return e
+	e := *v
+	x.str(&e.Op)
+	enum(x, &e.Code)
+	x.str(&e.Detail)
 }
 
-func putSel(w *wbuf, s api.BoardSel) { w.u32(uint32(int32(s))) }
-func getSel(r *rbuf) api.BoardSel    { return api.BoardSel(int32(r.u32())) }
-
-// putImage serializes an image minus its App interface; the Server's
-// app resolver re-attaches one by (Name, Kind) on the receiving side.
-func putImage(w *wbuf, img unikernel.Image) {
-	w.str(img.Name)
-	w.u8(byte(img.Kind))
-	w.u32(uint32(int32(img.MemMiB)))
-	w.f64(img.BinaryMiB)
+// image moves an image minus its App interface; the Server's app
+// resolver re-attaches one by (Name, Kind) on the receiving side.
+func (x *buf) image(v *unikernel.Image) {
+	x.str(&v.Name)
+	enum(x, &v.Kind)
+	x.int(&v.MemMiB)
+	x.f64(&v.BinaryMiB)
 }
 
-func getImage(r *rbuf) unikernel.Image {
-	var img unikernel.Image
-	img.Name = r.str()
-	img.Kind = xen.GuestKind(r.u8())
-	img.MemMiB = int(int32(r.u32()))
-	img.BinaryMiB = r.f64()
-	return img
+func (x *buf) config(v *core.ServiceConfig) {
+	x.str(&v.Name)
+	x.ip(&v.IP)
+	x.u16(&v.Port)
+	x.image(&v.Image)
+	x.u32(&v.TTL)
+	x.dur(&v.IdleTimeout)
+	x.int(&v.StateMiB)
 }
 
-func putConfig(w *wbuf, cfg core.ServiceConfig) {
-	w.str(cfg.Name)
-	w.b = append(w.b, cfg.IP[:]...)
-	w.u16(cfg.Port)
-	putImage(w, cfg.Image)
-	w.u32(cfg.TTL)
-	w.i64(int64(cfg.IdleTimeout))
-	w.u32(uint32(int32(cfg.StateMiB)))
-}
-
-func getConfig(r *rbuf) core.ServiceConfig {
-	var cfg core.ServiceConfig
-	cfg.Name = r.str()
-	copy(cfg.IP[:], r.take(4))
-	cfg.Port = r.u16()
-	cfg.Image = getImage(r)
-	cfg.TTL = r.u32()
-	cfg.IdleTimeout = time.Duration(r.i64())
-	cfg.StateMiB = int(int32(r.u32()))
-	return cfg
-}
-
-func putCp(w *wbuf, cp *core.Checkpoint) {
-	w.bool(cp != nil)
-	if cp != nil {
-		putImage(w, cp.Image)
-		w.u32(uint32(int32(cp.StateMiB)))
+func (x *buf) checkpoint(v **core.Checkpoint) {
+	has := *v != nil
+	if x.bool(&has); !has {
+		return
 	}
+	if x.dec {
+		*v = &core.Checkpoint{}
+	}
+	x.image(&(*v).Image)
+	x.int(&(*v).StateMiB)
 }
 
-func getCp(r *rbuf) *core.Checkpoint {
-	if !r.bool() {
-		return nil
+func (x *buf) snapshot(s *obs.Snapshot) {
+	x.name(&s.Name)
+	for i, n := 0, sized(x, &s.Counters, 2+8); i < n && x.err == nil; i++ {
+		c := at(x, &s.Counters, i)
+		x.name(&c.Name)
+		x.u64(&c.Value)
 	}
-	cp := &core.Checkpoint{}
-	cp.Image = getImage(r)
-	cp.StateMiB = int(int32(r.u32()))
-	return cp
-}
-
-func putSnapshot(w *wbuf, s obs.Snapshot) {
-	w.str(s.Name)
-	w.count(len(s.Counters))
-	for _, c := range s.Counters {
-		w.str(c.Name)
-		w.u64(c.Value)
+	for i, n := 0, sized(x, &s.Gauges, 2+8); i < n && x.err == nil; i++ {
+		g := at(x, &s.Gauges, i)
+		x.name(&g.Name)
+		x.i64(&g.Value)
 	}
-	w.count(len(s.Gauges))
-	for _, g := range s.Gauges {
-		w.str(g.Name)
-		w.i64(g.Value)
-	}
-	w.count(len(s.Hists))
-	for _, h := range s.Hists {
-		w.str(h.Name)
-		w.u64(h.Count)
-		w.i64(int64(h.Sum))
-		w.i64(int64(h.Max))
-		w.count(len(h.Buckets))
-		for _, b := range h.Buckets {
-			w.u64(b)
+	for i, n := 0, sized(x, &s.Hists, 2+8+8+8+2); i < n && x.err == nil; i++ {
+		h := at(x, &s.Hists, i)
+		x.name(&h.Name)
+		x.u64(&h.Count)
+		x.dur(&h.Sum)
+		x.dur(&h.Max)
+		for j, m := 0, sized(x, &h.Buckets, 8); j < m && x.err == nil; j++ {
+			x.u64(at(x, &h.Buckets, j))
 		}
 	}
 }
 
-func getSnapshot(r *rbuf) obs.Snapshot {
-	s := obs.Snapshot{Name: r.name()}
-	for i, n := 0, sized(r, &s.Counters, 2+8); i < n && r.err == nil; i++ {
-		s.Counters = append(s.Counters, obs.CounterSnap{Name: r.name(), Value: r.u64()})
+// stats is the body of a Stats response and of a StatsEvent.
+func (x *buf) stats(s *api.StatsResponse) {
+	for i, n := 0, sized(x, &s.Services, 2+1+8*8); i < n && x.err == nil; i++ {
+		sv := at(x, &s.Services, i)
+		x.name(&sv.Name)
+		enum(x, &sv.State)
+		x.u64(&sv.Launches)
+		x.u64(&sv.ColdStarts)
+		x.u64(&sv.Handoffs)
+		x.u64(&sv.ServFails)
+		x.u64(&sv.Reaps)
+		x.u64(&sv.Restores)
+		x.u64(&sv.DiskRestores)
+		x.u64(&sv.Demotions)
 	}
-	for i, n := 0, sized(r, &s.Gauges, 2+8); i < n && r.err == nil; i++ {
-		s.Gauges = append(s.Gauges, obs.GaugeSnap{Name: r.name(), Value: r.i64()})
+	for i, n := 0, sized(x, &s.Triggers, 2+8); i < n && x.err == nil; i++ {
+		t := at(x, &s.Triggers, i)
+		x.name(&t.Name)
+		x.u64(&t.Fired)
 	}
-	for i, n := 0, sized(r, &s.Hists, 2+8+8+8+2); i < n && r.err == nil; i++ {
-		h := obs.HistSnap{Name: r.name(), Count: r.u64(),
-			Sum: time.Duration(r.i64()), Max: time.Duration(r.i64())}
-		for j, m := 0, sized(r, &h.Buckets, 8); j < m && r.err == nil; j++ {
-			h.Buckets = append(h.Buckets, r.u64())
-		}
-		s.Hists = append(s.Hists, h)
+	for i, n := 0, sized(x, &s.Registries, 2+2+2+2); i < n && x.err == nil; i++ {
+		x.snapshot(at(x, &s.Registries, i))
 	}
-	return s
+	x.apiErr(&s.Err)
 }
 
-func putStats(w *wbuf, s api.StatsResponse) {
-	w.count(len(s.Services))
-	for _, sv := range s.Services {
-		w.str(sv.Name)
-		w.u8(byte(sv.State))
-		w.u64(sv.Launches)
-		w.u64(sv.ColdStarts)
-		w.u64(sv.Handoffs)
-		w.u64(sv.ServFails)
-		w.u64(sv.Reaps)
-		w.u64(sv.Restores)
-		w.u64(sv.DiskRestores)
-		w.u64(sv.Demotions)
-	}
-	w.count(len(s.Triggers))
-	for _, t := range s.Triggers {
-		w.str(t.Name)
-		w.u64(t.Fired)
-	}
-	w.count(len(s.Registries))
-	for _, reg := range s.Registries {
-		putSnapshot(w, reg)
-	}
-	putErr(w, s.Err)
-}
-
-func getStats(r *rbuf) api.StatsResponse {
-	var s api.StatsResponse
-	for i, n := 0, sized(r, &s.Services, 2+1+8*8); i < n && r.err == nil; i++ {
-		sv := api.ServiceStats{Name: r.name(), State: core.ServiceState(r.u8())}
-		sv.Launches = r.u64()
-		sv.ColdStarts = r.u64()
-		sv.Handoffs = r.u64()
-		sv.ServFails = r.u64()
-		sv.Reaps = r.u64()
-		sv.Restores = r.u64()
-		sv.DiskRestores = r.u64()
-		sv.Demotions = r.u64()
-		s.Services = append(s.Services, sv)
-	}
-	for i, n := 0, sized(r, &s.Triggers, 2+8); i < n && r.err == nil; i++ {
-		s.Triggers = append(s.Triggers, api.TriggerStats{Name: r.name(), Fired: r.u64()})
-	}
-	for i, n := 0, sized(r, &s.Registries, 2+2+2+2); i < n && r.err == nil; i++ {
-		s.Registries = append(s.Registries, getSnapshot(r))
-	}
-	s.Err = getErr(r)
-	return s
-}
-
-// ---- frame encode ----
+// ---- frames ----
 
 // Append serializes one frame (header + body) onto dst, framed at
 // protocol version ver (V1 or V2). The two versions differ only in
 // the Hello/HelloAck bodies; every other frame encodes identically.
 // The msg's Go type must match typ: the api request/response struct
 // for plain verbs, or the wire-level shapes above for verbs with
-// callbacks, events and negotiation frames. Empty-body frames
-// (TStatsReq, TWatchCancel) take a nil msg.
+// callbacks, events and negotiation frames. TWatchCancel, which has no
+// body, takes a nil msg.
 func Append(dst []byte, ver byte, typ byte, id uint32, msg any) ([]byte, error) {
 	if ver < MinVersion || ver > MaxVersion {
 		return dst, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	w := &wbuf{b: dst}
-	// Reserve the header; the length back-fills below.
-	start := len(w.b)
-	w.u32(0)
-	w.u8(ver)
-	w.u8(typ)
-	w.u32(id)
+	x, _ := begin(dst, ver, typ, id).body(ver, typ, msg)
+	buf, err := x.end()
+	if err != nil {
+		return dst, err
+	}
+	return buf, nil
+}
 
+// begin starts a frame on dst: the header, its length still to come.
+func begin(dst []byte, ver byte, typ byte, id uint32) buf {
+	x := buf{b: dst, start: len(dst)}
+	x.b = append(x.b, 0, 0, 0, 0, ver, typ)
+	x.u32(&id)
+	return x
+}
+
+// end back-fills the length of the frame begin started and returns the
+// buffer, or the error that spoilt the frame.
+func (x buf) end() ([]byte, error) {
+	if x.err != nil {
+		return nil, x.err
+	}
+	n := len(x.b) - x.start - 4
+	if n > MaxFrame {
+		return nil, ErrFrameTooBig
+	}
+	binary.BigEndian.PutUint32(x.b[x.start:], uint32(n))
+	return x.b, nil
+}
+
+// arg is the message a body walks: msg itself when encoding, asserted
+// to the one Go type its frame carries; a zero T to fill when decoding.
+func arg[T any](x *buf, msg any) (m T) {
+	if !x.dec {
+		m = msg.(T)
+	}
+	return m
+}
+
+// body moves msg as the body of a typ frame — through the verb table
+// for a verb's request or response, here for the handshake, event and
+// cancel frames — and returns the message it read or wrote.
+func (x buf) body(ver byte, typ byte, msg any) (buf, any) {
+	if c := codecOf(typ); c != nil {
+		return c(x, msg)
+	}
 	switch typ {
 	case THello:
-		m := msg.(Hello)
-		w.u16(m.Min)
-		w.u16(m.Max)
+		m := arg[Hello](&x, msg)
+		x.u16(&m.Min)
+		x.u16(&m.Max)
 		if ver >= V2 {
-			w.str(m.Token)
+			x.str(&m.Token)
 		}
+		return x, m
 	case THelloAck:
-		m := msg.(HelloAck)
-		w.u16(m.Version)
+		m := arg[HelloAck](&x, msg)
+		x.u16(&m.Version)
 		if ver >= V2 {
-			w.u8(byte(m.Scope))
-			putErr(w, m.Err)
+			enum(&x, &m.Scope)
+			x.apiErr(&m.Err)
 		}
-
-	case TRegisterReq:
-		m := msg.(api.RegisterRequest)
-		putConfig(w, m.Config)
-		w.u32(uint32(int32(m.MinWarm)))
-		w.str(m.Policy)
-	case TActivateReq:
-		m := msg.(ActivateReq)
-		w.str(m.Name)
-		w.bool(m.Speculative)
-		w.bool(m.WantReady)
-	case TCheckpointReq:
-		m := msg.(api.CheckpointRequest)
-		w.str(m.Name)
-		putSel(w, m.Board)
-	case TRestoreReq:
-		m := msg.(RestoreReq)
-		w.str(m.Name)
-		putCp(w, m.Checkpoint)
-		putSel(w, m.Board)
-		w.bool(m.ToDisk)
-		w.bool(m.WantReady)
-	case TMigrateReq:
-		m := msg.(MigrateReq)
-		w.str(m.Name)
-		putSel(w, m.From)
-		putSel(w, m.To)
-		w.bool(m.WantDone)
-	case TTransferReq:
-		m := msg.(TransferReq)
-		putConfig(w, m.Config)
-		w.u32(uint32(int32(m.MinWarm)))
-		w.str(m.Policy)
-		putCp(w, m.Checkpoint)
-		w.bool(m.ToDisk)
-		w.bool(m.WantReady)
-	case TDemoteReq:
-		m := msg.(api.DemoteRequest)
-		w.str(m.Name)
-		putSel(w, m.Board)
-	case TPromoteReq:
-		m := msg.(PromoteReq)
-		w.str(m.Name)
-		putSel(w, m.Board)
-		w.bool(m.WantReady)
-	case TStopReq:
-		w.str(msg.(api.StopRequest).Name)
-	case TStatsReq, TWatchCancel:
-		// empty body
-	case TWatchReq:
-		w.i64(int64(msg.(WatchReq).Every))
-
-	case TRegisterResp:
-		m := msg.(api.RegisterResponse)
-		w.str(m.Name)
-		putErr(w, m.Err)
-	case TActivateResp:
-		m := msg.(api.ActivateResponse)
-		w.b = append(w.b, m.IP[:]...)
-		w.u32(uint32(int32(m.Board)))
-		w.u8(byte(m.State))
-		putErr(w, m.Err)
-	case TCheckpointResp:
-		m := msg.(api.CheckpointResponse)
-		putCp(w, m.Checkpoint)
-		w.u32(uint32(int32(m.Board)))
-		putErr(w, m.Err)
-	case TRestoreResp:
-		putErr(w, msg.(api.RestoreResponse).Err)
-	case TMigrateResp:
-		m := msg.(api.MigrateResponse)
-		w.bool(m.Started)
-		putErr(w, m.Err)
-	case TTransferResp:
-		m := msg.(api.TransferResponse)
-		w.u32(uint32(int32(m.Board)))
-		putErr(w, m.Err)
-	case TDemoteResp:
-		m := msg.(api.DemoteResponse)
-		w.u32(uint32(int32(m.Demoted)))
-		putErr(w, m.Err)
-	case TPromoteResp:
-		m := msg.(api.PromoteResponse)
-		w.u32(uint32(int32(m.Board)))
-		putErr(w, m.Err)
-	case TStopResp:
-		m := msg.(api.StopResponse)
-		w.u32(uint32(int32(m.Stopped)))
-		putErr(w, m.Err)
-	case TStatsResp, TStatsEvent:
-		putStats(w, msg.(api.StatsResponse))
-	case TWatchResp:
-		putErr(w, msg.(WatchResp).Err)
-
+		return x, m
+	case TWatchCancel:
+		return x, struct{}{}
+	case TStatsEvent:
+		m := arg[api.StatsResponse](&x, msg)
+		x.stats(&m)
+		return x, m
 	case TReadyEvent:
-		putErr(w, msg.(ReadyEvent).Err)
+		m := arg[ReadyEvent](&x, msg)
+		x.apiErr(&m.Err)
+		return x, m
 	case TDoneEvent:
-		w.bool(msg.(DoneEvent).OK)
-
-	default:
-		return dst, fmt.Errorf("%w: 0x%02x", ErrUnknownType, typ)
+		m := arg[DoneEvent](&x, msg)
+		x.bool(&m.OK)
+		return x, m
 	}
-	if w.err != nil {
-		return dst, w.err
-	}
-	n := len(w.b) - start - 4
-	if n > MaxFrame {
-		return dst, ErrFrameTooBig
-	}
-	binary.BigEndian.PutUint32(w.b[start:], uint32(n))
-	return w.b, nil
+	x.err = fmt.Errorf("%w: 0x%02x", ErrUnknownType, typ)
+	return x, nil
 }
 
 // ---- frame decode ----
@@ -612,125 +516,37 @@ func Decode(buf []byte) (ver byte, typ byte, id uint32, msg any, n int, err erro
 // carry their negotiated version, the codec does not. ErrShort means
 // buf holds only a prefix — accumulate more and retry; any other
 // error is a protocol violation.
-func (d *Decoder) Decode(buf []byte) (ver byte, typ byte, id uint32, msg any, n int, err error) {
-	if len(buf) < 4 {
+func (d *Decoder) Decode(b []byte) (ver byte, typ byte, id uint32, msg any, n int, err error) {
+	ver, typ, id, body, n, err := split(b)
+	if err == nil {
+		x, m := buf{b: body, dec: true, d: d}.body(ver, typ, nil)
+		if err = x.done(); err == nil {
+			msg = m
+		}
+	}
+	return ver, typ, id, msg, n, err
+}
+
+// split parses the header of the frame at the front of b and finds its
+// body and its length n.
+func split(b []byte) (ver byte, typ byte, id uint32, body []byte, n int, err error) {
+	if len(b) < 4 {
 		return 0, 0, 0, nil, 0, ErrShort
 	}
-	length := int(binary.BigEndian.Uint32(buf))
+	length := int(binary.BigEndian.Uint32(b))
 	if length > MaxFrame {
 		return 0, 0, 0, nil, 0, ErrFrameTooBig
 	}
 	if length < headerLen-4 {
 		return 0, 0, 0, nil, 0, fmt.Errorf("%w: length %d below header", ErrBadFrame, length)
 	}
-	if len(buf) < 4+length {
+	if len(b) < 4+length {
 		return 0, 0, 0, nil, 0, ErrShort
 	}
 	n = 4 + length
-	ver = buf[4]
+	ver = b[4]
 	if ver < MinVersion || ver > MaxVersion {
 		return ver, 0, 0, nil, n, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	typ = buf[5]
-	id = binary.BigEndian.Uint32(buf[6:])
-	msg, err = d.decodeBody(ver, typ, buf[headerLen:n])
-	return ver, typ, id, msg, n, err
-}
-
-func (d *Decoder) decodeBody(ver byte, typ byte, body []byte) (any, error) {
-	r := &rbuf{b: body, d: d}
-	var msg any
-	switch typ {
-	case THello:
-		m := Hello{Min: r.u16(), Max: r.u16()}
-		if ver >= V2 {
-			m.Token = r.str()
-		}
-		msg = m
-	case THelloAck:
-		m := HelloAck{Version: r.u16()}
-		if ver >= V2 {
-			m.Scope = api.Scope(r.u8())
-			m.Err = getErr(r)
-		}
-		msg = m
-
-	case TRegisterReq:
-		var m api.RegisterRequest
-		m.Config = getConfig(r)
-		m.MinWarm = int(int32(r.u32()))
-		m.Policy = r.str()
-		msg = m
-	case TActivateReq:
-		msg = ActivateReq{Name: r.str(), Speculative: r.bool(), WantReady: r.bool()}
-	case TCheckpointReq:
-		msg = api.CheckpointRequest{Name: r.str(), Board: getSel(r)}
-	case TRestoreReq:
-		msg = RestoreReq{Name: r.str(), Checkpoint: getCp(r),
-			Board: getSel(r), ToDisk: r.bool(), WantReady: r.bool()}
-	case TMigrateReq:
-		msg = MigrateReq{Name: r.str(), From: getSel(r), To: getSel(r), WantDone: r.bool()}
-	case TTransferReq:
-		var m TransferReq
-		m.Config = getConfig(r)
-		m.MinWarm = int(int32(r.u32()))
-		m.Policy = r.str()
-		m.Checkpoint = getCp(r)
-		m.ToDisk = r.bool()
-		m.WantReady = r.bool()
-		msg = m
-	case TDemoteReq:
-		msg = api.DemoteRequest{Name: r.str(), Board: getSel(r)}
-	case TPromoteReq:
-		msg = PromoteReq{Name: r.str(), Board: getSel(r), WantReady: r.bool()}
-	case TStopReq:
-		msg = api.StopRequest{Name: r.str()}
-	case TStatsReq:
-		msg = api.StatsRequest{}
-	case TWatchReq:
-		msg = WatchReq{Every: time.Duration(r.i64())}
-	case TWatchCancel:
-		msg = struct{}{}
-
-	case TRegisterResp:
-		msg = api.RegisterResponse{Name: r.str(), Err: getErr(r)}
-	case TActivateResp:
-		var m api.ActivateResponse
-		copy(m.IP[:], r.take(4))
-		m.Board = int(int32(r.u32()))
-		m.State = core.ServiceState(r.u8())
-		m.Err = getErr(r)
-		msg = m
-	case TCheckpointResp:
-		msg = api.CheckpointResponse{Checkpoint: getCp(r),
-			Board: int(int32(r.u32())), Err: getErr(r)}
-	case TRestoreResp:
-		msg = api.RestoreResponse{Err: getErr(r)}
-	case TMigrateResp:
-		msg = api.MigrateResponse{Started: r.bool(), Err: getErr(r)}
-	case TTransferResp:
-		msg = api.TransferResponse{Board: int(int32(r.u32())), Err: getErr(r)}
-	case TDemoteResp:
-		msg = api.DemoteResponse{Demoted: int(int32(r.u32())), Err: getErr(r)}
-	case TPromoteResp:
-		msg = api.PromoteResponse{Board: int(int32(r.u32())), Err: getErr(r)}
-	case TStopResp:
-		msg = api.StopResponse{Stopped: int(int32(r.u32())), Err: getErr(r)}
-	case TStatsResp, TStatsEvent:
-		msg = getStats(r)
-	case TWatchResp:
-		msg = WatchResp{Err: getErr(r)}
-
-	case TReadyEvent:
-		msg = ReadyEvent{Err: getErr(r)}
-	case TDoneEvent:
-		msg = DoneEvent{OK: r.bool()}
-
-	default:
-		return nil, fmt.Errorf("%w: 0x%02x", ErrUnknownType, typ)
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return msg, nil
+	return ver, b[5], binary.BigEndian.Uint32(b[6:]), b[headerLen:n], n, nil
 }

@@ -36,8 +36,8 @@ func allMessages() []struct {
 	stats := api.StatsResponse{
 		Services: []api.ServiceStats{{
 			Name: "bob.family.name", State: core.StateRunning,
-			Launches: 3, ColdStarts: 1, Handoffs: 2, ServFails: 1,
-			Reaps: 1, Restores: 2, DiskRestores: 1, Demotions: 1,
+			Counters: core.Counters{Launches: 3, ColdStarts: 1, Handoffs: 2, ServFails: 1,
+				Reaps: 1, Restores: 2, DiskRestores: 1, Demotions: 1},
 		}},
 		Triggers: []api.TriggerStats{{Name: "dns", Fired: 9}},
 		Registries: []obs.Snapshot{{

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"jitsu/internal/api"
+	"jitsu/internal/core"
 	"jitsu/internal/netstack"
 	"jitsu/internal/unikernel"
 	"jitsu/internal/xen"
@@ -106,6 +107,13 @@ func (s *Server) resolve(img *unikernel.Image) {
 	}
 }
 
+// resolveCp does the same for the image inside a checkpoint, if any.
+func (s *Server) resolveCp(cp *core.Checkpoint) {
+	if cp != nil {
+		s.resolve(&cp.Image)
+	}
+}
+
 // srvConn is one accepted connection's state: the session's tx scratch
 // and rx reassembly buffer (frames before rxoff are consumed), the
 // negotiated version and granted scope once Hello/HelloAck completed,
@@ -124,11 +132,20 @@ type srvConn struct {
 
 func (sc *srvConn) onClose(error) {
 	sc.closed = true
-	for id, stop := range sc.watches {
+	for id := range sc.watches {
+		sc.stopWatch(id)
+	}
+	delete(sc.s.conns, sc)
+}
+
+// stopWatch ends the stream filed under id, if one is live.
+func (sc *srvConn) stopWatch(id uint32) bool {
+	stop, live := sc.watches[id]
+	if live {
 		stop()
 		delete(sc.watches, id)
 	}
-	delete(sc.s.conns, sc)
+	return live
 }
 
 // drop abandons the connection on a protocol violation.
@@ -147,11 +164,23 @@ func (sc *srvConn) refuse(ackVer byte, id uint32, err *api.Error) {
 	delete(sc.s.conns, sc)
 }
 
+// send frames msg at ver and sends it: the handshake's acks, and the
+// events whose message is already an any.
 func (sc *srvConn) send(ver byte, typ byte, id uint32, msg any) {
+	x, _ := begin(sc.tx[:0], ver, typ, id).body(ver, typ, msg)
+	sc.flush(x)
+}
+
+// begin starts a frame of the session's version in its tx scratch.
+func (sc *srvConn) begin(typ byte, id uint32) buf { return begin(sc.tx[:0], sc.ver, typ, id) }
+
+// flush sends the frame x holds; one that cannot be framed is a
+// violation of ours and drops the connection.
+func (sc *srvConn) flush(x buf) {
 	if sc.closed {
 		return
 	}
-	buf, err := Append(sc.tx[:0], ver, typ, id, msg)
+	buf, err := x.end()
 	if err != nil {
 		sc.drop()
 		return
@@ -165,22 +194,23 @@ func (sc *srvConn) send(ver byte, typ byte, id uint32, msg any) {
 func (sc *srvConn) onData(b []byte) {
 	sc.rx = append(sc.rx, b...)
 	for !sc.closed {
-		ver, typ, id, msg, n, err := Decode(sc.rx[sc.rxoff:])
+		ver, typ, id, body, n, err := split(sc.rx[sc.rxoff:])
 		if err == ErrShort {
 			sc.rx, sc.rxoff = compact(sc.rx, sc.rxoff), 0
 			return
+		}
+		sc.rxoff += n
+		// Post-handshake frames must carry the negotiated version.
+		if err == nil && sc.hello && ver != sc.ver {
+			err = ErrBadVersion
+		}
+		if err == nil {
+			err = sc.dispatch(ver, typ, id, body)
 		}
 		if err != nil {
 			sc.drop()
 			return
 		}
-		sc.rxoff += n
-		// Post-handshake frames must carry the negotiated version.
-		if sc.hello && ver != sc.ver {
-			sc.drop()
-			return
-		}
-		sc.dispatch(ver, typ, id, msg)
 	}
 }
 
@@ -239,158 +269,81 @@ func (sc *srvConn) handshake(ver byte, typ byte, id uint32, msg any) {
 	sc.send(sc.ver, THelloAck, id, HelloAck{Version: neg, Scope: scope})
 }
 
-func (sc *srvConn) dispatch(ver byte, typ byte, id uint32, msg any) {
-	// The handshake gates everything: first frame must be Hello, and
-	// exactly once.
-	if !sc.hello {
+// dispatch serves one frame; an error is a malformed body. A verb's
+// request goes to its row, which decodes it as the type it is; the
+// handshake and cancel frames are decoded here.
+func (sc *srvConn) dispatch(ver byte, typ byte, id uint32, body []byte) error {
+	if sc.hello && typ >= TRegisterReq && typ <= TWatchReq {
+		return verbs[typ-TRegisterReq].handle(sc, id, body)
+	}
+	x, msg := buf{b: body, dec: true}.body(ver, typ, nil)
+	if err := x.done(); err != nil {
+		return err
+	}
+	switch {
+	case !sc.hello:
+		// The handshake gates everything: first frame must be Hello, and
+		// exactly once.
 		sc.handshake(ver, typ, id, msg)
-		return
-	}
-	sc.s.Frames++
-
-	// Capability gate: a verb above the session's scope is refused
-	// with its ordinary response frame — the session stays up.
-	if typ >= TRegisterReq && typ <= TWatchReq {
-		op := opName(typ)
-		if need := api.RequiredScope(op); !sc.scope.Allows(need) {
-			sc.s.Unauthorized++
-			sc.send(sc.ver, respOf(typ), id, unauthorizedResp(typ,
-				api.Errf(op, api.CodeUnauthorized,
-					"scope %s does not cover %s (needs %s)", sc.scope, op, need)))
-			return
-		}
-	}
-
-	switch typ {
-	case THello:
-		sc.drop() // a second Hello is a protocol violation
-
-	case TRegisterReq:
-		req := msg.(api.RegisterRequest)
-		sc.s.resolve(&req.Config.Image)
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Register(req))
-	case TActivateReq:
-		m := msg.(ActivateReq)
-		req := api.ActivateRequest{Name: m.Name, Speculative: m.Speculative}
-		if m.WantReady {
-			req.OnReady = sc.readyEvent(id)
-		}
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Activate(req))
-	case TCheckpointReq:
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Checkpoint(msg.(api.CheckpointRequest)))
-	case TRestoreReq:
-		m := msg.(RestoreReq)
-		if m.Checkpoint != nil {
-			sc.s.resolve(&m.Checkpoint.Image)
-		}
-		req := api.RestoreRequest{Name: m.Name, Checkpoint: m.Checkpoint,
-			Board: m.Board, ToDisk: m.ToDisk}
-		if m.WantReady {
-			req.OnReady = sc.readyEvent(id)
-		}
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Restore(req))
-	case TMigrateReq:
-		m := msg.(MigrateReq)
-		req := api.MigrateRequest{Name: m.Name, From: m.From, To: m.To}
-		if m.WantDone {
-			req.OnDone = func(ok bool) { sc.send(sc.ver, TDoneEvent, id, DoneEvent{OK: ok}) }
-		}
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Migrate(req))
-	case TTransferReq:
-		m := msg.(TransferReq)
-		sc.s.resolve(&m.Config.Image)
-		if m.Checkpoint != nil {
-			sc.s.resolve(&m.Checkpoint.Image)
-		}
-		req := api.TransferRequest{Config: m.Config, MinWarm: m.MinWarm,
-			Policy: m.Policy, Checkpoint: m.Checkpoint, ToDisk: m.ToDisk}
-		if m.WantReady {
-			req.OnReady = sc.readyEvent(id)
-		}
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Transfer(req))
-	case TDemoteReq:
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Demote(msg.(api.DemoteRequest)))
-	case TPromoteReq:
-		m := msg.(PromoteReq)
-		req := api.PromoteRequest{Name: m.Name, Board: m.Board}
-		if m.WantReady {
-			req.OnReady = sc.readyEvent(id)
-		}
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Promote(req))
-	case TStopReq:
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Stop(msg.(api.StopRequest)))
-	case TStatsReq:
-		sc.send(sc.ver, respOf(typ), id, sc.s.cfg.Backend.Stats(api.StatsRequest{}))
-	case TWatchReq:
-		m := msg.(WatchReq)
-		// An id names one stream: a request on a live id replaces it, or
-		// the old ticker, its Stop overwritten, would run until the close.
-		if stop, live := sc.watches[id]; live {
-			stop()
-			delete(sc.watches, id)
-		}
-		resp := sc.s.cfg.Backend.WatchStats(api.WatchStatsRequest{
-			Every: m.Every,
-			OnStats: func(s api.StatsResponse) bool {
-				if sc.closed {
-					return false
-				}
-				sc.send(sc.ver, TStatsEvent, id, s)
-				return !sc.closed
-			},
-		})
-		if resp.Err == nil && resp.Stop != nil {
-			sc.watches[id] = resp.Stop
-		}
-		sc.send(sc.ver, respOf(typ), id, WatchResp{Err: resp.Err})
-	case TWatchCancel:
-		if stop, ok := sc.watches[id]; ok {
-			stop()
-			delete(sc.watches, id)
+	case typ == TWatchCancel:
+		sc.s.Frames++
+		if sc.stopWatch(id) {
 			sc.s.WatchCancels++
 		}
-
 	default:
-		// Response/event frames from a client (or future request types)
-		// are violations at the server.
+		// A second Hello, or a response or event frame from a client, is
+		// a violation at the server.
+		sc.s.Frames++
 		sc.drop()
 	}
+	return nil
 }
 
-// unauthorizedResp builds the request type's ordinary response struct
-// carrying the refusal, so clients see the typed error through the
-// verb they called.
-func unauthorizedResp(typ byte, err *api.Error) any {
-	switch typ {
-	case TRegisterReq:
-		return api.RegisterResponse{Err: err}
-	case TActivateReq:
-		return api.ActivateResponse{Err: err}
-	case TCheckpointReq:
-		return api.CheckpointResponse{Err: err}
-	case TRestoreReq:
-		return api.RestoreResponse{Err: err}
-	case TMigrateReq:
-		return api.MigrateResponse{Err: err}
-	case TTransferReq:
-		return api.TransferResponse{Err: err}
-	case TDemoteReq:
-		return api.DemoteResponse{Err: err}
-	case TPromoteReq:
-		return api.PromoteResponse{Err: err}
-	case TStopReq:
-		return api.StopResponse{Err: err}
-	case TStatsReq:
-		return api.StatsResponse{Err: err}
-	case TWatchReq:
-		return WatchResp{Err: err}
+// admit counts a verb's request frame and holds it to the capability
+// gate: a verb above the session's scope is refused with its ordinary
+// response frame — the session stays up.
+func (sc *srvConn) admit(verb string) *api.Error {
+	sc.s.Frames++
+	need := api.RequiredScope(verb)
+	if sc.scope.Allows(need) {
+		return nil
 	}
-	return WatchResp{Err: err}
+	sc.s.Unauthorized++
+	return api.Errf(verb, api.CodeUnauthorized, "scope %s does not cover %s (needs %s)", sc.scope, verb, need)
+}
+
+// watch serves a WatchReq: snapshots go out as StatsEvent frames tagged
+// with the request's id until the stream is cancelled or the session
+// closes.
+func (sc *srvConn) watch(id uint32, req WatchReq) WatchResp {
+	// An id names one stream: a request on a live id replaces it, or the
+	// old ticker, its Stop overwritten, would run until the close.
+	sc.stopWatch(id)
+	resp := sc.s.cfg.Backend.WatchStats(api.WatchStatsRequest{
+		Every: req.Every,
+		OnStats: func(s api.StatsResponse) bool {
+			if sc.closed {
+				return false
+			}
+			x := sc.begin(TStatsEvent, id)
+			x.stats(&s)
+			sc.flush(x)
+			return !sc.closed
+		},
+	})
+	if resp.Err == nil && resp.Stop != nil {
+		sc.watches[id] = resp.Stop
+	}
+	return WatchResp{Err: resp.Err}
 }
 
 // readyEvent builds an OnReady callback that ships the outcome back as
-// a ReadyEvent frame tagged with the request id.
-func (sc *srvConn) readyEvent(id uint32) func(error) {
+// a ReadyEvent frame tagged with the request id; nil unless the client
+// asked for one.
+func (sc *srvConn) readyEvent(id uint32, want bool) func(error) {
+	if !want {
+		return nil
+	}
 	return func(err error) {
 		ev := ReadyEvent{}
 		if err != nil {

@@ -57,6 +57,18 @@
 // stream independently from one server and one session's teardown
 // never disturbs its siblings.
 //
+// One table. Everything that differs from verb to verb — its name, the
+// bodies of its two frames, the response that carries only an error,
+// the call on the backend — is a row of verbs (verbs.go), indexed by
+// request frame type and built from typed parts. A frame body is
+// written once, as a walk over the message's fields through a buf that
+// either appends them or fills them (codec.go), so a layout cannot
+// disagree with itself. Append and Decode, the server's scope gate and
+// dispatch and the client's call read the rows and name no verb; only
+// the handshake, event and cancel frames have arms of their own. Adding
+// a verb is two frame types, one row and a one-expression Client
+// method.
+//
 // Buffers. Each end of a session owns a tx scratch every outgoing frame
 // is rendered into (TCPConn.Send copies it before returning) and an rx
 // buffer consumed by offset, its tail moved to the front only when a
@@ -64,7 +76,8 @@
 // past 64 KiB. A Client decodes through its own Decoder, which bounds
 // what a peer can make it hold: a collection gets room for its declared
 // count capped by what the remaining bytes could carry, and the table of
-// recurring names stops at 4 096 entries. A server uses plain Decode.
+// recurring names stops at 4 096 entries. A server decodes a verb's
+// request through its row as the type it is, and interns nothing.
 package wire
 
 import "errors"
@@ -118,8 +131,8 @@ func compact(rx []byte, off int) []byte {
 	return rx[:copy(rx, rx[off:])]
 }
 
-// Frame types. Requests and responses pair by offset: respOf(t) for a
-// request type t is t + 0x20.
+// Frame types. Requests and responses pair by offset: the response to a
+// request of type t has type t + 0x20.
 const (
 	THello    = 0x01
 	THelloAck = 0x02
@@ -153,9 +166,6 @@ const (
 	TDoneEvent  = 0x41
 	TStatsEvent = 0x42
 )
-
-// respOf maps a request frame type to its response type.
-func respOf(t byte) byte { return t + 0x20 }
 
 // Codec errors. ErrShort is the resumable one — the buffer holds a
 // frame prefix and the caller should wait for more bytes; everything

@@ -28,7 +28,7 @@ var surfaceHooks = map[string]string{
 	"SeedARP":          "netstack.Host: skips ARP in alloc-pinning tests",
 	"ActiveConns":      "wire.Server: session teardown checks",
 	"Codes":            "api: the code table the wire codec tests must cover",
-	"Verbs":            "api: the verb table the wire codec tests must cover",
+	"Verbs":            "api: the verb table wire's table-coverage test holds its rows to",
 	"PartitionAtoB":    "netsim.Link: one-way partition tests",
 	"PartitionBtoA":    "netsim.Link: its twin, for the gossip tests in cluster",
 	"BEnd":             "netsim.Link: AEnd's twin; tests wire bare NIC pairs with it",
@@ -49,29 +49,12 @@ var surfaceHooks = map[string]string{
 // (which also covers the methods the standard library calls through its
 // own interfaces: String, Error, Len/Less/Swap).
 func TestNoUnreferencedSurface(t *testing.T) {
-	fset := token.NewFileSet()
 	type decl struct{ name, pos string }
 	var decls []decl
 	declared := map[*ast.Ident]bool{}
 	uses := map[string]int{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if strings.HasPrefix(d.Name(), ".") && path != "." {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		if strings.HasPrefix(filepath.ToSlash(path), "internal/") {
+	walkSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasPrefix(path, "internal/") {
 			note := func(id *ast.Ident) {
 				declared[id] = true
 				if id.IsExported() {
@@ -102,11 +85,7 @@ func TestNoUnreferencedSurface(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var dead []string
 	for _, d := range decls {
 		if uses[d.name] == 0 && surfaceHooks[d.name] == "" {
@@ -120,6 +99,113 @@ func TestNoUnreferencedSurface(t *testing.T) {
 	for name := range surfaceHooks {
 		if uses[name] != 0 {
 			t.Errorf("surfaceHooks lists %s, but a non-test file references it: drop the entry", name)
+		}
+	}
+}
+
+// walkSource parses every non-test Go file of the module and of bench/
+// and hands each to visit with its slash-separated path.
+func walkSource(t *testing.T, visit func(fset *token.FileSet, path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(fset, filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// layers is the architecture map doc.go and the README draw, as the
+// imports it allows: each package under internal/ and the internal
+// packages its non-test files import — all of them, and no others. obs,
+// metrics and sim sit at the bottom and import nothing of ours; blockdev
+// knows only sim, cc only sim and obs; api sits above core and below
+// cluster; wire above api and netstack, knowing nothing of cluster;
+// experiments is the top and nothing under internal/ imports it.
+var layers = map[string]string{
+	"api":         "core netstack obs sim",
+	"blockdev":    "sim",
+	"cc":          "obs sim",
+	"cluster":     "api cc core dns metrics netsim netstack obs power sim wire",
+	"conduit":     "xen xenstore",
+	"container":   "sim",
+	"core":        "blockdev conduit dns netsim netstack obs sim unikernel xen xenstore",
+	"dns":         "netstack obs sim",
+	"experiments": "api blockdev cluster container core dns metrics netsim netstack obs power security sim unikernel xen xenstore",
+	"metrics":     "",
+	"netsim":      "sim",
+	"netstack":    "netsim sim",
+	"obs":         "",
+	"power":       "",
+	"security":    "",
+	"sim":         "",
+	"unikernel":   "netsim netstack sim xen",
+	"wire":        "api core netstack obs sim unikernel xen",
+	"xen":         "sim xenstore",
+	"xenstore":    "",
+}
+
+// TestLayerMap fails on an import edge between internal packages that
+// the map above does not allow — a new upward edge is a design change
+// and is made there first — and on a row naming an edge that no longer
+// exists, so the map cannot drift from the code it describes.
+func TestLayerMap(t *testing.T) {
+	const prefix = "jitsu/internal/"
+	got := map[string]map[string]bool{}
+	walkSource(t, func(_ *token.FileSet, path string, f *ast.File) {
+		if !strings.HasPrefix(path, "internal/") {
+			return
+		}
+		pkg := strings.Split(path, "/")[1]
+		if got[pkg] == nil {
+			got[pkg] = map[string]bool{}
+		}
+		for _, imp := range f.Imports {
+			if dep := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(dep, prefix) {
+				got[pkg][strings.TrimPrefix(dep, prefix)] = true
+			}
+		}
+	})
+	for pkg, deps := range got {
+		allowed, listed := layers[pkg]
+		if !listed {
+			t.Errorf("internal/%s is not in the layer map: add its row", pkg)
+			continue
+		}
+		want := map[string]bool{}
+		for _, dep := range strings.Fields(allowed) {
+			want[dep] = true
+			if !deps[dep] {
+				t.Errorf("the layer map lets internal/%s import %s, but it no longer does: drop the edge", pkg, dep)
+			}
+		}
+		for dep := range deps {
+			if !want[dep] {
+				t.Errorf("internal/%s imports %s, which the layer map does not allow", pkg, dep)
+			}
+		}
+	}
+	for pkg := range layers {
+		if got[pkg] == nil {
+			t.Errorf("the layer map lists internal/%s, which does not exist", pkg)
 		}
 	}
 }
