@@ -23,7 +23,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build test vet race fmt-check bench-check loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store fuzz-tcb fuzz-engine bench bench-gate determinism ci
+.PHONY: all build test vet race fmt-check bench-check bench-pair loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store fuzz-tcb fuzz-engine bench bench-gate determinism ci
 
 all: vet build test
 
@@ -137,6 +137,28 @@ bench:
 bench-gate:
 	$(MAKE) bench BENCH_OUT=bench-ci.json
 	$(GO) run ./cmd/benchjson -compare BENCH.json bench-ci.json
+
+# bench-pair is the interleaved base/head comparison of the repository
+# benchmark (choosing-metrics §8): BASE is unpacked (git archive — no
+# worktree to register or prune) under a mktemp -d, each tree builds its
+# own bench/run.sh into its own .bench_build/, N pairs run alternating
+# which side goes first, and benchjson -pairs reads the two files of
+# result lines. Run nothing else meanwhile; the copy and both build
+# directories are removed on exit.
+#   make bench-pair BASE=<commit> W=<workload> [N=10 SEED=3 SECONDS=20]
+N ?= 10
+SEED ?= 3
+SECONDS ?= 20
+bench-pair:
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pair BASE=<commit> W=<workload> [N=$(N) SEED=$(SEED) SECONDS=$(SECONDS)]"; exit 2; }
+	@tmp=$$(mktemp -d); trap 'chmod -R u+w $$tmp; rm -rf $$tmp .bench_build' EXIT; \
+	mkdir $$tmp/base && git archive $(BASE) | tar -x -C $$tmp/base; \
+	side() { (cd $$1 && bash bench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace 0 2>/dev/null | tail -1) >> $$tmp/$$2.jsonl; }; \
+	for i in $$(seq $(N)); do \
+		if [ $$((i % 2)) = 1 ]; then side $$tmp/base parent; side . change; else side . change; side $$tmp/base parent; fi; \
+		echo "pair $$i of $(N)" >&2; \
+	done; \
+	$(GO) run ./cmd/benchjson -pairs $$tmp/parent.jsonl $$tmp/change.jsonl
 
 # determinism runs every experiment twice with the same seeds (churn,
 # gossip membership, migrations, the federation's summarized delegation

@@ -16,11 +16,18 @@
 //
 //	go test -bench=. -benchmem -run '^$' . | go run ./cmd/benchjson -compare BENCH.json
 //	go run ./cmd/benchjson -compare BENCH.json bench-ci.json
+//
+// With -pairs it compares two files of bench/run.sh result lines, the
+// parent's runs and the change's in pair order (make bench-pair), on
+// every end-to-end metric ./BENCHMARK.json declares (pairs.go).
+//
+//	go run ./cmd/benchjson -pairs parent.jsonl change.jsonl
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -63,8 +70,23 @@ type Doc struct {
 
 func main() {
 	compare := flag.String("compare", "", "recorded BENCH json to gate against (exit 1 on regression)")
+	paired := flag.Bool("pairs", false, "compare two files of bench/run.sh result lines: parent.jsonl change.jsonl")
 	flag.Parse()
 
+	if *paired {
+		var sp spec
+		b, err := os.ReadFile("BENCHMARK.json")
+		if err == nil {
+			err = json.Unmarshal(b, &sp)
+		}
+		parent, perr := loadRuns(flag.Arg(0))
+		change, cerr := loadRuns(flag.Arg(1))
+		if err := errors.Join(err, perr, cerr); err != nil {
+			fatal(err)
+		}
+		fmt.Print(pairs(sp, parent, change))
+		return
+	}
 	if *compare == "" {
 		doc, err := parseDoc(os.Stdin)
 		if err != nil {

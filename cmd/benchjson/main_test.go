@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -164,5 +165,58 @@ func TestGateFailsWhenTrackedBenchmarkVanishes(t *testing.T) {
 	}
 	if _, failures := gate(baseline, Doc{}); failures != 2 {
 		t.Fatalf("empty run: failures = %d, want 2", failures)
+	}
+}
+
+// TestPairsOnCannedRuns reads ten canned pairs (testdata/) and holds
+// each end-to-end metric to its line of the report: an exact count that
+// fell, an exact latency that did not move and one that rose, a timing
+// that wins nine pairs in ten by more than the parent's quartiles, one
+// that is better where higher is better, and one whose run-to-run
+// spread is wider than its bound.
+func TestPairsOnCannedRuns(t *testing.T) {
+	var sp spec
+	if err := json.Unmarshal([]byte(`{"end_to_end": [
+		{"name": "lat_p50_ms", "unit": "ms", "better": "lower", "bound": 0.03},
+		{"name": "lat_p99_ms", "unit": "ms", "better": "lower", "bound": 0.25},
+		{"name": "sim_req_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+		{"name": "host_cpu_us_per_req", "unit": "us", "better": "lower", "bound": 0.25},
+		{"name": "host_allocs_per_req", "unit": "count", "better": "lower", "bound": 0.1},
+		{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25}]}`), &sp); err != nil {
+		t.Fatal(err)
+	}
+	parent, err := loadRuns("testdata/pairs-parent.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	change, err := loadRuns("testdata/pairs-change.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := pairs(sp, parent, change)
+	lines := strings.Split(strings.TrimSpace(report), "\n")
+	if len(lines) != 7 || lines[0] != "10 pairs; failed requests: parent 0, change 1" {
+		t.Fatalf("report:\n%s", report)
+	}
+	for i, want := range [][]string{
+		{"lat_p50_ms", "parent 1.54847 [1.54847, 1.54847]", "wins 0 ties 10 of 10", "equal (exact)"},
+		{"lat_p99_ms", "change 2.5 [2.5, 2.5]", "+34.6%", "wins 0 ties 0 of 10", "higher (exact)"},
+		{"sim_req_per_s", "parent 36250 [36025, 36475]", "change 46950 [46725, 47175]", "wins 10 ties 0 of 10", "gain"},
+		{"host_cpu_us_per_req", "parent 27.15 [26.925, 27.375]", "change 21.35 [21.125, 21.575]", "-21.4%", "wins 9 ties 0 of 10", "gain"},
+		{"host_allocs_per_req", "parent 55.2806", "change 36.3037", "wins 10 ties 0 of 10", "lower (exact)"},
+		{"setup_s", "wins 4 ties 0 of 10", "unresolved: spread wider than bound"},
+	} {
+		for _, part := range want {
+			if !strings.Contains(lines[i+1], part) {
+				t.Errorf("line %d lacks %q:\n%s", i+1, part, lines[i+1])
+			}
+		}
+	}
+	if got := pairs(sp, parent, nil); got != "no pairs\n" {
+		t.Errorf("no change runs: %q", got)
+	}
+	// A median worse by more than the bound is said so, not averaged away.
+	if got := pairs(sp, change, parent); !strings.Contains(got, "WORSE than bound") {
+		t.Errorf("the pair the other way round:\n%s", got)
 	}
 }

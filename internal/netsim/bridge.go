@@ -15,7 +15,7 @@ type Bridge struct {
 
 	ports []*bridgePort
 	table map[MAC]*bridgePort
-	hops  hopPool
+	fab   fabric // shared with every link ConnectNIC makes
 
 	Forwarded uint64
 	Flooded   uint64
@@ -72,7 +72,7 @@ func (b *Bridge) input(in *bridgePort, frame []byte) {
 		if out, ok := b.table[dst]; ok {
 			if out != in {
 				b.Forwarded++
-				b.hops.book(b.eng, b.ForwardDelay, out.dst, frame, nil, "")
+				b.fab.book(b.eng, b.ForwardDelay, out.dst, frame, nil, "")
 			}
 			return
 		}
@@ -81,7 +81,7 @@ func (b *Bridge) input(in *bridgePort, frame []byte) {
 	b.Flooded++
 	for _, p := range b.ports {
 		if p != in {
-			b.hops.book(b.eng, b.ForwardDelay, p.dst, frame, nil, "")
+			b.fab.book(b.eng, b.ForwardDelay, p.dst, frame, nil, "")
 		}
 	}
 }
@@ -97,7 +97,7 @@ func (b *Bridge) Lookup(mac MAC) bool {
 // the bridge-side Port (pass it to RemovePort to unplug). This is the
 // plumbing the vif hotplug step performs.
 func (b *Bridge) ConnectNIC(nic *NIC, latency sim.Duration, bitsPerSec float64) Port {
-	l := &Link{eng: b.eng, Latency: latency, BitsPerSec: bitsPerSec}
+	l := &Link{eng: b.eng, Latency: latency, BitsPerSec: bitsPerSec, fab: &b.fab}
 	bport := &bridgePort{bridge: b, id: len(b.ports)}
 	b.ports = append(b.ports, bport)
 	l.aEnd = &linkEnd{link: l, dst: bport} // NIC -> bridge

@@ -2,13 +2,42 @@ package netsim
 
 import "jitsu/internal/sim"
 
+// slabSize holds 10 full-MTU frames, so every frame fits one; a slab is
+// pointer-free, so the collector never scans it. A bridge sits on one
+// and a kept frame keeps one: at 32 KiB fed_skew's 22 bridges cost 1 MiB
+// of peak heap for 0.05 fewer allocations per fetch.
+const slabSize = 16 << 10
+
+// fabric is what one layer-2 segment allocates from: the slab sending
+// NICs' copies are cut from and the free list of hop records. A Bridge
+// owns one, shared by every link ConnectNIC makes; a stand-alone link
+// (NewLink, Attach) owns its own.
+type fabric struct {
+	slab []byte // the uncut rest of the current slab
+	free []*hop
+}
+
+// copyFrame cuts the fabric's copy of frame off the front of the slab.
+// A region is never handed out twice — a short rest is abandoned for a
+// fresh slab, not reset — and is clipped to its own length, so an
+// append to a frame, or to a view of one, cannot reach its neighbour.
+func (f *fabric) copyFrame(frame []byte) []byte {
+	n := len(frame)
+	if len(f.slab) < n {
+		f.slab = make([]byte, slabSize)
+	}
+	buf := f.slab[:n:n]
+	f.slab = f.slab[n:]
+	return buf[:copy(buf, frame)]
+}
+
 // hop is one booked frame delivery: at its instant the frame is shown
 // to the capture tap (if one was installed when it was booked) and
-// handed to dst. Records are pooled per Link and per Bridge and fire is
-// bound when a record is first made — the idiom of sim.Engine's pooled
-// nodes — so a hop costs one engine event and no allocation.
+// handed to dst. Records are pooled per fabric and fire is bound when a
+// record is first made — the idiom of sim.Engine's pooled nodes — so a
+// hop costs one engine event and no allocation.
 type hop struct {
-	pool  *hopPool
+	fab   *fabric
 	dst   Port
 	tap   *Capture
 	dir   string
@@ -16,17 +45,14 @@ type hop struct {
 	fire  func()
 }
 
-// hopPool is a free list of hop records.
-type hopPool struct{ free []*hop }
-
 // book schedules frame's delivery to dst after delay.
-func (p *hopPool) book(eng *sim.Engine, delay sim.Duration, dst Port, frame []byte, tap *Capture, dir string) {
+func (f *fabric) book(eng *sim.Engine, delay sim.Duration, dst Port, frame []byte, tap *Capture, dir string) {
 	var h *hop
-	if k := len(p.free); k > 0 {
-		h = p.free[k-1]
-		p.free = p.free[:k-1]
+	if k := len(f.free); k > 0 {
+		h = f.free[k-1]
+		f.free = f.free[:k-1]
 	} else {
-		h = &hop{pool: p}
+		h = &hop{fab: f}
 		h.fire = h.run
 	}
 	h.dst, h.frame, h.tap, h.dir = dst, frame, tap, dir
@@ -38,7 +64,7 @@ func (p *hopPool) book(eng *sim.Engine, delay sim.Duration, dst Port, frame []by
 func (h *hop) run() {
 	dst, frame, tap, dir := h.dst, h.frame, h.tap, h.dir
 	h.dst, h.frame, h.tap = nil, nil, nil
-	h.pool.free = append(h.pool.free, h)
+	h.fab.free = append(h.fab.free, h)
 	if tap != nil {
 		tap.record(dir, frame)
 	}

@@ -5,15 +5,18 @@
 //
 // Frames are opaque byte slices; internal/netstack gives them meaning.
 // One ownership rule holds everywhere: a frame is copied once by the
-// sending NIC (NIC.Send); from then on it is shared, immutable and never
-// reused — receivers may keep it, nobody may write it. Links, bridges,
-// capture taps, duplicating impairments and flooded broadcasts all hand
-// out that same buffer. Code that injects a frame any other way
-// (Port.Deliver directly) gives the buffer up under the same rule.
+// sending NIC (NIC.Send) into its fabric's slab (hop.go); from then on
+// it is shared, immutable and never reused — receivers may keep it (and
+// with it the slab it was cut from), nobody may write it. "Never
+// reused" is why the slab is bump-allocated and left to the collector,
+// not a free list. Links, bridges, capture taps, duplicating
+// impairments and flooded broadcasts all hand out that same buffer.
+// Code that injects a frame any other way (Port.Deliver directly) gives
+// the buffer up under the same rule.
 //
 // Each hop a frame takes — across a link, through the bridge — is one
-// engine event on a pooled record (hop.go), so the fabric's only
-// allocation per frame is the sender's copy.
+// engine event on a record pooled beside the slab, so a frame costs the
+// fabric its bytes' share of a slab and nothing else.
 //
 // Hostile-network behaviour lives here too, strictly below the bridge:
 // impairments (impair.go — seeded loss, extra latency and jitter,
@@ -64,9 +67,9 @@ func MACFor(id int) MAC {
 	return MAC{0x00, 0x16, 0x3e, byte(id >> 16), byte(id >> 8), byte(id)}
 }
 
-// Handler consumes a received frame. The buffer was copied once by the
-// sending NIC; from then on it is shared, immutable and never reused —
-// a handler may keep it, nobody may write it.
+// Handler consumes a received frame: the sending NIC's copy, shared,
+// immutable and never reused — a handler may keep it (and with it the
+// slab it was cut from), nobody may write it.
 type Handler func(frame []byte)
 
 // Port is anything a link can deliver frames to.
@@ -82,7 +85,7 @@ type NIC struct {
 	Addr    MAC
 	eng     *sim.Engine
 	handler Handler
-	peer    Port // where transmitted frames go (a Link endpoint)
+	peer    *linkEnd // where transmitted frames go
 	TxCount uint64
 	RxCount uint64
 	TxBytes uint64
@@ -118,9 +121,9 @@ func (n *NIC) Deliver(frame []byte) {
 // Send transmits a frame toward the attached link. This is the one
 // place a frame is copied: the caller keeps its buffer (and may
 // overwrite it at once — netstack renders every frame into one scratch
-// buffer), and the copy is what every port, mirror, tap and receiver
-// downstream shares — immutable and never reused, so receivers may keep
-// it and nobody may write it.
+// buffer), and the copy, cut from the fabric's slab, is what every
+// port, mirror, tap and receiver downstream shares — immutable and
+// never reused, so receivers may keep it and nobody may write it.
 func (n *NIC) Send(frame []byte) error {
 	return n.SendBulk(frame, len(frame))
 }
@@ -148,12 +151,7 @@ func (n *NIC) SendBulk(frame []byte, wireBytes int) error {
 	}
 	n.TxCount++
 	n.TxBytes += uint64(wireBytes)
-	buf := append([]byte(nil), frame...)
-	if end, ok := n.peer.(*linkEnd); ok {
-		end.deliver(buf, wireBytes)
-		return nil
-	}
-	n.peer.Deliver(buf)
+	n.peer.deliver(n.peer.link.fab.copyFrame(frame), wireBytes)
 	return nil
 }
 
@@ -171,7 +169,7 @@ type Link struct {
 	Stats LinkStats
 
 	aEnd, bEnd *linkEnd
-	hops       hopPool
+	fab        *fabric // the bridge's when made by ConnectNIC, else its own
 }
 
 type linkEnd struct {
@@ -219,7 +217,7 @@ func (e *linkEnd) deliver(frame []byte, wireBytes int) {
 func (e *linkEnd) scheduleDelivery(frame []byte, delay sim.Duration) {
 	l := e.link
 	l.Stats.Delivered++
-	l.hops.book(l.eng, delay, e.dst, frame, e.cap, e.capDir)
+	l.fab.book(l.eng, delay, e.dst, frame, e.cap, e.capDir)
 }
 
 // NewLink wires a and b together with the given characteristics.
@@ -227,23 +225,17 @@ func (e *linkEnd) scheduleDelivery(frame []byte, delay sim.Duration) {
 // (Cubieboard2) or 1Gb/s (Cubietruck); intra-host virtual link — 20µs,
 // effectively infinite bandwidth.
 func NewLink(eng *sim.Engine, a, b Port, latency sim.Duration, bitsPerSec float64) *Link {
-	l := &Link{eng: eng, Latency: latency, BitsPerSec: bitsPerSec}
+	l := &Link{eng: eng, Latency: latency, BitsPerSec: bitsPerSec, fab: new(fabric)}
 	l.aEnd = &linkEnd{link: l, dst: b}
 	l.bEnd = &linkEnd{link: l, dst: a}
 	return l
 }
 
-// AEnd returns the port that delivers toward b (give it to a as peer).
-func (l *Link) AEnd() Port { return l.aEnd }
-
-// BEnd returns the port that delivers toward a (give it to b as peer).
-func (l *Link) BEnd() Port { return l.bEnd }
-
 // Attach wires a NIC to one end of a new link toward dst and returns the
 // link. Convenience for the common NIC—bridge case.
 func Attach(eng *sim.Engine, nic *NIC, dst Port, latency sim.Duration, bitsPerSec float64) *Link {
 	l := NewLink(eng, nic, dst, latency, bitsPerSec)
-	nic.peer = l.AEnd()
+	nic.peer = l.aEnd
 	return l
 }
 
@@ -252,8 +244,8 @@ func Attach(eng *sim.Engine, nic *NIC, dst Port, latency sim.Duration, bitsPerSe
 // end: ImpairAtoB/PartitionAtoB affect its transmit direction,
 // ImpairBtoA/PartitionBtoA its receive direction.
 func (n *NIC) Link() *Link {
-	if e, ok := n.peer.(*linkEnd); ok {
-		return e.link
+	if n.peer == nil {
+		return nil
 	}
-	return nil
+	return n.peer.link
 }

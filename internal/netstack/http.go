@@ -100,7 +100,7 @@ func (sc *httpServerConn) onData(b []byte) {
 	}
 	req, ok := parseRequest(b)
 	if !ok {
-		sc.buf = b // ours to keep: the connection hands over its own copy
+		sc.buf = b // ours to keep till the head is whole, never to write: a view of the frame
 		return     // need more bytes
 	}
 	sc.req, sc.buf = req, nil
@@ -281,7 +281,9 @@ func (g *httpGet) finish(r *HTTPResponse, err error) {
 func (g *httpGet) onDeadline() { g.finish(nil, ErrTimeout) }
 
 // whole reports whether buf holds a whole response, and if so points
-// resp.Body at its body: buf is the fetch's own and is let go with it.
+// resp.Body at its body. buf is let go with the fetch; the body is the
+// caller's to keep and never to write — a response that came in one
+// segment is still a view of its frame.
 func (g *httpGet) whole() bool {
 	if g.resp == nil {
 		var ok bool
@@ -317,7 +319,7 @@ func (g *httpGet) onData(b []byte) {
 		return
 	}
 	if g.buf == nil {
-		g.buf = b // ours to keep: the connection hands over its own copy
+		g.buf = b // ours to keep till the response is whole, never to write: a view of the frame
 	} else {
 		g.buf = append(g.buf, b...)
 	}

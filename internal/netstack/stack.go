@@ -191,6 +191,8 @@ func (j *rxJob) run() {
 	j.frame = nil
 	h.rxFree = append(h.rxFree, j)
 	h.handleFrame(frame)
+	// On an idle host the decoders' views would keep a whole slab alive.
+	h.eth.payload, h.ip4.payload, h.icmp.Data, h.udp.payload, h.tcp.payload = nil, nil, nil, nil, nil
 }
 
 func (h *Host) handleFrame(frame []byte) {

@@ -107,9 +107,10 @@ type TCPConn struct {
 	timerFn func()
 
 	onData        func([]byte)
-	onEstablished func()
 	onClose       func(error)
-	pendingData   [][]byte // delivered before OnData was installed
+	dialDone      func(*TCPConn, error) // a dialled connection's callback, until established
+	listener      *TCPListener          // an accepted connection's listener, until established
+	pendingData   [][]byte              // private copies, parked before OnData was installed
 	closedErr     error
 	closeNotified bool
 
@@ -126,8 +127,10 @@ func (c *TCPConn) State() TCPState { return c.state }
 func (c *TCPConn) LocalAddr() (IP, uint16) { return c.key.localIP, c.key.localPort }
 
 // OnData installs the receive callback; any data that arrived earlier is
-// delivered immediately, preserving order. Each slice handed to fn is the
-// connection's own copy and fn's to keep.
+// delivered immediately, preserving order. Each slice handed to fn is a
+// view of the received frame, its capacity clipped to its length: fn's
+// to keep (it keeps the frame's slab alive with it — netsim.Handler),
+// never to write.
 func (c *TCPConn) OnData(fn func([]byte)) {
 	c.onData = fn
 	for _, b := range c.pendingData {
@@ -166,21 +169,10 @@ func (h *Host) DialTCP(dst IP, dstPort uint16, done func(*TCPConn, error)) *TCPC
 		sndWnd: tcpWindow,
 		mss:    DefaultMSS,
 		rto:    synRTO,
+
+		dialDone: done,
 	}
 	c.sndUna, c.sndNxt = c.iss, c.iss+1
-	established := false
-	c.onEstablished = func() {
-		established = true
-		done(c, nil)
-	}
-	c.onClose = func(err error) {
-		if !established {
-			if err == nil {
-				err = ErrConnClosed
-			}
-			done(nil, err)
-		}
-	}
 	h.addConn(c)
 	c.sendSegment(FlagSYN, c.iss, 0, nil, uint16(DefaultMSS))
 	c.armRtx()
@@ -415,12 +407,13 @@ func (l *TCPListener) acceptSYN(src, dst IP, seg *TCPSegment) {
 		sndWnd: seg.Window,
 		mss:    DefaultMSS,
 		rto:    dataRTO,
+
+		listener: l,
 	}
 	if seg.MSS != 0 && int(seg.MSS) < c.mss {
 		c.mss = int(seg.MSS)
 	}
 	c.sndUna, c.sndNxt = c.iss, c.iss+1
-	c.onEstablished = func() { l.onConn(c) }
 	h.addConn(c)
 	c.sendSegment(FlagSYN|FlagACK, c.iss, c.rcvNxt, nil, uint16(DefaultMSS))
 	c.armRtx()
@@ -451,9 +444,7 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 			c.retries = 0
 			c.host.Eng.Cancel(c.rtxEv)
 			c.sendSegment(FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
-			if c.onEstablished != nil {
-				c.onEstablished()
-			}
+			c.established()
 			c.trySend()
 		}
 		return
@@ -465,9 +456,7 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 			c.rto = dataRTO
 			c.retries = 0
 			c.host.Eng.Cancel(c.rtxEv)
-			if c.onEstablished != nil {
-				c.onEstablished()
-			}
+			c.established()
 			// Fall through to process any piggybacked payload.
 		} else if seg.Flags&FlagSYN != 0 {
 			// Duplicate SYN: repeat the SYN-ACK.
@@ -550,15 +539,30 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 	c.trySend()
 }
 
-// deliver hands payload to the application (or buffers it).
+// established tells whoever set the connection up — the dialler or the
+// listener — that the handshake is done, and lets go of both.
+func (c *TCPConn) established() {
+	done, l := c.dialDone, c.listener
+	c.dialDone, c.listener = nil, nil
+	if done != nil {
+		done(c, nil)
+	} else if l != nil {
+		l.onConn(c)
+	}
+}
+
+// deliver hands the application payload itself, a view of the received
+// frame (immutable and never reused — netsim.Handler) with its capacity
+// clipped so a consumer's append copies. With nobody to take it, it is
+// parked as a private copy: it can sit through a Synjitsu boot and must
+// not pin its frame's slab.
 func (c *TCPConn) deliver(payload []byte) {
-	buf := append([]byte(nil), payload...)
 	if c.onData == nil {
-		c.pendingData = append(c.pendingData, buf)
+		c.pendingData = append(c.pendingData, append([]byte(nil), payload...))
 		return
 	}
-	c.BytesIn += uint64(len(buf))
-	c.onData(buf)
+	c.BytesIn += uint64(len(payload))
+	c.onData(payload[:len(payload):len(payload)])
 }
 
 // notifyRemoteClosed signals EOF-ish closure to the app: for our
@@ -581,7 +585,7 @@ func (c *TCPConn) notifyRemoteClosed() {
 func (c *TCPConn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.host.Eng.Cancel(c.rtxEv)
-	c.sndBuf, c.onData, c.onEstablished = nil, nil, nil
+	c.sndBuf, c.onData, c.dialDone, c.listener = nil, nil, nil, nil
 	c.after(timeWaitDelay)
 }
 
@@ -594,8 +598,16 @@ func (c *TCPConn) teardown(err error) {
 	c.host.Eng.Cancel(c.rtxEv)
 	c.host.dropConn(c)
 	c.closedErr = err
-	if c.onClose != nil && !c.closeNotified {
+	switch done := c.dialDone; {
+	case c.closeNotified:
+	case c.onClose != nil:
 		c.closeNotified = true
 		c.onClose(err)
+	case done != nil: // a dial that never established fails through its callback
+		c.closeNotified, c.dialDone = true, nil
+		if err == nil {
+			err = ErrConnClosed
+		}
+		done(nil, err)
 	}
 }

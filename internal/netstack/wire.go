@@ -13,17 +13,21 @@
 //
 // Life of a frame. A segment or datagram is rendered transport → IPv4
 // → Ethernet straight into the sending Host's one scratch frame
-// (Host.txFrame, Host.sendIPv4). netsim.NIC.Send copies it — the only
-// allocation a frame costs, and the point it becomes immutable: the
-// scratch is free for the next send, the copy is never written or
-// reused. It then crosses three pooled hops, each one engine event with
-// no allocation: sender's link, bridge, receiver's link (netsim hop
+// (Host.txFrame, Host.sendIPv4). netsim.NIC.Send copies it into the
+// fabric's slab — a frame's only cost, its bytes' share of a 16 KiB
+// allocation — and that is the point it becomes immutable: the scratch
+// is free for the next send, the copy is never written or reused. It
+// then crosses three pooled hops, each one engine event with no
+// allocation: sender's link, bridge, receiver's link (netsim hop
 // records), and the receiving Host's rxFrame books a fourth pooled
 // record that charges the stack's processing cost and calls
 // handleFrame. Decoded payloads are sub-slices of that immutable frame,
-// so a UDP handler may keep what it is handed. Only two paths hold a
-// packet past the call that sent it — the ARP-pending queue and
-// loopback — and each takes its own copy of the scratch.
+// so a UDP handler and a TCP connection's OnData may keep what they are
+// handed — and keep the frame's slab alive for as long as they do; the
+// Host's own decoders let go when the frame has been handled. Three
+// paths hold bytes past the call that brought them — the ARP-pending
+// queue, loopback, and data parked on a connection with no OnData yet —
+// and each takes its own copy.
 //
 // What a closed connection keeps. A fetch's connection is live for a
 // millisecond or two and then sits in TIME_WAIT for 2 s, so a host under

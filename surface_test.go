@@ -31,7 +31,6 @@ var surfaceHooks = map[string]string{
 	"Verbs":            "api: the verb table wire's table-coverage test holds its rows to",
 	"PartitionAtoB":    "netsim.Link: one-way partition tests",
 	"PartitionBtoA":    "netsim.Link: its twin, for the gossip tests in cluster",
-	"BEnd":             "netsim.Link: AEnd's twin; tests wire bare NIC pairs with it",
 	"AddCluster":       "cluster.Federation: membership tests",
 	"RemoveCluster":    "cluster.Federation: membership tests",
 	"WithSYNRateLimit": "core: SYN-flood admission test",
