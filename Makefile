@@ -3,8 +3,9 @@
 # `make ci` runs the exact gate GitHub Actions runs (.github/workflows/
 # go.yml): vet + gofmt + staticcheck + actionlint, build, tests (plain
 # and -race, plus the bench/ module's own), a fuzz smoke pass over every
-# target below, the bench gate against the committed record, and the
-# determinism check (every experiment twice, fingerprints diffed).
+# target below, the bench gate against the committed record, the
+# allocation gate of the repository benchmark against ALLOCS.json, and
+# the determinism check (every experiment twice, fingerprints diffed).
 # The nightly workflow (.github/workflows/nightly-fuzz.yml) runs the
 # same fuzz targets for 10 minutes each.
 
@@ -23,7 +24,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build test vet race fmt-check bench-check bench-pair loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store fuzz-tcb fuzz-engine bench bench-gate determinism ci
+.PHONY: all build test vet race fmt-check bench-check bench-pair allocs-gate allocs-record loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store fuzz-tcb fuzz-engine bench bench-gate determinism ci
 
 all: vet build test
 
@@ -160,6 +161,32 @@ bench-pair:
 	done; \
 	$(GO) run ./cmd/benchjson -pairs $$tmp/parent.jsonl $$tmp/change.jsonl
 
+# allocs-gate holds the one end-to-end number of the repository benchmark
+# that a shared runner can: host_allocs_per_req repeats to four digits
+# per seed, whatever the box is doing. Each workload runs 2 s at seed 3
+# and may not allocate more than 0.5 % above its line of the committed
+# ALLOCS.json; fewer passes and asks for `make allocs-record`, which
+# rewrites the file (do that in the PR that means to move the counts).
+ALLOCS_WORKLOADS ?= cold_storm warm_fetch fed_skew operator_wire
+allocs_of = bash bench/run.sh --workload $(1) --seed 3 --seconds 2 --trace 0 2>/dev/null | tail -1 | sed -n 's/.*"host_allocs_per_req":{"value":\([0-9.e+-]*\).*/\1/p'
+allocs-record:
+	@for w in $(ALLOCS_WORKLOADS); do \
+		got=$$($(call allocs_of,$$w)); test -n "$$got" || { echo "allocs-record: $$w printed no host_allocs_per_req" >&2; exit 1; }; \
+		printf '{"workload":"%s","seed":3,"host_allocs_per_req":%s}\n' $$w $$got; \
+	done > ALLOCS.json.tmp
+	@mv ALLOCS.json.tmp ALLOCS.json && cat ALLOCS.json
+
+allocs-gate:
+	@fail=0; for w in $(ALLOCS_WORKLOADS); do \
+		want=$$(sed -n 's/.*"workload":"'$$w'".*"host_allocs_per_req":\([0-9.e+-]*\).*/\1/p' ALLOCS.json); \
+		got=$$($(call allocs_of,$$w)); \
+		test -n "$$want" -a -n "$$got" || { echo "allocs-gate: $$w: no count (recorded '$$want', measured '$$got')"; fail=1; continue; }; \
+		awk -v w=$$w -v got=$$got -v want=$$want 'BEGIN { \
+			verdict = got > want * 1.005 ? "WORSE" : got < want * 0.995 ? "better: re-record (make allocs-record)" : "ok"; \
+			printf "allocs-gate: %-14s %10.3f allocs/req, recorded %10.3f  %s\n", w, got, want, verdict; \
+			exit verdict == "WORSE" }' || fail=1; \
+	done; exit $$fail
+
 # determinism runs every experiment twice with the same seeds (churn,
 # gossip membership, migrations, the federation's summarized delegation
 # and the hostile-network family — whose packet capture fingerprints
@@ -176,4 +203,5 @@ determinism:
 ci: vet fmt-check staticcheck actionlint build test bench-check race
 	$(MAKE) fuzz FUZZTIME=30s
 	$(MAKE) bench-gate
+	$(MAKE) allocs-gate
 	$(MAKE) determinism

@@ -82,10 +82,9 @@ func (p *clusterPlane) Activate(req api.ActivateRequest) api.ActivateResponse {
 			return st.Booted() || st == core.StateLaunching
 		}))
 		if idx < 0 {
-			if ready := e.ready(); len(ready) > 0 {
+			if pl := e.readyAt(0); pl != nil {
 				// Nothing to prewarm because the service is already
 				// warm: that is success, not resource exhaustion.
-				pl := ready[0]
 				if req.OnReady != nil {
 					req.OnReady(nil)
 				}
@@ -230,9 +229,13 @@ func (p *clusterPlane) Stop(req api.StopRequest) api.StopResponse {
 		return api.StopResponse{Err: err}
 	}
 	stopped := 0
-	for _, pl := range append(e.ready(), e.onDisk()...) {
-		if p.c.Boards[pl.Board].Jitsu.Evict(pl.Svc) {
-			stopped++
+	// Booted replicas first, then the parked ones (an eviction leaves a
+	// replica Stopped, so the second pass never meets the first's work).
+	for _, tier := range []func(*Placement) bool{(*Placement).ready, (*Placement).onDisk} {
+		for _, pl := range e.Replicas {
+			if tier(pl) && p.c.Boards[pl.Board].Jitsu.Evict(pl.Svc) {
+				stopped++
+			}
 		}
 	}
 	return api.StopResponse{Stopped: stopped}
@@ -253,8 +256,8 @@ func (p *clusterPlane) Demote(req api.DemoteRequest) api.DemoteResponse {
 	}
 	demoted := 0
 	var firstErr *api.Error
-	for _, pl := range e.ready() {
-		if pl.migrating || pl.reserved {
+	for _, pl := range e.Replicas {
+		if !pl.ready() || pl.migrating || pl.reserved {
 			continue
 		}
 		resp := p.c.boardAPI(pl.Board).Demote(api.DemoteRequest{Name: req.Name})
@@ -318,19 +321,19 @@ func (p *clusterPlane) WatchStats(req api.WatchStatsRequest) api.WatchStatsRespo
 // readyReplica finds e's booted replica per the selector, diskReplica
 // its disk-resident one (AnyBoard = the first in board order).
 func (c *Cluster) readyReplica(e *Entry, sel api.BoardSel) *Placement {
-	return replicaIn(e, sel, e.ready)
+	return replicaIn(e, sel, (*Placement).ready)
 }
 
 func (c *Cluster) diskReplica(e *Entry, sel api.BoardSel) *Placement {
-	return replicaIn(e, sel, e.onDisk)
+	return replicaIn(e, sel, (*Placement).onDisk)
 }
 
-// replicaIn picks from tier — one of e's replica lists — the replica on
-// the selected board, or the first when any board will do.
-func replicaIn(e *Entry, sel api.BoardSel, tier func() []*Placement) *Placement {
+// replicaIn picks e's replica in the given tier on the selected board,
+// or the first in board order when any board will do.
+func replicaIn(e *Entry, sel api.BoardSel, tier func(*Placement) bool) *Placement {
 	board, pinned := sel.ID()
-	for _, pl := range tier() {
-		if !pinned || pl.Board == board {
+	for _, pl := range e.Replicas {
+		if tier(pl) && (!pinned || pl.Board == board) {
 			return pl
 		}
 	}

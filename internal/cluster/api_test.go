@@ -35,7 +35,7 @@ func TestClusterAPIRegisterActivatePlaces(t *testing.T) {
 		t.Fatalf("activate: %v", act.Err)
 	}
 	c.RunAll()
-	if got := e.ready(); len(got) == 0 {
+	if got := refReady(e); len(got) == 0 {
 		t.Fatal("no ready replica after activate")
 	}
 }
@@ -47,7 +47,7 @@ func TestClusterAPIMigrateMovesReplica(t *testing.T) {
 	ctl.Activate(api.ActivateRequest{Name: "alice.family.name"})
 	c.RunAll()
 	e := c.Directory().Lookup("alice.family.name")
-	src := e.ready()[0].Board
+	src := refReady(e)[0].Board
 
 	moved := false
 	resp := ctl.Migrate(api.MigrateRequest{Name: "alice.family.name",
@@ -59,7 +59,7 @@ func TestClusterAPIMigrateMovesReplica(t *testing.T) {
 	if !moved {
 		t.Fatal("migration did not complete warm")
 	}
-	ready := e.ready()
+	ready := refReady(e)
 	if len(ready) != 1 || ready[0].Board == src {
 		t.Fatalf("replica still on board %d (ready=%d)", src, len(ready))
 	}
@@ -79,8 +79,8 @@ func TestClusterAPIStopAllReplicas(t *testing.T) {
 	ctl.Register(api.RegisterRequest{Config: testService("alice", 20), MinWarm: 2})
 	c.RunAll()
 	e := c.Directory().Lookup("alice.family.name")
-	if len(e.ready()) != 2 {
-		t.Fatalf("ready = %d, want 2 (min-warm)", len(e.ready()))
+	if len(refReady(e)) != 2 {
+		t.Fatalf("ready = %d, want 2 (min-warm)", len(refReady(e)))
 	}
 	resp := ctl.Stop(api.StopRequest{Name: "alice.family.name"})
 	if resp.Err != nil || resp.Stopped != 2 {
@@ -101,7 +101,7 @@ func TestClusterAPISpeculativeActivatePrewarms(t *testing.T) {
 	}
 	c.RunAll()
 	e := c.Directory().Lookup("alice.family.name")
-	ready := e.ready()
+	ready := refReady(e)
 	if len(ready) != 1 {
 		t.Fatalf("ready = %d", len(ready))
 	}
@@ -120,7 +120,7 @@ func TestClusterAPIDemotePromoteRoundTrip(t *testing.T) {
 	ctl.Activate(api.ActivateRequest{Name: "alice.family.name"})
 	c.RunAll()
 	e := c.Directory().Lookup("alice.family.name")
-	board := e.ready()[0].Board
+	board := refReady(e)[0].Board
 
 	// Demote parks the replica on its board's disk tier.
 	if resp := ctl.Demote(api.DemoteRequest{Name: "alice.family.name"}); resp.Err != nil || resp.Demoted != 1 {

@@ -9,6 +9,11 @@
 // SWIM-style gossip layer (membership.go), and warm replicas *move*
 // between boards by live migration (migrate.go) instead of being
 // preempted and cold-booted.
+//
+// The directory tier reads its state where it lies: a lookup, a summary
+// push or a gossip round walks the name-ordered directory and each
+// entry's replica slots in place (directory.go says who may, and what
+// the panic means) and fills buffers its agent keeps (membership.go).
 package cluster
 
 import (
@@ -351,7 +356,7 @@ func (c *Cluster) newMember() *Member {
 // agent applies the join (a management-network round-trip later).
 func (c *Cluster) AddBoard() *Member {
 	m := c.newMember()
-	for _, e := range c.dir.Entries() {
+	for e := range c.dir.walk {
 		c.addReplicaSlot(e, m)
 	}
 	for _, cl := range c.clients {
@@ -553,9 +558,9 @@ func (c *Cluster) observe(e *Entry) {
 // delivered exactly once: immediately for a warm hit, at boot
 // completion otherwise.
 func (c *Cluster) place(e *Entry, via string, onReady func(error)) (p *Placement, warm bool) {
-	if ready := e.ready(); len(ready) > 0 {
+	if n := e.readyCount(); n > 0 {
 		e.rr++
-		p := ready[e.rr%len(ready)]
+		p := e.readyAt(e.rr % n)
 		// The warm hit never fires the board's machine, so the touch —
 		// LRU recency plus the WarmMemory→Running promotion — is explicit.
 		c.Boards[p.Board].Jitsu.Touch(p.Svc)
@@ -615,7 +620,7 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 	need := e.effectiveRate(now)
 	var victim *Placement
 	victimRate := 0.0
-	for _, o := range c.dir.Entries() {
+	for o := range c.dir.walk {
 		if o == e {
 			continue
 		}
@@ -624,10 +629,10 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 			continue
 		}
 		guard := 10 * bootEstimate
-		for _, p := range o.ready() {
+		for _, p := range o.Replicas {
 			// Only boards still taking placements host preemption boots,
 			// and in-flight migrations must not lose their source.
-			if !c.members[p.Board].Placeable() || p.migrating {
+			if !p.ready() || !c.members[p.Board].Placeable() || p.migrating {
 				continue
 			}
 			// Hysteresis: a replica must have amortised its boot cost

@@ -21,10 +21,17 @@ import (
 // entries answers a lookup by name; ordered holds exactly the same
 // entries sorted by name, so every sweep and every Stats aggregation
 // walks a slice that needs no sorting. put and remove alone write either.
+//
+// Readers that neither register nor unregister range walk, which visits
+// ordered where it lies; a sweep that sorts, or unregisters as it goes
+// (shed, cluster removal, evacuation), takes the Entries copy. walking
+// counts the walks in progress: put and remove panic under one, because
+// shifting ordered beneath a walk would skip or repeat an entry silently.
 type Directory struct {
 	entries map[string]*Entry
 	ordered []*Entry
 	byIP    map[netstack.IP]*Placement
+	walking int
 }
 
 func newDirectory() *Directory {
@@ -43,6 +50,18 @@ func (d *Directory) Lookup(name string) *Entry {
 // copy: callers re-sort it, and unregister entries while ranging it.
 func (d *Directory) Entries() []*Entry { return slices.Clone(d.ordered) }
 
+// walk ranges the services in name order without copying them
+// (for e := range d.walk). The body must not register or unregister.
+func (d *Directory) walk(yield func(*Entry) bool) {
+	d.walking++
+	defer func() { d.walking-- }()
+	for _, e := range d.ordered {
+		if !yield(e) {
+			return
+		}
+	}
+}
+
 // find is the position of name in ordered, or where it would go.
 func (d *Directory) find(name string) (int, bool) {
 	return slices.BinarySearchFunc(d.ordered, name, func(e *Entry, name string) int { return strings.Compare(e.Name, name) })
@@ -50,6 +69,9 @@ func (d *Directory) find(name string) (int, bool) {
 
 // put files e under its name, replacing a same-name entry.
 func (d *Directory) put(e *Entry) {
+	if d.walking > 0 {
+		panic("cluster: register under an in-place directory walk (range Entries() instead)")
+	}
 	d.entries[e.Name] = e
 	i, held := d.find(e.Name)
 	if !held {
@@ -60,6 +82,9 @@ func (d *Directory) put(e *Entry) {
 
 // remove drops the entry filed under name, if any.
 func (d *Directory) remove(name string) {
+	if d.walking > 0 {
+		panic("cluster: unregister under an in-place directory walk (range Entries() instead)")
+	}
 	if i, ok := d.find(name); ok {
 		d.ordered = slices.Delete(d.ordered, i, i+1)
 	}
@@ -150,29 +175,59 @@ type Entry struct {
 // Rate returns the current EWMA arrival-rate estimate in arrivals/sec.
 func (e *Entry) Rate() float64 { return e.rate }
 
-// ready returns the replicas currently able to serve — booted in either
-// memory tier (Running or WarmMemory). Slots on departed boards,
-// draining migration sources and disk-resident replicas never qualify.
-func (e *Entry) ready() []*Placement {
-	var out []*Placement
+// live reports whether the slot can hold a replica at all: present, its
+// board still a member, not a migrated-out source waiting to stop.
+func (p *Placement) live() bool { return p != nil && !p.gone && !p.draining }
+
+// ready reports whether the replica can serve now — booted in either
+// memory tier (Running or WarmMemory). Callers range e.Replicas (board
+// order) and ask each slot; nobody builds the list.
+func (p *Placement) ready() bool { return p.live() && p.Svc.State.Booted() }
+
+// onDisk reports whether the replica is parked on its board's disk tier.
+func (p *Placement) onDisk() bool { return p.live() && p.Svc.State == core.StateColdDisk }
+
+// readyCount is how many replicas can serve now.
+func (e *Entry) readyCount() int {
+	n := 0
 	for _, p := range e.Replicas {
-		if p != nil && !p.gone && !p.draining && p.Svc.State.Booted() {
-			out = append(out, p)
+		if p.ready() {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
-// onDisk returns the disk-resident replicas (cold-on-disk tier), in
-// board order.
-func (e *Entry) onDisk() []*Placement {
-	var out []*Placement
+// readyAt is the k-th ready replica in board order (nil past the last).
+func (e *Entry) readyAt(k int) *Placement {
 	for _, p := range e.Replicas {
-		if p != nil && !p.gone && !p.draining && p.Svc.State == core.StateColdDisk {
-			out = append(out, p)
+		if p.ready() {
+			if k--; k < 0 {
+				return p
+			}
 		}
 	}
-	return out
+	return nil
+}
+
+// transferSource is the replica whose state leaves with a service moving
+// to another cluster: the first booted one, else the first parked on disk
+// (its checkpoint moves without paging in); one already migrating only
+// when inFlight allows it.
+func (e *Entry) transferSource(inFlight bool) *Placement {
+	var parked *Placement
+	for _, p := range e.Replicas {
+		if !p.live() || (p.migrating && !inFlight) {
+			continue
+		}
+		if p.Svc.State.Booted() {
+			return p
+		}
+		if parked == nil && p.Svc.State == core.StateColdDisk {
+			parked = p
+		}
+	}
+	return parked
 }
 
 // launching returns a replica whose boot is in flight (or queued behind

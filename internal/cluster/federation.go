@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -250,6 +252,11 @@ type FedMember struct {
 	// Left marks a cluster removed from the federation.
 	Left  bool
 	agent *fedAgent
+	// referral and glue are the root zone's NS record and its address for
+	// this member's subzone, rendered once when the member is added (the
+	// delegation is never removed). Every answer for a service homed here
+	// shares the two slices; nobody writes an RR of a sent message.
+	referral, glue []dns.RR
 }
 
 // MgmtLink returns this member agent's federation management link — the
@@ -356,6 +363,8 @@ func (f *Federation) addMember() *FedMember {
 	apex := f.root.zone.Apex
 	child := fmt.Sprintf("c%d.%s", id, apex)
 	f.root.zone.Delegate(child, "ns."+child, agentMgmtIP(id))
+	m.referral = slices.Clip(f.root.zone.Lookup(child, dns.TypeNS))
+	m.glue = slices.Clip(f.root.zone.Lookup("ns."+child, dns.TypeA))
 	f.root.delegated = append(f.root.delegated, child)
 	if err := m.Cluster.front().AddTrigger(m.agent); err != nil {
 		panic(fmt.Sprintf("cluster: attach federation agent: %v", err))
@@ -432,7 +441,7 @@ func (f *Federation) placeHome() *FedMember {
 				cap += m.Cluster.Cfg.Board.TotalMemMiB
 			}
 		}
-		for _, e := range m.Cluster.dir.Entries() {
+		for e := range m.Cluster.dir.walk {
 			if !e.moved {
 				demand += e.Base.Image.MemMiB
 			}
@@ -493,14 +502,7 @@ func (f *Federation) RemoveCluster(id int) error {
 		// Departure is administrative, not a crash: surviving replicas
 		// can still be checkpointed, so their warm state leaves with
 		// them instead of dying with the cluster.
-		var src *Placement
-		for _, p := range append(e.ready(), e.onDisk()...) {
-			if !p.gone {
-				src = p
-				break
-			}
-		}
-		if src != nil {
+		if src := e.transferSource(true); src != nil {
 			if cpResp := m.Cluster.boardAPI(src.Board).Checkpoint(api.CheckpointRequest{Name: e.Name}); cpResp.Err == nil {
 				req.Checkpoint = cpResp.Checkpoint
 				req.ToDisk = true
@@ -533,14 +535,7 @@ func (f *Federation) Shed(from, to, batch int) error {
 	if from == to || batch <= 0 || batch > 255 {
 		return fmt.Errorf("cluster: bad shed %d -> %d batch %d", from, to, batch)
 	}
-	f.Sheds++
-	if tr := f.Cfg.Tracer; tr != nil {
-		tr.Instant(0, "fed", "shed",
-			obs.Num("hot", int64(from)), obs.Num("cold", int64(to)),
-			obs.Num("batch", int64(batch)))
-	}
-	buf := []byte{fedOpShed, byte(to >> 8), byte(to), byte(batch)}
-	f.root.mgmt.SendUDP(agentMgmtIP(from), fedPort, fedPort, buf)
+	f.root.orderShed(from, to, batch)
 	return nil
 }
 
@@ -567,6 +562,7 @@ type fedAgent struct {
 	// root knows when its caches went stale.
 	dirEpoch uint64
 	pushEv   sim.Event
+	pushFn   func() // a.periodicPush, bound once
 	// pushPending coalesces change-driven pushes within one link delay.
 	pushPending bool
 	stopped     bool
@@ -579,6 +575,7 @@ type fedAgent struct {
 
 func newFedAgent(f *Federation, m *FedMember) *fedAgent {
 	a := &fedAgent{f: f, m: m, xfers: make(map[uint32]*cc.Sender)}
+	a.pushFn = a.periodicPush
 	a.nic = netsim.NewNIC(f.eng, fmt.Sprintf("fed%d", m.ID), netsim.MACFor(0xB000+m.ID))
 	f.fedNet.ConnectNIC(a.nic, fedLinkLatency, fedBitsPerSec)
 	if f.Cfg.WAN != nil {
@@ -608,13 +605,14 @@ func (a *fedAgent) startPushing() {
 	if a.f.Cfg.SummaryEvery <= 0 || a.stopped {
 		return
 	}
-	a.pushEv = a.f.eng.After(a.f.Cfg.SummaryEvery, func() {
-		if a.stopped {
-			return
-		}
+	a.pushEv = a.f.eng.After(a.f.Cfg.SummaryEvery, a.pushFn)
+}
+
+func (a *fedAgent) periodicPush() {
+	if !a.stopped {
 		a.push(true)
 		a.startPushing()
-	})
+	}
 }
 
 func (a *fedAgent) stop() {
@@ -685,17 +683,9 @@ func (a *fedAgent) recv(src netstack.IP, _ uint16, payload []byte) {
 
 // reply sends one resolve reply back to the root.
 func (a *fedAgent) reply(qid uint32, status byte, ip netstack.IP, extra uint16, ttl uint32) {
-	buf := make([]byte, 0, 16)
-	buf = append(buf, fedOpResolveReply)
-	var q [4]byte
-	putU32(q[:], qid)
-	buf = append(buf, q[:]...)
-	buf = append(buf, status, ip[0], ip[1], ip[2], ip[3],
-		byte(extra>>8), byte(extra))
-	var t [4]byte
-	putU32(t[:], ttl)
-	buf = append(buf, t[:]...)
-	a.host.SendUDP(rootMgmtIP, fedPort, fedPort, buf)
+	buf := binary.BigEndian.AppendUint32(append(make([]byte, 0, 16), fedOpResolveReply), qid)
+	buf = append(buf, status, ip[0], ip[1], ip[2], ip[3], byte(extra>>8), byte(extra))
+	a.host.SendUDP(rootMgmtIP, fedPort, fedPort, binary.BigEndian.AppendUint32(buf, ttl))
 }
 
 // resolve answers one delegated query authoritatively: schedule the
@@ -729,11 +719,7 @@ func (a *fedAgent) resolve(qid uint32, name string) {
 func (a *fedAgent) spill(qid uint32, target int, name string) {
 	name = dns.CanonicalName(name)
 	ok := a.spillNow(name, target)
-	buf := make([]byte, 0, 8)
-	buf = append(buf, fedOpSpillReply)
-	var q [4]byte
-	putU32(q[:], qid)
-	buf = append(buf, q[:]...)
+	buf := binary.BigEndian.AppendUint32(append(make([]byte, 0, 8), fedOpSpillReply), qid)
 	if ok {
 		buf = append(buf, 1)
 	} else {
@@ -779,17 +765,11 @@ func (a *fedAgent) spillNow(name string, target int) bool {
 func (f *Federation) spillTarget(from int) *FedMember {
 	var best *FedMember
 	bestLoad := uint32(0)
-	for _, id := range f.root.sortedSummaryIDs() {
-		if id == from {
-			continue
-		}
-		m := f.member(id)
-		if m == nil || m.Left {
-			continue
-		}
-		load := f.root.summaries[id].LoadMilli
-		if best == nil || load < bestLoad {
-			best, bestLoad = m, load
+	for _, m := range f.members {
+		if s := f.root.summaries[m.ID]; s != nil && !m.Left && m.ID != from {
+			if best == nil || s.LoadMilli < bestLoad {
+				best, bestLoad = m, s.LoadMilli
+			}
 		}
 	}
 	return best
@@ -819,23 +799,7 @@ func (a *fedAgent) shed(target, batch int) {
 		if e.moved {
 			continue
 		}
-		var src *Placement
-		for _, p := range e.ready() {
-			if !p.migrating && !p.draining {
-				src = p
-				break
-			}
-		}
-		if src == nil {
-			// No booted replica, but a disk-resident one can still move:
-			// its stored checkpoint sheds without paging it in.
-			for _, p := range e.onDisk() {
-				if !p.migrating {
-					src = p
-					break
-				}
-			}
-		}
+		src := e.transferSource(false)
 		if src == nil {
 			continue
 		}
@@ -953,23 +917,39 @@ type delegEntry struct {
 }
 
 // pendingResolve is one client query parked while the root delegates.
+// It carries what a delegation needs — a lone candidate (a cache hit, a
+// redirect), the short datagram, the retransmit callback — in itself, so
+// a delegation allocates the row and one bound func and nothing per try.
 type pendingResolve struct {
+	r       *fedRoot
 	query   *dns.Message
 	respond func(*dns.Message)
 	name    string
 	cands   []int
+	one     [1]int // cands' array when there is just one (only)
 	idx     int
 	spillTo int
 	hops    int
 	// asked is the cluster the outstanding datagram went to, so a
-	// member removal can fail (or re-route) the queries waiting on it.
+	// member removal can fail (or re-route) the queries waiting on it;
+	// qid is the id it went out under.
 	asked int
-	// wire is the outstanding datagram verbatim, so a timeout can
-	// retransmit exactly what was lost; timer is the armed retransmit
-	// and tries the transmissions of it so far.
-	wire  []byte
-	timer sim.Event
-	tries int
+	qid   uint32
+	// wire is the outstanding datagram verbatim (in buf when it fits),
+	// so a timeout can retransmit exactly what was lost; timer is the
+	// armed retransmit, timeout its callback (p.onTimeout, bound once)
+	// and tries the transmissions so far.
+	wire    []byte
+	buf     [48]byte
+	timer   sim.Event
+	timeout func()
+	tries   int
+}
+
+// only makes cid the query's single candidate.
+func (p *pendingResolve) only(cid int) {
+	p.one[0] = cid
+	p.cands, p.idx = p.one[:], 0
 }
 
 // fedRoot is the federation's root directory: the client-facing DNS
@@ -982,7 +962,9 @@ type fedRoot struct {
 	fr   *netstack.Host // on the client-facing front network
 	srv  *dns.Server
 	zone *dns.Zone
-	// summaries is the root directory proper: O(clusters) rows.
+	// summaries is the root directory proper: O(clusters) rows, held for
+	// members only (applySummary) — ranging f.members and looking each
+	// row up is the deterministic scan in id order, no key list to sort.
 	summaries map[int]*Summary
 	// delegated lists the c<k>.<apex> subzones so service-looking
 	// queries under them fall through to the zone's referral path.
@@ -1084,17 +1066,6 @@ type FedRootStats struct {
 	DelegTimeouts uint64
 }
 
-// sortedSummaryIDs lists the summary rows' cluster ids in order, so
-// every scan and skew decision is deterministic.
-func (r *fedRoot) sortedSummaryIDs() []int {
-	ids := make([]int, 0, len(r.summaries))
-	for id := range r.summaries {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // underDelegatedSubzone reports whether name belongs to a member's
 // c<k> subzone — those take the zone's NS-referral path, not summary
 // resolution.
@@ -1133,8 +1104,7 @@ func (r *fedRoot) interceptAsync(query *dns.Message, respond func(*dns.Message))
 	if de, ok := r.deleg[name]; ok && de.epoch == epoch {
 		if m := r.f.member(de.cluster); m != nil && !m.Left {
 			r.DelegHits++
-			r.delegate(r.track(&pendingResolve{query: query, respond: respond, name: name,
-				cands: []int{de.cluster}, spillTo: -1}))
+			r.delegate(r.park(query, respond, name, nil, de.cluster))
 			return true
 		}
 	}
@@ -1146,12 +1116,9 @@ func (r *fedRoot) interceptAsync(query *dns.Message, respond func(*dns.Message))
 	}
 	r.Scans++
 	var cands []int
-	for _, id := range r.sortedSummaryIDs() {
-		if m := r.f.member(id); m == nil || m.Left {
-			continue
-		}
-		if r.summaries[id].Bloom.MayContain(name) {
-			cands = append(cands, id)
+	for _, m := range r.f.members {
+		if s := r.summaries[m.ID]; s != nil && !m.Left && s.Bloom.MayContain(name) {
+			cands = append(cands, m.ID)
 		}
 	}
 	if len(cands) == 0 {
@@ -1160,9 +1127,19 @@ func (r *fedRoot) interceptAsync(query *dns.Message, respond func(*dns.Message))
 		respond(r.negative(query))
 		return true
 	}
-	r.delegate(r.track(&pendingResolve{query: query, respond: respond, name: name,
-		cands: cands, spillTo: -1}))
+	r.delegate(r.park(query, respond, name, cands, -1))
 	return true
+}
+
+// park opens the row for one client query: cands from a summary scan, or
+// (cands nil) the one cluster the delegation cache named.
+func (r *fedRoot) park(query *dns.Message, respond func(*dns.Message), name string, cands []int, cached int) *pendingResolve {
+	p := &pendingResolve{r: r, query: query, respond: respond, name: name, cands: cands, spillTo: -1}
+	if cands == nil {
+		p.only(cached)
+	}
+	p.timeout = p.onTimeout
+	return r.track(p)
 }
 
 // track opens a fed/delegation span for p on the root's trace lane and
@@ -1200,67 +1177,61 @@ func (r *fedRoot) delegate(p *pendingResolve) {
 		p.respond(r.negative(p.query))
 		return
 	}
-	qid := r.nextQID
-	r.nextQID++
-	p.asked = p.cands[p.idx]
-	r.pending[qid] = p
 	r.Delegations++
-	buf := make([]byte, 0, 5+len(p.name))
-	buf = append(buf, fedOpResolve)
-	var q [4]byte
-	putU32(q[:], qid)
-	buf = append(buf, q[:]...)
-	buf = append(buf, p.name...)
-	r.send(qid, p, buf)
+	r.send(p, p.cands[p.idx], fedOpResolve, nil)
 }
 
-// send puts one delegation datagram for p on the wire and arms its
-// retransmit. Retransmits resend the identical datagram under the same
-// qid — the agent side is idempotent (a duplicate resolve re-answers
-// from the directory like any repeated client query; a duplicate reply
-// finds no pending row and is dropped).
-func (r *fedRoot) send(qid uint32, p *pendingResolve, wire []byte) {
+// send files p under a fresh qid, puts its datagram — [op, qid:4, args,
+// name] — on the wire to cluster to, and arms the retransmit.
+// Retransmits resend the identical datagram under the same qid — the
+// agent side is idempotent (a duplicate resolve re-answers from the
+// directory like any repeated client query; a duplicate reply finds no
+// pending row and is dropped).
+func (r *fedRoot) send(p *pendingResolve, to int, op byte, args []byte) {
 	r.f.eng.Cancel(p.timer)
-	p.wire = wire
-	p.tries = 1
-	r.mgmt.SendUDP(agentMgmtIP(p.asked), fedPort, fedPort, wire)
-	r.armRetransmit(qid, p)
+	p.asked, p.qid, p.tries = to, r.nextQID, 1
+	r.nextQID++
+	r.pending[p.qid] = p
+	p.wire = binary.BigEndian.AppendUint32(append(p.buf[:0], op), p.qid)
+	p.wire = append(append(p.wire, args...), p.name...)
+	r.mgmt.SendUDP(agentMgmtIP(to), fedPort, fedPort, p.wire)
+	p.arm()
 }
 
-// armRetransmit schedules p's next timeout, doubling per prior try.
-// When the budget is gone the query answers SERVFAIL — and pointedly
-// does NOT cache a negative: an unreachable cluster says nothing about
-// whether the name exists, and a poisoned negative cache would keep
-// refusing the name for a whole epoch after the partition heals.
-func (r *fedRoot) armRetransmit(qid uint32, p *pendingResolve) {
-	rto := r.f.Cfg.DelegateTimeout
-	for i := 1; i < p.tries; i++ {
-		rto *= 2
+// arm schedules p's next timeout, doubling per prior try.
+func (p *pendingResolve) arm() {
+	p.timer = p.r.f.eng.After(p.r.f.Cfg.DelegateTimeout<<(p.tries-1), p.timeout)
+}
+
+// onTimeout retransmits p's datagram. When the budget is gone the query
+// answers SERVFAIL — and pointedly does NOT cache a negative: an
+// unreachable cluster says nothing about whether the name exists, and a
+// poisoned negative cache would keep refusing the name for a whole
+// epoch after the partition heals.
+func (p *pendingResolve) onTimeout() {
+	r := p.r
+	if r.pending[p.qid] != p {
+		return // answered (or failed over) while the timer was in flight
 	}
-	p.timer = r.f.eng.After(rto, func() {
-		if r.pending[qid] != p {
-			return // answered (or failed over) while the timer was in flight
-		}
-		if p.tries > r.f.Cfg.DelegateRetries {
-			delete(r.pending, qid)
-			r.DelegTimeouts++
-			r.ServFails++
-			if tr := r.f.Cfg.Tracer; tr != nil {
-				tr.Instant(0, "fed", "deleg-timeout",
-					obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)))
-			}
-			p.respond(r.servfail(p.query))
-			return
-		}
-		p.tries++
-		r.DelegRetx++
+	if p.tries > r.f.Cfg.DelegateRetries {
+		delete(r.pending, p.qid)
+		r.DelegTimeouts++
+		r.ServFails++
 		if tr := r.f.Cfg.Tracer; tr != nil {
-			tr.Instant(0, "fed", "deleg-retx",
-				obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)), obs.Num("try", int64(p.tries)))
+			tr.Instant(0, "fed", "deleg-timeout",
+				obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)))
 		}
-		r.mgmt.SendUDP(agentMgmtIP(p.asked), fedPort, fedPort, p.wire)
-		r.armRetransmit(qid, p)
-	})
+		p.respond(r.servfail(p.query))
+		return
+	}
+	p.tries++
+	r.DelegRetx++
+	if tr := r.f.Cfg.Tracer; tr != nil {
+		tr.Instant(0, "fed", "deleg-retx",
+			obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)), obs.Num("try", int64(p.tries)))
+	}
+	r.mgmt.SendUDP(agentMgmtIP(p.asked), fedPort, fedPort, p.wire)
+	p.arm()
 }
 
 // failPendingFor sweeps the parked queries waiting on a removed member:
@@ -1327,18 +1298,12 @@ func (r *fedRoot) answer(p *pendingResolve, cid int, ip netstack.IP, ttl uint32)
 	if ttl == 0 {
 		ttl = 10
 	}
-	resp := &dns.Message{ID: p.query.ID, Response: true,
+	m := r.f.members[cid]
+	return &dns.Message{ID: p.query.ID, Response: true,
 		RecursionDesired: p.query.RecursionDesired,
-		Questions:        p.query.Questions}
-	resp.Answers = append(resp.Answers, dns.RR{
-		Name: p.name, Type: dns.TypeA, Class: dns.ClassIN, TTL: ttl, A: ip,
-	})
-	child := fmt.Sprintf("c%d.%s", cid, r.zone.Apex)
-	for _, ns := range r.zone.Lookup(child, dns.TypeNS) {
-		resp.Authority = append(resp.Authority, ns)
-		resp.Additional = append(resp.Additional, r.zone.Lookup(ns.Target, dns.TypeA)...)
-	}
-	return resp
+		Questions:        p.query.Questions,
+		Answers:          []dns.RR{{Name: p.name, Type: dns.TypeA, Class: dns.ClassIN, TTL: ttl, A: ip}},
+		Authority:        m.referral, Additional: m.glue}
 }
 
 // recv handles one management datagram from a member agent.
@@ -1387,7 +1352,8 @@ func (r *fedRoot) recv(src netstack.IP, _ uint16, payload []byte) {
 			// The service moved; re-delegate the waiting query to its
 			// new home.
 			r.cacheDelegation(p.name, p.spillTo)
-			p.cands, p.idx, p.hops = []int{p.spillTo}, 0, p.hops+1
+			p.only(p.spillTo)
+			p.hops++
 			p.spillTo = -1
 			r.delegate(p)
 			return
@@ -1420,7 +1386,7 @@ func (r *fedRoot) resolved(p *pendingResolve, status byte, ip netstack.IP, extra
 			return
 		}
 		r.cacheDelegation(p.name, newHome)
-		p.cands, p.idx = []int{newHome}, 0
+		p.only(newHome)
 		r.delegate(p)
 	case fedStatusNXDomain:
 		// Bloom false positive (or a stale cache hop): try the next
@@ -1458,18 +1424,7 @@ func (r *fedRoot) resolved(p *pendingResolve, status byte, ip netstack.IP, extra
 // moved and reports failure, which the root answers SERVFAIL — safe,
 // never wrong).
 func (r *fedRoot) spill(p *pendingResolve, from int) {
-	qid := r.nextQID
-	r.nextQID++
-	p.asked = from
-	r.pending[qid] = p
-	buf := make([]byte, 0, 8+len(p.name))
-	buf = append(buf, fedOpSpill)
-	var q [4]byte
-	putU32(q[:], qid)
-	buf = append(buf, q[:]...)
-	buf = append(buf, byte(p.spillTo>>8), byte(p.spillTo))
-	buf = append(buf, p.name...)
-	r.send(qid, p, buf)
+	r.send(p, from, fedOpSpill, []byte{byte(p.spillTo >> 8), byte(p.spillTo)})
 }
 
 // applySummary merges one pushed row into the summary table. An epoch
@@ -1481,12 +1436,15 @@ func (r *fedRoot) applySummary(s Summary, periodic bool) {
 	if m == nil || m.Left {
 		return
 	}
-	old := r.summaries[s.Cluster]
-	if old == nil || old.Epoch != s.Epoch {
+	row := r.summaries[s.Cluster]
+	if row == nil || row.Epoch != s.Epoch {
 		r.bumpEpoch()
 	}
-	cp := s
-	r.summaries[s.Cluster] = &cp
+	if row == nil {
+		row = new(Summary)
+		r.summaries[s.Cluster] = row
+	}
+	*row = s
 	if periodic {
 		r.checkSkew(s.Cluster)
 	}
@@ -1501,22 +1459,18 @@ func (r *fedRoot) checkSkew(from int) {
 	if r.f.Cfg.SkewMinRate <= 0 {
 		return
 	}
-	ids := r.sortedSummaryIDs()
-	if len(ids) < 2 {
-		return
-	}
 	hot, cold := -1, -1
 	var hotLoad, coldLoad uint32
-	for _, id := range ids {
-		if m := r.f.member(id); m == nil || m.Left {
+	for _, m := range r.f.members {
+		s := r.summaries[m.ID]
+		if s == nil || m.Left {
 			continue
 		}
-		load := r.summaries[id].LoadMilli
-		if hot < 0 || load > hotLoad {
-			hot, hotLoad = id, load
+		if hot < 0 || s.LoadMilli > hotLoad {
+			hot, hotLoad = m.ID, s.LoadMilli
 		}
-		if cold < 0 || load < coldLoad {
-			cold, coldLoad = id, load
+		if cold < 0 || s.LoadMilli < coldLoad {
+			cold, coldLoad = m.ID, s.LoadMilli
 		}
 	}
 	if hot < 0 || cold < 0 || hot == cold {
@@ -1539,12 +1493,17 @@ func (r *fedRoot) checkSkew(from int) {
 		return
 	}
 	r.hotStreak = 0
+	r.orderShed(hot, cold, r.f.Cfg.ShedBatch)
+}
+
+// orderShed sends cluster hot's agent the command to move batch services
+// to cluster cold — the detector's and the operator's one datagram.
+func (r *fedRoot) orderShed(hot, cold, batch int) {
 	r.f.Sheds++
 	if tr := r.f.Cfg.Tracer; tr != nil {
 		tr.Instant(0, "fed", "shed",
-			obs.Num("hot", int64(hot)), obs.Num("cold", int64(cold)),
-			obs.Num("batch", int64(r.f.Cfg.ShedBatch)))
+			obs.Num("hot", int64(hot)), obs.Num("cold", int64(cold)), obs.Num("batch", int64(batch)))
 	}
-	buf := []byte{fedOpShed, byte(cold >> 8), byte(cold), byte(r.f.Cfg.ShedBatch)}
+	buf := []byte{fedOpShed, byte(cold >> 8), byte(cold), byte(batch)}
 	r.mgmt.SendUDP(agentMgmtIP(hot), fedPort, fedPort, buf)
 }

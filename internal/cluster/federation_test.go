@@ -92,6 +92,7 @@ func TestFederationResolutionTable(t *testing.T) {
 	if r.Delegations == 0 || r.Scans == 0 {
 		t.Errorf("delegations=%d scans=%d, want both > 0", r.Delegations, r.Scans)
 	}
+	checkQuiescent(t, f, 2)
 }
 
 // TestFederationRootStateScalesWithClusters is the acceptance assert:
@@ -136,7 +137,7 @@ func TestFederationCrossClusterMigration(t *testing.T) {
 	// delegation cache with home = cluster 0).
 	warm := fedFetch(f, fc, 1*time.Second, "alice.family.name")
 	f.Eng().At(10*time.Second, func() {
-		src := e.ready()
+		src := refReady(e)
 		if len(src) == 0 {
 			t.Error("no ready replica to migrate")
 			return
@@ -185,7 +186,7 @@ func TestFederationMidTransferClusterLeave(t *testing.T) {
 
 	warm := fedFetch(f, fc, 1*time.Second, "alice.family.name")
 	f.Eng().At(10*time.Second, func() {
-		src := e.ready()
+		src := refReady(e)
 		if len(src) == 0 {
 			t.Error("no ready replica to migrate")
 			return
@@ -220,7 +221,7 @@ func TestFederationMidTransferClusterLeave(t *testing.T) {
 	if e.moved {
 		t.Error("source entry marked moved despite the aborted transfer")
 	}
-	if len(e.ready()) == 0 {
+	if len(refReady(e)) == 0 {
 		t.Error("source replica no longer ready after the aborted transfer")
 	}
 }
@@ -263,9 +264,7 @@ func TestFederationRemoveClusterMidResolution(t *testing.T) {
 	if elapsed >= 29*time.Second {
 		t.Fatalf("fetch rode out the DNS timeout (%v): pending delegation leaked", elapsed)
 	}
-	if n := len(f.root.pending); n != 0 {
-		t.Fatalf("root still holds %d pending delegations after the run", n)
-	}
+	checkQuiescent(t, f, 1) // above all: no pending delegation outlives the run
 }
 
 // TestFederationSpillOnRefuse exhausts a service's home cluster so the
@@ -311,6 +310,7 @@ func TestFederationSpillOnRefuse(t *testing.T) {
 	if f.members[0].Cluster.Directory().Lookup("bob.family.name") != nil {
 		t.Error("refusing cluster still lists the spilled service")
 	}
+	checkQuiescent(t, f, 2)
 }
 
 // TestFederationDelegationOffFastPath guards the zero-allocation DNS
@@ -435,7 +435,7 @@ func TestFederationPacedTransferChunks(t *testing.T) {
 	_, e := f.RegisterService(testService("alice", 20))
 	warm := fedFetch(f, fc, 1*time.Second, "alice.family.name")
 	f.Eng().At(10*time.Second, func() {
-		src := e.ready()
+		src := refReady(e)
 		if len(src) == 0 {
 			t.Error("no ready replica to transfer")
 			return
@@ -475,7 +475,7 @@ func TestTransferBackValidatesBeforeCuttingTheDrain(t *testing.T) {
 	_, e := f.RegisterService(cfg)
 	fedFetch(f, fc, 1*time.Second, "alice.family.name")
 	f.Eng().At(10*time.Second, func() {
-		f.members[0].agent.transferOut(e, e.ready()[0], f.members[1])
+		f.members[0].agent.transferOut(e, refReady(e)[0], f.members[1])
 	})
 	home := f.members[0].Cluster
 	probed := false
@@ -510,5 +510,44 @@ func TestTransferBackValidatesBeforeCuttingTheDrain(t *testing.T) {
 	f.RunAll()
 	if !probed {
 		t.Fatal("the service never switched over")
+	}
+}
+
+// A redirect (a cached delegation, a Moved reply, a completed spill)
+// makes one cluster the query's whole candidate list, wherever the scan's
+// list had got to.
+func TestPendingResolveOnly(t *testing.T) {
+	p := &pendingResolve{cands: []int{4, 5, 6}, idx: 2}
+	p.only(7)
+	if len(p.cands) != 1 || p.cands[0] != 7 || p.idx != 0 {
+		t.Fatalf("after only(7): cands %v idx %d", p.cands, p.idx)
+	}
+	p.cands = append(p.cands, 8) // the inline array is clipped: growing copies out
+	if p.one != [1]int{7} {
+		t.Fatalf("appending to cands wrote through to %v", p.one)
+	}
+}
+
+// The root's summary rows are updated where they lie: a push that moves
+// no epoch still replaces the row's load and memory, and leaves every
+// cached delegation alone.
+func TestSummaryRowFollowsPushes(t *testing.T) {
+	f := testFederation(2, 2)
+	f.RegisterService(testService("alice", 20))
+	f.RunAll()
+	row, epoch := f.root.summaries[0], f.root.srv.Epoch
+	s := f.members[0].agent.buildSummary()
+	s.LoadMilli, s.FreeMiB = 4321, 17
+	f.root.applySummary(s, false)
+	if got := f.root.summaries[0]; got != row || got.LoadMilli != 4321 || got.FreeMiB != 17 {
+		t.Fatalf("row after the push: %+v (same row: %v)", got, got == row)
+	}
+	if f.root.srv.Epoch != epoch {
+		t.Fatalf("a push with an unmoved epoch bumped the root's from %d to %d", epoch, f.root.srv.Epoch)
+	}
+	s.Epoch++
+	f.root.applySummary(s, false)
+	if f.root.srv.Epoch == epoch || f.root.summaries[0].Epoch != s.Epoch {
+		t.Fatal("a moved directory epoch did not reach the root")
 	}
 }

@@ -66,7 +66,7 @@ func TestFedTransferRecoversChunkLoss(t *testing.T) {
 	warm := fedFetch(f, fc, 1*time.Second, "alice.family.name")
 	src := f.members[0].agent
 	f.Eng().At(10*time.Second, func() {
-		ready := e.ready()
+		ready := refReady(e)
 		if len(ready) == 0 {
 			t.Error("no ready replica to transfer")
 			return
@@ -103,6 +103,16 @@ func TestFedDelegationTimeoutServfailNoNegativeCache(t *testing.T) {
 
 	f.Eng().At(1*time.Second, func() { link.PartitionAtoB() })
 	during := fedFetch(f, fc, 1100*time.Millisecond, "alice.family.name")
+	// The budget is the timeout doubling per try — 5 + 10 + 20 + 40 ms from
+	// the delegation, a millisecond after the fetch: not yet spent at
+	// 70 ms, spent at 80.
+	for at, want := range map[time.Duration]uint64{1170 * time.Millisecond: 0, 1180 * time.Millisecond: 1} {
+		f.Eng().At(at, func() {
+			if got := f.root.DelegTimeouts; got != want {
+				t.Errorf("at %v: %d delegations written off, want %d", at, got, want)
+			}
+		})
+	}
 	f.Eng().At(2*time.Second, func() { link.Heal() })
 	after := fedFetch(f, fc, 3*time.Second, "alice.family.name")
 	f.RunAll()
@@ -124,6 +134,7 @@ func TestFedDelegationTimeoutServfailNoNegativeCache(t *testing.T) {
 		t.Fatalf("post-heal fetch: done=%v err=%v — a cached negative survived the partition",
 			after.done, after.err)
 	}
+	checkQuiescent(t, f, 1)
 }
 
 func TestFedDelegationRetryAblation(t *testing.T) {

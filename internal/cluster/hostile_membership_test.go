@@ -103,4 +103,34 @@ func TestIndirectProbesAvertFalseConfirms(t *testing.T) {
 	if hardened.Confirms > ablation.Confirms {
 		t.Fatalf("confirms: hardened %d > ablation %d", hardened.Confirms, ablation.Confirms)
 	}
+	checkClusterQuiescent(t, "hardened", hardened)
+	checkClusterQuiescent(t, "ablation", ablation)
+}
+
+// Probe timeouts are served oldest first by one bound func: with a
+// timeout longer than the probe period several are running at once, and
+// the one that fires must be the lost probe's, not the newest's.
+func TestProbeTimeoutsFireInOrder(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Boards = 2
+	cfg.ProbeEvery, cfg.ProbeTimeout, cfg.SuspectTimeout = 100*time.Millisecond, 250*time.Millisecond, 10*time.Second
+	cfg.IndirectProbes = 0
+	c := build(cfg)
+	// Once the view has settled, exactly board 0's probe at t = 1100 ms is
+	// lost; those at 1200 and 1300 ms are acknowledged while its timeout
+	// is still running.
+	c.eng.At(1050*time.Millisecond, func() { c.MgmtLink(0).PartitionAtoB() })
+	c.eng.At(1150*time.Millisecond, func() { c.MgmtLink(0).Heal() })
+	a := c.members[0].agent
+	c.RunUntil(1340 * time.Millisecond)
+	if len(a.waits) != 3 || len(a.await) != 1 || a.view[1].State != MemberAlive {
+		t.Fatalf("at 1340 ms: %d timeouts running, %d probes unacknowledged, board 1 %v; want 3, 1, alive", len(a.waits), len(a.await), a.view[1].State)
+	}
+	c.RunUntil(1360 * time.Millisecond)
+	if a.view[1].State != MemberSuspect || len(a.await) != 0 {
+		t.Fatalf("at 1360 ms, 10 ms after the lost probe's timeout: board 1 %v, %d probes unacknowledged; want suspect, 0", a.view[1].State, len(a.await))
+	}
+	c.StopMembership()
+	c.RunAll()
+	checkClusterQuiescent(t, "after the run", c)
 }

@@ -143,6 +143,20 @@ type agent struct {
 	xfers   map[uint32]*cc.Sender
 	probeEv sim.Event
 	stopped bool
+	// tickFn and timeoutFn are a.tick and a.probeTimeout, bound once, so
+	// a round schedules no new method value or closure. waits queues the
+	// probe sequence numbers whose timeout is running, oldest first —
+	// every one runs ProbeTimeout, so they fire in the order armed.
+	tickFn, timeoutFn func()
+	waits             []uint32
+	// The agent's three scratch buffers, refilled in place by
+	// probeCandidates, drain and sendTail. Nobody holds one across a
+	// send: SendUDP copies the datagram into its frame before it returns
+	// (loopback included), and indirectProbe, which sends while it still
+	// needs the candidates, copies them out first.
+	cands []int
+	ups   []gossipUpdate
+	wire  []byte
 }
 
 // relayRef remembers who asked for an indirect probe and under which of
@@ -168,6 +182,7 @@ func newAgent(c *Cluster, m *Member) *agent {
 		xfers:   make(map[uint32]*cc.Sender),
 		inc:     1,
 	}
+	a.tickFn, a.timeoutFn = a.tick, a.probeTimeout
 	a.nic = netsim.NewNIC(c.eng, fmt.Sprintf("mgmt%d", m.ID), netsim.MACFor(0xA000+m.ID))
 	c.mgmt.ConnectNIC(a.nic, 50*time.Microsecond, c.Cfg.MgmtBitsPerSec)
 	a.host = netstack.NewHost(c.eng, fmt.Sprintf("mgmt%d", m.ID), a.nic, mgmtIP(m.ID), netstack.Dom0Profile())
@@ -203,7 +218,7 @@ func (a *agent) startProbing() {
 	if a.c.Cfg.ProbeEvery <= 0 || a.stopped {
 		return
 	}
-	a.probeEv = a.c.eng.After(a.c.Cfg.ProbeEvery, a.tick)
+	a.probeEv = a.c.eng.After(a.c.Cfg.ProbeEvery, a.tickFn)
 }
 
 func (a *agent) stop() {
@@ -237,20 +252,27 @@ func (a *agent) tick() {
 		extra = []gossipUpdate{{ID: t, State: MemberSuspect, Inc: info.Inc}}
 	}
 	a.send(t, msgPing, seq, extra)
-	a.c.eng.After(a.c.Cfg.ProbeTimeout, func() {
-		if a.stopped {
-			return
-		}
-		id, ok := a.await[seq]
-		if !ok {
-			return
-		}
-		if a.indirectProbe(id, seq) {
-			return
-		}
-		delete(a.await, seq)
-		a.suspect(id)
-	})
+	a.waits = append(a.waits, seq)
+	a.c.eng.After(a.c.Cfg.ProbeTimeout, a.timeoutFn)
+}
+
+// probeTimeout ends the oldest direct probe's wait: still unacknowledged,
+// it goes to the indirect round, or straight to suspicion.
+func (a *agent) probeTimeout() {
+	seq := a.waits[0]
+	a.waits = append(a.waits[:0], a.waits[1:]...)
+	if a.stopped {
+		return
+	}
+	id, ok := a.await[seq]
+	if !ok {
+		return
+	}
+	if a.indirectProbe(id, seq) {
+		return
+	}
+	delete(a.await, seq)
+	a.suspect(id)
 }
 
 // indirectProbe runs the SWIM ping-req round: up to Cfg.IndirectProbes
@@ -301,19 +323,20 @@ func (a *agent) indirectProbe(target int, seq uint32) bool {
 
 // probeCandidates returns the sorted ids this agent may probe: everyone
 // it believes alive or suspect, except itself. Sorting keeps the RNG
-// draw deterministic regardless of map iteration order.
+// draw deterministic regardless of map iteration order. The result is
+// a.cands, good until the next call.
 func (a *agent) probeCandidates() []int {
-	var out []int
+	a.cands = a.cands[:0]
 	for id, info := range a.view {
 		if id == a.self {
 			continue
 		}
 		if info.State == MemberAlive || info.State == MemberSuspect {
-			out = append(out, id)
+			a.cands = append(a.cands, id)
 		}
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(a.cands)
+	return a.cands
 }
 
 // suspect starts the SWIM suspicion protocol for id in this view.
@@ -413,13 +436,14 @@ func (a *agent) enqueue(u gossipUpdate) {
 }
 
 // drain takes up to maxPiggyback rumors from the outbox (decrementing
-// their budgets) and appends any caller-supplied updates.
+// their budgets) and appends any caller-supplied updates. The result is
+// a.ups, good until the next call.
 func (a *agent) drain(extra []gossipUpdate) []gossipUpdate {
-	ups := make([]gossipUpdate, 0, maxPiggyback+len(extra))
+	a.ups = a.ups[:0]
 	keep := a.out[:0]
 	for _, ou := range a.out {
-		if len(ups) < maxPiggyback {
-			ups = append(ups, ou.u)
+		if len(a.ups) < maxPiggyback {
+			a.ups = append(a.ups, ou.u)
 			ou.budget--
 		}
 		if ou.budget > 0 {
@@ -427,7 +451,8 @@ func (a *agent) drain(extra []gossipUpdate) []gossipUpdate {
 		}
 	}
 	a.out = keep
-	return append(ups, extra...)
+	a.ups = append(a.ups, extra...)
+	return a.ups
 }
 
 // send encodes and transmits one gossip message to member id.
@@ -439,14 +464,14 @@ func (a *agent) send(id int, typ byte, seq uint32, extra []gossipUpdate) {
 // updates block (the ping-req target id).
 func (a *agent) sendTail(id int, typ byte, seq uint32, extra []gossipUpdate, tail []byte) {
 	ups := a.drain(extra)
-	buf := make([]byte, 0, 8+7*len(ups)+len(tail))
-	buf = append(buf, typ, byte(a.self>>8), byte(a.self),
+	buf := append(a.wire[:0], typ, byte(a.self>>8), byte(a.self),
 		byte(seq>>24), byte(seq>>16), byte(seq>>8), byte(seq), byte(len(ups)))
 	for _, u := range ups {
 		buf = append(buf, byte(u.ID>>8), byte(u.ID), byte(u.State),
 			byte(u.Inc>>24), byte(u.Inc>>16), byte(u.Inc>>8), byte(u.Inc))
 	}
 	buf = append(buf, tail...)
+	a.wire = buf
 	a.host.SendUDP(mgmtIP(id), gossipPort, gossipPort, buf)
 }
 
@@ -583,7 +608,7 @@ func (c *Cluster) directoryObserve(id int, s MemberState) {
 // its DNS epoch), and the cluster's answer state moves too. Idempotent.
 func (c *Cluster) deregisterBoard(id int) {
 	m := c.members[id]
-	for _, e := range c.dir.Entries() {
+	for e := range c.dir.walk {
 		p := replicaOn(e, id)
 		if p == nil || p.gone {
 			continue

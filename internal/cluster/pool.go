@@ -62,7 +62,7 @@ func (pm *PoolManager) ReconcileAll() { pm.reconcileAll(nil) }
 // in-flight query was just answered with, which must survive this pass
 // even if its pool shrank (the client's SYN for it is on the wire).
 func (pm *PoolManager) reconcileAll(pinned *Placement) {
-	for _, e := range pm.c.dir.Entries() {
+	for e := range pm.c.dir.walk {
 		pm.reconcile(e, pinned)
 	}
 }

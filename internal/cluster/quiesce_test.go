@@ -1,0 +1,60 @@
+package cluster
+
+import (
+	"fmt"
+	"testing"
+)
+
+// checkQuiescent asserts what the directory tier must hold once the
+// engine has drained (ROADMAP 1(b), first slice): nothing parked at the
+// root, caches no larger than the names asked, and every member cluster
+// at rest (checkClusterQuiescent). asked is the number of distinct names
+// the test's clients resolved.
+func checkQuiescent(t *testing.T, f *Federation, asked int) {
+	t.Helper()
+	r := f.root
+	if n := len(r.pending); n != 0 {
+		t.Errorf("quiescent: root still parks %d delegations", n)
+	}
+	for what, n := range map[string]int{"delegation": len(r.deleg), "negative": len(r.neg)} {
+		if n > asked || n > maxFedCacheEntries {
+			t.Errorf("quiescent: %s cache holds %d entries for %d names asked (cap %d)", what, n, asked, maxFedCacheEntries)
+		}
+	}
+	for _, m := range f.members {
+		checkClusterQuiescent(t, fmt.Sprintf("quiescent: cluster %d", m.ID), m.Cluster)
+	}
+}
+
+// checkClusterQuiescent is the cluster's share: no probe awaited, relayed
+// or timing, the name-ordered directory equal to its map, no in-place
+// walk left open, and every entry's count equal to a recount. A stopped
+// agent is allowed the probes that were in flight when it stopped — it
+// returns from their timeouts without looking — and no more than
+// maxStoppedAwait of them.
+func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
+	t.Helper()
+	for _, m := range c.members {
+		a := m.agent
+		if n := len(a.await); n > 0 && (!a.stopped || n > maxStoppedAwait) {
+			t.Errorf("%s: board %d (stopped %v) still awaits %d probe acks", when, m.ID, a.stopped, n)
+		}
+		if len(a.relayed) != 0 || len(a.waits) != 0 {
+			t.Errorf("%s: board %d holds %d relayed probes, %d running timeouts", when, m.ID, len(a.relayed), len(a.waits))
+		}
+	}
+	checkDirectory(t, c, when)
+	if c.dir.walking != 0 {
+		t.Errorf("%s: %d in-place directory walks left open", when, c.dir.walking)
+	}
+	for e := range c.dir.walk {
+		if got, want := e.readyCount(), len(refReady(e)); got != want {
+			t.Errorf("%s: %s counts %d ready replicas, a recount %d", when, e.Name, got, want)
+		}
+	}
+}
+
+// maxStoppedAwait bounds what a stopped agent may leave in await: one
+// direct probe per ProbeTimeout/ProbeEvery in flight, each possibly in
+// its indirect round.
+const maxStoppedAwait = 2

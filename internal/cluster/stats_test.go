@@ -222,7 +222,7 @@ func TestStatsMatchesReference(t *testing.T) {
 			}
 			return names[rng.Intn(len(names))]
 		}
-		booted := func(e *Entry) bool { return len(e.ready()) > 0 }
+		booted := func(e *Entry) bool { return len(refReady(e)) > 0 }
 		did := map[string]int{}
 		for step := 0; step < 150; step++ {
 			switch rng.Intn(10) {
@@ -235,7 +235,7 @@ func TestStatsMatchesReference(t *testing.T) {
 					did["demote"]++
 				}
 			case 5, 6:
-				if ctl.Promote(api.PromoteRequest{Name: pick(func(e *Entry) bool { return len(e.onDisk()) > 0 }), Board: api.AnyBoard}).Err == nil {
+				if ctl.Promote(api.PromoteRequest{Name: pick(func(e *Entry) bool { return len(refOnDisk(e)) > 0 }), Board: api.AnyBoard}).Err == nil {
 					did["promote"]++
 				}
 			case 7:

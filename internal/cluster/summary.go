@@ -162,13 +162,13 @@ func (c *Cluster) buildSummary(id int, epoch uint64, now sim.Duration) Summary {
 		s.FreeMiB += uint32(m.Board.Hyp.FreeMemMiB())
 	}
 	load := 0.0
-	for _, e := range c.dir.Entries() {
+	for e := range c.dir.walk {
 		if e.moved {
 			continue
 		}
 		s.Services++
 		s.Bloom.Add(e.Name)
-		s.Ready += uint32(len(e.ready()))
+		s.Ready += uint32(e.readyCount())
 		load += e.effectiveRate(now)
 	}
 	s.LoadMilli = uint32(load * 1000)

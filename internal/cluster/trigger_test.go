@@ -38,8 +38,8 @@ func TestDetachedBuiltinCannotWipeClusterHook(t *testing.T) {
 	}
 	c.RunAll()
 	e := c.Directory().Lookup("alice.family.name")
-	if len(e.ready()) != 1 {
-		t.Fatalf("ready = %d after detach", len(e.ready()))
+	if len(refReady(e)) != 1 {
+		t.Fatalf("ready = %d after detach", len(refReady(e)))
 	}
 }
 
@@ -69,8 +69,8 @@ func TestClusterActivateSurvivesPoolReconcile(t *testing.T) {
 	// not tear the fresh replica down.
 	c.Pools.ReconcileAll()
 	c.RunAll()
-	if len(e.ready()) != 1 {
-		t.Fatalf("replica reclaimed right after activation (ready=%d)", len(e.ready()))
+	if len(refReady(e)) != 1 {
+		t.Fatalf("replica reclaimed right after activation (ready=%d)", len(refReady(e)))
 	}
 
 	// A warm re-activation delivers OnReady immediately, exactly once.

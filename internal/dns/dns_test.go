@@ -421,3 +421,39 @@ func TestZoneDelegationReferral(t *testing.T) {
 		t.Fatalf("post-removal = %v, want NXDomain", resp.RCode)
 	}
 }
+
+// A query the server cannot decode is refused under the query's own ID
+// (and RD): a resolver that matches replies on ID — ours does — would
+// drop an ID-0 FORMERR and wait out its timeout.
+func TestFormErrCarriesQueryID(t *testing.T) {
+	q := &Message{ID: 0xbeef, RecursionDesired: true,
+		Questions: []Question{{Name: "alice.family.name", Type: TypeA, Class: ClassIN}}}
+	whole, err := q.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	badPointer := append(bytes.Clone(whole[:12]), 0xc0, 12, 0, 1, 0, 1) // the name points at itself
+	for name, wire := range map[string][]byte{
+		"truncated question": whole[:len(whole)-3],
+		"bad pointer":        badPointer,
+	} {
+		if _, err := Decode(wire); err == nil {
+			t.Fatalf("%s: decodes", name)
+		}
+		var got *Message
+		testZoneServerForFuzz().ServeWire(wire, func(w []byte) {
+			if got, err = Decode(w); err != nil {
+				t.Fatalf("%s: reply does not decode: %v", name, err)
+			}
+		})
+		if got == nil || got.ID != 0xbeef || !got.Response || got.RCode != RCodeFormErr || !got.RecursionDesired {
+			t.Errorf("%s: reply %+v, want FORMERR under ID 0xbeef with RD", name, got)
+		}
+	}
+	// Shorter than a header: there is no ID to echo.
+	var got *Message
+	testZoneServerForFuzz().ServeWire(whole[:7], func(w []byte) { got, _ = Decode(w) })
+	if got == nil || got.ID != 0 || got.RCode != RCodeFormErr {
+		t.Errorf("7-byte datagram: reply %+v, want FORMERR under ID 0", got)
+	}
+}

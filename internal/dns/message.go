@@ -184,7 +184,9 @@ func (m *Message) Encode() ([]byte, error) {
 
 // AppendEncode renders the message with name compression, appending the
 // wire form to dst (which may be nil, or a recycled buffer to make the
-// encode allocation-free). It returns the extended buffer.
+// encode allocation-free). It returns the extended buffer. m is only
+// read, so messages may share record slices (the federation root's
+// referrals do) — and whoever is handed one to send must not write them.
 func (m *Message) AppendEncode(dst []byte) ([]byte, error) {
 	e := encoder{buf: dst}
 	base := len(dst)
@@ -344,15 +346,35 @@ func (e *encoder) writeRR(rr *RR) error {
 type decoder struct {
 	data []byte
 	off  int
+	// rrs is the message's one record array; a section is a window of it.
+	rrs []RR
+	// seen remembers where each of the message's first few names started,
+	// what it decoded to and how many compression pointers that took: a
+	// later name that is nothing but a pointer to one of those offsets is
+	// the same string again, one hop further on.
+	seen [8]struct {
+		off, hops int
+		name      string
+	}
+	nseen int
 }
 
-// Decode parses a wire-format message.
+// Decode parses a wire-format message. The message and its first
+// question are one allocation, the three record sections windows of one
+// array (each with len == cap: appending to one never writes into the
+// next), and a name spelt as a bare compression pointer to an earlier
+// name shares its string. The caller may keep the message and append to
+// its sections; data is not referenced.
 func Decode(data []byte) (*Message, error) {
 	if len(data) < 12 {
 		return nil, ErrTruncated
 	}
 	d := &decoder{data: data, off: 12}
-	m := &Message{}
+	msg := &struct {
+		Message
+		q [1]Question
+	}{}
+	m := &msg.Message
 	m.ID = binary.BigEndian.Uint16(data[0:2])
 	flags := binary.BigEndian.Uint16(data[2:4])
 	m.Response = flags&(1<<15) != 0
@@ -366,6 +388,9 @@ func Decode(data []byte) (*Message, error) {
 	ns := int(binary.BigEndian.Uint16(data[8:10]))
 	ar := int(binary.BigEndian.Uint16(data[10:12]))
 
+	if qd > 0 {
+		m.Questions = msg.q[:0]
+	}
 	for i := 0; i < qd; i++ {
 		name, err := d.readName()
 		if err != nil {
@@ -381,6 +406,9 @@ func Decode(data []byte) (*Message, error) {
 		}
 		m.Questions = append(m.Questions, Question{Name: name, Type: Type(typ), Class: class})
 	}
+	// A frame cannot buy more room than it carries: no record is shorter
+	// than 11 bytes (root owner name, type, class, TTL, empty rdata).
+	d.rrs = make([]RR, 0, min(an+ns+ar, (len(data)-d.off)/11))
 	var err error
 	if m.Answers, err = d.readRRs(an); err != nil {
 		return nil, err
@@ -412,30 +440,41 @@ func (d *decoder) readU32() (uint32, error) {
 	return v, nil
 }
 
-// readName follows compression pointers with a hop limit.
+// readName reads the name at d.off and files it in d.seen.
 func (d *decoder) readName() (string, error) {
-	name, next, err := readNameAt(d.data, d.off)
+	start := d.off
+	name, hops, next, err := d.readNameAt(start)
 	if err != nil {
 		return "", err
+	}
+	if d.nseen < len(d.seen) {
+		s := &d.seen[d.nseen]
+		s.off, s.hops, s.name = start, hops, name
+		d.nseen++
 	}
 	d.off = next
 	return name, nil
 }
 
+// maxNameHops bounds the compression pointers one name may follow.
+const maxNameHops = 32
+
 // readNameAt parses a (possibly compressed) name iteratively: labels are
 // appended dot-joined into one small buffer, so decoding a name costs a
-// single string allocation instead of a []string plus strings.Join.
-func readNameAt(data []byte, off int) (name string, next int, err error) {
+// single string allocation instead of a []string plus strings.Join — or
+// none, when the name is nothing but pointers to one already in d.seen:
+// that one decoded cleanly, so only the hop limit can still fail.
+func (d *decoder) readNameAt(off int) (name string, hops, next int, err error) {
+	data := d.data
 	var arr [256]byte
 	buf := arr[:0]
 	nameLen := 0 // dot-joined length, tracked even past the buffer cap
 	nlabels := 0
-	hops := 0
 	jumped := false
 	next = -1
 	for {
 		if off >= len(data) {
-			return "", 0, ErrTruncated
+			return "", 0, 0, ErrTruncated
 		}
 		b := data[off]
 		switch {
@@ -444,12 +483,12 @@ func readNameAt(data []byte, off int) (name string, next int, err error) {
 				next = off + 1
 			}
 			if nameLen > 253 {
-				return "", 0, ErrNameTooLong
+				return "", 0, 0, ErrNameTooLong
 			}
-			return string(buf), next, nil
+			return string(buf), hops, next, nil
 		case b&0xc0 == 0xc0:
 			if off+1 >= len(data) {
-				return "", 0, ErrTruncated
+				return "", 0, 0, ErrTruncated
 			}
 			ptr := int(binary.BigEndian.Uint16(data[off:off+2]) & 0x3fff)
 			if !jumped {
@@ -457,20 +496,28 @@ func readNameAt(data []byte, off int) (name string, next int, err error) {
 			}
 			jumped = true
 			hops++
-			if hops > 32 || ptr >= off {
-				return "", 0, ErrBadPointer
+			if hops > maxNameHops || ptr >= off {
+				return "", 0, 0, ErrBadPointer
+			}
+			for i := 0; i < d.nseen && nlabels == 0; i++ {
+				if s := &d.seen[i]; s.off == ptr {
+					if hops += s.hops; hops > maxNameHops {
+						return "", 0, 0, ErrBadPointer
+					}
+					return s.name, hops, next, nil
+				}
 			}
 			off = ptr
 		case b&0xc0 != 0:
-			return "", 0, ErrBadName
+			return "", 0, 0, ErrBadName
 		default:
 			l := int(b)
 			if off+1+l > len(data) {
-				return "", 0, ErrTruncated
+				return "", 0, 0, ErrTruncated
 			}
 			nlabels++
 			if nlabels > 128 {
-				return "", 0, ErrBadName
+				return "", 0, 0, ErrBadName
 			}
 			if nlabels > 1 {
 				nameLen++
@@ -490,16 +537,21 @@ func readNameAt(data []byte, off int) (name string, next int, err error) {
 	}
 }
 
+// readRRs reads one section of n records onto the end of d.rrs and
+// returns that window, clipped; an empty section is nil.
 func (d *decoder) readRRs(n int) ([]RR, error) {
-	var out []RR
+	start := len(d.rrs)
 	for i := 0; i < n; i++ {
 		rr, err := d.readRR()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rr)
+		d.rrs = append(d.rrs, rr)
 	}
-	return out, nil
+	if n == 0 {
+		return nil, nil
+	}
+	return d.rrs[start:len(d.rrs):len(d.rrs)], nil
 }
 
 func (d *decoder) readRR() (RR, error) {

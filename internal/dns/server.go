@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"encoding/binary"
 	"strings"
 	"time"
 
@@ -267,9 +268,12 @@ func (s *Server) ServeWire(payload []byte, send func(wire []byte)) {
 	}
 	query, err := Decode(payload)
 	if err != nil || query.Response {
+		// Decode returns no message with an error: the ID a resolver
+		// matches the refusal on (and RD) come from the header itself.
 		resp := &Message{Response: true, RCode: RCodeFormErr}
-		if query != nil {
-			resp.ID = query.ID
+		if len(payload) >= 12 {
+			resp.ID = binary.BigEndian.Uint16(payload)
+			resp.RecursionDesired = payload[2]&1 != 0
 		}
 		reply(resp)
 		return
