@@ -14,15 +14,18 @@
 //     flush-waiters → reap. Every launch in the system goes through its
 //     Fire(service, Summon) call, which returns a Decision
 //     (serve / cold-start / no-memory / retired).
-//   - core.Trigger is the pluggable frontend interface. The built-ins —
-//     synchronous DNS (slow and zero-allocation fast path), delayed DNS
-//     (the rejected §3.3.1 ablation), raw SYN, and the jitsud conduit
-//     protocol — each resolve their own signal to a service, Fire the
-//     machine, and render the Decision in their own wire format. The
-//     cluster scheduler attaches as another Trigger on board 0, and
-//     core.PrewarmTrigger summons services predictively, ahead of
-//     recurring arrivals, with no packet at all. New workloads are a
-//     Trigger implementation, not a fork of the lifecycle.
+//   - A frontend is anything that calls Fire under a Summon.Via name.
+//     The built-ins, wired once when the board is built — synchronous
+//     DNS, delayed DNS (the rejected §3.3.1 ablation), raw SYN, and the
+//     jitsud conduit protocol — each resolve their own signal to a
+//     service, Fire the machine, and render the Decision in their own
+//     wire format. The DNS server has one synchronous hook,
+//     dns.Server.Intercept, consulted before its answer cache on both
+//     serve paths; its Verdict alone says whether a reply may be cached.
+//     The cluster scheduler wraps board 0's hook and answers per query,
+//     and core.PrewarmTrigger summons services predictively, ahead of
+//     recurring arrivals, with no packet at all. New workloads are one
+//     more caller of Fire, not a fork of the lifecycle.
 //   - internal/api is the typed control-plane surface (Register /
 //     Activate / Checkpoint / Restore / Migrate / Transfer / Stop /
 //     Stats with error codes). cmd/jitsud and the cluster's migration

@@ -17,7 +17,6 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"jitsu/internal/api"
@@ -105,9 +104,10 @@ type Config struct {
 	// gossip substrate (default 1 Gb/s).
 	MgmtBitsPerSec float64
 	// UnpacedTransfers disables the per-uplink congestion controller:
-	// checkpoint copies blast every chunk immediately with the fixed
-	// doubling MigrateChunkRTO, the pre-controller behaviour kept as the
-	// Stampede experiment's ablation arm.
+	// checkpoint copies — between boards, and from a federation member's
+	// agent to another cluster — blast every chunk immediately with the
+	// fixed doubling retransmit floor, the pre-controller behaviour kept
+	// as the Stampede experiment's ablation arm.
 	UnpacedTransfers bool
 
 	// Tracer, when set, is shared by every board and control loop of the
@@ -179,6 +179,8 @@ type Cluster struct {
 	movedTo map[string]int
 	// nextXferID numbers checkpoint transfers cluster-wide (xfer.go).
 	nextXferID uint32
+	// answer is the front door's per-query A record (trigger.go).
+	answer dns.RR
 
 	// WarmHits counts queries answered by an already-ready replica.
 	WarmHits uint64
@@ -292,13 +294,7 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 		m.agent.startProbing()
 	}
 	c.Pools = newPoolManager(c)
-
-	// The scheduler is just another activation frontend: a core.Trigger
-	// on board 0 whose firings drive the same Activation machines the
-	// per-board DNS/SYN/conduit triggers do.
-	if err := c.front().AddTrigger(&clusterTrigger{c: c}); err != nil {
-		panic(fmt.Sprintf("cluster: attach scheduler trigger: %v", err))
-	}
+	c.frontDoor()
 
 	c.Reg = obs.NewRegistry("cluster")
 	c.Reg.CounterFunc("sched.warm_hits", func() uint64 { return c.WarmHits })
@@ -472,29 +468,6 @@ func (c *Cluster) RunAll() { c.eng.Run() }
 
 // RunUntil advances the shared engine to virtual time t.
 func (c *Cluster) RunUntil(t sim.Duration) { c.eng.RunUntil(t) }
-
-// intercept is the cluster's authoritative DNS hook on board 0: observe
-// the arrival, place the query, then let the pool manager chase the new
-// rate estimate.
-func (c *Cluster) intercept(q dns.Question, resp *dns.Message) bool {
-	if q.Type != dns.TypeA && q.Type != dns.TypeANY {
-		return false
-	}
-	e := c.dir.Lookup(q.Name)
-	if e == nil || e.moved {
-		return false
-	}
-	p, _ := c.schedule(e, TriggerCluster, nil)
-	if p == nil {
-		resp.RCode = dns.RCodeServFail
-		return true
-	}
-	resp.Answers = append(resp.Answers, dns.RR{
-		Name: e.Name, Type: dns.TypeA, Class: dns.ClassIN,
-		TTL: e.Base.TTL, A: p.Svc.Cfg.IP,
-	})
-	return true
-}
 
 // schedule is the one placement path behind every client-driven
 // activation — the DNS trigger, the control-plane Activate, and the

@@ -79,10 +79,6 @@ type FedConfig struct {
 	// chunk is one acknowledged datagram exchange on the federation
 	// management network (default 4 MiB).
 	TransferChunkMiB int
-	// UnpacedTransfers disables the per-agent congestion controller on
-	// cross-cluster copies: every chunk blasts immediately with the
-	// fixed doubling transferChunkRTO — the Stampede ablation arm.
-	UnpacedTransfers bool
 	// WAN, when set, shapes every member agent's federation management
 	// link to the profile (RTT, loss, throughput) instead of the flat
 	// fedLinkLatency/fedBitsPerSec LAN path.
@@ -186,12 +182,6 @@ func WithWAN(p netsim.WANProfile) FedOption {
 		c.WAN = &prof
 		c.TransferBitsPerSec = p.BitsPerSec
 	}
-}
-
-// WithUnpacedFedTransfers disables cross-cluster copy congestion
-// control — the Stampede ablation arm at the federation tier.
-func WithUnpacedFedTransfers(on bool) FedOption {
-	return func(c *FedConfig) { c.UnpacedTransfers = on }
 }
 
 // WithTransferChunk sizes the cross-cluster pre-copy chunks. WAN-shaped
@@ -366,9 +356,10 @@ func (f *Federation) addMember() *FedMember {
 	m.referral = slices.Clip(f.root.zone.Lookup(child, dns.TypeNS))
 	m.glue = slices.Clip(f.root.zone.Lookup("ns."+child, dns.TypeA))
 	f.root.delegated = append(f.root.delegated, child)
-	if err := m.Cluster.front().AddTrigger(m.agent); err != nil {
-		panic(fmt.Sprintf("cluster: attach federation agent: %v", err))
+	if err := m.agent.host.BindUDP(fedPort, m.agent.recv); err != nil {
+		panic(fmt.Sprintf("cluster: bind federation agent: %v", err))
 	}
+	m.agent.startPushing()
 	f.root.applySummary(m.agent.buildSummary(), false)
 	return m
 }
@@ -550,9 +541,9 @@ const TriggerFedDelegate = "fed-delegate"
 // fedAgent is a member cluster's federation endpoint: a host on the
 // federation management network that answers delegated resolutions
 // against the cluster directory, pushes summaries to the root, and
-// executes spill/shed transfers. It attaches to board 0 as a
-// core.Trigger — the delegated queries it fires drive the same
-// Activation machines every other frontend does.
+// executes spill/shed transfers. The delegated queries it fires (Via
+// TriggerFedDelegate) drive the same Activation machines every other
+// frontend does.
 type fedAgent struct {
 	f    *Federation
 	m    *FedMember
@@ -585,21 +576,6 @@ func newFedAgent(f *Federation, m *FedMember) *fedAgent {
 	m.Cluster.onDirChange = a.dirChanged
 	return a
 }
-
-func (a *fedAgent) Name() string { return TriggerFedDelegate }
-
-// Attach binds the agent's management endpoint and arms the periodic
-// summary push; the board itself needs no hook changes — delegated
-// firings enter through the shared scheduler path.
-func (a *fedAgent) Attach(*core.Board) error {
-	if err := a.host.BindUDP(fedPort, a.recv); err != nil {
-		return err
-	}
-	a.startPushing()
-	return nil
-}
-
-func (a *fedAgent) Detach() { a.host.UnbindUDP(fedPort) }
 
 func (a *fedAgent) startPushing() {
 	if a.f.Cfg.SummaryEvery <= 0 || a.stopped {

@@ -17,9 +17,9 @@ import (
 
 // fedCC returns (building on first use) the controller pacing this
 // agent's federation uplink — cc.c<id>.* in the federation registry —
-// or nil when the unpaced ablation is configured.
+// or nil when the member cluster runs the unpaced ablation.
 func (a *fedAgent) fedCC() *cc.Controller {
-	if a.ctrl == nil && !a.f.Cfg.UnpacedTransfers {
+	if a.ctrl == nil && !a.m.Cluster.Cfg.UnpacedTransfers {
 		a.ctrl = uplinkCC(a.f.eng, a.f.Reg, "cc.c"+strconv.Itoa(a.m.ID), a.f.Cfg.TransferChunkMiB, transferChunkRTO)
 	}
 	return a.ctrl

@@ -221,9 +221,12 @@ func (a *agent) startProbing() {
 	a.probeEv = a.c.eng.After(a.c.Cfg.ProbeEvery, a.tickFn)
 }
 
+// stop ends the agent for good. Its probe timeouts return without
+// looking once it is stopped, so the probes in flight are let go here.
 func (a *agent) stop() {
 	a.stopped = true
 	a.c.eng.Cancel(a.probeEv)
+	clear(a.await)
 }
 
 // tick probes one random live-or-suspect peer; no ack within

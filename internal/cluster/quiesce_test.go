@@ -27,16 +27,15 @@ func checkQuiescent(t *testing.T, f *Federation, asked int) {
 }
 
 // checkClusterQuiescent is the cluster's share: no probe awaited, relayed
-// or timing, the name-ordered directory equal to its map, no in-place
-// walk left open, and every entry's count equal to a recount. A stopped
-// agent is allowed the probes that were in flight when it stopped — it
-// returns from their timeouts without looking — and no more than
-// maxStoppedAwait of them.
+// or timing — a stopped agent included: stop lets go of the probes in
+// flight, whose timeouts return without looking — the name-ordered
+// directory equal to its map, no in-place walk left open, and every
+// entry's count equal to a recount.
 func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
 	t.Helper()
 	for _, m := range c.members {
 		a := m.agent
-		if n := len(a.await); n > 0 && (!a.stopped || n > maxStoppedAwait) {
+		if n := len(a.await); n > 0 {
 			t.Errorf("%s: board %d (stopped %v) still awaits %d probe acks", when, m.ID, a.stopped, n)
 		}
 		if len(a.relayed) != 0 || len(a.waits) != 0 {
@@ -53,8 +52,3 @@ func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
 		}
 	}
 }
-
-// maxStoppedAwait bounds what a stopped agent may leave in await: one
-// direct probe per ProbeTimeout/ProbeEvery in flight, each possibly in
-// its indirect round.
-const maxStoppedAwait = 2

@@ -17,58 +17,29 @@ const (
 	TriggerMigrate = "migrate"
 )
 
-// clusterTrigger is the cluster's DNS frontend: a core.Trigger attached
-// to board 0 that resolves each query against the cluster-wide
-// directory, asks the scheduler to place it, and answers with the
-// chosen replica's address. The launch itself goes through the chosen
-// board's shared Activation machine — the same seam the per-board DNS,
-// SYN and conduit frontends fire — so the cluster no longer re-derives
-// the lifecycle in its own intercept.
-type clusterTrigger struct {
-	c *Cluster
-	b *core.Board
-	// prev is board 0's own synchronous DNS frontend: queries the
-	// cluster directory doesn't know fall through to it.
-	prev dns.Interceptor
-	// prevFast is the displaced fast-path hook, restored on Detach.
-	prevFast dns.FastInterceptor
-	// prevOwner is the displaced hook owner, so Detach can hand the
-	// hooks (and their ownership) back.
-	prevOwner core.Trigger
-}
-
-func (t *clusterTrigger) Name() string { return TriggerCluster }
-
-func (t *clusterTrigger) Attach(b *core.Board) error {
-	t.b = b
-	t.prev = b.DNS.Intercept
-	t.prevFast = b.DNS.FastIntercept
-	t.prevOwner = b.DNSFrontend()
-	// Cluster answers vary per query (placement picks the board), so the
-	// front door must not serve them from the per-board fast path.
-	b.DNS.FastIntercept = nil
-	b.DNS.Intercept = t.intercept
-	b.ClaimDNSFrontend(t)
-	return nil
-}
-
-func (t *clusterTrigger) Detach() {
-	if t.b == nil || t.b.DNSFrontend() != core.Trigger(t) {
-		return // displaced in turn: not ours to restore
+// frontDoor installs the cluster's DNS frontend on board 0: each query
+// for a directory name is placed by the scheduler and answered with the
+// chosen replica's address; every other name goes to board 0's own
+// Jitsu hook. The launch itself goes through the chosen board's shared
+// Activation machine — the same seam the per-board DNS, SYN and conduit
+// frontends fire.
+func (c *Cluster) frontDoor() {
+	srv := c.front().DNS
+	own := srv.Intercept
+	srv.Intercept = func(name []byte, typ dns.Type) (dns.Verdict, *dns.RR) {
+		e := c.dir.entries[string(name)]
+		if e == nil || e.moved || (typ != dns.TypeA && typ != dns.TypeANY) {
+			return own(name, typ)
+		}
+		p, _ := c.schedule(e, TriggerCluster, nil)
+		if p == nil {
+			return dns.VerdictServFail, nil
+		}
+		// Placement picks a replica per query: never served from the cache.
+		c.answer = dns.RR{Name: e.Name, Type: dns.TypeA, Class: dns.ClassIN,
+			TTL: e.Base.TTL, A: p.Svc.Cfg.IP}
+		return dns.VerdictOnce, &c.answer
 	}
-	t.b.DNS.Intercept = t.prev
-	t.b.DNS.FastIntercept = t.prevFast
-	t.b.ClaimDNSFrontend(t.prevOwner)
-}
-
-func (t *clusterTrigger) intercept(q dns.Question, resp *dns.Message) bool {
-	if t.c.intercept(q, resp) {
-		return true
-	}
-	if t.prev != nil {
-		return t.prev(q, resp)
-	}
-	return false
 }
 
 // summon fires board idx's Activation machine for a client-driven

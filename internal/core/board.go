@@ -110,26 +110,8 @@ type Board struct {
 	diskRestoreHist *obs.Histogram
 	demoteHist      *obs.Histogram
 
-	// triggers are the attached activation frontends (built-ins first;
-	// AddTrigger appends).
-	triggers []Trigger
-	// dnsOwner is the trigger currently owning the DNS server's
-	// interceptor hooks; a displaced trigger must not Detach hooks it no
-	// longer owns.
-	dnsOwner Trigger
-
 	nextClient int
 }
-
-// ClaimDNSFrontend records t as the current owner of the board's DNS
-// interceptor hooks. A trigger that installs (or chains over) the
-// hooks claims them; Detach implementations check ownership before
-// clearing, so removing a displaced frontend cannot wipe its
-// successor's hooks.
-func (b *Board) ClaimDNSFrontend(t Trigger) { b.dnsOwner = t }
-
-// DNSFrontend returns the trigger currently owning the DNS hooks.
-func (b *Board) DNSFrontend() Trigger { return b.dnsOwner }
 
 // Well-known board addresses.
 var (

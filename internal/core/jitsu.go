@@ -153,7 +153,7 @@ type Service struct {
 	// the DNS server caches its wire encoding) instead of rebuilding it.
 	answerRR dns.RR
 	// okLine is the pre-rendered jitsud-protocol success line,
-	// "ok <ip>\n", so handleResolve does not fmt.Sprintf per hit.
+	// "ok <ip>\n", so resolveLine does not fmt.Sprintf per hit.
 	okLine string
 
 	// launchTarget is the tier an in-flight launch completes into:
@@ -229,7 +229,7 @@ func (j *Jitsu) sumCounters(get func(*Service) uint64) uint64 {
 // Jitsu is the directory service: "the Xen equivalent of the venerable
 // inetd service on Unix, but instead of starting a process in response
 // to incoming traffic, it starts a unikernel". Signal handling lives in
-// the Trigger frontends (trigger.go); the lifecycle lives in the
+// the activation frontends (trigger.go); the lifecycle lives in the
 // Activation machine (activation.go); Jitsu itself is the directory
 // plus the typed control-plane verbs the api package exposes.
 //
@@ -256,27 +256,24 @@ func newJitsu(b *Board, zone *dns.Zone) *Jitsu {
 		services: make(map[string]*Service),
 		byIP:     make(map[netstack.IP]*Service)}
 	j.act = newActivation(j)
-	var front Trigger
+	// The built-in frontends (trigger.go), wired once.
 	if b.Cfg.DelayDNSUntilReady {
-		front = &asyncDNSTrigger{j: j}
+		b.DNS.InterceptAsync = j.interceptDelayed
 	} else {
-		front = &dnsTrigger{j: j}
+		b.DNS.Intercept = j.interceptDNS
 	}
-	builtins := []Trigger{front, &conduitTrigger{j: j}}
+	j.serveConduit(b.Registry)
 	if b.Syn != nil {
-		builtins = append(builtins, &synTrigger{j: j})
-	}
-	for _, t := range builtins {
-		if err := t.Attach(b); err != nil {
-			panic(fmt.Sprintf("core: attach %s trigger: %v", t.Name(), err))
+		b.Syn.trigger = &synTrigger{j: j}
+		if b.Cfg.SYNLaunchRate > 0 {
+			b.Syn.trigger.admit = newSynAdmission(b.Cfg.SYNLaunchRate, b.Cfg.SYNLaunchBurst)
 		}
-		b.triggers = append(b.triggers, t)
 	}
 	return j
 }
 
 // Activation exposes the board's shared activation state machine (the
-// seam every Trigger frontend fires).
+// seam every frontend fires).
 func (j *Jitsu) Activation() *Activation { return j.act }
 
 // Summon fires the activation machine for svc on behalf of a trigger
@@ -413,10 +410,8 @@ func (j *Jitsu) Deregister(svc *Service) bool {
 	delete(j.byIP, svc.Cfg.IP)
 	// The SYN trigger's admission state is keyed by service: drop the
 	// retired entry so churny directories don't accumulate buckets.
-	for _, t := range j.board.triggers {
-		if st, ok := t.(*synTrigger); ok && st.admit != nil {
-			delete(st.admit.buckets, svc)
-		}
+	if syn := j.board.Syn; syn != nil && syn.trigger.admit != nil {
+		delete(syn.trigger.admit.buckets, svc)
 	}
 	j.board.DNS.BumpEpoch()
 	return true

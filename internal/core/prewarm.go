@@ -8,38 +8,22 @@ import (
 )
 
 // PrewarmTrigger is a predictive activation frontend — the proof that a
-// Trigger needs no inbound packet at all. It observes client-driven
+// frontend needs no inbound packet at all. It observes client-driven
 // firings through the Activation machine, learns each service's
 // recurring inter-arrival gap (an EWMA with a mean-absolute-deviation
-// jitter bound), and summons the service Lead ahead of the predicted
-// next arrival. A service whose visitors return on a routine — the
-// home-hub check-in every morning, the sensor posting every ten
-// seconds — then meets every "first" request of a visit warm, even
-// though its idle reaper shut it down in between.
+// jitter bound), and summons the service prewarmLead (2 s) ahead of
+// the predicted next arrival. A service whose visitors return on a
+// routine — the home-hub check-in every morning, the sensor posting
+// every ten seconds — then meets every "first" request of a visit warm,
+// even though its idle reaper shut it down in between.
 //
 // The trigger is speculative on purpose: its firings never count as
 // cold starts, never refuse (a bad prediction wastes one boot, nothing
 // else), and a noisy arrival pattern disarms it until the deviation
-// settles again.
+// settles again. Its model is fixed: EWMA weight 0.5, two gaps before
+// the first prediction, disarmed while the deviation exceeds half the
+// gap, and firings within 1 s of each other are one visit.
 type PrewarmTrigger struct {
-	// Lead is how far ahead of the predicted arrival the boot starts.
-	// It must cover the cold-boot latency plus the tolerated jitter;
-	// the default is 2s.
-	Lead sim.Duration
-	// Alpha is the EWMA weight for the gap and deviation estimates
-	// (default 0.5: recent visits dominate).
-	Alpha float64
-	// MinSamples is how many gaps must be observed before the trigger
-	// predicts (default 2).
-	MinSamples int
-	// MaxJitter disarms prediction while the mean absolute deviation
-	// exceeds this fraction of the gap estimate (default 0.5).
-	MaxJitter float64
-	// MinGap groups firings into visits: a firing within MinGap of the
-	// previous one is the same visit (the SYN racing its own DNS answer,
-	// a burst of requests), not a recurrence signal (default 1s).
-	MinGap sim.Duration
-
 	// Predictions counts speculative summons fired.
 	Predictions uint64
 	// Hits counts client arrivals that found their service ready with a
@@ -50,13 +34,23 @@ type PrewarmTrigger struct {
 	// early, or the pattern shifted).
 	Misses uint64
 
-	j     *Jitsu
 	b     *Board
 	state map[*Service]*prewarmState
 }
 
 // TriggerPrewarm is the predictive frontend's name.
 const TriggerPrewarm = "prewarm"
+
+// The prewarm model (see PrewarmTrigger).
+const (
+	prewarmLead       = 2 * time.Second // covers a cold boot plus the tolerated jitter
+	prewarmAlpha      = 0.5             // EWMA weight: recent visits dominate
+	prewarmMinSamples = 2
+	prewarmMaxJitter  = 0.5
+	// prewarmMinGap groups firings into visits: the SYN racing its own
+	// DNS answer, or a burst of requests, is not a recurrence signal.
+	prewarmMinGap = time.Second
+)
 
 type prewarmState struct {
 	last    sim.Duration // virtual time of the previous client arrival
@@ -67,55 +61,19 @@ type prewarmState struct {
 	armed   bool
 }
 
-// NewPrewarmTrigger builds the trigger with the given lead time (0 =
-// the 2s default).
-func NewPrewarmTrigger(lead sim.Duration) *PrewarmTrigger {
-	return &PrewarmTrigger{Lead: lead}
-}
-
-func (t *PrewarmTrigger) Name() string { return TriggerPrewarm }
-
-// Attach hooks the trigger into the board's Activation machine as an
-// observer of client-driven firings.
-func (t *PrewarmTrigger) Attach(b *Board) error {
-	if t.Lead <= 0 {
-		t.Lead = 2 * time.Second
-	}
-	if t.Alpha <= 0 || t.Alpha > 1 {
-		t.Alpha = 0.5
-	}
-	if t.MinSamples <= 0 {
-		t.MinSamples = 2
-	}
-	if t.MaxJitter <= 0 {
-		t.MaxJitter = 0.5
-	}
-	if t.MinGap <= 0 {
-		t.MinGap = time.Second
-	}
-	t.b = b
-	t.j = b.Jitsu
-	t.state = make(map[*Service]*prewarmState)
+// NewPrewarmTrigger attaches a predictive frontend to board b as an
+// observer of its Activation machine's client-driven firings.
+func NewPrewarmTrigger(b *Board) *PrewarmTrigger {
+	t := &PrewarmTrigger{b: b, state: make(map[*Service]*prewarmState)}
 	b.Jitsu.Activation().Observe(t.observe)
-	return nil
-}
-
-// Detach disarms every pending prediction and stops learning. (The
-// observer hook stays registered but inert — the Activation machine
-// keeps no removable observer list, matching the conduit trigger's
-// fire-and-forget registration.)
-func (t *PrewarmTrigger) Detach() {
-	for _, st := range t.state {
-		t.disarm(st)
-	}
-	t.state = nil
+	return t
 }
 
 // observe feeds one firing into the per-service arrival model. Only
 // client-driven firings (ColdStart) are arrivals; the trigger's own
 // speculative summons and control-plane pokes are not.
 func (t *PrewarmTrigger) observe(svc *Service, s Summon, d Decision) {
-	if t.state == nil || !s.ColdStart || s.Via == TriggerPrewarm {
+	if !s.ColdStart || s.Via == TriggerPrewarm {
 		return
 	}
 	now := t.b.Eng.Now()
@@ -125,7 +83,7 @@ func (t *PrewarmTrigger) observe(svc *Service, s Summon, d Decision) {
 		t.state[svc] = st
 		return
 	}
-	if now-st.last < t.MinGap {
+	if now-st.last < prewarmMinGap {
 		return // same visit: e.g. the SYN racing its own DNS answer
 	}
 	if st.armed {
@@ -141,8 +99,8 @@ func (t *PrewarmTrigger) observe(svc *Service, s Summon, d Decision) {
 	if st.samples == 0 {
 		st.gap = gap
 	} else {
-		st.dev = (1-t.Alpha)*st.dev + t.Alpha*math.Abs(gap-st.gap)
-		st.gap = (1-t.Alpha)*st.gap + t.Alpha*gap
+		st.dev = (1-prewarmAlpha)*st.dev + prewarmAlpha*math.Abs(gap-st.gap)
+		st.gap = (1-prewarmAlpha)*st.gap + prewarmAlpha*gap
 	}
 	st.samples++
 	t.rearm(svc, st, now)
@@ -151,11 +109,11 @@ func (t *PrewarmTrigger) observe(svc *Service, s Summon, d Decision) {
 // rearm schedules (or cancels) the next prediction for svc.
 func (t *PrewarmTrigger) rearm(svc *Service, st *prewarmState, now sim.Duration) {
 	t.disarm(st)
-	if st.samples < t.MinSamples || st.dev > t.MaxJitter*st.gap {
+	if st.samples < prewarmMinSamples || st.dev > prewarmMaxJitter*st.gap {
 		return // not enough evidence, or the pattern is too noisy
 	}
 	next := now + sim.Duration(st.gap*float64(time.Second))
-	fireAt := next - t.Lead
+	fireAt := next - prewarmLead
 	if fireAt <= now {
 		// The gap is shorter than the lead: the service never has time
 		// to go cold, so there is nothing to predict.
@@ -176,7 +134,7 @@ func (t *PrewarmTrigger) predict(svc *Service, st *prewarmState) {
 	t.Predictions++
 	// Speculative: no cold-start accounting, no refusal surface. An
 	// out-of-memory board simply skips the prewarm.
-	t.j.Summon(svc, Summon{Via: TriggerPrewarm})
+	t.b.Jitsu.Summon(svc, Summon{Via: TriggerPrewarm})
 }
 
 // disarm cancels a pending prediction.

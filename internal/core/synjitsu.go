@@ -23,7 +23,7 @@ type Synjitsu struct {
 	byIP      map[netstack.IP]*Service
 	conns     map[*Service][]*netstack.TCPConn
 	listeners map[uint16]bool
-	// trigger is the SYN activation frontend (set at attach time); the
+	// trigger is the SYN activation frontend (set by newJitsu); the
 	// proxy owns the handshake, the trigger owns the launch decision.
 	trigger *synTrigger
 
@@ -100,13 +100,11 @@ func (s *Synjitsu) accept(c *netstack.TCPConn) {
 	// A SYN with no preceding DNS query still summons the service: the
 	// trigger fires the shared Activation machine (which also refreshes
 	// the idle timer for warm connections).
-	if s.trigger != nil {
-		switch s.trigger.fire(svc) {
-		case synLaunched:
-			s.SYNTriggeredLaunches++
-		case synSuppressed:
-			s.SYNSuppressed++
-		}
+	switch s.trigger.fire(svc) {
+	case synLaunched:
+		s.SYNTriggeredLaunches++
+	case synSuppressed:
+		s.SYNSuppressed++
 	}
 }
 

@@ -10,116 +10,44 @@ import (
 	"jitsu/internal/xenstore"
 )
 
-// A Trigger is a pluggable activation frontend: it adapts one inbound
-// signal source — a DNS wire query, a raw TCP SYN, a conduit resolve
-// line, a predicted arrival — to the board's shared Activation machine.
-// A frontend resolves its target to a *Service (by name or by
-// endpoint), calls Activation.Fire with a Summon describing the firing,
-// and renders the returned Decision in its own protocol (an A record, a
-// SERVFAIL, an "ok <ip>" line, nothing at all). New workloads are a
-// Trigger implementation, not another fork of the core lifecycle.
-type Trigger interface {
-	// Name identifies the frontend in Activation.Fired and diagnostics.
-	Name() string
-	// Attach wires the trigger into its signal source on board b. The
-	// board attaches its built-in triggers at construction; additional
-	// ones (cluster scheduler, prewarm) arrive via Board.AddTrigger.
-	Attach(b *Board) error
-	// Detach unwires the trigger from its signal source (idempotent).
-	Detach()
-}
+// Activation frontends. Each adapts one inbound signal source — a DNS
+// wire query, a raw TCP SYN, a conduit resolve line, a predicted
+// arrival — to the board's shared Activation machine: it resolves its
+// target to a *Service (by name or by endpoint), calls Activation.Fire
+// with a Summon whose Via names the frontend, and renders the returned
+// Decision in its own protocol (an A record, a SERVFAIL, an "ok <ip>"
+// line, nothing at all). newJitsu wires the built-ins once; a new
+// workload is one more caller of Fire, not another fork of the core
+// lifecycle.
 
-// AddTrigger attaches an additional activation frontend to the board.
-func (b *Board) AddTrigger(t Trigger) error {
-	if err := t.Attach(b); err != nil {
-		return err
-	}
-	b.triggers = append(b.triggers, t)
-	return nil
-}
-
-// RemoveTrigger detaches a previously added trigger.
-func (b *Board) RemoveTrigger(t Trigger) {
-	for i, have := range b.triggers {
-		if have == t {
-			b.triggers = append(b.triggers[:i], b.triggers[i+1:]...)
-			t.Detach()
-			return
-		}
-	}
-}
-
-// Triggers lists the board's attached frontends (built-ins first).
-func (b *Board) Triggers() []Trigger {
-	out := make([]Trigger, len(b.triggers))
-	copy(out, b.triggers)
-	return out
-}
+// Summon.Via names of the built-in frontends.
+const (
+	// TriggerDNS is the synchronous DNS frontend's name.
+	TriggerDNS = "dns"
+	// TriggerDNSAsync is the delayed-DNS frontend's name.
+	TriggerDNSAsync = "dns-async"
+	// TriggerSYN is the SYN frontend's name.
+	TriggerSYN = "syn"
+	// TriggerConduit is the conduit resolve frontend's name.
+	TriggerConduit = "conduit"
+)
 
 // ---- DNS (synchronous): the paper's headline frontend ----
 
-// dnsTrigger answers A/ANY queries for registered services, launching
-// as a side effect — "returning a DNS response as soon as the VM
-// resource allocation is complete". It installs both the slow-path
-// Interceptor and its allocation-free fast-path twin; both drive the
-// Activation machine through the same Fire call.
-type dnsTrigger struct {
-	j *Jitsu
-	b *Board
-}
-
-// TriggerDNS is the synchronous DNS frontend's name.
-const TriggerDNS = "dns"
-
-func (t *dnsTrigger) Name() string { return TriggerDNS }
-
-func (t *dnsTrigger) Attach(b *Board) error {
-	t.b = b
-	b.DNS.Intercept = t.intercept
-	b.DNS.FastIntercept = t.fastIntercept
-	b.ClaimDNSFrontend(t)
-	return nil
-}
-
-func (t *dnsTrigger) Detach() {
-	if t.b == nil || t.b.DNSFrontend() != t {
-		return // displaced (e.g. by the cluster trigger): not ours to clear
-	}
-	t.b.DNS.Intercept = nil
-	t.b.DNS.FastIntercept = nil
-	t.b.ClaimDNSFrontend(nil)
-}
-
-// intercept is the slow-path hook: answer immediately, launching as a
-// side effect.
-func (t *dnsTrigger) intercept(q dns.Question, resp *dns.Message) bool {
-	if q.Type != dns.TypeA && q.Type != dns.TypeANY {
-		return false
-	}
-	svc, ok := t.j.services[dns.CanonicalName(q.Name)]
-	if !ok {
-		return false
-	}
-	if t.j.act.Fire(svc, Summon{Via: TriggerDNS, ColdStart: true, Refuse: true}) == DecisionNoMemory {
-		resp.RCode = dns.RCodeServFail
-		return true
-	}
-	resp.Answers = append(resp.Answers, svc.answerRR)
-	return true
-}
-
-// fastIntercept is the allocation-free twin of intercept, consulted on
-// the DNS server's fast path. Same state machine, but the answer is the
-// service's pre-built RR, which the server caches as pre-encoded wire.
-func (t *dnsTrigger) fastIntercept(name []byte, typ dns.Type) (dns.Verdict, *dns.RR) {
+// interceptDNS is the board DNS server's Intercept hook: it answers
+// A/ANY queries for registered services, launching as a side effect —
+// "returning a DNS response as soon as the VM resource allocation is
+// complete". The answer is the service's pre-built RR, which the server
+// caches as pre-encoded wire (Register and Deregister bump its epoch).
+func (j *Jitsu) interceptDNS(name []byte, typ dns.Type) (dns.Verdict, *dns.RR) {
 	if typ != dns.TypeA && typ != dns.TypeANY {
 		return dns.VerdictMiss, nil
 	}
-	svc, ok := t.j.services[string(name)] // alloc-free map probe
+	svc, ok := j.services[string(name)] // alloc-free map probe
 	if !ok {
 		return dns.VerdictMiss, nil
 	}
-	if t.j.act.Fire(svc, Summon{Via: TriggerDNS, ColdStart: true, Refuse: true}) == DecisionNoMemory {
+	if j.act.Fire(svc, Summon{Via: TriggerDNS, ColdStart: true, Refuse: true}) == DecisionNoMemory {
 		return dns.VerdictServFail, nil
 	}
 	return dns.VerdictAnswer, &svc.answerRR
@@ -127,40 +55,15 @@ func (t *dnsTrigger) fastIntercept(name []byte, typ dns.Type) (dns.Verdict, *dns
 
 // ---- DNS (delayed): the rejected §3.3.1 alternative (ablation) ----
 
-// asyncDNSTrigger holds the DNS answer until the unikernel is ready,
+// interceptDelayed holds the DNS answer until the unikernel is ready,
 // removing the SYN race at the cost of a much slower resolution. Its
 // responders park in the Activation machine's waiter queue.
-type asyncDNSTrigger struct {
-	j *Jitsu
-	b *Board
-}
-
-// TriggerDNSAsync is the delayed-DNS frontend's name.
-const TriggerDNSAsync = "dns-async"
-
-func (t *asyncDNSTrigger) Name() string { return TriggerDNSAsync }
-
-func (t *asyncDNSTrigger) Attach(b *Board) error {
-	t.b = b
-	b.DNS.InterceptAsync = t.intercept
-	b.ClaimDNSFrontend(t)
-	return nil
-}
-
-func (t *asyncDNSTrigger) Detach() {
-	if t.b == nil || t.b.DNSFrontend() != t {
-		return
-	}
-	t.b.DNS.InterceptAsync = nil
-	t.b.ClaimDNSFrontend(nil)
-}
-
-func (t *asyncDNSTrigger) intercept(query *dns.Message, respond func(*dns.Message)) bool {
+func (j *Jitsu) interceptDelayed(query *dns.Message, respond func(*dns.Message)) bool {
 	if len(query.Questions) != 1 {
 		return false
 	}
 	q := query.Questions[0]
-	svc, ok := t.j.services[dns.CanonicalName(q.Name)]
+	svc, ok := j.services[dns.CanonicalName(q.Name)]
 	if !ok || (q.Type != dns.TypeA && q.Type != dns.TypeANY) {
 		return false
 	}
@@ -174,7 +77,7 @@ func (t *asyncDNSTrigger) intercept(query *dns.Message, respond func(*dns.Messag
 		}
 		respond(resp)
 	}
-	if t.j.act.Fire(svc, Summon{Via: TriggerDNSAsync, ColdStart: true, Refuse: true}) == DecisionNoMemory {
+	if j.act.Fire(svc, Summon{Via: TriggerDNSAsync, ColdStart: true, Refuse: true}) == DecisionNoMemory {
 		answer(false)
 		return true
 	}
@@ -182,7 +85,7 @@ func (t *asyncDNSTrigger) intercept(query *dns.Message, respond func(*dns.Messag
 		answer(true)
 		return true
 	}
-	t.j.act.AwaitReady(svc, answer)
+	j.act.AwaitReady(svc, answer)
 	return true
 }
 
@@ -199,12 +102,8 @@ func (t *asyncDNSTrigger) intercept(query *dns.Message, respond func(*dns.Messag
 // launch, so a SYN flood cannot cause a boot storm.
 type synTrigger struct {
 	j     *Jitsu
-	b     *Board
 	admit *synAdmission // nil = unlimited
 }
-
-// TriggerSYN is the SYN frontend's name.
-const TriggerSYN = "syn"
 
 // synOutcome is one SYN firing's effect on the launch state.
 type synOutcome int
@@ -215,31 +114,12 @@ const (
 	synSuppressed                   // launch denied by the admission rate limit
 )
 
-func (t *synTrigger) Name() string { return TriggerSYN }
-
-func (t *synTrigger) Attach(b *Board) error {
-	t.b = b
-	if b.Cfg.SYNLaunchRate > 0 {
-		t.admit = newSynAdmission(b.Cfg.SYNLaunchRate, b.Cfg.SYNLaunchBurst)
-	}
-	if b.Syn != nil {
-		b.Syn.trigger = t
-	}
-	return nil
-}
-
-func (t *synTrigger) Detach() {
-	if t.b != nil && t.b.Syn != nil && t.b.Syn.trigger == t {
-		t.b.Syn.trigger = nil
-	}
-}
-
 // fire is called by Synjitsu for every proxied connection. A firing
 // that would start a launch first passes the admission bucket; warm
 // services and in-flight boots are never throttled (the touch keeps
 // the idle reaper honest for legitimate traffic).
 func (t *synTrigger) fire(svc *Service) synOutcome {
-	if t.admit != nil && svc.State.NeedsLaunch() && !t.admit.admit(svc, t.b.Eng.Now()) {
+	if t.admit != nil && svc.State.NeedsLaunch() && !t.admit.admit(svc, t.j.board.Eng.Now()) {
 		return synSuppressed
 	}
 	if t.j.act.Fire(svc, Summon{Via: TriggerSYN, ColdStart: true, Force: true}) == DecisionColdStart {
@@ -250,21 +130,12 @@ func (t *synTrigger) fire(svc *Service) synOutcome {
 
 // ---- Conduit: the toolkit resolve path ----
 
-// conduitTrigger publishes the well-known jitsud name (§3.3: "the Jitsu
+// serveConduit publishes the well-known jitsud name (§3.3: "the Jitsu
 // resolver is discovered via a well-known jitsud Conduit node"). The
 // protocol is line-based: "resolve <name>\n" → "ok <ip>\n" |
 // "servfail\n" | "nxdomain\n".
-type conduitTrigger struct {
-	j *Jitsu
-}
-
-// TriggerConduit is the conduit resolve frontend's name.
-const TriggerConduit = "conduit"
-
-func (t *conduitTrigger) Name() string { return TriggerConduit }
-
-func (t *conduitTrigger) Attach(b *Board) error {
-	_, err := b.Registry.Register(xenstore.Dom0, "jitsud", func(ep *conduit.Endpoint) {
+func (j *Jitsu) serveConduit(reg *conduit.Registry) {
+	_, err := reg.Register(xenstore.Dom0, "jitsud", func(ep *conduit.Endpoint) {
 		var buf []byte
 		ep.OnData(func(data []byte) {
 			buf = append(buf, data...)
@@ -275,30 +146,25 @@ func (t *conduitTrigger) Attach(b *Board) error {
 				}
 				line := string(buf[:idx])
 				buf = buf[idx+1:]
-				ep.Write([]byte(t.handleResolve(line)))
+				ep.Write([]byte(j.resolveLine(line)))
 			}
 		})
 	})
 	if err != nil {
-		return fmt.Errorf("core: register jitsud: %w", err)
+		panic(fmt.Sprintf("core: register jitsud: %v", err))
 	}
-	return nil
 }
 
-// Detach is a no-op: the conduit registry has no deregistration, and
-// the well-known node outlives any one consumer.
-func (t *conduitTrigger) Detach() {}
-
-func (t *conduitTrigger) handleResolve(line string) string {
+func (j *Jitsu) resolveLine(line string) string {
 	name, ok := strings.CutPrefix(line, "resolve ")
 	if !ok {
 		return "badrequest\n"
 	}
-	svc, err := t.j.Service(strings.TrimSpace(name))
+	svc, err := j.Service(strings.TrimSpace(name))
 	if err != nil {
 		return "nxdomain\n"
 	}
-	switch t.j.act.Fire(svc, Summon{Via: TriggerConduit, ColdStart: true, Refuse: true}) {
+	switch j.act.Fire(svc, Summon{Via: TriggerConduit, ColdStart: true, Refuse: true}) {
 	case DecisionNoMemory:
 		return "servfail\n"
 	case DecisionRetired:

@@ -36,27 +36,35 @@ func (r *transitionRecorder) equal(want []string) bool {
 // fireFunc drives one frontend through its real signal path.
 type fireFunc func(t *testing.T, b *Board, svc *Service)
 
-func fireDNSSlow(t *testing.T, b *Board, svc *Service) {
-	// Answer() is the decode/answer/encode slow path; it consults the
-	// synchronous Interceptor directly.
-	q := &dns.Message{ID: 7, Questions: []dns.Question{
-		{Name: svc.Cfg.Name, Type: dns.TypeA, Class: dns.ClassIN}}}
-	b.DNS.Answer(q)
-}
-
-func fireDNSFast(t *testing.T, b *Board, svc *Service) {
+// fireDNS sends one A query through the DNS server's one Intercept hook:
+// in place, or — with a trailing byte the in-place parse refuses —
+// through Decode, Answer and Encode.
+func fireDNS(t *testing.T, b *Board, svc *Service, slow bool) {
 	q := &dns.Message{ID: 7, Questions: []dns.Question{
 		{Name: svc.Cfg.Name, Type: dns.TypeA, Class: dns.ClassIN}}}
 	wire, err := q.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if slow {
+		wire = append(wire, 0)
+	}
+	before := b.DNS.CacheMisses + b.DNS.CacheHits
+	var rcode dns.RCode
 	served := false
-	b.DNS.ServeWire(wire, func([]byte) { served = true })
+	b.DNS.ServeWire(wire, func(w []byte) { served, rcode = true, dns.RCode(w[3]&0xf) })
 	if !served {
-		t.Fatal("fast path did not answer")
+		t.Fatal("no answer")
+	}
+	// An answer the in-place path serves goes through its cache; a
+	// SERVFAIL never does, on either path.
+	if cached := b.DNS.CacheMisses+b.DNS.CacheHits != before; rcode == dns.RCodeNoError && cached == slow {
+		t.Fatalf("slow=%v query took the other serve path", slow)
 	}
 }
+
+func fireDNSSlow(t *testing.T, b *Board, svc *Service) { fireDNS(t, b, svc, true) }
+func fireDNSFast(t *testing.T, b *Board, svc *Service) { fireDNS(t, b, svc, false) }
 
 func fireSYN(t *testing.T, b *Board, svc *Service) {
 	client := b.AddClient("syn-client", netstack.IPv4(10, 0, 0, 99))
@@ -246,10 +254,7 @@ func TestPrewarmTriggerLearnsRecurrence(t *testing.T) {
 	run := func(withTrigger bool) (cold uint64, trig *PrewarmTrigger) {
 		b := New()
 		if withTrigger {
-			trig = NewPrewarmTrigger(2 * time.Second)
-			if err := b.AddTrigger(trig); err != nil {
-				t.Fatal(err)
-			}
+			trig = NewPrewarmTrigger(b)
 		}
 		sc := aliceService()
 		sc.IdleTimeout = 6 * time.Second

@@ -308,19 +308,18 @@ func TestServerCNAMEChase(t *testing.T) {
 	}
 }
 
-func TestServerInterceptor(t *testing.T) {
+func TestServerIntercept(t *testing.T) {
 	// The Jitsu hook: the interceptor sees the query first and can
 	// synthesise answers (and launch unikernels as a side effect).
 	eng, client, srv := dnsPair(t)
 	launched := ""
-	srv.Intercept = func(q Question, resp *Message) bool {
-		if q.Type == TypeA && q.Name == "ghost.family.name" {
-			launched = q.Name
-			resp.Answers = append(resp.Answers, RR{Name: q.Name, Type: TypeA, Class: ClassIN, TTL: 0,
-				A: netstack.IPv4(10, 0, 0, 77)})
-			return true
+	ghost := RR{Name: "ghost.family.name", Type: TypeA, Class: ClassIN, TTL: 0, A: netstack.IPv4(10, 0, 0, 77)}
+	srv.Intercept = func(name []byte, typ Type) (Verdict, *RR) {
+		if typ == TypeA && string(name) == ghost.Name {
+			launched = string(name)
+			return VerdictAnswer, &ghost
 		}
-		return false
+		return VerdictMiss, nil
 	}
 	c := &Client{Host: client}
 	var got netstack.IP

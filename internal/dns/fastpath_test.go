@@ -126,7 +126,7 @@ func TestCacheInvalidatedByZoneSerial(t *testing.T) {
 func TestCacheInvalidatedByEpoch(t *testing.T) {
 	s := &Server{Zone: NewZone("family.name")}
 	answer := RR{Name: "svc.family.name", Type: TypeA, Class: ClassIN, TTL: 10, A: netstack.IPv4(10, 0, 0, 5)}
-	s.FastIntercept = func(name []byte, typ Type) (Verdict, *RR) {
+	s.Intercept = func(name []byte, typ Type) (Verdict, *RR) {
 		if string(name) == "svc.family.name" {
 			return VerdictAnswer, &answer
 		}
@@ -172,18 +172,11 @@ func TestFastPathPatchesIDAndRD(t *testing.T) {
 
 func TestFastPathServFailMatchesSlowPath(t *testing.T) {
 	s := testZoneServer()
-	s.FastIntercept = func(name []byte, typ Type) (Verdict, *RR) {
+	s.Intercept = func(name []byte, typ Type) (Verdict, *RR) {
 		if string(name) == "full.family.name" {
 			return VerdictServFail, nil
 		}
 		return VerdictMiss, nil
-	}
-	s.Intercept = func(q Question, resp *Message) bool {
-		if q.Name == "full.family.name" {
-			resp.RCode = RCodeServFail
-			return true
-		}
-		return false
 	}
 	wire := queryWire(t, 0x42, "full.family.name", TypeA, true)
 	got := serveOnce(t, s, wire)
@@ -197,22 +190,53 @@ func TestFastPathServFailMatchesSlowPath(t *testing.T) {
 	}
 }
 
-// An Interceptor installed without a FastInterceptor must disable the
-// fast path entirely: the server cannot know what it would answer.
-func TestInterceptorWithoutFastPathStillConsulted(t *testing.T) {
+// The one hook runs before the cache on every query — its side effect
+// (a launch) must happen even when the reply is cached — and only
+// VerdictAnswer and zone replies are cached: a VerdictOnce reply is
+// rendered per query, uncounted and untraced, and is the same bytes on
+// both serve paths.
+func TestInterceptBeforeCache(t *testing.T) {
 	s := testZoneServer()
+	tr := obs.NewTracer(1 << 10)
+	tr.BindClock(sim.New(1).Now)
+	s.Tracer = tr
 	calls := 0
-	s.Intercept = func(q Question, resp *Message) bool {
+	cached := RR{Name: "svc.family.name", Type: TypeA, Class: ClassIN, TTL: 10, A: netstack.IPv4(10, 0, 0, 5)}
+	once := RR{Name: "pool.family.name", Type: TypeA, Class: ClassIN, TTL: 10}
+	s.Intercept = func(name []byte, typ Type) (Verdict, *RR) {
 		calls++
-		return false
+		switch string(name) {
+		case "svc.family.name":
+			return VerdictAnswer, &cached
+		case "pool.family.name":
+			once.A[3]++ // a different replica every query
+			return VerdictOnce, &once
+		}
+		return VerdictMiss, nil
 	}
-	serveOnce(t, s, queryWire(t, 1, "alice.family.name", TypeA, true))
-	serveOnce(t, s, queryWire(t, 2, "alice.family.name", TypeA, true))
-	if calls != 2 {
-		t.Fatalf("interceptor consulted %d times, want 2", calls)
+	for id := uint16(1); id <= 2; id++ {
+		serveOnce(t, s, queryWire(t, id, "svc.family.name", TypeA, true))
 	}
-	if s.CacheHits != 0 {
-		t.Fatal("fast path served despite opaque interceptor")
+	if calls != 2 || s.CacheHits != 1 || s.CacheMisses != 1 {
+		t.Fatalf("cached answer: hook ran %d times, hits=%d misses=%d; want 2, 1, 1", calls, s.CacheHits, s.CacheMisses)
+	}
+	events := tr.Len()
+	var replies [][]byte
+	for id := uint16(1); id <= 3; id++ {
+		wire := queryWire(t, id, "pool.family.name", TypeA, id != 2)
+		got := serveOnce(t, s, wire)
+		once.A[3]-- // the slow path must see the same replica
+		if want := freshEncode(t, s, wire); !bytes.Equal(got, want) {
+			t.Fatalf("query %d: VerdictOnce wire %x != slow path %x", id, got, want)
+		}
+		replies = append(replies, got)
+	}
+	if bytes.Equal(replies[0][2:], replies[2][2:]) {
+		t.Fatal("a VerdictOnce reply was served from the cache")
+	}
+	if s.CacheHits != 1 || s.CacheMisses != 1 || len(s.cache) != 1 || tr.Len() != events {
+		t.Fatalf("VerdictOnce touched the cache: hits=%d misses=%d entries=%d trace events %d -> %d",
+			s.CacheHits, s.CacheMisses, len(s.cache), events, tr.Len())
 	}
 }
 

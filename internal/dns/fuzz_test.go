@@ -75,8 +75,7 @@ func FuzzDNSCodec(f *testing.F) {
 		// slow-path responses must agree byte for byte.
 		fast := testZoneServerForFuzz()
 		slow := testZoneServerForFuzz()
-		slow.FastIntercept = nil
-		slow.Intercept = func(Question, *Message) bool { return false } // forces slow path
+		slow.InterceptAsync = func(*Message, func(*Message)) bool { return false } // forces slow path
 		var fastWire, slowWire []byte
 		fast.ServeWire(data, func(w []byte) { fastWire = append([]byte(nil), w...) })
 		slow.ServeWire(data, func(w []byte) { slowWire = append([]byte(nil), w...) })

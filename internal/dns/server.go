@@ -94,62 +94,49 @@ func (z *Zone) SOA() RR {
 	}
 }
 
-// Interceptor lets the Jitsu directory service hook query handling: it
-// may rewrite the answer (launching unikernels as a side effect) before
-// the reply leaves. Returning false falls through to plain zone lookup.
-type Interceptor func(q Question, resp *Message) bool
-
-// AsyncInterceptor may hold a whole query and respond later (the §3.3.1
-// alternative Jitsu rejects — delaying the DNS response until the
-// unikernel network is fully established). Returning false falls
-// through to the synchronous path.
-type AsyncInterceptor func(query *Message, respond func(*Message)) bool
-
-// Verdict is a FastIntercept decision on the zero-allocation serve path.
+// Verdict is the Intercept hook's decision on one question.
 type Verdict int
 
-// Fast-path verdicts.
+// Intercept verdicts. Only a VerdictAnswer reply and a VerdictMiss zone
+// answer are cached; the other two are rendered for the query at hand.
 const (
-	// VerdictMiss falls through to the (cached) zone lookup; the
-	// directory guarantees its slow-path Interceptor would also decline.
+	// VerdictMiss falls through to the (cached) zone lookup.
 	VerdictMiss Verdict = iota
 	// VerdictAnswer serves the returned RR, cached as pre-encoded wire
 	// until the state epoch or zone serial moves.
 	VerdictAnswer
+	// VerdictOnce serves the returned RR for this query only: never
+	// cached, never counted in CacheHits/CacheMisses, never traced — the
+	// cluster's placement picks a replica per query.
+	VerdictOnce
 	// VerdictServFail serves an (uncached) SERVFAIL — the §3.3.2
 	// resource-exhaustion signal, which depends on live free memory.
 	VerdictServFail
 )
 
-// FastInterceptor is the allocation-free twin of Interceptor, consulted
-// on the fast path for single-question A/ANY-style queries. name is the
-// canonical query name, valid only for the duration of the call. A
-// directory that installs a FastInterceptor must answer consistently
-// with its Interceptor and bump the server's state epoch whenever a
-// previously returned RR would change.
-type FastInterceptor func(name []byte, typ Type) (Verdict, *RR)
-
 // Server answers DNS queries over a netstack UDP port.
 //
 // The serve path is two-tier: a zero-allocation fast path parses the
-// common single-question query in place, consults the FastInterceptor,
-// and answers from a packed cache of pre-encoded responses (ID and RD
-// patched per query); everything else — multi-question, EDNS-ish
-// trailing bytes, compressed query names, async interception — takes
-// the original decode/answer/encode slow path. Both paths produce
+// common single-question query in place and answers from a packed cache
+// of pre-encoded responses (ID and RD patched per query); everything
+// else — multi-question, EDNS-ish trailing bytes, compressed query
+// names, async interception — takes the decode/answer/encode slow path.
+// Both paths consult Intercept before the cache or the zone and produce
 // byte-identical wire responses.
 type Server struct {
 	Host *netstack.Host
 	Zone *Zone
-	// Intercept, when set, gets first crack at each question.
-	Intercept Interceptor
+	// Intercept, when set, gets first crack at each question: name is
+	// the canonical query name, valid only for the duration of the call.
+	// It must bump the server's state epoch whenever an RR it returned
+	// with VerdictAnswer would change.
+	Intercept func(name []byte, typ Type) (Verdict, *RR)
 	// InterceptAsync, when set, may take over the whole query and
-	// respond at a later virtual time.
-	InterceptAsync AsyncInterceptor
-	// FastIntercept, when set, is the fast-path twin of Intercept.
-	// Setting Intercept without FastIntercept disables the fast path
-	// entirely (the server cannot know what the interceptor would do).
-	FastIntercept FastInterceptor
+	// respond at a later virtual time (the §3.3.1 alternative Jitsu
+	// rejects — delaying the DNS response until the unikernel network is
+	// fully established; the federation root's delegation). Returning
+	// false falls through to Answer. It turns the in-place path off.
+	InterceptAsync func(query *Message, respond func(*Message)) bool
 	// ProcessingDelay models server-side work per query.
 	ProcessingDelay sim.Duration
 
@@ -186,7 +173,7 @@ type Server struct {
 	// Fast-path scratch buffers, reused across queries.
 	nameBuf []byte
 	keyBuf  []byte
-	sfBuf   []byte
+	sfBuf   []byte // SERVFAIL and VerdictOnce replies
 	// Closure-free UDP reply path: replyFn is built once at bind time
 	// and reads replySrc/replyPort, so the per-datagram handler does
 	// not allocate on the synchronous serve path.
@@ -211,7 +198,7 @@ func Serve(host *netstack.Host, zone *Zone) (*Server, error) {
 func (s *Server) Close() { s.Host.UnbindUDP(53) }
 
 // BumpEpoch invalidates every cached answer derived from the
-// FastInterceptor (and, incidentally, from the zone) by dropping the
+// Intercept hook (and, incidentally, from the zone) by dropping the
 // whole cache. Directories call it when registrations change (and the
 // cluster calls it on membership churn); re-filling costs one encode
 // per live (name, qtype).
@@ -246,7 +233,7 @@ func (s *Server) handle(src netstack.IP, srcPort uint16, payload []byte) {
 // the next query.
 func (s *Server) ServeWire(payload []byte, send func(wire []byte)) {
 	s.Queries++
-	if s.InterceptAsync == nil && (s.Intercept == nil || s.FastIntercept != nil) {
+	if s.InterceptAsync == nil {
 		if wire, ok := s.fastAnswer(payload); ok {
 			if s.ProcessingDelay > 0 {
 				// The cached buffer may be re-patched before the delayed
@@ -291,7 +278,7 @@ func (s *Server) ServeWire(payload []byte, send func(wire []byte)) {
 
 // fastAnswer is the zero-allocation serve path. It parses the common
 // query shape in place (single question, opcode 0, class IN, no
-// compression, no extra records), consults the FastInterceptor, and
+// compression, no extra records), consults the Intercept hook, and
 // serves a pre-encoded cached response with ID and RD patched in. ok is
 // false when the query needs the slow path.
 func (s *Server) fastAnswer(payload []byte) (wire []byte, ok bool) {
@@ -356,13 +343,20 @@ func (s *Server) fastAnswer(payload []byte) (wire []byte, ok bool) {
 	qid := uint16(payload[0])<<8 | uint16(payload[1])
 	rd := payload[2] & 1
 
-	var rr *RR
-	verdict := VerdictMiss
-	if s.FastIntercept != nil {
-		verdict, rr = s.FastIntercept(name, typ)
+	verdict, rr := VerdictMiss, (*RR)(nil)
+	if s.Intercept != nil {
+		verdict, rr = s.Intercept(name, typ)
 	}
-	if verdict == VerdictServFail {
+	switch verdict {
+	case VerdictServFail:
 		return s.servfailWire(qid, rd, name, typ), true
+	case VerdictOnce:
+		w, err := s.render(s.sfBuf[:0], name, typ, rr)
+		if err != nil {
+			return nil, false
+		}
+		s.sfBuf = w
+		return patchWire(w, qid, rd), true
 	}
 
 	key := append(append(s.keyBuf[:0], name...), byte(typ>>8), byte(typ))
@@ -387,16 +381,7 @@ func (s *Server) fastAnswer(payload []byte) (wire []byte, ok bool) {
 	if s.Tracer != nil {
 		s.Tracer.Instant(s.TraceTID, "dns", "cache_miss", obs.Str("name", string(name)))
 	}
-	resp := &Message{
-		Response: true, Authoritative: true,
-		Questions: []Question{{Name: string(name), Type: typ, Class: ClassIN}},
-	}
-	if verdict == VerdictAnswer {
-		resp.Answers = append(resp.Answers, *rr)
-	} else {
-		s.answerFromZone(resp.Questions[0], resp)
-	}
-	w, err := resp.AppendEncode(nil)
+	w, err := s.render(nil, name, typ, rr)
 	if err != nil {
 		return nil, false
 	}
@@ -410,6 +395,21 @@ func (s *Server) fastAnswer(payload []byte) (wire []byte, ok bool) {
 		s.cache[string(key)] = w
 	}
 	return patchWire(w, qid, rd), true
+}
+
+// render encodes the reply to one in-place-parsed question into dst
+// through the ordinary Message path, so its bytes are identical to a
+// slow-path encode: rr as the answer, or the zone's answer when rr is
+// nil (VerdictMiss).
+func (s *Server) render(dst, name []byte, typ Type, rr *RR) ([]byte, error) {
+	resp := Message{Response: true, Authoritative: true,
+		Questions: []Question{{Name: string(name), Type: typ, Class: ClassIN}}}
+	if rr != nil {
+		resp.Answers = []RR{*rr}
+	} else {
+		s.answerFromZone(resp.Questions[0], &resp)
+	}
+	return resp.AppendEncode(dst)
 }
 
 // maxCacheEntries bounds the packed answer cache (keys are short, wire
@@ -463,10 +463,18 @@ func (s *Server) Answer(query *Message) *Message {
 		return resp
 	}
 	for _, q := range query.Questions {
-		if s.Intercept != nil && s.Intercept(q, resp) {
-			continue
+		verdict, rr := VerdictMiss, (*RR)(nil)
+		if s.Intercept != nil {
+			verdict, rr = s.Intercept([]byte(CanonicalName(q.Name)), q.Type)
 		}
-		s.answerFromZone(q, resp)
+		switch verdict {
+		case VerdictMiss:
+			s.answerFromZone(q, resp)
+		case VerdictServFail:
+			resp.RCode = RCodeServFail
+		default:
+			resp.Answers = append(resp.Answers, *rr)
+		}
 	}
 	return resp
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -18,14 +17,13 @@ import (
 // PrewarmTrigger learns the routine from the activation stream and
 // boots each service just ahead of its predicted next visit; the same
 // trace then lands on a warm unikernel almost every time. This is the
-// trigger-API extensibility proof: no packet arrives, yet a frontend
+// frontend extensibility proof: no packet arrives, yet a frontend
 // summons unikernels through exactly the seam DNS/SYN/conduit use.
 const (
 	prewarmServices = 3
 	prewarmPeriod   = 10 * time.Second
 	prewarmJitter   = 500 * time.Millisecond
 	prewarmIdle     = 6 * time.Second
-	prewarmLead     = 2 * time.Second
 	// prewarmWarmup is how many visits the trigger needs before its
 	// predictions arm; the "steady" series starts after them.
 	prewarmWarmup = 3
@@ -75,10 +73,7 @@ func runPrewarm(on, traced bool, seed int64, trace []arrival) *prewarmOutcome {
 	b := core.New(core.WithSeed(seed), core.WithTracer(tracer, 0))
 	var trig *core.PrewarmTrigger
 	if on {
-		trig = core.NewPrewarmTrigger(prewarmLead)
-		if err := b.AddTrigger(trig); err != nil {
-			panic(fmt.Sprintf("prewarm: attach trigger: %v", err))
-		}
+		trig = core.NewPrewarmTrigger(b)
 	}
 	var svcs []*core.Service
 	for s := 0; s < prewarmServices; s++ {

@@ -140,13 +140,13 @@ type stampedeFedRun struct {
 func runStampedeFed(label string, shed, unpaced bool, horizon sim.Duration) *stampedeFedRun {
 	f := cluster.NewFederation(
 		cluster.WithClusters(2),
-		cluster.WithMemberOptions(cluster.WithBoards(3), cluster.WithSeed(2600)),
+		cluster.WithMemberOptions(cluster.WithBoards(3), cluster.WithSeed(2600),
+			cluster.WithUnpacedTransfers(unpaced)),
 		cluster.WithWAN(netsim.WAN20ms()),
 		cluster.WithDelegateRetry(100*time.Millisecond, 3),
 		cluster.WithTransferChunk(1),
 		// The shed is issued by hand at t0; the detector stays out of it.
 		cluster.WithSkewPolicy(0, 0.5, 3, stampedeFedBatch),
-		cluster.WithUnpacedFedTransfers(unpaced),
 	)
 	tap := netsim.NewCapture(f.Eng(), 1<<15)
 	f.Members()[0].MgmtLink().Tap(tap)

@@ -6,10 +6,10 @@ import (
 	"jitsu/internal/sim"
 )
 
-// Packet capture is a decorator at the Port.Deliver interposition
-// point: a Capture wraps the port a link delivers to (Link.Tap) or any
-// other Port (Capture.Port) and records a (virtual-time, direction,
-// frame) tuple for every frame that actually arrives — after loss, so
+// Packet capture sits at the Port.Deliver interposition point: a
+// Capture on a link's delivery ends (Link.Tap) records a
+// (virtual-time, direction, frame) tuple for every frame that actually
+// arrives — after loss, so
 // a capture on an impaired link shows what the receiver saw, exactly
 // like a pcap taken on the far NIC. Records are appended in event
 // order on the virtual clock, so a seeded run's capture stream is
@@ -53,26 +53,6 @@ func (c *Capture) record(dir string, frame []byte) {
 		return
 	}
 	c.Records = append(c.Records, CaptureRecord{At: c.eng.Now(), Dir: dir, Frame: frame})
-}
-
-// capturePort decorates an arbitrary Port.
-type capturePort struct {
-	cap  *Capture
-	dir  string
-	next Port
-}
-
-// Deliver implements Port: record, then pass through.
-func (p *capturePort) Deliver(frame []byte) {
-	p.cap.record(p.dir, frame)
-	p.next.Deliver(frame)
-}
-
-// Port wraps next so every Deliver is recorded under dir before being
-// passed through — the generic interposition for ports that are not
-// link ends (bridge ports, NICs used directly).
-func (c *Capture) Port(dir string, next Port) Port {
-	return &capturePort{cap: c, dir: dir, next: next}
 }
 
 // Tap records both directions of a link at their delivery instants:

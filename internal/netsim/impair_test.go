@@ -277,19 +277,6 @@ func TestCaptureDropsBeyondCap(t *testing.T) {
 	}
 }
 
-func TestCapturePortDecorator(t *testing.T) {
-	eng := sim.New(1)
-	b := NewNIC(eng, "b", MACFor(2))
-	var got int
-	b.SetHandler(func([]byte) { got++ })
-	cap := NewCapture(eng, 0)
-	p := cap.Port("tap", b)
-	p.Deliver(frame(b.Addr, MACFor(1), "via-port"))
-	if got != 1 || len(cap.Records) != 1 || cap.Records[0].Dir != "tap" {
-		t.Fatalf("decorator: got=%d records=%v", got, cap.Records)
-	}
-}
-
 func TestCaptureSeesDuplicates(t *testing.T) {
 	eng := sim.New(1)
 	a, b, l, _ := hostilePair(eng, 100*time.Microsecond)

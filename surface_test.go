@@ -35,7 +35,6 @@ var surfaceHooks = map[string]string{
 	"RemoveCluster":    "cluster.Federation: membership tests",
 	"WithSYNRateLimit": "core: SYN-flood admission test",
 	"Subscribe":        "core.Activation: state-transition observer for the trigger tests",
-	"RemoveTrigger":    "core.Board: AddTrigger's inverse, driven by the cluster trigger test",
 	"Remove":           "dns.Zone: record removal behind the cache-invalidation tests",
 	"FracBelow":        "metrics.Series: shape assertions in the experiment tests",
 }
@@ -99,6 +98,69 @@ func TestNoUnreferencedSurface(t *testing.T) {
 		if uses[name] != 0 {
 			t.Errorf("surfaceHooks lists %s, but a non-test file references it: drop the entry", name)
 		}
+	}
+}
+
+// settableValues is how many values a user of the repository can set:
+// exported fields of the *Config, *Opts and *Profile structs under
+// internal/, With* options under internal/, and command-line flags
+// defined outside bench/ (PR 22's definition). A new knob fails
+// TestSettableValues until the same diff raises this number — say why
+// in the PR; a deleted one lowers it.
+const settableValues = 162
+
+// flagDefs maps each flag-defining method of package flag and
+// flag.FlagSet to the index of its name argument.
+var flagDefs = map[string]int{
+	"Bool": 0, "Int": 0, "Int64": 0, "Uint": 0, "Uint64": 0, "Float64": 0, "String": 0, "Duration": 0,
+	"BoolVar": 1, "IntVar": 1, "Int64Var": 1, "UintVar": 1, "Uint64Var": 1, "Float64Var": 1, "StringVar": 1, "DurationVar": 1,
+}
+
+// TestSettableValues holds the count of knobs to settableValues.
+func TestSettableValues(t *testing.T) {
+	var knobs []string
+	walkSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+		if strings.HasPrefix(path, "bench/") {
+			return
+		}
+		internal := strings.HasPrefix(path, "internal/")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				if internal && n.Recv == nil && strings.HasPrefix(n.Name.Name, "With") {
+					knobs = append(knobs, path+": option "+n.Name.Name)
+				}
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !internal || !ok || !strings.HasSuffix(n.Name.Name, "Config") &&
+					!strings.HasSuffix(n.Name.Name, "Opts") && !strings.HasSuffix(n.Name.Name, "Profile") {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						if id.IsExported() {
+							knobs = append(knobs, path+": field "+n.Name.Name+"."+id.Name)
+						}
+					}
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if at, isFlag := flagDefs[sel.Sel.Name]; isFlag && len(n.Args) == at+3 {
+					if lit, ok := n.Args[at].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						knobs = append(knobs, path+": flag "+lit.Value)
+					}
+				}
+			}
+			return true
+		})
+	})
+	if len(knobs) != settableValues {
+		sort.Strings(knobs)
+		t.Errorf("%d settable values, settableValues says %d: a knob was added or removed — update the constant in the same diff\n%s",
+			len(knobs), settableValues, strings.Join(knobs, "\n"))
 	}
 }
 
