@@ -127,7 +127,7 @@ fuzz-engine:
 # package's layer), with -benchmem and records the numbers as JSON. The
 # experiment benches double as the determinism record: their
 # ReportMetric values must not move between runs with the same seed.
-BENCH_PKGS ?= . ./internal/sim ./internal/xenstore ./internal/xen ./internal/netsim ./internal/netstack ./internal/dns ./internal/wire ./internal/obs ./internal/cluster
+BENCH_PKGS ?= . ./internal/sim ./internal/xenstore ./internal/xen ./internal/netsim ./internal/netstack ./internal/dns ./internal/wire ./internal/obs ./internal/cluster ./internal/cc ./internal/conduit ./internal/blockdev
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' $(BENCH_PKGS) | tee /dev/stderr | $(GO) run ./cmd/benchjson > $(BENCH_OUT)
 

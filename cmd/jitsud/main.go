@@ -694,7 +694,7 @@ func (d *daemon) runConnect() error {
 	}
 	now := func() time.Duration { return c.Eng().Now().Round(time.Millisecond) }
 	fmt.Fprintf(d.out, "jitsud connect: %d boards, policy %s; 3 operator sessions on board 0 (wire protocol v%d, scopes %s/%s/%s)\n\n",
-		d.boards, pol.Name(), admin.Version(), admin.Scope(), ops.Scope(), viewer.Scope())
+		d.boards, pol.Name(), wire.Version, admin.Scope(), ops.Scope(), viewer.Scope())
 	stopStats, err := d.streamStats(viewer, c.Eng().Now)
 	if err != nil {
 		return err

@@ -60,15 +60,16 @@
 // # Wire and congestion-control layering
 //
 // The control plane has a wire form. internal/wire sits ABOVE
-// internal/api: it serializes every api.ControlPlane verb as versioned,
-// length-prefixed binary frames with request ids and typed error codes
-// — wire.ServeWith exposes any api backend on a simulated management
-// endpoint behind a capability keyring (protocol v2 sessions present a
-// token and are granted a verb scope: read-only, operator or admin;
-// out-of-scope verbs answer api.CodeUnauthorized without killing the
-// session; v1 peers negotiate down and fall under the server's
-// anonymous-session policy), wire.DialSession implements
-// api.ControlPlane over a dialled netstack connection, and the async
+// internal/api: it serializes every api.ControlPlane verb as
+// length-prefixed binary frames of one protocol version with request ids
+// and typed error codes — wire.Serve exposes any api backend on a
+// simulated management endpoint behind a capability keyring (a session
+// presents a token and is granted a verb scope: read-only, operator or
+// admin; a session without one falls under the server's
+// anonymous-session policy; out-of-scope verbs answer
+// api.CodeUnauthorized without killing the session), wire.DialSession
+// implements api.ControlPlane over a dialled netstack connection, and
+// the async
 // verbs (Activate/Promote ready, Migrate done, WatchStats snapshots)
 // come back as server-pushed event frames. A server carries any number
 // of concurrent operator sessions, each with its own request-id space

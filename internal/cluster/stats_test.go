@@ -187,8 +187,8 @@ func sameStats(t *testing.T, when string, got, want api.StatsResponse) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s:\n got  %+v\n want %+v", when, got, want)
 	}
-	a, errA := wire.Append(nil, wire.V2, wire.TStatsResp, 1, got)
-	b, errB := wire.Append(nil, wire.V2, wire.TStatsResp, 1, want)
+	a, errA := wire.Append(nil, wire.Version, wire.TStatsResp, 1, got)
+	b, errB := wire.Append(nil, wire.Version, wire.TStatsResp, 1, want)
 	if errA != nil || errB != nil || !bytes.Equal(a, b) {
 		t.Fatalf("%s: frames differ (%v, %v)", when, errA, errB)
 	}

@@ -1,49 +1,15 @@
 package cluster
 
-import (
-	"jitsu/internal/api"
-	"jitsu/internal/wire"
-)
+import "jitsu/internal/wire"
 
-// WireConfig shapes the cluster's wire-serving side: which management
-// board exposes the control plane, and the session policy operators
-// authenticate against.
-type WireConfig struct {
-	// Board picks the member whose management host binds the listener.
-	Board int
-	// Port is the TCP port (0 = wire.DefaultPort).
-	Port uint16
-	// Apps re-attaches application factories to images arriving over
-	// the wire (nil = images stay app-less).
-	Apps wire.AppResolver
+// WireConfig is the session policy operators authenticate against.
+type WireConfig = wire.ServerConfig
 
-	// Keyring maps capability tokens to granted scopes.
-	Keyring map[string]api.Scope
-	// Anonymous is the scope for sessions without a token (all v1
-	// sessions); ScopeNone refuses them.
-	Anonymous api.Scope
-
-	// MinVersion and MaxVersion clamp the protocol range served
-	// (0 = the wire package's full range).
-	MinVersion, MaxVersion uint16
-}
-
-// ServeWire exposes the cluster's control plane on a management host:
-// every api verb becomes reachable over the simulated management
-// network, gated by the configured capability policy. Multiple
-// operator sessions may be live at once; each gets its own event
-// stream.
+// ServeWire exposes the cluster's control plane on board 0's management
+// host at wire.DefaultPort: every api verb becomes reachable over the
+// simulated management network, gated by the configured capability
+// policy. Multiple operator sessions may be live at once; each gets its
+// own event stream.
 func (c *Cluster) ServeWire(cfg WireConfig) (*wire.Server, error) {
-	port := cfg.Port
-	if port == 0 {
-		port = wire.DefaultPort
-	}
-	return wire.ServeWith(c.MgmtHost(cfg.Board), port, wire.ServerConfig{
-		Backend:    c.API(),
-		Apps:       cfg.Apps,
-		Keyring:    cfg.Keyring,
-		Anonymous:  cfg.Anonymous,
-		MinVersion: cfg.MinVersion,
-		MaxVersion: cfg.MaxVersion,
-	})
+	return wire.Serve(c.MgmtHost(0), c.API(), cfg)
 }

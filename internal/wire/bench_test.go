@@ -37,7 +37,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = wire.Append(buf[:0], wire.V2, wire.TRegisterReq, uint32(i), req)
+		buf, err = wire.Append(buf[:0], wire.Version, wire.TRegisterReq, uint32(i), req)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkStatsEncode(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		var err error
-		if buf, err = wire.Append(buf[:0], wire.V2, wire.TStatsResp, 9, stats); err != nil {
+		if buf, err = wire.Append(buf[:0], wire.Version, wire.TStatsResp, 9, stats); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkStatsEncode(b *testing.B) {
 // BenchmarkStatsDecode parses it back: stateless, every name is a fresh
 // string; on a session's decoder the ~210 names are interned.
 func BenchmarkStatsDecode(b *testing.B) {
-	buf, err := wire.Append(nil, wire.V2, wire.TStatsResp, 9, consoleStats(b))
+	buf, err := wire.Append(nil, wire.Version, wire.TStatsResp, 9, consoleStats(b))
 	if err != nil {
 		b.Fatal(err)
 	}

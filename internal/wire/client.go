@@ -18,14 +18,13 @@ import (
 // event frames whenever the engine runs — including during other
 // verbs' pumping — and fire the locally-registered closures.
 type Client struct {
-	eng     *sim.Engine
-	conn    *netstack.TCPConn
-	dec     Decoder
-	tx, rx  []byte
-	rxoff   int // frames before it are consumed
-	nextID  uint32
-	version uint16
-	scope   api.Scope
+	eng    *sim.Engine
+	conn   *netstack.TCPConn
+	dec    Decoder
+	tx, rx []byte
+	rxoff  int // frames before it are consumed
+	nextID uint32
+	scope  api.Scope
 
 	resps   map[uint32]any
 	pending map[uint32]hooks // by request id: callbacks still waiting for events
@@ -40,28 +39,17 @@ type Client struct {
 
 // SessionConfig shapes one operator session.
 type SessionConfig struct {
-	// Token is the capability credential presented in the V2 Hello;
-	// empty dials anonymously. On a downgrade to V1 the token is
-	// elided — whether the anonymous session is accepted is server
-	// policy.
+	// Token is the capability credential presented in the Hello; empty
+	// dials anonymously, and whether that is accepted is server policy.
 	Token string
-	// Min and Max clamp the offered protocol range; zero values
-	// default to the package's full MinVersion..MaxVersion range.
-	Min, Max uint16
 }
 
 // DialSession connects host to the wire server at dst:port, completes
-// the TCP handshake and the Hello/HelloAck negotiation (version and,
-// on V2, credential), and returns a ready Client. It pumps eng until
-// the handshake settles, so call it from outside engine callbacks. A
-// refused credential surfaces as an *api.Error with CodeUnauthorized.
+// the TCP handshake and the Hello/HelloAck exchange, and returns a
+// ready Client. It pumps eng until the handshake settles, so call it
+// from outside engine callbacks. A refused credential surfaces as an
+// *api.Error with CodeUnauthorized.
 func DialSession(eng *sim.Engine, host *netstack.Host, dst netstack.IP, port uint16, cfg SessionConfig) (*Client, error) {
-	if cfg.Min == 0 {
-		cfg.Min = MinVersion
-	}
-	if cfg.Max == 0 {
-		cfg.Max = MaxVersion
-	}
 	c := &Client{
 		eng:     eng,
 		resps:   make(map[uint32]any),
@@ -88,12 +76,8 @@ func DialSession(eng *sim.Engine, host *netstack.Host, dst netstack.IP, port uin
 		}
 	})
 
-	// The Hello is framed at the highest version we offer, so a V2
-	// Hello carries the token; a V1 peer still negotiates the range
-	// from the body and answers with a V1-framed ack.
-	c.version = cfg.Max
 	id := c.id()
-	if err := c.sendFrame(THello, id, Hello{Min: cfg.Min, Max: cfg.Max, Token: cfg.Token}); err != nil {
+	if err := c.sendFrame(THello, id, Hello{Min: Version, Max: Version, Token: cfg.Token}); err != nil {
 		return nil, err
 	}
 	if err := c.pump(eng, func() bool { _, ok := c.resps[id]; return ok }); err != nil {
@@ -109,7 +93,6 @@ func DialSession(eng *sim.Engine, host *netstack.Host, dst netstack.IP, port uin
 		}
 		return nil, ErrNoVersion
 	}
-	c.version = ack.Version
 	c.scope = ack.Scope
 	return c, nil
 }
@@ -142,12 +125,7 @@ func (c *Client) Abort() {
 	clear(c.pending)
 }
 
-// Version is the negotiated protocol version.
-func (c *Client) Version() uint16 { return c.version }
-
 // Scope is the capability scope the server granted this session.
-// Only V2 acks carry it — on a V1 session it reads ScopeNone even
-// though the server accepted the session under its anonymous policy.
 func (c *Client) Scope() api.Scope { return c.scope }
 
 // Pending is the number of callback registrations still waiting for a
@@ -179,7 +157,7 @@ func (c *Client) pump(eng *sim.Engine, done func() bool) error {
 }
 
 func (c *Client) sendFrame(typ byte, id uint32, msg any) error {
-	buf, err := Append(c.tx[:0], byte(c.version), typ, id, msg)
+	buf, err := Append(c.tx[:0], Version, typ, id, msg)
 	if err != nil {
 		return err
 	}
@@ -194,16 +172,10 @@ func (c *Client) sendFrame(typ byte, id uint32, msg any) error {
 func (c *Client) onData(b []byte) {
 	c.rx = append(c.rx, b...)
 	for {
-		ver, typ, id, msg, n, err := c.dec.Decode(c.rx[c.rxoff:])
+		_, typ, id, msg, n, err := c.dec.Decode(c.rx[c.rxoff:])
 		if err == ErrShort {
 			c.rx, c.rxoff = compact(c.rx, c.rxoff), 0
 			return
-		}
-		// Post-handshake frames must carry the negotiated version; the
-		// HelloAck itself is exempt because it IS the downgrade signal
-		// (the server frames it at the version it chose).
-		if err == nil && typ != THelloAck && ver != byte(c.version) {
-			err = ErrBadVersion
 		}
 		if err != nil {
 			c.closed = true

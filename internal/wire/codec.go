@@ -22,29 +22,22 @@ import (
 // unikernel.Image.App — an interface — is dropped on encode and
 // re-attached by the Server's app resolver.
 
-// Hello opens a connection: the client's supported version range and,
-// when the frame itself is V2-framed, a capability token. A V1-framed
-// Hello never carries the token — it is elided on encode and zero on
-// decode, which is exactly the downgrade semantics: a session that
-// settles on V1 is anonymous.
+// Hello opens a connection: the client's version range, which must
+// include Version, and its capability token.
 type Hello struct {
 	Min, Max uint16
-	// Token is the capability credential (V2 framing only; empty =
-	// anonymous).
+	// Token is the capability credential (empty = anonymous).
 	Token string
 }
 
-// HelloAck answers Hello: the highest version both sides speak, or 0
-// when the ranges do not overlap or the credential was refused (the
-// server closes after sending). In V2 framing it also carries the
-// scope the session was granted and, on refusal, a typed error.
+// HelloAck answers Hello: Version, or 0 when the range excludes it or
+// the credential was refused (the server closes after sending).
 type HelloAck struct {
 	Version uint16
-	// Scope is the capability level granted to the session (V2 framing
-	// only).
+	// Scope is the capability level granted to the session.
 	Scope api.Scope
 	// Err explains a refusal — CodeUnauthorized for a bad or missing
-	// credential (V2 framing only; nil on acceptance).
+	// credential (nil on acceptance).
 	Err *api.Error
 }
 
@@ -383,18 +376,16 @@ func (x *buf) stats(s *api.StatsResponse) {
 
 // ---- frames ----
 
-// Append serializes one frame (header + body) onto dst, framed at
-// protocol version ver (V1 or V2). The two versions differ only in
-// the Hello/HelloAck bodies; every other frame encodes identically.
-// The msg's Go type must match typ: the api request/response struct
-// for plain verbs, or the wire-level shapes above for verbs with
-// callbacks, events and negotiation frames. TWatchCancel, which has no
+// Append serializes one frame (header + body) onto dst; ver must be
+// Version. The msg's Go type must match typ: the api request/response
+// struct for plain verbs, or the wire-level shapes above for verbs with
+// callbacks, events and handshake frames. TWatchCancel, which has no
 // body, takes a nil msg.
 func Append(dst []byte, ver byte, typ byte, id uint32, msg any) ([]byte, error) {
-	if ver < MinVersion || ver > MaxVersion {
+	if ver != Version {
 		return dst, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
-	x, _ := begin(dst, ver, typ, id).body(ver, typ, msg)
+	x, _ := begin(dst, typ, id).body(typ, msg)
 	buf, err := x.end()
 	if err != nil {
 		return dst, err
@@ -403,9 +394,9 @@ func Append(dst []byte, ver byte, typ byte, id uint32, msg any) ([]byte, error) 
 }
 
 // begin starts a frame on dst: the header, its length still to come.
-func begin(dst []byte, ver byte, typ byte, id uint32) buf {
+func begin(dst []byte, typ byte, id uint32) buf {
 	x := buf{b: dst, start: len(dst)}
-	x.b = append(x.b, 0, 0, 0, 0, ver, typ)
+	x.b = append(x.b, 0, 0, 0, 0, Version, typ)
 	x.u32(&id)
 	return x
 }
@@ -436,7 +427,7 @@ func arg[T any](x *buf, msg any) (m T) {
 // body moves msg as the body of a typ frame — through the verb table
 // for a verb's request or response, here for the handshake, event and
 // cancel frames — and returns the message it read or wrote.
-func (x buf) body(ver byte, typ byte, msg any) (buf, any) {
+func (x buf) body(typ byte, msg any) (buf, any) {
 	if c := codecOf(typ); c != nil {
 		return c(x, msg)
 	}
@@ -445,17 +436,13 @@ func (x buf) body(ver byte, typ byte, msg any) (buf, any) {
 		m := arg[Hello](&x, msg)
 		x.u16(&m.Min)
 		x.u16(&m.Max)
-		if ver >= V2 {
-			x.str(&m.Token)
-		}
+		x.str(&m.Token)
 		return x, m
 	case THelloAck:
 		m := arg[HelloAck](&x, msg)
 		x.u16(&m.Version)
-		if ver >= V2 {
-			enum(&x, &m.Scope)
-			x.apiErr(&m.Err)
-		}
+		enum(&x, &m.Scope)
+		x.apiErr(&m.Err)
 		return x, m
 	case TWatchCancel:
 		return x, struct{}{}
@@ -512,14 +499,13 @@ func Decode(buf []byte) (ver byte, typ byte, id uint32, msg any, n int, err erro
 
 // Decode parses one frame from the front of buf, returning the frame
 // version, type, request id, decoded message and the bytes consumed.
-// Both protocol versions are accepted — sessions enforce that frames
-// carry their negotiated version, the codec does not. ErrShort means
-// buf holds only a prefix — accumulate more and retry; any other
-// error is a protocol violation.
+// ErrShort means buf holds only a prefix — accumulate more and retry;
+// any other error, ErrBadVersion for a header that does not carry
+// Version among them, is a protocol violation.
 func (d *Decoder) Decode(b []byte) (ver byte, typ byte, id uint32, msg any, n int, err error) {
 	ver, typ, id, body, n, err := split(b)
 	if err == nil {
-		x, m := buf{b: body, dec: true, d: d}.body(ver, typ, nil)
+		x, m := buf{b: body, dec: true, d: d}.body(typ, nil)
 		if err = x.done(); err == nil {
 			msg = m
 		}
@@ -545,7 +531,7 @@ func split(b []byte) (ver byte, typ byte, id uint32, body []byte, n int, err err
 	}
 	n = 4 + length
 	ver = b[4]
-	if ver < MinVersion || ver > MaxVersion {
+	if ver != Version {
 		return ver, 0, 0, nil, n, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 	}
 	return ver, b[5], binary.BigEndian.Uint32(b[6:]), b[headerLen:n], n, nil

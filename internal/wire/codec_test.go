@@ -54,10 +54,8 @@ func allMessages() []struct {
 		typ byte
 		msg any
 	}{
-		// Version-neutral handshake bodies: the V2-only fields are left
-		// zero so the same message round-trips under either framing.
-		{THello, Hello{Min: 1, Max: 3}},
-		{THelloAck, HelloAck{Version: 1}},
+		{THello, Hello{Min: 1, Max: 3, Token: "jitsu-ops"}},
+		{THelloAck, HelloAck{Version: Version, Scope: api.ScopeOperator}},
 		{TRegisterReq, api.RegisterRequest{Config: cfg, MinWarm: 2, Policy: "round-robin"}},
 		{TActivateReq, ActivateReq{Name: "bob.family.name", Speculative: true, WantReady: true}},
 		{TCheckpointReq, api.CheckpointRequest{Name: "bob.family.name", Board: api.OnBoard(2)}},
@@ -94,36 +92,33 @@ func allMessages() []struct {
 }
 
 // TestRoundTripAllVerbs encodes and re-decodes one fully-populated
-// message per frame type, under both protocol framings.
+// message per frame type.
 func TestRoundTripAllVerbs(t *testing.T) {
-	for _, ver := range []byte{V1, V2} {
-		for _, m := range allMessages() {
-			buf, err := Append(nil, ver, m.typ, 42, m.msg)
-			if err != nil {
-				t.Fatalf("v%d type 0x%02x: encode: %v", ver, m.typ, err)
-			}
-			gotVer, typ, id, got, n, err := Decode(buf)
-			if err != nil {
-				t.Fatalf("v%d type 0x%02x: decode: %v", ver, m.typ, err)
-			}
-			if gotVer != ver || typ != m.typ || id != 42 || n != len(buf) {
-				t.Fatalf("v%d type 0x%02x: got ver=%d typ=0x%02x id=%d n=%d (len %d)",
-					ver, m.typ, gotVer, typ, id, n, len(buf))
-			}
-			want := m.msg
-			if m.typ == TStatsReq {
-				want = api.StatsRequest{}
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("v%d type 0x%02x round trip:\n got  %#v\n want %#v", ver, m.typ, got, want)
-			}
+	for _, m := range allMessages() {
+		buf, err := Append(nil, Version, m.typ, 42, m.msg)
+		if err != nil {
+			t.Fatalf("type 0x%02x: encode: %v", m.typ, err)
+		}
+		ver, typ, id, got, n, err := Decode(buf)
+		if err != nil {
+			t.Fatalf("type 0x%02x: decode: %v", m.typ, err)
+		}
+		if ver != Version || typ != m.typ || id != 42 || n != len(buf) {
+			t.Fatalf("type 0x%02x: got ver=%d typ=0x%02x id=%d n=%d (len %d)",
+				m.typ, ver, typ, id, n, len(buf))
+		}
+		want := m.msg
+		if m.typ == TStatsReq {
+			want = api.StatsRequest{}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("type 0x%02x round trip:\n got  %#v\n want %#v", m.typ, got, want)
 		}
 	}
 }
 
-// TestRoundTripV2Handshake covers the fields only V2 framing carries:
-// the Hello token and the HelloAck scope/refusal — and pins the V1
-// downgrade semantics: a V1-framed Hello elides the token entirely.
+// TestRoundTripV2Handshake covers the handshake's credential fields: the
+// Hello token and the HelloAck scope and refusal.
 func TestRoundTripV2Handshake(t *testing.T) {
 	cases := []struct {
 		typ byte
@@ -135,7 +130,7 @@ func TestRoundTripV2Handshake(t *testing.T) {
 			Err: api.Errf("hello", api.CodeUnauthorized, "unknown capability token")}},
 	}
 	for _, m := range cases {
-		buf, err := Append(nil, V2, m.typ, 1, m.msg)
+		buf, err := Append(nil, Version, m.typ, 1, m.msg)
 		if err != nil {
 			t.Fatalf("type 0x%02x: %v", m.typ, err)
 		}
@@ -144,29 +139,14 @@ func TestRoundTripV2Handshake(t *testing.T) {
 			t.Fatalf("type 0x%02x: %v", m.typ, err)
 		}
 		if !reflect.DeepEqual(got, m.msg) {
-			t.Errorf("type 0x%02x v2 round trip:\n got  %#v\n want %#v", m.typ, got, m.msg)
+			t.Errorf("type 0x%02x round trip:\n got  %#v\n want %#v", m.typ, got, m.msg)
 		}
-	}
-
-	// Downgrade: the same Hello framed at V1 drops the token on the
-	// floor — the wire never carries it.
-	buf, err := Append(nil, V1, THello, 1, Hello{Min: 1, Max: 2, Token: "jitsu-ops"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, got, _, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h := got.(Hello); h.Token != "" || h.Min != 1 || h.Max != 2 {
-		t.Errorf("v1-framed hello carried a token: %#v", h)
 	}
 }
 
 // TestRoundTripVerbByCode is the full verb × code matrix: every
 // ControlPlane verb's response frame carries every typed error code
-// (including CodeUnauthorized) across the wire intact, under both
-// framings.
+// (including CodeUnauthorized) across the wire intact.
 func TestRoundTripVerbByCode(t *testing.T) {
 	// Each verb's response carrier: how to wrap an error into the
 	// verb's own response struct and how to unwrap it after decode.
@@ -218,21 +198,19 @@ func TestRoundTripVerbByCode(t *testing.T) {
 			t.Fatalf("no response carrier for verb %q", verb)
 		}
 		for _, code := range api.Codes() {
-			for _, ver := range []byte{V1, V2} {
-				in := api.Errf(verb, code, "detail for %s", code)
-				buf, err := Append(nil, ver, car.typ, 7, car.wrap(in))
-				if err != nil {
-					t.Fatalf("%s/%s v%d: %v", verb, code, ver, err)
-				}
-				_, _, _, got, _, err := Decode(buf)
-				if err != nil {
-					t.Fatalf("%s/%s v%d: %v", verb, code, ver, err)
-				}
-				out := car.err(got)
-				if out == nil || out.Code != code || out.Op != verb ||
-					out.Detail != in.Detail {
-					t.Errorf("%s/%s v%d did not survive: %#v", verb, code, ver, out)
-				}
+			in := api.Errf(verb, code, "detail for %s", code)
+			buf, err := Append(nil, Version, car.typ, 7, car.wrap(in))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", verb, code, err)
+			}
+			_, _, _, got, _, err := Decode(buf)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", verb, code, err)
+			}
+			out := car.err(got)
+			if out == nil || out.Code != code || out.Op != verb ||
+				out.Detail != in.Detail {
+				t.Errorf("%s/%s did not survive: %#v", verb, code, out)
 			}
 		}
 	}
@@ -242,7 +220,7 @@ func TestRoundTripVerbByCode(t *testing.T) {
 // right sentinel, and truncation at any byte is resumable (ErrShort),
 // never a misparse.
 func TestDecodeRejections(t *testing.T) {
-	valid, err := Append(nil, V1, TStopReq, 9, api.StopRequest{Name: "alice.family.name"})
+	valid, err := Append(nil, Version, TStopReq, 9, api.StopRequest{Name: "alice.family.name"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,10 +243,14 @@ func TestDecodeRejections(t *testing.T) {
 		t.Fatalf("sub-header length: got %v, want ErrBadFrame", err)
 	}
 
-	badVer := append([]byte(nil), valid...)
-	badVer[4] = 99
-	if _, _, _, _, _, err := Decode(badVer); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("unknown version: got %v, want ErrBadVersion", err)
+	// Version 1 is retired: its frames are refused at the header, like
+	// any version this package does not speak.
+	for _, ver := range []byte{1, 99} {
+		badVer := append([]byte(nil), valid...)
+		badVer[4] = ver
+		if _, _, _, _, _, err := Decode(badVer); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("header version %d: got %v, want ErrBadVersion", ver, err)
+		}
 	}
 
 	badType := append([]byte(nil), valid...)
@@ -285,7 +267,7 @@ func TestDecodeRejections(t *testing.T) {
 	}
 
 	// Trailing garbage inside the announced frame length.
-	padded, err := Append(nil, V1, TStopReq, 9, api.StopRequest{Name: "alice"})
+	padded, err := Append(nil, Version, TStopReq, 9, api.StopRequest{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,39 +276,18 @@ func TestDecodeRejections(t *testing.T) {
 	if _, _, _, _, _, err := Decode(padded); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("padded body: got %v, want ErrBadFrame", err)
 	}
-
-	// A V1 Hello rebadged as V2 announces a token its body doesn't
-	// carry — strict decode refuses it rather than inventing one.
-	hello, err := Append(nil, V1, THello, 1, Hello{Min: 1, Max: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello[4] = V2
-	if _, _, _, _, _, err := Decode(hello); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("v1 hello rebadged v2: got %v, want ErrBadFrame", err)
-	}
-
-	// And a V2 Hello rebadged as V1 leaves the token bytes trailing.
-	hello2, err := Append(nil, V2, THello, 1, Hello{Min: 1, Max: 2, Token: "jitsu-ops"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hello2[4] = V1
-	if _, _, _, _, _, err := Decode(hello2); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("v2 hello rebadged v1: got %v, want ErrBadFrame", err)
-	}
 }
 
 // TestEncodeRejections: unencodable messages fail loudly.
 func TestEncodeRejections(t *testing.T) {
-	if _, err := Append(nil, V1, 0xEE, 1, nil); !errors.Is(err, ErrUnknownType) {
+	if _, err := Append(nil, Version, 0xEE, 1, nil); !errors.Is(err, ErrUnknownType) {
 		t.Fatalf("unknown type: got %v, want ErrUnknownType", err)
 	}
 	long := make([]byte, 1<<17)
-	if _, err := Append(nil, V1, TStopReq, 1, api.StopRequest{Name: string(long)}); !errors.Is(err, ErrBadFrame) {
+	if _, err := Append(nil, Version, TStopReq, 1, api.StopRequest{Name: string(long)}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("overlong string: got %v, want ErrBadFrame", err)
 	}
-	for _, ver := range []byte{0, MaxVersion + 1, 99} {
+	for _, ver := range []byte{0, 1, Version + 1, 99} {
 		if _, err := Append(nil, ver, TStopReq, 1, api.StopRequest{Name: "a"}); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("frame version %d: got %v, want ErrBadVersion", ver, err)
 		}

@@ -36,25 +36,23 @@ func sameDecode(t *testing.T, d *Decoder, data []byte, ver, typ byte, id uint32,
 }
 
 // TestDecoderMatchesDecode runs every golden frame and every frame type
-// of the round-trip matrix, under both framings, through one Decoder —
-// twice, so the second pass is answered from a warm intern table.
+// of the round-trip matrix through one Decoder — twice, so the second
+// pass is answered from a warm intern table.
 func TestDecoderMatchesDecode(t *testing.T) {
 	var frames [][]byte
 	for _, v := range goldenVectors() {
-		buf, err := Append(nil, v.ver, v.typ, v.id, v.msg)
+		buf, err := Append(nil, Version, v.typ, v.id, v.msg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		frames = append(frames, buf)
 	}
-	for _, ver := range []byte{V1, V2} {
-		for _, m := range allMessages() {
-			buf, err := Append(nil, ver, m.typ, 77, m.msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames = append(frames, buf, buf[:len(buf)-1]) // and its truncation
+	for _, m := range allMessages() {
+		buf, err := Append(nil, Version, m.typ, 77, m.msg)
+		if err != nil {
+			t.Fatal(err)
 		}
+		frames = append(frames, buf, buf[:len(buf)-1]) // and its truncation
 	}
 	var d Decoder
 	for pass := 0; pass < 2; pass++ {
@@ -94,7 +92,7 @@ func statsFrame(t testing.TB, svcs, regs int) []byte {
 		reg.Name = fmt.Sprintf("board%d", i)
 		s.Registries = append(s.Registries, reg)
 	}
-	buf, err := Append(nil, V2, TStatsResp, 9, s)
+	buf, err := Append(nil, Version, TStatsResp, 9, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +127,7 @@ func TestDecoderReusesNames(t *testing.T) {
 // it always did, without buying room for them first.
 func TestDecodeAllocatesWhatTheFrameCarries(t *testing.T) {
 	body := append([]byte{0xff, 0xff}, make([]byte, 14)...)
-	frame := append([]byte{0, 0, 0, byte(headerLen - 4 + len(body)), V2, TStatsResp, 0, 0, 0, 9}, body...)
+	frame := append([]byte{0, 0, 0, byte(headerLen - 4 + len(body)), Version, TStatsResp, 0, 0, 0, 9}, body...)
 	for _, d := range []*Decoder{nil, new(Decoder)} {
 		if _, _, _, msg, _, err := d.Decode(frame); !errors.Is(err, ErrBadFrame) || msg != nil {
 			t.Fatalf("short stats body: msg %v err %v, want ErrBadFrame", msg, err)

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,9 +78,6 @@ func dialOp(t *testing.T, c *cluster.Cluster, name string, octet byte, token str
 func TestRemoteSessionDrivesCluster(t *testing.T) {
 	c, srv := wiredCluster(t, 1)
 	cl := dialOp(t, c, "console", 200, tokAdmin)
-	if cl.Version() != wire.V2 {
-		t.Fatalf("negotiated version %d, want %d", cl.Version(), wire.V2)
-	}
 	if cl.Scope() != api.ScopeAdmin {
 		t.Fatalf("granted scope %s, want admin", cl.Scope())
 	}
@@ -399,82 +397,103 @@ func TestClientCloseCancelsWatches(t *testing.T) {
 	}
 }
 
-// TestInteropMatrix pins every cell of the version/credential matrix:
-// v2↔v2 with a good, bad and missing token; v2 client against a
-// v1-only server (downgrade, token elided, anonymous policy applies);
-// v1 client against a v2 server (policy-controlled accept/refuse).
+// TestInteropMatrix pins every cell of the handshake. A wire.Client
+// dials with a good, bad or missing token under either anonymous
+// policy. A raw peer offers a range without Version (answered
+// HelloAck{0}, session closed), frames its Hello at the retired version
+// 1 (dropped unanswered), or rebadges a frame to version 1 after the
+// handshake (dropped).
 func TestInteropMatrix(t *testing.T) {
+	hello := func(lo, hi uint16) []byte {
+		return frame(t, wire.THello, 1, wire.Hello{Min: lo, Max: hi, Token: tokAdmin})
+	}
+	v1 := func(b []byte) []byte { b[4] = 1; return b }
 	type cell struct {
 		name      string
-		srvMax    uint16    // 0 = full range
-		anonymous api.Scope // server anonymous policy
-		session   wire.SessionConfig
-		wantVer   uint16 // 0 = dial must fail
-		wantCode  api.Code
-		wantScope api.Scope
+		anonymous api.Scope // the server's anonymous-session policy
+		token     string    // what a wire.Client dials with
+		wantScope api.Scope // the dialled session's grant; ScopeNone = refused
+		raw       [][]byte  // set: a raw peer sends these frames instead
+		wantAcks  []uint16  // the versions the raw peer's HelloAcks carry
+		wantDrops uint64    // the server's ProtoErrs after the raw peer
 	}
 	cells := []cell{
-		{name: "v2-v2-token", session: wire.SessionConfig{Token: tokOps},
-			wantVer: 2, wantScope: api.ScopeOperator},
-		{name: "v2-v2-bad-token", session: wire.SessionConfig{Token: "stolen"},
-			wantCode: api.CodeUnauthorized},
-		{name: "v2-v2-anonymous-refused", session: wire.SessionConfig{},
-			wantCode: api.CodeUnauthorized},
-		{name: "v2-v2-anonymous-policy", anonymous: api.ScopeReadOnly,
-			session: wire.SessionConfig{}, wantVer: 2, wantScope: api.ScopeReadOnly},
-		{name: "v2-client-v1-server", srvMax: 1, anonymous: api.ScopeOperator,
-			session: wire.SessionConfig{Token: tokAdmin}, wantVer: 1},
-		{name: "v2-client-v1-server-refused", srvMax: 1,
-			session: wire.SessionConfig{Token: tokAdmin}},
-		{name: "v1-client-v2-server", anonymous: api.ScopeReadOnly,
-			session: wire.SessionConfig{Max: 1}, wantVer: 1},
-		{name: "v1-client-v2-server-refused",
-			session: wire.SessionConfig{Max: 1}},
+		{name: "v2-v2-token", token: tokOps, wantScope: api.ScopeOperator},
+		{name: "v2-v2-bad-token", token: "stolen"},
+		{name: "v2-v2-anonymous-refused"},
+		{name: "v2-v2-anonymous-policy", anonymous: api.ScopeReadOnly, wantScope: api.ScopeReadOnly},
+		{name: "v2-v2-token-anonymous-policy", anonymous: api.ScopeReadOnly, token: tokOps,
+			wantScope: api.ScopeOperator},
+		{name: "v2-v2-bad-token-anonymous-policy", anonymous: api.ScopeReadOnly, token: "stolen"},
+		{name: "range-1-1", raw: [][]byte{hello(1, 1)}, wantAcks: []uint16{0}},
+		{name: "range-3-9", raw: [][]byte{hello(3, 9)}, wantAcks: []uint16{0}},
+		{name: "v1-framed-hello", raw: [][]byte{v1(hello(wire.Version, wire.Version))}, wantDrops: 1},
+		{name: "v1-frame-after-handshake", raw: [][]byte{hello(wire.Version, wire.Version),
+			v1(frame(t, wire.TStatsReq, 2, api.StatsRequest{}))},
+			wantAcks: []uint16{wire.Version}, wantDrops: 1},
 	}
 	for i, cc := range cells {
 		t.Run(cc.name, func(t *testing.T) {
 			c := cluster.NewCluster(cluster.WithBoards(2), cluster.WithSeed(int64(5)))
-			if _, err := c.ServeWire(cluster.WireConfig{
-				Apps: staticApps, Keyring: testKeyring(),
-				Anonymous: cc.anonymous, MaxVersion: cc.srvMax,
-			}); err != nil {
+			srv, err := c.ServeWire(cluster.WireConfig{
+				Apps: staticApps, Keyring: testKeyring(), Anonymous: cc.anonymous,
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-			console := c.AttachMgmtHost("console", byte(210+i))
-			cl, err := wire.DialSession(c.Eng(), console, serverIP, wirePort, cc.session)
-
-			if cc.wantVer == 0 {
-				if err == nil {
-					t.Fatalf("dial succeeded at version %d, want refusal", cl.Version())
-				}
-				if cc.wantCode != 0 {
-					var ae *api.Error
-					if !errors.As(err, &ae) || ae.Code != cc.wantCode {
-						t.Fatalf("refusal = %v, want %s", err, cc.wantCode)
+			if cc.raw != nil {
+				conn, got := rawConn(t, c, byte(210+i))
+				for _, b := range cc.raw {
+					if err := conn.Send(b); err != nil {
+						t.Fatal(err)
 					}
+				}
+				c.Eng().RunFor(time.Second)
+				var acks []uint16
+				for typ, msgs := range got {
+					if typ != wire.THelloAck {
+						t.Fatalf("server sent %d frames of type 0x%02x", len(msgs), typ)
+					}
+					for _, m := range msgs {
+						acks = append(acks, m.(wire.HelloAck).Version)
+					}
+				}
+				if !slices.Equal(acks, cc.wantAcks) {
+					t.Fatalf("HelloAcks carry versions %v, want %v", acks, cc.wantAcks)
+				}
+				if srv.ProtoErrs != cc.wantDrops || srv.ActiveConns() != 0 {
+					t.Fatalf("protoerrs=%d conns=%d, want %d and a closed session",
+						srv.ProtoErrs, srv.ActiveConns(), cc.wantDrops)
+				}
+				return
+			}
+
+			console := c.AttachMgmtHost("console", byte(210+i))
+			cl, err := wire.DialSession(c.Eng(), console, serverIP, wirePort, wire.SessionConfig{Token: cc.token})
+			if cc.wantScope == api.ScopeNone {
+				var ae *api.Error
+				if !errors.As(err, &ae) || ae.Code != api.CodeUnauthorized {
+					t.Fatalf("dial = %v, want a CodeUnauthorized refusal", err)
+				}
+				if srv.Unauthorized != 1 || srv.ActiveConns() != 0 {
+					t.Fatalf("unauthorized=%d conns=%d, want 1 and a closed session",
+						srv.Unauthorized, srv.ActiveConns())
 				}
 				return
 			}
 			if err != nil {
 				t.Fatalf("dial: %v", err)
 			}
-			if cl.Version() != cc.wantVer {
-				t.Fatalf("negotiated %d, want %d", cl.Version(), cc.wantVer)
-			}
-			if cl.Version() >= wire.V2 && cl.Scope() != cc.wantScope {
+			if cl.Scope() != cc.wantScope {
 				t.Fatalf("scope %s, want %s", cl.Scope(), cc.wantScope)
 			}
 			// Every accepted session can observe...
 			if s := cl.Stats(api.StatsRequest{}); s.Err != nil {
 				t.Fatalf("stats: %v", s.Err)
 			}
-			// ...and the downgraded/anonymous read-only ones cannot act.
-			effective := cc.wantScope
-			if cl.Version() < wire.V2 {
-				effective = cc.anonymous
-			}
+			// ...and the read-only ones cannot act.
 			act := cl.Activate(api.ActivateRequest{Name: "nobody.example"})
-			if effective.Allows(api.ScopeOperator) {
+			if cc.wantScope.Allows(api.ScopeOperator) {
 				if act.Err == nil || act.Err.Code != api.CodeNotFound {
 					t.Fatalf("activate: %v, want CodeNotFound", act.Err)
 				}
@@ -538,46 +557,5 @@ func TestRemoteSessionDeterministic(t *testing.T) {
 	}
 	if a == 0 {
 		t.Fatal("empty capture — the tap saw no frames")
-	}
-}
-
-// TestVersionNegotiationRejectsStranger: a client offering only a
-// future protocol range is turned away with HelloAck{0}.
-func TestVersionNegotiationRejectsStranger(t *testing.T) {
-	c := cluster.NewCluster(cluster.WithBoards(2), cluster.WithSeed(3))
-	if _, err := c.ServeWire(cluster.WireConfig{Anonymous: api.ScopeAdmin}); err != nil {
-		t.Fatal(err)
-	}
-	console := c.AttachMgmtHost("console", 201)
-
-	var conn *netstack.TCPConn
-	console.DialTCP(serverIP, wirePort, func(tc *netstack.TCPConn, err error) {
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		conn = tc
-	})
-	c.Eng().RunFor(time.Second)
-	if conn == nil {
-		t.Fatal("no connection")
-	}
-	// A v1-framed Hello offering only versions 5..9.
-	buf, err := wire.Append(nil, wire.V1, wire.THello, 1, wire.Hello{Min: 5, Max: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got *wire.HelloAck
-	rx := []byte{}
-	conn.OnData(func(b []byte) {
-		rx = append(rx, b...)
-		if _, typ, _, msg, _, err := wire.Decode(rx); err == nil && typ == wire.THelloAck {
-			ack := msg.(wire.HelloAck)
-			got = &ack
-		}
-	})
-	conn.Send(buf)
-	c.Eng().RunFor(time.Second)
-	if got == nil || got.Version != 0 {
-		t.Fatalf("hello-ack = %+v, want version 0 refusal", got)
 	}
 }

@@ -4,97 +4,54 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"strings"
 	"testing"
 	"time"
 
 	"jitsu/internal/api"
-	"jitsu/internal/core"
-	"jitsu/internal/netstack"
-	"jitsu/internal/unikernel"
 )
 
 // goldenVectors is the pinned frame set: known messages whose exact
-// byte layout must never drift within their protocol version. The V1
-// vectors are FROZEN — v1 peers exist and any drift breaks them; the
-// V2 vectors pin the extended handshake bodies and the invariant that
-// post-handshake frames differ from V1 only in the header's version
-// byte. Regenerate (after a deliberate, version-bumping layout
-// change) with
+// byte layout must never drift — the handshake bodies with their token,
+// scope and refusal error, a scope refusal, and two post-handshake
+// requests. Regenerate (after a deliberate layout change) with
 //
 //	WIRE_GOLDEN_DUMP=1 go test ./internal/wire -run TestGoldenVectors -v
 func goldenVectors() []struct {
 	name string
-	ver  byte
 	typ  byte
 	id   uint32
 	msg  any
 } {
 	return []struct {
 		name string
-		ver  byte
 		typ  byte
 		id   uint32
 		msg  any
 	}{
-		{"hello", V1, THello, 1, Hello{Min: 1, Max: 1}},
-		{"hello-ack", V1, THelloAck, 1, HelloAck{Version: 1}},
-		{"register-req", V1, TRegisterReq, 2, api.RegisterRequest{
-			Config: core.ServiceConfig{
-				Name:  "alice.family.name",
-				IP:    netstack.IPv4(10, 0, 0, 20),
-				Port:  80,
-				Image: unikernel.Image{Name: "alice", MemMiB: 16, BinaryMiB: 1},
-				TTL:   30,
-			},
-			MinWarm: 2,
-			Policy:  "least-loaded",
-		}},
-		{"activate-req", V1, TActivateReq, 3, ActivateReq{Name: "alice.family.name", WantReady: true}},
-		{"activate-resp", V1, TActivateResp, 3, api.ActivateResponse{
-			IP: netstack.IPv4(10, 0, 0, 20), Board: 1, State: core.StateRunning}},
-		{"migrate-req", V1, TMigrateReq, 4, MigrateReq{
-			Name: "alice.family.name", From: api.OnBoard(1), To: api.AnyBoard, WantDone: true}},
-		{"error-resp", V1, TRegisterResp, 5, api.RegisterResponse{
-			Err: api.Errf(api.VerbRegister, api.CodeConflict, "name taken")}},
-		{"watch-req", V1, TWatchReq, 6, WatchReq{Every: 10 * time.Second}},
-		{"done-event", V1, TDoneEvent, 4, DoneEvent{OK: true}},
-
-		{"hello-v2", V2, THello, 1, Hello{Min: 1, Max: 2, Token: "jitsu-admin"}},
-		{"hello-ack-v2", V2, THelloAck, 1, HelloAck{Version: 2, Scope: api.ScopeAdmin}},
-		{"hello-ack-v2-refused", V2, THelloAck, 1, HelloAck{Version: 0,
+		{"hello", THello, 1, Hello{Min: 1, Max: 2, Token: "jitsu-admin"}},
+		{"hello-ack", THelloAck, 1, HelloAck{Version: 2, Scope: api.ScopeAdmin}},
+		{"hello-ack-refused", THelloAck, 1, HelloAck{Version: 0,
 			Err: api.Errf("hello", api.CodeUnauthorized, "unknown capability token")}},
-		{"unauthorized-resp-v2", V2, TMigrateResp, 7, api.MigrateResponse{
+		{"unauthorized-resp", TMigrateResp, 7, api.MigrateResponse{
 			Err: api.Errf(api.VerbMigrate, api.CodeUnauthorized,
 				"scope read-only does not cover migrate (needs admin)")}},
-		{"activate-req-v2", V2, TActivateReq, 3, ActivateReq{Name: "alice.family.name", WantReady: true}},
-		{"watch-req-v2", V2, TWatchReq, 6, WatchReq{Every: 10 * time.Second}},
+		{"activate-req", TActivateReq, 3, ActivateReq{Name: "alice.family.name", WantReady: true}},
+		{"watch-req", TWatchReq, 6, WatchReq{Every: 10 * time.Second}},
 	}
 }
 
-// TestGoldenVectors pins both protocol versions' frame layouts
-// bit-for-bit.
+// TestGoldenVectors pins the frame layouts bit-for-bit.
 func TestGoldenVectors(t *testing.T) {
 	want := map[string]string{
-		"hello":         "0000000a01010000000100010001",
-		"hello-ack":     "000000080102000000010001",
-		"register-req":  "000000550110000000020011616c6963652e66616d696c792e6e616d650a00001400500005616c69636500000000103ff00000000000000000001e00000000000000000000000000000002000c6c656173742d6c6f61646564",
-		"activate-req":  "0000001b0111000000030011616c6963652e66616d696c792e6e616d650001",
-		"activate-resp": "000000100131000000030a000014000000010200",
-		"migrate-req":   "000000220114000000040011616c6963652e66616d696c792e6e616d65000000020000000001",
-		"error-resp":    "000000200130000000050000010008726567697374657204000a6e616d652074616b656e",
-		"watch-req":     "0000000e011a0000000600000002540be400",
-		"done-event":    "0000000701410000000401",
-
-		"hello-v2":             "0000001702010000000100010002000b6a697473752d61646d696e",
-		"hello-ack-v2":         "0000000a02020000000100020300",
-		"hello-ack-v2-refused": "0000002c02020000000100000001000568656c6c6f070018756e6b6e6f776e206361706162696c69747920746f6b656e",
-		"unauthorized-resp-v2": "00000048023400000007000100076d69677261746507003473636f706520726561642d6f6e6c7920646f6573206e6f7420636f766572206d69677261746520286e656564732061646d696e29",
-		"activate-req-v2":      "0000001b0211000000030011616c6963652e66616d696c792e6e616d650001",
-		"watch-req-v2":         "0000000e021a0000000600000002540be400",
+		"hello":             "0000001702010000000100010002000b6a697473752d61646d696e",
+		"hello-ack":         "0000000a02020000000100020300",
+		"hello-ack-refused": "0000002c02020000000100000001000568656c6c6f070018756e6b6e6f776e206361706162696c69747920746f6b656e",
+		"unauthorized-resp": "00000048023400000007000100076d69677261746507003473636f706520726561642d6f6e6c7920646f6573206e6f7420636f766572206d69677261746520286e656564732061646d696e29",
+		"activate-req":      "0000001b0211000000030011616c6963652e66616d696c792e6e616d650001",
+		"watch-req":         "0000000e021a0000000600000002540be400",
 	}
 	for _, v := range goldenVectors() {
-		buf, err := Append(nil, v.ver, v.typ, v.id, v.msg)
+		buf, err := Append(nil, Version, v.typ, v.id, v.msg)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
@@ -103,24 +60,8 @@ func TestGoldenVectors(t *testing.T) {
 			fmt.Printf("%q: %q,\n", v.name, got)
 			continue
 		}
-		if got != strings.ReplaceAll(want[v.name], " ", "") {
+		if got != want[v.name] {
 			t.Errorf("%s frame drifted:\n got  %s\n want %s", v.name, got, want[v.name])
-		}
-	}
-
-	// The v2 invariant the vectors encode: a post-handshake frame is
-	// byte-identical across versions except for the header's version
-	// byte.
-	for _, pair := range [][2]string{{"activate-req", "activate-req-v2"}, {"watch-req", "watch-req-v2"}} {
-		v1b := strings.ReplaceAll(want[pair[0]], " ", "")
-		v2b := strings.ReplaceAll(want[pair[1]], " ", "")
-		if os.Getenv("WIRE_GOLDEN_DUMP") != "" {
-			continue
-		}
-		if len(v1b) != len(v2b) || v1b[:8] != v2b[:8] || v1b[10:] != v2b[10:] ||
-			v1b[8:10] != "01" || v2b[8:10] != "02" {
-			t.Errorf("%s vs %s: versions must differ only in the version byte:\n v1 %s\n v2 %s",
-				pair[0], pair[1], v1b, v2b)
 		}
 	}
 }

@@ -14,42 +14,35 @@ import (
 // succeed, but activations would fail to boot.
 type AppResolver func(name string, kind xen.GuestKind) unikernel.App
 
-// ServerConfig shapes a wire server's session policy.
+// ServerConfig is a wire server's session policy.
 type ServerConfig struct {
-	// Backend is the control plane the server fronts (required).
-	Backend api.ControlPlane
 	// Apps re-attaches App factories to images arriving in Register,
 	// Restore and Transfer requests (nil = leave them app-less).
 	Apps AppResolver
 
 	// Keyring maps capability tokens to the scope each one grants.
-	// Tokens are only usable on V2 sessions — a V1 session has no way
-	// to present one.
 	Keyring map[string]api.Scope
-	// Anonymous is the scope granted to sessions that present no token
-	// (every V1 session, and V2 sessions with an empty token).
+	// Anonymous is the scope granted to sessions that present no token.
 	// ScopeNone refuses anonymous sessions outright.
 	Anonymous api.Scope
-
-	// MinVersion and MaxVersion clamp the protocol range this server
-	// speaks; zero values default to the package's full MinVersion..
-	// MaxVersion range. MaxVersion: V1 makes a genuine v1-only peer
-	// for interop testing.
-	MinVersion, MaxVersion uint16
 }
 
+// maxWatches caps one session's live WatchStats streams.
+const maxWatches = 16
+
 // Server binds a ControlPlane backend to a TCP port on a management
-// host: each connection negotiates a protocol version and a
-// capability scope, then request frames are decoded, checked against
-// the scope, dispatched to the backend, and answered with response
-// frames; callbacks fire back as event frames on the same connection.
+// host: each connection is granted a capability scope at the handshake,
+// then request frames are decoded, checked against the scope,
+// dispatched to the backend, and answered with response frames;
+// callbacks fire back as event frames on the same connection.
 // Connections are independent — each has its own request-id space and
 // subscription registry, and one session's teardown never disturbs
 // the others.
 type Server struct {
-	cfg   ServerConfig
-	ln    *netstack.TCPListener
-	conns map[*srvConn]struct{}
+	backend api.ControlPlane
+	cfg     ServerConfig
+	ln      *netstack.TCPListener
+	conns   map[*srvConn]struct{}
 
 	// Conns counts accepted connections, Frames decoded request
 	// frames, ProtoErrs connections dropped for protocol violations,
@@ -59,17 +52,11 @@ type Server struct {
 	Conns, Frames, ProtoErrs, Unauthorized, WatchCancels uint64
 }
 
-// ServeWith starts a wire server on host:port with an explicit
-// session policy.
-func ServeWith(host *netstack.Host, port uint16, cfg ServerConfig) (*Server, error) {
-	if cfg.MinVersion == 0 {
-		cfg.MinVersion = MinVersion
-	}
-	if cfg.MaxVersion == 0 {
-		cfg.MaxVersion = MaxVersion
-	}
-	s := &Server{cfg: cfg, conns: make(map[*srvConn]struct{})}
-	ln, err := host.ListenTCP(port, func(conn *netstack.TCPConn) {
+// Serve starts a wire server fronting backend on host's DefaultPort,
+// under cfg's session policy.
+func Serve(host *netstack.Host, backend api.ControlPlane, cfg ServerConfig) (*Server, error) {
+	s := &Server{backend: backend, cfg: cfg, conns: make(map[*srvConn]struct{})}
+	ln, err := host.ListenTCP(DefaultPort, func(conn *netstack.TCPConn) {
 		s.Conns++
 		sc := &srvConn{s: s, conn: conn, watches: make(map[uint32]func())}
 		s.conns[sc] = struct{}{}
@@ -116,8 +103,8 @@ func (s *Server) resolveCp(cp *core.Checkpoint) {
 
 // srvConn is one accepted connection's state: the session's tx scratch
 // and rx reassembly buffer (frames before rxoff are consumed), the
-// negotiated version and granted scope once Hello/HelloAck completed,
-// and the live WatchStats subscriptions keyed by their request id.
+// granted scope once Hello/HelloAck completed, and the live WatchStats
+// subscriptions keyed by their request id.
 type srvConn struct {
 	s       *Server
 	conn    *netstack.TCPConn
@@ -125,7 +112,6 @@ type srvConn struct {
 	rxoff   int
 	hello   bool
 	closed  bool
-	ver     byte
 	scope   api.Scope
 	watches map[uint32]func()
 }
@@ -155,24 +141,24 @@ func (sc *srvConn) drop() {
 	sc.conn.Abort()
 }
 
-// refuse answers the handshake with a turned-away HelloAck framed at
-// ackVer and closes the connection cleanly.
-func (sc *srvConn) refuse(ackVer byte, id uint32, err *api.Error) {
-	sc.send(ackVer, THelloAck, id, HelloAck{Version: 0, Scope: api.ScopeNone, Err: err})
+// refuse answers the handshake with a turned-away HelloAck and closes
+// the connection cleanly.
+func (sc *srvConn) refuse(id uint32, err *api.Error) {
+	sc.send(THelloAck, id, HelloAck{Version: 0, Scope: api.ScopeNone, Err: err})
 	sc.conn.Close()
 	sc.closed = true
 	delete(sc.s.conns, sc)
 }
 
-// send frames msg at ver and sends it: the handshake's acks, and the
-// events whose message is already an any.
-func (sc *srvConn) send(ver byte, typ byte, id uint32, msg any) {
-	x, _ := begin(sc.tx[:0], ver, typ, id).body(ver, typ, msg)
+// send frames msg and sends it: the handshake's acks, and the events
+// whose message is already an any.
+func (sc *srvConn) send(typ byte, id uint32, msg any) {
+	x, _ := sc.begin(typ, id).body(typ, msg)
 	sc.flush(x)
 }
 
-// begin starts a frame of the session's version in its tx scratch.
-func (sc *srvConn) begin(typ byte, id uint32) buf { return begin(sc.tx[:0], sc.ver, typ, id) }
+// begin starts a frame in the session's tx scratch.
+func (sc *srvConn) begin(typ byte, id uint32) buf { return begin(sc.tx[:0], typ, id) }
 
 // flush sends the frame x holds; one that cannot be framed is a
 // violation of ours and drops the connection.
@@ -194,18 +180,14 @@ func (sc *srvConn) flush(x buf) {
 func (sc *srvConn) onData(b []byte) {
 	sc.rx = append(sc.rx, b...)
 	for !sc.closed {
-		ver, typ, id, body, n, err := split(sc.rx[sc.rxoff:])
+		_, typ, id, body, n, err := split(sc.rx[sc.rxoff:])
 		if err == ErrShort {
 			sc.rx, sc.rxoff = compact(sc.rx, sc.rxoff), 0
 			return
 		}
 		sc.rxoff += n
-		// Post-handshake frames must carry the negotiated version.
-		if err == nil && sc.hello && ver != sc.ver {
-			err = ErrBadVersion
-		}
 		if err == nil {
-			err = sc.dispatch(ver, typ, id, body)
+			err = sc.dispatch(typ, id, body)
 		}
 		if err != nil {
 			sc.drop()
@@ -214,69 +196,51 @@ func (sc *srvConn) onData(b []byte) {
 	}
 }
 
-// handshake negotiates the protocol version and authenticates the
-// session, leaving sc.ver and sc.scope set — or the connection closed.
-func (sc *srvConn) handshake(ver byte, typ byte, id uint32, msg any) {
+// handshake checks the offered range and authenticates the session,
+// leaving sc.scope set — or the connection closed.
+func (sc *srvConn) handshake(typ byte, id uint32, msg any) {
 	h, ok := msg.(Hello)
 	if typ != THello || !ok {
 		sc.drop()
 		return
 	}
-	// The refusal ack must be framed at a version the client can
-	// decode: its offered Max, clamped to what this server speaks.
-	ackVer := byte(sc.s.cfg.MaxVersion)
-	if h.Max < uint16(ackVer) && h.Max >= MinVersion {
-		ackVer = byte(h.Max)
-	}
-	// Highest version inside both [Min,Max] ranges, or refusal.
-	neg := h.Max
-	if uint16(sc.s.cfg.MaxVersion) < neg {
-		neg = sc.s.cfg.MaxVersion
-	}
-	if neg < h.Min || neg < sc.s.cfg.MinVersion {
-		sc.refuse(ackVer, id, nil)
+	if h.Min > Version || h.Max < Version {
+		sc.refuse(id, nil)
 		return
 	}
 
-	// Map the credential to a scope. On a V1 session the token is
-	// elided — even if the Hello frame was V2-framed and carried one —
-	// and the anonymous policy decides.
+	// Map the credential to a scope; without one the anonymous policy
+	// decides.
 	scope := sc.s.cfg.Anonymous
-	if neg >= V2 && h.Token != "" {
+	if h.Token != "" {
 		granted, known := sc.s.cfg.Keyring[h.Token]
 		if !known {
 			sc.s.Unauthorized++
-			sc.refuse(byte(neg), id,
-				api.Errf("hello", api.CodeUnauthorized, "unknown capability token"))
+			sc.refuse(id, api.Errf("hello", api.CodeUnauthorized, "unknown capability token"))
 			return
 		}
 		scope = granted
 	}
 	if scope == api.ScopeNone {
 		sc.s.Unauthorized++
-		var err *api.Error
-		if neg >= V2 {
-			err = api.Errf("hello", api.CodeUnauthorized,
-				"anonymous sessions are refused; present a capability token")
-		}
-		sc.refuse(byte(neg), id, err)
+		sc.refuse(id, api.Errf("hello", api.CodeUnauthorized,
+			"anonymous sessions are refused; present a capability token"))
 		return
 	}
 
 	sc.hello = true
-	sc.ver = byte(neg)
 	sc.scope = scope
-	sc.send(sc.ver, THelloAck, id, HelloAck{Version: neg, Scope: scope})
+	sc.send(THelloAck, id, HelloAck{Version: Version, Scope: scope})
 }
 
 // dispatch serves one frame; an error is a malformed body. A verb's
 // request goes to its row, which decodes it as the type it is; the
 // handshake and cancel frames are decoded here.
-func (sc *srvConn) dispatch(ver byte, typ byte, id uint32, body []byte) error {
+func (sc *srvConn) dispatch(typ byte, id uint32, body []byte) error {
 	if sc.hello && typ >= TRegisterReq && typ <= TWatchReq {
 		return verbs[typ-TRegisterReq].handle(sc, id, body)
 	}
-	x, msg := buf{b: body, dec: true}.body(ver, typ, nil)
+	x, msg := buf{b: body, dec: true}.body(typ, nil)
 	if err := x.done(); err != nil {
 		return err
 	}
@@ -284,7 +248,7 @@ func (sc *srvConn) dispatch(ver byte, typ byte, id uint32, body []byte) error {
 	case !sc.hello:
 		// The handshake gates everything: first frame must be Hello, and
 		// exactly once.
-		sc.handshake(ver, typ, id, msg)
+		sc.handshake(typ, id, msg)
 	case typ == TWatchCancel:
 		sc.s.Frames++
 		if sc.stopWatch(id) {
@@ -314,12 +278,15 @@ func (sc *srvConn) admit(verb string) *api.Error {
 
 // watch serves a WatchReq: snapshots go out as StatsEvent frames tagged
 // with the request's id until the stream is cancelled or the session
-// closes.
+// closes. A new id past maxWatches live streams is refused.
 func (sc *srvConn) watch(id uint32, req WatchReq) WatchResp {
 	// An id names one stream: a request on a live id replaces it, or the
 	// old ticker, its Stop overwritten, would run until the close.
-	sc.stopWatch(id)
-	resp := sc.s.cfg.Backend.WatchStats(api.WatchStatsRequest{
+	if !sc.stopWatch(id) && len(sc.watches) >= maxWatches {
+		return WatchResp{Err: api.Errf(api.VerbWatchStats, api.CodeUnavailable,
+			"session already holds %d watches", maxWatches)}
+	}
+	resp := sc.s.backend.WatchStats(api.WatchStatsRequest{
 		Every: req.Every,
 		OnStats: func(s api.StatsResponse) bool {
 			if sc.closed {
@@ -353,6 +320,6 @@ func (sc *srvConn) readyEvent(id uint32, want bool) func(error) {
 				ev.Err = api.Errf("ready", api.CodeUnavailable, "%v", err)
 			}
 		}
-		sc.send(sc.ver, TReadyEvent, id, ev)
+		sc.send(TReadyEvent, id, ev)
 	}
 }

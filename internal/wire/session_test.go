@@ -12,14 +12,13 @@ import (
 	"jitsu/internal/wire"
 )
 
-// rawSession opens a TCP connection to the wire server, completes the
-// V2 handshake by hand and returns the conn plus a counter of the frames
-// of each type the server has sent since — a peer that owes the
-// protocol no manners, which wire.Client cannot play.
-func rawSession(t *testing.T, c *cluster.Cluster, token string) (*netstack.TCPConn, map[byte]int) {
+// rawConn opens a TCP connection to the wire server from a fresh
+// console and speaks no protocol on it: a peer that owes the protocol no
+// manners, which wire.Client cannot play. got collects every message the
+// server sends, by frame type.
+func rawConn(t *testing.T, c *cluster.Cluster, octet byte) (conn *netstack.TCPConn, got map[byte][]any) {
 	t.Helper()
-	var conn *netstack.TCPConn
-	c.AttachMgmtHost("raw", 210).DialTCP(serverIP, wirePort, func(tc *netstack.TCPConn, err error) {
+	c.AttachMgmtHost("raw", octet).DialTCP(serverIP, wirePort, func(tc *netstack.TCPConn, err error) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -29,36 +28,48 @@ func rawSession(t *testing.T, c *cluster.Cluster, token string) (*netstack.TCPCo
 	if conn == nil {
 		t.Fatal("no connection")
 	}
-	seen := map[byte]int{}
+	got = map[byte][]any{}
 	var rx []byte
 	conn.OnData(func(b []byte) {
 		rx = append(rx, b...)
 		for {
-			_, typ, _, _, n, err := wire.Decode(rx)
+			_, typ, _, msg, n, err := wire.Decode(rx)
 			if err != nil {
 				return
 			}
 			rx = rx[n:]
-			seen[typ]++
+			got[typ] = append(got[typ], msg)
 		}
 	})
-	sendRaw(t, conn, wire.THello, 1, wire.Hello{Min: wire.V2, Max: wire.V2, Token: token})
+	return conn, got
+}
+
+// rawSession is a rawConn past the handshake, presenting token.
+func rawSession(t *testing.T, c *cluster.Cluster, token string) (*netstack.TCPConn, map[byte][]any) {
+	t.Helper()
+	conn, got := rawConn(t, c, 210)
+	sendRaw(t, conn, wire.THello, 1, wire.Hello{Min: wire.Version, Max: wire.Version, Token: token})
 	c.Eng().RunFor(time.Second)
-	if seen[wire.THelloAck] != 1 {
-		t.Fatalf("handshake: saw %v", seen)
+	if len(got[wire.THelloAck]) != 1 {
+		t.Fatalf("handshake: got %v", got)
 	}
-	return conn, seen
+	return conn, got
 }
 
 func sendRaw(t *testing.T, conn *netstack.TCPConn, typ byte, id uint32, msg any) {
 	t.Helper()
-	buf, err := wire.Append(nil, wire.V2, typ, id, msg)
+	if err := conn.Send(frame(t, typ, id, msg)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func frame(t *testing.T, typ byte, id uint32, msg any) []byte {
+	t.Helper()
+	buf, err := wire.Append(nil, wire.Version, typ, id, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(buf); err != nil {
-		t.Fatal(err)
-	}
+	return buf
 }
 
 // TestDuplicateWatchIDReplacesStream: a second TWatchReq on a live id
@@ -67,16 +78,16 @@ func sendRaw(t *testing.T, conn *netstack.TCPConn, typ byte, id uint32, msg any)
 // same id until the connection closed.
 func TestDuplicateWatchIDReplacesStream(t *testing.T) {
 	c, srv := wiredCluster(t, 1)
-	conn, seen := rawSession(t, c, tokRO)
+	conn, got := rawSession(t, c, tokRO)
 
 	sendRaw(t, conn, wire.TWatchReq, 7, wire.WatchReq{Every: 100 * time.Millisecond})
 	sendRaw(t, conn, wire.TWatchReq, 7, wire.WatchReq{Every: 100 * time.Millisecond})
 	c.Eng().RunFor(time.Second)
-	if seen[wire.TWatchResp] != 2 || srv.ActiveWatches() != 1 {
+	if len(got[wire.TWatchResp]) != 2 || srv.ActiveWatches() != 1 {
 		t.Fatalf("after two requests on one id: %d acks, %d live watches, want 2 and 1",
-			seen[wire.TWatchResp], srv.ActiveWatches())
+			len(got[wire.TWatchResp]), srv.ActiveWatches())
 	}
-	if seen[wire.TStatsEvent] == 0 {
+	if len(got[wire.TStatsEvent]) == 0 {
 		t.Fatal("the surviving stream sent nothing")
 	}
 
@@ -85,10 +96,56 @@ func TestDuplicateWatchIDReplacesStream(t *testing.T) {
 	if srv.ActiveWatches() != 0 {
 		t.Fatalf("live watches after the cancel = %d, want 0", srv.ActiveWatches())
 	}
-	before := seen[wire.TStatsEvent]
+	before := len(got[wire.TStatsEvent])
 	c.Eng().RunFor(5 * time.Second)
-	if got := seen[wire.TStatsEvent] - before; got != 0 {
-		t.Fatalf("%d stats events arrived after the only cancel: an orphaned stream is still ticking", got)
+	if n := len(got[wire.TStatsEvent]) - before; n != 0 {
+		t.Fatalf("%d stats events arrived after the only cancel: an orphaned stream is still ticking", n)
+	}
+}
+
+// TestWatchesPerSessionAreBounded: every request id can name a stream,
+// so a session could open any number of tickers. Past 16 live watches a
+// new id is refused with CodeUnavailable and the session stays up; a
+// live id still replaces its stream, and the close reclaims them all.
+func TestWatchesPerSessionAreBounded(t *testing.T) {
+	c, srv := wiredCluster(t, 1)
+	conn, got := rawSession(t, c, tokRO)
+
+	answers := func() (acks, refused int) {
+		for _, m := range got[wire.TWatchResp] {
+			switch err := m.(wire.WatchResp).Err; {
+			case err == nil:
+				acks++
+			case err.Code == api.CodeUnavailable:
+				refused++
+			default:
+				t.Fatalf("watch refused with %v", err)
+			}
+		}
+		return acks, refused
+	}
+	for id := uint32(1); id <= 17; id++ {
+		sendRaw(t, conn, wire.TWatchReq, id, wire.WatchReq{Every: time.Second})
+	}
+	c.Eng().RunFor(time.Second)
+	if acks, refused := answers(); acks != 16 || refused != 1 || srv.ActiveWatches() != 16 {
+		t.Fatalf("17 ids: %d acks, %d refusals, %d live watches; want 16, 1 and 16",
+			acks, refused, srv.ActiveWatches())
+	}
+	sendRaw(t, conn, wire.TWatchReq, 3, wire.WatchReq{Every: time.Second})
+	c.Eng().RunFor(time.Second)
+	if acks, refused := answers(); acks != 17 || refused != 1 || srv.ActiveWatches() != 16 {
+		t.Fatalf("a live id at the cap: %d acks, %d refusals, %d live watches; want 17, 1 and 16",
+			acks, refused, srv.ActiveWatches())
+	}
+	if srv.ProtoErrs != 0 || srv.ActiveConns() != 1 {
+		t.Fatalf("the refusal disturbed the session: protoerrs=%d conns=%d", srv.ProtoErrs, srv.ActiveConns())
+	}
+
+	conn.Close()
+	c.Eng().RunFor(time.Second)
+	if srv.ActiveWatches() != 0 || srv.ActiveConns() != 0 {
+		t.Fatalf("after the close: %d watches, %d conns, want 0 and 0", srv.ActiveWatches(), srv.ActiveConns())
 	}
 }
 

@@ -115,7 +115,7 @@ func init() {
 			func(m api.RegisterResponse) *api.Error { return m.Err },
 			func(sc *srvConn, _ uint32, m api.RegisterRequest) api.RegisterResponse {
 				sc.s.resolve(&m.Config.Image)
-				return sc.s.cfg.Backend.Register(m)
+				return sc.s.backend.Register(m)
 			}),
 		TActivateReq - TRegisterReq: row(api.VerbActivate, TActivateResp,
 			func(x buf, m ActivateReq) (buf, ActivateReq) {
@@ -134,7 +134,7 @@ func init() {
 			func(err *api.Error) api.ActivateResponse { return api.ActivateResponse{Err: err} },
 			func(m api.ActivateResponse) *api.Error { return m.Err },
 			func(sc *srvConn, id uint32, m ActivateReq) api.ActivateResponse {
-				return sc.s.cfg.Backend.Activate(api.ActivateRequest{Name: m.Name,
+				return sc.s.backend.Activate(api.ActivateRequest{Name: m.Name,
 					Speculative: m.Speculative, OnReady: sc.readyEvent(id, m.WantReady)})
 			}),
 		TCheckpointReq - TRegisterReq: row(api.VerbCheckpoint, TCheckpointResp,
@@ -152,7 +152,7 @@ func init() {
 			func(err *api.Error) api.CheckpointResponse { return api.CheckpointResponse{Err: err} },
 			func(m api.CheckpointResponse) *api.Error { return m.Err },
 			func(sc *srvConn, _ uint32, m api.CheckpointRequest) api.CheckpointResponse {
-				return sc.s.cfg.Backend.Checkpoint(m)
+				return sc.s.backend.Checkpoint(m)
 			}),
 		TRestoreReq - TRegisterReq: row(api.VerbRestore, TRestoreResp,
 			func(x buf, m RestoreReq) (buf, RestoreReq) {
@@ -171,7 +171,7 @@ func init() {
 			func(m api.RestoreResponse) *api.Error { return m.Err },
 			func(sc *srvConn, id uint32, m RestoreReq) api.RestoreResponse {
 				sc.s.resolveCp(m.Checkpoint)
-				return sc.s.cfg.Backend.Restore(api.RestoreRequest{Name: m.Name, Checkpoint: m.Checkpoint,
+				return sc.s.backend.Restore(api.RestoreRequest{Name: m.Name, Checkpoint: m.Checkpoint,
 					Board: m.Board, ToDisk: m.ToDisk, OnReady: sc.readyEvent(id, m.WantReady)})
 			}),
 		TMigrateReq - TRegisterReq: row(api.VerbMigrate, TMigrateResp,
@@ -192,9 +192,9 @@ func init() {
 			func(sc *srvConn, id uint32, m MigrateReq) api.MigrateResponse {
 				req := api.MigrateRequest{Name: m.Name, From: m.From, To: m.To}
 				if m.WantDone {
-					req.OnDone = func(ok bool) { sc.send(sc.ver, TDoneEvent, id, DoneEvent{OK: ok}) }
+					req.OnDone = func(ok bool) { sc.send(TDoneEvent, id, DoneEvent{OK: ok}) }
 				}
-				return sc.s.cfg.Backend.Migrate(req)
+				return sc.s.backend.Migrate(req)
 			}),
 		TTransferReq - TRegisterReq: row(api.VerbTransfer, TTransferResp,
 			func(x buf, m TransferReq) (buf, TransferReq) {
@@ -216,7 +216,7 @@ func init() {
 			func(sc *srvConn, id uint32, m TransferReq) api.TransferResponse {
 				sc.s.resolve(&m.Config.Image)
 				sc.s.resolveCp(m.Checkpoint)
-				return sc.s.cfg.Backend.Transfer(api.TransferRequest{Config: m.Config, MinWarm: m.MinWarm,
+				return sc.s.backend.Transfer(api.TransferRequest{Config: m.Config, MinWarm: m.MinWarm,
 					Policy: m.Policy, Checkpoint: m.Checkpoint, ToDisk: m.ToDisk, OnReady: sc.readyEvent(id, m.WantReady)})
 			}),
 		TDemoteReq - TRegisterReq: row(api.VerbDemote, TDemoteResp,
@@ -233,7 +233,7 @@ func init() {
 			func(err *api.Error) api.DemoteResponse { return api.DemoteResponse{Err: err} },
 			func(m api.DemoteResponse) *api.Error { return m.Err },
 			func(sc *srvConn, _ uint32, m api.DemoteRequest) api.DemoteResponse {
-				return sc.s.cfg.Backend.Demote(m)
+				return sc.s.backend.Demote(m)
 			}),
 		TPromoteReq - TRegisterReq: row(api.VerbPromote, TPromoteResp,
 			func(x buf, m PromoteReq) (buf, PromoteReq) {
@@ -250,7 +250,7 @@ func init() {
 			func(err *api.Error) api.PromoteResponse { return api.PromoteResponse{Err: err} },
 			func(m api.PromoteResponse) *api.Error { return m.Err },
 			func(sc *srvConn, id uint32, m PromoteReq) api.PromoteResponse {
-				return sc.s.cfg.Backend.Promote(api.PromoteRequest{Name: m.Name, Board: m.Board,
+				return sc.s.backend.Promote(api.PromoteRequest{Name: m.Name, Board: m.Board,
 					OnReady: sc.readyEvent(id, m.WantReady)})
 			}),
 		TStopReq - TRegisterReq: row(api.VerbStop, TStopResp,
@@ -266,7 +266,7 @@ func init() {
 			func(err *api.Error) api.StopResponse { return api.StopResponse{Err: err} },
 			func(m api.StopResponse) *api.Error { return m.Err },
 			func(sc *srvConn, _ uint32, m api.StopRequest) api.StopResponse {
-				return sc.s.cfg.Backend.Stop(m)
+				return sc.s.backend.Stop(m)
 			}),
 		TStatsReq - TRegisterReq: row(api.VerbStats, TStatsResp,
 			func(x buf, m api.StatsRequest) (buf, api.StatsRequest) { return x, m }, // no body
@@ -277,7 +277,7 @@ func init() {
 			func(err *api.Error) api.StatsResponse { return api.StatsResponse{Err: err} },
 			func(m api.StatsResponse) *api.Error { return m.Err },
 			func(sc *srvConn, _ uint32, m api.StatsRequest) api.StatsResponse {
-				return sc.s.cfg.Backend.Stats(m)
+				return sc.s.backend.Stats(m)
 			}),
 		TWatchReq - TRegisterReq: row(api.VerbWatchStats, TWatchResp,
 			func(x buf, m WatchReq) (buf, WatchReq) {

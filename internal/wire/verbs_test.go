@@ -27,7 +27,7 @@ func TestVerbTableCoversTheControlPlane(t *testing.T) {
 			t.Fatalf("%s: row has an empty column: %+v", v.name, v)
 		}
 		typ := byte(TRegisterReq + i + 0x20) // responses pair with requests by offset
-		frame, err := Append(nil, V2, typ, 7, v.refuse(refusal))
+		frame, err := Append(nil, Version, typ, 7, v.refuse(refusal))
 		if err != nil {
 			t.Fatalf("%s: refusal does not encode as frame 0x%02x: %v", v.name, typ, err)
 		}

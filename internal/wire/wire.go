@@ -1,7 +1,7 @@
-// Package wire is the control plane on the wire: a versioned,
-// length-prefixed binary codec for every api.ControlPlane verb, plus a
-// Server that binds the protocol to a netstack TCP endpoint and a
-// Client that implements api.ControlPlane over a connection. Together
+// Package wire is the control plane on the wire: a length-prefixed
+// binary codec for every api.ControlPlane verb, plus a Server that
+// binds the protocol to a netstack TCP endpoint and a Client that
+// implements api.ControlPlane over a connection. Together
 // they let remote operator processes drive a board or a whole cluster
 // across the simulated management network — the same verbs, the same
 // typed error codes, but now subject to the link's latency, loss and
@@ -17,34 +17,19 @@
 //
 //	offset  size  field
 //	0       4     length of the remainder (ver..body), <= MaxFrame
-//	4       1     protocol version (V1 or V2)
+//	4       1     protocol version (Version)
 //	5       1     frame type
 //	6       4     request id (echoed on responses and events)
 //	10      n     body (frame-type specific)
 //
-// Two protocol versions exist and differ ONLY in the handshake bodies;
-// every post-handshake frame has an identical layout in both:
-//
-//	V1  Hello carries the client's supported [Min,Max] range and
-//	    nothing else; HelloAck carries the chosen version. Sessions
-//	    are anonymous — whether one is accepted, and with what
-//	    capability scope, is server policy.
-//	V2  Hello additionally carries a capability token the server
-//	    validates against its keyring, mapping the session to an
-//	    api.Scope; HelloAck additionally carries the granted scope
-//	    and, on refusal, a typed api.Error (CodeUnauthorized for a
-//	    bad credential).
-//
-// A connection opens with Hello/HelloAck negotiation: the client
-// offers its [Min,Max] supported range, framing the Hello at its Max
-// (so a v2 Hello carries its token from the first byte), and the
-// server answers with the highest version both sides speak — 0 = no
-// overlap or refused credential; the connection is then closed. On a
-// downgrade to V1 the token is elided: the server ignores any token
-// the v2-framed Hello carried and applies its anonymous-session
-// policy instead. Every later frame must carry the negotiated
-// version; a mismatch is a protocol violation that drops the
-// connection.
+// A frame whose header carries any version but Version is a protocol
+// violation that drops the connection. A connection opens with
+// Hello/HelloAck: the client offers a version range, which must include
+// Version, and a capability token the server validates against its
+// keyring, mapping the session to an api.Scope (no token: the server's
+// anonymous-session policy decides). HelloAck carries Version and the
+// granted scope, or version 0 — with a typed api.Error,
+// CodeUnauthorized, for a refused credential — and the server closes.
 //
 // Request/response types pair by offset: request type t gets response
 // type t+0x20. A verb outside the session's scope is answered with
@@ -72,30 +57,21 @@
 // Buffers. Each end of a session owns a tx scratch every outgoing frame
 // is rendered into (TCPConn.Send copies it before returning) and an rx
 // buffer consumed by offset, its tail moved to the front only when a
-// frame is incomplete; either is released once empty if a frame grew it
-// past 64 KiB. A Client decodes through its own Decoder, which bounds
-// what a peer can make it hold: a collection gets room for its declared
-// count capped by what the remaining bytes could carry, and the table of
-// recurring names stops at 4 096 entries. A server decodes a verb's
-// request through its row as the type it is, and interns nothing.
+// frame is incomplete, so between deliveries rx holds at most one
+// partial frame of at most MaxFrame bytes; either is released once
+// empty if a frame grew it past 64 KiB. A server session holds at most
+// 16 watches: a WatchReq on a new id beyond that is refused with
+// CodeUnavailable. A Client decodes through its own Decoder, which
+// bounds what a peer can make it hold: a collection gets room for its
+// declared count capped by what the remaining bytes could carry, and the
+// table of recurring names stops at 4 096 entries. A server decodes a
+// verb's request through its row as the type it is, and interns nothing.
 package wire
 
 import "errors"
 
-// Protocol versions. V1 is frozen — its byte layout must never drift;
-// V2 adds the capability token and scoped HelloAck.
-const (
-	V1 = 1
-	V2 = 2
-
-	// MinVersion..MaxVersion is the range this package can speak.
-	MinVersion = V1
-	MaxVersion = V2
-)
-
-// Version is the highest (preferred) protocol version this package
-// speaks.
-const Version = MaxVersion
+// Version is the protocol version every frame's header carries.
+const Version = 2
 
 // DefaultPort is the conventional management port wire servers bind.
 const DefaultPort = 7900
@@ -176,6 +152,6 @@ var (
 	ErrBadVersion  = errors.New("wire: unsupported protocol version")
 	ErrUnknownType = errors.New("wire: unknown frame type")
 	ErrBadFrame    = errors.New("wire: malformed frame body")
-	ErrNoVersion   = errors.New("wire: no common protocol version")
+	ErrNoVersion   = errors.New("wire: protocol version refused")
 	ErrClosed      = errors.New("wire: connection closed")
 )
