@@ -814,18 +814,7 @@ func (d *daemon) runFederation() error {
 		cluster.WithFedTracer(tracer),
 	}
 	if d.wan != nil {
-		// WAN-shaped federation links: the delegation retransmit budget
-		// must clear the path RTT, and 1 MiB transfer chunks keep the
-		// delegation replies from queueing behind whole checkpoints.
-		delegRTO := 100 * time.Millisecond
-		if d := 3 * d.wan.RTT; d > delegRTO {
-			delegRTO = d
-		}
-		fopts = append(fopts,
-			cluster.WithWAN(*d.wan),
-			cluster.WithDelegateRetry(delegRTO, 3),
-			cluster.WithTransferChunk(1),
-		)
+		fopts = append(fopts, cluster.WithWAN(*d.wan))
 	}
 	f := cluster.NewFederation(fopts...)
 	if d.wan != nil {

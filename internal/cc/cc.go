@@ -1,8 +1,9 @@
 // Package cc paces bulk copies on a shared management link. It holds
 // the per-link congestion Controller and the one windowed chunk Sender
-// (sender.go) that acquires window from it: migration pre-copy
-// (internal/cluster xfer.go) and federation shed/Transfer checkpoint
-// copies (fedxfer.go) both run that Sender, each over its own socket.
+// (sender.go) that acquires window from it: migration pre-copy and
+// federation shed/Transfer checkpoint copies both run that Sender,
+// through the one copier in internal/cluster's xfer.go, each over its
+// own socket.
 // Unpaced, such a copy is exactly the uncoordinated bulk consumer that
 // collapses a shared monitoring/control transport (the MDS2 failure
 // mode): on a throttled management link it parks seconds of queue in

@@ -82,26 +82,12 @@ type Config struct {
 	// (checkpoint + restore) instead of stopping them (the
 	// preempt-and-reboot baseline the Churn experiment compares against).
 	MigrateOnLeave bool
-	// MigrateBitsPerSec is the checkpoint-copy rate across the
-	// management link (default 1 Gb/s).
-	MigrateBitsPerSec float64
 	// MigrateChunkMiB sizes the pre-copy chunks; each chunk is one
 	// acknowledged datagram exchange on the management network
 	// (default 8 MiB).
 	MigrateChunkMiB int
-	// MigrateChunkRTO is the per-chunk retransmit timeout, doubled per
-	// retry (default 50ms); MigrateChunkRetries bounds retransmissions
-	// of one chunk before the whole transfer is abandoned (default 5).
-	MigrateChunkRTO     sim.Duration
-	MigrateChunkRetries int
-	// MigrateRetryDelay and MigrateMaxAttempts govern the mandatory-
-	// evacuation reschedule: a transfer that died (management-link
-	// partition mid-copy) is retried after the delay, up to the attempt
-	// bound, before the replica is finally written off (defaults 1s, 3).
-	MigrateRetryDelay  sim.Duration
-	MigrateMaxAttempts int
-	// MgmtBitsPerSec is the management network's link rate, used by the
-	// gossip substrate (default 1 Gb/s).
+	// MgmtBitsPerSec is the management network's link rate, shared by
+	// gossip and checkpoint copies (default 1 Gb/s).
 	MgmtBitsPerSec float64
 	// UnpacedTransfers disables the per-uplink congestion controller:
 	// checkpoint copies — between boards, and from a federation member's
@@ -125,22 +111,16 @@ type Config struct {
 // leave. The failure detector is passive until ProbeEvery is set.
 func DefaultConfig() Config {
 	return Config{
-		Boards:            4,
-		Board:             core.DefaultConfig(),
-		WarmFactor:        1.0,
-		MinRate:           0.02,
-		ProbeTimeout:      200 * time.Millisecond,
-		SuspectTimeout:    2 * time.Second,
-		IndirectProbes:    2,
-		MigrateOnLeave:    true,
-		MigrateBitsPerSec: 1e9,
-		MgmtBitsPerSec:    1e9,
-
-		MigrateChunkMiB:     8,
-		MigrateChunkRTO:     50 * time.Millisecond,
-		MigrateChunkRetries: 5,
-		MigrateRetryDelay:   1 * time.Second,
-		MigrateMaxAttempts:  3,
+		Boards:          4,
+		Board:           core.DefaultConfig(),
+		WarmFactor:      1.0,
+		MinRate:         0.02,
+		ProbeTimeout:    200 * time.Millisecond,
+		SuspectTimeout:  2 * time.Second,
+		IndirectProbes:  2,
+		MigrateOnLeave:  true,
+		MgmtBitsPerSec:  1e9,
+		MigrateChunkMiB: 8,
 	}
 }
 
@@ -272,12 +252,7 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 	orDefault(&cfg.WarmFactor, def.WarmFactor)
 	orDefault(&cfg.ProbeTimeout, def.ProbeTimeout)
 	orDefault(&cfg.SuspectTimeout, def.SuspectTimeout)
-	orDefault(&cfg.MigrateBitsPerSec, def.MigrateBitsPerSec)
 	orDefault(&cfg.MigrateChunkMiB, def.MigrateChunkMiB)
-	orDefault(&cfg.MigrateChunkRTO, def.MigrateChunkRTO)
-	orDefault(&cfg.MigrateChunkRetries, def.MigrateChunkRetries)
-	orDefault(&cfg.MigrateRetryDelay, def.MigrateRetryDelay)
-	orDefault(&cfg.MigrateMaxAttempts, def.MigrateMaxAttempts)
 	orDefault(&cfg.MgmtBitsPerSec, def.MgmtBitsPerSec)
 	cfg.Board.DelayDNSUntilReady = false
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"jitsu/internal/api"
-	"jitsu/internal/cc"
 	"jitsu/internal/core"
 	"jitsu/internal/dns"
 	"jitsu/internal/netsim"
@@ -70,18 +69,10 @@ type FedConfig struct {
 	// delegation is written off as SERVFAIL. 0 disables retransmission
 	// (one try, then SERVFAIL) — the ablation baseline.
 	DelegateRetries int
-	// TransferBitsPerSec is the nominal checkpoint-copy rate between
-	// clusters, used to size the chunk exchange's retransmit allowance
-	// (the links themselves set the real rate; on WAN-shaped paths set
-	// this near the WANProfile's BitsPerSec).
-	TransferBitsPerSec float64
-	// TransferChunkMiB sizes the cross-cluster pre-copy chunks; each
-	// chunk is one acknowledged datagram exchange on the federation
-	// management network (default 4 MiB).
-	TransferChunkMiB int
 	// WAN, when set, shapes every member agent's federation management
 	// link to the profile (RTT, loss, throughput) instead of the flat
-	// fedLinkLatency/fedBitsPerSec LAN path.
+	// fedLinkLatency/fedBitsPerSec LAN path; cross-cluster copies then
+	// pace against its rate in 1 MiB chunks (xferLink).
 	WAN *netsim.WANProfile
 	// Tracer, when set, is shared by the root and every member cluster:
 	// the root's delegation/spill/shed events render on lane 0 and
@@ -96,11 +87,6 @@ const (
 	// management links when no WAN profile shapes them.
 	fedLinkLatency = 200 * time.Microsecond
 	fedBitsPerSec  = 1e9
-	// transferChunkRTO is the per-chunk retransmit floor of a
-	// cross-cluster copy, transferChunkRetries the per-chunk retransmit
-	// budget before the transfer aborts.
-	transferChunkRTO     = 50 * time.Millisecond
-	transferChunkRetries = 5
 )
 
 // DefaultFedConfig is four default clusters behind a passive root
@@ -108,17 +94,15 @@ const (
 // detector), with spill-on-refuse on.
 func DefaultFedConfig() FedConfig {
 	return FedConfig{
-		Clusters:           4,
-		Cluster:            DefaultConfig(),
-		SkewMinRate:        2.0,
-		SkewRatio:          0.5,
-		SkewRounds:         3,
-		ShedBatch:          2,
-		SpillOnRefuse:      true,
-		DelegateTimeout:    5 * time.Millisecond,
-		DelegateRetries:    3,
-		TransferBitsPerSec: 1e9,
-		TransferChunkMiB:   4,
+		Clusters:        4,
+		Cluster:         DefaultConfig(),
+		SkewMinRate:     2.0,
+		SkewRatio:       0.5,
+		SkewRounds:      3,
+		ShedBatch:       2,
+		SpillOnRefuse:   true,
+		DelegateTimeout: 5 * time.Millisecond,
+		DelegateRetries: 3,
 	}
 }
 
@@ -174,22 +158,18 @@ func WithDelegateRetry(timeout sim.Duration, retries int) FedOption {
 
 // WithWAN shapes every member agent's federation management link to the
 // profile: RTT/2 extra latency each way, the profile's loss rate, and
-// its throughput cap — plus TransferBitsPerSec pinned to the profile's
-// rate so the chunk exchange's retransmit allowance matches the path.
+// its throughput cap. Cross-cluster copies pace against the profile's
+// rate in 1 MiB chunks — one chunk's serialisation time is the floor on
+// how long a delegation reply queues behind the bulk exchange — and the
+// root's delegation retransmit waits max(100ms, 3×RTT) per try, three
+// retries, so it clears the path RTT. A later WithDelegateRetry
+// overrides the retransmit.
 func WithWAN(p netsim.WANProfile) FedOption {
 	return func(c *FedConfig) {
 		prof := p
 		c.WAN = &prof
-		c.TransferBitsPerSec = p.BitsPerSec
+		c.DelegateTimeout, c.DelegateRetries = max(100*time.Millisecond, 3*p.RTT), 3
 	}
-}
-
-// WithTransferChunk sizes the cross-cluster pre-copy chunks. WAN-shaped
-// deployments want smaller chunks than the LAN default: one chunk's
-// serialisation time is the floor on how long a delegation reply can
-// queue behind the bulk exchange on a shared management link.
-func WithTransferChunk(mib int) FedOption {
-	return func(c *FedConfig) { c.TransferChunkMiB = mib }
 }
 
 // WithFedTracer attaches the observability flight recorder to the whole
@@ -210,7 +190,7 @@ type Federation struct {
 	members []*FedMember
 	root    *fedRoot
 	clients []*FedClient
-	// nextFedXfer numbers cross-cluster chunk exchanges (fedxfer.go).
+	// nextFedXfer numbers cross-cluster chunk exchanges (xfer.go).
 	nextFedXfer uint32
 
 	// Spills counts services re-homed because admission refused.
@@ -306,10 +286,7 @@ func NewFederation(opts ...FedOption) *Federation {
 	if cfg.DelegateRetries < 0 {
 		cfg.DelegateRetries = 0
 	}
-	def := DefaultFedConfig()
-	orDefault(&cfg.TransferBitsPerSec, def.TransferBitsPerSec)
-	orDefault(&cfg.TransferChunkMiB, def.TransferChunkMiB)
-	orDefault(&cfg.DelegateTimeout, def.DelegateTimeout)
+	orDefault(&cfg.DelegateTimeout, DefaultFedConfig().DelegateTimeout)
 	f := &Federation{Cfg: cfg}
 	f.eng = sim.New(cfg.Cluster.Board.Seed)
 	cfg.Tracer.BindClock(f.eng.Now)
@@ -545,10 +522,12 @@ const TriggerFedDelegate = "fed-delegate"
 // TriggerFedDelegate) drive the same Activation machines every other
 // frontend does.
 type fedAgent struct {
-	f    *Federation
-	m    *FedMember
-	host *netstack.Host
-	nic  *netsim.NIC
+	f   *Federation
+	m   *FedMember
+	nic *netsim.NIC
+	// copier is this agent's checkpoint-copy endpoint on fedPort and
+	// owns host, the agent's federation-network stack (xfer.go).
+	copier
 	// dirEpoch counts directory changes; it rides every summary so the
 	// root knows when its caches went stale.
 	dirEpoch uint64
@@ -557,22 +536,17 @@ type fedAgent struct {
 	// pushPending coalesces change-driven pushes within one link delay.
 	pushPending bool
 	stopped     bool
-	// ctrl paces this agent's federation uplink for chunk exchanges
-	// (nil until the first one, or always when unpaced); xfers holds the
-	// exchanges in flight from here, by id (fedxfer.go).
-	ctrl  *cc.Controller
-	xfers map[uint32]*cc.Sender
 }
 
 func newFedAgent(f *Federation, m *FedMember) *fedAgent {
-	a := &fedAgent{f: f, m: m, xfers: make(map[uint32]*cc.Sender)}
+	a := &fedAgent{f: f, m: m}
 	a.pushFn = a.periodicPush
 	a.nic = netsim.NewNIC(f.eng, fmt.Sprintf("fed%d", m.ID), netsim.MACFor(0xB000+m.ID))
 	f.fedNet.ConnectNIC(a.nic, fedLinkLatency, fedBitsPerSec)
 	if f.Cfg.WAN != nil {
 		f.Cfg.WAN.Apply(a.nic.Link(), int64(0xFED0+m.ID))
 	}
-	a.host = netstack.NewHost(f.eng, fmt.Sprintf("fed%d", m.ID), a.nic, agentMgmtIP(m.ID), netstack.Dom0Profile())
+	a.copier = newCopier(netstack.NewHost(f.eng, fmt.Sprintf("fed%d", m.ID), a.nic, agentMgmtIP(m.ID), netstack.Dom0Profile()), fedPort, fedOpXferChunk)
 	m.Cluster.onDirChange = a.dirChanged
 	return a
 }
@@ -635,7 +609,7 @@ func (a *fedAgent) recv(src netstack.IP, _ uint16, payload []byte) {
 	}
 	switch payload[0] {
 	case fedOpXferChunk, fedOpXferAck:
-		a.recvFedXfer(src, payload)
+		a.copier.recv(src, fedPort, payload)
 	case fedOpResolve:
 		if len(payload) < 6 {
 			return
@@ -954,21 +928,9 @@ type fedRoot struct {
 	hotID     int
 	hotStreak int
 
-	// Lookups counts service queries the root fielded; Scans the
-	// summary-table scans (cache misses); Delegations the management
-	// round trips; DelegHits/NegHits the cache hits.
-	Lookups     uint64
-	Scans       uint64
-	Delegations uint64
-	DelegHits   uint64
-	NegHits     uint64
-	NXDomains   uint64
-	ServFails   uint64
-	// DelegRetx counts retransmitted delegation datagrams; DelegTimeouts
-	// the delegations written off after the retry budget (answered
-	// SERVFAIL, never cached negative — the name may well exist).
-	DelegRetx     uint64
-	DelegTimeouts uint64
+	// FedRootStats holds the root's counters; its StateSize and Epoch
+	// stay zero here and are filled in by Federation.Root.
+	FedRootStats
 }
 
 func newFedRoot(f *Federation) *fedRoot {
@@ -1010,34 +972,33 @@ func (r *fedRoot) bumpEpoch() {
 	clear(r.neg)
 }
 
-// StateSize reports the root directory's authoritative state: its
-// summary rows. The whole point of the tier — this scales with
-// clusters, never with services.
-func (r *fedRoot) StateSize() int { return len(r.summaries) }
-
-// Root exposes the root directory for stats and tests.
+// Root snapshots the root directory's counters.
 func (f *Federation) Root() *FedRootStats {
-	r := f.root
-	return &FedRootStats{
-		StateSize: r.StateSize(), Epoch: r.srv.Epoch,
-		Lookups: r.Lookups, Scans: r.Scans, Delegations: r.Delegations,
-		DelegHits: r.DelegHits, NegHits: r.NegHits,
-		NXDomains: r.NXDomains, ServFails: r.ServFails,
-		DelegRetx: r.DelegRetx, DelegTimeouts: r.DelegTimeouts,
-	}
+	st := f.root.FedRootStats
+	st.StateSize, st.Epoch = len(f.root.summaries), f.root.srv.Epoch
+	return &st
 }
 
 // FedRootStats is a snapshot of the root directory's counters.
 type FedRootStats struct {
-	StateSize     int
-	Epoch         uint64
-	Lookups       uint64
-	Scans         uint64
-	Delegations   uint64
-	DelegHits     uint64
-	NegHits       uint64
-	NXDomains     uint64
-	ServFails     uint64
+	// StateSize is the root's authoritative state: its summary rows. The
+	// whole point of the tier — this scales with clusters, never with
+	// services. Epoch is the root DNS server's cache epoch.
+	StateSize int
+	Epoch     uint64
+	// Lookups counts service queries the root fielded; Scans the
+	// summary-table scans (cache misses); Delegations the management
+	// round trips; DelegHits/NegHits the cache hits.
+	Lookups     uint64
+	Scans       uint64
+	Delegations uint64
+	DelegHits   uint64
+	NegHits     uint64
+	NXDomains   uint64
+	ServFails   uint64
+	// DelegRetx counts retransmitted delegation datagrams; DelegTimeouts
+	// the delegations written off after the retry budget (answered
+	// SERVFAIL, never cached negative — the name may well exist).
 	DelegRetx     uint64
 	DelegTimeouts uint64
 }

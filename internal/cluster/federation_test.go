@@ -7,6 +7,7 @@ import (
 
 	"jitsu/internal/api"
 	"jitsu/internal/dns"
+	"jitsu/internal/netsim"
 	"jitsu/internal/netstack"
 	"jitsu/internal/sim"
 )
@@ -428,38 +429,71 @@ func TestFederationRemoveClusterWarmRehome(t *testing.T) {
 
 // TestFederationPacedTransferChunks: a skew shed's checkpoint copy is a
 // real acknowledged chunk exchange on the federation management
-// network, paced by the sending agent's congestion controller.
+// network, paced by the sending agent's congestion controller, in the
+// chunks the link calls for: 4 MiB on the LAN, 1 MiB under WithWAN,
+// which also derives the root's delegation retransmit from the RTT.
+// A WAN chunk serialises on both shaped agent links while the sender's
+// allowance counts one, so every first flight there outlasts its timer;
+// all but one ack land while the resend still queues for window, so the
+// WAN arms pin four chunks plus one resend. The chunk counts catch
+// xferLink handing either arm the other's chunk size; the WAN arms'
+// retransmit pins catch a WithWAN that leaves the LAN's 5 ms timeout,
+// drops the 100 ms floor (wan20ms: 3×RTT is 60 ms) or the 3×RTT term
+// (wan50ms: 150 ms). The retry count equals the default, so only its
+// value is pinned, not that WithWAN sets it.
 func TestFederationPacedTransferChunks(t *testing.T) {
-	f := testFederation(2, 2)
-	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
-	_, e := f.RegisterService(testService("alice", 20))
-	warm := fedFetch(f, fc, 1*time.Second, "alice.family.name")
-	f.Eng().At(10*time.Second, func() {
-		src := refReady(e)
-		if len(src) == 0 {
-			t.Error("no ready replica to transfer")
-			return
-		}
-		f.members[0].agent.transferOut(e, src[0], f.members[1])
-	})
-	f.RunAll()
-	if !warm.done || warm.err != nil {
-		t.Fatalf("warm fetch: done=%v err=%v", warm.done, warm.err)
-	}
-	if f.CrossMigrations != 1 {
-		t.Fatalf("CrossMigrations = %d, want 1", f.CrossMigrations)
-	}
-	if f.FedChunks == 0 {
-		t.Fatal("transfer sent no chunk datagrams: the copy bypassed the federation network")
-	}
-	if f.FedChunkRetx != 0 || f.FedXferAborts != 0 {
-		t.Fatalf("clean-path transfer paid retx=%d aborts=%d, want 0/0", f.FedChunkRetx, f.FedXferAborts)
-	}
-	if f.members[0].agent.ctrl == nil {
-		t.Fatal("sending agent never built its congestion controller")
-	}
-	if f.members[0].agent.ctrl.Acks == 0 {
-		t.Fatal("controller saw no acks: chunks were not window-accounted")
+	for _, tc := range []struct {
+		name     string
+		opts     []FedOption
+		chunkMiB int
+		resends  uint64
+		delegRTO sim.Duration
+	}{
+		{"lan", nil, 4, 0, 5 * time.Millisecond},
+		{"wan20ms", []FedOption{WithWAN(netsim.WAN20ms())}, 1, 1, 100 * time.Millisecond},
+		{"wan50ms", []FedOption{WithWAN(netsim.WAN50ms())}, 1, 1, 150 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := NewFederation(append([]FedOption{
+				WithClusters(2), WithMemberOptions(WithBoards(2), WithSeed(42)),
+			}, tc.opts...)...)
+			if f.Cfg.DelegateTimeout != tc.delegRTO || f.Cfg.DelegateRetries != 3 {
+				t.Fatalf("delegation retry = %v × %d, want %v × 3",
+					f.Cfg.DelegateTimeout, f.Cfg.DelegateRetries, tc.delegRTO)
+			}
+			fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
+			_, e := f.RegisterService(testService("alice", 20))
+			warm := fedFetch(f, fc, 1*time.Second, "alice.family.name")
+			f.Eng().At(10*time.Second, func() {
+				src := refReady(e)
+				if len(src) == 0 {
+					t.Error("no ready replica to transfer")
+					return
+				}
+				f.members[0].agent.transferOut(e, src[0], f.members[1])
+			})
+			f.RunAll()
+			if !warm.done || warm.err != nil {
+				t.Fatalf("warm fetch: done=%v err=%v", warm.done, warm.err)
+			}
+			if f.CrossMigrations != 1 {
+				t.Fatalf("CrossMigrations = %d, want 1", f.CrossMigrations)
+			}
+			state := e.Base.StateMiB
+			if want := uint64((state+tc.chunkMiB-1)/tc.chunkMiB) + tc.resends; f.FedChunks != want {
+				t.Fatalf("FedChunks = %d, want %d for a %d MiB checkpoint in %d MiB chunks and %d resends",
+					f.FedChunks, want, state, tc.chunkMiB, tc.resends)
+			}
+			if f.FedXferAborts != 0 || (tc.resends == 0 && f.FedChunkRetx != 0) {
+				t.Fatalf("transfer paid retx=%d aborts=%d, want 0 aborts (and 0 retx on the LAN)", f.FedChunkRetx, f.FedXferAborts)
+			}
+			if f.members[0].agent.ctrl == nil {
+				t.Fatal("sending agent never built its congestion controller")
+			}
+			if f.members[0].agent.ctrl.Acks == 0 {
+				t.Fatal("controller saw no acks: chunks were not window-accounted")
+			}
+		})
 	}
 }
 

@@ -11,18 +11,14 @@ import (
 
 // ---- migration under hostile management networks ----
 
-// hostileLeaveCluster is leaveCluster with fast transfer-retry knobs so
-// the partition scenarios run in simulated seconds, not minutes.
+// hostileLeaveCluster is a 3-board cluster with a warm replica on the
+// leaving board 1, copied in 4 MiB chunks: one chunk for its checkpoint.
 func hostileLeaveCluster(t *testing.T) *Cluster {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Boards = 3
 	cfg.MigrateOnLeave = true
 	cfg.MigrateChunkMiB = 4
-	cfg.MigrateChunkRTO = 20 * time.Millisecond
-	cfg.MigrateChunkRetries = 3
-	cfg.MigrateRetryDelay = 500 * time.Millisecond
-	cfg.MigrateMaxAttempts = 3
 	c := build(cfg)
 	c.RegisterService(testService("alice", 20), WithMinWarm(2))
 	c.RunAll()
@@ -98,10 +94,6 @@ func TestMigrationLateAckAfterTimeoutSettlesWindowOnce(t *testing.T) {
 	cfg.Boards = 3
 	cfg.MigrateOnLeave = true
 	cfg.MigrateChunkMiB = 4
-	cfg.MigrateChunkRTO = 20 * time.Millisecond
-	cfg.MigrateChunkRetries = 6
-	cfg.MigrateRetryDelay = 500 * time.Millisecond
-	cfg.MigrateMaxAttempts = 3
 	c := build(cfg)
 	svc := testService("alice", 20)
 	svc.StateMiB = 18
@@ -152,11 +144,20 @@ func TestMigrationAbortsAndReschedulesOnPartition(t *testing.T) {
 	if err := c.Leave(1, func() { left = true }); err != nil {
 		t.Fatal(err)
 	}
-	// Cut the link while the first chunks are in flight, heal after the
-	// abort (retries exhaust in ~20+40+80+160 = 300ms) but before the
-	// rescheduled attempt fires.
+	// Cut the link while the 4 MiB checkpoint's one chunk is on the
+	// wire; heal between the abort and the rescheduled attempt. Each
+	// timeout doubles the controller's RTO (from chunkRTO; its
+	// 64·chunkRTO = 3.2 s cap is not reached) and the sender doubles it
+	// again per retry of the chunk, so try k waits 50ms·4^(k-1) plus the
+	// chunk's 33.5 ms serialisation allowance. The sixth and last try
+	// (chunkRetries = 5) goes out at 50ms·(4^5-1)/3 + 5·33.5ms ≈ 17.2 s
+	// — a heal before that lets it through and nothing aborts — and
+	// times out at 50ms·(4^6-1)/3 + 6·33.5ms ≈ 68.45 s; the reschedule
+	// fires migrateRetryDelay later, at ≈ 69.45 s. Healing at 69 s also
+	// catches chunkRetries = 4 or chunkRTO = 20ms: the first abort then
+	// lands early and the second attempt aborts too, before the heal.
 	c.eng.After(20*time.Millisecond, func() { link.Partition() })
-	c.eng.After(700*time.Millisecond, func() { link.Heal() })
+	c.eng.After(69*time.Second, func() { link.Heal() })
 	c.RunAll()
 
 	if c.XferAborts != 1 {
@@ -190,7 +191,7 @@ func TestMigrationGivesUpAfterAttemptBudget(t *testing.T) {
 		t.Fatal("leave wedged on a partitioned management link")
 	}
 	if c.XferAborts != 3 {
-		t.Fatalf("xfer aborts = %d, want MigrateMaxAttempts=3", c.XferAborts)
+		t.Fatalf("xfer aborts = %d, want migrateMaxAttempts=3", c.XferAborts)
 	}
 	if c.Migrations != 0 || c.Lost != 1 {
 		t.Fatalf("migrations=%d lost=%d, want 0/1", c.Migrations, c.Lost)
@@ -212,10 +213,6 @@ func TestMigrationParksCheckpointAfterAttemptBudget(t *testing.T) {
 	cfg.Board.Disk = blockdev.DefaultConfig()
 	cfg.MigrateOnLeave = true
 	cfg.MigrateChunkMiB = 4
-	cfg.MigrateChunkRTO = 20 * time.Millisecond
-	cfg.MigrateChunkRetries = 3
-	cfg.MigrateRetryDelay = 500 * time.Millisecond
-	cfg.MigrateMaxAttempts = 3
 	c := build(cfg)
 	c.RegisterService(testService("alice", 20), WithMinWarm(2))
 	c.RunAll()
@@ -234,7 +231,7 @@ func TestMigrationParksCheckpointAfterAttemptBudget(t *testing.T) {
 		t.Fatal("leave wedged on a partitioned management link")
 	}
 	if c.XferAborts != 3 {
-		t.Fatalf("xfer aborts = %d, want MigrateMaxAttempts=3", c.XferAborts)
+		t.Fatalf("xfer aborts = %d, want migrateMaxAttempts=3", c.XferAborts)
 	}
 	if c.Parks != 1 || c.Lost != 0 {
 		t.Fatalf("parks=%d lost=%d, want 1/0 (checkpoint rescued)", c.Parks, c.Lost)

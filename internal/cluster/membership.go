@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"jitsu/internal/cc"
 	"jitsu/internal/core"
 	"jitsu/internal/netsim"
 	"jitsu/internal/netstack"
@@ -123,8 +122,10 @@ type memberInfo struct {
 type agent struct {
 	c    *Cluster
 	self int
-	host *netstack.Host
 	nic  *netsim.NIC
+	// copier is this board's checkpoint-copy endpoint (port 7947) and
+	// owns host, the agent's management-network stack (xfer.go).
+	copier
 	// view is this agent's local membership map (includes self).
 	view map[int]memberInfo
 	// out is the rumor outbox: updates still owed piggyback retransmits.
@@ -136,11 +137,6 @@ type agent struct {
 	// relayed maps this agent's own ping seq (sent on behalf of another
 	// member) to the ping-req origin it must answer.
 	relayed map[uint32]relayRef
-	// ctrl paces this board's management uplink for checkpoint copies
-	// (nil until the first one, or always when unpaced); xfers holds the
-	// copies in flight from here, by id (xfer.go).
-	ctrl    *cc.Controller
-	xfers   map[uint32]*cc.Sender
 	probeEv sim.Event
 	stopped bool
 	// tickFn and timeoutFn are a.tick and a.probeTimeout, bound once, so
@@ -179,17 +175,16 @@ func newAgent(c *Cluster, m *Member) *agent {
 		view:    make(map[int]memberInfo),
 		await:   make(map[uint32]int),
 		relayed: make(map[uint32]relayRef),
-		xfers:   make(map[uint32]*cc.Sender),
 		inc:     1,
 	}
 	a.tickFn, a.timeoutFn = a.tick, a.probeTimeout
 	a.nic = netsim.NewNIC(c.eng, fmt.Sprintf("mgmt%d", m.ID), netsim.MACFor(0xA000+m.ID))
 	c.mgmt.ConnectNIC(a.nic, 50*time.Microsecond, c.Cfg.MgmtBitsPerSec)
-	a.host = netstack.NewHost(c.eng, fmt.Sprintf("mgmt%d", m.ID), a.nic, mgmtIP(m.ID), netstack.Dom0Profile())
+	a.copier = newCopier(netstack.NewHost(c.eng, fmt.Sprintf("mgmt%d", m.ID), a.nic, mgmtIP(m.ID), netstack.Dom0Profile()), xferPort, xferOpChunk)
 	if err := a.host.BindUDP(gossipPort, a.recv); err != nil {
 		panic(fmt.Sprintf("cluster: gossip bind: %v", err))
 	}
-	if err := a.host.BindUDP(xferPort, a.recvXfer); err != nil {
+	if err := a.host.BindUDP(xferPort, a.copier.recv); err != nil {
 		panic(fmt.Sprintf("cluster: xfer bind: %v", err))
 	}
 	return a

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"time"
 
 	"jitsu/internal/api"
 	"jitsu/internal/core"
@@ -191,8 +192,16 @@ func (c *Cluster) migrate(e *Entry, p *Placement, done func(ok bool)) {
 	c.migrateAttempt(e, p, 1, done)
 }
 
+// A mandatory evacuation whose transfer died on the wire is retried
+// migrateRetryDelay later, up to migrateMaxAttempts tries, before the
+// replica is written off.
+const (
+	migrateRetryDelay  = 1 * time.Second
+	migrateMaxAttempts = 3
+)
+
 // migrateAttempt is one try of a mandatory evacuation; a transfer that
-// dies on the wire reschedules here (bounded by MigrateMaxAttempts)
+// dies on the wire reschedules here (bounded by migrateMaxAttempts)
 // with a fresh destination pick — the first choice may be the very
 // board the partition cut off.
 func (c *Cluster) migrateAttempt(e *Entry, p *Placement, attempt int, done func(ok bool)) {
@@ -264,8 +273,8 @@ func (c *Cluster) migrateTo(e *Entry, p *Placement, idx int, mandatory bool, att
 				done(false)
 				return
 			}
-			if attempt < c.Cfg.MigrateMaxAttempts {
-				c.eng.After(c.Cfg.MigrateRetryDelay, func() {
+			if attempt < migrateMaxAttempts {
+				c.eng.After(migrateRetryDelay, func() {
 					if p.gone || !p.Svc.State.Booted() {
 						done(false)
 						return

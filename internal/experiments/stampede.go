@@ -77,7 +77,6 @@ func runStampedeCluster(label string, unpaced bool, seed int64) *stampedeCluster
 		cluster.WithUnpacedTransfers(unpaced),
 		cluster.Option(func(cfg *cluster.Config) {
 			cfg.MgmtBitsPerSec = stampedeMgmtBits
-			cfg.MigrateBitsPerSec = stampedeMgmtBits
 			cfg.MigrateChunkMiB = 1
 		}),
 	)
@@ -143,8 +142,6 @@ func runStampedeFed(label string, shed, unpaced bool, horizon sim.Duration) *sta
 		cluster.WithMemberOptions(cluster.WithBoards(3), cluster.WithSeed(2600),
 			cluster.WithUnpacedTransfers(unpaced)),
 		cluster.WithWAN(netsim.WAN20ms()),
-		cluster.WithDelegateRetry(100*time.Millisecond, 3),
-		cluster.WithTransferChunk(1),
 		// The shed is issued by hand at t0; the detector stays out of it.
 		cluster.WithSkewPolicy(0, 0.5, 3, stampedeFedBatch),
 	)
