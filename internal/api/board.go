@@ -180,7 +180,7 @@ func (p *boardPlane) Stats(StatsRequest) StatsResponse {
 		resp.Services = append(resp.Services, ServiceStats{Name: svc.Cfg.Name, State: svc.State, Counters: svc.Counters})
 	}
 	resp.Triggers = AddFired(make([]TriggerStats, 0, 8), p.b.Jitsu.Activation())
-	resp.Registries = []obs.Snapshot{p.b.Reg.Snapshot()}
+	resp.Registries = obs.Snapshots(p.b.Reg)
 	return resp
 }
 

@@ -33,6 +33,7 @@ package cc
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"jitsu/internal/obs"
@@ -197,7 +198,7 @@ func (c *Controller) pump() {
 		if c.inFlight > 0 && float64(c.inFlight+w.bytes) > c.cwnd {
 			break
 		}
-		c.queue = c.queue[1:]
+		c.queue = slices.Delete(c.queue, 0, 1) // a shift keeps the queue's capacity
 		c.inFlight += w.bytes
 		w.grant()
 	}

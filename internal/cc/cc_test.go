@@ -50,6 +50,27 @@ func TestOversizeRequestNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestAcquireAckAllocatesNothing pins BenchmarkControllerAcquireAck: a
+// grant shifts the queue down rather than slicing past its head, so the
+// queue keeps its room and a paced chunk's window round trip allocates
+// nothing once the queue has held one waiter. A granted waiter's slot is
+// cleared, so the queue keeps no grant func alive either.
+func TestAcquireAckAllocatesNothing(t *testing.T) {
+	_, c := newTest()
+	grant := func() {}
+	c.Acquire(1000, grant)
+	c.OnAck(1000, time.Millisecond)
+	if got := testing.AllocsPerRun(100, func() {
+		c.Acquire(1000, grant)
+		c.OnAck(1000, time.Millisecond)
+	}); got != 0 {
+		t.Fatalf("an Acquire/OnAck pair allocates %.0f times, want 0", got)
+	}
+	if c.QueueLen() != 0 || c.queue[:1][0].grant != nil {
+		t.Fatalf("the drained queue holds %d waiters, its first slot %+v", c.QueueLen(), c.queue[:1][0])
+	}
+}
+
 // Slow start doubles per window; loss takes a Beta decrease; timeout
 // collapses to MinWindow.
 func TestWindowDynamics(t *testing.T) {

@@ -298,19 +298,20 @@ func (p *clusterPlane) Promote(req api.PromoteRequest) api.PromoteResponse {
 
 func (p *clusterPlane) Stats(api.StatsRequest) api.StatsResponse {
 	resp := api.StatsResponse{
-		Services:   make([]api.ServiceStats, 0, len(p.c.dir.ordered)),
-		Triggers:   make([]api.TriggerStats, 0, 8),
-		Registries: make([]obs.Snapshot, 0, 1+len(p.c.members)),
+		Services: make([]api.ServiceStats, 0, len(p.c.dir.ordered)),
+		Triggers: make([]api.TriggerStats, 0, 8),
 	}
 	for _, e := range p.c.dir.ordered {
 		resp.Services = append(resp.Services, e.totals().ServiceStats)
 	}
-	// Cluster-tier registry first, then one per board in board order.
-	resp.Registries = append(resp.Registries, p.c.Reg.Snapshot())
+	// Cluster-tier registry first, then one per board in board order; a
+	// cluster of up to 15 boards lists them on the stack.
+	regs := append(make([]*obs.Registry, 0, 16), p.c.Reg)
 	for _, m := range p.c.members {
 		resp.Triggers = api.AddFired(resp.Triggers, m.Board.Jitsu.Activation())
-		resp.Registries = append(resp.Registries, m.Board.Reg.Snapshot())
+		regs = append(regs, m.Board.Reg)
 	}
+	resp.Registries = obs.Snapshots(regs...)
 	return resp
 }
 

@@ -9,8 +9,9 @@
 // microseconds into a fixed array; the tracer overwrites its oldest
 // events once full and accounts for every drop. Registries snapshot to
 // one plain struct (name-sorted) that api.StatsResponse carries whole;
-// the sort is paid when a row is registered — the first Snapshot after
-// it — never per Snapshot, which allocates its row slices and no more.
+// the sort is paid when a row is registered — the first snapshot after
+// it — never per snapshot, which allocates one array per row kind and
+// one for the buckets, however many registries Snapshots freezes at once.
 //
 // Naming convention: metric names are dot-paths,
 // "<subsystem>.<thing>[_<unit>]" — e.g. "dns.cache_hits",
@@ -183,47 +184,78 @@ type Snapshot struct {
 	Hists    []HistSnap
 }
 
-// Snapshot freezes the registry. Mirrors (CounterFunc/GaugeFunc) are
-// read here, never on their owners' hot paths. Rows come out in name
-// order because the row lists are kept in it: a registration marks them
-// unsorted, the next Snapshot sorts them once (stably), and every later
-// one only fills three exact row slices and one array all buckets share.
+// Snapshot freezes the registry: Snapshots of it alone.
 func (r *Registry) Snapshot() Snapshot {
-	if !r.sorted {
-		slices.SortStableFunc(r.counters, func(a, b namedCounter) int { return strings.Compare(a.name, b.name) })
-		slices.SortStableFunc(r.gauges, func(a, b namedGauge) int { return strings.Compare(a.name, b.name) })
-		slices.SortStableFunc(r.hists, func(a, b namedHist) int { return strings.Compare(a.name, b.name) })
-		r.sorted = true
-	}
-	// Grow, not make: a kind with no rows stays nil, as append left it.
-	s := Snapshot{Name: r.Name,
-		Counters: slices.Grow([]CounterSnap(nil), len(r.counters)),
-		Gauges:   slices.Grow([]GaugeSnap(nil), len(r.gauges)),
-		Hists:    slices.Grow([]HistSnap(nil), len(r.hists))}
-	for _, nc := range r.counters {
-		v := uint64(0)
-		if nc.c != nil {
-			v = nc.c.Value()
-		} else if nc.fn != nil {
-			v = nc.fn()
+	var s [1]Snapshot
+	freeze(s[:], []*Registry{r})
+	return s[0]
+}
+
+// Snapshots freezes regs, in order, one Snapshot each. Mirrors
+// (CounterFunc/GaugeFunc) are read here, never on their owners' hot
+// paths. Rows come out in name order because the row lists are kept in
+// it: a registration marks them unsorted, the next snapshot sorts them
+// once (stably). However many registries there are, their rows of one
+// kind are cut from one array and all their histograms' buckets from
+// one more, each cut capped at its length so an append to one
+// registry's rows cannot spill into the next's.
+func Snapshots(regs ...*Registry) []Snapshot {
+	out := make([]Snapshot, len(regs))
+	freeze(out, regs)
+	return out
+}
+
+// freeze snapshots regs[i] into out[i]: one pass sorts and counts, the
+// second fills the shared arrays.
+func freeze(out []Snapshot, regs []*Registry) {
+	var nc, ng, nh, nb int
+	for _, r := range regs {
+		if !r.sorted {
+			slices.SortStableFunc(r.counters, func(a, b namedCounter) int { return strings.Compare(a.name, b.name) })
+			slices.SortStableFunc(r.gauges, func(a, b namedGauge) int { return strings.Compare(a.name, b.name) })
+			slices.SortStableFunc(r.hists, func(a, b namedHist) int { return strings.Compare(a.name, b.name) })
+			r.sorted = true
 		}
-		s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: v})
-	}
-	for _, ng := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
-	}
-	used := 0
-	for _, nh := range r.hists {
-		used += nh.h.used()
-	}
-	buckets := make([]uint64, 0, used)
-	for _, nh := range r.hists {
-		hs := HistSnap{Name: nh.name, Count: nh.h.n, Sum: nh.h.sum, Max: nh.h.max}
-		if n := nh.h.used(); n > 0 {
-			buckets = append(buckets, nh.h.counts[:n]...)
-			hs.Buckets = buckets[len(buckets)-n : len(buckets) : len(buckets)]
+		nc, ng, nh = nc+len(r.counters), ng+len(r.gauges), nh+len(r.hists)
+		for _, h := range r.hists {
+			nb += h.h.used()
 		}
-		s.Hists = append(s.Hists, hs)
 	}
-	return s
+	// Grow, not make: a kind no registry has stays nil, as append left it.
+	counters := slices.Grow([]CounterSnap(nil), nc)
+	gauges := slices.Grow([]GaugeSnap(nil), ng)
+	hists := slices.Grow([]HistSnap(nil), nh)
+	buckets := make([]uint64, 0, nb)
+	for i, r := range regs {
+		c0, g0, h0 := len(counters), len(gauges), len(hists)
+		for _, nc := range r.counters {
+			v := uint64(0)
+			if nc.c != nil {
+				v = nc.c.Value()
+			} else if nc.fn != nil {
+				v = nc.fn()
+			}
+			counters = append(counters, CounterSnap{Name: nc.name, Value: v})
+		}
+		for _, ng := range r.gauges {
+			gauges = append(gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
+		}
+		for _, nh := range r.hists {
+			hs := HistSnap{Name: nh.name, Count: nh.h.n, Sum: nh.h.sum, Max: nh.h.max}
+			b0 := len(buckets)
+			buckets = append(buckets, nh.h.counts[:nh.h.used()]...)
+			hs.Buckets = tail(buckets, b0)
+			hists = append(hists, hs)
+		}
+		out[i] = Snapshot{Name: r.Name, Counters: tail(counters, c0), Gauges: tail(gauges, g0), Hists: tail(hists, h0)}
+	}
+}
+
+// tail is a[from:] as one registry's (or histogram's) own rows: capped at
+// its length, and nil when there are none.
+func tail[T any](a []T, from int) []T {
+	if from == len(a) {
+		return nil
+	}
+	return a[from:len(a):len(a)]
 }

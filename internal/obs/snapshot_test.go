@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
 
-// refSnapshot is Snapshot as it was before the registry kept its rows
-// sorted: append every row in registration order, sort.Slice each kind,
-// trim every histogram by scanning for its last occupied bucket.
-func refSnapshot(r *Registry) Snapshot {
+// refSortingSnapshot is Snapshot as it was before the registry kept its
+// rows sorted: append every row in registration order, sort.Slice each
+// kind, trim every histogram by scanning for its last occupied bucket.
+func refSortingSnapshot(r *Registry) Snapshot {
 	s := Snapshot{Name: r.Name}
 	for _, nc := range r.counters {
 		v := uint64(0)
@@ -84,13 +86,13 @@ func TestSnapshotMatchesReference(t *testing.T) {
 				}
 			}
 			if rng.Intn(3) == 0 {
-				want := refSnapshot(r)
+				want := refSortingSnapshot(r)
 				if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d:\n got  %+v\n want %+v", seed, step, got, want)
 				}
 			}
 		}
-		want := refSnapshot(r)
+		want := refSortingSnapshot(r)
 		if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d, final:\n got  %+v\n want %+v", seed, got, want)
 		}
@@ -127,6 +129,147 @@ func TestSnapshotAllocations(t *testing.T) {
 	for _, h := range s.Hists {
 		if cap(h.Buckets) != len(h.Buckets) {
 			t.Fatalf("%s: buckets have room to append into a neighbour (len %d cap %d)", h.Name, len(h.Buckets), cap(h.Buckets))
+		}
+	}
+}
+
+// refSnapshot is one registry's Snapshot as it was before Snapshots
+// shared its arrays across registries: sort once, then three row slices
+// grown to size and one bucket array, per registry.
+func refSnapshot(r *Registry) Snapshot {
+	if !r.sorted {
+		slices.SortStableFunc(r.counters, func(a, b namedCounter) int { return strings.Compare(a.name, b.name) })
+		slices.SortStableFunc(r.gauges, func(a, b namedGauge) int { return strings.Compare(a.name, b.name) })
+		slices.SortStableFunc(r.hists, func(a, b namedHist) int { return strings.Compare(a.name, b.name) })
+		r.sorted = true
+	}
+	s := Snapshot{Name: r.Name,
+		Counters: slices.Grow([]CounterSnap(nil), len(r.counters)),
+		Gauges:   slices.Grow([]GaugeSnap(nil), len(r.gauges)),
+		Hists:    slices.Grow([]HistSnap(nil), len(r.hists))}
+	for _, nc := range r.counters {
+		v := uint64(0)
+		if nc.c != nil {
+			v = nc.c.Value()
+		} else if nc.fn != nil {
+			v = nc.fn()
+		}
+		s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: v})
+	}
+	for _, ng := range r.gauges {
+		s.Gauges = append(s.Gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
+	}
+	used := 0
+	for _, nh := range r.hists {
+		used += nh.h.used()
+	}
+	buckets := make([]uint64, 0, used)
+	for _, nh := range r.hists {
+		hs := HistSnap{Name: nh.name, Count: nh.h.n, Sum: nh.h.sum, Max: nh.h.max}
+		if n := nh.h.used(); n > 0 {
+			buckets = append(buckets, nh.h.counts[:n]...)
+			hs.Buckets = buckets[len(buckets)-n : len(buckets) : len(buckets)]
+		}
+		s.Hists = append(s.Hists, hs)
+	}
+	return s
+}
+
+// randomRegistry registers up to rows rows in no name order, each of a
+// kind drawn from those kinds allows (bit 0 counters, 1 gauges, 2
+// histograms), bumping owned counters and feeding histograms as it goes.
+func randomRegistry(rng *rand.Rand, name string, rows int, kinds int) *Registry {
+	r := NewRegistry(name)
+	var counters []*Counter
+	var hists []*Histogram
+	for _, i := range rng.Perm(rows) {
+		row := fmt.Sprintf("m%03d.x", i)
+		switch k := rng.Intn(3); {
+		case kinds&(1<<k) == 0:
+		case k == 0 && rng.Intn(2) == 0:
+			counters = append(counters, r.Counter(row))
+		case k == 0:
+			v := rng.Uint64()
+			r.CounterFunc(row, func() uint64 { return v })
+		case k == 1:
+			v := rng.Int63()
+			r.GaugeFunc(row, func() int64 { return v })
+		default:
+			hists = append(hists, r.Histogram(row))
+		}
+		if len(counters) > 0 {
+			counters[rng.Intn(len(counters))].Add(uint64(rng.Intn(9)))
+		}
+		if len(hists) > 0 && rng.Intn(2) == 0 {
+			d := time.Duration(rng.Int63n(int64(time.Hour)<<uint(rng.Intn(12)))) - time.Second
+			hists[rng.Intn(len(hists))].Observe(d >> uint(rng.Intn(40)))
+		}
+	}
+	return r
+}
+
+// TestSnapshotsShareArrays holds Snapshots over seeded sets of
+// registries — some empty, some missing a kind, sometimes a kind none has
+// — to refSnapshot of each registry alone, and checks what sharing the
+// arrays must not cost: one array per kind present plus one for buckets,
+// rows with no room to append into, nil for a kind a registry lacks, and
+// an append to one registry's rows leaving every other's alone.
+func TestSnapshotsShareArrays(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		kinds := 1 + rng.Intn(7)
+		regs := make([]*Registry, 1+rng.Intn(6))
+		for i := range regs {
+			regs[i] = randomRegistry(rng, fmt.Sprintf("reg%d", i), rng.Intn(30), kinds&(1+rng.Intn(7)))
+		}
+		got := Snapshots(regs...)
+		want := make([]Snapshot, len(regs))
+		for i, r := range regs {
+			want[i] = refSnapshot(r)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d:\n got  %+v\n want %+v", seed, got, want)
+		}
+
+		var rows [4]int // counters, gauges, histograms, buckets: all registries'
+		for i, s := range got {
+			rows[0], rows[1], rows[2] = rows[0]+len(s.Counters), rows[1]+len(s.Gauges), rows[2]+len(s.Hists)
+			if (len(s.Counters) == 0 && s.Counters != nil) || (len(s.Gauges) == 0 && s.Gauges != nil) || (len(s.Hists) == 0 && s.Hists != nil) {
+				t.Fatalf("seed %d: registry %d has an empty kind that is not nil: %+v", seed, i, s)
+			}
+			if cap(s.Counters) != len(s.Counters) || cap(s.Gauges) != len(s.Gauges) || cap(s.Hists) != len(s.Hists) {
+				t.Fatalf("seed %d: registry %d's rows have room to append into a neighbour", seed, i)
+			}
+			for _, h := range s.Hists {
+				rows[3] += len(h.Buckets)
+				if cap(h.Buckets) != len(h.Buckets) || (len(h.Buckets) == 0 && h.Buckets != nil) {
+					t.Fatalf("seed %d: registry %d, %s: buckets len %d cap %d", seed, i, h.Name, len(h.Buckets), cap(h.Buckets))
+				}
+			}
+		}
+		arrays := 1 // the []Snapshot, then one array per kind any registry has
+		for _, n := range rows {
+			if n > 0 {
+				arrays++
+			}
+		}
+		if !raceEnabled {
+			if allocs := testing.AllocsPerRun(20, func() { Snapshots(regs...) }); allocs != float64(arrays) {
+				t.Fatalf("seed %d: %d registries cost %.0f allocations, want %d", seed, len(regs), allocs, arrays)
+			}
+		}
+
+		grown := 0
+		for _, s := range got {
+			grown += len(append(s.Counters, CounterSnap{Name: "spill"})) +
+				len(append(s.Gauges, GaugeSnap{Name: "spill"})) +
+				len(append(s.Hists, HistSnap{Name: "spill"}))
+			for _, h := range s.Hists {
+				grown += len(append(h.Buckets, 1<<63))
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: appending %d rows changed a neighbour's:\n got  %+v\n want %+v", seed, grown, got, want)
 		}
 	}
 }

@@ -240,21 +240,31 @@ func (x *buf) ip(v *netstack.IP) {
 	}
 }
 
-// sized moves a collection's count — refusing silent truncation of one
-// too long to write — and, decoding, gives *s room for it, capped by how
-// many elements of at least elem bytes the rest of the body could hold: a
-// frame cannot buy more memory than it carries. The caller still walks
-// to the declared count, so a short body fails.
-func sized[T any](x *buf, s *[]T, elem int) int {
-	n := uint16(len(*s))
-	if !x.dec && len(*s) > math.MaxUint16 {
-		x.err = fmt.Errorf("%w: collection length %d", ErrBadFrame, len(*s))
+// count moves a collection's length — refusing silent truncation of one
+// too long to write. Decoding, a count of elements of at least elem bytes
+// that the rest of the body cannot hold fails the frame there, before
+// anything is allocated for them: a frame cannot buy more memory than it
+// carries. The caller still walks to the count, so a short body fails.
+func count(x *buf, length, elem int) int {
+	n := uint16(length)
+	if !x.dec && length > math.MaxUint16 {
+		x.err = fmt.Errorf("%w: collection length %d", ErrBadFrame, length)
 	}
 	x.u16(&n)
-	if x.dec {
-		*s = slices.Grow(*s, min(int(n), len(x.b)/elem)) // no room leaves it nil
+	if x.dec && int(n)*elem > len(x.b) {
+		x.fail()
+		return 0
 	}
 	return int(n)
+}
+
+// sized moves a collection's count and, decoding, gives *s room for it.
+func sized[T any](x *buf, s *[]T, elem int) int {
+	n := count(x, len(*s), elem)
+	if x.dec {
+		*s = slices.Grow(*s, n) // no room leaves it nil
+	}
+	return n
 }
 
 // at is element i of *s, appended first when decoding.
@@ -324,25 +334,73 @@ func (x *buf) checkpoint(v **core.Checkpoint) {
 	x.int(&(*v).StateMiB)
 }
 
-func (x *buf) snapshot(s *obs.Snapshot) {
+// pool is one stats frame's array of one row kind, which decoding cuts
+// every registry's rows of that kind from (every histogram's, for
+// buckets). want is how many rows the session's previous frame had; n
+// counts this frame's.
+type pool[T any] struct {
+	a       []T
+	want, n int
+}
+
+// rowPools is one stats frame's pools, one per row kind.
+type rowPools struct {
+	counters pool[obs.CounterSnap]
+	gauges   pool[obs.GaugeSnap]
+	hists    pool[obs.HistSnap]
+	buckets  pool[uint64]
+}
+
+// next readies p for another frame, sized from this one.
+func (p *pool[T]) next() { p.a, p.want, p.n = nil, p.n, 0 }
+
+// cut gives n rows room in the frame's array, capped at n so an append
+// cannot spill into the next cut, and nil when n is 0. When the array is
+// short it starts a new one for what is left — n, or the rest of the
+// previous frame's rows if more, but never more than fit, the rows the
+// body's remaining bytes could carry (count's rule).
+func (p *pool[T]) cut(n, fit int) []T {
+	if n == 0 {
+		return nil
+	}
+	if cap(p.a)-len(p.a) < n {
+		p.a = make([]T, 0, min(max(n, p.want-p.n), fit))
+	}
+	p.n += n
+	i := len(p.a)
+	p.a = p.a[:i+n]
+	return p.a[i : i : i+n]
+}
+
+// rows moves a registry's rows of one kind, or a histogram's buckets,
+// like sized, but decoding cuts their room from p instead of allocating it.
+func rows[T any](x *buf, s *[]T, p *pool[T], elem int) int {
+	n := count(x, len(*s), elem)
+	if x.dec {
+		*s = p.cut(n, len(x.b)/elem)
+	}
+	return n
+}
+
+func (x *buf) snapshot(s *obs.Snapshot, p *rowPools) {
 	x.name(&s.Name)
-	for i, n := 0, sized(x, &s.Counters, 2+8); i < n && x.err == nil; i++ {
+	for i, n := 0, rows(x, &s.Counters, &p.counters, 2+8); i < n && x.err == nil; i++ {
 		c := at(x, &s.Counters, i)
 		x.name(&c.Name)
 		x.u64(&c.Value)
 	}
-	for i, n := 0, sized(x, &s.Gauges, 2+8); i < n && x.err == nil; i++ {
+	for i, n := 0, rows(x, &s.Gauges, &p.gauges, 2+8); i < n && x.err == nil; i++ {
 		g := at(x, &s.Gauges, i)
 		x.name(&g.Name)
 		x.i64(&g.Value)
 	}
-	for i, n := 0, sized(x, &s.Hists, 2+8+8+8+2); i < n && x.err == nil; i++ {
+	for i, n := 0, rows(x, &s.Hists, &p.hists, 2+8+8+8+2); i < n && x.err == nil; i++ {
 		h := at(x, &s.Hists, i)
 		x.name(&h.Name)
 		x.u64(&h.Count)
 		x.dur(&h.Sum)
 		x.dur(&h.Max)
-		for j, m := 0, sized(x, &h.Buckets, 8); j < m && x.err == nil; j++ {
+		for j, m := 0, rows(x, &h.Buckets, &p.buckets, 8); j < m && x.err == nil; j++ {
 			x.u64(at(x, &h.Buckets, j))
 		}
 	}
@@ -368,9 +426,20 @@ func (x *buf) stats(s *api.StatsResponse) {
 		x.name(&t.Name)
 		x.u64(&t.Fired)
 	}
-	for i, n := 0, sized(x, &s.Registries, 2+2+2+2); i < n && x.err == nil; i++ {
-		x.snapshot(at(x, &s.Registries, i))
+	// A session sizes this frame's arrays from its last one; without a
+	// session every cut starts an array of its own.
+	var fresh rowPools
+	p := &fresh
+	if x.d != nil {
+		p = &x.d.rows
 	}
+	for i, n := 0, sized(x, &s.Registries, 2+2+2+2); i < n && x.err == nil; i++ {
+		x.snapshot(at(x, &s.Registries, i), p)
+	}
+	p.counters.next()
+	p.gauges.next()
+	p.hists.next()
+	p.buckets.next()
 	x.apiErr(&s.Err)
 }
 
@@ -471,9 +540,18 @@ const maxInterned = 4096
 
 // Decoder is one session's decoding state: the names its stats frames
 // repeat, snapshot after snapshot — services, triggers, registries,
-// metrics — are allocated once and handed out again. The zero value is
-// ready to use; its messages never alias the buffer it was given.
-type Decoder struct{ names map[string]string }
+// metrics — are allocated once and handed out again, and each stats
+// frame's registries share one array per row kind and one for buckets,
+// sized from the previous frame's totals: once a session has seen a
+// frame, one of the same shape costs a fixed number of allocations
+// however many registries it carries. A frame that outgrows the last
+// starts a new array for what is left; no array is sized past what the
+// rest of the body could carry. The zero value is ready to use; its
+// messages never alias the buffer it was given, nor each other.
+type Decoder struct {
+	names map[string]string
+	rows  rowPools
+}
 
 // intern returns b as a string, the one it returned before for the same
 // bytes if any; probing with the bytes themselves, a hit allocates nothing.

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"jitsu/internal/api"
+	"jitsu/internal/obs"
 )
 
 // sameDecode holds a session Decoder to the stateless Decode on one
@@ -92,6 +95,12 @@ func statsFrame(t testing.TB, svcs, regs int) []byte {
 		reg.Name = fmt.Sprintf("board%d", i)
 		s.Registries = append(s.Registries, reg)
 	}
+	return mustAppend(t, s)
+}
+
+// mustAppend encodes s as a Stats response frame.
+func mustAppend(t testing.TB, s api.StatsResponse) []byte {
+	t.Helper()
 	buf, err := Append(nil, Version, TStatsResp, 9, s)
 	if err != nil {
 		t.Fatal(err)
@@ -100,31 +109,109 @@ func statsFrame(t testing.TB, svcs, regs int) []byte {
 }
 
 // TestDecoderReusesNames: once a session has seen a stats frame, the
-// next one costs its collections and nothing per name.
+// next one costs its collections and nothing per name or per registry.
 func TestDecoderReusesNames(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the race build's")
 	}
-	buf := statsFrame(t, 64, 2)
+	// Services, triggers, registries; one array each for all the
+	// registries' counters, gauges, hists and buckets; the message boxed
+	// into the interface.
+	const want = 3 + 4 + 1
+	for _, regs := range []int{2, 5} {
+		buf := statsFrame(t, 64, regs)
+		var d Decoder
+		if _, _, _, _, _, err := d.Decode(buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(50, func() { d.Decode(buf) }); got != want {
+			t.Fatalf("%d registries: a warm session decode allocates %.0f times, want %d", regs, got, want)
+		}
+		cold := testing.AllocsPerRun(50, func() { Decode(buf) })
+		if cold < want+64 {
+			t.Fatalf("%d registries: the stateless decode allocates %.0f times: it must not intern", regs, cold)
+		}
+	}
+}
+
+// shapedStats is a snapshot of regs registries: registry i carries
+// rows+i counters, rows/2 gauges and 1+i%3 histograms of buckets buckets
+// each (none when buckets is 0).
+func shapedStats(regs, rows, buckets int) api.StatsResponse {
+	s := api.StatsResponse{Services: []api.ServiceStats{{Name: "svc.family.name"}}}
+	for i := 0; i < regs; i++ {
+		reg := obs.Snapshot{Name: fmt.Sprintf("board%d", i)}
+		for j := 0; j < rows+i; j++ {
+			reg.Counters = append(reg.Counters, obs.CounterSnap{Name: fmt.Sprintf("c%03d", j), Value: uint64(i*j + 1)})
+		}
+		for j := 0; j < rows/2; j++ {
+			reg.Gauges = append(reg.Gauges, obs.GaugeSnap{Name: fmt.Sprintf("g%03d", j), Value: int64(j - i)})
+		}
+		for j := 0; j <= i%3; j++ {
+			h := obs.HistSnap{Name: fmt.Sprintf("h%d", j), Count: uint64(buckets)}
+			for k := 0; k < buckets; k++ {
+				h.Buckets = append(h.Buckets, uint64(i+j+k))
+			}
+			reg.Hists = append(reg.Hists, h)
+		}
+		s.Registries = append(s.Registries, reg)
+	}
+	return s
+}
+
+// checkRowCaps fails if any row slice of s has room past its rows, which
+// an append would write into a neighbour's.
+func checkRowCaps(t *testing.T, when string, s api.StatsResponse) {
+	t.Helper()
+	for _, r := range s.Registries {
+		if cap(r.Counters) != len(r.Counters) || cap(r.Gauges) != len(r.Gauges) || cap(r.Hists) != len(r.Hists) {
+			t.Fatalf("%s: %s's rows have room to append into a neighbour", when, r.Name)
+		}
+		for _, h := range r.Hists {
+			if cap(h.Buckets) != len(h.Buckets) {
+				t.Fatalf("%s: %s/%s buckets len %d cap %d", when, r.Name, h.Name, len(h.Buckets), cap(h.Buckets))
+			}
+		}
+	}
+}
+
+// TestDecoderSizesFromTheLastFrame feeds one session stats frames whose
+// registries, rows and buckets grow, hold, shrink and grow again. Each
+// decode equals the stateless one and the snapshot encoded, no row has
+// room past its end, and no frame's decode disturbs an earlier frame's
+// message, which its caller may still hold.
+func TestDecoderSizesFromTheLastFrame(t *testing.T) {
+	shapes := [][3]int{{2, 4, 3}, {3, 8, 5}, {5, 20, 12}, {5, 20, 12}, {6, 24, 2}, {2, 3, 0}, {1, 0, 0}, {4, 10, 6}, {1, 40, 30}}
 	var d Decoder
-	if _, _, _, _, _, err := d.Decode(buf); err != nil {
-		t.Fatal(err)
-	}
-	// Services, triggers, registries; per registry counters, gauges,
-	// hists and one bucket slice; the message boxed into the interface.
-	const want = 3 + 2*4 + 1
-	if got := testing.AllocsPerRun(50, func() { d.Decode(buf) }); got > want {
-		t.Fatalf("a warm session decode allocates %.0f times, want <= %d", got, want)
-	}
-	cold := testing.AllocsPerRun(50, func() { Decode(buf) })
-	if cold < want+64 {
-		t.Fatalf("the stateless decode allocates %.0f times: it must not intern", cold)
+	var held []api.StatsResponse // every message decoded so far
+	var sent []api.StatsResponse // and what was encoded for it
+	for _, sh := range shapes {
+		when := fmt.Sprintf("registries %d, rows %d, buckets %d", sh[0], sh[1], sh[2])
+		want := shapedStats(sh[0], sh[1], sh[2])
+		buf := mustAppend(t, want)
+		_, _, _, msg, _, err := d.Decode(buf)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		_, _, _, stateless, _, _ := Decode(buf)
+		got := msg.(api.StatsResponse)
+		if !reflect.DeepEqual(got, stateless) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: session decoder returned\n %+v\nstateless\n %+v\nencoded\n %+v", when, got, stateless, want)
+		}
+		checkRowCaps(t, when, got)
+		held, sent = append(held, got), append(sent, want)
+		for i := range held {
+			if !reflect.DeepEqual(held[i], sent[i]) {
+				t.Fatalf("%s: frame %d's message changed under a later decode", when, i)
+			}
+		}
 	}
 }
 
 // TestDecodeAllocatesWhatTheFrameCarries: a count is a claim, not an
-// allocation size. A body of 16 bytes declaring 65 535 services fails as
-// it always did, without buying room for them first.
+// allocation size, and neither is the size of a session's last frame. A
+// body of 16 bytes declaring 65 535 services fails as it always did,
+// without buying room for them first.
 func TestDecodeAllocatesWhatTheFrameCarries(t *testing.T) {
 	body := append([]byte{0xff, 0xff}, make([]byte, 14)...)
 	frame := append([]byte{0, 0, 0, byte(headerLen - 4 + len(body)), Version, TStatsResp, 0, 0, 0, 9}, body...)
@@ -142,13 +229,58 @@ func TestDecodeAllocatesWhatTheFrameCarries(t *testing.T) {
 			t.Fatalf("a 16-byte body made the decoder allocate %d bytes", got)
 		}
 	}
-	// The cap bounds the allocation, never the loop: a body holding one
-	// whole service of a declared two is short, not a one-service answer.
-	one := statsFrame(t, 1, 0)
-	two := append([]byte(nil), one...)
-	two[headerLen+1] = 2
-	if _, _, _, _, _, err := Decode(two); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("two services declared, one carried: err %v, want ErrBadFrame", err)
+	// Nor is a session's last frame. After a frame of some 20 000
+	// counters, a registry declaring 65 535 counters in a body carrying
+	// 100 fails at the count, having allocated less than the body's size;
+	// one carrying the 100 counters it declares, then failing, has bought
+	// room for no more rows than its body holds.
+	var d Decoder
+	big := mustAppend(t, shapedStats(8, 2500, 0))
+	if _, _, _, _, _, err := d.Decode(big); err != nil || d.rows.counters.want < 20000 {
+		t.Fatalf("the session expects %d counters after a frame of 20 000 (%v)", d.rows.counters.want, err)
+	}
+	carried := make([]byte, 100*(2+8)) // 100 unnamed zero counters
+	overdrawn := slices.Concat([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0xff, 0xff}, carried)
+	honest := slices.Concat([]byte{0, 0, 0, 0, 0, 1, 0, 0, 0, 100}, carried, []byte{0xff, 0xff})
+	for _, c := range []struct {
+		name  string
+		body  []byte
+		limit int
+	}{
+		{"65 535 counters declared, 100 carried", overdrawn, len(overdrawn)},
+		// A 10-byte counter on the wire is a CounterSnap in memory; 1 KiB
+		// covers the registry's row and size-class rounding.
+		{"100 counters, then 65 535 gauges declared", honest, 100*int(unsafe.Sizeof(obs.CounterSnap{})) + 1<<10},
+	} {
+		n := headerLen - 4 + len(c.body)
+		frame := slices.Concat([]byte{0, 0, byte(n >> 8), byte(n), Version, TStatsResp, 0, 0, 0, 9}, c.body)
+		var alloc uint64
+		for i := 0; i < 10; i++ {
+			d.Decode(big) // the session's last frame is the big one, every time
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, _, _, msg, _, err := d.Decode(frame)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadFrame) || msg != nil {
+				t.Fatalf("%s: msg %v err %v, want ErrBadFrame", c.name, msg, err)
+			}
+			alloc += after.TotalAlloc - before.TotalAlloc
+		}
+		if alloc/10 > uint64(c.limit) {
+			t.Fatalf("%s: a %d-byte body made the session decoder allocate %d bytes, want <= %d", c.name, len(c.body), alloc/10, c.limit)
+		}
+	}
+
+	// The count bounds the allocation, never the loop: a body holding one
+	// whole service of a declared two is short, not a one-service answer,
+	// whether too few bytes follow for two (no registries) or enough do
+	// and only the walk finds them wrong (five registries).
+	for _, regs := range []int{0, 5} {
+		two := statsFrame(t, 1, regs)
+		two[headerLen+1] = 2
+		if _, _, _, _, _, err := Decode(two); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%d registries: two services declared, one carried: err %v, want ErrBadFrame", regs, err)
+		}
 	}
 }
 

@@ -35,6 +35,10 @@ func FuzzWireCodec(f *testing.F) {
 	bad, _ := Append(nil, Version, TStopReq, 9, api.StopRequest{Name: "alice"})
 	f.Add(bad[:len(bad)-2])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	// Two stats frames of different shapes: the session decoder sizes
+	// each one's arrays from the frame before it.
+	f.Add(mustAppend(f, shapedStats(5, 20, 12)))
+	f.Add(mustAppend(f, shapedStats(2, 4, 3)))
 
 	// One decoder for the whole run, as a session has: whatever names
 	// earlier inputs left in its table, it must answer like Decode.

@@ -62,9 +62,11 @@
 // empty if a frame grew it past 64 KiB. A server session holds at most
 // 16 watches: a WatchReq on a new id beyond that is refused with
 // CodeUnavailable. A Client decodes through its own Decoder, which
-// bounds what a peer can make it hold: a collection gets room for its
-// declared count capped by what the remaining bytes could carry, and the
-// table of recurring names stops at 4 096 entries. A server decodes a
+// bounds what a peer can make it hold: a declared count the remaining
+// bytes could not carry fails the frame before anything is allocated for
+// it, a stats frame's row arrays are sized from the session's last frame
+// but never past what the remaining bytes could carry, and the table of
+// recurring names stops at 4 096 entries. A server decodes a
 // verb's request through its row as the type it is, and interns nothing.
 package wire
 
