@@ -144,22 +144,29 @@ bench-gate:
 # worktree to register or prune) under a mktemp -d, each tree builds its
 # own bench/run.sh into its own .bench_build/, N pairs run alternating
 # which side goes first, and benchjson -pairs reads the two files of
-# result lines. Run nothing else meanwhile; the copy and both build
-# directories are removed on exit.
-#   make bench-pair BASE=<commit> W=<workload> [N=10 SEED=3 SECONDS=20]
+# result lines. W may list several workloads: each runs its N pairs in
+# turn into its own two files and gets its own table, printed as it
+# finishes, so "did any other workload get worse" is one command. Run
+# nothing else meanwhile; the copy and both build directories are
+# removed on exit.
+#   make bench-pair BASE=<commit> W="<workload> ..." [N=10 SEED=3 SECONDS=20]
+#   make bench-pair BASE=<commit> W="cold_storm warm_fetch fed_skew operator_wire"
 N ?= 10
 SEED ?= 3
 SECONDS ?= 20
 bench-pair:
-	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pair BASE=<commit> W=<workload> [N=$(N) SEED=$(SEED) SECONDS=$(SECONDS)]"; exit 2; }
+	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pair BASE=<commit> W=\"<workload> ...\" [N=$(N) SEED=$(SEED) SECONDS=$(SECONDS)]"; exit 2; }
 	@tmp=$$(mktemp -d); trap 'chmod -R u+w $$tmp; rm -rf $$tmp .bench_build' EXIT; \
 	mkdir $$tmp/base && git archive $(BASE) | tar -x -C $$tmp/base; \
-	side() { (cd $$1 && bash bench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace 0 2>/dev/null | tail -1) >> $$tmp/$$2.jsonl; }; \
-	for i in $$(seq $(N)); do \
-		if [ $$((i % 2)) = 1 ]; then side $$tmp/base parent; side . change; else side . change; side $$tmp/base parent; fi; \
-		echo "pair $$i of $(N)" >&2; \
-	done; \
-	$(GO) run ./cmd/benchjson -pairs $$tmp/parent.jsonl $$tmp/change.jsonl
+	side() { (cd $$1 && bash bench/run.sh --workload $$3 --seed $(SEED) --seconds $(SECONDS) --trace 0 2>/dev/null | tail -1) >> $$tmp/$$3.$$2.jsonl; }; \
+	for w in $(W); do \
+		for i in $$(seq $(N)); do \
+			if [ $$((i % 2)) = 1 ]; then side $$tmp/base parent $$w; side . change $$w; else side . change $$w; side $$tmp/base parent $$w; fi; \
+			echo "$$w: pair $$i of $(N)" >&2; \
+		done; \
+		echo "== $$w (seed $(SEED), $(N) pairs of $(SECONDS) s)"; \
+		$(GO) run ./cmd/benchjson -pairs $$tmp/$$w.parent.jsonl $$tmp/$$w.change.jsonl; \
+	done
 
 # allocs-gate holds the one end-to-end number of the repository benchmark
 # that a shared runner can: host_allocs_per_req repeats to four digits

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"jitsu/internal/netsim"
@@ -116,7 +117,7 @@ func (s *Synjitsu) recordEmbryonic(svc *Service, c *netstack.TCPConn) {
 		return
 	}
 	idx := len(s.conns[svc])
-	path := fmt.Sprintf("/conduit/%s/tcpv4/%d", xsName(svc), idx)
+	path := "/conduit/" + xsName(svc) + "/tcpv4/" + strconv.Itoa(idx)
 	_ = s.board.Store.Write(xenstore.Dom0, nil, path, tcb.Encode())
 }
 
@@ -147,7 +148,7 @@ func (s *Synjitsu) handoff(svc *Service) {
 	tx := st.Begin(xenstore.Dom0)
 	_ = st.Rm(xenstore.Dom0, tx, base)
 	for i, tcb := range tcbs {
-		_ = st.Write(xenstore.Dom0, tx, fmt.Sprintf("%s/%d", base, i+1), tcb.Encode())
+		_ = st.Write(xenstore.Dom0, tx, base+"/"+strconv.Itoa(i+1), tcb.Encode())
 	}
 	// Phase 2: the commit flag. After this write the unikernel owns
 	// every recorded connection.

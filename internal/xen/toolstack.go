@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"jitsu/internal/sim"
@@ -83,36 +84,50 @@ func (ts *Toolstack) xsOpCost() sim.Duration {
 // time, and retries from scratch on ErrAgain exactly like libxl's
 // EAGAIN loop. done receives the terminal error (nil on success).
 func (ts *Toolstack) runTx(dom DomID, body func(tx *xenstore.Tx) error, done func(error)) {
-	eng := ts.hyp.Eng
-	attempts := 0
-	var attempt func()
-	attempt = func() {
-		attempts++
-		if attempts > maxTxRetries {
-			done(ErrTooManyRetries)
-			return
-		}
-		st := ts.hyp.Store
-		before := st.Stats().Ops
-		tx := st.Begin(dom)
-		if err := body(tx); err != nil {
-			tx.Abort()
-			done(err)
-			return
-		}
-		ops := st.Stats().Ops - before
-		cost := ts.hyp.charge(sim.Duration(ops) * ts.xsOpCost())
-		eng.After(cost, func() {
-			err := tx.Commit()
-			if errors.Is(err, xenstore.ErrAgain) {
-				ts.TxRetries++
-				eng.After(0, attempt)
-				return
-			}
-			done(err)
-		})
+	r := &txRun{ts: ts, dom: dom, body: body, done: done}
+	r.attempt()
+}
+
+// txRun is one runTx loop: the state its attempts and commits share.
+type txRun struct {
+	ts       *Toolstack
+	dom      DomID
+	body     func(tx *xenstore.Tx) error
+	done     func(error)
+	tx       *xenstore.Tx // the attempt awaiting its commit
+	attempts int
+}
+
+// attempt runs body in a fresh transaction and schedules its commit
+// once the per-op time is charged.
+func (r *txRun) attempt() {
+	r.attempts++
+	if r.attempts > maxTxRetries {
+		r.done(ErrTooManyRetries)
+		return
 	}
-	attempt()
+	h := r.ts.hyp
+	before := h.Store.Stats().Ops
+	r.tx = h.Store.Begin(r.dom)
+	if err := r.body(r.tx); err != nil {
+		r.tx.Abort()
+		r.done(err)
+		return
+	}
+	ops := h.Store.Stats().Ops - before
+	h.Eng.After(h.charge(sim.Duration(ops)*r.ts.xsOpCost()), r.commit)
+}
+
+// commit ends the attempt: done on success or a hard error, another
+// attempt on ErrAgain.
+func (r *txRun) commit() {
+	err := r.tx.Commit()
+	if errors.Is(err, xenstore.ErrAgain) {
+		r.ts.TxRetries++
+		r.ts.hyp.Eng.After(0, r.attempt)
+		return
+	}
+	r.done(err)
 }
 
 // DomainConfig describes a guest to create.
@@ -317,16 +332,31 @@ func (ts *Toolstack) claimPooled(d *Domain, cfg DomainConfig, done func(*Domain,
 // backend entries under dom0's tree are the shared contention point.
 // Each set is a table written top to bottom: the order of a
 // transaction's log is the order its watch events fire in at commit, so
-// it must not vary from run to run.
+// it must not vary from run to run. A set's full paths are built as one
+// string and each write gets a slice of it, so the nodes a set creates
+// share (and keep alive) that one buffer until the domain goes.
 
 // record is one key, relative to a set's base path, and its value.
 type record struct{ key, value string }
 
 func writeRecords(st *xenstore.Store, tx *xenstore.Tx, base string, records []record) error {
+	size := 0
 	for _, r := range records {
-		if err := st.Write(Dom0, tx, base+r.key, r.value); err != nil {
+		size += len(base) + len(r.key)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, r := range records {
+		b.WriteString(base)
+		b.WriteString(r.key)
+	}
+	paths := b.String()
+	for _, r := range records {
+		n := len(base) + len(r.key)
+		if err := st.Write(Dom0, tx, paths[:n], r.value); err != nil {
 			return err
 		}
+		paths = paths[n:]
 	}
 	return nil
 }
@@ -354,17 +384,21 @@ func writeVifRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
 	front := d.XSPath() + "/device/vif/0"
 	back := "/local/domain/0/backend/vif/" + id + "/0"
 	mac := macFor(d.ID)
-	return writeRecords(st, tx, "", []record{
-		{front + "/backend", back},
-		{front + "/backend-id", "0"},
-		{front + "/mac", mac},
-		{front + "/state", "1"},
-		{back + "/frontend", front},
-		{back + "/frontend-id", id},
-		{back + "/mac", mac},
-		{back + "/bridge", "xenbr0"},
-		{back + "/handle", "0"},
-		{back + "/state", "4"},
+	if err := writeRecords(st, tx, front, []record{
+		{"/backend", back},
+		{"/backend-id", "0"},
+		{"/mac", mac},
+		{"/state", "1"},
+	}); err != nil {
+		return err
+	}
+	return writeRecords(st, tx, back, []record{
+		{"/frontend", front},
+		{"/frontend-id", id},
+		{"/mac", mac},
+		{"/bridge", "xenbr0"},
+		{"/handle", "0"},
+		{"/state", "4"},
 	})
 }
 

@@ -18,7 +18,9 @@ var (
 	modelDoms  = []DomID{Dom0, 3, 7}
 	modelRecs  = []Reconciler{CReconciler{}, OCamlReconciler{}, JitsuReconciler{}}
 	modelBases = []string{"/tool", "/local/domain", "/conduit", "/tool/guest", "/tool/rc"}
-	modelNames = []string{"a", "b", "c", "d"}
+	// Six names, so directories cross the four children a node keeps
+	// inline, both ways.
+	modelNames = []string{"a", "b", "c", "d", "e", "f"}
 	modelPerms = []Perms{
 		{Owner: Dom0, Others: AccessRead},
 		{Owner: 3, Others: AccessNone},

@@ -20,11 +20,14 @@
 // the single writer allowed to mutate it in place; the live tree and
 // every open transaction hold a token of their own; Begin retires the
 // live tree's token and hands out two fresh ones. A writer that meets a
-// node stamped with somebody else's token copies it (and its name-sorted
-// child slice) before changing it, so a write copies the root-to-leaf
-// path the first time that writer passes and mutates in place
-// afterwards — and with no snapshot outstanding nothing is copied at
-// all. Permission entries are immutable once on a node and shared.
+// node stamped with somebody else's token copies it before changing it,
+// so a write copies the root-to-leaf path the first time that writer
+// passes and mutates in place afterwards — and with no snapshot
+// outstanding nothing is copied at all. A node keeps up to four
+// name-sorted children in an array inside itself, and its copy takes
+// them into its own, so copying a small directory is one object; a
+// larger one's child slice lives on the heap and is copied beside it.
+// Permission entries are immutable once on a node and shared.
 //
 // The same rule makes a commit whose base has not moved a fast-forward,
 // as in Irmin, not a merge. Begin retired the live token, so any write

@@ -10,27 +10,33 @@ import (
 // reconcilers distinguish "this node's value changed" from "this node's
 // set of children changed" — the distinction the Jitsu merge exploits.
 type node struct {
-	name     string
-	value    string
-	kids     []*node // sorted by name
-	perms    Perms   // Entries is shared between nodes: never written through
-	valueGen uint64  // store seq when value last written (or node created)
-	childGen uint64  // store seq when children set last changed
+	name  string
+	value string
+	// kids is sorted by name. It starts on kidArr, so a directory of up
+	// to four children is one object; a fifth moves it to the heap and
+	// empties kidArr.
+	kids     []*node
+	perms    Perms  // Entries is shared between nodes: never written through
+	valueGen uint64 // store seq when value last written (or node created)
+	childGen uint64 // store seq when children set last changed
 	// edit is the token of the one writer (the live tree or a Tx) that
 	// may mutate this node in place; everyone else copies it first.
-	edit uint64
+	edit   uint64
+	kidArr [4]*node
 }
 
 // editable returns n if the writer holding token e may mutate it in
 // place, else a copy that writer may: the child slice is copied too, as
-// the caller is about to repoint or move one of its slots.
+// the caller is about to repoint or move one of its slots — into the
+// copy's own kidArr when it fits (append moves more to the heap), never
+// left on n's.
 func (n *node) editable(e uint64) *node {
 	if n.edit == e {
 		return n
 	}
 	c := *n
 	c.edit = e
-	c.kids = append([]*node(nil), n.kids...)
+	c.kids = append(c.kidArr[:0], n.kids...)
 	return &c
 }
 
@@ -384,9 +390,13 @@ func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool) error {
 			}
 			ch = &node{name: name, perms: childPerms, valueGen: m.gen, childGen: m.gen, edit: m.edit}
 			if cap(n.kids) == 0 {
-				n.kids = make([]*node, 0, 4) // a first child rarely stays alone
+				n.kids = n.kidArr[:0]
 			}
+			spill := cap(n.kids) == len(n.kidArr) && len(n.kids) == len(n.kidArr)
 			n.kids = slices.Insert(n.kids, j, ch)
+			if spill {
+				clear(n.kidArr[:]) // so no child removed later stays reachable
+			}
 			n.childGen = m.gen
 			cur := xpath{s: p.s[:pos-1]}
 			m.tx.recordCreate(cur)

@@ -3,8 +3,11 @@ package xenstore
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func newTestStore() *Store { return NewStore(OCamlReconciler{}) }
@@ -458,4 +461,78 @@ func TestWatchListChangesDuringDelivery(t *testing.T) {
 	if n := len(s.watches); n != 3 {
 		t.Fatalf("%d watches registered, want 3", n)
 	}
+}
+
+// A writer that copies a directory moves its children into the copy's
+// own inline array (or its own heap slice): a child written on one side
+// of a snapshot must never show on another. The directories straddle
+// the four children a node keeps inline; the last one grew to six and
+// was cut back to three, so its children sit on the heap with room to
+// spare and its copy's fit inline.
+func TestCopiedDirectoryOwnsItsChildren(t *testing.T) {
+	type dir struct{ grow, rm int }
+	var dirs []dir
+	for n := 0; n <= 6; n++ {
+		dirs = append(dirs, dir{grow: n})
+	}
+	dirs = append(dirs, dir{grow: 6, rm: 3})
+	for _, d := range dirs {
+		t.Run(fmt.Sprintf("grow=%d,rm=%d", d.grow, d.rm), func(t *testing.T) {
+			s := NewStore(JitsuReconciler{})
+			must := func(err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			must(s.Mkdir(Dom0, nil, "/tool/d"))
+			var base []string
+			for i := 0; i < d.grow; i++ {
+				must(s.Write(Dom0, nil, fmt.Sprint("/tool/d/k", i), "v"))
+				if i >= d.rm {
+					base = append(base, fmt.Sprint("k", i))
+				}
+			}
+			for i := 0; i < d.rm; i++ {
+				must(s.Rm(Dom0, nil, fmt.Sprint("/tool/d/k", i)))
+			}
+			list := func(side string, tx *Tx, extra ...string) {
+				t.Helper()
+				got, err := s.List(Dom0, tx, "/tool/d")
+				if want := slices.Concat(base, extra); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("%s lists %v (%v), want %v", side, got, err, want)
+				}
+			}
+			snap, tx := s.Begin(Dom0), s.Begin(Dom0)
+			must(s.Write(Dom0, tx, "/tool/d/tx", "v"))
+			must(s.Write(Dom0, nil, "/tool/d/live", "v"))
+			list("snapshot", snap)
+			list("transaction", tx, "tx")
+			list("live tree", nil, "live")
+		})
+	}
+}
+
+// A directory that outgrows its inline array clears it: a child removed
+// later must not stay reachable through a stale slot.
+func TestRemovedChildIsNotKeptInline(t *testing.T) {
+	s := NewStore(JitsuReconciler{})
+	for i := 0; i < 5; i++ {
+		if err := s.Write(Dom0, nil, fmt.Sprint("/tool/d/k", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var collected atomic.Bool // cleanups run on their own goroutine
+	runtime.AddCleanup(lookup(s.root, xpath{s: "/tool/d/k0"}), func(c *atomic.Bool) { c.Store(true) }, &collected)
+	if err := s.Rm(Dom0, nil, "/tool/d/k0"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100 && !collected.Load(); i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("a child removed from a spilled directory is still reachable")
+	}
+	runtime.KeepAlive(s) // the store, not only the child, must survive the GCs
 }
