@@ -168,30 +168,43 @@ bench-pair:
 		$(GO) run ./cmd/benchjson -pairs $$tmp/$$w.parent.jsonl $$tmp/$$w.change.jsonl; \
 	done
 
-# allocs-gate holds the one end-to-end number of the repository benchmark
-# that a shared runner can: host_allocs_per_req repeats to four digits
-# per seed, whatever the box is doing. Each workload runs 2 s at seed 3
-# and may not allocate more than 0.5 % above its line of the committed
-# ALLOCS.json; fewer passes and asks for `make allocs-record`, which
-# rewrites the file (do that in the PR that means to move the counts).
+# allocs-gate holds the end-to-end numbers of the repository benchmark
+# that a shared runner can: host_allocs_per_req and the bytes behind
+# them, host.alloc_kb_per_req, repeat to four digits per seed, whatever
+# the box is doing. Each workload runs 2 s at seed 3 twice — --trace 0
+# prints the count, --trace 1 the bytes — and may not allocate more
+# than 0.5 % above its line of the committed ALLOCS.json on either;
+# fewer passes and asks for `make allocs-record`, which rewrites the file
+# (do that in the PR that means to move them). host.peak_heap_mb is
+# printed beside them and never judged: it wanders a few per cent run
+# to run.
 ALLOCS_WORKLOADS ?= cold_storm warm_fetch fed_skew operator_wire
-allocs_of = bash bench/run.sh --workload $(1) --seed 3 --seconds 2 --trace 0 2>/dev/null | tail -1 | sed -n 's/.*"host_allocs_per_req":{"value":\([0-9.e+-]*\).*/\1/p'
+bench_line = bash bench/run.sh --workload $(1) --seed 3 --seconds 2 --trace $(2) 2>/dev/null | tail -1
+value_of = sed -n 's/.*"$(1)":{"value":\([0-9.e+-]*\).*/\1/p'
+recorded = sed -n 's/.*"workload":"'$(1)'".*"$(2)":\([0-9.e+-]*\).*/\1/p' ALLOCS.json
 allocs-record:
 	@for w in $(ALLOCS_WORKLOADS); do \
-		got=$$($(call allocs_of,$$w)); test -n "$$got" || { echo "allocs-record: $$w printed no host_allocs_per_req" >&2; exit 1; }; \
-		printf '{"workload":"%s","seed":3,"host_allocs_per_req":%s}\n' $$w $$got; \
+		n=$$($(call bench_line,$$w,0) | $(call value_of,host_allocs_per_req)); \
+		kb=$$($(call bench_line,$$w,1) | $(call value_of,host.alloc_kb_per_req)); \
+		test -n "$$n" -a -n "$$kb" || { echo "allocs-record: $$w printed no host_allocs_per_req or host.alloc_kb_per_req" >&2; exit 1; }; \
+		printf '{"workload":"%s","seed":3,"host_allocs_per_req":%s,"host_alloc_kb_per_req":%s}\n' $$w $$n $$kb; \
 	done > ALLOCS.json.tmp
 	@mv ALLOCS.json.tmp ALLOCS.json && cat ALLOCS.json
 
 allocs-gate:
 	@fail=0; for w in $(ALLOCS_WORKLOADS); do \
-		want=$$(sed -n 's/.*"workload":"'$$w'".*"host_allocs_per_req":\([0-9.e+-]*\).*/\1/p' ALLOCS.json); \
-		got=$$($(call allocs_of,$$w)); \
-		test -n "$$want" -a -n "$$got" || { echo "allocs-gate: $$w: no count (recorded '$$want', measured '$$got')"; fail=1; continue; }; \
-		awk -v w=$$w -v got=$$got -v want=$$want 'BEGIN { \
-			verdict = got > want * 1.005 ? "WORSE" : got < want * 0.995 ? "better: re-record (make allocs-record)" : "ok"; \
-			printf "allocs-gate: %-14s %10.3f allocs/req, recorded %10.3f  %s\n", w, got, want, verdict; \
-			exit verdict == "WORSE" }' || fail=1; \
+		want=$$($(call recorded,$$w,host_allocs_per_req)); wantkb=$$($(call recorded,$$w,host_alloc_kb_per_req)); \
+		got=$$($(call bench_line,$$w,0) | $(call value_of,host_allocs_per_req)); \
+		traced=$$($(call bench_line,$$w,1)); \
+		kb=$$(echo "$$traced" | $(call value_of,host.alloc_kb_per_req)); heap=$$(echo "$$traced" | $(call value_of,host.peak_heap_mb)); \
+		test -n "$$want" -a -n "$$got" -a -n "$$wantkb" -a -n "$$kb" || { echo "allocs-gate: $$w: no number (recorded '$$want' allocs '$$wantkb' KiB, measured '$$got' allocs '$$kb' KiB)"; fail=1; continue; }; \
+		awk -v w=$$w -v got=$$got -v want=$$want -v kb=$$kb -v wantkb=$$wantkb -v heap=$$heap ' \
+			function verdict(got, want) { return got > want * 1.005 ? "WORSE" : got < want * 0.995 ? "better" : "ok" } \
+			BEGIN { \
+			n = verdict(got, want); b = verdict(kb, wantkb); \
+			printf "allocs-gate: %-14s %10.3f allocs/req, recorded %10.3f  %-6s %8.3f KiB/req, recorded %8.3f  %-6s peak heap %5.2f MiB\n", w, got, want, n, kb, wantkb, b, heap; \
+			if (n == "better" || b == "better") printf "allocs-gate: %-14s better than recorded: re-record (make allocs-record)\n", w; \
+			exit n == "WORSE" || b == "WORSE" }' || fail=1; \
 	done; exit $$fail
 
 # ci mirrors .github/workflows/go.yml so contributors run the exact

@@ -114,7 +114,7 @@
 // Every tier's client runs the same transaction, written once as
 // dns.Fetcher: resolve at a Jitsu directory, then GET from the answered
 // address with the rest of the budget. Board, fleet, cluster and
-// federation clients supply only their directory, retry policy, refusal
+// federation clients supply only their directory, retry schedule, refusal
 // error and answer-to-attachment routing.
 //
 // Boards and clusters are built with functional options (core.New,

@@ -172,40 +172,43 @@ func (s *Sender) transmit(idx int) {
 	s.armTimer(idx)
 }
 
-// armTimer schedules chunk idx's retransmit: the controller's live RTO
-// (or the fixed configured one, unpaced), doubled per retry of this
-// chunk, plus a serialisation allowance for everything in flight ahead
-// of it — the bytes occupy the shared link before the ack can exist.
+// armTimer schedules chunk idx's retransmit: the wait after this send —
+// doubling from the controller's live RTO, or the fixed one unpaced —
+// plus a serialisation allowance for everything in flight ahead of it:
+// the bytes occupy the shared link before the ack can exist.
 func (s *Sender) armTimer(idx int) {
 	cs := &s.chunks[idx]
-	rto := s.t.RTO
+	b := sim.Backoff{Initial: s.t.RTO, Factor: 2, Retries: s.t.Retries}
 	if s.ctrl != nil {
-		rto = s.ctrl.RTO()
+		b.Initial = s.ctrl.RTO()
 	}
-	for i := 1; i < cs.tries; i++ {
-		rto *= 2
+	wait, more := b.Next(cs.tries-1, nil)
+	wait += sim.Duration(float64(s.inflight*8) / s.t.BitsPerSec * float64(time.Second))
+	cs.timer = s.eng.After(wait, func() { s.expire(idx, more) })
+}
+
+// expire is chunk idx's timeout: a retransmit while the schedule allows
+// more, otherwise the transfer fails.
+func (s *Sender) expire(idx int, more bool) {
+	cs := &s.chunks[idx]
+	if s.finished || cs.acked {
+		return
 	}
-	rto += sim.Duration(float64(s.inflight*8) / s.t.BitsPerSec * float64(time.Second))
-	cs.timer = s.eng.After(rto, func() {
-		if s.finished || cs.acked {
-			return
-		}
-		if cs.tries > s.t.Retries {
-			s.fail()
-			return
-		}
-		*s.t.Retx++
-		if s.t.OnRetx != nil {
-			s.t.OnRetx(idx)
-		}
-		if cs.held {
-			// The timeout collapses the window; the retransmit re-queues
-			// for its share of whatever is left.
-			cs.held = false
-			s.ctrl.OnTimeout(cs.bytes)
-		}
-		s.acquire(idx)
-	})
+	if !more {
+		s.fail()
+		return
+	}
+	*s.t.Retx++
+	if s.t.OnRetx != nil {
+		s.t.OnRetx(idx)
+	}
+	if cs.held {
+		// The timeout collapses the window; the retransmit re-queues
+		// for its share of whatever is left.
+		cs.held = false
+		s.ctrl.OnTimeout(cs.bytes)
+	}
+	s.acquire(idx)
 }
 
 // OnAck retires chunk idx: its window returns to the controller (with

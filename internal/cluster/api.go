@@ -170,7 +170,7 @@ func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
 			return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeConflict, "destination slot on board %d busy", to)}
 		}
 	}
-	p.c.migrateTo(e, src, to, false, 1, done)
+	p.c.migrateTo(e, src, to, false, 0, done)
 	return api.MigrateResponse{Started: true}
 }
 

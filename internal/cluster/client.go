@@ -32,7 +32,7 @@ type Client struct {
 	// Retry, when non-zero, makes every resolution retransmit lost
 	// queries with backoff (dns.DefaultRetry() is the hardened setting);
 	// the zero value resolves with a single datagram — the ablation.
-	Retry dns.RetryPolicy
+	Retry sim.Backoff
 	// ServFails counts cluster-wide refusals observed by this client;
 	// DNSRetries the query retransmits its resolver paid.
 	ServFails  uint64

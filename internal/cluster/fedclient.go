@@ -32,7 +32,7 @@ type FedClient struct {
 
 	// Retry, when non-zero, hardens the root resolution against a lossy
 	// front network (zero value = single datagram, the ablation).
-	Retry dns.RetryPolicy
+	Retry sim.Backoff
 	// ServFails counts federation-wide refusals observed by this
 	// client; NXDomains counts lookups of names no cluster owns;
 	// DNSRetries the root-query retransmits paid.

@@ -283,9 +283,6 @@ func NewFederation(opts ...FedOption) *Federation {
 	if cfg.ShedBatch <= 0 {
 		cfg.ShedBatch = 1
 	}
-	if cfg.DelegateRetries < 0 {
-		cfg.DelegateRetries = 0
-	}
 	orDefault(&cfg.DelegateTimeout, DefaultFedConfig().DelegateTimeout)
 	f := &Federation{Cfg: cfg}
 	f.eng = sim.New(cfg.Cluster.Board.Seed)
@@ -885,6 +882,7 @@ type pendingResolve struct {
 	// qid is the id it went out under.
 	asked int
 	qid   uint32
+	more  bool // the armed timeout's verdict: another retransmit is due
 	// wire is the outstanding datagram verbatim (in buf when it fits),
 	// so a timeout can retransmit exactly what was lost; timer is the
 	// armed retransmit, timeout its callback (p.onTimeout, bound once)
@@ -923,6 +921,7 @@ type fedRoot struct {
 	neg       map[string]uint64
 	pending   map[uint32]*pendingResolve
 	nextQID   uint32
+	retx      sim.Backoff // the delegation retransmit schedule, from the config
 	// skew detector state: the argmax cluster of the last skewed round
 	// and how many consecutive rounds it has stayed hottest.
 	hotID     int
@@ -941,6 +940,7 @@ func newFedRoot(f *Federation) *fedRoot {
 		neg:       make(map[string]uint64),
 		pending:   make(map[uint32]*pendingResolve),
 		hotID:     -1,
+		retx:      sim.Backoff{Initial: f.Cfg.DelegateTimeout, Factor: 2, Retries: f.Cfg.DelegateRetries},
 	}
 	mgmtNIC := netsim.NewNIC(f.eng, "fed-root", netsim.MACFor(0xB100))
 	f.fedNet.ConnectNIC(mgmtNIC, fedLinkLatency, fedBitsPerSec)
@@ -1135,9 +1135,10 @@ func (r *fedRoot) send(p *pendingResolve, to int, op byte, args []byte) {
 	p.arm()
 }
 
-// arm schedules p's next timeout, doubling per prior try.
+// arm schedules p's next timeout: the wait after its latest send.
 func (p *pendingResolve) arm() {
-	p.timer = p.r.f.eng.After(p.r.f.Cfg.DelegateTimeout<<(p.tries-1), p.timeout)
+	wait, more := p.r.retx.Next(p.tries-1, nil)
+	p.timer, p.more = p.r.f.eng.After(wait, p.timeout), more
 }
 
 // onTimeout retransmits p's datagram. When the budget is gone the query
@@ -1150,7 +1151,7 @@ func (p *pendingResolve) onTimeout() {
 	if r.pending[p.qid] != p {
 		return // answered (or failed over) while the timer was in flight
 	}
-	if p.tries > r.f.Cfg.DelegateRetries {
+	if !p.more {
 		delete(r.pending, p.qid)
 		r.DelegTimeouts++
 		r.ServFails++

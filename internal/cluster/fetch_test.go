@@ -41,7 +41,7 @@ type tierUnderTest struct {
 	// for a counter the tier does not keep).
 	counters func() [3]uint64
 	// setRetry arms the client's DNS retransmits where the tier has them.
-	setRetry func(dns.RetryPolicy)
+	setRetry func(sim.Backoff)
 
 	// What the tier makes of each scripted outcome.
 	servfailErr   error  // sentinel for SERVFAIL; nil = generic message
@@ -142,7 +142,7 @@ func tiersUnderTest() []*tierUnderTest {
 		},
 		dirHosts: []*netstack.Host{c.Boards[0].NS}, dirSrvs: []*dns.Server{c.Boards[0].DNS},
 		counters:  func() [3]uint64 { return [3]uint64{cl.ServFails, 0, cl.DNSRetries} },
-		setRetry:  func(p dns.RetryPolicy) { cl.Retry = p },
+		setRetry:  func(p sim.Backoff) { cl.Retry = p },
 		errPrefix: "cluster: dns", servfailErr: ErrClusterFull, servfailCount: 1, refusedBoard: -1,
 		// An address the directory does not know is fetched via board 0.
 		mappable: dead, mapsTo: [2]int{-2, 0}, retries: true,
@@ -161,7 +161,7 @@ func tiersUnderTest() []*tierUnderTest {
 		},
 		dirHosts: []*netstack.Host{f.root.fr}, dirSrvs: []*dns.Server{f.root.srv},
 		counters:  func() [3]uint64 { return [3]uint64{fc.ServFails, fc.NXDomains, fc.DNSRetries} },
-		setRetry:  func(p dns.RetryPolicy) { fc.Retry = p },
+		setRetry:  func(p sim.Backoff) { fc.Retry = p },
 		errPrefix: "cluster: fed dns", servfailErr: ErrFederationFull, servfailCount: 1, nxCount: 1, refusedBoard: -1,
 		// Second octet names cluster 1, third board 1; nobody holds .77.
 		mappable: netstack.IPv4(10, 11, 101, 77), mapsTo: [2]int{1, 1},

@@ -153,7 +153,7 @@ func TestMigrationAbortsAndReschedulesOnPartition(t *testing.T) {
 	// (chunkRetries = 5) goes out at 50ms·(4^5-1)/3 + 5·33.5ms ≈ 17.2 s
 	// — a heal before that lets it through and nothing aborts — and
 	// times out at 50ms·(4^6-1)/3 + 6·33.5ms ≈ 68.45 s; the reschedule
-	// fires migrateRetryDelay later, at ≈ 69.45 s. Healing at 69 s also
+	// fires migrateRetry's one second later, at ≈ 69.45 s. Healing at 69 s also
 	// catches chunkRetries = 4 or chunkRTO = 20ms: the first abort then
 	// lands early and the second attempt aborts too, before the heal.
 	c.eng.After(20*time.Millisecond, func() { link.Partition() })
@@ -191,7 +191,7 @@ func TestMigrationGivesUpAfterAttemptBudget(t *testing.T) {
 		t.Fatal("leave wedged on a partitioned management link")
 	}
 	if c.XferAborts != 3 {
-		t.Fatalf("xfer aborts = %d, want migrateMaxAttempts=3", c.XferAborts)
+		t.Fatalf("xfer aborts = %d, want 3 (migrateRetry: three tries)", c.XferAborts)
 	}
 	if c.Migrations != 0 || c.Lost != 1 {
 		t.Fatalf("migrations=%d lost=%d, want 0/1", c.Migrations, c.Lost)
@@ -231,7 +231,7 @@ func TestMigrationParksCheckpointAfterAttemptBudget(t *testing.T) {
 		t.Fatal("leave wedged on a partitioned management link")
 	}
 	if c.XferAborts != 3 {
-		t.Fatalf("xfer aborts = %d, want migrateMaxAttempts=3", c.XferAborts)
+		t.Fatalf("xfer aborts = %d, want 3 (migrateRetry: three tries)", c.XferAborts)
 	}
 	if c.Parks != 1 || c.Lost != 0 {
 		t.Fatalf("parks=%d lost=%d, want 1/0 (checkpoint rescued)", c.Parks, c.Lost)

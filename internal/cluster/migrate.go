@@ -189,36 +189,32 @@ func (c *Cluster) evacuateDisk(e *Entry, p *Placement, done func()) {
 // move fails, the replica is stopped and its warm state lost — exactly
 // the baseline. done reports whether the replica arrived warm.
 func (c *Cluster) migrate(e *Entry, p *Placement, done func(ok bool)) {
-	c.migrateAttempt(e, p, 1, done)
+	c.migrateAttempt(e, p, 0, done)
 }
 
-// A mandatory evacuation whose transfer died on the wire is retried
-// migrateRetryDelay later, up to migrateMaxAttempts tries, before the
-// replica is written off.
-const (
-	migrateRetryDelay  = 1 * time.Second
-	migrateMaxAttempts = 3
-)
+// migrateRetry reschedules an evacuation whose transfer died on the
+// wire: a second later, three tries in all, then the replica is lost.
+var migrateRetry = sim.Backoff{Initial: time.Second, Factor: 1, Retries: 2}
 
-// migrateAttempt is one try of a mandatory evacuation; a transfer that
-// dies on the wire reschedules here (bounded by migrateMaxAttempts)
-// with a fresh destination pick — the first choice may be the very
-// board the partition cut off.
-func (c *Cluster) migrateAttempt(e *Entry, p *Placement, attempt int, done func(ok bool)) {
+// migrateAttempt is one try of a mandatory evacuation, after retry
+// reschedules; a transfer that dies on the wire reschedules here with a
+// fresh destination pick — the first choice may be the very board the
+// partition cut off.
+func (c *Cluster) migrateAttempt(e *Entry, p *Placement, retry int, done func(ok bool)) {
 	idx := c.pickDest(e, p)
 	if idx < 0 {
 		c.loseReplica(p)
 		done(false)
 		return
 	}
-	c.migrateTo(e, p, idx, true, attempt, done)
+	c.migrateTo(e, p, idx, true, retry, done)
 }
 
 // migrateTo runs the live migration to the already-picked destination.
 // mandatory distinguishes an evacuation (source board is going away —
 // a failed move stops the source) from an optional rebalance (a failed
 // move leaves the healthy source exactly where it was).
-func (c *Cluster) migrateTo(e *Entry, p *Placement, idx int, mandatory bool, attempt int, done func(ok bool)) {
+func (c *Cluster) migrateTo(e *Entry, p *Placement, idx int, mandatory bool, retry int, done func(ok bool)) {
 	dst := e.Replicas[idx]
 	// The transfer speaks the typed control-plane surface: checkpoint on
 	// the source board, restore on the destination, stop on switchover —
@@ -273,13 +269,13 @@ func (c *Cluster) migrateTo(e *Entry, p *Placement, idx int, mandatory bool, att
 				done(false)
 				return
 			}
-			if attempt < migrateMaxAttempts {
-				c.eng.After(migrateRetryDelay, func() {
+			if wait, more := migrateRetry.Next(retry, nil); more {
+				c.eng.After(wait, func() {
 					if p.gone || !p.Svc.State.Booted() {
 						done(false)
 						return
 					}
-					c.migrateAttempt(e, p, attempt+1, done)
+					c.migrateAttempt(e, p, retry+1, done)
 				})
 				return
 			}

@@ -20,7 +20,7 @@ type Fetcher struct {
 	Server netstack.IP
 	// Retry is the resolver's retransmit policy (zero: one datagram);
 	// Retries, when set, accumulates the retransmits each fetch paid.
-	Retry   RetryPolicy
+	Retry   sim.Backoff
 	Retries *uint64
 	// Refused counts, and names the tier's error for, a response that
 	// carries no usable answer: an rcode other than NOERROR, or NOERROR

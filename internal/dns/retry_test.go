@@ -12,7 +12,7 @@ import (
 
 // deterministicRetry is DefaultRetry with the jitter stripped, so test
 // assertions can reason about exact retransmit instants.
-func deterministicRetry() RetryPolicy {
+func deterministicRetry() sim.Backoff {
 	p := DefaultRetry()
 	p.Jitter = 0
 	return p

@@ -554,33 +554,20 @@ func (s *Server) referral(name string, resp *Message) bool {
 // Client is a minimal resolver for tests and examples.
 type Client struct {
 	Host *netstack.Host
-	// Retry bounds retransmission of unanswered queries. The zero value
-	// disables retries: one datagram, one timeout — the pre-hardening
-	// behaviour, kept for ablation runs.
-	Retry RetryPolicy
+	// Retry schedules copies of an unanswered query's datagram (same ID
+	// and source port), jittered from the engine RNG; the zero value is
+	// one datagram, one timeout — the ablation.
+	Retry sim.Backoff
 	// Retries counts retransmitted datagrams (not first transmissions).
 	Retries uint64
 	nextID  uint16
 }
 
-// RetryPolicy is the resolver's retransmit schedule: up to Retries
-// extra copies of the same datagram (same ID, same source port), the
-// k-th sent Initial·Factor^k after the previous, each interval
-// stretched by a uniform [0, Jitter) fraction drawn from the engine RNG
-// so synchronized clients decorrelate deterministically. The overall
-// Query timeout still bounds the whole exchange.
-type RetryPolicy struct {
-	Retries int
-	Initial sim.Duration
-	Factor  float64
-	Jitter  float64
-}
-
 // DefaultRetry is the hardened profile: 3 retransmits starting at
 // 200ms, doubling, with 50% jitter — tuned so one lost datagram on a
 // lossy edge link costs ~200-300ms instead of the full client timeout.
-func DefaultRetry() RetryPolicy {
-	return RetryPolicy{Retries: 3, Initial: 200 * time.Millisecond, Factor: 2, Jitter: 0.5}
+func DefaultRetry() sim.Backoff {
+	return sim.Backoff{Retries: 3, Initial: 200 * time.Millisecond, Factor: 2, Jitter: 0.5}
 }
 
 // clientPortLo is the bottom of the resolver's source-port range; retry
@@ -672,22 +659,9 @@ func (q *query) onTimeout() {
 // source port (a late answer to any copy still matches), backing off
 // under the overall deadline.
 func (q *query) arm() {
-	p := q.c.Retry
-	if p.Retries <= 0 || q.attempt >= p.Retries {
-		return
+	if wait, ok := q.c.Retry.Next(q.attempt, q.c.Host.Eng.Rand()); ok {
+		q.retransmit = q.c.Host.Eng.After(wait, q.onResend)
 	}
-	factor := p.Factor
-	if factor <= 0 {
-		factor = 2
-	}
-	ivl := float64(p.Initial)
-	for i := 0; i < q.attempt; i++ {
-		ivl *= factor
-	}
-	if p.Jitter > 0 {
-		ivl += q.c.Host.Eng.Rand().Float64() * p.Jitter * ivl
-	}
-	q.retransmit = q.c.Host.Eng.After(sim.Duration(ivl), q.onResend)
 }
 
 func (q *query) onResend() {

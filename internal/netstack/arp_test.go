@@ -33,20 +33,26 @@ func TestARPRetransmitRecoversLostBroadcast(t *testing.T) {
 
 func TestARPGivesUpAfterBoundedTries(t *testing.T) {
 	// A permanently mute uplink: the resolver must stop after
-	// arpRequestTries requests and drop the queue, not retry forever.
+	// arpRetransmit's retries and drop the queue, not retry forever.
 	eng, a, b, _ := twoHosts(12)
 	a.NIC.Link().PartitionAtoB()
 
 	a.SendUDP(b.IP, 6000, 5000, []byte("doomed"))
 	eng.Run()
-	if want := uint64(arpRequestTries - 1); a.ARPRetries != want {
+	if want := uint64(arpRetransmit.Retries); a.ARPRetries != want {
 		t.Fatalf("ARPRetries = %d, want %d", a.ARPRetries, want)
 	}
 	if len(a.arpPending[b.IP]) != 0 {
 		t.Fatal("pending queue not dropped after final try")
 	}
-	// The whole resolution episode is bounded.
-	if eng.Now() > sim.Duration(arpRequestTries)*arpRequestRTO+time.Second {
+	// The whole resolution episode is bounded: the wait after every
+	// request, the last one included, and a second of slack.
+	var bound sim.Duration
+	for k := 0; k <= arpRetransmit.Retries; k++ {
+		wait, _ := arpRetransmit.Next(k, nil)
+		bound += wait
+	}
+	if eng.Now() > bound+time.Second {
 		t.Fatalf("resolution dragged to %v", eng.Now())
 	}
 }

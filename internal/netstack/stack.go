@@ -280,16 +280,11 @@ func (h *Host) ProxyARPFor(ip IP) { h.proxyARP[ip] = true }
 // RemoveProxyARP stops answering for ip.
 func (h *Host) RemoveProxyARP(ip IP) { delete(h.proxyARP, ip) }
 
-// arpRequestRTO spaces ARP request retransmissions; arpRequestTries
-// bounds them (Linux-like: ~1s apart, three requests total). Only after
-// the last unanswered request are the queued packets dropped — without
-// the retries a single lost ARP broadcast on a lossy link blackholes
-// every packet to that address for the full resolve window, which no
-// amount of transport-level retry can recover from.
-const (
-	arpRequestRTO   = 1 * time.Second
-	arpRequestTries = 3
-)
+// arpRetransmit spaces ARP requests (Linux-like: 1s apart, three in
+// all; the queue drops a second after the last). Without the retries a
+// single lost broadcast on a lossy link blackholes every packet to that
+// address, which no transport-level retry can recover from.
+var arpRetransmit = sim.Backoff{Initial: time.Second, Factor: 1, Retries: 2}
 
 // txHeadroom is where the transport payload starts in an IPv4 frame.
 const txHeadroom = EthernetHeaderLen + IPv4HeaderLen
@@ -334,7 +329,7 @@ func (h *Host) sendIPv4(src, dst IP, proto byte, frame []byte, wireBytes int) {
 	h.arpPending[dst] = append(h.arpPending[dst],
 		pendingPacket{frame: append([]byte(nil), frame...), wireBytes: wireBytes})
 	if first {
-		h.sendARPRequest(dst, 1)
+		h.sendARPRequest(dst, 0)
 	}
 }
 
@@ -351,25 +346,26 @@ func (h *Host) SendUDPBulk(dst IP, srcPort, dstPort uint16, payload []byte, wire
 	h.sendIPv4(h.IP, dst, ProtoUDP, frame, wireBytes)
 }
 
-// sendARPRequest broadcasts a who-has for dst and arms the retransmit:
-// if no reply lands within arpRequestRTO and packets are still queued,
-// the request goes out again, up to arpRequestTries total. Exhausting
-// the tries drops the queue (transport retransmission recovers).
-func (h *Host) sendARPRequest(dst IP, attempt int) {
+// sendARPRequest broadcasts who-has for dst, retx requests in, and arms
+// the retransmit: while no reply lands and packets are still queued,
+// the request goes out again as arpRetransmit allows, then the queue
+// drops (transport retransmission recovers).
+func (h *Host) sendARPRequest(dst IP, retx int) {
 	h.sendARP(netsim.Broadcast, &ARPPacket{Op: ARPRequest, SenderMAC: h.NIC.Addr, SenderIP: h.IP, TargetIP: dst})
-	h.Eng.After(arpRequestRTO, func() {
+	wait, more := arpRetransmit.Next(retx, nil)
+	h.Eng.After(wait, func() {
 		if _, ok := h.arpCache[dst]; ok {
 			return
 		}
 		if len(h.arpPending[dst]) == 0 {
 			return
 		}
-		if attempt >= arpRequestTries {
+		if !more {
 			delete(h.arpPending, dst)
 			return
 		}
 		h.ARPRetries++
-		h.sendARPRequest(dst, attempt+1)
+		h.sendARPRequest(dst, retx+1)
 	})
 }
 

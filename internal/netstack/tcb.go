@@ -108,7 +108,6 @@ func (h *Host) ImportTCB(t *TCB) (*TCPConn, error) {
 		rcvNxt: t.RcvNxt,
 		sndWnd: t.Window,
 		mss:    DefaultMSS,
-		rto:    dataRTO,
 	}
 	switch t.State {
 	case TCBStateSYNACK:

@@ -99,9 +99,8 @@ type TCPConn struct {
 	finQueued bool
 	finSent   bool
 
-	rto     sim.Duration
 	rtxEv   sim.Event
-	retries int
+	retries int // retransmits since the last progress
 	// timerFn is onTimer, bound once per connection: the retransmission
 	// timer is re-armed on every segment and ACK.
 	timerFn func()
@@ -168,7 +167,6 @@ func (h *Host) DialTCP(dst IP, dstPort uint16, done func(*TCPConn, error)) *TCPC
 		iss:    h.Eng.Rand().Uint32(),
 		sndWnd: tcpWindow,
 		mss:    DefaultMSS,
-		rto:    synRTO,
 
 		dialDone: done,
 	}
@@ -296,7 +294,18 @@ func (c *TCPConn) armRtx() {
 	if c.sndUna == c.sndNxt {
 		return
 	}
-	c.rtxEv = c.after(c.rto)
+	wait, _ := c.backoff().Next(c.retries, nil)
+	c.rtxEv = c.after(wait)
+}
+
+// backoff is the connection's retransmit schedule: from synRTO while
+// the SYN is unanswered, from dataRTO otherwise, doubling per firing.
+func (c *TCPConn) backoff() sim.Backoff {
+	b := sim.Backoff{Initial: dataRTO, Factor: 2, Retries: maxRetries}
+	if c.state == StateSynSent {
+		b.Initial = synRTO
+	}
+	return b
 }
 
 // after books the connection's one timer func, binding it on first use.
@@ -318,40 +327,32 @@ func (c *TCPConn) onTimer() {
 	c.retransmit()
 }
 
-// retransmit resends from sndUna with exponential backoff.
+// retransmit resends from sndUna with exponential backoff; the verdict
+// reads armRtx's c.retries, as the one bound timer func carries nothing.
 func (c *TCPConn) retransmit() {
 	if c.sndUna == c.sndNxt || c.state == StateClosed {
 		return
 	}
-	c.retries++
 	c.Retransmits++
-	if c.retries > maxRetries {
+	if _, more := c.backoff().Next(c.retries, nil); !more {
 		c.teardown(ErrTimeout)
 		return
 	}
-	c.rto *= 2
+	c.retries++
 	switch c.state {
 	case StateSynSent:
 		c.sendSegment(FlagSYN, c.iss, 0, nil, uint16(DefaultMSS))
 	case StateSynRcvd:
 		c.sendSegment(FlagSYN|FlagACK, c.iss, c.rcvNxt, nil, uint16(DefaultMSS))
 	default:
-		offset := 0
-		avail := len(c.sndBuf)
-		if avail > 0 && !allAcked(c) {
-			n := avail - offset
-			if n > c.mss {
-				n = c.mss
-			}
-			c.sendSegment(FlagACK|FlagPSH, c.sndUna, c.rcvNxt, c.sndBuf[offset:offset+n], 0)
+		if n := min(len(c.sndBuf), c.mss); n > 0 {
+			c.sendSegment(FlagACK|FlagPSH, c.sndUna, c.rcvNxt, c.sndBuf[:n], 0)
 		} else if c.finSent {
 			c.sendSegment(FlagFIN|FlagACK, c.sndNxt-1, c.rcvNxt, nil, 0)
 		}
 	}
-	c.rtxEv = c.after(c.rto)
+	c.armRtx()
 }
-
-func allAcked(c *TCPConn) bool { return len(c.sndBuf) == 0 }
 
 // handleTCP is the host demux: existing connection, listener, or RST.
 // dst is the actual destination address (primary IP or alias), so one
@@ -406,7 +407,6 @@ func (l *TCPListener) acceptSYN(src, dst IP, seg *TCPSegment) {
 		rcvNxt: seg.Seq + 1,
 		sndWnd: seg.Window,
 		mss:    DefaultMSS,
-		rto:    dataRTO,
 
 		listener: l,
 	}
@@ -440,7 +440,6 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 				c.mss = int(seg.MSS)
 			}
 			c.state = StateEstablished
-			c.rto = dataRTO
 			c.retries = 0
 			c.host.Eng.Cancel(c.rtxEv)
 			c.sendSegment(FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
@@ -453,7 +452,6 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 			c.sndUna = seg.Ack
 			c.sndWnd = seg.Window
 			c.state = StateEstablished
-			c.rto = dataRTO
 			c.retries = 0
 			c.host.Eng.Cancel(c.rtxEv)
 			c.established()
@@ -480,7 +478,6 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 			c.sndBuf = c.sndBuf[:copy(c.sndBuf, c.sndBuf[min(int(dataAcked), len(c.sndBuf)):])]
 			c.sndUna = seg.Ack
 			c.retries = 0
-			c.rto = dataRTO
 			c.armRtx()
 			// FIN fully acknowledged?
 			if c.finSent && c.sndUna == c.sndNxt {

@@ -5,7 +5,9 @@
 // timestamp order (ties broken by scheduling order), so a whole host
 // simulation — hypervisor, XenStore, network stacks — is reproducible
 // bit-for-bit from a seed and runs in real milliseconds regardless of how
-// much virtual time it spans.
+// much virtual time it spans. Beside the engine: Dist, the latency
+// distributions cost models draw from, and Backoff, the one retransmit
+// schedule every protocol here waits on.
 //
 // The scheduler is built for the million-event workloads of the cluster
 // experiments: two tiers over one pool of event nodes, so steady-state
