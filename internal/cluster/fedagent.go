@@ -36,8 +36,7 @@ type fedAgent struct {
 	// dirEpoch counts directory changes; it rides every summary so the
 	// root knows when its caches went stale.
 	dirEpoch uint64
-	pushEv   sim.Event
-	pushFn   func() // a.periodicPush, bound once
+	pushEv   sim.Event // the periodic push; the agent is its sim.Handler
 	// pushPending coalesces change-driven pushes within one link delay.
 	pushPending bool
 	stopped     bool
@@ -45,7 +44,6 @@ type fedAgent struct {
 
 func newFedAgent(f *Federation, m *FedMember) *fedAgent {
 	a := &fedAgent{f: f, m: m}
-	a.pushFn = a.periodicPush
 	a.nic = netsim.NewNIC(f.eng, fmt.Sprintf("fed%d", m.ID), netsim.MACFor(0xB000+m.ID))
 	f.fedNet.ConnectNIC(a.nic, fedLinkLatency, fedBitsPerSec)
 	if f.Cfg.WAN != nil {
@@ -60,10 +58,11 @@ func (a *fedAgent) startPushing() {
 	if a.f.Cfg.SummaryEvery <= 0 || a.stopped {
 		return
 	}
-	a.pushEv = a.f.eng.After(a.f.Cfg.SummaryEvery, a.pushFn)
+	a.pushEv = a.f.eng.AfterHandler(a.f.Cfg.SummaryEvery, a)
 }
 
-func (a *fedAgent) periodicPush() {
+// Fire is the periodic push.
+func (a *fedAgent) Fire() {
 	if !a.stopped {
 		a.push(true)
 		a.startPushing()

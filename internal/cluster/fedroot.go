@@ -45,13 +45,12 @@ type pendingResolve struct {
 	more  bool // the armed timeout's verdict: another retransmit is due
 	// wire is the outstanding datagram verbatim (in buf when it fits),
 	// so a timeout can retransmit exactly what was lost; timer is the
-	// armed retransmit, timeout its callback (p.onTimeout, bound once)
-	// and tries the transmissions so far.
-	wire    []byte
-	buf     [48]byte
-	timer   sim.Event
-	timeout func()
-	tries   int
+	// armed retransmit, whose sim.Handler p is, and tries the
+	// transmissions so far.
+	wire  []byte
+	buf   [48]byte
+	timer sim.Event
+	tries int
 }
 
 // only makes cid the query's single candidate.
@@ -232,7 +231,6 @@ func (r *fedRoot) park(query *dns.Message, respond func(*dns.Message), name stri
 	if cands == nil {
 		p.only(cached)
 	}
-	p.timeout = p.onTimeout
 	return r.track(p)
 }
 
@@ -300,15 +298,15 @@ func (r *fedRoot) send(p *pendingResolve, to int, op byte, args []byte) {
 // arm schedules p's next timeout: the wait after its latest send.
 func (p *pendingResolve) arm() {
 	wait, more := p.r.retx.Next(p.tries-1, nil)
-	p.timer, p.more = p.r.f.eng.After(wait, p.timeout), more
+	p.timer, p.more = p.r.f.eng.AfterHandler(wait, p), more
 }
 
-// onTimeout retransmits p's datagram. When the budget is gone the query
-// is refused — and pointedly NOT negative-cached: an unreachable
-// cluster says nothing about whether the name exists, and a poisoned
-// negative cache would keep refusing the name for a whole epoch after
-// the partition heals.
-func (p *pendingResolve) onTimeout() {
+// Fire is the timeout: it retransmits p's datagram. When the budget is
+// gone the query is refused — and pointedly NOT negative-cached: an
+// unreachable cluster says nothing about whether the name exists, and a
+// poisoned negative cache would keep refusing the name for a whole
+// epoch after the partition heals.
+func (p *pendingResolve) Fire() {
 	r := p.r
 	if r.pending[p.qid] != p {
 		return // answered (or failed over) while the timer was in flight

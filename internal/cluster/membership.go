@@ -139,12 +139,10 @@ type agent struct {
 	relayed map[uint32]relayRef
 	probeEv sim.Event
 	stopped bool
-	// tickFn and timeoutFn are a.tick and a.probeTimeout, bound once, so
-	// a round schedules no new method value or closure. waits queues the
-	// probe sequence numbers whose timeout is running, oldest first —
-	// every one runs ProbeTimeout, so they fire in the order armed.
-	tickFn, timeoutFn func()
-	waits             []uint32
+	// waits queues the probe sequence numbers whose timeout is running,
+	// oldest first — every one runs ProbeTimeout, so they fire in the
+	// order armed.
+	waits []uint32
 	// The agent's three scratch buffers, refilled in place by
 	// probeCandidates, drain and sendTail. Nobody holds one across a
 	// send: SendUDP copies the datagram into its frame before it returns
@@ -177,7 +175,6 @@ func newAgent(c *Cluster, m *Member) *agent {
 		relayed: make(map[uint32]relayRef),
 		inc:     1,
 	}
-	a.tickFn, a.timeoutFn = a.tick, a.probeTimeout
 	a.nic = netsim.NewNIC(c.eng, fmt.Sprintf("mgmt%d", m.ID), netsim.MACFor(0xA000+m.ID))
 	c.mgmt.ConnectNIC(a.nic, 50*time.Microsecond, c.Cfg.MgmtBitsPerSec)
 	a.copier = newCopier(netstack.NewHost(c.eng, fmt.Sprintf("mgmt%d", m.ID), a.nic, mgmtIP(m.ID), netstack.Dom0Profile()), xferPort, xferOpChunk)
@@ -213,7 +210,7 @@ func (a *agent) startProbing() {
 	if a.c.Cfg.ProbeEvery <= 0 || a.stopped {
 		return
 	}
-	a.probeEv = a.c.eng.After(a.c.Cfg.ProbeEvery, a.tickFn)
+	a.probeEv = a.c.eng.AfterHandler(a.c.Cfg.ProbeEvery, a)
 }
 
 // stop ends the agent for good. Its probe timeouts return without
@@ -224,9 +221,9 @@ func (a *agent) stop() {
 	clear(a.await)
 }
 
-// tick probes one random live-or-suspect peer; no ack within
-// ProbeTimeout marks it suspect in this agent's view.
-func (a *agent) tick() {
+// Fire is the detector's tick: it probes one random live-or-suspect
+// peer; no ack within ProbeTimeout marks it suspect in this agent's view.
+func (a *agent) Fire() {
 	if a.stopped {
 		return
 	}
@@ -251,12 +248,16 @@ func (a *agent) tick() {
 	}
 	a.send(t, msgPing, seq, extra)
 	a.waits = append(a.waits, seq)
-	a.c.eng.After(a.c.Cfg.ProbeTimeout, a.timeoutFn)
+	a.c.eng.AfterHandler(a.c.Cfg.ProbeTimeout, (*probeTimeout)(a))
 }
 
-// probeTimeout ends the oldest direct probe's wait: still unacknowledged,
-// it goes to the indirect round, or straight to suspicion.
-func (a *agent) probeTimeout() {
+// probeTimeout is the agent as its probes' timeout: it ends the oldest
+// direct probe's wait. Still unacknowledged, the probe goes to the
+// indirect round, or straight to suspicion.
+type probeTimeout agent
+
+func (t *probeTimeout) Fire() {
+	a := (*agent)(t)
 	seq := a.waits[0]
 	a.waits = append(a.waits[:0], a.waits[1:]...)
 	if a.stopped {

@@ -30,7 +30,6 @@ type Endpoint struct {
 	tx, rx  *ring
 	channel *xen.EventChannel
 	onData  func([]byte)
-	onClose func()
 	pending []byte // writes waiting for ring space
 	closed  bool
 
@@ -44,9 +43,6 @@ func (e *Endpoint) OnData(fn func([]byte)) {
 	e.onData = fn
 	e.drainRx()
 }
-
-// OnClose installs the teardown callback.
-func (e *Endpoint) OnClose(fn func()) { e.onClose = fn }
 
 // Write queues data for the peer. It never blocks: bytes beyond the ring
 // capacity wait in an unbounded local buffer and drain as the peer
@@ -97,7 +93,7 @@ func (e *Endpoint) event() {
 	e.drainRx()
 	e.pump()
 	if e.rx.closedFlag() && e.rx.used() == 0 {
-		e.closeFromPeer()
+		e.closed = true // the peer closed, and all it sent has been read
 	}
 }
 
@@ -111,20 +107,6 @@ func (e *Endpoint) Close() {
 	e.closed = true
 	e.tx.setClosedFlag()
 	_ = e.channel.Notify(e.Local)
-	if e.onClose != nil {
-		e.onClose()
-	}
-}
-
-// closeFromPeer handles remote closure.
-func (e *Endpoint) closeFromPeer() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	if e.onClose != nil {
-		e.onClose()
-	}
 }
 
 // Registry is the rendezvous service: names under /conduit map to

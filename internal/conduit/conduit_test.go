@@ -231,20 +231,18 @@ func TestBidirectionalSimultaneous(t *testing.T) {
 
 func TestCloseSignalsPeer(t *testing.T) {
 	eng, _, reg := newRig()
-	serverClosed := false
 	var serverEP *Endpoint
 	reg.Register(3, "closing", func(ep *Endpoint) {
 		serverEP = ep
 		ep.OnData(func([]byte) {})
-		ep.OnClose(func() { serverClosed = true })
 	})
 	ep, _ := reg.Connect(7, "closing")
 	ep.Write([]byte("last words"))
 	eng.Run()
 	ep.Close()
 	eng.Run()
-	if !serverClosed {
-		t.Fatal("peer did not observe close")
+	if err := serverEP.Write([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("peer did not observe close: write = %v", err)
 	}
 	if err := ep.Write([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("write after close = %v", err)

@@ -85,7 +85,7 @@ func (s *Synjitsu) ensureListener(port uint16) {
 }
 
 // accept handles a completed proxy handshake. The connection gets no
-// OnData handler on purpose: payload accumulates in the stack's pending
+// application on purpose: payload accumulates in the stack's pending
 // buffer and travels inside the exported TCB.
 func (s *Synjitsu) accept(c *netstack.TCPConn) {
 	ip, _ := c.LocalAddr()

@@ -2,8 +2,10 @@ package dns
 
 import (
 	"testing"
+	"time"
 
 	"jitsu/internal/netstack"
+	"jitsu/internal/sim"
 )
 
 // The layer's own benches (ROADMAP perf ledger): `make bench` runs them
@@ -33,6 +35,31 @@ func BenchmarkDNSServe(b *testing.B) {
 	b.StopTimer()
 	if sent != b.N {
 		b.Fatalf("served %d of %d", sent, b.N)
+	}
+}
+
+// BenchmarkQuery is a client's Query round trip with the hardened retry
+// profile: the query, its deadline and retransmit timers, the datagram
+// to the server and the answer back, decoded.
+func BenchmarkQuery(b *testing.B) {
+	eng, client, srv := dnsPair(b)
+	c := &Client{Host: client, Retry: DefaultRetry()}
+	answered := 0
+	done := func(m *Message, _ sim.Duration, err error) {
+		if err != nil || len(m.Answers) != 1 {
+			b.Fatal(m, err)
+		}
+		answered++
+	}
+	c.Query(srv.Host.IP, "alice.family.name", TypeA, time.Second, done) // resolve ARP
+	eng.Run()
+	b.ReportAllocs()
+	for b.Loop() {
+		c.Query(srv.Host.IP, "alice.family.name", TypeA, time.Second, done)
+		eng.Run()
+	}
+	if c.Retries != 0 {
+		b.Fatalf("%d retransmits on a clean link", c.Retries)
 	}
 }
 

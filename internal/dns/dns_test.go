@@ -217,7 +217,7 @@ func TestZoneLookup(t *testing.T) {
 }
 
 // dnsPair wires a client and a server host on a bridge.
-func dnsPair(t *testing.T) (*sim.Engine, *netstack.Host, *Server) {
+func dnsPair(t testing.TB) (*sim.Engine, *netstack.Host, *Server) {
 	t.Helper()
 	eng := sim.New(9)
 	br := netsim.NewBridge(eng, "br", 10*time.Microsecond)

@@ -611,12 +611,12 @@ func (c *Client) Query(server netstack.IP, name string, typ Type, timeout sim.Du
 	// The order below is what the engine's seq and RNG streams see: the
 	// deadline, then the retransmit (whose jitter is drawn in arm), then
 	// the datagram.
-	q.timer = c.Host.Eng.After(timeout, q.onTimeout)
+	q.timer = c.Host.Eng.AfterHandler(timeout, q)
 	q.arm()
 	c.Host.SendUDP(server, q.srcPort, 53, wire)
 }
 
-// query is one Query in flight.
+// query is one Query in flight, and its deadline's event.
 type query struct {
 	c                 *Client
 	server            netstack.IP
@@ -649,7 +649,8 @@ func (q *query) onReply(src netstack.IP, sport uint16, payload []byte) {
 	q.finish(m, q.c.Host.Eng.Now()-q.start, nil)
 }
 
-func (q *query) onTimeout() {
+// Fire is the deadline.
+func (q *query) Fire() {
 	if q.done != nil {
 		q.finish(nil, 0, netstack.ErrTimeout)
 	}
@@ -660,11 +661,15 @@ func (q *query) onTimeout() {
 // under the overall deadline.
 func (q *query) arm() {
 	if wait, ok := q.c.Retry.Next(q.attempt, q.c.Host.Eng.Rand()); ok {
-		q.retransmit = q.c.Host.Eng.After(wait, q.onResend)
+		q.retransmit = q.c.Host.Eng.AfterHandler(wait, (*resend)(q))
 	}
 }
 
-func (q *query) onResend() {
+// resend is a query as its retransmit's event.
+type resend query
+
+func (r *resend) Fire() {
+	q := (*query)(r)
 	if q.done == nil {
 		return
 	}

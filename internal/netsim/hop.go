@@ -33,16 +33,15 @@ func (f *fabric) copyFrame(frame []byte) []byte {
 
 // hop is one booked frame delivery: at its instant the frame is shown
 // to the capture tap (if one was installed when it was booked) and
-// handed to dst. Records are pooled per fabric and fire is bound when a
-// record is first made — the idiom of sim.Engine's pooled nodes — so a
-// hop costs one engine event and no allocation.
+// handed to dst. Records are pooled per fabric and each is its own
+// event's sim.Handler, so a hop costs one engine event and no
+// allocation.
 type hop struct {
 	fab   *fabric
 	dst   Port
 	tap   *Capture
 	dir   string
 	frame []byte
-	fire  func()
 }
 
 // book schedules frame's delivery to dst after delay.
@@ -53,15 +52,14 @@ func (f *fabric) book(eng *sim.Engine, delay sim.Duration, dst Port, frame []byt
 		f.free = f.free[:k-1]
 	} else {
 		h = &hop{fab: f}
-		h.fire = h.run
 	}
 	h.dst, h.frame, h.tap, h.dir = dst, frame, tap, dir
-	eng.After(delay, h.fire)
+	eng.AfterHandler(delay, h)
 }
 
-// run delivers the frame. The record goes back to the pool first, so a
+// Fire delivers the frame. The record goes back to the pool first, so a
 // delivery that sends (a bridge forwarding, a stack replying) reuses it.
-func (h *hop) run() {
+func (h *hop) Fire() {
 	dst, frame, tap, dir := h.dst, h.frame, h.tap, h.dir
 	h.dst, h.frame, h.tap = nil, nil, nil
 	h.fab.free = append(h.fab.free, h)

@@ -38,20 +38,20 @@ const (
 	bareFIN                    // FIN at rcvNxt
 	rexmitFIN                  // the peer's FIN a second time
 	reset                      // RST
-	lateOnData                 // 3 bytes at rcvNxt, OnData installed afterwards
+	lateAttach                 // 3 bytes at rcvNxt, the application attached afterwards
 	imported                   // the same on a connection imported with Buffered bytes
 )
 
 var stimulusNames = [...]string{"in-order data", "duplicate", "out-of-order", "data+FIN",
-	"bare FIN", "retransmitted FIN", "RST", "data before OnData", "data across TCB import"}
+	"bare FIN", "retransmitted FIN", "RST", "data before Attach", "data across TCB import"}
 
 // dut is the connection under test and everything it said and did.
 type dut struct {
 	t      *testing.T
 	h      *Host
 	c      *TCPConn
-	app    []string // one entry per OnData call
-	closes []string // one entry per OnClose call
+	app    []string // one entry per Data call
+	closes []string // one entry per Closed call
 	tx     []string // segments sent since mark
 	// snd0/rcv0 are sndNxt/rcvNxt at mark: replies read relative to them.
 	snd0, rcv0 uint32
@@ -83,8 +83,8 @@ func flagNames(f byte) string {
 	return strings.Join(out, "+")
 }
 
-func (d *dut) onData(b []byte)   { d.app = append(d.app, string(b)) }
-func (d *dut) onClose(err error) { d.closes = append(d.closes, fmt.Sprint(err)) }
+func (d *dut) Data(b []byte)    { d.app = append(d.app, string(b)) }
+func (d *dut) Closed(err error) { d.closes = append(d.closes, fmt.Sprint(err)) }
 
 // inject hands the stack one segment from the peer, acknowledging
 // nothing new (Ack = sndUna) unless ack says otherwise.
@@ -99,16 +99,15 @@ func (d *dut) inject(flags byte, seq uint32, payload string, ack ...uint32) {
 func (d *dut) mark() { d.tx, d.snd0, d.rcv0 = nil, d.c.sndNxt, d.c.rcvNxt }
 
 // accept completes a handshake with the scripted peer and has it send
-// "pre". withOnData installs the application's handler on accept;
-// without it everything received is parked.
-func accept(t *testing.T, withOnData bool) *dut {
+// "pre". withApp attaches the application on accept; without it
+// everything received is parked, and so is the end (Attach replays it).
+func accept(t *testing.T, withApp bool) *dut {
 	d := &dut{t: t}
 	d.h = newHost(d)
 	d.h.ListenTCP(80, func(c *TCPConn) {
 		d.c = c
-		c.OnClose(d.onClose)
-		if withOnData {
-			c.OnData(d.onData)
+		if withApp {
+			c.Attach(d)
 		}
 	})
 	syn := TCPSegment{SrcPort: peerPort, DstPort: 80, Seq: peerISS, Flags: FlagSYN, Window: tcpWindow}
@@ -139,7 +138,6 @@ func (d *dut) handoff() {
 	if d.c, err = d.h.ImportTCB(tcb); err != nil {
 		d.t.Fatal(err)
 	}
-	d.c.OnClose(d.onClose)
 }
 
 // drive takes an established connection to state.
@@ -174,10 +172,10 @@ func (d *dut) drive(state TCPState) {
 func (d *dut) apply(s stimulus) {
 	d.mark()
 	switch s {
-	case inOrder, lateOnData, imported:
+	case inOrder, lateAttach, imported:
 		d.inject(FlagACK|FlagPSH, d.c.rcvNxt, "abc")
 		if s != inOrder {
-			d.c.OnData(d.onData)
+			d.c.Attach(d)
 		}
 	case duplicate:
 		d.inject(FlagACK|FlagPSH, peerISS+1, "pre")
@@ -204,11 +202,11 @@ func (d *dut) apply(s stimulus) {
 type tcpCell struct {
 	state TCPState
 	stim  stimulus
-	app   string // OnData calls, "|"-separated
+	app   string // Data calls, "|"-separated
 	rcv   int32  // how far rcvNxt moved
 	reply string // segments sent, relative to sndNxt/rcvNxt before the stimulus
 	end   TCPState
-	close string // OnClose calls
+	close string // Closed calls
 	// finding marks behaviour recorded as it is, not as it should be.
 	finding string
 }
@@ -226,7 +224,7 @@ func TestTCPReceiveConformance(t *testing.T) {
 	for _, state := range states {
 		for s := range stimulusNames {
 			stim := stimulus(s)
-			d := accept(t, stim != lateOnData && stim != imported)
+			d := accept(t, stim != lateAttach && stim != imported)
 			if stim == imported {
 				d.handoff()
 			}
@@ -248,7 +246,7 @@ var stateIdents = [...]string{"StateClosed", "StateSynSent", "StateSynRcvd", "St
 	"StateFinWait1", "StateFinWait2", "StateCloseWait", "StateLastAck", "StateClosing", "StateTimeWait"}
 
 var stimulusIdents = [...]string{"inOrder", "duplicate", "outOfOrder", "dataFIN", "bareFIN",
-	"rexmitFIN", "reset", "lateOnData", "imported"}
+	"rexmitFIN", "reset", "lateAttach", "imported"}
 
 // literal renders the cell as its line in tcpReceiveTable.
 func (c tcpCell) literal() string {
@@ -278,7 +276,7 @@ var tcpReceiveTable = []tcpCell{
 	{StateEstablished, bareFIN, "pre", 1, "ACK seq+0 ack+1", StateCloseWait, "<nil>", ""},
 	{StateEstablished, rexmitFIN, "pre", 0, "", StateCloseWait, "<nil>", silentOnFINRexmit},
 	{StateEstablished, reset, "pre", 0, "", StateClosed, "netstack: connection reset by peer", ""},
-	{StateEstablished, lateOnData, "pre|abc", 3, "ACK seq+0 ack+3", StateEstablished, "", ""},
+	{StateEstablished, lateAttach, "pre|abc", 3, "ACK seq+0 ack+3", StateEstablished, "", ""},
 	{StateEstablished, imported, "pre|abc", 3, "ACK seq+0 ack+3", StateEstablished, "", ""},
 	{StateFinWait1, inOrder, "pre|abc", 3, "ACK seq+0 ack+3", StateFinWait1, "", ""},
 	{StateFinWait1, duplicate, "pre", 0, "ACK seq+0 ack+0", StateFinWait1, "", ""},
@@ -287,7 +285,7 @@ var tcpReceiveTable = []tcpCell{
 	{StateFinWait1, bareFIN, "pre", 1, "ACK seq+0 ack+1", StateClosing, "", ""},
 	{StateFinWait1, rexmitFIN, "pre", 0, "", StateClosing, "", silentOnFINRexmit},
 	{StateFinWait1, reset, "pre", 0, "", StateClosed, "netstack: connection reset by peer", ""},
-	{StateFinWait1, lateOnData, "pre|abc", 3, "ACK seq+0 ack+3", StateFinWait1, "", ""},
+	{StateFinWait1, lateAttach, "pre|abc", 3, "ACK seq+0 ack+3", StateFinWait1, "", ""},
 	{StateFinWait1, imported, "pre|abc", 3, "ACK seq+0 ack+3", StateFinWait1, "", ""},
 	{StateFinWait2, inOrder, "pre|abc", 3, "ACK seq+0 ack+3", StateFinWait2, "", ""},
 	{StateFinWait2, duplicate, "pre", 0, "ACK seq+0 ack+0", StateFinWait2, "", ""},
@@ -296,7 +294,7 @@ var tcpReceiveTable = []tcpCell{
 	{StateFinWait2, bareFIN, "pre", 1, "ACK seq+0 ack+1", StateTimeWait, "", ""},
 	{StateFinWait2, rexmitFIN, "pre", 0, "", StateTimeWait, "", silentOnFINRexmit},
 	{StateFinWait2, reset, "pre", 0, "", StateClosed, "netstack: connection reset by peer", ""},
-	{StateFinWait2, lateOnData, "pre|abc", 3, "ACK seq+0 ack+3", StateFinWait2, "", ""},
+	{StateFinWait2, lateAttach, "pre|abc", 3, "ACK seq+0 ack+3", StateFinWait2, "", ""},
 	{StateFinWait2, imported, "pre|abc", 3, "ACK seq+0 ack+3", StateFinWait2, "", ""},
 	{StateCloseWait, inOrder, "pre", 0, "ACK seq+0 ack+0", StateCloseWait, "<nil>", ""},
 	{StateCloseWait, duplicate, "pre", 0, "ACK seq+0 ack+0", StateCloseWait, "<nil>", ""},
@@ -305,7 +303,7 @@ var tcpReceiveTable = []tcpCell{
 	{StateCloseWait, bareFIN, "pre", 1, "ACK seq+0 ack+1", StateCloseWait, "<nil>", secondFIN},
 	{StateCloseWait, rexmitFIN, "pre", 0, "", StateCloseWait, "<nil>", silentOnFINRexmit},
 	{StateCloseWait, reset, "pre", 0, "", StateClosed, "<nil>", ""},
-	{StateCloseWait, lateOnData, "pre", 0, "ACK seq+0 ack+0", StateCloseWait, "<nil>", ""},
+	{StateCloseWait, lateAttach, "pre", 0, "ACK seq+0 ack+0", StateCloseWait, "<nil>", ""},
 	{StateCloseWait, imported, "pre", 0, "ACK seq+0 ack+0", StateCloseWait, "<nil>", ""},
 	{StateClosing, inOrder, "pre", 0, "ACK seq+0 ack+0", StateClosing, "", ""},
 	{StateClosing, duplicate, "pre", 0, "ACK seq+0 ack+0", StateClosing, "", ""},
@@ -314,7 +312,7 @@ var tcpReceiveTable = []tcpCell{
 	{StateClosing, bareFIN, "pre", 1, "ACK seq+0 ack+1", StateClosing, "", secondFIN},
 	{StateClosing, rexmitFIN, "pre", 0, "", StateClosing, "", silentOnFINRexmit},
 	{StateClosing, reset, "pre", 0, "", StateClosed, "netstack: connection reset by peer", ""},
-	{StateClosing, lateOnData, "pre", 0, "ACK seq+0 ack+0", StateClosing, "", ""},
+	{StateClosing, lateAttach, "pre", 0, "ACK seq+0 ack+0", StateClosing, "", ""},
 	{StateClosing, imported, "pre", 0, "ACK seq+0 ack+0", StateClosing, "", ""},
 	{StateLastAck, inOrder, "pre", 0, "ACK seq+0 ack+0", StateLastAck, "<nil>", ""},
 	{StateLastAck, duplicate, "pre", 0, "ACK seq+0 ack+0", StateLastAck, "<nil>", ""},
@@ -323,7 +321,7 @@ var tcpReceiveTable = []tcpCell{
 	{StateLastAck, bareFIN, "pre", 1, "ACK seq+0 ack+1", StateLastAck, "<nil>", secondFIN},
 	{StateLastAck, rexmitFIN, "pre", 0, "", StateLastAck, "<nil>", silentOnFINRexmit},
 	{StateLastAck, reset, "pre", 0, "", StateClosed, "<nil>", ""},
-	{StateLastAck, lateOnData, "pre", 0, "ACK seq+0 ack+0", StateLastAck, "<nil>", ""},
+	{StateLastAck, lateAttach, "pre", 0, "ACK seq+0 ack+0", StateLastAck, "<nil>", ""},
 	{StateLastAck, imported, "pre", 0, "ACK seq+0 ack+0", StateLastAck, "<nil>", ""},
 	{StateTimeWait, inOrder, "pre", 0, "ACK seq+0 ack+0", StateTimeWait, "", ""},
 	{StateTimeWait, duplicate, "pre", 0, "ACK seq+0 ack+0", StateTimeWait, "", ""},
@@ -332,6 +330,6 @@ var tcpReceiveTable = []tcpCell{
 	{StateTimeWait, bareFIN, "pre", 1, "ACK seq+0 ack+1", StateTimeWait, "", secondFIN},
 	{StateTimeWait, rexmitFIN, "pre", 0, "", StateTimeWait, "", silentOnFINRexmit},
 	{StateTimeWait, reset, "pre", 0, "", StateClosed, "netstack: connection reset by peer", ""},
-	{StateTimeWait, lateOnData, "pre", 0, "ACK seq+0 ack+0", StateTimeWait, "", ""},
+	{StateTimeWait, lateAttach, "pre", 0, "ACK seq+0 ack+0", StateTimeWait, "", ""},
 	{StateTimeWait, imported, "pre", 0, "ACK seq+0 ack+0", StateTimeWait, "", ""},
 }

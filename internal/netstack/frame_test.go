@@ -3,6 +3,7 @@ package netstack
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -246,9 +247,9 @@ func TestSetupCallbacksAreLetGo(t *testing.T) {
 	}
 	for _, c := range []*TCPConn{refused, aborted} {
 		late := "not called"
-		c.OnClose(func(err error) { late = fmt.Sprint(err) })
+		c.Attach(testApp{closed: func(err error) { late = fmt.Sprint(err) }})
 		if late != ErrConnReset.Error() {
-			t.Errorf("OnClose after a failed dial: %s", late)
+			t.Errorf("Attach after a failed dial: %s", late)
 		}
 	}
 }
@@ -335,7 +336,7 @@ func timeWaitConns(tb testing.TB, n int) (a, b *Host) {
 	}
 	a, b = mk(1), mk(2)
 	a.SeedARP(b.IP, b.NIC.Addr) // resolved even when n is 0
-	b.ListenTCP(80, func(c *TCPConn) { c.OnClose(func(error) { c.Close() }) })
+	b.ListenTCP(80, func(c *TCPConn) { c.Attach(testApp{closed: func(error) { c.Close() }}) })
 	for i := 0; i < n; i++ {
 		a.DialTCP(b.IP, 80, func(c *TCPConn, err error) {
 			if err != nil {
@@ -358,10 +359,10 @@ func timeWaitConns(tb testing.TB, n int) (a, b *Host) {
 }
 
 // TestDialAllocsIndependentOfTimeWait holds a dial's cost to the same
-// count beside 5 000 TIME_WAIT connections as beside none: two, the
-// connection and its bound timer func — the dial's callback is a field
-// of the first. The NIC is down so the measured op is the dial itself,
-// not its SYN's journey.
+// count beside 5 000 TIME_WAIT connections as beside none: one, the
+// connection — the dial's callback is a field of it, and its
+// retransmission timer's event is the connection itself. The NIC is
+// down so the measured op is the dial itself, not its SYN's journey.
 func TestDialAllocsIndependentOfTimeWait(t *testing.T) {
 	dial := func(n int) float64 {
 		a, b := timeWaitConns(t, n)
@@ -370,26 +371,32 @@ func TestDialAllocsIndependentOfTimeWait(t *testing.T) {
 			a.DialTCP(b.IP, 80, func(*TCPConn, error) {}).Abort()
 		})
 	}
-	if none, many := dial(0), dial(5000); none != 2 || many != 2 {
-		t.Fatalf("dial allocates %v beside no TIME_WAIT connections, %v beside 5000, want 2 and 2", none, many)
+	if none, many := dial(0), dial(5000); none != 1 || many != 1 {
+		t.Fatalf("dial allocates %v beside no TIME_WAIT connections, %v beside 5000, want 1 and 1", none, many)
 	}
 }
 
 // TestTimeWaitLetsGoOfTheFetch: a finished fetch leaves both ends in
-// TIME_WAIT for 2 s, and a busy host holds thousands of those. They
-// must pin neither the application's callbacks and buffers nor, through
-// HTTPGet's OnClose, the caller of the fetch and its response.
+// TIME_WAIT for 2 s, and a busy host holds thousands of those. Each
+// keeps what hears Closed at expiry, and that must pin nothing of the
+// fetch: the client's httpGet has let go of the caller, its callback
+// and the response, and the server's connection has handed itself to
+// a handler of zero size, so neither the request it parsed nor the
+// response it rendered stays behind.
 func TestTimeWaitLetsGoOfTheFetch(t *testing.T) {
 	eng, a, b, _ := twoHosts(1)
-	if _, err := b.ServeHTTP(80, func(*HTTPRequest) *HTTPResponse {
-		return &HTTPResponse{Status: 200, Body: []byte("ok")}
+	freed := make(chan string, 3)
+	if _, err := b.ServeHTTP(80, func(req *HTTPRequest) *HTTPResponse {
+		resp := &HTTPResponse{Status: 200, Body: []byte("ok")}
+		runtime.AddCleanup(req, func(what string) { freed <- what }, "the request")
+		runtime.AddCleanup(resp, func(what string) { freed <- what }, "the response")
+		return resp
 	}); err != nil {
 		t.Fatal(err)
 	}
-	freed := make(chan struct{})
 	func() {
 		held := new([1 << 10]byte) // what the caller's callback closes over
-		runtime.SetFinalizer(held, func(*[1 << 10]byte) { close(freed) })
+		runtime.AddCleanup(held, func(what string) { freed <- what }, "the caller")
 		a.HTTPGet(b.IP, 80, "/", time.Second, func(r *HTTPResponse, _ sim.Duration, err error) {
 			if err != nil || string(r.Body) != "ok" || held[0] != 0 {
 				t.Errorf("fetch: %v, %v", r, err)
@@ -402,22 +409,68 @@ func TestTimeWaitLetsGoOfTheFetch(t *testing.T) {
 			t.Fatalf("%s holds %d connections, want the one in TIME_WAIT", h.Name, len(h.conns))
 		}
 		for _, c := range h.conns {
-			if c.state != StateTimeWait || c.sndBuf != nil || c.onData != nil || c.dialDone != nil || c.listener != nil {
-				t.Errorf("%s: %v connection still holds its send buffer or callbacks", h.Name, c.state)
+			if c.state != StateTimeWait || c.sndBuf != nil || c.pendingData != nil || c.onData != nil || c.dialDone != nil || c.listener != nil {
+				t.Errorf("%s: %v connection still holds its buffers or callbacks", h.Name, c.state)
+			}
+			switch app := c.app.(type) {
+			case *httpGet:
+				if app.buf != nil || app.resp != nil || app.done != nil {
+					t.Errorf("%s: the fetch in TIME_WAIT still holds its response or caller", h.Name)
+				}
+			default:
+				if size := reflect.TypeOf(app).Size(); size != 0 {
+					t.Errorf("%s: the server's connection in TIME_WAIT keeps a %T of %d bytes", h.Name, app, size)
+				}
 			}
 		}
 	}
-	for i := 0; i < 20; i++ {
+	left := map[string]bool{"the caller": true, "the request": true, "the response": true}
+	for i := 0; i < 20 && len(left) > 0; i++ {
 		runtime.GC()
 		select {
-		case <-freed:
-			eng.Run() // the expiry still closes both ends
-			if n := len(a.conns) + len(b.conns); n != 0 {
-				t.Fatalf("%d connections left after TIME_WAIT", n)
-			}
-			return
+		case what := <-freed:
+			delete(left, what)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	t.Fatal("a connection in TIME_WAIT still holds the fetch's caller")
+	for what := range left {
+		t.Errorf("a connection in TIME_WAIT still holds %s", what)
+	}
+	eng.Run() // the expiry still closes both ends
+	if n := len(a.conns) + len(b.conns); n != 0 {
+		t.Fatalf("%d connections left after TIME_WAIT", n)
+	}
+}
+
+// TestWarmFetchAllocs pins a warm fetch, client and server together, to
+// the objects it is made of. Client: the fetch, its connection, the send
+// buffer the request is rendered into, the response head's string and
+// the response. Server: the connection, its application, the request
+// head's string and the send buffer the response is rendered into. The
+// body arrives in one segment and is a view of its frame; the frames'
+// share of the fabric's slabs is well under one per fetch, which the
+// per-run average rounds away.
+func TestWarmFetchAllocs(t *testing.T) {
+	eng, a, b, _ := twoHosts(1)
+	resp := &HTTPResponse{Status: 200, Body: make([]byte, 1024)}
+	if _, err := b.ServeHTTP(80, func(*HTTPRequest) *HTTPResponse { return resp }); err != nil {
+		t.Fatal(err)
+	}
+	done := func(r *HTTPResponse, _ sim.Duration, err error) {
+		if err != nil || len(r.Body) != 1024 {
+			t.Fatalf("fetch: %v, %v", r, err)
+		}
+	}
+	fetch := func() {
+		a.HTTPGet(b.IP, 80, "/index.html", time.Second, done)
+		eng.Run()
+	}
+	fetch() // ARP, the engine's and the stacks' pools
+	want := 9.0
+	if raceEnabled {
+		want += 2 // the two send buffers' growth, unfused
+	}
+	if n := testing.AllocsPerRun(500, fetch); n != want {
+		t.Fatalf("a warm fetch allocates %v, want %v", n, want)
+	}
 }

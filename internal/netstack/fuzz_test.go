@@ -139,7 +139,7 @@ func TestTimeWaitReclaimed(t *testing.T) {
 			if err != nil {
 				return
 			}
-			c.OnClose(func(error) { c.Close() })
+			c.Attach(testApp{closed: func(error) { c.Close() }})
 		})
 		eng.RunFor(time.Second)
 	}

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -76,53 +77,59 @@ func (h *Host) ServeHTTP(port uint16, handler HTTPHandler) (*HTTPServer, error) 
 // Close stops accepting.
 func (s *HTTPServer) Close() { s.listener.Close() }
 
-func (s *HTTPServer) accept(c *TCPConn) {
-	sc := &httpServerConn{srv: s, conn: c}
-	c.OnData(sc.onData)
-	c.OnClose(func(error) {})
-}
+func (s *HTTPServer) accept(c *TCPConn) { c.Attach(&httpServerConn{srv: s, conn: c}) }
 
-// httpServerConn is one accepted connection: it gathers bytes until a
-// request head is complete, answers it once, and ignores the rest.
+// httpServerConn is one accepted connection's application until its
+// request head is complete: then it hands the connection to hangUp, so
+// the rest is ignored and neither it nor the request outlives the
+// answer — the connection waits out TIME_WAIT holding nothing.
 type httpServerConn struct {
 	srv  *HTTPServer
 	conn *TCPConn
-	buf  []byte       // what arrived before the head was complete
-	req  *HTTPRequest // non-nil once answered (or being answered)
+	buf  []byte // what arrived before the head was complete
+	req  HTTPRequest
 }
 
-func (sc *httpServerConn) onData(b []byte) {
-	if sc.req != nil {
-		return
-	}
+func (sc *httpServerConn) Data(b []byte) {
 	if sc.buf != nil {
 		b = append(sc.buf, b...)
 	}
-	req, ok := parseRequest(b)
-	if !ok {
+	var ok bool
+	if sc.req, ok = parseRequest(b); !ok {
 		sc.buf = b // ours to keep till the head is whole, never to write: a view of the frame
 		return     // need more bytes
 	}
-	sc.req, sc.buf = req, nil
+	sc.buf = nil
+	sc.conn.Attach(hangUp{})
 	if delay := sc.srv.ResponseDelay; delay != nil {
-		sc.srv.host.Eng.After(delay(req), sc.reply)
+		sc.srv.host.Eng.AfterHandler(delay(&sc.req), sc)
 	} else {
-		sc.reply()
+		sc.Fire()
 	}
 }
 
-func (sc *httpServerConn) reply() {
-	resp := sc.srv.handler(sc.req)
+func (sc *httpServerConn) Closed(error) {}
+
+// Fire answers the request: at once, or as ResponseDelay's event.
+func (sc *httpServerConn) Fire() {
+	resp := sc.srv.handler(&sc.req)
 	if resp == nil {
 		resp = &HTTPResponse{Status: 500}
 	}
-	sc.conn.Send(EncodeResponse(resp))
+	sc.conn.write(func(b []byte) []byte { return appendResponse(b, resp) })
 	sc.conn.Close()
 	sc.srv.Served++
 }
 
+// hangUp is the application of a connection whose own is done: it
+// drops whatever still arrives and holds nothing.
+type hangUp struct{}
+
+func (hangUp) Data([]byte)  {}
+func (hangUp) Closed(error) {}
+
 // AcceptImported serves a request on a connection handed off from the
-// Synjitsu proxy: buffered bytes already queued replay through OnData.
+// Synjitsu proxy: buffered bytes already queued replay on Attach.
 func (s *HTTPServer) AcceptImported(c *TCPConn) { s.accept(c) }
 
 var crlfcrlf = []byte("\r\n\r\n")
@@ -150,37 +157,35 @@ func cutField(s string) (field, rest string) {
 }
 
 // parseRequest parses a complete request (headers terminated by CRLFCRLF).
-func parseRequest(buf []byte) (*HTTPRequest, bool) {
+func parseRequest(buf []byte) (HTTPRequest, bool) {
 	line, header, _, ok := cutHead(buf)
 	if !ok {
-		return nil, false
+		return HTTPRequest{}, false
 	}
 	method, line := cutField(line)
 	path, line := cutField(line)
 	if proto, _ := cutField(line); proto == "" {
-		return nil, false
+		return HTTPRequest{}, false
 	}
-	return &HTTPRequest{Method: method, Path: path, Header: header}, true
+	return HTTPRequest{Method: method, Path: path, Header: header}, true
 }
 
-// EncodeRequest renders a GET request.
-func EncodeRequest(method, path, host string) []byte {
-	const proto, agent = " HTTP/1.0\r\nHost: ", "\r\nUser-Agent: jitsu-sim\r\n\r\n"
-	b := make([]byte, 0, len(method)+1+len(path)+len(proto)+len(host)+len(agent))
-	b = append(b, method...)
-	b = append(b, ' ')
-	b = append(b, path...)
-	b = append(b, proto...)
-	b = append(b, host...)
+// appendGet renders a GET of path from host onto b, growing it once.
+func appendGet(b []byte, path string, host IP) []byte {
+	const get, proto, agent = "GET ", " HTTP/1.0\r\nHost: ", "\r\nUser-Agent: jitsu-sim\r\n\r\n"
+	b = slices.Grow(b, len(get)+len(path)+len(proto)+len("255.255.255.255")+len(agent))
+	b = append(append(b, get...), path...)
+	b = host.appendTo(append(b, proto...))
 	return append(b, agent...)
 }
 
-// EncodeResponse renders a response with Content-Length.
-func EncodeResponse(r *HTTPResponse) []byte {
+// appendResponse renders r, with its Content-Length, onto b, growing it
+// once.
+func appendResponse(b []byte, r *HTTPResponse) []byte {
 	const proto, length = "HTTP/1.0 ", "Content-Length: "
 	text := statusText(r.Status)
 	// 20 digits hold any int64; two numbers, four CRLFs, two blanks.
-	b := make([]byte, 0, len(proto)+len(text)+len(r.Header)+len(length)+2*20+4*2+2+len(r.Body))
+	b = slices.Grow(b, len(proto)+len(text)+len(r.Header)+len(length)+2*20+4*2+2+len(r.Body))
 	b = append(b, proto...)
 	b = strconv.AppendInt(b, int64(r.Status), 10)
 	b = append(b, ' ')
@@ -238,23 +243,19 @@ func parseResponseHead(buf []byte) (r *HTTPResponse, bodyAt, want int, ok bool) 
 func (h *Host) HTTPGet(dst IP, port uint16, path string, timeout sim.Duration, done func(*HTTPResponse, sim.Duration, error)) {
 	g := &httpGet{host: h, start: h.Eng.Now(), done: done}
 	if timeout > 0 {
-		g.deadline = h.Eng.After(timeout, g.onDeadline)
+		g.deadline = h.Eng.AfterHandler(timeout, g)
 	}
-	h.DialTCP(dst, port, func(c *TCPConn, err error) {
-		if err != nil {
-			g.finish(nil, err)
-			return
-		}
-		g.conn = c
-		c.OnData(g.onData)
-		c.OnClose(g.onClose)
-		c.Send(EncodeRequest("GET", path, dst.String()))
-	})
+	// The request is queued at the dial and goes out once the handshake
+	// is done; a dial that fails reaches g as Closed.
+	g.conn = h.DialTCP(dst, port, nil)
+	g.conn.Attach(g)
+	g.conn.write(func(b []byte) []byte { return appendGet(b, path, dst) })
 }
 
-// httpGet is one HTTPGet in flight. Its connection outlives it by the
-// whole of TIME_WAIT and still points here through OnClose, so finish
-// lets go of the response bytes and of the caller.
+// httpGet is one HTTPGet in flight: its connection's application and
+// its deadline's event. The connection outlives it by the whole of
+// TIME_WAIT and still points here for Closed, so finish lets go of the
+// response bytes and of the caller.
 type httpGet struct {
 	host     *Host
 	conn     *TCPConn
@@ -278,7 +279,8 @@ func (g *httpGet) finish(r *HTTPResponse, err error) {
 	done(r, g.host.Eng.Now()-g.start, err)
 }
 
-func (g *httpGet) onDeadline() { g.finish(nil, ErrTimeout) }
+// Fire is the deadline.
+func (g *httpGet) Fire() { g.finish(nil, ErrTimeout) }
 
 // whole reports whether buf holds a whole response, and if so points
 // resp.Body at its body. buf is let go with the fetch; the body is the
@@ -314,7 +316,7 @@ func (g *httpGet) tryComplete() bool {
 	return true
 }
 
-func (g *httpGet) onData(b []byte) {
+func (g *httpGet) Data(b []byte) {
 	if g.done == nil {
 		return
 	}
@@ -326,7 +328,7 @@ func (g *httpGet) onData(b []byte) {
 	g.tryComplete()
 }
 
-func (g *httpGet) onClose(err error) {
+func (g *httpGet) Closed(err error) {
 	if g.done == nil || g.tryComplete() {
 		return
 	}

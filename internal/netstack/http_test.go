@@ -201,13 +201,16 @@ func TestHTTPEmptyContentLength(t *testing.T) {
 }
 
 func TestHTTPEncodeMatchesReference(t *testing.T) {
-	for _, r := range [][3]string{
-		{"GET", "/", "10.0.0.20"},
-		{"GET", "/photos/2014/index.html", "alice.family.name"},
-		{"POST", "", ""},
+	for _, r := range []struct {
+		path string
+		host IP
+	}{
+		{"/", IPv4(10, 0, 0, 20)},
+		{"/photos/2014/index.html", IPv4(192, 168, 100, 255)},
+		{"", IP{}},
 	} {
-		if got, want := EncodeRequest(r[0], r[1], r[2]), refEncodeRequest(r[0], r[1], r[2]); !bytes.Equal(got, want) {
-			t.Errorf("EncodeRequest%v = %q, reference %q", r, got, want)
+		if got, want := appendGet(nil, r.path, r.host), refEncodeRequest("GET", r.path, r.host.String()); !bytes.Equal(got, want) {
+			t.Errorf("appendGet(%q, %v) = %q, reference %q", r.path, r.host, got, want)
 		}
 	}
 	big := bytes.Repeat([]byte("x"), 64*1024)
@@ -228,26 +231,32 @@ func TestHTTPEncodeMatchesReference(t *testing.T) {
 		// them in the order it wants.
 		{200, "A: 1\r\nB: 2", map[string]string{"B": "2", "A": "1"}, []byte("ab")},
 	} {
-		got := EncodeResponse(&HTTPResponse{Status: r.status, Header: r.header, Body: r.body})
-		if want := refEncodeResponse(r.status, r.ref, r.body); !bytes.Equal(got, want) {
-			t.Errorf("EncodeResponse(%d, %q, %d bytes) = %q, reference %q", r.status, r.header, len(r.body), got, want)
+		// After bytes already queued, as in a send buffer.
+		got := appendResponse([]byte("queued"), &HTTPResponse{Status: r.status, Header: r.header, Body: r.body})
+		if want := refEncodeResponse(r.status, r.ref, r.body); !bytes.Equal(got, append([]byte("queued"), want...)) {
+			t.Errorf("appendResponse(%d, %q, %d bytes) = %q, reference %q", r.status, r.header, len(r.body), got, want)
 		}
 	}
 }
 
+// TestHTTPCodecAllocs: a message rendered into a buffer with room (a
+// send buffer) costs nothing; parsing a head costs its one string and
+// little more.
 func TestHTTPCodecAllocs(t *testing.T) {
 	plain := &HTTPResponse{Status: 200, Body: []byte("hello")}
 	tagged := &HTTPResponse{Status: 200, Header: "X-Queue-Item: 7", Body: []byte("hello")}
-	reqWire := EncodeRequest("GET", "/photos", "alice.family.name")
-	respWire := EncodeResponse(tagged)
+	host := IPv4(10, 0, 0, 20)
+	reqWire := appendGet(nil, "/photos", host)
+	respWire := appendResponse(nil, tagged)
+	buf := make([]byte, 0, 512)
 	for _, c := range []struct {
 		name string
 		max  float64
 		fn   func()
 	}{
-		{"EncodeRequest", 1, func() { EncodeRequest("GET", "/photos", "alice.family.name") }},
-		{"EncodeResponse", 1, func() { EncodeResponse(plain) }},
-		{"EncodeResponse+header", 1, func() { EncodeResponse(tagged) }},
+		{"appendGet", 0, func() { appendGet(buf[:0], "/photos", host) }},
+		{"appendResponse", 0, func() { appendResponse(buf[:0], plain) }},
+		{"appendResponse+header", 0, func() { appendResponse(buf[:0], tagged) }},
 		{"parseRequest", 4, func() { parseRequest(reqWire) }},
 		{"parseResponse", 4, func() { parseResponse(respWire) }},
 	} {
@@ -265,7 +274,7 @@ func TestHTTPGetParsesHeadOnce(t *testing.T) {
 	for i := range body {
 		body[i] = byte(i * 7)
 	}
-	wire := EncodeResponse(&HTTPResponse{Status: 200, Header: "X-Queue-Item: 1", Body: body})
+	wire := appendResponse(nil, &HTTPResponse{Status: 200, Header: "X-Queue-Item: 1", Body: body})
 	var g httpGet
 	var head *HTTPResponse
 	for off := 0; off < len(wire); off += DefaultMSS {

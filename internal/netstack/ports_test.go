@@ -60,7 +60,7 @@ func checkPortUse(t *testing.T, h *Host, step int) {
 func TestEphemeralPortsMatchLinearScan(t *testing.T) {
 	eng, a, b, _ := twoHosts(7)
 	rng := rand.New(rand.NewSource(7))
-	b.ListenTCP(80, func(c *TCPConn) { c.OnClose(func(error) { c.Close() }) })
+	b.ListenTCP(80, func(c *TCPConn) { c.Attach(testApp{closed: func(error) { c.Close() }}) })
 
 	var open []*TCPConn // a's connections, any state short of forgotten
 	take := func() *TCPConn {
@@ -173,7 +173,7 @@ func TestEphemeralPortsMatchLinearScan(t *testing.T) {
 // must be handed out again.
 func TestDialFailsWhenEphemeralPortsExhausted(t *testing.T) {
 	eng, a, b, _ := twoHosts(3)
-	b.ListenTCP(80, func(c *TCPConn) { c.OnClose(func(error) { c.Close() }) })
+	b.ListenTCP(80, func(c *TCPConn) { c.Attach(testApp{closed: func(error) { c.Close() }}) })
 	// Hold every port but one with an imported connection (a listener
 	// holds one of them instead)...
 	const free, listening = 50000, 50001

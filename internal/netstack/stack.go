@@ -171,22 +171,20 @@ func (h *Host) rxFrame(frame []byte) {
 		h.rxFree = h.rxFree[:k-1]
 	} else {
 		j = &rxJob{host: h}
-		j.fire = j.run
 	}
 	j.frame = frame
-	h.Eng.At(h.rxBusy, j.fire)
+	h.Eng.AfterHandler(h.rxBusy-now, j)
 }
 
 // rxJob is one received frame waiting out the stack's processing cost.
-// Jobs are pooled on the Host and fire is bound when a job is first
-// made, so the receive path schedules without allocating.
+// Jobs are pooled on the Host and each is its own event's sim.Handler,
+// so the receive path schedules without allocating.
 type rxJob struct {
 	host  *Host
 	frame []byte
-	fire  func()
 }
 
-func (j *rxJob) run() {
+func (j *rxJob) Fire() {
 	h, frame := j.host, j.frame
 	j.frame = nil
 	h.rxFree = append(h.rxFree, j)

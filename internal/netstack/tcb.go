@@ -65,7 +65,7 @@ func (c *TCPConn) ExportTCB() (*TCB, error) {
 		Window:     c.sndWnd,
 	}
 	// Anything the app side hasn't consumed plus anything pending is
-	// the replay buffer. Proxy connections never install OnData, so all
+	// the replay buffer. Proxy connections never take data, so all
 	// received payload sits in pendingData.
 	for _, b := range c.pendingData {
 		t.Buffered = append(t.Buffered, b...)
@@ -88,7 +88,7 @@ func (c *TCPConn) Forget() {
 // ImportTCB reconstructs a connection in this stack from a snapshot.
 // The local IP must match the stack's address (the unikernel owns the
 // service IP the proxy was answering for). Buffered payload is queued
-// for the application's OnData.
+// for the application (Attach or OnData).
 func (h *Host) ImportTCB(t *TCB) (*TCPConn, error) {
 	if !h.HasIP(t.LocalIP) {
 		return nil, fmt.Errorf("netstack: TCB local %v != stack %v", t.LocalIP, h.IP)

@@ -101,17 +101,14 @@ type TCPConn struct {
 
 	rtxEv   sim.Event
 	retries int // retransmits since the last progress
-	// timerFn is onTimer, bound once per connection: the retransmission
-	// timer is re-armed on every segment and ACK.
-	timerFn func()
 
-	onData        func([]byte)
-	onClose       func(error)
-	dialDone      func(*TCPConn, error) // a dialled connection's callback, until established
-	listener      *TCPListener          // an accepted connection's listener, until established
-	pendingData   [][]byte              // private copies, parked before OnData was installed
-	closedErr     error
-	closeNotified bool
+	app         ConnHandler           // the attached application
+	onData      func([]byte)          // OnData's callback, if no application is attached
+	dialDone    func(*TCPConn, error) // a dialled connection's callback, until established
+	listener    *TCPListener          // an accepted connection's listener, until established
+	pendingData [][]byte              // private copies, parked while nobody takes data
+	closedErr   error
+	ended       bool // the end came: Closed is owed to whoever attaches
 
 	// BytesIn/BytesOut count application payload for diagnostics.
 	BytesIn, BytesOut uint64
@@ -125,39 +122,65 @@ func (c *TCPConn) State() TCPState { return c.state }
 // LocalAddr returns the local endpoint address.
 func (c *TCPConn) LocalAddr() (IP, uint16) { return c.key.localIP, c.key.localPort }
 
-// OnData installs the receive callback; any data that arrived earlier is
-// delivered immediately, preserving order. Each slice handed to fn is a
-// view of the received frame, its capacity clipped to its length: fn's
-// to keep (it keeps the frame's slab alive with it — netsim.Handler),
-// never to write.
+// ConnHandler is a connection's application: the object holding a
+// fetch's or a session's state, so attaching it binds nothing. Data gets
+// the payload in order, each slice a view of its frame clipped to its
+// length — to keep (with the frame's slab — netsim.Handler), never to
+// write. Closed reports the end once: nil for an orderly close,
+// ErrConnReset / ErrTimeout otherwise, or why a dial never came up.
+type ConnHandler interface {
+	Data([]byte)
+	Closed(error)
+}
+
+// Attach makes h the application: data that came earlier is delivered
+// at once, then Closed if the end came too.
+func (c *TCPConn) Attach(h ConnHandler) {
+	c.app = h
+	c.drain()
+	if c.ended {
+		h.Closed(c.closedErr)
+	}
+}
+
+// OnData installs a receive callback for a connection with no
+// application attached, ConnHandler.Data as a func; any data that
+// arrived earlier is delivered immediately, preserving order.
 func (c *TCPConn) OnData(fn func([]byte)) {
 	c.onData = fn
-	for _, b := range c.pendingData {
-		c.BytesIn += uint64(len(b))
-		fn(b)
-	}
+	c.drain()
+}
+
+// drain delivers the parked data, now that someone takes it.
+func (c *TCPConn) drain() {
+	parked := c.pendingData
 	c.pendingData = nil
-}
-
-// OnClose installs the teardown callback: nil error for orderly close,
-// ErrConnReset / ErrTimeout otherwise. If the connection already ended,
-// it fires immediately.
-func (c *TCPConn) OnClose(fn func(error)) {
-	c.onClose = fn
-	if c.closeNotified {
-		fn(c.closedErr)
+	for _, b := range parked {
+		c.take(b)
 	}
 }
 
-// DialTCP opens a connection; done fires when established or failed.
-// With every ephemeral port taken the dial fails with
-// ErrNoEphemeralPorts — from an event, like any other dial failure — and
-// the returned connection is already closed.
+// take hands b to the application, or else to OnData's callback.
+func (c *TCPConn) take(b []byte) {
+	c.BytesIn += uint64(len(b))
+	if c.app != nil {
+		c.app.Data(b)
+	} else {
+		c.onData(b)
+	}
+}
+
+// DialTCP opens a connection; done, if not nil, fires when established
+// or failed (an application attached meanwhile hears a failure as
+// Closed). With every ephemeral port taken the dial fails with
+// ErrNoEphemeralPorts — from an event, like any other dial failure —
+// and the returned connection is already closed.
 func (h *Host) DialTCP(dst IP, dstPort uint16, done func(*TCPConn, error)) *TCPConn {
 	port, ok := h.ephemeralPort()
 	if !ok {
-		h.Eng.After(0, func() { done(nil, ErrNoEphemeralPorts) })
-		return &TCPConn{host: h, state: StateClosed, closedErr: ErrNoEphemeralPorts, closeNotified: true}
+		c := &TCPConn{host: h, state: StateClosed, closedErr: ErrNoEphemeralPorts, dialDone: done}
+		h.Eng.After(0, c.notifyClosed)
+		return c
 	}
 	c := &TCPConn{
 		host: h,
@@ -178,18 +201,26 @@ func (h *Host) DialTCP(dst IP, dstPort uint16, done func(*TCPConn, error)) *TCPC
 }
 
 // Send queues application data for transmission, copying it into the
-// send buffer before it returns: the caller may reuse data at once.
+// send buffer before it returns: the caller may reuse data at once. On a
+// connection still dialling it waits for the handshake.
 func (c *TCPConn) Send(data []byte) error {
+	return c.write(func(b []byte) []byte { return append(b, data...) })
+}
+
+// write is every send's path: render appends to the send buffer, so a
+// message rendered there is not copied again.
+func (c *TCPConn) write(render func([]byte) []byte) error {
 	switch c.state {
-	case StateEstablished, StateCloseWait:
+	case StateSynSent, StateEstablished, StateCloseWait:
 	default:
 		return ErrConnClosed
 	}
 	if c.finQueued {
 		return ErrConnClosed
 	}
-	c.BytesOut += uint64(len(data))
-	c.sndBuf = append(c.sndBuf, data...)
+	n := len(c.sndBuf)
+	c.sndBuf = render(c.sndBuf)
+	c.BytesOut += uint64(len(c.sndBuf) - n)
 	c.trySend()
 	return nil
 }
@@ -203,6 +234,8 @@ func (c *TCPConn) Close() {
 	case StateCloseWait:
 		c.finQueued = true
 		c.state = StateLastAck
+	case StateSynSent:
+		c.finQueued = true // FIN_WAIT_1 at the handshake, behind what is queued
 	default:
 		return
 	}
@@ -308,27 +341,26 @@ func (c *TCPConn) backoff() sim.Backoff {
 	return b
 }
 
-// after books the connection's one timer func, binding it on first use.
+// connTimer is the connection as its timers' sim.Handler.
+type connTimer TCPConn
+
 func (c *TCPConn) after(d sim.Duration) sim.Event {
-	if c.timerFn == nil {
-		c.timerFn = c.onTimer
-	}
-	return c.host.Eng.After(d, c.timerFn)
+	return c.host.Eng.AfterHandler(d, (*connTimer)(c))
 }
 
-// onTimer serves both of the connection's timers, which are never armed
+// Fire serves both of the connection's timers, which are never armed
 // together (enterTimeWait cancels the retransmission timer): 2*MSL
 // expiry in TIME_WAIT, retransmission in every other state.
-func (c *TCPConn) onTimer() {
-	if c.state == StateTimeWait {
+func (t *connTimer) Fire() {
+	if c := (*TCPConn)(t); c.state == StateTimeWait {
 		c.teardown(nil)
-		return
+	} else {
+		c.retransmit()
 	}
-	c.retransmit()
 }
 
 // retransmit resends from sndUna with exponential backoff; the verdict
-// reads armRtx's c.retries, as the one bound timer func carries nothing.
+// reads armRtx's c.retries, as the timer event carries nothing.
 func (c *TCPConn) retransmit() {
 	if c.sndUna == c.sndNxt || c.state == StateClosed {
 		return
@@ -440,6 +472,9 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 				c.mss = int(seg.MSS)
 			}
 			c.state = StateEstablished
+			if c.finQueued {
+				c.state = StateFinWait1
+			}
 			c.retries = 0
 			c.host.Eng.Cancel(c.rtxEv)
 			c.sendSegment(FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
@@ -520,8 +555,10 @@ func (c *TCPConn) handleSegment(seg *TCPSegment) {
 		c.sendSegment(FlagACK, c.sndNxt, c.rcvNxt, nil, 0)
 		switch c.state {
 		case StateEstablished:
+			// Orderly: the app hears Closed(nil) and should Close its side
+			// (half-close semantics: watch State() == CLOSE_WAIT).
 			c.state = StateCloseWait
-			c.notifyRemoteClosed()
+			c.notifyClosed()
 		case StateFinWait1:
 			if c.finSent && c.sndUna == c.sndNxt {
 				c.enterTimeWait()
@@ -554,31 +591,16 @@ func (c *TCPConn) established() {
 // parked as a private copy: it can sit through a Synjitsu boot and must
 // not pin its frame's slab.
 func (c *TCPConn) deliver(payload []byte) {
-	if c.onData == nil {
+	if c.app == nil && c.onData == nil {
 		c.pendingData = append(c.pendingData, append([]byte(nil), payload...))
 		return
 	}
-	c.BytesIn += uint64(len(payload))
-	c.onData(payload[:len(payload):len(payload)])
-}
-
-// notifyRemoteClosed signals EOF-ish closure to the app: for our
-// callback API, remote FIN with no local Close yet surfaces via OnClose
-// with nil error once both directions finish; apps that want half-close
-// semantics can watch State() == CLOSE_WAIT.
-func (c *TCPConn) notifyRemoteClosed() {
-	if c.onClose != nil && !c.closeNotified {
-		// Orderly remote close; the app should Close() its side.
-		// We do not tear down yet.
-		c.closeNotified = true
-		c.closedErr = nil
-		c.onClose(nil)
-	}
+	c.take(payload[:len(payload):len(payload)])
 }
 
 // enterTimeWait parks the connection for 2*MSL. Both directions are
 // shut — nothing more is sent, delivered or established — so it keeps
-// OnClose and lets go of the rest: a busy host holds thousands of these.
+// its Closed and lets go of the rest: a busy host holds thousands.
 func (c *TCPConn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.host.Eng.Cancel(c.rtxEv)
@@ -595,13 +617,21 @@ func (c *TCPConn) teardown(err error) {
 	c.host.Eng.Cancel(c.rtxEv)
 	c.host.dropConn(c)
 	c.closedErr = err
-	switch done := c.dialDone; {
-	case c.closeNotified:
-	case c.onClose != nil:
-		c.closeNotified = true
-		c.onClose(err)
-	case done != nil: // a dial that never established fails through its callback
-		c.closeNotified, c.dialDone = true, nil
+	c.notifyClosed()
+}
+
+// notifyClosed tells the application, once, that the connection ended
+// with closedErr, or a dial's callback that it never came up; with
+// neither, Attach tells the application it brings.
+func (c *TCPConn) notifyClosed() {
+	if c.ended {
+		return
+	}
+	c.ended = true
+	if err, done := c.closedErr, c.dialDone; c.app != nil {
+		c.app.Closed(err)
+	} else if done != nil {
+		c.dialDone = nil
 		if err == nil {
 			err = ErrConnClosed
 		}

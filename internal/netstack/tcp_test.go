@@ -147,10 +147,10 @@ func TestTCPLargeTransferSegmentation(t *testing.T) {
 	var received []byte
 	done := false
 	b.ListenTCP(9000, func(c *TCPConn) {
-		c.OnData(func(data []byte) {
-			received = append(received, data...)
+		c.Attach(testApp{
+			data:   func(data []byte) { received = append(received, data...) },
+			closed: func(error) { done = true; c.Close() },
 		})
-		c.OnClose(func(error) { done = true; c.Close() })
 	})
 	a.DialTCP(b.IP, 9000, func(c *TCPConn, err error) {
 		if err != nil {
@@ -182,7 +182,7 @@ func TestTCPOrderlyClose(t *testing.T) {
 			t.Fatal(err)
 		}
 		clientConn = c
-		c.OnClose(func(e error) { clientClosed = e })
+		c.Attach(testApp{closed: func(e error) { clientClosed = e }})
 	})
 	eng.RunFor(time.Second)
 	// Server closes; client should see orderly close (nil), then close too.
@@ -268,7 +268,7 @@ func TestTCPAbortSendsRST(t *testing.T) {
 	var serverErr error = errors.New("unset")
 	a.DialTCP(b.IP, 80, func(c *TCPConn, err error) { clientConn = c })
 	eng.RunFor(time.Second)
-	serverConn.OnClose(func(e error) { serverErr = e })
+	serverConn.Attach(testApp{closed: func(e error) { serverErr = e }})
 	clientConn.Abort()
 	eng.Run()
 	if !errors.Is(serverErr, ErrConnReset) {

@@ -22,20 +22,23 @@
 // records), and the receiving Host's rxFrame books a fourth pooled
 // record that charges the stack's processing cost and calls
 // handleFrame. Decoded payloads are sub-slices of that immutable frame,
-// so a UDP handler and a TCP connection's OnData may keep what they are
-// handed — and keep the frame's slab alive for as long as they do; the
-// Host's own decoders let go when the frame has been handled. Three
-// paths hold bytes past the call that brought them — the ARP-pending
-// queue, loopback, and data parked on a connection with no OnData yet —
-// and each takes its own copy.
+// so a UDP handler and a TCP connection's application (ConnHandler.Data)
+// may keep what they are handed — and keep the frame's slab alive for as
+// long as they do; the Host's own decoders let go when the frame has
+// been handled. Three paths hold bytes past the call that brought them —
+// the ARP-pending queue, loopback, and data parked on a connection
+// nobody takes data from yet — and each takes its own copy.
+// A connection's application is one ConnHandler, its timers' Handler
+// the connection itself, and a message is rendered straight into the
+// send buffer: running a fetch binds no callback and copies no message.
 //
 // What a closed connection keeps. A fetch's connection is live for a
 // millisecond or two and then sits in TIME_WAIT for 2 s, so a host under
 // load holds thousands of TIME_WAIT connections and a handful of live
-// ones: they are the stack's resident memory. enterTimeWait drops the
-// send buffer and every callback but OnClose (which the expiry still
-// owes the application), and HTTPGet, which that OnClose points back to,
-// drops the response bytes and its caller when it finishes. What stays
+// ones: they are the stack's resident memory. enterTimeWait drops all
+// but the application, which the expiry still owes Closed; HTTPGet
+// drops the response bytes and its caller when it finishes, and an HTTP
+// server connection hands itself to hangUp, of size zero. What stays
 // for the 2 s is the TCPConn, its demux entry and its one timer.
 package netstack
 

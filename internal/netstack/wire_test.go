@@ -356,12 +356,12 @@ func TestHTTPCodec(t *testing.T) {
 		t.Fatal("incomplete request parsed")
 	}
 	resp := &HTTPResponse{Status: 200, Header: "X-Svc: jitsu", Body: []byte("hello")}
-	dec, ok := parseResponse(EncodeResponse(resp))
+	dec, ok := parseResponse(appendResponse(nil, resp))
 	if !ok || dec.Status != 200 || string(dec.Body) != "hello" || dec.Header.Get("x-svc") != "jitsu" {
 		t.Fatalf("response round trip: %+v ok=%v", dec, ok)
 	}
 	// Partial body: not complete yet.
-	enc := EncodeResponse(resp)
+	enc := appendResponse(nil, resp)
 	if _, ok := parseResponse(enc[:len(enc)-1]); ok {
 		t.Fatal("partial body parsed as complete")
 	}

@@ -93,3 +93,39 @@ func BenchmarkTimeWaitChurn(b *testing.B) {
 		e.Step()
 	}
 }
+
+// counter is an event object: its own Handler, as a connection is.
+type counter struct{ n int }
+
+func (c *counter) Fire() { c.n++ }
+
+// TestScheduleAllocs holds a steady-state schedule to no allocation
+// whichever way the event comes: a func (converted to a Handler inside
+// After and At), a method value bound once beforehand, or an object
+// that is its own Handler — scheduled and fired, or armed and cancelled.
+func TestScheduleAllocs(t *testing.T) {
+	e := sim.New(1)
+	farTimers(e, 1000)
+	var c counter
+	fn := func() { c.n++ }
+	bound := c.Fire
+	for _, op := range []struct {
+		name string
+		fn   func()
+	}{
+		{"After(func)", func() { e.After(time.Microsecond, fn); e.Step() }},
+		{"At(func)", func() { e.At(e.Now()+time.Microsecond, fn); e.Step() }},
+		{"After(method value)", func() { e.After(time.Microsecond, bound); e.Step() }},
+		{"AfterHandler", func() { e.AfterHandler(time.Microsecond, &c); e.Step() }},
+		{"After+Cancel", func() { e.Cancel(e.After(200*time.Millisecond, fn)) }},
+		{"AfterHandler+Cancel", func() { e.Cancel(e.AfterHandler(200*time.Millisecond, &c)) }},
+	} {
+		op.fn() // a node on the free list
+		if n := testing.AllocsPerRun(1000, op.fn); n != 0 {
+			t.Errorf("%s: %v allocs per schedule, want 0", op.name, n)
+		}
+	}
+	if c.n == 0 {
+		t.Fatal("no event fired")
+	}
+}

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
-// All Jitsu subsystems run on virtual time supplied by an Engine: events
-// are callbacks scheduled at absolute virtual instants, executed in
+// All Jitsu subsystems run on virtual time supplied by an Engine: an
+// event is a Handler scheduled at an absolute virtual instant, fired in
 // timestamp order (ties broken by scheduling order), so a whole host
 // simulation — hypervisor, XenStore, network stacks — is reproducible
 // bit-for-bit from a seed and runs in real milliseconds regardless of how
@@ -11,7 +11,9 @@
 //
 // The scheduler is built for the million-event workloads of the cluster
 // experiments: two tiers over one pool of event nodes, so steady-state
-// scheduling performs no allocation.
+// scheduling performs no allocation. An object that outlives its events
+// (a connection, a pooled job) is their Handler, so arming one binds
+// nothing; a func (At/After) is one too, converted for free.
 //
 //   - A hierarchical timing wheel (6 levels x 64 slots of ~1 ms ticks)
 //     holds every event whose tick lies beyond the wheel cursor: the
@@ -48,7 +50,7 @@ type Duration = time.Duration
 type event struct {
 	at  Duration
 	seq uint64 // tie-breaker: FIFO among events at the same instant
-	fn  func()
+	h   Handler
 	// gen is 64-bit so it cannot wrap within any feasible run: the LIFO
 	// free list reuses one hot node for nearly every schedule in steady
 	// state, and a 32-bit counter could wrap under a long-retained
@@ -66,6 +68,15 @@ const (
 	stateWheel                  // live, in a wheel slot
 	stateCancelled              // dead, in the heap until collected
 )
+
+// Handler is what an event runs when it fires.
+type Handler interface{ Fire() }
+
+// funcHandler is a func as a Handler; being one pointer, it converts
+// without allocating.
+type funcHandler func()
+
+func (f funcHandler) Fire() { f() }
 
 // Event is a cancellable handle to a scheduled callback, returned by the
 // scheduling methods. It is a small value: copy it freely. The zero
@@ -135,7 +146,17 @@ func (e *Engine) MaxPending() int { return e.maxPending }
 // At schedules fn to run at the absolute virtual instant t.
 // Scheduling in the past panics: that is always a logic error in a
 // discrete-event model.
-func (e *Engine) At(t Duration, fn func()) Event {
+func (e *Engine) At(t Duration, fn func()) Event { return e.at(t, funcHandler(fn)) }
+
+// After schedules fn to run d after the current instant. Negative d is
+// clamped to zero so cost models may return tiny negative jitter safely.
+func (e *Engine) After(d Duration, fn func()) Event { return e.AfterHandler(d, funcHandler(fn)) }
+
+// AfterHandler is After for a Handler: h.Fire runs d from now.
+func (e *Engine) AfterHandler(d Duration, h Handler) Event { return e.at(e.now+max(d, 0), h) }
+
+// at is the one scheduling path.
+func (e *Engine) at(t Duration, h Handler) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -147,7 +168,7 @@ func (e *Engine) At(t Duration, fn func()) Event {
 	} else {
 		n = &event{}
 	}
-	n.at, n.seq, n.fn, n.state = t, e.seq, fn, statePending
+	n.at, n.seq, n.h, n.state = t, e.seq, h, statePending
 	e.seq++
 	if tick := tickOf(t); tick <= e.cursor {
 		e.push(n)
@@ -158,15 +179,6 @@ func (e *Engine) At(t Duration, fn func()) Event {
 		e.maxPending = p
 	}
 	return Event{n: n, gen: n.gen, at: t}
-}
-
-// After schedules fn to run d after the current instant. Negative d is
-// clamped to zero so cost models may return tiny negative jitter safely.
-func (e *Engine) After(d Duration, fn func()) Event {
-	if d < 0 {
-		d = 0
-	}
-	return e.At(e.now+d, fn)
 }
 
 // compactThreshold is the minimum number of cancelled nodes before a
@@ -188,7 +200,7 @@ func (e *Engine) Cancel(ev Event) {
 		return
 	}
 	ev.n.state = stateCancelled
-	ev.n.fn = nil
+	ev.n.h = nil
 	e.ncancel++
 	if e.ncancel > compactThreshold && e.ncancel > len(e.heap)/2 {
 		e.compact()
@@ -248,7 +260,7 @@ func (e *Engine) siftDown(i int) {
 // outstanding handle to this scheduling.
 func (e *Engine) recycle(n *event) {
 	n.gen++
-	n.fn = nil
+	n.h = nil
 	e.free = append(e.free, n)
 }
 
@@ -270,9 +282,9 @@ func (e *Engine) step(t Duration) bool {
 	n := e.pop()
 	e.now = n.at
 	e.fired++
-	fn := n.fn
+	h := n.h
 	e.recycle(n)
-	fn()
+	h.Fire()
 	return true
 }
 

@@ -19,6 +19,7 @@ type scheduler struct {
 	fired      func() uint64
 	at         func(Duration, func()) modelHandle
 	after      func(Duration, func()) modelHandle
+	handler    func(Duration, func()) modelHandle // a Handler that is not a func; the reference's After
 	step       func() bool
 	run        func()
 	runUntil   func(Duration)
@@ -42,12 +43,22 @@ func wheelScheduler(e *Engine) scheduler {
 			ev := e.After(d, fn)
 			return modelHandle{func() { e.Cancel(ev) }, ev.Cancelled}
 		},
+		handler: func(d Duration, fn func()) modelHandle {
+			ev := e.AfterHandler(d, &modelHandler{fn})
+			return modelHandle{func() { e.Cancel(ev) }, ev.Cancelled}
+		},
 		step: e.Step, run: e.Run, runUntil: e.RunUntil, runFor: e.RunFor, stop: e.Stop,
 	}
 }
 
+// modelHandler is an event object with a method, as a connection or a
+// query is one.
+type modelHandler struct{ fn func() }
+
+func (h *modelHandler) Fire() { h.fn() }
+
 func refScheduler(e *refEngine) scheduler {
-	return scheduler{
+	s := scheduler{
 		now: e.Now, pending: e.Pending, maxPending: e.MaxPending, fired: e.Fired,
 		at: func(t Duration, fn func()) modelHandle {
 			ev := e.At(t, fn)
@@ -59,6 +70,8 @@ func refScheduler(e *refEngine) scheduler {
 		},
 		step: e.Step, run: e.Run, runUntil: e.RunUntil, runFor: e.RunFor, stop: e.Stop,
 	}
+	s.handler = s.after
+	return s
 }
 
 // modelSide is one engine under the script, with what it has fired.
@@ -98,8 +111,10 @@ func modelDelay(code byte, id int, now Duration) Duration {
 	}
 }
 
-// schedule adds event id = len(handles) on this side. What a handler does
-// is a function of its id alone, so both sides grow the same children as
+// schedule adds event id = len(handles) on this side: at an instant, or
+// after a delay as a func or as a Handler object, so one stream mixes
+// both kinds of event with cancels of either. What a handler does is a
+// function of its id alone, so both sides grow the same children as
 // long as they fire in the same order.
 func (m *modelSide) schedule(code byte) {
 	id := len(m.handles)
@@ -116,10 +131,13 @@ func (m *modelSide) schedule(code byte) {
 		}
 	}
 	m.handles = append(m.handles, modelHandle{})
-	if code&8 == 0 {
-		m.handles[id] = m.s.after(d, fn)
-	} else {
+	switch {
+	case code&8 != 0:
 		m.handles[id] = m.s.at(m.s.now()+d, fn)
+	case code&16 != 0:
+		m.handles[id] = m.s.handler(d, fn)
+	default:
+		m.handles[id] = m.s.after(d, fn)
 	}
 }
 
@@ -234,7 +252,7 @@ func checkWheel(t *testing.T, e *Engine, at string) {
 		t.Fatalf("%s: nextStart %d is past the earliest slot start %d", at, e.nextStart, earliest)
 	}
 	for _, n := range e.free {
-		if n.next != nil || n.prev != nil || n.fn != nil {
+		if n.next != nil || n.prev != nil || n.h != nil {
 			t.Fatalf("%s: recycled node keeps a link or its callback", at)
 		}
 	}

@@ -68,13 +68,7 @@ func DialSession(eng *sim.Engine, host *netstack.Host, dst netstack.IP, port uin
 	if dialErr != nil {
 		return nil, dialErr
 	}
-	c.conn.OnData(c.onData)
-	c.conn.OnClose(func(err error) {
-		c.closed = true
-		if err != nil {
-			c.closeErr = err
-		}
-	})
+	c.conn.Attach((*clientConn)(c))
 
 	id := c.id()
 	if err := c.sendFrame(THello, id, Hello{Min: Version, Max: Version, Token: cfg.Token}); err != nil {
@@ -163,6 +157,18 @@ func (c *Client) sendFrame(typ byte, id uint32, msg any) error {
 	}
 	c.tx = keep(buf)
 	return c.conn.Send(buf)
+}
+
+// clientConn is the Client as its connection's application.
+type clientConn Client
+
+func (a *clientConn) Data(b []byte) { (*Client)(a).onData(b) }
+
+func (a *clientConn) Closed(err error) {
+	a.closed = true
+	if err != nil {
+		a.closeErr = err
+	}
 }
 
 // onData reassembles frames and routes them: responses park in resps

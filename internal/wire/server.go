@@ -60,8 +60,7 @@ func Serve(host *netstack.Host, backend api.ControlPlane, cfg ServerConfig) (*Se
 		s.Conns++
 		sc := &srvConn{s: s, conn: conn, watches: make(map[uint32]func())}
 		s.conns[sc] = struct{}{}
-		conn.OnData(sc.onData)
-		conn.OnClose(sc.onClose)
+		conn.Attach(sc)
 	})
 	if err != nil {
 		return nil, err
@@ -116,7 +115,9 @@ type srvConn struct {
 	watches map[uint32]func()
 }
 
-func (sc *srvConn) onClose(error) {
+// Closed is the connection's end, and a session's on a protocol
+// violation.
+func (sc *srvConn) Closed(error) {
 	sc.closed = true
 	for id := range sc.watches {
 		sc.stopWatch(id)
@@ -137,7 +138,7 @@ func (sc *srvConn) stopWatch(id uint32) bool {
 // drop abandons the connection on a protocol violation.
 func (sc *srvConn) drop() {
 	sc.s.ProtoErrs++
-	sc.onClose(nil)
+	sc.Closed(nil)
 	sc.conn.Abort()
 }
 
@@ -173,11 +174,12 @@ func (sc *srvConn) flush(x buf) {
 	}
 	sc.tx = keep(buf)
 	if sc.conn.Send(buf) != nil {
-		sc.onClose(nil)
+		sc.Closed(nil)
 	}
 }
 
-func (sc *srvConn) onData(b []byte) {
+// Data reassembles request frames and dispatches them.
+func (sc *srvConn) Data(b []byte) {
 	sc.rx = append(sc.rx, b...)
 	for !sc.closed {
 		_, typ, id, body, n, err := split(sc.rx[sc.rxoff:])
