@@ -109,7 +109,8 @@
 // holds the DNS fast path and the recorder itself at 0 allocs/op), and
 // counters live in per-subsystem obs.Registry mirrors snapshot via
 // api.StatsResponse.Registries / streamed via api.WatchStats rather
-// than scattering ad-hoc getters.
+// than scattering ad-hoc getters. A stream refills one buffer per tick,
+// so a snapshot handed to OnStats is valid until it returns.
 //
 // Every tier's client runs the same transaction, written once as
 // dns.Fetcher: resolve at a Jitsu directory, then GET from the answered

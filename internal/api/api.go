@@ -296,7 +296,19 @@ type PromoteResponse struct {
 }
 
 // StatsRequest snapshots the deployment's counters.
-type StatsRequest struct{}
+type StatsRequest struct {
+	// Into, when set, is the buffer the snapshot is written into: the
+	// response returned aliases it and is valid until Into is refilled,
+	// so copy what must outlive that. It never crosses the wire.
+	Into *StatsBuf
+}
+
+// StatsBuf is a reusable snapshot: the response a Stats fill writes and
+// the arrays its registries' rows are cut from.
+type StatsBuf struct {
+	Resp StatsResponse
+	Rows obs.Rows
+}
 
 // ServiceStats is one service's aggregated lifecycle counters. State is
 // the typed lifecycle tier (for a cluster: the most-alive tier any
@@ -325,14 +337,16 @@ type StatsResponse struct {
 }
 
 // WatchStatsRequest subscribes to the deployment's stats stream: OnStats
-// fires with a fresh StatsResponse every Every of virtual time. The
-// stream runs on the deployment's own engine, so snapshots land at
+// fires with a StatsResponse every Every of virtual time. The stream
+// runs on the deployment's own engine, so snapshots land at
 // deterministic instants and two same-seed runs observe identical
 // sequences.
 type WatchStatsRequest struct {
 	// Every is the virtual-time snapshot period (must be positive).
 	Every time.Duration
 	// OnStats receives each snapshot; returning false ends the stream.
+	// The stream refills one buffer per tick: a snapshot is valid until
+	// OnStats returns, so copy what must outlive the call.
 	OnStats func(StatsResponse) bool
 }
 
@@ -343,8 +357,9 @@ type WatchStatsResponse struct {
 }
 
 // StreamStats drives a WatchStats subscription on eng, snapshotting via
-// snap each period. Shared by every ControlPlane backend so the verb
-// behaves identically on one board and on a cluster.
+// snap into the stream's one buffer each period. Shared by every
+// ControlPlane backend so the verb behaves identically on one board and
+// on a cluster.
 func StreamStats(eng *sim.Engine, req WatchStatsRequest, snap func(StatsRequest) StatsResponse) WatchStatsResponse {
 	if req.Every <= 0 {
 		return WatchStatsResponse{Err: Errf(VerbWatchStats, CodeBadRequest, "non-positive period %v", req.Every)}
@@ -353,12 +368,13 @@ func StreamStats(eng *sim.Engine, req WatchStatsRequest, snap func(StatsRequest)
 		return WatchStatsResponse{Err: Errf(VerbWatchStats, CodeBadRequest, "nil OnStats")}
 	}
 	stopped := false
+	into := new(StatsBuf)
 	var tick func()
 	tick = func() {
 		if stopped {
 			return
 		}
-		if !req.OnStats(snap(StatsRequest{})) {
+		if !req.OnStats(snap(StatsRequest{Into: into})) {
 			stopped = true
 			return
 		}

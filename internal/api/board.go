@@ -1,12 +1,12 @@
 package api
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"strings"
 
 	"jitsu/internal/core"
-	"jitsu/internal/obs"
 )
 
 // boardPlane adapts one core.Board's directory to the ControlPlane
@@ -173,15 +173,24 @@ func (p *boardPlane) Stop(req StopRequest) StopResponse {
 	return StopResponse{}
 }
 
-func (p *boardPlane) Stats(StatsRequest) StatsResponse {
+// Stats writes the board's snapshot into req.Into, or a fresh buffer:
+// the directory read in place, in name order.
+func (p *boardPlane) Stats(req StatsRequest) StatsResponse {
+	b := cmp.Or(req.Into, new(StatsBuf))
 	svcs := p.b.Jitsu.Services()
-	resp := StatsResponse{Services: make([]ServiceStats, 0, len(svcs))}
-	for _, svc := range svcs {
-		resp.Services = append(resp.Services, ServiceStats{Name: svc.Cfg.Name, State: svc.State, Counters: svc.Counters})
+	r := &b.Resp
+	*r = StatsResponse{
+		Services:   slices.Grow(r.Services[:0], len(svcs)),
+		Triggers:   AddFired(slices.Grow(r.Triggers[:0], 8), p.b.Jitsu.Activation()),
+		Registries: b.Rows.Freeze(r.Registries[:0], p.b.Reg),
 	}
-	resp.Triggers = AddFired(make([]TriggerStats, 0, 8), p.b.Jitsu.Activation())
-	resp.Registries = obs.Snapshots(p.b.Reg)
-	return resp
+	for _, svc := range svcs {
+		r.Services = append(r.Services, ServiceStats{Name: svc.Cfg.Name, State: svc.State, Counters: svc.Counters})
+	}
+	if len(svcs) == 0 {
+		r.Services = nil // as a fresh buffer leaves it
+	}
+	return *r
 }
 
 func (p *boardPlane) WatchStats(req WatchStatsRequest) WatchStatsResponse {

@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
+
 	"jitsu/internal/api"
 	"jitsu/internal/core"
 	"jitsu/internal/dns"
@@ -296,23 +299,31 @@ func (p *clusterPlane) Promote(req api.PromoteRequest) api.PromoteResponse {
 	return resp
 }
 
-func (p *clusterPlane) Stats(api.StatsRequest) api.StatsResponse {
-	resp := api.StatsResponse{
-		Services: make([]api.ServiceStats, 0, len(p.c.dir.ordered)),
-		Triggers: make([]api.TriggerStats, 0, 8),
+// Stats writes the cluster's snapshot into req.Into, or a fresh buffer:
+// one row per service summed over its replicas, the boards' triggers
+// merged, then the cluster-tier registry and one per board in board
+// order — a cluster of up to 15 boards lists them on the stack.
+func (p *clusterPlane) Stats(req api.StatsRequest) api.StatsResponse {
+	b := cmp.Or(req.Into, new(api.StatsBuf))
+	regs := append(make([]*obs.Registry, 0, 16), p.c.Reg)
+	r := &b.Resp
+	*r = api.StatsResponse{
+		Services:   slices.Grow(r.Services[:0], len(p.c.dir.ordered)),
+		Triggers:   slices.Grow(r.Triggers[:0], 8),
+		Registries: r.Registries[:0],
 	}
 	for _, e := range p.c.dir.ordered {
-		resp.Services = append(resp.Services, e.totals().ServiceStats)
+		r.Services = append(r.Services, e.totals().ServiceStats)
 	}
-	// Cluster-tier registry first, then one per board in board order; a
-	// cluster of up to 15 boards lists them on the stack.
-	regs := append(make([]*obs.Registry, 0, 16), p.c.Reg)
 	for _, m := range p.c.members {
-		resp.Triggers = api.AddFired(resp.Triggers, m.Board.Jitsu.Activation())
+		r.Triggers = api.AddFired(r.Triggers, m.Board.Jitsu.Activation())
 		regs = append(regs, m.Board.Reg)
 	}
-	resp.Registries = obs.Snapshots(regs...)
-	return resp
+	r.Registries = b.Rows.Freeze(r.Registries, regs...)
+	if len(r.Services) == 0 {
+		r.Services = nil // as a fresh buffer leaves it
+	}
+	return *r
 }
 
 func (p *clusterPlane) WatchStats(req api.WatchStatsRequest) api.WatchStatsResponse {

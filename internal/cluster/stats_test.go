@@ -263,3 +263,160 @@ func TestStatsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// freshDecode is a snapshot as a client decoded it before streams and
+// Stats buffers reused their arrays: encoded, then decoded statelessly.
+func freshDecode(t *testing.T, s api.StatsResponse) api.StatsResponse {
+	t.Helper()
+	buf, err := wire.Append(nil, wire.Version, wire.TStatsResp, 1, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, msg, _, err := wire.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg.(api.StatsResponse)
+}
+
+// statsOracle fronts a control plane on the wire and takes a fresh
+// Stats at the instant of every snapshot it serves — each Stats verb and
+// each watch tick — for the client's deliveries to be held to, in the
+// order they were sent. A tick is also held, in process, to that fresh
+// Stats.
+type statsOracle struct {
+	api.ControlPlane
+	t            *testing.T
+	verbs, ticks []api.StatsResponse
+}
+
+func (o *statsOracle) Stats(req api.StatsRequest) api.StatsResponse {
+	o.verbs = append(o.verbs, o.ControlPlane.Stats(api.StatsRequest{}))
+	return o.ControlPlane.Stats(req)
+}
+
+func (o *statsOracle) WatchStats(req api.WatchStatsRequest) api.WatchStatsResponse {
+	on := req.OnStats
+	req.OnStats = func(s api.StatsResponse) bool {
+		fresh := o.ControlPlane.Stats(api.StatsRequest{})
+		sameStats(o.t, "server tick", s, fresh)
+		o.ticks = append(o.ticks, fresh)
+		return on(s)
+	}
+	return o.ControlPlane.WatchStats(req)
+}
+
+// pop takes the oldest reference off q.
+func pop(t *testing.T, q *[]api.StatsResponse, what string) api.StatsResponse {
+	t.Helper()
+	if len(*q) == 0 {
+		t.Fatalf("a %s arrived that the server never sent", what)
+	}
+	s := (*q)[0]
+	*q = (*q)[1:]
+	return s
+}
+
+// TestReusedStatsMatchFresh drives a disk-tiered cluster through a
+// seeded lifecycle script — services activated, demoted, promoted,
+// stopped, migrated, registered and removed — and holds every snapshot
+// that reuses a buffer to a fresh Stats taken at the same instant: the
+// cluster's and a board's in-process streams and Into fills, and over
+// the wire a watch stream and Stats into an Into buffer, both held to
+// the fresh snapshot encoded and decoded statelessly. Rows of a longer
+// earlier snapshot must never leak into a shorter later one.
+func TestReusedStatsMatchFresh(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewCluster(WithBoards(4), WithSeed(seed),
+			WithBoardOptions(core.WithDisk(blockdev.DefaultConfig())))
+		ctl := c.API()
+		for _, i := range rng.Perm(16) {
+			ctl.Register(api.RegisterRequest{Config: testService(fmt.Sprintf("site%02d", i), byte(20+i))})
+		}
+		oracle := &statsOracle{ControlPlane: ctl, t: t}
+		if _, err := wire.Serve(c.MgmtHost(0), oracle, wire.ServerConfig{Anonymous: api.ScopeReadOnly}); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := wire.DialSession(c.Eng(), c.AttachMgmtHost("console", 200), c.MgmtHost(0).IP, wire.DefaultPort, wire.SessionConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed := 0
+		if w := cl.WatchStats(api.WatchStatsRequest{Every: 70 * time.Millisecond, OnStats: func(s api.StatsResponse) bool {
+			streamed++
+			if want := freshDecode(t, pop(t, &oracle.ticks, "stats event")); !reflect.DeepEqual(s, want) {
+				t.Fatalf("seed %d: stats event %d:\n got  %+v\n want %+v", seed, streamed, s, want)
+			}
+			return true
+		}}); w.Err != nil {
+			t.Fatal(w.Err)
+		}
+		board := api.ForBoard(c.Boards[1])
+		for _, p := range []api.ControlPlane{ctl, board} {
+			if w := p.WatchStats(api.WatchStatsRequest{Every: 90 * time.Millisecond, OnStats: func(s api.StatsResponse) bool {
+				sameStats(t, fmt.Sprintf("seed %d, in-process tick", seed), s, p.Stats(api.StatsRequest{}))
+				return true
+			}}); w.Err != nil {
+				t.Fatal(w.Err)
+			}
+		}
+
+		var remote, local, one api.StatsBuf
+		moved := 0
+		for step := 0; step < 120; step++ {
+			name := fmt.Sprintf("site%02d.family.name", rng.Intn(18))
+			switch rng.Intn(8) {
+			case 0, 1:
+				ctl.Activate(api.ActivateRequest{Name: name})
+			case 2:
+				ctl.Demote(api.DemoteRequest{Name: name})
+			case 3:
+				ctl.Promote(api.PromoteRequest{Name: name})
+			case 4:
+				ctl.Stop(api.StopRequest{Name: name})
+			case 5:
+				ctl.Migrate(api.MigrateRequest{Name: name})
+			default:
+				// Removals outnumber registrations until few are left, then
+				// the directory grows back: snapshots shrink and regrow.
+				if n := len(c.dir.ordered); n > 3 && (step/30)%2 == 0 {
+					c.Unregister(c.dir.ordered[rng.Intn(n)].Name)
+				} else {
+					n := rng.Intn(18)
+					ctl.Register(api.RegisterRequest{Config: testService(fmt.Sprintf("site%02d", n), byte(20+n))})
+				}
+			}
+			c.Eng().RunFor(time.Duration(rng.Intn(300)) * time.Millisecond)
+			when := fmt.Sprintf("seed %d step %d", seed, step)
+
+			before := remote.Resp.Services
+			got := cl.Stats(api.StatsRequest{Into: &remote})
+			if got.Err != nil {
+				t.Fatalf("%s: %v", when, got.Err)
+			}
+			if want := freshDecode(t, pop(t, &oracle.verbs, "stats response")); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(remote.Resp, want) {
+				t.Fatalf("%s, over the wire:\n got  %+v\n want %+v", when, got, want)
+			}
+			if len(before) > 0 && len(got.Services) > 0 && &before[:1][0] != &got.Services[0] {
+				moved++
+			}
+			sameStats(t, when+", cluster", ctl.Stats(api.StatsRequest{Into: &local}), ctl.Stats(api.StatsRequest{}))
+			sameStats(t, when+", one board", board.Stats(api.StatsRequest{Into: &one}), board.Stats(api.StatsRequest{}))
+		}
+		// The directory emptied: the buffers refill to no rows at all.
+		for _, e := range c.dir.Entries() {
+			c.Unregister(e.Name)
+		}
+		c.Eng().RunFor(time.Second)
+		sameStats(t, "empty cluster", ctl.Stats(api.StatsRequest{Into: &local}), ctl.Stats(api.StatsRequest{}))
+		sameStats(t, "empty board", board.Stats(api.StatsRequest{Into: &one}), board.Stats(api.StatsRequest{}))
+		if streamed < 100 || moved > 10 {
+			t.Fatalf("seed %d: %d stats events, the Into buffer's rows moved %d times in 120 verbs", seed, streamed, moved)
+		}
+		if len(oracle.ticks) > 1 || len(oracle.verbs) != 0 {
+			t.Fatalf("seed %d: %d ticks and %d responses sent but never delivered", seed, len(oracle.ticks), len(oracle.verbs))
+		}
+		cl.Close()
+	}
+}

@@ -318,9 +318,10 @@ func (j *Jitsu) Service(name string) (*Service, error) {
 	return svc, nil
 }
 
-// Services returns the registered services in name order: a copy of the
-// directory's slice, holding the live *Service entries.
-func (j *Jitsu) Services() []*Service { return slices.Clone(j.ordered) }
+// Services returns the registered services in name order: the
+// directory's own slice, read in place. The caller must not modify it,
+// and a Register or Deregister invalidates it.
+func (j *Jitsu) Services() []*Service { return j.ordered }
 
 // TriggerControl is the Summon.Via name for control-plane firings
 // (Jitsu.Activate, api.ControlPlane.Activate, warm-pool prewarms).

@@ -206,18 +206,16 @@ func (fe *triggerMatrixRow) viaName() string {
 	}
 }
 
-// TestServicesReturnsCopy pins the satellite fix: mutating the returned
-// slice must not touch the directory.
-func TestServicesReturnsCopy(t *testing.T) {
+// TestServicesReadsTheDirectory: Services hands out the directory's own
+// name-ordered slice of live entries, without copying it.
+func TestServicesReadsTheDirectory(t *testing.T) {
 	b := New()
 	alice := b.Jitsu.Register(aliceService())
-	m := b.Jitsu.Services()
-	m[0] = &Service{Cfg: ServiceConfig{Name: "bogus.family.name"}}
-	if svc, err := b.Jitsu.Service("alice.family.name"); err != nil || svc != alice {
-		t.Fatal("overwriting the Services() snapshot replaced the registration")
-	}
 	if got := b.Jitsu.Services(); len(got) != 1 || got[0] != alice {
 		t.Fatalf("directory = %v, want alice alone", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { b.Jitsu.Services() }); n != 0 {
+		t.Fatalf("Services allocated %.0f objects, want 0", n)
 	}
 }
 

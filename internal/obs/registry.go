@@ -11,7 +11,8 @@
 // one plain struct (name-sorted) that api.StatsResponse carries whole;
 // the sort is paid when a row is registered — the first snapshot after
 // it — never per snapshot, which allocates one array per row kind and
-// one for the buckets, however many registries Snapshots freezes at once.
+// one for the buckets, however many registries Rows.Freeze freezes at
+// once, and nothing when it refills a Rows that held as many rows before.
 //
 // Naming convention: metric names are dot-paths,
 // "<subsystem>.<thing>[_<unit>]" — e.g. "dns.cache_hits",
@@ -184,78 +185,109 @@ type Snapshot struct {
 	Hists    []HistSnap
 }
 
-// Snapshot freezes the registry: Snapshots of it alone.
+// Snapshot freezes the registry alone, into arrays of its own.
 func (r *Registry) Snapshot() Snapshot {
 	var s [1]Snapshot
-	freeze(s[:], []*Registry{r})
-	return s[0]
+	return new(Rows).Freeze(s[:0], r)[0]
 }
 
-// Snapshots freezes regs, in order, one Snapshot each. Mirrors
+// Rows is the arrays a set of snapshots cuts its rows from, one per row
+// kind and one for every histogram's buckets. A Rows kept from fill to
+// fill is refilled in place: once it has held the largest fill, a fill
+// allocates nothing — and overwrites the rows of the last.
+type Rows struct {
+	Counters Pool[CounterSnap]
+	Gauges   Pool[GaugeSnap]
+	Hists    Pool[HistSnap]
+	Buckets  Pool[uint64]
+}
+
+// Freeze snapshots regs, in order, into dst[:0] and returns it. Mirrors
 // (CounterFunc/GaugeFunc) are read here, never on their owners' hot
 // paths. Rows come out in name order because the row lists are kept in
 // it: a registration marks them unsorted, the next snapshot sorts them
 // once (stably). However many registries there are, their rows of one
-// kind are cut from one array and all their histograms' buckets from
-// one more, each cut capped at its length so an append to one
-// registry's rows cannot spill into the next's.
-func Snapshots(regs ...*Registry) []Snapshot {
-	out := make([]Snapshot, len(regs))
-	freeze(out, regs)
-	return out
-}
-
-// freeze snapshots regs[i] into out[i]: one pass sorts and counts, the
-// second fills the shared arrays.
-func freeze(out []Snapshot, regs []*Registry) {
+// kind are cut from one array of r and all their histograms' buckets
+// from one more, each cut capped at its length so an append to one
+// registry's rows cannot spill into the next's. dst's and r's arrays are
+// reused when they have room, overwriting what a Freeze returned before.
+func (r *Rows) Freeze(dst []Snapshot, regs ...*Registry) []Snapshot {
 	var nc, ng, nh, nb int
-	for _, r := range regs {
-		if !r.sorted {
-			slices.SortStableFunc(r.counters, func(a, b namedCounter) int { return strings.Compare(a.name, b.name) })
-			slices.SortStableFunc(r.gauges, func(a, b namedGauge) int { return strings.Compare(a.name, b.name) })
-			slices.SortStableFunc(r.hists, func(a, b namedHist) int { return strings.Compare(a.name, b.name) })
-			r.sorted = true
+	for _, reg := range regs {
+		if !reg.sorted {
+			slices.SortStableFunc(reg.counters, func(a, b namedCounter) int { return strings.Compare(a.name, b.name) })
+			slices.SortStableFunc(reg.gauges, func(a, b namedGauge) int { return strings.Compare(a.name, b.name) })
+			slices.SortStableFunc(reg.hists, func(a, b namedHist) int { return strings.Compare(a.name, b.name) })
+			reg.sorted = true
 		}
-		nc, ng, nh = nc+len(r.counters), ng+len(r.gauges), nh+len(r.hists)
-		for _, h := range r.hists {
+		nc, ng, nh = nc+len(reg.counters), ng+len(reg.gauges), nh+len(reg.hists)
+		for _, h := range reg.hists {
 			nb += h.h.used()
 		}
 	}
-	// Grow, not make: a kind no registry has stays nil, as append left it.
-	counters := slices.Grow([]CounterSnap(nil), nc)
-	gauges := slices.Grow([]GaugeSnap(nil), ng)
-	hists := slices.Grow([]HistSnap(nil), nh)
-	buckets := make([]uint64, 0, nb)
-	for i, r := range regs {
-		c0, g0, h0 := len(counters), len(gauges), len(hists)
-		for _, nc := range r.counters {
+	r.Counters.reset(true, nc)
+	r.Gauges.reset(true, ng)
+	r.Hists.reset(true, nh)
+	r.Buckets.reset(true, nb)
+	dst = slices.Grow(dst[:0], len(regs))
+	for _, reg := range regs {
+		s := Snapshot{Name: reg.Name, Counters: r.Counters.Cut(len(reg.counters), nc),
+			Gauges: r.Gauges.Cut(len(reg.gauges), ng), Hists: r.Hists.Cut(len(reg.hists), nh)}
+		for _, nc := range reg.counters {
 			v := uint64(0)
 			if nc.c != nil {
 				v = nc.c.Value()
 			} else if nc.fn != nil {
 				v = nc.fn()
 			}
-			counters = append(counters, CounterSnap{Name: nc.name, Value: v})
+			s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: v})
 		}
-		for _, ng := range r.gauges {
-			gauges = append(gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
+		for _, ng := range reg.gauges {
+			s.Gauges = append(s.Gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
 		}
-		for _, nh := range r.hists {
-			hs := HistSnap{Name: nh.name, Count: nh.h.n, Sum: nh.h.sum, Max: nh.h.max}
-			b0 := len(buckets)
-			buckets = append(buckets, nh.h.counts[:nh.h.used()]...)
-			hs.Buckets = tail(buckets, b0)
-			hists = append(hists, hs)
+		for _, nh := range reg.hists {
+			used := nh.h.used()
+			s.Hists = append(s.Hists, HistSnap{Name: nh.name, Count: nh.h.n, Sum: nh.h.sum, Max: nh.h.max,
+				Buckets: append(r.Buckets.Cut(used, nb), nh.h.counts[:used]...)})
 		}
-		out[i] = Snapshot{Name: r.Name, Counters: tail(counters, c0), Gauges: tail(gauges, g0), Hists: tail(hists, h0)}
+		dst = append(dst, s)
 	}
+	return dst
 }
 
-// tail is a[from:] as one registry's (or histogram's) own rows: capped at
-// its length, and nil when there are none.
-func tail[T any](a []T, from int) []T {
-	if from == len(a) {
+// Pool is the array a fill cuts one kind of row from, for every registry
+// (every histogram, for buckets). want is how many rows the last fill
+// had, or this one's when the filler knows it; n counts this fill's.
+type Pool[T any] struct {
+	a       []T
+	want, n int
+}
+
+// Next readies p for another fill, sized from the last. With keep it
+// refills p's array if that held the last fill whole, overwriting its
+// rows; without, the next cut starts a new array and they stay as they are.
+func (p *Pool[T]) Next(keep bool) { p.reset(keep, p.n) }
+
+// reset readies p for a fill of about want rows.
+func (p *Pool[T]) reset(keep bool, want int) {
+	if !keep || cap(p.a) < want {
+		p.a = nil
+	}
+	p.a, p.want, p.n = p.a[:0], want, 0
+}
+
+// Cut gives n rows room in the fill's array: empty, of capacity n so an
+// append cannot spill into the next cut, nil when n is 0. A short array
+// is replaced by one for n, or the rest of want if more, but not past limit.
+func (p *Pool[T]) Cut(n, limit int) []T {
+	if n == 0 {
 		return nil
 	}
-	return a[from:len(a):len(a)]
+	if cap(p.a)-len(p.a) < n {
+		p.a = make([]T, 0, min(max(n, p.want-p.n), limit))
+	}
+	p.n += n
+	i := len(p.a)
+	p.a = p.a[:i+n]
+	return p.a[i : i : i+n]
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -175,6 +176,13 @@ func refSnapshot(r *Registry) Snapshot {
 	return s
 }
 
+// Snapshots freezes regs into arrays of their own — a fresh Rows — as
+// every Stats did before fills reused their buffers.
+func Snapshots(regs ...*Registry) []Snapshot {
+	var rows Rows
+	return rows.Freeze(nil, regs...)
+}
+
 // randomRegistry registers up to rows rows in no name order, each of a
 // kind drawn from those kinds allows (bit 0 counters, 1 gauges, 2
 // histograms), bumping owned counters and feeding histograms as it goes.
@@ -272,4 +280,53 @@ func TestSnapshotsShareArrays(t *testing.T) {
 			t.Fatalf("seed %d: appending %d rows changed a neighbour's:\n got  %+v\n want %+v", seed, grown, got, want)
 		}
 	}
+}
+
+// TestFreezeRefillsInPlace: a Rows and a []Snapshot kept from one Freeze
+// to the next are refilled in place — equal to a fresh Snapshots, at zero
+// allocations, on the same arrays — and a registration that grows a kind
+// past its array costs one new array for that kind alone, after which
+// the refill is free again.
+func TestFreezeRefillsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	regs := []*Registry{randomRegistry(rng, "cluster", 20, 7), randomRegistry(rng, "board0", 30, 7), randomRegistry(rng, "board1", 0, 7)}
+	var rows Rows
+	var dst []Snapshot
+	freeze := func() { dst = rows.Freeze(dst, regs...) }
+	mallocs := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	check := func(when string) {
+		t.Helper()
+		counters := &dst[0].Counters[0]
+		if !raceEnabled {
+			if got := testing.AllocsPerRun(20, freeze); got != 0 {
+				t.Fatalf("%s: a refill allocates %.0f, want 0", when, got)
+			}
+		}
+		if !reflect.DeepEqual(dst, Snapshots(regs...)) {
+			t.Fatalf("%s: refilled\n %+v\nfresh\n %+v", when, dst, Snapshots(regs...))
+		}
+		if &dst[0].Counters[0] != counters {
+			t.Fatalf("%s: a refill moved the counters to a new array", when)
+		}
+	}
+	freeze()
+	check("first fill")
+	regs[2].Histogram("h.new").Observe(time.Hour)
+	if got := mallocs(freeze); !raceEnabled && got != 2 {
+		t.Fatalf("a new histogram: the refill allocated %d, want an array for the histograms and one for the buckets", got)
+	}
+	check("a histogram more")
+	// A gauge dropped, one added: the kind is as long as before.
+	regs[1].gauges = regs[1].gauges[1:]
+	regs[1].GaugeFunc("g.new", func() int64 { return -1 })
+	if got := mallocs(freeze); got != 0 {
+		t.Fatalf("a gauge swapped for another: the refill allocated %d, want 0", got)
+	}
+	check("a gauge swapped")
 }

@@ -47,12 +47,11 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 }
 
-// consoleStats is the snapshot an operator console reads from a
-// 4-board disk-tiered cluster holding 64 services, one of them booted:
-// 64 service rows and 5 registries, the repository benchmark's
-// operator_wire frame.
-func consoleStats(b *testing.B) api.StatsResponse {
-	b.Helper()
+// consoleCluster is a 4-board disk-tiered cluster holding 64 services,
+// one of them booted: its snapshot is 64 service rows and 5 registries,
+// the repository benchmark's operator_wire frame.
+func consoleCluster(tb testing.TB) *cluster.Cluster {
+	tb.Helper()
 	c := cluster.NewCluster(cluster.WithBoards(4), cluster.WithSeed(1),
 		cluster.WithBoardOptions(core.WithDisk(blockdev.DefaultConfig())))
 	ctl := c.API()
@@ -62,14 +61,61 @@ func consoleStats(b *testing.B) api.StatsResponse {
 			Name: name + "." + c.Cfg.Board.Zone, IP: netstack.IPv4(10, 0, 1, byte(i)), Port: 80,
 			Image: unikernel.UnikernelImage(name, unikernel.NewStaticSiteApp(name)),
 		}}); resp.Err != nil {
-			b.Fatal(resp.Err)
+			tb.Fatal(resp.Err)
 		}
 	}
 	if resp := ctl.Activate(api.ActivateRequest{Name: "site00." + c.Cfg.Board.Zone}); resp.Err != nil {
-		b.Fatal(resp.Err)
+		tb.Fatal(resp.Err)
 	}
 	c.Eng().RunFor(5 * time.Second)
-	return ctl.Stats(api.StatsRequest{})
+	return c
+}
+
+// consoleStats is the snapshot an operator console reads from it.
+func consoleStats(b *testing.B) api.StatsResponse {
+	return consoleCluster(b).API().Stats(api.StatsRequest{})
+}
+
+// consoleWatch serves that cluster on the wire and opens a console
+// session watching its stats every period; each snapshot is counted.
+func consoleWatch(tb testing.TB, every time.Duration, events *int) *cluster.Cluster {
+	tb.Helper()
+	c := consoleCluster(tb)
+	if _, err := c.ServeWire(cluster.WireConfig{Anonymous: api.ScopeReadOnly}); err != nil {
+		tb.Fatal(err)
+	}
+	cl, err := wire.DialSession(c.Eng(), c.AttachMgmtHost("console", 200), c.MgmtHost(0).IP, wire.DefaultPort, wire.SessionConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if w := cl.WatchStats(api.WatchStatsRequest{Every: every, OnStats: func(s api.StatsResponse) bool {
+		if len(s.Services) != 64 || len(s.Registries) != 5 {
+			tb.Fatalf("a tick of %d services and %d registries", len(s.Services), len(s.Registries))
+		}
+		*events++
+		return true
+	}}); w.Err != nil {
+		tb.Fatal(w.Err)
+	}
+	return c
+}
+
+// BenchmarkStatsEvent is one tick of a console's WatchStats stream: the
+// backend fills the stream's buffer, the session encodes it into a
+// StatsEvent, the management network carries it, and the client decodes
+// it into its stream's buffer and runs OnStats.
+func BenchmarkStatsEvent(b *testing.B) {
+	events := 0
+	c := consoleWatch(b, time.Second, &events)
+	c.Eng().RunFor(3 * time.Second) // the buffers on both sides are sized
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Eng().RunFor(time.Second)
+	}
+	if events < b.N {
+		b.Fatalf("%d ticks delivered %d snapshots", b.N, events)
+	}
 }
 
 // BenchmarkStatsEncode renders that snapshot into a session's recycled

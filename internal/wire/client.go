@@ -21,8 +21,8 @@ type Client struct {
 	eng    *sim.Engine
 	conn   *netstack.TCPConn
 	dec    Decoder
-	tx, rx []byte
-	rxoff  int // frames before it are consumed
+	tx     []byte
+	rd     inbound
 	nextID uint32
 	scope  api.Scope
 
@@ -162,7 +162,17 @@ func (c *Client) sendFrame(typ byte, id uint32, msg any) error {
 // clientConn is the Client as its connection's application.
 type clientConn Client
 
-func (a *clientConn) Data(b []byte) { (*Client)(a).onData(b) }
+// Data reassembles frames and routes them: responses park in resps for
+// a pumping verb to collect, events fire their registered closures
+// immediately. A closure may issue a verb, whose pumping re-enters Data
+// (feed keeps the frames in order).
+func (a *clientConn) Data(b []byte) {
+	if err := a.rd.feed(b, (*Client)(a).route); err != nil {
+		a.closed = true
+		a.closeErr = err
+		a.conn.Abort()
+	}
+}
 
 func (a *clientConn) Closed(err error) {
 	a.closed = true
@@ -171,72 +181,92 @@ func (a *clientConn) Closed(err error) {
 	}
 }
 
-// onData reassembles frames and routes them: responses park in resps
-// for a pumping verb to collect, events fire their registered closures
-// immediately. A closure may issue a verb, whose pumping re-enters
-// onData: a frame is consumed before it is routed, and c.rx read afresh.
-func (c *Client) onData(b []byte) {
-	c.rx = append(c.rx, b...)
-	for {
-		_, typ, id, msg, n, err := c.dec.Decode(c.rx[c.rxoff:])
-		if err == ErrShort {
-			c.rx, c.rxoff = compact(c.rx, c.rxoff), 0
-			return
+// route decodes one frame and delivers it; the decode comes first, so a
+// closure that re-enters Data finds the frame's bytes no longer needed.
+// A stream's snapshot, and a Stats response given an Into buffer, are
+// decoded into their buffers; every other message by the session decoder.
+func (c *Client) route(typ byte, id uint32, body []byte) error {
+	h := c.pending[id]
+	var msg any
+	var err error
+	switch {
+	case typ == TStatsEvent && h.stats != nil:
+		h.into = &h.stats.buf
+		if h.stats.busy { // OnStats pumped through this tick: it gets its own
+			h.into = new(api.StatsBuf)
 		}
-		if err != nil {
-			c.closed = true
-			c.closeErr = err
-			c.conn.Abort()
-			return
+		err = c.dec.statsInto(body, h.into)
+	case typ == TStatsResp && h.into != nil:
+		err = c.dec.statsInto(body, h.into)
+		msg = h.into.Resp
+	default:
+		msg, err = c.dec.message(typ, body)
+	}
+	if err != nil {
+		return err
+	}
+	c.Frames++
+	switch typ {
+	case TReadyEvent:
+		c.Events++
+		if h.ready != nil {
+			delete(c.pending, id)
+			if ev := msg.(ReadyEvent); ev.Err != nil {
+				h.ready(ev.Err)
+			} else {
+				h.ready(nil)
+			}
 		}
-		c.rxoff += n
-		c.Frames++
-		h := c.pending[id]
-		switch typ {
-		case TReadyEvent:
-			c.Events++
-			if h.ready != nil {
-				delete(c.pending, id)
-				if ev := msg.(ReadyEvent); ev.Err != nil {
-					h.ready(ev.Err)
-				} else {
-					h.ready(nil)
-				}
-			}
-		case TDoneEvent:
-			c.Events++
-			if h.done != nil {
-				delete(c.pending, id)
-				h.done(msg.(DoneEvent).OK)
-			}
-		case TStatsEvent:
-			c.Events++
-			if h.stats != nil && !h.stats(msg.(api.StatsResponse)) {
+	case TDoneEvent:
+		c.Events++
+		if h.done != nil {
+			delete(c.pending, id)
+			h.done(msg.(DoneEvent).OK)
+		}
+	case TStatsEvent:
+		c.Events++
+		if s := h.stats; s != nil {
+			busy := s.busy
+			s.busy = true
+			more := s.onStats(h.into.Resp)
+			if s.busy = busy; !more {
 				delete(c.pending, id)
 				c.sendFrame(TWatchCancel, id, nil)
 			}
-		default:
-			c.resps[id] = msg
 		}
+	default:
+		c.resps[id] = msg
 	}
+	return nil
 }
 
-// hooks are the callbacks a request leaves behind for its events: at
-// most one of them is set.
+// hooks are the callbacks a request leaves behind for its events, or
+// the buffer its response is decoded into: at most one of them is set.
 type hooks struct {
-	ready func(error)                  // ReadyEvent
-	done  func(bool)                   // DoneEvent
-	stats func(api.StatsResponse) bool // StatsEvent, until it returns false
+	ready func(error)   // ReadyEvent
+	done  func(bool)    // DoneEvent
+	stats *stream       // StatsEvent, until OnStats returns false
+	into  *api.StatsBuf // the Stats response
+}
+
+// stream is one WatchStats stream's client end: its OnStats, and the
+// buffer each StatsEvent is decoded into for OnStats to read until it
+// returns. busy is set while OnStats runs.
+type stream struct {
+	onStats func(api.StatsResponse) bool
+	buf     api.StatsBuf
+	busy    bool
 }
 
 // do runs one verb: allocate the request id, file the callbacks its
 // events will fire, send the request and pump until the response. A
 // verb that fails — on the transport or at the server — drops its
-// callbacks again, since no event will follow.
+// callbacks again, since no event will follow, and a response buffer is
+// dropped once the response is in.
 func (c *Client) do(typ byte, req any, h hooks) (resp any, id uint32) {
 	v := &verbs[typ-TRegisterReq]
 	id = c.id()
-	if h.ready != nil || h.done != nil || h.stats != nil {
+	if h.ready != nil || h.done != nil || h.stats != nil || h.into != nil {
 		c.pending[id] = h
 	}
 	var err error
@@ -251,7 +281,7 @@ func (c *Client) do(typ byte, req any, h hooks) (resp any, id uint32) {
 		resp = c.resps[id]
 		delete(c.resps, id)
 	}
-	if v.errOf(resp) != nil {
+	if v.errOf(resp) != nil || h.into != nil {
 		delete(c.pending, id)
 	}
 	return resp, id
@@ -323,19 +353,20 @@ func (c *Client) Stop(req api.StopRequest) api.StopResponse {
 	return call[api.StopResponse](c, TStopReq, req, hooks{})
 }
 
-// Stats implements api.ControlPlane.
+// Stats implements api.ControlPlane: with req.Into set, the response
+// frame is decoded into that buffer.
 func (c *Client) Stats(req api.StatsRequest) api.StatsResponse {
-	return call[api.StatsResponse](c, TStatsReq, req, hooks{})
+	return call[api.StatsResponse](c, TStatsReq, req, hooks{into: req.Into})
 }
 
 // WatchStats implements api.ControlPlane: snapshots stream in as
-// StatsEvent frames and fire OnStats; the returned Stop sends a cancel
-// frame upstream.
+// StatsEvent frames, each decoded into the one buffer the stream keeps,
+// and fire OnStats; the returned Stop sends a cancel frame upstream.
 func (c *Client) WatchStats(req api.WatchStatsRequest) api.WatchStatsResponse {
 	if req.OnStats == nil {
 		return api.WatchStatsResponse{Err: api.Errf(api.VerbWatchStats, api.CodeBadRequest, "nil OnStats")}
 	}
-	resp, id := c.do(TWatchReq, WatchReq{Every: req.Every}, hooks{stats: req.OnStats})
+	resp, id := c.do(TWatchReq, WatchReq{Every: req.Every}, hooks{stats: &stream{onStats: req.OnStats}})
 	if err := resp.(WatchResp).Err; err != nil {
 		return api.WatchStatsResponse{Err: err}
 	}

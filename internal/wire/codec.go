@@ -112,8 +112,9 @@ type DoneEvent struct {
 type buf struct {
 	b     []byte
 	dec   bool
-	start int      // encoding: where the frame begins in b
-	d     *Decoder // decoding: the session's name table, or nil
+	start int       // encoding: where the frame begins in b
+	d     *Decoder  // decoding: the session's name table, or nil
+	rows  *obs.Rows // decoding into a stats buffer: its arrays, refilled
 	err   error
 }
 
@@ -258,16 +259,20 @@ func count(x *buf, length, elem int) int {
 	return int(n)
 }
 
-// sized moves a collection's count and, decoding, gives *s room for it.
+// sized moves a collection's count and, decoding, gives *s — empty, its
+// array perhaps kept from an earlier frame — room for it: none leaves it
+// nil, as a fresh decode does.
 func sized[T any](x *buf, s *[]T, elem int) int {
 	n := count(x, len(*s), elem)
-	if x.dec {
-		*s = slices.Grow(*s, n) // no room leaves it nil
+	if x.dec && n == 0 {
+		*s = nil
+	} else if x.dec {
+		*s = slices.Grow(*s, n)
 	}
 	return n
 }
 
-// at is element i of *s, appended first when decoding.
+// at is element i of *s, appended first — zeroed — when decoding.
 func at[T any](x *buf, s *[]T, i int) *T {
 	if x.dec {
 		*s = append(*s, *new(T))
@@ -334,73 +339,37 @@ func (x *buf) checkpoint(v **core.Checkpoint) {
 	x.int(&(*v).StateMiB)
 }
 
-// pool is one stats frame's array of one row kind, which decoding cuts
-// every registry's rows of that kind from (every histogram's, for
-// buckets). want is how many rows the session's previous frame had; n
-// counts this frame's.
-type pool[T any] struct {
-	a       []T
-	want, n int
-}
-
-// rowPools is one stats frame's pools, one per row kind.
-type rowPools struct {
-	counters pool[obs.CounterSnap]
-	gauges   pool[obs.GaugeSnap]
-	hists    pool[obs.HistSnap]
-	buckets  pool[uint64]
-}
-
-// next readies p for another frame, sized from this one.
-func (p *pool[T]) next() { p.a, p.want, p.n = nil, p.n, 0 }
-
-// cut gives n rows room in the frame's array, capped at n so an append
-// cannot spill into the next cut, and nil when n is 0. When the array is
-// short it starts a new one for what is left — n, or the rest of the
-// previous frame's rows if more, but never more than fit, the rows the
-// body's remaining bytes could carry (count's rule).
-func (p *pool[T]) cut(n, fit int) []T {
-	if n == 0 {
-		return nil
-	}
-	if cap(p.a)-len(p.a) < n {
-		p.a = make([]T, 0, min(max(n, p.want-p.n), fit))
-	}
-	p.n += n
-	i := len(p.a)
-	p.a = p.a[:i+n]
-	return p.a[i : i : i+n]
-}
-
 // rows moves a registry's rows of one kind, or a histogram's buckets,
-// like sized, but decoding cuts their room from p instead of allocating it.
-func rows[T any](x *buf, s *[]T, p *pool[T], elem int) int {
+// like sized, but decoding cuts their room from p instead of allocating
+// it, never sizing a new array past the rows the rest of the body could
+// carry (count's rule).
+func rows[T any](x *buf, s *[]T, p *obs.Pool[T], elem int) int {
 	n := count(x, len(*s), elem)
 	if x.dec {
-		*s = p.cut(n, len(x.b)/elem)
+		*s = p.Cut(n, len(x.b)/elem)
 	}
 	return n
 }
 
-func (x *buf) snapshot(s *obs.Snapshot, p *rowPools) {
+func (x *buf) snapshot(s *obs.Snapshot, p *obs.Rows) {
 	x.name(&s.Name)
-	for i, n := 0, rows(x, &s.Counters, &p.counters, 2+8); i < n && x.err == nil; i++ {
+	for i, n := 0, rows(x, &s.Counters, &p.Counters, 2+8); i < n && x.err == nil; i++ {
 		c := at(x, &s.Counters, i)
 		x.name(&c.Name)
 		x.u64(&c.Value)
 	}
-	for i, n := 0, rows(x, &s.Gauges, &p.gauges, 2+8); i < n && x.err == nil; i++ {
+	for i, n := 0, rows(x, &s.Gauges, &p.Gauges, 2+8); i < n && x.err == nil; i++ {
 		g := at(x, &s.Gauges, i)
 		x.name(&g.Name)
 		x.i64(&g.Value)
 	}
-	for i, n := 0, rows(x, &s.Hists, &p.hists, 2+8+8+8+2); i < n && x.err == nil; i++ {
+	for i, n := 0, rows(x, &s.Hists, &p.Hists, 2+8+8+8+2); i < n && x.err == nil; i++ {
 		h := at(x, &s.Hists, i)
 		x.name(&h.Name)
 		x.u64(&h.Count)
 		x.dur(&h.Sum)
 		x.dur(&h.Max)
-		for j, m := 0, rows(x, &h.Buckets, &p.buckets, 8); j < m && x.err == nil; j++ {
+		for j, m := 0, rows(x, &h.Buckets, &p.Buckets, 8); j < m && x.err == nil; j++ {
 			x.u64(at(x, &h.Buckets, j))
 		}
 	}
@@ -426,20 +395,22 @@ func (x *buf) stats(s *api.StatsResponse) {
 		x.name(&t.Name)
 		x.u64(&t.Fired)
 	}
-	// A session sizes this frame's arrays from its last one; without a
-	// session every cut starts an array of its own.
-	var fresh rowPools
-	p := &fresh
-	if x.d != nil {
+	// A stats buffer refills its own arrays; a session starts new ones,
+	// sized from its last frame; without either every cut starts an array
+	// of its own.
+	p, keep := x.rows, x.rows != nil
+	if !keep && x.d != nil {
 		p = &x.d.rows
+	} else if !keep {
+		p = new(obs.Rows)
 	}
 	for i, n := 0, sized(x, &s.Registries, 2+2+2+2); i < n && x.err == nil; i++ {
 		x.snapshot(at(x, &s.Registries, i), p)
 	}
-	p.counters.next()
-	p.gauges.next()
-	p.hists.next()
-	p.buckets.next()
+	p.Counters.Next(keep)
+	p.Gauges.Next(keep)
+	p.Hists.Next(keep)
+	p.Buckets.Next(keep)
 	x.apiErr(&s.Err)
 }
 
@@ -550,7 +521,7 @@ const maxInterned = 4096
 // messages never alias the buffer it was given, nor each other.
 type Decoder struct {
 	names map[string]string
-	rows  rowPools
+	rows  obs.Rows
 }
 
 // intern returns b as a string, the one it returned before for the same
@@ -583,12 +554,28 @@ func Decode(buf []byte) (ver byte, typ byte, id uint32, msg any, n int, err erro
 func (d *Decoder) Decode(b []byte) (ver byte, typ byte, id uint32, msg any, n int, err error) {
 	ver, typ, id, body, n, err := split(b)
 	if err == nil {
-		x, m := buf{b: body, dec: true, d: d}.body(typ, nil)
-		if err = x.done(); err == nil {
-			msg = m
-		}
+		msg, err = d.message(typ, body)
 	}
 	return ver, typ, id, msg, n, err
+}
+
+// message decodes the body of a typ frame.
+func (d *Decoder) message(typ byte, body []byte) (any, error) {
+	x, m := buf{b: body, dec: true, d: d}.body(typ, nil)
+	if err := x.done(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// statsInto decodes the body of a Stats response or a StatsEvent into b,
+// refilling b's arrays: whatever b held before is overwritten.
+func (d *Decoder) statsInto(body []byte, b *api.StatsBuf) error {
+	r := &b.Resp
+	*r = api.StatsResponse{Services: r.Services[:0], Triggers: r.Triggers[:0], Registries: r.Registries[:0]}
+	x := buf{b: body, dec: true, d: d, rows: &b.Rows}
+	x.stats(r)
+	return x.done()
 }
 
 // split parses the header of the frame at the front of b and finds its

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"jitsu/internal/api"
@@ -36,16 +38,30 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(bad[:len(bad)-2])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	// Two stats frames of different shapes: the session decoder sizes
-	// each one's arrays from the frame before it.
+	// each one's arrays from the frame before it. Between them a refusal,
+	// whose error the stream's buffer must not carry into the next.
 	f.Add(mustAppend(f, shapedStats(5, 20, 12)))
+	f.Add(mustAppend(f, api.StatsResponse{Err: api.Errf(api.VerbStats, api.CodeUnauthorized, "read-only")}))
 	f.Add(mustAppend(f, shapedStats(2, 4, 3)))
 
 	// One decoder for the whole run, as a session has: whatever names
-	// earlier inputs left in its table, it must answer like Decode.
+	// earlier inputs left in its table, it must answer like Decode. And
+	// one stats buffer, as a stream has: every stats body is decoded a
+	// second time into it, dirty from the inputs before, and must come
+	// out as the fresh decode did, with nothing of theirs left.
 	var session Decoder
+	var stream api.StatsBuf
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ver, typ, id, msg, n, err := Decode(data)
 		sameDecode(t, &session, data, ver, typ, id, msg, n, err)
+		if _, _, _, body, _, splitErr := split(data); splitErr == nil && (typ == TStatsResp || typ == TStatsEvent) {
+			if errInto := session.statsInto(body, &stream); fmt.Sprint(errInto) != fmt.Sprint(err) {
+				t.Fatalf("decoding into a used buffer: err %v, fresh decode %v", errInto, err)
+			}
+			if err == nil && !reflect.DeepEqual(stream.Resp, msg) {
+				t.Fatalf("decoded into a used buffer:\n %+v\nfresh:\n %+v", stream.Resp, msg)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -101,18 +101,19 @@ func (s *Server) resolveCp(cp *core.Checkpoint) {
 }
 
 // srvConn is one accepted connection's state: the session's tx scratch
-// and rx reassembly buffer (frames before rxoff are consumed), the
-// granted scope once Hello/HelloAck completed, and the live WatchStats
-// subscriptions keyed by their request id.
+// and inbound stream, the granted scope once Hello/HelloAck completed,
+// the live WatchStats subscriptions keyed by their request id, and the
+// buffer every Stats verb of the session is snapshotted into.
 type srvConn struct {
 	s       *Server
 	conn    *netstack.TCPConn
-	tx, rx  []byte
-	rxoff   int
+	tx      []byte
+	rd      inbound
 	hello   bool
 	closed  bool
 	scope   api.Scope
 	watches map[uint32]func()
+	stats   api.StatsBuf
 }
 
 // Closed is the connection's end, and a session's on a protocol
@@ -178,23 +179,11 @@ func (sc *srvConn) flush(x buf) {
 	}
 }
 
-// Data reassembles request frames and dispatches them.
+// Data reassembles request frames and dispatches them; a framing error
+// or a malformed body drops the session.
 func (sc *srvConn) Data(b []byte) {
-	sc.rx = append(sc.rx, b...)
-	for !sc.closed {
-		_, typ, id, body, n, err := split(sc.rx[sc.rxoff:])
-		if err == ErrShort {
-			sc.rx, sc.rxoff = compact(sc.rx, sc.rxoff), 0
-			return
-		}
-		sc.rxoff += n
-		if err == nil {
-			err = sc.dispatch(typ, id, body)
-		}
-		if err != nil {
-			sc.drop()
-			return
-		}
+	if err := sc.rd.feed(b, sc.route); err != nil && !sc.closed {
+		sc.drop()
 	}
 }
 
@@ -235,10 +224,14 @@ func (sc *srvConn) handshake(typ byte, id uint32, msg any) {
 	sc.send(THelloAck, id, HelloAck{Version: Version, Scope: scope})
 }
 
-// dispatch serves one frame; an error is a malformed body. A verb's
-// request goes to its row, which decodes it as the type it is; the
-// handshake and cancel frames are decoded here.
-func (sc *srvConn) dispatch(typ byte, id uint32, body []byte) error {
+// route serves one frame; an error is a malformed body, or a session
+// closed meanwhile, which reads no further. A verb's request goes to its
+// row, which decodes it as the type it is; the handshake and cancel
+// frames are decoded here.
+func (sc *srvConn) route(typ byte, id uint32, body []byte) error {
+	if sc.closed {
+		return ErrClosed
+	}
 	if sc.hello && typ >= TRegisterReq && typ <= TWatchReq {
 		return verbs[typ-TRegisterReq].handle(sc, id, body)
 	}

@@ -1,6 +1,9 @@
 package wire_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -150,9 +153,9 @@ func TestWatchesPerSessionAreBounded(t *testing.T) {
 }
 
 // TestReentrantStatsInsideCallback: an OnStats callback that issues a
-// verb on its own client pumps the engine, which re-enters onData while
-// the outer call is still between two frames. Each frame must be
-// consumed before it is routed, and exactly once.
+// verb on its own client pumps the engine, which re-enters the client's
+// Data while the outer call is still between two frames. Each frame must
+// be consumed before it is routed, and exactly once.
 func TestReentrantStatsInsideCallback(t *testing.T) {
 	c, _ := wiredCluster(t, 1)
 	cl := dialOp(t, c, "console", 200, tokAdmin)
@@ -193,5 +196,69 @@ func TestReentrantStatsInsideCallback(t *testing.T) {
 	}
 	if out := cl.Stats(api.StatsRequest{}); out.Err != nil || len(out.Services) != 2 {
 		t.Fatalf("session after the stream: err %v, %d services", out.Err, len(out.Services))
+	}
+
+	// A stream decodes every tick into the one buffer it keeps, but an
+	// OnStats that pumps through its own stream's next tick must still
+	// read its own snapshot unchanged: the tick that arrives meanwhile —
+	// after an activation that changes it — gets a buffer of its own.
+	outer, inner := 0, 0
+	if w := cl.WatchStats(api.WatchStatsRequest{Every: 50 * time.Millisecond,
+		OnStats: func(s api.StatsResponse) bool {
+			if outer > inner {
+				inner++
+				return true
+			}
+			outer++
+			before, err := wire.Append(nil, wire.Version, wire.TStatsEvent, 1, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp := cl.Activate(api.ActivateRequest{Name: "alice." + c.Cfg.Board.Zone}); resp.Err != nil {
+				t.Fatal(resp.Err)
+			}
+			for inner < outer {
+				cl.Stats(api.StatsRequest{})
+			}
+			if after, _ := wire.Append(nil, wire.Version, wire.TStatsEvent, 1, s); !bytes.Equal(before, after) {
+				t.Fatalf("the snapshot OnStats reads changed under its stream's next tick:\n%x\nvs\n%x", before, after)
+			}
+			return false
+		}}); w.Err != nil {
+		t.Fatal(w.Err)
+	}
+	c.Eng().RunFor(time.Second)
+	if outer != 1 || inner != 1 {
+		t.Fatalf("%d outer and %d nested ticks, want 1 and 1", outer, inner)
+	}
+}
+
+// TestServerReassemblesLargeFrameLinearly: a peer that has not even said
+// Hello may announce a frame of up to MaxFrame and dribble it in; the
+// server must reassemble it at a cost in proportion to the frame — here
+// ~200 KiB arriving in 1,460-byte segments, the network's share
+// included — and then drop the session for the junk it carried.
+func TestServerReassemblesLargeFrameLinearly(t *testing.T) {
+	c, srv := wiredCluster(t, 1)
+	conn, _ := rawConn(t, c, 211)
+	junk := make([]byte, 200<<10)
+	big := binary.BigEndian.AppendUint32(nil, uint32(6+len(junk)))
+	big = append(append(big, wire.Version, wire.THello, 0, 0, 0, 1), junk...)
+	if err := conn.Send(big); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c.Eng().RunFor(5 * time.Second)
+	runtime.ReadMemStats(&after)
+	if srv.ProtoErrs != 1 {
+		t.Fatalf("protocol errors = %d, want 1: the frame was not reassembled whole", srv.ProtoErrs)
+	}
+	objects, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d-byte frame: %d objects, %d bytes", len(big), objects, bytes)
+	if objects > 150 || bytes > 8*uint64(len(big)) {
+		t.Fatalf("a %d-byte frame allocated %d objects, %d bytes; want ≤ 150 and ≤ %d",
+			len(big), objects, bytes, 8*len(big))
 	}
 }

@@ -276,8 +276,8 @@ func init() {
 			},
 			func(err *api.Error) api.StatsResponse { return api.StatsResponse{Err: err} },
 			func(m api.StatsResponse) *api.Error { return m.Err },
-			func(sc *srvConn, _ uint32, m api.StatsRequest) api.StatsResponse {
-				return sc.s.backend.Stats(m)
+			func(sc *srvConn, _ uint32, _ api.StatsRequest) api.StatsResponse {
+				return sc.s.backend.Stats(api.StatsRequest{Into: &sc.stats})
 			}),
 		TWatchReq - TRegisterReq: row(api.VerbWatchStats, TWatchResp,
 			func(x buf, m WatchReq) (buf, WatchReq) {

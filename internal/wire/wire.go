@@ -55,19 +55,22 @@
 // method.
 //
 // Buffers. Each end of a session owns a tx scratch every outgoing frame
-// is rendered into (TCPConn.Send copies it before returning) and an rx
-// buffer consumed by offset, its tail moved to the front only when a
-// frame is incomplete, so between deliveries rx holds at most one
-// partial frame of at most MaxFrame bytes; either is released once
-// empty if a frame grew it past 64 KiB. A server session holds at most
-// 16 watches: a WatchReq on a new id beyond that is refused with
-// CodeUnavailable. A Client decodes through its own Decoder, which
-// bounds what a peer can make it hold: a declared count the remaining
-// bytes could not carry fails the frame before anything is allocated for
-// it, a stats frame's row arrays are sized from the session's last frame
-// but never past what the remaining bytes could carry, and the table of
-// recurring names stops at 4 096 entries. A server decodes a
-// verb's request through its row as the type it is, and interns nothing.
+// is rendered into (TCPConn.Send copies it before returning) and an
+// inbound stream that decodes frames straight from the delivered
+// segments, copying into its rx buffer only a frame still arriving, so
+// between deliveries rx holds at most one partial frame of at most
+// MaxFrame bytes; either buffer is released once empty if a frame grew
+// it past 64 KiB. A server session snapshots its Stats verbs into one
+// api.StatsBuf and holds at most 16 watches: a WatchReq on a new id
+// beyond that is refused with CodeUnavailable. A Client decodes through
+// its own Decoder, which bounds what a peer can make it hold: a declared
+// count the remaining bytes could not carry fails the frame before
+// anything is allocated for it, a stats frame's row arrays are sized
+// from the session's last frame — or refilled, for a watch stream or a
+// Stats verb given an Into buffer — but never grown past what the
+// remaining bytes could carry, and the table of recurring names stops at
+// 4 096 entries. A server decodes a verb's request through its row as
+// the type it is, and interns nothing.
 package wire
 
 import "errors"
@@ -97,16 +100,55 @@ func keep(b []byte) []byte {
 	return b[:0]
 }
 
-// compact moves rx's unconsumed tail, rx[off:], to the front, so the
-// buffer stops growing once it has held the session's largest frame.
-func compact(rx []byte, off int) []byte {
-	switch off {
-	case len(rx):
-		return keep(rx)
-	case 0:
-		return rx // a frame still arriving: nothing consumed, nothing to move
+// inbound is one end of a session's byte stream: the bytes not yet
+// routed, in — a delivered segment's, or rx's — and rx, the copies of
+// those that had to wait.
+type inbound struct{ rx, in []byte }
+
+// feed routes, in arrival order, every frame b completes: straight from
+// b while nothing waits, copying only a trailing partial frame into rx,
+// and from rx behind bytes that wait. A route may pump the engine and so
+// re-enter feed: a frame is consumed before it is routed, the inner call
+// queues what the outer one left ahead of its own bytes, and each pass
+// reads in afresh. The first error ends the feed, dropping what is left.
+func (f *inbound) feed(b []byte, route func(typ byte, id uint32, body []byte) error) error {
+	if len(f.in) > 0 {
+		f.rx = append(f.held(), b...)
+		b = f.rx
 	}
-	return rx[:copy(rx, rx[off:])]
+	f.in = b
+	for {
+		_, typ, id, body, n, err := split(f.in)
+		if err == ErrShort {
+			f.rx = f.held()
+			f.in = f.rx
+			return nil
+		}
+		if err == nil {
+			f.in = f.in[n:]
+			err = route(typ, id, body)
+		}
+		if err != nil {
+			f.in = nil
+			return err
+		}
+	}
+}
+
+// held returns rx holding exactly the bytes that wait, in, at its front:
+// left in place when they already fill rx — a frame still arriving is
+// never copied again — moved up when they trail it, and copied in from
+// a segment otherwise. Only an rx nothing waits in is released.
+func (f *inbound) held() []byte {
+	switch {
+	case len(f.in) == 0:
+		return keep(f.rx)
+	case len(f.in) > len(f.rx) || &f.in[len(f.in)-1] != &f.rx[len(f.rx)-1]:
+		return append(keep(f.rx), f.in...) // a view of the segment
+	case len(f.in) == len(f.rx):
+		return f.rx
+	}
+	return f.rx[:copy(f.rx, f.in)]
 }
 
 // Frame types. Requests and responses pair by offset: the response to a
