@@ -601,7 +601,7 @@ func (d *daemon) runCluster() error {
 
 	fmt.Fprintf(d.out, "\n%s\n", lat.Summary())
 	fmt.Fprintf(d.out, "placed: %d, warm hits: %d, refused: %d, preempts: %d, prewarms: %d, reclaims: %d, demotions: %d\n",
-		c.Placed, c.WarmHits, c.ServFails, c.Preempts, c.Pools.Prewarms, c.Pools.Reclaims, c.Demotions+c.Pools.Demotions)
+		c.Placed, c.WarmHits, c.ServFails, c.Preempts, c.Pools.Prewarms, c.Pools.Reclaims, c.Demotions)
 	if d.hostile.active() {
 		stats := cl.Host(0).NIC.Link().Stats
 		fmt.Fprintf(d.out, "edge link: %d frames delivered, %d dropped; dns retries: %d\n",

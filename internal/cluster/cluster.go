@@ -17,6 +17,8 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"jitsu/internal/api"
@@ -174,9 +176,9 @@ type Cluster struct {
 	Migrations uint64
 	// Lost counts live replicas destroyed by departures (not migrated).
 	Lost uint64
-	// Demotions counts preemption victims parked on their board's disk
-	// tier instead of evicted (warm-pool demotions are counted by the
-	// pool manager).
+	// Demotions counts reclaimed replicas — preemption victims and
+	// warm-pool shrinks — parked on their board's disk tier instead of
+	// evicted.
 	Demotions uint64
 	// Chunks counts checkpoint chunk datagrams sent (including
 	// retransmits); ChunkRetx counts just the retransmits; XferAborts
@@ -276,7 +278,7 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 	c.Reg.CounterFunc("sched.placed", func() uint64 { return c.Placed })
 	c.Reg.CounterFunc("sched.servfails", func() uint64 { return c.ServFails })
 	c.Reg.CounterFunc("sched.preempts", func() uint64 { return c.Preempts })
-	c.Reg.CounterFunc("sched.demotions", func() uint64 { return c.Demotions + c.Pools.Demotions })
+	c.Reg.CounterFunc("sched.demotions", func() uint64 { return c.Demotions })
 	c.Reg.CounterFunc("migrate.migrations", func() uint64 { return c.Migrations })
 	c.Reg.CounterFunc("migrate.lost", func() uint64 { return c.Lost })
 	c.Reg.CounterFunc("migrate.chunks", func() uint64 { return c.Chunks })
@@ -377,8 +379,8 @@ func (c *Cluster) register(sc core.ServiceConfig, opts ServiceOpts) *Entry {
 		c.addReplicaSlot(e, m)
 	}
 	c.dir.put(e)
-	delete(c.movedTo, name) // a re-registration supersedes any old move
-	c.Pools.Reconcile(e)    // honour MinWarm immediately
+	delete(c.movedTo, name)   // a re-registration supersedes any old move
+	c.Pools.reconcile(e, nil) // honour MinWarm immediately
 	if c.onDirChange != nil {
 		c.onDirChange()
 	}
@@ -457,7 +459,7 @@ func (c *Cluster) schedule(e *Entry, via string, onReady func(error)) (p *Placem
 	if p == nil {
 		e.Refused++
 		c.ServFails++
-		c.Pools.ReconcileAll()
+		c.Pools.reconcileAll(nil)
 		return nil, false
 	}
 	if warm {
@@ -558,16 +560,21 @@ func (c *Cluster) place(e *Entry, via string, onReady func(error)) (p *Placement
 	return p, false
 }
 
-// preempt evicts the coldest ready replica whose service is at least
+// preempt reclaims the coldest ready replica whose service is at least
 // preemptMargin times colder than e, then boots e's replica on the
-// freed board once the destroy completes. The DNS answer goes out
-// immediately — the replica IP is under Synjitsu control, so the
-// client's SYNs ride the same boot race a stock cold start does.
+// freed board once the destroy completes. Victims are tried coldest
+// first (ties in directory order) until Jitsu.Reclaim takes one. The
+// DNS answer goes out immediately — the replica IP is under Synjitsu
+// control, so the client's SYNs ride the same boot race a stock cold
+// start does.
 func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement {
 	now := c.eng.Now()
 	need := e.effectiveRate(now)
-	var victim *Placement
-	victimRate := 0.0
+	type victim struct {
+		p    *Placement
+		rate float64
+	}
+	var cands []victim
 	for o := range c.dir.walk {
 		if o == e {
 			continue
@@ -585,7 +592,7 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 			}
 			// Hysteresis: a replica must have amortised its boot cost
 			// before it can be evicted, or near-equal services thrash.
-			if p.Svc.Guest == nil || p.Svc.Guest.Uptime() < guard {
+			if p.Svc.Guest.Uptime() < guard {
 				continue
 			}
 			// Never evict a replica whose IP went out in a recent DNS
@@ -597,58 +604,51 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 			if b.Hyp.FreeMemMiB()+p.Svc.Cfg.Image.MemMiB < e.Base.Image.MemMiB {
 				continue
 			}
-			if victim == nil || or < victimRate {
-				victim, victimRate = p, or
+			cands = append(cands, victim{p, or})
+		}
+	}
+	slices.SortStableFunc(cands, func(a, b victim) int { return cmp.Compare(a.rate, b.rate) })
+	for _, v := range cands {
+		rep := e.Replicas[v.p.Board]
+		if rep == nil || rep.reserved {
+			continue
+		}
+		freed := func() {
+			rep.pending = false
+			// Deliver readiness to the preempt initiator plus anyone who
+			// joined while the boot was queued — including the failure: a
+			// concurrent placement may have consumed the freed memory, and
+			// a dropped hook would leave its caller waiting forever.
+			cbs := rep.pendingReady
+			rep.pendingReady = nil
+			if onReady != nil {
+				cbs = append([]func(error){onReady}, cbs...)
 			}
-		}
-	}
-	if victim == nil {
-		return nil
-	}
-	rep := e.Replicas[victim.Board]
-	if rep == nil || rep.reserved {
-		return nil
-	}
-	jit := c.Boards[victim.Board].Jitsu
-	freed := func() {
-		rep.pending = false
-		// Deliver readiness to the preempt initiator plus anyone who
-		// joined while the boot was queued — including the failure: a
-		// concurrent placement may have consumed the freed memory, and
-		// a dropped hook would leave its caller waiting forever.
-		cbs := rep.pendingReady
-		rep.pendingReady = nil
-		if onReady != nil {
-			cbs = append([]func(error){onReady}, cbs...)
-		}
-		var cb func(error)
-		if len(cbs) > 0 {
-			cb = func(err error) {
-				for _, f := range cbs {
-					f(err)
+			var cb func(error)
+			if len(cbs) > 0 {
+				cb = func(err error) {
+					for _, f := range cbs {
+						f(err)
+					}
 				}
 			}
+			if !c.summon(rep, via, cb) && cb != nil {
+				cb(core.ErrNoMemory)
+			}
 		}
-		if !c.summon(rep, via, cb) && cb != nil {
-			cb(core.ErrNoMemory)
+		// Tiered reclaim: a victim parked on its board's disk restores
+		// later at disk cost; a diskless board pays the full eviction.
+		reclaimed, demoted := c.Boards[v.p.Board].Jitsu.Reclaim(v.p.Svc, freed)
+		if demoted {
+			c.Demotions++
+		}
+		if reclaimed {
+			rep.pending = true
+			c.Preempts++
+			return rep
 		}
 	}
-	// Tiered reclaim: park the victim's state on its board's disk so a
-	// later activation restores it at disk cost; only a diskless board
-	// (or a full checkpoint store) pays the old full eviction.
-	switch err := jit.DemoteWith(victim.Svc, freed); err {
-	case nil:
-		c.Demotions++
-	case core.ErrNoDisk, core.ErrDiskFull:
-		if !jit.EvictWith(victim.Svc, freed) {
-			return nil
-		}
-	default:
-		return nil
-	}
-	rep.pending = true
-	c.Preempts++
-	return rep
+	return nil
 }
 
 // views summarizes every placeable board for the policy. Boards for

@@ -402,7 +402,7 @@ func TestShrinkDiskFullFallsBackToEviction(t *testing.T) {
 	if de.Replicas[0].Svc.State != core.StateColdDisk {
 		t.Fatalf("dave = %v, want cold-disk", de.Replicas[0].Svc.State)
 	}
-	demotionsBefore := c.Pools.Demotions
+	demotionsBefore := c.Demotions
 
 	// Drop alice's floor; carol's arrival drives the reconcile that
 	// shrinks alice's pool. With the slot taken, the demotion returns
@@ -421,9 +421,9 @@ func TestShrinkDiskFullFallsBackToEviction(t *testing.T) {
 	if c.Pools.Reclaims != 1 {
 		t.Fatalf("reclaims = %d, want 1", c.Pools.Reclaims)
 	}
-	if c.Pools.Demotions != demotionsBefore {
+	if c.Demotions != demotionsBefore {
 		t.Fatalf("demotions moved %d -> %d; the full store must force eviction",
-			demotionsBefore, c.Pools.Demotions)
+			demotionsBefore, c.Demotions)
 	}
 	// Dave's checkpoint survived the pressure untouched.
 	if de.Replicas[0].Svc.State != core.StateColdDisk {

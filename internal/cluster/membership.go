@@ -574,7 +574,7 @@ func (c *Cluster) directoryObserve(id int, s MemberState) {
 			// A board arrived: placement answers may change, so no cached
 			// DNS answer survives, and the pools may spread onto it.
 			c.front().DNS.BumpEpoch()
-			c.Pools.ReconcileAll()
+			c.Pools.reconcileAll(nil)
 		} else if m.State == MemberSuspect {
 			m.State = MemberAlive // refuted
 		}
@@ -620,7 +620,7 @@ func (c *Cluster) deregisterBoard(id int) {
 		delete(c.dir.byIP, p.Svc.Cfg.IP)
 	}
 	c.front().DNS.BumpEpoch()
-	c.Pools.ReconcileAll()
+	c.Pools.reconcileAll(nil)
 }
 
 // Members reports the directory's membership view, ordered by board id.

@@ -329,7 +329,7 @@ func (c *Cluster) migrateTo(e *Entry, p *Placement, idx int, mandatory bool, ret
 			}
 			c.eng.After(grace, func() {
 				p.migrating = false
-				c.Boards[p.Board].Jitsu.EvictWith(p.Svc, nil)
+				c.Boards[p.Board].Jitsu.Evict(p.Svc)
 				done(true)
 			})
 		}})

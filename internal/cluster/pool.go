@@ -1,8 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"jitsu/internal/core"
 )
@@ -21,11 +22,9 @@ type PoolManager struct {
 	// Prewarms counts speculative boots (not client-driven).
 	Prewarms uint64
 	// Reclaims counts replicas taken out of the warm pool because it
-	// shrank — demotions and evictions both.
+	// shrank — demotions (also counted in Cluster.Demotions) and
+	// evictions both.
 	Reclaims uint64
-	// Demotions counts the reclaims that parked their state on disk
-	// instead of discarding it (boards with a disk tier).
-	Demotions uint64
 }
 
 func newPoolManager(c *Cluster) *PoolManager { return &PoolManager{c: c} }
@@ -53,29 +52,21 @@ func (pm *PoolManager) target(e *Entry) int {
 	return k
 }
 
-// ReconcileAll reconciles every service's pool against its current
-// target. Called after each placement decision; cheap for the handful
-// of services an edge cluster hosts.
-func (pm *PoolManager) ReconcileAll() { pm.reconcileAll(nil) }
-
-// reconcileAll is ReconcileAll with a pinned replica: the placement the
-// in-flight query was just answered with, which must survive this pass
-// even if its pool shrank (the client's SYN for it is on the wire).
+// reconcileAll reconciles every service's pool against its current
+// target, after each placement decision; cheap for the handful of
+// services an edge cluster hosts. pinned (may be nil) is the placement
+// the in-flight query was just answered with, which must survive this
+// pass even if its pool shrank (the client's SYN for it is on the wire).
 func (pm *PoolManager) reconcileAll(pinned *Placement) {
 	for e := range pm.c.dir.walk {
 		pm.reconcile(e, pinned)
 	}
 }
 
-// Reconcile prewarms or reclaims replicas of e until ready+launching
-// matches the target.
-func (pm *PoolManager) Reconcile(e *Entry) { pm.reconcile(e, nil) }
-
 // reconcile prewarms or reclaims replicas of e until ready+launching
 // matches the target. Prewarms place via the service's own policy,
-// skipping boards that already host a live replica; reclaims stop the
-// highest-indexed ready replicas first (board 0 stays warm longest,
-// since it also fields the DNS traffic), never touching pinned.
+// skipping boards that already host a live replica; shrink reclaims,
+// never touching pinned.
 func (pm *PoolManager) reconcile(e *Entry, pinned *Placement) {
 	if e.moved {
 		// The service now lives on another cluster; the draining replica
@@ -120,43 +111,29 @@ func (pm *PoolManager) reconcile(e *Entry, pinned *Placement) {
 
 // shrink takes the pool back down to target, least-recently-used
 // replica first (ties broken toward the higher board index, so board 0
-// — which also fields the DNS traffic — stays warm longest). Each
-// victim is demoted to its board's disk tier when it has one; a
-// diskless board or a full checkpoint store falls back to eviction.
+// — which also fields the DNS traffic — stays warm longest), each
+// through Jitsu.Reclaim, which takes only what the reclaim rule allows.
 func (pm *PoolManager) shrink(e *Entry, pinned *Placement, alive *int) {
-	type victim struct {
-		board int
-		p     *Placement
-	}
-	var cands []victim
-	for i, p := range e.Replicas {
-		if p == nil || p.gone || p.migrating || p.reserved || p == pinned || !p.Svc.State.Booted() {
-			continue
+	var cands []*Placement
+	for _, p := range e.Replicas {
+		if p != nil && !p.gone && !p.migrating && !p.reserved && p != pinned && p.Svc.State.Booted() {
+			cands = append(cands, p)
 		}
-		cands = append(cands, victim{board: i, p: p})
 	}
-	sort.Slice(cands, func(i, k int) bool {
-		ai, ak := cands[i].p.Svc.LastActivity(), cands[k].p.Svc.LastActivity()
-		if ai != ak {
-			return ai < ak
-		}
-		return cands[i].board > cands[k].board
+	slices.SortFunc(cands, func(a, b *Placement) int {
+		return cmp.Or(cmp.Compare(a.Svc.LastActivity(), b.Svc.LastActivity()), b.Board-a.Board)
 	})
-	for _, v := range cands {
+	for _, p := range cands {
 		if *alive <= e.WarmTarget {
 			return
 		}
-		jit := pm.c.Boards[v.board].Jitsu
-		switch err := jit.Demote(v.p.Svc); err {
-		case nil:
+		reclaimed, demoted := pm.c.Boards[p.Board].Jitsu.Reclaim(p.Svc, nil)
+		if demoted {
+			pm.c.Demotions++
+		}
+		if reclaimed {
 			pm.Reclaims++
-			pm.Demotions++
 			*alive--
-		case core.ErrNoDisk, core.ErrDiskFull:
-			if jit.Evict(v.p.Svc) {
-				pm.Reclaims++
-				*alive--
-			}
 		}
 	}
 }

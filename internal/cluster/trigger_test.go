@@ -152,7 +152,7 @@ func TestClusterActivateSurvivesPoolReconcile(t *testing.T) {
 	}
 	// An unrelated reconcile pass (what any next arrival triggers) must
 	// not tear the fresh replica down.
-	c.Pools.ReconcileAll()
+	c.Pools.reconcileAll(nil)
 	c.RunAll()
 	if len(refReady(e)) != 1 {
 		t.Fatalf("replica reclaimed right after activation (ready=%d)", len(refReady(e)))

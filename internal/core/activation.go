@@ -399,8 +399,17 @@ func (a *Activation) endBootSpan(svc *Service, status string) {
 	svc.bootSpan = obs.Span{}
 }
 
-// stopNow tears a booted service down to fully cold: shared by Evict
-// and the idle reaper.
+// reclaimable is the one reclaim rule, asked by the pool shrink and
+// preemption (through Jitsu.Reclaim), demoteForRoom and the idle reaper:
+// a booted replica may go only once its guest owes its clients no bytes
+// (§3.3.1: no packet is lost to the lifecycle). The wait is bounded: TCP
+// acknowledges an unacked send or gives up on it.
+func reclaimable(svc *Service) bool {
+	return svc.State.Booted() && !svc.Guest.Stack.Owes()
+}
+
+// stopNow tears a booted service down to fully cold: shared by Evict,
+// Reclaim and the idle reaper.
 func (a *Activation) stopNow(svc *Service, done func()) {
 	svc.Reaps++
 	g := svc.Guest
@@ -541,7 +550,7 @@ func (a *Activation) dropDiskCheckpoint(svc *Service) {
 }
 
 // demoteForRoom is the memory-pressure path: when admission fails on a
-// board with a disk, the least-recently-used booted replicas are
+// board with a disk, the least-recently-used reclaimable replicas are
 // demoted until the projected free memory covers the launch, and the
 // launch leg runs once their domains are destroyed. Plan-then-execute:
 // a plan that cannot reach the target (disk full, not enough victims)
@@ -555,7 +564,7 @@ func (a *Activation) demoteForRoom(svc *Service, s Summon) bool {
 	need := svc.Cfg.Image.MemMiB
 	var cands []*Service
 	for _, c := range a.j.ordered {
-		if c != svc && c.State.Booted() {
+		if c != svc && reclaimable(c) {
 			cands = append(cands, c)
 		}
 	}
@@ -643,14 +652,16 @@ func (a *Activation) scheduleReap(svc *Service) {
 	}
 	eng := a.j.board.Eng
 	deadline := svc.lastActivity + idle
+	if now := eng.Now(); deadline <= now {
+		deadline = now + idle // the guest still owed bytes: look again later
+	}
 	eng.At(deadline, func() {
-		if !svc.State.Booted() {
-			return
+		switch {
+		case !svc.State.Booted():
+		case eng.Now()-svc.lastActivity < idle || !reclaimable(svc):
+			a.scheduleReap(svc) // activity moved the deadline, or bytes are owed
+		default:
+			a.stopNow(svc, nil)
 		}
-		if eng.Now()-svc.lastActivity < idle {
-			a.scheduleReap(svc) // activity moved the deadline
-			return
-		}
-		a.stopNow(svc, nil)
 	})
 }

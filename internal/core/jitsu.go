@@ -422,27 +422,16 @@ func (j *Jitsu) Deregister(svc *Service) bool {
 // warm state discarded), a disk-resident replica's checkpoint slots are
 // freed. The service returns to Cold either way. It reports whether
 // anything was actually evicted — false for Cold and Launching
-// replicas. The explicit counterpart of the idle reaper; demotion
-// (Demote) is the gentler default and callers fall back here on
-// ErrNoDisk / ErrDiskFull.
-func (j *Jitsu) Evict(svc *Service) bool { return j.EvictWith(svc, nil) }
-
-// EvictWith is Evict with a completion hook: done (may be nil) fires
-// once the domain is destroyed and its memory is back in the free
-// pool — the point at which a preempting scheduler can place a
-// replacement. For a disk-resident replica the slots free synchronously
-// and done fires inline.
-func (j *Jitsu) EvictWith(svc *Service, done func()) bool {
+// replicas. A forced teardown (the operator's verb, a migration's
+// drain); reclaimers go through Reclaim.
+func (j *Jitsu) Evict(svc *Service) bool {
 	switch {
 	case svc.State.Booted():
-		j.act.stopNow(svc, done)
+		j.act.stopNow(svc, nil)
 		return true
 	case svc.State == StateColdDisk:
 		j.act.dropDiskCheckpoint(svc)
 		j.act.setState(svc, StateCold)
-		if done != nil {
-			done()
-		}
 		return true
 	}
 	return false
@@ -454,16 +443,23 @@ func (j *Jitsu) EvictWith(svc *Service, done func()) bool {
 // a fraction of the full boot cost. Returns ErrNotBooted for replicas
 // without a live VM (including one whose launch is still in flight),
 // ErrNoDisk on a diskless board, and ErrDiskFull when the checkpoint
-// store cannot take another replica (callers fall back to Evict).
-func (j *Jitsu) Demote(svc *Service) error { return j.DemoteWith(svc, nil) }
+// store cannot take another replica.
+func (j *Jitsu) Demote(svc *Service) error { return j.act.demote(svc, nil) }
 
-// DemoteWith is Demote with a completion hook: done (may be nil) fires
-// once the domain is destroyed and its memory is back in the free pool.
-// The checkpoint's disk write continues asynchronously after that — a
-// promote issued meanwhile is serialized behind it by the device's FIFO
-// queue.
-func (j *Jitsu) DemoteWith(svc *Service, done func()) error {
-	return j.act.demote(svc, done)
+// Reclaim takes a booted replica's memory back for a reclaimer (the
+// warm-pool shrink, preemption) if the reclaim rule allows it: demoted
+// where the board's disk takes the checkpoint, evicted otherwise. done
+// (may be nil) fires once the memory is back in the free pool. It
+// reports whether the replica was reclaimed, and whether it was demoted.
+func (j *Jitsu) Reclaim(svc *Service, done func()) (reclaimed, demoted bool) {
+	if !reclaimable(svc) {
+		return false, false
+	}
+	if err := j.act.demote(svc, done); err == nil {
+		return true, true
+	}
+	j.act.stopNow(svc, done) // no disk, or no room on it
+	return true, false
 }
 
 // Promote pages a disk-resident replica back into memory:

@@ -204,7 +204,7 @@ func Federation(horizon sim.Duration) *Result {
 	}
 	r.Output = tab.String()
 	r.addNote("one Poisson trace; at t=%v the 20 services homed on federation cluster 0 go hot (mean gap %v) while the rest stay at %v — 20 warm replicas of %d MiB cannot fit cluster 0's 16 slots", skewAt, fedExpHotGap, fedExpColdGap, fedExpImageMiB)
-	r.addNote("the federation root holds %d summary rows for %d services (the flat directory holds %d rows; the member directories %d between them); delegated lookups scan summaries — %d scans over the whole trace, the rest served from the epoch-stamped delegation/negative caches", fed.rootRows, fedExpServices, flat.rootRows, fed.dirRows, fed.rootScans)
+	r.addNote("the federation root holds %d summary rows for %d services (the flat directory holds %d rows; the member directories %d between them); delegated lookups scan summaries — %d scans over the whole trace, the rest served from the delegation/negative caches, which every epoch bump clears", fed.rootRows, fedExpServices, flat.rootRows, fed.dirRows, fed.rootScans)
 	r.addNote("recovery is automatic: admission refusals spill starved services to clusters with room (%d spills) and the root's sustained-skew detector sheds warm replicas over the Checkpoint->Transfer leg (%d cross-cluster migrations, %d shed commands) — no operator call; the frozen federation keeps refusing (%d late-window refusals vs %d)", fed.spills, fed.xmigs, fed.sheds, frozen.lateRef, fed.lateRef)
 	return r
 }

@@ -51,10 +51,13 @@ func TestFederationShape(t *testing.T) {
 // shedding once caused: a launch that lands after its service was
 // retired destroyed the guest with a nil callback, and the destroy's
 // completion dereferenced it. The 4x4 / 192 MiB federation runs with
-// both rebalance mechanisms on over eight seeds; each must drain, and
-// book every arrival exactly once. Errors are not asserted zero: a
-// relaunch that races its predecessor's destroy still books one on
-// some seeds (3 and 11 among the first sixteen).
+// both rebalance mechanisms on over eight seeds; each must drain, book
+// every arrival exactly once, and lose no client. Seed 3 once booked an
+// error: a warm-pool shrink evicted a replica 19 µs after Synjitsu handed
+// it the client's connection, with the reply still unacknowledged, and
+// the client timed out 30 s later. Seed 11 (outside the loop) still
+// books one: a launch that fails orphans the connections Synjitsu
+// parked for it.
 func TestFedSpillSkewDrains(t *testing.T) {
 	const h = 45 * time.Second
 	for seed := int64(1); seed <= 8; seed++ {
@@ -64,6 +67,9 @@ func TestFedSpillSkewDrains(t *testing.T) {
 			if booked := o.lat.Len() + o.refused + o.errs; booked != len(trace) {
 				t.Errorf("%d arrivals, %d booked (served %d, refused %d, errors %d)",
 					len(trace), booked, o.lat.Len(), o.refused, o.errs)
+			}
+			if o.errs != 0 {
+				t.Errorf("%d client errors, want 0", o.errs)
 			}
 		})
 	}

@@ -333,3 +333,81 @@ var tcpReceiveTable = []tcpCell{
 	{StateTimeWait, lateAttach, "pre", 0, "ACK seq+0 ack+0", StateTimeWait, "", ""},
 	{StateTimeWait, imported, "pre", 0, "ACK seq+0 ack+0", StateTimeWait, "", ""},
 }
+
+// TestOwesByState pins Host.Owes, the question the reclaim rule asks of
+// a guest, state by state: a connection owes its peer while a SYN, data
+// or a FIN it sent is unacknowledged. Data a zero window holds back owes
+// nothing: no timer bounds that wait.
+func TestOwesByState(t *testing.T) {
+	synRcvd := func(t *testing.T) *dut {
+		d := &dut{t: t}
+		d.h = newHost(d)
+		d.h.ListenTCP(80, func(*TCPConn) {})
+		syn := TCPSegment{SrcPort: peerPort, DstPort: 80, Seq: peerISS, Flags: FlagSYN, Window: tcpWindow}
+		d.h.handleTCP(peerIP, dutIP, syn.Encode(peerIP, dutIP, nil))
+		for _, c := range d.h.conns {
+			d.c = c
+		}
+		return d
+	}
+	established := func(then func(d *dut)) func(*testing.T) *dut {
+		return func(t *testing.T) *dut {
+			d := accept(t, true)
+			then(d)
+			return d
+		}
+	}
+	reply := func(d *dut) { d.c.Send([]byte("reply")) }
+	for _, row := range []struct {
+		name  string
+		build func(*testing.T) *dut
+		state TCPState
+		owes  bool
+	}{
+		{"SYN_RCVD", synRcvd, StateSynRcvd, true},
+		{"SYN_SENT", func(t *testing.T) *dut {
+			d := &dut{t: t}
+			d.h = newHost(d)
+			d.c = d.h.DialTCP(peerIP, 80, nil)
+			return d
+		}, StateSynSent, true},
+		{"ESTABLISHED idle", established(func(*dut) {}), StateEstablished, false},
+		{"ESTABLISHED imported", func(t *testing.T) *dut {
+			d := accept(t, false)
+			d.handoff()
+			return d
+		}, StateEstablished, false},
+		{"ESTABLISHED unacked data", established(reply), StateEstablished, true},
+		{"ESTABLISHED data acked", established(func(d *dut) {
+			reply(d)
+			d.inject(FlagACK, d.c.rcvNxt, "", d.c.sndNxt)
+		}), StateEstablished, false},
+		{"ESTABLISHED data held by a zero window", established(func(d *dut) {
+			shut := TCPSegment{SrcPort: peerPort, DstPort: 80, Seq: d.c.rcvNxt, Ack: d.c.sndNxt, Flags: FlagACK}
+			d.h.handleTCP(peerIP, dutIP, shut.Encode(peerIP, dutIP, nil))
+			reply(d)
+			if d.c.sndUna != d.c.sndNxt {
+				d.t.Fatal("setup: the reply went out into a zero window")
+			}
+		}), StateEstablished, false},
+		{"FIN_WAIT_1 reply unacked", established(func(d *dut) {
+			reply(d)
+			d.drive(StateFinWait1)
+		}), StateFinWait1, true},
+		{"FIN_WAIT_2", established(func(d *dut) { d.drive(StateFinWait2) }), StateFinWait2, false},
+		{"CLOSE_WAIT", established(func(d *dut) { d.drive(StateCloseWait) }), StateCloseWait, false},
+		{"CLOSING", established(func(d *dut) { d.drive(StateClosing) }), StateClosing, true},
+		{"LAST_ACK", established(func(d *dut) { d.drive(StateLastAck) }), StateLastAck, true},
+		{"TIME_WAIT", established(func(d *dut) { d.drive(StateTimeWait) }), StateTimeWait, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			d := row.build(t)
+			if d.c.state != row.state {
+				t.Fatalf("built %v, want %v", d.c.state, row.state)
+			}
+			if got := d.h.Owes(); got != row.owes {
+				t.Errorf("Owes() = %v, want %v", got, row.owes)
+			}
+		})
+	}
+}

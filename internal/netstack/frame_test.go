@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"testing"
 	"time"
 
@@ -271,14 +272,23 @@ func established(t *testing.T, seed int64) (client *TCPConn, run func()) {
 }
 
 // mallocs counts the heap objects fn allocates, with the collector off:
-// a cycle allocates a handful of its own.
+// a cycle allocates a handful of its own. The count is the process's,
+// and an OS thread the runtime starts meanwhile (more likely on a loaded
+// machine) allocates its m and g structs into it, so a run during which
+// one started is measured again.
 func mallocs(fn func()) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	fn()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	threads := pprof.Lookup("threadcreate")
+	for try := 0; ; try++ {
+		var before, after runtime.MemStats
+		n := threads.Count()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		if threads.Count() == n || try == 3 {
+			return after.Mallocs - before.Mallocs
+		}
+	}
 }
 
 // TestFramePathAllocs pins what a packet costs on the stack + fabric

@@ -515,6 +515,19 @@ func (h *Host) dropConn(c *TCPConn) {
 	}
 }
 
+// Owes reports whether some connection still owes its peer bytes: sent
+// data, a SYN or a FIN not yet acknowledged. Data queued behind a zero
+// window does not count: no timer bounds that wait, so a peer that shut
+// its window could hold the connection forever.
+func (h *Host) Owes() bool {
+	for _, c := range h.conns {
+		if c.sndUna != c.sndNxt {
+			return true
+		}
+	}
+	return false
+}
+
 // ephemeralPort allocates a client port: the next one, round the range,
 // that no listener is bound to and no live or TIME_WAIT connection
 // holds. One lap without a free port is failure.
