@@ -200,7 +200,7 @@ func (p *boardPlane) WatchStats(req WatchStatsRequest) WatchStatsResponse {
 // AddFired adds one board's per-trigger firing counts into ts, which is
 // and stays name-sorted — a cluster folds its boards into one slice.
 func AddFired(ts []TriggerStats, a *core.Activation) []TriggerStats {
-	for name, n := range a.Fired() {
+	for name, n := range a.Fired {
 		i, ok := slices.BinarySearchFunc(ts, name, func(t TriggerStats, name string) int { return strings.Compare(t.Name, name) })
 		if !ok {
 			ts = slices.Insert(ts, i, TriggerStats{Name: name})

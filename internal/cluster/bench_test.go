@@ -174,7 +174,7 @@ var policyNames = []string{"first-fit", "round-robin", "least-loaded", "power-aw
 // fedResolveAllocs is what one cached federated resolution allocates
 // from the client's datagram to the reply in its hands: root, agent,
 // scheduler and the three hosts' stacks.
-const fedResolveAllocs = 8
+const fedResolveAllocs = 5
 
 // TestDirectoryTierAllocs pins the benches above, and the client's decode
 // of the referral the root sends (A + NS + glue, compressed; it was 10).

@@ -51,6 +51,10 @@ type pendingResolve struct {
 	buf   [48]byte
 	timer sim.Event
 	tries int
+	// reply and ans are the answer's storage (answer): respond renders
+	// it before it returns.
+	reply dns.Message
+	ans   [1]dns.RR
 }
 
 // only makes cid the query's single candidate.
@@ -401,11 +405,13 @@ func (r *fedRoot) answer(p *pendingResolve, cid int, ip netstack.IP, ttl uint32)
 		ttl = 10
 	}
 	m := r.f.members[cid]
-	return &dns.Message{ID: p.query.ID, Response: true,
+	p.ans[0] = dns.RR{Name: p.name, Type: dns.TypeA, Class: dns.ClassIN, TTL: ttl, A: ip}
+	p.reply = dns.Message{ID: p.query.ID, Response: true,
 		RecursionDesired: p.query.RecursionDesired,
 		Questions:        p.query.Questions,
-		Answers:          []dns.RR{{Name: p.name, Type: dns.TypeA, Class: dns.ClassIN, TTL: ttl, A: ip}},
+		Answers:          p.ans[:],
 		Authority:        m.referral, Additional: m.glue}
+	return &p.reply
 }
 
 // recv handles one management datagram from a member agent.

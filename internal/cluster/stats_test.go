@@ -89,7 +89,7 @@ func TestOrderedDirectoryMatchesMap(t *testing.T) {
 func refFired(boards ...*core.Board) []api.TriggerStats {
 	fired := map[string]uint64{}
 	for _, b := range boards {
-		for name, n := range b.Jitsu.Activation().Fired() {
+		for name, n := range b.Jitsu.Activation().Fired {
 			fired[name] += n
 		}
 	}

@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"iter"
-	"maps"
 	"sort"
 
 	"jitsu/internal/netstack"
@@ -93,8 +91,9 @@ func (d Decision) Served() bool {
 // formats.
 type Activation struct {
 	j *Jitsu
-	// fired counts firings per trigger name (Summon.Via).
-	fired map[string]uint64
+	// Fired counts firings per trigger name (Summon.Via): read-only
+	// outside this file.
+	Fired map[string]uint64
 	// observers see every firing after its decision (predictive
 	// triggers learn arrival patterns here). Empty on a stock board, so
 	// the zero-allocation DNS fast path pays one nil check.
@@ -106,12 +105,8 @@ type Activation struct {
 }
 
 func newActivation(j *Jitsu) *Activation {
-	return &Activation{j: j, fired: make(map[string]uint64)}
+	return &Activation{j: j, Fired: make(map[string]uint64)}
 }
-
-// Fired iterates the per-trigger firing counters, in no particular
-// order and without copying them.
-func (a *Activation) Fired() iter.Seq2[string, uint64] { return maps.All(a.fired) }
 
 // Observe registers fn to see every firing together with its decision.
 // Predictive triggers (PrewarmTrigger) learn arrival patterns here;
@@ -163,7 +158,7 @@ func (a *Activation) fire(svc *Service, s Summon) Decision {
 	if via == "" {
 		via = "direct"
 	}
-	a.fired[via]++
+	a.Fired[via]++
 	a.touch(svc)
 	if s.ColdStart && svc.State == StateWarmMemory {
 		// The warm hit: a speculatively booted replica takes its first

@@ -139,7 +139,7 @@ func TestTriggerMatrix(t *testing.T) {
 			}
 			rec := &transitionRecorder{}
 			b.Jitsu.Activation().Subscribe(rec.hook)
-			firedBefore := b.Jitsu.act.fired[fe.viaName()]
+			firedBefore := b.Jitsu.act.Fired[fe.viaName()]
 			fe.fire(t, b, svc)
 			b.Eng.Run()
 			if !rec.equal(nil) {
@@ -148,7 +148,7 @@ func TestTriggerMatrix(t *testing.T) {
 			if svc.Launches != 1 {
 				t.Fatalf("warm firing relaunched: %d", svc.Launches)
 			}
-			if fe.warmFires && b.Jitsu.act.fired[fe.viaName()] == firedBefore {
+			if fe.warmFires && b.Jitsu.act.Fired[fe.viaName()] == firedBefore {
 				t.Fatalf("warm firing did not reach the machine via %q", fe.viaName())
 			}
 		})

@@ -42,24 +42,40 @@ func BenchmarkDNSServe(b *testing.B) {
 // profile: the query, its deadline and retransmit timers, the datagram
 // to the server and the answer back, decoded.
 func BenchmarkQuery(b *testing.B) {
-	eng, client, srv := dnsPair(b)
-	c := &Client{Host: client, Retry: DefaultRetry()}
-	answered := 0
-	done := func(m *Message, _ sim.Duration, err error) {
-		if err != nil || len(m.Answers) != 1 {
-			b.Fatal(m, err)
-		}
-		answered++
-	}
-	c.Query(srv.Host.IP, "alice.family.name", TypeA, time.Second, done) // resolve ARP
-	eng.Run()
+	op := queryOp(b)
+	op() // resolve ARP
 	b.ReportAllocs()
 	for b.Loop() {
+		op()
+	}
+}
+
+// queryOp is BenchmarkQuery's op: one query answered, the engine
+// drained.
+func queryOp(tb testing.TB) func() {
+	eng, client, srv := dnsPair(tb)
+	c := &Client{Host: client, Retry: DefaultRetry()}
+	done := func(m *Message, _ sim.Duration, err error) {
+		if err != nil || len(m.Answers) != 1 {
+			tb.Fatal(m, err)
+		}
+	}
+	return func() {
 		c.Query(srv.Host.IP, "alice.family.name", TypeA, time.Second, done)
 		eng.Run()
+		if c.Retries != 0 {
+			tb.Fatalf("%d retransmits on a clean link", c.Retries)
+		}
 	}
-	if c.Retries != 0 {
-		b.Fatalf("%d retransmits on a clean link", c.Retries)
+}
+
+// TestQueryAllocs pins BenchmarkQuery's round trip to the one query
+// object: it holds the datagram it sends and the reply it decodes, whose
+// name is the question's own string, and it is its port's handler and
+// its timers' event.
+func TestQueryAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(200, queryOp(t)); n != 1 {
+		t.Fatalf("a query round trip allocates %v, want 1", n)
 	}
 }
 

@@ -346,6 +346,9 @@ func (e *encoder) writeRR(rr *RR) error {
 type decoder struct {
 	data []byte
 	off  int
+	// known is a name the message is expected to carry (a reply's
+	// question): one spelt exactly like it is that string again.
+	known string
 	// rrs is the message's one record array; a section is a window of it.
 	rrs []RR
 	// seen remembers where each of the message's first few names started,
@@ -359,22 +362,38 @@ type decoder struct {
 	nseen int
 }
 
-// Decode parses a wire-format message. The message and its first
-// question are one allocation, the three record sections windows of one
-// array (each with len == cap: appending to one never writes into the
-// next), and a name spelt as a bare compression pointer to an earlier
-// name shares its string. The caller may keep the message and append to
-// its sections; data is not referenced.
+// decoded is a message with room for the common reply in place: its
+// first question and, when the message carries just one, its record.
+type decoded struct {
+	Message
+	q  [1]Question
+	rr [1]RR
+}
+
+// Decode parses a wire-format message. The message, its first question
+// and a lone record are one allocation; more records make the three
+// sections windows of one array (each with len == cap: appending to one
+// never writes into the next), and a name spelt as a bare compression
+// pointer to an earlier name shares its string. The caller may keep the
+// message and append to its sections; data is not referenced.
 func Decode(data []byte) (*Message, error) {
-	if len(data) < 12 {
-		return nil, ErrTruncated
+	dd := new(decoded)
+	if err := decodeInto(data, dd, ""); err != nil {
+		return nil, err
 	}
-	d := &decoder{data: data, off: 12}
-	msg := &struct {
-		Message
-		q [1]Question
-	}{}
-	m := &msg.Message
+	return &dd.Message, nil
+}
+
+// decodeInto is Decode into dd, all of which it overwrites first: what
+// an earlier decode left there, a rejected one included, is gone. A name
+// spelt exactly like known is known itself, not a copy.
+func decodeInto(data []byte, dd *decoded, known string) error {
+	*dd = decoded{}
+	if len(data) < 12 {
+		return ErrTruncated
+	}
+	d := &decoder{data: data, off: 12, known: known}
+	m := &dd.Message
 	m.ID = binary.BigEndian.Uint16(data[0:2])
 	flags := binary.BigEndian.Uint16(data[2:4])
 	m.Response = flags&(1<<15) != 0
@@ -389,37 +408,42 @@ func Decode(data []byte) (*Message, error) {
 	ar := int(binary.BigEndian.Uint16(data[10:12]))
 
 	if qd > 0 {
-		m.Questions = msg.q[:0]
+		m.Questions = dd.q[:0]
 	}
 	for i := 0; i < qd; i++ {
 		name, err := d.readName()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		typ, err := d.readU16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		class, err := d.readU16()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.Questions = append(m.Questions, Question{Name: name, Type: Type(typ), Class: class})
 	}
-	// A frame cannot buy more room than it carries: no record is shorter
-	// than 11 bytes (root owner name, type, class, TTL, empty rdata).
-	d.rrs = make([]RR, 0, min(an+ns+ar, (len(data)-d.off)/11))
+	if n := an + ns + ar; n <= len(dd.rr) {
+		d.rrs = dd.rr[:0:n]
+	} else {
+		// A frame cannot buy more room than it carries: no record is
+		// shorter than 11 bytes (root owner name, type, class, TTL,
+		// empty rdata).
+		d.rrs = make([]RR, 0, min(n, (len(data)-d.off)/11))
+	}
 	var err error
 	if m.Answers, err = d.readRRs(an); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Authority, err = d.readRRs(ns); err != nil {
-		return nil, err
+		return err
 	}
 	if m.Additional, err = d.readRRs(ar); err != nil {
-		return nil, err
+		return err
 	}
-	return m, nil
+	return nil
 }
 
 func (d *decoder) readU16() (uint16, error) {
@@ -484,6 +508,9 @@ func (d *decoder) readNameAt(off int) (name string, hops, next int, err error) {
 			}
 			if nameLen > 253 {
 				return "", 0, 0, ErrNameTooLong
+			}
+			if string(buf) == d.known {
+				return d.known, hops, next, nil
 			}
 			return string(buf), hops, next, nil
 		case b&0xc0 == 0xc0:

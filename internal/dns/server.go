@@ -174,6 +174,8 @@ type Server struct {
 	nameBuf []byte
 	keyBuf  []byte
 	sfBuf   []byte // SERVFAIL and VerdictOnce replies
+	// replyBuf is what the decode/answer/encode path encodes into.
+	replyBuf []byte
 	// Closure-free UDP reply path: replyFn is built once at bind time
 	// and reads replySrc/replyPort, so the per-datagram handler does
 	// not allocate on the synchronous serve path.
@@ -247,10 +249,11 @@ func (s *Server) ServeWire(payload []byte, send func(wire []byte)) {
 		}
 	}
 	reply := func(resp *Message) {
-		wire, err := resp.Encode()
+		wire, err := resp.AppendEncode(s.replyBuf[:0])
 		if err != nil {
 			return
 		}
+		s.replyBuf = wire
 		send(wire)
 	}
 	query, err := Decode(payload)
@@ -586,22 +589,23 @@ func nextSrcPort(p uint16) uint16 {
 }
 
 // Query sends one question to server:53 and invokes done with the
-// response (or an error after timeout).
+// response (or an error after timeout). The response is the query's own
+// storage, written by nothing once done has it: the caller may keep it.
 func (c *Client) Query(server netstack.IP, name string, typ Type, timeout sim.Duration, done func(*Message, sim.Duration, error)) {
 	c.nextID++
-	questions := [1]Question{{Name: CanonicalName(name), Type: typ, Class: ClassIN}}
-	m := Message{ID: c.nextID, RecursionDesired: true, Questions: questions[:]}
-	wire, err := m.Encode()
+	// Pick a free source port: concurrent queries from one host must
+	// not collide.
+	q := &query{c: c, server: server, id: c.nextID, srcPort: uint16(clientPortLo + c.nextID%50000),
+		name: CanonicalName(name), start: c.Host.Eng.Now(), done: done}
+	questions := [1]Question{{Name: q.name, Type: typ, Class: ClassIN}}
+	m := Message{ID: q.id, RecursionDesired: true, Questions: questions[:]}
+	wire, err := m.AppendEncode(q.wireBuf[:0])
 	if err != nil {
 		done(nil, 0, err)
 		return
 	}
-	// Pick a free source port: concurrent queries from one host must
-	// not collide.
-	q := &query{c: c, server: server, id: m.ID, srcPort: uint16(clientPortLo + m.ID%50000),
-		wire: wire, start: c.Host.Eng.Now(), done: done}
-	onReply := q.onReply // one method value, however many ports are probed
-	for tries := 0; c.Host.BindUDP(q.srcPort, onReply) != nil; tries++ {
+	q.wire = wire
+	for tries := 0; c.Host.BindDatagrams(q.srcPort, q) != nil; tries++ {
 		if tries > 1000 {
 			done(nil, 0, netstack.ErrPortInUse)
 			return
@@ -616,12 +620,17 @@ func (c *Client) Query(server netstack.IP, name string, typ Type, timeout sim.Du
 	c.Host.SendUDP(server, q.srcPort, 53, wire)
 }
 
-// query is one Query in flight, and its deadline's event.
+// query is one Query in flight: its port's application, its deadline's
+// event and the storage of the datagram it sends and the reply it
+// decodes.
 type query struct {
 	c                 *Client
 	server            netstack.IP
 	id, srcPort       uint16
-	wire              []byte
+	name              string // the question's, which the reply's echo shares
+	wire              []byte // the datagram, in wireBuf when it fits
+	wireBuf           [64]byte
+	reply             decoded
 	start             sim.Duration
 	timer, retransmit sim.Event
 	attempt           int                                 // retransmits sent so far
@@ -638,15 +647,16 @@ func (q *query) finish(m *Message, rtt sim.Duration, err error) {
 	done(m, rtt, err)
 }
 
-func (q *query) onReply(src netstack.IP, sport uint16, payload []byte) {
+// Datagram takes a datagram to the query's port: the first that decodes
+// with the query's ID is the reply.
+func (q *query) Datagram(_ netstack.IP, _ uint16, payload []byte) {
 	if q.done == nil {
 		return
 	}
-	m, err := Decode(payload)
-	if err != nil || m.ID != q.id {
+	if err := decodeInto(payload, &q.reply, q.name); err != nil || q.reply.ID != q.id {
 		return
 	}
-	q.finish(m, q.c.Host.Eng.Now()-q.start, nil)
+	q.finish(&q.reply.Message, q.c.Host.Eng.Now()-q.start, nil)
 }
 
 // Fire is the deadline.

@@ -46,17 +46,36 @@ func BenchmarkTCPConnect(b *testing.B) {
 
 // BenchmarkHTTPGet is a whole fetch of a 1 KiB body.
 func BenchmarkHTTPGet(b *testing.B) {
+	op := httpGetOp(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		op()
+	}
+}
+
+// httpGetOp is BenchmarkHTTPGet's op: one fetch, the engine drained.
+func httpGetOp(tb testing.TB) func() {
 	eng, a, srv, _ := twoHosts(1)
 	body := make([]byte, 1024)
 	srv.ServeHTTP(80, func(*HTTPRequest) *HTTPResponse { return &HTTPResponse{Status: 200, Body: body} })
-	b.ReportAllocs()
-	for b.Loop() {
+	return func() {
 		a.HTTPGet(srv.IP, 80, "/", 30*time.Second, func(resp *HTTPResponse, _ time.Duration, err error) {
 			if err != nil || resp.Status != 200 {
-				b.Fatal(resp, err)
+				tb.Fatal(resp, err)
 			}
 		})
 		eng.Run()
+	}
+}
+
+// TestHTTPGetAllocs pins BenchmarkHTTPGet. Client: the fetch (response
+// inside), its connection, the response head's string and the caller's
+// callback. Server: the connection, its application, the request head's
+// string and the response the handler builds. The send buffers are
+// spares (TestWarmFetchAllocs has the same fetch without the last two).
+func TestHTTPGetAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(200, httpGetOp(t)); n != 8 {
+		t.Fatalf("BenchmarkHTTPGet's fetch allocates %v, want 8", n)
 	}
 }
 

@@ -389,10 +389,10 @@ func TestDialAllocsIndependentOfTimeWait(t *testing.T) {
 // TestTimeWaitLetsGoOfTheFetch: a finished fetch leaves both ends in
 // TIME_WAIT for 2 s, and a busy host holds thousands of those. Each
 // keeps what hears Closed at expiry, and that must pin nothing of the
-// fetch: the client's httpGet has let go of the caller, its callback
-// and the response, and the server's connection has handed itself to
-// a handler of zero size, so neither the request it parsed nor the
-// response it rendered stays behind.
+// fetch: the client's fetch and the server's connection have each
+// handed their connection to a handler of zero size, so neither the
+// caller, the request the server parsed nor the response it rendered
+// stays behind, and the send buffers have gone back to their hosts.
 func TestTimeWaitLetsGoOfTheFetch(t *testing.T) {
 	eng, a, b, _ := twoHosts(1)
 	freed := make(chan string, 3)
@@ -422,15 +422,8 @@ func TestTimeWaitLetsGoOfTheFetch(t *testing.T) {
 			if c.state != StateTimeWait || c.sndBuf != nil || c.pendingData != nil || c.onData != nil || c.dialDone != nil || c.listener != nil {
 				t.Errorf("%s: %v connection still holds its buffers or callbacks", h.Name, c.state)
 			}
-			switch app := c.app.(type) {
-			case *httpGet:
-				if app.buf != nil || app.resp != nil || app.done != nil {
-					t.Errorf("%s: the fetch in TIME_WAIT still holds its response or caller", h.Name)
-				}
-			default:
-				if size := reflect.TypeOf(app).Size(); size != 0 {
-					t.Errorf("%s: the server's connection in TIME_WAIT keeps a %T of %d bytes", h.Name, app, size)
-				}
+			if reflect.TypeOf(c.app).Size() != 0 {
+				t.Errorf("%s: a connection in TIME_WAIT keeps a %T, not a zero-size application", h.Name, c.app)
 			}
 		}
 	}
@@ -453,10 +446,10 @@ func TestTimeWaitLetsGoOfTheFetch(t *testing.T) {
 }
 
 // TestWarmFetchAllocs pins a warm fetch, client and server together, to
-// the objects it is made of. Client: the fetch, its connection, the send
-// buffer the request is rendered into, the response head's string and
-// the response. Server: the connection, its application, the request
-// head's string and the send buffer the response is rendered into. The
+// the objects it is made of. Client: the fetch (which holds the
+// response), its connection and the response head's string. Server: the
+// connection, its application and the request head's string. Both send
+// buffers are spares the previous fetch's connections gave back. The
 // body arrives in one segment and is a view of its frame; the frames'
 // share of the fabric's slabs is well under one per fetch, which the
 // per-run average rounds away.
@@ -476,11 +469,7 @@ func TestWarmFetchAllocs(t *testing.T) {
 		eng.Run()
 	}
 	fetch() // ARP, the engine's and the stacks' pools
-	want := 9.0
-	if raceEnabled {
-		want += 2 // the two send buffers' growth, unfused
-	}
-	if n := testing.AllocsPerRun(500, fetch); n != want {
-		t.Fatalf("a warm fetch allocates %v, want %v", n, want)
+	if n := testing.AllocsPerRun(500, fetch); n != 6 {
+		t.Fatalf("a warm fetch allocates %v, want 6", n)
 	}
 }

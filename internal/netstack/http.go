@@ -47,7 +47,10 @@ type HTTPResponse struct {
 	Body   []byte
 }
 
-// HTTPHandler serves one request.
+// HTTPHandler serves one request. The server renders the response it
+// returns before the call that asked for it returns, and keeps no
+// reference to it, so a handler may return the same *HTTPResponse every
+// time (nil answers 500).
 type HTTPHandler func(req *HTTPRequest) *HTTPResponse
 
 // HTTPServer accepts connections and answers one request per connection
@@ -217,24 +220,24 @@ func statusText(code int) string {
 // parseResponseHead parses a response's head once it is complete. want is
 // the Content-Length, or -1 when the response carries none; ok is false
 // while the blank line is missing and for a head that is malformed.
-func parseResponseHead(buf []byte) (r *HTTPResponse, bodyAt, want int, ok bool) {
+func parseResponseHead(buf []byte) (r HTTPResponse, bodyAt, want int, ok bool) {
 	line, header, bodyAt, ok := cutHead(buf)
 	if !ok {
-		return nil, 0, 0, false
+		return HTTPResponse{}, 0, 0, false
 	}
 	_, line = cutField(line)
 	code, _ := cutField(line)
 	status, err := strconv.Atoi(code)
 	if err != nil {
-		return nil, 0, 0, false
+		return HTTPResponse{}, 0, 0, false
 	}
 	want = -1
 	if cl := header.Get("content-length"); cl != "" {
 		if want, err = strconv.Atoi(cl); err != nil || want < 0 {
-			return nil, 0, 0, false
+			return HTTPResponse{}, 0, 0, false
 		}
 	}
-	return &HTTPResponse{Status: status, Header: header}, bodyAt, want, true
+	return HTTPResponse{Status: status, Header: header}, bodyAt, want, true
 }
 
 // HTTPGet fetches path from dst:port. done fires with the response or an
@@ -252,10 +255,10 @@ func (h *Host) HTTPGet(dst IP, port uint16, path string, timeout sim.Duration, d
 	g.conn.write(func(b []byte) []byte { return appendGet(b, path, dst) })
 }
 
-// httpGet is one HTTPGet in flight: its connection's application and
-// its deadline's event. The connection outlives it by the whole of
-// TIME_WAIT and still points here for Closed, so finish lets go of the
-// response bytes and of the caller.
+// httpGet is one HTTPGet in flight: its connection's application, its
+// deadline's event and the storage of the response it hands the caller.
+// The connection outlives it by the whole of TIME_WAIT, so finish hands
+// the connection to hangUp: then nothing but the caller holds the fetch.
 type httpGet struct {
 	host     *Host
 	conn     *TCPConn
@@ -263,9 +266,10 @@ type httpGet struct {
 	deadline sim.Event
 	buf      []byte
 	done     func(*HTTPResponse, sim.Duration, error) // nil once finished
-	// The head is parsed once, when its blank line arrives; from then on
-	// a segment is a length check against bodyAt+want.
-	resp   *HTTPResponse
+	// The head is parsed once, when its blank line arrives (bodyAt > 0
+	// from then on); after that a segment is a length check against
+	// bodyAt+want.
+	resp   HTTPResponse
 	bodyAt int
 	want   int // Content-Length, or -1: whatever has arrived is the body
 }
@@ -275,7 +279,8 @@ func (g *httpGet) finish(r *HTTPResponse, err error) {
 	if done == nil {
 		return
 	}
-	g.done, g.buf, g.resp = nil, nil, nil
+	g.done, g.buf = nil, nil
+	g.conn.Attach(hangUp{})
 	done(r, g.host.Eng.Now()-g.start, err)
 }
 
@@ -287,7 +292,7 @@ func (g *httpGet) Fire() { g.finish(nil, ErrTimeout) }
 // caller's to keep and never to write — a response that came in one
 // segment is still a view of its frame.
 func (g *httpGet) whole() bool {
-	if g.resp == nil {
+	if g.bodyAt == 0 {
 		var ok bool
 		if g.resp, g.bodyAt, g.want, ok = parseResponseHead(g.buf); !ok {
 			return false
@@ -311,15 +316,12 @@ func (g *httpGet) tryComplete() bool {
 		return false
 	}
 	g.host.Eng.Cancel(g.deadline)
-	g.finish(g.resp, nil)
+	g.finish(&g.resp, nil)
 	g.conn.Close()
 	return true
 }
 
 func (g *httpGet) Data(b []byte) {
-	if g.done == nil {
-		return
-	}
 	if g.buf == nil {
 		g.buf = b // ours to keep till the response is whole, never to write: a view of the frame
 	} else {
@@ -329,7 +331,7 @@ func (g *httpGet) Data(b []byte) {
 }
 
 func (g *httpGet) Closed(err error) {
-	if g.done == nil || g.tryComplete() {
+	if g.tryComplete() {
 		return
 	}
 	if err == nil {

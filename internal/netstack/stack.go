@@ -54,8 +54,19 @@ type fourTuple struct {
 	localPort, remotePort uint16
 }
 
-// UDPHandler receives datagrams on a bound UDP port.
+// DatagramHandler is a bound UDP port's application: the object that
+// holds a query's or an agent's state, so binding it binds nothing.
+// Datagram gets each payload as a view of its frame — to keep (with the
+// frame's slab — netsim.Handler), never to write.
+type DatagramHandler interface {
+	Datagram(src IP, srcPort uint16, payload []byte)
+}
+
+// UDPHandler is a DatagramHandler as a func.
 type UDPHandler func(src IP, srcPort uint16, payload []byte)
+
+// Datagram implements DatagramHandler.
+func (fn UDPHandler) Datagram(src IP, srcPort uint16, payload []byte) { fn(src, srcPort, payload) }
 
 // Host is one IP endpoint: a NIC, an address, ARP, and the transport
 // demultiplexers. All methods must be called from simulation events.
@@ -76,7 +87,7 @@ type Host struct {
 
 	arpCache   map[IP]netsim.MAC
 	arpPending map[IP][]pendingPacket
-	udpPorts   map[uint16]UDPHandler
+	udpPorts   map[uint16]DatagramHandler
 	listeners  map[uint16]*TCPListener
 	conns      map[fourTuple]*TCPConn
 	// portUse counts, per ephemeral local port, the conns entries that
@@ -96,7 +107,8 @@ type Host struct {
 	// hostile links).
 	ARPRetries uint64
 	// TraceTCP, when set, observes every TCP segment the stack sends or
-	// receives ("tx"/"rx") — a tcpdump for the simulation.
+	// receives ("tx"/"rx") — a tcpdump for the simulation. The segment
+	// and its payload are good for the call only.
 	TraceTCP func(dir string, seg *TCPSegment)
 
 	eth  Ethernet
@@ -107,9 +119,11 @@ type Host struct {
 	tcp  TCPSegment
 
 	// scratch is the one buffer every outgoing frame is rendered into
-	// (txFrame); rxFree pools the records rxFrame books.
-	scratch []byte
-	rxFree  []*rxJob
+	// (txFrame); rxFree pools the records rxFrame books; spareSnd holds
+	// send buffers that finished connections gave back (releaseSndBuf).
+	scratch  []byte
+	rxFree   []*rxJob
+	spareSnd [][]byte
 }
 
 // pendingPacket is a frame parked behind an ARP resolution: a private
@@ -137,7 +151,7 @@ func NewHost(eng *sim.Engine, name string, nic *netsim.NIC, ip IP, profile Stack
 		proxyARP:   make(map[IP]bool),
 		arpCache:   make(map[IP]netsim.MAC),
 		arpPending: make(map[IP][]pendingPacket),
-		udpPorts:   make(map[uint16]UDPHandler),
+		udpPorts:   make(map[uint16]DatagramHandler),
 		listeners:  make(map[uint16]*TCPListener),
 		conns:      make(map[fourTuple]*TCPConn),
 		pings:      make(map[uint16]*pendingPing),
@@ -456,14 +470,18 @@ func (h *Host) sendICMP(dst IP, m *ICMPEcho) {
 
 // ---- UDP ----
 
-// BindUDP registers a datagram handler on a port.
-func (h *Host) BindUDP(port uint16, fn UDPHandler) error {
+// BindDatagrams makes d the application of a UDP port: every datagram
+// that arrives for it is handed to d.Datagram until UnbindUDP.
+func (h *Host) BindDatagrams(port uint16, d DatagramHandler) error {
 	if _, ok := h.udpPorts[port]; ok {
 		return ErrPortInUse
 	}
-	h.udpPorts[port] = fn
+	h.udpPorts[port] = d
 	return nil
 }
+
+// BindUDP registers a datagram callback on a port.
+func (h *Host) BindUDP(port uint16, fn UDPHandler) error { return h.BindDatagrams(port, fn) }
 
 // UnbindUDP releases a port.
 func (h *Host) UnbindUDP(port uint16) { delete(h.udpPorts, port) }
@@ -478,12 +496,12 @@ func (h *Host) handleUDP(src IP, payload []byte) {
 		h.RxDropped++
 		return
 	}
-	fn, ok := h.udpPorts[h.udp.DstPort]
+	d, ok := h.udpPorts[h.udp.DstPort]
 	if !ok {
 		h.RxDropped++
 		return
 	}
-	fn(src, h.udp.SrcPort, h.udp.Payload())
+	d.Datagram(src, h.udp.SrcPort, h.udp.Payload())
 }
 
 // ephemeralBase is the first client port (IANA's dynamic range).

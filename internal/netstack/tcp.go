@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"slices"
 	"time"
 
 	"jitsu/internal/sim"
@@ -53,6 +54,11 @@ const (
 	timeWaitDelay = 2 * time.Second
 	// maxFlight caps unacknowledged bytes in flight (a static cwnd).
 	maxFlight = 64 * 1024
+	// A host keeps at most maxSpareSnd send buffers that finished
+	// connections gave back, none with more than maxSpareSndCap bytes of
+	// capacity (releaseSndBuf).
+	maxSpareSnd    = 8
+	maxSpareSndCap = 16 * 1024
 )
 
 func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
@@ -217,6 +223,10 @@ func (c *TCPConn) write(render func([]byte) []byte) error {
 	}
 	if c.finQueued {
 		return ErrConnClosed
+	}
+	if k := len(c.host.spareSnd); c.sndBuf == nil && k > 0 {
+		c.sndBuf = c.host.spareSnd[k-1] // a finished connection's (releaseSndBuf)
+		c.host.spareSnd = slices.Delete(c.host.spareSnd, k-1, k)
 	}
 	n := len(c.sndBuf)
 	c.sndBuf = render(c.sndBuf)
@@ -604,7 +614,8 @@ func (c *TCPConn) deliver(payload []byte) {
 func (c *TCPConn) enterTimeWait() {
 	c.state = StateTimeWait
 	c.host.Eng.Cancel(c.rtxEv)
-	c.sndBuf, c.onData, c.dialDone, c.listener = nil, nil, nil, nil
+	c.releaseSndBuf()
+	c.onData, c.dialDone, c.listener = nil, nil, nil
 	c.after(timeWaitDelay)
 }
 
@@ -616,6 +627,7 @@ func (c *TCPConn) teardown(err error) {
 	c.state = StateClosed
 	c.host.Eng.Cancel(c.rtxEv)
 	c.host.dropConn(c)
+	c.releaseSndBuf()
 	c.closedErr = err
 	c.notifyClosed()
 }
@@ -637,4 +649,14 @@ func (c *TCPConn) notifyClosed() {
 		}
 		done(nil, err)
 	}
+}
+
+// releaseSndBuf gives the send buffer of a connection that sends no more
+// to its host, for the next connection's first write: every segment cut
+// from it was copied into its frame, so nothing else refers to it.
+func (c *TCPConn) releaseSndBuf() {
+	if b := c.sndBuf; cap(b) > 0 && cap(b) <= maxSpareSndCap && len(c.host.spareSnd) < maxSpareSnd {
+		c.host.spareSnd = append(c.host.spareSnd, b[:0])
+	}
+	c.sndBuf = nil
 }

@@ -15,6 +15,8 @@ type StaticSiteApp struct {
 	Pages map[string][]byte
 	// Server is exposed for Synjitsu handoff (AcceptImported).
 	Server *netstack.HTTPServer
+	// resp is every answer: the server renders it before the next request.
+	resp netstack.HTTPResponse
 }
 
 // NewStaticSiteApp builds a site with an index page.
@@ -28,9 +30,11 @@ func NewStaticSiteApp(owner string) *StaticSiteApp {
 func (a *StaticSiteApp) Start(g *Guest, ready func()) error {
 	srv, err := g.Stack.ServeHTTP(80, func(req *netstack.HTTPRequest) *netstack.HTTPResponse {
 		if body, ok := a.Pages[req.Path]; ok {
-			return &netstack.HTTPResponse{Status: 200, Body: body}
+			a.resp = netstack.HTTPResponse{Status: 200, Body: body}
+		} else {
+			a.resp = netstack.HTTPResponse{Status: 404, Body: []byte("not found")}
 		}
-		return &netstack.HTTPResponse{Status: 404, Body: []byte("not found")}
+		return &a.resp
 	})
 	if err != nil {
 		return err
