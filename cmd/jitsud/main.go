@@ -263,17 +263,10 @@ func (d *daemon) runBoard() error {
 
 	fmt.Fprintf(d.out, "jitsud: %s, synjitsu=%v, %d services, idle timeout %v\n\n",
 		b.Hyp, b.Cfg.Synjitsu, d.services, d.idle)
-	fmt.Fprintf(d.out, "%-12s %-22s %-8s %-12s %s\n", "time", "request", "status", "latency", "note")
 
-	lat := &metrics.Series{Name: "request latency"}
 	cold, warm, diskRestores := 0, 0, 0
-	var issue func(i int)
-	issue = func(i int) {
-		if i >= d.requests {
-			stopStats()
-			return
-		}
-		name := serviceNames[i%d.services] + "." + b.Cfg.Zone
+	loop := d.newLoop(b.Eng, b.Cfg.Zone, "", stopStats)
+	loop.fetch = func(i int, name string) {
 		svc, _ := b.Jitsu.Service(name)
 		prior := svc.State
 		if d.disk && prior == core.StateColdDisk && i%8 == 7 {
@@ -298,12 +291,7 @@ func (d *daemon) runBoard() error {
 				default:
 					warm++
 				}
-				status := "ERR"
-				if err == nil {
-					status = fmt.Sprint(resp.Status)
-					lat.Add(took)
-				}
-				fmt.Fprintf(d.out, "%-12v %-22s %-8s %-12v %s\n", b.Eng.Now().Round(time.Millisecond), name, status, took.Round(100*time.Microsecond), note)
+				loop.row(name, resp, took, err, "", note)
 				// Think time between requests: sometimes short (stays
 				// warm), sometimes beyond the idle timeout.
 				gap := 2 * time.Second
@@ -320,16 +308,16 @@ func (d *daemon) runBoard() error {
 						}
 					}
 				}
-				b.Eng.After(gap, func() { issue(i + 1) })
+				loop.next(i, gap)
 			})
 	}
-	issue(0)
+	loop.issue(0)
 	b.Eng.Run()
 	if err := d.dumpTrace(tracer); err != nil {
 		return err
 	}
 
-	fmt.Fprintf(d.out, "\n%s\n", lat.Summary())
+	loop.summary()
 	fmt.Fprintf(d.out, "cold starts: %d, warm hits: %d, disk restores: %d\n", cold, warm, diskRestores)
 	fmt.Fprintf(d.out, "domains now: %d (incl. dom0), free memory: %d MiB\n", b.Hyp.Domains(), b.Hyp.FreeMemMiB())
 	if b.Syn != nil {
@@ -349,6 +337,54 @@ func (d *daemon) runBoard() error {
 	fmt.Fprintln(d.out)
 	return nil
 }
+
+// closedLoop is the request trace the board, cluster and federation
+// modes run: d.requests fetches of the registered services in turn, one
+// at a time, each issued once the last is answered and its think time
+// has passed. A mode's fetch issues request i for name; its answer goes
+// to row, then next. finish runs once the trace is over.
+type closedLoop struct {
+	d      *daemon
+	eng    *sim.Engine
+	zone   string
+	fetch  func(i int, name string)
+	finish func()
+	lat    metrics.Series
+}
+
+// newLoop prints the trace's table header — col is the mode's placement
+// column title, padded to its width, or "" — and returns the loop.
+func (d *daemon) newLoop(eng *sim.Engine, zone, col string, finish func()) *closedLoop {
+	fmt.Fprintf(d.out, "%-12s %-22s %-8s %s%-12s %s\n", "time", "request", "status", col, "latency", "note")
+	return &closedLoop{d: d, eng: eng, zone: zone, finish: finish, lat: metrics.Series{Name: "request latency"}}
+}
+
+// issue sends request i, or ends the trace after the last.
+func (l *closedLoop) issue(i int) {
+	if i >= l.d.requests {
+		l.finish()
+		return
+	}
+	l.fetch(i, serviceNames[i%l.d.services]+"."+l.zone)
+}
+
+// row prints one answered request, where being its placement cell in
+// the column's width, and keeps a success's latency for the summary.
+func (l *closedLoop) row(name string, resp *netstack.HTTPResponse, took sim.Duration, err error, where, note string) {
+	status := "ERR"
+	if err == nil {
+		status = fmt.Sprint(resp.Status)
+		l.lat.Add(took)
+	}
+	fmt.Fprintf(l.d.out, "%-12v %-22s %-8s %s%-12v %s\n",
+		l.eng.Now().Round(time.Millisecond), name, status, where, took.Round(100*time.Microsecond), note)
+}
+
+// next issues request i+1 after gap.
+func (l *closedLoop) next(i int, gap sim.Duration) { l.eng.After(gap, func() { l.issue(i + 1) }) }
+
+// summary prints the latency line every trace's report opens with.
+func (l *closedLoop) summary() { fmt.Fprintf(l.d.out, "\n%s\n", l.lat.Summary()) }
 
 // hostileFlags groups the edge-impairment knobs: -loss/-jitter degrade
 // the client's uplink from t=0 (a netem-style seeded impairment below
@@ -560,46 +596,35 @@ func (d *daemon) runCluster() error {
 
 	fmt.Fprintf(d.out, "jitsud cluster: %d boards, policy %s, synjitsu=%v, %d services, min-warm %d\n\n",
 		d.boards, pol.Name(), !d.noSyn, d.services, d.minWarm)
-	fmt.Fprintf(d.out, "%-12s %-22s %-8s %-7s %-12s %s\n", "time", "request", "status", "board", "latency", "note")
+	loop := d.newLoop(c.Eng(), zone, fmt.Sprintf("%-7s ", "board"), func() {
+		// Quiesce the gossip agents so the event queue can drain.
+		traceDone = true
+		stopStats()
+		c.StopMembership()
+	})
 	d.hostile.apply(d.out, c.Eng(), cl.Host(0).NIC.Link(), d.seed)
-
-	lat := &metrics.Series{Name: "request latency"}
-	var issue func(i int)
-	issue = func(i int) {
-		if i >= d.requests {
-			// Quiesce the gossip agents so the event queue can drain.
-			traceDone = true
-			stopStats()
-			c.StopMembership()
-			return
-		}
-		name := serviceNames[i%d.services] + "." + zone
+	loop.fetch = func(i int, name string) {
 		warmBefore := c.WarmHits
 		cl.Fetch(name, "/", 30*time.Second,
 			func(board int, resp *netstack.HTTPResponse, took sim.Duration, err error) {
-				status, note := "ERR", "PLACED"
+				note := "PLACED"
 				switch {
 				case err != nil:
 					note = err.Error()
-				default:
-					status = fmt.Sprint(resp.Status)
-					lat.Add(took)
-					if c.WarmHits > warmBefore {
-						note = "warm"
-					}
+				case c.WarmHits > warmBefore:
+					note = "warm"
 				}
-				fmt.Fprintf(d.out, "%-12v %-22s %-8s %-7d %-12v %s\n",
-					c.Eng().Now().Round(time.Millisecond), name, status, board, took.Round(100*time.Microsecond), note)
-				c.Eng().After(2*time.Second, func() { issue(i + 1) })
+				loop.row(name, resp, took, err, fmt.Sprintf("%-7d ", board), note)
+				loop.next(i, 2*time.Second)
 			})
 	}
-	issue(0)
+	loop.issue(0)
 	c.RunAll()
 	if err := d.dumpTrace(tracer); err != nil {
 		return err
 	}
 
-	fmt.Fprintf(d.out, "\n%s\n", lat.Summary())
+	loop.summary()
 	fmt.Fprintf(d.out, "placed: %d, warm hits: %d, refused: %d, preempts: %d, prewarms: %d, reclaims: %d, demotions: %d\n",
 		c.Placed, c.WarmHits, c.ServFails, c.Preempts, c.Pools.Prewarms, c.Pools.Reclaims, c.Demotions)
 	if d.hostile.active() {
@@ -837,40 +862,27 @@ func (d *daemon) runFederation() error {
 
 	fmt.Fprintf(d.out, "\njitsud federation: %d clusters x %d boards, policy %s, synjitsu=%v, %d services, min-warm %d\n\n",
 		d.clusters, d.boards, pol.Name(), !d.noSyn, d.services, d.minWarm)
-	fmt.Fprintf(d.out, "%-12s %-22s %-8s %-9s %-12s %s\n", "time", "request", "status", "c/b", "latency", "note")
-
-	lat := &metrics.Series{Name: "request latency"}
-	var issue func(i int)
-	issue = func(i int) {
-		if i >= d.requests {
-			f.Stop()
-			return
-		}
-		name := serviceNames[i%d.services] + "." + zone
+	loop := d.newLoop(f.Eng(), zone, fmt.Sprintf("%-9s ", "c/b"), f.Stop)
+	loop.fetch = func(i int, name string) {
 		fc.Fetch(name, "/", 30*time.Second,
 			func(cl, board int, resp *netstack.HTTPResponse, took sim.Duration, err error) {
-				status, note := "ERR", ""
-				switch {
-				case err != nil:
+				note := ""
+				if err != nil {
 					note = err.Error()
-				default:
-					status = fmt.Sprint(resp.Status)
-					lat.Add(took)
 				}
-				fmt.Fprintf(d.out, "%-12v %-22s %-8s %2d/%-6d %-12v %s\n",
-					f.Eng().Now().Round(time.Millisecond), name, status, cl, board, took.Round(100*time.Microsecond), note)
-				f.Eng().After(2*time.Second, func() { issue(i + 1) })
+				loop.row(name, resp, took, err, fmt.Sprintf("%2d/%-6d ", cl, board), note)
+				loop.next(i, 2*time.Second)
 			})
 	}
 	// The registrations' summary pushes ride the management link; start
 	// the trace once the root has heard about every service.
-	f.Eng().After(50*time.Millisecond, func() { issue(0) })
+	f.Eng().After(50*time.Millisecond, func() { loop.issue(0) })
 	f.RunAll()
 	if err := d.dumpTrace(tracer); err != nil {
 		return err
 	}
 
-	fmt.Fprintf(d.out, "\n%s\n", lat.Summary())
+	loop.summary()
 	root := f.Root()
 	fmt.Fprintf(d.out, "root directory: %d summary rows, %d lookups, %d delegations (%d cache hits, %d negative hits), %d scans\n",
 		root.StateSize, root.Lookups, root.Delegations, root.DelegHits, root.NegHits, root.Scans)

@@ -91,9 +91,6 @@ func New(eng *sim.Engine, cfg Config) *Device {
 	return d
 }
 
-// Cfg returns the device's resolved configuration.
-func (d *Device) Cfg() Config { return d.cfg }
-
 // SlotsTotal is the device capacity in slots.
 func (d *Device) SlotsTotal() int { return d.cfg.Slots }
 

@@ -80,10 +80,7 @@ func (p *clusterPlane) Activate(req api.ActivateRequest) api.ActivateResponse {
 	if req.Speculative {
 		// A prewarm: boot a stopped replica where the policy likes,
 		// without client-driven accounting.
-		idx := e.Policy.Pick(p.c.views(e, func(i int) bool {
-			st := e.Replicas[i].Svc.State
-			return st.Booted() || st == core.StateLaunching
-		}))
+		idx := p.c.prewarmPick(e)
 		if idx < 0 {
 			if pl := e.readyAt(0); pl != nil {
 				// Nothing to prewarm because the service is already

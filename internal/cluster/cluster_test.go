@@ -253,8 +253,8 @@ func TestEWMATargetFollowsArrivalRate(t *testing.T) {
 		})
 	}
 	c.RunAll()
-	if e.Rate() < 1.0 || e.Rate() > 4.0 {
-		t.Fatalf("EWMA rate = %.2f/s, want ≈2/s", e.Rate())
+	if e.rate < 1.0 || e.rate > 4.0 {
+		t.Fatalf("EWMA rate = %.2f/s, want ≈2/s", e.rate)
 	}
 	if e.WarmTarget < 1 {
 		t.Fatalf("warm target = %d, want ≥1 while hot", e.WarmTarget)

@@ -172,9 +172,6 @@ type Entry struct {
 	rr int
 }
 
-// Rate returns the current EWMA arrival-rate estimate in arrivals/sec.
-func (e *Entry) Rate() float64 { return e.rate }
-
 // live reports whether the slot can hold a replica at all: present, its
 // board still a member, not a migrated-out source waiting to stop.
 func (p *Placement) live() bool { return p != nil && !p.gone && !p.draining }

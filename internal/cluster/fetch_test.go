@@ -63,7 +63,7 @@ type script struct {
 
 func (s *script) takeOver(t *testing.T, host *netstack.Host, srv *dns.Server) {
 	t.Helper()
-	srv.Close()
+	srv.Host.UnbindUDP(53)
 	err := host.BindUDP(53, func(src netstack.IP, sport uint16, payload []byte) {
 		q, err := dns.Decode(payload)
 		if err != nil {

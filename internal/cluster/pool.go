@@ -90,10 +90,7 @@ func (pm *PoolManager) reconcile(e *Entry, pinned *Placement) {
 		}
 	}
 	for alive < e.WarmTarget {
-		idx := e.Policy.Pick(pm.c.views(e, func(i int) bool {
-			st := e.Replicas[i].Svc.State
-			return st.Booted() || st == core.StateLaunching
-		}))
+		idx := pm.c.prewarmPick(e)
 		if idx < 0 {
 			return // no capacity anywhere; try again on the next arrival
 		}
@@ -107,6 +104,17 @@ func (pm *PoolManager) reconcile(e *Entry, pinned *Placement) {
 	if alive > e.WarmTarget {
 		pm.shrink(e, pinned, &alive)
 	}
+}
+
+// prewarmPick is the board a prewarm of e boots its replica on, by the
+// service's own policy over the boards whose replica is neither booted
+// nor launching, or -1 when there is none. The pool's growth and the
+// speculative Activate verb both ask it.
+func (c *Cluster) prewarmPick(e *Entry) int {
+	return e.Policy.Pick(c.views(e, func(i int) bool {
+		st := e.Replicas[i].Svc.State
+		return st.Booted() || st == core.StateLaunching
+	}))
 }
 
 // shrink takes the pool back down to target, least-recently-used

@@ -147,7 +147,7 @@ func TestClusterActivateSurvivesPoolReconcile(t *testing.T) {
 		t.Fatalf("OnReady: %v", readyErr)
 	}
 	e := c.Directory().Lookup("alice.family.name")
-	if e.Rate() == 0 {
+	if e.rate == 0 {
 		t.Fatal("control-plane activation did not feed the rate estimator")
 	}
 	// An unrelated reconcile pass (what any next arrival triggers) must

@@ -130,8 +130,6 @@ type Listener struct {
 	Name   string
 	Dom    xenstore.DomID
 	onConn func(*Endpoint)
-	watch  *xenstore.Watch
-	closed bool
 }
 
 // Register claims name for dom and watches its listen queue. The listen
@@ -161,32 +159,17 @@ func (r *Registry) Register(dom xenstore.DomID, name string, onConn func(*Endpoi
 		}
 	}
 	l := &Listener{reg: r, Name: name, Dom: dom, onConn: onConn}
-	w, err := st.WatchPath(dom, base+"/listen", "conduit-listen", func(path, _ string) {
+	if _, err := st.WatchPath(dom, base+"/listen", "conduit-listen", func(path, _ string) {
 		l.checkListen(path)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	l.watch = w
 	return l, nil
-}
-
-// Close unregisters the endpoint name.
-func (l *Listener) Close() {
-	if l.closed {
-		return
-	}
-	l.closed = true
-	l.reg.store.Unwatch(l.watch)
-	_ = l.reg.store.Rm(l.Dom, nil, "/conduit/"+l.Name)
 }
 
 // checkListen inspects a listen-queue write and completes the server
 // half of the rendezvous.
 func (l *Listener) checkListen(path string) {
-	if l.closed {
-		return
-	}
 	st := l.reg.store
 	base := "/conduit/" + l.Name + "/listen"
 	if path == base || xenstore.ParentPath(path) != base {

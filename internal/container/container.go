@@ -118,7 +118,6 @@ type Container struct {
 	Image     Image
 	StartedAt sim.Duration
 	Elapsed   sim.Duration
-	runtime   *Runtime
 	stopped   bool
 }
 
@@ -127,47 +126,37 @@ type Container struct {
 func (c *Container) Stop() { c.stopped = true }
 
 // Start launches a container from img; done fires with the container or
-// an injected storage failure.
+// an injected storage failure. The five costs — daemon round trip,
+// storage setup, namespaces, network, the entrypoint's exec — are drawn
+// up front in pipeline order, the storage fault check right after the
+// first: a fault ends the start when the round trip is over.
 func (r *Runtime) Start(img Image, done func(*Container, error)) {
 	r.Starts++
 	eng := r.Eng
 	rng := eng.Rand()
-	begin := eng.Now()
 	f := r.xenFactor()
 	scale := func(d sim.Duration) sim.Duration { return sim.Duration(float64(d) * f) }
 
-	c := &Container{Image: img, runtime: r, StartedAt: begin}
-	p := sim.NewProc(eng)
-	p.Then("daemon-rpc", func(p *sim.Proc) {
-		p.Charge(scale(r.DaemonRPC.Sample(rng)))
-	}).Then("storage-setup", func(p *sim.Proc) {
-		if r.Storage.FaultRate > 0 && rng.Float64() < r.Storage.FaultRate {
-			p.Fail(ErrEarlyTermination)
-			return
-		}
-		var d sim.Duration
-		for _, layer := range img.LayerBytes {
-			d += r.Storage.PerLayerSetup.Sample(rng)
-			ioTime := float64(layer) / (r.Storage.ReadMBps * 1e6) * float64(time.Second)
-			d += sim.Duration(ioTime)
-		}
-		p.Charge(scale(d))
-	}).Then("namespaces", func(p *sim.Proc) {
-		p.Charge(scale(r.NamespaceSetup.Sample(rng)))
-	}).Then("network", func(p *sim.Proc) {
-		p.Charge(scale(r.NetworkSetup.Sample(rng)))
-	}).Then("exec", func(p *sim.Proc) {
-		p.Charge(scale(img.EntrypointExec.Sample(rng)))
-	}).OnDone(func(err error) {
-		c.Elapsed = eng.Now() - begin
-		if err != nil {
+	elapsed := scale(r.DaemonRPC.Sample(rng))
+	if r.Storage.FaultRate > 0 && rng.Float64() < r.Storage.FaultRate {
+		eng.After(elapsed, func() {
 			r.Failures++
-			done(nil, err)
-			return
-		}
-		done(c, nil)
-	})
-	p.Start(0)
+			done(nil, ErrEarlyTermination)
+		})
+		return
+	}
+	var storage sim.Duration
+	for _, layer := range img.LayerBytes {
+		storage += r.Storage.PerLayerSetup.Sample(rng)
+		ioTime := float64(layer) / (r.Storage.ReadMBps * 1e6) * float64(time.Second)
+		storage += sim.Duration(ioTime)
+	}
+	elapsed += scale(storage)
+	elapsed += scale(r.NamespaceSetup.Sample(rng))
+	elapsed += scale(r.NetworkSetup.Sample(rng))
+	elapsed += scale(img.EntrypointExec.Sample(rng))
+	c := &Container{Image: img, StartedAt: eng.Now(), Elapsed: elapsed}
+	eng.After(elapsed, func() { done(c, nil) })
 }
 
 // InetdService triggers a fresh container per incoming request, the way

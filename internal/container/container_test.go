@@ -105,7 +105,7 @@ func TestInetdService(t *testing.T) {
 	svc := &InetdService{
 		Runtime:         rt,
 		Image:           WebServerImage(),
-		RequestOverhead: sim.Const(5 * time.Millisecond),
+		RequestOverhead: sim.Exponential{Base: 5 * time.Millisecond},
 	}
 	var total sim.Duration
 	svc.HandleRequest(func(d sim.Duration, err error) {

@@ -407,9 +407,17 @@ func reclaimable(svc *Service) bool {
 // Reclaim and the idle reaper.
 func (a *Activation) stopNow(svc *Service, done func()) {
 	svc.Reaps++
+	a.teardown(svc, StateCold, done)
+}
+
+// teardown takes a booted service's VM away, leaving the service at to:
+// the guest is dropped, the state set, the idle IP claimed back for
+// dom0, and then the VM destroyed. done (may be nil) fires when Destroy
+// completes.
+func (a *Activation) teardown(svc *Service, to ServiceState, done func()) {
 	g := svc.Guest
 	svc.Guest = nil
-	a.setState(svc, StateCold)
+	a.setState(svc, to)
 	a.claimIdleIP(svc)
 	a.j.board.Launcher.Destroy(g, func(error) {
 		if done != nil {
@@ -452,15 +460,7 @@ func (a *Activation) demote(svc *Service, done func()) error {
 		span = tr.Begin(tid, "activation", "demote",
 			obs.Str("svc", svc.Cfg.Name), obs.Num("state_mib", int64(cp.StateMiB)))
 	}
-	g := svc.Guest
-	svc.Guest = nil
-	a.setState(svc, StateColdDisk)
-	a.claimIdleIP(svc)
-	b.Launcher.Destroy(g, func(error) {
-		if done != nil {
-			done()
-		}
-	})
+	a.teardown(svc, StateColdDisk, done)
 	dev.Write(cp.StateMiB, func() {
 		if svc.disk == d {
 			d.durable = true

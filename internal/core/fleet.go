@@ -68,10 +68,6 @@ func (f *Fleet) NewClient(name string, ip netstack.IP) *FleetClient {
 	return fc
 }
 
-// Host returns the client's attachment on board i (for direct traffic
-// after resolution).
-func (fc *FleetClient) Host(i int) *netstack.Host { return fc.hosts[i] }
-
 // Fetch resolves name with failover and fetches path from whichever
 // board accepted. done reports the serving board index. Every board in
 // the walk gets the caller's full budget; elapsed runs from the first

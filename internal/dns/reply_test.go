@@ -21,7 +21,7 @@ import (
 // query with the datagrams replies renders for its ID, in order.
 func answering(t *testing.T, srv *Server, replies func(id uint16) []*Message) {
 	t.Helper()
-	srv.Close()
+	srv.Host.UnbindUDP(53)
 	h := srv.Host
 	if err := h.BindUDP(53, func(src netstack.IP, port uint16, q []byte) {
 		for _, m := range replies(binary.BigEndian.Uint16(q)) {

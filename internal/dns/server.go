@@ -196,9 +196,6 @@ func Serve(host *netstack.Host, zone *Zone) (*Server, error) {
 	return s, nil
 }
 
-// Close unbinds the server.
-func (s *Server) Close() { s.Host.UnbindUDP(53) }
-
 // BumpEpoch invalidates every cached answer derived from the
 // Intercept hook (and, incidentally, from the zone) by dropping the
 // whole cache. Directories call it when registrations change (and the

@@ -86,13 +86,6 @@ func (b *Bridge) input(in *bridgePort, frame []byte) {
 	}
 }
 
-// Lookup reports whether the bridge has learned a MAC (tests and
-// diagnostics).
-func (b *Bridge) Lookup(mac MAC) bool {
-	_, ok := b.table[mac]
-	return ok
-}
-
 // ConnectNIC wires a NIC to the bridge through a new link and returns
 // the bridge-side Port (pass it to RemovePort to unplug). This is the
 // plumbing the vif hotplug step performs.

@@ -172,7 +172,7 @@ func TestBridgeLearningAndForwarding(t *testing.T) {
 	if rx["b"] != 2 || rx["c"] != 1 {
 		t.Fatalf("learned rx = %v", rx)
 	}
-	if !br.Lookup(a.Addr) || !br.Lookup(b.Addr) {
+	if br.table[a.Addr] == nil || br.table[b.Addr] == nil {
 		t.Fatal("bridge did not learn addresses")
 	}
 }
@@ -198,7 +198,7 @@ func TestBridgeRemovePort(t *testing.T) {
 	nics[1].Send(frame(Broadcast, nics[1].Addr, "hello"))
 	eng.Run()
 	// Remove every port that isn't port 0 — easiest via the learned table.
-	if !br.Lookup(nics[1].Addr) {
+	if br.table[nics[1].Addr] == nil {
 		t.Fatal("setup: MAC not learned")
 	}
 	// Find the port by sending after removal: remove all ports, re-add none.
@@ -210,7 +210,7 @@ func TestBridgeRemovePort(t *testing.T) {
 	if got != 0 {
 		t.Fatal("frame delivered through removed port")
 	}
-	if br.Lookup(nics[1].Addr) {
+	if br.table[nics[1].Addr] != nil {
 		t.Fatal("table entry survived port removal")
 	}
 }

@@ -93,7 +93,7 @@ func (d *dut) inject(flags byte, seq uint32, payload string, ack ...uint32) {
 	if len(ack) > 0 {
 		seg.Ack = ack[0]
 	}
-	d.h.handleTCP(peerIP, dutIP, seg.Encode(peerIP, dutIP, []byte(payload)))
+	d.h.handleTCP(peerIP, dutIP, tcpSegment(seg, peerIP, dutIP, []byte(payload)))
 }
 
 func (d *dut) mark() { d.tx, d.snd0, d.rcv0 = nil, d.c.sndNxt, d.c.rcvNxt }
@@ -111,7 +111,7 @@ func accept(t *testing.T, withApp bool) *dut {
 		}
 	})
 	syn := TCPSegment{SrcPort: peerPort, DstPort: 80, Seq: peerISS, Flags: FlagSYN, Window: tcpWindow}
-	d.h.handleTCP(peerIP, dutIP, syn.Encode(peerIP, dutIP, nil))
+	d.h.handleTCP(peerIP, dutIP, tcpSegment(syn, peerIP, dutIP, nil))
 	for _, c := range d.h.conns {
 		d.c = c
 	}
@@ -344,7 +344,7 @@ func TestOwesByState(t *testing.T) {
 		d.h = newHost(d)
 		d.h.ListenTCP(80, func(*TCPConn) {})
 		syn := TCPSegment{SrcPort: peerPort, DstPort: 80, Seq: peerISS, Flags: FlagSYN, Window: tcpWindow}
-		d.h.handleTCP(peerIP, dutIP, syn.Encode(peerIP, dutIP, nil))
+		d.h.handleTCP(peerIP, dutIP, tcpSegment(syn, peerIP, dutIP, nil))
 		for _, c := range d.h.conns {
 			d.c = c
 		}
@@ -384,7 +384,7 @@ func TestOwesByState(t *testing.T) {
 		}), StateEstablished, false},
 		{"ESTABLISHED data held by a zero window", established(func(d *dut) {
 			shut := TCPSegment{SrcPort: peerPort, DstPort: 80, Seq: d.c.rcvNxt, Ack: d.c.sndNxt, Flags: FlagACK}
-			d.h.handleTCP(peerIP, dutIP, shut.Encode(peerIP, dutIP, nil))
+			d.h.handleTCP(peerIP, dutIP, tcpSegment(shut, peerIP, dutIP, nil))
 			reply(d)
 			if d.c.sndUna != d.c.sndNxt {
 				d.t.Fatal("setup: the reply went out into a zero window")

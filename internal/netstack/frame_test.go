@@ -21,14 +21,14 @@ import (
 
 // TestEncodeIntoMatchesEncode renders every header into a dirty buffer:
 // a scratch frame holds the previous frame's bytes, so EncodeInto must
-// write every byte Encode gets zeroed for free.
+// write every byte a fresh buffer (the test renderers') has zeroed.
 func TestEncodeIntoMatchesEncode(t *testing.T) {
 	src, dst := IPv4(10, 0, 0, 9), IPv4(10, 0, 0, 20)
 	payload := []byte("an odd-length payload")
 	dirty := func(n int) []byte { return bytes.Repeat([]byte{0xa5}, n) }
 
 	eth := Ethernet{Dst: netsim.MACFor(2), Src: netsim.MACFor(1), EtherType: EtherTypeIPv4}
-	want := eth.Encode(payload)
+	want := ethernetFrame(eth, payload)
 	got := dirty(len(want))
 	copy(got[EthernetHeaderLen:], payload)
 	eth.EncodeInto(got)
@@ -37,14 +37,14 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 	}
 
 	arp := ARPPacket{Op: ARPReply, SenderMAC: netsim.MACFor(1), SenderIP: src, TargetMAC: netsim.MACFor(2), TargetIP: dst}
-	want, got = arp.Encode(), dirty(arpLen)
+	want, got = arpPayload(arp), dirty(ARPLen)
 	arp.EncodeInto(got)
 	if !bytes.Equal(got, want) {
 		t.Errorf("arp\n got %x\nwant %x", got, want)
 	}
 
 	ip := IPv4Header{Protocol: ProtoUDP, Src: src, Dst: dst, ID: 7}
-	want = ip.Encode(payload)
+	want = ipv4Packet(ip, payload)
 	got = dirty(len(want))
 	copy(got[IPv4HeaderLen:], payload)
 	ip.EncodeInto(got)
@@ -53,7 +53,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 	}
 
 	icmp := ICMPEcho{Type: ICMPEchoRequest, ID: 3, Seq: 4, Data: payload}
-	want = icmp.Encode()
+	want = icmpMessage(icmp)
 	got = dirty(len(want))
 	icmp.EncodeInto(got)
 	if !bytes.Equal(got, want) {
@@ -61,7 +61,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 	}
 
 	udp := UDPHeader{SrcPort: 5353, DstPort: 53}
-	want = udp.Encode(src, dst, payload)
+	want = udpDatagram(udp, src, dst, payload)
 	got = dirty(len(want))
 	udp.EncodeInto(got, src, dst, payload)
 	if !bytes.Equal(got, want) {
@@ -70,7 +70,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 
 	for _, mss := range []uint16{0, DefaultMSS} {
 		seg := TCPSegment{SrcPort: 49153, DstPort: 80, Seq: 1, Ack: 2, Flags: FlagACK | FlagPSH, Window: tcpWindow, MSS: mss}
-		want = seg.Encode(src, dst, payload)
+		want = tcpSegment(seg, src, dst, payload)
 		got = dirty(len(want))
 		seg.EncodeInto(got, src, dst, payload)
 		if !bytes.Equal(got, want) {
@@ -166,7 +166,7 @@ func TestOnDataSeesTheFrame(t *testing.T) {
 	seg := TCPSegment{SrcPort: c.key.localPort, DstPort: 80, Seq: c.sndNxt, Ack: c.rcvNxt, Flags: FlagACK | FlagPSH, Window: tcpWindow}
 	ip := IPv4Header{Protocol: ProtoTCP, Src: a.IP, Dst: b.IP}
 	eth := Ethernet{Dst: b.NIC.Addr, Src: a.NIC.Addr, EtherType: EtherTypeIPv4}
-	padded := append(eth.Encode(ip.Encode(seg.Encode(a.IP, b.IP, []byte("padded")))), make([]byte, 6, 64)...)
+	padded := append(ethernetFrame(eth, ipv4Packet(ip, tcpSegment(seg, a.IP, b.IP, []byte("padded")))), make([]byte, 6, 64)...)
 	b.NIC.Deliver(padded)
 	eng.Run()
 	early := dial(81)

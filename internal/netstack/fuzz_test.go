@@ -51,7 +51,7 @@ func TestStackSurvivesSemiValidFrames(t *testing.T) {
 			body = body[:1400]
 		}
 		eth := Ethernet{Dst: b.NIC.Addr, Src: netsim.MACFor(77), EtherType: etherType}
-		b.NIC.Deliver(eth.Encode(body))
+		b.NIC.Deliver(ethernetFrame(eth, body))
 		eng.Run()
 		return true
 	}
@@ -66,7 +66,7 @@ func TestStackSurvivesSemiValidFrames(t *testing.T) {
 				body[i] = byte(n * 31 / (i + 1))
 			}
 			eth := Ethernet{Dst: b.NIC.Addr, Src: netsim.MACFor(77), EtherType: et}
-			b.NIC.Deliver(eth.Encode(body))
+			b.NIC.Deliver(ethernetFrame(eth, body))
 		}
 	}
 	eng.Run()
@@ -109,19 +109,19 @@ func TestForgedRSTRequiresValidTuple(t *testing.T) {
 	var conn *TCPConn
 	a.DialTCP(b.IP, 80, func(c *TCPConn, err error) { conn = c })
 	eng.Run()
-	if conn.State() != StateEstablished {
+	if conn.state != StateEstablished {
 		t.Fatal("setup")
 	}
 	// Forge a RST from a wrong source port.
 	forged := TCPSegment{SrcPort: 9999, DstPort: 80, Seq: 1, Flags: FlagRST}
 	pkt := IPv4Header{Protocol: ProtoTCP, Src: a.IP, Dst: b.IP}
 	eth := Ethernet{Dst: b.NIC.Addr, Src: a.NIC.Addr, EtherType: EtherTypeIPv4}
-	b.NIC.Deliver(eth.Encode(pkt.Encode(forged.Encode(a.IP, b.IP, nil))))
+	b.NIC.Deliver(ethernetFrame(eth, ipv4Packet(pkt, tcpSegment(forged, a.IP, b.IP, nil))))
 	eng.Run()
 	// The server-side connection for the real tuple survives.
 	_, lp := conn.LocalAddr()
 	key := fourTuple{localIP: b.IP, remoteIP: a.IP, localPort: 80, remotePort: lp}
-	if sc, ok := b.conns[key]; !ok || sc.State() != StateEstablished {
+	if sc, ok := b.conns[key]; !ok || sc.state != StateEstablished {
 		t.Fatal("forged RST killed an unrelated connection")
 	}
 }

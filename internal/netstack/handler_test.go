@@ -141,8 +141,8 @@ func TestConnHandlerMatchesFuncs(t *testing.T) {
 			var client *TCPConn
 			a.DialTCP(b.IP, 80, func(c *TCPConn, err error) { client = c; attach(c); c.Send([]byte("GET")); c.Close() })
 			eng.RunFor(time.Second)
-			if client.State() != StateTimeWait {
-				t.Fatalf("client in %v, want TIME_WAIT", client.State())
+			if client.state != StateTimeWait {
+				t.Fatalf("client in %v, want TIME_WAIT", client.state)
 			}
 			eng.Run()
 		}, []string{"data 200", "closed <nil>"}},
@@ -160,8 +160,8 @@ func TestConnHandlerMatchesFuncs(t *testing.T) {
 			}
 			c.Close()
 			eng.RunFor(time.Second)
-			if c.State() != StateTimeWait { // the active closer
-				t.Fatalf("client in %v, want TIME_WAIT", c.State())
+			if c.state != StateTimeWait { // the active closer
+				t.Fatalf("client in %v, want TIME_WAIT", c.state)
 			}
 			eng.Run()
 		}, []string{"data ping", "closed <nil>"}},

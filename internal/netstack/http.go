@@ -56,9 +56,8 @@ type HTTPHandler func(req *HTTPRequest) *HTTPResponse
 // HTTPServer accepts connections and answers one request per connection
 // (HTTP/1.0 style, connection: close).
 type HTTPServer struct {
-	host     *Host
-	listener *TCPListener
-	handler  HTTPHandler
+	host    *Host
+	handler HTTPHandler
 	// Served counts completed responses.
 	Served uint64
 	// ResponseDelay charges app-level work (e.g. disk reads) before the
@@ -69,16 +68,11 @@ type HTTPServer struct {
 // ServeHTTP starts a server on port.
 func (h *Host) ServeHTTP(port uint16, handler HTTPHandler) (*HTTPServer, error) {
 	srv := &HTTPServer{host: h, handler: handler}
-	l, err := h.ListenTCP(port, srv.accept)
-	if err != nil {
+	if _, err := h.ListenTCP(port, srv.accept); err != nil {
 		return nil, err
 	}
-	srv.listener = l
 	return srv, nil
 }
-
-// Close stops accepting.
-func (s *HTTPServer) Close() { s.listener.Close() }
 
 func (s *HTTPServer) accept(c *TCPConn) { c.Attach(&httpServerConn{srv: s, conn: c}) }
 

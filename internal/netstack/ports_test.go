@@ -144,7 +144,7 @@ func TestEphemeralPortsMatchLinearScan(t *testing.T) {
 			b.DialTCP(a.IP, inRange, func(*TCPConn, error) {})
 		case r < 86:
 			if lis != nil {
-				lis.Close()
+				delete(a.listeners, inRange)
 				lis = nil
 			} else {
 				lis, _ = a.ListenTCP(inRange, accept)
@@ -197,7 +197,7 @@ func TestDialFailsWhenEphemeralPortsExhausted(t *testing.T) {
 		c.Close()
 	})
 	eng.RunFor(100 * time.Millisecond)
-	if last == nil || last.key.localPort != free || last.State() != StateTimeWait {
+	if last == nil || last.key.localPort != free || last.state != StateTimeWait {
 		t.Fatalf("last connection %+v, want port %d in TIME_WAIT", last, free)
 	}
 
@@ -207,8 +207,8 @@ func TestDialFailsWhenEphemeralPortsExhausted(t *testing.T) {
 	if calls != 0 {
 		t.Fatal("dial failure delivered inside DialTCP, not from an event")
 	}
-	if c.State() != StateClosed || c.Send([]byte("x")) == nil {
-		t.Fatalf("failed dial returned a usable connection (%v)", c.State())
+	if c.state != StateClosed || c.Send([]byte("x")) == nil {
+		t.Fatalf("failed dial returned a usable connection (%v)", c.state)
 	}
 	sent := a.TxPackets
 	eng.RunFor(0)

@@ -383,7 +383,7 @@ func (h *Host) sendARPRequest(dst IP, retx int) {
 
 // sendARP broadcasts or unicasts one ARP message.
 func (h *Host) sendARP(dst netsim.MAC, pkt *ARPPacket) {
-	frame := h.txFrame(EthernetHeaderLen + arpLen)
+	frame := h.txFrame(EthernetHeaderLen + ARPLen)
 	pkt.EncodeInto(frame[EthernetHeaderLen:])
 	h.sendEthernet(dst, EtherTypeARP, frame, 0)
 }

@@ -67,15 +67,7 @@ func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
 // TCPListener accepts connections on a port.
 type TCPListener struct {
 	host   *Host
-	port   uint16
 	onConn func(*TCPConn)
-}
-
-// Close stops accepting (existing connections continue).
-func (l *TCPListener) Close() {
-	if l.host.listeners[l.port] == l {
-		delete(l.host.listeners, l.port)
-	}
 }
 
 // ListenTCP binds port and invokes onConn for each connection once its
@@ -84,7 +76,7 @@ func (h *Host) ListenTCP(port uint16, onConn func(*TCPConn)) (*TCPListener, erro
 	if _, ok := h.listeners[port]; ok {
 		return nil, ErrPortInUse
 	}
-	l := &TCPListener{host: h, port: port, onConn: onConn}
+	l := &TCPListener{host: h, onConn: onConn}
 	h.listeners[port] = l
 	return l, nil
 }
@@ -121,9 +113,6 @@ type TCPConn struct {
 	// Retransmits counts RTO firings (visible in Figure 9a cold starts).
 	Retransmits int
 }
-
-// State returns the current connection state.
-func (c *TCPConn) State() TCPState { return c.state }
 
 // LocalAddr returns the local endpoint address.
 func (c *TCPConn) LocalAddr() (IP, uint16) { return c.key.localIP, c.key.localPort }

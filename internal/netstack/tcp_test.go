@@ -125,8 +125,8 @@ func TestTCPHandshakeAndEcho(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.State() != StateEstablished {
-			t.Fatalf("dial state = %v", c.State())
+		if c.state != StateEstablished {
+			t.Fatalf("dial state = %v", c.state)
 		}
 		c.OnData(func(data []byte) { echoed = append(echoed, data...) })
 		c.Send([]byte("hello unikernel"))
@@ -191,16 +191,16 @@ func TestTCPOrderlyClose(t *testing.T) {
 	if clientClosed != nil {
 		t.Fatalf("client close err = %v, want nil", clientClosed)
 	}
-	if clientConn.State() != StateCloseWait {
-		t.Fatalf("client state = %v, want CLOSE_WAIT", clientConn.State())
+	if clientConn.state != StateCloseWait {
+		t.Fatalf("client state = %v, want CLOSE_WAIT", clientConn.state)
 	}
 	clientConn.Close()
 	eng.Run()
-	if clientConn.State() != StateClosed {
-		t.Fatalf("client final state = %v", clientConn.State())
+	if clientConn.state != StateClosed {
+		t.Fatalf("client final state = %v", clientConn.state)
 	}
-	if serverConn.State() != StateClosed {
-		t.Fatalf("server final state = %v", serverConn.State())
+	if serverConn.state != StateClosed {
+		t.Fatalf("server final state = %v", serverConn.state)
 	}
 }
 
@@ -323,7 +323,7 @@ func TestTCBHandoffBetweenStacks(t *testing.T) {
 		c.Send([]byte("GET / HTTP/1.0\r\n\r\n"))
 	})
 	eng.RunFor(500 * time.Millisecond)
-	if proxyConn == nil || proxyConn.State() != StateEstablished {
+	if proxyConn == nil || proxyConn.state != StateEstablished {
 		t.Fatal("proxy never established")
 	}
 
@@ -365,7 +365,7 @@ func TestTCBHandoffBetweenStacks(t *testing.T) {
 	announce := ARPPacket{Op: ARPReply, SenderMAC: nicUni.Addr, SenderIP: serviceIP,
 		TargetMAC: netsim.Broadcast, TargetIP: serviceIP}
 	uniEth := Ethernet{Dst: netsim.Broadcast, Src: nicUni.Addr, EtherType: EtherTypeARP}
-	nicUni.Send(uniEth.Encode(announce.Encode()))
+	nicUni.Send(ethernetFrame(uniEth, arpPayload(announce)))
 
 	eng.Run()
 	if string(replayed) != "GET / HTTP/1.0\r\n\r\n" {
@@ -374,7 +374,7 @@ func TestTCBHandoffBetweenStacks(t *testing.T) {
 	if string(response) != "HTTP/1.0 200 OK\r\n\r\n" {
 		t.Fatalf("client response = %q", response)
 	}
-	if clientConn.State() == StateEstablished {
+	if clientConn.state == StateEstablished {
 		t.Fatal("client connection should be closing after server FIN")
 	}
 }

@@ -8,8 +8,8 @@
 // Decoding follows the layer-struct style of gopacket's DecodingLayer:
 // preallocated header structs with DecodeFromBytes that never allocate,
 // and explicit zero-copy payload sub-slices. Encoding mirrors it: every
-// header has an EncodeInto that renders into a caller's buffer (Encode
-// is EncodeInto on a fresh one).
+// header has one encoder, an EncodeInto that renders into a caller's
+// buffer.
 //
 // Life of a frame. A segment or datagram is rendered transport → IPv4
 // → Ethernet straight into the sending Host's one scratch frame
@@ -149,14 +149,6 @@ func (e *Ethernet) EncodeInto(frame []byte) {
 	binary.BigEndian.PutUint16(frame[12:14], e.EtherType)
 }
 
-// Encode prepends the header to payload in a fresh buffer.
-func (e *Ethernet) Encode(payload []byte) []byte {
-	buf := make([]byte, EthernetHeaderLen+len(payload))
-	copy(buf[EthernetHeaderLen:], payload)
-	e.EncodeInto(buf)
-	return buf
-}
-
 // ARP operation codes.
 const (
 	ARPRequest uint16 = 1
@@ -171,11 +163,12 @@ type ARPPacket struct {
 	TargetMAC          netsim.MAC
 }
 
-const arpLen = 28
+// ARPLen is the size of an Ethernet/IPv4 ARP payload.
+const ARPLen = 28
 
 // DecodeFromBytes parses an ARP payload.
 func (a *ARPPacket) DecodeFromBytes(data []byte) error {
-	if len(data) < arpLen {
+	if len(data) < ARPLen {
 		return ErrTruncated
 	}
 	if binary.BigEndian.Uint16(data[0:2]) != 1 || // hardware: ethernet
@@ -191,14 +184,7 @@ func (a *ARPPacket) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// Encode renders the 28-byte ARP payload.
-func (a *ARPPacket) Encode() []byte {
-	buf := make([]byte, arpLen)
-	a.EncodeInto(buf)
-	return buf
-}
-
-// EncodeInto renders the payload into buf[:28].
+// EncodeInto renders the payload into buf[:ARPLen].
 func (a *ARPPacket) EncodeInto(buf []byte) {
 	binary.BigEndian.PutUint16(buf[0:2], 1)
 	binary.BigEndian.PutUint16(buf[2:4], EtherTypeIPv4)
@@ -262,14 +248,6 @@ func (h *IPv4Header) DecodeFromBytes(data []byte) error {
 // Payload returns the bytes covered by TotalLength after the header.
 func (h *IPv4Header) Payload() []byte { return h.payload }
 
-// Encode renders header+payload with a correct checksum.
-func (h *IPv4Header) Encode(payload []byte) []byte {
-	buf := make([]byte, IPv4HeaderLen+len(payload))
-	copy(buf[IPv4HeaderLen:], payload)
-	h.EncodeInto(buf)
-	return buf
-}
-
 // EncodeInto writes the header, with a correct checksum, into
 // pkt[:IPv4HeaderLen], in front of a payload already rendered behind
 // it: len(pkt) is the packet's total length.
@@ -321,13 +299,6 @@ func (m *ICMPEcho) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// Encode renders the message with checksum.
-func (m *ICMPEcho) Encode() []byte {
-	buf := make([]byte, icmpHeaderLen+len(m.Data))
-	m.EncodeInto(buf)
-	return buf
-}
-
 // EncodeInto renders the message into buf, which is exactly 8 header
 // bytes plus len(m.Data) long.
 func (m *ICMPEcho) EncodeInto(buf []byte) {
@@ -370,13 +341,6 @@ func (u *UDPHeader) DecodeFromBytes(data []byte, src, dst IP) error {
 
 // Payload returns the datagram body.
 func (u *UDPHeader) Payload() []byte { return u.payload }
-
-// Encode renders the datagram with a pseudo-header checksum.
-func (u *UDPHeader) Encode(src, dst IP, payload []byte) []byte {
-	buf := make([]byte, UDPHeaderLen+len(payload))
-	u.EncodeInto(buf, src, dst, payload)
-	return buf
-}
 
 // EncodeInto renders the datagram into buf, which is exactly
 // UDPHeaderLen+len(payload) long.
@@ -465,14 +429,6 @@ func (t *TCPSegment) headerLen() int {
 		return TCPHeaderLen + 4
 	}
 	return TCPHeaderLen
-}
-
-// Encode renders the segment (with an MSS option when t.MSS != 0) and a
-// pseudo-header checksum.
-func (t *TCPSegment) Encode(src, dst IP, payload []byte) []byte {
-	buf := make([]byte, t.headerLen()+len(payload))
-	t.EncodeInto(buf, src, dst, payload)
-	return buf
 }
 
 // EncodeInto renders the segment into buf, which is exactly

@@ -30,9 +30,48 @@ func TestParseIP(t *testing.T) {
 	}
 }
 
+// Tests render headers as the stack does, with EncodeInto, each into a
+// fresh buffer of its exact size with the payload behind the header.
+
+func ethernetFrame(e Ethernet, payload []byte) []byte {
+	frame := append(make([]byte, EthernetHeaderLen, EthernetHeaderLen+len(payload)), payload...)
+	e.EncodeInto(frame)
+	return frame
+}
+
+func arpPayload(a ARPPacket) []byte {
+	buf := make([]byte, ARPLen)
+	a.EncodeInto(buf)
+	return buf
+}
+
+func ipv4Packet(h IPv4Header, payload []byte) []byte {
+	pkt := append(make([]byte, IPv4HeaderLen, IPv4HeaderLen+len(payload)), payload...)
+	h.EncodeInto(pkt)
+	return pkt
+}
+
+func icmpMessage(m ICMPEcho) []byte {
+	buf := make([]byte, icmpHeaderLen+len(m.Data))
+	m.EncodeInto(buf)
+	return buf
+}
+
+func udpDatagram(u UDPHeader, src, dst IP, payload []byte) []byte {
+	buf := make([]byte, UDPHeaderLen+len(payload))
+	u.EncodeInto(buf, src, dst, payload)
+	return buf
+}
+
+func tcpSegment(s TCPSegment, src, dst IP, payload []byte) []byte {
+	buf := make([]byte, s.headerLen()+len(payload))
+	s.EncodeInto(buf, src, dst, payload)
+	return buf
+}
+
 func TestEthernetRoundTrip(t *testing.T) {
 	e := Ethernet{Dst: netsim.MACFor(1), Src: netsim.MACFor(2), EtherType: EtherTypeIPv4}
-	frame := e.Encode([]byte("payload"))
+	frame := ethernetFrame(e, []byte("payload"))
 	var d Ethernet
 	if err := d.DecodeFromBytes(frame); err != nil {
 		t.Fatal(err)
@@ -54,7 +93,7 @@ func TestARPRoundTrip(t *testing.T) {
 		TargetIP: IPv4(10, 0, 0, 9),
 	}
 	var d ARPPacket
-	if err := d.DecodeFromBytes(a.Encode()); err != nil {
+	if err := d.DecodeFromBytes(arpPayload(a)); err != nil {
 		t.Fatal(err)
 	}
 	if d.Op != ARPRequest || d.SenderIP != a.SenderIP || d.TargetIP != a.TargetIP || d.SenderMAC != a.SenderMAC {
@@ -64,7 +103,7 @@ func TestARPRoundTrip(t *testing.T) {
 
 func TestIPv4RoundTripAndChecksum(t *testing.T) {
 	h := IPv4Header{Protocol: ProtoTCP, Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2), ID: 42}
-	pkt := h.Encode([]byte("data"))
+	pkt := ipv4Packet(h, []byte("data"))
 	var d IPv4Header
 	if err := d.DecodeFromBytes(pkt); err != nil {
 		t.Fatal(err)
@@ -84,7 +123,7 @@ func TestIPv4RoundTripAndChecksum(t *testing.T) {
 
 func TestIPv4TotalLengthBoundsPayload(t *testing.T) {
 	h := IPv4Header{Protocol: ProtoUDP, Src: IPv4(1, 1, 1, 1), Dst: IPv4(2, 2, 2, 2)}
-	pkt := h.Encode([]byte("abc"))
+	pkt := ipv4Packet(h, []byte("abc"))
 	// Ethernet padding: extra trailing bytes must not leak into payload.
 	padded := append(pkt, 0, 0, 0, 0)
 	var d IPv4Header
@@ -99,13 +138,13 @@ func TestIPv4TotalLengthBoundsPayload(t *testing.T) {
 func TestICMPRoundTrip(t *testing.T) {
 	m := ICMPEcho{Type: ICMPEchoRequest, ID: 7, Seq: 9, Data: []byte{1, 2, 3}}
 	var d ICMPEcho
-	if err := d.DecodeFromBytes(m.Encode()); err != nil {
+	if err := d.DecodeFromBytes(icmpMessage(m)); err != nil {
 		t.Fatal(err)
 	}
 	if d.Type != m.Type || d.ID != 7 || d.Seq != 9 || !bytes.Equal(d.Data, m.Data) {
 		t.Fatalf("decoded %+v", d)
 	}
-	bad := m.Encode()
+	bad := icmpMessage(m)
 	bad[9] ^= 1
 	if err := d.DecodeFromBytes(bad); err != ErrBadChecksum {
 		t.Fatalf("corrupted err = %v", err)
@@ -115,7 +154,7 @@ func TestICMPRoundTrip(t *testing.T) {
 func TestUDPRoundTrip(t *testing.T) {
 	src, dst := IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2)
 	u := UDPHeader{SrcPort: 5353, DstPort: 53}
-	dgram := u.Encode(src, dst, []byte("query"))
+	dgram := udpDatagram(u, src, dst, []byte("query"))
 	var d UDPHeader
 	if err := d.DecodeFromBytes(dgram, src, dst); err != nil {
 		t.Fatal(err)
@@ -135,7 +174,7 @@ func TestTCPSegmentRoundTrip(t *testing.T) {
 		SrcPort: 49152, DstPort: 80, Seq: 1000, Ack: 2000,
 		Flags: FlagSYN | FlagACK, Window: 65535, MSS: 1460,
 	}
-	wire := seg.Encode(src, dst, nil)
+	wire := tcpSegment(seg, src, dst, nil)
 	var d TCPSegment
 	if err := d.DecodeFromBytes(wire, src, dst); err != nil {
 		t.Fatal(err)
@@ -148,7 +187,7 @@ func TestTCPSegmentRoundTrip(t *testing.T) {
 	}
 	// Data segment without options.
 	seg2 := TCPSegment{SrcPort: 1, DstPort: 2, Seq: 5, Ack: 6, Flags: FlagACK | FlagPSH, Window: 100}
-	wire2 := seg2.Encode(src, dst, []byte("hello"))
+	wire2 := tcpSegment(seg2, src, dst, []byte("hello"))
 	if err := d.DecodeFromBytes(wire2, src, dst); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +288,7 @@ func TestTCPEncodeDecodeProperty(t *testing.T) {
 		src, dst := IPv4(10, 0, 0, 1), IPv4(10, 0, 0, 2)
 		seg := TCPSegment{SrcPort: sp, DstPort: dp, Seq: seq, Ack: ack,
 			Flags: flags, Window: wnd}
-		wire := seg.Encode(src, dst, payload)
+		wire := tcpSegment(seg, src, dst, payload)
 		var d TCPSegment
 		if err := d.DecodeFromBytes(wire, src, dst); err != nil {
 			return false
@@ -270,7 +309,7 @@ func TestIPv4ChecksumDetectsCorruptionProperty(t *testing.T) {
 			return true
 		}
 		h := IPv4Header{Protocol: ProtoTCP, Src: IPv4(10, 0, 0, 1), Dst: IPv4(10, 0, 0, 2)}
-		pkt := h.Encode(nil)
+		pkt := ipv4Packet(h, nil)
 		i := int(idx) % IPv4HeaderLen
 		pkt[i] ^= flip
 		var d IPv4Header

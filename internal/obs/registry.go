@@ -5,14 +5,15 @@
 //
 // The package is simulation-native: nothing here reads wall clocks,
 // iterates maps during export, or allocates on the hot path. Counters
-// are plain incremented words; histograms bucket by power-of-two
-// microseconds into a fixed array; the tracer overwrites its oldest
-// events once full and accounts for every drop. Registries snapshot to
-// one plain struct (name-sorted) that api.StatsResponse carries whole;
-// the sort is paid when a row is registered — the first snapshot after
-// it — never per snapshot, which allocates one array per row kind and
-// one for the buckets, however many registries Rows.Freeze freezes at
-// once, and nothing when it refills a Rows that held as many rows before.
+// are mirrors of counts their subsystems own, read only at snapshot
+// time; histograms bucket by power-of-two microseconds into a fixed
+// array; the tracer overwrites its oldest events once full and
+// accounts for every drop. Registries snapshot to one plain struct
+// (name-sorted) that api.StatsResponse carries whole; the sort is paid
+// when a row is registered — the first snapshot after it — never per
+// snapshot, which allocates one array per row kind and one for the
+// buckets, however many registries Rows.Freeze freezes at once, and
+// nothing when it refills a Rows that held as many rows before.
 //
 // Naming convention: metric names are dot-paths,
 // "<subsystem>.<thing>[_<unit>]" — e.g. "dns.cache_hits",
@@ -26,19 +27,6 @@ import (
 	"strings"
 	"time"
 )
-
-// Counter is a monotonically increasing count. The zero value is ready
-// to use; Inc/Add are single-word updates with no allocation.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v++ }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v += n }
-
-// Value reads the current count.
-func (c *Counter) Value() uint64 { return c.v }
 
 // histBuckets is the fixed slot count of a Histogram: bucket i counts
 // observations whose microsecond value needs i bits, i.e. upper bound
@@ -81,9 +69,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// Count reports how many samples have been observed.
-func (h *Histogram) Count() uint64 { return h.n }
-
 // namedGauge is a read-at-snapshot mirror of state owned elsewhere
 // (queue depths, epochs). The closure runs only when Snapshot does, so
 // mirrored subsystems pay nothing on their hot paths.
@@ -92,10 +77,10 @@ type namedGauge struct {
 	fn   func() int64
 }
 
+// namedCounter mirrors a counter owned by another subsystem.
 type namedCounter struct {
 	name string
-	c    *Counter
-	fn   func() uint64 // mirror of an externally owned counter
+	fn   func() uint64
 }
 
 type namedHist struct {
@@ -106,7 +91,7 @@ type namedHist struct {
 // Registry is one subsystem scope's metric set — instantiated per
 // board or per cluster, snapshot-able as one struct. Registration
 // happens at build time; the hot path only touches the returned
-// Counter/Histogram pointers.
+// Histogram pointers and the counts the mirrors read.
 type Registry struct {
 	Name     string
 	counters []namedCounter
@@ -117,18 +102,6 @@ type Registry struct {
 
 // NewRegistry returns an empty registry labelled name.
 func NewRegistry(name string) *Registry { return &Registry{Name: name} }
-
-// Counter registers (or returns the existing) owned counter under name.
-func (r *Registry) Counter(name string) *Counter {
-	for _, nc := range r.counters {
-		if nc.name == name && nc.c != nil {
-			return nc.c
-		}
-	}
-	c := &Counter{}
-	r.counters, r.sorted = append(r.counters, namedCounter{name: name, c: c}), false
-	return c
-}
 
 // CounterFunc registers a mirror of a counter owned by another
 // subsystem; fn is read only at snapshot time.
@@ -234,13 +207,7 @@ func (r *Rows) Freeze(dst []Snapshot, regs ...*Registry) []Snapshot {
 		s := Snapshot{Name: reg.Name, Counters: r.Counters.Cut(len(reg.counters), nc),
 			Gauges: r.Gauges.Cut(len(reg.gauges), ng), Hists: r.Hists.Cut(len(reg.hists), nh)}
 		for _, nc := range reg.counters {
-			v := uint64(0)
-			if nc.c != nil {
-				v = nc.c.Value()
-			} else if nc.fn != nil {
-				v = nc.fn()
-			}
-			s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: v})
+			s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: nc.fn()})
 		}
 		for _, ng := range reg.gauges {
 			s.Gauges = append(s.Gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})

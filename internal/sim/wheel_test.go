@@ -47,7 +47,7 @@ func wheelScheduler(e *Engine) scheduler {
 			ev := e.AfterHandler(d, &modelHandler{fn})
 			return modelHandle{func() { e.Cancel(ev) }, ev.Cancelled}
 		},
-		step: e.Step, run: e.Run, runUntil: e.RunUntil, runFor: e.RunFor, stop: e.Stop,
+		step: e.Step, run: e.Run, runUntil: e.RunUntil, runFor: e.RunFor, stop: func() { e.stopped = true },
 	}
 }
 
@@ -68,7 +68,7 @@ func refScheduler(e *refEngine) scheduler {
 			ev := e.After(d, fn)
 			return modelHandle{func() { e.Cancel(ev) }, ev.Cancelled}
 		},
-		step: e.Step, run: e.Run, runUntil: e.RunUntil, runFor: e.RunFor, stop: e.Stop,
+		step: e.Step, run: e.Run, runUntil: e.RunUntil, runFor: e.RunFor, stop: func() { e.stopped = true },
 	}
 	s.handler = s.after
 	return s
@@ -424,7 +424,7 @@ func TestRunUntilAfterStopKeepsClock(t *testing.T) {
 		}
 		last = e.Now()
 	}
-	e.At(time.Millisecond, func() { seen(); e.Stop() })
+	e.At(time.Millisecond, func() { seen(); e.stopped = true })
 	e.At(2*time.Millisecond, seen)
 	e.RunUntil(5 * time.Millisecond)
 	if e.Now() != time.Millisecond {

@@ -122,17 +122,3 @@ func (a *EchoApp) Start(g *Guest, ready func()) error {
 func (a *EchoApp) AcceptImported(c *netstack.TCPConn) {
 	c.OnData(func(b []byte) { c.Send(b) })
 }
-
-// SlowBootApp wraps another app and delays readiness — for tests that
-// need to widen the boot race window deterministically.
-type SlowBootApp struct {
-	Inner App
-	Extra sim.Duration
-}
-
-// Start implements App.
-func (a *SlowBootApp) Start(g *Guest, ready func()) error {
-	return a.Inner.Start(g, func() {
-		g.launcher.TS.Hypervisor().Eng.After(a.Extra, ready)
-	})
-}

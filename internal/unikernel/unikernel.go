@@ -29,12 +29,6 @@ type App interface {
 	Start(g *Guest, ready func()) error
 }
 
-// AppFunc adapts a function to App.
-type AppFunc func(g *Guest, ready func()) error
-
-// Start implements App.
-func (f AppFunc) Start(g *Guest, ready func()) error { return f(g, ready) }
-
 // Image describes a bootable guest.
 type Image struct {
 	Name      string
@@ -185,7 +179,10 @@ func (g *Guest) announce() {
 		TargetMAC: netsim.Broadcast, TargetIP: g.IP,
 	}
 	eth := netstack.Ethernet{Dst: netsim.Broadcast, Src: g.NIC.Addr, EtherType: netstack.EtherTypeARP}
-	_ = g.NIC.Send(eth.Encode(pkt.Encode()))
+	frame := make([]byte, netstack.EthernetHeaderLen+netstack.ARPLen)
+	eth.EncodeInto(frame)
+	pkt.EncodeInto(frame[netstack.EthernetHeaderLen:])
+	_ = g.NIC.Send(frame)
 }
 
 // Destroy tears the guest down and unplugs its vif.

@@ -108,17 +108,6 @@ func (c *Client) Close() {
 	clear(c.pending)
 }
 
-// Abort kills the transport abruptly — no watch cancels, no FIN — the
-// operator console that vanishes mid-stream. Server-side reclamation
-// rides the connection-teardown path instead of TWatchCancel frames.
-func (c *Client) Abort() {
-	if c.conn != nil && !c.closed {
-		c.conn.Abort()
-	}
-	c.closed = true
-	clear(c.pending)
-}
-
 // Scope is the capability scope the server granted this session.
 func (c *Client) Scope() api.Scope { return c.scope }
 

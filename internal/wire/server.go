@@ -41,7 +41,6 @@ const maxWatches = 16
 type Server struct {
 	backend api.ControlPlane
 	cfg     ServerConfig
-	ln      *netstack.TCPListener
 	conns   map[*srvConn]struct{}
 
 	// Conns counts accepted connections, Frames decoded request
@@ -56,21 +55,16 @@ type Server struct {
 // under cfg's session policy.
 func Serve(host *netstack.Host, backend api.ControlPlane, cfg ServerConfig) (*Server, error) {
 	s := &Server{backend: backend, cfg: cfg, conns: make(map[*srvConn]struct{})}
-	ln, err := host.ListenTCP(DefaultPort, func(conn *netstack.TCPConn) {
+	if _, err := host.ListenTCP(DefaultPort, func(conn *netstack.TCPConn) {
 		s.Conns++
 		sc := &srvConn{s: s, conn: conn, watches: make(map[uint32]func())}
 		s.conns[sc] = struct{}{}
 		conn.Attach(sc)
-	})
-	if err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	s.ln = ln
 	return s, nil
 }
-
-// Close stops accepting new connections.
-func (s *Server) Close() { s.ln.Close() }
 
 // ActiveConns is the number of live (accepted, not yet torn down)
 // sessions.

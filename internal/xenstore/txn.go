@@ -100,12 +100,6 @@ func (s *Store) Begin(dom DomID) *Tx {
 	return t
 }
 
-// Dom returns the domain that opened the transaction.
-func (t *Tx) Dom() DomID { return t.dom }
-
-// Ops returns the number of mutations logged so far (cost accounting).
-func (t *Tx) Ops() int { return len(t.ops) }
-
 // Abort discards the transaction.
 func (t *Tx) Abort() { t.closed = true }
 

@@ -2,9 +2,12 @@ package jitsu
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	pathpkg "path"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -12,93 +15,237 @@ import (
 )
 
 // surfaceHooks are the exported names under internal/ that only tests
-// reference, kept on purpose: each is how a test drives or looks inside
-// a layer, and tests are safety code. Anything else exported from
-// internal/ that no non-test file mentions is surface nothing calls —
-// delete it rather than list it here.
+// use, kept on purpose: each is how a test drives or looks inside a
+// layer, and tests are safety code. Keys are package-qualified, methods
+// by their receiver's type. Anything else exported from internal/ that
+// no non-test file uses is surface nothing calls — delete it rather
+// than list it here.
 var surfaceHooks = map[string]string{
-	"Cwnd":             "cc.Controller: window introspection for the sender tests",
-	"InFlight":         "cc.Controller: window-leak checks",
-	"QueueLen":         "cc.Controller: queued-acquire checks",
-	"SRTT":             "cc.Controller: Karn sampling checks",
-	"OnLoss":           "cc.Controller: the loss arm the window-dynamics tests step through",
-	"OwnedNodes":       "xenstore.Store: quota accounting vs the reference model",
-	"Exists":           "xenstore.Store: differential test against refStore",
-	"GetPerms":         "xenstore.Store: permission round-trips",
-	"SeedARP":          "netstack.Host: skips ARP in alloc-pinning tests",
-	"ActiveConns":      "wire.Server: session teardown checks",
-	"Codes":            "api: the code table the wire codec tests must cover",
-	"Verbs":            "api: the verb table wire's table-coverage test holds its rows to",
-	"PartitionAtoB":    "netsim.Link: one-way partition tests",
-	"PartitionBtoA":    "netsim.Link: its twin, for the gossip tests in cluster",
-	"AddCluster":       "cluster.Federation: membership tests",
-	"RemoveCluster":    "cluster.Federation: membership tests",
-	"WithSYNRateLimit": "core: SYN-flood admission test",
-	"Subscribe":        "core.Activation: state-transition observer for the trigger tests",
-	"Remove":           "dns.Zone: record removal behind the cache-invalidation tests",
-	"FracBelow":        "metrics.Series: shape assertions in the experiment tests",
+	"cc.Controller.Cwnd":               "window introspection for the sender tests",
+	"cc.Controller.InFlight":           "window-leak checks",
+	"cc.Controller.QueueLen":           "queued-acquire checks",
+	"cc.Controller.SRTT":               "Karn sampling checks",
+	"cc.Controller.OnLoss":             "the loss arm the window-dynamics tests step through",
+	"xenstore.Store.OwnedNodes":        "quota accounting vs the reference model",
+	"xenstore.Store.Exists":            "differential test against refStore",
+	"xenstore.Store.GetPerms":          "permission round-trips",
+	"xenstore.Store.Unwatch":           "watch removal, which the store tests and the differential test against refStore drive",
+	"netstack.Host.SeedARP":            "skips ARP in alloc-pinning tests",
+	"wire.Server.ActiveConns":          "session teardown checks",
+	"api.Codes":                        "the code table the wire codec tests must cover",
+	"api.Verbs":                        "the verb table wire's table-coverage test holds its rows to",
+	"netsim.Link.PartitionAtoB":        "one-way partition tests",
+	"netsim.Link.PartitionBtoA":        "its twin, for the gossip tests in cluster",
+	"cluster.Federation.AddCluster":    "membership tests",
+	"cluster.Federation.RemoveCluster": "membership tests",
+	"core.WithSYNRateLimit":            "SYN-flood admission test",
+	"core.Activation.Subscribe":        "state-transition observer for the trigger tests",
+	"dns.Zone.Remove":                  "record removal behind the cache-invalidation tests",
+	"metrics.Series.FracBelow":         "shape assertions in the experiment tests",
 }
 
 // TestNoUnreferencedSurface fails when an exported func, method, type,
-// var or const declared in a non-test file under internal/ is named by
-// no non-test file of the module or of bench/ (its own declaration
-// aside). The scan is by name — go/parser only, no type checking — so
-// it is conservative: a name shared with something that is used passes
-// (which also covers the methods the standard library calls through its
-// own interfaces: String, Error, Len/Less/Swap).
+// var or const declared in a non-test file under internal/ — or an
+// exported method of an unexported type there — is used by no non-test
+// file of the module or of bench/. Uses are resolved by type, not by
+// name: every non-test package is type-checked from source in one
+// universe, and a use counts only when it resolves to the declared
+// object. A type's own method receivers are not uses of it. A method
+// is also used when its receiver implements an interface the program
+// declares with that method, or fmt.Stringer or error, since it is
+// then reachable through a call no selector names.
 func TestNoUnreferencedSurface(t *testing.T) {
-	type decl struct{ name, pos string }
-	var decls []decl
-	declared := map[*ast.Ident]bool{}
-	uses := map[string]int{}
-	walkSource(t, func(fset *token.FileSet, path string, f *ast.File) {
-		if strings.HasPrefix(path, "internal/") {
-			note := func(id *ast.Ident) {
-				declared[id] = true
-				if id.IsExported() {
-					decls = append(decls, decl{id.Name, fset.Position(id.Pos()).String()})
-				}
-			}
+	prog := loadProgram(t)
+	receivers := map[*ast.Ident]bool{}
+	var decls []types.Object
+	for path, files := range prog.files {
+		if !strings.HasPrefix(path, "jitsu/internal/") {
+			continue
+		}
+		for _, f := range files {
 			for _, top := range f.Decls {
 				switch top := top.(type) {
 				case *ast.FuncDecl:
-					note(top.Name)
+					decls = append(decls, prog.info.Defs[top.Name])
+					if top.Recv != nil {
+						ast.Inspect(top.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								receivers[id] = true
+							}
+							return true
+						})
+					}
 				case *ast.GenDecl:
 					for _, spec := range top.Specs {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
-							note(spec.Name)
+							decls = append(decls, prog.info.Defs[spec.Name])
 						case *ast.ValueSpec:
 							for _, id := range spec.Names {
-								note(id)
+								decls = append(decls, prog.info.Defs[id])
 							}
 						}
 					}
 				}
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				uses[id.Name]++
-			}
-			return true
-		})
-	})
+	}
+	used := map[types.Object]bool{}
+	for id, obj := range prog.info.Uses {
+		if !receivers[id] {
+			used[origin(obj)] = true
+		}
+	}
 	var dead []string
-	for _, d := range decls {
-		if uses[d.name] == 0 && surfaceHooks[d.name] == "" {
-			dead = append(dead, d.pos+": "+d.name)
+	declared := map[string]bool{}
+	for _, obj := range decls {
+		if obj == nil || !obj.Exported() {
+			continue
+		}
+		name := qualified(obj)
+		declared[name] = true
+		hook := surfaceHooks[name] != ""
+		live := used[obj] || prog.reachedByInterface(obj)
+		switch {
+		case live && hook:
+			t.Errorf("surfaceHooks lists %s, but a non-test file uses it: drop the entry", name)
+		case !live && !hook:
+			dead = append(dead, prog.fset.Position(obj.Pos()).String()+": "+name)
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is exported but no non-test file references it", d)
+		t.Errorf("%s is exported but no non-test file uses it", d)
 	}
 	for name := range surfaceHooks {
-		if uses[name] != 0 {
-			t.Errorf("surfaceHooks lists %s, but a non-test file references it: drop the entry", name)
+		if !declared[name] {
+			t.Errorf("surfaceHooks lists %s, which is not declared under internal/: drop the entry", name)
 		}
 	}
+}
+
+// program is every non-test package of the module and of bench/,
+// type-checked from source with one types.Info, so a use anywhere
+// resolves to the one object its declaration made.
+type program struct {
+	fset       *token.FileSet
+	info       types.Info
+	files      map[string][]*ast.File // by import path
+	interfaces []*types.Interface     // every one the program declares a method in, plus fmt.Stringer and error
+}
+
+// loadProgram parses and type-checks the program. bench/ is its own
+// module, jitsu/bench, whose import paths coincide with the directory
+// layout under the root, so one path rule covers both; standard
+// packages are type-checked from GOROOT's source.
+func loadProgram(t *testing.T) *program {
+	t.Helper()
+	p := &program{
+		info:  types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		files: map[string][]*ast.File{},
+	}
+	walkSource(t, func(fset *token.FileSet, path string, f *ast.File) {
+		p.fset = fset
+		pkg := "jitsu"
+		if dir := pathpkg.Dir(path); dir != "." {
+			pkg += "/" + dir
+		}
+		p.files[pkg] = append(p.files[pkg], f)
+	})
+	std := importer.ForCompiler(p.fset, "source", nil)
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
+		}
+		if p.files[path] == nil {
+			return std.Import(path)
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, p.fset, p.files[path], &p.info)
+		checked[path] = pkg
+		return pkg, err
+	}
+	for path := range p.files {
+		if _, err := imp.Import(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fmtPkg, err := std.Import("fmt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.interfaces = append(p.interfaces,
+		fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface),
+		types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	seen := map[*types.Interface]bool{}
+	for _, obj := range p.info.Defs {
+		if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+			if iface, ok := fn.Signature().Recv().Type().Underlying().(*types.Interface); ok && !seen[iface] {
+				seen[iface] = true
+				p.interfaces = append(p.interfaces, iface)
+			}
+		}
+	}
+	return p
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// reachedByInterface reports whether obj is a method of a type that
+// implements one of the program's interfaces declaring that method.
+func (p *program) reachedByInterface(obj types.Object) bool {
+	recv := receiver(obj)
+	if recv == nil || recv.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, iface := range p.interfaces {
+		for i := range iface.NumMethods() {
+			if iface.Method(i).Name() == obj.Name() && types.Implements(types.NewPointer(recv), iface) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// receiver is the named type obj is a method of, or nil when obj is not
+// a method of one.
+func receiver(obj types.Object) *types.Named {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Signature().Recv() == nil {
+		return nil
+	}
+	recv := fn.Signature().Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	named, _ := recv.(*types.Named)
+	return named
+}
+
+// origin maps a use inside an instantiated generic type or function to
+// the declared object.
+func origin(obj types.Object) types.Object {
+	switch obj := obj.(type) {
+	case *types.Func:
+		return obj.Origin()
+	case *types.Var:
+		return obj.Origin()
+	}
+	return obj
+}
+
+// qualified names obj as surfaceHooks keys it: package.Name, or
+// package.Type.Method for a method.
+func qualified(obj types.Object) string {
+	name := obj.Pkg().Name() + "."
+	if recv := receiver(obj); recv != nil {
+		name += recv.Obj().Name() + "."
+	}
+	return name + obj.Name()
 }
 
 // settableValues is how many values a user of the repository can set:
