@@ -93,9 +93,9 @@ func (b *Bridge) ConnectNIC(nic *NIC, latency sim.Duration, bitsPerSec float64) 
 	l := &Link{eng: b.eng, Latency: latency, BitsPerSec: bitsPerSec, fab: &b.fab}
 	bport := &bridgePort{bridge: b, id: len(b.ports)}
 	b.ports = append(b.ports, bport)
-	l.aEnd = &linkEnd{link: l, dst: bport} // NIC -> bridge
-	l.bEnd = &linkEnd{link: l, dst: nic}   // bridge -> NIC
-	bport.dst = l.bEnd
-	nic.peer = l.aEnd
+	l.aEnd = linkEnd{link: l, dst: bport} // NIC -> bridge
+	l.bEnd = linkEnd{link: l, dst: nic}   // bridge -> NIC
+	bport.dst = &l.bEnd
+	nic.peer = &l.aEnd
 	return bport
 }

@@ -16,7 +16,7 @@ func hostilePair(eng *sim.Engine, latency sim.Duration) (a, b *NIC, l *Link, got
 	frames := &[][]byte{}
 	b.SetHandler(func(f []byte) { *frames = append(*frames, append([]byte(nil), f...)) })
 	l = NewLink(eng, a, b, latency, 0)
-	a.peer = l.aEnd
+	a.peer = &l.aEnd
 	return a, b, l, frames
 }
 
@@ -187,8 +187,8 @@ func TestAsymmetricPartition(t *testing.T) {
 	a.SetHandler(func([]byte) { aGot++ })
 	b.SetHandler(func([]byte) { bGot++ })
 	l := NewLink(eng, a, b, 100*time.Microsecond, 0)
-	a.peer = l.aEnd
-	b.peer = l.bEnd
+	a.peer = &l.aEnd
+	b.peer = &l.bEnd
 
 	// Cut only a->b: a is mute but not deaf.
 	l.PartitionAtoB()
@@ -240,8 +240,8 @@ func TestCaptureRecordsBothDirections(t *testing.T) {
 	a.SetHandler(func([]byte) {})
 	b.SetHandler(func([]byte) {})
 	l := NewLink(eng, a, b, 250*time.Microsecond, 0)
-	a.peer = l.aEnd
-	b.peer = l.bEnd
+	a.peer = &l.aEnd
+	b.peer = &l.bEnd
 	cap := NewCapture(eng, 0)
 	l.Tap(cap)
 

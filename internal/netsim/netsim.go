@@ -168,7 +168,7 @@ type Link struct {
 	// Stats accumulates what the fault model did (zero on clean links).
 	Stats LinkStats
 
-	aEnd, bEnd *linkEnd
+	aEnd, bEnd linkEnd // NIC.peer and bridgePort.dst point in here
 	fab        *fabric // the bridge's when made by ConnectNIC, else its own
 }
 
@@ -226,8 +226,8 @@ func (e *linkEnd) scheduleDelivery(frame []byte, delay sim.Duration) {
 // effectively infinite bandwidth.
 func NewLink(eng *sim.Engine, a, b Port, latency sim.Duration, bitsPerSec float64) *Link {
 	l := &Link{eng: eng, Latency: latency, BitsPerSec: bitsPerSec, fab: new(fabric)}
-	l.aEnd = &linkEnd{link: l, dst: b}
-	l.bEnd = &linkEnd{link: l, dst: a}
+	l.aEnd = linkEnd{link: l, dst: b}
+	l.bEnd = linkEnd{link: l, dst: a}
 	return l
 }
 
@@ -235,7 +235,7 @@ func NewLink(eng *sim.Engine, a, b Port, latency sim.Duration, bitsPerSec float6
 // link. Convenience for the common NIC—bridge case.
 func Attach(eng *sim.Engine, nic *NIC, dst Port, latency sim.Duration, bitsPerSec float64) *Link {
 	l := NewLink(eng, nic, dst, latency, bitsPerSec)
-	nic.peer = l.aEnd
+	nic.peer = &l.aEnd
 	return l
 }
 

@@ -39,7 +39,7 @@ func TestPointToPointDelivery(t *testing.T) {
 	var at sim.Duration
 	b.SetHandler(func(f []byte) { got = append([]byte(nil), f...); at = eng.Now() })
 	l := NewLink(eng, a, b, 200*time.Microsecond, 0)
-	a.peer = l.aEnd
+	a.peer = &l.aEnd
 
 	f := frame(b.Addr, a.Addr, "hello")
 	if err := a.Send(f); err != nil {

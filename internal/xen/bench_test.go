@@ -34,3 +34,29 @@ func BenchmarkCreateDestroy(b *testing.B) {
 		create("probe", func(d *Domain) { ts.DestroyDomain(d.ID, func(error) {}) })
 	}
 }
+
+// TestCreateDestroyAllocs pins BenchmarkCreateDestroy's cycle with no
+// resident domains, the shape of xen.probe.create_destroy_r0: the
+// toolstack's share is one txRun per transaction step, one creation and
+// the destroy's one closure.
+func TestCreateDestroyAllocs(t *testing.T) {
+	eng, hyp := newHost(xenstore.JitsuReconciler{}, CubieboardARM())
+	ts := NewToolstack(hyp, OptimisedOpts())
+	got := testing.AllocsPerRun(100, func() {
+		ts.CreateDomain(DomainConfig{Name: "probe", Kind: GuestUnikernel, MemMiB: 16, ImageMiB: 1},
+			func(d *Domain, err error) {
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts.DestroyDomain(d.ID, func(error) {})
+			})
+		eng.Run()
+	})
+	want := 70.0
+	if raceEnabled {
+		want++ // a child slice that grows
+	}
+	if got > want {
+		t.Errorf("create+destroy: %v allocs, want <= %v", got, want)
+	}
+}

@@ -80,54 +80,82 @@ func (ts *Toolstack) xsOpCost() sim.Duration {
 	return ts.hyp.Platform.XSOpCost
 }
 
-// runTx executes body inside a XenStore transaction, charging per-op
-// time, and retries from scratch on ErrAgain exactly like libxl's
-// EAGAIN loop. done receives the terminal error (nil on success).
-func (ts *Toolstack) runTx(dom DomID, body func(tx *xenstore.Tx) error, done func(error)) {
-	r := &txRun{ts: ts, dom: dom, body: body, done: done}
-	r.attempt()
+// runTx writes d's record set inside a XenStore transaction, charging
+// per-op time, and retries from scratch on ErrAgain exactly like libxl's
+// EAGAIN loop. then hears the terminal error (nil on success).
+func (ts *Toolstack) runTx(write recordSet, d *Domain, then stepper) {
+	(&txRun{ts: ts, write: write, d: d, then: then}).attempt()
 }
 
-// txRun is one runTx loop: the state its attempts and commits share.
+// runTxAfter is runTx once delay has passed: a step's own cost first,
+// then its transaction.
+func (ts *Toolstack) runTxAfter(delay sim.Duration, write recordSet, d *Domain, then stepper) {
+	ts.hyp.Eng.AfterHandler(delay, &txRun{ts: ts, write: write, d: d, then: then})
+}
+
+// recordSet writes one of the record sets below for d in tx.
+type recordSet func(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error
+
+// stepper hears how a step ended.
+type stepper interface{ stepDone(err error) }
+
+// stepFunc is a func as a stepper.
+type stepFunc func(error)
+
+func (f stepFunc) stepDone(err error) { f(err) }
+
+// txRun is one runTx loop: the state its attempts and commits share. It
+// is the sim.Handler of both.
 type txRun struct {
 	ts       *Toolstack
-	dom      DomID
-	body     func(tx *xenstore.Tx) error
-	done     func(error)
+	write    recordSet
+	d        *Domain
+	then     stepper
 	tx       *xenstore.Tx // the attempt awaiting its commit
 	attempts int
 }
 
-// attempt runs body in a fresh transaction and schedules its commit
-// once the per-op time is charged.
+// Fire runs the next attempt, or commits the one awaiting its commit.
+func (r *txRun) Fire() {
+	if r.tx == nil {
+		r.attempt()
+	} else {
+		r.commit()
+	}
+}
+
+// attempt writes the record set in a fresh transaction and schedules
+// its commit once the per-op time is charged.
 func (r *txRun) attempt() {
 	r.attempts++
 	if r.attempts > maxTxRetries {
-		r.done(ErrTooManyRetries)
+		r.then.stepDone(ErrTooManyRetries)
 		return
 	}
 	h := r.ts.hyp
 	before := h.Store.Stats().Ops
-	r.tx = h.Store.Begin(r.dom)
-	if err := r.body(r.tx); err != nil {
-		r.tx.Abort()
-		r.done(err)
+	tx := h.Store.Begin(Dom0)
+	if err := r.write(h.Store, tx, r.d); err != nil {
+		tx.Abort()
+		r.then.stepDone(err)
 		return
 	}
+	r.tx = tx
 	ops := h.Store.Stats().Ops - before
-	h.Eng.After(h.charge(sim.Duration(ops)*r.ts.xsOpCost()), r.commit)
+	h.Eng.AfterHandler(h.charge(sim.Duration(ops)*r.ts.xsOpCost()), r)
 }
 
-// commit ends the attempt: done on success or a hard error, another
-// attempt on ErrAgain.
+// commit ends the attempt: then hears a success or a hard error,
+// ErrAgain schedules another attempt.
 func (r *txRun) commit() {
 	err := r.tx.Commit()
+	r.tx = nil
 	if errors.Is(err, xenstore.ErrAgain) {
 		r.ts.TxRetries++
-		r.ts.hyp.Eng.After(0, r.attempt)
+		r.ts.hyp.Eng.AfterHandler(0, r)
 		return
 	}
-	r.done(err)
+	r.then.stepDone(err)
 }
 
 // DomainConfig describes a guest to create.
@@ -160,97 +188,81 @@ func (ts *Toolstack) CreateDomain(cfg DomainConfig, done func(*Domain, error)) {
 		return
 	}
 	h.cpuEnter()
-	finish := func(err error) {
-		h.cpuExit()
-		if err != nil {
-			h.DestroyDomain(d.ID)
-			done(nil, err)
-			return
-		}
-		d.State = StateRunning
-		d.Created = h.Eng.Now()
-		h.Store.FireSpecial(xenstore.SpecialIntroduceDomain)
-		done(d, nil)
-	}
-
-	buildDone, vifDone := false, !ts.opts.ParallelAttach
-	var failed error
-	joined := false
-	join := func(err error) {
-		if err != nil && failed == nil {
-			failed = err
-		}
-		if buildDone && vifDone && !joined {
-			joined = true
-			if failed != nil {
-				finish(failed)
-				return
-			}
-			if ts.opts.ParallelAttach {
-				ts.consoleThenRun(d, finish)
-			} else {
-				// Serial mode: vif chain runs only now, after the build.
-				ts.vifChain(d, true, func(err error) {
-					if err != nil {
-						finish(err)
-						return
-					}
-					ts.consoleThenRun(d, finish)
-				})
-			}
-		}
-	}
-
-	ts.domainBuild(d, cfg, func(err error) { buildDone = true; join(err) })
-	if ts.opts.ParallelAttach {
-		ts.vifChain(d, false, func(err error) { vifDone = true; join(err) })
-	}
-}
-
-// domainBuild is the domain builder proper: memory init plus the
-// XenStore build transaction.
-func (ts *Toolstack) domainBuild(d *Domain, cfg DomainConfig, done func(error)) {
-	h := ts.hyp
+	c := &creation{ts: ts, d: d, done: done, vifLeft: !ts.opts.ParallelAttach, consoleLeft: ts.opts.Console}
+	// The domain builder proper: memory init plus the build transaction.
 	p := h.Platform
-	buildCost := h.charge(p.BaseBuild +
-		sim.Duration(float64(p.MemZeroPerMiB)*float64(cfg.MemMiB)) +
-		sim.Duration(float64(p.ImageLoadPerMiB)*cfg.ImageMiB))
-	h.Eng.After(buildCost, func() {
-		ts.runTx(Dom0, func(tx *xenstore.Tx) error {
-			return writeBuildRecords(h.Store, tx, d)
-		}, done)
-	})
+	c.start(p.BaseBuild+
+		sim.Duration(float64(p.MemZeroPerMiB)*float64(cfg.MemMiB))+
+		sim.Duration(float64(p.ImageLoadPerMiB)*cfg.ImageMiB), writeBuildRecords)
+	if ts.opts.ParallelAttach {
+		c.startVif(false)
+	}
 }
 
-// vifChain creates the backend vif and runs the hotplug step that adds
+// creation is one CreateDomain in flight: each step chain reports to it,
+// and once the running ones have all reported it starts the next step —
+// the serial vif chain, then the console — or finishes.
+type creation struct {
+	ts          *Toolstack
+	d           *Domain
+	done        func(*Domain, error)
+	running     int   // step chains not yet reported
+	failed      error // the first error one reported
+	vifLeft     bool  // serial mode: the vif chain runs after the build
+	consoleLeft bool
+}
+
+// start runs a step chain: its cost, then its record set's transaction.
+func (c *creation) start(cost sim.Duration, write recordSet) {
+	c.running++
+	c.ts.runTxAfter(c.ts.hyp.charge(cost), write, c.d, c)
+}
+
+// startVif creates the backend vif and runs the hotplug step that adds
 // it to the bridge. serial adds the blocking RPC round-trip penalty the
 // parallel path hides.
-func (ts *Toolstack) vifChain(d *Domain, serial bool, done func(error)) {
-	h := ts.hyp
-	p := h.Platform
-	cost := p.VifCreate + p.HotplugCost[ts.opts.Hotplug]
+func (c *creation) startVif(serial bool) {
+	p := c.ts.hyp.Platform
+	cost := p.VifCreate + p.HotplugCost[c.ts.opts.Hotplug]
 	if serial {
 		cost += p.SerialAttachPenalty
 	}
-	h.Eng.After(h.charge(cost), func() {
-		ts.runTx(Dom0, func(tx *xenstore.Tx) error {
-			return writeVifRecords(h.Store, tx, d)
-		}, done)
-	})
+	c.start(cost, writeVifRecords)
 }
 
-// consoleThenRun optionally attaches the console, then reports success.
-func (ts *Toolstack) consoleThenRun(d *Domain, done func(error)) {
-	h := ts.hyp
-	if !ts.opts.Console {
-		done(nil)
+func (c *creation) stepDone(err error) {
+	if err != nil && c.failed == nil {
+		c.failed = err
+	}
+	if c.running--; c.running > 0 {
 		return
 	}
-	h.Eng.After(h.charge(h.Platform.ConsoleAttach), func() {
-		ts.runTx(Dom0, func(tx *xenstore.Tx) error {
-			return writeConsoleRecords(h.Store, tx, d)
-		}, done)
-	})
+	switch {
+	case c.failed != nil:
+		c.finish(c.failed)
+	case c.vifLeft:
+		c.vifLeft = false
+		c.startVif(true)
+	case c.consoleLeft:
+		c.consoleLeft = false
+		c.start(c.ts.hyp.Platform.ConsoleAttach, writeConsoleRecords)
+	default:
+		c.finish(nil)
+	}
+}
+
+func (c *creation) finish(err error) {
+	h, d := c.ts.hyp, c.d
+	h.cpuExit()
+	if err != nil {
+		h.DestroyDomain(d.ID)
+		c.done(nil, err)
+		return
+	}
+	d.State = StateRunning
+	d.Created = h.Eng.Now()
+	h.Store.FireSpecial(xenstore.SpecialIntroduceDomain)
+	c.done(d, nil)
 }
 
 // DestroyDomain tears down a guest: XenStore cleanup transaction plus
@@ -264,18 +276,14 @@ func (ts *Toolstack) DestroyDomain(id DomID, done func(error)) {
 	}
 	d.State = StateShutdown
 	h.cpuEnter()
-	h.Eng.After(h.charge(25*time.Millisecond), func() {
-		ts.runTx(Dom0, func(tx *xenstore.Tx) error {
-			return removeDomainRecords(h.Store, tx, d)
-		}, func(txErr error) {
-			h.cpuExit()
-			if txErr == nil {
-				txErr = h.DestroyDomain(id)
-				h.Store.FireSpecial(xenstore.SpecialReleaseDomain)
-			}
-			done(txErr)
-		})
-	})
+	ts.runTxAfter(h.charge(25*time.Millisecond), removeDomainRecords, d, stepFunc(func(err error) {
+		h.cpuExit()
+		if err == nil {
+			err = h.DestroyDomain(id)
+			h.Store.FireSpecial(xenstore.SpecialReleaseDomain)
+		}
+		done(err)
+	}))
 }
 
 // ---- pre-created domain pool (ablation) ----
@@ -294,12 +302,7 @@ func (ts *Toolstack) refillPool() {
 		return // pool refill is best-effort: host may be full
 	}
 	d.State = StatePaused
-	ts.runTx(Dom0, func(tx *xenstore.Tx) error {
-		if err := writeBuildRecords(ts.hyp.Store, tx, d); err != nil {
-			return err
-		}
-		return writeVifRecords(ts.hyp.Store, tx, d)
-	}, func(error) {})
+	ts.runTx(writePoolRecords, d, stepFunc(func(error) {}))
 	ts.pool = append(ts.pool, d)
 }
 
@@ -310,19 +313,15 @@ func (ts *Toolstack) claimPooled(d *Domain, cfg DomainConfig, done func(*Domain,
 	d.Name = cfg.Name
 	d.Kind = cfg.Kind
 	cost := h.charge(sim.Duration(float64(h.Platform.ImageLoadPerMiB)*cfg.ImageMiB) + 2*time.Millisecond)
-	h.Eng.After(cost, func() {
-		ts.runTx(Dom0, func(tx *xenstore.Tx) error {
-			return h.Store.Write(Dom0, tx, d.XSPath()+"/name", cfg.Name)
-		}, func(err error) {
-			if err != nil {
-				done(nil, err)
-				return
-			}
-			d.State = StateRunning
-			d.Created = h.Eng.Now()
-			done(d, nil)
-		})
-	})
+	ts.runTxAfter(cost, writeName, d, stepFunc(func(err error) {
+		if err != nil {
+			done(nil, err)
+			return
+		}
+		d.State = StateRunning
+		d.Created = h.Eng.Now()
+		done(d, nil)
+	}))
 }
 
 // ---- XenStore record sets ----
@@ -377,6 +376,19 @@ func writeBuildRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
 		{"/store/ring-ref", "1"},
 		{"/store/port", "1"},
 	})
+}
+
+// writePoolRecords is a pre-created domain's build and vif sets.
+func writePoolRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
+	if err := writeBuildRecords(st, tx, d); err != nil {
+		return err
+	}
+	return writeVifRecords(st, tx, d)
+}
+
+// writeName renames a claimed pool domain.
+func writeName(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
+	return st.Write(Dom0, tx, d.XSPath()+"/name", d.Name)
 }
 
 func writeVifRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {

@@ -206,6 +206,22 @@ func TestFastForwardNeedsUnmovedSequence(t *testing.T) {
 	p.same()
 }
 
+// A merging commit installs the nodes its transaction created, reset for
+// the live tree, and makes new ones only for the parents a removal took
+// meanwhile: here /tool/a, gone from under the transaction's b and c.
+func TestMergeRecreatesRemovedParents(t *testing.T) {
+	for kind := range modelRecs {
+		p := newModelPair(t, kind, 0)
+		p.write(Dom0, nil, "/tool/a/x", "v")
+		p.watch("/tool", "w")
+		tx := p.begin(Dom0)
+		p.write(Dom0, tx, "/tool/a/b/c", "v")
+		p.rm(Dom0, nil, "/tool/a")
+		p.commit(tx, false)
+		p.same()
+	}
+}
+
 // Replay acts as the opener whoever wrote: under /conduit
 // (RestrictCreate) a key written through Dom0's transaction by dom 3
 // ends up Dom0's. Such a transaction's own tree says dom 3's, so it
@@ -329,13 +345,14 @@ func TestAllocationPins(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("Read: %v allocs, want 0", got)
 	}
-	// One domain build on the fast-forward path, 37 objects: DomainPath,
+	// One domain build on the fast-forward path, 36 objects: DomainPath,
 	// twelve base+key strings, the Tx, 17 nodes and the one child slice
 	// among them that outgrew its node (the domain directory's seven
-	// keys; memory, control, console and store keep theirs inline), the
-	// copied root-to-/local/domain path — three nodes and the long child
-	// slice of /local/domain — and the event list.
-	want := 37.0
+	// keys; memory, control, console and store keep theirs inline), and
+	// the transaction's copy of the root-to-/local/domain path — three
+	// nodes and the long child slice of /local/domain. The event list is
+	// the store's.
+	want := 36.0
 	if raceEnabled {
 		want++ // the domain directory's spill
 	}
@@ -347,5 +364,51 @@ func TestAllocationPins(t *testing.T) {
 		}
 	}); got > want {
 		t.Errorf("domain-build transaction: %v allocs, want <= %v", got, want)
+	}
+	// The same build on the merge path costs four more: the immediate
+	// write's copy of root, /tool and /tool/tick under the open
+	// transaction, and the replay's domain directory spilling again. The
+	// 17 nodes the transaction created are the ones the replay installs.
+	want += 4
+	if raceEnabled {
+		want++ // the replayed domain directory's spill
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		dom++
+		if err := buildTx(s, dom, true); err != nil {
+			t.Fatal(err)
+		}
+	}); got > want {
+		t.Errorf("merged domain-build transaction: %v allocs, want <= %v", got, want)
+	}
+	// An immediate write to an existing leaf edits it in place while no
+	// transaction is open, also once one has come and gone, and copies
+	// its path once while one is: root, /local, /local/domain with its
+	// long child slice, the domain with its spilled one, and the leaf.
+	// Begin and Abort cost the Tx alone.
+	if got := testing.AllocsPerRun(100, func() {
+		if err := s.Write(Dom0, nil, "/local/domain/60/key3", "v"); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("immediate write: %v allocs, want 0", got)
+	}
+	for _, open := range []bool{false, true} {
+		want := 1.0
+		if open {
+			want += 7
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			tx := s.Begin(Dom0)
+			if !open {
+				tx.Abort()
+			}
+			if err := s.Write(Dom0, nil, "/local/domain/60/key3", "v"); err != nil {
+				t.Fatal(err)
+			}
+			tx.Abort()
+		}); got != want {
+			t.Errorf("Begin, immediate write (transaction open: %v), Abort: %v allocs, want %v", open, got, want)
+		}
 	}
 }

@@ -17,30 +17,34 @@
 // transaction's snapshot is the root pointer it captured at Begin, and
 // every version of the tree shares the nodes no writer has touched
 // since. One rule keeps them apart. Each node carries the edit token of
-// the single writer allowed to mutate it in place; the live tree and
-// every open transaction hold a token of their own; Begin retires the
-// live tree's token and hands out two fresh ones. A writer that meets a
-// node stamped with somebody else's token copies it before changing it,
-// so a write copies the root-to-leaf path the first time that writer
-// passes and mutates in place afterwards — and with no snapshot
-// outstanding nothing is copied at all. A node keeps up to four
-// name-sorted children in an array inside itself, and its copy takes
-// them into its own, so copying a small directory is one object; a
-// larger one's child slice lives on the heap and is copied beside it.
-// Permission entries are immutable once on a node and shared.
+// the writer that made it; the live tree and every open transaction
+// hold a token of their own, and Begin hands out two fresh ones. A
+// transaction mutates in place only what carries its token. The live
+// tree does the same while a transaction is open — what it made since
+// the last Begin lies in no snapshot — and edits everything in place
+// once none is, there being no snapshot to protect. A writer that may
+// not mutate a node copies it first, so a write copies the
+// root-to-leaf path the first time that writer passes and mutates in
+// place afterwards. A node keeps up to four name-sorted children in an
+// array inside itself, and its copy takes them into its own, so
+// copying a small directory is one object; a larger one's child slice
+// lives on the heap and is copied beside it. Permission entries are
+// immutable once on a node and shared.
 //
 // The same rule makes a commit whose base has not moved a fast-forward,
-// as in Irmin, not a merge. Begin retired the live token, so any write
-// to the live tree since has copied the root: while the live root is
-// still the pointer the transaction captured, the transaction's tree is
-// what replaying its log would build. Commit, once the reconciler's
-// Check has passed, installs it as the live tree, settles the quota
-// steps in order and fires one watch event per logged operation, as
-// replay does on an unmoved base. For the generation stamps to agree a
-// transaction stamps its writes startSeq+1, the number that commit
-// takes; nothing reads a snapshot's stamps. Otherwise — and whenever a
-// domain other than the opener wrote through the transaction, since
-// replay acts as the opener — the log is replayed onto the live tree.
+// as in Irmin, not a merge. While the transaction is open a live write
+// edits in place only a root made since its Begin, so while the live
+// root is still the pointer the transaction captured, nothing has
+// written the live tree and the transaction's tree is what replaying
+// its log would build. Commit, once the reconciler's Check
+// has passed, installs it as the live tree, settles the quota steps in
+// order and fires one watch event per logged operation, as replay does
+// on an unmoved base. For the generation stamps to agree a transaction
+// stamps its writes startSeq+1, the number that commit takes; nothing
+// reads a snapshot's stamps. Otherwise — and whenever a domain other
+// than the opener wrote through the transaction, since replay acts as
+// the opener — the log is replayed onto the live tree, and each node
+// the transaction created is the object replay installs.
 //
 // A path is its canonical string, validated in one pass; tree walks cut
 // the components off it in place, so no operation allocates for a path.

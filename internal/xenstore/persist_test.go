@@ -3,8 +3,11 @@ package xenstore
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // populated returns a store of about n nodes laid out like the
@@ -124,5 +127,134 @@ func probeTx(s *Store) {
 	}
 	if err := tx.Commit(); err != nil {
 		panic(err)
+	}
+}
+
+// With no transaction open the live tree edits its nodes in place; a
+// transaction begun afterwards sees the edit, and while one is open a
+// live write copies what predates the last Begin instead. Closing a
+// transaction twice counts once: the other open one keeps its snapshot.
+func TestLiveTreeEditsInPlaceWithoutSnapshots(t *testing.T) {
+	s := populated(64)
+	const key = "/local/domain/1/key1"
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(tx *Tx, want string) {
+		t.Helper()
+		if got, err := s.Read(Dom0, tx, key); err != nil || got != want {
+			t.Fatalf("read = %q, %v; want %q", got, err, want)
+		}
+	}
+	inPlace := func(value string, want bool) {
+		t.Helper()
+		root, leaf := s.root, lookup(s.root, xpath{s: key})
+		must(s.Write(Dom0, nil, key, value))
+		if got := s.root == root && lookup(s.root, xpath{s: key}) == leaf; got != want {
+			t.Fatalf("write of %q edited in place = %v, want %v", value, got, want)
+		}
+	}
+	inPlace("a", true)
+	tx, other := s.Begin(Dom0), s.Begin(Dom0)
+	read(tx, "a")
+	inPlace("b", false)
+	read(tx, "a")
+	read(nil, "b")
+	tx.Abort()
+	tx.Abort()
+	if err := tx.Commit(); !errors.Is(err, ErrTxClosed) {
+		t.Fatalf("commit after abort = %v", err)
+	}
+	s.Begin(Dom0).Abort() // every live node now predates the last Begin
+	inPlace("c", false)
+	read(other, "a")
+	other.Abort()
+	s.Begin(Dom0).Abort() // the last one closed, nothing is copied
+	inPlace("d", true)
+	read(nil, "d")
+}
+
+// A transaction kept after its merged Commit holds none of the nodes it
+// saw or made: not the root it began on, not its own copies, not a
+// subtree it removed, and not a node it created, once the live tree has
+// removed that too.
+func TestKeptTransactionPinsNothing(t *testing.T) {
+	s := NewStore(JitsuReconciler{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(s.Write(Dom0, nil, "/tool/gone/leaf", "v"))
+	var collected atomic.Int32 // cleanups run on their own goroutine
+	watch := func(n *node) {
+		runtime.AddCleanup(n, func(c *atomic.Int32) { c.Add(1) }, &collected)
+	}
+	tx := s.Begin(Dom0)
+	watch(tx.base)
+	watch(lookup(s.root, xpath{s: "/tool/gone"}))
+	must(s.Write(Dom0, tx, "/tool/made/leaf", "v"))
+	must(s.Rm(Dom0, tx, "/tool/gone"))
+	watch(tx.root)
+	must(s.Write(Dom0, nil, "/tool/tick", "v")) // so the commit merges
+	must(tx.Commit())
+	made := lookup(s.root, xpath{s: "/tool/made"})
+	if made == nil || made.edit != s.edit {
+		t.Fatal("the merged commit did not install /tool/made")
+	}
+	watch(made)
+	must(s.Rm(Dom0, nil, "/tool/made"))
+	for i := 0; i < 100 && collected.Load() < 4; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := collected.Load(); n < 4 {
+		t.Fatalf("%d of 4 nodes collected while the committed Tx is kept", n)
+	}
+	runtime.KeepAlive(tx)
+	runtime.KeepAlive(s)
+}
+
+// Mutations and commits made by a watch callback during a delivery queue
+// their events behind it, in the order the deep-copying store fired
+// them; the store's own event list, lent to the outer write, is not lent
+// again to them.
+func TestMutationsDuringDeliveryKeepOrder(t *testing.T) {
+	s := NewStore(JitsuReconciler{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(s.Write(Dom0, nil, "/tool/w/u/v", "v")) // the store's list has room for four
+	var got []string
+	nested := false
+	s.WatchPath(Dom0, "/tool", "w", func(p, _ string) {
+		got = append(got, p)
+		if p != "/tool/a" || nested {
+			return
+		}
+		nested = true
+		must(s.Write(Dom0, nil, "/tool/x", "v"))
+		tx := s.Begin(Dom0)
+		must(s.Write(Dom0, tx, "/tool/y/z", "v"))
+		must(s.Rm(Dom0, tx, "/tool/x"))
+		must(tx.Commit())
+	})
+	got = nil
+	must(s.Write(Dom0, nil, "/tool/a/b", "v"))
+	tx := s.Begin(Dom0)
+	must(s.Write(Dom0, tx, "/tool/c", "v"))
+	must(tx.Commit())
+	must(s.Rm(Dom0, nil, "/tool/a"))
+	want := []string{"/tool/a", "/tool/a/b", "/tool/a/b", "/tool/x", "/tool/x", "/tool/y",
+		"/tool/y/z", "/tool/y/z", "/tool/x", "/tool/c", "/tool/c", "/tool/a"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("deliveries = %q\nwant         %q", got, want)
 	}
 }

@@ -19,19 +19,20 @@ type node struct {
 	perms    Perms  // Entries is shared between nodes: never written through
 	valueGen uint64 // store seq when value last written (or node created)
 	childGen uint64 // store seq when children set last changed
-	// edit is the token of the one writer (the live tree or a Tx) that
-	// may mutate this node in place; everyone else copies it first.
+	// edit is the token of the writer (the live tree or a Tx) that made
+	// this node; mutCtx.mine says who may mutate it in place. Everyone
+	// else copies it first.
 	edit   uint64
 	kidArr [4]*node
 }
 
-// editable returns n if the writer holding token e may mutate it in
-// place, else a copy that writer may: the child slice is copied too, as
-// the caller is about to repoint or move one of its slots — into the
-// copy's own kidArr when it fits (append moves more to the heap), never
-// left on n's.
-func (n *node) editable(e uint64) *node {
-	if n.edit == e {
+// editable returns n if mine, else a copy for the writer holding token
+// e: the child slice is
+// copied too, as the caller is about to repoint or move one of its
+// slots — into the copy's own kidArr when it fits (append moves more to
+// the heap), never left on n's.
+func (n *node) editable(mine bool, e uint64) *node {
+	if mine {
 		return n
 	}
 	c := *n
@@ -108,8 +109,10 @@ type Store struct {
 	watches  []*Watch
 	stats    Stats
 	nextTxID uint64
+	open     int // transactions begun and not yet committed or aborted
 	firing   bool
 	pending  []string // watch events queued while already firing
+	events   []string // lent to each mutation and commit outside a delivery
 
 	// NodeQuota caps nodes created by each unprivileged domain (Dom0 is
 	// exempt); 0 disables the check. Matches xenstored's quota knob.
@@ -319,7 +322,7 @@ func (s *Store) mutate(dom DomID, tx *Tx, path string, op txOp) (err error) {
 		m := mutCtx{s: s, root: &tx.root, edit: tx.edit, tx: tx, gen: tx.startSeq + 1}
 		return m.apply(dom, &op)
 	}
-	m := mutCtx{s: s, root: &s.root, edit: s.edit, gen: s.seq + 1}
+	m := mutCtx{s: s, root: &s.root, edit: s.edit, gen: s.seq + 1, events: s.lendEvents()}
 	err = m.apply(dom, &op)
 	if err == nil || len(m.events) > 0 {
 		s.seq++
@@ -337,19 +340,26 @@ func (m *mutCtx) apply(dom DomID, op *txOp) error {
 	case opSetPerms:
 		return m.setPerms(dom, op.path, op.perms)
 	default:
-		return m.write(dom, op.path, op.value, op.kind == opMkdir)
+		return m.write(dom, op.path, op.value, op.kind == opMkdir, op.n)
 	}
 }
 
-// ownRoot makes the root of m's tree editable by m's token.
+// mine reports whether m may mutate n in place: m made n (the live tree
+// after the last Begin, so no snapshot holds it), or m edits the live
+// tree while no transaction is open, so there is no snapshot to protect.
+func (m *mutCtx) mine(n *node) bool {
+	return n.edit == m.edit || m.tx == nil && m.s.open == 0
+}
+
+// ownRoot makes the root of m's tree editable by m.
 func (m *mutCtx) ownRoot() *node {
-	*m.root = (*m.root).editable(m.edit)
+	*m.root = (*m.root).editable(m.mine(*m.root), m.edit)
 	return *m.root
 }
 
 // ownKid makes the i'th child of n, itself editable, editable.
 func (m *mutCtx) ownKid(n *node, i int) *node {
-	n.kids[i] = n.kids[i].editable(m.edit)
+	n.kids[i] = n.kids[i].editable(m.mine(n.kids[i]), m.edit)
 	return n.kids[i]
 }
 
@@ -366,8 +376,10 @@ func (m *mutCtx) own(p xpath) *node {
 
 // write creates/updates p under m's root, taking ownership of the path
 // as it descends. mkdir distinguishes Mkdir (no-op when the node
-// exists) from Write (value update).
-func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool) error {
+// exists) from Write (value update). A replayed creation passes the
+// node its transaction made for p as adopt, and p's own node, if it has
+// to be created, is that object, reset; parents are always new.
+func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool, adopt *node) error {
 	n := m.ownRoot()
 	for name, pos := "", 1; pos < len(p.s); {
 		name, pos = nextPart(p.s, pos)
@@ -388,7 +400,10 @@ func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool) error {
 			if err := m.chargeQuota(childPerms.Owner); err != nil {
 				return err
 			}
-			ch = &node{name: name, perms: childPerms, valueGen: m.gen, childGen: m.gen, edit: m.edit}
+			if ch = adopt; !last || ch == nil {
+				ch = new(node)
+			}
+			*ch = node{name: name, perms: childPerms, valueGen: m.gen, childGen: m.gen, edit: m.edit}
 			if cap(n.kids) == 0 {
 				n.kids = n.kidArr[:0]
 			}
@@ -399,7 +414,7 @@ func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool) error {
 			}
 			n.childGen = m.gen
 			cur := xpath{s: p.s[:pos-1]}
-			m.tx.recordCreate(cur)
+			m.tx.recordCreate(cur, ch)
 			m.noteEvent(cur.s)
 		} else {
 			if last && !mkdir && !m.replay && !n.kids[j].perms.CanWrite(dom) {
@@ -520,7 +535,7 @@ const (
 // FireSpecial delivers a special event (domain introduced/released) to
 // its watchers.
 func (s *Store) FireSpecial(name string) {
-	s.fire([]string{name})
+	s.fire(append(s.lendEvents(), name))
 }
 
 // WatchPath registers fn for changes at or below path. Per the XenStore
@@ -556,6 +571,16 @@ func (s *Store) Unwatch(w *Watch) {
 	}
 }
 
+// lendEvents hands a mutation, commit or special event the store's event
+// list to fill, and fire takes it back; one made during a delivery,
+// which is still reading that list, starts a list of its own.
+func (s *Store) lendEvents() []string {
+	if s.firing {
+		return nil
+	}
+	return s.events
+}
+
 // fire delivers watch events for the given modified paths. Callbacks may
 // mutate the store (conduit does); events generated while firing are
 // queued and delivered afterwards to keep delivery ordered.
@@ -584,4 +609,6 @@ func (s *Store) fire(paths []string) {
 		}
 	}
 	s.firing = false
+	clear(paths) // keep no path alive
+	s.events = paths[:0]
 }

@@ -23,6 +23,7 @@ type txOp struct {
 	path  xpath
 	value string
 	perms *Perms // opSetPerms only; never written through
+	n     *node  // opMkdir only: the node the transaction created
 }
 
 type opKind uint8
@@ -49,10 +50,12 @@ const txRecs, txOps = 24, 32
 // Tx is an open transaction: the root the live tree had at Begin —
 // shared, not copied; the transaction's own writes path-copy away from
 // it under the transaction's edit token — plus the dependency records
-// and the operation log to replay at Commit. Records, log and quota
-// steps start on arrays inside the Tx; a record is found by scanning
-// recs until they outgrow theirs, from then on through index, built
-// once over the records made so far.
+// and the operation log to replay at Commit, whose creations a merging
+// Commit installs as the very nodes the transaction made. Records, log
+// and quota steps start on arrays inside the Tx; a record is found by
+// scanning recs until they outgrow theirs, from then on through index,
+// built once over the records made so far. A closed Tx lets go of every
+// node.
 type Tx struct {
 	ID       uint64
 	st       *Store
@@ -79,11 +82,13 @@ type Tx struct {
 // Begin opens a transaction for dom. The transaction sees a stable
 // snapshot of the store; Commit applies it atomically or fails with
 // ErrAgain. Begin costs the same whatever the store holds: it captures
-// the root and gives the transaction and the live tree a fresh edit
-// token each, so every node reachable from that root now belongs to
-// neither and whichever side writes next copies what it touches.
+// the root, counts the transaction open and gives it and the live tree
+// a fresh edit token each, so while the transaction is open every node
+// reachable from that root belongs to neither side and whichever writes
+// next copies what it touches (mutCtx.mine).
 func (s *Store) Begin(dom DomID) *Tx {
 	s.nextTxID++
+	s.open++
 	s.edits += 2
 	s.edit = s.edits
 	t := &Tx{
@@ -100,13 +105,28 @@ func (s *Store) Begin(dom DomID) *Tx {
 	return t
 }
 
-// Abort discards the transaction.
-func (t *Tx) Abort() { t.closed = true }
+// Abort discards the transaction; aborting a closed one does nothing.
+func (t *Tx) Abort() {
+	if !t.closed {
+		t.closed = true
+		t.st.open--
+		t.release()
+	}
+}
+
+// release lets go of every node, so a closed Tx kept pins nothing.
+func (t *Tx) release() {
+	t.base, t.root = nil, nil
+	for i := range t.ops {
+		t.ops[i].n = nil
+	}
+	clear(t.quota)
+}
 
 // fastForward reports whether the transaction's tree is what replaying
 // its log would build: the live root is the pointer Begin captured (any
-// live write since has copied or replaced it, Begin having retired the
-// live edit token) and no sequence number went by meanwhile (a commit
+// live write since has copied or replaced it, this transaction being
+// open) and no sequence number went by meanwhile (a commit
 // whose every target had gone takes one and writes nothing, and this
 // transaction's nodes are stamped for the one after startSeq).
 func (t *Tx) fastForward() bool {
@@ -125,6 +145,8 @@ func (t *Tx) Commit() error {
 		return ErrTxClosed
 	}
 	t.closed = true
+	t.st.open--
+	defer t.release()
 	s := t.st
 	if err := s.rec.Check(s, t); err != nil {
 		s.stats.Conflicts++
@@ -133,7 +155,7 @@ func (t *Tx) Commit() error {
 	if len(t.ops) == 0 {
 		return nil // read-only transactions always succeed once checked
 	}
-	events := make([]string, 0, len(t.ops))
+	events := s.lendEvents()
 	if t.fastForward() {
 		s.root = t.root
 		for _, q := range t.quota {
@@ -225,13 +247,14 @@ func (t *Tx) recordValueWrite(p xpath, value string) {
 	t.logOp(txOp{kind: opWrite, path: p, value: value})
 }
 
-func (t *Tx) recordCreate(p xpath) {
+// recordCreate notes that the snapshot gained n at p.
+func (t *Tx) recordCreate(p xpath, n *node) {
 	if t == nil {
 		return
 	}
 	t.rec(p).created = true
 	t.rec(p.parent()).childTouched = true
-	t.logOp(txOp{kind: opMkdir, path: p})
+	t.logOp(txOp{kind: opMkdir, path: p, n: n})
 }
 
 // recordRemove notes that the snapshot lost the subtree n at p.
