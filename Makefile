@@ -24,7 +24,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION ?= 2025.1.1
 ACTIONLINT_VERSION ?= v1.7.7
 
-.PHONY: all build test vet race fmt-check bench-check bench-pair allocs-gate allocs-record loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store fuzz-tcb fuzz-engine bench bench-gate ci
+.PHONY: all build test vet race fmt-check bench-check bench-pair allocs-gate allocs-record loc loc-by-package staticcheck actionlint fuzz fuzz-summary fuzz-impaired fuzz-wire fuzz-store fuzz-tcb fuzz-engine fuzz-lifecycle bench bench-gate ci
 
 all: vet build test
 
@@ -86,6 +86,7 @@ fuzz:
 	$(MAKE) fuzz-store
 	$(MAKE) fuzz-tcb
 	$(MAKE) fuzz-engine
+	$(MAKE) fuzz-lifecycle
 
 # fuzz-summary smokes the federation root's summary codec.
 fuzz-summary:
@@ -123,6 +124,14 @@ fuzz-tcb:
 # clock, counters and firing order equal after every operation.
 fuzz-engine:
 	$(GO) test -run '^$$' -fuzz=FuzzEngineModel -fuzztime=$(FUZZTIME) ./internal/sim
+
+# fuzz-lifecycle plays fuzzer-proposed streams of lifecycle verbs and
+# raw-SYN fetches on an exact-fit board, without and with a disk, and a
+# roomy board with a disk, then checks the activation's books at
+# quiescence: every OnReady once, no lost client, no destroy or parked
+# connection left, memory intact.
+fuzz-lifecycle:
+	$(GO) test -run '^$$' -fuzz=FuzzLifecycle -fuzztime=$(FUZZTIME) ./internal/core
 
 # bench runs the full evaluation + hot-path microbenches, and the layers'
 # own benches beside them ($(BENCH_PKGS); benchjson files each under its

@@ -520,17 +520,9 @@ func (c *Cluster) place(e *Entry, via string, onReady func(error)) (p *Placement
 		return p, true
 	}
 	if p := e.launching(); p != nil {
-		if onReady != nil {
-			if p.pending {
-				// The boot is still queued behind a preemption (the
-				// replica is Stopped until the victim's destroy lands);
-				// summoning now would start it early. Park the hook for
-				// the deferred summon instead.
-				p.pendingReady = append(p.pendingReady, onReady)
-			} else if !c.Boards[p.Board].Jitsu.Summon(p.Svc,
-				core.Summon{Via: via, OnReady: onReady}).Served() {
-				onReady(core.ErrNoMemory)
-			}
+		if onReady != nil && !c.Boards[p.Board].Jitsu.Summon(p.Svc,
+			core.Summon{Via: via, OnReady: onReady}).Served() {
+			onReady(core.ErrNoMemory)
 		}
 		return p, false
 	}
@@ -542,7 +534,7 @@ func (c *Cluster) place(e *Entry, via string, onReady func(error)) (p *Placement
 		if c.Boards[i].Hyp.FreeMemMiB() < e.Base.Image.MemMiB {
 			continue
 		}
-		if c.summon(dp, via, onReady) {
+		if c.summon(dp, via, onReady, nil) {
 			return dp, false
 		}
 	}
@@ -554,19 +546,19 @@ func (c *Cluster) place(e *Entry, via string, onReady func(error)) (p *Placement
 		return nil, false
 	}
 	p = e.Replicas[idx]
-	if !c.summon(p, via, onReady) {
+	if !c.summon(p, via, onReady, nil) {
 		return nil, false
 	}
 	return p, false
 }
 
 // preempt reclaims the coldest ready replica whose service is at least
-// preemptMargin times colder than e, then boots e's replica on the
-// freed board once the destroy completes. Victims are tried coldest
-// first (ties in directory order) until Jitsu.Reclaim takes one. The
-// DNS answer goes out immediately — the replica IP is under Synjitsu
-// control, so the client's SYNs ride the same boot race a stock cold
-// start does.
+// preemptMargin times colder than e, then summons e's replica on the
+// freed board: its launch joins the victim's destroy. Victims are tried
+// coldest first (ties in directory order) until Jitsu.Reclaim takes
+// one. The DNS answer goes out immediately — the replica IP is under
+// Synjitsu control, so the client's SYNs ride the same boot race a
+// stock cold start does.
 func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement {
 	now := c.eng.Now()
 	need := e.effectiveRate(now)
@@ -613,38 +605,19 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 		if rep == nil || rep.reserved {
 			continue
 		}
-		freed := func() {
-			rep.pending = false
-			// Deliver readiness to the preempt initiator plus anyone who
-			// joined while the boot was queued — including the failure: a
-			// concurrent placement may have consumed the freed memory, and
-			// a dropped hook would leave its caller waiting forever.
-			cbs := rep.pendingReady
-			rep.pendingReady = nil
-			if onReady != nil {
-				cbs = append([]func(error){onReady}, cbs...)
-			}
-			var cb func(error)
-			if len(cbs) > 0 {
-				cb = func(err error) {
-					for _, f := range cbs {
-						f(err)
-					}
-				}
-			}
-			if !c.summon(rep, via, cb) && cb != nil {
-				cb(core.ErrNoMemory)
-			}
-		}
 		// Tiered reclaim: a victim parked on its board's disk restores
 		// later at disk cost; a diskless board pays the full eviction.
-		reclaimed, demoted := c.Boards[v.p.Board].Jitsu.Reclaim(v.p.Svc, freed)
+		reclaimed, demoted := c.Boards[v.p.Board].Jitsu.Reclaim(v.p.Svc)
 		if demoted {
 			c.Demotions++
 		}
 		if reclaimed {
-			rep.pending = true
 			c.Preempts++
+			// The boot joins the victim's destroy: until it lands,
+			// joiners and the client's SYNs wait on the board's activation.
+			if !c.summon(rep, via, onReady, v.p.Svc) && onReady != nil {
+				onReady(core.ErrNoMemory)
+			}
 			return rep
 		}
 	}

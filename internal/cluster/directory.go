@@ -96,14 +96,6 @@ func (d *Directory) remove(name string) {
 type Placement struct {
 	Board int
 	Svc   *core.Service
-	// pending marks a boot scheduled behind an in-flight preemption:
-	// the replica is still Stopped, but its board's Synjitsu is already
-	// fielding the SYNs the DNS answer attracted.
-	pending bool
-	// pendingReady queues completion hooks that arrived while the boot
-	// was still waiting behind the preemption; the deferred summon
-	// drains it (with an error if the freed memory was lost meanwhile).
-	pendingReady []func(error)
 	// migrating marks the source of an in-flight live migration: it
 	// keeps serving (pre-copy), but reclaim and preemption must leave it
 	// alone until the switchover completes (including the drain).
@@ -227,14 +219,14 @@ func (e *Entry) transferSource(inFlight bool) *Placement {
 	return parked
 }
 
-// launching returns a replica whose boot is in flight (or queued behind
-// a preemption), if any.
+// launching returns a replica whose boot is in flight (a preemption's
+// boot is, from the moment its victim is reclaimed), if any.
 func (e *Entry) launching() *Placement {
 	for _, p := range e.Replicas {
 		if p == nil || p.gone {
 			continue
 		}
-		if p.Svc.State == core.StateLaunching || p.pending {
+		if p.Svc.State == core.StateLaunching {
 			return p
 		}
 	}

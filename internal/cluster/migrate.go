@@ -82,11 +82,10 @@ func (c *Cluster) evacuate(m *Member, done func()) {
 		case p.Svc.State == core.StateColdDisk:
 			outstanding++
 			c.evacuateDisk(e, p, finish)
-		case p.Svc.State == core.StateLaunching || p.pending:
+		case p.Svc.State == core.StateLaunching:
 			// A boot is in flight here (a client was already answered
 			// with this IP). Let it finish, then move it.
 			outstanding++
-			p.pending = false
 			dec := m.Board.Jitsu.Summon(p.Svc, core.Summon{Via: TriggerMigrate,
 				OnReady: func(err error) {
 					if err != nil {

@@ -135,7 +135,7 @@ func (pm *PoolManager) shrink(e *Entry, pinned *Placement, alive *int) {
 		if *alive <= e.WarmTarget {
 			return
 		}
-		reclaimed, demoted := pm.c.Boards[p.Board].Jitsu.Reclaim(p.Svc, nil)
+		reclaimed, demoted := pm.c.Boards[p.Board].Jitsu.Reclaim(p.Svc)
 		if demoted {
 			pm.c.Demotions++
 		}

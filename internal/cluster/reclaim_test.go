@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"jitsu/internal/blockdev"
 	"jitsu/internal/core"
 	"jitsu/internal/netstack"
+	"jitsu/internal/sim"
 )
 
 // owe leaves svc's guest owing a client bytes, the way a replica looks
@@ -169,6 +171,33 @@ func TestPreemptTriesNextVictim(t *testing.T) {
 				t.Fatalf("%d preemptions, bob ready on %d boards; want 1 and 1", c.Preempts, bob.readyCount())
 			}
 		})
+	}
+}
+
+// TestPreemptedBootJoinsVictimDestroy: the replica a preemption boots
+// is launching from the moment its victim is reclaimed, its launch
+// joined on the victim's destroy. The client's SYN, which lands while
+// that destroy still runs, joins the boot; it must not force a second
+// launch that fails on the victim's memory and books a second cold
+// start.
+func TestPreemptedBootJoinsVictimDestroy(t *testing.T) {
+	c := NewCluster(WithBoards(1), WithBoardOptions(core.WithMemory(16)))
+	a := c.RegisterService(testService("alice", 20), WithMinWarm(1))
+	bob := c.RegisterService(testService("bob", 21))
+	c.RunUntil(10 * time.Second) // past the preemption hysteresis
+	if readyOf(a) == nil {
+		t.Fatal("setup: alice not booted")
+	}
+	fetchErr := errors.New("fetch never finished")
+	c.NewClient("laptop", netstack.IPv4(10, 0, 0, 9)).Fetch("bob.family.name", "/", 10*time.Second,
+		func(_ int, _ *netstack.HTTPResponse, _ sim.Duration, err error) { fetchErr = err })
+	c.RunUntil(15 * time.Second)
+	rep := readyOf(bob)
+	if fetchErr != nil || c.Preempts != 1 || rep == nil {
+		t.Fatalf("fetch: %v; %d preemptions; bob ready: %v", fetchErr, c.Preempts, rep != nil)
+	}
+	if rep.Svc.Launches != 1 || rep.Svc.ColdStarts != 1 {
+		t.Fatalf("bob: %d launches, %d cold starts; want one of each", rep.Svc.Launches, rep.Svc.ColdStarts)
 	}
 }
 

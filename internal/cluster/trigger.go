@@ -45,10 +45,11 @@ func (c *Cluster) frontDoor() {
 // summon fires board idx's Activation machine for a client-driven
 // placement, applying the cluster's refusal policy (the per-replica
 // ServFail counter) on any non-served decision. via names the frontend
-// that asked (the cluster's own DNS trigger, or a federation delegate).
-func (c *Cluster) summon(p *Placement, via string, onReady func(error)) bool {
+// that asked (the cluster's own DNS trigger, or a federation delegate);
+// after (may be nil) is the replica a preemption just reclaimed for it.
+func (c *Cluster) summon(p *Placement, via string, onReady func(error), after *core.Service) bool {
 	dec := c.Boards[p.Board].Jitsu.Summon(p.Svc,
-		core.Summon{Via: via, ColdStart: true, OnReady: onReady})
+		core.Summon{Via: via, ColdStart: true, OnReady: onReady, After: after})
 	if dec.Served() {
 		return true
 	}

@@ -3,23 +3,19 @@ package core
 import (
 	"errors"
 	"sort"
+	"time"
 
-	"jitsu/internal/netstack"
 	"jitsu/internal/obs"
+	"jitsu/internal/sim"
 	"jitsu/internal/unikernel"
 )
 
-// launchFunc is a boot path: Launcher.Launch for a cold start,
-// Launcher.Restore for a migrated-in checkpoint.
-type launchFunc = func(unikernel.Image, netstack.IP, func(*unikernel.Guest, error))
-
 // This file is the single activation state machine every trigger
-// frontend drives. The paper's insight is that *any* inbound signal — a
+// frontend drives: the paper's insight is that *any* inbound signal — a
 // DNS query, a buffered TCP SYN, a toolkit resolve call — can summon a
-// unikernel just in time; the code used to reproduce each signal as its
-// own hard-wired path. Now the signal-specific frontends (trigger.go)
-// only resolve their target and call Fire; the claim-IP →
-// launch/restore → flush-waiters → reap lifecycle lives here, once.
+// unikernel just in time. The frontends (trigger.go) resolve their
+// target and call Fire; the claim-IP → launch → settle → reap
+// lifecycle, and every wait in it, lives here.
 
 // Summon describes one trigger firing: who fired, how the launch and
 // any refusal should be accounted, and what to do when the unikernel
@@ -38,12 +34,16 @@ type Summon struct {
 	// false and apply their own policy.
 	Refuse bool
 	// Force skips the memory admission gate. The SYN path uses it: a raw
-	// SYN has no refusal channel, so the launch is attempted regardless
-	// and failure surfaces as the guest never booting.
+	// SYN has no refusal channel, so the launch is attempted regardless;
+	// if it fails, the activation fires again for the parked connection.
 	Force bool
 	// OnReady (may be nil) fires once the unikernel serves, or with the
 	// launch error if it does not.
 	OnReady func(error)
+	// After names a replica on this board just reclaimed to make room (a
+	// preemption): admission counts its memory, and the launch joins its
+	// destroy.
+	After *Service
 }
 
 // Decision is the activation machine's answer to a trigger firing.
@@ -65,18 +65,9 @@ const (
 	DecisionRetired
 )
 
-func (d Decision) String() string {
-	switch d {
-	case DecisionServe:
-		return "serve"
-	case DecisionColdStart:
-		return "cold-start"
-	case DecisionNoMemory:
-		return "no-memory"
-	default:
-		return "retired"
-	}
-}
+var decisionNames = [...]string{"serve", "cold-start", "no-memory", "retired"}
+
+func (d Decision) String() string { return decisionNames[d] }
 
 // Served reports whether the firing should be answered positively (the
 // service is usable now or will be momentarily).
@@ -86,9 +77,8 @@ func (d Decision) Served() bool {
 
 // Activation owns the service lifecycle on one board: admission (does
 // the image fit), the launch/restore state machine, the idle-IP claim
-// handed between proxy and unikernel, the waiters flushed at readiness,
-// and the idle reaper. Triggers fire it; it never looks at wire
-// formats.
+// handed between proxy and unikernel, every wait on a launch, and the
+// idle reaper. Triggers fire it; it never looks at wire formats.
 type Activation struct {
 	j *Jitsu
 	// Fired counts firings per trigger name (Summon.Via): read-only
@@ -102,6 +92,12 @@ type Activation struct {
 	// the multi-subscriber fan-out behind Subscribe. The board's
 	// tracer rides here next to any test or tooling subscribers.
 	subs []func(svc *Service, from, to ServiceState)
+	// hungry counts the services whose parked connections wait on a
+	// failed launch (Service.refires > 0): wake's scan runs only then.
+	hungry int
+	// reading is the memory promised to disk restores still reading
+	// their checkpoint: admitted, but not yet allocated.
+	reading int
 }
 
 func newActivation(j *Jitsu) *Activation {
@@ -133,14 +129,13 @@ func (a *Activation) tracer() (*obs.Tracer, int) {
 // hook OnReady to its readiness. All four built-in frontends, the
 // cluster scheduler and the prewarm trigger funnel through here.
 func (a *Activation) Fire(svc *Service, s Summon) Decision {
+	if s.Via == "" {
+		s.Via = "direct"
+	}
 	d := a.fire(svc, s)
 	if tr, tid := a.tracer(); tr != nil {
-		via := s.Via
-		if via == "" {
-			via = "direct"
-		}
 		tr.Instant(tid, "activation", "fire",
-			obs.Str("svc", svc.Cfg.Name), obs.Str("via", via), obs.Str("decision", d.String()))
+			obs.Str("svc", svc.Cfg.Name), obs.Str("via", s.Via), obs.Str("decision", d.String()))
 	}
 	if len(a.observers) > 0 && d != DecisionRetired {
 		for _, fn := range a.observers {
@@ -154,73 +149,92 @@ func (a *Activation) fire(svc *Service, s Summon) Decision {
 	if svc.retired {
 		return DecisionRetired
 	}
-	via := s.Via
-	if via == "" {
-		via = "direct"
-	}
-	a.Fired[via]++
+	a.Fired[s.Via]++
 	a.touch(svc)
 	if s.ColdStart && svc.State == StateWarmMemory {
 		// The warm hit: a speculatively booted replica takes its first
 		// client-driven traffic and becomes Running at zero launch cost.
 		a.setState(svc, StateRunning)
 	}
-	launching := false
-	if svc.State.NeedsLaunch() {
-		wasCold := svc.State == StateCold
-		if !s.Force && a.j.board.Hyp.FreeMemMiB() < svc.Cfg.Image.MemMiB {
-			if a.demoteForRoom(svc, s) {
-				// Memory is being reclaimed by demoting LRU victims; the
-				// launch leg runs once their domains are destroyed.
-				if s.ColdStart && wasCold {
-					svc.ColdStarts++
-				}
-				return DecisionColdStart
-			}
-			// "resource exhaustion can thus be returned in the DNS
-			// response as a SERVFAIL to indicate the client should go
-			// elsewhere".
-			if s.Refuse {
-				svc.ServFails++
-			}
-			if tr, tid := a.tracer(); tr != nil {
-				tr.Instant(tid, "activation", "admission.refuse",
-					obs.Str("svc", svc.Cfg.Name),
-					obs.Num("free_mib", int64(a.j.board.Hyp.FreeMemMiB())),
-					obs.Num("need_mib", int64(svc.Cfg.Image.MemMiB)))
-			}
-			return DecisionNoMemory
+	switch {
+	case svc.State.Booted():
+		if s.OnReady != nil {
+			s.OnReady(nil)
 		}
-		if s.ColdStart && wasCold {
+		return DecisionServe
+	case svc.State == StateLaunching:
+		if s.ColdStart && svc.launchTarget == StateWarmMemory {
+			// A client joined an in-flight speculative launch: it now
+			// completes straight into Running.
+			svc.launchTarget = StateRunning
+		}
+		a.await(svc, s.OnReady)
+		return DecisionServe
+	}
+	victims, ok := a.admit(svc, s)
+	if !ok {
+		// "resource exhaustion can thus be returned in the DNS
+		// response as a SERVFAIL to indicate the client should go
+		// elsewhere".
+		if s.Refuse {
+			svc.ServFails++
+		}
+		if tr, tid := a.tracer(); tr != nil {
+			tr.Instant(tid, "activation", "admission.refuse",
+				obs.Str("svc", svc.Cfg.Name),
+				obs.Num("free_mib", int64(a.j.board.Hyp.FreeMemMiB())),
+				obs.Num("need_mib", int64(svc.Cfg.Image.MemMiB)))
+		}
+		return DecisionNoMemory
+	}
+	// A client-driven launch completes into Running, a speculative one
+	// into WarmMemory.
+	target := StateWarmMemory
+	if s.ColdStart {
+		target = StateRunning
+		if svc.State == StateCold {
 			svc.ColdStarts++
 		}
-		launching = true
-	} else if svc.State == StateLaunching && s.ColdStart && svc.launchTarget == StateWarmMemory {
-		// A client joined an in-flight speculative launch: it now
-		// completes straight into Running.
-		svc.launchTarget = StateRunning
 	}
-	a.ensureRunning(svc, launchTargetFor(s), s.OnReady)
-	if launching {
-		return DecisionColdStart
-	}
-	return DecisionServe
+	a.start(svc, launchKind(svc), target, victims, s.OnReady)
+	return DecisionColdStart
 }
 
-// launchTargetFor maps a firing to the tier its launch completes into:
-// Running for a client-driven firing, WarmMemory for a speculative one.
-func launchTargetFor(s Summon) ServiceState {
-	if s.ColdStart {
-		return StateRunning
+// launchKind is the boot path that gets a stopped replica running: a
+// disk restore for a checkpoint parked on disk, a cold boot otherwise.
+func launchKind(svc *Service) string {
+	if svc.State == StateColdDisk {
+		return "disk-restore"
 	}
-	return StateWarmMemory
+	return "boot"
 }
 
-// AwaitReady registers fn to run when svc's in-flight launch completes
-// (ok reports success). The delayed-DNS frontend parks its responders
-// here; FIFO order among waiters is part of the determinism contract.
-func (a *Activation) AwaitReady(svc *Service, fn func(ok bool)) {
-	svc.waiters = append(svc.waiters, fn)
+// freeFor is the memory a launch of svc may count on: what is free now
+// plus what the service's own dying VM gives back when its destroy
+// completes, which the launch waits for.
+func (a *Activation) freeFor(svc *Service) int {
+	free := a.j.board.Hyp.FreeMemMiB() - a.reading
+	if svc.dying {
+		free += svc.Cfg.Image.MemMiB
+	}
+	return free
+}
+
+// admit is the memory gate a launch passes: the image fits — counting
+// the replica s.After names, whose destroy the launch then joins — or,
+// on a board with a disk, demoteForRoom's victims make it fit. s.Force
+// (a raw SYN, which has no refusal channel) skips the gate.
+func (a *Activation) admit(svc *Service, s Summon) (victims []*Service, ok bool) {
+	free := a.freeFor(svc)
+	if v := s.After; v != nil && v.dying {
+		free += v.Cfg.Image.MemMiB
+		victims = []*Service{v}
+	}
+	if s.Force || free >= svc.Cfg.Image.MemMiB {
+		return victims, true
+	}
+	victims = a.demoteForRoom(svc)
+	return victims, victims != nil
 }
 
 // restore is Fire for a migrated-in replica: the domain is rebuilt from
@@ -232,12 +246,11 @@ func (a *Activation) restore(svc *Service, cp *Checkpoint, onReady func(error)) 
 	if svc.State != StateCold {
 		return errors.New("core: restore target not cold")
 	}
-	if a.j.board.Hyp.FreeMemMiB() < cp.Image.MemMiB {
+	if a.freeFor(svc) < cp.Image.MemMiB {
 		return ErrNoMemory
 	}
 	a.touch(svc)
-	svc.Restores++
-	a.launchVia(svc, "restore", StateWarmMemory, a.j.board.Launcher.Restore, onReady)
+	a.start(svc, "restore", StateWarmMemory, nil, onReady)
 	return nil
 }
 
@@ -289,59 +302,82 @@ func (a *Activation) setState(svc *Service, to ServiceState) {
 	}
 }
 
-// ensureRunning gets the service to a booted tier if it is not there
-// already: join an in-flight launch, page a disk checkpoint back in, or
-// cold-boot. target is the tier a launch this call starts completes
-// into; onReady (may be nil) fires once the unikernel serves.
-func (a *Activation) ensureRunning(svc *Service, target ServiceState, onReady func(error)) {
-	switch {
-	case svc.State.Booted():
-		if onReady != nil {
-			onReady(nil)
-		}
-		return
-	case svc.State == StateLaunching:
-		if onReady != nil {
-			prev := svc.waiters
-			svc.waiters = append(prev, func(ok bool) {
-				if ok {
-					onReady(nil)
-				} else {
-					onReady(errors.New("core: launch failed"))
-				}
-			})
-		}
-		return
-	case svc.State == StateColdDisk:
-		a.promoteVia(svc, target, onReady)
-		return
+// await adds fn (may be nil) to the parties waiting on svc's launch,
+// in FIFO order: part of the determinism contract.
+func (a *Activation) await(svc *Service, fn func(error)) {
+	if fn != nil {
+		svc.waiters = append(svc.waiters, fn)
 	}
-	a.launchVia(svc, "boot", target, a.j.board.Launcher.Launch, onReady)
 }
 
-// launchVia runs the launch state machine through the given boot path —
-// Launcher.Launch for a cold start ("boot"), Launcher.Restore for a
-// migrated-in checkpoint ("restore") or a disk promote ("disk-restore").
-// The caller guarantees svc needs a launch. The whole path is one span
-// on the board's tracer, and the latency lands in the matching registry
-// histogram.
-func (a *Activation) launchVia(svc *Service, kind string, target ServiceState, launch launchFunc, onReady func(error)) {
+// start begins a launch of a stopped replica through kind's boot path
+// ("boot", "restore" or "disk-restore") into target, with onReady (may
+// be nil) as its first waiter. Its leg first joins every destroy still
+// in flight of the service's own previous VM and of victims.
+func (a *Activation) start(svc *Service, kind string, target ServiceState, victims []*Service, onReady func(error)) {
+	a.await(svc, onReady)
 	svc.launchTarget = target
 	a.setState(svc, StateLaunching)
+	if !svc.dying && victims == nil {
+		a.launchVia(svc, kind)
+		return
+	}
+	a.join(&launchLeg{svc: svc, kind: kind, victims: victims})
+}
+
+// launchLeg is a launch parked on destroys in flight.
+type launchLeg struct {
+	svc     *Service
+	kind    string
+	victims []*Service
+}
+
+// join queues l behind the legs already waiting on the first destroy it
+// waits on that is still in flight (that destroy's completion calls
+// join again), then runs it. Free memory is checked again first:
+// another placement can take a victim's memory between completions.
+func (a *Activation) join(l *launchLeg) {
+	svc := l.svc
+	for _, w := range l.victims {
+		if w.dying {
+			w.joined = append(w.joined, l)
+			return
+		}
+	}
+	if svc.dying {
+		svc.joined = append(svc.joined, l)
+		return
+	}
+	switch {
+	case svc.retired:
+		a.setState(svc, StateCold)
+		a.settle(svc, ErrNoSuchService)
+	case a.j.board.Hyp.FreeMemMiB()-a.reading < svc.Cfg.Image.MemMiB:
+		a.setState(svc, a.revertState(svc))
+		a.settle(svc, ErrNoMemory)
+	default:
+		a.launchVia(svc, l.kind)
+	}
+}
+
+// launchVia runs a launch leg through kind's boot path: Launcher.Launch
+// for a cold start, Launcher.Restore for a migrated-in checkpoint, or a
+// disk read (queued behind any in-flight demotion write) ahead of a
+// restore-priced rebuild. The whole path is one span on the board's
+// tracer, and the latency lands in the matching registry histogram.
+func (a *Activation) launchVia(svc *Service, kind string) {
+	b := a.j.board
 	svc.Launches++
-	svc.launchStart = a.j.board.Eng.Now()
+	svc.launchStart = b.Eng.Now()
 	if tr, tid := a.tracer(); tr != nil {
 		svc.bootSpan = tr.Begin(tid, "activation", kind,
 			obs.Str("svc", svc.Cfg.Name), obs.Num("mem_mib", int64(svc.Cfg.Image.MemMiB)))
 	}
-	launch(svc.Cfg.Image, svc.Cfg.IP, func(g *unikernel.Guest, err error) {
+	done := func(g *unikernel.Guest, err error) {
 		if err != nil {
 			a.setState(svc, a.revertState(svc))
 			a.endBootSpan(svc, "error")
-			a.flushWaiters(svc, false)
-			if onReady != nil {
-				onReady(err)
-			}
+			a.settle(svc, err)
 			return
 		}
 		if svc.retired {
@@ -350,11 +386,8 @@ func (a *Activation) launchVia(svc *Service, kind string, target ServiceState, l
 			// retired registration and leaking its domain.
 			a.setState(svc, StateCold)
 			a.endBootSpan(svc, "retired")
-			a.j.board.Launcher.Destroy(g, func(error) {})
-			a.flushWaiters(svc, false)
-			if onReady != nil {
-				onReady(errors.New("core: service deregistered during launch"))
-			}
+			b.Launcher.Destroy(g, func(error) { a.wake() })
+			a.settle(svc, ErrNoSuchService)
 			return
 		}
 		svc.Guest = g
@@ -365,15 +398,112 @@ func (a *Activation) launchVia(svc *Service, kind string, target ServiceState, l
 		// A completed disk restore supersedes the parked checkpoint.
 		a.dropDiskCheckpoint(svc)
 		a.setState(svc, svc.launchTarget)
-		a.j.board.histFor(kind).Observe(a.j.board.Eng.Now() - svc.launchStart)
+		b.launchHists[kind].Observe(b.Eng.Now() - svc.launchStart)
 		a.endBootSpan(svc, "ready")
 		a.touch(svc)
 		a.scheduleReap(svc)
-		a.flushWaiters(svc, true)
-		if onReady != nil {
-			onReady(nil)
+		a.settle(svc, nil)
+	}
+	img, ip := svc.Cfg.Image, svc.Cfg.IP
+	switch kind {
+	case "restore":
+		svc.Restores++
+		b.Launcher.Restore(img, ip, done)
+	case "disk-restore":
+		svc.DiskRestores++
+		a.reading += img.MemMiB
+		b.Disk.Read(svc.disk.cp.StateMiB, func() {
+			a.reading -= img.MemMiB
+			b.Launcher.Restore(img, ip, done)
+		})
+	default:
+		b.Launcher.Launch(img, ip, done)
+	}
+}
+
+// parkedRetry spaces the firings a failed launch owes the connections
+// Synjitsu parked for it: 1, 2 and 4 s on, each through admission, then
+// a reset 8 s after the last.
+var parkedRetry = sim.Backoff{Initial: time.Second, Factor: 2, Retries: 3}
+
+// settle ends svc's launch: every waiter hears err, nil once the
+// unikernel serves. After a failure Synjitsu's parked connections stay
+// parked, and while one is live parkedRetry books the next firing on
+// their behalf; they are reset when the service is deregistered or the
+// schedule is spent, never at the failure itself.
+func (a *Activation) settle(svc *Service, err error) {
+	ws := svc.waiters
+	svc.waiters = nil
+	for _, w := range ws {
+		w(err)
+	}
+	if err == nil || svc.retired || !a.parked(svc) {
+		a.resetParked(svc) // handed off, or nobody left to wait
+		return
+	}
+	if !svc.refire.Cancelled() {
+		return // the schedule's next firing is booked already
+	}
+	if svc.refires == 0 {
+		a.hungry++
+	}
+	d, again := parkedRetry.Next(svc.refires, nil)
+	svc.refires++
+	svc.refire = a.j.board.Eng.After(d, func() {
+		switch {
+		case svc.retired || !svc.State.NeedsLaunch():
+			// Reset at Deregister, or a launch in flight carries them.
+		case !again || !a.parked(svc):
+			a.resetParked(svc)
+		case !a.refire(svc):
+			a.settle(svc, ErrNoMemory)
 		}
 	})
+}
+
+// parked reports whether a connection Synjitsu parked for svc can still
+// be handed off.
+func (a *Activation) parked(svc *Service) bool {
+	for _, c := range svc.conns {
+		if _, err := c.ExportTCB(); err == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// refire launches svc for its parked connections if admission lets it.
+func (a *Activation) refire(svc *Service) bool {
+	victims, ok := a.admit(svc, Summon{})
+	if ok {
+		a.start(svc, launchKind(svc), StateRunning, victims, nil)
+	}
+	return ok
+}
+
+// wake runs when a destroy gives memory back: a service whose parked
+// connections wait on a failed launch gets it before any other firing
+// can. A refusal here costs no retry.
+func (a *Activation) wake() {
+	for i := 0; a.hungry > 0 && i < len(a.j.ordered); i++ {
+		if svc := a.j.ordered[i]; svc.refires > 0 && svc.State.NeedsLaunch() && a.parked(svc) {
+			a.refire(svc)
+		}
+	}
+}
+
+// resetParked ends svc's retries, resetting the connections still
+// parked for it.
+func (a *Activation) resetParked(svc *Service) {
+	for _, c := range svc.conns {
+		c.Abort()
+	}
+	svc.conns = nil
+	if svc.refires > 0 {
+		svc.refires = 0
+		a.hungry--
+		a.j.board.Eng.Cancel(svc.refire)
+	}
 }
 
 // revertState is where a failed launch leaves the replica: back on disk
@@ -405,54 +535,50 @@ func reclaimable(svc *Service) bool {
 
 // stopNow tears a booted service down to fully cold: shared by Evict,
 // Reclaim and the idle reaper.
-func (a *Activation) stopNow(svc *Service, done func()) {
+func (a *Activation) stopNow(svc *Service) {
 	svc.Reaps++
-	a.teardown(svc, StateCold, done)
+	a.teardown(svc, StateCold)
 }
 
 // teardown takes a booted service's VM away, leaving the service at to:
 // the guest is dropped, the state set, the idle IP claimed back for
-// dom0, and then the VM destroyed. done (may be nil) fires when Destroy
-// completes.
-func (a *Activation) teardown(svc *Service, to ServiceState, done func()) {
+// dom0, and then the VM destroyed. Until Destroy completes the service
+// is dying: a launch joins that destroy (the domain's name and memory
+// are still taken) and runs when it completes.
+func (a *Activation) teardown(svc *Service, to ServiceState) {
 	g := svc.Guest
 	svc.Guest = nil
 	a.setState(svc, to)
 	a.claimIdleIP(svc)
+	svc.dying = true
 	a.j.board.Launcher.Destroy(g, func(error) {
-		if done != nil {
-			done()
+		svc.dying = false
+		legs := svc.joined
+		svc.joined = nil
+		for _, l := range legs {
+			a.join(l)
 		}
+		a.wake()
 	})
 }
 
 // demote parks a booted replica's state on the block device and
-// destroys its VM: warm-in-memory → cold-on-disk. done (may be nil)
-// fires at Destroy completion — the memory is back in the free pool —
-// while the checkpoint bytes stream out asynchronously behind it; a
-// promote racing the write is serialized by the device's FIFO queue.
-func (a *Activation) demote(svc *Service, done func()) error {
+// destroys its VM: warm-in-memory → cold-on-disk. The memory is back in
+// the free pool at Destroy completion, while the checkpoint bytes
+// stream out behind it; a promote racing the write is serialized by the
+// device's FIFO queue.
+func (a *Activation) demote(svc *Service) error {
 	if svc.retired {
 		return ErrNoSuchService
 	}
 	if !svc.State.Booted() {
 		return ErrNotBooted
 	}
-	dev := a.j.board.Disk
-	if dev == nil {
-		return ErrNoDisk
-	}
-	cp, ok := a.j.Checkpoint(svc)
-	if !ok {
-		return ErrNotBooted
-	}
-	slots, ok := dev.Alloc(cp.StateMiB)
-	if !ok {
-		return ErrDiskFull
+	cp, _ := a.j.Checkpoint(svc) // a booted replica always has one
+	if err := a.parkOnDisk(svc, cp); err != nil {
+		return err
 	}
 	svc.Demotions++
-	d := &diskCheckpoint{cp: *cp, slots: slots}
-	svc.disk = d
 	b := a.j.board
 	start := b.Eng.Now()
 	var span obs.Span
@@ -460,16 +586,28 @@ func (a *Activation) demote(svc *Service, done func()) error {
 		span = tr.Begin(tid, "activation", "demote",
 			obs.Str("svc", svc.Cfg.Name), obs.Num("state_mib", int64(cp.StateMiB)))
 	}
-	a.teardown(svc, StateColdDisk, done)
-	dev.Write(cp.StateMiB, func() {
-		if svc.disk == d {
-			d.durable = true
-		}
+	a.teardown(svc, StateColdDisk)
+	b.Disk.Write(cp.StateMiB, func() {
 		b.demoteHist.Observe(b.Eng.Now() - start)
 		if span.ID != 0 {
 			b.Tracer.End(span, obs.Str("status", "durable"))
 		}
 	})
+	return nil
+}
+
+// parkOnDisk claims the board's disk slots for cp as svc's checkpoint;
+// the caller writes it.
+func (a *Activation) parkOnDisk(svc *Service, cp *Checkpoint) error {
+	dev := a.j.board.Disk
+	if dev == nil {
+		return ErrNoDisk
+	}
+	slots, ok := dev.Alloc(cp.StateMiB)
+	if !ok {
+		return ErrDiskFull
+	}
+	svc.disk = &diskCheckpoint{cp: *cp, slots: slots}
 	return nil
 }
 
@@ -482,27 +620,11 @@ func (a *Activation) promote(svc *Service, target ServiceState, onReady func(err
 	if svc.State != StateColdDisk {
 		return ErrNotOnDisk
 	}
-	if a.j.board.Hyp.FreeMemMiB() < svc.Cfg.Image.MemMiB {
+	if a.freeFor(svc) < svc.Cfg.Image.MemMiB {
 		return ErrNoMemory
 	}
-	a.promoteVia(svc, target, onReady)
+	a.start(svc, "disk-restore", target, nil, onReady)
 	return nil
-}
-
-// promoteVia runs the disk-restore launch leg: read the checkpoint off
-// the device (FIFO-ordered behind any in-flight demotion write), then
-// rebuild the domain restore-style — priced between a warm restore and
-// a full boot. The caller guarantees svc is ColdDisk and admitted.
-func (a *Activation) promoteVia(svc *Service, target ServiceState, onReady func(error)) {
-	svc.DiskRestores++
-	dev := a.j.board.Disk
-	stateMiB := svc.disk.cp.StateMiB
-	restore := a.j.board.Launcher.Restore
-	a.launchVia(svc, "disk-restore", target, func(img unikernel.Image, ip netstack.IP, done func(*unikernel.Guest, error)) {
-		dev.Read(stateMiB, func() {
-			restore(img, ip, done)
-		})
-	}, onReady)
 }
 
 // adoptCheckpoint parks an incoming checkpoint on this board's disk
@@ -514,22 +636,11 @@ func (a *Activation) adoptCheckpoint(svc *Service, cp *Checkpoint) error {
 	if svc.State != StateCold {
 		return errors.New("core: adopt target not cold")
 	}
-	dev := a.j.board.Disk
-	if dev == nil {
-		return ErrNoDisk
+	if err := a.parkOnDisk(svc, cp); err != nil {
+		return err
 	}
-	slots, ok := dev.Alloc(cp.StateMiB)
-	if !ok {
-		return ErrDiskFull
-	}
-	d := &diskCheckpoint{cp: *cp, slots: slots}
-	svc.disk = d
 	a.setState(svc, StateColdDisk)
-	dev.Write(cp.StateMiB, func() {
-		if svc.disk == d {
-			d.durable = true
-		}
-	})
+	a.j.board.Disk.Write(cp.StateMiB, nil)
 	return nil
 }
 
@@ -545,16 +656,16 @@ func (a *Activation) dropDiskCheckpoint(svc *Service) {
 }
 
 // demoteForRoom is the memory-pressure path: when admission fails on a
-// board with a disk, the least-recently-used reclaimable replicas are
-// demoted until the projected free memory covers the launch, and the
-// launch leg runs once their domains are destroyed. Plan-then-execute:
+// board with a disk, it demotes the least-recently-used reclaimable
+// replicas until the projected free memory covers the launch, and
+// returns them: the launch leg joins their destroys. Plan-then-execute:
 // a plan that cannot reach the target (disk full, not enough victims)
-// demotes nobody and the firing refuses as before. Candidates go LRU by
+// demotes nobody, returns nil, and the firing refuses as before. Candidates go LRU by
 // last activity; the stable sort keeps ties in the directory's name order.
-func (a *Activation) demoteForRoom(svc *Service, s Summon) bool {
+func (a *Activation) demoteForRoom(svc *Service) []*Service {
 	dev := a.j.board.Disk
 	if dev == nil {
-		return false
+		return nil
 	}
 	need := svc.Cfg.Image.MemMiB
 	var cands []*Service
@@ -564,7 +675,7 @@ func (a *Activation) demoteForRoom(svc *Service, s Summon) bool {
 		}
 	}
 	sort.SliceStable(cands, func(i, k int) bool { return cands[i].lastActivity < cands[k].lastActivity })
-	free := a.j.board.Hyp.FreeMemMiB()
+	free := a.freeFor(svc)
 	slotsFree := dev.SlotsTotal() - dev.SlotsUsed()
 	var victims []*Service
 	for _, c := range cands {
@@ -580,59 +691,16 @@ func (a *Activation) demoteForRoom(svc *Service, s Summon) bool {
 		victims = append(victims, c)
 	}
 	if free < need {
-		return false
+		return nil
 	}
 	if tr, tid := a.tracer(); tr != nil {
 		tr.Instant(tid, "activation", "pressure.demote",
 			obs.Str("svc", svc.Cfg.Name), obs.Num("victims", int64(len(victims))))
 	}
-	wasDisk := svc.State == StateColdDisk
-	target := launchTargetFor(s)
-	onReady := s.OnReady
-	svc.launchTarget = target
-	a.setState(svc, StateLaunching)
-	pending := len(victims)
-	proceed := func() {
-		pending--
-		if pending > 0 {
-			return
-		}
-		if svc.retired {
-			a.flushWaiters(svc, false)
-			if onReady != nil {
-				onReady(ErrNoSuchService)
-			}
-			return
-		}
-		if a.j.board.Hyp.FreeMemMiB() < need {
-			// Another placement consumed the reclaimed memory first.
-			a.setState(svc, a.revertState(svc))
-			a.flushWaiters(svc, false)
-			if onReady != nil {
-				onReady(ErrNoMemory)
-			}
-			return
-		}
-		if wasDisk {
-			a.promoteVia(svc, target, onReady)
-		} else {
-			a.launchVia(svc, "boot", target, a.j.board.Launcher.Launch, onReady)
-		}
-	}
 	for _, v := range victims {
-		if err := a.demote(v, proceed); err != nil {
-			proceed()
-		}
+		_ = a.demote(v) // planned: booted, and its slots counted
 	}
-	return true
-}
-
-func (a *Activation) flushWaiters(svc *Service, ok bool) {
-	ws := svc.waiters
-	svc.waiters = nil
-	for _, w := range ws {
-		w(ok)
-	}
+	return victims
 }
 
 // scheduleReap arms the idle timer: when the service has seen no
@@ -656,7 +724,7 @@ func (a *Activation) scheduleReap(svc *Service) {
 		case eng.Now()-svc.lastActivity < idle || !reclaimable(svc):
 			a.scheduleReap(svc) // activity moved the deadline, or bytes are owed
 		default:
-			a.stopNow(svc, nil)
+			a.stopNow(svc)
 		}
 	})
 }

@@ -44,25 +44,14 @@ func (tb *tokenBucket) take(now sim.Duration) bool {
 	return true
 }
 
-// synAdmission is the per-service launch rate limit applied by the SYN
-// trigger. Disabled (nil buckets, admit everything) unless the board
-// sets SYNLaunchRate.
-type synAdmission struct {
-	rate    float64
-	burst   int
-	buckets map[*Service]*tokenBucket
-}
-
-func newSynAdmission(rate float64, burst int) *synAdmission {
-	return &synAdmission{rate: rate, burst: burst, buckets: make(map[*Service]*tokenBucket)}
-}
-
-// admit reports whether svc may start one more SYN-triggered launch now.
-func (a *synAdmission) admit(svc *Service, now sim.Duration) bool {
-	tb := a.buckets[svc]
+// admit reports whether svc may start one more SYN-triggered launch now:
+// the SYN trigger's per-service bucket, at the board's SYNLaunchRate.
+func (t *synTrigger) admit(svc *Service) bool {
+	cfg, now := t.j.board.Cfg, t.j.board.Eng.Now()
+	tb := t.buckets[svc]
 	if tb == nil {
-		tb = newTokenBucket(a.rate, a.burst, now)
-		a.buckets[svc] = tb
+		tb = newTokenBucket(cfg.SYNLaunchRate, cfg.SYNLaunchBurst, now)
+		t.buckets[svc] = tb
 	}
 	return tb.take(now)
 }

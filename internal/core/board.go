@@ -105,10 +105,9 @@ type Board struct {
 	// counters. Always present; mirrors cost nothing until Snapshot.
 	Reg *obs.Registry
 
-	bootHist        *obs.Histogram
-	restoreHist     *obs.Histogram
-	diskRestoreHist *obs.Histogram
-	demoteHist      *obs.Histogram
+	// launchHists holds the launch latency of each boot path kind.
+	launchHists map[string]*obs.Histogram
+	demoteHist  *obs.Histogram
 
 	nextClient int
 }
@@ -155,16 +154,18 @@ func buildBoard(eng *sim.Engine, cfg BoardConfig) *Board {
 		b.Syn = newSynjitsu(b, SynAddr)
 	}
 	b.Disk = blockdev.New(eng, cfg.Disk)
-	b.Jitsu = newJitsu(b, zone)
+	b.Jitsu = newJitsu(b)
 
 	b.Tracer = cfg.Tracer
 	b.Tracer.BindClock(eng.Now)
 	srv.Tracer = cfg.Tracer
 	srv.TraceTID = cfg.TraceTID
 	b.Reg = obs.NewRegistry(fmt.Sprintf("board%d", cfg.TraceTID))
-	b.bootHist = b.Reg.Histogram("activation.boot")
-	b.restoreHist = b.Reg.Histogram("activation.restore")
-	b.diskRestoreHist = b.Reg.Histogram("activation.disk_restore")
+	b.launchHists = map[string]*obs.Histogram{
+		"boot":         b.Reg.Histogram("activation.boot"),
+		"restore":      b.Reg.Histogram("activation.restore"),
+		"disk-restore": b.Reg.Histogram("activation.disk_restore"),
+	}
 	b.demoteHist = b.Reg.Histogram("activation.demote")
 	b.Reg.CounterFunc("dns.queries", func() uint64 { return srv.Queries })
 	b.Reg.CounterFunc("dns.cache_hits", func() uint64 { return srv.CacheHits })
@@ -200,17 +201,6 @@ func buildBoard(eng *sim.Engine, cfg BoardConfig) *Board {
 		b.Reg.CounterFunc("disk.writes", func() uint64 { return b.Disk.Writes })
 	}
 	return b
-}
-
-// histFor picks the launch-latency histogram for a boot path kind.
-func (b *Board) histFor(kind string) *obs.Histogram {
-	switch kind {
-	case "restore":
-		return b.restoreHist
-	case "disk-restore":
-		return b.diskRestoreHist
-	}
-	return b.bootHist
 }
 
 // AddClient attaches an external client host to the board's network.

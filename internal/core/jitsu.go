@@ -64,21 +64,13 @@ const (
 	StateColdDisk
 )
 
+var stateNames = [...]string{"cold", "launching", "running", "warm-memory", "cold-disk"}
+
 func (s ServiceState) String() string {
-	switch s {
-	case StateCold:
-		return "cold"
-	case StateLaunching:
-		return "launching"
-	case StateRunning:
-		return "running"
-	case StateWarmMemory:
-		return "warm-memory"
-	case StateColdDisk:
-		return "cold-disk"
-	default:
+	if s < 0 || int(s) >= len(stateNames) {
 		return "invalid"
 	}
+	return stateNames[s]
 }
 
 // Booted reports whether the replica has a live VM (Running or
@@ -140,7 +132,19 @@ type Service struct {
 
 	lastActivity sim.Duration
 	launchStart  sim.Duration
-	waiters      []func(ok bool) // readiness waiters (delayed DNS, control plane)
+	// waiters hear how the launch in flight ends: the firing that
+	// started it, the firings that joined it, delayed-DNS responders.
+	waiters []func(error)
+	// conns are the connections Synjitsu parked while the service was
+	// stopped, until a launch hands them off; refires counts the
+	// firings failed launches owed them, the next booked in refire.
+	conns   []*netstack.TCPConn
+	refires int
+	refire  sim.Event
+	// dying: the previous VM's destroy is in flight, and joined lists
+	// the launch legs waiting for it.
+	dying  bool
+	joined []*launchLeg
 	// retired marks a deregistered service: an in-flight boot must tear
 	// its guest down on completion instead of resurrecting the entry.
 	retired bool
@@ -206,10 +210,6 @@ func (c *Counters) Add(o Counters) {
 type diskCheckpoint struct {
 	cp    Checkpoint
 	slots []int
-	// durable flips when the device write completes; a handoff that
-	// copies the checkpoint off-board needs the bytes, a local promote
-	// is serialized behind the write by the device's FIFO queue.
-	durable bool
 }
 
 // LastActivity is the virtual time of the service's most recent
@@ -239,11 +239,9 @@ func (j *Jitsu) sumCounters(get func(*Service) uint64) uint64 {
 // sorting. Register and Deregister alone write either.
 type Jitsu struct {
 	board    *Board
-	zone     *dns.Zone
 	act      *Activation
 	services map[string]*Service
 	ordered  []*Service
-	byIP     map[netstack.IP]*Service
 }
 
 // find is the position of name in ordered, or where it would go.
@@ -251,10 +249,8 @@ func (j *Jitsu) find(name string) (int, bool) {
 	return slices.BinarySearchFunc(j.ordered, name, func(s *Service, name string) int { return strings.Compare(s.Cfg.Name, name) })
 }
 
-func newJitsu(b *Board, zone *dns.Zone) *Jitsu {
-	j := &Jitsu{board: b, zone: zone,
-		services: make(map[string]*Service),
-		byIP:     make(map[netstack.IP]*Service)}
+func newJitsu(b *Board) *Jitsu {
+	j := &Jitsu{board: b, services: make(map[string]*Service)}
 	j.act = newActivation(j)
 	// The built-in frontends (trigger.go), wired once.
 	if b.Cfg.DelayDNSUntilReady {
@@ -266,7 +262,7 @@ func newJitsu(b *Board, zone *dns.Zone) *Jitsu {
 	if b.Syn != nil {
 		b.Syn.trigger = &synTrigger{j: j}
 		if b.Cfg.SYNLaunchRate > 0 {
-			b.Syn.trigger.admit = newSynAdmission(b.Cfg.SYNLaunchRate, b.Cfg.SYNLaunchBurst)
+			b.Syn.trigger.buckets = make(map[*Service]*tokenBucket)
 		}
 	}
 	return j
@@ -302,7 +298,6 @@ func (j *Jitsu) Register(cfg ServiceConfig) *Service {
 		j.ordered = slices.Insert(j.ordered, i, nil)
 	}
 	j.ordered[i] = svc // a same-name registration replaces the entry
-	j.byIP[cfg.IP] = svc
 	j.act.claimIdleIP(svc)
 	// A new registration changes what queries resolve to.
 	j.board.DNS.BumpEpoch()
@@ -400,19 +395,18 @@ func (j *Jitsu) Deregister(svc *Service) bool {
 	}
 	svc.retired = true
 	if svc.State.Booted() {
-		j.act.stopNow(svc, nil) // re-claims the IP; released just below
+		j.act.stopNow(svc) // re-claims the IP; released just below
 	}
 	j.act.dropDiskCheckpoint(svc)
-	j.act.flushWaiters(svc, false)
+	j.act.settle(svc, ErrNoSuchService) // waiters hear it, parked clients are reset
 	j.act.releaseIdleIP(svc)
 	delete(j.services, name)
 	i, _ := j.find(name)
 	j.ordered = slices.Delete(j.ordered, i, i+1)
-	delete(j.byIP, svc.Cfg.IP)
 	// The SYN trigger's admission state is keyed by service: drop the
 	// retired entry so churny directories don't accumulate buckets.
-	if syn := j.board.Syn; syn != nil && syn.trigger.admit != nil {
-		delete(syn.trigger.admit.buckets, svc)
+	if syn := j.board.Syn; syn != nil {
+		delete(syn.trigger.buckets, svc)
 	}
 	j.board.DNS.BumpEpoch()
 	return true
@@ -427,7 +421,7 @@ func (j *Jitsu) Deregister(svc *Service) bool {
 func (j *Jitsu) Evict(svc *Service) bool {
 	switch {
 	case svc.State.Booted():
-		j.act.stopNow(svc, nil)
+		j.act.stopNow(svc)
 		return true
 	case svc.State == StateColdDisk:
 		j.act.dropDiskCheckpoint(svc)
@@ -444,21 +438,21 @@ func (j *Jitsu) Evict(svc *Service) bool {
 // without a live VM (including one whose launch is still in flight),
 // ErrNoDisk on a diskless board, and ErrDiskFull when the checkpoint
 // store cannot take another replica.
-func (j *Jitsu) Demote(svc *Service) error { return j.act.demote(svc, nil) }
+func (j *Jitsu) Demote(svc *Service) error { return j.act.demote(svc) }
 
 // Reclaim takes a booted replica's memory back for a reclaimer (the
 // warm-pool shrink, preemption) if the reclaim rule allows it: demoted
-// where the board's disk takes the checkpoint, evicted otherwise. done
-// (may be nil) fires once the memory is back in the free pool. It
-// reports whether the replica was reclaimed, and whether it was demoted.
-func (j *Jitsu) Reclaim(svc *Service, done func()) (reclaimed, demoted bool) {
+// where the board's disk takes the checkpoint, evicted otherwise (a
+// launch that needs the memory names it in Summon.After). It reports
+// whether the replica was reclaimed, and whether it was demoted.
+func (j *Jitsu) Reclaim(svc *Service) (reclaimed, demoted bool) {
 	if !reclaimable(svc) {
 		return false, false
 	}
-	if err := j.act.demote(svc, done); err == nil {
+	if err := j.act.demote(svc); err == nil {
 		return true, true
 	}
-	j.act.stopNow(svc, done) // no disk, or no room on it
+	j.act.stopNow(svc) // no disk, or no room on it
 	return true, false
 }
 

@@ -22,7 +22,6 @@ type Synjitsu struct {
 
 	// byIP maps claimed service addresses to their services.
 	byIP      map[netstack.IP]*Service
-	conns     map[*Service][]*netstack.TCPConn
 	listeners map[uint16]bool
 	// trigger is the SYN activation frontend (set by newJitsu); the
 	// proxy owns the handshake, the trigger owns the launch decision.
@@ -45,10 +44,8 @@ func newSynjitsu(b *Board, ip netstack.IP) *Synjitsu {
 	nic := netsim.NewNIC(b.Eng, "synjitsu", netsim.MACFor(0xFF0002))
 	b.Bridge.ConnectNIC(nic, 20*time.Microsecond, 0)
 	s := &Synjitsu{
-		board: b,
-		byIP:  make(map[netstack.IP]*Service),
-		conns: make(map[*Service][]*netstack.TCPConn),
-
+		board:     b,
+		byIP:      make(map[netstack.IP]*Service),
 		listeners: make(map[uint16]bool),
 	}
 	s.Host = netstack.NewHost(b.Eng, "synjitsu", nic, ip, netstack.MirageProfile())
@@ -96,7 +93,7 @@ func (s *Synjitsu) accept(c *netstack.TCPConn) {
 		return
 	}
 	s.Proxied++
-	s.conns[svc] = append(s.conns[svc], c)
+	svc.conns = append(svc.conns, c)
 	s.recordEmbryonic(svc, c)
 	// A SYN with no preceding DNS query still summons the service: the
 	// trigger fires the shared Activation machine (which also refreshes
@@ -116,7 +113,7 @@ func (s *Synjitsu) recordEmbryonic(svc *Service, c *netstack.TCPConn) {
 	if err != nil {
 		return
 	}
-	idx := len(s.conns[svc])
+	idx := len(svc.conns)
 	path := "/conduit/" + xsName(svc) + "/tcpv4/" + strconv.Itoa(idx)
 	_ = s.board.Store.Write(xenstore.Dom0, nil, path, tcb.Encode())
 }
@@ -130,8 +127,8 @@ func (s *Synjitsu) recordEmbryonic(svc *Service, c *netstack.TCPConn) {
 //  3. the unikernel imports the TCBs and replays buffered data to the
 //     app — all within one simulation event, so no packet interleaves.
 func (s *Synjitsu) handoff(svc *Service) {
-	pending := s.conns[svc]
-	delete(s.conns, svc)
+	pending := svc.conns
+	svc.conns = nil
 	st := s.board.Store
 	base := "/conduit/" + xsName(svc) + "/tcpv4"
 

@@ -67,25 +67,19 @@ func (j *Jitsu) interceptDelayed(query *dns.Message, respond func(*dns.Message))
 	if !ok || (q.Type != dns.TypeA && q.Type != dns.TypeANY) {
 		return false
 	}
-	answer := func(ok bool) {
+	answer := func(err error) {
 		resp := &dns.Message{ID: query.ID, Response: true, Authoritative: true,
 			Questions: query.Questions}
-		if !ok {
+		if err != nil {
 			resp.RCode = dns.RCodeServFail
 		} else {
 			resp.Answers = append(resp.Answers, svc.answerRR)
 		}
 		respond(resp)
 	}
-	if j.act.Fire(svc, Summon{Via: TriggerDNSAsync, ColdStart: true, Refuse: true}) == DecisionNoMemory {
-		answer(false)
-		return true
+	if j.act.Fire(svc, Summon{Via: TriggerDNSAsync, ColdStart: true, Refuse: true, OnReady: answer}) == DecisionNoMemory {
+		answer(ErrNoMemory)
 	}
-	if svc.State.Booted() {
-		answer(true)
-		return true
-	}
-	j.act.AwaitReady(svc, answer)
 	return true
 }
 
@@ -95,14 +89,15 @@ func (j *Jitsu) interceptDelayed(query *dns.Message, respond func(*dns.Message))
 // address with no preceding DNS query (clients ignoring TTLs, §3.3).
 // Synjitsu completes the handshake either way; this trigger only owns
 // the launch decision. A SYN has no refusal channel, so the firing
-// forces past the memory gate — failure surfaces as the guest never
-// booting and the proxied connection timing out. Because of that Force,
-// the trigger carries its own admission policy: an optional per-service
-// token bucket (WithSYNRateLimit) caps how often a SYN may start a
-// launch, so a SYN flood cannot cause a boot storm.
+// forces past the memory gate; a launch that fails leaves the proxied
+// connection parked, and the activation fires again on its behalf
+// (settle). Because of that Force, the trigger carries its own
+// admission policy: an optional per-service token bucket
+// (WithSYNRateLimit) caps how often a SYN may start a launch, so a SYN
+// flood cannot cause a boot storm.
 type synTrigger struct {
-	j     *Jitsu
-	admit *synAdmission // nil = unlimited
+	j       *Jitsu
+	buckets map[*Service]*tokenBucket // nil = unlimited
 }
 
 // synOutcome is one SYN firing's effect on the launch state.
@@ -119,7 +114,7 @@ const (
 // services and in-flight boots are never throttled (the touch keeps
 // the idle reaper honest for legitimate traffic).
 func (t *synTrigger) fire(svc *Service) synOutcome {
-	if t.admit != nil && svc.State.NeedsLaunch() && !t.admit.admit(svc, t.j.board.Eng.Now()) {
+	if t.buckets != nil && svc.State.NeedsLaunch() && !t.admit(svc) {
 		return synSuppressed
 	}
 	if t.j.act.Fire(svc, Summon{Via: TriggerSYN, ColdStart: true, Force: true}) == DecisionColdStart {

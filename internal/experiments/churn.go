@@ -160,10 +160,10 @@ func Churn(horizon sim.Duration, opts ...Option) *Result {
 	pre := runChurn(false, cfg.trace, 9100, trace, horizon)
 
 	tab := metrics.NewTable("",
-		"policy", "n-ok", "p50", "p95", "post-leave-p95", "coldstarts", "migrations", "restores", "lost")
+		"policy", "n-ok", "errs", "p50", "p95", "post-leave-p95", "coldstarts", "migrations", "restores", "lost")
 	for _, o := range []*churnOutcome{mig, pre} {
 		d := o.lat.Summarize()
-		tab.AddRow(o.lat.Name, d.Len(), d.P50(), d.P95(),
+		tab.AddRow(o.lat.Name, d.Len(), o.errs, d.P50(), d.P95(),
 			o.postLeave.Summarize().P95(), o.cold, o.migrated, o.restores, o.lost)
 		r.Series[o.lat.Name] = o.lat
 		r.Series[o.postLeave.Name] = o.postLeave

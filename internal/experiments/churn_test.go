@@ -18,6 +18,7 @@ func TestChurnShape(t *testing.T) {
 	if !strings.Contains(r.Output, "post-leave-p95") {
 		t.Fatalf("missing table: %s", r.Output)
 	}
+	assertNoClientErrors(t, r)
 	mig := r.Series["churn-migrate post-leave"]
 	pre := r.Series["churn-preempt post-leave"]
 	if mig.Len() == 0 || pre.Len() == 0 {

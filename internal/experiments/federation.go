@@ -192,10 +192,10 @@ func Federation(horizon sim.Duration) *Result {
 	frozen := runFedFederation("fed-4x4-norebalance", false, 11100, trace, horizon, skewAt)
 
 	tab := metrics.NewTable("",
-		"system", "n-ok", "refused", "p95", "early-p95", "late-p95",
+		"system", "n-ok", "refused", "errs", "p95", "early-p95", "late-p95",
 		"early-refused", "late-refused", "coldstarts", "spills", "xmigs", "root-rows")
 	for _, o := range []*fedRunOutcome{flat, fed, frozen} {
-		tab.AddRow(o.lat.Name, o.lat.Len(), o.refused,
+		tab.AddRow(o.lat.Name, o.lat.Len(), o.refused, o.errs,
 			o.lat.Summarize().P95(), o.early.Summarize().P95(), o.late.Summarize().P95(),
 			o.earlyRef, o.lateRef, o.cold, o.spills, o.xmigs, o.rootRows)
 		r.Series[o.lat.Name] = o.lat

@@ -18,6 +18,7 @@ func TestFederationShape(t *testing.T) {
 	if !strings.Contains(r.Output, "root-rows") {
 		t.Fatalf("missing table: %s", r.Output)
 	}
+	assertNoClientErrors(t, r)
 	flatLate := r.Series["flat-1x16 post-skew-late"]
 	fedLate := r.Series["fed-4x4 post-skew-late"]
 	fedEarly := r.Series["fed-4x4 post-skew-early"]
@@ -51,16 +52,18 @@ func TestFederationShape(t *testing.T) {
 // shedding once caused: a launch that lands after its service was
 // retired destroyed the guest with a nil callback, and the destroy's
 // completion dereferenced it. The 4x4 / 192 MiB federation runs with
-// both rebalance mechanisms on over eight seeds; each must drain, book
+// both rebalance mechanisms on over sixteen seeds; each must drain, book
 // every arrival exactly once, and lose no client. Seed 3 once booked an
 // error: a warm-pool shrink evicted a replica 19 µs after Synjitsu handed
 // it the client's connection, with the reply still unacknowledged, and
-// the client timed out 30 s later. Seed 11 (outside the loop) still
-// books one: a launch that fails orphans the connections Synjitsu
-// parked for it.
+// the client timed out 30 s later. Seed 11 once booked one too: a
+// SYN-forced launch failed on memory, and the connection Synjitsu had
+// parked for it waited out its timeout although memory freed a second
+// later. The activation now fires again on the parked connection's
+// behalf until a launch hands it off.
 func TestFedSpillSkewDrains(t *testing.T) {
 	const h = 45 * time.Second
-	for seed := int64(1); seed <= 8; seed++ {
+	for seed := int64(1); seed <= 16; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			trace := fedTrace(seed, h, 2*h/5)
 			o := runFedFederation("fed-4x4", true, seed, trace, h, 2*h/5)

@@ -117,10 +117,10 @@ func Prewarm(visits int, opts ...Option) *Result {
 	on := runPrewarm(true, cfg.trace, 11100, trace)
 
 	tab := metrics.NewTable("",
-		"policy", "n-ok", "p50", "p95", "steady-p50", "steady-p95", "coldstarts", "predictions", "hits", "misses")
+		"policy", "n-ok", "errs", "p50", "p95", "steady-p50", "steady-p95", "coldstarts", "predictions", "hits", "misses")
 	for _, o := range []*prewarmOutcome{off, on} {
 		all, steady := o.lat.Summarize(), o.steady.Summarize()
-		tab.AddRow(o.lat.Name, all.Len(), all.P50(), all.P95(),
+		tab.AddRow(o.lat.Name, all.Len(), o.errs, all.P50(), all.P95(),
 			steady.P50(), steady.P95(),
 			o.cold, o.predictions, o.hits, o.misses)
 		r.Series[o.lat.Name] = o.lat

@@ -3,7 +3,9 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -149,5 +151,22 @@ func TestTracesMatchOldGenerators(t *testing.T) {
 	for _, n := range []int{30, 60} {
 		same(fmt.Sprintf("hostile flash x%d", n), hostileFlashTrace(4100, n), refHostileFlashTrace(4100, n),
 			func(int) string { return hostileFlashName })
+	}
+}
+
+// assertNoClientErrors reads the "errs" column of r's table and fails
+// for every arm that booked a client error: the experiments that call
+// it inject no fault, so every fetch is served or refused.
+func assertNoClientErrors(t *testing.T, r *Result) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(r.Output), "\n")
+	col := slices.Index(strings.Fields(lines[0]), "errs")
+	if col < 0 || len(lines) < 3 {
+		t.Fatalf("%s: no errs column in\n%s", r.ID, r.Output)
+	}
+	for _, row := range lines[2:] {
+		if f := strings.Fields(row); f[col] != "0" {
+			t.Errorf("%s: errs = %s in row %q, want 0", r.ID, f[col], row)
+		}
 	}
 }

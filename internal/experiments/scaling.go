@@ -105,7 +105,7 @@ func runScalingCluster(n int, seed int64, trace []arrival) *scalingOutcome {
 func Scaling(boardCounts []int, horizon sim.Duration) *Result {
 	r := newResult("Scaling", "cluster placement vs fleet failover under Poisson arrivals")
 	tab := metrics.NewTable("",
-		"boards", "system", "n-ok", "p50", "p95", "refused%", "coldstarts")
+		"boards", "system", "n-ok", "p50", "p95", "refused%", "errs", "coldstarts")
 	for _, n := range boardCounts {
 		trace := scalingTrace(7000+int64(n), horizon)
 		fleet := runScalingFleet(n, 7100+int64(n), trace)
@@ -113,7 +113,7 @@ func Scaling(boardCounts []int, horizon sim.Duration) *Result {
 		for _, o := range []*scalingOutcome{fleet, clus} {
 			d := o.lat.Summarize()
 			tab.AddRow(n, o.lat.Name, d.Len(), d.P50(),
-				d.P95(), fmt.Sprintf("%.1f", o.refusedPct()), o.coldStarts)
+				d.P95(), fmt.Sprintf("%.1f", o.refusedPct()), o.errs, o.coldStarts)
 			r.Series[o.lat.Name] = o.lat
 		}
 	}

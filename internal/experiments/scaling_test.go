@@ -15,6 +15,7 @@ func TestScalingShape(t *testing.T) {
 	if !strings.Contains(r.Output, "boards") {
 		t.Fatalf("missing table: %s", r.Output)
 	}
+	assertNoClientErrors(t, r)
 
 	fleet4 := r.Series["fleet@4"]
 	cluster4 := r.Series["cluster@4"]
