@@ -155,11 +155,13 @@ bench-gate:
 # worktree to register or prune) under a mktemp -d, each tree builds its
 # own bench/run.sh into its own .bench_build/, N pairs run alternating
 # which side goes first, and benchjson -pairs reads the two files of
-# result lines. W may list several workloads: each runs its N pairs in
-# turn into its own two files and gets its own table, printed as it
-# finishes, so "did any other workload get worse" is one command. Run
-# nothing else meanwhile; the copy and both build directories are
-# removed on exit.
+# result lines. Each side of a pair also makes one 2 s --trace 1 run,
+# whose host.peak_heap_mb and host.alloc_kb_per_req benchjson reports
+# after the table as medians and quartiles, without a verdict. W may
+# list several workloads: each runs its N pairs in turn into its own
+# files and gets its own table, printed as it finishes, so "did any
+# other workload get worse" is one command. Run nothing else meanwhile;
+# the copy and both build directories are removed on exit.
 #   make bench-pair BASE=<commit> W="<workload> ..." [N=10 SEED=3 SECONDS=20]
 #   make bench-pair BASE=<commit> W="cold_storm warm_fetch fed_skew operator_wire"
 N ?= 10
@@ -169,14 +171,15 @@ bench-pair:
 	@test -n "$(BASE)" -a -n "$(W)" || { echo "usage: make bench-pair BASE=<commit> W=\"<workload> ...\" [N=$(N) SEED=$(SEED) SECONDS=$(SECONDS)]"; exit 2; }
 	@tmp=$$(mktemp -d); trap 'chmod -R u+w $$tmp; rm -rf $$tmp .bench_build' EXIT; \
 	mkdir $$tmp/base && git archive $(BASE) | tar -x -C $$tmp/base; \
-	side() { (cd $$1 && bash bench/run.sh --workload $$3 --seed $(SEED) --seconds $(SECONDS) --trace 0 2>/dev/null | tail -1) >> $$tmp/$$3.$$2.jsonl; }; \
+	side() { (cd $$1 && bash bench/run.sh --workload $$3 --seed $(SEED) --seconds $(SECONDS) --trace 0 2>/dev/null | tail -1) >> $$tmp/$$3.$$2.jsonl; \
+		(cd $$1 && bash bench/run.sh --workload $$3 --seed $(SEED) --seconds 2 --trace 1 2>/dev/null | tail -1) >> $$tmp/$$3.$$2.traced.jsonl; }; \
 	for w in $(W); do \
 		for i in $$(seq $(N)); do \
 			if [ $$((i % 2)) = 1 ]; then side $$tmp/base parent $$w; side . change $$w; else side . change $$w; side $$tmp/base parent $$w; fi; \
 			echo "$$w: pair $$i of $(N)" >&2; \
 		done; \
 		echo "== $$w (seed $(SEED), $(N) pairs of $(SECONDS) s)"; \
-		$(GO) run ./cmd/benchjson -pairs $$tmp/$$w.parent.jsonl $$tmp/$$w.change.jsonl; \
+		$(GO) run ./cmd/benchjson -pairs $$tmp/$$w.parent.jsonl $$tmp/$$w.change.jsonl $$tmp/$$w.parent.traced.jsonl $$tmp/$$w.change.traced.jsonl; \
 	done
 
 # allocs-gate holds the end-to-end numbers of the repository benchmark

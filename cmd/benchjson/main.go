@@ -19,9 +19,11 @@
 //
 // With -pairs it compares two files of bench/run.sh result lines, the
 // parent's runs and the change's in pair order (make bench-pair), on
-// every end-to-end metric ./BENCHMARK.json declares (pairs.go).
+// every end-to-end metric ./BENCHMARK.json declares (pairs.go). Two more
+// files, each side's traced runs, add their memory metrics, reported
+// without a verdict.
 //
-//	go run ./cmd/benchjson -pairs parent.jsonl change.jsonl
+//	go run ./cmd/benchjson -pairs parent.jsonl change.jsonl [parent-traced.jsonl change-traced.jsonl]
 package main
 
 import (
@@ -70,7 +72,7 @@ type Doc struct {
 
 func main() {
 	compare := flag.String("compare", "", "recorded BENCH json to gate against (exit 1 on regression)")
-	paired := flag.Bool("pairs", false, "compare two files of bench/run.sh result lines: parent.jsonl change.jsonl")
+	paired := flag.Bool("pairs", false, "compare two files of bench/run.sh result lines: parent.jsonl change.jsonl, then optionally each side's traced runs")
 	flag.Parse()
 
 	if *paired {
@@ -79,12 +81,16 @@ func main() {
 		if err == nil {
 			err = json.Unmarshal(b, &sp)
 		}
-		parent, perr := loadRuns(flag.Arg(0))
-		change, cerr := loadRuns(flag.Arg(1))
-		if err := errors.Join(err, perr, cerr); err != nil {
+		var runs [4][]benchRun
+		for i := range min(max(flag.NArg(), 2), len(runs)) {
+			var rerr error
+			runs[i], rerr = loadRuns(flag.Arg(i))
+			err = errors.Join(err, rerr)
+		}
+		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(pairs(sp, parent, change))
+		fmt.Print(pairs(sp, runs[0], runs[1]), memory(runs[2], runs[3]))
 		return
 	}
 	if *compare == "" {

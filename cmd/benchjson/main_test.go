@@ -220,3 +220,41 @@ func TestPairsOnCannedRuns(t *testing.T) {
 		t.Errorf("the pair the other way round:\n%s", got)
 	}
 }
+
+// TestMemoryOfTracedRuns feeds two small files of traced runs and
+// holds each memory metric to its line: both sides' medians and
+// quartiles, the change in per cent, and no verdict, whichever way the
+// numbers moved.
+func TestMemoryOfTracedRuns(t *testing.T) {
+	parent, err := loadRuns("testdata/traced-parent.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	change, err := loadRuns("testdata/traced-change.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := memory(parent, change)
+	lines := strings.Split(strings.TrimSpace(report), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("report:\n%s", report)
+	}
+	for i, want := range [][]string{
+		{"host.peak_heap_mb", "parent 6 [5.9, 6.2]", "change 5.9 [5.7, 6]", "-1.7%", "traced runs 5 and 5, reported only"},
+		{"host.alloc_kb_per_req", "parent 32 [32, 32]", "change 32.4 [32.4, 32.4]", "+1.2%", "reported only"},
+	} {
+		for _, part := range want {
+			if !strings.Contains(lines[i], part) {
+				t.Errorf("line %d lacks %q:\n%s", i, part, lines[i])
+			}
+		}
+		for _, verdict := range []string{"gain", "WORSE", "within bound", "unresolved", "exact"} {
+			if strings.Contains(lines[i], verdict) {
+				t.Errorf("line %d gives a verdict (%q):\n%s", i, verdict, lines[i])
+			}
+		}
+	}
+	if got := memory(parent, nil); got != "" {
+		t.Errorf("no traced change runs: %q", got)
+	}
+}

@@ -108,3 +108,30 @@ func pairs(sp spec, parent, change []benchRun) string {
 	}
 	return sb.String()
 }
+
+// memory reports the memory metrics of two sides' traced runs, each
+// side's median and quartiles, and gives no verdict: peak heap wanders
+// from run to run, and bytes per request move with size classes.
+func memory(parent, change []benchRun) string {
+	var sb strings.Builder
+	for _, name := range []string{"host.peak_heap_mb", "host.alloc_kb_per_req"} {
+		p, c := values(parent, name), values(change, name)
+		if len(p) == 0 || len(c) == 0 {
+			continue
+		}
+		pq, cq := quartiles(p), quartiles(c)
+		fmt.Fprintf(&sb, "%-21s parent %.6g [%.6g, %.6g]  change %.6g [%.6g, %.6g]  %+.1f%%  traced runs %d and %d, reported only\n",
+			name, pq[1], pq[0], pq[2], cq[1], cq[0], cq[2], 100*(cq[1]-pq[1])/pq[1], len(p), len(c))
+	}
+	return sb.String()
+}
+
+// values returns the runs' readings of one metric, where they have it.
+func values(runs []benchRun, name string) (v []float64) {
+	for _, r := range runs {
+		if m, ok := r.Metrics[name]; ok {
+			v = append(v, m.Value)
+		}
+	}
+	return v
+}

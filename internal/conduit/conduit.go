@@ -26,7 +26,6 @@ type Endpoint struct {
 	// "conn1").
 	Port string
 
-	hyp     *xen.Hypervisor
 	tx, rx  *ring
 	channel *xen.EventChannel
 	onData  func([]byte)
@@ -197,7 +196,7 @@ func (l *Listener) checkListen(path string) {
 	}
 	ep := &Endpoint{
 		Local: l.Dom, Peer: xenstore.DomID(clientDom), Name: l.Name, Port: port,
-		hyp: l.reg.hyp, tx: &ring{page: pageTx}, rx: &ring{page: pageRx}, channel: ch,
+		tx: &ring{page: pageTx}, rx: &ring{page: pageRx}, channel: ch,
 	}
 	_ = ch.SetHandler(l.Dom, ep.event)
 
@@ -237,7 +236,7 @@ func (r *Registry) Connect(dom xenstore.DomID, name string) (*Endpoint, error) {
 	ch := r.hyp.BindEventChannel(dom, serverDom)
 	ep := &Endpoint{
 		Local: dom, Peer: serverDom, Name: name,
-		hyp: r.hyp, tx: &ring{page: pageTx}, rx: &ring{page: pageRx}, channel: ch,
+		tx: &ring{page: pageTx}, rx: &ring{page: pageRx}, channel: ch,
 	}
 	_ = ch.SetHandler(dom, ep.event)
 	r.nextConn++

@@ -132,23 +132,22 @@ func (s *Synjitsu) handoff(svc *Service) {
 	st := s.board.Store
 	base := "/conduit/" + xsName(svc) + "/tcpv4"
 
-	// Phase 1: freeze the proxy side and (re)write final TCB state.
-	var tcbs []*netstack.TCB
+	// Phase 1: freeze the proxy side and (re)write final TCB state, as
+	// one record set: the guest removes it whole once it has read it.
+	tcbs := make([]xenstore.Record, 0, len(pending))
 	for _, c := range pending {
 		tcb, err := c.ExportTCB()
 		c.Forget()
 		if err != nil {
 			continue // connection died (RST/timeout) before boot finished
 		}
-		tcbs = append(tcbs, tcb)
+		tcbs = append(tcbs, xenstore.Record{Key: strconv.Itoa(len(tcbs) + 1), Value: tcb.Encode()})
 	}
 	tx := st.Begin(xenstore.Dom0)
 	_ = st.Rm(xenstore.Dom0, tx, base)
-	for i, tcb := range tcbs {
-		_ = st.Write(xenstore.Dom0, tx, base+"/"+strconv.Itoa(i+1), tcb.Encode())
-	}
-	// Phase 2: the commit flag. After this write the unikernel owns
-	// every recorded connection.
+	_ = st.WriteRecords(xenstore.Dom0, tx, base+"/", tcbs)
+	// Phase 2: the commit flag, a write of its own: it outlives the
+	// entries. After it the unikernel owns every recorded connection.
 	_ = st.Write(xenstore.Dom0, tx, "/conduit/"+xsName(svc)+"/handoff", "committed")
 	if err := tx.Commit(); err != nil {
 		// Single-writer tree: a conflict here means a bug, not a race.

@@ -128,7 +128,7 @@ type stampedeFedRun struct {
 	label                    string
 	tally                    // every failure counts alike here: see failed()
 	delegRetx, delegTimeouts uint64
-	chunks, retx, aborts     uint64
+	chunks, retx             uint64
 	xmigs                    uint64
 	cap                      *netsim.Capture
 }
@@ -181,7 +181,7 @@ func runStampedeFed(label string, shed, unpaced bool, horizon sim.Duration) *sta
 
 	root := f.Root()
 	out.delegRetx, out.delegTimeouts = root.DelegRetx, root.DelegTimeouts
-	out.chunks, out.retx, out.aborts = f.FedChunks, f.FedChunkRetx, f.FedXferAborts
+	out.chunks, out.retx = f.FedChunks, f.FedChunkRetx
 	out.xmigs = f.CrossMigrations
 	return out
 }

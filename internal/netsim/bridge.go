@@ -24,7 +24,6 @@ type Bridge struct {
 type bridgePort struct {
 	bridge *Bridge
 	dst    Port
-	id     int
 }
 
 // Deliver implements Port: a frame entering the bridge via this port.
@@ -77,13 +76,17 @@ func (b *Bridge) input(in *bridgePort, frame []byte) {
 			return
 		}
 	}
-	// Flood to every port except ingress: every egress shares the frame.
+	// Flood to every port except ingress, as one event: every egress
+	// shares the frame.
 	b.Flooded++
+	fl := b.fab.flood(len(b.ports))
 	for _, p := range b.ports {
 		if p != in {
-			b.fab.book(b.eng, b.ForwardDelay, p.dst, frame, nil, "")
+			fl.dsts = append(fl.dsts, p.dst)
 		}
 	}
+	fl.frame = frame
+	b.eng.AfterHandler(b.ForwardDelay, fl)
 }
 
 // ConnectNIC wires a NIC to the bridge through a new link and returns
@@ -91,7 +94,7 @@ func (b *Bridge) input(in *bridgePort, frame []byte) {
 // plumbing the vif hotplug step performs.
 func (b *Bridge) ConnectNIC(nic *NIC, latency sim.Duration, bitsPerSec float64) Port {
 	l := &Link{eng: b.eng, Latency: latency, BitsPerSec: bitsPerSec, fab: &b.fab}
-	bport := &bridgePort{bridge: b, id: len(b.ports)}
+	bport := &bridgePort{bridge: b}
 	b.ports = append(b.ports, bport)
 	l.aEnd = linkEnd{link: l, dst: bport} // NIC -> bridge
 	l.bEnd = linkEnd{link: l, dst: nic}   // bridge -> NIC

@@ -9,12 +9,13 @@ import "jitsu/internal/sim"
 const slabSize = 16 << 10
 
 // fabric is what one layer-2 segment allocates from: the slab sending
-// NICs' copies are cut from and the free list of hop records. A Bridge
-// owns one, shared by every link ConnectNIC makes; a stand-alone link
-// (NewLink, Attach) owns its own.
+// NICs' copies are cut from and the free lists of hop and flood
+// records. A Bridge owns one, shared by every link ConnectNIC makes; a
+// stand-alone link (NewLink, Attach) owns its own.
 type fabric struct {
-	slab []byte // the uncut rest of the current slab
-	free []*hop
+	slab   []byte // the uncut rest of the current slab
+	free   []*hop
+	floods []*flood
 }
 
 // copyFrame cuts the fabric's copy of frame off the front of the slab.
@@ -67,4 +68,37 @@ func (h *hop) Fire() {
 		tap.record(dir, frame)
 	}
 	dst.Deliver(frame)
+}
+
+// flood is one booked broadcast: at its instant the frame is handed to
+// each egress port captured at booking, in port order — the schedule a
+// hop per port makes, whose hops fire at one instant with consecutive
+// sequence numbers, so that nothing fires between them. Records are
+// pooled per fabric and keep their egress list's array, sized to the
+// bridge's port count when first used.
+type flood struct {
+	fab   *fabric
+	dsts  []Port
+	frame []byte
+}
+
+// flood takes a record from the pool, its egress list empty.
+func (f *fabric) flood(ports int) *flood {
+	if k := len(f.floods); k > 0 {
+		fl := f.floods[k-1]
+		f.floods = f.floods[:k-1]
+		return fl
+	}
+	return &flood{fab: f, dsts: make([]Port, 0, ports)}
+}
+
+// Fire delivers the frame to each egress, then returns the record to
+// the pool: a delivery that floods in turn takes another.
+func (fl *flood) Fire() {
+	for _, dst := range fl.dsts {
+		dst.Deliver(fl.frame)
+	}
+	clear(fl.dsts)
+	fl.dsts, fl.frame = fl.dsts[:0], nil
+	fl.fab.floods = append(fl.fab.floods, fl)
 }

@@ -83,7 +83,6 @@ type Port interface {
 type NIC struct {
 	Name    string
 	Addr    MAC
-	eng     *sim.Engine
 	handler Handler
 	peer    *linkEnd // where transmitted frames go
 	TxCount uint64
@@ -99,9 +98,10 @@ type NIC struct {
 	Down bool
 }
 
-// NewNIC creates an unattached NIC.
-func NewNIC(eng *sim.Engine, name string, addr MAC) *NIC {
-	return &NIC{Name: name, Addr: addr, eng: eng}
+// NewNIC creates an unattached NIC. Its timing is the link's it is
+// attached to, so eng goes unused.
+func NewNIC(_ *sim.Engine, name string, addr MAC) *NIC {
+	return &NIC{Name: name, Addr: addr}
 }
 
 // SetHandler installs the receive callback.

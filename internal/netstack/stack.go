@@ -137,7 +137,6 @@ type pendingPacket struct {
 
 type pendingPing struct {
 	sentAt sim.Duration
-	size   int
 	cb     func(rtt sim.Duration, err error)
 	timer  sim.Event
 }
@@ -451,7 +450,7 @@ func (h *Host) Ping(dst IP, payloadLen int, timeout sim.Duration, cb func(rtt si
 		data[i] = byte(i)
 	}
 	req := ICMPEcho{Type: ICMPEchoRequest, ID: 0x4a49, Seq: seq, Data: data}
-	p := &pendingPing{sentAt: h.Eng.Now(), size: payloadLen, cb: cb}
+	p := &pendingPing{sentAt: h.Eng.Now(), cb: cb}
 	p.timer = h.Eng.After(timeout, func() {
 		if _, ok := h.pings[seq]; ok {
 			delete(h.pings, seq)

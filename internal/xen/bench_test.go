@@ -38,7 +38,7 @@ func BenchmarkCreateDestroy(b *testing.B) {
 // TestCreateDestroyAllocs pins BenchmarkCreateDestroy's cycle with no
 // resident domains, the shape of xen.probe.create_destroy_r0: the
 // toolstack's share is one txRun per transaction step, one creation and
-// the destroy's one closure.
+// the destroy's one closure; each record set's nodes are one slab.
 func TestCreateDestroyAllocs(t *testing.T) {
 	eng, hyp := newHost(xenstore.JitsuReconciler{}, CubieboardARM())
 	ts := NewToolstack(hyp, OptimisedOpts())
@@ -52,7 +52,7 @@ func TestCreateDestroyAllocs(t *testing.T) {
 			})
 		eng.Run()
 	})
-	want := 70.0
+	want := 41.0
 	if raceEnabled {
 		want++ // a child slice that grows
 	}

@@ -69,8 +69,6 @@ type Domain struct {
 	MemMiB  int
 	State   DomState
 	Created sim.Duration // virtual time the domain finished building
-
-	hyp *Hypervisor
 }
 
 // XSPath returns the domain's XenStore subtree root.
@@ -123,7 +121,7 @@ func NewHypervisor(eng *sim.Engine, store *xenstore.Store, p *Platform, totalMem
 		channels:    make(map[ChannelID]*eventChannel),
 		nextDom:     1,
 	}
-	dom0 := &Domain{ID: Dom0, Name: "Domain-0", Kind: GuestLinux, MemMiB: 256, State: StateRunning, hyp: h}
+	dom0 := &Domain{ID: Dom0, Name: "Domain-0", Kind: GuestLinux, MemMiB: 256, State: StateRunning}
 	h.domains[Dom0] = dom0
 	return h
 }
@@ -164,7 +162,7 @@ func (h *Hypervisor) allocDomain(name string, kind GuestKind, memMiB int) (*Doma
 	}
 	id := h.nextDom
 	h.nextDom++
-	d := &Domain{ID: id, Name: name, Kind: kind, MemMiB: memMiB, State: StateBuilding, hyp: h}
+	d := &Domain{ID: id, Name: name, Kind: kind, MemMiB: memMiB, State: StateBuilding}
 	h.domains[id] = d
 	h.usedMemMiB += memMiB
 	return d, nil

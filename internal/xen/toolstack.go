@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"jitsu/internal/sim"
@@ -331,50 +330,25 @@ func (ts *Toolstack) claimPooled(d *Domain, cfg DomainConfig, done func(*Domain,
 // backend entries under dom0's tree are the shared contention point.
 // Each set is a table written top to bottom: the order of a
 // transaction's log is the order its watch events fire in at commit, so
-// it must not vary from run to run. A set's full paths are built as one
-// string and each write gets a slice of it, so the nodes a set creates
-// share (and keep alive) that one buffer until the domain goes.
-
-// record is one key, relative to a set's base path, and its value.
-type record struct{ key, value string }
-
-func writeRecords(st *xenstore.Store, tx *xenstore.Tx, base string, records []record) error {
-	size := 0
-	for _, r := range records {
-		size += len(base) + len(r.key)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, r := range records {
-		b.WriteString(base)
-		b.WriteString(r.key)
-	}
-	paths := b.String()
-	for _, r := range records {
-		n := len(base) + len(r.key)
-		if err := st.Write(Dom0, tx, paths[:n], r.value); err != nil {
-			return err
-		}
-		paths = paths[n:]
-	}
-	return nil
-}
+// it must not vary from run to run. A table is one xenstore record set,
+// whose nodes are one allocation that lives until the domain's records
+// go.
 
 func writeBuildRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
 	memKiB := strconv.Itoa(d.MemMiB * 1024)
-	return writeRecords(st, tx, d.XSPath(), []record{
-		{"/name", d.Name},
-		{"/domid", strconv.Itoa(int(d.ID))},
-		{"/memory/target", memKiB},
-		{"/memory/static-max", memKiB},
-		{"/vm", "/vm/" + d.Name},
-		{"/control/shutdown", ""},
-		{"/console/ring-ref", "8"},
-		{"/console/port", "2"},
-		{"/console/limit", "1048576"},
-		{"/console/type", "xenconsoled"},
-		{"/store/ring-ref", "1"},
-		{"/store/port", "1"},
+	return st.WriteRecords(Dom0, tx, d.XSPath(), []xenstore.Record{
+		{Key: "/name", Value: d.Name},
+		{Key: "/domid", Value: strconv.Itoa(int(d.ID))},
+		{Key: "/memory/target", Value: memKiB},
+		{Key: "/memory/static-max", Value: memKiB},
+		{Key: "/vm", Value: "/vm/" + d.Name},
+		{Key: "/control/shutdown", Value: ""},
+		{Key: "/console/ring-ref", Value: "8"},
+		{Key: "/console/port", Value: "2"},
+		{Key: "/console/limit", Value: "1048576"},
+		{Key: "/console/type", Value: "xenconsoled"},
+		{Key: "/store/ring-ref", Value: "1"},
+		{Key: "/store/port", Value: "1"},
 	})
 }
 
@@ -396,29 +370,29 @@ func writeVifRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
 	front := d.XSPath() + "/device/vif/0"
 	back := "/local/domain/0/backend/vif/" + id + "/0"
 	mac := macFor(d.ID)
-	if err := writeRecords(st, tx, front, []record{
-		{"/backend", back},
-		{"/backend-id", "0"},
-		{"/mac", mac},
-		{"/state", "1"},
+	if err := st.WriteRecords(Dom0, tx, front, []xenstore.Record{
+		{Key: "/backend", Value: back},
+		{Key: "/backend-id", Value: "0"},
+		{Key: "/mac", Value: mac},
+		{Key: "/state", Value: "1"},
 	}); err != nil {
 		return err
 	}
-	return writeRecords(st, tx, back, []record{
-		{"/frontend", front},
-		{"/frontend-id", id},
-		{"/mac", mac},
-		{"/bridge", "xenbr0"},
-		{"/handle", "0"},
-		{"/state", "4"},
+	return st.WriteRecords(Dom0, tx, back, []xenstore.Record{
+		{Key: "/frontend", Value: front},
+		{Key: "/frontend-id", Value: id},
+		{Key: "/mac", Value: mac},
+		{Key: "/bridge", Value: "xenbr0"},
+		{Key: "/handle", Value: "0"},
+		{Key: "/state", Value: "4"},
 	})
 }
 
 func writeConsoleRecords(st *xenstore.Store, tx *xenstore.Tx, d *Domain) error {
-	return writeRecords(st, tx, d.XSPath()+"/console", []record{
-		{"/tty", "/dev/pts/" + strconv.Itoa(int(d.ID))},
-		{"/state", "4"},
-		{"/output", "pty"},
+	return st.WriteRecords(Dom0, tx, d.XSPath()+"/console", []xenstore.Record{
+		{Key: "/tty", Value: "/dev/pts/" + strconv.Itoa(int(d.ID))},
+		{Key: "/state", Value: "4"},
+		{Key: "/output", Value: "pty"},
 	})
 }
 

@@ -307,19 +307,18 @@ func TestLargeTransactionMatchesSmall(t *testing.T) {
 	}
 }
 
-// buildKeys is the toolstack's twelve-key domain-build write set.
-var buildKeys = []string{"/name", "/domid", "/memory/target", "/memory/static-max", "/vm", "/control/shutdown",
-	"/console/ring-ref", "/console/port", "/console/limit", "/console/type", "/store/ring-ref", "/store/port"}
+// buildRecords is the toolstack's twelve-key domain-build record set.
+var buildRecords = []Record{{"/name", "v"}, {"/domid", "v"}, {"/memory/target", "v"}, {"/memory/static-max", "v"},
+	{"/vm", "v"}, {"/control/shutdown", "v"}, {"/console/ring-ref", "v"}, {"/console/port", "v"},
+	{"/console/limit", "v"}, {"/console/type", "v"}, {"/store/ring-ref", "v"}, {"/store/port", "v"}}
 
 // buildTx writes and commits the build set for dom, optionally letting
 // one immediate write land first so that the commit has to merge.
 func buildTx(s *Store, dom DomID, merge bool) error {
 	base := DomainPath(dom)
 	tx := s.Begin(Dom0)
-	for _, k := range buildKeys {
-		if err := s.Write(Dom0, tx, base+k, "v"); err != nil {
-			return err
-		}
+	if err := s.WriteRecords(Dom0, tx, base, buildRecords); err != nil {
+		return err
 	}
 	if merge {
 		if err := s.Write(Dom0, nil, "/tool/tick", "v"); err != nil {
@@ -345,14 +344,14 @@ func TestAllocationPins(t *testing.T) {
 	}); got != 0 {
 		t.Errorf("Read: %v allocs, want 0", got)
 	}
-	// One domain build on the fast-forward path, 36 objects: DomainPath,
-	// twelve base+key strings, the Tx, 17 nodes and the one child slice
-	// among them that outgrew its node (the domain directory's seven
-	// keys; memory, control, console and store keep theirs inline), and
-	// the transaction's copy of the root-to-/local/domain path — three
-	// nodes and the long child slice of /local/domain. The event list is
-	// the store's.
-	want := 36.0
+	// One domain build on the fast-forward path, 9 objects: DomainPath,
+	// the set's one path string, the Tx, the slab of its 17 nodes and the
+	// one child slice among them that outgrew its node (the domain
+	// directory's seven keys; memory, control, console and store keep
+	// theirs inline), and the transaction's copy of the
+	// root-to-/local/domain path — three nodes and the long child slice
+	// of /local/domain. The event list is the store's.
+	want := 9.0
 	if raceEnabled {
 		want++ // the domain directory's spill
 	}
@@ -368,7 +367,8 @@ func TestAllocationPins(t *testing.T) {
 	// The same build on the merge path costs four more: the immediate
 	// write's copy of root, /tool and /tool/tick under the open
 	// transaction, and the replay's domain directory spilling again. The
-	// 17 nodes the transaction created are the ones the replay installs.
+	// 17 slab nodes the transaction created are the ones the replay
+	// installs.
 	want += 4
 	if raceEnabled {
 		want++ // the replayed domain directory's spill

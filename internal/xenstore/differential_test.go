@@ -9,8 +9,9 @@ import (
 )
 
 // The differential test drives the store and the pre-persistent-tree
-// reference model (model_test.go) with one op stream and demands the
-// same answer to everything observable: each return value and error,
+// reference model (model_test.go) with one op stream — a record set is
+// consecutive Writes to the model — and demands the same answer to
+// everything observable: each return value and error,
 // each Commit verdict, Stats, OwnedNodes, the watch-event sequence and
 // the final tree, generation stamps included.
 
@@ -147,9 +148,26 @@ func runModel(t *testing.T, ops []byte) {
 			}
 		}
 		switch b % 16 {
-		case 0, 1, 2, 3:
+		case 0, 1, 2:
 			p, v := o.path(), fmt.Sprint("v", o.next())
 			same("Write "+p, nil, nil, s.Write(dom, tx.real, p, v), ref.mutate(tx.ref, opWrite, dom, p, v, Perms{}))
+		case 3: // a record set: to the model, consecutive Writes
+			base, recs := o.path(), make([]Record, 1+o.next()%4)
+			for i := range recs {
+				k := o.next()
+				recs[i].Key = "/" + modelNames[k%len(modelNames)]
+				if k/len(modelNames)%2 == 1 {
+					recs[i].Key += "/" + modelNames[o.next()%len(modelNames)]
+				}
+				recs[i].Value = fmt.Sprint("v", o.next())
+			}
+			var want error
+			for _, r := range recs {
+				if want = ref.mutate(tx.ref, opWrite, dom, base+r.Key, r.Value, Perms{}); want != nil {
+					break
+				}
+			}
+			same(fmt.Sprint("WriteRecords ", base, recs), nil, nil, s.WriteRecords(dom, tx.real, base, recs), want)
 		case 4:
 			p := o.path()
 			same("Mkdir "+p, nil, nil, s.Mkdir(dom, tx.real, p), ref.mutate(tx.ref, opMkdir, dom, p, "", Perms{}))

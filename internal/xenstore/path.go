@@ -31,6 +31,13 @@
 // lives on the heap and is copied beside it. Permission entries are
 // immutable once on a node and shared.
 //
+// The nodes a record set creates (WriteRecords) are one array, sized
+// before the set's first write by counting the components missing from
+// the tree. The array lives while any of its nodes does, so only a set
+// that is removed as a unit — a domain's records, which its destroy
+// transaction removes; Synjitsu's handed-off TCBs — should be written
+// as one: a node that outlives the rest of its set keeps all of them.
+//
 // The same rule makes a commit whose base has not moved a fast-forward,
 // as in Irmin, not a merge. While the transaction is open a live write
 // edits in place only a root made since its Begin, so while the live

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // node is one entry in the store tree. Two generation counters let the
@@ -90,7 +91,6 @@ type WatchFn func(path, token string)
 
 // Watch is a registered watch; keep it to Unwatch later.
 type Watch struct {
-	dom   DomID
 	path  string
 	token string
 	fn    WatchFn
@@ -240,19 +240,81 @@ func (s *Store) List(dom DomID, tx *Tx, path string) ([]string, error) {
 // Write sets the value at path, creating the node (and any missing
 // intermediate directories) if necessary, as the real daemon does.
 func (s *Store) Write(dom DomID, tx *Tx, path, value string) error {
-	return s.mutate(dom, tx, path, txOp{kind: opWrite, value: value})
+	return s.mutate(dom, tx, path, txOp{kind: opWrite, value: value}, nil)
+}
+
+// Record is one entry of a record set: a value and its key, the path
+// below the set's base.
+type Record struct{ Key, Value string }
+
+// WriteRecords writes a record set under base: one Write(dom, tx,
+// base+r.Key, r.Value) per record, in order, stopping at the first
+// error; on the live tree each record is its own mutation, with its
+// own sequence number and delivery. The set's paths are built as one
+// string, and the nodes it creates are taken from one array, sized
+// before the first write, so the set should be removed as a unit (see
+// the package comment).
+func (s *Store) WriteRecords(dom DomID, tx *Tx, base string, recs []Record) error {
+	size := 0
+	for _, r := range recs {
+		size += len(base) + len(r.Key)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, r := range recs {
+		b.WriteString(base)
+		b.WriteString(r.Key)
+	}
+	paths := b.String()
+	slab := make([]node, s.missing(tx, paths, len(base), recs))
+	for _, r := range recs {
+		n := len(base) + len(r.Key)
+		if err := s.mutate(dom, tx, paths[:n], txOp{kind: opWrite, value: r.Value}, &slab); err != nil {
+			return err
+		}
+		paths = paths[n:]
+	}
+	return nil
+}
+
+// missing counts the nodes writing a record set's paths would create in
+// the tree tx writes: every component below the deepest one that exists,
+// except those the previous record's path passes through, which it
+// creates.
+func (s *Store) missing(tx *Tx, paths string, baseLen int, recs []Record) int {
+	root := s.root
+	if tx != nil {
+		root = tx.root
+	}
+	count, prev := 0, ""
+	for _, r := range recs {
+		p := paths[:baseLen+len(r.Key)]
+		paths = paths[len(p):]
+		at := root
+		for name, pos := "", 1; pos < len(p); {
+			name, pos = nextPart(p, pos)
+			if at != nil {
+				at = at.child(name)
+			}
+			if at == nil && !IsPrefix(p[:pos-1], prev) {
+				count++
+			}
+		}
+		prev = p
+	}
+	return count
 }
 
 // Mkdir creates a directory node (empty value) and missing parents.
 // Creating an existing node is a no-op, as in XenStore.
 func (s *Store) Mkdir(dom DomID, tx *Tx, path string) error {
-	return s.mutate(dom, tx, path, txOp{kind: opMkdir})
+	return s.mutate(dom, tx, path, txOp{kind: opMkdir}, nil)
 }
 
 // Rm removes path and its whole subtree. Removing a missing node returns
 // ErrNotFound; removing the root is forbidden.
 func (s *Store) Rm(dom DomID, tx *Tx, path string) error {
-	return s.mutate(dom, tx, path, txOp{kind: opRm})
+	return s.mutate(dom, tx, path, txOp{kind: opRm}, nil)
 }
 
 // GetPerms returns the node's permission descriptor.
@@ -274,7 +336,7 @@ func (s *Store) GetPerms(dom DomID, tx *Tx, path string) (Perms, error) {
 // or Dom0 may do so.
 func (s *Store) SetPerms(dom DomID, tx *Tx, path string, perms Perms) error {
 	perms = perms.clone()
-	return s.mutate(dom, tx, path, txOp{kind: opSetPerms, perms: &perms})
+	return s.mutate(dom, tx, path, txOp{kind: opSetPerms, perms: &perms}, nil)
 }
 
 // ---- mutation plumbing ----
@@ -297,11 +359,12 @@ type mutCtx struct {
 }
 
 // mutate parses path and applies op, on dom's behalf, to either the
-// transaction snapshot or the live tree. An immediate mutation that
+// transaction snapshot or the live tree, creating nodes from slab (nil
+// but for WriteRecords). An immediate mutation that
 // changed the tree takes a sequence number and fires watches, even one
 // that then failed: a Write whose leaf trips the quota has already
 // created the missing parents.
-func (s *Store) mutate(dom DomID, tx *Tx, path string, op txOp) (err error) {
+func (s *Store) mutate(dom DomID, tx *Tx, path string, op txOp, slab *[]node) (err error) {
 	s.stats.Ops++
 	if op.path, err = parsePath(path); err != nil {
 		return err
@@ -320,10 +383,10 @@ func (s *Store) mutate(dom DomID, tx *Tx, path string, op txOp) (err error) {
 			tx.foreign = true
 		}
 		m := mutCtx{s: s, root: &tx.root, edit: tx.edit, tx: tx, gen: tx.startSeq + 1}
-		return m.apply(dom, &op)
+		return m.apply(dom, &op, slab)
 	}
 	m := mutCtx{s: s, root: &s.root, edit: s.edit, gen: s.seq + 1, events: s.lendEvents()}
-	err = m.apply(dom, &op)
+	err = m.apply(dom, &op, slab)
 	if err == nil || len(m.events) > 0 {
 		s.seq++
 		s.commits++
@@ -333,14 +396,14 @@ func (s *Store) mutate(dom DomID, tx *Tx, path string, op txOp) (err error) {
 	return err
 }
 
-func (m *mutCtx) apply(dom DomID, op *txOp) error {
+func (m *mutCtx) apply(dom DomID, op *txOp, slab *[]node) error {
 	switch op.kind {
 	case opRm:
 		return m.rm(dom, op.path)
 	case opSetPerms:
 		return m.setPerms(dom, op.path, op.perms)
 	default:
-		return m.write(dom, op.path, op.value, op.kind == opMkdir, op.n)
+		return m.write(dom, op.path, op.value, op.kind == opMkdir, op.n, slab)
 	}
 }
 
@@ -378,8 +441,11 @@ func (m *mutCtx) own(p xpath) *node {
 // as it descends. mkdir distinguishes Mkdir (no-op when the node
 // exists) from Write (value update). A replayed creation passes the
 // node its transaction made for p as adopt, and p's own node, if it has
-// to be created, is that object, reset; parents are always new.
-func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool, adopt *node) error {
+// to be created, is that object, reset. Every other node it creates is
+// the next of WriteRecords' slab, once that is spent a new one. The slab
+// travels with the set's writes alone: a watch callback writing during
+// the set's delivery makes its own nodes.
+func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool, adopt *node, slab *[]node) error {
 	n := m.ownRoot()
 	for name, pos := "", 1; pos < len(p.s); {
 		name, pos = nextPart(p.s, pos)
@@ -400,7 +466,12 @@ func (m *mutCtx) write(dom DomID, p xpath, value string, mkdir bool, adopt *node
 			if err := m.chargeQuota(childPerms.Owner); err != nil {
 				return err
 			}
-			if ch = adopt; !last || ch == nil {
+			switch {
+			case adopt != nil && last:
+				ch = adopt
+			case slab != nil && len(*slab) > 0:
+				ch, *slab = &(*slab)[0], (*slab)[1:]
+			default:
 				ch = new(node)
 			}
 			*ch = node{name: name, perms: childPerms, valueGen: m.gen, childGen: m.gen, edit: m.edit}
@@ -551,7 +622,7 @@ func (s *Store) WatchPath(dom DomID, path, token string, fn WatchFn) (*Watch, er
 		}
 		path = p.s
 	}
-	w := &Watch{dom: dom, path: path, token: token, fn: fn}
+	w := &Watch{path: path, token: token, fn: fn}
 	s.watches = append(s.watches, w)
 	s.stats.Watches++
 	fn(path, token)

@@ -171,7 +171,7 @@ func (t *Tx) Commit() error {
 	} else {
 		m := mutCtx{s: s, root: &s.root, edit: s.edit, gen: s.seq + 1, replay: true, events: events}
 		for i := range t.ops {
-			_ = m.apply(t.dom, &t.ops[i]) // ErrNotFound only: the target is gone, skip
+			_ = m.apply(t.dom, &t.ops[i], nil) // ErrNotFound only: the target is gone, skip
 		}
 		events = m.events
 	}
