@@ -262,7 +262,7 @@ func (d *daemon) runBoard() error {
 	client := b.AddClient("laptop", netstack.IPv4(10, 0, 0, 9))
 
 	fmt.Fprintf(d.out, "jitsud: %s, synjitsu=%v, %d services, idle timeout %v\n\n",
-		b.Hyp, b.Cfg.Synjitsu, d.services, d.idle)
+		b.Hyp, !d.noSyn, d.services, d.idle)
 
 	cold, warm, diskRestores := 0, 0, 0
 	loop := d.newLoop(b.Eng, b.Cfg.Zone, "", stopStats)

@@ -36,7 +36,7 @@ func main() {
 		})
 	}
 	fmt.Printf("%d personal sites registered on one %s — all stopped, %d MiB free\n\n",
-		len(family), board.Cfg.Platform.Name, board.Hyp.FreeMemMiB())
+		len(family), board.Hyp.Platform.Name, board.Hyp.FreeMemMiB())
 
 	client := board.AddClient("visitor", netstack.IPv4(10, 0, 0, 9))
 	lat := &metrics.Series{Name: "visit latency"}

@@ -58,11 +58,11 @@ type Config struct {
 	// MSS is the chunk/segment size in bytes the window is scaled
 	// against (default 256 KiB — the movers' chunk size).
 	MSS int
-	// InitWindow is the initial congestion window in bytes (default
+	// initWindow is the initial congestion window in bytes (default
 	// 4×MSS, RFC 6928 style).
-	InitWindow int
-	// MinWindow floors the window after timeouts (default 1×MSS).
-	MinWindow int
+	initWindow int
+	// minWindow floors the window after timeouts (default 1×MSS).
+	minWindow int
 	// RTOMin/RTOMax clamp the retransmission timeout (defaults
 	// 20ms / 10s).
 	RTOMin sim.Duration
@@ -77,11 +77,11 @@ func (c Config) withDefaults() Config {
 	if c.MSS <= 0 {
 		c.MSS = 256 * 1024
 	}
-	if c.InitWindow <= 0 {
-		c.InitWindow = 4 * c.MSS
+	if c.initWindow <= 0 {
+		c.initWindow = 4 * c.MSS
 	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = c.MSS
+	if c.minWindow <= 0 {
+		c.minWindow = c.MSS
 	}
 	if c.RTOMin <= 0 {
 		c.RTOMin = 20 * time.Millisecond
@@ -141,7 +141,7 @@ type Controller struct {
 func New(eng *sim.Engine, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{eng: eng, cfg: cfg, rtoScale: 1}
-	c.cwnd = float64(cfg.InitWindow)
+	c.cwnd = float64(cfg.initWindow)
 	c.ssthresh = math.Inf(1)
 	return c
 }
@@ -257,7 +257,7 @@ func (c *Controller) OnLoss(bytes int) {
 	c.pump()
 }
 
-// OnTimeout signals an RTO expiry: the window collapses to MinWindow,
+// OnTimeout signals an RTO expiry: the window collapses to minWindow,
 // ssthresh remembers the Beta-scaled window, and the RTO doubles until
 // the next valid sample.
 func (c *Controller) OnTimeout(bytes int) {
@@ -265,7 +265,7 @@ func (c *Controller) OnTimeout(bytes int) {
 	c.release(bytes)
 	c.wMax = c.cwnd
 	c.ssthresh = math.Max(c.cwnd*beta, float64(2*c.cfg.MSS))
-	c.cwnd = float64(c.cfg.MinWindow)
+	c.cwnd = float64(c.cfg.minWindow)
 	c.hasEpoch = false
 	c.lastDecr = c.eng.Now()
 	c.hasDecr = true
@@ -298,7 +298,7 @@ func (c *Controller) sample(rtt sim.Duration) {
 // decrease is one multiplicative congestion response (loss or delay).
 func (c *Controller) decrease(now sim.Duration) {
 	c.wMax = c.cwnd
-	c.cwnd = math.Max(c.cwnd*beta, float64(c.cfg.MinWindow))
+	c.cwnd = math.Max(c.cwnd*beta, float64(c.cfg.minWindow))
 	c.ssthresh = c.cwnd
 	c.hasEpoch = false
 	c.lastDecr = now

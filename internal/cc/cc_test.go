@@ -10,7 +10,7 @@ import (
 
 func newTest() (*sim.Engine, *Controller) {
 	eng := sim.New(1)
-	return eng, New(eng, Config{MSS: 1000, InitWindow: 4000})
+	return eng, New(eng, Config{MSS: 1000, initWindow: 4000})
 }
 
 // Acquire within the initial window grants immediately; past it, the
@@ -72,7 +72,7 @@ func TestAcquireAckAllocatesNothing(t *testing.T) {
 }
 
 // Slow start doubles per window; loss takes a Beta decrease; timeout
-// collapses to MinWindow.
+// collapses to minWindow.
 func TestWindowDynamics(t *testing.T) {
 	eng, c := newTest()
 	start := c.Cwnd()
@@ -156,7 +156,7 @@ func TestDelayBackoff(t *testing.T) {
 // and eventually passes the pre-decrease Wmax.
 func TestCubicRegrowth(t *testing.T) {
 	eng := sim.New(1)
-	c := New(eng, Config{MSS: 1000, InitWindow: 4000})
+	c := New(eng, Config{MSS: 1000, initWindow: 4000})
 	for i := 0; i < 16; i++ {
 		c.Acquire(1000, func() {})
 		c.OnAck(1000, 10*time.Millisecond)

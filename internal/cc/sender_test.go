@@ -49,8 +49,8 @@ const ballast = 1
 func run(t *testing.T, paced bool, stateMiB, retries int, l link, poke func(h *harness)) *harness {
 	h := &harness{t: t, eng: sim.New(1), link: l, sends: map[int]int{}, abortAcked: -1}
 	if paced {
-		h.ctrl = New(h.eng, Config{MSS: testChunkMiB * mib, InitWindow: 4*testChunkMiB*mib + ballast,
-			MinWindow: testChunkMiB*mib + ballast, RTOMin: testRTO, InitRTO: testRTO, RTOMax: 64 * testRTO})
+		h.ctrl = New(h.eng, Config{MSS: testChunkMiB * mib, initWindow: 4*testChunkMiB*mib + ballast,
+			minWindow: testChunkMiB*mib + ballast, RTOMin: testRTO, InitRTO: testRTO, RTOMax: 64 * testRTO})
 		h.ctrl.Acquire(ballast, func() {})
 	}
 	h.s = Send(h.eng, h.ctrl, Transfer{

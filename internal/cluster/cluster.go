@@ -44,85 +44,97 @@ const (
 	bootEstimate = 350 * time.Millisecond
 )
 
-// Config sizes the cluster and tunes its control loops.
+// Config sizes the cluster and tunes its control loops. Options are its
+// only writers.
 type Config struct {
-	// Boards is the number of core.Boards fronted by the directory at
+	// Board is every member board's configuration: boardOpts applied to
+	// core.DefaultConfig (see board).
+	Board     core.BoardConfig
+	boardOpts []core.Option
+	// boards is the number of core.Boards fronted by the directory at
 	// construction; more may join (AddBoard) and boards may leave later.
-	Boards int
-	// Board configures each member board (DelayDNSUntilReady is forced
-	// off: the cluster answers synchronously like stock Jitsu).
-	Board core.BoardConfig
-	// DefaultPolicy places services that don't pick their own
+	boards int
+	// defaultPolicy places services that don't pick their own
 	// (nil = LeastLoaded).
-	DefaultPolicy Policy
-	// WarmFactor scales rate×boot-time into a warm-pool target.
-	WarmFactor float64
-	// MaxWarmPerService caps any one service's pool (0 = one per board).
-	MaxWarmPerService int
-	// MinRate is the arrivals/sec below which a pool drains to MinWarm.
-	MinRate float64
+	defaultPolicy Policy
+	// warmFactor scales rate×boot-time into a warm-pool target.
+	warmFactor float64
+	// maxWarmPerService caps any one service's pool (0 = one per board).
+	maxWarmPerService int
+	// minRate is the arrivals/sec below which a pool drains to MinWarm.
+	minRate float64
 
-	// ProbeEvery is the gossip failure-detector period. 0 (the default)
+	// probeEvery is the gossip failure-detector period. 0 (the default)
 	// keeps the detector passive — joins and graceful leaves still
 	// disseminate, but no periodic probing keeps the event queue alive,
 	// so Engine.Run drains as before. Churn runs turn it on and drive
 	// the engine with RunUntil.
-	ProbeEvery sim.Duration
-	// ProbeTimeout is how long a probe waits for its ack before the
+	probeEvery sim.Duration
+	// probeTimeout is how long a probe waits for its ack before the
 	// target turns suspect.
-	ProbeTimeout sim.Duration
-	// SuspectTimeout is how long a suspicion may stand unrefuted before
+	probeTimeout sim.Duration
+	// suspectTimeout is how long a suspicion may stand unrefuted before
 	// the member is confirmed dead.
-	SuspectTimeout sim.Duration
-	// IndirectProbes is the SWIM ping-req fan-out: when a direct probe
+	suspectTimeout sim.Duration
+	// indirectProbes is the SWIM ping-req fan-out: when a direct probe
 	// times out, this many other members are asked to probe the target
 	// before it turns suspect. 0 disables indirection — a single lossy
 	// link then produces false suspicions (and, unrefuted, false
 	// confirms).
-	IndirectProbes int
-	// MigrateOnLeave moves warm replicas off a gracefully leaving board
+	indirectProbes int
+	// migrateOnLeave moves warm replicas off a gracefully leaving board
 	// (checkpoint + restore) instead of stopping them (the
 	// preempt-and-reboot baseline the Churn experiment compares against).
-	MigrateOnLeave bool
-	// MigrateChunkMiB sizes the pre-copy chunks; each chunk is one
+	migrateOnLeave bool
+	// migrateChunkMiB sizes the pre-copy chunks; each chunk is one
 	// acknowledged datagram exchange on the management network
 	// (default 8 MiB).
-	MigrateChunkMiB int
-	// MgmtBitsPerSec is the management network's link rate, shared by
+	migrateChunkMiB int
+	// mgmtBitsPerSec is the management network's link rate, shared by
 	// gossip and checkpoint copies (default 1 Gb/s).
-	MgmtBitsPerSec float64
-	// UnpacedTransfers disables the per-uplink congestion controller:
+	mgmtBitsPerSec float64
+	// unpacedTransfers disables the per-uplink congestion controller:
 	// checkpoint copies — between boards, and from a federation member's
 	// agent to another cluster — blast every chunk immediately with the
 	// fixed doubling retransmit floor, the pre-controller behaviour kept
 	// as the Stampede experiment's ablation arm.
-	UnpacedTransfers bool
+	unpacedTransfers bool
 
-	// Tracer, when set, is shared by every board and control loop of the
+	// tracer, when set, is shared by every board and control loop of the
 	// cluster: gossip, migration and scheduling events land in it next
 	// to each board's activation spans. Nil disables tracing.
-	Tracer *obs.Tracer
-	// TraceTIDBase offsets the tracer lanes: board i renders on lane
-	// TraceTIDBase+i. A federation gives each member cluster its own
+	tracer *obs.Tracer
+	// traceTIDBase offsets the tracer lanes: board i renders on lane
+	// traceTIDBase+i. A federation gives each member cluster its own
 	// hundred-lane block.
-	TraceTIDBase int
+	traceTIDBase int
 }
 
-// DefaultConfig is a 4-board Cubieboard2 cluster with least-loaded
+// defaultConfig is a 4-board Cubieboard2 cluster with least-loaded
 // placement, EWMA-sized warm pools, and live migration on graceful
-// leave. The failure detector is passive until ProbeEvery is set.
-func DefaultConfig() Config {
+// leave. The failure detector is passive until probeEvery is set.
+func defaultConfig() Config {
 	return Config{
-		Boards:          4,
+		boards:          4,
 		Board:           core.DefaultConfig(),
-		WarmFactor:      1.0,
-		MinRate:         0.02,
-		ProbeTimeout:    200 * time.Millisecond,
-		SuspectTimeout:  2 * time.Second,
-		IndirectProbes:  2,
-		MigrateOnLeave:  true,
-		MgmtBitsPerSec:  1e9,
-		MigrateChunkMiB: 8,
+		warmFactor:      1.0,
+		minRate:         0.02,
+		probeTimeout:    200 * time.Millisecond,
+		suspectTimeout:  2 * time.Second,
+		indirectProbes:  2,
+		migrateOnLeave:  true,
+		mgmtBitsPerSec:  1e9,
+		migrateChunkMiB: 8,
+	}
+}
+
+// board adds options to the member boards' list and applies them to
+// Board. The list is extended into a fresh array: a Config copied
+// before this call (a federation's per-member copy) keeps its own.
+func (cfg *Config) board(opts ...core.Option) {
+	cfg.boardOpts = append(slices.Clip(cfg.boardOpts), opts...)
+	for _, o := range opts {
+		o(&cfg.Board)
 	}
 }
 
@@ -214,23 +226,10 @@ type Cluster struct {
 }
 
 // tracer returns the cluster's shared flight recorder (nil when off).
-func (c *Cluster) tracer() *obs.Tracer { return c.Cfg.Tracer }
+func (c *Cluster) tracer() *obs.Tracer { return c.Cfg.tracer }
 
 // tidFor is the tracer lane for one board's events.
-func (c *Cluster) tidFor(board int) int { return c.Cfg.TraceTIDBase + board }
-
-// orDefault replaces a non-positive setting with the default's, so each
-// default literal is written once, in DefaultConfig / DefaultFedConfig.
-func orDefault[T ~int | ~int64 | ~float64](v *T, def T) {
-	if *v <= 0 {
-		*v = def
-	}
-}
-
-// build wires the cluster on its own engine.
-func build(cfg Config) *Cluster {
-	return buildOn(sim.New(cfg.Board.Seed), cfg)
-}
+func (c *Cluster) tidFor(board int) int { return c.Cfg.traceTIDBase + board }
 
 // buildOn wires the cluster: n boards on the given engine, the gossip
 // membership substrate, the directory, and the DNS trigger on board 0
@@ -238,30 +237,24 @@ func build(cfg Config) *Cluster {
 // passes one shared engine so its member clusters advance through one
 // coherent virtual time.
 func buildOn(eng *sim.Engine, cfg Config) *Cluster {
-	if cfg.Boards <= 0 {
-		cfg.Boards = 1
+	if cfg.boards <= 0 {
+		cfg.boards = 1
 	}
-	if cfg.DefaultPolicy == nil {
-		cfg.DefaultPolicy = LeastLoaded{}
+	if cfg.defaultPolicy == nil {
+		cfg.defaultPolicy = LeastLoaded{}
 	}
-	def := DefaultConfig()
-	if cfg.MaxWarmPerService <= 0 {
-		cfg.MaxWarmPerService = cfg.Boards
+	if cfg.maxWarmPerService <= 0 {
+		cfg.maxWarmPerService = cfg.boards
 	}
-	if cfg.IndirectProbes < 0 {
-		cfg.IndirectProbes = 0
+	if cfg.indirectProbes < 0 {
+		cfg.indirectProbes = 0
 	}
-	orDefault(&cfg.WarmFactor, def.WarmFactor)
-	orDefault(&cfg.ProbeTimeout, def.ProbeTimeout)
-	orDefault(&cfg.SuspectTimeout, def.SuspectTimeout)
-	orDefault(&cfg.MigrateChunkMiB, def.MigrateChunkMiB)
-	orDefault(&cfg.MgmtBitsPerSec, def.MgmtBitsPerSec)
-	cfg.Board.DelayDNSUntilReady = false
+	cfg.board(core.WithDelayedDNS(false)) // answer synchronously, like stock Jitsu
 
 	c := &Cluster{Cfg: cfg, dir: newDirectory(), movedTo: make(map[string]int)}
 	c.eng = eng
 	c.mgmt = netsim.NewBridge(c.eng, "mgmt", 10*time.Microsecond)
-	for i := 0; i < cfg.Boards; i++ {
+	for i := 0; i < cfg.boards; i++ {
 		c.newMember()
 	}
 	// Construction-time members know each other without a join round.
@@ -310,8 +303,8 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 // set to Alive directly, AddBoard waits for the join to reach board 0.
 func (c *Cluster) newMember() *Member {
 	id := len(c.Boards)
-	b := core.NewOnEngine(c.eng, core.WithConfig(c.Cfg.Board),
-		core.WithTracer(c.Cfg.Tracer, c.tidFor(id)))
+	b := core.NewOnEngine(c.eng, append(slices.Clip(c.Cfg.boardOpts),
+		core.WithTracer(c.Cfg.tracer, c.tidFor(id)))...)
 	model := power.Cubieboard2()
 	m := &Member{ID: id, Board: b, Model: model, State: MemberJoining, baseDomains: b.Hyp.Domains()}
 	c.Boards = append(c.Boards, b)
@@ -343,19 +336,19 @@ func (c *Cluster) AddBoard() *Member {
 // front returns the board hosting the cluster's DNS and directory.
 func (c *Cluster) front() *core.Board { return c.Boards[0] }
 
-// ServiceOpts selects per-service placement behaviour at registration.
-type ServiceOpts struct {
-	// Policy overrides the cluster default for this service.
-	Policy Policy
-	// MinWarm keeps at least this many replicas booted at all times.
-	MinWarm int
+// serviceOpts selects per-service placement behaviour at registration.
+type serviceOpts struct {
+	// policy overrides the cluster default for this service.
+	policy Policy
+	// minWarm keeps at least this many replicas booted at all times.
+	minWarm int
 }
 
 // register wires one service into the directory. Each replica gets
 // a board-specific IP (third octet = 100+board) so the client can tell
 // which board a DNS answer points at. The per-board idle reaper is
 // disabled — replica lifecycle belongs to the warm-pool manager.
-func (c *Cluster) register(sc core.ServiceConfig, opts ServiceOpts) *Entry {
+func (c *Cluster) register(sc core.ServiceConfig, opts serviceOpts) *Entry {
 	name := dns.CanonicalName(sc.Name)
 	sc.Name = name
 	sc.IdleTimeout = 0
@@ -365,11 +358,11 @@ func (c *Cluster) register(sc core.ServiceConfig, opts ServiceOpts) *Entry {
 	e := &Entry{
 		Name:    name,
 		Base:    sc,
-		Policy:  opts.Policy,
-		MinWarm: opts.MinWarm,
+		Policy:  opts.policy,
+		MinWarm: opts.minWarm,
 	}
 	if e.Policy == nil {
-		e.Policy = c.Cfg.DefaultPolicy
+		e.Policy = c.Cfg.defaultPolicy
 	}
 	for _, m := range c.members {
 		if m.State == MemberDead || m.State == MemberLeft {
@@ -439,7 +432,7 @@ func (c *Cluster) Directory() *Directory { return c.dir }
 // Eng returns the shared simulation engine.
 func (c *Cluster) Eng() *sim.Engine { return c.eng }
 
-// RunAll drains the shared engine. With active probing (ProbeEvery > 0)
+// RunAll drains the shared engine. With active probing (probeEvery > 0)
 // the queue never drains — use RunUntil and StopMembership instead.
 func (c *Cluster) RunAll() { c.eng.Run() }
 
@@ -482,7 +475,7 @@ func (c *Cluster) observe(e *Entry) {
 		// estimate at the reclaim threshold so the fresh boot stays in
 		// the pool until the gap-decay proves the service really is
 		// one-shot, instead of reclaiming it before a second visit.
-		e.rate = c.Cfg.MinRate
+		e.rate = c.Cfg.minRate
 	} else if now > e.lastArrival {
 		inst := 1 / (now - e.lastArrival).Seconds()
 		e.rate = rateAlpha*inst + (1-rateAlpha)*e.rate

@@ -24,9 +24,7 @@ func testService(name string, lastOctet byte) core.ServiceConfig {
 }
 
 func testCluster(boards int) *Cluster {
-	cfg := DefaultConfig()
-	cfg.Boards = boards
-	return build(cfg)
+	return NewCluster(WithBoards(boards))
 }
 
 // ---- placement policies ----
@@ -140,10 +138,7 @@ func TestClusterPlacesInsteadOfClientWalking(t *testing.T) {
 }
 
 func TestClusterServFailWhenAllBoardsFull(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Boards = 3
-	cfg.Board.TotalMemMiB = 8
-	c := build(cfg)
+	c := NewCluster(WithBoards(3), WithBoardOptions(core.WithMemory(8)))
 	c.RegisterService(testService("alice", 20))
 	cl := c.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
 

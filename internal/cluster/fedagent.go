@@ -46,8 +46,8 @@ func newFedAgent(f *Federation, m *FedMember) *fedAgent {
 	a := &fedAgent{f: f, m: m}
 	a.nic = netsim.NewNIC(f.eng, fmt.Sprintf("fed%d", m.ID), netsim.MACFor(0xB000+m.ID))
 	f.fedNet.ConnectNIC(a.nic, fedLinkLatency, fedBitsPerSec)
-	if f.Cfg.WAN != nil {
-		f.Cfg.WAN.Apply(a.nic.Link(), int64(0xFED0+m.ID))
+	if f.Cfg.wan != nil {
+		f.Cfg.wan.Apply(a.nic.Link(), int64(0xFED0+m.ID))
 	}
 	a.copier = newCopier(netstack.NewHost(f.eng, fmt.Sprintf("fed%d", m.ID), a.nic, agentMgmtIP(m.ID), netstack.Dom0Profile()), fedPort, fedOpXferChunk)
 	m.Cluster.onDirChange = a.dirChanged
@@ -55,10 +55,10 @@ func newFedAgent(f *Federation, m *FedMember) *fedAgent {
 }
 
 func (a *fedAgent) startPushing() {
-	if a.f.Cfg.SummaryEvery <= 0 || a.stopped {
+	if a.f.Cfg.summaryEvery <= 0 || a.stopped {
 		return
 	}
-	a.pushEv = a.f.eng.AfterHandler(a.f.Cfg.SummaryEvery, a)
+	a.pushEv = a.f.eng.AfterHandler(a.f.Cfg.summaryEvery, a)
 }
 
 // Fire is the periodic push.
@@ -179,7 +179,7 @@ func (a *fedAgent) spill(qid uint32, target int, name string) {
 // lane is the trace lane federation-level events about this member
 // cluster land on: its board-0 lane (boards occupy (ID+1)*100 + i).
 func (a *fedAgent) lane() int {
-	return a.m.Cluster.Cfg.TraceTIDBase
+	return a.m.Cluster.Cfg.traceTIDBase
 }
 
 func (a *fedAgent) spillNow(name string, target int) bool {
@@ -196,7 +196,7 @@ func (a *fedAgent) spillNow(name string, target int) bool {
 		return false
 	}
 	a.f.Spills++
-	if tr := a.f.Cfg.Tracer; tr != nil {
+	if tr := a.f.Cfg.tracer; tr != nil {
 		tr.Instant(a.lane(), "fed", "spill",
 			obs.Str("svc", name), obs.Num("src", int64(a.m.ID)), obs.Num("dst", int64(dst.ID)))
 	}
@@ -251,7 +251,7 @@ func (a *fedAgent) transferOut(e *Entry, p *Placement, dst *FedMember) {
 	cp := cpResp.Checkpoint
 	p.migrating = true
 	var transfer obs.Span
-	if tr := a.f.Cfg.Tracer; tr != nil {
+	if tr := a.f.Cfg.tracer; tr != nil {
 		transfer = tr.Begin(a.lane(), "fed", "transfer",
 			obs.Str("svc", e.Name), obs.Num("state_mib", int64(cp.StateMiB)),
 			obs.Num("dst", int64(dst.ID)))
@@ -259,7 +259,7 @@ func (a *fedAgent) transferOut(e *Entry, p *Placement, dst *FedMember) {
 	abort := func() {
 		p.migrating = false
 		a.f.CrossAborts++
-		a.f.Cfg.Tracer.End(transfer, obs.Str("status", "aborted"))
+		a.f.Cfg.tracer.End(transfer, obs.Str("status", "aborted"))
 	}
 	a.fedCopy(dst.ID, cp.StateMiB, func(ok bool) {
 		// The chunk exchange died (federation path partitioned, or the
@@ -284,7 +284,7 @@ func (a *fedAgent) transferOut(e *Entry, p *Placement, dst *FedMember) {
 				return
 			}
 			a.f.CrossMigrations++
-			a.f.Cfg.Tracer.End(transfer, obs.Str("status", "ready"))
+			a.f.Cfg.tracer.End(transfer, obs.Str("status", "ready"))
 			a.retire(e, p, dst.ID)
 		}
 		if resp := dst.Cluster.API().Transfer(req); resp.Err != nil {
@@ -303,7 +303,7 @@ func (a *fedAgent) retire(e *Entry, p *Placement, newHome int) {
 	c.markMoved(e, newHome)
 	p.migrating = false
 	p.draining = true
-	if tr := a.f.Cfg.Tracer; tr != nil {
+	if tr := a.f.Cfg.tracer; tr != nil {
 		tr.Instant(a.lane(), "fed", "switchover",
 			obs.Str("svc", e.Name), obs.Num("dst", int64(newHome)))
 	}

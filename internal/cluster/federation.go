@@ -39,49 +39,50 @@ import (
 // root's load decisions (spill target, summary rows, skew shedding).
 
 // FedConfig sizes the federation and tunes the root's control loops.
+// FedOptions are its only writers.
 type FedConfig struct {
-	// Clusters is the number of member clusters built at construction.
-	Clusters int
-	// Cluster configures every member (Boards boards each).
+	// clusters is the number of member clusters built at construction.
+	clusters int
+	// Cluster configures every member (its boards boards each).
 	Cluster Config
-	// SummaryEvery is the period of each member's summary push to the
+	// summaryEvery is the period of each member's summary push to the
 	// root. 0 (the default) pushes only on directory changes, which
 	// keeps the event queue drainable but disables the skew detector.
-	SummaryEvery sim.Duration
-	// SkewMinRate is the cluster-wide arrival rate (arrivals/sec) below
+	summaryEvery sim.Duration
+	// skewMinRate is the cluster-wide arrival rate (arrivals/sec) below
 	// which the hottest cluster is never considered skewed; <= 0
 	// disables skew-triggered shedding entirely.
-	SkewMinRate float64
-	// SkewRatio: skew exists when the coldest cluster's rate is at or
+	skewMinRate float64
+	// skewRatio: skew exists when the coldest cluster's rate is at or
 	// below this fraction of the hottest cluster's.
-	SkewRatio float64
-	// SkewRounds is how many consecutive summary rounds the same
+	skewRatio float64
+	// skewRounds is how many consecutive summary rounds the same
 	// cluster must stay hottest before a shed fires (sustained skew,
 	// not a burst).
-	SkewRounds int
-	// ShedBatch is how many services one shed command moves.
-	ShedBatch int
-	// SpillOnRefuse re-homes a service to the least-loaded cluster when
+	skewRounds int
+	// shedBatch is how many services one shed command moves.
+	shedBatch int
+	// spillOnRefuse re-homes a service to the least-loaded cluster when
 	// its own cluster's admission refuses a delegated query.
-	SpillOnRefuse bool
-	// DelegateTimeout is the root's per-try wait for a delegated
-	// resolve (or spill) reply before retransmitting; <= 0 takes the
-	// default. The timeout doubles per retry.
-	DelegateTimeout sim.Duration
-	// DelegateRetries is how many retransmits the root pays before a
+	spillOnRefuse bool
+	// delegateTimeout is the root's per-try wait for a delegated
+	// resolve (or spill) reply before retransmitting. The timeout
+	// doubles per retry.
+	delegateTimeout sim.Duration
+	// delegateRetries is how many retransmits the root pays before a
 	// delegation is written off as SERVFAIL. 0 disables retransmission
 	// (one try, then SERVFAIL) — the ablation baseline.
-	DelegateRetries int
-	// WAN, when set, shapes every member agent's federation management
+	delegateRetries int
+	// wan, when set, shapes every member agent's federation management
 	// link to the profile (RTT, loss, throughput) instead of the flat
 	// fedLinkLatency/fedBitsPerSec LAN path; cross-cluster copies then
 	// pace against its rate in 1 MiB chunks (xferLink).
-	WAN *netsim.WANProfile
-	// Tracer, when set, is shared by the root and every member cluster:
+	wan *netsim.WANProfile
+	// tracer, when set, is shared by the root and every member cluster:
 	// the root's delegation/spill/shed events render on lane 0 and
 	// member cluster k's boards on lanes (k+1)*100 and up. Nil disables
 	// tracing.
-	Tracer *obs.Tracer
+	tracer *obs.Tracer
 }
 
 // The federation management network's fixed constants.
@@ -92,20 +93,20 @@ const (
 	fedBitsPerSec  = 1e9
 )
 
-// DefaultFedConfig is four default clusters behind a passive root
-// (summaries push on change; enable SummaryEvery for the skew
-// detector), with spill-on-refuse on.
-func DefaultFedConfig() FedConfig {
+// defaultFedConfig is four default clusters behind a passive root
+// (summaries push on change; WithSummaryEvery arms the skew detector),
+// with spill-on-refuse on.
+func defaultFedConfig() FedConfig {
 	return FedConfig{
-		Clusters:        4,
-		Cluster:         DefaultConfig(),
-		SkewMinRate:     2.0,
-		SkewRatio:       0.5,
-		SkewRounds:      3,
-		ShedBatch:       2,
-		SpillOnRefuse:   true,
-		DelegateTimeout: 5 * time.Millisecond,
-		DelegateRetries: 3,
+		clusters:        4,
+		Cluster:         defaultConfig(),
+		skewMinRate:     2.0,
+		skewRatio:       0.5,
+		skewRounds:      3,
+		shedBatch:       2,
+		spillOnRefuse:   true,
+		delegateTimeout: 5 * time.Millisecond,
+		delegateRetries: 3,
 	}
 }
 
@@ -114,7 +115,7 @@ type FedOption func(*FedConfig)
 
 // WithClusters sets the member-cluster count.
 func WithClusters(n int) FedOption {
-	return func(c *FedConfig) { c.Clusters = n }
+	return func(c *FedConfig) { c.clusters = n }
 }
 
 // WithMemberOptions applies cluster options to every member cluster.
@@ -129,7 +130,7 @@ func WithMemberOptions(opts ...Option) FedOption {
 // WithSummaryEvery arms the periodic summary push (and with it the
 // skew detector).
 func WithSummaryEvery(d sim.Duration) FedOption {
-	return func(c *FedConfig) { c.SummaryEvery = d }
+	return func(c *FedConfig) { c.summaryEvery = d }
 }
 
 // WithSkewPolicy tunes the skew detector: minimum hot-cluster rate,
@@ -137,25 +138,27 @@ func WithSummaryEvery(d sim.Duration) FedOption {
 // minRate <= 0 disables shedding.
 func WithSkewPolicy(minRate, ratio float64, rounds, batch int) FedOption {
 	return func(c *FedConfig) {
-		c.SkewMinRate = minRate
-		c.SkewRatio = ratio
-		c.SkewRounds = rounds
-		c.ShedBatch = batch
+		c.skewMinRate = minRate
+		c.skewRatio = ratio
+		c.skewRounds = rounds
+		c.shedBatch = batch
 	}
 }
 
 // WithSpillOnRefuse toggles the admission-refusal spill path.
 func WithSpillOnRefuse(on bool) FedOption {
-	return func(c *FedConfig) { c.SpillOnRefuse = on }
+	return func(c *FedConfig) { c.spillOnRefuse = on }
 }
 
 // WithDelegateRetry tunes the root's delegation retransmit: per-try
-// timeout (doubling per retry) and retry budget. retries = 0 is the
-// no-retransmit ablation.
+// timeout (doubling per retry; <= 0 keeps the one set before, 5 ms by
+// default) and retry budget. retries = 0 is the no-retransmit ablation.
 func WithDelegateRetry(timeout sim.Duration, retries int) FedOption {
 	return func(c *FedConfig) {
-		c.DelegateTimeout = timeout
-		c.DelegateRetries = retries
+		if timeout > 0 {
+			c.delegateTimeout = timeout
+		}
+		c.delegateRetries = retries
 	}
 }
 
@@ -170,8 +173,8 @@ func WithDelegateRetry(timeout sim.Duration, retries int) FedOption {
 func WithWAN(p netsim.WANProfile) FedOption {
 	return func(c *FedConfig) {
 		prof := p
-		c.WAN = &prof
-		c.DelegateTimeout, c.DelegateRetries = max(100*time.Millisecond, 3*p.RTT), 3
+		c.wan = &prof
+		c.delegateTimeout, c.delegateRetries = max(100*time.Millisecond, 3*p.RTT), 3
 	}
 }
 
@@ -180,7 +183,7 @@ func WithWAN(p netsim.WANProfile) FedOption {
 // (k+1)*100 and up. (The name avoids colliding with the cluster-level
 // WithTracer option in this package.)
 func WithFedTracer(tr *obs.Tracer) FedOption {
-	return func(c *FedConfig) { c.Tracer = tr }
+	return func(c *FedConfig) { c.tracer = tr }
 }
 
 // Federation owns N member clusters behind one summarized root
@@ -276,20 +279,19 @@ func agentMgmtIP(id int) netstack.IP { return netstack.IPv4(10, 254, 0, byte(10+
 // engine, a root directory host on the client-facing front network, and
 // one federation agent per cluster on the management network.
 func NewFederation(opts ...FedOption) *Federation {
-	cfg := DefaultFedConfig()
+	cfg := defaultFedConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.Clusters <= 0 {
-		cfg.Clusters = 1
+	if cfg.clusters <= 0 {
+		cfg.clusters = 1
 	}
-	if cfg.ShedBatch <= 0 {
-		cfg.ShedBatch = 1
+	if cfg.shedBatch <= 0 {
+		cfg.shedBatch = 1
 	}
-	orDefault(&cfg.DelegateTimeout, DefaultFedConfig().DelegateTimeout)
 	f := &Federation{Cfg: cfg}
 	f.eng = sim.New(cfg.Cluster.Board.Seed)
-	cfg.Tracer.BindClock(f.eng.Now)
+	cfg.tracer.BindClock(f.eng.Now)
 	f.fedNet = netsim.NewBridge(f.eng, "fed-mgmt", 10*time.Microsecond)
 	f.front = netsim.NewBridge(f.eng, "fed-front", 10*time.Microsecond)
 	f.root = newFedRoot(f)
@@ -310,7 +312,7 @@ func NewFederation(opts ...FedOption) *Federation {
 	f.Reg.CounterFunc("root.servfails", func() uint64 { return f.root.ServFails })
 	f.Reg.CounterFunc("root.deleg_retx", func() uint64 { return f.root.DelegRetx })
 	f.Reg.CounterFunc("root.deleg_timeouts", func() uint64 { return f.root.DelegTimeouts })
-	for i := 0; i < cfg.Clusters; i++ {
+	for i := 0; i < cfg.clusters; i++ {
 		f.addMember()
 	}
 	return f
@@ -322,8 +324,8 @@ func NewFederation(opts ...FedOption) *Federation {
 func (f *Federation) addMember() *FedMember {
 	id := len(f.members)
 	ccfg := f.Cfg.Cluster
-	ccfg.Tracer = f.Cfg.Tracer
-	ccfg.TraceTIDBase = (id + 1) * 100
+	ccfg.tracer = f.Cfg.tracer
+	ccfg.traceTIDBase = (id + 1) * 100
 	m := &FedMember{ID: id, Cluster: buildOn(f.eng, ccfg)}
 	m.agent = newFedAgent(f, m)
 	f.members = append(f.members, m)
@@ -441,7 +443,7 @@ func (f *Federation) placeHome() *FedMember {
 // it is a spill/shed target like any construction-time member. The new
 // member reuses the federation's cluster config (tracer lanes continue
 // the (id+1)*100 block convention) and starts its periodic summary push
-// immediately when SummaryEvery is armed.
+// immediately when summaryEvery is armed.
 func (f *Federation) AddCluster() *FedMember {
 	m := f.addMember()
 	f.root.bumpEpoch()

@@ -457,9 +457,9 @@ func TestFederationPacedTransferChunks(t *testing.T) {
 			f := NewFederation(append([]FedOption{
 				WithClusters(2), WithMemberOptions(WithBoards(2), WithSeed(42)),
 			}, tc.opts...)...)
-			if f.Cfg.DelegateTimeout != tc.delegRTO || f.Cfg.DelegateRetries != 3 {
+			if f.Cfg.delegateTimeout != tc.delegRTO || f.Cfg.delegateRetries != 3 {
 				t.Fatalf("delegation retry = %v × %d, want %v × 3",
-					f.Cfg.DelegateTimeout, f.Cfg.DelegateRetries, tc.delegRTO)
+					f.Cfg.delegateTimeout, f.Cfg.delegateRetries, tc.delegRTO)
 			}
 			fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
 			_, e := f.RegisterService(testService("alice", 20))

@@ -106,7 +106,7 @@ func newFedRoot(f *Federation) *fedRoot {
 		neg:       make(map[string]struct{}),
 		pending:   make(map[uint32]*pendingResolve),
 		hotID:     -1,
-		retx:      sim.Backoff{Initial: f.Cfg.DelegateTimeout, Factor: 2, Retries: f.Cfg.DelegateRetries},
+		retx:      sim.Backoff{Initial: f.Cfg.delegateTimeout, Factor: 2, Retries: f.Cfg.delegateRetries},
 	}
 	mgmtNIC := netsim.NewNIC(f.eng, "fed-root", netsim.MACFor(0xB100))
 	f.fedNet.ConnectNIC(mgmtNIC, fedLinkLatency, fedBitsPerSec)
@@ -244,7 +244,7 @@ func (r *fedRoot) park(query *dns.Message, respond func(*dns.Message), name stri
 // covers the whole resolution including spills and Moved-chasing, not
 // just the first ask.
 func (r *fedRoot) track(p *pendingResolve) *pendingResolve {
-	tr := r.f.Cfg.Tracer
+	tr := r.f.Cfg.tracer
 	if tr == nil {
 		return p
 	}
@@ -318,7 +318,7 @@ func (p *pendingResolve) Fire() {
 	if !p.more {
 		delete(r.pending, p.qid)
 		r.DelegTimeouts++
-		if tr := r.f.Cfg.Tracer; tr != nil {
+		if tr := r.f.Cfg.tracer; tr != nil {
 			tr.Instant(0, "fed", "deleg-timeout",
 				obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)))
 		}
@@ -327,7 +327,7 @@ func (p *pendingResolve) Fire() {
 	}
 	p.tries++
 	r.DelegRetx++
-	if tr := r.f.Cfg.Tracer; tr != nil {
+	if tr := r.f.Cfg.tracer; tr != nil {
 		tr.Instant(0, "fed", "deleg-retx",
 			obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)), obs.Num("try", int64(p.tries)))
 	}
@@ -484,7 +484,7 @@ func (r *fedRoot) resolved(p *pendingResolve, status byte, ip netstack.IP, extra
 		// retransmit machinery as a resolve: it is idempotent at the
 		// agent (a duplicate finds the name already moved and reports
 		// failure, which the root refuses — safe, never wrong).
-		if r.f.Cfg.SpillOnRefuse && p.spillTo < 0 && p.hops < 3 {
+		if r.f.Cfg.spillOnRefuse && p.spillTo < 0 && p.hops < 3 {
 			if dst := r.f.spillTarget(cid); dst != nil {
 				p.spillTo = dst.ID
 				r.send(p, cid, fedOpSpill, []byte{byte(dst.ID >> 8), byte(dst.ID)})

@@ -45,11 +45,11 @@ func (r *fedRoot) applySummary(s Summary, periodic bool) {
 
 // checkSkew runs the sustained-skew detector after a periodic push from
 // cluster `from`: when the same cluster stays hottest — above
-// SkewMinRate, with the coldest cluster at or below SkewRatio of it —
-// for SkewRounds consecutive rounds, the root commands a shed from the
+// skewMinRate, with the coldest cluster at or below skewRatio of it —
+// for skewRounds consecutive rounds, the root commands a shed from the
 // hottest to the coldest cluster, with no operator in the loop.
 func (r *fedRoot) checkSkew(from int) {
-	if r.f.Cfg.SkewMinRate <= 0 {
+	if r.f.Cfg.skewMinRate <= 0 {
 		return
 	}
 	hot, cold := -1, -1
@@ -69,8 +69,8 @@ func (r *fedRoot) checkSkew(from int) {
 	if hot < 0 || cold < 0 || hot == cold {
 		return
 	}
-	skewed := float64(hotLoad)/1000 >= r.f.Cfg.SkewMinRate &&
-		float64(coldLoad) <= r.f.Cfg.SkewRatio*float64(hotLoad)
+	skewed := float64(hotLoad)/1000 >= r.f.Cfg.skewMinRate &&
+		float64(coldLoad) <= r.f.Cfg.skewRatio*float64(hotLoad)
 	if !skewed {
 		r.hotID, r.hotStreak = -1, 0
 		return
@@ -82,18 +82,18 @@ func (r *fedRoot) checkSkew(from int) {
 		return // one streak tick per round, counted on the hot row's push
 	}
 	r.hotStreak++
-	if r.hotStreak < r.f.Cfg.SkewRounds {
+	if r.hotStreak < r.f.Cfg.skewRounds {
 		return
 	}
 	r.hotStreak = 0
-	r.orderShed(hot, cold, r.f.Cfg.ShedBatch)
+	r.orderShed(hot, cold, r.f.Cfg.shedBatch)
 }
 
 // orderShed sends cluster hot's agent the command to move batch services
 // to cluster cold — the detector's and the operator's one datagram.
 func (r *fedRoot) orderShed(hot, cold, batch int) {
 	r.f.Sheds++
-	if tr := r.f.Cfg.Tracer; tr != nil {
+	if tr := r.f.Cfg.tracer; tr != nil {
 		tr.Instant(0, "fed", "shed",
 			obs.Num("hot", int64(hot)), obs.Num("cold", int64(cold)), obs.Num("batch", int64(batch)))
 	}

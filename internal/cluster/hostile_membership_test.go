@@ -9,14 +9,11 @@ import (
 
 // ---- membership under hostile management networks ----
 
-// probedConfig is the common failure-detector tuning for these tests.
-func probedConfig(boards int) Config {
-	cfg := DefaultConfig()
-	cfg.Boards = boards
-	cfg.ProbeEvery = 500 * time.Millisecond
-	cfg.ProbeTimeout = 200 * time.Millisecond
-	cfg.SuspectTimeout = 3 * time.Second
-	return cfg
+// probedCluster builds boards boards with the common failure-detector
+// tuning for these tests; opts apply on top.
+func probedCluster(boards int, opts ...Option) *Cluster {
+	return NewCluster(append([]Option{WithBoards(boards),
+		WithProbing(500*time.Millisecond, 200*time.Millisecond, 3*time.Second)}, opts...)...)
 }
 
 func TestAsymmetricFailureDeafBoardConfirmed(t *testing.T) {
@@ -25,7 +22,7 @@ func TestAsymmetricFailureDeafBoardConfirmed(t *testing.T) {
 	// direct or relayed — and it never hears the suspicion rumor, so it
 	// cannot refute. The detector must confirm it dead: a member that
 	// cannot receive is genuinely unusable, indirection or not.
-	c := build(probedConfig(3))
+	c := probedCluster(3)
 	m := c.members[1]
 
 	c.RunUntil(1 * time.Second)
@@ -46,7 +43,7 @@ func TestAsymmetricFailureMuteBoardConfirmed(t *testing.T) {
 	// transmissions are lost (NIC->bridge cut). Probes reach it, acks
 	// vanish; it hears the suspicion and refutes — but the refutation
 	// cannot leave the board. Suspect must stand and confirm.
-	c := build(probedConfig(3))
+	c := probedCluster(3)
 	m := c.members[1]
 
 	c.RunUntil(1 * time.Second)
@@ -76,9 +73,7 @@ func TestIndirectProbesAvertFalseConfirms(t *testing.T) {
 	// the hardened run must avert at least some of them via indirect
 	// acks. Both runs are fully seeded and deterministic.
 	run := func(indirect int) *Cluster {
-		cfg := probedConfig(4)
-		cfg.IndirectProbes = indirect
-		c := build(cfg)
+		c := probedCluster(4, WithIndirectProbes(indirect))
 		c.RunUntil(500 * time.Millisecond) // settle before the weather turns
 		c.MgmtLink(0).Impair(netsim.Impairment{Loss: 0.5}, 77)
 		c.RunUntil(60 * time.Second)
@@ -111,11 +106,9 @@ func TestIndirectProbesAvertFalseConfirms(t *testing.T) {
 // timeout longer than the probe period several are running at once, and
 // the one that fires must be the lost probe's, not the newest's.
 func TestProbeTimeoutsFireInOrder(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Boards = 2
-	cfg.ProbeEvery, cfg.ProbeTimeout, cfg.SuspectTimeout = 100*time.Millisecond, 250*time.Millisecond, 10*time.Second
-	cfg.IndirectProbes = 0
-	c := build(cfg)
+	c := NewCluster(WithBoards(2),
+		WithProbing(100*time.Millisecond, 250*time.Millisecond, 10*time.Second),
+		WithIndirectProbes(0))
 	// Once the view has settled, exactly board 0's probe at t = 1100 ms is
 	// lost; those at 1200 and 1300 ms are acknowledged while its timeout
 	// is still running.

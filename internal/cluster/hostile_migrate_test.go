@@ -15,11 +15,7 @@ import (
 // leaving board 1, copied in 4 MiB chunks: one chunk for its checkpoint.
 func hostileLeaveCluster(t *testing.T) *Cluster {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Boards = 3
-	cfg.MigrateOnLeave = true
-	cfg.MigrateChunkMiB = 4
-	c := build(cfg)
+	c := NewCluster(WithBoards(3), WithMigrateOnLeave(true), WithMgmtLink(0, 4))
 	c.RegisterService(testService("alice", 20), WithMinWarm(2))
 	c.RunAll()
 	e := c.Directory().Lookup("alice.family.name")
@@ -90,11 +86,7 @@ func TestMigrationLateAckAfterTimeoutSettlesWindowOnce(t *testing.T) {
 	// 18 MiB state makes the last chunk 2 MiB, so the double release
 	// clamps at zero instead of cancelling the leak arithmetically —
 	// the leak survives to the end where the test can see it.
-	cfg := DefaultConfig()
-	cfg.Boards = 3
-	cfg.MigrateOnLeave = true
-	cfg.MigrateChunkMiB = 4
-	c := build(cfg)
+	c := NewCluster(WithBoards(3), WithMigrateOnLeave(true), WithMgmtLink(0, 4))
 	svc := testService("alice", 20)
 	svc.StateMiB = 18
 	c.RegisterService(svc, WithMinWarm(2))
@@ -207,13 +199,8 @@ func TestMigrationParksCheckpointAfterAttemptBudget(t *testing.T) {
 	// must be parked on a surviving board (the board API is in-process —
 	// a wrecked management network cannot stop the hand-off) so the next
 	// activation resumes it instead of cold-booting.
-	cfg := DefaultConfig()
-	cfg.Boards = 3
-	cfg.Board = core.DefaultConfig()
-	cfg.Board.Disk = blockdev.DefaultConfig()
-	cfg.MigrateOnLeave = true
-	cfg.MigrateChunkMiB = 4
-	c := build(cfg)
+	c := NewCluster(WithBoards(3), WithBoardOptions(core.WithDisk(blockdev.DefaultConfig())),
+		WithMigrateOnLeave(true), WithMgmtLink(0, 4))
 	c.RegisterService(testService("alice", 20), WithMinWarm(2))
 	c.RunAll()
 	e := c.Directory().Lookup("alice.family.name")

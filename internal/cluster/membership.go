@@ -140,7 +140,7 @@ type agent struct {
 	probeEv sim.Event
 	stopped bool
 	// waits queues the probe sequence numbers whose timeout is running,
-	// oldest first — every one runs ProbeTimeout, so they fire in the
+	// oldest first — every one runs probeTimeout, so they fire in the
 	// order armed.
 	waits []uint32
 	// The agent's three scratch buffers, refilled in place by
@@ -176,7 +176,7 @@ func newAgent(c *Cluster, m *Member) *agent {
 		inc:     1,
 	}
 	a.nic = netsim.NewNIC(c.eng, fmt.Sprintf("mgmt%d", m.ID), netsim.MACFor(0xA000+m.ID))
-	c.mgmt.ConnectNIC(a.nic, 50*time.Microsecond, c.Cfg.MgmtBitsPerSec)
+	c.mgmt.ConnectNIC(a.nic, 50*time.Microsecond, c.Cfg.mgmtBitsPerSec)
 	a.copier = newCopier(netstack.NewHost(c.eng, fmt.Sprintf("mgmt%d", m.ID), a.nic, mgmtIP(m.ID), netstack.Dom0Profile()), xferPort, xferOpChunk)
 	if err := a.host.BindUDP(gossipPort, a.recv); err != nil {
 		panic(fmt.Sprintf("cluster: gossip bind: %v", err))
@@ -203,14 +203,14 @@ func (a *agent) join() {
 }
 
 // startProbing arms the periodic failure-detector tick. With
-// Cfg.ProbeEvery == 0 the detector is passive (join/leave still gossip,
+// Cfg.probeEvery == 0 the detector is passive (join/leave still gossip,
 // but nothing keeps the event queue alive), which is what lets
 // Engine.Run drain in the non-churn experiments.
 func (a *agent) startProbing() {
-	if a.c.Cfg.ProbeEvery <= 0 || a.stopped {
+	if a.c.Cfg.probeEvery <= 0 || a.stopped {
 		return
 	}
-	a.probeEv = a.c.eng.AfterHandler(a.c.Cfg.ProbeEvery, a)
+	a.probeEv = a.c.eng.AfterHandler(a.c.Cfg.probeEvery, a)
 }
 
 // stop ends the agent for good. Its probe timeouts return without
@@ -222,7 +222,7 @@ func (a *agent) stop() {
 }
 
 // Fire is the detector's tick: it probes one random live-or-suspect
-// peer; no ack within ProbeTimeout marks it suspect in this agent's view.
+// peer; no ack within probeTimeout marks it suspect in this agent's view.
 func (a *agent) Fire() {
 	if a.stopped {
 		return
@@ -248,7 +248,7 @@ func (a *agent) Fire() {
 	}
 	a.send(t, msgPing, seq, extra)
 	a.waits = append(a.waits, seq)
-	a.c.eng.AfterHandler(a.c.Cfg.ProbeTimeout, (*probeTimeout)(a))
+	a.c.eng.AfterHandler(a.c.Cfg.probeTimeout, (*probeTimeout)(a))
 }
 
 // probeTimeout is the agent as its probes' timeout: it ends the oldest
@@ -274,13 +274,13 @@ func (t *probeTimeout) Fire() {
 	a.suspect(id)
 }
 
-// indirectProbe runs the SWIM ping-req round: up to Cfg.IndirectProbes
+// indirectProbe runs the SWIM ping-req round: up to Cfg.indirectProbes
 // other members are asked to probe target on this agent's behalf; only
-// if none of them answers within another ProbeTimeout does the target
+// if none of them answers within another probeTimeout does the target
 // turn suspect. It reports false when indirection is disabled or no
 // relay exists, in which case the caller suspects immediately.
 func (a *agent) indirectProbe(target int, seq uint32) bool {
-	k := a.c.Cfg.IndirectProbes
+	k := a.c.Cfg.indirectProbes
 	if k <= 0 {
 		return false
 	}
@@ -308,7 +308,7 @@ func (a *agent) indirectProbe(target int, seq uint32) bool {
 		tr.Instant(a.c.tidFor(a.self), "gossip", "ping-req",
 			obs.Num("target", int64(target)), obs.Num("relays", int64(len(relays))))
 	}
-	a.c.eng.After(a.c.Cfg.ProbeTimeout, func() {
+	a.c.eng.After(a.c.Cfg.probeTimeout, func() {
 		if a.stopped {
 			return
 		}
@@ -348,10 +348,10 @@ func (a *agent) suspect(id int) {
 }
 
 // armConfirm schedules the suspect→confirm transition: if the suspicion
-// at this incarnation is not refuted within SuspectTimeout, the member
+// at this incarnation is not refuted within suspectTimeout, the member
 // is declared dead.
 func (a *agent) armConfirm(id int, inc uint32) {
-	a.c.eng.After(a.c.Cfg.SuspectTimeout, func() {
+	a.c.eng.After(a.c.Cfg.suspectTimeout, func() {
 		if a.stopped {
 			return
 		}
@@ -540,7 +540,7 @@ func (a *agent) recv(_ netstack.IP, _ uint16, payload []byte) {
 		a.relayed[rseq] = relayRef{origin: from, seq: seq}
 		a.send(target, msgPing, rseq, nil)
 		// Expire the relay slot so probes of dead members don't leak it.
-		a.c.eng.After(a.c.Cfg.ProbeTimeout, func() { delete(a.relayed, rseq) })
+		a.c.eng.After(a.c.Cfg.probeTimeout, func() { delete(a.relayed, rseq) })
 	case msgPingReqAck:
 		if _, ok := a.await[seq]; ok {
 			delete(a.await, seq)
@@ -650,7 +650,7 @@ func (c *Cluster) MgmtHost(id int) *netstack.Host {
 // range (boards own 10+id).
 func (c *Cluster) AttachMgmtHost(name string, lastOctet byte) *netstack.Host {
 	nic := netsim.NewNIC(c.eng, name, netsim.MACFor(0xC000+int(lastOctet)))
-	c.mgmt.ConnectNIC(nic, 50*time.Microsecond, c.Cfg.MgmtBitsPerSec)
+	c.mgmt.ConnectNIC(nic, 50*time.Microsecond, c.Cfg.mgmtBitsPerSec)
 	return netstack.NewHost(c.eng, name, nic, netstack.IPv4(10, 255, 0, lastOctet), netstack.Dom0Profile())
 }
 

@@ -92,10 +92,7 @@ func TestJoinDuringInFlightPlacement(t *testing.T) {
 
 func leaveCluster(t *testing.T, migrate bool) *Cluster {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Boards = 3
-	cfg.MigrateOnLeave = migrate
-	c := build(cfg)
+	c := NewCluster(WithBoards(3), WithMigrateOnLeave(migrate))
 	// MinWarm 2 puts ready replicas on boards 0 and 1 (least-loaded
 	// breaks ties in id order).
 	c.RegisterService(testService("alice", 20), WithMinWarm(2))
@@ -198,9 +195,7 @@ func TestConcurrentLeavesReserveDistinctDestinations(t *testing.T) {
 	// same instant. The first migration reserves its destination slot
 	// for the whole checkpoint copy, so the second must pick the other
 	// free board instead of colliding and sacrificing its source.
-	cfg := DefaultConfig()
-	cfg.Boards = 5
-	c := build(cfg)
+	c := NewCluster(WithBoards(5))
 	c.RegisterService(testService("alice", 20), WithMinWarm(3))
 	c.RunAll() // replicas ready on boards 0, 1, 2
 	e := c.Directory().Lookup("alice.family.name")
@@ -247,12 +242,7 @@ func TestLeaveRefusedForFrontAndDeparted(t *testing.T) {
 // ---- failure detection: suspect, refute, confirm ----
 
 func TestSuspectRefuteConfirmFlapping(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Boards = 3
-	cfg.ProbeEvery = 500 * time.Millisecond
-	cfg.ProbeTimeout = 200 * time.Millisecond
-	cfg.SuspectTimeout = 3 * time.Second
-	c := build(cfg)
+	c := NewCluster(WithBoards(3), WithProbing(500*time.Millisecond, 200*time.Millisecond, 3*time.Second))
 	c.RegisterService(testService("alice", 20), WithMinWarm(2))
 	m := c.members[1]
 

@@ -22,7 +22,7 @@ var ErrCannotLeave = errors.New("cluster: board cannot leave")
 
 // Leave starts a graceful departure of board id: the member stops
 // taking placements immediately, its live replicas are migrated off
-// (or stopped, when MigrateOnLeave is false — the preempt-and-reboot
+// (or stopped, when migrateOnLeave is false — the preempt-and-reboot
 // baseline), its remaining slots are retired, and its gossip agent
 // broadcasts Left. done (may be nil) fires when the board is fully out.
 // Board 0 hosts the directory and may not leave.
@@ -104,7 +104,7 @@ func (c *Cluster) evacuate(m *Member, done func()) {
 
 // evacuateOne moves (or, in the baseline, stops) one ready replica.
 func (c *Cluster) evacuateOne(e *Entry, p *Placement, done func()) {
-	if !c.Cfg.MigrateOnLeave {
+	if !c.Cfg.migrateOnLeave {
 		c.loseReplica(p)
 		done()
 		return
@@ -140,7 +140,7 @@ func (c *Cluster) evacuateDisk(e *Entry, p *Placement, done func()) {
 		c.loseReplica(p)
 		done()
 	}
-	if !c.Cfg.MigrateOnLeave {
+	if !c.Cfg.migrateOnLeave {
 		lose()
 		return
 	}

@@ -36,18 +36,18 @@ func newPoolManager(c *Cluster) *PoolManager { return &PoolManager{c: c} }
 func (pm *PoolManager) target(e *Entry) int {
 	cfg := pm.c.Cfg
 	r := e.effectiveRate(pm.c.eng.Now())
-	if r < cfg.MinRate {
+	if r < cfg.minRate {
 		r = 0
 	}
-	k := int(math.Ceil(r * bootEstimate.Seconds() * cfg.WarmFactor))
+	k := int(math.Ceil(r * bootEstimate.Seconds() * cfg.warmFactor))
 	if r > 0 && k < 1 {
 		k = 1
 	}
 	if k < e.MinWarm {
 		k = e.MinWarm
 	}
-	if k > cfg.MaxWarmPerService {
-		k = cfg.MaxWarmPerService
+	if k > cfg.maxWarmPerService {
+		k = cfg.maxWarmPerService
 	}
 	return k
 }

@@ -98,9 +98,9 @@ func (c *Cluster) copyCheckpoint(src, dst int, stateMiB int, done func(ok bool))
 	c.nextXferID++
 	id := c.nextXferID
 	a := c.members[src].agent
-	a.pace(c.eng, c.Reg, "cc.b"+strconv.Itoa(src), c.Cfg.MigrateChunkMiB, c.Cfg.UnpacedTransfers)
+	a.pace(c.eng, c.Reg, "cc.b"+strconv.Itoa(src), c.Cfg.migrateChunkMiB, c.Cfg.unpacedTransfers)
 	a.copy(c.eng, mgmtIP(dst), cc.Transfer{
-		ID: id, StateMiB: stateMiB, ChunkMiB: c.Cfg.MigrateChunkMiB, BitsPerSec: c.Cfg.MgmtBitsPerSec,
+		ID: id, StateMiB: stateMiB, ChunkMiB: c.Cfg.migrateChunkMiB, BitsPerSec: c.Cfg.mgmtBitsPerSec,
 		Chunks: &c.Chunks, Retx: &c.ChunkRetx, Aborts: &c.XferAborts,
 		OnRetx:  func(idx int) { c.traceXfer(src, "chunk-retx", id, idx) },
 		OnAbort: func(acked int) { c.traceXfer(src, "xfer-abort", id, acked) },
@@ -119,8 +119,8 @@ func (c *Cluster) traceXfer(src int, name string, id uint32, chunk int) {
 // profile's rate in 1 MiB chunks when one shapes the federation links,
 // else the LAN's in 4 MiB chunks.
 func (f *Federation) xferLink() (bitsPerSec float64, chunkMiB int) {
-	if f.Cfg.WAN != nil {
-		return f.Cfg.WAN.BitsPerSec, 1
+	if f.Cfg.wan != nil {
+		return f.Cfg.wan.BitsPerSec, 1
 	}
 	return fedBitsPerSec, 4
 }
@@ -132,12 +132,12 @@ func (a *fedAgent) fedCopy(dst int, stateMiB int, done func(ok bool)) {
 	f.nextFedXfer++
 	id := f.nextFedXfer
 	bits, chunkMiB := f.xferLink()
-	a.pace(f.eng, f.Reg, "cc.c"+strconv.Itoa(a.m.ID), chunkMiB, a.m.Cluster.Cfg.UnpacedTransfers)
+	a.pace(f.eng, f.Reg, "cc.c"+strconv.Itoa(a.m.ID), chunkMiB, a.m.Cluster.Cfg.unpacedTransfers)
 	a.copy(f.eng, agentMgmtIP(dst), cc.Transfer{
 		ID: id, StateMiB: stateMiB, ChunkMiB: chunkMiB, BitsPerSec: bits,
 		Chunks: &f.FedChunks, Retx: &f.FedChunkRetx, Aborts: &f.FedXferAborts,
 		OnAbort: func(acked int) {
-			if tr := f.Cfg.Tracer; tr != nil {
+			if tr := f.Cfg.tracer; tr != nil {
 				tr.Instant(a.lane(), "fed", "xfer-abort",
 					obs.Num("xfer", int64(id)), obs.Num("chunk", int64(acked)))
 			}

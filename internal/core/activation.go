@@ -121,7 +121,7 @@ func (a *Activation) Subscribe(fn func(svc *Service, from, to ServiceState)) {
 // tracer returns the board's flight recorder (nil when tracing is off)
 // and the lane its events render on.
 func (a *Activation) tracer() (*obs.Tracer, int) {
-	return a.j.board.Tracer, a.j.board.Cfg.TraceTID
+	return a.j.board.Tracer, a.j.board.Cfg.traceTID
 }
 
 // Fire runs the shared activation decision for one trigger firing:
@@ -261,7 +261,7 @@ func (a *Activation) restore(svc *Service, cp *Checkpoint, onReady func(error)) 
 func (a *Activation) claimIdleIP(svc *Service) {
 	b := a.j.board
 	if b.Tracer != nil {
-		b.Tracer.Instant(b.Cfg.TraceTID, "activation", "claim_ip", obs.Str("svc", svc.Cfg.Name))
+		b.Tracer.Instant(b.Cfg.traceTID, "activation", "claim_ip", obs.Str("svc", svc.Cfg.Name))
 	}
 	if b.Syn != nil {
 		b.Syn.claim(svc)
@@ -275,7 +275,7 @@ func (a *Activation) claimIdleIP(svc *Service) {
 func (a *Activation) releaseIdleIP(svc *Service) {
 	b := a.j.board
 	if b.Tracer != nil {
-		b.Tracer.Instant(b.Cfg.TraceTID, "activation", "release_ip", obs.Str("svc", svc.Cfg.Name))
+		b.Tracer.Instant(b.Cfg.traceTID, "activation", "release_ip", obs.Str("svc", svc.Cfg.Name))
 	}
 	if b.Syn != nil {
 		b.Syn.release(svc)

@@ -45,12 +45,12 @@ func (tb *tokenBucket) take(now sim.Duration) bool {
 }
 
 // admit reports whether svc may start one more SYN-triggered launch now:
-// the SYN trigger's per-service bucket, at the board's SYNLaunchRate.
+// the SYN trigger's per-service bucket, at the board's synLaunchRate.
 func (t *synTrigger) admit(svc *Service) bool {
 	cfg, now := t.j.board.Cfg, t.j.board.Eng.Now()
 	tb := t.buckets[svc]
 	if tb == nil {
-		tb = newTokenBucket(cfg.SYNLaunchRate, cfg.SYNLaunchBurst, now)
+		tb = newTokenBucket(cfg.synLaunchRate, cfg.synLaunchBurst, now)
 		t.buckets[svc] = tb
 	}
 	return tb.take(now)

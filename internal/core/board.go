@@ -29,39 +29,40 @@ const (
 )
 
 // BoardConfig assembles one embedded Jitsu host (a Cubieboard in the
-// paper's evaluation) plus its edge network.
+// paper's evaluation) plus its edge network; options are its only
+// writers.
 type BoardConfig struct {
 	Seed      int64
-	Platform  *xen.Platform
-	Toolstack xen.ToolstackOpts
+	platform  *xen.Platform
+	toolstack xen.ToolstackOpts
 	// TotalMemMiB is guest-available RAM (Cubieboard2: 1GB minus dom0).
 	TotalMemMiB int
 	// Zone is the DNS apex this board is authoritative for.
 	Zone string
-	// Synjitsu enables the connection proxy.
-	Synjitsu bool
-	// DelayDNSUntilReady is the §3.3.1 alternative the paper rejects:
+	// synjitsu enables the connection proxy.
+	synjitsu bool
+	// delayDNSUntilReady is the §3.3.1 alternative the paper rejects:
 	// hold the DNS answer until the unikernel network is live.
-	DelayDNSUntilReady bool
-	// SYNLaunchRate rate-limits SYN-triggered launches per service
+	delayDNSUntilReady bool
+	// synLaunchRate rate-limits SYN-triggered launches per service
 	// (token bucket, launches/second): raw SYNs Force past the memory
 	// gate, so without a cap a SYN flood causes a boot storm. 0 (the
 	// default) disables the limiter. Warm traffic is never throttled.
-	SYNLaunchRate float64
-	// SYNLaunchBurst is the token bucket's depth (minimum 1).
-	SYNLaunchBurst int
-	// Disk sizes the board's checkpoint store — the cold-on-disk tier.
+	synLaunchRate float64
+	// synLaunchBurst is the token bucket's depth (minimum 1).
+	synLaunchBurst int
+	// disk sizes the board's checkpoint store — the cold-on-disk tier.
 	// The zero value builds no device (DefaultConfig: a diskless board
 	// keeps the two-tier admission behaviour); WithDisk opts in.
-	Disk blockdev.Config
-	// Tracer, when set, is the flight recorder every subsystem on the
+	disk blockdev.Config
+	// tracer, when set, is the flight recorder every subsystem on the
 	// board emits spans into; its timestamps come from the board's
 	// engine, so a seeded run exports bit-identically. Nil (the
 	// default) disables tracing and keeps every hot path alloc-free.
-	Tracer *obs.Tracer
-	// TraceTID is the tracer lane this board's events render on —
+	tracer *obs.Tracer
+	// traceTID is the tracer lane this board's events render on —
 	// cluster builders assign one lane per board.
-	TraceTID int
+	traceTID int
 }
 
 // DefaultConfig is a Cubieboard2 running the fully optimised stack with
@@ -69,11 +70,11 @@ type BoardConfig struct {
 func DefaultConfig() BoardConfig {
 	return BoardConfig{
 		Seed:        1,
-		Platform:    xen.CubieboardARM(),
-		Toolstack:   xen.OptimisedOpts(),
+		platform:    xen.CubieboardARM(),
+		toolstack:   xen.OptimisedOpts(),
 		TotalMemMiB: 768,
 		Zone:        "family.name",
-		Synjitsu:    true,
+		synjitsu:    true,
 	}
 }
 
@@ -125,8 +126,8 @@ var (
 // trigger frontends, all on the given engine.
 func buildBoard(eng *sim.Engine, cfg BoardConfig) *Board {
 	store := xenstore.NewStore(xenstore.JitsuReconciler{})
-	hyp := xen.NewHypervisor(eng, store, cfg.Platform, cfg.TotalMemMiB)
-	ts := xen.NewToolstack(hyp, cfg.Toolstack)
+	hyp := xen.NewHypervisor(eng, store, cfg.platform, cfg.TotalMemMiB)
+	ts := xen.NewToolstack(hyp, cfg.toolstack)
 	bridge := netsim.NewBridge(eng, "xenbr0", 10*time.Microsecond)
 	b := &Board{
 		Cfg: cfg, Eng: eng, Store: store, Hyp: hyp, TS: ts,
@@ -150,17 +151,17 @@ func buildBoard(eng *sim.Engine, cfg BoardConfig) *Board {
 	}
 	b.DNS = srv
 
-	if cfg.Synjitsu {
+	if cfg.synjitsu {
 		b.Syn = newSynjitsu(b, SynAddr)
 	}
-	b.Disk = blockdev.New(eng, cfg.Disk)
+	b.Disk = blockdev.New(eng, cfg.disk)
 	b.Jitsu = newJitsu(b)
 
-	b.Tracer = cfg.Tracer
+	b.Tracer = cfg.tracer
 	b.Tracer.BindClock(eng.Now)
-	srv.Tracer = cfg.Tracer
-	srv.TraceTID = cfg.TraceTID
-	b.Reg = obs.NewRegistry(fmt.Sprintf("board%d", cfg.TraceTID))
+	srv.Tracer = cfg.tracer
+	srv.TraceTID = cfg.traceTID
+	b.Reg = obs.NewRegistry(fmt.Sprintf("board%d", cfg.traceTID))
 	b.launchHists = map[string]*obs.Histogram{
 		"boot":         b.Reg.Histogram("activation.boot"),
 		"restore":      b.Reg.Histogram("activation.restore"),

@@ -59,9 +59,7 @@ func TestColdStartWithSynjitsu(t *testing.T) {
 }
 
 func TestColdStartWithoutSynjitsuExceedsOneSecond(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Synjitsu = false
-	b := New(WithConfig(cfg))
+	b := New(WithSynjitsu(false))
 	b.Jitsu.Register(aliceService())
 	client := b.AddClient("laptop", netstack.IPv4(10, 0, 0, 9))
 
@@ -170,9 +168,7 @@ func TestSYNWithoutDNSTriggersLaunch(t *testing.T) {
 }
 
 func TestServFailWhenOutOfMemory(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TotalMemMiB = 8 // not enough for any unikernel
-	b := New(WithConfig(cfg))
+	b := New(WithMemory(8)) // not enough for any unikernel
 	svc := b.Jitsu.Register(aliceService())
 	client := b.AddClient("laptop", netstack.IPv4(10, 0, 0, 9))
 	resolver := &dns.Client{Host: client}
@@ -222,8 +218,7 @@ func TestUnknownNameFallsThroughToZone(t *testing.T) {
 }
 
 func TestIdleReaperStopsAndRestarts(t *testing.T) {
-	cfg := DefaultConfig()
-	b := New(WithConfig(cfg))
+	b := New()
 	sc := aliceService()
 	sc.IdleTimeout = 2 * time.Second
 	svc := b.Jitsu.Register(sc)
@@ -242,7 +237,7 @@ func TestIdleReaperStopsAndRestarts(t *testing.T) {
 		t.Fatalf("state=%v reaps=%d, want stopped/1", svc.State, svc.Reaps)
 	}
 	memAfterReap := b.Hyp.FreeMemMiB()
-	if memAfterReap < cfg.TotalMemMiB-1 {
+	if memAfterReap < b.Cfg.TotalMemMiB-1 {
 		t.Fatalf("memory not reclaimed: %d", memAfterReap)
 	}
 	// A new request summons it again — and Synjitsu must proxy it even
@@ -267,8 +262,7 @@ func TestIdleReaperStopsAndRestarts(t *testing.T) {
 }
 
 func TestActivityDefersReaper(t *testing.T) {
-	cfg := DefaultConfig()
-	b := New(WithConfig(cfg))
+	b := New()
 	sc := aliceService()
 	sc.IdleTimeout = 2 * time.Second
 	svc := b.Jitsu.Register(sc)
@@ -328,10 +322,7 @@ func TestDelayedDNSAblation(t *testing.T) {
 	// The rejected §3.3.1 alternative: correct but slower resolution,
 	// and no SYN race because the client only learns the IP when the
 	// unikernel is live.
-	cfg := DefaultConfig()
-	cfg.Synjitsu = false
-	cfg.DelayDNSUntilReady = true
-	b := New(WithConfig(cfg))
+	b := New(WithSynjitsu(false), WithDelayedDNS(true))
 	b.Jitsu.Register(aliceService())
 	client := b.AddClient("laptop", netstack.IPv4(10, 0, 0, 9))
 
@@ -429,9 +420,7 @@ func TestHandoffStateVisibleInXenStore(t *testing.T) {
 
 func TestVanillaToolstackSlowerColdStart(t *testing.T) {
 	run := func(opts xen.ToolstackOpts) sim.Duration {
-		cfg := DefaultConfig()
-		cfg.Toolstack = opts
-		b := New(WithConfig(cfg))
+		b := New(WithToolstack(opts))
 		b.Jitsu.Register(aliceService())
 		client := b.AddClient("laptop", netstack.IPv4(10, 0, 0, 9))
 		var rt sim.Duration

@@ -44,8 +44,7 @@ func TestFleetServesFromFirstBoard(t *testing.T) {
 func TestFleetFailsOverOnServFail(t *testing.T) {
 	// Board 0 has no memory for guests: it must answer SERVFAIL and the
 	// client must transparently land on board 1.
-	cfg := DefaultConfig()
-	f := NewFleet(2, WithConfig(cfg))
+	f := NewFleet(2)
 	f.Boards[0].Hyp.TotalMemMiB = 8
 	svcs := f.RegisterEverywhere(fleetService())
 	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
@@ -75,9 +74,7 @@ func TestFleetFailsOverOnServFail(t *testing.T) {
 }
 
 func TestFleetAllBoardsFull(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TotalMemMiB = 8
-	f := NewFleet(3, WithConfig(cfg))
+	f := NewFleet(3, WithMemory(8))
 	f.RegisterEverywhere(fleetService())
 	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
 	var gotErr error
@@ -106,8 +103,7 @@ func TestFleetSharedVirtualTime(t *testing.T) {
 
 func TestFleetFailoverLatencyIsOneExtraRTT(t *testing.T) {
 	// Failing over costs one extra DNS round trip, not a timeout.
-	cfg := DefaultConfig()
-	f := NewFleet(2, WithConfig(cfg))
+	f := NewFleet(2)
 	f.Boards[0].Hyp.TotalMemMiB = 8
 	f.RegisterEverywhere(fleetService())
 	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))

@@ -253,7 +253,7 @@ func newJitsu(b *Board) *Jitsu {
 	j := &Jitsu{board: b, services: make(map[string]*Service)}
 	j.act = newActivation(j)
 	// The built-in frontends (trigger.go), wired once.
-	if b.Cfg.DelayDNSUntilReady {
+	if b.Cfg.delayDNSUntilReady {
 		b.DNS.InterceptAsync = j.interceptDelayed
 	} else {
 		b.DNS.Intercept = j.interceptDNS
@@ -261,7 +261,7 @@ func newJitsu(b *Board) *Jitsu {
 	j.serveConduit(b.Registry)
 	if b.Syn != nil {
 		b.Syn.trigger = &synTrigger{j: j}
-		if b.Cfg.SYNLaunchRate > 0 {
+		if b.Cfg.synLaunchRate > 0 {
 			b.Syn.trigger.buckets = make(map[*Service]*tokenBucket)
 		}
 	}

@@ -13,16 +13,9 @@ import (
 //
 //	b := core.New(core.WithSeed(7), core.WithSynjitsu(false))
 //
-// BoardConfig remains the underlying value; WithConfig replaces it
-// wholesale.
+// Options are the one way to configure a board: each writes the
+// BoardConfig fields it names, and no other code does.
 type Option func(*BoardConfig)
-
-// WithConfig replaces the whole configuration (migration aid for code
-// that still assembles a BoardConfig by hand). Options after it apply
-// on top.
-func WithConfig(cfg BoardConfig) Option {
-	return func(c *BoardConfig) { *c = cfg }
-}
 
 // WithSeed sets the simulation seed.
 func WithSeed(seed int64) Option {
@@ -32,13 +25,13 @@ func WithSeed(seed int64) Option {
 // WithPlatform selects the hardware model (xen.CubieboardARM,
 // xen.GenericX86, ...).
 func WithPlatform(p *xen.Platform) Option {
-	return func(c *BoardConfig) { c.Platform = p }
+	return func(c *BoardConfig) { c.platform = p }
 }
 
 // WithToolstack selects the toolstack optimisation stage
 // (xen.VanillaOpts, xen.OptimisedOpts, or a hand-built stage).
 func WithToolstack(opts xen.ToolstackOpts) Option {
-	return func(c *BoardConfig) { c.Toolstack = opts }
+	return func(c *BoardConfig) { c.toolstack = opts }
 }
 
 // WithMemory sets guest-available RAM in MiB.
@@ -48,13 +41,13 @@ func WithMemory(miB int) Option {
 
 // WithSynjitsu enables or disables the connection proxy.
 func WithSynjitsu(on bool) Option {
-	return func(c *BoardConfig) { c.Synjitsu = on }
+	return func(c *BoardConfig) { c.synjitsu = on }
 }
 
 // WithDelayedDNS selects the §3.3.1 alternative the paper rejects:
 // hold the DNS answer until the unikernel network is live.
 func WithDelayedDNS(on bool) Option {
-	return func(c *BoardConfig) { c.DelayDNSUntilReady = on }
+	return func(c *BoardConfig) { c.delayDNSUntilReady = on }
 }
 
 // WithSYNRateLimit arms the SYN trigger's per-service admission token
@@ -63,8 +56,8 @@ func WithDelayedDNS(on bool) Option {
 // disables the limiter (the default).
 func WithSYNRateLimit(rate float64, burst int) Option {
 	return func(c *BoardConfig) {
-		c.SYNLaunchRate = rate
-		c.SYNLaunchBurst = burst
+		c.synLaunchRate = rate
+		c.synLaunchBurst = burst
 	}
 }
 
@@ -74,7 +67,7 @@ func WithSYNRateLimit(rate float64, burst int) Option {
 // SD-card-class storage an embedded board carries; the zero Config
 // keeps the board diskless (the default).
 func WithDisk(cfg blockdev.Config) Option {
-	return func(c *BoardConfig) { c.Disk = cfg }
+	return func(c *BoardConfig) { c.disk = cfg }
 }
 
 // WithTracer attaches the observability flight recorder; tid is the
@@ -82,8 +75,8 @@ func WithDisk(cfg blockdev.Config) Option {
 // board its own lane). A nil tracer keeps tracing off.
 func WithTracer(tr *obs.Tracer, tid int) Option {
 	return func(c *BoardConfig) {
-		c.Tracer = tr
-		c.TraceTID = tid
+		c.tracer = tr
+		c.traceTID = tid
 	}
 }
 

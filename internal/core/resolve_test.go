@@ -66,9 +66,7 @@ func TestHandleResolveBadRequest(t *testing.T) {
 }
 
 func TestHandleResolveServFail(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TotalMemMiB = 8 // smaller than any image
-	b := New(WithConfig(cfg))
+	b := New(WithMemory(8)) // smaller than any image
 	svc := b.Jitsu.Register(aliceService())
 	resolve := resolveRig(t, b)
 	if got := resolve("resolve alice.family.name\n"); got != "servfail\n" {
@@ -95,9 +93,7 @@ func TestHandleResolvePipelinedLines(t *testing.T) {
 func TestFleetClientAllBoardsRefuse(t *testing.T) {
 	// Every board too small for the image: the client walks the whole NS
 	// set, collects a SERVFAIL per board, and surfaces ErrAllServFail.
-	cfg := DefaultConfig()
-	cfg.TotalMemMiB = 8
-	f := NewFleet(4, WithConfig(cfg))
+	f := NewFleet(4, WithMemory(8))
 	svcs := f.RegisterEverywhere(fleetService())
 	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
 	var gotErr error

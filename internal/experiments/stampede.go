@@ -75,10 +75,7 @@ func runStampedeCluster(label string, unpaced bool, seed int64) *stampedeCluster
 		cluster.WithSeed(seed),
 		cluster.WithProbing(500*time.Millisecond, 400*time.Millisecond, 2*time.Second),
 		cluster.WithUnpacedTransfers(unpaced),
-		cluster.Option(func(cfg *cluster.Config) {
-			cfg.MgmtBitsPerSec = stampedeMgmtBits
-			cfg.MigrateChunkMiB = 1
-		}),
+		cluster.WithMgmtLink(stampedeMgmtBits, 1),
 	)
 	tap := netsim.NewCapture(c.Eng(), 1<<14)
 	c.MgmtLink(1).Tap(tap)

@@ -25,27 +25,27 @@ var (
 // guest behind a vif, and a MirageOS unikernel (whose OCaml stack has a
 // slightly higher mean and variance — "never more than 0.4ms" apart).
 type StackProfile struct {
-	Name string
-	// ProcDelay is charged per received packet before protocol handling.
-	ProcDelay sim.Duration
-	// ProcJitter is the stddev of the processing delay.
-	ProcJitter sim.Duration
-	// PerByte is the copy+checksum cost per payload byte.
-	PerByte sim.Duration
+	name string
+	// procDelay is charged per received packet before protocol handling.
+	procDelay sim.Duration
+	// procJitter is the stddev of the processing delay.
+	procJitter sim.Duration
+	// perByte is the copy+checksum cost per payload byte.
+	perByte sim.Duration
 }
 
 // Profiles used across the evaluation.
 func LinuxNativeProfile() StackProfile {
-	return StackProfile{Name: "linux-native", ProcDelay: 28 * time.Microsecond, ProcJitter: 3 * time.Microsecond, PerByte: 55 * time.Nanosecond}
+	return StackProfile{name: "linux-native", procDelay: 28 * time.Microsecond, procJitter: 3 * time.Microsecond, perByte: 55 * time.Nanosecond}
 }
 func Dom0Profile() StackProfile {
-	return StackProfile{Name: "dom0", ProcDelay: 40 * time.Microsecond, ProcJitter: 5 * time.Microsecond, PerByte: 60 * time.Nanosecond}
+	return StackProfile{name: "dom0", procDelay: 40 * time.Microsecond, procJitter: 5 * time.Microsecond, perByte: 60 * time.Nanosecond}
 }
 func LinuxGuestProfile() StackProfile {
-	return StackProfile{Name: "linux-vm", ProcDelay: 70 * time.Microsecond, ProcJitter: 8 * time.Microsecond, PerByte: 75 * time.Nanosecond}
+	return StackProfile{name: "linux-vm", procDelay: 70 * time.Microsecond, procJitter: 8 * time.Microsecond, perByte: 75 * time.Nanosecond}
 }
 func MirageProfile() StackProfile {
-	return StackProfile{Name: "mirage-vm", ProcDelay: 85 * time.Microsecond, ProcJitter: 22 * time.Microsecond, PerByte: 80 * time.Nanosecond}
+	return StackProfile{name: "mirage-vm", procDelay: 85 * time.Microsecond, procJitter: 22 * time.Microsecond, perByte: 80 * time.Nanosecond}
 }
 
 // fourTuple keys established TCP connections.
@@ -162,8 +162,8 @@ func NewHost(eng *sim.Engine, name string, nic *netsim.NIC, ip IP, profile Stack
 
 // procCost samples the stack's processing cost for a packet of n bytes.
 func (h *Host) procCost(n int) sim.Duration {
-	d := sim.Normal{Mean: h.Profile.ProcDelay, Stddev: h.Profile.ProcJitter}.Sample(h.Eng.Rand())
-	return d + sim.Duration(n)*h.Profile.PerByte
+	d := sim.Normal{Mean: h.Profile.procDelay, Stddev: h.Profile.procJitter}.Sample(h.Eng.Rand())
+	return d + sim.Duration(n)*h.Profile.perByte
 }
 
 // rxFrame is the NIC receive path: charge the stack cost, then demux.

@@ -17,9 +17,9 @@ import (
 // surfaceHooks are the exported names under internal/ that only tests
 // use, kept on purpose: each is how a test drives or looks inside a
 // layer, and tests are safety code. Keys are package-qualified, methods
-// by their receiver's type. Anything else exported from internal/ that
-// no non-test file uses is surface nothing calls — delete it rather
-// than list it here.
+// by their receiver's type, configuration fields by their struct's.
+// Anything else exported from internal/ that no non-test file uses is
+// surface nothing calls — delete it rather than list it here.
 var surfaceHooks = map[string]string{
 	"cc.Controller.Cwnd":               "window introspection for the sender tests",
 	"cc.Controller.InFlight":           "window-leak checks",
@@ -42,6 +42,10 @@ var surfaceHooks = map[string]string{
 	"core.Activation.Subscribe":        "state-transition observer for the trigger tests",
 	"dns.Zone.Remove":                  "record removal behind the cache-invalidation tests",
 	"metrics.Series.FracBelow":         "shape assertions in the experiment tests",
+	"blockdev.Config.SlotMiB":          "small-disk tests in core and cluster",
+	"blockdev.Config.Slots":            "small-disk tests in core and cluster",
+	"blockdev.Config.SeekTime":         "small-disk tests in core and cluster",
+	"blockdev.Config.BytesPerSec":      "small-disk tests in core and cluster",
 }
 
 // TestNoUnreferencedSurface fails when an exported func, method, type,
@@ -54,10 +58,16 @@ var surfaceHooks = map[string]string{
 // is also used when its receiver implements an interface the program
 // declares with that method, or fmt.Stringer or error, since it is
 // then reachable through a call no selector names.
+//
+// An exported field of a configuration struct (knobStruct) must be used
+// by a non-test file outside its own package: inside it, options and
+// defaults are the writers, and a field only they touch is a second
+// way to set the knob.
 func TestNoUnreferencedSurface(t *testing.T) {
 	prog := loadProgram(t)
 	receivers := map[*ast.Ident]bool{}
 	var decls []types.Object
+	fields := map[types.Object]string{} // configuration fields, by their surfaceHooks key
 	for path, files := range prog.files {
 		if !strings.HasPrefix(path, "jitsu/internal/") {
 			continue
@@ -80,6 +90,15 @@ func TestNoUnreferencedSurface(t *testing.T) {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
 							decls = append(decls, prog.info.Defs[spec.Name])
+							if st, ok := spec.Type.(*ast.StructType); ok && knobStruct(spec.Name.Name) {
+								for _, field := range st.Fields.List {
+									for _, id := range field.Names {
+										obj := prog.info.Defs[id]
+										decls = append(decls, obj)
+										fields[obj] = pathpkg.Base(path) + "." + spec.Name.Name + "." + id.Name
+									}
+								}
+							}
 						case *ast.ValueSpec:
 							for _, id := range spec.Names {
 								decls = append(decls, prog.info.Defs[id])
@@ -90,10 +109,14 @@ func TestNoUnreferencedSurface(t *testing.T) {
 			}
 		}
 	}
-	used := map[types.Object]bool{}
+	used, usedOutside := map[types.Object]bool{}, map[types.Object]bool{}
+	dir := func(pos token.Pos) string { return filepath.Dir(prog.fset.Position(pos).Filename) }
 	for id, obj := range prog.info.Uses {
 		if !receivers[id] {
 			used[origin(obj)] = true
+			if obj.Pkg() != nil && dir(id.Pos()) != dir(obj.Pos()) {
+				usedOutside[origin(obj)] = true
+			}
 		}
 	}
 	var dead []string
@@ -102,20 +125,26 @@ func TestNoUnreferencedSurface(t *testing.T) {
 		if obj == nil || !obj.Exported() {
 			continue
 		}
-		name := qualified(obj)
+		name, field := fields[obj]
+		live := usedOutside[obj]
+		if !field {
+			name = qualified(obj)
+			live = used[obj] || prog.reachedByInterface(obj)
+		}
 		declared[name] = true
 		hook := surfaceHooks[name] != ""
-		live := used[obj] || prog.reachedByInterface(obj)
 		switch {
 		case live && hook:
 			t.Errorf("surfaceHooks lists %s, but a non-test file uses it: drop the entry", name)
+		case !live && !hook && field:
+			dead = append(dead, prog.fset.Position(obj.Pos()).String()+": "+name+" is an exported configuration field, but no non-test file outside its package uses it")
 		case !live && !hook:
-			dead = append(dead, prog.fset.Position(obj.Pos()).String()+": "+name)
+			dead = append(dead, prog.fset.Position(obj.Pos()).String()+": "+name+" is exported, but no non-test file uses it")
 		}
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("%s is exported but no non-test file uses it", d)
+		t.Error(d)
 	}
 	for name := range surfaceHooks {
 		if !declared[name] {
@@ -254,7 +283,13 @@ func qualified(obj types.Object) string {
 // defined outside bench/ (PR 22's definition). A new knob fails
 // TestSettableValues until the same diff raises this number — say why
 // in the PR; a deleted one lowers it.
-const settableValues = 142
+const settableValues = 99
+
+// knobStruct reports whether a struct type of this name under internal/
+// is a configuration struct, whose exported fields are settable values.
+func knobStruct(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Opts") || strings.HasSuffix(name, "Profile")
+}
 
 // flagDefs maps each flag-defining method of package flag and
 // flag.FlagSet to the index of its name argument.
@@ -279,8 +314,7 @@ func TestSettableValues(t *testing.T) {
 				}
 			case *ast.TypeSpec:
 				st, ok := n.Type.(*ast.StructType)
-				if !internal || !ok || !strings.HasSuffix(n.Name.Name, "Config") &&
-					!strings.HasSuffix(n.Name.Name, "Opts") && !strings.HasSuffix(n.Name.Name, "Profile") {
+				if !internal || !ok || !knobStruct(n.Name.Name) {
 					return true
 				}
 				for _, field := range st.Fields.List {
