@@ -170,7 +170,7 @@ func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
 			return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeConflict, "destination slot on board %d busy", to)}
 		}
 	}
-	p.c.migrateTo(e, src, to, false, 0, done)
+	(&move{c: p.c, e: e, src: src, done: done}).attempt(to)
 	return api.MigrateResponse{Started: true}
 }
 
@@ -205,20 +205,11 @@ func (p *clusterPlane) Transfer(req api.TransferRequest) api.TransferResponse {
 		p.c.Unregister(e.Name)
 		return api.TransferResponse{Board: -1, Err: api.Errf(api.VerbTransfer, api.CodeNoMemory, "%s: no board can restore it", req.Config.Name)}
 	}
-	resp := p.c.boardAPI(idx).Restore(api.RestoreRequest{
-		Name: e.Name, Checkpoint: req.Checkpoint, Board: api.OnBoard(idx),
-		ToDisk: req.ToDisk, OnReady: req.OnReady,
-	})
-	if resp.Err != nil && req.ToDisk {
-		// The picked board can't park it on disk (diskless, or its store
-		// is full); adopt it warm instead of bouncing the transfer.
-		resp = p.c.boardAPI(idx).Restore(api.RestoreRequest{
-			Name: e.Name, Checkpoint: req.Checkpoint, Board: api.OnBoard(idx), OnReady: req.OnReady,
-		})
-	}
-	if resp.Err != nil {
+	// A board that can't park it on disk (diskless, or its store is
+	// full) adopts it warm instead of bouncing the transfer.
+	if err := p.c.land(e, idx, req.Checkpoint, req.ToDisk, req.OnReady); err != nil {
 		p.c.Unregister(e.Name)
-		return api.TransferResponse{Board: -1, Err: resp.Err}
+		return api.TransferResponse{Board: -1, Err: err}
 	}
 	return api.TransferResponse{Board: idx}
 }

@@ -73,6 +73,32 @@ func TestClusterAPIMigrateMovesReplica(t *testing.T) {
 	}
 }
 
+func TestClusterAPIMigrateSourceStoppedMidCopy(t *testing.T) {
+	// The source is stopped while its checkpoint is on the wire: there is
+	// nothing to switch over, so the move ends unmoved and gives both
+	// slots back — the destination is free for the next placement.
+	c := NewCluster(WithBoards(2))
+	ctl := c.API()
+	ctl.Register(api.RegisterRequest{Config: testService("alice", 20)})
+	ctl.Activate(api.ActivateRequest{Name: "alice.family.name"})
+	c.RunAll()
+
+	moved, settled := false, false
+	resp := ctl.Migrate(api.MigrateRequest{Name: "alice.family.name",
+		OnDone: func(ok bool) { moved, settled = ok, true }})
+	if resp.Err != nil || !resp.Started {
+		t.Fatalf("migrate: %+v", resp)
+	}
+	if stop := ctl.Stop(api.StopRequest{Name: "alice.family.name"}); stop.Stopped != 1 {
+		t.Fatalf("stop mid-copy stopped %d replicas, want 1", stop.Stopped)
+	}
+	c.RunAll()
+	if !settled || moved || c.Migrations != 0 {
+		t.Fatalf("settled=%v moved=%v migrations=%d, want true/false/0", settled, moved, c.Migrations)
+	}
+	checkClusterQuiescent(t, "after the stopped migration", c)
+}
+
 func TestClusterAPIStopAllReplicas(t *testing.T) {
 	c := NewCluster(WithBoards(2))
 	ctl := c.API()

@@ -39,9 +39,13 @@ const (
 	// the coldest ready replica only for a service at least this many
 	// times hotter; 2 resists flapping between similar services.
 	preemptMargin = 2.0
-	// bootEstimate is the expected cold-boot latency used to size pools
-	// and the answer-guard windows.
+	// bootEstimate is the expected cold-boot latency used to size pools.
 	bootEstimate = 350 * time.Millisecond
+	// answerGuard is how long a replica whose IP went out in a DNS answer
+	// may still see that client connect: the preemptor spares a replica
+	// answered (or booted) more recently, and a moved-out source drains
+	// this long after its switchover before it stops.
+	answerGuard = 10 * bootEstimate
 )
 
 // Config sizes the cluster and tunes its control loops. Options are its
@@ -245,9 +249,6 @@ func buildOn(eng *sim.Engine, cfg Config) *Cluster {
 	}
 	if cfg.maxWarmPerService <= 0 {
 		cfg.maxWarmPerService = cfg.boards
-	}
-	if cfg.indirectProbes < 0 {
-		cfg.indirectProbes = 0
 	}
 	cfg.board(core.WithDelayedDNS(false)) // answer synchronously, like stock Jitsu
 
@@ -568,7 +569,6 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 		if or*preemptMargin >= need {
 			continue
 		}
-		guard := 10 * bootEstimate
 		for _, p := range o.Replicas {
 			// Only boards still taking placements host preemption boots,
 			// and in-flight migrations must not lose their source.
@@ -577,12 +577,12 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 			}
 			// Hysteresis: a replica must have amortised its boot cost
 			// before it can be evicted, or near-equal services thrash.
-			if p.Svc.Guest.Uptime() < guard {
+			if p.Svc.Guest.Uptime() < answerGuard {
 				continue
 			}
 			// Never evict a replica whose IP went out in a recent DNS
 			// answer: that client's connection may still be in flight.
-			if now-p.lastAnswered < guard {
+			if now-p.lastAnswered < answerGuard {
 				continue
 			}
 			b := c.Boards[p.Board]

@@ -96,18 +96,19 @@ func (d *Directory) remove(name string) {
 type Placement struct {
 	Board int
 	Svc   *core.Service
-	// migrating marks the source of an in-flight live migration: it
-	// keeps serving (pre-copy), but reclaim and preemption must leave it
-	// alone until the switchover completes (including the drain).
+	// migrating marks the source of an in-flight checkpoint move (a
+	// move's methods, migrate.go, are its only writers): it keeps serving
+	// (pre-copy), but reclaim and preemption must leave it alone until
+	// the switchover completes (including the drain).
 	migrating bool
 	// draining marks a migrated-out source between switchover and its
 	// delayed stop: no new DNS answer names it, but a client answered
 	// just before the switchover can still connect.
 	draining bool
-	// reserved marks a slot claimed as a migration destination, from
-	// the pick until the switchover: no placement, prewarm or second
-	// migration may take it, and the pool manager counts the migration
-	// pair (ready source + reserved destination) as one replica.
+	// reserved marks a slot claimed as a move's destination, from the
+	// checkpoint until the switchover: no placement, prewarm or second
+	// move may take it, and the pool manager counts the migration pair
+	// (ready source + reserved destination) as one replica.
 	reserved bool
 	// gone marks a slot whose board departed: never served again.
 	gone bool

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"jitsu/internal/api"
 	"jitsu/internal/core"
 	"jitsu/internal/dns"
 	"jitsu/internal/netsim"
@@ -238,43 +237,39 @@ func (a *fedAgent) shed(target, batch int) {
 	}
 }
 
-// transferOut live-migrates one warm replica of e to cluster dst: the
-// federation transfer leg. Make-before-break — the source serves until
-// the destination's restore completes, then drains for the same guard
-// window a preemptor honours before the registration retires.
+// transferOut live-migrates one replica of e to cluster dst: the
+// federation transfer leg, a move with no destination slot here.
+// Make-before-break — the source serves until the destination's restore
+// completes, then drains for the answer-guard window before the
+// registration retires.
 func (a *fedAgent) transferOut(e *Entry, p *Placement, dst *FedMember) {
-	c := a.m.Cluster
-	cpResp := c.boardAPI(p.Board).Checkpoint(api.CheckpointRequest{Name: e.Name})
-	if cpResp.Err != nil {
+	m := &move{c: a.m.Cluster, e: e, src: p}
+	if !m.start() {
 		return
 	}
-	cp := cpResp.Checkpoint
-	p.migrating = true
-	var transfer obs.Span
 	if tr := a.f.Cfg.tracer; tr != nil {
-		transfer = tr.Begin(a.lane(), "fed", "transfer",
-			obs.Str("svc", e.Name), obs.Num("state_mib", int64(cp.StateMiB)),
+		m.span = tr.Begin(a.lane(), "fed", "transfer",
+			obs.Str("svc", e.Name), obs.Num("state_mib", int64(m.cp.StateMiB)),
 			obs.Num("dst", int64(dst.ID)))
 	}
 	abort := func() {
-		p.migrating = false
+		m.release()
 		a.f.CrossAborts++
-		a.f.Cfg.tracer.End(transfer, obs.Str("status", "aborted"))
+		a.f.Cfg.tracer.End(m.span, obs.Str("status", "aborted"))
 	}
-	a.fedCopy(dst.ID, cp.StateMiB, func(ok bool) {
+	a.fedCopy(dst.ID, m.cp.StateMiB, func(ok bool) {
 		// The chunk exchange died (federation path partitioned, or the
 		// destination agent went silent), the source changed under the
 		// copy, or the destination departed mid-transfer and the copy has
 		// nowhere to land: the source keeps serving untouched.
-		if !ok || a.m.Left || e.moved || p.gone ||
-			!(p.Svc.State.Booted() || p.Svc.State == core.StateColdDisk) || dst.Left {
+		if !ok || a.m.Left || e.moved || !m.movable() || dst.Left {
 			abort()
 			return
 		}
 		req := a.f.transferRequest(e, dst)
 		// A disk-resident source sheds its checkpoint straight onto the
 		// destination's disk tier — no paging in on either side.
-		req.Checkpoint, req.ToDisk = cp, p.Svc.State == core.StateColdDisk
+		req.Checkpoint, req.ToDisk = m.cp, p.Svc.State == core.StateColdDisk
 		req.OnReady = func(err error) {
 			if err != nil {
 				// The destination lost its headroom during the restore;
@@ -284,8 +279,8 @@ func (a *fedAgent) transferOut(e *Entry, p *Placement, dst *FedMember) {
 				return
 			}
 			a.f.CrossMigrations++
-			a.f.Cfg.tracer.End(transfer, obs.Str("status", "ready"))
-			a.retire(e, p, dst.ID)
+			a.f.Cfg.tracer.End(m.span, obs.Str("status", "ready"))
+			a.retire(m, dst.ID)
 		}
 		if resp := dst.Cluster.API().Transfer(req); resp.Err != nil {
 			abort()
@@ -298,18 +293,17 @@ func (a *fedAgent) transferOut(e *Entry, p *Placement, dst *FedMember) {
 // replica drains for the answer-guard window before the registration
 // is unregistered — a client answered with the old address moments ago
 // can still connect.
-func (a *fedAgent) retire(e *Entry, p *Placement, newHome int) {
-	c := a.m.Cluster
+func (a *fedAgent) retire(m *move, newHome int) {
+	c, e := a.m.Cluster, m.e
 	c.markMoved(e, newHome)
-	p.migrating = false
-	p.draining = true
+	m.switchover()
 	if tr := a.f.Cfg.tracer; tr != nil {
 		tr.Instant(a.lane(), "fed", "switchover",
 			obs.Str("svc", e.Name), obs.Num("dst", int64(newHome)))
 	}
 	a.dirChanged()
-	guard := 10 * bootEstimate
-	a.f.eng.After(guard, func() {
+	a.f.eng.After(answerGuard, func() {
+		m.retire()
 		// Only retire the entry this drain belongs to: the name may have
 		// been re-adopted (a spill back) since, and its fresh
 		// registration must survive.

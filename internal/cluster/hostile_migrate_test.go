@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"jitsu/internal/api"
 	"jitsu/internal/blockdev"
 	"jitsu/internal/core"
 	"jitsu/internal/netsim"
@@ -11,24 +12,43 @@ import (
 
 // ---- migration under hostile management networks ----
 
-// hostileLeaveCluster is a 3-board cluster with a warm replica on the
-// leaving board 1, copied in 4 MiB chunks: one chunk for its checkpoint.
-func hostileLeaveCluster(t *testing.T) *Cluster {
+// hostileLeaveCluster is a 3-board cluster with a replica on the leaving
+// board 1, copied in 4 MiB chunks: one chunk for its checkpoint. The
+// replica is warm, or for source "disk" demoted onto its board's disk
+// tier; disks (or a disk source) gives every board a disk.
+func hostileLeaveCluster(t *testing.T, source string, disks bool) *Cluster {
 	t.Helper()
-	c := NewCluster(WithBoards(3), WithMigrateOnLeave(true), WithMgmtLink(0, 4))
+	opts := []Option{WithBoards(3), WithMigrateOnLeave(true), WithMgmtLink(0, 4)}
+	if disks || source == "disk" {
+		opts = append(opts, WithBoardOptions(core.WithDisk(blockdev.DefaultConfig())))
+	}
+	c := NewCluster(opts...)
 	c.RegisterService(testService("alice", 20), WithMinWarm(2))
 	c.RunAll()
 	e := c.Directory().Lookup("alice.family.name")
 	if replicaOn(e, 1) == nil || !e.Replicas[1].Svc.State.Booted() {
 		t.Fatal("test setup: no warm replica on board 1")
 	}
+	if source == "disk" {
+		if resp := c.API().Demote(api.DemoteRequest{Name: e.Name, Board: api.OnBoard(1)}); resp.Err != nil {
+			t.Fatalf("test setup: demote on board 1: %v", resp.Err)
+		}
+		c.RunAll()
+		if e.Replicas[1].Svc.State != core.StateColdDisk {
+			t.Fatalf("test setup: board 1's replica is %v, want cold-disk", e.Replicas[1].Svc.State)
+		}
+	}
 	return c
 }
+
+// sourceTiers are the tiers a leaving board's replica is evacuated
+// from: both take the same move, with its retries and parking.
+var sourceTiers = []string{"warm", "disk"}
 
 func TestMigrationChunksAcknowledged(t *testing.T) {
 	// Clean network: the pre-copy is a chunked exchange now — every
 	// chunk datagram acked, none retransmitted.
-	c := hostileLeaveCluster(t)
+	c := hostileLeaveCluster(t, "warm", false)
 	left := false
 	if err := c.Leave(1, func() { left = true }); err != nil {
 		t.Fatal(err)
@@ -47,13 +67,14 @@ func TestMigrationChunksAcknowledged(t *testing.T) {
 	if c.ChunkRetx != 0 || c.XferAborts != 0 {
 		t.Fatalf("clean link saw retx=%d aborts=%d", c.ChunkRetx, c.XferAborts)
 	}
+	checkClusterQuiescent(t, "after the leave", c)
 }
 
 func TestMigrationRetransmitsThroughLoss(t *testing.T) {
 	// A lossy management uplink on the leaving board: chunks and acks
 	// drop, the per-chunk retransmit recovers each one, and the replica
 	// still arrives warm.
-	c := hostileLeaveCluster(t)
+	c := hostileLeaveCluster(t, "warm", false)
 	c.MgmtLink(1).Impair(netsim.Impairment{Loss: 0.2}, 31)
 
 	left := false
@@ -71,6 +92,7 @@ func TestMigrationRetransmitsThroughLoss(t *testing.T) {
 	if replicaOn(e, 2) == nil || !e.Replicas[2].Svc.State.Booted() {
 		t.Fatal("replica did not arrive warm on board 2")
 	}
+	checkClusterQuiescent(t, "after the leave", c)
 }
 
 func TestMigrationLateAckAfterTimeoutSettlesWindowOnce(t *testing.T) {
@@ -122,48 +144,60 @@ func TestMigrationLateAckAfterTimeoutSettlesWindowOnce(t *testing.T) {
 	if replicaOn(e, 2) == nil || !e.Replicas[2].Svc.State.Booted() {
 		t.Fatal("replica did not arrive warm on board 2")
 	}
+	checkClusterQuiescent(t, "after the leave", c)
 }
 
 func TestMigrationAbortsAndReschedulesOnPartition(t *testing.T) {
 	// The mgmt link partitions mid-transfer: the chunk exchange starves,
 	// the transfer aborts, and the mandatory evacuation reschedules.
-	// After the heal the retry completes and the replica still arrives
-	// warm — one abort, one migration, nothing lost.
-	c := hostileLeaveCluster(t)
-	link := c.MgmtLink(1)
+	// After the heal the retry completes and the replica's state still
+	// arrives — one abort, one migration, nothing lost — whether it left
+	// warm or from its board's disk.
+	for _, source := range sourceTiers {
+		t.Run(source, func(t *testing.T) {
+			c := hostileLeaveCluster(t, source, false)
+			link := c.MgmtLink(1)
 
-	left := false
-	if err := c.Leave(1, func() { left = true }); err != nil {
-		t.Fatal(err)
-	}
-	// Cut the link while the 4 MiB checkpoint's one chunk is on the
-	// wire; heal between the abort and the rescheduled attempt. Each
-	// timeout doubles the controller's RTO (from chunkRTO; its
-	// 64·chunkRTO = 3.2 s cap is not reached) and the sender doubles it
-	// again per retry of the chunk, so try k waits 50ms·4^(k-1) plus the
-	// chunk's 33.5 ms serialisation allowance. The sixth and last try
-	// (chunkRetries = 5) goes out at 50ms·(4^5-1)/3 + 5·33.5ms ≈ 17.2 s
-	// — a heal before that lets it through and nothing aborts — and
-	// times out at 50ms·(4^6-1)/3 + 6·33.5ms ≈ 68.45 s; the reschedule
-	// fires migrateRetry's one second later, at ≈ 69.45 s. Healing at 69 s also
-	// catches chunkRetries = 4 or chunkRTO = 20ms: the first abort then
-	// lands early and the second attempt aborts too, before the heal.
-	c.eng.After(20*time.Millisecond, func() { link.Partition() })
-	c.eng.After(69*time.Second, func() { link.Heal() })
-	c.RunAll()
+			left := false
+			if err := c.Leave(1, func() { left = true }); err != nil {
+				t.Fatal(err)
+			}
+			// Cut the link while the 4 MiB checkpoint's one chunk is on
+			// the wire; heal between the abort and the rescheduled
+			// attempt. Each timeout doubles the controller's RTO (from
+			// chunkRTO; its 64·chunkRTO = 3.2 s cap is not reached) and
+			// the sender doubles it again per retry of the chunk, so try
+			// k waits 50ms·4^(k-1) plus the chunk's 33.5 ms serialisation
+			// allowance. The sixth and last try (chunkRetries = 5) goes
+			// out at 50ms·(4^5-1)/3 + 5·33.5ms ≈ 17.2 s — a heal before
+			// that lets it through and nothing aborts — and times out at
+			// 50ms·(4^6-1)/3 + 6·33.5ms ≈ 68.45 s; the reschedule fires
+			// migrateRetry's one second later, at ≈ 69.45 s. Healing at
+			// 69 s also catches chunkRetries = 4 or chunkRTO = 20ms: the
+			// first abort then lands early and the second attempt aborts
+			// too, before the heal.
+			c.eng.After(20*time.Millisecond, func() { link.Partition() })
+			c.eng.After(69*time.Second, func() { link.Heal() })
+			c.RunAll()
 
-	if c.XferAborts != 1 {
-		t.Fatalf("xfer aborts = %d, want 1", c.XferAborts)
-	}
-	if !left || c.Migrations != 1 || c.Lost != 0 {
-		t.Fatalf("left=%v migrations=%d lost=%d, want true/1/0", left, c.Migrations, c.Lost)
-	}
-	e := c.Directory().Lookup("alice.family.name")
-	if replicaOn(e, 2) == nil || !e.Replicas[2].Svc.State.Booted() {
-		t.Fatal("replica did not arrive warm after the rescheduled attempt")
-	}
-	if e.Replicas[2].Svc.Restores != 1 {
-		t.Fatalf("restores = %d, want 1", e.Replicas[2].Svc.Restores)
+			if c.XferAborts != 1 {
+				t.Fatalf("xfer aborts = %d, want 1", c.XferAborts)
+			}
+			if !left || c.Migrations != 1 || c.Lost != 0 {
+				t.Fatalf("left=%v migrations=%d lost=%d, want true/1/0", left, c.Migrations, c.Lost)
+			}
+			e := c.Directory().Lookup("alice.family.name")
+			p := replicaOn(e, 2)
+			if p == nil || !p.Svc.State.Booted() {
+				t.Fatal("replica did not arrive after the rescheduled attempt")
+			}
+			// A warm source restores on board 2; a disk one lands on its
+			// disk, and the warm pool pages it in from there.
+			if got := map[string]uint64{"warm": p.Svc.Restores, "disk": p.Svc.DiskRestores}[source]; got != 1 || p.Svc.ColdStarts != 0 {
+				t.Fatalf("%s restores = %d, cold starts = %d, want 1/0", source, got, p.Svc.ColdStarts)
+			}
+			checkClusterQuiescent(t, "after the leave", c)
+		})
 	}
 }
 
@@ -171,7 +205,7 @@ func TestMigrationGivesUpAfterAttemptBudget(t *testing.T) {
 	// Permanent partition: every attempt aborts; after the budget the
 	// replica is written off (the preempt baseline) and the departure
 	// still completes — a dead management path must not wedge Leave.
-	c := hostileLeaveCluster(t)
+	c := hostileLeaveCluster(t, "warm", false)
 	c.MgmtLink(1).Partition()
 
 	left := false
@@ -191,6 +225,7 @@ func TestMigrationGivesUpAfterAttemptBudget(t *testing.T) {
 	if m := c.members[1]; m.State != MemberLeft {
 		t.Fatalf("member state = %v, want left", m.State)
 	}
+	checkClusterQuiescent(t, "after the leave", c)
 }
 
 func TestMigrationParksCheckpointAfterAttemptBudget(t *testing.T) {
@@ -198,47 +233,48 @@ func TestMigrationParksCheckpointAfterAttemptBudget(t *testing.T) {
 	// once the attempt budget is spent, the already-captured checkpoint
 	// must be parked on a surviving board (the board API is in-process —
 	// a wrecked management network cannot stop the hand-off) so the next
-	// activation resumes it instead of cold-booting.
-	c := NewCluster(WithBoards(3), WithBoardOptions(core.WithDisk(blockdev.DefaultConfig())),
-		WithMigrateOnLeave(true), WithMgmtLink(0, 4))
-	c.RegisterService(testService("alice", 20), WithMinWarm(2))
-	c.RunAll()
-	e := c.Directory().Lookup("alice.family.name")
-	if replicaOn(e, 1) == nil || !e.Replicas[1].Svc.State.Booted() {
-		t.Fatal("test setup: no warm replica on board 1")
-	}
-	c.MgmtLink(1).Partition()
+	// activation resumes it instead of cold-booting. A replica evacuated
+	// from the leaving board's disk gets the same three tries and the
+	// same parking as a warm one.
+	for _, source := range sourceTiers {
+		t.Run(source, func(t *testing.T) {
+			c := hostileLeaveCluster(t, source, true)
+			e := c.Directory().Lookup("alice.family.name")
+			c.MgmtLink(1).Partition()
 
-	left := false
-	if err := c.Leave(1, func() { left = true }); err != nil {
-		t.Fatal(err)
-	}
-	c.RunAll()
-	if !left {
-		t.Fatal("leave wedged on a partitioned management link")
-	}
-	if c.XferAborts != 3 {
-		t.Fatalf("xfer aborts = %d, want 3 (migrateRetry: three tries)", c.XferAborts)
-	}
-	if c.Parks != 1 || c.Lost != 0 {
-		t.Fatalf("parks=%d lost=%d, want 1/0 (checkpoint rescued)", c.Parks, c.Lost)
-	}
-	// The rescued state landed on a survivor and resumed from disk: the
-	// warm-pool manager pages the parked checkpoint back in (one disk
-	// restore), never a cold boot.
-	resumed := false
-	for i, p := range e.Replicas {
-		if p == nil || i == 1 {
-			continue
-		}
-		if p.Svc.ColdStarts != 0 {
-			t.Fatalf("board %d cold-booted %d times, want 0", i, p.Svc.ColdStarts)
-		}
-		if p.Svc.DiskRestores == 1 || p.Svc.State == core.StateColdDisk {
-			resumed = true
-		}
-	}
-	if !resumed {
-		t.Fatal("no survivor resumed from the parked checkpoint")
+			left := false
+			if err := c.Leave(1, func() { left = true }); err != nil {
+				t.Fatal(err)
+			}
+			c.RunAll()
+			if !left {
+				t.Fatal("leave wedged on a partitioned management link")
+			}
+			if c.XferAborts != 3 {
+				t.Fatalf("xfer aborts = %d, want 3 (migrateRetry: three tries)", c.XferAborts)
+			}
+			if c.Parks != 1 || c.Lost != 0 {
+				t.Fatalf("parks=%d lost=%d, want 1/0 (checkpoint rescued)", c.Parks, c.Lost)
+			}
+			// The rescued state landed on a survivor and resumed from
+			// disk: the warm-pool manager pages the parked checkpoint back
+			// in (one disk restore), never a cold boot.
+			resumed := false
+			for i, p := range e.Replicas {
+				if p == nil || i == 1 {
+					continue
+				}
+				if p.Svc.ColdStarts != 0 {
+					t.Fatalf("board %d cold-booted %d times, want 0", i, p.Svc.ColdStarts)
+				}
+				if p.Svc.DiskRestores == 1 || p.Svc.State == core.StateColdDisk {
+					resumed = true
+				}
+			}
+			if !resumed {
+				t.Fatal("no survivor resumed from the parked checkpoint")
+			}
+			checkClusterQuiescent(t, "after the leave", c)
+		})
 	}
 }

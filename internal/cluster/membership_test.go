@@ -163,6 +163,7 @@ func TestLeaveMigratesWarmReplicas(t *testing.T) {
 	if rt > 50*time.Millisecond {
 		t.Fatalf("post-migration fetch took %v, want warm-path ms", rt)
 	}
+	checkClusterQuiescent(t, "after the leave", c)
 }
 
 func TestLeavePreemptBaselineGoesCold(t *testing.T) {
@@ -188,6 +189,7 @@ func TestLeavePreemptBaselineGoesCold(t *testing.T) {
 	if p.Svc.Launches != 1 {
 		t.Fatalf("launches = %d, want 1 fresh boot on board 2", p.Svc.Launches)
 	}
+	checkClusterQuiescent(t, "after the leave", c)
 }
 
 func TestConcurrentLeavesReserveDistinctDestinations(t *testing.T) {
@@ -223,6 +225,7 @@ func TestConcurrentLeavesReserveDistinctDestinations(t *testing.T) {
 			t.Fatalf("board %d restores = %d, want 1", id, p.Svc.Restores)
 		}
 	}
+	checkClusterQuiescent(t, "after the leave", c)
 }
 
 func TestLeaveRefusedForFrontAndDeparted(t *testing.T) {
@@ -237,6 +240,7 @@ func TestLeaveRefusedForFrontAndDeparted(t *testing.T) {
 	if err := c.Leave(1, nil); err == nil {
 		t.Fatal("leaving twice must be refused")
 	}
+	checkClusterQuiescent(t, "after the leave", c)
 }
 
 // ---- failure detection: suspect, refute, confirm ----

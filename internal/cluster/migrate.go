@@ -10,12 +10,15 @@ import (
 	"jitsu/internal/sim"
 )
 
-// Live migration of warm replicas: instead of preempting a warm
-// unikernel and paying a cold boot elsewhere, the cluster checkpoints
-// its state, copies it across the management link while the source
-// keeps serving (pre-copy), restores on the destination at a fraction
-// of the boot cost, and only then retires the source — so a graceful
-// board departure never turns a warm service cold.
+// Checkpoint moves: instead of preempting a warm unikernel and paying a
+// cold boot elsewhere, the cluster checkpoints its state, copies it over
+// the management link while the source keeps serving (pre-copy), lands
+// it on the destination and only then retires the source — so a graceful
+// board departure never turns a warm service cold. Migrate, a leaving
+// board's evacuation (warm or disk-resident), parking and the federation
+// shed (fedagent.go) are all one move record: a warm source restores and
+// drains, a disk source lands on disk and goes at once, and a failed
+// evacuation retries, then parks its checkpoint or loses the replica.
 
 // ErrCannotLeave is returned for departures the cluster must refuse.
 var ErrCannotLeave = errors.New("cluster: board cannot leave")
@@ -27,10 +30,7 @@ var ErrCannotLeave = errors.New("cluster: board cannot leave")
 // broadcasts Left. done (may be nil) fires when the board is fully out.
 // Board 0 hosts the directory and may not leave.
 func (c *Cluster) Leave(id int, done func()) error {
-	if id == 0 {
-		return ErrCannotLeave
-	}
-	if id >= len(c.members) {
+	if id == 0 || id >= len(c.members) {
 		return ErrCannotLeave
 	}
 	m := c.members[id]
@@ -76,12 +76,9 @@ func (c *Cluster) evacuate(m *Member, done func()) {
 			// Already on its way out (an overlapping operator Migrate):
 			// that migration's switchover/drain completes the
 			// evacuation; starting a second copy would race it.
-		case p.Svc.State.Booted():
+		case p.Svc.State.Booted() || p.Svc.State == core.StateColdDisk:
 			outstanding++
 			c.evacuateOne(e, p, finish)
-		case p.Svc.State == core.StateColdDisk:
-			outstanding++
-			c.evacuateDisk(e, p, finish)
 		case p.Svc.State == core.StateLaunching:
 			// A boot is in flight here (a client was already answered
 			// with this IP). Let it finish, then move it.
@@ -102,14 +99,15 @@ func (c *Cluster) evacuate(m *Member, done func()) {
 	finish()
 }
 
-// evacuateOne moves (or, in the baseline, stops) one ready replica.
+// evacuateOne moves (or, in the baseline, stops) one replica, booted or
+// parked on disk.
 func (c *Cluster) evacuateOne(e *Entry, p *Placement, done func()) {
 	if !c.Cfg.migrateOnLeave {
 		c.loseReplica(p)
 		done()
 		return
 	}
-	c.migrate(e, p, func(bool) { done() })
+	(&move{c: c, e: e, src: p, mandatory: true, done: func(bool) { done() }}).attempt(c.pickDest(e, p))
 }
 
 // pickDest asks e's policy for a migration destination: any placeable
@@ -130,253 +128,228 @@ func (c *Cluster) loseReplica(p *Placement) {
 	}
 }
 
-// evacuateDisk hands a disk-resident replica to another board without
-// paging it in: the stored checkpoint is copied across the management
-// link and adopted straight onto the destination's disk tier, falling
-// back to a warm restore when the destination has no disk. Only when no
-// destination fits is the checkpoint lost.
-func (c *Cluster) evacuateDisk(e *Entry, p *Placement, done func()) {
-	lose := func() {
-		c.loseReplica(p)
-		done()
+// land restores cp onto e's replica on board idx: onto its disk tier
+// when toDisk asks and the board has a disk with room, else warm.
+func (c *Cluster) land(e *Entry, idx int, cp *core.Checkpoint, toDisk bool, onReady func(error)) *api.Error {
+	req := api.RestoreRequest{Name: e.Name, Checkpoint: cp, Board: api.OnBoard(idx), ToDisk: toDisk, OnReady: onReady}
+	resp := c.boardAPI(idx).Restore(req)
+	if resp.Err != nil && toDisk {
+		req.ToDisk = false
+		resp = c.boardAPI(idx).Restore(req)
 	}
-	if !c.Cfg.migrateOnLeave {
-		lose()
-		return
-	}
-	cpResp := c.boardAPI(p.Board).Checkpoint(api.CheckpointRequest{Name: e.Name})
-	if cpResp.Err != nil {
-		lose()
-		return
-	}
-	cp := cpResp.Checkpoint
-	idx := c.pickDest(e, p)
-	if idx < 0 {
-		lose()
-		return
-	}
-	dst := e.Replicas[idx]
-	dst.reserved = true
-	p.migrating = true
-	c.copyCheckpoint(p.Board, idx, cp.StateMiB, func(copied bool) {
-		p.migrating = false
-		dst.reserved = false
-		if !copied || dst.gone {
-			lose()
-			return
-		}
-		resp := c.boardAPI(idx).Restore(api.RestoreRequest{
-			Name: e.Name, Checkpoint: cp, Board: api.OnBoard(idx), ToDisk: true})
-		if resp.Err != nil {
-			// Destination diskless (or its store is full): page the
-			// checkpoint in warm instead of losing it.
-			resp = c.boardAPI(idx).Restore(api.RestoreRequest{
-				Name: e.Name, Checkpoint: cp, Board: api.OnBoard(idx)})
-		}
-		if resp.Err != nil {
-			lose()
-			return
-		}
-		c.Boards[p.Board].Jitsu.Evict(p.Svc)
-		c.Migrations++
-		done()
-	})
-}
-
-// migrate moves one ready replica of e off p's board for a mandatory
-// evacuation (the board is leaving): if no destination fits or the
-// move fails, the replica is stopped and its warm state lost — exactly
-// the baseline. done reports whether the replica arrived warm.
-func (c *Cluster) migrate(e *Entry, p *Placement, done func(ok bool)) {
-	c.migrateAttempt(e, p, 0, done)
+	return resp.Err
 }
 
 // migrateRetry reschedules an evacuation whose transfer died on the
-// wire: a second later, three tries in all, then the replica is lost.
+// wire: a second later, three tries in all.
 var migrateRetry = sim.Backoff{Initial: time.Second, Factor: 1, Retries: 2}
 
-// migrateAttempt is one try of a mandatory evacuation, after retry
-// reschedules; a transfer that dies on the wire reschedules here with a
-// fresh destination pick — the first choice may be the very board the
-// partition cut off.
-func (c *Cluster) migrateAttempt(e *Entry, p *Placement, retry int, done func(ok bool)) {
-	idx := c.pickDest(e, p)
-	if idx < 0 {
-		c.loseReplica(p)
-		done(false)
-		return
-	}
-	c.migrateTo(e, p, idx, true, retry, done)
+// move is one checkpoint on its way from a source replica to a new home:
+// the cold slot dst here or, with dst nil, another cluster. Its methods
+// are the only writers of the source's migrating flag and the
+// destination's reserved flag.
+type move struct {
+	c        *Cluster
+	e        *Entry
+	src, dst *Placement
+	cp       *core.Checkpoint
+	span     obs.Span
+	// mandatory marks an evacuation (the source board is leaving); a
+	// failed optional move (Migrate) leaves its source where it was.
+	mandatory bool
+	retry     int
+	done      func(ok bool)
 }
 
-// migrateTo runs the live migration to the already-picked destination.
-// mandatory distinguishes an evacuation (source board is going away —
-// a failed move stops the source) from an optional rebalance (a failed
-// move leaves the healthy source exactly where it was).
-func (c *Cluster) migrateTo(e *Entry, p *Placement, idx int, mandatory bool, retry int, done func(ok bool)) {
-	dst := e.Replicas[idx]
-	// The transfer speaks the typed control-plane surface: checkpoint on
-	// the source board, restore on the destination, stop on switchover —
-	// the same verbs an external operator would use.
-	cpResp := c.boardAPI(p.Board).Checkpoint(api.CheckpointRequest{Name: e.Name})
-	if cpResp.Err != nil {
-		p.migrating = false
-		dst.reserved = false
-		if mandatory {
-			c.loseReplica(p)
-		}
-		done(false)
+// start captures the source's checkpoint and claims both slots for the
+// copy: the source keeps serving, but no reclaim, preemption or second
+// move may take it, and nothing may take the destination.
+func (m *move) start() bool {
+	resp := m.c.boardAPI(m.src.Board).Checkpoint(api.CheckpointRequest{Name: m.e.Name})
+	if resp.Err != nil {
+		return false
+	}
+	m.cp = resp.Checkpoint
+	m.src.migrating = true
+	if m.dst != nil {
+		m.dst.reserved = true
+	}
+	return true
+}
+
+// release gives both slots back: the move ends without a switchover.
+func (m *move) release() {
+	m.src.migrating = false
+	if m.dst != nil {
+		m.dst.reserved = false
+	}
+}
+
+// movable reports whether the source still holds its state: the slot is
+// not retired and the replica is booted or parked on disk.
+func (m *move) movable() bool {
+	st := m.src.Svc.State
+	return !m.src.gone && (st.Booted() || st == core.StateColdDisk)
+}
+
+// switchover hands the service to its new home: the destination's claim
+// ends, and the source drains (no new answer names it) until retire.
+func (m *move) switchover() {
+	m.src.draining = true
+	if m.dst != nil {
+		m.dst.reserved = false
+	}
+}
+
+// retire ends the source's drain: until then no reclaim may take it.
+func (m *move) retire() { m.src.migrating = false }
+
+// lose writes an evacuation's replica off (the preempt baseline).
+func (m *move) lose() {
+	if m.mandatory {
+		m.c.loseReplica(m.src)
+	}
+	m.done(false)
+}
+
+// fail ends a move whose checkpoint could not land: the slots go back,
+// and an evacuation parks the checkpoint or, failing that, is lost.
+func (m *move) fail() {
+	m.release()
+	if m.mandatory && m.park() {
+		m.done(false)
 		return
 	}
-	cp := cpResp.Checkpoint
-	abort := func() {
-		p.migrating = false
-		dst.reserved = false
-		if mandatory {
-			// The destination (or the path to it) is gone but the
-			// checkpoint is already captured: park it instead of
-			// discarding the state with the replica.
-			if !c.parkCheckpoint(e, p, cp) {
-				c.loseReplica(p)
-			}
-		}
-		done(false)
+	m.lose()
+}
+
+// attempt is one try at the move to board idx (-1: none fits).
+func (m *move) attempt(idx int) {
+	c := m.c
+	if idx < 0 {
+		m.lose()
+		return
 	}
-	p.migrating = true
-	var precopy obs.Span
+	if m.dst = m.e.Replicas[idx]; !m.start() {
+		m.lose()
+		return
+	}
 	if tr := c.tracer(); tr != nil {
-		precopy = tr.Begin(c.tidFor(p.Board), "migrate", "precopy",
-			obs.Str("svc", e.Name), obs.Num("state_mib", int64(cp.StateMiB)),
-			obs.Num("src", int64(p.Board)), obs.Num("dst", int64(idx)))
+		m.span = tr.Begin(c.tidFor(m.src.Board), "migrate", "precopy",
+			obs.Str("svc", m.e.Name), obs.Num("state_mib", int64(m.cp.StateMiB)),
+			obs.Num("src", int64(m.src.Board)), obs.Num("dst", int64(idx)))
 	}
-	// Claim the destination slot for the whole copy: no placement,
-	// prewarm or concurrent migration may take it while the checkpoint
-	// is in flight, or the restore would find the slot occupied and a
-	// mandatory abort would sacrifice a healthy source.
-	dst.reserved = true
-	c.copyCheckpoint(p.Board, idx, cp.StateMiB, func(copied bool) {
-		if !copied {
-			// The management path died mid-copy (chunk retries
-			// exhausted). Release the claim; a mandatory evacuation gets
-			// rescheduled — crash-safe: the source is still serving, the
-			// destination reserved nothing durable — until the attempt
-			// budget runs out and the replica is written off.
-			c.tracer().End(precopy, obs.Str("status", "copy-failed"))
-			p.migrating = false
-			dst.reserved = false
-			if !mandatory {
-				done(false)
-				return
-			}
-			if wait, more := migrateRetry.Next(retry, nil); more {
-				c.eng.After(wait, func() {
-					if p.gone || !p.Svc.State.Booted() {
-						done(false)
-						return
-					}
-					c.migrateAttempt(e, p, retry+1, done)
-				})
-				return
-			}
-			// Attempt budget spent: the checkpoint exists even though no
-			// copy ever landed — park it before writing the replica off.
-			if !c.parkCheckpoint(e, p, cp) {
-				c.loseReplica(p)
-			}
-			done(false)
-			return
-		}
-		if p.gone || !p.Svc.State.Booted() {
-			// The source died mid-copy; nothing to switch over.
-			c.tracer().End(precopy, obs.Str("status", "source-lost"))
-			p.migrating = false
-			dst.reserved = false
-			done(false)
-			return
-		}
-		c.tracer().End(precopy, obs.Str("status", "copied"))
-		var restore obs.Span
-		if tr := c.tracer(); tr != nil {
-			restore = tr.Begin(c.tidFor(idx), "migrate", "restore",
-				obs.Str("svc", e.Name), obs.Num("state_mib", int64(cp.StateMiB)))
-		}
-		resp := c.boardAPI(idx).Restore(api.RestoreRequest{Name: e.Name, Checkpoint: cp, Board: api.OnBoard(idx), OnReady: func(err error) {
-			if err != nil {
-				c.tracer().End(restore, obs.Str("status", "error"))
-				abort()
-				return
-			}
-			c.tracer().End(restore, obs.Str("status", "ready"))
-			// Switchover: every future DNS answer names the destination
-			// (the source leaves the ready set and the answer epoch
-			// moves) — but a client answered with the source IP moments
-			// ago may still be connecting, so the source drains for the
-			// same guard window the preemptor honours before it stops.
-			p.draining = true
-			dst.reserved = false
-			dst.lastAnswered = p.lastAnswered
-			c.Migrations++
-			if tr := c.tracer(); tr != nil {
-				tr.Instant(c.tidFor(idx), "migrate", "switchover",
-					obs.Str("svc", e.Name), obs.Num("src", int64(p.Board)), obs.Num("dst", int64(idx)))
-			}
-			c.front().DNS.BumpEpoch()
-			guard := 10 * bootEstimate
-			grace := sim.Duration(0)
-			if since := c.eng.Now() - p.lastAnswered; p.lastAnswered > 0 && since < guard {
-				grace = guard - since
-			}
-			c.eng.After(grace, func() {
-				p.migrating = false
-				c.Boards[p.Board].Jitsu.Evict(p.Svc)
-				done(true)
+	c.copyCheckpoint(m.src.Board, idx, m.cp.StateMiB, m.copied)
+}
+
+// copied lands the checkpoint once the copy is through.
+func (m *move) copied(ok bool) {
+	c := m.c
+	if !ok {
+		// The management path died mid-copy (chunk retries exhausted).
+		// An evacuation is rescheduled — the source still holds its
+		// state, the destination reserved nothing durable — with a fresh
+		// pick: the first may be the very board the partition cut off.
+		c.tracer().End(m.span, obs.Str("status", "copy-failed"))
+		if wait, more := migrateRetry.Next(m.retry, nil); m.mandatory && more {
+			m.release()
+			m.retry++
+			c.eng.After(wait, func() {
+				if !m.movable() {
+					m.done(false)
+					return
+				}
+				m.attempt(c.pickDest(m.e, m.src))
 			})
-		}})
-		if resp.Err != nil {
-			// Destination lost its memory headroom during the copy.
-			c.tracer().End(restore, obs.Str("status", "refused"))
-			abort()
+			return
 		}
-		// On success the slot stays reserved until the switchover: the
-		// migration pair (ready source + restoring destination) must
-		// read as ONE replica to the pool manager, or make-before-break
-		// looks over-provisioned and reclaim tears down a bystander.
+		m.fail()
+		return
+	}
+	if !m.movable() {
+		c.tracer().End(m.span, obs.Str("status", "source-lost"))
+		m.release()
+		m.done(false)
+		return
+	}
+	c.tracer().End(m.span, obs.Str("status", "copied"))
+	if m.src.Svc.State == core.StateColdDisk {
+		// No client connects to a replica on disk: switch over at once.
+		m.release()
+		if c.land(m.e, m.dst.Board, m.cp, true, nil) != nil {
+			m.fail()
+			return
+		}
+		c.Boards[m.src.Board].Jitsu.Evict(m.src.Svc)
+		c.Migrations++
+		m.done(true)
+		return
+	}
+	if tr := c.tracer(); tr != nil {
+		m.span = tr.Begin(c.tidFor(m.dst.Board), "migrate", "restore",
+			obs.Str("svc", m.e.Name), obs.Num("state_mib", int64(m.cp.StateMiB)))
+	}
+	// The destination stays reserved until the switchover: the pair
+	// (ready source + restoring destination) must read as ONE replica
+	// to the pool manager, or reclaim tears down a bystander.
+	if c.land(m.e, m.dst.Board, m.cp, false, m.restored) != nil {
+		c.tracer().End(m.span, obs.Str("status", "refused")) // no headroom left
+		m.fail()
+	}
+}
+
+// restored switches a warm move over: every future DNS answer names the
+// destination (the source leaves the ready set and the answer epoch
+// moves), but a client answered with the source IP moments ago may still
+// be connecting, so the source drains out the answer-guard window.
+func (m *move) restored(err error) {
+	c, src, dst := m.c, m.src, m.dst
+	if err != nil {
+		c.tracer().End(m.span, obs.Str("status", "error"))
+		m.fail()
+		return
+	}
+	c.tracer().End(m.span, obs.Str("status", "ready"))
+	m.switchover()
+	dst.lastAnswered = src.lastAnswered
+	c.Migrations++
+	if tr := c.tracer(); tr != nil {
+		tr.Instant(c.tidFor(dst.Board), "migrate", "switchover",
+			obs.Str("svc", m.e.Name), obs.Num("src", int64(src.Board)), obs.Num("dst", int64(dst.Board)))
+	}
+	c.front().DNS.BumpEpoch()
+	grace := sim.Duration(0)
+	if since := c.eng.Now() - src.lastAnswered; src.lastAnswered > 0 && since < answerGuard {
+		grace = answerGuard - since
+	}
+	c.eng.After(grace, func() {
+		m.retire()
+		c.Boards[src.Board].Jitsu.Evict(src.Svc)
+		m.done(true)
 	})
 }
 
-// parkCheckpoint is the crash-interrupted-migration fallback: a
-// mandatory evacuation died after the source's state was captured (the
-// destination crashed, or the management path to it partitioned), and
-// the source board is leaving. Instead of discarding the checkpoint
-// with the replica, adopt it onto a surviving board's disk tier — the
-// board API is in-process, so a wrecked management network cannot stop
-// the hand-off — and the service's next activation resumes from
-// StateColdDisk instead of cold-booting. Returns false (caller loses
-// the replica, the old behaviour) when no surviving board has a cold
-// slot and a disk to take it. The failed destination is NOT excluded:
-// a crashed board is already unplaceable, while one that is merely
-// unreachable over the management network (or out of guest memory) can
-// still adopt onto its disk through the in-process board API.
-func (c *Cluster) parkCheckpoint(e *Entry, p *Placement, cp *core.Checkpoint) bool {
-	idx := e.Policy.Pick(c.views(e, func(i int) bool {
-		return i == p.Board || e.Replicas[i].Svc.State != core.StateCold
-	}))
-	if idx < 0 {
-		return false
-	}
-	resp := c.boardAPI(idx).Restore(api.RestoreRequest{
-		Name: e.Name, Checkpoint: cp, Board: api.OnBoard(idx), ToDisk: true})
-	if resp.Err != nil {
+// park rescues the checkpoint of an evacuation that could not land (the
+// destination crashed, or the management path to it partitioned): a
+// board the policy picks adopts it onto its disk through the in-process
+// board API, which a wrecked management network cannot stop, so the
+// next activation resumes from disk instead of cold-booting. The failed
+// destination is not excluded: one merely unreachable (or out of guest
+// memory) can still adopt. False when no board has a cold slot and disk.
+func (m *move) park() bool {
+	c := m.c
+	idx := c.pickDest(m.e, m.src)
+	if idx < 0 || c.boardAPI(idx).Restore(api.RestoreRequest{
+		Name: m.e.Name, Checkpoint: m.cp, Board: api.OnBoard(idx), ToDisk: true}).Err != nil {
 		return false
 	}
 	c.Parks++
 	if tr := c.tracer(); tr != nil {
 		tr.Instant(c.tidFor(idx), "migrate", "park",
-			obs.Str("svc", e.Name), obs.Num("src", int64(p.Board)),
-			obs.Num("state_mib", int64(cp.StateMiB)))
+			obs.Str("svc", m.e.Name), obs.Num("src", int64(m.src.Board)),
+			obs.Num("state_mib", int64(m.cp.StateMiB)))
 	}
-	// The source still leaves — but its state lives on, so this is not a
-	// Lost replica.
-	c.Boards[p.Board].Jitsu.Evict(p.Svc)
+	// The source still leaves, but its state lives on: not Lost.
+	c.Boards[m.src.Board].Jitsu.Evict(m.src.Svc)
 	return true
 }

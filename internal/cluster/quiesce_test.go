@@ -28,9 +28,10 @@ func checkQuiescent(t *testing.T, f *Federation, asked int) {
 
 // checkClusterQuiescent is the cluster's share: no probe awaited, relayed
 // or timing — a stopped agent included: stop lets go of the probes in
-// flight, whose timeouts return without looking — the name-ordered
-// directory equal to its map, no in-place walk left open, and every
-// entry's count equal to a recount.
+// flight, whose timeouts return without looking — no checkpoint copy in
+// flight and no replica slot left mid-move (migrating or reserved), the
+// name-ordered directory equal to its map, no in-place walk left open,
+// and every entry's count equal to a recount.
 func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
 	t.Helper()
 	for _, m := range c.members {
@@ -41,6 +42,9 @@ func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
 		if len(a.relayed) != 0 || len(a.waits) != 0 {
 			t.Errorf("%s: board %d holds %d relayed probes, %d running timeouts", when, m.ID, len(a.relayed), len(a.waits))
 		}
+		if n := len(a.xfers); n != 0 {
+			t.Errorf("%s: board %d's copier still runs %d transfers", when, m.ID, n)
+		}
 	}
 	checkDirectory(t, c, when)
 	if c.dir.walking != 0 {
@@ -49,6 +53,11 @@ func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
 	for e := range c.dir.walk {
 		if got, want := e.readyCount(), len(refReady(e)); got != want {
 			t.Errorf("%s: %s counts %d ready replicas, a recount %d", when, e.Name, got, want)
+		}
+		for _, p := range e.Replicas {
+			if p != nil && (p.migrating || p.reserved) {
+				t.Errorf("%s: %s's slot on board %d is left mid-move (migrating %v, reserved %v)", when, e.Name, p.Board, p.migrating, p.reserved)
+			}
 		}
 	}
 }

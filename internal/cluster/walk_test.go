@@ -190,6 +190,11 @@ func TestReplicaWalkMatchesReference(t *testing.T) {
 	if !crashed || c.Confirms == 0 {
 		t.Errorf("no board was confirmed dead (crashed %v, confirms %d)", crashed, c.Confirms)
 	}
+	// Quiesce: every move the script started has landed, parked, been
+	// lost or given its slots back.
+	c.StopMembership()
+	c.RunAll()
+	checkClusterQuiescent(t, "after the script", c)
 	t.Logf("%v, %d confirms, %d boards", did, c.Confirms, len(c.members))
 }
 
