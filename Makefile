@@ -129,7 +129,8 @@ fuzz-engine:
 # raw-SYN fetches on an exact-fit board, without and with a disk, and a
 # roomy board with a disk, then checks the activation's books at
 # quiescence: every OnReady once, no lost client, no destroy or parked
-# connection left, memory intact.
+# connection left, memory intact, and every error booked — every launch
+# passes admission, so xen never refuses one for memory.
 fuzz-lifecycle:
 	$(GO) test -run '^$$' -fuzz=FuzzLifecycle -fuzztime=$(FUZZTIME) ./internal/core
 

@@ -148,7 +148,7 @@ func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
 		return api.MigrateResponse{Err: err}
 	}
 	src := p.c.readyReplica(e, req.From)
-	if src == nil || src.migrating {
+	if src == nil || src.migrating != nil {
 		return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeConflict, "%s has no movable replica", req.Name)}
 	}
 	done := req.OnDone
@@ -240,7 +240,7 @@ func (p *clusterPlane) Demote(req api.DemoteRequest) api.DemoteResponse {
 		return api.DemoteResponse{Err: err}
 	}
 	if board, ok := req.Board.ID(); ok {
-		if pl := p.c.readyReplica(e, req.Board); pl == nil || pl.migrating {
+		if pl := p.c.readyReplica(e, req.Board); pl == nil || pl.migrating != nil {
 			return api.DemoteResponse{Err: api.Errf(api.VerbDemote, api.CodeConflict, "%s has no booted replica on board %d", req.Name, board)}
 		}
 		return p.c.boardAPI(board).Demote(api.DemoteRequest{Name: req.Name})
@@ -248,7 +248,7 @@ func (p *clusterPlane) Demote(req api.DemoteRequest) api.DemoteResponse {
 	demoted := 0
 	var firstErr *api.Error
 	for _, pl := range e.Replicas {
-		if !pl.ready() || pl.migrating || pl.reserved {
+		if !pl.ready() || pl.migrating != nil || pl.reserved {
 			continue
 		}
 		resp := p.c.boardAPI(pl.Board).Demote(api.DemoteRequest{Name: req.Name})

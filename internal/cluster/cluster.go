@@ -572,7 +572,7 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 		for _, p := range o.Replicas {
 			// Only boards still taking placements host preemption boots,
 			// and in-flight migrations must not lose their source.
-			if !p.ready() || !c.members[p.Board].Placeable() || p.migrating {
+			if !p.ready() || !c.members[p.Board].Placeable() || p.migrating != nil {
 				continue
 			}
 			// Hysteresis: a replica must have amortised its boot cost

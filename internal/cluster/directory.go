@@ -96,11 +96,11 @@ func (d *Directory) remove(name string) {
 type Placement struct {
 	Board int
 	Svc   *core.Service
-	// migrating marks the source of an in-flight checkpoint move (a
-	// move's methods, migrate.go, are its only writers): it keeps serving
-	// (pre-copy), but reclaim and preemption must leave it alone until
-	// the switchover completes (including the drain).
-	migrating bool
+	// migrating is the in-flight checkpoint move this slot is the source
+	// of (a move's methods, migrate.go, are its only writers): it keeps
+	// serving (pre-copy), but reclaim and preemption must leave it alone
+	// until the switchover completes (including the drain).
+	migrating *move
 	// draining marks a migrated-out source between switchover and its
 	// delayed stop: no new DNS answer names it, but a client answered
 	// just before the switchover can still connect.
@@ -207,7 +207,7 @@ func (e *Entry) readyAt(k int) *Placement {
 func (e *Entry) transferSource(inFlight bool) *Placement {
 	var parked *Placement
 	for _, p := range e.Replicas {
-		if !p.live() || (p.migrating && !inFlight) {
+		if !p.live() || (p.migrating != nil && !inFlight) {
 			continue
 		}
 		if p.Svc.State.Booted() {

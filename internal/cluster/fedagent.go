@@ -243,7 +243,7 @@ func (a *fedAgent) shed(target, batch int) {
 // completes, then drains for the answer-guard window before the
 // registration retires.
 func (a *fedAgent) transferOut(e *Entry, p *Placement, dst *FedMember) {
-	m := &move{c: a.m.Cluster, e: e, src: p}
+	m := &move{c: a.m.Cluster, e: e, src: p, done: func(bool) {}}
 	if !m.start() {
 		return
 	}
@@ -256,13 +256,14 @@ func (a *fedAgent) transferOut(e *Entry, p *Placement, dst *FedMember) {
 		m.release()
 		a.f.CrossAborts++
 		a.f.Cfg.tracer.End(m.span, obs.Str("status", "aborted"))
+		m.done(false)
 	}
 	a.fedCopy(dst.ID, m.cp.StateMiB, func(ok bool) {
 		// The chunk exchange died (federation path partitioned, or the
 		// destination agent went silent), the source changed under the
 		// copy, or the destination departed mid-transfer and the copy has
 		// nowhere to land: the source keeps serving untouched.
-		if !ok || a.m.Left || e.moved || !m.movable() || dst.Left {
+		if !ok || a.m.Left || e.moved || !m.src.movable() || dst.Left {
 			abort()
 			return
 		}
@@ -310,5 +311,6 @@ func (a *fedAgent) retire(m *move, newHome int) {
 		if c.dir.entries[e.Name] == e {
 			c.Unregister(e.Name)
 		}
+		m.done(true)
 	})
 }

@@ -547,6 +547,33 @@ func TestTransferBackValidatesBeforeCuttingTheDrain(t *testing.T) {
 	}
 }
 
+// TestLeaveWaitsForShed: a board leaves while the federation shed is
+// moving its replica to another cluster. The evacuation joins the shed's
+// move, which reports its end once the source has drained: the board is
+// out after that, and nothing is lost.
+func TestLeaveWaitsForShed(t *testing.T) {
+	f := testFederation(2, 3)
+	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
+	_, e := f.RegisterService(testService("alice", 20), WithMinWarm(2))
+	fedFetch(f, fc, time.Second, "alice.family.name")
+	home := f.members[0].Cluster
+	left, shed := false, false
+	f.Eng().At(10*time.Second, func() {
+		src := refReady(e)[len(refReady(e))-1]
+		if src.Board == 0 {
+			t.Fatal("test setup: alice is only on board 0, which cannot leave")
+		}
+		f.members[0].agent.transferOut(e, src, f.members[1])
+		if err := home.Leave(src.Board, func() { left, shed = true, home.dir.Lookup(e.Name) != e }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	f.RunAll()
+	if !left || !shed || home.Lost != 0 || f.CrossMigrations != 1 {
+		t.Fatalf("left=%v after shed=%v lost=%d cross migrations=%d, want true/true/0/1", left, shed, home.Lost, f.CrossMigrations)
+	}
+}
+
 // A redirect (a cached delegation, a Moved reply, a completed spill)
 // makes one cluster the query's whole candidate list, wherever the scan's
 // list had got to.

@@ -70,6 +70,33 @@ func TestMigrationChunksAcknowledged(t *testing.T) {
 	checkClusterQuiescent(t, "after the leave", c)
 }
 
+// TestLeaveWaitsForMoveInFlight: an operator Migrate is moving board 1's
+// replica when board 1 leaves. The evacuation joins that move instead of
+// finishing at once and writing the replica off: it arrives, nothing is
+// lost, and the board is out only once the source has drained.
+func TestLeaveWaitsForMoveInFlight(t *testing.T) {
+	c := hostileLeaveCluster(t, "warm", false)
+	moved, drained, left := false, false, false
+	resp := c.API().Migrate(api.MigrateRequest{Name: "alice.family.name", From: api.OnBoard(1),
+		OnDone: func(ok bool) { moved, drained = ok, true }})
+	if !resp.Started {
+		t.Fatalf("Migrate from board 1: %v", resp.Err)
+	}
+	if err := c.Leave(1, func() {
+		if !drained {
+			t.Error("board 1 left before the move's drain")
+		}
+		left = true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.RunAll()
+	if !left || !moved || c.Migrations != 1 || c.Lost != 0 {
+		t.Fatalf("left=%v moved=%v migrations=%d lost=%d, want true/true/1/0", left, moved, c.Migrations, c.Lost)
+	}
+	checkClusterQuiescent(t, "after the leave", c)
+}
+
 func TestMigrationRetransmitsThroughLoss(t *testing.T) {
 	// A lossy management uplink on the leaving board: chunks and acks
 	// drop, the per-chunk retransmit recovers each one, and the replica

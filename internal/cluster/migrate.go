@@ -72,11 +72,23 @@ func (c *Cluster) evacuate(m *Member, done func()) {
 			continue
 		}
 		switch {
-		case p.migrating || p.draining:
-			// Already on its way out (an overlapping operator Migrate):
-			// that migration's switchover/drain completes the
-			// evacuation; starting a second copy would race it.
-		case p.Svc.State.Booted() || p.Svc.State == core.StateColdDisk:
+		case p.migrating != nil:
+			// Already on its way out (an overlapping operator Migrate or
+			// federation shed): starting a second copy would race it, so
+			// the sweep joins that move and evacuates the replica itself
+			// if the move ends with the state still here.
+			outstanding++
+			mv := p.migrating
+			ended := mv.done
+			mv.done = func(ok bool) {
+				ended(ok)
+				if p.movable() {
+					c.evacuateOne(e, p, finish)
+				} else {
+					finish()
+				}
+			}
+		case p.movable():
 			outstanding++
 			c.evacuateOne(e, p, finish)
 		case p.Svc.State == core.StateLaunching:
@@ -158,7 +170,9 @@ type move struct {
 	// failed optional move (Migrate) leaves its source where it was.
 	mandatory bool
 	retry     int
-	done      func(ok bool)
+	// done hears the move's end, after its slots are given back; an
+	// evacuation sweeping the source's board joins it here.
+	done func(ok bool)
 }
 
 // start captures the source's checkpoint and claims both slots for the
@@ -170,7 +184,7 @@ func (m *move) start() bool {
 		return false
 	}
 	m.cp = resp.Checkpoint
-	m.src.migrating = true
+	m.src.migrating = m
 	if m.dst != nil {
 		m.dst.reserved = true
 	}
@@ -179,17 +193,17 @@ func (m *move) start() bool {
 
 // release gives both slots back: the move ends without a switchover.
 func (m *move) release() {
-	m.src.migrating = false
+	m.src.migrating = nil
 	if m.dst != nil {
 		m.dst.reserved = false
 	}
 }
 
-// movable reports whether the source still holds its state: the slot is
-// not retired and the replica is booted or parked on disk.
-func (m *move) movable() bool {
-	st := m.src.Svc.State
-	return !m.src.gone && (st.Booted() || st == core.StateColdDisk)
+// movable reports whether a slot holds state a move can take: it is not
+// retired and its replica is booted or parked on disk.
+func (p *Placement) movable() bool {
+	st := p.Svc.State
+	return !p.gone && (st.Booted() || st == core.StateColdDisk)
 }
 
 // switchover hands the service to its new home: the destination's claim
@@ -202,7 +216,7 @@ func (m *move) switchover() {
 }
 
 // retire ends the source's drain: until then no reclaim may take it.
-func (m *move) retire() { m.src.migrating = false }
+func (m *move) retire() { m.src.migrating = nil }
 
 // lose writes an evacuation's replica off (the preempt baseline).
 func (m *move) lose() {
@@ -255,7 +269,7 @@ func (m *move) copied(ok bool) {
 			m.release()
 			m.retry++
 			c.eng.After(wait, func() {
-				if !m.movable() {
+				if !m.src.movable() {
 					m.done(false)
 					return
 				}
@@ -266,7 +280,7 @@ func (m *move) copied(ok bool) {
 		m.fail()
 		return
 	}
-	if !m.movable() {
+	if !m.src.movable() {
 		c.tracer().End(m.span, obs.Str("status", "source-lost"))
 		m.release()
 		m.done(false)

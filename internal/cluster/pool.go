@@ -124,7 +124,7 @@ func (c *Cluster) prewarmPick(e *Entry) int {
 func (pm *PoolManager) shrink(e *Entry, pinned *Placement, alive *int) {
 	var cands []*Placement
 	for _, p := range e.Replicas {
-		if p != nil && !p.gone && !p.migrating && !p.reserved && p != pinned && p.Svc.State.Booted() {
+		if p != nil && !p.gone && p.migrating == nil && !p.reserved && p != pinned && p.Svc.State.Booted() {
 			cands = append(cands, p)
 		}
 	}

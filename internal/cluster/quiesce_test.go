@@ -55,8 +55,8 @@ func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
 			t.Errorf("%s: %s counts %d ready replicas, a recount %d", when, e.Name, got, want)
 		}
 		for _, p := range e.Replicas {
-			if p != nil && (p.migrating || p.reserved) {
-				t.Errorf("%s: %s's slot on board %d is left mid-move (migrating %v, reserved %v)", when, e.Name, p.Board, p.migrating, p.reserved)
+			if p != nil && (p.migrating != nil || p.reserved) {
+				t.Errorf("%s: %s's slot on board %d is left mid-move (migrating %v, reserved %v)", when, e.Name, p.Board, p.migrating != nil, p.reserved)
 			}
 		}
 	}

@@ -86,7 +86,7 @@ func sameWalk(t *testing.T, when string, c *Cluster) {
 // booted replica they would take, else the first parked one.
 func refTransferSource(e *Entry, inFlight bool) *Placement {
 	for _, p := range append(refReady(e), refOnDisk(e)...) {
-		if inFlight || !p.migrating {
+		if inFlight || p.migrating == nil {
 			return p
 		}
 	}

@@ -33,10 +33,6 @@ type Summon struct {
 	// counts in the service's ServFails. Control-plane callers leave it
 	// false and apply their own policy.
 	Refuse bool
-	// Force skips the memory admission gate. The SYN path uses it: a raw
-	// SYN has no refusal channel, so the launch is attempted regardless;
-	// if it fails, the activation fires again for the parked connection.
-	Force bool
 	// OnReady (may be nil) fires once the unikernel serves, or with the
 	// launch error if it does not.
 	OnReady func(error)
@@ -171,7 +167,7 @@ func (a *Activation) fire(svc *Service, s Summon) Decision {
 		a.await(svc, s.OnReady)
 		return DecisionServe
 	}
-	victims, ok := a.admit(svc, s)
+	victims, ok := a.admit(svc, s.After)
 	if !ok {
 		// "resource exhaustion can thus be returned in the DNS
 		// response as a SERVFAIL to indicate the client should go
@@ -185,6 +181,7 @@ func (a *Activation) fire(svc *Service, s Summon) Decision {
 				obs.Num("free_mib", int64(a.j.board.Hyp.FreeMemMiB())),
 				obs.Num("need_mib", int64(svc.Cfg.Image.MemMiB)))
 		}
+		a.settle(svc, ErrNoMemory) // as a failed launch: parked connections keep their retries
 		return DecisionNoMemory
 	}
 	// A client-driven launch completes into Running, a speculative one
@@ -220,17 +217,17 @@ func (a *Activation) freeFor(svc *Service) int {
 	return free
 }
 
-// admit is the memory gate a launch passes: the image fits — counting
-// the replica s.After names, whose destroy the launch then joins — or,
-// on a board with a disk, demoteForRoom's victims make it fit. s.Force
-// (a raw SYN, which has no refusal channel) skips the gate.
-func (a *Activation) admit(svc *Service, s Summon) (victims []*Service, ok bool) {
+// admit is the memory gate every firing, refire and wake passes: the
+// image fits — counting the replica after names, whose destroy the
+// launch then joins — or, on a board with a disk, demoteForRoom's
+// victims make it fit.
+func (a *Activation) admit(svc *Service, after *Service) (victims []*Service, ok bool) {
 	free := a.freeFor(svc)
-	if v := s.After; v != nil && v.dying {
-		free += v.Cfg.Image.MemMiB
-		victims = []*Service{v}
+	if after != nil && after.dying {
+		free += after.Cfg.Image.MemMiB
+		victims = []*Service{after}
 	}
-	if s.Force || free >= svc.Cfg.Image.MemMiB {
+	if free >= svc.Cfg.Image.MemMiB {
 		return victims, true
 	}
 	victims = a.demoteForRoom(svc)
@@ -352,7 +349,7 @@ func (a *Activation) join(l *launchLeg) {
 	case svc.retired:
 		a.setState(svc, StateCold)
 		a.settle(svc, ErrNoSuchService)
-	case a.j.board.Hyp.FreeMemMiB()-a.reading < svc.Cfg.Image.MemMiB:
+	case a.freeFor(svc) < svc.Cfg.Image.MemMiB:
 		a.setState(svc, a.revertState(svc))
 		a.settle(svc, ErrNoMemory)
 	default:
@@ -426,11 +423,11 @@ func (a *Activation) launchVia(svc *Service, kind string) {
 // a reset 8 s after the last.
 var parkedRetry = sim.Backoff{Initial: time.Second, Factor: 2, Retries: 3}
 
-// settle ends svc's launch: every waiter hears err, nil once the
-// unikernel serves. After a failure Synjitsu's parked connections stay
-// parked, and while one is live parkedRetry books the next firing on
-// their behalf; they are reset when the service is deregistered or the
-// schedule is spent, never at the failure itself.
+// settle ends svc's launch, or a firing admission refused: every waiter
+// hears err, nil once the unikernel serves. After a failure Synjitsu's
+// parked connections stay parked, and while one is live parkedRetry
+// books the next firing on their behalf; they are reset when the service
+// is deregistered or the schedule is spent, never at the failure itself.
 func (a *Activation) settle(svc *Service, err error) {
 	ws := svc.waiters
 	svc.waiters = nil
@@ -474,7 +471,7 @@ func (a *Activation) parked(svc *Service) bool {
 
 // refire launches svc for its parked connections if admission lets it.
 func (a *Activation) refire(svc *Service) bool {
-	victims, ok := a.admit(svc, Summon{})
+	victims, ok := a.admit(svc, nil)
 	if ok {
 		a.start(svc, launchKind(svc), StateRunning, victims, nil)
 	}

@@ -2,14 +2,12 @@ package core
 
 import "jitsu/internal/sim"
 
-// Per-trigger admission policy. The SYN frontend is the dangerous one:
-// a raw SYN has no refusal channel, so its firings Force past the
-// memory gate — which means a SYN flood sweeping the service IPs (or
-// hammering one reaped service) can drive a boot storm the directory
-// never gets to refuse. A deterministic token bucket per service caps
-// how often a SYN may *start a launch*; warm traffic and in-flight
-// boots are never throttled, and the DNS/conduit paths keep their
-// explicit SERVFAIL refusal channel instead.
+// Per-trigger admission policy. Every firing passes the memory gate,
+// but a raw SYN that finds its service reaped starts a launch whenever
+// memory allows, so a SYN flood hammering one service would reboot it
+// at every reap. A deterministic token bucket per service caps how
+// often a SYN may *start a launch*; warm traffic and in-flight boots
+// are never throttled.
 
 // tokenBucket is a sim-time token bucket: rate tokens/second, capped at
 // burst. Deterministic — it reads nothing but virtual time.

@@ -45,9 +45,9 @@ type BoardConfig struct {
 	// hold the DNS answer until the unikernel network is live.
 	delayDNSUntilReady bool
 	// synLaunchRate rate-limits SYN-triggered launches per service
-	// (token bucket, launches/second): raw SYNs Force past the memory
-	// gate, so without a cap a SYN flood causes a boot storm. 0 (the
-	// default) disables the limiter. Warm traffic is never throttled.
+	// (token bucket, launches/second), so a SYN flood cannot reboot a
+	// reaped service at every reap. 0 (the default) disables the
+	// limiter. Warm traffic is never throttled.
 	synLaunchRate float64
 	// synLaunchBurst is the token bucket's depth (minimum 1).
 	synLaunchBurst int

@@ -49,14 +49,9 @@ type lifecycleWorld struct {
 	client  *netstack.Host
 	retired []bool
 	// readies[i] counts the calls of the i-th armed OnReady; errs holds
-	// every error a verb or an OnReady reported, but xen's own
-	// out-of-memory when a raw SYN forced a launch past admission since
-	// the failing one began: forced counts forced launches, began holds
-	// the count when each service's launch began.
+	// every error a verb or an OnReady reported.
 	readies []int
 	errs    []error
-	forced  int
-	began   map[*Service]int
 	// gets[i] is a raw GET to svcs[getSvc[i]]; cut[i] marks one whose
 	// service an Evict, Demote or Deregister took away mid-fetch.
 	gets   []*rawGet
@@ -65,19 +60,7 @@ type lifecycleWorld struct {
 }
 
 func playLifecycle(t *testing.T, b *Board, ops []byte) {
-	w := &lifecycleWorld{t: t, b: b, client: b.AddClient("fuzz-client", netstack.IPv4(10, 0, 0, 9)),
-		began: make(map[*Service]int)}
-	// Subscribe sees a launch begin, then Observe the firing that began it.
-	b.Jitsu.Activation().Subscribe(func(svc *Service, _, to ServiceState) {
-		if to == StateLaunching {
-			w.began[svc] = w.forced
-		}
-	})
-	b.Jitsu.Activation().Observe(func(_ *Service, s Summon, d Decision) {
-		if s.Force && d == DecisionColdStart {
-			w.forced++
-		}
-	})
+	w := &lifecycleWorld{t: t, b: b, client: b.AddClient("fuzz-client", netstack.IPv4(10, 0, 0, 9))}
 	for i, name := range []string{"alice", "bob", "carol"} {
 		cfg := siteService(name, byte(20+i))
 		// carol reaps herself, so teardowns also race the verbs.
@@ -95,15 +78,13 @@ func playLifecycle(t *testing.T, b *Board, ops []byte) {
 	w.check()
 }
 
-// armed returns an OnReady for svc that books its calls and error.
-func (w *lifecycleWorld) armed(svc *Service) func(error) {
+// armed returns an OnReady that books its calls and error.
+func (w *lifecycleWorld) armed() func(error) {
 	i := len(w.readies)
 	w.readies = append(w.readies, 0)
 	return func(err error) {
 		w.readies[i]++
-		if !errors.Is(err, xen.ErrOutOfMemory) || w.forced == w.began[svc] {
-			w.note(err)
-		}
+		w.note(err)
 	}
 }
 
@@ -126,13 +107,13 @@ func (w *lifecycleWorld) do(verb byte, idx int) {
 	j, svc := w.b.Jitsu, w.svcs[idx]
 	switch {
 	case verb < 5:
-		w.disarm(j.Activate(svc, verb < 3, w.armed(svc)))
+		w.disarm(j.Activate(svc, verb < 3, w.armed()))
 	case verb < 7:
 		w.cutGets(idx, j.Evict(svc))
 	case verb < 9:
 		w.cutGets(idx, j.Demote(svc) == nil) // a refusal names the tier, not a lost client
 	case verb < 11:
-		if err := j.Promote(svc, w.armed(svc)); errors.Is(err, ErrNotOnDisk) {
+		if err := j.Promote(svc, w.armed()); errors.Is(err, ErrNotOnDisk) {
 			w.readies[len(w.readies)-1] = -1 // a refusal by tier, like Demote's
 		} else {
 			w.disarm(err)

@@ -52,8 +52,8 @@ func WithDelayedDNS(on bool) Option {
 
 // WithSYNRateLimit arms the SYN trigger's per-service admission token
 // bucket: at most burst launches back to back, refilled at rate
-// launches/second, so a SYN flood cannot cause a boot storm. rate <= 0
-// disables the limiter (the default).
+// launches/second, so a SYN flood cannot reboot a reaped service at
+// every reap. rate <= 0 disables the limiter (the default).
 func WithSYNRateLimit(rate float64, burst int) Option {
 	return func(c *BoardConfig) {
 		c.synLaunchRate = rate

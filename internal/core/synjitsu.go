@@ -36,7 +36,7 @@ type Synjitsu struct {
 	SYNTriggeredLaunches uint64
 	// SYNSuppressed counts launches the per-service admission token
 	// bucket denied (WithSYNRateLimit): the handshake still completes
-	// and the connection waits, but the flood cannot force a boot storm.
+	// and the connection waits, but the flood cannot force a reboot.
 	SYNSuppressed uint64
 }
 

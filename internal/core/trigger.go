@@ -88,13 +88,12 @@ func (j *Jitsu) interceptDelayed(query *dns.Message, respond func(*dns.Message))
 // synTrigger summons a service when a raw SYN reaches its proxied
 // address with no preceding DNS query (clients ignoring TTLs, §3.3).
 // Synjitsu completes the handshake either way; this trigger only owns
-// the launch decision. A SYN has no refusal channel, so the firing
-// forces past the memory gate; a launch that fails leaves the proxied
+// the launch decision, which passes admission like every other firing.
+// A SYN has no refusal channel: a refused firing leaves the proxied
 // connection parked, and the activation fires again on its behalf
-// (settle). Because of that Force, the trigger carries its own
-// admission policy: an optional per-service token bucket
-// (WithSYNRateLimit) caps how often a SYN may start a launch, so a SYN
-// flood cannot cause a boot storm.
+// (settle). An optional per-service token bucket (WithSYNRateLimit)
+// caps how often a SYN may start a launch, so a flood cannot reboot a
+// reaped service at every reap.
 type synTrigger struct {
 	j       *Jitsu
 	buckets map[*Service]*tokenBucket // nil = unlimited
@@ -104,7 +103,7 @@ type synTrigger struct {
 type synOutcome int
 
 const (
-	synServed     synOutcome = iota // warm or already launching
+	synServed     synOutcome = iota // no launch started: warm, launching or refused
 	synLaunched                     // this SYN started the launch
 	synSuppressed                   // launch denied by the admission rate limit
 )
@@ -117,7 +116,7 @@ func (t *synTrigger) fire(svc *Service) synOutcome {
 	if t.buckets != nil && svc.State.NeedsLaunch() && !t.admit(svc) {
 		return synSuppressed
 	}
-	if t.j.act.Fire(svc, Summon{Via: TriggerSYN, ColdStart: true, Force: true}) == DecisionColdStart {
+	if t.j.act.Fire(svc, Summon{Via: TriggerSYN, ColdStart: true}) == DecisionColdStart {
 		return synLaunched
 	}
 	return synServed

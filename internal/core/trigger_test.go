@@ -92,18 +92,16 @@ func fireDNSAsync(t *testing.T, b *Board, svc *Service) {
 
 // TestTriggerMatrix asserts that every frontend drives the shared
 // Activation machine through identical state transitions for the cold,
-// warm and out-of-memory cases. The one sanctioned divergence is the
-// SYN frontend under memory pressure: a raw SYN has no refusal channel,
-// so it forces a launch attempt that fails (stopped→launching→stopped)
-// where the answerable frontends refuse without touching the machine.
+// warm and out-of-memory cases: under memory pressure each is refused
+// by admission without a launch. A raw SYN has no refusal channel, so
+// its refusal leaves the connection parked with one refire booked.
 func TestTriggerMatrix(t *testing.T) {
 	coldTransitions := []string{"cold->launching", "launching->running"}
-	forcedFail := []string{"cold->launching", "launching->cold"}
 
 	frontends := []triggerMatrixRow{
 		{name: "dns-slow", fire: fireDNSSlow, oomServFail: true, warmFires: true},
 		{name: "dns-fast", fire: fireDNSFast, oomServFail: true, warmFires: true},
-		{name: "syn", fire: fireSYN, oomTransitions: forcedFail, warmFires: false},
+		{name: "syn", fire: fireSYN, oomParks: true, warmFires: false},
 		{name: "conduit", fire: fireConduit, oomServFail: true, warmFires: true},
 		{name: "dns-async", delayed: true, fire: fireDNSAsync, oomServFail: true, warmFires: true},
 	}
@@ -158,9 +156,14 @@ func TestTriggerMatrix(t *testing.T) {
 			rec := &transitionRecorder{}
 			b.Jitsu.Activation().Subscribe(rec.hook)
 			fe.fire(t, b, svc)
+			b.Eng.RunFor(500 * time.Millisecond)
+			booked := svc.refires == 1 && !svc.refire.Cancelled()
+			if parked := len(svc.conns); fe.oomParks != (parked == 1 && booked) {
+				t.Fatalf("parked = %d refires = %d, want parked %v with one refire booked", parked, svc.refires, fe.oomParks)
+			}
 			b.Eng.Run()
-			if !rec.equal(fe.oomTransitions) {
-				t.Fatalf("oom transitions = %v, want %v", rec.got, fe.oomTransitions)
+			if !rec.equal(nil) || svc.Launches != 0 {
+				t.Fatalf("oom transitions = %v launches = %d, want none", rec.got, svc.Launches)
 			}
 			wantServFails := uint64(0)
 			if fe.oomServFail {
@@ -181,9 +184,9 @@ type triggerMatrixRow struct {
 	name    string
 	delayed bool // board runs the delayed-DNS ablation frontend
 	fire    fireFunc
-	// oomTransitions is what the OOM firing drives (nil = none: the
-	// frontend refuses before the machine moves).
-	oomTransitions []string
+	// oomParks: the OOM firing leaves a parked connection that waits on
+	// a booked refire (a raw SYN, which has no refusal channel).
+	oomParks bool
 	// oomServFail: the refusal is surfaced (and counted) to a client.
 	oomServFail bool
 	// warmFires: a warm firing reaches the machine at all (a SYN to a

@@ -9,7 +9,6 @@ import (
 	"jitsu/internal/netstack"
 	"jitsu/internal/sim"
 	"jitsu/internal/unikernel"
-	"jitsu/internal/xen"
 )
 
 // siteService is a static-site service name.family.name at 10.0.0.octet.
@@ -83,8 +82,8 @@ func TestRelaunchJoinsItsOwnDestroy(t *testing.T) {
 
 // TestParkedClientServedWhenMemoryFrees is the board-sized shape of
 // the federation's seed-11 loss: a raw SYN to bob on a board whose only
-// slot alice holds forces a launch that fails on memory, so Synjitsu
-// keeps the client's connection parked. When alice goes, the parked
+// slot alice holds is refused by admission, so Synjitsu keeps the
+// client's connection parked. When alice goes, the parked
 // connection must bring bob up and be served, not sit out its 30 s
 // timeout — also when a speculative firing for carol comes for the
 // freed memory before bob's next scheduled firing would.
@@ -144,32 +143,67 @@ func TestDeregisterResetsParkedClients(t *testing.T) {
 }
 
 // TestJoinerHearsLaunchCause: an Activate that joins an in-flight
-// launch hears why it failed. Bob's checkpoint sits on disk and alice
-// fills the board; a raw SYN forces bob's disk restore past admission,
-// the Activate joins it while the checkpoint is read, and the domain
-// build then runs out of memory.
+// launch hears why it failed. Bob's checkpoint sits on disk; his
+// Promote is admitted, the Activate joins it while the checkpoint is
+// read, and bob is deregistered before the read completes.
 func TestJoinerHearsLaunchCause(t *testing.T) {
 	b := New(WithMemory(aliceService().Image.MemMiB), WithDisk(blockdev.DefaultConfig()))
-	alice := b.Jitsu.Register(aliceService())
 	bob := b.Jitsu.Register(siteService("bob", 21))
 	bringTo(t, b, bob, StateColdDisk)
-	bringTo(t, b, alice, StateRunning)
-	startRawGet(b, rawClient(b), bob, 30*time.Second)
-	for bob.State != StateLaunching && b.Eng.Step() {
+	var promoted error
+	if err := b.Jitsu.Promote(bob, func(err error) { promoted = err }); err != nil {
+		t.Fatalf("Promote bob = %v", err)
 	}
 	var got error
 	called := 0
 	if err := b.Jitsu.Activate(bob, true, func(err error) { called, got = called+1, err }); err != nil {
 		t.Fatalf("Activate joining bob's restore = %v", err)
 	}
-	for called == 0 && b.Eng.Step() {
+	b.Eng.RunFor(time.Millisecond)
+	if b.Jitsu.act.reading == 0 {
+		t.Fatal("bob's checkpoint read already done")
 	}
-	if !errors.Is(got, xen.ErrOutOfMemory) {
-		t.Fatalf("joiner heard %v, want %v", got, xen.ErrOutOfMemory)
+	b.Jitsu.Deregister(bob)
+	b.Eng.Run()
+	if called != 1 || !errors.Is(got, ErrNoSuchService) || !errors.Is(promoted, ErrNoSuchService) {
+		t.Fatalf("joiner heard %v (%d calls), promoter %v; want %v once each", got, called, promoted, ErrNoSuchService)
+	}
+	if n := b.Hyp.Domains(); n != 1 {
+		t.Fatalf("%d domains, want dom0 alone", n)
+	}
+}
+
+// TestRawSYNWaitsForAdmittedRestore: a raw GET to cold alice arrives
+// while bob's admitted disk restore still reads its checkpoint on a
+// board that fits one image. Admission counts the memory promised to
+// that read, so alice's firing is refused instead of launched past it:
+// bob's restore completes, and alice's parked connection is served
+// when a refire demotes bob for room.
+func TestRawSYNWaitsForAdmittedRestore(t *testing.T) {
+	b := New(WithMemory(aliceService().Image.MemMiB), WithDisk(blockdev.DefaultConfig()))
+	alice := b.Jitsu.Register(aliceService())
+	bob := b.Jitsu.Register(siteService("bob", 21))
+	bringTo(t, b, bob, StateColdDisk)
+	promoted := errors.New("never ready")
+	if err := b.Jitsu.Promote(bob, func(err error) { promoted = err }); err != nil {
+		t.Fatalf("Promote bob = %v", err)
+	}
+	start := b.Eng.Now()
+	g := startRawGet(b, rawClient(b), alice, 30*time.Second)
+	for b.Syn.Proxied == 0 && b.Eng.Step() {
+	}
+	if b.Jitsu.act.reading == 0 || bob.State != StateLaunching {
+		t.Fatalf("the SYN came after bob's checkpoint read (bob %v)", bob.State)
 	}
 	b.Eng.Run()
-	if called != 1 {
-		t.Fatalf("OnReady called %d times, want once", called)
+	if promoted != nil {
+		t.Fatalf("bob's promote heard %v, want nil", promoted)
+	}
+	if !g.done || g.err != nil || g.status != 200 || g.at-start > 5*time.Second {
+		t.Fatalf("alice's client: done=%v status=%d err=%v after %v", g.done, g.status, g.err, g.at-start)
+	}
+	if alice.State != StateRunning || bob.State != StateColdDisk {
+		t.Fatalf("alice %v, bob %v; want running, and bob demoted for her", alice.State, bob.State)
 	}
 }
 

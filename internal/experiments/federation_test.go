@@ -56,11 +56,12 @@ func TestFederationShape(t *testing.T) {
 // every arrival exactly once, and lose no client. Seed 3 once booked an
 // error: a warm-pool shrink evicted a replica 19 µs after Synjitsu handed
 // it the client's connection, with the reply still unacknowledged, and
-// the client timed out 30 s later. Seed 11 once booked one too: a
-// SYN-forced launch failed on memory, and the connection Synjitsu had
+// the client timed out 30 s later. Seed 11 once booked one too: a raw
+// SYN's launch failed on memory, and the connection Synjitsu had
 // parked for it waited out its timeout although memory freed a second
-// later. The activation now fires again on the parked connection's
-// behalf until a launch hands it off.
+// later. A launch that fails or that admission refuses now leaves the
+// activation firing again on the parked connection's behalf until a
+// launch hands it off.
 func TestFedSpillSkewDrains(t *testing.T) {
 	const h = 45 * time.Second
 	for seed := int64(1); seed <= 16; seed++ {

@@ -60,7 +60,7 @@ type dut struct {
 func newHost(d *dut) *Host {
 	eng := sim.New(1)
 	nic := netsim.NewNIC(eng, "dut", netsim.MACFor(2)) // unplugged: replies are read off the trace
-	h := NewHost(eng, "dut", nic, dutIP, StackProfile{name: "free"})
+	h := NewHost(eng, "dut", nic, dutIP, StackProfile{})
 	h.SeedARP(peerIP, netsim.MACFor(1))
 	h.TraceTCP = func(dir string, seg *TCPSegment) {
 		if dir == "tx" {

@@ -342,7 +342,7 @@ func timeWaitConns(tb testing.TB, n int) (a, b *Host) {
 	mk := func(id int) *Host {
 		nic := netsim.NewNIC(eng, "nic", netsim.MACFor(id))
 		br.ConnectNIC(nic, 20*time.Microsecond, 0)
-		return NewHost(eng, "host", nic, IPv4(10, 0, 0, byte(id)), StackProfile{name: "free"})
+		return NewHost(eng, "host", nic, IPv4(10, 0, 0, byte(id)), StackProfile{})
 	}
 	a, b = mk(1), mk(2)
 	a.SeedARP(b.IP, b.NIC.Addr) // resolved even when n is 0

@@ -25,7 +25,6 @@ var (
 // guest behind a vif, and a MirageOS unikernel (whose OCaml stack has a
 // slightly higher mean and variance — "never more than 0.4ms" apart).
 type StackProfile struct {
-	name string
 	// procDelay is charged per received packet before protocol handling.
 	procDelay sim.Duration
 	// procJitter is the stddev of the processing delay.
@@ -36,16 +35,16 @@ type StackProfile struct {
 
 // Profiles used across the evaluation.
 func LinuxNativeProfile() StackProfile {
-	return StackProfile{name: "linux-native", procDelay: 28 * time.Microsecond, procJitter: 3 * time.Microsecond, perByte: 55 * time.Nanosecond}
+	return StackProfile{procDelay: 28 * time.Microsecond, procJitter: 3 * time.Microsecond, perByte: 55 * time.Nanosecond}
 }
 func Dom0Profile() StackProfile {
-	return StackProfile{name: "dom0", procDelay: 40 * time.Microsecond, procJitter: 5 * time.Microsecond, perByte: 60 * time.Nanosecond}
+	return StackProfile{procDelay: 40 * time.Microsecond, procJitter: 5 * time.Microsecond, perByte: 60 * time.Nanosecond}
 }
 func LinuxGuestProfile() StackProfile {
-	return StackProfile{name: "linux-vm", procDelay: 70 * time.Microsecond, procJitter: 8 * time.Microsecond, perByte: 75 * time.Nanosecond}
+	return StackProfile{procDelay: 70 * time.Microsecond, procJitter: 8 * time.Microsecond, perByte: 75 * time.Nanosecond}
 }
 func MirageProfile() StackProfile {
-	return StackProfile{name: "mirage-vm", procDelay: 85 * time.Microsecond, procJitter: 22 * time.Microsecond, perByte: 80 * time.Nanosecond}
+	return StackProfile{procDelay: 85 * time.Microsecond, procJitter: 22 * time.Microsecond, perByte: 80 * time.Nanosecond}
 }
 
 // fourTuple keys established TCP connections.
@@ -75,7 +74,7 @@ type Host struct {
 	Name    string
 	NIC     *netsim.NIC
 	IP      IP
-	Profile StackProfile
+	profile StackProfile
 
 	// aliases are extra local addresses (traffic accepted, ARP
 	// answered): Synjitsu claims every idle service IP this way.
@@ -145,7 +144,7 @@ type pendingPing struct {
 // over by the stack.
 func NewHost(eng *sim.Engine, name string, nic *netsim.NIC, ip IP, profile StackProfile) *Host {
 	h := &Host{
-		Eng: eng, Name: name, NIC: nic, IP: ip, Profile: profile,
+		Eng: eng, Name: name, NIC: nic, IP: ip, profile: profile,
 		aliases:    make(map[IP]bool),
 		proxyARP:   make(map[IP]bool),
 		arpCache:   make(map[IP]netsim.MAC),
@@ -162,8 +161,8 @@ func NewHost(eng *sim.Engine, name string, nic *netsim.NIC, ip IP, profile Stack
 
 // procCost samples the stack's processing cost for a packet of n bytes.
 func (h *Host) procCost(n int) sim.Duration {
-	d := sim.Normal{Mean: h.Profile.procDelay, Stddev: h.Profile.procJitter}.Sample(h.Eng.Rand())
-	return d + sim.Duration(n)*h.Profile.perByte
+	d := sim.Normal{Mean: h.profile.procDelay, Stddev: h.profile.procJitter}.Sample(h.Eng.Rand())
+	return d + sim.Duration(n)*h.profile.perByte
 }
 
 // rxFrame is the NIC receive path: charge the stack cost, then demux.
