@@ -97,6 +97,37 @@ func TestLeaveWaitsForMoveInFlight(t *testing.T) {
 	checkClusterQuiescent(t, "after the leave", c)
 }
 
+// TestMigratedSourceServesAgain: once a migrated-out source has drained
+// and stopped, its slot is an ordinary cold slot again. A later boot
+// there is a replica the directory answers with and the pool counts —
+// never a warm VM that readyCount misses.
+func TestMigratedSourceServesAgain(t *testing.T) {
+	c := hostileLeaveCluster(t, "warm", false)
+	if resp := c.API().Migrate(api.MigrateRequest{Name: "alice.family.name", From: api.OnBoard(1)}); !resp.Started {
+		t.Fatalf("Migrate from board 1: %v", resp.Err)
+	}
+	c.RunAll()
+	e := c.Directory().Lookup("alice.family.name")
+	for _, p := range e.Replicas {
+		c.Boards[p.Board].Jitsu.Evict(p.Svc)
+	}
+	for range 3 {
+		c.API().Activate(api.ActivateRequest{Name: e.Name})
+		c.RunAll()
+	}
+	booted := 0
+	for _, p := range e.Replicas {
+		if p.Svc.State.Booted() {
+			booted++
+		}
+	}
+	if booted != e.readyCount() {
+		t.Fatalf("%d replicas booted, readyCount %d (board 1's slot %v, ready %v)",
+			booted, e.readyCount(), e.Replicas[1].Svc.State, e.Replicas[1].ready())
+	}
+	checkClusterQuiescent(t, "after the activations", c)
+}
+
 func TestMigrationRetransmitsThroughLoss(t *testing.T) {
 	// A lossy management uplink on the leaving board: chunks and acks
 	// drop, the per-chunk retransmit recovers each one, and the replica
