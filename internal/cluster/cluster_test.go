@@ -425,3 +425,44 @@ func TestShrinkDiskFullFallsBackToEviction(t *testing.T) {
 		t.Fatalf("dave = %v after reclaim, want cold-disk", de.Replicas[0].Svc.State)
 	}
 }
+
+// TestPlacementCountsPromisedRead: a disk restore admitted on a board
+// holds its memory from admission, though its domain is built only once
+// the checkpoint is read. The placement views and the federation summary
+// read the board's gate, so that memory is not free to them meanwhile.
+func TestPlacementCountsPromisedRead(t *testing.T) {
+	c := NewCluster(WithBoards(2), WithBoardOptions(core.WithDisk(blockdev.DefaultConfig())))
+	e := c.RegisterService(testService("alice", 20))
+	bob := c.RegisterService(testService("bob", 21))
+	c.API().Activate(api.ActivateRequest{Name: e.Name})
+	c.RunAll()
+	on := readyOf(e)
+	if on == nil {
+		t.Fatal("setup: alice did not boot")
+	}
+	if resp := c.API().Demote(api.DemoteRequest{Name: e.Name}); resp.Err != nil {
+		t.Fatalf("setup: demote: %v", resp.Err)
+	}
+	c.RunAll()
+	if resp := c.API().Promote(api.PromoteRequest{Name: e.Name}); resp.Err != nil || resp.Board != on.Board {
+		t.Fatalf("setup: promote: board %d, %v", resp.Board, resp.Err)
+	}
+	promised := e.Base.Image.MemMiB
+	for _, v := range c.views(bob, nil) {
+		want := c.Boards[v.Index].Hyp.FreeMemMiB()
+		if v.Index == on.Board {
+			want -= promised
+		}
+		if v.FreeMemMiB != want {
+			t.Errorf("board %d's view reads %d MiB free, want %d", v.Index, v.FreeMemMiB, want)
+		}
+	}
+	want := uint32(c.Boards[0].Hyp.FreeMemMiB() + c.Boards[1].Hyp.FreeMemMiB() - promised)
+	if s := c.buildSummary(0, 1, c.eng.Now()); s.FreeMiB != want {
+		t.Errorf("summary reads %d MiB free, want %d", s.FreeMiB, want)
+	}
+	c.RunAll()
+	if !on.Svc.State.Booted() {
+		t.Fatalf("board %d's replica is %v after the restore, want booted", on.Board, on.Svc.State)
+	}
+}
