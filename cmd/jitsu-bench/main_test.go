@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/quick.fingerprint from this build's output")
+var update = flag.Bool("update", false, "rewrite testdata/quick.fingerprint and testdata/full.fingerprint from this build's output")
 
 const golden = "testdata/quick.fingerprint"
 
@@ -24,6 +24,26 @@ func bench(t *testing.T, args string) string {
 	return stdout.String()
 }
 
+// matchGolden runs the command and holds its output to the record in
+// file (which -update rewrites first), returning the output.
+func matchGolden(t *testing.T, args, file string) string {
+	t.Helper()
+	got := bench(t, args)
+	if *update {
+		if err := os.WriteFile(file, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("jitsu-bench %s differs from %s:\n%s", args, file, firstDiff(got, string(want)))
+	}
+	return got
+}
+
 // TestQuickFingerprintsMatchGolden is the determinism referee: two runs
 // of -run all -quick -fingerprint must agree byte for byte, and with the
 // committed record. A refactor leaves the file as it is; a change meant
@@ -31,22 +51,20 @@ func bench(t *testing.T, args string) string {
 // -update and says which lines moved and why.
 func TestQuickFingerprintsMatchGolden(t *testing.T) {
 	const args = "-run all -quick -fingerprint"
-	got := bench(t, args)
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("jitsu-bench %s differs from %s:\n%s", args, golden, firstDiff(got, string(want)))
-	}
+	got := matchGolden(t, args, golden)
 	if again := bench(t, args); again != got {
 		t.Errorf("jitsu-bench %s: two runs differ:\n%s", args, firstDiff(again, got))
 	}
+}
+
+// TestFullFingerprintsMatchGolden holds the full-scale run to its own
+// record: its churn, stampede, federation, prewarm and hostile runs
+// migrate, drain and place more than their quick sizes do.
+func TestFullFingerprintsMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the full-scale run takes seconds")
+	}
+	matchGolden(t, "-run all -fingerprint", "testdata/full.fingerprint")
 }
 
 // TestRunEachMatchesAll: an experiment run alone prints exactly its

@@ -116,9 +116,9 @@ func (p *clusterPlane) Checkpoint(req api.CheckpointRequest) api.CheckpointRespo
 	}
 	// A booted replica captures live state; failing that, a disk-resident
 	// one hands back its stored checkpoint without paging in.
-	pl := p.c.readyReplica(e, req.Board)
+	pl := replicaIn(e, req.Board, (*Placement).ready)
 	if pl == nil {
-		pl = p.c.diskReplica(e, req.Board)
+		pl = replicaIn(e, req.Board, (*Placement).onDisk)
 	}
 	if pl == nil {
 		return api.CheckpointResponse{Err: api.Errf(api.VerbCheckpoint, api.CodeConflict, "%s has no replica with state", req.Name)}
@@ -147,8 +147,8 @@ func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
 	if err != nil {
 		return api.MigrateResponse{Err: err}
 	}
-	src := p.c.readyReplica(e, req.From)
-	if src == nil || src.migrating != nil {
+	src := replicaIn(e, req.From, (*Placement).ready)
+	if !src.in(slotOpen | slotReserved) {
 		return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeConflict, "%s has no movable replica", req.Name)}
 	}
 	done := req.OnDone
@@ -166,7 +166,7 @@ func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
 			return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeBadRequest, "destination board %d unusable", to)}
 		}
 		dst := replicaOn(e, to)
-		if dst == nil || dst.reserved || dst.Svc.State != core.StateCold {
+		if !dst.in(slotHeld&^slotReserved) || dst.Svc.State != core.StateCold {
 			return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeConflict, "destination slot on board %d busy", to)}
 		}
 	}
@@ -240,7 +240,7 @@ func (p *clusterPlane) Demote(req api.DemoteRequest) api.DemoteResponse {
 		return api.DemoteResponse{Err: err}
 	}
 	if board, ok := req.Board.ID(); ok {
-		if pl := p.c.readyReplica(e, req.Board); pl == nil || pl.migrating != nil {
+		if pl := replicaIn(e, req.Board, (*Placement).ready); !pl.in(slotOpen | slotReserved) {
 			return api.DemoteResponse{Err: api.Errf(api.VerbDemote, api.CodeConflict, "%s has no booted replica on board %d", req.Name, board)}
 		}
 		return p.c.boardAPI(board).Demote(api.DemoteRequest{Name: req.Name})
@@ -248,7 +248,7 @@ func (p *clusterPlane) Demote(req api.DemoteRequest) api.DemoteResponse {
 	demoted := 0
 	var firstErr *api.Error
 	for _, pl := range e.Replicas {
-		if !pl.ready() || pl.migrating != nil || pl.reserved {
+		if !pl.in(slotOpen) || !pl.Svc.State.Booted() {
 			continue
 		}
 		resp := p.c.boardAPI(pl.Board).Demote(api.DemoteRequest{Name: req.Name})
@@ -275,7 +275,7 @@ func (p *clusterPlane) Promote(req api.PromoteRequest) api.PromoteResponse {
 	if err != nil {
 		return api.PromoteResponse{Board: -1, Err: err}
 	}
-	pl := p.c.diskReplica(e, req.Board)
+	pl := replicaIn(e, req.Board, (*Placement).onDisk)
 	if pl == nil {
 		return api.PromoteResponse{Board: -1, Err: api.Errf(api.VerbPromote, api.CodeConflict, "%s has no disk-resident replica", req.Name)}
 	}
@@ -316,16 +316,6 @@ func (p *clusterPlane) Stats(req api.StatsRequest) api.StatsResponse {
 
 func (p *clusterPlane) WatchStats(req api.WatchStatsRequest) api.WatchStatsResponse {
 	return api.StreamStats(p.c.eng, req, p.Stats)
-}
-
-// readyReplica finds e's booted replica per the selector, diskReplica
-// its disk-resident one (AnyBoard = the first in board order).
-func (c *Cluster) readyReplica(e *Entry, sel api.BoardSel) *Placement {
-	return replicaIn(e, sel, (*Placement).ready)
-}
-
-func (c *Cluster) diskReplica(e *Entry, sel api.BoardSel) *Placement {
-	return replicaIn(e, sel, (*Placement).onDisk)
 }
 
 // replicaIn picks e's replica in the given tier on the selected board,

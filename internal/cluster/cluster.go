@@ -392,12 +392,11 @@ func (c *Cluster) Unregister(name string) bool {
 		return false
 	}
 	for _, p := range e.Replicas {
-		if p == nil || p.gone {
-			continue
+		if p.in(slotHeld) {
+			c.Boards[p.Board].Jitsu.Deregister(p.Svc)
+			p.to(slotGone, nil)
+			delete(c.dir.byIP, p.Svc.Cfg.IP)
 		}
-		c.Boards[p.Board].Jitsu.Deregister(p.Svc)
-		p.gone = true
-		delete(c.dir.byIP, p.Svc.Cfg.IP)
 	}
 	c.dir.remove(name)
 	c.front().DNS.BumpEpoch()
@@ -411,7 +410,7 @@ func (c *Cluster) Unregister(name string) bool {
 func (c *Cluster) addReplicaSlot(e *Entry, m *Member) *Placement {
 	rc := e.Base
 	rc.IP = replicaIP(e.Base.IP, m.ID)
-	p := &Placement{Board: m.ID, Svc: m.Board.Jitsu.Register(rc)}
+	p := &Placement{Board: m.ID, Svc: m.Board.Jitsu.Register(rc), state: slotOpen}
 	for len(e.Replicas) <= m.ID {
 		e.Replicas = append(e.Replicas, nil)
 	}
@@ -521,11 +520,8 @@ func (c *Cluster) place(e *Entry, via string, onReady func(error)) (p *Placement
 		return p, false
 	}
 	for i, dp := range e.Replicas {
-		if dp == nil || dp.gone || dp.reserved || dp.Svc.State != core.StateColdDisk ||
-			!c.members[i].Placeable() {
-			continue
-		}
-		if c.Boards[i].Hyp.FreeMemMiB() < e.Base.Image.MemMiB {
+		if !dp.in(slotHeld&^slotReserved) || dp.Svc.State != core.StateColdDisk ||
+			!c.members[i].Placeable() || c.Boards[i].Jitsu.FreeMemMiB() < e.Base.Image.MemMiB {
 			continue
 		}
 		if c.summon(dp, via, onReady, nil) {
@@ -572,7 +568,7 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 		for _, p := range o.Replicas {
 			// Only boards still taking placements host preemption boots,
 			// and in-flight migrations must not lose their source.
-			if !p.ready() || !c.members[p.Board].Placeable() || p.migrating != nil {
+			if !p.in(slotOpen|slotReserved) || !p.Svc.State.Booted() || !c.members[p.Board].Placeable() {
 				continue
 			}
 			// Hysteresis: a replica must have amortised its boot cost
@@ -586,7 +582,7 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 				continue
 			}
 			b := c.Boards[p.Board]
-			if b.Hyp.FreeMemMiB()+p.Svc.Cfg.Image.MemMiB < e.Base.Image.MemMiB {
+			if b.Jitsu.FreeMemMiB()+p.Svc.Cfg.Image.MemMiB < e.Base.Image.MemMiB {
 				continue
 			}
 			cands = append(cands, victim{p, or})
@@ -595,7 +591,7 @@ func (c *Cluster) preempt(e *Entry, via string, onReady func(error)) *Placement 
 	slices.SortStableFunc(cands, func(a, b victim) int { return cmp.Compare(a.rate, b.rate) })
 	for _, v := range cands {
 		rep := e.Replicas[v.p.Board]
-		if rep == nil || rep.reserved {
+		if rep == nil || rep.state == slotReserved {
 			continue
 		}
 		// Tiered reclaim: a victim parked on its board's disk restores
@@ -624,7 +620,7 @@ func (c *Cluster) views(e *Entry, skip func(i int) bool) []BoardView {
 	out := make([]BoardView, 0, len(c.members))
 	for _, m := range c.members {
 		p := replicaOn(e, m.ID)
-		if !m.Placeable() || p == nil || p.reserved {
+		if !m.Placeable() || !p.in(slotHeld&^slotReserved) {
 			continue
 		}
 		if skip != nil && skip(m.ID) {
@@ -632,7 +628,7 @@ func (c *Cluster) views(e *Entry, skip func(i int) bool) []BoardView {
 		}
 		out = append(out, BoardView{
 			Index:        m.ID,
-			FreeMemMiB:   m.Board.Hyp.FreeMemMiB(),
+			FreeMemMiB:   m.Board.Jitsu.FreeMemMiB(),
 			GuestDomains: m.Board.Hyp.Domains() - m.baseDomains,
 			NeedMiB:      e.Base.Image.MemMiB,
 			Model:        m.Model,

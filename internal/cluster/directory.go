@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -96,40 +98,66 @@ func (d *Directory) remove(name string) {
 type Placement struct {
 	Board int
 	Svc   *core.Service
-	// migrating is the in-flight checkpoint move this slot is the source
-	// of (a move's methods, migrate.go, are its only writers): it keeps
-	// serving (pre-copy), but reclaim and preemption must leave it alone
-	// until the switchover completes (including the drain).
-	migrating *move
-	// draining marks a migrated-out source between switchover and its
-	// delayed stop: no new DNS answer names it, but a client answered
-	// just before the switchover can still connect.
-	draining bool
-	// reserved marks a slot claimed as a move's destination, from the
-	// checkpoint until the switchover: no placement, prewarm or second
-	// move may take it, and the pool manager counts the migration pair
-	// (ready source + reserved destination) as one replica.
-	reserved bool
-	// gone marks a slot whose board departed: never served again.
-	gone bool
+	// state is the slot's place in a move's life; mv is the move it is
+	// the source of while slotSource or slotDraining. to writes both.
+	state slotState
+	mv    *move
 	// lastAnswered is when this replica's IP last went out in a DNS
 	// answer; the preemptor spares recently answered replicas so it
 	// never tears down a connection that is still arriving.
 	lastAnswered sim.Duration
 }
 
-// replicaOn returns e's replica slot on board id, nil when the board
-// has no (live) slot — it joined after a departure retired the slot, or
-// the slice simply doesn't reach that id yet.
+// slotState is one bit per state, so a set of states is one mask.
+type slotState uint8
+
+const (
+	slotOpen     slotState = 1 << iota // an ordinary slot, whatever its replica's tier
+	slotSource                         // a move copies it: it serves, but no reclaim, preemption or second move takes it
+	slotDraining                       // switched over until retire: no new answer names it, an answered client may connect
+	slotReserved                       // a move's destination until the switchover; the pool counts the pair as one
+	slotGone                           // its board departed or its entry left: it never serves again
+
+	slotHeld = slotOpen | slotSource | slotDraining | slotReserved // every state but gone
+	slotLive = slotHeld &^ slotDraining                            // can hold a serving replica
+)
+
+var slotNames = [...]string{"open", "source", "draining", "reserved", "gone"}
+
+func (s slotState) String() string { return slotNames[bits.TrailingZeros8(uint8(s))] }
+
+// slotMoves lists the states each state may go to, besides slotGone,
+// which every state may go to and none leaves.
+var slotMoves = map[slotState]slotState{
+	slotOpen:     slotSource | slotReserved, // move.start
+	slotSource:   slotOpen | slotDraining,   // move.release, move.switchover
+	slotReserved: slotOpen,                  // move.release, move.switchover
+	slotDraining: slotOpen,                  // move.retire
+}
+
+// to moves the slot to state next, holding mv while it is a move's
+// source or draining, and panics on a transition slotMoves does not
+// list. A nil slot (no destination here) and a gone one take no write.
+func (p *Placement) to(next slotState, mv *move) {
+	switch {
+	case p == nil || p.state == slotGone:
+		return
+	case next != slotGone && slotMoves[p.state]&next == 0:
+		panic(fmt.Sprintf("cluster: %s slot on board %d cannot go %s", p.state, p.Board, next))
+	}
+	p.state, p.mv = next, mv
+}
+
+// in reports whether p is a slot in one of the states of set.
+func (p *Placement) in(set slotState) bool { return p != nil && p.state&set != 0 }
+
+// replicaOn returns e's replica slot on board id, nil when that slot is
+// gone (its board departed) or the slice doesn't reach id yet.
 func replicaOn(e *Entry, id int) *Placement {
-	if id >= len(e.Replicas) {
-		return nil
+	if id < len(e.Replicas) && e.Replicas[id].in(slotHeld) {
+		return e.Replicas[id]
 	}
-	p := e.Replicas[id]
-	if p == nil || p.gone {
-		return nil
-	}
-	return p
+	return nil
 }
 
 // Entry is one service as the cluster sees it: its per-board replicas,
@@ -165,17 +193,13 @@ type Entry struct {
 	rr int
 }
 
-// live reports whether the slot can hold a replica at all: present, its
-// board still a member, not a migrated-out source waiting to stop.
-func (p *Placement) live() bool { return p != nil && !p.gone && !p.draining }
-
 // ready reports whether the replica can serve now — booted in either
 // memory tier (Running or WarmMemory). Callers range e.Replicas (board
 // order) and ask each slot; nobody builds the list.
-func (p *Placement) ready() bool { return p.live() && p.Svc.State.Booted() }
+func (p *Placement) ready() bool { return p.in(slotLive) && p.Svc.State.Booted() }
 
 // onDisk reports whether the replica is parked on its board's disk tier.
-func (p *Placement) onDisk() bool { return p.live() && p.Svc.State == core.StateColdDisk }
+func (p *Placement) onDisk() bool { return p.in(slotLive) && p.Svc.State == core.StateColdDisk }
 
 // readyCount is how many replicas can serve now.
 func (e *Entry) readyCount() int {
@@ -207,7 +231,7 @@ func (e *Entry) readyAt(k int) *Placement {
 func (e *Entry) transferSource(inFlight bool) *Placement {
 	var parked *Placement
 	for _, p := range e.Replicas {
-		if !p.live() || (p.migrating != nil && !inFlight) {
+		if !p.in(slotLive) || (p.state == slotSource && !inFlight) {
 			continue
 		}
 		if p.Svc.State.Booted() {
@@ -224,10 +248,7 @@ func (e *Entry) transferSource(inFlight bool) *Placement {
 // boot is, from the moment its victim is reclaimed), if any.
 func (e *Entry) launching() *Placement {
 	for _, p := range e.Replicas {
-		if p == nil || p.gone {
-			continue
-		}
-		if p.Svc.State == core.StateLaunching {
+		if p.in(slotHeld) && p.Svc.State == core.StateLaunching {
 			return p
 		}
 	}
@@ -270,10 +291,10 @@ func (e *Entry) totals() Totals {
 			continue
 		}
 		t.Add(p.Svc.Counters)
-		if !p.gone && p.Svc.State.Booted() {
+		if p.state != slotGone && p.Svc.State.Booted() {
 			t.Ready++
 		}
-		if !p.gone && p.Svc.State == core.StateColdDisk {
+		if p.state != slotGone && p.Svc.State == core.StateColdDisk {
 			t.OnDisk++
 		}
 	}

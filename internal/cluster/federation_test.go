@@ -522,7 +522,7 @@ func TestTransferBackValidatesBeforeCuttingTheDrain(t *testing.T) {
 		probed = true
 		var draining *Placement
 		for _, p := range e.Replicas {
-			if p != nil && p.draining {
+			if p.in(slotDraining) {
 				draining = p
 			}
 		}
@@ -536,8 +536,8 @@ func TestTransferBackValidatesBeforeCuttingTheDrain(t *testing.T) {
 		if home.dir.Lookup(cfg.Name) != e {
 			t.Error("the refused transfer unregistered the draining entry")
 		}
-		if !draining.draining || !draining.Svc.State.Booted() {
-			t.Errorf("the refused transfer tore down the draining replica (draining=%v state=%v)", draining.draining, draining.Svc.State)
+		if draining.state != slotDraining || !draining.Svc.State.Booted() {
+			t.Errorf("the refused transfer tore down the draining replica (slot %s, state %v)", draining.state, draining.Svc.State)
 		}
 	}
 	f.Eng().At(10*time.Second, probe)

@@ -609,14 +609,14 @@ func (c *Cluster) deregisterBoard(id int) {
 	m := c.members[id]
 	for e := range c.dir.walk {
 		p := replicaOn(e, id)
-		if p == nil || p.gone {
+		if p == nil {
 			continue
 		}
 		if p.Svc.State.Resident() {
 			c.Lost++
 		}
 		m.Board.Jitsu.Deregister(p.Svc)
-		p.gone = true
+		p.to(slotGone, nil)
 		delete(c.dir.byIP, p.Svc.Cfg.IP)
 	}
 	c.front().DNS.BumpEpoch()

@@ -128,7 +128,7 @@ func TestLeaveMigratesWarmReplicas(t *testing.T) {
 	if e.Replicas[2].Svc.Restores != 1 {
 		t.Fatalf("restores = %d, want 1 (restored from checkpoint, not cold-booted)", e.Replicas[2].Svc.Restores)
 	}
-	if !e.Replicas[1].gone {
+	if e.Replicas[1].state != slotGone {
 		t.Fatal("board 1's slot not retired")
 	}
 	if c.members[1].State != MemberLeft {

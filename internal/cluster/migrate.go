@@ -19,6 +19,9 @@ import (
 // shed (fedagent.go) are all one move record: a warm source restores and
 // drains, a disk source lands on disk and goes at once, and a failed
 // evacuation retries, then parks its checkpoint or loses the replica.
+// The move walks both slots through their slotState by Placement.to:
+// the source is slotSource during the copy and slotDraining until
+// retire, the destination slotReserved until the switchover.
 
 // ErrCannotLeave is returned for departures the cluster must refuse.
 var ErrCannotLeave = errors.New("cluster: board cannot leave")
@@ -72,15 +75,14 @@ func (c *Cluster) evacuate(m *Member, done func()) {
 			continue
 		}
 		switch {
-		case p.migrating != nil:
+		case p.mv != nil:
 			// Already on its way out (an overlapping operator Migrate or
 			// federation shed): starting a second copy would race it, so
 			// the sweep joins that move and evacuates the replica itself
 			// if the move ends with the state still here.
 			outstanding++
-			mv := p.migrating
-			ended := mv.done
-			mv.done = func(ok bool) {
+			ended := p.mv.done
+			p.mv.done = func(ok bool) {
 				ended(ok)
 				if p.movable() {
 					c.evacuateOne(e, p, finish)
@@ -157,9 +159,7 @@ func (c *Cluster) land(e *Entry, idx int, cp *core.Checkpoint, toDisk bool, onRe
 var migrateRetry = sim.Backoff{Initial: time.Second, Factor: 1, Retries: 2}
 
 // move is one checkpoint on its way from a source replica to a new home:
-// the cold slot dst here or, with dst nil, another cluster. Its methods
-// are the only writers of the source's migrating flag and the
-// destination's reserved flag.
+// the cold slot dst here or, with dst nil, another cluster.
 type move struct {
 	c        *Cluster
 	e        *Entry
@@ -184,39 +184,33 @@ func (m *move) start() bool {
 		return false
 	}
 	m.cp = resp.Checkpoint
-	m.src.migrating = m
-	if m.dst != nil {
-		m.dst.reserved = true
-	}
+	m.src.to(slotSource, m)
+	m.dst.to(slotReserved, nil)
 	return true
 }
 
 // release gives both slots back: the move ends without a switchover.
 func (m *move) release() {
-	m.src.migrating = nil
-	if m.dst != nil {
-		m.dst.reserved = false
-	}
+	m.src.to(slotOpen, nil)
+	m.dst.to(slotOpen, nil)
 }
 
 // movable reports whether a slot holds state a move can take: it is not
 // retired and its replica is booted or parked on disk.
 func (p *Placement) movable() bool {
-	st := p.Svc.State
-	return !p.gone && (st.Booted() || st == core.StateColdDisk)
+	return p.state != slotGone && (p.Svc.State.Booted() || p.Svc.State == core.StateColdDisk)
 }
 
 // switchover hands the service to its new home: the destination's claim
 // ends, and the source drains (no new answer names it) until retire.
 func (m *move) switchover() {
-	m.src.draining = true
-	if m.dst != nil {
-		m.dst.reserved = false
-	}
+	m.src.to(slotDraining, m)
+	m.dst.to(slotOpen, nil)
 }
 
-// retire ends the source's drain: until then no reclaim may take it.
-func (m *move) retire() { m.src.migrating = nil }
+// retire ends the source's drain: until then no reclaim may take it,
+// and from then on its slot is an ordinary one again.
+func (m *move) retire() { m.src.to(slotOpen, nil) }
 
 // lose writes an evacuation's replica off (the preempt baseline).
 func (m *move) lose() {
@@ -303,9 +297,6 @@ func (m *move) copied(ok bool) {
 		m.span = tr.Begin(c.tidFor(m.dst.Board), "migrate", "restore",
 			obs.Str("svc", m.e.Name), obs.Num("state_mib", int64(m.cp.StateMiB)))
 	}
-	// The destination stays reserved until the switchover: the pair
-	// (ready source + restoring destination) must read as ONE replica
-	// to the pool manager, or reclaim tears down a bystander.
 	if c.land(m.e, m.dst.Board, m.cp, false, m.restored) != nil {
 		c.tracer().End(m.span, obs.Str("status", "refused")) // no headroom left
 		m.fail()

@@ -77,15 +77,10 @@ func (pm *PoolManager) reconcile(e *Entry, pinned *Placement) {
 	e.WarmTarget = pm.target(e)
 	alive := 0
 	for _, p := range e.Replicas {
-		// A live migration is one replica, not two: the destination is
-		// reserved until the switchover, the source drains afterwards,
-		// and counting either extra would make the pool look
-		// over-provisioned and reclaim a bystander.
-		// Disk-resident replicas are not alive — they cannot serve until
-		// promoted — so they neither satisfy the pool nor block a prewarm
-		// (a prewarm onto one pages it back in at disk-restore cost).
-		if p != nil && !p.gone && !p.draining && !p.reserved &&
-			(p.Svc.State.Booted() || p.Svc.State == core.StateLaunching) {
+		// A live migration is one replica (its source), or the pool
+		// looks over-provisioned and reclaims a bystander. A replica on
+		// disk cannot serve until promoted, so it is not alive either.
+		if p.in(slotOpen|slotSource) && (p.Svc.State.Booted() || p.Svc.State == core.StateLaunching) {
 			alive++
 		}
 	}
@@ -124,7 +119,7 @@ func (c *Cluster) prewarmPick(e *Entry) int {
 func (pm *PoolManager) shrink(e *Entry, pinned *Placement, alive *int) {
 	var cands []*Placement
 	for _, p := range e.Replicas {
-		if p != nil && !p.gone && p.migrating == nil && !p.reserved && p != pinned && p.Svc.State.Booted() {
+		if p.in(slotOpen) && p != pinned && p.Svc.State.Booted() {
 			cands = append(cands, p)
 		}
 	}

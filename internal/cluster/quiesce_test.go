@@ -29,7 +29,7 @@ func checkQuiescent(t *testing.T, f *Federation, asked int) {
 // checkClusterQuiescent is the cluster's share: no probe awaited, relayed
 // or timing — a stopped agent included: stop lets go of the probes in
 // flight, whose timeouts return without looking — no checkpoint copy in
-// flight and no replica slot left mid-move (migrating or reserved), the
+// flight and every replica slot open or gone (none left mid-move), the
 // name-ordered directory equal to its map, no in-place walk left open,
 // and every entry's count equal to a recount.
 func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
@@ -55,9 +55,47 @@ func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
 			t.Errorf("%s: %s counts %d ready replicas, a recount %d", when, e.Name, got, want)
 		}
 		for _, p := range e.Replicas {
-			if p != nil && (p.migrating != nil || p.reserved) {
-				t.Errorf("%s: %s's slot on board %d is left mid-move (migrating %v, reserved %v)", when, e.Name, p.Board, p.migrating != nil, p.reserved)
+			if p != nil && !p.in(slotOpen|slotGone) {
+				t.Errorf("%s: %s's slot on board %d is left %s", when, e.Name, p.Board, p.state)
 			}
 		}
 	}
+}
+
+// TestSlotTransitions holds Placement.to to the slot lifecycle: each
+// transition a move, a departure or an Unregister makes is taken, every
+// other one panics, and a gone slot (or a move's missing destination)
+// takes no write.
+func TestSlotTransitions(t *testing.T) {
+	listed := map[[2]slotState]bool{
+		{slotOpen, slotSource}: true, {slotOpen, slotReserved}: true, // start
+		{slotSource, slotOpen}: true, {slotReserved, slotOpen}: true, // release, switchover
+		{slotSource, slotDraining}: true, // switchover
+		{slotDraining, slotOpen}:   true, // retire
+	}
+	all := []slotState{slotOpen, slotSource, slotDraining, slotReserved, slotGone}
+	mv := &move{}
+	for _, from := range all[:4] {
+		for _, to := range all {
+			want := listed[[2]slotState{from, to}] || to == slotGone
+			p := &Placement{state: from}
+			panicked := func() (panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				p.to(to, mv)
+				return false
+			}()
+			if panicked == want || (want && p.state != to) {
+				t.Errorf("%s → %s: panicked %v, slot left %s; want the transition taken: %v", from, to, panicked, p.state, want)
+			}
+		}
+	}
+	for _, to := range all {
+		p := &Placement{state: slotGone}
+		p.to(to, mv)
+		if p.state != slotGone || p.mv != nil {
+			t.Errorf("gone → %s: slot left %s holding move %v", to, p.state, p.mv)
+		}
+	}
+	var missing *Placement
+	missing.to(slotReserved, nil)
 }

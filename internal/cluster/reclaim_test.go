@@ -148,7 +148,7 @@ func TestPreemptTriesNextVictim(t *testing.T) {
 			owe(t, c.Boards[alice.Board], alice.Svc)
 		}},
 		{"preemptor's slot reserved on the coldest's board", 2, 16, func(t *testing.T, _ *Cluster, alice *Placement, bob *Entry) {
-			bob.Replicas[alice.Board].reserved = true
+			bob.Replicas[alice.Board].to(slotReserved, nil)
 		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {

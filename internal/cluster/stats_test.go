@@ -130,10 +130,10 @@ func refClusterStats(c *Cluster) api.StatsResponse {
 			row.Restores += p.Svc.Restores
 			row.DiskRestores += p.Svc.DiskRestores
 			row.Demotions += p.Svc.Demotions
-			if !p.gone && p.Svc.State.Booted() {
+			if p.state != slotGone && p.Svc.State.Booted() {
 				ready++
 			}
-			if !p.gone && p.Svc.State == core.StateColdDisk {
+			if p.state != slotGone && p.Svc.State == core.StateColdDisk {
 				onDisk++
 			}
 		}

@@ -175,7 +175,7 @@ func (c *Cluster) memMiB() (capMiB, freeMiB uint32) {
 	for _, m := range c.members {
 		if m.State != MemberDead && m.State != MemberLeft {
 			capMiB += uint32(c.Cfg.Board.TotalMemMiB)
-			freeMiB += uint32(m.Board.Hyp.FreeMemMiB())
+			freeMiB += uint32(max(m.Board.Jitsu.FreeMemMiB(), 0))
 		}
 	}
 	return capMiB, freeMiB

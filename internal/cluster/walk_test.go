@@ -18,7 +18,7 @@ import (
 func refReady(e *Entry) []*Placement {
 	var out []*Placement
 	for _, p := range e.Replicas {
-		if p != nil && !p.gone && !p.draining && p.Svc.State.Booted() {
+		if p.in(slotOpen|slotSource|slotReserved) && p.Svc.State.Booted() {
 			out = append(out, p)
 		}
 	}
@@ -28,7 +28,7 @@ func refReady(e *Entry) []*Placement {
 func refOnDisk(e *Entry) []*Placement {
 	var out []*Placement
 	for _, p := range e.Replicas {
-		if p != nil && !p.gone && !p.draining && p.Svc.State == core.StateColdDisk {
+		if p.in(slotOpen|slotSource|slotReserved) && p.Svc.State == core.StateColdDisk {
 			out = append(out, p)
 		}
 	}
@@ -86,7 +86,7 @@ func sameWalk(t *testing.T, when string, c *Cluster) {
 // booted replica they would take, else the first parked one.
 func refTransferSource(e *Entry, inFlight bool) *Placement {
 	for _, p := range append(refReady(e), refOnDisk(e)...) {
-		if inFlight || p.migrating == nil {
+		if inFlight || p.state != slotSource {
 			return p
 		}
 	}

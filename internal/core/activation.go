@@ -210,7 +210,7 @@ func launchKind(svc *Service) string {
 // plus what the service's own dying VM gives back when its destroy
 // completes, which the launch waits for.
 func (a *Activation) freeFor(svc *Service) int {
-	free := a.j.board.Hyp.FreeMemMiB() - a.reading
+	free := a.j.FreeMemMiB()
 	if svc.dying {
 		free += svc.Cfg.Image.MemMiB
 	}

@@ -272,6 +272,9 @@ func newJitsu(b *Board) *Jitsu {
 // seam every frontend fires).
 func (j *Jitsu) Activation() *Activation { return j.act }
 
+// FreeMemMiB is free guest memory as admission reads it: less what disk restores were promised.
+func (j *Jitsu) FreeMemMiB() int { return j.board.Hyp.FreeMemMiB() - j.act.reading }
+
 // Summon fires the activation machine for svc on behalf of a trigger
 // frontend — the single entry point behind the DNS, SYN, conduit,
 // cluster and prewarm paths.
