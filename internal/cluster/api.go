@@ -148,7 +148,7 @@ func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
 		return api.MigrateResponse{Err: err}
 	}
 	src := replicaIn(e, req.From, (*Placement).ready)
-	if !src.in(slotOpen | slotReserved) {
+	if !src.in(slotOpen) {
 		return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeConflict, "%s has no movable replica", req.Name)}
 	}
 	done := req.OnDone
@@ -166,7 +166,7 @@ func (p *clusterPlane) Migrate(req api.MigrateRequest) api.MigrateResponse {
 			return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeBadRequest, "destination board %d unusable", to)}
 		}
 		dst := replicaOn(e, to)
-		if !dst.in(slotHeld&^slotReserved) || dst.Svc.State != core.StateCold {
+		if !dst.in(slotOpen) || dst.Svc.State != core.StateCold {
 			return api.MigrateResponse{Err: api.Errf(api.VerbMigrate, api.CodeConflict, "destination slot on board %d busy", to)}
 		}
 	}
@@ -240,7 +240,7 @@ func (p *clusterPlane) Demote(req api.DemoteRequest) api.DemoteResponse {
 		return api.DemoteResponse{Err: err}
 	}
 	if board, ok := req.Board.ID(); ok {
-		if pl := replicaIn(e, req.Board, (*Placement).ready); !pl.in(slotOpen | slotReserved) {
+		if pl := replicaIn(e, req.Board, (*Placement).ready); !pl.in(slotOpen) {
 			return api.DemoteResponse{Err: api.Errf(api.VerbDemote, api.CodeConflict, "%s has no booted replica on board %d", req.Name, board)}
 		}
 		return p.c.boardAPI(board).Demote(api.DemoteRequest{Name: req.Name})

@@ -98,8 +98,9 @@ func (d *Directory) remove(name string) {
 type Placement struct {
 	Board int
 	Svc   *core.Service
-	// state is the slot's place in a move's life; mv is the move it is
-	// the source of while slotSource or slotDraining. to writes both.
+	// state is the slot's place in a move's life; mv is the move it
+	// belongs to while slotSource, slotDraining or slotReserved. to
+	// writes both.
 	state slotState
 	mv    *move
 	// lastAnswered is when this replica's IP last went out in a DNS
@@ -135,9 +136,9 @@ var slotMoves = map[slotState]slotState{
 	slotDraining: slotOpen,                  // move.retire
 }
 
-// to moves the slot to state next, holding mv while it is a move's
-// source or draining, and panics on a transition slotMoves does not
-// list. A nil slot (no destination here) and a gone one take no write.
+// to moves the slot to state next, holding mv while it is in a move,
+// and panics on a transition slotMoves does not list. A nil slot (no
+// destination here) and a gone one take no write.
 func (p *Placement) to(next slotState, mv *move) {
 	switch {
 	case p == nil || p.state == slotGone:
@@ -226,12 +227,12 @@ func (e *Entry) readyAt(k int) *Placement {
 
 // transferSource is the replica whose state leaves with a service moving
 // to another cluster: the first booted one, else the first parked on disk
-// (its checkpoint moves without paging in); one already migrating only
-// when inFlight allows it.
+// (its checkpoint moves without paging in); a slot already in a move,
+// as its source or its destination, only when inFlight allows it.
 func (e *Entry) transferSource(inFlight bool) *Placement {
 	var parked *Placement
 	for _, p := range e.Replicas {
-		if !p.in(slotLive) || (p.state == slotSource && !inFlight) {
+		if !p.in(slotLive) || (!inFlight && p.state != slotOpen) {
 			continue
 		}
 		if p.Svc.State.Booted() {

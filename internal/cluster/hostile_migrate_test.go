@@ -128,6 +128,141 @@ func TestMigratedSourceServesAgain(t *testing.T) {
 	checkClusterQuiescent(t, "after the activations", c)
 }
 
+// TestDiskEvacuationLandingRefused: a disk-resident replica is evacuated
+// from leaving board 1 to board 2's cold slot, which a stray client boots
+// while the checkpoint is on the wire, so the landing is refused. The
+// move gives its slots back once, parks the checkpoint or writes the
+// replica off, and the board still leaves.
+func TestDiskEvacuationLandingRefused(t *testing.T) {
+	c := hostileLeaveCluster(t, "disk", false)
+	e := c.Directory().Lookup("alice.family.name")
+	left := false
+	if err := c.Leave(1, func() { left = true }); err != nil {
+		t.Fatal(err)
+	}
+	dst := e.Replicas[2]
+	if !dst.in(slotReserved) || dst.Svc.State != core.StateCold {
+		t.Fatalf("setup: board 2's slot is %s and %v, want a reserved cold destination", dst.state, dst.Svc.State)
+	}
+	if err := c.Boards[2].Jitsu.Activate(dst.Svc, true, nil); err != nil {
+		t.Fatalf("setup: boot on board 2: %v", err)
+	}
+	c.RunAll()
+	if !left || c.Migrations != 0 || c.Parks+c.Lost != 1 {
+		t.Fatalf("left=%v migrations=%d parks=%d lost=%d, want true/0 and one park or loss",
+			left, c.Migrations, c.Parks, c.Lost)
+	}
+	checkClusterQuiescent(t, "after the leave", c)
+}
+
+// TestStoppedDrainingSlotIsNoDestination: a migrated-out source that is
+// stopped while it drains (the idle reaper takes it once no answer names
+// it) is cold but still draining. A move back to its board is refused,
+// pinned there or picked, rather than reserving that slot.
+func TestStoppedDrainingSlotIsNoDestination(t *testing.T) {
+	c := hostileLeaveCluster(t, "warm", false)
+	e := c.Directory().Lookup("alice.family.name")
+	src := e.Replicas[1]
+	src.lastAnswered = c.eng.Now() // a client was just answered: the source drains
+	if resp := c.API().Migrate(api.MigrateRequest{Name: e.Name, From: api.OnBoard(1), To: api.OnBoard(2)}); !resp.Started {
+		t.Fatalf("Migrate 1→2: %v", resp.Err)
+	}
+	for i := 0; !src.in(slotDraining); i++ {
+		if i == 1000 {
+			t.Fatalf("board 1's slot never drained: %s", src.state)
+		}
+		c.RunUntil(c.eng.Now() + 10*time.Millisecond)
+	}
+	c.Boards[1].Jitsu.Evict(src.Svc)
+	for _, to := range []api.BoardSel{api.OnBoard(1), api.AnyBoard} {
+		if resp := c.API().Migrate(api.MigrateRequest{Name: e.Name, From: api.OnBoard(2), To: to}); resp.Started {
+			t.Fatalf("Migrate from board 2 to %v started onto a stopped draining slot", to)
+		}
+	}
+	c.RunAll()
+	if !src.in(slotOpen) || c.Migrations != 1 {
+		t.Fatalf("board 1's slot ends %s after %d migrations, want open after 1", src.state, c.Migrations)
+	}
+	checkClusterQuiescent(t, "after the drain", c)
+}
+
+// TestReservedSlotIsNoSource: a move's destination that a stray client
+// boots during the copy is booted but still reserved. No second move
+// starts from it, though board 3 has a cold slot to take one — not an
+// operator Migrate, not a federation shed, not its board's evacuation,
+// which waits for the move it belongs to and then moves what is left.
+func TestReservedSlotIsNoSource(t *testing.T) {
+	c := NewCluster(WithBoards(4), WithMigrateOnLeave(true), WithMgmtLink(0, 4))
+	e := c.RegisterService(testService("alice", 20), WithMinWarm(2))
+	c.RunAll()
+	if !e.Replicas[1].ready() || e.Replicas[2].Svc.State != core.StateCold || e.Replicas[3].Svc.State != core.StateCold {
+		t.Fatal("test setup: want a warm replica on board 1, boards 2 and 3 cold")
+	}
+	c.MgmtLink(1).Partition() // the copy out of board 1 stalls
+	if resp := c.API().Migrate(api.MigrateRequest{Name: e.Name, From: api.OnBoard(1), To: api.OnBoard(2)}); !resp.Started {
+		t.Fatalf("Migrate 1→2: %v", resp.Err)
+	}
+	dst := e.Replicas[2]
+	if err := c.Boards[2].Jitsu.Activate(dst.Svc, true, nil); err != nil {
+		t.Fatalf("setup: boot on board 2: %v", err)
+	}
+	c.RunUntil(c.eng.Now() + time.Second)
+	if !dst.in(slotReserved) || !dst.ready() {
+		t.Fatalf("setup: board 2's slot is %s and %v, want reserved and ready", dst.state, dst.Svc.State)
+	}
+	if resp := c.API().Migrate(api.MigrateRequest{Name: e.Name, From: api.OnBoard(2)}); resp.Started {
+		t.Fatal("Migrate started from a reserved slot")
+	}
+	if resp := c.API().Demote(api.DemoteRequest{Name: e.Name, Board: api.OnBoard(2)}); resp.Err == nil {
+		t.Fatal("Demote took a reserved slot")
+	}
+	if p := e.transferSource(false); p == dst {
+		t.Fatal("the federation shed would move a reserved slot")
+	}
+	left := false
+	if err := c.Leave(2, func() { left = true }); err != nil {
+		t.Fatal(err)
+	}
+	c.RunAll()
+	if !left || c.Migrations != 1 || c.Lost != 0 || !e.Replicas[3].ready() {
+		t.Fatalf("left=%v migrations=%d lost=%d board 3 %v, want true/1/0 and board 3 ready",
+			left, c.Migrations, c.Lost, e.Replicas[3].Svc.State)
+	}
+	checkClusterQuiescent(t, "after the leave", c)
+}
+
+// TestEvacuationRetryFollowsOverlappingMove: between an evacuation's
+// aborted copy and its retry the source is given back, and an operator
+// Migrate takes it. The retry follows that move rather than starting a
+// second one from its source, and finds the state gone once it ends.
+func TestEvacuationRetryFollowsOverlappingMove(t *testing.T) {
+	c := hostileLeaveCluster(t, "warm", false)
+	e := c.Directory().Lookup("alice.family.name")
+	src := e.Replicas[1]
+	link := c.MgmtLink(1)
+	link.Partition()
+	left := false
+	if err := c.Leave(1, func() { left = true }); err != nil {
+		t.Fatal(err)
+	}
+	// The first copy aborts at ≈ 68.45 s and the retry fires a second
+	// later (see TestMigrationAbortsAndReschedulesOnPartition).
+	c.RunUntil(69 * time.Second)
+	if c.XferAborts != 1 || !src.in(slotOpen) {
+		t.Fatalf("setup: %d aborts, board 1's slot %s; want 1 abort and the slot given back", c.XferAborts, src.state)
+	}
+	link.Heal()
+	src.lastAnswered = c.eng.Now() // the operator's move drains past the retry
+	if resp := c.API().Migrate(api.MigrateRequest{Name: e.Name, From: api.OnBoard(1)}); !resp.Started {
+		t.Fatalf("Migrate from board 1: %v", resp.Err)
+	}
+	c.RunAll()
+	if !left || c.Migrations != 1 || c.Lost != 0 {
+		t.Fatalf("left=%v migrations=%d lost=%d, want true/1/0", left, c.Migrations, c.Lost)
+	}
+	checkClusterQuiescent(t, "after the leave", c)
+}
+
 func TestMigrationRetransmitsThroughLoss(t *testing.T) {
 	// A lossy management uplink on the leaving board: chunks and acks
 	// drop, the per-chunk retransmit recovers each one, and the replica

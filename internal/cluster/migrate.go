@@ -21,7 +21,9 @@ import (
 // evacuation retries, then parks its checkpoint or loses the replica.
 // The move walks both slots through their slotState by Placement.to:
 // the source is slotSource during the copy and slotDraining until
-// retire, the destination slotReserved until the switchover.
+// retire, the destination slotReserved until the switchover. A move
+// starts only from open slots; one that would take a slot already in a
+// move follows that move instead (move.then).
 
 // ErrCannotLeave is returned for departures the cluster must refuse.
 var ErrCannotLeave = errors.New("cluster: board cannot leave")
@@ -56,10 +58,8 @@ func (c *Cluster) Leave(id int, done func()) error {
 	return nil
 }
 
-// evacuate drains every live replica off m, then calls done. Launching
-// replicas are waited for (their DNS answers are already on the wire)
-// and migrated once ready. Entries() is already name-sorted, so the
-// sweep order is deterministic.
+// evacuate drains every live replica off m, then calls done.
+// Entries() is already name-sorted, so the sweep order is deterministic.
 func (c *Cluster) evacuate(m *Member, done func()) {
 	outstanding := 1 // the sweep itself, so done can't fire early
 	finish := func() {
@@ -69,69 +69,54 @@ func (c *Cluster) evacuate(m *Member, done func()) {
 		}
 	}
 	for _, e := range c.dir.Entries() {
-		e := e
-		p := replicaOn(e, m.ID)
-		if p == nil {
-			continue
-		}
-		switch {
-		case p.mv != nil:
-			// Already on its way out (an overlapping operator Migrate or
-			// federation shed): starting a second copy would race it, so
-			// the sweep joins that move and evacuates the replica itself
-			// if the move ends with the state still here.
-			outstanding++
-			ended := p.mv.done
-			p.mv.done = func(ok bool) {
-				ended(ok)
-				if p.movable() {
-					c.evacuateOne(e, p, finish)
-				} else {
-					finish()
-				}
-			}
-		case p.movable():
+		if p := replicaOn(e, m.ID); p != nil {
 			outstanding++
 			c.evacuateOne(e, p, finish)
-		case p.Svc.State == core.StateLaunching:
-			// A boot is in flight here (a client was already answered
-			// with this IP). Let it finish, then move it.
-			outstanding++
-			dec := m.Board.Jitsu.Summon(p.Svc, core.Summon{Via: TriggerMigrate,
-				OnReady: func(err error) {
-					if err != nil {
-						finish()
-						return
-					}
-					c.evacuateOne(e, p, finish)
-				}})
-			if !dec.Served() {
-				finish()
-			}
 		}
 	}
 	finish()
 }
 
 // evacuateOne moves (or, in the baseline, stops) one replica, booted or
-// parked on disk.
+// parked on disk. A slot already in a move (an overlapping operator
+// Migrate or federation shed copying it out, or a move landing on it)
+// is not moved twice: the evacuation follows that move and takes what
+// it leaves here. A boot in flight (a client was already answered with
+// this IP) is let finish, then moved.
 func (c *Cluster) evacuateOne(e *Entry, p *Placement, done func()) {
-	if !c.Cfg.migrateOnLeave {
+	switch {
+	case p.mv != nil:
+		p.mv.then(func() { c.evacuateOne(e, p, done) })
+	case p.Svc.State == core.StateLaunching:
+		if !c.Boards[p.Board].Jitsu.Summon(p.Svc, core.Summon{Via: TriggerMigrate, OnReady: func(err error) {
+			if err != nil {
+				done()
+				return
+			}
+			c.evacuateOne(e, p, done)
+		}}).Served() {
+			done()
+		}
+	case !p.movable():
+		done()
+	case !c.Cfg.migrateOnLeave:
 		c.loseReplica(p)
 		done()
-		return
+	default:
+		(&move{c: c, e: e, src: p, mandatory: true, done: func(bool) { done() }}).attempt(c.pickDest(e, p))
 	}
-	(&move{c: c, e: e, src: p, mandatory: true, done: func(bool) { done() }}).attempt(c.pickDest(e, p))
 }
 
 // pickDest asks e's policy for a migration destination: any placeable
-// board other than p's whose replica slot is fully cold (a slot already
-// holding a disk checkpoint cannot adopt a second one). Policies may be
+// board other than p's whose replica slot is open and fully cold (a slot
+// already holding a disk checkpoint cannot adopt a second one, and a
+// stopped source still draining is no destination). Policies may be
 // stateful (RoundRobin), so callers must use the returned index rather
 // than picking twice.
 func (c *Cluster) pickDest(e *Entry, p *Placement) int {
 	return e.Policy.Pick(c.views(e, func(i int) bool {
-		return i == p.Board || e.Replicas[i].Svc.State != core.StateCold
+		d := e.Replicas[i]
+		return i == p.Board || !d.in(slotOpen) || d.Svc.State != core.StateCold
 	}))
 }
 
@@ -185,8 +170,17 @@ func (m *move) start() bool {
 	}
 	m.cp = resp.Checkpoint
 	m.src.to(slotSource, m)
-	m.dst.to(slotReserved, nil)
+	m.dst.to(slotReserved, m)
 	return true
+}
+
+// then runs f once the move has ended, after whatever hears it now.
+func (m *move) then(f func()) {
+	ended := m.done
+	m.done = func(ok bool) {
+		ended(ok)
+		f()
+	}
 }
 
 // release gives both slots back: the move ends without a switchover.
@@ -250,6 +244,21 @@ func (m *move) attempt(idx int) {
 	c.copyCheckpoint(m.src.Board, idx, m.cp.StateMiB, m.copied)
 }
 
+// again is an evacuation's next try after an aborted copy. The source
+// was given back for the wait, so an overlapping move may have taken it
+// meanwhile: the evacuation then follows that move, and tries again
+// only if the state is still here once it ends.
+func (m *move) again() {
+	switch {
+	case m.src.mv != nil:
+		m.src.mv.then(m.again)
+	case !m.src.movable():
+		m.done(false)
+	default:
+		m.attempt(m.c.pickDest(m.e, m.src))
+	}
+}
+
 // copied lands the checkpoint once the copy is through.
 func (m *move) copied(ok bool) {
 	c := m.c
@@ -262,13 +271,7 @@ func (m *move) copied(ok bool) {
 		if wait, more := migrateRetry.Next(m.retry, nil); m.mandatory && more {
 			m.release()
 			m.retry++
-			c.eng.After(wait, func() {
-				if !m.src.movable() {
-					m.done(false)
-					return
-				}
-				m.attempt(c.pickDest(m.e, m.src))
-			})
+			c.eng.After(wait, m.again)
 			return
 		}
 		m.fail()
@@ -283,11 +286,11 @@ func (m *move) copied(ok bool) {
 	c.tracer().End(m.span, obs.Str("status", "copied"))
 	if m.src.Svc.State == core.StateColdDisk {
 		// No client connects to a replica on disk: switch over at once.
-		m.release()
 		if c.land(m.e, m.dst.Board, m.cp, true, nil) != nil {
 			m.fail()
 			return
 		}
+		m.release()
 		c.Boards[m.src.Board].Jitsu.Evict(m.src.Svc)
 		c.Migrations++
 		m.done(true)

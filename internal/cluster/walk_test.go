@@ -81,12 +81,12 @@ func sameWalk(t *testing.T, when string, c *Cluster) {
 	}
 }
 
-// refTransferSource is how the shed sweep (inFlight false) and the
-// cluster removal (true) used to pick from the two lists: the first
-// booted replica they would take, else the first parked one.
+// refTransferSource is how the shed sweep (inFlight false: open slots
+// only) and the cluster removal (true) pick from the two lists: the
+// first booted replica they would take, else the first parked one.
 func refTransferSource(e *Entry, inFlight bool) *Placement {
 	for _, p := range append(refReady(e), refOnDisk(e)...) {
-		if inFlight || p.state != slotSource {
+		if inFlight || p.state == slotOpen {
 			return p
 		}
 	}
