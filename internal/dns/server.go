@@ -551,7 +551,9 @@ func (s *Server) referral(name string, resp *Message) bool {
 	return false
 }
 
-// Client is a minimal resolver for tests and examples.
+// Client is the resolver: the one inside every Fetcher, so it asks each
+// experiment's and each bench workload's questions, and the one tests and
+// examples query with directly.
 type Client struct {
 	Host *netstack.Host
 	// Retry schedules copies of an unanswered query's datagram (same ID
@@ -560,7 +562,7 @@ type Client struct {
 	Retry sim.Backoff
 	// Retries counts retransmitted datagrams (not first transmissions).
 	Retries uint64
-	nextID  uint16
+	queries sim.Requests[*query]
 }
 
 // DefaultRetry is the hardened profile: 3 retransmits starting at
@@ -589,99 +591,74 @@ func nextSrcPort(p uint16) uint16 {
 // response (or an error after timeout). The response is the query's own
 // storage, written by nothing once done has it: the caller may keep it.
 func (c *Client) Query(server netstack.IP, name string, typ Type, timeout sim.Duration, done func(*Message, sim.Duration, error)) {
-	c.nextID++
-	// Pick a free source port: concurrent queries from one host must
-	// not collide.
-	q := &query{c: c, server: server, id: c.nextID, srcPort: uint16(clientPortLo + c.nextID%50000),
-		name: CanonicalName(name), start: c.Host.Eng.Now(), done: done}
+	q := &query{c: c, server: server, name: CanonicalName(name), start: c.Host.Eng.Now(), done: done}
+	// Query IDs count from 1; a source port is picked from the ID so
+	// concurrent queries from one host do not collide.
+	q.id = uint16(c.queries.Open(&q.req, q) + 1)
+	q.srcPort = uint16(clientPortLo + q.id%50000)
 	questions := [1]Question{{Name: q.name, Type: typ, Class: ClassIN}}
 	m := Message{ID: q.id, RecursionDesired: true, Questions: questions[:]}
 	wire, err := m.AppendEncode(q.wireBuf[:0])
 	if err != nil {
+		q.req.Settle()
 		done(nil, 0, err)
 		return
 	}
 	q.wire = wire
 	for tries := 0; c.Host.BindDatagrams(q.srcPort, q) != nil; tries++ {
 		if tries > 1000 {
+			q.req.Settle()
 			done(nil, 0, netstack.ErrPortInUse)
 			return
 		}
 		q.srcPort = nextSrcPort(q.srcPort)
 	}
 	// The order below is what the engine's seq and RNG streams see: the
-	// deadline, then the retransmit (whose jitter is drawn in arm), then
-	// the datagram.
-	q.timer = c.Host.Eng.AfterHandler(timeout, q)
-	q.arm()
+	// deadline, then the retransmit (whose jitter Arm draws), then the
+	// datagram.
+	q.req.Arm(c.Host.Eng, &c.Retry, timeout)
 	c.Host.SendUDP(server, q.srcPort, 53, wire)
 }
 
-// query is one Query in flight: its port's application, its deadline's
-// event and the storage of the datagram it sends and the reply it
-// decodes.
+// query is one Query in flight: its port's application, its entry in
+// the client's table and the storage of the datagram it sends and the
+// reply it decodes.
 type query struct {
-	c                 *Client
-	server            netstack.IP
-	id, srcPort       uint16
-	name              string // the question's, which the reply's echo shares
-	wire              []byte // the datagram, in wireBuf when it fits
-	wireBuf           [64]byte
-	reply             decoded
-	start             sim.Duration
-	timer, retransmit sim.Event
-	attempt           int                                 // retransmits sent so far
-	done              func(*Message, sim.Duration, error) // nil once finished
-}
-
-// finish settles the query once: both timers go, the port is released.
-func (q *query) finish(m *Message, rtt sim.Duration, err error) {
-	done := q.done
-	q.done = nil
-	q.c.Host.Eng.Cancel(q.timer)
-	q.c.Host.Eng.Cancel(q.retransmit)
-	q.c.Host.UnbindUDP(q.srcPort)
-	done(m, rtt, err)
+	c           *Client
+	req         sim.Request[*query]
+	server      netstack.IP
+	id, srcPort uint16
+	name        string // the question's, which the reply's echo shares
+	wire        []byte // the datagram, in wireBuf when it fits
+	wireBuf     [64]byte
+	reply       decoded
+	start       sim.Duration
+	done        func(*Message, sim.Duration, error)
 }
 
 // Datagram takes a datagram to the query's port: the first that decodes
-// with the query's ID is the reply.
+// with the query's ID is the reply. The port is bound only while the
+// query is live.
 func (q *query) Datagram(_ netstack.IP, _ uint16, payload []byte) {
-	if q.done == nil {
-		return
-	}
 	if err := decodeInto(payload, &q.reply, q.name); err != nil || q.reply.ID != q.id {
 		return
 	}
-	q.finish(&q.reply.Message, q.c.Host.Eng.Now()-q.start, nil)
+	q.req.Settle()
+	q.end(&q.reply.Message, q.c.Host.Eng.Now()-q.start, nil)
 }
 
-// Fire is the deadline.
-func (q *query) Fire() {
-	if q.done != nil {
-		q.finish(nil, 0, netstack.ErrTimeout)
-	}
-}
-
-// arm schedules the next retransmit: identical wire from the identical
-// source port (a late answer to any copy still matches), backing off
-// under the overall deadline.
-func (q *query) arm() {
-	if wait, ok := q.c.Retry.Next(q.attempt, q.c.Host.Eng.Rand()); ok {
-		q.retransmit = q.c.Host.Eng.AfterHandler(wait, (*resend)(q))
-	}
-}
-
-// resend is a query as its retransmit's event.
-type resend query
-
-func (r *resend) Fire() {
-	q := (*query)(r)
-	if q.done == nil {
-		return
-	}
-	q.attempt++
+// Resend retransmits the identical datagram from the identical source
+// port, so a late answer to any copy still matches.
+func (q *query) Resend() {
 	q.c.Retries++
 	q.c.Host.SendUDP(q.server, q.srcPort, 53, q.wire)
-	q.arm()
+}
+
+// Expire is the deadline.
+func (q *query) Expire() { q.end(nil, 0, netstack.ErrTimeout) }
+
+// end releases the settled query's port and hands done its outcome.
+func (q *query) end(m *Message, rtt sim.Duration, err error) {
+	q.c.Host.UnbindUDP(q.srcPort)
+	q.done(m, rtt, err)
 }

@@ -227,17 +227,35 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // implements one of the program's interfaces declaring that method.
 func (p *program) reachedByInterface(obj types.Object) bool {
 	recv := receiver(obj)
-	if recv == nil || recv.TypeParams().Len() > 0 {
+	if recv == nil {
 		return false
 	}
 	for _, iface := range p.interfaces {
 		for i := range iface.NumMethods() {
-			if iface.Method(i).Name() == obj.Name() && types.Implements(types.NewPointer(recv), iface) {
+			if iface.Method(i).Name() == obj.Name() && implements(recv, iface) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// implements reports whether *recv has iface's methods. A generic type
+// has them when its declared methods match iface's signatures, which
+// holds for every instantiation.
+func implements(recv *types.Named, iface *types.Interface) bool {
+	if recv.TypeParams().Len() == 0 {
+		return types.Implements(types.NewPointer(recv), iface)
+	}
+	for i := range iface.NumMethods() {
+		m := iface.Method(i)
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(recv), false, m.Pkg(), m.Name())
+		fn, ok := obj.(*types.Func)
+		if !ok || !types.Identical(fn.Signature(), m.Signature()) {
+			return false
+		}
+	}
+	return true
 }
 
 // receiver is the named type obj is a method of, or nil when obj is not
