@@ -65,14 +65,12 @@ type FedConfig struct {
 	// spillOnRefuse re-homes a service to the least-loaded cluster when
 	// its own cluster's admission refuses a delegated query.
 	spillOnRefuse bool
-	// delegateTimeout is the root's per-try wait for a delegated
-	// resolve (or spill) reply before retransmitting. The timeout
-	// doubles per retry.
-	delegateTimeout sim.Duration
-	// delegateRetries is how many retransmits the root pays before a
-	// delegation is written off as SERVFAIL. 0 disables retransmission
-	// (one try, then SERVFAIL) — the ablation baseline.
-	delegateRetries int
+	// delegate is the root's retransmit schedule for a delegated
+	// resolve (or spill): Initial is the first try's wait for the reply,
+	// doubling per retry, and Retries how many retransmits the root pays
+	// before a delegation is written off as SERVFAIL. 0 disables
+	// retransmission (one try, then SERVFAIL) — the ablation baseline.
+	delegate sim.Backoff
 	// wan, when set, shapes every member agent's federation management
 	// link to the profile (RTT, loss, throughput) instead of the flat
 	// fedLinkLatency/fedBitsPerSec LAN path; cross-cluster copies then
@@ -98,15 +96,14 @@ const (
 // with spill-on-refuse on.
 func defaultFedConfig() FedConfig {
 	return FedConfig{
-		clusters:        4,
-		Cluster:         defaultConfig(),
-		skewMinRate:     2.0,
-		skewRatio:       0.5,
-		skewRounds:      3,
-		shedBatch:       2,
-		spillOnRefuse:   true,
-		delegateTimeout: 5 * time.Millisecond,
-		delegateRetries: 3,
+		clusters:      4,
+		Cluster:       defaultConfig(),
+		skewMinRate:   2.0,
+		skewRatio:     0.5,
+		skewRounds:    3,
+		shedBatch:     2,
+		spillOnRefuse: true,
+		delegate:      sim.Backoff{Initial: 5 * time.Millisecond, Factor: 2, Retries: 3},
 	}
 }
 
@@ -156,9 +153,9 @@ func WithSpillOnRefuse(on bool) FedOption {
 func WithDelegateRetry(timeout sim.Duration, retries int) FedOption {
 	return func(c *FedConfig) {
 		if timeout > 0 {
-			c.delegateTimeout = timeout
+			c.delegate.Initial = timeout
 		}
-		c.delegateRetries = retries
+		c.delegate.Retries = retries
 	}
 }
 
@@ -174,7 +171,7 @@ func WithWAN(p netsim.WANProfile) FedOption {
 	return func(c *FedConfig) {
 		prof := p
 		c.wan = &prof
-		c.delegateTimeout, c.delegateRetries = max(100*time.Millisecond, 3*p.RTT), 3
+		c.delegate.Initial, c.delegate.Retries = max(100*time.Millisecond, 3*p.RTT), 3
 	}
 }
 

@@ -457,9 +457,9 @@ func TestFederationPacedTransferChunks(t *testing.T) {
 			f := NewFederation(append([]FedOption{
 				WithClusters(2), WithMemberOptions(WithBoards(2), WithSeed(42)),
 			}, tc.opts...)...)
-			if f.Cfg.delegateTimeout != tc.delegRTO || f.Cfg.delegateRetries != 3 {
+			if f.Cfg.delegate.Initial != tc.delegRTO || f.Cfg.delegate.Retries != 3 {
 				t.Fatalf("delegation retry = %v × %d, want %v × 3",
-					f.Cfg.delegateTimeout, f.Cfg.delegateRetries, tc.delegRTO)
+					f.Cfg.delegate.Initial, f.Cfg.delegate.Retries, tc.delegRTO)
 			}
 			fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
 			_, e := f.RegisterService(testService("alice", 20))
@@ -668,8 +668,9 @@ func TestFedRootCountersConserved(t *testing.T) {
 				refusedBob(t, f, fcs)
 				var poll func()
 				poll = func() {
-					for _, p := range f.root.pending {
-						if p.spillTo >= 0 {
+					// The root has filed a few dozen delegations by now.
+					for qid := range uint32(256) {
+						if p := f.root.pending.Get(qid); p != nil && p.spillTo >= 0 {
 							if err := f.RemoveCluster(p.asked); err != nil {
 								t.Error(err)
 							}

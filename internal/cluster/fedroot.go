@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"jitsu/internal/core"
 	"jitsu/internal/dns"
@@ -25,10 +24,11 @@ const maxFedCacheEntries = 8192
 
 // pendingResolve is one client query parked while the root delegates.
 // It carries what a delegation needs — a lone candidate (a cache hit, a
-// redirect), the short datagram, the retransmit callback — in itself, so
-// a delegation allocates the row and one bound func and nothing per try.
+// redirect), the short datagram, its entry in the root's table — in
+// itself, so a delegation allocates the row and nothing per try.
 type pendingResolve struct {
 	r       *fedRoot
+	req     sim.Request[*pendingResolve]
 	query   *dns.Message
 	respond func(*dns.Message)
 	name    string
@@ -38,19 +38,12 @@ type pendingResolve struct {
 	spillTo int
 	hops    int
 	// asked is the cluster the outstanding datagram went to, so a
-	// member removal can fail (or re-route) the queries waiting on it;
-	// qid is the id it went out under.
+	// member removal can fail (or re-route) the queries waiting on it.
 	asked int
-	qid   uint32
-	more  bool // the armed timeout's verdict: another retransmit is due
 	// wire is the outstanding datagram verbatim (in buf when it fits),
-	// so a timeout can retransmit exactly what was lost; timer is the
-	// armed retransmit, whose sim.Handler p is, and tries the
-	// transmissions so far.
-	wire  []byte
-	buf   [48]byte
-	timer sim.Event
-	tries int
+	// so a timeout can retransmit exactly what was lost.
+	wire []byte
+	buf  [48]byte
 	// reply and ans are the answer's storage (answer): respond renders
 	// it before it returns.
 	reply dns.Message
@@ -83,11 +76,11 @@ type fedRoot struct {
 	// deleg maps a name to the cluster that answered it, and neg holds
 	// the names no cluster owns. bumpEpoch clears both at once, so an
 	// entry needs no stamp of its own.
-	deleg   map[string]int
-	neg     map[string]struct{}
-	pending map[uint32]*pendingResolve
-	nextQID uint32
-	retx    sim.Backoff // the delegation retransmit schedule, from the config
+	deleg map[string]int
+	neg   map[string]struct{}
+	// pending holds the delegations awaiting a member's reply, each
+	// filed under the qid its datagram carries.
+	pending sim.Requests[*pendingResolve]
 	// skew detector state: the argmax cluster of the last skewed round
 	// and how many consecutive rounds it has stayed hottest.
 	hotID     int
@@ -104,9 +97,7 @@ func newFedRoot(f *Federation) *fedRoot {
 		summaries: make(map[int]*Summary),
 		deleg:     make(map[string]int),
 		neg:       make(map[string]struct{}),
-		pending:   make(map[uint32]*pendingResolve),
 		hotID:     -1,
-		retx:      sim.Backoff{Initial: f.Cfg.delegateTimeout, Factor: 2, Retries: f.Cfg.delegateRetries},
 	}
 	mgmtNIC := netsim.NewNIC(f.eng, "fed-root", netsim.MACFor(0xB100))
 	f.fedNet.ConnectNIC(mgmtNIC, fedLinkLatency, fedBitsPerSec)
@@ -289,85 +280,53 @@ func (r *fedRoot) redirect(p *pendingResolve, cid int) {
 // directory like any repeated client query; a duplicate reply finds no
 // pending row and is dropped).
 func (r *fedRoot) send(p *pendingResolve, to int, op byte, args []byte) {
-	r.f.eng.Cancel(p.timer)
-	p.asked, p.qid, p.tries = to, r.nextQID, 1
-	r.nextQID++
-	r.pending[p.qid] = p
-	p.wire = binary.BigEndian.AppendUint32(append(p.buf[:0], op), p.qid)
+	p.asked = to
+	qid := r.pending.Open(&p.req, p)
+	p.wire = binary.BigEndian.AppendUint32(append(p.buf[:0], op), qid)
 	p.wire = append(append(p.wire, args...), p.name...)
 	r.mgmt.SendUDP(agentMgmtIP(to), fedPort, fedPort, p.wire)
-	p.arm()
+	p.req.Arm(r.f.eng, &r.f.Cfg.delegate, 0)
 }
 
-// arm schedules p's next timeout: the wait after its latest send.
-func (p *pendingResolve) arm() {
-	wait, more := p.r.retx.Next(p.tries-1, nil)
-	p.timer, p.more = p.r.f.eng.AfterHandler(wait, p), more
-}
-
-// Fire is the timeout: it retransmits p's datagram. When the budget is
-// gone the query is refused — and pointedly NOT negative-cached: an
-// unreachable cluster says nothing about whether the name exists, and a
-// poisoned negative cache would keep refusing the name for a whole
-// epoch after the partition heals.
-func (p *pendingResolve) Fire() {
+// Resend retransmits p's datagram after a timeout.
+func (p *pendingResolve) Resend() {
 	r := p.r
-	if r.pending[p.qid] != p {
-		return // answered (or failed over) while the timer was in flight
-	}
-	if !p.more {
-		delete(r.pending, p.qid)
-		r.DelegTimeouts++
-		if tr := r.f.Cfg.tracer; tr != nil {
-			tr.Instant(0, "fed", "deleg-timeout",
-				obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)))
-		}
-		r.refuse(p)
-		return
-	}
-	p.tries++
 	r.DelegRetx++
 	if tr := r.f.Cfg.tracer; tr != nil {
 		tr.Instant(0, "fed", "deleg-retx",
-			obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)), obs.Num("try", int64(p.tries)))
+			obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)), obs.Num("try", int64(p.req.Sends())))
 	}
 	r.mgmt.SendUDP(agentMgmtIP(p.asked), fedPort, fedPort, p.wire)
-	p.arm()
 }
 
-// claim takes the parked row filed under qid off the books and disarms
-// its retransmit; nil when none waits (a duplicate or late reply).
-func (r *fedRoot) claim(qid uint32) *pendingResolve {
-	p := r.pending[qid]
-	if p != nil {
-		delete(r.pending, qid)
-		r.f.eng.Cancel(p.timer)
+// Expire writes p off once the retry budget is gone: the query is
+// refused — and pointedly NOT negative-cached: an unreachable cluster
+// says nothing about whether the name exists, and a poisoned negative
+// cache would keep refusing the name for a whole epoch after the
+// partition heals.
+func (p *pendingResolve) Expire() {
+	r := p.r
+	r.DelegTimeouts++
+	if tr := r.f.Cfg.tracer; tr != nil {
+		tr.Instant(0, "fed", "deleg-timeout",
+			obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)))
 	}
-	return p
+	r.refuse(p)
 }
 
-// failPendingFor sweeps the parked queries waiting on a removed member:
-// resolves move on to their next live candidate (or answer NXDOMAIN);
-// spills waiting on the departed cluster are refused — the service's
-// fate is unknown, so refuse rather than guess. Sorted qid order keeps
-// the sweep deterministic.
+// failPendingFor sweeps the parked queries waiting on a removed member,
+// in qid order: resolves move on to their next live candidate (or
+// answer NXDOMAIN); spills waiting on the departed cluster are refused —
+// the service's fate is unknown, so refuse rather than guess.
 func (r *fedRoot) failPendingFor(cid int) {
-	qids := make([]int, 0, len(r.pending))
-	for qid, p := range r.pending {
-		if p.asked == cid {
-			qids = append(qids, int(qid))
-		}
-	}
-	sort.Ints(qids)
-	for _, qid := range qids {
-		p := r.claim(uint32(qid))
+	r.pending.Abort(func(p *pendingResolve) bool { return p.asked == cid }, func(p *pendingResolve) {
 		if p.spillTo >= 0 {
 			r.refuse(p)
-			continue
+			return
 		}
 		p.idx++
 		r.delegate(p)
-	}
+	})
 }
 
 func (r *fedRoot) cacheDelegation(name string, cid int) {
@@ -433,7 +392,7 @@ func (r *fedRoot) recv(src netstack.IP, _ uint16, payload []byte) {
 		if len(payload) < 16 {
 			return
 		}
-		if p := r.claim(getU32(payload[1:5])); p != nil {
+		if p := r.pending.Reply(getU32(payload[1:5])); p != nil {
 			ip := netstack.IP{payload[6], payload[7], payload[8], payload[9]}
 			extra := uint16(payload[10])<<8 | uint16(payload[11])
 			r.resolved(p, payload[5], ip, extra, getU32(payload[12:16]))
@@ -442,7 +401,7 @@ func (r *fedRoot) recv(src netstack.IP, _ uint16, payload []byte) {
 		if len(payload) < 6 {
 			return
 		}
-		p := r.claim(getU32(payload[1:5]))
+		p := r.pending.Reply(getU32(payload[1:5]))
 		switch {
 		case p == nil:
 		case payload[5] == 1 && p.spillTo >= 0:

@@ -124,7 +124,7 @@ func TestFedDelegationTimeoutServfailNoNegativeCache(t *testing.T) {
 	if r.DelegTimeouts != 1 {
 		t.Fatalf("deleg timeouts = %d, want 1", r.DelegTimeouts)
 	}
-	if want := uint64(f.Cfg.delegateRetries); r.DelegRetx != want {
+	if want := uint64(f.Cfg.delegate.Retries); r.DelegRetx != want {
 		t.Fatalf("deleg retx = %d, want the full budget %d", r.DelegRetx, want)
 	}
 	if len(f.root.neg) != 0 {

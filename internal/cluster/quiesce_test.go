@@ -13,7 +13,7 @@ import (
 func checkQuiescent(t *testing.T, f *Federation, asked int) {
 	t.Helper()
 	r := f.root
-	if n := len(r.pending); n != 0 {
+	if n := r.pending.Outstanding(); n != 0 {
 		t.Errorf("quiescent: root still parks %d delegations", n)
 	}
 	for what, n := range map[string]int{"delegation": len(r.deleg), "negative": len(r.neg)} {

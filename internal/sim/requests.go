@@ -172,6 +172,20 @@ func (t *Requests[W]) Get(id uint32) W {
 	return none
 }
 
+// Reply settles the live entry filed under id, as Settle does, and
+// returns its waiter: the zero W when none is.
+func (t *Requests[W]) Reply(id uint32) W {
+	var prev *Request[W]
+	for r := t.head; r != nil; prev, r = r, r.next {
+		if r.id == id {
+			t.drop(r, prev)
+			return r.w
+		}
+	}
+	var none W
+	return none
+}
+
 // Outstanding counts the live entries.
 func (t *Requests[W]) Outstanding() int { return int(t.n) }
 

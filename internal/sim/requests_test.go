@@ -22,9 +22,9 @@ func (w *rec) Resend() {
 func (w *rec) Expire() { *w.log = append(*w.log, fmt.Sprintf("%v %s expire", w.eng.Now(), w.name)) }
 
 // TestRequestSettlesOnce races a reply, a timeout and an abort in every
-// order, with the timeout a deadline and then a terminal wait: the first
-// to come settles the entry, the other two find nothing, and nothing is
-// left armed.
+// order, with the timeout a deadline and then a terminal wait (and the
+// reply taken by Settle, then by Reply): the first to come settles the
+// entry, the other two find nothing, and nothing is left armed.
 func TestRequestSettlesOnce(t *testing.T) {
 	orders := [][3]Duration{{1, 2, 3}, {1, 3, 2}, {2, 1, 3}, {2, 3, 1}, {3, 1, 2}, {3, 2, 1}}
 	for _, terminal := range []bool{false, true} {
@@ -34,14 +34,14 @@ func TestRequestSettlesOnce(t *testing.T) {
 			var log []string
 			var tbl Requests[*rec]
 			w := &rec{name: "a", log: &log, eng: eng}
-			tbl.Open(&w.req, w)
+			id := tbl.Open(&w.req, w)
 			if terminal {
 				w.req.Arm(eng, &Backoff{Initial: timeout}, 0)
 			} else {
 				w.req.Arm(eng, nil, timeout)
 			}
 			eng.At(reply, func() {
-				if w.req.Settle() {
+				if terminal && tbl.Reply(id) == w || !terminal && w.req.Settle() {
 					log = append(log, fmt.Sprintf("%v a reply", eng.Now()))
 				}
 			})
@@ -74,7 +74,7 @@ func TestReplyAfterTerminalWaitRefused(t *testing.T) {
 	if !slices.Equal(log, want) {
 		t.Fatalf("log %q, want %q", log, want)
 	}
-	if w.req.Settle() || tbl.Get(id) != nil || tbl.Outstanding() != 0 {
+	if w.req.Settle() || tbl.Reply(id) != nil || tbl.Get(id) != nil || tbl.Outstanding() != 0 {
 		t.Errorf("a reply after the terminal wait was taken")
 	}
 }
