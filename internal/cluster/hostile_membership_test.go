@@ -102,9 +102,9 @@ func TestIndirectProbesAvertFalseConfirms(t *testing.T) {
 	checkClusterQuiescent(t, "ablation", ablation)
 }
 
-// Probe timeouts are served oldest first by one bound func: with a
-// timeout longer than the probe period several are running at once, and
-// the one that fires must be the lost probe's, not the newest's.
+// Each probe's timeout is its own table entry's: with a timeout longer
+// than the probe period several probes are out at once, and the one that
+// expires must be the lost probe's, not the newest's.
 func TestProbeTimeoutsFireInOrder(t *testing.T) {
 	c := NewCluster(WithBoards(2),
 		WithProbing(100*time.Millisecond, 250*time.Millisecond, 10*time.Second),
@@ -116,12 +116,14 @@ func TestProbeTimeoutsFireInOrder(t *testing.T) {
 	c.eng.At(1150*time.Millisecond, func() { c.MgmtLink(0).Heal() })
 	a := c.members[0].agent
 	c.RunUntil(1340 * time.Millisecond)
-	if len(a.waits) != 3 || len(a.await) != 1 || a.view[1].State != MemberAlive {
-		t.Fatalf("at 1340 ms: %d timeouts running, %d probes unacknowledged, board 1 %v; want 3, 1, alive", len(a.waits), len(a.await), a.view[1].State)
+	// An acknowledged probe's timeout is cancelled, so the lost probe's
+	// is the one still running.
+	if n := a.acks.Outstanding(); n != 1 || a.view[1].State != MemberAlive {
+		t.Fatalf("at 1340 ms: %d probes unacknowledged (timeouts running), board 1 %v; want 1, alive", n, a.view[1].State)
 	}
 	c.RunUntil(1360 * time.Millisecond)
-	if a.view[1].State != MemberSuspect || len(a.await) != 0 {
-		t.Fatalf("at 1360 ms, 10 ms after the lost probe's timeout: board 1 %v, %d probes unacknowledged; want suspect, 0", a.view[1].State, len(a.await))
+	if n := a.acks.Outstanding(); a.view[1].State != MemberSuspect || n != 0 {
+		t.Fatalf("at 1360 ms, 10 ms after the lost probe's timeout: board 1 %v, %d probes unacknowledged; want suspect, 0", a.view[1].State, n)
 	}
 	c.StopMembership()
 	c.RunAll()

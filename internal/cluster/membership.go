@@ -131,18 +131,15 @@ type agent struct {
 	// out is the rumor outbox: updates still owed piggyback retransmits.
 	out []outboundUpdate
 	// inc is the agent's own incarnation, bumped to refute suspicion.
-	inc   uint32
-	seq   uint32
-	await map[uint32]int // outstanding ping seq -> probed member
-	// relayed maps this agent's own ping seq (sent on behalf of another
-	// member) to the ping-req origin it must answer.
-	relayed map[uint32]relayRef
+	inc uint32
+	// acks holds the pings awaiting an ack, the agent's probes and the
+	// ones it relays for a ping-req alike: one table, so one seq space.
+	// spare keeps settled records for the next ping.
+	acks    sim.Requests[*awaited]
+	spare   []*awaited
+	probe   sim.Backoff // a probe's wait, the indirect round, the wait after it
 	probeEv sim.Event
 	stopped bool
-	// waits queues the probe sequence numbers whose timeout is running,
-	// oldest first — every one runs probeTimeout, so they fire in the
-	// order armed.
-	waits []uint32
 	// The agent's three scratch buffers, refilled in place by
 	// probeCandidates, drain and sendTail. Nobody holds one across a
 	// send: SendUDP copies the datagram into its frame before it returns
@@ -153,9 +150,13 @@ type agent struct {
 	wire  []byte
 }
 
-// relayRef remembers who asked for an indirect probe and under which of
-// the origin's sequence numbers.
-type relayRef struct {
+// awaited is one ping awaiting its target's ack: the agent's own probe
+// (origin -1), or one it sent for a ping-req's origin, whose seq the ack
+// is forwarded under.
+type awaited struct {
+	a      *agent
+	req    sim.Request[*awaited]
+	target int
 	origin int
 	seq    uint32
 }
@@ -170,10 +171,9 @@ type outboundUpdate struct {
 func newAgent(c *Cluster, m *Member) *agent {
 	a := &agent{
 		c: c, self: m.ID,
-		view:    make(map[int]memberInfo),
-		await:   make(map[uint32]int),
-		relayed: make(map[uint32]relayRef),
-		inc:     1,
+		view:  make(map[int]memberInfo),
+		inc:   1,
+		probe: sim.Backoff{Initial: c.Cfg.probeTimeout, Factor: 1, Retries: 1},
 	}
 	a.nic = netsim.NewNIC(c.eng, fmt.Sprintf("mgmt%d", m.ID), netsim.MACFor(0xA000+m.ID))
 	c.mgmt.ConnectNIC(a.nic, 50*time.Microsecond, c.Cfg.mgmtBitsPerSec)
@@ -213,13 +213,28 @@ func (a *agent) startProbing() {
 	a.probeEv = a.c.eng.AfterHandler(a.c.Cfg.probeEvery, a)
 }
 
-// stop ends the agent for good. Its probe timeouts return without
-// looking once it is stopped, so the probes in flight are let go here.
+// stop ends the agent for good, letting go of the pings in flight.
 func (a *agent) stop() {
 	a.stopped = true
 	a.c.eng.Cancel(a.probeEv)
-	clear(a.await)
+	a.acks.Abort(nil, nil)
 }
+
+// ping sends a ping to target under a fresh seq and returns its record.
+func (a *agent) ping(target, origin int, seq uint32, extra []gossipUpdate) *awaited {
+	var w *awaited
+	if n := len(a.spare); n > 0 {
+		w, a.spare = a.spare[n-1], a.spare[:n-1]
+	} else {
+		w = &awaited{a: a}
+	}
+	w.target, w.origin, w.seq = target, origin, seq
+	a.send(target, msgPing, a.acks.Open(&w.req, w), extra)
+	return w
+}
+
+// done returns a settled record to the spares.
+func (w *awaited) done() { w.a.spare = append(w.a.spare, w) }
 
 // Fire is the detector's tick: it probes one random live-or-suspect
 // peer; no ack within probeTimeout marks it suspect in this agent's view.
@@ -233,9 +248,6 @@ func (a *agent) Fire() {
 		return
 	}
 	t := targets[a.c.eng.Rand().Intn(len(targets))]
-	seq := a.seq
-	a.seq++
-	a.await[seq] = t
 	a.c.Probes++
 	if tr := a.c.tracer(); tr != nil {
 		tr.Instant(a.c.tidFor(a.self), "gossip", "probe", obs.Num("peer", int64(t)))
@@ -246,39 +258,35 @@ func (a *agent) Fire() {
 	if info := a.view[t]; info.State == MemberSuspect {
 		extra = []gossipUpdate{{ID: t, State: MemberSuspect, Inc: info.Inc}}
 	}
-	a.send(t, msgPing, seq, extra)
-	a.waits = append(a.waits, seq)
-	a.c.eng.AfterHandler(a.c.Cfg.probeTimeout, (*probeTimeout)(a))
+	a.ping(t, -1, 0, extra).req.Arm(a.c.eng, &a.probe, 0)
 }
 
-// probeTimeout is the agent as its probes' timeout: it ends the oldest
-// direct probe's wait. Still unacknowledged, the probe goes to the
-// indirect round, or straight to suspicion.
-type probeTimeout agent
+// Resend is a probe's wait running out unacknowledged: the indirect
+// round, or straight to suspicion. (A relayed ping has no resend.)
+func (w *awaited) Resend() {
+	if w.a.indirectProbe(w.target, w.req.ID()) {
+		return
+	}
+	w.req.Settle()
+	w.a.suspect(w.target)
+	w.done()
+}
 
-func (t *probeTimeout) Fire() {
-	a := (*agent)(t)
-	seq := a.waits[0]
-	a.waits = append(a.waits[:0], a.waits[1:]...)
-	if a.stopped {
-		return
+// Expire ends an unacknowledged ping: a probe's target turns suspect
+// after the indirect round; a relayed ping is let go.
+func (w *awaited) Expire() {
+	if w.origin < 0 {
+		w.a.suspect(w.target)
 	}
-	id, ok := a.await[seq]
-	if !ok {
-		return
-	}
-	if a.indirectProbe(id, seq) {
-		return
-	}
-	delete(a.await, seq)
-	a.suspect(id)
+	w.done()
 }
 
 // indirectProbe runs the SWIM ping-req round: up to Cfg.indirectProbes
 // other members are asked to probe target on this agent's behalf; only
-// if none of them answers within another probeTimeout does the target
-// turn suspect. It reports false when indirection is disabled or no
-// relay exists, in which case the caller suspects immediately.
+// if none of them answers within another probeTimeout (the probe's
+// second wait) does the target turn suspect. It reports false when
+// indirection is disabled or no relay exists, in which case the caller
+// suspects immediately.
 func (a *agent) indirectProbe(target int, seq uint32) bool {
 	k := a.c.Cfg.indirectProbes
 	if k <= 0 {
@@ -308,15 +316,6 @@ func (a *agent) indirectProbe(target int, seq uint32) bool {
 		tr.Instant(a.c.tidFor(a.self), "gossip", "ping-req",
 			obs.Num("target", int64(target)), obs.Num("relays", int64(len(relays))))
 	}
-	a.c.eng.After(a.c.Cfg.probeTimeout, func() {
-		if a.stopped {
-			return
-		}
-		if id, ok := a.await[seq]; ok {
-			delete(a.await, seq)
-			a.suspect(id)
-		}
-	})
 	return true
 }
 
@@ -515,14 +514,15 @@ func (a *agent) recv(_ netstack.IP, _ uint16, payload []byte) {
 	case msgPing:
 		a.send(from, msgAck, seq, nil)
 	case msgAck:
-		if id, ok := a.await[seq]; ok && id == from {
-			delete(a.await, seq)
-		}
-		// An ack for a probe we relayed: forward it to the origin under
-		// the origin's sequence number.
-		if ref, ok := a.relayed[seq]; ok {
-			delete(a.relayed, seq)
-			a.send(ref.origin, msgPingReqAck, ref.seq, nil)
+		// An ack settles a probe from its target, and a relayed ping
+		// from anyone: that ack is forwarded to the origin under the
+		// origin's sequence number.
+		if w := a.acks.Get(seq); w != nil && (w.origin >= 0 || w.target == from) {
+			w.req.Settle()
+			if w.origin >= 0 {
+				a.send(w.origin, msgPingReqAck, w.seq, nil)
+			}
+			w.done()
 		}
 	case msgPingReq:
 		off := 8 + 7*n
@@ -535,15 +535,13 @@ func (a *agent) recv(_ netstack.IP, _ uint16, payload []byte) {
 			a.send(from, msgPingReqAck, seq, nil)
 			return
 		}
-		rseq := a.seq
-		a.seq++
-		a.relayed[rseq] = relayRef{origin: from, seq: seq}
-		a.send(target, msgPing, rseq, nil)
-		// Expire the relay slot so probes of dead members don't leak it.
-		a.c.eng.After(a.c.Cfg.probeTimeout, func() { delete(a.relayed, rseq) })
+		// The relayed ping expires, so probes of dead members don't
+		// leak it.
+		a.ping(target, from, seq, nil).req.Arm(a.c.eng, nil, a.c.Cfg.probeTimeout)
 	case msgPingReqAck:
-		if _, ok := a.await[seq]; ok {
-			delete(a.await, seq)
+		if w := a.acks.Get(seq); w != nil && w.origin < 0 {
+			w.req.Settle()
+			w.done()
 			a.c.IndirectAcks++
 			if tr := a.c.tracer(); tr != nil {
 				tr.Instant(a.c.tidFor(a.self), "gossip", "indirect-ack", obs.Num("relay", int64(from)))

@@ -26,21 +26,17 @@ func checkQuiescent(t *testing.T, f *Federation, asked int) {
 	}
 }
 
-// checkClusterQuiescent is the cluster's share: no probe awaited, relayed
-// or timing — a stopped agent included: stop lets go of the probes in
-// flight, whose timeouts return without looking — no checkpoint copy in
-// flight and every replica slot open or gone (none left mid-move), the
+// checkClusterQuiescent is the cluster's share: no ping awaiting its ack
+// — a probe or a relayed one, a stopped agent's included: stop aborts
+// them — no checkpoint copy in flight and every replica slot open or gone (none left mid-move), the
 // name-ordered directory equal to its map, no in-place walk left open,
 // and every entry's count equal to a recount.
 func checkClusterQuiescent(t *testing.T, when string, c *Cluster) {
 	t.Helper()
 	for _, m := range c.members {
 		a := m.agent
-		if n := len(a.await); n > 0 {
-			t.Errorf("%s: board %d (stopped %v) still awaits %d probe acks", when, m.ID, a.stopped, n)
-		}
-		if len(a.relayed) != 0 || len(a.waits) != 0 {
-			t.Errorf("%s: board %d holds %d relayed probes, %d running timeouts", when, m.ID, len(a.relayed), len(a.waits))
+		if n := a.acks.Outstanding(); n > 0 {
+			t.Errorf("%s: board %d (stopped %v) still awaits %d ping acks", when, m.ID, a.stopped, n)
 		}
 		if n := len(a.xfers); n != 0 {
 			t.Errorf("%s: board %d's copier still runs %d transfers", when, m.ID, n)
