@@ -95,8 +95,9 @@ type Host struct {
 	// such a port makes the map (most hosts never dial).
 	portUse  map[uint16]int
 	nextPort uint16
-	icmpSeq  uint16
-	pings    map[uint16]*pendingPing
+	// pings awaits echo replies; lastPing is the newest one's id.
+	pings    sim.Requests[*echo]
+	lastPing uint32
 	rxBusy   sim.Duration // receive-path serialisation point
 
 	// Diagnostics.
@@ -134,11 +135,18 @@ type pendingPacket struct {
 	wireBytes int
 }
 
-type pendingPing struct {
+// echo is one Ping awaiting its reply.
+type echo struct {
+	req    sim.Request[*echo]
 	sentAt sim.Duration
 	cb     func(rtt sim.Duration, err error)
-	timer  sim.Event
 }
+
+// Resend is never due: a ping waits on its deadline alone.
+func (e *echo) Resend() {}
+
+// Expire is the deadline.
+func (e *echo) Expire() { e.cb(0, ErrTimeout) }
 
 // NewHost binds a stack to a NIC. The NIC's receive handler is taken
 // over by the stack.
@@ -152,7 +160,6 @@ func NewHost(eng *sim.Engine, name string, nic *netsim.NIC, ip IP, profile Stack
 		udpPorts:   make(map[uint16]DatagramHandler),
 		listeners:  make(map[uint16]*TCPListener),
 		conns:      make(map[fourTuple]*TCPConn),
-		pings:      make(map[uint16]*pendingPing),
 		nextPort:   ephemeralBase,
 	}
 	nic.SetHandler(h.rxFrame)
@@ -431,10 +438,11 @@ func (h *Host) handleICMP(src IP, payload []byte) {
 		reply := ICMPEcho{Type: ICMPEchoReply, ID: h.icmp.ID, Seq: h.icmp.Seq, Data: h.icmp.Data}
 		h.sendICMP(src, &reply)
 	case ICMPEchoReply:
-		if p, ok := h.pings[h.icmp.Seq]; ok {
-			delete(h.pings, h.icmp.Seq)
-			h.Eng.Cancel(p.timer)
-			p.cb(h.Eng.Now()-p.sentAt, nil)
+		// A ping's seq is its id+1 in 16 bits: a reply names the newest
+		// ping whose seq that is.
+		id := h.lastPing - uint32(uint16(h.lastPing+1)-h.icmp.Seq)
+		if e := h.pings.Reply(id); e != nil {
+			e.cb(h.Eng.Now()-e.sentAt, nil)
 		}
 	}
 }
@@ -442,21 +450,14 @@ func (h *Host) handleICMP(src IP, payload []byte) {
 // Ping sends an ICMP echo with payloadLen bytes of data and reports the
 // RTT (Figure 8's workload).
 func (h *Host) Ping(dst IP, payloadLen int, timeout sim.Duration, cb func(rtt sim.Duration, err error)) {
-	h.icmpSeq++
-	seq := h.icmpSeq
+	e := &echo{sentAt: h.Eng.Now(), cb: cb}
+	h.lastPing = h.pings.Open(&e.req, e)
 	data := make([]byte, payloadLen)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	req := ICMPEcho{Type: ICMPEchoRequest, ID: 0x4a49, Seq: seq, Data: data}
-	p := &pendingPing{sentAt: h.Eng.Now(), cb: cb}
-	p.timer = h.Eng.After(timeout, func() {
-		if _, ok := h.pings[seq]; ok {
-			delete(h.pings, seq)
-			cb(0, ErrTimeout)
-		}
-	})
-	h.pings[seq] = p
+	req := ICMPEcho{Type: ICMPEchoRequest, ID: 0x4a49, Seq: uint16(h.lastPing + 1), Data: data}
+	e.req.Arm(h.Eng, nil, timeout)
 	h.sendICMP(dst, &req)
 }
 

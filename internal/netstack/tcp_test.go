@@ -3,6 +3,8 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -73,6 +75,28 @@ func TestPingTimeout(t *testing.T) {
 	eng.Run()
 	if !errors.Is(gotErr, ErrTimeout) {
 		t.Fatalf("err = %v, want timeout", gotErr)
+	}
+}
+
+// TestPingSeqWraps: a ping's 16-bit seq wraps after 65535 pings, and
+// the replies to pings on both sides of the wrap still find them.
+func TestPingSeqWraps(t *testing.T) {
+	eng, a, b, _ := twoHosts(5)
+	for range 65534 {
+		var e echo
+		a.pings.Open(&e.req, &e)
+		e.req.Settle()
+	}
+	var got []string
+	for i := range 3 {
+		a.Ping(b.IP, 8, time.Second, func(d sim.Duration, err error) { got = append(got, fmt.Sprint(i, err)) })
+		if i == 0 {
+			eng.Run()
+		}
+	}
+	eng.Run()
+	if want := []string{"0 <nil>", "1 <nil>", "2 <nil>"}; !slices.Equal(got, want) || a.lastPing != 65536 {
+		t.Fatalf("pings across the seq wrap: %q, last id %d; want %q, 65536", got, a.lastPing, want)
 	}
 }
 
