@@ -24,7 +24,7 @@ const maxFedCacheEntries = 8192
 
 // pendingResolve is one client query parked while the root delegates.
 // It carries what a delegation needs — a lone candidate (a cache hit, a
-// redirect), the short datagram, its entry in the root's table — in
+// redirect), the datagram's buffer, its entry in the root's table — in
 // itself, so a delegation allocates the row and nothing per try.
 type pendingResolve struct {
 	r       *fedRoot
@@ -35,15 +35,12 @@ type pendingResolve struct {
 	cands   []int
 	one     [1]int // cands' array when there is just one (only)
 	idx     int
-	spillTo int
+	spillTo int // the spill's target while a spill is outstanding, else -1
 	hops    int
 	// asked is the cluster the outstanding datagram went to, so a
 	// member removal can fail (or re-route) the queries waiting on it.
 	asked int
-	// wire is the outstanding datagram verbatim (in buf when it fits),
-	// so a timeout can retransmit exactly what was lost.
-	wire []byte
-	buf  [48]byte
+	buf   [48]byte // the datagram's, when it fits
 	// reply and ans are the answer's storage (answer): respond renders
 	// it before it returns.
 	reply dns.Message
@@ -261,7 +258,7 @@ func (r *fedRoot) delegate(p *pendingResolve) {
 		return
 	}
 	r.Delegations++
-	r.send(p, p.cands[p.idx], fedOpResolve, nil)
+	r.send(p, p.cands[p.idx])
 }
 
 // redirect makes cid the query's one candidate — the name's home moved
@@ -273,19 +270,28 @@ func (r *fedRoot) redirect(p *pendingResolve, cid int) {
 	r.delegate(p)
 }
 
-// send files p under a fresh qid, puts its datagram — [op, qid:4, args,
-// name] — on the wire to cluster to, and arms the retransmit.
+// send files p under a fresh qid, puts its resolve (or, while spillTo
+// is set, its spill) on the wire to cluster to, and arms the retransmit.
 // Retransmits resend the identical datagram under the same qid — the
 // agent side is idempotent (a duplicate resolve re-answers from the
 // directory like any repeated client query; a duplicate reply finds no
 // pending row and is dropped).
-func (r *fedRoot) send(p *pendingResolve, to int, op byte, args []byte) {
+func (r *fedRoot) send(p *pendingResolve, to int) {
 	p.asked = to
-	qid := r.pending.Open(&p.req, p)
-	p.wire = binary.BigEndian.AppendUint32(append(p.buf[:0], op), qid)
-	p.wire = append(append(p.wire, args...), p.name...)
-	r.mgmt.SendUDP(agentMgmtIP(to), fedPort, fedPort, p.wire)
+	r.pending.Open(&p.req, p)
+	r.mgmt.SendUDP(agentMgmtIP(to), fedPort, fedPort, p.datagram())
 	p.req.Arm(r.f.eng, &r.f.Cfg.delegate, 0)
+}
+
+// datagram renders p's request, in buf when it fits: [op, qid:4, name],
+// with the spill target's id:2 before the name for a spill. The same
+// bytes each time, so a retransmit is an identical copy.
+func (p *pendingResolve) datagram() []byte {
+	if p.spillTo < 0 {
+		return append(binary.BigEndian.AppendUint32(append(p.buf[:0], fedOpResolve), p.req.ID()), p.name...)
+	}
+	b := binary.BigEndian.AppendUint32(append(p.buf[:0], fedOpSpill), p.req.ID())
+	return append(append(b, byte(p.spillTo>>8), byte(p.spillTo)), p.name...)
 }
 
 // Resend retransmits p's datagram after a timeout.
@@ -296,7 +302,7 @@ func (p *pendingResolve) Resend() {
 		tr.Instant(0, "fed", "deleg-retx",
 			obs.Str("name", p.name), obs.Num("cluster", int64(p.asked)), obs.Num("try", int64(p.req.Sends())))
 	}
-	r.mgmt.SendUDP(agentMgmtIP(p.asked), fedPort, fedPort, p.wire)
+	r.mgmt.SendUDP(agentMgmtIP(p.asked), fedPort, fedPort, p.datagram())
 }
 
 // Expire writes p off once the retry budget is gone: the query is
@@ -446,7 +452,7 @@ func (r *fedRoot) resolved(p *pendingResolve, status byte, ip netstack.IP, extra
 		if r.f.Cfg.spillOnRefuse && p.spillTo < 0 && p.hops < 3 {
 			if dst := r.f.spillTarget(cid); dst != nil {
 				p.spillTo = dst.ID
-				r.send(p, cid, fedOpSpill, []byte{byte(dst.ID >> 8), byte(dst.ID)})
+				r.send(p, cid)
 				return
 			}
 		}

@@ -37,18 +37,15 @@ type Fetcher struct {
 // never got as far as a connection), the response, and the time since
 // the call — never more than timeout.
 func (f Fetcher) Fetch(name, path string, timeout sim.Duration, done func(cluster, board int, resp *netstack.HTTPResponse, elapsed sim.Duration, err error)) {
-	ft := &fetch{resolver: Client{Host: f.From, Retry: f.Retry}, retries: f.Retries, refused: f.Refused, route: f.Route,
-		path: path, start: f.From.Eng.Now(), timeout: timeout, cluster: -1, board: -1, done: done}
+	ft := &fetch{Fetcher: f, resolver: Client{Host: f.From, Retry: f.Retry}, path: path,
+		start: f.From.Eng.Now(), timeout: timeout, cluster: -1, board: -1, done: done}
 	ft.resolver.Query(f.Server, name, TypeA, timeout, ft.answered)
 }
 
-// fetch is one Fetch in flight. It keeps of its Fetcher what it reads
-// once the query is out; From is the resolver's Host.
+// fetch is one Fetch in flight.
 type fetch struct {
+	Fetcher
 	resolver       Client
-	retries        *uint64
-	refused        func(RCode) error
-	route          func(netstack.IP) (*netstack.Host, int, int, error)
 	path           string
 	start, timeout sim.Duration
 	cluster, board int
@@ -56,25 +53,24 @@ type fetch struct {
 }
 
 func (ft *fetch) answered(m *Message, _ sim.Duration, err error) {
-	if ft.retries != nil {
-		*ft.retries += ft.resolver.Retries
+	if ft.Retries != nil {
+		*ft.Retries += ft.resolver.Retries
 	}
 	if err == nil && (m.RCode != RCodeNoError || len(m.Answers) == 0) {
-		err = ft.refused(m.RCode)
+		err = ft.Refused(m.RCode)
 	}
 	if err != nil {
 		ft.fetched(nil, 0, err)
 		return
 	}
-	from := ft.resolver.Host
-	ip, via, cluster, board := m.Answers[0].A, from, -1, -1
-	if ft.route != nil {
-		if via, cluster, board, err = ft.route(ip); err != nil {
+	ip, via, cluster, board := m.Answers[0].A, ft.From, -1, -1
+	if ft.Route != nil {
+		if via, cluster, board, err = ft.Route(ip); err != nil {
 			ft.fetched(nil, 0, err)
 			return
 		}
 	}
-	remaining := ft.timeout - (from.Eng.Now() - ft.start)
+	remaining := ft.timeout - (ft.From.Eng.Now() - ft.start)
 	if remaining <= 0 {
 		// netstack arms no deadline for timeout <= 0; fail now rather
 		// than fetch unbounded.
@@ -86,5 +82,5 @@ func (ft *fetch) answered(m *Message, _ sim.Duration, err error) {
 }
 
 func (ft *fetch) fetched(resp *netstack.HTTPResponse, _ sim.Duration, err error) {
-	ft.done(ft.cluster, ft.board, resp, ft.resolver.Host.Eng.Now()-ft.start, err)
+	ft.done(ft.cluster, ft.board, resp, ft.From.Eng.Now()-ft.start, err)
 }

@@ -591,20 +591,17 @@ func nextSrcPort(p uint16) uint16 {
 // response (or an error after timeout). The response is the query's own
 // storage, written by nothing once done has it: the caller may keep it.
 func (c *Client) Query(server netstack.IP, name string, typ Type, timeout sim.Duration, done func(*Message, sim.Duration, error)) {
-	q := &query{c: c, server: server, name: CanonicalName(name), start: c.Host.Eng.Now(), done: done}
+	q := &query{c: c, server: server, typ: typ, name: CanonicalName(name), start: c.Host.Eng.Now(), done: done}
 	// Query IDs count from 1; a source port is picked from the ID so
 	// concurrent queries from one host do not collide.
 	q.id = uint16(c.queries.Open(&q.req, q) + 1)
 	q.srcPort = uint16(clientPortLo + q.id%50000)
-	questions := [1]Question{{Name: q.name, Type: typ, Class: ClassIN}}
-	m := Message{ID: q.id, RecursionDesired: true, Questions: questions[:]}
-	wire, err := m.AppendEncode(q.wireBuf[:0])
+	wire, err := q.encode()
 	if err != nil {
 		q.req.Settle()
 		done(nil, 0, err)
 		return
 	}
-	q.wire = wire
 	for tries := 0; c.Host.BindDatagrams(q.srcPort, q) != nil; tries++ {
 		if tries > 1000 {
 			q.req.Settle()
@@ -628,12 +625,20 @@ type query struct {
 	req         sim.Request[*query]
 	server      netstack.IP
 	id, srcPort uint16
+	typ         Type
 	name        string // the question's, which the reply's echo shares
-	wire        []byte // the datagram, in wireBuf when it fits
 	wireBuf     [64]byte
 	reply       decoded
 	start       sim.Duration
 	done        func(*Message, sim.Duration, error)
+}
+
+// encode renders the query's datagram, in wireBuf when it fits: the
+// same bytes each time, so a retransmit is an identical copy.
+func (q *query) encode() ([]byte, error) {
+	questions := [1]Question{{Name: q.name, Type: q.typ, Class: ClassIN}}
+	m := Message{ID: q.id, RecursionDesired: true, Questions: questions[:]}
+	return m.AppendEncode(q.wireBuf[:0])
 }
 
 // Datagram takes a datagram to the query's port: the first that decodes
@@ -651,7 +656,8 @@ func (q *query) Datagram(_ netstack.IP, _ uint16, payload []byte) {
 // port, so a late answer to any copy still matches.
 func (q *query) Resend() {
 	q.c.Retries++
-	q.c.Host.SendUDP(q.server, q.srcPort, 53, q.wire)
+	wire, _ := q.encode()
+	q.c.Host.SendUDP(q.server, q.srcPort, 53, wire)
 }
 
 // Expire is the deadline.

@@ -2,9 +2,10 @@ package sim
 
 import "math/rand"
 
-// Backoff is the one retransmit schedule: the resolver, the federation
-// root's delegation, ARP, TCP, the chunk sender and the evacuation
-// reschedule all take their timing from one. The wait after send k (k
+// Backoff is the one retransmit schedule: ARP, TCP, the chunk sender and
+// the evacuation reschedule take their timing from one, and so does a
+// Requests entry — the resolver's queries, the federation root's
+// delegations and a gossip agent's probes. The wait after send k (k
 // retransmits already sent) is Initial·Factor^k, stretched by a uniform
 // [0, Jitter) fraction so synchronised senders decorrelate
 // deterministically; Retries bounds the retransmits. The zero value

@@ -6,8 +6,10 @@
 // simulation — hypervisor, XenStore, network stacks — is reproducible
 // bit-for-bit from a seed and runs in real milliseconds regardless of how
 // much virtual time it spans. Beside the engine: Dist, the latency
-// distributions cost models draw from, and Backoff, the one retransmit
-// schedule every protocol here waits on.
+// distributions cost models draw from; Backoff, the one retransmit
+// schedule every protocol here waits on; and Requests, the one table of
+// outstanding requests — ids, retransmits, deadline, settle once — that
+// the resolver, the federation root, the gossip agents and ping keep.
 //
 // The scheduler is built for the million-event workloads of the cluster
 // experiments: two tiers over one pool of event nodes, so steady-state

@@ -1,106 +1,80 @@
 package sim
 
-// Waiter is the caller's record of one outstanding request: what its
-// Requests entry reports to when a timer runs out.
+// Waiter is the caller's record of one outstanding request, which its
+// Requests entry reports to.
 type Waiter interface {
-	// Resend puts the request on the wire again: a retransmit wait ran
-	// out with budget left. Resend may settle the entry.
-	Resend()
-	// Expire ends the request unanswered: its terminal wait or its
-	// deadline ran out. The entry is settled before Expire runs.
-	Expire()
+	Resend() // a retransmit wait ran out with budget left; may Settle
+	Expire() // the terminal wait or the deadline ran out; already settled
 }
 
-// Requests is one table of outstanding requests on the virtual clock:
-// it hands out their ids, arms each one's retransmits and deadline, and
-// settles each exactly once — by a reply (Settle), by a timer (Expire)
-// or by Abort — cancelling whatever the entry still has armed. The
-// resolver's queries, the federation root's delegations, a gossip
-// agent's probes and relays and a host's pings each keep one.
-//
-// An entry is a Request embedded in the caller's record W, which is its
-// timers' Handler too, so opening, arming and settling one allocates
-// nothing. The zero value is an empty table whose ids start at 0.
+// Requests is one table of outstanding requests on the virtual clock: it
+// hands out their ids, arms each one's retransmits and deadline, and
+// settles each once — by a reply, a timer or Abort — cancelling what the
+// entry still has armed. An entry is a Request embedded in the caller's
+// record W, and is its own timers' Handler, so nothing allocates. The
+// zero value is an empty table whose ids start at 0.
 type Requests[W Waiter] struct {
-	eng        *Engine
-	head, tail *Request[W] // the live entries, in id order
-	next       uint32      // the id the next Open hands out
-	n          uint32
+	head    *Request[W] // the live entries, newest first
+	next, n uint32      // the next id; the live count
 }
 
-// Request is one entry of a Requests table. Its zero value is settled.
-//
-// Being the handler of both its events, a request sees each node's end —
-// it fires into the request or the request cancels it — so it keeps the
-// raw nodes, nil once done, where an Event handle would add a generation
-// to each. That keeps an entry small enough to ride in a DNS query's
-// allocation without moving it up a size class.
+// Request is one entry of a Requests table; its zero value is settled.
+// It fires or cancels each of its events itself, so it keeps their raw
+// nodes, nil once done, without an Event's generation: an entry fits in
+// a DNS query's size class.
 type Request[W Waiter] struct {
-	t     *Requests[W] // nil once settled
-	w     W
-	next  *Request[W]
-	b     *Backoff
-	id    uint32
-	sends uint32 // transmissions so far, the first included
-	wait  *event // the retransmit or terminal wait
-	dl    *event // the deadline
+	t        *Requests[W] // nil once settled
+	w        W
+	next     *Request[W]
+	eng      *Engine
+	b        *Backoff
+	id       uint32
+	sends    uint32 // the first included
+	wait, dl *event // the retransmit or terminal wait; the deadline
 }
 
-// Open files r, which must be settled, as w's entry and returns its id:
-// ids run up from the table's first, one per Open.
+// Open files r, which must be settled, as w's entry and returns its id.
 func (t *Requests[W]) Open(r *Request[W], w W) uint32 {
 	if r.t != nil {
 		panic("sim: Open of a live request")
 	}
-	*r = Request[W]{t: t, w: w, id: t.next}
-	t.next++
-	if t.tail == nil {
-		t.head = r
-	} else {
-		t.tail.next = r
-	}
-	t.tail = r
-	t.n++
+	*r = Request[W]{t: t, w: w, next: t.head, id: t.next}
+	t.head, t.next, t.n = r, t.next+1, t.n+1
 	return r.id
 }
 
-// Arm books r's timers on eng for its first send, in this order: the
-// deadline, when positive, then the wait b schedules after the send,
-// when b is not nil. While b's budget lasts that wait ends in a Resend
-// and the next wait; past it a request with a deadline arms nothing
-// more, and one without waits out the last interval and expires. The
-// waits' jitter comes from eng's random source, drawn as each is armed.
+// Arm books r's timers on eng for its first send: the deadline, when
+// positive, first; then, when b is not nil, the wait b schedules after
+// the send. While b's budget lasts that wait ends in a Resend and the
+// next wait, its jitter drawn from eng as it is armed; past the budget
+// a request with a deadline arms nothing, one without waits out the last
+// interval and expires.
 func (r *Request[W]) Arm(eng *Engine, b *Backoff, deadline Duration) {
-	r.t.eng = eng
-	r.b, r.sends = b, 1
+	r.eng, r.b, r.sends = eng, b, 1
 	if deadline > 0 {
 		r.dl = eng.at(eng.now+deadline, (*requestDeadline[W])(r)).n
 	}
 	r.arm()
 }
 
-// arm books the wait after r's latest send.
 func (r *Request[W]) arm() {
 	if r.b == nil {
 		return
 	}
-	eng := r.t.eng
-	if wait, more := r.b.Next(int(r.sends)-1, eng.rng); more || r.dl == nil {
-		r.wait = eng.at(eng.now+max(wait, 0), r).n
+	if wait, more := r.b.Next(int(r.sends)-1, r.eng.rng); more || r.dl == nil {
+		r.wait = r.eng.at(r.eng.now+max(wait, 0), r).n
 	}
 }
 
-// Fire is r's wait running out: the next send while the budget lasts,
-// else the end of the request.
+// Fire is r's wait running out.
 func (r *Request[W]) Fire() {
-	r.wait = nil
-	if int(r.sends)-1 >= r.b.Retries {
-		r.expire()
+	if r.wait = nil; int(r.sends) > r.b.Retries {
+		r.Settle()
+		r.w.Expire()
 		return
 	}
 	r.sends++
-	r.w.Resend()
-	if r.t != nil {
+	if r.w.Resend(); r.t != nil {
 		r.arm()
 	}
 }
@@ -111,72 +85,22 @@ type requestDeadline[W Waiter] Request[W]
 func (d *requestDeadline[W]) Fire() {
 	r := (*Request[W])(d)
 	r.dl = nil
-	r.expire()
-}
-
-func (r *Request[W]) expire() {
 	r.Settle()
 	r.w.Expire()
 }
 
-// Settle ends r — a reply took it — cancelling what it has armed. It
-// reports whether r was live: a reply after the request settled, by an
-// earlier reply, a timer or Abort, is refused.
+// Settle ends r as a reply does and reports whether r was live: a reply
+// after r settled, by a reply, a timer or Abort, is refused.
 func (r *Request[W]) Settle() bool {
-	t := r.t
-	if t == nil {
+	if r.t == nil {
 		return false
 	}
-	var prev *Request[W]
-	for p := t.head; p != r; p = p.next {
-		prev = p
-	}
-	t.drop(r, prev)
+	r.t.Reply(r.id)
 	return true
 }
 
-// drop settles r, whose predecessor in the live list is prev.
-func (t *Requests[W]) drop(r, prev *Request[W]) {
-	if r.wait != nil {
-		t.eng.Cancel(Event{n: r.wait, gen: r.wait.gen})
-		r.wait = nil
-	}
-	if r.dl != nil {
-		t.eng.Cancel(Event{n: r.dl, gen: r.dl.gen})
-		r.dl = nil
-	}
-	if prev == nil {
-		t.head = r.next
-	} else {
-		prev.next = r.next
-	}
-	if t.tail == r {
-		t.tail = prev
-	}
-	r.t, r.next = nil, nil
-	t.n--
-}
-
-// ID is the id r was opened under.
-func (r *Request[W]) ID() uint32 { return r.id }
-
-// Sends counts r's transmissions: the first, and each Resend since.
-func (r *Request[W]) Sends() int { return int(r.sends) }
-
-// Get returns the waiter of the live entry filed under id, or the zero
-// W when none is (a late or duplicate reply).
-func (t *Requests[W]) Get(id uint32) W {
-	for r := t.head; r != nil; r = r.next {
-		if r.id == id {
-			return r.w
-		}
-	}
-	var none W
-	return none
-}
-
-// Reply settles the live entry filed under id, as Settle does, and
-// returns its waiter: the zero W when none is.
+// Reply settles the live entry filed under id and returns its waiter,
+// or the zero W when none is (a late or duplicate reply).
 func (t *Requests[W]) Reply(id uint32) W {
 	var prev *Request[W]
 	for r := t.head; r != nil; prev, r = r, r.next {
@@ -189,16 +113,46 @@ func (t *Requests[W]) Reply(id uint32) W {
 	return none
 }
 
+// drop settles r, whose predecessor in the live list is prev.
+func (t *Requests[W]) drop(r, prev *Request[W]) {
+	for _, n := range [2]*event{r.wait, r.dl} {
+		if n != nil {
+			r.eng.Cancel(Event{n: n, gen: n.gen})
+		}
+	}
+	if prev == nil {
+		t.head = r.next
+	} else {
+		prev.next = r.next
+	}
+	r.t, r.next, r.wait, r.dl = nil, nil, nil, nil
+	t.n--
+}
+
+// ID is the id r was opened under; Sends counts its transmissions.
+func (r *Request[W]) ID() uint32 { return r.id }
+func (r *Request[W]) Sends() int { return int(r.sends) }
+
+// Get returns the waiter of the live entry filed under id, or the zero W.
+func (t *Requests[W]) Get(id uint32) W {
+	for r := t.head; r != nil; r = r.next {
+		if r.id == id {
+			return r.w
+		}
+	}
+	var none W
+	return none
+}
+
 // Outstanding counts the live entries.
 func (t *Requests[W]) Outstanding() int { return int(t.n) }
 
-// Abort settles, in id order, every live entry whose waiter match
-// accepts — every one when match is nil — and then hands each settled
-// waiter, in the same order, to then when it is not nil. All are settled
-// before the first is handed on, so then may open entries (re-opening
-// the one it holds included) without the sweep reaching them.
+// Abort settles every live entry whose waiter match accepts (all when
+// match is nil), then hands each, in id order, to then if it is not nil.
+// All are settled first, so then may open entries, the one it holds
+// included, without the sweep reaching them.
 func (t *Requests[W]) Abort(match func(W) bool, then func(W)) {
-	var first, last, prev *Request[W]
+	var settled, prev *Request[W] // settled collects them oldest first
 	for r := t.head; r != nil; {
 		next := r.next
 		if match != nil && !match(r.w) {
@@ -206,17 +160,11 @@ func (t *Requests[W]) Abort(match func(W) bool, then func(W)) {
 			continue
 		}
 		t.drop(r, prev)
-		if last == nil {
-			first = r
-		} else {
-			last.next = r
-		}
-		last, r = r, next
+		r.next, settled, r = settled, r, next
 	}
-	for r := first; r != nil; {
+	for r := settled; r != nil; {
 		next := r.next
-		r.next = nil
-		if then != nil {
+		if r.next = nil; then != nil {
 			then(r.w)
 		}
 		r = next
