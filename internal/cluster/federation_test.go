@@ -734,3 +734,41 @@ func TestFedRootCountersConserved(t *testing.T) {
 		})
 	}
 }
+
+// TestMemberRemovalFailsOnlyItsDelegations: removing a member settles
+// the delegations waiting on it, and only those — one parked on the
+// other member keeps its retransmits and ends in its own timeout.
+func TestMemberRemovalFailsOnlyItsDelegations(t *testing.T) {
+	f := testFederation(2, 1)
+	fc := f.NewClient("laptop", netstack.IPv4(10, 0, 0, 9))
+	for i, name := range []string{"alice", "bob"} {
+		if home, _ := f.RegisterService(testService(name, byte(20+i))); home.ID != i {
+			t.Fatalf("%s homed on cluster %d, want %d", name, home.ID, i)
+		}
+	}
+	for _, m := range f.members {
+		f.Eng().At(time.Second, m.MgmtLink().Partition)
+	}
+	alice := fedFetch(f, fc, 1100*time.Millisecond, "alice.family.name")
+	bob := fedFetch(f, fc, 1100*time.Millisecond, "bob.family.name")
+	r := f.root
+	var parked int
+	f.Eng().At(1110*time.Millisecond, func() {
+		parked = r.pending.Outstanding()
+		if err := f.RemoveCluster(0); err != nil {
+			t.Error(err)
+		}
+		if n := r.pending.Outstanding(); parked != 2 || n != 1 {
+			t.Errorf("removing cluster 0 left %d of %d parked delegations, want 1 of 2", n, parked)
+		}
+	})
+	f.RunAll()
+	if !alice.done || !bob.done || alice.err == nil || bob.err == nil {
+		t.Fatalf("alice %+v, bob %+v: want both fetches refused", *alice, *bob)
+	}
+	if fc.NXDomains != 1 || fc.ServFails != 1 || r.DelegTimeouts != 1 {
+		t.Errorf("client saw %d NXDOMAIN, %d SERVFAIL; root %d delegation timeouts: want alice NXDOMAIN and bob's delegation timed out",
+			fc.NXDomains, fc.ServFails, r.DelegTimeouts)
+	}
+	checkQuiescent(t, f, 1)
+}

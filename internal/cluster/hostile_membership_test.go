@@ -38,6 +38,44 @@ func TestAsymmetricFailureDeafBoardConfirmed(t *testing.T) {
 	c.RunAll()
 }
 
+// TestPingsToADeafBoardExpire: the probes of a board that hears nothing
+// and the pings relayed for them expire with their waits, so no agent
+// ever awaits more pings than its cluster has boards; and StopMembership
+// aborts what is in flight, after which no view changes.
+func TestPingsToADeafBoardExpire(t *testing.T) {
+	c := probedCluster(3)
+	c.RunUntil(time.Second)
+	c.MgmtLink(1).PartitionBtoA()
+	most := 0
+	for at := time.Second; at < 6*time.Second; at += 10 * time.Millisecond {
+		c.RunUntil(at)
+		for _, m := range c.members {
+			most = max(most, m.agent.acks.Outstanding())
+		}
+	}
+	if most == 0 || most > len(c.members) {
+		t.Errorf("an agent awaited up to %d pings, want 1 to %d", most, len(c.members))
+	}
+	for stopped := false; !stopped; {
+		c.RunUntil(c.eng.Now() + time.Millisecond)
+		for _, m := range c.members {
+			stopped = stopped || m.agent.acks.Outstanding() > 0
+		}
+	}
+	c.StopMembership()
+	suspects, confirms := c.Suspects, c.Confirms
+	for _, m := range c.members {
+		if n := m.agent.acks.Outstanding(); n != 0 {
+			t.Errorf("board %d awaits %d pings after its agent stopped", m.ID, n)
+		}
+	}
+	c.RunAll()
+	if c.Suspects != suspects || c.Confirms != confirms {
+		t.Errorf("stopped agents moved the views: suspects %d → %d, confirms %d → %d", suspects, c.Suspects, confirms, c.Confirms)
+	}
+	checkClusterQuiescent(t, "after the run", c)
+}
+
 func TestAsymmetricFailureMuteBoardConfirmed(t *testing.T) {
 	// One-way failure, mute side: board 1 hears everything but its
 	// transmissions are lost (NIC->bridge cut). Probes reach it, acks
