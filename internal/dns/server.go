@@ -588,8 +588,9 @@ func nextSrcPort(p uint16) uint16 {
 }
 
 // Query sends one question to server:53 and invokes done with the
-// response (or an error after timeout). The response is the query's own
-// storage, written by nothing once done has it: the caller may keep it.
+// response (or an error after timeout; with timeout <= 0, after Retry's
+// last wait). The response is the query's own storage, written by
+// nothing once done has it: the caller may keep it.
 func (c *Client) Query(server netstack.IP, name string, typ Type, timeout sim.Duration, done func(*Message, sim.Duration, error)) {
 	q := &query{c: c, server: server, typ: typ, name: CanonicalName(name), start: c.Host.Eng.Now(), done: done}
 	// Query IDs count from 1; a source port is picked from the ID so
@@ -660,7 +661,7 @@ func (q *query) Resend() {
 	q.c.Host.SendUDP(q.server, q.srcPort, 53, wire)
 }
 
-// Expire is the deadline.
+// Expire ends the query unanswered.
 func (q *query) Expire() { q.end(nil, 0, netstack.ErrTimeout) }
 
 // end releases the settled query's port and hands done its outcome.

@@ -448,7 +448,8 @@ func (h *Host) handleICMP(src IP, payload []byte) {
 }
 
 // Ping sends an ICMP echo with payloadLen bytes of data and reports the
-// RTT (Figure 8's workload).
+// RTT (Figure 8's workload), or ErrTimeout after timeout; like HTTPGet,
+// it arms no deadline for timeout <= 0.
 func (h *Host) Ping(dst IP, payloadLen int, timeout sim.Duration, cb func(rtt sim.Duration, err error)) {
 	e := &echo{sentAt: h.Eng.Now(), cb: cb}
 	h.lastPing = h.pings.Open(&e.req, e)
