@@ -89,8 +89,9 @@ func (d *requestDeadline[W]) Fire() {
 	r.w.Expire()
 }
 
-// Settle ends r as a reply does and reports whether r was live: a reply
-// after r settled, by a reply, a timer or Abort, is refused.
+// Settle ends r — a reply took it — cancelling what it has armed, and
+// reports whether r was live: a reply after r settled, by a reply, a
+// timer or Abort, is refused.
 func (r *Request[W]) Settle() bool {
 	if r.t == nil {
 		return false
@@ -99,18 +100,31 @@ func (r *Request[W]) Settle() bool {
 	return true
 }
 
-// Reply settles the live entry filed under id and returns its waiter,
-// or the zero W when none is (a late or duplicate reply).
-func (t *Requests[W]) Reply(id uint32) W {
-	var prev *Request[W]
-	for r := t.head; r != nil; prev, r = r, r.next {
-		if r.id == id {
-			t.drop(r, prev)
-			return r.w
-		}
+// Get returns the waiter of the live entry filed under id, or the zero
+// W when none is (a late or duplicate reply).
+func (t *Requests[W]) Get(id uint32) (w W) {
+	if r, _ := t.find(id); r != nil {
+		w = r.w
 	}
-	var none W
-	return none
+	return w
+}
+
+// Reply settles the live entry filed under id and returns its waiter,
+// or the zero W when none is.
+func (t *Requests[W]) Reply(id uint32) (w W) {
+	if r, prev := t.find(id); r != nil {
+		t.drop(r, prev)
+		w = r.w
+	}
+	return w
+}
+
+// find returns the live entry filed under id, and its predecessor.
+func (t *Requests[W]) find(id uint32) (r, prev *Request[W]) {
+	for r = t.head; r != nil && r.id != id; r = r.next {
+		prev = r
+	}
+	return r, prev
 }
 
 // drop settles r, whose predecessor in the live list is prev.
@@ -132,17 +146,6 @@ func (t *Requests[W]) drop(r, prev *Request[W]) {
 // ID is the id r was opened under; Sends counts its transmissions.
 func (r *Request[W]) ID() uint32 { return r.id }
 func (r *Request[W]) Sends() int { return int(r.sends) }
-
-// Get returns the waiter of the live entry filed under id, or the zero W.
-func (t *Requests[W]) Get(id uint32) W {
-	for r := t.head; r != nil; r = r.next {
-		if r.id == id {
-			return r.w
-		}
-	}
-	var none W
-	return none
-}
 
 // Outstanding counts the live entries.
 func (t *Requests[W]) Outstanding() int { return int(t.n) }
