@@ -264,12 +264,10 @@ func (a *agent) Fire() {
 // Resend is a probe's wait running out unacknowledged: the indirect
 // round, or straight to suspicion. (A relayed ping has no resend.)
 func (w *awaited) Resend() {
-	if w.a.indirectProbe(w.target, w.req.ID()) {
-		return
+	if !w.a.indirectProbe(w.target, w.req.ID()) {
+		w.req.Settle()
+		w.Expire()
 	}
-	w.req.Settle()
-	w.a.suspect(w.target)
-	w.done()
 }
 
 // Expire ends an unacknowledged ping: a probe's target turns suspect

@@ -17,7 +17,7 @@ import (
 // surfaceHooks are the exported names under internal/ that only tests
 // use, kept on purpose: each is how a test drives or looks inside a
 // layer, and tests are safety code. Keys are package-qualified, methods
-// by their receiver's type, configuration fields by their struct's.
+// by their receiver's type, fields by their struct's.
 // Anything else exported from internal/ that no non-test file uses is
 // surface nothing calls — delete it rather than list it here.
 var surfaceHooks = map[string]string{
@@ -46,6 +46,8 @@ var surfaceHooks = map[string]string{
 	"blockdev.Config.Slots":            "small-disk tests in core and cluster",
 	"blockdev.Config.SeekTime":         "small-disk tests in core and cluster",
 	"blockdev.Config.BytesPerSec":      "small-disk tests in core and cluster",
+	"security.CVE.App":                 "the paper's Table 2 application column, which TestEmbeddedAllRemoteExecution reads",
+	"sim.Requests.Outstanding":         "the one count per table the quiescence checks read",
 }
 
 // TestNoUnreferencedSurface fails when an exported func, method, type,
@@ -59,15 +61,18 @@ var surfaceHooks = map[string]string{
 // declares with that method, or fmt.Stringer or error, since it is
 // then reachable through a call no selector names.
 //
-// An exported field of a configuration struct (knobStruct) must be used
-// by a non-test file outside its own package: inside it, options and
-// defaults are the writers, and a field only they touch is a second
-// way to set the knob.
+// So is every exported field of a struct type declared there: a field
+// is used where a selector or a keyed literal names it. An exported
+// field of a configuration struct (knobStruct) must be used by a
+// non-test file outside its own package: inside it, options and
+// defaults are the writers, and a field only they touch is a second way
+// to set the knob.
 func TestNoUnreferencedSurface(t *testing.T) {
 	prog := loadProgram(t)
 	receivers := map[*ast.Ident]bool{}
 	var decls []types.Object
-	fields := map[types.Object]string{} // configuration fields, by their surfaceHooks key
+	fields := map[types.Object]string{} // struct fields, by their surfaceHooks key
+	knobs := map[types.Object]bool{}    // the configuration fields among them
 	for path, files := range prog.files {
 		if !strings.HasPrefix(path, "jitsu/internal/") {
 			continue
@@ -90,12 +95,13 @@ func TestNoUnreferencedSurface(t *testing.T) {
 						switch spec := spec.(type) {
 						case *ast.TypeSpec:
 							decls = append(decls, prog.info.Defs[spec.Name])
-							if st, ok := spec.Type.(*ast.StructType); ok && knobStruct(spec.Name.Name) {
+							if st, ok := spec.Type.(*ast.StructType); ok {
 								for _, field := range st.Fields.List {
 									for _, id := range field.Names {
 										obj := prog.info.Defs[id]
 										decls = append(decls, obj)
 										fields[obj] = pathpkg.Base(path) + "." + spec.Name.Name + "." + id.Name
+										knobs[obj] = knobStruct(spec.Name.Name)
 									}
 								}
 							}
@@ -126,17 +132,20 @@ func TestNoUnreferencedSurface(t *testing.T) {
 			continue
 		}
 		name, field := fields[obj]
-		live := usedOutside[obj]
-		if !field {
+		live := used[obj]
+		switch {
+		case knobs[obj]:
+			live = usedOutside[obj]
+		case !field:
 			name = qualified(obj)
-			live = used[obj] || prog.reachedByInterface(obj)
+			live = live || prog.reachedByInterface(obj)
 		}
 		declared[name] = true
 		hook := surfaceHooks[name] != ""
 		switch {
 		case live && hook:
 			t.Errorf("surfaceHooks lists %s, but a non-test file uses it: drop the entry", name)
-		case !live && !hook && field:
+		case !live && !hook && knobs[obj]:
 			dead = append(dead, prog.fset.Position(obj.Pos()).String()+": "+name+" is an exported configuration field, but no non-test file outside its package uses it")
 		case !live && !hook:
 			dead = append(dead, prog.fset.Position(obj.Pos()).String()+": "+name+" is exported, but no non-test file uses it")
