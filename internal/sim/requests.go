@@ -143,8 +143,10 @@ func (t *Requests[W]) drop(r, prev *Request[W]) {
 	t.n--
 }
 
-// ID is the id r was opened under; Sends counts its transmissions.
+// ID is the id r was opened under.
 func (r *Request[W]) ID() uint32 { return r.id }
+
+// Sends counts r's transmissions: the first and each Resend since.
 func (r *Request[W]) Sends() int { return int(r.sends) }
 
 // Outstanding counts the live entries.
