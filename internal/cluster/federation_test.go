@@ -766,9 +766,15 @@ func TestMemberRemovalFailsOnlyItsDelegations(t *testing.T) {
 	if !alice.done || !bob.done || alice.err == nil || bob.err == nil {
 		t.Fatalf("alice %+v, bob %+v: want both fetches refused", *alice, *bob)
 	}
-	if fc.NXDomains != 1 || fc.ServFails != 1 || r.DelegTimeouts != 1 {
-		t.Errorf("client saw %d NXDOMAIN, %d SERVFAIL; root %d delegation timeouts: want alice NXDOMAIN and bob's delegation timed out",
+	// alice's home left with her query parked on it and no candidate
+	// after it: the name is being re-homed, not gone, so she is refused
+	// and her name is not negative-cached.
+	if fc.NXDomains != 0 || fc.ServFails != 2 || r.DelegTimeouts != 1 {
+		t.Errorf("client saw %d NXDOMAIN, %d SERVFAIL; root %d delegation timeouts: want alice refused and bob's delegation timed out",
 			fc.NXDomains, fc.ServFails, r.DelegTimeouts)
+	}
+	if _, ok := r.neg["alice.family.name"]; ok {
+		t.Error("alice's name was negative-cached while her cluster was being removed")
 	}
 	checkQuiescent(t, f, 1)
 }

@@ -246,19 +246,25 @@ func (r *fedRoot) track(p *pendingResolve) *pendingResolve {
 	return p
 }
 
-// delegate asks the query's current candidate cluster, skipping
-// candidates that left the federation since the scan; with none left
-// the name is nowhere.
+// delegate asks p's current candidate; with none left the name is nowhere.
 func (r *fedRoot) delegate(p *pendingResolve) {
+	if !r.ask(p) {
+		r.nxdomain(p.query, p.respond, p.name)
+	}
+}
+
+// ask sends p to its current candidate cluster, skipping those that left
+// the federation since the scan; it reports false when none is left.
+func (r *fedRoot) ask(p *pendingResolve) bool {
 	for p.idx < len(p.cands) && r.f.live(p.cands[p.idx]) == nil {
 		p.idx++
 	}
 	if p.idx >= len(p.cands) {
-		r.nxdomain(p.query, p.respond, p.name)
-		return
+		return false
 	}
 	r.Delegations++
 	r.send(p, p.cands[p.idx])
+	return true
 }
 
 // redirect makes cid the query's one candidate — the name's home moved
@@ -321,17 +327,15 @@ func (p *pendingResolve) Expire() {
 }
 
 // failPendingFor sweeps the parked queries waiting on a removed member,
-// in qid order: resolves move on to their next live candidate (or
-// answer NXDOMAIN); spills waiting on the departed cluster are refused —
-// the service's fate is unknown, so refuse rather than guess.
+// in qid order: resolves move on to their next live candidate. One with
+// none left, and a spill, is refused uncached, like a delegation timeout:
+// the member's names are being re-homed, so refuse rather than guess.
 func (r *fedRoot) failPendingFor(cid int) {
 	r.pending.Abort(func(p *pendingResolve) bool { return p.asked == cid }, func(p *pendingResolve) {
-		if p.spillTo >= 0 {
-			r.refuse(p)
-			return
-		}
 		p.idx++
-		r.delegate(p)
+		if p.spillTo >= 0 || !r.ask(p) {
+			r.refuse(p)
+		}
 	})
 }
 

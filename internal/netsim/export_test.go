@@ -5,6 +5,12 @@ import "testing"
 // SlabSize lets the external tests state retention in slabs.
 const SlabSize = slabSize
 
+// MaxSpareFloods is how many flood records a fabric may keep.
+const MaxSpareFloods = maxSpareFloods
+
+// SpareFloods reports how many flood records b's fabric keeps.
+func (b *Bridge) SpareFloods() int { return len(b.fab.floods) }
+
 // Splice is the test-side interposition the external tests in this
 // directory run whole boards and clusters behind: See is shown every
 // frame delivered to a NIC of a watched bridge, before the NIC. There

@@ -74,13 +74,17 @@ func (h *hop) Fire() {
 // each egress port captured at booking, in port order — the schedule a
 // hop per port makes, whose hops fire at one instant with consecutive
 // sequence numbers, so that nothing fires between them. Records are
-// pooled per fabric and keep their egress list's array, sized to the
-// bridge's port count when first used.
+// pooled per fabric, up to maxSpareFloods, and keep their egress list's
+// array, sized to the bridge's port count when first used.
 type flood struct {
 	fab   *fabric
 	dsts  []Port
 	frame []byte
 }
+
+// maxSpareFloods bounds a fabric's pool: a burst of broadcasts would
+// otherwise leave a port-wide egress array per record it ever needed.
+const maxSpareFloods = 8
 
 // flood takes a record from the pool, its egress list empty.
 func (f *fabric) flood(ports int) *flood {
@@ -100,5 +104,7 @@ func (fl *flood) Fire() {
 	}
 	clear(fl.dsts)
 	fl.dsts, fl.frame = fl.dsts[:0], nil
-	fl.fab.floods = append(fl.fab.floods, fl)
+	if len(fl.fab.floods) < maxSpareFloods {
+		fl.fab.floods = append(fl.fab.floods, fl)
+	}
 }

@@ -135,6 +135,41 @@ func TestCompletedFetchesHoldNoSlab(t *testing.T) {
 	w.settle(t, 1)
 }
 
+// TestFloodBurstLeavesFewRecords: every guest on a 64-port bridge
+// broadcasts at one instant, so 64 flood records — each with a 63-wide
+// egress array — are in flight at once. Once they have fired the bridge
+// keeps at most MaxSpareFloods of them, and those still serve: a lone
+// broadcast after the burst allocates nothing.
+func TestFloodBurstLeavesFewRecords(t *testing.T) {
+	eng := sim.New(1)
+	br := netsim.NewBridge(eng, "xenbr0", 10*time.Microsecond)
+	nics := make([]*netsim.NIC, 64)
+	heard := 0
+	for i := range nics {
+		nics[i] = netsim.NewNIC(eng, "nic", netsim.MACFor(i+1))
+		nics[i].SetHandler(func([]byte) { heard++ })
+		br.ConnectNIC(nics[i], 20*time.Microsecond, 0)
+	}
+	frame := make([]byte, 60)
+	copy(frame, netsim.Broadcast[:])
+	for _, nic := range nics {
+		copy(frame[6:12], nic.Addr[:])
+		if err := nic.Send(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	if br.Flooded != 64 || heard != 64*63 {
+		t.Fatalf("%d floods, %d frames heard, want 64 and %d", br.Flooded, heard, 64*63)
+	}
+	if n := br.SpareFloods(); n == 0 || n > netsim.MaxSpareFloods {
+		t.Fatalf("the bridge keeps %d flood records after the burst, want 1 to %d", n, netsim.MaxSpareFloods)
+	}
+	if n := testing.AllocsPerRun(100, func() { nics[0].Send(frame); eng.Run() }); n != 0 {
+		t.Fatalf("a broadcast after the burst: %v allocs, want 0", n)
+	}
+}
+
 // TestClosedWireSessionHoldsNoSlab: an operator session that read 500
 // multi-segment stats answers and closed leaves each bridge the slab it
 // is cutting from and nothing else.

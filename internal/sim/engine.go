@@ -15,17 +15,19 @@
 // experiments: two tiers over one pool of event nodes, so steady-state
 // scheduling performs no allocation. An object that outlives its events
 // (a connection, a pooled job) is their Handler, so arming one binds
-// nothing; a func (At/After) is one too, converted for free.
+// nothing; a func (At/After) is one too, converted for free. Nodes are
+// named by index, so moving an event stores no pointer for the collector.
 //
 //   - A hierarchical timing wheel (6 levels x 64 slots of ~1 ms ticks)
 //     holds every event whose tick lies beyond the wheel cursor: the
 //     TIME_WAIT, retransmit and deadline timers that are nearly always
 //     cancelled first. Insert and Cancel are O(1), and Cancel unlinks
 //     and recycles the node at once: no dead node is ever resident.
-//   - An index-free 4-ary min-heap holds the rest: the cursor tick's own
-//     events and the rare timer beyond the wheel's 2^36-tick span, a
-//     handful of nodes. Cancel marks the node and leaves it for the root
-//     to collect, or for a compaction when dead nodes dominate.
+//   - A 4-ary min-heap of (at, seq, index) entries holds the rest: the
+//     cursor tick's own events and the rare timer beyond the wheel's
+//     2^36-tick span, a handful of nodes. Cancel marks the node and leaves
+//     it for the root to collect, or for a compaction when dead nodes
+//     dominate.
 //
 // Invariant: every wheel node's tick is greater than the cursor, and
 // before each pop every slot starting at or before the heap top's tick
@@ -57,12 +59,14 @@ type event struct {
 	// free list reuses one hot node for nearly every schedule in steady
 	// state, and a 32-bit counter could wrap under a long-retained
 	// handle in a multi-billion-event simulation.
-	gen   uint64
-	state uint8
+	gen uint64
+	idx uint32 // this node's place in Engine.nodes, fixed for its life
 	// slot, next and prev place a stateWheel node in its slot's doubly
-	// linked list, so Cancel unlinks it without a search.
+	// linked list, so Cancel unlinks it without a search; next also links
+	// the free list. Links are node indices; 0 names none.
+	next, prev uint32
 	slot       uint16
-	next, prev *event
+	state      uint8
 }
 
 const (
@@ -93,18 +97,26 @@ func (ev Event) Cancelled() bool {
 	return ev.n == nil || ev.n.gen != ev.gen || ev.n.state == stateCancelled
 }
 
+// entry is a heap element: a node's index beside a copy of its key.
+type entry struct {
+	at  Duration
+	seq uint64
+	idx uint32
+}
+
 // Engine is the discrete-event scheduler. The zero value is not usable;
 // construct with New.
 type Engine struct {
 	now     Duration
-	heap    []*event // 4-ary min-heap on (at, seq); no per-node index
-	free    []*event // recycled nodes
+	nodes   []*event // every node ever made, by index; nodes[0] is none
+	heap    []entry  // 4-ary min-heap on (at, seq)
+	free    uint32   // the first recycled node, linked through next; 0 when none
 	ncancel int      // cancelled nodes still sitting in the heap
 	seq     uint64
 
-	// The wheel: slots[l*wheelSlots+s] heads level l's list s, and
-	// occ[l] has bit s set while that list is non-empty.
-	slots  [wheelLevels * wheelSlots]*event
+	// The wheel: slots[l*wheelSlots+s] heads level l's list s (0 when
+	// empty), and occ[l] has bit s set while that list is non-empty.
+	slots  [wheelLevels * wheelSlots]uint32
 	occ    [wheelLevels]uint64
 	cursor uint64 // every wheel node's tick is greater
 	nwheel int    // nodes resident in the wheel
@@ -123,7 +135,7 @@ type Engine struct {
 // New returns an Engine at virtual time zero whose random source is
 // seeded deterministically with seed.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{nodes: make([]*event, 1, 1+nodeBlock), rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -160,18 +172,15 @@ func (e *Engine) at(t Duration, h Handler) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	var n *event
-	if k := len(e.free); k > 0 {
-		n = e.free[k-1]
-		e.free[k-1] = nil
-		e.free = e.free[:k-1]
-	} else {
-		n = &event{}
+	if e.free == 0 {
+		e.grow()
 	}
+	n := e.nodes[e.free]
+	e.free, n.next = n.next, 0
 	n.at, n.seq, n.h, n.state = t, e.seq, h, statePending
 	e.seq++
 	if tick := tickOf(t); tick <= e.cursor {
-		e.push(n)
+		e.push(entry{t, n.seq, n.idx})
 	} else {
 		e.link(n, tick)
 	}
@@ -212,17 +221,13 @@ func (e *Engine) Cancel(ev Event) {
 // unaffected: (at, seq) is a total order, so any valid heap of the same
 // live set drains identically.
 func (e *Engine) compact() {
-	h := e.heap
-	live := h[:0]
-	for _, n := range h {
-		if n.state == stateCancelled {
+	live := e.heap[:0]
+	for _, x := range e.heap {
+		if n := e.nodes[x.idx]; n.state == stateCancelled {
 			e.recycle(n)
 			continue
 		}
-		live = append(live, n)
-	}
-	for i := len(live); i < len(h); i++ {
-		h[i] = nil
+		live = append(live, x)
 	}
 	e.heap = live
 	e.ncancel = 0
@@ -234,7 +239,7 @@ func (e *Engine) compact() {
 // siftDown restores the heap property below index i.
 func (e *Engine) siftDown(i int) {
 	h := e.heap
-	n := h[i]
+	x := h[i]
 	size := len(h)
 	for {
 		c := i<<2 + 1
@@ -243,17 +248,30 @@ func (e *Engine) siftDown(i int) {
 		}
 		m := c
 		for k := c + 1; k < c+4 && k < size; k++ {
-			if eventLess(h[k], h[m]) {
+			if h[k].less(h[m]) {
 				m = k
 			}
 		}
-		if !eventLess(h[m], n) {
+		if !h[m].less(x) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = n
+	h[i] = x
+}
+
+const nodeBlock = 64
+
+// grow adds nodeBlock free nodes to the pool, in one allocation.
+func (e *Engine) grow() {
+	block := make([]event, nodeBlock)
+	for i := range block {
+		n := &block[i]
+		n.idx, n.next = uint32(len(e.nodes)), e.free
+		e.free = n.idx
+		e.nodes = append(e.nodes, n)
+	}
 }
 
 // recycle returns a node to the free list. Bumping gen invalidates every
@@ -261,7 +279,7 @@ func (e *Engine) siftDown(i int) {
 func (e *Engine) recycle(n *event) {
 	n.gen++
 	n.h = nil
-	e.free = append(e.free, n)
+	n.next, e.free = e.free, n.idx
 }
 
 // step fires the next event if it is due at or before t, and reports
@@ -269,7 +287,7 @@ func (e *Engine) recycle(n *event) {
 // wheel node precedes. Slots starting beyond t's tick stay where they
 // are, so a bounded run never drags the cursor past its bound.
 func (e *Engine) step(t Duration) bool {
-	for len(e.heap) > 0 && e.heap[0].state == stateCancelled {
+	for len(e.heap) > 0 && e.nodes[e.heap[0].idx].state == stateCancelled {
 		e.recycle(e.pop())
 		e.ncancel--
 	}
@@ -343,7 +361,7 @@ func (e *Engine) link(n *event, tick uint64) {
 	diff := tick ^ e.cursor
 	if diff == 0 || diff >= wheelSpan {
 		n.state = statePending
-		e.push(n)
+		e.push(entry{n.at, n.seq, n.idx})
 		return
 	}
 	level := uint(bits.Len64(diff)-1) / wheelBits
@@ -353,25 +371,25 @@ func (e *Engine) link(n *event, tick uint64) {
 		e.nextStart = start
 	}
 	n.state, n.slot = stateWheel, uint16(slot)
-	if n.next = e.slots[slot]; n.next != nil {
-		n.next.prev = n
+	if n.next = e.slots[slot]; n.next != 0 {
+		e.nodes[n.next].prev = n.idx
 	}
-	e.slots[slot] = n
+	e.slots[slot] = n.idx
 	e.occ[level] |= 1 << (slot & (wheelSlots - 1))
 	e.nwheel++
 }
 
 // unlink takes n out of its wheel slot.
 func (e *Engine) unlink(n *event) {
-	if n.next != nil {
-		n.next.prev = n.prev
+	if n.next != 0 {
+		e.nodes[n.next].prev = n.prev
 	}
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else if e.slots[n.slot] = n.next; n.next == nil {
+	if n.prev != 0 {
+		e.nodes[n.prev].next = n.next
+	} else if e.slots[n.slot] = n.next; n.next == 0 {
 		e.occ[n.slot>>wheelBits] &^= 1 << (n.slot & (wheelSlots - 1))
 	}
-	n.next, n.prev = nil, nil
+	n.next, n.prev = 0, 0
 	e.nwheel--
 }
 
@@ -395,22 +413,22 @@ func (e *Engine) settle(limit uint64) {
 			return
 		}
 		slot := uint(level)<<wheelBits | s
-		n := e.slots[slot]
-		e.slots[slot] = nil
+		head := e.slots[slot]
+		e.slots[slot] = 0
 		e.occ[level] &^= 1 << s
 		// Nothing in the wheel precedes this slot's earliest node: the
 		// cursor goes straight to it (or to limit), not level by level.
-		first := tickOf(n.at)
-		for m := n.next; m != nil; m = m.next {
-			first = min(first, tickOf(m.at))
+		first := uint64(math.MaxUint64)
+		for i := head; i != 0; i = e.nodes[i].next {
+			first = min(first, tickOf(e.nodes[i].at))
 		}
 		e.cursor = max(start, min(first, limit))
-		for n != nil {
-			next := n.next
-			n.next, n.prev = nil, nil
+		for i := head; i != 0; {
+			n := e.nodes[i]
+			i = n.next
+			n.next, n.prev = 0, 0
 			e.nwheel--
 			e.link(n, tickOf(n.at))
-			n = next
 		}
 	}
 }
@@ -419,42 +437,40 @@ func (e *Engine) settle(limit uint64) {
 //
 // A 4-ary layout halves the tree depth of a binary heap and keeps the
 // four children of a node in adjacent cache lines, which is where the
-// engine spends its time at cluster scale. No index field is maintained
-// in the nodes: cancellation here is lazy, so nothing ever removes from
-// the middle of the heap.
+// engine spends its time at cluster scale. Cancellation is lazy, so
+// nothing removes from the middle. Entries hold no pointer, and e.heap is
+// only re-assigned self-assigning (append, reslice), which stores no
+// pointer unless the array moves: a sift pays no write barrier.
 
-func eventLess(a, b *event) bool {
+func (a entry) less(b entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (e *Engine) push(n *event) {
-	h := append(e.heap, n)
+func (e *Engine) push(x entry) {
+	e.heap = append(e.heap, x)
+	h := e.heap
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !eventLess(n, h[p]) {
+		if !x.less(h[p]) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = n
-	e.heap = h
+	h[i] = x
 }
 
 func (e *Engine) pop() *event {
 	h := e.heap
-	top := h[0]
+	top := e.nodes[h[0].idx]
 	last := len(h) - 1
-	n := h[last]
-	h[last] = nil
-	h = h[:last]
-	e.heap = h
+	e.heap = e.heap[:last]
 	if last > 0 {
-		h[0] = n
+		h[0] = h[last]
 		e.siftDown(0)
 	}
 	return top

@@ -165,8 +165,9 @@ func TestEngineCancelledTimersLeaveNothingBehind(t *testing.T) {
 	for _, ev := range timers {
 		e.Cancel(ev)
 	}
-	if e.Pending() != 1 || e.nwheel != 1 || len(e.heap) != 0 || len(e.free) != 1000 {
-		t.Fatalf("Pending=%d nwheel=%d heap=%d free=%d, want 1/1/0/1000", e.Pending(), e.nwheel, len(e.heap), len(e.free))
+	if free := len(freeList(e)); e.Pending() != 1 || e.nwheel != 1 || len(e.heap) != 0 || free != len(e.nodes)-2 {
+		t.Fatalf("Pending=%d nwheel=%d heap=%d free=%d of %d nodes, want 1/1/0/all but one",
+			e.Pending(), e.nwheel, len(e.heap), free, len(e.nodes)-1)
 	}
 	for _, ev := range timers {
 		if !ev.Cancelled() {

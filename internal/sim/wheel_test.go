@@ -161,7 +161,7 @@ func (m *modelSide) apply(op, arg byte) {
 	case 14:
 		m.s.runFor(Duration(arg) * 100 * time.Microsecond)
 	case 15:
-		switch arg % 4 {
+		switch arg % 8 {
 		case 0:
 			m.s.run()
 		case 1:
@@ -174,8 +174,40 @@ func (m *modelSide) apply(op, arg byte) {
 			for _, h := range m.handles[first+compactThreshold/2:] {
 				h.cancel()
 			}
+		case 2, 3:
+			// A run of ties: events at one instant — now, or in a wheel
+			// slot — as funcs, at an instant and as Handlers, so only
+			// seq orders them, in the heap and through a flush.
+			m.ties(arg)
+		case 4, 5:
+			// Cancels from the middle of one wheel slot's list, so
+			// unlink meets a node with neighbours on both sides.
+			first := len(m.handles)
+			m.ties(arg)
+			for i := first + 1; i < len(m.handles)-1; i += 2 {
+				m.handles[i].cancel()
+			}
 		default:
 			m.s.step()
+		}
+	}
+}
+
+// ties schedules 3 to 10 events at one instant, chosen by arg: the
+// current one, or a later one whose tick every one of them shares.
+func (m *modelSide) ties(arg byte) {
+	at := m.s.now()
+	if arg&16 != 0 {
+		at += modelDelay(arg>>5, int(arg), at)
+	}
+	for i := 0; i < 3+int(arg>>2)%8; i++ {
+		id := len(m.handles)
+		fn := func() { m.log = append(m.log, id) }
+		m.handles = append(m.handles, modelHandle{})
+		if i%2 == 0 {
+			m.handles[id] = m.s.at(at, fn)
+		} else {
+			m.handles[id] = m.s.handler(at-m.s.now(), fn)
 		}
 	}
 }
@@ -217,20 +249,50 @@ func runModel(t *testing.T, ops []byte) {
 // pending, linked both ways, beyond the cursor, and filed in the level
 // and slot its tick names relative to the cursor; the bitmaps, the node
 // count and the cached earliest start agree with the lists; the cursor
-// never passes the clock; no recycled node keeps a link.
+// never passes the clock; no free node keeps a back link or its
+// callback. And the heap and the pool to theirs: every node sits at its
+// own index; every heap entry carries its node's key, is ordered below
+// its children and names a pending or cancelled node with no link; the
+// cancelled ones are counted; and each node is in exactly one of the
+// heap, the wheel and the free list.
 func checkWheel(t *testing.T, e *Engine, at string) {
 	t.Helper()
+	for i, n := range e.nodes[1:] {
+		if n.idx != uint32(i+1) {
+			t.Fatalf("%s: node %d records index %d", at, i+1, n.idx)
+		}
+	}
+	homes := make([]int, len(e.nodes))
+	cancelled := 0
+	for k, x := range e.heap {
+		n := e.nodes[x.idx]
+		if x.at != n.at || x.seq != n.seq || n.state == stateWheel || n.next != 0 || n.prev != 0 || k > 0 && x.less(e.heap[(k-1)>>2]) {
+			t.Fatalf("%s: heap entry %d (%v, %d) for node %d (%v, %d, state %d) out of place",
+				at, k, x.at, x.seq, x.idx, n.at, n.seq, n.state)
+		}
+		if n.state == stateCancelled {
+			cancelled++
+		}
+		homes[x.idx]++
+	}
+	if cancelled != e.ncancel {
+		t.Fatalf("%s: %d cancelled entries in the heap, ncancel %d", at, cancelled, e.ncancel)
+	}
+	for _, i := range freeList(e) {
+		homes[i]++
+	}
 	if e.cursor > tickOf(e.now) {
 		t.Fatalf("%s: cursor %d beyond the clock's tick %d", at, e.cursor, tickOf(e.now))
 	}
 	count, earliest := 0, uint64(0)
 	for slot, head := range e.slots {
 		level, s := uint(slot>>wheelBits), uint(slot&(wheelSlots-1))
-		if occ := e.occ[level]&(1<<s) != 0; occ != (head != nil) {
-			t.Fatalf("%s: slot %d/%d occupancy bit %v, list non-empty %v", at, level, s, occ, head != nil)
+		if occ := e.occ[level]&(1<<s) != 0; occ != (head != 0) {
+			t.Fatalf("%s: slot %d/%d occupancy bit %v, list non-empty %v", at, level, s, occ, head != 0)
 		}
-		var prev *event
-		for n := head; n != nil; prev, n = n, n.next {
+		var prev uint32
+		for i := head; i != 0; prev, i = i, e.nodes[i].next {
+			n := e.nodes[i]
 			tick := tickOf(n.at)
 			diff := tick ^ e.cursor
 			if n.state != stateWheel || n.prev != prev || int(n.slot) != slot || tick <= e.cursor ||
@@ -242,20 +304,36 @@ func checkWheel(t *testing.T, e *Engine, at string) {
 			if count == 0 || start < earliest {
 				earliest = start
 			}
+			homes[i]++
 			count++
 		}
 	}
 	if count != e.nwheel {
 		t.Fatalf("%s: nwheel %d, lists hold %d", at, e.nwheel, count)
 	}
+	for i, h := range homes[1:] {
+		if h != 1 {
+			t.Fatalf("%s: node %d is in %d of heap, wheel and free list", at, i+1, h)
+		}
+	}
 	if count > 0 && e.nextStart > earliest {
 		t.Fatalf("%s: nextStart %d is past the earliest slot start %d", at, e.nextStart, earliest)
 	}
-	for _, n := range e.free {
-		if n.next != nil || n.prev != nil || n.h != nil {
+	for _, i := range freeList(e) {
+		if n := e.nodes[i]; n.prev != 0 || n.h != nil {
 			t.Fatalf("%s: recycled node keeps a link or its callback", at)
 		}
 	}
+}
+
+// freeList returns the free nodes' indices, head first; it stops at as
+// many as there are nodes, so a cycle shows as a node with two homes.
+func freeList(e *Engine) []uint32 {
+	var free []uint32
+	for i := e.free; i != 0 && len(free) < len(e.nodes); i = e.nodes[i].next {
+		free = append(free, i)
+	}
+	return free
 }
 
 func TestWheelMatchesHeap(t *testing.T) {
@@ -360,8 +438,9 @@ func TestCancelInWheelRecyclesAtOnce(t *testing.T) {
 		t.Fatalf("Pending=%d nwheel=%d, want 2/2", e.Pending(), e.nwheel)
 	}
 	e.Cancel(ev)
-	if e.Pending() != 1 || e.nwheel != 1 || e.ncancel != 0 || len(e.free) != 1 || e.free[0] != ev.n {
-		t.Fatalf("after Cancel: Pending=%d nwheel=%d ncancel=%d free=%d", e.Pending(), e.nwheel, e.ncancel, len(e.free))
+	if free := freeList(e); e.Pending() != 1 || e.nwheel != 1 || e.ncancel != 0 || len(free) != len(e.nodes)-2 || e.nodes[free[0]] != ev.n {
+		t.Fatalf("after Cancel: Pending=%d nwheel=%d ncancel=%d free=%d of %d nodes, the cancelled one not first",
+			e.Pending(), e.nwheel, e.ncancel, len(free), len(e.nodes)-1)
 	}
 	if !ev.Cancelled() {
 		t.Fatal("handle not reported cancelled")

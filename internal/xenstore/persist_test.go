@@ -219,6 +219,74 @@ func TestKeptTransactionPinsNothing(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
+// TestPooledLogHoldsNothing: the logs closed transactions hand back —
+// from a fast-forward commit, a merging one whose records, log and quota
+// steps all outgrew the log's arrays, an abort, and a crowd of open
+// transactions — hold no path, value, permission or node, and the store
+// keeps no more than maxSpareLogs of them.
+func TestPooledLogHoldsNothing(t *testing.T) {
+	s := NewStore(JitsuReconciler{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(s.Write(Dom0, nil, "/tool/gone/leaf", "v"))
+	must(s.Mkdir(Dom0, nil, "/local/domain/7"))
+	must(s.SetPerms(Dom0, nil, "/local/domain/7", Perms{Owner: 7}))
+	clean := func(when string) {
+		t.Helper()
+		for i, l := range s.logs[:s.nlogs] {
+			if *l != (txLog{}) {
+				t.Fatalf("%s: pooled log %d of %d keeps what a transaction wrote", when, i, s.nlogs)
+			}
+		}
+	}
+
+	tx := s.Begin(Dom0)
+	must(s.Write(Dom0, tx, "/tool/ff", "v"))
+	must(s.SetPerms(Dom0, tx, "/tool/ff", Perms{Owner: 7}))
+	must(s.Rm(Dom0, tx, "/tool/gone"))
+	must(tx.Commit()) // nothing happened meanwhile: a fast-forward
+	clean("fast-forward")
+
+	tx = s.Begin(7)
+	for i := 0; i < txOps+8; i++ {
+		must(s.Write(7, tx, fmt.Sprintf("/local/domain/7/k%d/leaf", i), "value"))
+	}
+	must(s.Rm(7, tx, "/local/domain/7/k0"))
+	if len(tx.recs) <= txRecs || len(tx.ops) <= txOps || len(tx.quota) <= len(tx.log.quota) || tx.index == nil {
+		t.Fatalf("%d records, %d ops, %d quota steps: not past the log's arrays", len(tx.recs), len(tx.ops), len(tx.quota))
+	}
+	must(s.Write(Dom0, nil, "/tool/tick", "v")) // so the commit merges
+	must(tx.Commit())
+	clean("merge")
+
+	tx = s.Begin(Dom0)
+	must(s.Write(Dom0, tx, "/tool/aborted", "v"))
+	tx.Abort()
+	clean("abort")
+
+	var open []*Tx
+	held := map[*txLog]bool{}
+	for i := 0; i < 2*maxSpareLogs; i++ {
+		open = append(open, s.Begin(Dom0))
+		if held[open[i].log] {
+			t.Fatalf("open transaction %d shares its log with another", i)
+		}
+		held[open[i].log] = true
+		must(s.Write(Dom0, open[i], fmt.Sprintf("/tool/crowd%d", i), "v"))
+	}
+	for _, tx := range open {
+		tx.Abort()
+	}
+	clean("crowd")
+	if s.nlogs != maxSpareLogs {
+		t.Fatalf("the store keeps %d logs after %d transactions closed, want %d", s.nlogs, len(open), maxSpareLogs)
+	}
+}
+
 // Mutations and commits made by a watch callback during a delivery queue
 // their events behind it, in the order the deep-copying store fired
 // them; the store's own event list, lent to the outer write, is not lent

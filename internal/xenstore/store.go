@@ -111,8 +111,10 @@ type Store struct {
 	nextTxID uint64
 	open     int // transactions begun and not yet committed or aborted
 	firing   bool
-	pending  []string // watch events queued while already firing
-	events   []string // lent to each mutation and commit outside a delivery
+	pending  []string             // watch events queued while already firing
+	events   []string             // lent to each mutation and commit outside a delivery
+	logs     [maxSpareLogs]*txLog // handed back by closed transactions, for Begin
+	nlogs    int
 
 	// NodeQuota caps nodes created by each unprivileged domain (Dom0 is
 	// exempt); 0 disables the check. Matches xenstored's quota knob.

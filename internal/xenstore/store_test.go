@@ -343,18 +343,55 @@ func TestTxWriteVisibility(t *testing.T) {
 	}
 }
 
+// TestTxUseAfterEnd: a Tx kept after Abort or Commit answers
+// ErrTxClosed to every operation, also once the next Begin has taken the
+// log it handed back, and nothing asked of it reaches that transaction.
 func TestTxUseAfterEnd(t *testing.T) {
 	s := newTestStore()
-	tx := s.Begin(Dom0)
-	tx.Abort()
-	if _, err := s.Read(Dom0, tx, "/tool"); !errors.Is(err, ErrTxClosed) {
-		t.Fatalf("read after abort = %v", err)
+	for _, end := range []string{"abort", "commit"} {
+		tx := s.Begin(Dom0)
+		log := tx.log
+		if err := s.Write(Dom0, tx, "/tool/kept", end); err != nil {
+			t.Fatal(err)
+		}
+		if end == "abort" {
+			tx.Abort()
+		} else if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		next := s.Begin(Dom0)
+		if next.log != log {
+			t.Fatalf("after %s: the next Begin did not take the log handed back", end)
+		}
+		closed := func(op string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrTxClosed) {
+				t.Errorf("%s after %s = %v, want ErrTxClosed", op, end, err)
+			}
+		}
+		_, err := s.Read(Dom0, tx, "/tool/kept")
+		closed("Read", err)
+		_, err = s.Exists(Dom0, tx, "/tool")
+		closed("Exists", err)
+		_, err = s.List(Dom0, tx, "/tool")
+		closed("List", err)
+		_, err = s.GetPerms(Dom0, tx, "/tool")
+		closed("GetPerms", err)
+		closed("Write", s.Write(Dom0, tx, "/tool/x", "v"))
+		closed("WriteRecords", s.WriteRecords(Dom0, tx, "/tool/set", []Record{{"/a", "1"}, {"/b", "2"}}))
+		closed("Mkdir", s.Mkdir(Dom0, tx, "/tool/d"))
+		closed("Rm", s.Rm(Dom0, tx, "/tool"))
+		closed("SetPerms", s.SetPerms(Dom0, tx, "/tool", Perms{Owner: Dom0}))
+		closed("Commit", tx.Commit())
+		tx.Abort()
+		if len(next.recs)+len(next.ops)+len(next.quota) != 0 || next.closed || s.open != 1 {
+			t.Fatalf("after %s: the next transaction holds %d records, %d ops, %d quota steps (closed %v, %d open)",
+				end, len(next.recs), len(next.ops), len(next.quota), next.closed, s.open)
+		}
+		next.Abort()
 	}
-	if err := s.Write(Dom0, tx, "/tool/x", "v"); !errors.Is(err, ErrTxClosed) {
-		t.Fatalf("write after abort = %v", err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrTxClosed) {
-		t.Fatalf("commit after abort = %v", err)
+	if got, err := s.Read(Dom0, nil, "/tool/kept"); err != nil || got != "commit" {
+		t.Fatalf("/tool/kept = %q, %v; want the committed write", got, err)
 	}
 }
 

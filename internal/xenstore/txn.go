@@ -47,15 +47,27 @@ type quotaStep struct {
 // Inline room: a domain build touches 18 paths and logs 29 operations.
 const txRecs, txOps = 24, 32
 
+// txLog is the room a transaction's records, log and quota steps start
+// on. A Store keeps up to maxSpareLogs that closed transactions handed
+// back (as many as are open at once) for the next Begin; a pooled log
+// holds no path, value or node.
+type txLog struct {
+	recs  [txRecs]accessRecord
+	ops   [txOps]txOp
+	quota [4]quotaStep
+}
+
+const maxSpareLogs = 8
+
 // Tx is an open transaction: the root the live tree had at Begin —
 // shared, not copied; the transaction's own writes path-copy away from
 // it under the transaction's edit token — plus the dependency records
 // and the operation log to replay at Commit, whose creations a merging
 // Commit installs as the very nodes the transaction made. Records, log
-// and quota steps start on arrays inside the Tx; a record is found by
+// and quota steps start on a txLog from the store; a record is found by
 // scanning recs until they outgrow theirs, from then on through index,
-// built once over the records made so far. A closed Tx lets go of every
-// node.
+// built once over the records made so far. A closed Tx hands its log
+// back and keeps only its closed flag.
 type Tx struct {
 	ID       uint64
 	st       *Store
@@ -73,10 +85,7 @@ type Tx struct {
 	index   map[string]int32 // path to position in recs, once past txRecs
 	ops     []txOp
 	quota   []quotaStep // provisional charges and releases, real at Commit
-
-	recArr   [txRecs]accessRecord
-	opArr    [txOps]txOp
-	quotaArr [4]quotaStep
+	log     *txLog      // where recs, ops and quota started
 }
 
 // Begin opens a transaction for dom. The transaction sees a stable
@@ -91,6 +100,13 @@ func (s *Store) Begin(dom DomID) *Tx {
 	s.open++
 	s.edits += 2
 	s.edit = s.edits
+	var l *txLog
+	if s.nlogs > 0 {
+		s.nlogs--
+		l = s.logs[s.nlogs]
+	} else {
+		l = new(txLog)
+	}
 	t := &Tx{
 		ID:       s.nextTxID,
 		st:       s,
@@ -101,7 +117,7 @@ func (s *Store) Begin(dom DomID) *Tx {
 		startSeq: s.seq,
 		startCom: s.commits,
 	}
-	t.recs, t.ops, t.quota = t.recArr[:0], t.opArr[:0], t.quotaArr[:0]
+	t.recs, t.ops, t.quota, t.log = l.recs[:0], l.ops[:0], l.quota[:0], l
 	return t
 }
 
@@ -114,13 +130,19 @@ func (t *Tx) Abort() {
 	}
 }
 
-// release lets go of every node, so a closed Tx kept pins nothing.
+// release clears what the transaction used of its log (a prefix: recs,
+// ops and quota only grow) and hands it back, so a kept Tx pins nothing.
 func (t *Tx) release() {
-	t.base, t.root = nil, nil
-	for i := range t.ops {
-		t.ops[i].n = nil
+	l := t.log
+	clear(l.recs[:min(len(t.recs), txRecs)])
+	clear(l.ops[:min(len(t.ops), txOps)])
+	clear(l.quota[:min(len(t.quota), len(l.quota))])
+	if s := t.st; s.nlogs < maxSpareLogs {
+		s.logs[s.nlogs] = l
+		s.nlogs++
 	}
-	clear(t.quota)
+	t.base, t.root, t.log = nil, nil, nil
+	t.recs, t.index, t.ops, t.quota = nil, nil, nil, nil
 }
 
 // fastForward reports whether the transaction's tree is what replaying
