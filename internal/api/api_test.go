@@ -210,20 +210,13 @@ func TestBoardStatsCarriesRegistrySnapshot(t *testing.T) {
 	for _, c := range snap.Counters {
 		counters[c.Name] = c.Value
 	}
+	// The one boot shows as the launch counter's row; its latency is the
+	// board tracer's "boot" span, not a registry row.
 	if counters["activation.launches"] != 1 || counters["activation.cold_starts"] != 1 {
 		t.Fatalf("activation counters missing from snapshot: %v", counters)
 	}
 	if counters["sim.fired"] == 0 {
 		t.Fatalf("sim.fired not mirrored: %v", counters)
-	}
-	found := false
-	for _, h := range snap.Hists {
-		if h.Name == "activation.boot" && h.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("activation.boot histogram missing one boot: %+v", snap.Hists)
 	}
 }
 

@@ -361,11 +361,10 @@ func (a *Activation) join(l *launchLeg) {
 // for a cold start, Launcher.Restore for a migrated-in checkpoint, or a
 // disk read (queued behind any in-flight demotion write) ahead of a
 // restore-priced rebuild. The whole path is one span on the board's
-// tracer, and the latency lands in the matching registry histogram.
+// tracer, named after kind; that span is the launch's latency record.
 func (a *Activation) launchVia(svc *Service, kind string) {
 	b := a.j.board
 	svc.Launches++
-	svc.launchStart = b.Eng.Now()
 	if tr, tid := a.tracer(); tr != nil {
 		svc.bootSpan = tr.Begin(tid, "activation", kind,
 			obs.Str("svc", svc.Cfg.Name), obs.Num("mem_mib", int64(svc.Cfg.Image.MemMiB)))
@@ -395,7 +394,6 @@ func (a *Activation) launchVia(svc *Service, kind string) {
 		// A completed disk restore supersedes the parked checkpoint.
 		a.dropDiskCheckpoint(svc)
 		a.setState(svc, svc.launchTarget)
-		b.launchHists[kind].Observe(b.Eng.Now() - svc.launchStart)
 		a.endBootSpan(svc, "ready")
 		a.touch(svc)
 		a.scheduleReap(svc)
@@ -577,7 +575,6 @@ func (a *Activation) demote(svc *Service) error {
 	}
 	svc.Demotions++
 	b := a.j.board
-	start := b.Eng.Now()
 	var span obs.Span
 	if tr, tid := a.tracer(); tr != nil {
 		span = tr.Begin(tid, "activation", "demote",
@@ -585,7 +582,6 @@ func (a *Activation) demote(svc *Service) error {
 	}
 	a.teardown(svc, StateColdDisk)
 	b.Disk.Write(cp.StateMiB, func() {
-		b.demoteHist.Observe(b.Eng.Now() - start)
 		if span.ID != 0 {
 			b.Tracer.End(span, obs.Str("status", "durable"))
 		}

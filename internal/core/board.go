@@ -101,14 +101,11 @@ type Board struct {
 	Disk *blockdev.Device
 	// Tracer is the board's flight recorder (nil when tracing is off).
 	Tracer *obs.Tracer
-	// Reg is the board's metric registry: boot/restore latency
-	// histograms plus snapshot-time mirrors of the DNS and engine
-	// counters. Always present; mirrors cost nothing until Snapshot.
+	// Reg is the board's metric registry: snapshot-time mirrors of the
+	// DNS, engine, activation, memory, tier and disk state. Always
+	// present; mirrors cost nothing until Snapshot. Launch and demote
+	// latencies are spans on Tracer.
 	Reg *obs.Registry
-
-	// launchHists holds the launch latency of each boot path kind.
-	launchHists map[string]*obs.Histogram
-	demoteHist  *obs.Histogram
 
 	nextClient int
 }
@@ -162,12 +159,6 @@ func buildBoard(eng *sim.Engine, cfg BoardConfig) *Board {
 	srv.Tracer = cfg.tracer
 	srv.TraceTID = cfg.traceTID
 	b.Reg = obs.NewRegistry(fmt.Sprintf("board%d", cfg.traceTID))
-	b.launchHists = map[string]*obs.Histogram{
-		"boot":         b.Reg.Histogram("activation.boot"),
-		"restore":      b.Reg.Histogram("activation.restore"),
-		"disk-restore": b.Reg.Histogram("activation.disk_restore"),
-	}
-	b.demoteHist = b.Reg.Histogram("activation.demote")
 	b.Reg.CounterFunc("dns.queries", func() uint64 { return srv.Queries })
 	b.Reg.CounterFunc("dns.cache_hits", func() uint64 { return srv.CacheHits })
 	b.Reg.CounterFunc("dns.cache_misses", func() uint64 { return srv.CacheMisses })

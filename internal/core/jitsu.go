@@ -131,7 +131,6 @@ type Service struct {
 	Guest *unikernel.Guest
 
 	lastActivity sim.Duration
-	launchStart  sim.Duration
 	// waiters hear how the launch in flight ends: the firing that
 	// started it, the firings that joined it, delayed-DNS responders.
 	waiters []func(error)

@@ -134,7 +134,7 @@ func TestNobodyWritesAFrameOnABoard(t *testing.T) {
 }
 
 // TestNobodyWritesAFrameOnTheWire runs three scoped operator sessions
-// against a 3-board cluster for 20 rounds of the operator_wire verb mix:
+// against a 3-board cluster for 24 rounds of the operator_wire verb mix:
 // multi-segment stats answers reassembled by wire.Client, lifecycle
 // verbs that boot, checkpoint and restore guests underneath.
 func TestNobodyWritesAFrameOnTheWire(t *testing.T) {
@@ -183,6 +183,9 @@ func TestNobodyWritesAFrameOnTheWire(t *testing.T) {
 			t.Fatalf("%s: %v", verb, err)
 		}
 	}
+	// The smallest stats answer must still span several TCP segments, so
+	// that every one of them is reassembled from more than one frame.
+	smallest := wire.MaxFrame
 	stats := func() {
 		t.Helper()
 		resp := viewer.Stats(api.StatsRequest{})
@@ -190,9 +193,14 @@ func TestNobodyWritesAFrameOnTheWire(t *testing.T) {
 		if len(resp.Services) != services {
 			t.Fatalf("stats lists %d services, want %d", len(resp.Services), services)
 		}
+		frame, err := wire.Append(nil, wire.Version, wire.TStatsResp, 1, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		smallest = min(smallest, len(frame))
 	}
 	const settle = 400 * time.Millisecond
-	for round := 0; round < 20; round++ {
+	for round := 0; round < 24; round++ {
 		name := names[(round*7)%services]
 		ok("activate", admin.Activate(api.ActivateRequest{Name: name}).Err)
 		stats()
@@ -215,6 +223,9 @@ func TestNobodyWritesAFrameOnTheWire(t *testing.T) {
 	c.Eng().RunFor(5 * time.Second)
 	if events == 0 {
 		t.Fatal("the stats stream delivered no event")
+	}
+	if smallest <= 2*netstack.DefaultMSS {
+		t.Fatalf("the smallest stats answer is %d bytes: it fits in %d segments", smallest, (smallest+netstack.DefaultMSS-1)/netstack.DefaultMSS)
 	}
 	k.check(t, 2000)
 }

@@ -144,10 +144,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	r.CounterFunc("dns.queries", func() uint64 { return ext })
 	depth := 3
 	r.GaugeFunc("sim.pending", func() int64 { return int64(depth) })
-	h := r.Histogram("activation.boot")
-	h.Observe(2 * time.Millisecond)
-	h.Observe(300 * time.Millisecond)
-	h.Observe(350 * time.Millisecond)
 
 	s := r.Snapshot()
 	if s.Name != "board0" {
@@ -161,21 +157,5 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 	if len(s.Gauges) != 1 || s.Gauges[0].Value != 3 {
 		t.Fatalf("gauge wrong: %+v", s.Gauges)
-	}
-	if len(s.Hists) != 1 || s.Hists[0].Count != 3 || s.Hists[0].Max != 350*time.Millisecond {
-		t.Fatalf("hist wrong: %+v", s.Hists)
-	}
-	// Buckets[i] counts samples whose microsecond value fits in i bits:
-	// the warm 2 ms sample and the two cold boots land 8 buckets apart.
-	if b := s.Hists[0].Buckets; len(b) != 20 || b[11] != 1 || b[19] != 2 {
-		t.Fatalf("buckets = %v, want one sample in bucket 11 and two in bucket 19", b)
-	}
-}
-
-func TestHistogramObserveAllocFree(t *testing.T) {
-	var h Histogram
-	allocs := testing.AllocsPerRun(1000, func() { h.Observe(123 * time.Microsecond) })
-	if allocs > 0 {
-		t.Fatalf("Histogram.Observe allocates: %.1f allocs/op", allocs)
 	}
 }

@@ -9,12 +9,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // refSortingSnapshot is Snapshot as it was before the registry kept its
 // rows sorted: append every row in registration order, sort.Slice each
-// kind, trim every histogram by scanning for its last occupied bucket.
+// kind.
 func refSortingSnapshot(r *Registry) Snapshot {
 	s := Snapshot{Name: r.Name}
 	for _, nc := range r.counters {
@@ -25,26 +24,12 @@ func refSortingSnapshot(r *Registry) Snapshot {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
 	}
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	for _, nh := range r.hists {
-		hs := HistSnap{Name: nh.name, Count: nh.h.n, Sum: nh.h.sum, Max: nh.h.max}
-		last := -1
-		for i, c := range nh.h.counts {
-			if c != 0 {
-				last = i
-			}
-		}
-		if last >= 0 {
-			hs.Buckets = append([]uint64(nil), nh.h.counts[:last+1]...)
-		}
-		s.Hists = append(s.Hists, hs)
-	}
-	sort.Slice(s.Hists, func(i, j int) bool { return s.Hists[i].Name < s.Hists[j].Name })
 	return s
 }
 
 // TestSnapshotMatchesReference grows seeded registries row by row —
-// names drawn in no order, mirrored counts bumped and histograms fed
-// between registrations — and holds every Snapshot to the reference,
+// names drawn in no order, mirrored counts bumped between
+// registrations — and holds every Snapshot to the reference,
 // taken first so it sees the rows as the last Snapshot left them. A
 // registration between two snapshots must re-sort.
 func TestSnapshotMatchesReference(t *testing.T) {
@@ -52,13 +37,12 @@ func TestSnapshotMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewRegistry(fmt.Sprintf("reg%d", seed))
 		var counters []*uint64
-		var hists []*Histogram
 		// No name twice, as in every registry the system builds: the
 		// reference's sort.Slice promises no order between equal names.
 		names := rng.Perm(1000)
 		for step := 0; step < 60; step++ {
 			name := fmt.Sprintf("m%03d.x", names[step])
-			switch rng.Intn(6) {
+			switch rng.Intn(4) {
 			case 0:
 				counters = append(counters, mirror(r, name))
 			case 1:
@@ -68,16 +52,8 @@ func TestSnapshotMatchesReference(t *testing.T) {
 				v := rng.Int63()
 				r.GaugeFunc(name, func() int64 { return v })
 			case 3:
-				hists = append(hists, r.Histogram(name))
-			case 4:
 				if len(counters) > 0 {
 					*counters[rng.Intn(len(counters))] += uint64(rng.Intn(9))
-				}
-			case 5:
-				if len(hists) > 0 {
-					// From sub-microsecond to past the last bucket, and negative.
-					d := time.Duration(rng.Int63n(int64(time.Hour)<<uint(rng.Intn(12)))) - time.Second
-					hists[rng.Intn(len(hists))].Observe(d >> uint(rng.Intn(40)))
 				}
 			}
 			if rng.Intn(3) == 0 {
@@ -95,7 +71,7 @@ func TestSnapshotMatchesReference(t *testing.T) {
 }
 
 // TestSnapshotAllocations: a snapshot of an unchanged registry costs one
-// slice per kind of row it has, plus one array for all the buckets.
+// slice per kind of row it has.
 func TestSnapshotAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not the race build's")
@@ -109,57 +85,36 @@ func TestSnapshotAllocations(t *testing.T) {
 	}
 	for i := 0; i < 8; i++ {
 		r.GaugeFunc(fmt.Sprintf("g%02d", 7-i), func() int64 { return 1 })
-		r.Histogram(fmt.Sprintf("h%02d", 7-i))
 	}
-	if got := testing.AllocsPerRun(100, func() { r.Snapshot() }); got != 3 {
-		t.Fatalf("three kinds, empty histograms: %.0f allocations per snapshot, want 3", got)
+	if got := testing.AllocsPerRun(100, func() { r.Snapshot() }); got != 2 {
+		t.Fatalf("counters and gauges: %.0f allocations per snapshot, want 2", got)
 	}
-	r.Histogram("h03").Observe(3 * time.Millisecond)
-	r.Histogram("h05").Observe(300 * time.Millisecond)
-	if got := testing.AllocsPerRun(100, func() { r.Snapshot() }); got != 4 {
-		t.Fatalf("three kinds and buckets: %.0f allocations per snapshot, want 4", got)
-	}
-	// The shared array must not let one row's buckets grow into the next.
+	// Each kind's rows are capped at their length, as a cut from an
+	// array that registries share must be.
 	s := r.Snapshot()
-	for _, h := range s.Hists {
-		if cap(h.Buckets) != len(h.Buckets) {
-			t.Fatalf("%s: buckets have room to append into a neighbour (len %d cap %d)", h.Name, len(h.Buckets), cap(h.Buckets))
-		}
+	if cap(s.Counters) != len(s.Counters) || cap(s.Gauges) != len(s.Gauges) {
+		t.Fatalf("rows have room to append into a neighbour: counters len %d cap %d, gauges len %d cap %d",
+			len(s.Counters), cap(s.Counters), len(s.Gauges), cap(s.Gauges))
 	}
 }
 
 // refSnapshot is one registry's Snapshot as it was before Snapshots
-// shared its arrays across registries: sort once, then three row slices
-// grown to size and one bucket array, per registry.
+// shared its arrays across registries: sort once, then a row slice per
+// kind grown to size, per registry.
 func refSnapshot(r *Registry) Snapshot {
 	if !r.sorted {
 		slices.SortStableFunc(r.counters, func(a, b namedCounter) int { return strings.Compare(a.name, b.name) })
 		slices.SortStableFunc(r.gauges, func(a, b namedGauge) int { return strings.Compare(a.name, b.name) })
-		slices.SortStableFunc(r.hists, func(a, b namedHist) int { return strings.Compare(a.name, b.name) })
 		r.sorted = true
 	}
 	s := Snapshot{Name: r.Name,
 		Counters: slices.Grow([]CounterSnap(nil), len(r.counters)),
-		Gauges:   slices.Grow([]GaugeSnap(nil), len(r.gauges)),
-		Hists:    slices.Grow([]HistSnap(nil), len(r.hists))}
+		Gauges:   slices.Grow([]GaugeSnap(nil), len(r.gauges))}
 	for _, nc := range r.counters {
 		s.Counters = append(s.Counters, CounterSnap{Name: nc.name, Value: nc.fn()})
 	}
 	for _, ng := range r.gauges {
 		s.Gauges = append(s.Gauges, GaugeSnap{Name: ng.name, Value: ng.fn()})
-	}
-	used := 0
-	for _, nh := range r.hists {
-		used += nh.h.used()
-	}
-	buckets := make([]uint64, 0, used)
-	for _, nh := range r.hists {
-		hs := HistSnap{Name: nh.name, Count: nh.h.n, Sum: nh.h.sum, Max: nh.h.max}
-		if n := nh.h.used(); n > 0 {
-			buckets = append(buckets, nh.h.counts[:n]...)
-			hs.Buckets = buckets[len(buckets)-n : len(buckets) : len(buckets)]
-		}
-		s.Hists = append(s.Hists, hs)
 	}
 	return s
 }
@@ -180,33 +135,26 @@ func mirror(r *Registry, name string) *uint64 {
 }
 
 // randomRegistry registers up to rows rows in no name order, each of a
-// kind drawn from those kinds allows (bit 0 counters, 1 gauges, 2
-// histograms), bumping mirrored counts and feeding histograms as it goes.
+// kind drawn from those kinds allows (bit 0 counters, 1 gauges),
+// bumping mirrored counts as it goes.
 func randomRegistry(rng *rand.Rand, name string, rows int, kinds int) *Registry {
 	r := NewRegistry(name)
 	var counters []*uint64
-	var hists []*Histogram
 	for _, i := range rng.Perm(rows) {
 		row := fmt.Sprintf("m%03d.x", i)
-		switch k := rng.Intn(3); {
+		switch k := rng.Intn(2); {
 		case kinds&(1<<k) == 0:
 		case k == 0 && rng.Intn(2) == 0:
 			counters = append(counters, mirror(r, row))
 		case k == 0:
 			v := rng.Uint64()
 			r.CounterFunc(row, func() uint64 { return v })
-		case k == 1:
+		default:
 			v := rng.Int63()
 			r.GaugeFunc(row, func() int64 { return v })
-		default:
-			hists = append(hists, r.Histogram(row))
 		}
 		if len(counters) > 0 {
 			*counters[rng.Intn(len(counters))] += uint64(rng.Intn(9))
-		}
-		if len(hists) > 0 && rng.Intn(2) == 0 {
-			d := time.Duration(rng.Int63n(int64(time.Hour)<<uint(rng.Intn(12)))) - time.Second
-			hists[rng.Intn(len(hists))].Observe(d >> uint(rng.Intn(40)))
 		}
 	}
 	return r
@@ -215,16 +163,15 @@ func randomRegistry(rng *rand.Rand, name string, rows int, kinds int) *Registry 
 // TestSnapshotsShareArrays holds Snapshots over seeded sets of
 // registries — some empty, some missing a kind, sometimes a kind none has
 // — to refSnapshot of each registry alone, and checks what sharing the
-// arrays must not cost: one array per kind present plus one for buckets,
-// rows with no room to append into, nil for a kind a registry lacks, and
+// arrays must not cost: one array per kind present, rows with no room to append into, nil for a kind a registry lacks, and
 // an append to one registry's rows leaving every other's alone.
 func TestSnapshotsShareArrays(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		kinds := 1 + rng.Intn(7)
+		kinds := 1 + rng.Intn(3)
 		regs := make([]*Registry, 1+rng.Intn(6))
 		for i := range regs {
-			regs[i] = randomRegistry(rng, fmt.Sprintf("reg%d", i), rng.Intn(30), kinds&(1+rng.Intn(7)))
+			regs[i] = randomRegistry(rng, fmt.Sprintf("reg%d", i), rng.Intn(30), kinds&(1+rng.Intn(3)))
 		}
 		got := Snapshots(regs...)
 		want := make([]Snapshot, len(regs))
@@ -235,20 +182,14 @@ func TestSnapshotsShareArrays(t *testing.T) {
 			t.Fatalf("seed %d:\n got  %+v\n want %+v", seed, got, want)
 		}
 
-		var rows [4]int // counters, gauges, histograms, buckets: all registries'
+		var rows [2]int // counters, gauges: all registries'
 		for i, s := range got {
-			rows[0], rows[1], rows[2] = rows[0]+len(s.Counters), rows[1]+len(s.Gauges), rows[2]+len(s.Hists)
-			if (len(s.Counters) == 0 && s.Counters != nil) || (len(s.Gauges) == 0 && s.Gauges != nil) || (len(s.Hists) == 0 && s.Hists != nil) {
+			rows[0], rows[1] = rows[0]+len(s.Counters), rows[1]+len(s.Gauges)
+			if (len(s.Counters) == 0 && s.Counters != nil) || (len(s.Gauges) == 0 && s.Gauges != nil) {
 				t.Fatalf("seed %d: registry %d has an empty kind that is not nil: %+v", seed, i, s)
 			}
-			if cap(s.Counters) != len(s.Counters) || cap(s.Gauges) != len(s.Gauges) || cap(s.Hists) != len(s.Hists) {
+			if cap(s.Counters) != len(s.Counters) || cap(s.Gauges) != len(s.Gauges) {
 				t.Fatalf("seed %d: registry %d's rows have room to append into a neighbour", seed, i)
-			}
-			for _, h := range s.Hists {
-				rows[3] += len(h.Buckets)
-				if cap(h.Buckets) != len(h.Buckets) || (len(h.Buckets) == 0 && h.Buckets != nil) {
-					t.Fatalf("seed %d: registry %d, %s: buckets len %d cap %d", seed, i, h.Name, len(h.Buckets), cap(h.Buckets))
-				}
 			}
 		}
 		arrays := 1 // the []Snapshot, then one array per kind any registry has
@@ -266,11 +207,7 @@ func TestSnapshotsShareArrays(t *testing.T) {
 		grown := 0
 		for _, s := range got {
 			grown += len(append(s.Counters, CounterSnap{Name: "spill"})) +
-				len(append(s.Gauges, GaugeSnap{Name: "spill"})) +
-				len(append(s.Hists, HistSnap{Name: "spill"}))
-			for _, h := range s.Hists {
-				grown += len(append(h.Buckets, 1<<63))
-			}
+				len(append(s.Gauges, GaugeSnap{Name: "spill"}))
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: appending %d rows changed a neighbour's:\n got  %+v\n want %+v", seed, grown, got, want)
@@ -285,7 +222,7 @@ func TestSnapshotsShareArrays(t *testing.T) {
 // the refill is free again.
 func TestFreezeRefillsInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	regs := []*Registry{randomRegistry(rng, "cluster", 20, 7), randomRegistry(rng, "board0", 30, 7), randomRegistry(rng, "board1", 0, 7)}
+	regs := []*Registry{randomRegistry(rng, "cluster", 20, 3), randomRegistry(rng, "board0", 30, 3), randomRegistry(rng, "board1", 0, 3)}
 	var rows Rows
 	var dst []Snapshot
 	freeze := func() { dst = rows.Freeze(dst, regs...) }
@@ -313,11 +250,11 @@ func TestFreezeRefillsInPlace(t *testing.T) {
 	}
 	freeze()
 	check("first fill")
-	regs[2].Histogram("h.new").Observe(time.Hour)
-	if got := mallocs(freeze); !raceEnabled && got != 2 {
-		t.Fatalf("a new histogram: the refill allocated %d, want an array for the histograms and one for the buckets", got)
+	regs[2].CounterFunc("c.new", func() uint64 { return 1 })
+	if got := mallocs(freeze); !raceEnabled && got != 1 {
+		t.Fatalf("a new counter: the refill allocated %d, want one array for the counters", got)
 	}
-	check("a histogram more")
+	check("a counter more")
 	// A gauge dropped, one added: the kind is as long as before.
 	regs[1].gauges = regs[1].gauges[1:]
 	regs[1].GaugeFunc("g.new", func() int64 { return -1 })

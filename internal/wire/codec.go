@@ -339,10 +339,9 @@ func (x *buf) checkpoint(v **core.Checkpoint) {
 	x.int(&(*v).StateMiB)
 }
 
-// rows moves a registry's rows of one kind, or a histogram's buckets,
-// like sized, but decoding cuts their room from p instead of allocating
-// it, never sizing a new array past the rows the rest of the body could
-// carry (count's rule).
+// rows moves a registry's rows of one kind like sized, but decoding cuts
+// their room from p instead of allocating it, never sizing a new array
+// past the rows the rest of the body could carry (count's rule).
 func rows[T any](x *buf, s *[]T, p *obs.Pool[T], elem int) int {
 	n := count(x, len(*s), elem)
 	if x.dec {
@@ -362,16 +361,6 @@ func (x *buf) snapshot(s *obs.Snapshot, p *obs.Rows) {
 		g := at(x, &s.Gauges, i)
 		x.name(&g.Name)
 		x.i64(&g.Value)
-	}
-	for i, n := 0, rows(x, &s.Hists, &p.Hists, 2+8+8+8+2); i < n && x.err == nil; i++ {
-		h := at(x, &s.Hists, i)
-		x.name(&h.Name)
-		x.u64(&h.Count)
-		x.dur(&h.Sum)
-		x.dur(&h.Max)
-		for j, m := 0, rows(x, &h.Buckets, &p.Buckets, 8); j < m && x.err == nil; j++ {
-			x.u64(at(x, &h.Buckets, j))
-		}
 	}
 }
 
@@ -404,13 +393,11 @@ func (x *buf) stats(s *api.StatsResponse) {
 	} else if !keep {
 		p = new(obs.Rows)
 	}
-	for i, n := 0, sized(x, &s.Registries, 2+2+2+2); i < n && x.err == nil; i++ {
+	for i, n := 0, sized(x, &s.Registries, 2+2+2); i < n && x.err == nil; i++ {
 		x.snapshot(at(x, &s.Registries, i), p)
 	}
 	p.Counters.Next(keep)
 	p.Gauges.Next(keep)
-	p.Hists.Next(keep)
-	p.Buckets.Next(keep)
 	x.apiErr(&s.Err)
 }
 
@@ -512,10 +499,10 @@ const maxInterned = 4096
 // Decoder is one session's decoding state: the names its stats frames
 // repeat, snapshot after snapshot — services, triggers, registries,
 // metrics — are allocated once and handed out again, and each stats
-// frame's registries share one array per row kind and one for buckets,
-// sized from the previous frame's totals: once a session has seen a
-// frame, one of the same shape costs a fixed number of allocations
-// however many registries it carries. A frame that outgrows the last
+// frame's registries share one array per row kind, sized from the
+// previous frame's totals: once a session has seen a frame, one of the
+// same shape costs a fixed number of allocations however many
+// registries it carries. A frame that outgrows the last
 // starts a new array for what is left; no array is sized past what the
 // rest of the body could carry. The zero value is ready to use; its
 // messages never alias the buffer it was given, nor each other.

@@ -44,10 +44,6 @@ func allMessages() []struct {
 			Name:     "cluster",
 			Counters: []obs.CounterSnap{{Name: "sched.placed", Value: 7}},
 			Gauges:   []obs.GaugeSnap{{Name: "members.alive", Value: 3}},
-			Hists: []obs.HistSnap{{
-				Name: "deleg.rtt", Count: 2, Sum: 3 * time.Millisecond,
-				Max: 2 * time.Millisecond, Buckets: []uint64{0, 1, 1},
-			}},
 		}},
 	}
 	return []struct {

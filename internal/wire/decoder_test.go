@@ -115,9 +115,9 @@ func TestDecoderReusesNames(t *testing.T) {
 		t.Skip("allocation counts are not the race build's")
 	}
 	// Services, triggers, registries; one array each for all the
-	// registries' counters, gauges, hists and buckets; the message boxed
-	// into the interface.
-	const want = 3 + 4 + 1
+	// registries' counters and gauges; the message boxed into the
+	// interface.
+	const want = 3 + 2 + 1
 	for _, regs := range []int{2, 5} {
 		buf := statsFrame(t, 64, regs)
 		var d Decoder
@@ -135,9 +135,8 @@ func TestDecoderReusesNames(t *testing.T) {
 }
 
 // shapedStats is a snapshot of regs registries: registry i carries
-// rows+i counters, rows/2 gauges and 1+i%3 histograms of buckets buckets
-// each (none when buckets is 0).
-func shapedStats(regs, rows, buckets int) api.StatsResponse {
+// rows+i counters and rows/2 gauges.
+func shapedStats(regs, rows int) api.StatsResponse {
 	s := api.StatsResponse{Services: []api.ServiceStats{{Name: "svc.family.name"}}}
 	for i := 0; i < regs; i++ {
 		reg := obs.Snapshot{Name: fmt.Sprintf("board%d", i)}
@@ -146,13 +145,6 @@ func shapedStats(regs, rows, buckets int) api.StatsResponse {
 		}
 		for j := 0; j < rows/2; j++ {
 			reg.Gauges = append(reg.Gauges, obs.GaugeSnap{Name: fmt.Sprintf("g%03d", j), Value: int64(j - i)})
-		}
-		for j := 0; j <= i%3; j++ {
-			h := obs.HistSnap{Name: fmt.Sprintf("h%d", j), Count: uint64(buckets)}
-			for k := 0; k < buckets; k++ {
-				h.Buckets = append(h.Buckets, uint64(i+j+k))
-			}
-			reg.Hists = append(reg.Hists, h)
 		}
 		s.Registries = append(s.Registries, reg)
 	}
@@ -164,30 +156,25 @@ func shapedStats(regs, rows, buckets int) api.StatsResponse {
 func checkRowCaps(t *testing.T, when string, s api.StatsResponse) {
 	t.Helper()
 	for _, r := range s.Registries {
-		if cap(r.Counters) != len(r.Counters) || cap(r.Gauges) != len(r.Gauges) || cap(r.Hists) != len(r.Hists) {
+		if cap(r.Counters) != len(r.Counters) || cap(r.Gauges) != len(r.Gauges) {
 			t.Fatalf("%s: %s's rows have room to append into a neighbour", when, r.Name)
-		}
-		for _, h := range r.Hists {
-			if cap(h.Buckets) != len(h.Buckets) {
-				t.Fatalf("%s: %s/%s buckets len %d cap %d", when, r.Name, h.Name, len(h.Buckets), cap(h.Buckets))
-			}
 		}
 	}
 }
 
 // TestDecoderSizesFromTheLastFrame feeds one session stats frames whose
-// registries, rows and buckets grow, hold, shrink and grow again. Each
+// registries and rows grow, hold, shrink and grow again. Each
 // decode equals the stateless one and the snapshot encoded, no row has
 // room past its end, and no frame's decode disturbs an earlier frame's
 // message, which its caller may still hold.
 func TestDecoderSizesFromTheLastFrame(t *testing.T) {
-	shapes := [][3]int{{2, 4, 3}, {3, 8, 5}, {5, 20, 12}, {5, 20, 12}, {6, 24, 2}, {2, 3, 0}, {1, 0, 0}, {4, 10, 6}, {1, 40, 30}}
+	shapes := [][2]int{{2, 4}, {3, 8}, {5, 20}, {5, 20}, {6, 24}, {2, 3}, {1, 0}, {4, 10}, {1, 40}}
 	var d Decoder
 	var held []api.StatsResponse // every message decoded so far
 	var sent []api.StatsResponse // and what was encoded for it
 	for _, sh := range shapes {
-		when := fmt.Sprintf("registries %d, rows %d, buckets %d", sh[0], sh[1], sh[2])
-		want := shapedStats(sh[0], sh[1], sh[2])
+		when := fmt.Sprintf("registries %d, rows %d", sh[0], sh[1])
+		want := shapedStats(sh[0], sh[1])
 		buf := mustAppend(t, want)
 		_, _, _, msg, _, err := d.Decode(buf)
 		if err != nil {
@@ -235,7 +222,7 @@ func TestDecodeAllocatesWhatTheFrameCarries(t *testing.T) {
 	// one carrying the 100 counters it declares, then failing, has bought
 	// room for no more rows than its body holds.
 	var d Decoder
-	big := mustAppend(t, shapedStats(8, 2500, 0))
+	big := mustAppend(t, shapedStats(8, 2500))
 	want := reflect.ValueOf(&d.rows.Counters).Elem().FieldByName("want")
 	if _, _, _, _, _, err := d.Decode(big); err != nil || want.Int() < 20000 {
 		t.Fatalf("the session expects %d counters after a frame of 20 000 (%v)", want.Int(), err)

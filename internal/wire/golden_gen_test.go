@@ -8,12 +8,15 @@ import (
 	"time"
 
 	"jitsu/internal/api"
+	"jitsu/internal/core"
+	"jitsu/internal/obs"
 )
 
 // goldenVectors is the pinned frame set: known messages whose exact
 // byte layout must never drift — the handshake bodies with their token,
-// scope and refusal error, a scope refusal, and two post-handshake
-// requests. Regenerate (after a deliberate layout change) with
+// scope and refusal error, a scope refusal, two post-handshake
+// requests, and a Stats response with one row of every kind it carries.
+// Regenerate (after a deliberate layout change) with
 //
 //	WIRE_GOLDEN_DUMP=1 go test ./internal/wire -run TestGoldenVectors -v
 func goldenVectors() []struct {
@@ -37,6 +40,14 @@ func goldenVectors() []struct {
 				"scope read-only does not cover migrate (needs admin)")}},
 		{"activate-req", TActivateReq, 3, ActivateReq{Name: "alice.family.name", WantReady: true}},
 		{"watch-req", TWatchReq, 6, WatchReq{Every: 10 * time.Second}},
+		{"stats-resp", TStatsResp, 9, api.StatsResponse{
+			Services: []api.ServiceStats{{Name: "alice.family.name", State: core.StateRunning,
+				Counters: core.Counters{Launches: 2, ColdStarts: 1, Reaps: 1}}},
+			Triggers: []api.TriggerStats{{Name: "dns", Fired: 4}},
+			Registries: []obs.Snapshot{{Name: "board0",
+				Counters: []obs.CounterSnap{{Name: "activation.launches", Value: 2}},
+				Gauges:   []obs.GaugeSnap{{Name: "dns.epoch", Value: 3}}}},
+		}},
 	}
 }
 
@@ -49,6 +60,7 @@ func TestGoldenVectors(t *testing.T) {
 		"unauthorized-resp": "00000048023400000007000100076d69677261746507003473636f706520726561642d6f6e6c7920646f6573206e6f7420636f766572206d69677261746520286e656564732061646d696e29",
 		"activate-req":      "0000001b0211000000030011616c6963652e66616d696c792e6e616d650001",
 		"watch-req":         "0000000e021a0000000600000002540be400",
+		"stats-resp":        "000000aa02390000000900010011616c6963652e66616d696c792e6e616d65020000000000000002000000000000000100000000000000000000000000000000000000000000000100000000000000000000000000000000000000000000000000010003646e73000000000000000400010006626f617264300001001361637469766174696f6e2e6c61756e63686573000000000000000200010009646e732e65706f6368000000000000000300",
 	}
 	for _, v := range goldenVectors() {
 		buf, err := Append(nil, Version, v.typ, v.id, v.msg)

@@ -32,10 +32,10 @@ func TestClientRoutesAnyChunking(t *testing.T) {
 		}
 	}
 	const watch, into = 900, 901
-	for i, shape := range [][3]int{{5, 20, 12}, {2, 4, 3}, {6, 30, 1}, {1, 0, 0}} {
-		frames = append(frames, sent{TStatsEvent, watch, shapedStats(shape[0], shape[1], shape[2])})
+	for i, shape := range [][2]int{{5, 20}, {2, 4}, {6, 30}, {1, 0}} {
+		frames = append(frames, sent{TStatsEvent, watch, shapedStats(shape[0], shape[1])})
 		if i == 1 {
-			frames = append(frames, sent{TStatsResp, into, shapedStats(4, 9, 2)})
+			frames = append(frames, sent{TStatsResp, into, shapedStats(4, 9)})
 		}
 	}
 	var wireBytes []byte
@@ -149,7 +149,7 @@ func heapGrowth(f func()) (objects, bytes uint64) {
 // once it outgrew the idle cap would.
 func TestLargeFrameReassemblesLinearly(t *testing.T) {
 	const watch, seg = 7, 1460
-	frame, err := Append(nil, Version, TStatsEvent, watch, shapedStats(32, 260, 60))
+	frame, err := Append(nil, Version, TStatsEvent, watch, shapedStats(32, 290))
 	if err != nil {
 		t.Fatal(err)
 	}
